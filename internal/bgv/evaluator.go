@@ -27,13 +27,9 @@ func (ev *Evaluator) msFloorBits() float64 {
 	return float64(bitsOf(ev.params.T)) + float64(ev.params.LogN) + 4
 }
 
-// ksNoiseBits is the additive noise of one key switch: the digits are
-// bounded by 2^w and the key errors by t·B, so the added term is about
-// D·2^w·N·t·B.
+// ksNoiseBits is the additive noise of one key switch at a level.
 func (ev *Evaluator) ksNoiseBits(level int) float64 {
-	d := ev.params.RingCtx.NumDigits(level, ev.params.DigitBits)
-	return float64(ev.params.DigitBits) + float64(ev.params.LogN) +
-		float64(bitsOf(ev.params.T)) + math.Log2(float64(d)) + 6
+	return KeySwitchNoiseBits(ev.params.LogN, bitsOf(ev.params.T), level)
 }
 
 // manage drops levels while the noise estimate gets too close to the
@@ -196,16 +192,22 @@ func (ev *Evaluator) tensorProduct(a, b *Ciphertext) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	floor := ev.msFloorBits()
-	for a.Level() > 0 && a.NoiseBits >= floor+float64(ev.params.PrimeBits) {
+	// Copy an operand once, before its first switch, and switch the copy
+	// in place from then on (as alignLevels does).
+	hot := func(ct *Ciphertext) bool {
+		return ct.Level() > 0 && ct.NoiseBits >= ev.msFloorBits()+float64(ev.params.PrimeBits)
+	}
+	if hot(a) {
 		a = a.Copy()
-		if err := ev.ModSwitch(a); err != nil {
-			return nil, err
+		for hot(a) {
+			if err := ev.ModSwitch(a); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for b.Level() > a.Level() {
+	if b.Level() > a.Level() {
 		b = b.Copy()
-		if err := ev.ModSwitch(b); err != nil {
+		if err := ev.DropToLevel(b, a.Level()); err != nil {
 			return nil, err
 		}
 	}
@@ -245,8 +247,7 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 // MulNoRelin returns the degree-2 product a·b without relinearizing.
 // Degree-2 ciphertexts support Add/Sub/Neg, so a sum of products can be
 // accumulated first and key-switched once with Relinearize — amortizing
-// the dominant digit-decomposition cost across the whole inner product
-// (lazy relinearization).
+// the key switch across the whole inner product (lazy relinearization).
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	out, err := ev.tensorProduct(a, b)
 	if err != nil {
@@ -270,17 +271,12 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	level := ct.Level()
 
-	d2 := ctx.GetPoly(level)
-	ctx.CopyInto(ct.C[2], d2)
-	ctx.INTT(d2)
-	acc0, acc1 := ev.keySwitch(d2, ev.keys.Relin, level)
-	ctx.PutPoly(d2)
-	d0 := ctx.NewPoly(level)
-	ctx.Add(ct.C[0], acc0, d0)
-	d1 := ctx.NewPoly(level)
-	ctx.Add(ct.C[1], acc1, d1)
-	ctx.PutPoly(acc0)
-	ctx.PutPoly(acc1)
+	digits := ctx.DecomposeHybrid(ct.C[2])
+	d0, d1 := ctx.NewPoly(level), ctx.NewPoly(level)
+	ev.keySwitch(digits, ev.keys.Relin, level, d0, d1)
+	ctx.PutPolys(digits)
+	ctx.Add(ct.C[0], d0, d0)
+	ctx.Add(ct.C[1], d1, d1)
 
 	out := &Ciphertext{C: []*ring.Poly{d0, d1}}
 	out.NoiseBits = math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1
@@ -290,26 +286,27 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	return out, ev.manage(out)
 }
 
-// keySwitch computes Σ_k digit_k ⊙ key_k for a coefficient-domain
-// polynomial d, returning NTT-domain accumulators (b-side, a-side). The
-// key is accessed through its level-truncated view, so a switch at a
-// scheduled-down level runs over exactly the digits and limbs that level
-// needs. The accumulators come from the ring pool; callers that consume
-// them into a longer-lived sum should PutPoly them afterwards.
-func (ev *Evaluator) keySwitch(d *ring.Poly, key *SwitchingKey, level int) (*ring.Poly, *ring.Poly) {
+// keySwitch computes (Σ_j digit_j ⊙ key_j)/P into (out0, out1), all in
+// NTT domain, from the extended digits of the polynomial being switched
+// (ring.DecomposeHybrid). The key is accessed through its
+// level-truncated view, so a switch at a scheduled-down level runs over
+// exactly the digits and limbs that level needs.
+func (ev *Evaluator) keySwitch(digits []*ring.Poly, key *SwitchingKey, level int, out0, out1 *ring.Poly) {
 	ctx := ev.params.RingCtx
-	key = key.AtLevel(ctx, ev.params.DigitBits, level)
-	digits := ctx.DecomposeBase2w(d, ev.params.DigitBits)
-	acc0 := ctx.GetPolyZero(level)
+	qp := ctx.QP(level)
+	key = key.AtLevel(level)
+	acc0 := qp.GetPolyZero(qp.MaxLevel())
 	acc0.IsNTT = true
-	acc1 := ctx.GetPolyZero(level)
+	acc1 := qp.GetPolyZero(qp.MaxLevel())
 	acc1.IsNTT = true
-	for k, dig := range digits {
-		ctx.MulCoeffsShoupAdd(dig, key.B[k], key.BS[k], acc0)
-		ctx.MulCoeffsShoupAdd(dig, key.A[k], key.AS[k], acc1)
+	for j, dig := range digits {
+		qp.MulCoeffsShoupAdd(dig, key.B[j], key.BS[j], acc0)
+		qp.MulCoeffsShoupAdd(dig, key.A[j], key.AS[j], acc1)
 	}
-	ctx.PutPolys(digits)
-	return acc0, acc1
+	ctx.DivideByP(acc0, out0)
+	ctx.DivideByP(acc1, out1)
+	qp.PutPoly(acc0)
+	qp.PutPoly(acc1)
 }
 
 // ModSwitch drops one prime from ct's modulus chain in place, reducing
@@ -385,10 +382,8 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, elt uint64) (*Ciphertext, error
 		return nil, err
 	}
 	ctx := ev.params.RingCtx
-	level := ct.Level()
-	c0, digits := ev.hoistPrep(ct, level)
-	out, err := ev.galoisFromDigits(ct, c0, digits, elt)
-	ctx.PutPoly(c0)
+	digits := ctx.DecomposeHybrid(ct.C[1])
+	out, err := ev.galoisFromDigits(ct, digits, elt)
 	ctx.PutPolys(digits)
 	return out, err
 }
@@ -415,58 +410,28 @@ func (ev *Evaluator) checkGalois(ct *Ciphertext, elt uint64) error {
 	return nil
 }
 
-// hoistPrep computes the shared, rotation-independent half of a Galois
-// key switch: c0 in coefficient domain and the base-2^w digit
-// decomposition of c1 (also in coefficient domain). This is the dominant
-// cost of a rotation — one INTT pair plus a full CRT reconstruction per
-// coefficient — and it can be amortized across every rotation of the same
-// ciphertext. All returned polys belong to the ring pool.
-func (ev *Evaluator) hoistPrep(ct *Ciphertext, level int) (c0 *ring.Poly, digits []*ring.Poly) {
-	ctx := ev.params.RingCtx
-	c0 = ctx.GetPoly(level)
-	ctx.CopyInto(ct.C[0], c0)
-	ctx.INTT(c0)
-	c1 := ctx.GetPoly(level)
-	ctx.CopyInto(ct.C[1], c1)
-	ctx.INTT(c1)
-	digits = ctx.DecomposeBase2wCoeff(c1, ev.params.DigitBits)
-	ctx.PutPoly(c1)
-	return c0, digits
-}
-
-// galoisFromDigits finishes a rotation from the hoisted state: it applies
-// the automorphism to c0 and to each shared digit, then multiplies the
-// digits against the Galois key. Applying the automorphism after the
-// decomposition is sound because Σ_k σ(d_k)·2^{kw} = σ(c1) and the
-// automorphism permutes (and sign-flips) coefficients, preserving their
-// digit-sized magnitude.
-func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, c0 *ring.Poly, digits []*ring.Poly, elt uint64) (*Ciphertext, error) {
+// galoisFromDigits finishes a rotation from the hoisted state, the
+// extended digits of c1: it key-switches c1 from s to σ^{-1}(s) (the
+// form Galois keys are generated in), adds c0, and applies σ to both
+// components as an NTT-domain index permutation, which lands the result
+// back under s. One decomposition therefore serves every rotation of the
+// same ciphertext, and each step costs a multiply-accumulate, one
+// divide-by-P and two permutations.
+func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt uint64) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	level := ct.Level()
-	key := ev.keys.Galois[elt].AtLevel(ctx, ev.params.DigitBits, level)
 
-	sc0 := ctx.GetPoly(level)
-	ctx.Automorphism(c0, elt, sc0)
-	ctx.NTT(sc0)
-
-	acc0 := ctx.GetPolyZero(level)
-	acc0.IsNTT = true
-	acc1 := ctx.GetPolyZero(level)
-	acc1.IsNTT = true
-	tmp := ctx.GetPoly(level)
-	for k, dig := range digits {
-		ctx.Automorphism(dig, elt, tmp)
-		ctx.NTT(tmp)
-		ctx.MulCoeffsShoupAdd(tmp, key.B[k], key.BS[k], acc0)
-		ctx.MulCoeffsShoupAdd(tmp, key.A[k], key.AS[k], acc1)
-		tmp.IsNTT = false
-	}
-	ctx.PutPoly(tmp)
-	ctx.Add(sc0, acc0, sc0)
-	ctx.PutPoly(acc0)
+	k0, k1 := ctx.GetPoly(level), ctx.GetPoly(level)
+	ev.keySwitch(digits, ev.keys.Galois[elt], level, k0, k1)
+	ctx.Add(ct.C[0], k0, k0)
+	c0, c1 := ctx.GetPoly(level), ctx.GetPoly(level)
+	ctx.AutomorphismNTT(k0, elt, c0)
+	ctx.AutomorphismNTT(k1, elt, c1)
+	ctx.PutPoly(k0)
+	ctx.PutPoly(k1)
 
 	out := &Ciphertext{
-		C:         []*ring.Poly{sc0, acc1},
+		C:         []*ring.Poly{c0, c1},
 		NoiseBits: math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1,
 	}
 	return out, ev.manage(out)
@@ -491,10 +456,9 @@ func (ev *Evaluator) HoistableStepAt(step, level int) (rotates, hoisted bool) {
 }
 
 // RotateHoisted rotates ct left by every step in steps with hoisted key
-// switching (Halevi–Shoup 2018): the c1 component is decomposed into
-// key-switching digits once, in coefficient domain, and each Galois
-// automorphism is applied to the shared digits — amortizing the dominant
-// INTT + CRT-decompose cost across all requested rotations. The result
+// switching (Halevi–Shoup 2018): the c1 component is split into extended
+// key-switching digits once and every requested rotation reuses them —
+// amortizing the INTT, base extension and digit NTTs. The result
 // slice is parallel to steps; step 0 returns a copy. Steps lacking a
 // direct Galois key fall back to the composed Rotate path (no hoisting
 // for those steps).
@@ -513,7 +477,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 	level := ct.Level()
 
 	outs := make([]*Ciphertext, len(steps))
-	var c0 *ring.Poly
 	var digits []*ring.Poly
 	var err error
 	for i, step := range steps {
@@ -527,18 +490,15 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 			outs[i], err = ev.Rotate(ct, s)
 		} else if err = ev.checkGalois(ct, elt); err == nil {
 			if digits == nil {
-				c0, digits = ev.hoistPrep(ct, level)
+				digits = ctx.DecomposeHybrid(ct.C[1])
 			}
-			outs[i], err = ev.galoisFromDigits(ct, c0, digits, elt)
+			outs[i], err = ev.galoisFromDigits(ct, digits, elt)
 		}
 		if err != nil {
 			break
 		}
 	}
-	if digits != nil {
-		ctx.PutPoly(c0)
-		ctx.PutPolys(digits)
-	}
+	ctx.PutPolys(digits)
 	if err != nil {
 		return nil, err
 	}

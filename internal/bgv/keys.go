@@ -18,15 +18,18 @@ type PublicKey struct {
 	B, A *ring.Poly
 }
 
-// SwitchingKey re-encrypts a "foreign" secret (s², or an automorphism
-// image of s) under s, one entry per base-2^w gadget digit:
-// B[k] = -(A[k]·s + t·e_k) + 2^{kw}·target. A key generated at level ℓ
-// serves every level ≤ ℓ (the gadget digits are level-independent; at
-// lower levels the unused prime residues are simply ignored) but cannot
-// serve levels above ℓ — it has no residues for those primes. Keys for
-// rotation steps used only by the scheduled back half of the pipeline
-// are therefore generated directly at their stage level, cutting key
-// material (GenEvaluationKeysAt).
+// SwitchingKey re-encrypts a "foreign" secret s' (s² for
+// relinearization, s itself for a Galois key) under a secret s_out, one
+// entry per hybrid key-switch digit j over the modulus Q·P:
+// B[j] = -(A[j]·s_out + t·e_j) + P·g_j·s', where g_j is 1 on the chain
+// primes of digit j and 0 on every other prime (ring/basisext.go). Each
+// poly holds the key's level+1 chain rows followed by the special-prime
+// rows. Because g_j is 0/1 per prime, a key generated at level ℓ serves
+// every level ≤ ℓ by dropping rows — including levels that cut a digit
+// group in two — but cannot serve levels above ℓ: it has no residues
+// for those primes. Keys for rotation steps used only by the scheduled
+// back half of the pipeline are therefore generated directly at their
+// stage level, cutting key material (GenEvaluationKeysAt).
 // BS and AS are the Shoup companion tables of B and A, letting the
 // evaluator's digit ⊙ key inner products run division-free.
 type SwitchingKey struct {
@@ -38,7 +41,7 @@ type SwitchingKey struct {
 
 // Level returns the highest level this key can serve (the level it was
 // generated at).
-func (k *SwitchingKey) Level() int { return k.B[0].Level() }
+func (k *SwitchingKey) Level() int { return k.B[0].Level() - ring.DigitPrimes }
 
 // MaterialBytes returns the in-memory size of the key's polynomials
 // (B, A and their Shoup companions).
@@ -50,16 +53,17 @@ func (k *SwitchingKey) MaterialBytes() int64 {
 	return total
 }
 
-// AtLevel returns a view of k truncated to the given level for base-2^w
-// key switching: only the digits that exist at that level's modulus are
-// kept, and each retained key poly (and its Shoup companion) is
-// restricted to the active primes. A key switch at a scheduled-down
-// level therefore decomposes into fewer digits and multiplies fewer
-// limbs than the top-level key would suggest. Views share the full key's
-// backing arrays (no copying) and are cached per level; the top level
-// returns k itself.
-func (k *SwitchingKey) AtLevel(ctx *ring.Context, w, level int) *SwitchingKey {
-	if level >= k.B[0].Level() {
+// AtLevel returns a view of k truncated to the given level: only the
+// digits that exist at that level are kept, and each retained key poly
+// (and its Shoup companion) is restricted to the active chain primes
+// plus the special primes. A key switch at a scheduled-down level
+// therefore extends fewer digits and multiplies fewer limbs than the
+// top-level key would suggest. Views share the full key's residue rows
+// (no copying) and are cached per level; the key's own level returns k
+// itself.
+func (k *SwitchingKey) AtLevel(level int) *SwitchingKey {
+	top := k.Level()
+	if level >= top {
 		return k
 	}
 	if tab := k.views.Load(); tab != nil && level < len(*tab) {
@@ -67,18 +71,23 @@ func (k *SwitchingKey) AtLevel(ctx *ring.Context, w, level int) *SwitchingKey {
 			return v
 		}
 	}
-	digits := min(ctx.NumDigits(level, w), len(k.B))
+	digits := ring.HybridDigits(level)
 	v := &SwitchingKey{
 		B:  make([]*ring.Poly, digits),
 		A:  make([]*ring.Poly, digits),
 		BS: make([]*ring.PolyShoup, digits),
 		AS: make([]*ring.PolyShoup, digits),
 	}
+	// rows keeps chain rows 0..level and the special rows above the
+	// key's own chain.
+	rows := func(all [][]uint64) [][]uint64 {
+		return append(append(make([][]uint64, 0, level+1+ring.DigitPrimes), all[:level+1]...), all[top+1:]...)
+	}
 	for d := 0; d < digits; d++ {
-		v.B[d] = restrict(k.B[d], level)
-		v.A[d] = restrict(k.A[d], level)
-		v.BS[d] = &ring.PolyShoup{S: k.BS[d].S[:level+1]}
-		v.AS[d] = &ring.PolyShoup{S: k.AS[d].S[:level+1]}
+		v.B[d] = &ring.Poly{Coeffs: rows(k.B[d].Coeffs), IsNTT: true}
+		v.A[d] = &ring.Poly{Coeffs: rows(k.A[d].Coeffs), IsNTT: true}
+		v.BS[d] = &ring.PolyShoup{S: rows(k.BS[d].S)}
+		v.AS[d] = &ring.PolyShoup{S: rows(k.AS[d].S)}
 	}
 	return publishAt(&k.views, level, v)
 }
@@ -157,43 +166,66 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// genSwitchingKey builds a key switching key from `target` (NTT domain,
-// top level) to sk.
-func (kg *KeyGenerator) genSwitchingKey(target *ring.Poly, sk *SecretKey) *SwitchingKey {
-	return kg.genSwitchingKeyAt(target, sk, kg.params.MaxLevel())
+// secretQP lifts the secret to Q_level·P (coefficient domain): the
+// special-prime residues are not stored with the key, so the small
+// coefficients are recovered as the centered residues modulo q_0.
+func (kg *KeyGenerator) secretQP(sk *SecretKey, level int) *ring.Poly {
+	ctx := kg.params.RingCtx
+	q0 := ctx.Moduli[0]
+	row := append([]uint64(nil), sk.S.Coeffs[0]...)
+	q0.INTT(row)
+	coeffs := make([]int64, len(row))
+	for j, v := range row {
+		if v > q0.Q/2 {
+			coeffs[j] = -int64(q0.Q - v)
+		} else {
+			coeffs[j] = int64(v)
+		}
+	}
+	qp := ctx.QP(level)
+	s := qp.NewPoly(qp.MaxLevel())
+	qp.SetLift(coeffs, s)
+	return s
 }
 
-// genSwitchingKeyAt builds the key at the given level: fewer digits and
-// fewer residues per digit than a top-level key. target and sk may live
-// at the top; only their first level+1 limbs are read.
-func (kg *KeyGenerator) genSwitchingKeyAt(target *ring.Poly, sk *SecretKey, level int) *SwitchingKey {
+// genSwitchingKeyAt builds the key that switches `target` (NTT domain,
+// at least `level` chain limbs) to the secret sOut, a coefficient-domain
+// QP poly at `level` that the call transforms in place. Fewer digits and
+// fewer residues per digit than a top-level key.
+func (kg *KeyGenerator) genSwitchingKeyAt(target, sOut *ring.Poly, level int) *SwitchingKey {
 	ctx := kg.params.RingCtx
-	w := kg.params.DigitBits
-	numDigits := ctx.NumDigits(level, w)
+	qp := ctx.QP(level)
+	rows := qp.MaxLevel()
+	sampler := kg.sampler.In(qp)
+	qp.NTT(sOut)
 	tgt := restrict(target, level)
-	s := restrict(sk.S, level)
 	swk := &SwitchingKey{}
 	scaled := ctx.NewPoly(level)
 	factors := make([]uint64, level+1)
-	for k := 0; k < numDigits; k++ {
-		a := kg.sampler.UniformPoly(level, true)
-		e := kg.sampler.ErrorPoly(level)
-		ctx.MulScalar(e, kg.params.T, e)
-		ctx.NTT(e)
-		b := ctx.NewPoly(level)
-		ctx.MulCoeffs(a, s, b)
-		ctx.Add(b, e, b)
-		ctx.Neg(b, b)
-		// b += 2^{kw} * target, with the gadget factor reduced per prime.
-		for i := 0; i <= level; i++ {
-			factors[i] = ring.PowMod(2, uint64(k*w), ctx.Moduli[i].Q)
+	for d := 0; d < ring.HybridDigits(level); d++ {
+		a := sampler.UniformPoly(rows, true)
+		e := sampler.ErrorPoly(rows)
+		qp.MulScalar(e, kg.params.T, e)
+		qp.NTT(e)
+		b := qp.NewPoly(rows)
+		qp.MulCoeffs(a, sOut, b)
+		qp.Add(b, e, b)
+		qp.Neg(b, b)
+		// b += P·g_d·target: P mod q_i on the digit's own primes, zero on
+		// every other chain prime and on the special primes.
+		for i := range factors {
+			factors[i] = 0
+			if i/ring.DigitPrimes == d {
+				factors[i] = ctx.PModQ(i)
+			}
 		}
 		ctx.MulScalarVec(tgt, factors, scaled)
-		ctx.Add(b, scaled, b)
+		bq := restrict(b, level)
+		ctx.Add(bq, scaled, bq)
 		swk.B = append(swk.B, b)
 		swk.A = append(swk.A, a)
-		swk.BS = append(swk.BS, ctx.ShoupPoly(b))
-		swk.AS = append(swk.AS, ctx.ShoupPoly(a))
+		swk.BS = append(swk.BS, qp.ShoupPoly(b))
+		swk.AS = append(swk.AS, qp.ShoupPoly(a))
 	}
 	return swk
 }
@@ -201,29 +233,41 @@ func (kg *KeyGenerator) genSwitchingKeyAt(target *ring.Poly, sk *SecretKey, leve
 // GenRelinKey builds the relinearization key (switching s² to s).
 func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 	ctx := kg.params.RingCtx
-	s2 := ctx.NewPoly(kg.params.MaxLevel())
+	top := kg.params.MaxLevel()
+	s2 := ctx.NewPoly(top)
 	ctx.MulCoeffs(sk.S, sk.S, s2)
-	return kg.genSwitchingKey(s2, sk)
+	return kg.genSwitchingKeyAt(s2, kg.secretQP(sk, top), top)
 }
 
-// GenGaloisKey builds the switching key for the Galois element g
-// (switching σ_g(s) to s) at the chain top.
+// GenGaloisKey builds the switching key for the Galois element g at the
+// chain top.
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) *SwitchingKey {
 	return kg.GenGaloisKeyAt(sk, g, kg.params.MaxLevel())
 }
 
-// GenGaloisKeyAt builds the Galois key at the given level. The key can
-// serve rotations at any level ≤ its own; the evaluator falls back to
-// composed power-of-two rotations (whose ladder keys stay at the top)
-// when asked to rotate above a key's level.
+// GenGaloisKeyAt builds the Galois key at the given level. The key
+// switches s to σ_g^{-1}(s): the evaluator key-switches c1 as it stands
+// and applies σ_g to the result, which lands back under s — so the
+// automorphism costs two row permutations per rotation instead of one
+// per digit. The key can serve rotations at any level ≤ its own; the
+// evaluator falls back to composed power-of-two rotations (whose ladder
+// keys stay at the top) when asked to rotate above a key's level.
 func (kg *KeyGenerator) GenGaloisKeyAt(sk *SecretKey, g uint64, level int) *SwitchingKey {
-	ctx := kg.params.RingCtx
-	sCoeff := restrict(sk.S, level).Copy()
-	ctx.INTT(sCoeff)
-	sg := ctx.NewPoly(level)
-	ctx.Automorphism(sCoeff, g, sg)
-	ctx.NTT(sg)
-	return kg.genSwitchingKeyAt(sg, sk, level)
+	qp := kg.params.RingCtx.QP(level)
+	sOut := qp.NewPoly(qp.MaxLevel())
+	qp.Automorphism(kg.secretQP(sk, level), invGaloisElt(g, kg.params.N()), sOut)
+	return kg.genSwitchingKeyAt(sk.S, sOut, level)
+}
+
+// invGaloisElt returns g^{-1} in the unit group of Z_2N (g odd): that
+// group has exponent N/2, so the inverse is g^{N/2-1}.
+func invGaloisElt(g uint64, n int) uint64 {
+	mask := uint64(2*n) - 1
+	inv := uint64(1)
+	for i := 0; i < n/2-1; i++ {
+		inv = (inv * g) & mask
+	}
+	return inv
 }
 
 // GenEvaluationKeys builds the relinearization key plus Galois keys for

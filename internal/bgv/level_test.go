@@ -3,6 +3,8 @@ package bgv
 import (
 	"sync"
 	"testing"
+
+	"copse/internal/ring"
 )
 
 // TestEncryptAtLevel: a fresh encryption landed directly at a lower
@@ -92,29 +94,27 @@ func TestDropToLevelThenRotate(t *testing.T) {
 }
 
 // TestSwitchingKeyViews: the truncated view shares the full key's
-// backing arrays, keeps exactly the digits the level's modulus needs,
-// and is cached.
+// residue rows, keeps exactly the digits and rows the level needs (chain
+// rows 0..level plus the special rows), and is cached.
 func TestSwitchingKeyViews(t *testing.T) {
 	kit := newTestKit(t, 6, nil)
 	key := kit.eval.keys.Relin
-	ctx := kit.params.RingCtx
-	w := kit.params.DigitBits
+	top := kit.params.MaxLevel()
 
-	top := key.AtLevel(ctx, w, kit.params.MaxLevel())
-	if top != key {
+	if key.AtLevel(top) != key {
 		t.Error("top-level view is not the key itself")
 	}
-	v := key.AtLevel(ctx, w, 1)
-	if len(v.B) != ctx.NumDigits(1, w) {
-		t.Errorf("level-1 view keeps %d digits, want %d", len(v.B), ctx.NumDigits(1, w))
+	v := key.AtLevel(1)
+	if len(v.B) != ring.HybridDigits(1) {
+		t.Errorf("level-1 view keeps %d digits, want %d", len(v.B), ring.HybridDigits(1))
 	}
-	if v.B[0].Level() != 1 || len(v.BS[0].S) != 2 {
-		t.Errorf("level-1 view not truncated to 2 limbs")
+	if rows := 2 + ring.DigitPrimes; v.Level() != 1 || len(v.B[0].Coeffs) != rows || len(v.BS[0].S) != rows {
+		t.Errorf("level-1 view not truncated to 2 chain limbs plus the special limbs")
 	}
-	if &v.B[0].Coeffs[0][0] != &key.B[0].Coeffs[0][0] {
+	if &v.B[0].Coeffs[0][0] != &key.B[0].Coeffs[0][0] || &v.B[0].Coeffs[2][0] != &key.B[0].Coeffs[top+1][0] {
 		t.Error("view copied the key data instead of sharing it")
 	}
-	if again := key.AtLevel(ctx, w, 1); again != v {
+	if again := key.AtLevel(1); again != v {
 		t.Error("view not cached")
 	}
 }

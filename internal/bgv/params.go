@@ -8,6 +8,7 @@ package bgv
 
 import (
 	"fmt"
+	"math"
 
 	"copse/internal/ring"
 )
@@ -25,7 +26,12 @@ type Params struct {
 	// Levels is the number of primes in the modulus chain; roughly one
 	// prime is consumed per ciphertext-ciphertext multiplication.
 	Levels int
-	// DigitBits is the base-2^w digit width used for key switching.
+	// DigitBits is the digit width w of the retained base-2^w reference
+	// decomposition (ring.DecomposeBase2w).
+	//
+	// Deprecated: the evaluator key-switches over RNS digits of
+	// ring.DigitPrimes chain primes and never reads this field; it is
+	// kept, validated and carried on the wire for bench/micro.go.
 	DigitBits int
 	// IntraOpWorkers is the ring-layer limb parallelism: 0 or 1 runs
 	// every op's per-limb loop serially; n ≥ 2 attaches an n-way
@@ -105,13 +111,15 @@ func NewParameters(p Params) (*Parameters, error) {
 		return nil, err
 	}
 	// Primes must be ≡ 1 mod 2N (NTT) and ≡ 1 mod T (scale-free modulus
-	// switching). T is prime and 2N a power of two, so lcm = 2N·T.
+	// switching and divide-by-P). T is prime and 2N a power of two, so
+	// lcm = 2N·T. The chain takes the first Levels primes of the scan and
+	// the key-switching modulus P the next ring.DigitPrimes.
 	step := uint64(2*p.N()) * p.T
-	primes, err := ring.GeneratePrimes(p.PrimeBits, step, p.Levels)
+	primes, err := ring.GeneratePrimes(p.PrimeBits, step, p.Levels+ring.DigitPrimes)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := ring.NewContext(p.LogN, primes, p.T)
+	ctx, err := ring.NewContextQP(p.LogN, primes[:p.Levels], primes[p.Levels:], p.T)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +140,25 @@ func (p *Parameters) MaxLevel() int { return p.Levels - 1 }
 func (p *Parameters) QBits(level int) int { return p.RingCtx.BigQ(level).BitLen() }
 
 // SwitchingKeyBytes returns the in-memory size of one switching key
-// generated at the given level: NumDigits(level) digit pairs (B, A),
-// each an (level+1)-limb poly of N uint64 residues, plus the two Shoup
-// companion tables of the same shape.
+// generated at the given level: one (B, A) pair per key-switch digit,
+// each a poly of N uint64 residues over the level+1 chain primes and the
+// special primes, plus the two Shoup companion tables of the same shape.
 func (p *Parameters) SwitchingKeyBytes(level int) int64 {
-	digits := int64(p.RingCtx.NumDigits(level, p.DigitBits))
-	return digits * int64(level+1) * int64(p.N()) * 8 * 4
+	rows := int64(level + 1 + ring.DigitPrimes)
+	return int64(ring.HybridDigits(level)) * rows * int64(p.N()) * 8 * 4
+}
+
+// KeySwitchNoiseBits bounds log2 of the noise one hybrid key switch at
+// the given level adds to |t·e + m|, for ring degree 2^logN and a
+// plaintext modulus of tBits bits. The added term is
+// t·(Σ_j d̃_j·e_j + w_0 + w_1·s)/P: each of the ⌈(level+1)/α⌉ extended
+// digits is centered (|d̃_j| ≤ D_j/2 ≤ P/2 up to the spread of the prime
+// scan), the centered-binomial key errors are at most 21, and the
+// divide-by-P rounding has |w_i| ≤ P/2 against a ternary secret — so at
+// most t·N·(10.5·digits + 1), padded to 11·digits + 1. The evaluator and
+// the level planner both read this one function.
+func KeySwitchNoiseBits(logN, tBits, level int) float64 {
+	return float64(tBits+logN) + math.Log2(float64(11*ring.HybridDigits(level)+1))
 }
 
 // GaloisElt returns the Galois group element implementing a cyclic slot

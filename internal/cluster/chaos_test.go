@@ -96,7 +96,7 @@ func TestChaosSoak(t *testing.T) {
 		Breaker:        BreakerConfig{Threshold: 3, Cooldown: 150 * time.Millisecond},
 		Retries:        6,
 		RetryBackoff:   20 * time.Millisecond,
-		HedgeDelay:     150 * time.Millisecond,
+		HedgeDelay:     40 * time.Millisecond, // well under one BGV pass, so hedges fire (see Recovery below)
 		Client:         &http.Client{Transport: &chaos.RoundTripper{Inner: inner, Sched: sched}},
 	})
 	defer gw.Close()

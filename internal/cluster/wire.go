@@ -33,8 +33,11 @@ import (
 // Frame header: magic, version, kind, payload length. Little-endian
 // throughout.
 const (
-	wireMagic   = "CPSW"
-	WireVersion = 1
+	wireMagic = "CPSW"
+	// WireVersion 2 carries hybrid switching keys (digits × chain and
+	// special-prime limbs) in the key-material frame; version-1 key
+	// frames hold base-2^w gadget keys and fail the shape validation.
+	WireVersion = 2
 
 	// DefaultMaxFrameBytes bounds a frame so a corrupt or hostile
 	// length prefix cannot drive an allocation: large enough for a
@@ -88,6 +91,18 @@ type TruncatedFrameError struct {
 
 func (e *TruncatedFrameError) Error() string {
 	return fmt.Sprintf("cluster: truncated %s: want %d bytes, got %d", e.What, e.Want, e.Got)
+}
+
+// KeyShapeError is the typed error DecodeKeyMaterial returns when a
+// switching key's declared digit or limb counts, or the shape of one of
+// its polynomials, disagree with what the frame's own Params imply.
+type KeyShapeError struct {
+	What      string
+	Got, Want int
+}
+
+func (e *KeyShapeError) Error() string {
+	return fmt.Sprintf("cluster: switching key %s is %d, parameters imply %d", e.What, e.Got, e.Want)
 }
 
 // Frame kinds.
@@ -261,7 +276,7 @@ func (r *reader) poly() *ring.Poly {
 	if r.err != nil {
 		return nil
 	}
-	if limbs < 1 || limbs > 64 || n < 1 || n > 1<<16 {
+	if limbs < 1 || limbs > maxWireLevels+ring.DigitPrimes || n < 1 || n > 1<<16 {
 		r.err = fmt.Errorf("cluster: implausible poly shape (%d limbs, N=%d)", limbs, n)
 		return nil
 	}
@@ -349,8 +364,13 @@ func checkWireParams(p bgv.Params) error {
 
 // --- key material ---
 
+// putSwitchingKey writes the key's shape — digits, chain limbs (the
+// Q-part of every key poly) and special-prime limbs (the P-part) — and
+// then each digit's (B, A) pair, chain rows first.
 func putSwitchingKey(b *bytes.Buffer, k *bgv.SwitchingKey) {
 	putU16(b, uint16(len(k.B)))
+	putU16(b, uint16(k.Level()+1))
+	putU16(b, uint16(len(k.B[0].Coeffs)-k.Level()-1))
 	for d := range k.B {
 		putPoly(b, k.B[d])
 		putPoly(b, k.A[d])
@@ -359,29 +379,69 @@ func putSwitchingKey(b *bytes.Buffer, k *bgv.SwitchingKey) {
 	// them, halving the frame size.
 }
 
+// switchingKey reads one key and checks every count against the shape
+// the decoded parameters imply: a key at level ℓ ≤ MaxLevel has
+// HybridDigits(ℓ) digits, each an NTT-domain poly of ℓ+1 chain limbs
+// plus the ring.DigitPrimes special limbs over N coefficients.
 func (r *reader) switchingKey(ctx *ring.Context) *bgv.SwitchingKey {
-	digits := int(r.u16())
+	digits, chain, special := int(r.u16()), int(r.u16()), int(r.u16())
 	if r.err != nil {
 		return nil
 	}
-	if digits < 1 || digits > 64 {
-		r.err = fmt.Errorf("cluster: implausible switching-key digit count %d", digits)
+	check := func(what string, got, want int) bool {
+		if r.err == nil && got != want {
+			r.err = &KeyShapeError{What: what, Got: got, Want: want}
+		}
+		return r.err == nil
+	}
+	if chain < 1 || chain > len(ctx.Moduli) {
+		check("chain limb count", chain, len(ctx.Moduli))
 		return nil
 	}
+	if !check("special limb count", special, ring.DigitPrimes) ||
+		!check("digit count", digits, ring.HybridDigits(chain-1)) {
+		return nil
+	}
+	qp := ctx.QP(chain - 1)
 	k := &bgv.SwitchingKey{
 		B:  make([]*ring.Poly, digits),
 		A:  make([]*ring.Poly, digits),
 		BS: make([]*ring.PolyShoup, digits),
 		AS: make([]*ring.PolyShoup, digits),
 	}
-	for d := 0; d < digits; d++ {
-		k.B[d] = r.poly()
-		k.A[d] = r.poly()
+	keyPoly := func() *ring.Poly {
+		p := r.poly()
 		if r.err != nil {
 			return nil
 		}
-		k.BS[d] = ctx.ShoupPoly(k.B[d])
-		k.AS[d] = ctx.ShoupPoly(k.A[d])
+		if !p.IsNTT {
+			r.err = fmt.Errorf("cluster: switching-key polynomial not in NTT domain")
+			return nil
+		}
+		if !check("polynomial limb count", len(p.Coeffs), chain+special) ||
+			!check("polynomial degree", len(p.Coeffs[0]), ctx.N) {
+			return nil
+		}
+		// ShoupPoly divides by the modulus: an unreduced residue would
+		// overflow its quotient, so reject it here.
+		for i, row := range p.Coeffs {
+			for _, c := range row {
+				if q := qp.Moduli[i].Q; c >= q {
+					r.err = fmt.Errorf("cluster: switching-key residue %d not reduced modulo %d", c, q)
+					return nil
+				}
+			}
+		}
+		return p
+	}
+	for d := 0; d < digits; d++ {
+		k.B[d] = keyPoly()
+		k.A[d] = keyPoly()
+		if r.err != nil {
+			return nil
+		}
+		k.BS[d] = qp.ShoupPoly(k.B[d])
+		k.AS[d] = qp.ShoupPoly(k.A[d])
 	}
 	return k
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -396,5 +397,67 @@ func TestWireSizeLimits(t *testing.T) {
 	SetMaxFrameBytes(1 << 12)
 	if _, err := DecodeKeyMaterial(bytes.NewReader(bomb.Bytes())); !errors.As(err, &fse) {
 		t.Errorf("decompression bomb error = %v, want *FrameSizeError", err)
+	}
+}
+
+// TestWireKeyShapeError: a key frame whose switching-key digit or limb
+// counts disagree with the shape its own Params imply fails the decode
+// with *KeyShapeError, whichever count lies.
+func TestWireKeyShapeError(t *testing.T) {
+	b := tinyBackend(t)
+	defer b.Close()
+	var buf bytes.Buffer
+	if err := EncodeKeyMaterial(&buf, b.PublicMaterial()); err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()[12:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Params (13 bytes), flags, then the two public-key polys (7-byte
+	// header + limbs·N residues each) precede the relin key's header.
+	p := tinyParams()
+	polyBytes := 7 + p.Levels*(1<<p.LogN)*8
+	relin := 13 + 1 + 2*polyBytes
+	reframe := func(mutate func(raw []byte)) []byte {
+		raw := bytes.Clone(payload)
+		mutate(raw)
+		var zbuf bytes.Buffer
+		zw := gzip.NewWriter(&zbuf)
+		if _, err := zw.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := writeFrame(&out, KindKeyMaterial, zbuf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	if _, err := DecodeKeyMaterial(bytes.NewReader(reframe(func([]byte) {}))); err != nil {
+		t.Fatalf("untampered reframe does not decode: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		off int
+		val uint16
+	}{
+		"digit count":           {relin, 4},
+		"chain limb count":      {relin + 2, uint16(p.Levels + 1)},
+		"special limb count":    {relin + 4, 1},
+		"polynomial limb count": {relin + 6 + 1, uint16(p.Levels)},
+	} {
+		frame := reframe(func(raw []byte) { binary.LittleEndian.PutUint16(raw[tc.off:], tc.val) })
+		var kse *KeyShapeError
+		if _, err := DecodeKeyMaterial(bytes.NewReader(frame)); !errors.As(err, &kse) {
+			t.Errorf("%s: error = %v, want *KeyShapeError", name, err)
+		} else if kse.What != name {
+			t.Errorf("%s: KeyShapeError names %q", name, kse.What)
+		}
 	}
 }

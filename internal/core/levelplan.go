@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"copse/internal/bgv"
 	"copse/internal/matrix"
 )
 
@@ -99,16 +100,15 @@ func (p *LevelPlan) ShuffleLevel() int {
 }
 
 // noiseModel mirrors the constants of internal/bgv: all shipped
-// parameter presets share the plaintext modulus, prime size and
-// key-switch digit width; only the ring degree varies with the packing
-// width. Estimates err on the safe side: the modulus bit length is
-// rounded down, the digit count up, and per-stage slack bits are kept
-// in hand on every headroom check.
+// parameter presets share the plaintext modulus and prime size; only the
+// ring degree varies with the packing width. The key-switch noise is
+// bgv.KeySwitchNoiseBits itself, not a copy. Estimates err on the safe
+// side: the modulus bit length is rounded down and per-stage slack bits
+// are kept in hand on every headroom check.
 type noiseModel struct {
 	logN      int
 	tBits     int
 	primeBits int
-	digitBits int
 	// stageSlack is the safety margin (bits) held back on every
 	// headroom check, indexed by the pipeline stage the simulator is
 	// walking: 0 compare, 1 reshuffle, 2 level, 3 accumulate, 4 the
@@ -150,7 +150,6 @@ func planNoiseModel(slots int, sl slackConfig) noiseModel {
 		logN:      log2Ceil(slots) + 1,
 		tBits:     17, // t = 65537
 		primeBits: 55,
-		digitBits: 45,
 	}
 	nm.stageSlack = stageSlackDefaults
 	if sl.flat {
@@ -173,11 +172,6 @@ func (nm noiseModel) qBits(level int) float64 {
 	return float64((level+1)*nm.primeBits - 1)
 }
 
-// digits upper-bounds the base-2^w digit count at a level.
-func (nm noiseModel) digits(level int) int {
-	return ((level+1)*nm.primeBits + nm.digitBits - 1) / nm.digitBits
-}
-
 // floor is the noise level right after a modulus switch.
 func (nm noiseModel) floor() float64 {
 	return float64(nm.tBits + nm.logN + 4)
@@ -185,7 +179,7 @@ func (nm noiseModel) floor() float64 {
 
 // ks is the additive noise of one key switch at a level.
 func (nm noiseModel) ks(level int) float64 {
-	return float64(nm.digitBits+nm.logN+nm.tBits) + math.Log2(float64(nm.digits(level))) + 6
+	return bgv.KeySwitchNoiseBits(nm.logN, nm.tBits, level)
 }
 
 // fresh is the noise of a fresh public-key encryption.
@@ -557,12 +551,17 @@ type simFailure struct {
 	hotEntry bool
 }
 
+// stageBounds is the simulated carrier at the stage boundaries
+// Trace.Noise measures, after each boundary drop: the query, the
+// decisions, the branch vector, the level result and the result.
+type stageBounds [5]simCt
+
 // simulatePipeline runs the whole pipeline at the candidate entries,
 // with the engine's boundary-drop semantics (including the optional
 // per-round compare drops). It returns the achieved final state, the
-// compare carrier's per-round levels, or the failure that makes the
-// candidate infeasible.
-func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEntries, compareTargets []int) (final simCt, rounds []int, fail simFailure, ok bool) {
+// compare carrier's per-round levels and the carrier at every stage
+// boundary, or the failure that makes the candidate infeasible.
+func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEntries, compareTargets []int) (final simCt, rounds []int, bounds stageBounds, fail simFailure, ok bool) {
 	s := newSim(nm)
 	s.compareTargets = compareTargets
 	hot := func(o simOp) bool { return o.cipher && o.ct.noise > nm.floor()+8 }
@@ -571,17 +570,19 @@ func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEnt
 		model = nm.simFresh(e.compare)
 	}
 	query := nm.simFresh(e.compare)
+	bounds[0] = query.ct
 
 	// Stage 0: compare.
 	s.stage = 0
 	decisions := s.compare(sh.precision, query, model)
 	if !s.ok {
-		return simCt{}, s.compareLevels, simFailure{stage: 0, kind: s.kind}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 0, kind: s.kind}, false
 	}
 	if decisions.cipher && decisions.ct.level < e.reshuffle {
-		return simCt{}, s.compareLevels, simFailure{stage: 0, kind: failLevel}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 0, kind: failLevel}, false
 	}
 	decisions = s.dropOpTo(decisions, e.reshuffle)
+	bounds[1] = decisions.ct
 
 	// Stage 1: reshuffle mat-vec + replication.
 	s.stage = 1
@@ -593,12 +594,13 @@ func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEnt
 	branch := s.matVec(decisions, diag, sh.qSplit[0], sh.qSplit[1])
 	branch = s.replicate(branch, sh.reshufRep)
 	if !s.ok {
-		return simCt{}, s.compareLevels, simFailure{stage: 1, kind: s.kind, hotEntry: entryHot}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 1, kind: s.kind, hotEntry: entryHot}, false
 	}
 	if branch.cipher && branch.ct.level < e.level {
-		return simCt{}, s.compareLevels, simFailure{stage: 1, kind: failLevel}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 1, kind: failLevel}, false
 	}
 	branch = s.dropOpTo(branch, e.level)
+	bounds[2] = branch.ct
 
 	// Stage 2: per-level mat-vecs + mask XOR.
 	s.stage = 2
@@ -610,12 +612,13 @@ func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEnt
 	entryHot = hot(branch)
 	lvl := s.xor(s.matVec(branch, lvlDiag, sh.bSplit[0], sh.bSplit[1]), mask)
 	if !s.ok {
-		return simCt{}, s.compareLevels, simFailure{stage: 2, kind: s.kind, hotEntry: entryHot}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 2, kind: s.kind, hotEntry: entryHot}, false
 	}
 	if lvl.cipher && lvl.ct.level < e.accumulate {
-		return simCt{}, s.compareLevels, simFailure{stage: 2, kind: failLevel}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 2, kind: failLevel}, false
 	}
 	lvl = s.dropOpTo(lvl, e.accumulate)
+	bounds[3] = lvl.ct
 
 	// Stage 3: product-tree accumulation.
 	s.stage = 3
@@ -625,22 +628,23 @@ func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEnt
 		out = s.mul(out, out)
 	}
 	if !s.ok {
-		return simCt{}, s.compareLevels, simFailure{stage: 3, kind: s.kind, hotEntry: entryHot}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 3, kind: s.kind, hotEntry: entryHot}, false
 	}
 	if out.cipher && out.ct.level < e.final {
-		return simCt{}, s.compareLevels, simFailure{stage: 3, kind: failLevel}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 3, kind: failLevel}, false
 	}
 	out = s.dropOpTo(out, e.final)
+	bounds[4] = out.ct
 	if !out.cipher {
-		return simCt{}, s.compareLevels, simFailure{}, s.ok
+		return simCt{}, s.compareLevels, bounds, simFailure{}, s.ok
 	}
 	// Decryptability at the final level.
 	s.stage = 4
 	s.manage(&out.ct)
 	if !s.ok {
-		return simCt{}, s.compareLevels, simFailure{stage: 3, kind: s.kind, hotEntry: entryHot}, false
+		return simCt{}, s.compareLevels, bounds, simFailure{stage: 3, kind: s.kind, hotEntry: entryHot}, false
 	}
-	return out.ct, s.compareLevels, simFailure{}, true
+	return out.ct, s.compareLevels, bounds, simFailure{}, true
 }
 
 // simulateShuffle runs the optional result shuffle from the given
@@ -705,7 +709,7 @@ func scheduleScenario(nm noiseModel, sh pipelineShape, encModel bool, final int)
 		}
 	}
 	for iter := 0; iter < 16*planCap; iter++ {
-		out, _, fail, ok := simulatePipeline(nm, sh, encModel, e, nil)
+		out, _, _, fail, ok := simulatePipeline(nm, sh, encModel, e, nil)
 		if ok {
 			return e, out, true
 		}
@@ -749,13 +753,13 @@ func shuffleEntryLevel(nm noiseModel, sh pipelineShape) int {
 // seccomp.CompareGTScheduled; nil (no rounds, or a simulator
 // disagreement) simply means no per-round drops.
 func compareRoundPlan(nm noiseModel, sh pipelineShape, encModel bool, e stageEntries) []int {
-	_, reactive, _, ok := simulatePipeline(nm, sh, encModel, e, nil)
+	_, reactive, _, _, ok := simulatePipeline(nm, sh, encModel, e, nil)
 	if !ok || len(reactive) == 0 {
 		return nil
 	}
 	targets := append([]int(nil), reactive...)
 	feasible := func(t []int) bool {
-		_, _, _, ok := simulatePipeline(nm, sh, encModel, e, t)
+		_, _, _, _, ok := simulatePipeline(nm, sh, encModel, e, t)
 		return ok
 	}
 	for r := len(targets) - 1; r >= 0; r-- {

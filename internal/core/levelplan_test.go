@@ -389,3 +389,78 @@ func TestShuffleUnderLevelPlanBGV(t *testing.T) {
 		t.Errorf("shuffled votes %v, want one vote for L4", res.Votes)
 	}
 }
+
+// TestPlannerNoiseBoundsMeasured pins the planner's noise model to the
+// evaluator from above: on depth4 and prec16 (the benchmark's models),
+// in both scenarios, the carrier sits at the simulated level at every
+// stage boundary and the noise the planner predicts there is at least
+// what a decryption measures.
+func TestPlannerNoiseBoundsMeasured(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four full BGV passes")
+	}
+	for _, mb := range synth.Microbenchmarks() {
+		if mb.Name != "depth4" && mb.Name != "prec16" {
+			continue
+		}
+		f, err := synth.Generate(mb.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(f, Options{Slots: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nm := planNoiseModel(c.Meta.Slots, slackConfig{})
+		for _, encModel := range []bool{true, false} {
+			st := c.Meta.LevelPlan.For(encModel)
+			entries := stageEntries{st.Compare, st.Reshuffle, st.Level, st.Accumulate, st.Final}
+			_, _, bounds, _, ok := simulatePipeline(nm, shapeOf(&c.Meta), encModel, entries, st.CompareRounds)
+			if !ok {
+				t.Fatalf("%s: the shipped plan does not simulate clean", mb.Name)
+			}
+			b := planBackend(t, c, encModel)
+			m, err := Prepare(b, c, encModel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feats := make([]uint64, f.NumFeatures)
+			for i := range feats {
+				feats[i] = uint64(3*i+1) % (1 << uint(f.Precision))
+			}
+			q, err := PrepareQuery(b, &m.Meta, feats, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &Engine{Backend: b, Workers: 2, SkipZeroDiagonals: !encModel, MeasureNoise: true}
+			_, trace, err := e.Classify(m, q)
+			if err != nil {
+				t.Fatalf("%s Classify: %v", mb.Name, err)
+			}
+			for i, at := range []struct {
+				stage         string
+				limbs, budget int
+			}{
+				{"query", trace.Limbs.Query, trace.Noise.Query},
+				{"decisions", trace.Limbs.Decisions, trace.Noise.Decisions},
+				{"branch vector", trace.Limbs.BranchVec, trace.Noise.BranchVec},
+				{"level result", trace.Limbs.LevelResult, trace.Noise.LevelResult},
+				{"result", trace.Limbs.Result, trace.Noise.Result},
+			} {
+				if at.limbs != bounds[i].level+1 {
+					t.Errorf("%s enc=%v %s: %d limbs, planner simulates level %d", mb.Name, encModel, at.stage, at.limbs, bounds[i].level)
+					continue
+				}
+				// The modulus is limbs 55-bit primes, one bit above the
+				// planner's lower bound qBits.
+				measured := nm.qBits(bounds[i].level) + 1 - float64(at.budget) - 1
+				if measured > bounds[i].noise {
+					t.Errorf("%s enc=%v %s: measured noise %.0f bits exceeds the planner's %.1f", mb.Name, encModel, at.stage, measured, bounds[i].noise)
+				}
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -1,0 +1,380 @@
+package ring
+
+import "fmt"
+
+// Hybrid (GHS/HElib-style) RNS key switching, ring half. The chain
+// primes are grouped into digits of DigitPrimes consecutive primes; a
+// key switch at level ℓ takes the ⌈(ℓ+1)/α⌉ digits d_j = [d]_{D_j} of its
+// input (D_j the product of the group's primes active at ℓ — the top
+// group may be cut short by the level), base-extends each to the rest
+// of Q_ℓ and to the special primes P, multiplies them against keys over
+// Q_ℓ·P, and divides the sum by P. Everything stays in RNS: there is no
+// big-integer reconstruction on this path.
+//
+// Why a fast base extension is enough for a gadget digit: the keys
+// encrypt P·g_j·s' with g_j ≡ 1 mod D_j and ≡ 0 modulo every other
+// chain prime, so Σ_j d̃_j·g_j ≡ d (mod Q_ℓ) for ANY lift d̃_j ≡ d_j
+// (mod D_j) — on its own primes the digit is exact by construction, and
+// on every other prime g_j kills it. The lift's choice only sets the
+// digit's magnitude, hence the key-switch noise; the conversion below
+// returns the centered representative (|d̃_j| ≤ D_j/2), so that term is
+// as small as it can be.
+
+// DigitPrimes is α: the number of consecutive chain primes in one
+// key-switch digit, and the number of special primes bgv generates for
+// P, so that P ≈ D_j and the digit·key-error term divides down to the
+// size of the key error itself.
+const DigitPrimes = 3
+
+// maxHybridModulus bounds every prime of a key-switching context: the
+// conversion kernel sums DigitPrimes lazy Shoup products (each < 2m) and
+// a correction (< m) before reducing, which must not wrap a uint64.
+const maxHybridModulus = 1 << 61
+
+// baseConv converts residues over a small source basis S = Π s_k to a
+// set of target primes, returning the centered representative exactly:
+// with y_k = [x·pre_k]_{s_k}, x̃ = Σ_k y_k·(S/s_k) − v·S where
+// v = round(Σ_k y_k/s_k) is computed in floating point (Halevi, Polyakov
+// and Shoup 2018). A float mis-rounding needs x/S within 2^-48 of ±1/2,
+// where both neighbours are equally centered, so |x̃| ≤ S/2·(1+2^-48)
+// always. Per-source and per-target scale factors fold the t^{-1} and t
+// of the BGV divide-by-P into the tables.
+type baseConv struct {
+	src  []*Modulus
+	pre  shoupVec  // srcScale·(S/s_k)^{-1} mod s_k
+	rcp  []float64 // 1/s_k
+	dst  []*Modulus
+	mat  []shoupVec  // mat[r].v[k] = dstScale·(S/s_k) mod dst[r]
+	corr []corrTable // corr[r][u] = −u·dstScale·S mod dst[r], u = 0..len(src)
+}
+
+// corrTable is indexed by the overflow count, at most DigitPrimes; the
+// fixed power-of-two size lets the kernels index it without a bounds
+// check.
+type corrTable [DigitPrimes + 1]uint64
+
+// newBaseConv builds the tables from src to every non-nil entry of dst.
+func newBaseConv(src, dst []*Modulus, srcScale, dstScale func(q uint64) uint64) *baseConv {
+	bc := &baseConv{
+		src:  src,
+		rcp:  make([]float64, len(src)),
+		dst:  dst,
+		mat:  make([]shoupVec, len(dst)),
+		corr: make([]corrTable, len(dst)),
+	}
+	// hat(k, m) = S/s_k mod m.
+	hat := func(k int, m uint64) uint64 {
+		h := uint64(1)
+		for k2, s := range src {
+			if k2 != k {
+				h = MulMod(h, s.Q%m, m)
+			}
+		}
+		return h
+	}
+	bc.pre = shoupVec{v: make([]uint64, len(src)), s: make([]uint64, len(src))}
+	for k, s := range src {
+		bc.rcp[k] = 1 / float64(s.Q)
+		bc.pre.v[k] = MulMod(srcScale(s.Q), InvMod(hat(k, s.Q), s.Q), s.Q)
+		bc.pre.s[k] = ShoupPrecomp(bc.pre.v[k], s.Q)
+	}
+	for r, d := range dst {
+		if d == nil {
+			continue
+		}
+		m, scale := d.Q, dstScale(d.Q)
+		bc.mat[r] = shoupVec{v: make([]uint64, len(src)), s: make([]uint64, len(src))}
+		for k := range src {
+			bc.mat[r].v[k] = MulMod(scale, hat(k, m), m)
+			bc.mat[r].s[k] = ShoupPrecomp(bc.mat[r].v[k], m)
+		}
+		sm := MulMod(scale, MulMod(hat(0, m), src[0].Q%m, m), m) // dstScale·S mod m
+		for u := 1; u <= len(src); u++ {
+			bc.corr[r][u] = SubMod(bc.corr[r][u-1], sm, m)
+		}
+	}
+	return bc
+}
+
+// prepare replaces each source row x_k (coefficient domain) by y_k in
+// place and writes the overflow count v.
+func (bc *baseConv) prepare(x [][]uint64, v []uint64) {
+	for k, row := range x {
+		s, c, cs := bc.src[k].Q, bc.pre.v[k], bc.pre.s[k]
+		row = row[:len(v)]
+		for j := range row {
+			row[j] = MulModShoup(row[j], c, cs, s)
+		}
+	}
+	switch len(x) {
+	case 1:
+		r0, y0 := bc.rcp[0], x[0][:len(v)]
+		for j := range v {
+			v[j] = uint64(float64(y0[j])*r0 + 0.5)
+		}
+	case 2:
+		r0, r1 := bc.rcp[0], bc.rcp[1]
+		y0, y1 := x[0][:len(v)], x[1][:len(v)]
+		for j := range v {
+			v[j] = uint64(float64(y0[j])*r0 + float64(y1[j])*r1 + 0.5)
+		}
+	case 3:
+		r0, r1, r2 := bc.rcp[0], bc.rcp[1], bc.rcp[2]
+		y0, y1, y2 := x[0][:len(v)], x[1][:len(v)], x[2][:len(v)]
+		for j := range v {
+			v[j] = uint64(float64(y0[j])*r0 + float64(y1[j])*r1 + float64(y2[j])*r2 + 0.5)
+		}
+	default:
+		panic("ring: base conversion from more than DigitPrimes primes")
+	}
+}
+
+// target writes x̃ mod dst[r] into out from the prepared rows.
+func (bc *baseConv) target(r int, y [][]uint64, v, out []uint64) {
+	m := bc.dst[r].Q
+	mat, corr := bc.mat[r], &bc.corr[r]
+	v = v[:len(out)]
+	reduce := func(a uint64) uint64 { // [0, 7m) -> [0, m)
+		if a >= 4*m {
+			a -= 4 * m
+		}
+		if a >= 2*m {
+			a -= 2 * m
+		}
+		if a >= m {
+			a -= m
+		}
+		return a
+	}
+	switch len(y) {
+	case 1:
+		c0, s0, y0 := mat.v[0], mat.s[0], y[0][:len(out)]
+		for j := range out {
+			out[j] = reduce(MulModShoupLazy(y0[j], c0, s0, m) + corr[v[j]%uint64(len(corr))])
+		}
+	case 2:
+		c0, s0, y0 := mat.v[0], mat.s[0], y[0][:len(out)]
+		c1, s1, y1 := mat.v[1], mat.s[1], y[1][:len(out)]
+		for j := range out {
+			out[j] = reduce(MulModShoupLazy(y0[j], c0, s0, m) + MulModShoupLazy(y1[j], c1, s1, m) + corr[v[j]%uint64(len(corr))])
+		}
+	case 3:
+		c0, s0, y0 := mat.v[0], mat.s[0], y[0][:len(out)]
+		c1, s1, y1 := mat.v[1], mat.s[1], y[1][:len(out)]
+		c2, s2, y2 := mat.v[2], mat.s[2], y[2][:len(out)]
+		for j := range out {
+			out[j] = reduce(MulModShoupLazy(y0[j], c0, s0, m) + MulModShoupLazy(y1[j], c1, s1, m) +
+				MulModShoupLazy(y2[j], c2, s2, m) + corr[v[j]%uint64(len(corr))])
+		}
+	default:
+		panic("ring: base conversion from more than DigitPrimes primes")
+	}
+}
+
+// buildHybrid derives the key-switching state from the chain and the
+// special primes: the QP views, one digit-extension table per (group,
+// active prime count), and the divide-by-P tables.
+func (ctx *Context) buildHybrid() error {
+	if len(ctx.special) > DigitPrimes {
+		return fmt.Errorf("ring: %d special primes, at most %d supported", len(ctx.special), DigitPrimes)
+	}
+	chain := ctx.Moduli
+	all := append(append([]*Modulus{}, chain...), ctx.special...)
+	for _, m := range all {
+		if m.Q >= maxHybridModulus {
+			return fmt.Errorf("ring: prime %d exceeds 61 bits (key-switch base-conversion bound)", m.Q)
+		}
+	}
+	ctx.qp = make([]*Context, len(chain))
+	for l := range chain {
+		ctx.qp[l] = &Context{
+			N: ctx.N, LogN: ctx.LogN, T: ctx.T,
+			Moduli: append(append([]*Modulus{}, chain[:l+1]...), ctx.special...),
+			shared: ctx.shared,
+		}
+	}
+	one := func(uint64) uint64 { return 1 }
+	for lo := 0; lo < len(chain); lo += DigitPrimes {
+		var bySize []*baseConv
+		for hi := lo + 1; hi <= min(lo+DigitPrimes, len(chain)); hi++ {
+			dst := append([]*Modulus{}, all...)
+			for i := lo; i < hi; i++ {
+				dst[i] = nil
+			}
+			bySize = append(bySize, newBaseConv(chain[lo:hi], dst, one, one))
+		}
+		ctx.digitConv = append(ctx.digitConv, bySize)
+	}
+	t := ctx.T
+	ctx.pConv = newBaseConv(ctx.special, chain,
+		func(p uint64) uint64 { return InvMod(t%p, p) },
+		func(q uint64) uint64 { return t % q })
+	pMod := func(q uint64) uint64 {
+		p := uint64(1)
+		for _, sp := range ctx.special {
+			p = MulMod(p, sp.Q%q, q)
+		}
+		return p
+	}
+	ctx.pModQ = newShoupVec(chain, pMod).v
+	ctx.pInv = newShoupVec(chain, func(q uint64) uint64 { return InvMod(pMod(q), q) })
+	return nil
+}
+
+// QP returns the view of the context over Q_level·P: its Moduli are
+// q_0..q_level followed by the special primes, and it shares the root's
+// worker pool, tuning and polynomial pools, so every row-wise method
+// (NTT, MulCoeffsShoupAdd, samplers, GetPoly by row count…) works on
+// key-switching polynomials unchanged. A view has no CRT or switching
+// tables: reconstruction and ModSwitchDown belong to the root.
+func (ctx *Context) QP(level int) *Context { return ctx.qp[level] }
+
+// PModQ returns P mod q_i, the factor a switching key scales its target
+// by on chain prime i.
+func (ctx *Context) PModQ(i int) uint64 { return ctx.pModQ[i] }
+
+// HybridDigits returns the number of key-switch digits at a level,
+// ⌈(level+1)/DigitPrimes⌉.
+func HybridDigits(level int) int { return (level + DigitPrimes) / DigitPrimes }
+
+// digitSpan returns the chain primes [lo, hi) of digit j at a level.
+func digitSpan(j, level int) (lo, hi int) {
+	lo = j * DigitPrimes
+	return lo, min(lo+DigitPrimes, level+1)
+}
+
+// DecomposeHybrid splits p (NTT domain, level ℓ) into its key-switch
+// digits, each base-extended to Q_ℓ·P and returned in NTT domain as a QP
+// polynomial (ℓ+1 chain rows, then the special rows) from the pool. The
+// digits depend on p alone, so one decomposition serves every rotation
+// of a hoisted batch.
+func (ctx *Context) DecomposeHybrid(p *Poly) []*Poly {
+	if !p.IsNTT {
+		panic("ring: DecomposeHybrid requires NTT-domain input")
+	}
+	level := p.Level()
+	qp := ctx.qp[level]
+	rows := len(qp.Moduli)
+
+	pc := ctx.GetPoly(level)
+	ctx.CopyInto(p, pc)
+	ctx.INTT(pc)
+
+	digits := make([]*Poly, HybridDigits(level))
+	convs := make([]*baseConv, len(digits))
+	vs := make([][]uint64, len(digits))
+	for j := range digits {
+		lo, hi := digitSpan(j, level)
+		convs[j] = ctx.digitConv[j][hi-lo-1]
+		vs[j] = ctx.getRow()
+		convs[j].prepare(pc.Coeffs[lo:hi], vs[j][:ctx.N])
+		digits[j] = qp.GetPoly(rows - 1)
+		digits[j].IsNTT = true
+	}
+
+	// One task per (digit, row): the digit's own rows are p's NTT rows
+	// as they stand, every other row is converted and transformed.
+	task := func(tk int) {
+		j, r := tk/rows, tk%rows
+		lo, hi := digitSpan(j, level)
+		out := digits[j].Coeffs[r][:ctx.N]
+		if r >= lo && r < hi {
+			copy(out, p.Coeffs[r])
+			return
+		}
+		slot := r
+		if r > level {
+			slot = r - level - 1 + len(ctx.Moduli)
+		}
+		convs[j].target(slot, pc.Coeffs[lo:hi], vs[j], out)
+		qp.Moduli[r].NTT(out)
+	}
+	total := len(digits) * rows
+	if ws, _ := ctx.limbWorkers(total, false); ws != nil {
+		ws.Run(total, task)
+	} else {
+		for tk := 0; tk < total; tk++ {
+			task(tk)
+		}
+	}
+	for _, v := range vs {
+		ctx.putRow(v)
+	}
+	ctx.PutPoly(pc)
+	return digits
+}
+
+// DivideByP finishes a key switch: acc is a QP polynomial (NTT domain)
+// at out's level, and out receives (acc − δ)/P over the chain primes,
+// where δ ≡ acc (mod P), δ ≡ 0 (mod t) and |δ| ≤ t·P/2 — the same
+// scale-free BGV rounding ModSwitchDown applies for one chain prime,
+// here for the whole special modulus at once. acc's special rows are
+// clobbered.
+func (ctx *Context) DivideByP(acc, out *Poly) {
+	level := out.Level()
+	if !acc.IsNTT || len(acc.Coeffs) != level+1+len(ctx.special) {
+		panic("ring: DivideByP requires an NTT-domain QP polynomial at the output's level")
+	}
+	pRows := acc.Coeffs[level+1:]
+	for k, m := range ctx.special {
+		m.INTT(pRows[k])
+	}
+	v := ctx.getRow()
+	defer ctx.putRow(v)
+	ctx.pConv.prepare(pRows, v[:ctx.N])
+
+	perPrime := func(i int) {
+		delta := ctx.getRow()
+		qi := ctx.Moduli[i]
+		ctx.pConv.target(i, pRows, v, delta[:ctx.N])
+		qi.NTT(delta)
+		rescaleRow(qi.Q, ctx.pInv.v[i], ctx.pInv.s[i], acc.Coeffs[i], delta, out.Coeffs[i])
+		ctx.putRow(delta)
+	}
+	if ws, _ := ctx.limbWorkers(level+1, false); ws != nil {
+		ws.Run(level+1, perPrime)
+	} else {
+		for i := 0; i <= level; i++ {
+			perPrime(i)
+		}
+	}
+	out.IsNTT = true
+}
+
+// AutomorphismNTT applies the Galois map x -> x^g (g odd) to an
+// NTT-domain polynomial. The transform stores a(ψ^{2·brv(i)+1}) at index
+// i, and σ_g(a)(ψ^e) = a(ψ^{g·e}), so the map is a pure index
+// permutation — no sign flips, no modulus — computed once per element.
+func (ctx *Context) AutomorphismNTT(a *Poly, g uint64, out *Poly) {
+	if !a.IsNTT {
+		panic("ring: AutomorphismNTT requires NTT-domain input")
+	}
+	if a == out {
+		panic("ring: AutomorphismNTT cannot run in place")
+	}
+	perm := ctx.galoisPerm(g)
+	for i := range out.Coeffs {
+		ai, oi := a.Coeffs[i], out.Coeffs[i][:len(perm)]
+		for j, src := range perm {
+			oi[j] = ai[src]
+		}
+	}
+	out.IsNTT = true
+}
+
+// galoisPerm returns the cached NTT-domain permutation of element g:
+// out[i] = in[perm[i]].
+func (ctx *Context) galoisPerm(g uint64) []uint32 {
+	if p, ok := ctx.galois.Load(g); ok {
+		return p.([]uint32)
+	}
+	n := uint64(ctx.N)
+	mask := 2*n - 1
+	perm := make([]uint32, n)
+	for i := uint64(0); i < n; i++ {
+		e := (g * (2*bitrev(i, ctx.LogN) + 1)) & mask
+		perm[i] = uint32(bitrev((e-1)>>1, ctx.LogN))
+	}
+	p, _ := ctx.galois.LoadOrStore(g, perm)
+	return p.([]uint32)
+}

@@ -5,11 +5,11 @@ import "testing"
 func benchContext(b *testing.B, logN int) *Context {
 	b.Helper()
 	const plainT = 65537
-	primes, err := GeneratePrimes(55, uint64(2<<logN)*plainT, 4)
+	primes, err := GeneratePrimes(55, uint64(2<<logN)*plainT, 4+DigitPrimes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx, err := NewContext(logN, primes, plainT)
+	ctx, err := NewContextQP(logN, primes[:4], primes[4:], plainT)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,15 +44,15 @@ func BenchmarkModSwitchDown(b *testing.B) {
 	}
 }
 
-// BenchmarkDecomposeBase2w measures the key-switching digit
-// decomposition (the CRT-reconstruction hot path).
-func BenchmarkDecomposeBase2w(b *testing.B) {
+// BenchmarkDecomposeHybrid measures the key-switching digit split and
+// base extension (INTT, RNS conversion, one NTT per extended row).
+func BenchmarkDecomposeHybrid(b *testing.B) {
 	ctx := benchContext(b, 12)
 	s := NewSeededSampler(ctx, 3)
-	p := s.UniformPoly(ctx.MaxLevel(), false)
+	p := s.UniformPoly(ctx.MaxLevel(), true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.DecomposeBase2w(p, 45)
+		ctx.PutPolys(ctx.DecomposeHybrid(p))
 	}
 }
 

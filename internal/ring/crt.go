@@ -176,89 +176,45 @@ func (ctx *Context) MaxCenteredBits(p *Poly) int {
 
 // DecomposeBase2w decomposes a coefficient-domain polynomial into base-2^w
 // digit polynomials: p = Σ_k digits[k] · 2^{kw}, with every digit
-// coefficient in [0, 2^w). The digits are returned in NTT domain, ready
-// for key switching. Because the digits are level-independent, a single
-// key-switching key (generated at the top level) serves every level.
+// coefficient in [0, 2^w), returned in NTT domain from the context's pool
+// (PutPolys returns them).
 //
-// The digit polynomials come from the context's pool; callers done with
-// them may PutPoly them back (or simply drop them).
-//
-// With a worker pool attached the digit NTTs are fanned out as one flat
-// digits × limbs task set — the largest single batch of independent
-// transforms in the evaluator (a key switch at level ℓ runs
-// NumDigits(ℓ)·(ℓ+1) of them).
+// Deprecated: this is the retained big-integer reference of the base-2^w
+// key-switching gadget, kept for bench/micro.go and the ring tests. The
+// evaluator key-switches through DecomposeHybrid (basisext.go).
 func (ctx *Context) DecomposeBase2w(p *Poly, w int) []*Poly {
-	digits := ctx.DecomposeBase2wCoeff(p, w)
-	limbs := p.Level() + 1
-	if ws, _ := ctx.limbWorkers(len(digits)*limbs, false); ws != nil {
-		ws.Run(len(digits)*limbs, func(t int) {
-			ctx.Moduli[t%limbs].NTT(digits[t/limbs].Coeffs[t%limbs])
-		})
-		for _, d := range digits {
-			d.IsNTT = true
-		}
-		return digits
-	}
-	for k := range digits {
-		ctx.NTT(digits[k])
-	}
-	return digits
-}
-
-// DecomposeBase2wCoeff is DecomposeBase2w without the final NTT: the
-// digits are returned in coefficient domain. Hoisted key switching needs
-// this form so a Galois automorphism can be applied to the shared digits
-// before each per-rotation NTT.
-func (ctx *Context) DecomposeBase2wCoeff(p *Poly, w int) []*Poly {
 	if p.IsNTT {
 		panic("ring: DecomposeBase2w requires coefficient-domain input")
 	}
 	level := p.Level()
 	cl := ctx.crt[level]
-	numDigits := (cl.bigQ.BitLen() + w - 1) / w
-	digits := make([]*Poly, numDigits)
+	digits := make([]*Poly, (cl.bigQ.BitLen()+w-1)/w)
 	for k := range digits {
 		digits[k] = ctx.GetPoly(level)
 	}
-	// The per-coefficient reconstruction dominates; with a pool attached
-	// the coefficient range is split into one contiguous block per worker
-	// (each with private scratch — coefficient j writes only column j of
-	// every digit, so blocks never interfere and the result is
-	// bit-identical to the serial order).
-	if ws, _ := ctx.limbWorkers(level+1, false); ws != nil {
-		shards := min(ws.Size(), ctx.N)
-		ws.Run(shards, func(s int) {
-			ctx.decomposeRange(p, cl, digits, w, numDigits, s*ctx.N/shards, (s+1)*ctx.N/shards)
-		})
-	} else {
-		ctx.decomposeRange(p, cl, digits, w, numDigits, 0, ctx.N)
-	}
-	return digits
-}
-
-// decomposeRange runs the base-2^w digit extraction for coefficients
-// [lo, hi) with private scratch.
-func (ctx *Context) decomposeRange(p *Poly, cl *crtLevel, digits []*Poly, w, numDigits, lo, hi int) {
-	level := p.Level()
 	acc := make([]uint64, cl.words+1)
 	res := make([]uint64, level+1)
-	for j := lo; j < hi; j++ {
+	for j := 0; j < ctx.N; j++ {
 		for i := range res {
 			res[i] = p.Coeffs[i][j]
 		}
 		cl.reconstructWords(res, ctx.Moduli, acc)
-		for k := 0; k < numDigits; k++ {
+		for k, dig := range digits {
 			d := extractBitsWords(acc, k*w, w)
 			for i := 0; i <= level; i++ {
 				q := ctx.Moduli[i].Q
 				if d < q {
-					digits[k].Coeffs[i][j] = d
+					dig.Coeffs[i][j] = d
 				} else {
-					digits[k].Coeffs[i][j] = d % q
+					dig.Coeffs[i][j] = d % q
 				}
 			}
 		}
 	}
+	for _, dig := range digits {
+		ctx.NTT(dig)
+	}
+	return digits
 }
 
 // extractBitsWords reads `width` bits starting at bit offset `start` from
@@ -276,10 +232,52 @@ func extractBitsWords(words []uint64, start, width int) uint64 {
 	return v & (uint64(1)<<uint(width) - 1)
 }
 
-// NumDigits returns the number of base-2^w digits needed at the given
-// level.
-func (ctx *Context) NumDigits(level, w int) int {
-	return (ctx.crt[level].bigQ.BitLen() + w - 1) / w
+// shoupVec is one constant per chain prime with its Shoup companion.
+type shoupVec struct{ v, s []uint64 }
+
+// newShoupVec evaluates f(q_i) for every modulus and precomputes the
+// companions.
+func newShoupVec(moduli []*Modulus, f func(q uint64) uint64) shoupVec {
+	sv := shoupVec{v: make([]uint64, len(moduli)), s: make([]uint64, len(moduli))}
+	for i, m := range moduli {
+		sv.v[i] = f(m.Q)
+		sv.s[i] = ShoupPrecomp(sv.v[i], m.Q)
+	}
+	return sv
+}
+
+// modDownTable holds the per-level constants of ModSwitchDown for
+// dropping q_l: t^{-1} mod q_l and, per remaining prime q_i, q_l^{-1}
+// and t·q_l.
+type modDownTable struct {
+	tInv uint64
+	qInv shoupVec
+	tq   []uint64
+}
+
+func (ctx *Context) buildModDown() {
+	t := ctx.T
+	ctx.tModQ = newShoupVec(ctx.Moduli, func(q uint64) uint64 { return t % q })
+	ctx.modDown = make([]modDownTable, len(ctx.Moduli))
+	for l := 1; l < len(ctx.Moduli); l++ {
+		ql := ctx.Moduli[l].Q
+		rest := ctx.Moduli[:l]
+		ctx.modDown[l] = modDownTable{
+			tInv: InvMod(t%ql, ql),
+			qInv: newShoupVec(rest, func(q uint64) uint64 { return InvMod(ql%q, q) }),
+			tq:   newShoupVec(rest, func(q uint64) uint64 { return MulMod(t%q, ql%q, q) }).v,
+		}
+	}
+}
+
+// rescaleRow sets out = (a − delta)·inv mod q: the exact division by a
+// dropped modulus M once delta ≡ a (mod M), with inv = M^{-1} mod q.
+// Shared by ModSwitchDown and DivideByP.
+func rescaleRow(q, inv, invS uint64, a, delta, out []uint64) {
+	a, delta = a[:len(out)], delta[:len(out)]
+	for j := range out {
+		out[j] = MulModShoup(SubMod(a[j], delta[j], q), inv, invS, q)
+	}
 }
 
 // ModSwitchDown performs the exact BGV modulus switch, dropping the top
@@ -296,7 +294,7 @@ func (ctx *Context) ModSwitchDown(p *Poly) {
 		panic("ring: ModSwitchDown at level 0")
 	}
 	ql := ctx.Moduli[l].Q
-	t := ctx.T
+	tab := &ctx.modDown[l]
 
 	// Recover the dropped component in coefficient domain.
 	top := ctx.getRow()
@@ -307,12 +305,11 @@ func (ctx *Context) ModSwitchDown(p *Poly) {
 	// v = centered([c * t^{-1}]_{q_l}); δ = t * v. The centered value is
 	// carried shifted by +q_l (vu = v + q_l ∈ (q_l/2, 3q_l/2]) so the
 	// per-prime loop below is branch-free: δ ≡ t·vu − t·q_l (mod q_i).
-	tInv := InvMod(t%ql, ql)
 	half := ql >> 1
 	vu := ctx.getRow()
 	defer ctx.putRow(vu)
 	for j := range vu[:ctx.N] {
-		v := MulMod(top[j], tInv, ql)
+		v := MulMod(top[j], tab.tInv, ql)
 		if v > half {
 			vu[j] = v
 		} else {
@@ -328,19 +325,12 @@ func (ctx *Context) ModSwitchDown(p *Poly) {
 	perPrime := func(i int) {
 		delta := ctx.getRow()
 		qi := ctx.Moduli[i].Q
-		invQl := InvMod(ql%qi, qi)
-		invQlS := ShoupPrecomp(invQl, qi)
-		tq := t % qi
-		tqS := ShoupPrecomp(tq, qi)
-		tql := MulMod(tq, ql%qi, qi) // t·q_l mod q_i, the shift correction
+		tq, tqS, tql := ctx.tModQ.v[i], ctx.tModQ.s[i], tab.tq[i]
 		for j, u := range vu[:ctx.N] {
 			delta[j] = SubMod(MulModShoup(u, tq, tqS, qi), tql, qi)
 		}
 		ctx.Moduli[i].NTT(delta)
-		pi := p.Coeffs[i]
-		for j := range pi {
-			pi[j] = MulModShoup(SubMod(pi[j], delta[j], qi), invQl, invQlS, qi)
-		}
+		rescaleRow(qi, tab.qInv.v[i], tab.qInv.s[i], p.Coeffs[i], delta, p.Coeffs[i])
 		ctx.putRow(delta)
 	}
 	if ws, _ := ctx.limbWorkers(l, false); ws != nil {

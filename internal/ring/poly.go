@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -40,16 +41,46 @@ func (p *Poly) DropLevel() {
 
 // Context bundles a ring degree, a chain of NTT-friendly primes and the
 // plaintext modulus, along with the precomputation needed for CRT
-// reconstruction at every level.
+// reconstruction at every level. A context built with NewContextQP also
+// carries the special primes P of hybrid key switching and one QP view
+// per level (basisext.go).
 type Context struct {
 	N      int
 	LogN   int
 	Moduli []*Modulus // prime chain q_0 .. q_L
 	T      uint64     // plaintext modulus
 
-	crt  []*crtLevel // per-level CRT reconstruction tables
-	pool polyPools   // level-keyed polynomial recycling (pool.go)
-	rows rowPool     // single-prime scratch rows
+	crt []*crtLevel // per-level CRT reconstruction tables
+
+	// modDown[l] holds the constants ModSwitchDown needs to drop q_l;
+	// tModQ is t mod q_i, shared by every level.
+	modDown []modDownTable
+	tModQ   shoupVec
+
+	// Hybrid key-switching state (nil without special primes): the P
+	// moduli, the per-level QP views, the digit base-extension tables and
+	// the divide-by-P tables (basisext.go).
+	special   []*Modulus
+	qp        []*Context
+	digitConv [][]*baseConv
+	pConv     *baseConv
+	pInv      shoupVec // P^{-1} mod q_i
+	pModQ     []uint64 // P mod q_i
+
+	// shared is the tuning and pooling state; the QP views of a context
+	// point at their root's, so a pool attached to the root serves them.
+	*shared
+}
+
+// shared is the mutable state a root context and its QP views have in
+// common.
+type shared struct {
+	pool polyPools // row-count-keyed polynomial recycling (pool.go)
+	rows rowPool   // single-prime scratch rows
+
+	// galois caches the NTT-domain index permutation of each Galois
+	// element (AutomorphismNTT): uint64 element -> []uint32.
+	galois sync.Map
 
 	// workers is the optional intra-op pool fanning per-limb work across
 	// cores (workers.go). Atomic so attachment races with concurrent op
@@ -95,18 +126,33 @@ type limbPlan struct {
 // NewContext creates a ring context for degree n = 2^logN with the given
 // prime chain and plaintext modulus. Every prime must be ≡ 1 mod 2n (for
 // the NTT) and ≡ 1 mod t (so BGV modulus switching does not scale the
-// plaintext).
+// plaintext). The context has no special primes, so it cannot key-switch.
 func NewContext(logN int, primes []uint64, t uint64) (*Context, error) {
+	return NewContextQP(logN, primes, nil, t)
+}
+
+// NewContextQP is NewContext plus the special primes P of hybrid key
+// switching (same congruences as the chain, distinct from it). With
+// special primes the context serves DecomposeHybrid, DivideByP and QP.
+func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error) {
 	if logN < 4 || logN > 16 {
 		return nil, fmt.Errorf("ring: logN %d out of range [4,16]", logN)
 	}
 	n := 1 << logN
-	ctx := &Context{N: n, LogN: logN, T: t}
-	for _, q := range primes {
+	ctx := &Context{N: n, LogN: logN, T: t, shared: &shared{}}
+	seen := make(map[uint64]bool, len(primes)+len(special))
+	newModulus := func(q uint64) (*Modulus, error) {
 		if q%t != 1 {
 			return nil, fmt.Errorf("ring: prime %d is not congruent to 1 mod t=%d", q, t)
 		}
-		m, err := NewModulus(q, n)
+		if seen[q] {
+			return nil, fmt.Errorf("ring: prime %d appears twice", q)
+		}
+		seen[q] = true
+		return NewModulus(q, n)
+	}
+	for _, q := range primes {
+		m, err := newModulus(q)
 		if err != nil {
 			return nil, err
 		}
@@ -115,10 +161,23 @@ func NewContext(logN int, primes []uint64, t uint64) (*Context, error) {
 	if len(ctx.Moduli) == 0 {
 		return nil, fmt.Errorf("ring: empty prime chain")
 	}
+	for _, q := range special {
+		m, err := newModulus(q)
+		if err != nil {
+			return nil, err
+		}
+		ctx.special = append(ctx.special, m)
+	}
 	ctx.pointwiseCutoff.Store(DefaultPointwiseParCutoff)
 	ctx.tileBytes.Store(DefaultTileBytes)
 	ctx.vecRows.Store(vectorDefault.Load())
 	ctx.buildCRT()
+	ctx.buildModDown()
+	if len(ctx.special) > 0 {
+		if err := ctx.buildHybrid(); err != nil {
+			return nil, err
+		}
+	}
 	return ctx, nil
 }
 
@@ -132,6 +191,9 @@ func (ctx *Context) SetVectorKernels(on bool) {
 	on = on && vectorAvailable()
 	ctx.vecRows.Store(on)
 	for _, m := range ctx.Moduli {
+		m.SetVectorKernels(on)
+	}
+	for _, m := range ctx.special {
 		m.SetVectorKernels(on)
 	}
 }

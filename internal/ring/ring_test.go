@@ -313,8 +313,8 @@ func TestDecomposeBase2w(t *testing.T) {
 	for _, w := range []int{13, 20, 30} {
 		p := s.UniformPoly(ctx.MaxLevel(), false)
 		digits := ctx.DecomposeBase2w(p, w)
-		if len(digits) != ctx.NumDigits(ctx.MaxLevel(), w) {
-			t.Fatalf("w=%d: got %d digits, want %d", w, len(digits), ctx.NumDigits(ctx.MaxLevel(), w))
+		if want := (ctx.BigQ(ctx.MaxLevel()).BitLen() + w - 1) / w; len(digits) != want {
+			t.Fatalf("w=%d: got %d digits, want %d", w, len(digits), want)
 		}
 		// Work in NTT domain (linearity).
 		ref := p.Copy()

@@ -45,6 +45,12 @@ func newSamplerFromSeed(ctx *Context, seed [32]byte) *Sampler {
 	}
 }
 
+// In returns a sampler drawing from the same random stream over another
+// context of the same degree — a QP view, for key generation.
+func (s *Sampler) In(ctx *Context) *Sampler {
+	return &Sampler{ctx: ctx, rng: s.rng, cbd: s.cbd}
+}
+
 // UniformPoly samples a uniformly random polynomial at the given level in
 // the requested domain. Because CRT is a bijection, sampling each residue
 // independently yields a uniform element of Z_Q.

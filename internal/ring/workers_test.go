@@ -15,17 +15,17 @@ import (
 func testContexts(t *testing.T, logN, levels, workers int) (serial, parallel *Context) {
 	t.Helper()
 	n := 1 << logN
-	primes, err := GeneratePrimes(55, uint64(2*n)*65537, levels)
+	primes, err := GeneratePrimes(55, uint64(2*n)*65537, levels+DigitPrimes)
 	if err != nil {
 		t.Fatalf("GeneratePrimes: %v", err)
 	}
-	serial, err = NewContext(logN, primes, 65537)
+	serial, err = NewContextQP(logN, primes[:levels], primes[levels:], 65537)
 	if err != nil {
-		t.Fatalf("NewContext: %v", err)
+		t.Fatalf("NewContextQP: %v", err)
 	}
-	parallel, err = NewContext(logN, primes, 65537)
+	parallel, err = NewContextQP(logN, primes[:levels], primes[levels:], 65537)
 	if err != nil {
-		t.Fatalf("NewContext: %v", err)
+		t.Fatalf("NewContextQP: %v", err)
 	}
 	parallel.SetWorkers(NewWorkers(workers))
 	return serial, parallel
@@ -134,20 +134,28 @@ func TestParallelOpsDeterministic(t *testing.T) {
 					ctx.MulScalarVec(a, scalars, out)
 					return out
 				}},
-				{"DecomposeBase2wCoeff", func(ctx *Context, a, b, c *Poly) *Poly {
-					digits := ctx.DecomposeBase2wCoeff(a, 45)
+				{"DecomposeHybrid", func(ctx *Context, a, b, c *Poly) *Poly {
+					x := a.Copy()
+					ctx.NTT(x)
+					digits := ctx.DecomposeHybrid(x)
+					qp := ctx.QP(level)
 					out := digits[0]
 					for _, d := range digits[1:] {
-						ctx.Add(out, d, out)
+						qp.Add(out, d, out)
 					}
 					return out
 				}},
-				{"DecomposeBase2w", func(ctx *Context, a, b, c *Poly) *Poly {
-					digits := ctx.DecomposeBase2w(a, 45)
-					out := digits[0]
-					for _, d := range digits[1:] {
-						ctx.Add(out, d, out)
-					}
+				{"DivideByP", func(ctx *Context, a, b, c *Poly) *Poly {
+					acc := NewSeededSampler(ctx.QP(level), 77).UniformPoly(level+len(ctx.special), true)
+					out := ctx.NewPoly(level)
+					ctx.DivideByP(acc, out)
+					return out
+				}},
+				{"AutomorphismNTT", func(ctx *Context, a, b, c *Poly) *Poly {
+					x := a.Copy()
+					ctx.NTT(x)
+					out := ctx.NewPoly(level)
+					ctx.AutomorphismNTT(x, 3, out)
 					return out
 				}},
 			}
