@@ -265,29 +265,24 @@ func BenchmarkTable6Generate(b *testing.B) {
 	}
 }
 
-// BenchmarkClassify: the BGV hot path end to end, across the rotation
-// and level-scheduling optimizations — the gauge for the BSGS + hoisting
-// + level-plan line of work. Run with -benchmem to see the allocation
-// reduction from ring pooling.
+// BenchmarkClassify: the BGV hot path end to end, across the diagonal
+// kernel and level-scheduling optimizations. Every mode runs the same
+// op-program executor; the modes differ only in what was staged. Run
+// with -benchmem to see the allocation reduction from ring pooling.
 //
-//	naive            pre-optimization kernel: one rotation per diagonal,
-//	                 no hoisting, reactive noise management
-//	bsgs             baby-step/giant-step kernel, hoisting disabled,
-//	                 reactive
-//	bsgs+hoist       hoisted rotations, reactive noise management (the
-//	                 PR 1 configuration — the 0.80 s/query baseline)
-//	bsgs+hoist+plan  the default configuration: static level schedule,
-//	                 operands staged at stage levels, chain sized to the
-//	                 plan
+//	naive      one rotation per diagonal (CompileOptions.NoBSGS),
+//	           reactive noise management
+//	bsgs       baby-step/giant-step kernel, reactive noise management
+//	bsgs+plan  the default configuration: static level schedule,
+//	           operands staged at stage levels, chain sized to the plan
 func BenchmarkClassify(b *testing.B) {
 	modes := []struct {
-		name                    string
-		noBSGS, noHoist, noPlan bool
+		name           string
+		noBSGS, noPlan bool
 	}{
-		{"naive", true, true, true},
-		{"bsgs", false, true, true},
-		{"bsgs+hoist", false, false, true},
-		{"bsgs+hoist+plan", false, false, false},
+		{"naive", true, true},
+		{"bsgs", false, true},
+		{"bsgs+plan", false, false},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -298,7 +293,7 @@ func BenchmarkClassify(b *testing.B) {
 			sys, err := copse.NewSystem(compiled, copse.SystemConfig{
 				Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
 				Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0),
-				DisableHoisting: mode.noHoist, DisableLevelPlan: mode.noPlan, Seed: 4,
+				DisableLevelPlan: mode.noPlan, Seed: 4,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -33,7 +33,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "real-world model scale (shrink for quick runs)")
 	opcase := flag.String("opcase", "width78", "model used for table1/table2 op counts")
 	models := flag.String("models", "", "comma-separated model filter (default: all)")
-	rotJSON := flag.String("rotjson", "", "also write machine-readable stage timings + op counts to this file (e.g. BENCH_rotations.json)")
+	rotJSON := flag.String("rotjson", "", "also write machine-readable stage timings + op counts to this file")
 	serveJSON := flag.String("servejson", "", "also write serving throughput (queries/sec at batch sizes 1, 4, max) to this file (e.g. BENCH_serving.json)")
 	levelJSON := flag.String("leveljson", "", "also write the level-scheduling record (per-stage limbs + limb-op integrals, planned vs -nolevelplan, BGV backend) to this file (e.g. BENCH_levels.json)")
 	noLevelPlan := flag.Bool("nolevelplan", false, "disable static level scheduling (reactive noise management; the DESIGN.md §8 ablation)")
@@ -41,8 +41,6 @@ func main() {
 	shuffleJSON := flag.String("shufflejson", "", "also write the result-shuffle record (per-query shuffle cost at B=1 vs one batched pass at B=max, clear and BGV backends, rotation budget) to this file (e.g. BENCH_shuffle.json)")
 	aggJSON := flag.String("aggjson", "", "also write the dynamic-batching record (closed-loop 16-client throughput, batcher on vs off, clear plus BGV with -backend bgv) to this file (e.g. BENCH_agg.json)")
 	clusterJSON := flag.String("clusterjson", "", "also write the sharded-serving record (2-worker gateway/worker cluster over loopback HTTP vs single node, bit-identity witness plus fan-out/merge overhead, BGV) to this file (e.g. BENCH_cluster.json)")
-	genJSON := flag.String("genjson", "", "also write the kernel-specialization record (specialized op-program executor vs generic interpreter, bit-identity asserted, plus one compiled-and-run generated kernel) to this file (e.g. BENCH_gen.json)")
-	noSpecialize := flag.Bool("nospecialize", false, "disable the specialized op-program executor (re-derive the pipeline from model structure per classify; the DESIGN.md §13 ablation)")
 	intraOp := flag.Int("intraop", 0, "ring-layer limb workers for BGV runs (default/1 = serial so ablation baselines stay single-threaded; n >= 2 enables the pool)")
 	secure128 := flag.Bool("secure128", false, "with -nttjson: also run the offline Security128 (N=32768) end-to-end classify (slow)")
 	noVec := flag.Bool("novec", false, "disable the ring layer's vectorized (SIMD) kernels for every run in this process — the scalar-kernel ablation (results are bit-identical either way)")
@@ -60,7 +58,6 @@ func main() {
 		Seed:           *seed,
 		RealWorldScale: *scale,
 		NoLevelPlan:    *noLevelPlan,
-		NoSpecialize:   *noSpecialize,
 	}
 	if *models != "" {
 		cfg.Models = strings.Split(*models, ",")
@@ -220,24 +217,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *clusterJSON)
-	}
-
-	if *genJSON != "" {
-		report, err := experiments.GenReport(cfg)
-		if err != nil {
-			log.Fatalf("gen report: %v", err)
-		}
-		f, err := os.Create(*genJSON)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *genJSON)
 	}
 
 	if *nttJSON != "" {

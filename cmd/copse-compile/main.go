@@ -2,22 +2,13 @@
 // decision-forest model in the text format, restructures it into the
 // vectorizable form of the paper's §4.2, and writes a compiled artifact.
 // With -emit it additionally generates a standalone Go program
-// specialized to the model (the analogue of the paper's generated C++),
-// and with -gen an unrolled kernel package (model_gen.go) that plugs
-// into an existing binary: linking it makes the engine dispatch
-// Classify to straight-line generated code instead of the op-program
-// interpreter (DESIGN.md §13).
+// specialized to the model (the analogue of the paper's generated C++).
 //
 // Usage:
 //
 //	copse-compile -model income5.forest -out income5.copse
 //	copse-compile -model income5.forest -slots 2048 -emit main.go
-//	copse-compile -model income5.forest -gen income5_gen.go -genpkg kernels
 //	copse-compile -model income5.forest -out income5.copse -shards 2
-//
-// Not to be confused with copse-gen, which generates benchmark *inputs*
-// (synthetic forests and datasets); -gen here generates kernel *code*
-// from a model.
 //
 // With -shards K the compiled forest is additionally split tree-wise
 // into K self-contained shard artifacts plus a merge manifest
@@ -46,8 +37,6 @@ func main() {
 	planShuffle := flag.Bool("planshuffle", false, "reserve level headroom for result shuffling (required to serve the artifact with copse-serve -shuffle on the BGV backend)")
 	out := flag.String("out", "", "output artifact path")
 	emit := flag.String("emit", "", "also emit a standalone Go program to this path")
-	gen := flag.String("gen", "", "also emit an unrolled specialized kernel package (_gen.go) to this path; see -genpkg (kernel codegen — unrelated to the copse-gen input generator)")
-	genPkg := flag.String("genpkg", "kernels", "package name for the -gen kernel file")
 	shards := flag.Int("shards", 0, "also split the forest tree-wise into this many shard artifacts plus a merge manifest, derived from -out (cluster serving, DESIGN.md §12)")
 	flag.Parse()
 
@@ -147,24 +136,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "emitted program %s\n", *emit)
 	}
-	if *gen != "" {
-		w, err := os.Create(*gen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := copse.GenerateKernel(w, compiled, *genPkg); err != nil {
-			log.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		hash, err := copse.ArtifactHash(compiled)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "emitted kernel package %s (package %s, artifact %s…)\n", *gen, *genPkg, hash[:16])
-	}
-	if *out == "" && *emit == "" && *gen == "" {
+	if *out == "" && *emit == "" {
 		if err := copse.WriteArtifact(os.Stdout, compiled); err != nil {
 			log.Fatal(err)
 		}

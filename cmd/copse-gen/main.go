@@ -1,7 +1,7 @@
 // Command copse-gen produces the paper's benchmark inputs: the Table 6
 // microbenchmark forests and the synthetic income/soccer datasets. It
 // generates models and data to feed the pipeline — it does not generate
-// code; for specialized kernel codegen see `copse-compile -gen`.
+// code (that is `copse-compile -emit`).
 //
 // Usage:
 //

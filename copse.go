@@ -160,42 +160,8 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) { return core.ReadManifes
 // GenerateProgram emits a standalone Go program specialized to the
 // compiled model — the staging-compiler output of the paper's §5
 // (there it is C++ linking the runtime; here it is Go driving this
-// package's API). For an unrolled kernel package that plugs into an
-// existing binary instead, see GenerateKernel.
+// package's API).
 func GenerateProgram(w io.Writer, c *Compiled) error { return core.GenerateProgram(w, c) }
-
-// KernelCtx is the execution context generated specialized kernels run
-// against (DESIGN.md §13). Generated packages reference it through this
-// alias, since internal/core is unimportable from outside the module.
-type KernelCtx = core.KernelCtx
-
-// KernelFunc is the signature of a generated specialized kernel.
-type KernelFunc = core.KernelFunc
-
-// GenerateKernel emits the compiled model's specialized op programs as
-// an unrolled Go kernel package (`copse-compile -gen`): straight-line
-// kernels for the encrypted- and plaintext-model modes, registered
-// against the artifact hash in an init(). Linking the package into a
-// binary that registers the same artifact makes Classify dispatch to
-// the generated kernel; outputs are bit-identical to the interpreter.
-func GenerateKernel(w io.Writer, c *Compiled, pkg string) error {
-	return core.GenerateKernel(w, c, pkg)
-}
-
-// RegisterKernel installs a generated kernel for (artifact hash,
-// model-encryption mode); generated packages call it from init().
-func RegisterKernel(hash string, encrypted bool, numOps, numRegs int, fn KernelFunc) {
-	core.RegisterKernel(hash, encrypted, numOps, numRegs, fn)
-}
-
-// ArtifactHash returns the hex SHA-256 of the artifact's serialized
-// bytes — the key a generated kernel registers under.
-func ArtifactHash(c *Compiled) (string, error) { return core.ArtifactHash(c) }
-
-// KernelRuns reports how many times a generated kernel has executed in
-// this process — a witness that registry dispatch actually engaged
-// (outputs alone cannot tell, being bit-identical by design).
-func KernelRuns() int64 { return core.KernelRuns() }
 
 // BackendKind selects the homomorphic backend.
 type BackendKind int
@@ -284,14 +250,6 @@ type SystemConfig struct {
 	// WithVectorKernels). Results are bit-identical either way; this is
 	// the ablation knob behind copse-bench -novec (DESIGN.md §14).
 	DisableVectorKernels bool
-	// ReuseRotations enables the naive-kernel rotation-reuse ablation
-	// (DESIGN.md §6); it has no effect on BSGS-staged models, which
-	// always share the baby-step rotations across levels.
-	ReuseRotations bool
-	// DisableHoisting turns off hoisted key switching (the shared digit
-	// decomposition behind batched rotations). Hoisting is on by
-	// default; this is the ablation knob (DESIGN.md §6).
-	DisableHoisting bool
 	// DisableLevelPlan turns off static level scheduling, leaving noise
 	// management fully reactive and the BGV chain at the reactive
 	// recommendation. Scheduling is on by default; this is the ablation
@@ -306,10 +264,6 @@ type SystemConfig struct {
 	// stage boundary in each Trace (see WithNoiseMeasurement); a
 	// benchmarking knob.
 	MeasureNoise bool
-	// DisableSpecialization runs the generic interpreter instead of the
-	// model-specialized op program — the ablation baseline (see
-	// WithSpecialization). Outputs are bit-identical either way.
-	DisableSpecialization bool
 	// Batch configures the dynamic batcher (see WithBatchPolicy): a
 	// non-zero Window lets concurrent Classify calls coalesce into
 	// shared slot-packed passes.
@@ -368,12 +322,9 @@ func NewSystem(c *Compiled, cfg SystemConfig) (*System, error) {
 		WithVectorKernels(!cfg.DisableVectorKernels),
 		WithLevels(cfg.Levels),
 		WithSeed(cfg.Seed),
-		WithReuseRotations(cfg.ReuseRotations),
-		WithHoisting(!cfg.DisableHoisting),
 		WithLevelPlan(!cfg.DisableLevelPlan),
 		WithShuffle(cfg.Shuffle),
 		WithNoiseMeasurement(cfg.MeasureNoise),
-		WithSpecialization(!cfg.DisableSpecialization),
 		WithBatchPolicy(cfg.Batch),
 	)
 	if err := svc.Register(systemModel, c); err != nil {

@@ -59,7 +59,7 @@ func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, 
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	e := &Engine{Backend: b, SkipZeroDiagonals: !encryptModel}
+	e := &Engine{Backend: b}
 
 	q, err := PrepareQueryBatch(b, &m.Meta, batch, encryptQuery)
 	if err != nil {

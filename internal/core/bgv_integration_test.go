@@ -88,7 +88,7 @@ func TestPipelineOnBGVPlaintextModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Backend: b, Workers: 4, SkipZeroDiagonals: true}
+	e := &Engine{Backend: b, Workers: 4}
 	for _, feats := range [][]uint64{{0, 5}, {7, 1}, {2, 8}} {
 		want := forest.Classify(feats)
 		got := classifySecureBGV(t, e, m, feats)

@@ -153,7 +153,7 @@ func TestPipelineMatchesDirectEvaluation(t *testing.T) {
 			t.Logf("prepare: %v", err)
 			return false
 		}
-		e := &Engine{Backend: b, Workers: 1 + int(cfg%4), SkipZeroDiagonals: cfg&4 != 0, ReuseRotations: cfg&8 != 0}
+		e := &Engine{Backend: b, Workers: 1 + int(cfg%4)}
 		for trial := 0; trial < 4; trial++ {
 			feats := make([]uint64, forest.NumFeatures)
 			for i := range feats {
@@ -254,40 +254,6 @@ func TestCompilerInvariants(t *testing.T) {
 	}
 }
 
-// TestReuseRotationsAblation: hoisting rotations must not change results
-// and must reduce the rotation count for multi-level models. The
-// ablation only applies to the naive kernel (BSGS-staged models always
-// share the baby-step rotations), so compile without BSGS.
-func TestReuseRotationsAblation(t *testing.T) {
-	b := heclear.New(64, 65537)
-	c, err := Compile(model.Figure1(), Options{Slots: 64, NoBSGS: true})
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	m, err := Prepare(b, c, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats := []uint64{6, 2}
-
-	base := &Engine{Backend: b}
-	b.ResetCounts()
-	want := classifySecure(t, base, m, feats, true)
-	baseRot := b.Counts().Rotate
-
-	reuse := &Engine{Backend: b, ReuseRotations: true}
-	b.ResetCounts()
-	got := classifySecure(t, reuse, m, feats, true)
-	reuseRot := b.Counts().Rotate
-
-	if got[0] != want[0] {
-		t.Errorf("results differ: %v vs %v", got, want)
-	}
-	if reuseRot >= baseRot {
-		t.Errorf("rotation reuse did not help: %d vs %d rotations", reuseRot, baseRot)
-	}
-}
-
 // TestPlaintextModelCheaper: the M=S configuration (plaintext model)
 // must use strictly fewer ciphertext multiplications than M=D — the
 // mechanism behind Figure 9's speedup.
@@ -311,7 +277,7 @@ func TestPlaintextModelCheaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.ResetCounts()
-	ep := &Engine{Backend: b, SkipZeroDiagonals: true}
+	ep := &Engine{Backend: b}
 	gotPlain := classifySecure(t, ep, plainM, feats, true)
 	plainOps := b.Counts()
 

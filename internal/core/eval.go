@@ -7,7 +7,6 @@ import (
 
 	"copse/internal/he"
 	"copse/internal/matrix"
-	"copse/internal/seccomp"
 )
 
 // ModelOperands is a compiled model loaded onto a backend: every
@@ -20,16 +19,14 @@ type ModelOperands struct {
 	Reshuffle  *matrix.Diagonals
 	Levels     []*matrix.Diagonals
 	Masks      []he.Operand
-	Encrypted  bool
 	// Plan is the scenario-resolved level schedule the operands were
 	// staged at (thresholds at Plan.Compare, reshuffle diagonals at
 	// Plan.Reshuffle, and so on); nil means reactive staging at the top
-	// of the chain, and the engine then skips its boundary drops.
+	// of the chain, and the program then carries no boundary drops.
 	Plan *StageLevels
-	// Program is the specialized op program compiled from the artifact
-	// at Prepare time (DESIGN.md §13); nil when the model's staging
-	// falls outside the specializer's coverage, in which case the
-	// engine keeps the generic interpreter.
+	// Program is the op program compiled from the staged shapes at
+	// Prepare time (DESIGN.md §13) — the flat schedule Engine.ClassifyCtx
+	// executes. Never nil on operands Prepare returned.
 	Program *Program
 }
 
@@ -51,7 +48,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
-	m := &ModelOperands{Meta: c.Meta, Encrypted: encrypt}
+	m := &ModelOperands{Meta: c.Meta}
 	level := func(sel func(StageLevels) int) int { return -1 }
 	// Queries are packed against this meta (PrepareQueryBatch reads its
 	// QueryLevel), so the staged meta must advertise exactly the schedule
@@ -75,18 +72,16 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		m.Thresholds = append(m.Thresholds, op)
 	}
 
-	// Stage each matrix for the kernel the compiler planned: pre-rotated
-	// BSGS diagonals when a split was staged, naive diagonals otherwise
-	// (old artifacts). Diagonals are replicated into every BatchBlock-wide
+	// Stage each matrix pre-rotated for the split the compiler planned
+	// (Meta.kernelSplit; models staged without BSGS get the degenerate
+	// naive split). Diagonals are replicated into every BatchBlock-wide
 	// slot block so the kernels evaluate one independent product per
 	// packed query (DESIGN.md §7); with batch capacity 1 the block is the
 	// whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	prep := func(mtx *matrix.Bool, period, at int) (*matrix.Diagonals, error) {
-		if baby, giant, ok := c.Meta.BSGSFor(period); c.Meta.UseBSGS && ok {
-			return matrix.PrepareDiagonalsBSGSSpanAt(b, mtx, period, baby, giant, span, encrypt, at)
-		}
-		return matrix.PrepareDiagonalsSpanAt(b, mtx, period, span, encrypt, at)
+		baby, giant := c.Meta.kernelSplit(period)
+		return matrix.PrepareDiagonalsBSGSSpanAt(b, mtx, period, baby, giant, span, encrypt, at)
 	}
 	var err error
 	m.Reshuffle, err = prep(c.Reshuffle, c.Meta.QPad, level(func(s StageLevels) int { return s.Reshuffle }))
@@ -101,7 +96,6 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		}
 		m.Levels = append(m.Levels, d)
 	}
-	var maskVals [][]uint64
 	for _, mask := range c.Masks {
 		padded := make([]uint64, b.Slots())
 		for base := 0; base < len(padded); base += span {
@@ -112,57 +106,50 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 			return nil, err
 		}
 		m.Masks = append(m.Masks, op)
-		maskVals = append(maskVals, padded)
 	}
 
-	// Compile the specialized op program from the staged shapes. A nil
-	// program (coverage gap: naive-diagonal stagings from old artifacts,
-	// degenerate matrices) is not an error — the engine falls back to
-	// the generic interpreter.
-	if err := m.buildSpecialized(b, c, encrypt, maskVals); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// buildSpecialized compiles and binds the op program for freshly
-// prepared operands, then resolves a linked generated kernel if one is
-// registered for this artifact.
-func (m *ModelOperands) buildSpecialized(b he.Backend, c *Compiled, encrypt bool, maskVals [][]uint64) error {
+	// Compile the op program from the staged shapes and encode its
+	// plaintext constants once, here, instead of on every Classify call.
 	in := progInputs{
 		meta:      m.Meta,
 		plan:      m.Plan,
 		encrypted: encrypt,
-		slots:     b.Slots(),
-		planes:    len(c.ThresholdBits),
-	}
-	var ok bool
-	if in.reshuffle, ok = diagShapeOf(m.Reshuffle); !ok {
-		return nil
+		planes:    len(m.Thresholds),
+		masks:     len(m.Masks),
+		reshuffle: diagShapeOf(m.Reshuffle),
 	}
 	for _, d := range m.Levels {
-		sh, lok := diagShapeOf(d)
-		if !lok {
-			return nil
-		}
-		in.levels = append(in.levels, sh)
+		in.levels = append(in.levels, diagShapeOf(d))
 	}
 	if !encrypt {
-		for _, plane := range c.ThresholdBits {
-			in.threshVals = append(in.threshVals, replicatePlain(plane, c.Meta.QPad, b.Slots()))
+		for _, op := range m.Thresholds {
+			in.threshVals = append(in.threshVals, op.Vals)
 		}
-		in.maskVals = maskVals
+		for _, op := range m.Masks {
+			in.maskVals = append(in.maskVals, op.Vals)
+		}
 	}
-	p := buildProgram(in)
-	if p == nil {
-		return nil
+	p, err := buildProgram(in)
+	if err != nil {
+		return nil, err
 	}
-	if err := p.bind(b); err != nil {
-		return fmt.Errorf("core: binding specialized program: %w", err)
+	if err := p.bind(b, in.threshVals, in.maskVals); err != nil {
+		return nil, fmt.Errorf("core: binding op program constants: %w", err)
 	}
-	p.kernel = lookupKernel(c, encrypt, p)
 	m.Program = p
-	return nil
+	return m, nil
+}
+
+// UnsupportedModelError is Prepare's rejection of a model whose staged
+// shape has no op program: no threshold planes, no level matrices, or
+// level matrices and masks that disagree in count or period. Compile
+// never produces one; a hand-built or corrupted artifact can.
+type UnsupportedModelError struct {
+	Reason string
+}
+
+func (e *UnsupportedModelError) Error() string {
+	return "core: model has no op program: " + e.Reason
 }
 
 func makeOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.Operand, error) {
@@ -198,39 +185,15 @@ type Engine struct {
 	// Workers is the number of goroutines used inside each stage.
 	// 1 (or 0) means single-threaded — the paper's sequential runs.
 	Workers int
-	// SkipZeroDiagonals enables the plaintext-model optimization of
-	// skipping all-zero matrix diagonals. It is ignored for encrypted
-	// models, where skipping would leak structure (§7.1).
-	SkipZeroDiagonals bool
-	// ReuseRotations hoists the rotations of the branch vector out of
-	// the per-level matrix products, computing them once (a COPSE-Go
-	// ablation; the paper's Table 1b counts them per level). It only
-	// applies to the naive kernel: BSGS-staged models always share the
-	// baby-step rotations across levels.
-	ReuseRotations bool
-	// DisableHoisting turns off hoisted key switching, issuing each
-	// rotation independently — the ablation for the RotateHoisted fast
-	// path. Default (false) hoists wherever rotations share a ciphertext.
-	DisableHoisting bool
-	// DisableLevelPlan ignores the staged level schedule and leaves
-	// noise management fully reactive — the -nolevelplan ablation
-	// (DESIGN.md §8). Operands staged reactively (ModelOperands.Plan ==
-	// nil) imply it.
-	DisableLevelPlan bool
-	// DisableSpecialization skips the model's compiled op program and
-	// runs the generic interpreter — the ablation baseline for the
-	// specialized executor (`WithSpecialization(false)` / `copse-bench
-	// -nospecialize`). Default (false) dispatches to the program (or a
-	// linked generated kernel) whenever the model carries one and the
-	// engine configuration matches its build-time assumptions.
-	DisableSpecialization bool
 	// MeasureNoise records the decrypt-side measured noise budget of the
 	// carrier ciphertext at every stage boundary in Trace.Noise — the
 	// measured-margin complement of the planner's estimates (it grounds
 	// the flat slack in core/levelplan.go against reality). Measurement
 	// decrypts, so it needs the secret key and costs one decryption per
-	// stage: a harness knob (copse-bench -leveljson), not a serving-path
-	// default. Ignored on backends without noise (the clear reference).
+	// stage, outside the stage timing windows and excluded from
+	// Trace.Total: a harness knob (copse-bench -leveljson), not a
+	// serving-path default. Ignored on backends without noise (the clear
+	// reference).
 	MeasureNoise bool
 }
 
@@ -253,9 +216,8 @@ type Trace struct {
 	// boundary, filled only under Engine.MeasureNoise (all -1 otherwise,
 	// and on backends without noise).
 	Noise StageNoise
-	// Executor names the classify path that ran: "generic" (the
-	// structure-rederiving interpreter), "program" (the specialized op
-	// program), or "kernel" (a linked generated kernel).
+	// Executor names the classify path that ran. There is one: "program",
+	// the model's op program (DESIGN.md §13).
 	Executor string
 }
 
@@ -299,11 +261,14 @@ func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error
 	return e.ClassifyCtx(context.Background(), m, q)
 }
 
-// ClassifyCtx evaluates the model on an encrypted query (or slot-packed
-// query batch — the dataflow is identical), returning the result operand
-// and a stage trace. The context is checked between pipeline stages, so
-// a cancelled request stops before starting its next (expensive) stage;
-// an already-running stage finishes first.
+// ClassifyCtx evaluates the model on a query (or slot-packed query batch
+// — the dataflow is identical) by executing the model's op program,
+// returning the result operand and a stage trace. Encrypted or plaintext
+// query planes, encrypted or plaintext model, planned or reactive
+// staging all run the same loop: those choices were made when Prepare
+// built the program and packed the operands. The context is checked
+// between pipeline stages, so a cancelled request stops before starting
+// its next (expensive) stage; an already-running stage finishes first.
 func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
 	if len(q.Bits) != len(m.Thresholds) {
 		return he.Operand{}, nil, fmt.Errorf("core: query has %d bit planes, model wants %d", len(q.Bits), len(m.Thresholds))
@@ -323,278 +288,53 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 	if err := ctx.Err(); err != nil {
 		return he.Operand{}, nil, err
 	}
-	workers := max(e.Workers, 1)
-	skipZero := e.SkipZeroDiagonals && !m.Encrypted
-	// Dispatch to the specialized op program when the model carries one
-	// and the engine configuration matches its build-time assumptions:
-	// same zero-skipping mode, level plan neither half-applied nor
-	// half-disabled, no per-stage noise measurement (it decrypts between
-	// stages), hoisting on (the program bakes hoisted rotations in), and
-	// a ciphertext query (the plaintext-query scenario takes shortcut
-	// paths the program does not mirror).
-	if p := m.Program; p != nil && !e.DisableSpecialization && !e.MeasureNoise && !e.DisableHoisting &&
-		!(e.DisableLevelPlan && p.planned) && skipZero == p.skipZero && q.Bits[0].IsCipher() {
-		return e.runProgram(ctx, m, q, p)
-	}
-	// The staged level schedule: each stage boundary proactively drops
-	// the carrier ciphertext to the level the compiler assigned the next
-	// stage, so the back half of the pipeline runs on a fraction of the
-	// modulus chain (DESIGN.md §8). stage == nil (reactive staging, or
-	// the ablation knob) skips every drop.
-	stage := m.Plan
-	if e.DisableLevelPlan {
-		stage = nil
-	}
-	stageLevel := func(sel func(StageLevels) int) int {
-		if stage == nil {
-			return -1
-		}
-		return sel(*stage)
-	}
-	trace := &Trace{Executor: "generic", Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}}
-	// measureNoise reads the carrier's decrypt-side budget at a stage
-	// boundary (the -leveljson margin corpus); -1 when not measuring.
-	// Measurement decrypts, so its elapsed time is tracked and excluded
-	// from Trace.Total — measured and unmeasured runs report comparable
-	// totals (the per-stage windows already exclude it).
-	var noiseOverhead time.Duration
-	measureNoise := func(op he.Operand) int {
-		if !e.MeasureNoise {
-			return -1
-		}
-		mark := time.Now()
-		defer func() { noiseOverhead += time.Since(mark) }()
-		return he.NoiseBudgetOf(e.Backend, op)
-	}
+
+	p := m.Program
+	trace := &Trace{Executor: "program", Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}}
 	start := time.Now()
 	// The stage op counts in the trace come from a per-call counting
 	// wrapper, not deltas of the shared backend counter: under the
 	// concurrent serving mode another goroutine's pass would otherwise
 	// leak into this trace.
 	b := he.WithCounts(e.Backend)
-	base := b.Counts()
-
-	// Step 1: comparison — all decision nodes at once (§3.3). Query
-	// planes normally arrive at the scheduled compare level already
-	// (PrepareQueryBatch encrypts them there); the drop here covers
-	// hand-built and reactively packed queries.
-	bits := q.Bits
-	if stage != nil {
-		bits = make([]he.Operand, len(q.Bits))
-		for i, op := range q.Bits {
-			var err error
-			bits[i], err = he.DropToLevel(b, op, stage.Compare)
-			if err != nil {
-				return he.Operand{}, nil, fmt.Errorf("core: query level drop: %w", err)
+	regs := p.scratch.Get().(*[]he.Operand)
+	defer func() {
+		clear(*regs)
+		p.scratch.Put(regs)
+	}()
+	ps := &pass{
+		regs:    *regs,
+		b:       b,
+		m:       m,
+		q:       q,
+		p:       p,
+		trace:   trace,
+		measure: e.MeasureNoise,
+		mark:    start,
+		cur:     stCompare,
+	}
+	// The limb hint only short-circuits the ring layer's pool/tile
+	// dispatch decision for ops that match it — a stale hint can never
+	// change results — so clearing it on every exit is tidiness, not
+	// correctness.
+	he.HintStageLimbs(b, p.stageLimbs[stCompare])
+	defer he.HintStageLimbs(b, 0)
+	for _, blk := range p.blocks {
+		if blk.Stage != ps.cur {
+			ps.closeStage(blk.Stage)
+			if err := ctx.Err(); err != nil {
+				return he.Operand{}, nil, err
 			}
+			he.HintStageLimbs(b, p.stageLimbs[blk.Stage])
 		}
-	}
-	trace.Limbs.Query = he.OperandLimbs(b, bits[0])
-	// The Sklansky rounds inside the comparison carry their own level
-	// schedule (StageLevels.CompareRounds): the most expensive stage
-	// sheds limbs between prefix rounds, not just at its boundary.
-	var compareRounds []int
-	if stage != nil {
-		compareRounds = stage.CompareRounds
-	}
-	decisions, err := seccomp.CompareGTScheduled(b, bits, m.Thresholds, compareRounds)
-	if err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: comparison step: %w", err)
-	}
-	if decisions, err = he.DropToLevel(b, decisions, stageLevel(func(s StageLevels) int { return s.Reshuffle })); err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: reshuffle level drop: %w", err)
-	}
-	trace.Limbs.Decisions = he.OperandLimbs(b, decisions)
-	trace.Compare = time.Since(start)
-	snap := b.Counts()
-	trace.CompareOps = snap.Minus(base)
-	base = snap
-	// Noise measurements decrypt, so they run outside the timing windows
-	// (after each stage's duration is captured) to keep the -leveljson
-	// stage medians comparable with unmeasured runs.
-	trace.Noise.Query = measureNoise(bits[0])
-	trace.Noise.Decisions = measureNoise(decisions)
-	if err := ctx.Err(); err != nil {
-		return he.Operand{}, nil, err
-	}
-
-	// Step 2: reshuffle into branch preorder and drop sentinels, then
-	// restore the periodic layout for the level products — within each
-	// query's own slot block, so packed queries never mix.
-	mark := time.Now()
-	var branchVec he.Operand
-	if m.Reshuffle.IsBSGS() {
-		branchVec, err = matrix.MatVecBSGS(b, m.Reshuffle, decisions, skipZero, workers, !e.DisableHoisting)
-	} else {
-		branchVec, err = matrix.MatVecParallel(b, m.Reshuffle, decisions, skipZero, workers)
-	}
-	if err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: reshuffle step: %w", err)
-	}
-	branchVec, err = matrix.ReplicateWithin(b, branchVec, m.Meta.BPad, m.Meta.BatchBlock())
-	if err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: reshuffle replication: %w", err)
-	}
-	if branchVec, err = he.DropToLevel(b, branchVec, stageLevel(func(s StageLevels) int { return s.Level })); err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: level-stage drop: %w", err)
-	}
-	trace.Limbs.BranchVec = he.OperandLimbs(b, branchVec)
-	trace.Reshuffle = time.Since(mark)
-	snap = b.Counts()
-	trace.ReshuffleOps = snap.Minus(base)
-	base = snap
-	trace.Noise.BranchVec = measureNoise(branchVec)
-	if err := ctx.Err(); err != nil {
-		return he.Operand{}, nil, err
-	}
-
-	// Step 3: level processing — every level independently (§3.3), each
-	// a matrix product plus the mask XOR. With BSGS-staged levels the
-	// baby-step rotations of the branch vector are computed once
-	// (hoisted) and shared by every level product; only the per-group
-	// giant-step rotations remain per level.
-	mark = time.Now()
-	bsgsLevels := len(m.Levels) > 0 && m.Levels[0].IsBSGS()
-	var babyRots []he.Operand
-	if bsgsLevels {
-		babyRots, err = matrix.BabyRotations(b, branchVec, m.Levels[0].Baby, !e.DisableHoisting)
+		// Segments of one block write disjoint SSA registers, so they run
+		// on the worker pool without synchronization.
+		err := matrix.ParallelFor(len(blk.Segs), e.Workers, func(i int) error { return ps.runSeg(blk.Segs[i]) })
 		if err != nil {
-			return he.Operand{}, nil, fmt.Errorf("core: baby-step rotations: %w", err)
+			return he.Operand{}, nil, fmt.Errorf("core: %s step: %w", stageNames[blk.Stage], err)
 		}
 	}
-	var rotations []he.Operand
-	if e.ReuseRotations && !bsgsLevels {
-		rotations = make([]he.Operand, m.Meta.BPad)
-		rotations[0] = branchVec
-		err := matrix.ParallelFor(m.Meta.BPad-1, workers, func(i int) error {
-			rot, err := he.Rotate(b, branchVec, i+1)
-			if err != nil {
-				return err
-			}
-			rotations[i+1] = rot
-			return nil
-		})
-		if err != nil {
-			return he.Operand{}, nil, fmt.Errorf("core: rotation hoisting: %w", err)
-		}
-	}
-	lvlResults := make([]he.Operand, len(m.Levels))
-	levelWorkers := 1
-	diagWorkers := workers
-	if len(m.Levels) > 1 && workers > 1 {
-		levelWorkers = min(workers, len(m.Levels))
-		diagWorkers = max(workers/levelWorkers, 1)
-	}
-	err = matrix.ParallelFor(len(m.Levels), levelWorkers, func(l int) error {
-		var lvlDecisions he.Operand
-		var err error
-		switch {
-		case bsgsLevels:
-			lvlDecisions, err = matrix.MatVecBSGSWith(b, m.Levels[l], babyRots, skipZero, diagWorkers)
-		case e.ReuseRotations:
-			lvlDecisions, err = matVecWithRotations(b, m.Levels[l], rotations, skipZero)
-		default:
-			lvlDecisions, err = matrix.MatVecParallel(b, m.Levels[l], branchVec, skipZero, diagWorkers)
-		}
-		if err != nil {
-			return err
-		}
-		res, err := he.Xor(b, lvlDecisions, m.Masks[l])
-		if err != nil {
-			return err
-		}
-		// Cool the level result down to the product tree's entry: the
-		// tree's noise budget needs only a few limbs, and every tree
-		// multiplication then tensors and key-switches over that
-		// fraction of the chain.
-		if res, err = he.DropToLevel(b, res, stageLevel(func(s StageLevels) int { return s.Accumulate })); err != nil {
-			return err
-		}
-		lvlResults[l] = res
-		return nil
-	})
-	if err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: level processing: %w", err)
-	}
-	trace.Limbs.LevelResult = he.OperandLimbs(b, lvlResults[0])
-	trace.Levels = time.Since(mark)
-	snap = b.Counts()
-	trace.LevelOps = snap.Minus(base)
-	base = snap
-	trace.Noise.LevelResult = measureNoise(lvlResults[0])
-	if err := ctx.Err(); err != nil {
-		return he.Operand{}, nil, err
-	}
-
-	// Step 4: accumulate all level vectors into the final label mask.
-	mark = time.Now()
-	labels, err := mulAllParallel(b, lvlResults, workers)
-	if err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: accumulation step: %w", err)
-	}
-	if labels, err = he.DropToLevel(b, labels, stageLevel(func(s StageLevels) int { return s.Final })); err != nil {
-		return he.Operand{}, nil, fmt.Errorf("core: final level drop: %w", err)
-	}
-	trace.Limbs.Result = he.OperandLimbs(b, labels)
-	trace.Accumulate = time.Since(mark)
-	snap = b.Counts()
-	trace.AccumulateOps = snap.Minus(base)
-	trace.Total = time.Since(start) - noiseOverhead
-	trace.Noise.Result = measureNoise(labels)
-	return labels, trace, nil
-}
-
-// matVecWithRotations is MatVec over pre-rotated copies of the vector.
-func matVecWithRotations(b he.Backend, d *matrix.Diagonals, rotations []he.Operand, skipZero bool) (he.Operand, error) {
-	var acc he.Operand
-	accSet := false
-	for i := 0; i < d.Period; i++ {
-		if skipZero && d.Zero[i] {
-			continue
-		}
-		term, err := he.MulLazy(b, d.Ops[i], rotations[i])
-		if err != nil {
-			return he.Operand{}, err
-		}
-		if !accSet {
-			acc, accSet = term, true
-			continue
-		}
-		acc, err = he.Add(b, acc, term)
-		if err != nil {
-			return he.Operand{}, err
-		}
-	}
-	if !accSet {
-		return he.NewPlain(b, make([]uint64, b.Slots()))
-	}
-	return he.Relinearize(b, acc)
-}
-
-// mulAllParallel is he.MulAll with each tree round's pair products
-// computed concurrently.
-func mulAllParallel(b he.Backend, ops []he.Operand, workers int) (he.Operand, error) {
-	if len(ops) == 0 {
-		return he.Operand{}, fmt.Errorf("core: no level results to accumulate")
-	}
-	for len(ops) > 1 {
-		pairs := len(ops) / 2
-		next := make([]he.Operand, pairs)
-		err := matrix.ParallelFor(pairs, workers, func(i int) error {
-			p, err := he.Mul(b, ops[2*i], ops[2*i+1])
-			if err != nil {
-				return err
-			}
-			next[i] = p
-			return nil
-		})
-		if err != nil {
-			return he.Operand{}, err
-		}
-		if len(ops)%2 == 1 {
-			next = append(next, ops[len(ops)-1])
-		}
-		ops = next
-	}
-	return ops[0], nil
+	ps.closeStage(stDone)
+	trace.Total = time.Since(start) - ps.probed
+	return ps.regs[p.result], trace, nil
 }

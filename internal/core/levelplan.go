@@ -234,9 +234,9 @@ type sim struct {
 	stage int
 
 	// compareTargets, when set, are per-round drop levels applied to the
-	// prefix-product carrier inside compare (mirroring the engine's
-	// CompareGTScheduled); compareLevels records the carrier's level
-	// after each round either way.
+	// prefix-product carrier inside compare (mirroring the per-round
+	// drops the op program emits); compareLevels records the carrier's
+	// level after each round either way.
 	compareTargets []int
 	compareLevels  []int
 }
@@ -510,14 +510,8 @@ type pipelineShape struct {
 
 func shapeOf(m *Meta) pipelineShape {
 	split := func(period int) [2]int {
-		if m.UseBSGS {
-			if baby, giant, ok := m.BSGSFor(period); ok {
-				return [2]int{baby, giant}
-			}
-			baby, giant := matrix.BSGSSplit(period)
-			return [2]int{baby, giant}
-		}
-		return [2]int{period, 1}
+		baby, giant := m.kernelSplit(period)
+		return [2]int{baby, giant}
 	}
 	nPad := m.LPad()
 	// The shuffle kernel always stages BSGS diagonals (shuffle.go).
@@ -749,8 +743,8 @@ func shuffleEntryLevel(nm noiseModel, sh pipelineShape) int {
 // feasible schedule: starting from the reactive per-round trajectory the
 // simulator records, it lowers each round's level — last round first,
 // where the remaining circuit is shortest — as far as the full-pipeline
-// simulation stays feasible. The result is what the engine feeds
-// seccomp.CompareGTScheduled; nil (no rounds, or a simulator
+// simulation stays feasible. The result becomes the op program's drops
+// after each Sklansky round; nil (no rounds, or a simulator
 // disagreement) simply means no per-round drops.
 func compareRoundPlan(nm noiseModel, sh pipelineShape, encModel bool, e stageEntries) []int {
 	_, reactive, _, _, ok := simulatePipeline(nm, sh, encModel, e, nil)

@@ -208,7 +208,7 @@ func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &Engine{Backend: b, Workers: 4, SkipZeroDiagonals: !sc.encModel}
+			e := &Engine{Backend: b, Workers: 4}
 			inputs := [][]uint64{{0, 5}, {3, 2}, {15, 15}}
 			if f.NumFeatures != 2 {
 				inputs = [][]uint64{make([]uint64, f.NumFeatures)}
@@ -432,7 +432,7 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &Engine{Backend: b, Workers: 2, SkipZeroDiagonals: !encModel, MeasureNoise: true}
+			e := &Engine{Backend: b, Workers: 2, MeasureNoise: true}
 			_, trace, err := e.Classify(m, q)
 			if err != nil {
 				t.Fatalf("%s Classify: %v", mb.Name, err)

@@ -156,24 +156,15 @@ func (m *Meta) RotationStepLevels(encModel bool) map[int]int {
 			bump(g*baby, level)
 		}
 	}
-	split := func(period int) (int, int) {
-		if !m.UseBSGS {
-			return period, 1 // naive kernel: steps 1..period−1
-		}
-		if baby, giant, ok := m.BSGSFor(period); ok {
-			return baby, giant
-		}
-		return matrix.BSGSSplit(period)
-	}
 	replicate := func(from, to, level int) {
 		for p := from; p < to; p <<= 1 {
 			bump(-p, level)
 		}
 	}
 
-	qb, qg := split(m.QPad)
+	qb, qg := m.kernelSplit(m.QPad)
 	kernel(qb, qg, st.Reshuffle)
-	bb, bg := split(m.BPad)
+	bb, bg := m.kernelSplit(m.BPad)
 	kernel(bb, bg, st.Level)
 	replicate(m.BPad, m.BatchBlock(), st.Reshuffle)
 
@@ -196,6 +187,23 @@ func (m *Meta) RotationStepLevels(encModel bool) map[int]int {
 // period: Baby·Giant == Period.
 type BSGSPlan struct {
 	Period, Baby, Giant int
+}
+
+// kernelSplit returns the baby/giant split a model matrix of the given
+// period is staged and evaluated with: the compiler's staged BSGS plan,
+// or — for models staged without BSGS (CompileOptions.NoBSGS, v1
+// artifacts) — baby = period, giant = 1, which is the naive
+// one-rotation-per-diagonal kernel written as a split: the same
+// diagonals, and exactly the rotation steps 1..period−1 such a model's
+// RotationSteps carry.
+func (m *Meta) kernelSplit(period int) (baby, giant int) {
+	if !m.UseBSGS {
+		return period, 1
+	}
+	if baby, giant, ok := m.BSGSFor(period); ok {
+		return baby, giant
+	}
+	return matrix.BSGSSplit(period)
 }
 
 // BSGSFor returns the staged split for a period, if one was staged.

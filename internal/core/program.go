@@ -1,19 +1,24 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"copse/internal/he"
 	"copse/internal/matrix"
 )
 
-// This file implements the model-specialized op program: at Prepare time
-// the artifact plus its level plan is compiled into a flat, static
-// schedule of primitive homomorphic ops (DESIGN.md §13). The engine then
-// executes that schedule instead of re-deriving the pipeline structure —
-// BSGS loop bounds, rotation steps, level-drop targets, XOR decomposition
-// — on every Classify call, and the builder applies model-visible
-// algebraic rewrites the generic interpreter cannot:
+// This file implements the op program: at Prepare time the staged model
+// plus its level plan is compiled into a flat, static schedule of
+// primitive homomorphic ops (DESIGN.md §13), and Engine.ClassifyCtx
+// executes that schedule — the only classify path. Everything that
+// varies between models and scenarios is a build input here, not a
+// branch at run time: BSGS loop bounds (naive stagings are the split
+// baby = period, giant = 1), rotation steps, level-drop targets (none
+// for reactive staging), which diagonals a plaintext model lets the
+// kernel skip, and the XOR decomposition. The builder also applies
+// algebraic rewrites a stage-by-stage evaluation cannot:
 //
 //   - gt_j = x_j·(1−y_j) = x_j − x_j·y_j reuses the product the XOR of
 //     eq_j already computed, saving one ct-ct multiplication per bit
@@ -27,20 +32,23 @@ import (
 //   - the plaintext constants of ¬ and ⊕ (ones, XOR coefficient/offset
 //     pairs) are encoded once at bind time instead of per call;
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
-//     affine pair, gt_j into one plaintext multiplication, and an
-//     all-zero level mask into the identity.
+//     affine pair, gt_j into one plaintext multiplication, an all-zero
+//     level mask into the identity, and an all-zero matrix into the zero
+//     constant.
 //
 // Every rewrite preserves the decrypted result bit-for-bit (BGV
-// arithmetic mod t is exact; only noise estimates differ), which the
-// specialized-vs-generic property tests assert across the scenario
-// corpus. Registers are SSA — each op writes a fresh register — so the
-// block segments below parallelize without synchronization and the merge
-// order stays deterministic.
+// arithmetic mod t is exact; only noise differs), and the oracle for the
+// whole program is the plaintext walk model.Forest.Classify, which the
+// test corpus checks across every scenario, backend, batch fill and
+// shard count. Registers are SSA — each op writes a fresh register — so
+// the block segments below parallelize without synchronization and the
+// merge order stays deterministic.
 
 // opCode enumerates the primitive ops of the program IR. The operand
-// fields of progOp are interpreted per code; see KernelCtx for the
-// runtime semantics (the interpreter and the generated kernels share its
-// methods, so the two executors are bit-identical by construction).
+// fields of progOp are interpreted per code; pass.runSeg is the runtime
+// semantics. Every arithmetic op takes ciphertext or plaintext operands
+// on either side, which is what lets one program serve encrypted and
+// plaintext queries alike.
 type opCode uint8
 
 const (
@@ -49,12 +57,12 @@ const (
 	opMask                  // R[Dst] = level mask Imm
 	opConst                 // R[Dst] = bound plaintext constant Imm
 	opAdd                   // R[Dst] = R[A] + R[B]
-	opSub                   // R[Dst] = R[A] − R[B] (both ciphertext)
+	opSub                   // R[Dst] = R[A] − R[B]
 	opMul                   // R[Dst] = R[A] · R[B]
 	opMulLazy               // R[Dst] = R[A] ⊗ R[B] (unrelinearized)
 	opMulDiag               // R[Dst] = diag(Imm, Imm2) ⊗ R[A] (lazy)
 	opRelin                 // R[Dst] = relinearize(R[A])
-	opNeg                   // R[Dst] = −R[A] (ciphertext)
+	opNeg                   // R[Dst] = −R[A]
 	opRot                   // R[Dst] = rot(R[A], Imm)
 	opHoist                 // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
 	opDrop                  // R[Dst] = R[A] switched down to level Imm
@@ -70,8 +78,7 @@ type progOp struct {
 }
 
 // Pipeline stage tags, in execution order. Blocks carry them so the
-// executor can keep the per-stage trace windows of the generic path, and
-// generated kernels mark the same boundaries with KernelCtx.Stage.
+// executor can open and close the per-stage trace windows.
 const (
 	stCompare = iota
 	stReshuffle
@@ -93,12 +100,12 @@ type progBlock struct {
 // constKind enumerates the bind-time plaintext constants. Their slot
 // values are derived from the model's plaintext components and the
 // backend's plaintext modulus when the program is bound, so the program
-// itself is backend-agnostic (and the generated kernel source carries
-// only indices).
+// itself is backend-agnostic.
 type constKind uint8
 
 const (
 	ckOnes       constKind = iota // all-ones (the ¬ offset)
+	ckZero                        // all-zero (an entirely skippable matrix product)
 	ckThreshCoef                  // (2·y−1) mod t over threshold plane Index (eq fold)
 	ckThreshNot                   // (1−y) mod t over threshold plane Index (eq offset and gt factor)
 	ckMaskCoef                    // (1−2·m) mod t over padded mask Index
@@ -112,10 +119,7 @@ type constSpec struct {
 
 // Program is the compiled op schedule for one prepared model. It is
 // built by buildProgram at Prepare time, bound to a backend once
-// (plaintext constants encoded), and executed by Engine.ClassifyCtx in
-// place of the generic interpreter whenever the engine configuration
-// matches the assumptions baked in at build time (see eval.go's
-// dispatch).
+// (plaintext constants encoded), and executed by Engine.ClassifyCtx.
 type Program struct {
 	ops    []progOp
 	blocks []progBlock
@@ -124,49 +128,28 @@ type Program struct {
 	numReg int
 	result int
 
-	// Trace registers: the carrier operands whose limb counts the
-	// per-stage trace reports, mirroring the generic path's boundaries.
+	// Trace registers: the carrier operands whose limb counts and
+	// measured noise the per-stage trace reports.
 	regQuery, regDecisions, regBranchVec, regLevelResult int
-
-	// Build-time assumptions the dispatch gate checks against the
-	// engine configuration.
-	planned   bool // level-plan drops are baked in
-	skipZero  bool // all-zero diagonals are skipped (plaintext models)
-	encrypted bool
 
 	// stageLimbs[stage] is the carrier limb count each pipeline stage
 	// runs over under the baked-in level schedule (level+1), or 0 when
 	// no schedule was compiled. The executor forwards it as an advisory
-	// ring-dispatch hint at every stage transition (KernelCtx.StageLimbs).
+	// ring-dispatch hint at every stage transition (he.HintStageLimbs).
 	stageLimbs [stDone]int
 
-	// Plaintext component values backing the bind-time constants
-	// (plaintext models only; nil entries where unused).
-	threshVals [][]uint64
-	maskVals   [][]uint64
-
 	bound   []he.Operand // staged constants, set by bind
-	kernel  KernelFunc   // linked generated kernel, if one is registered
 	scratch sync.Pool
 }
 
-// NumOps returns the op count — the registry's cheap structural
-// fingerprint for validating that a linked kernel matches the program
-// built from the runtime artifact.
-func (p *Program) NumOps() int { return len(p.ops) }
-
-// NumRegs returns the register file size.
-func (p *Program) NumRegs() int { return p.numReg }
-
-// progInputs is everything buildProgram needs. It is assembled either
-// from freshly prepared operands (PrepareWithPlan) or from the compiled
-// artifact alone (GenerateKernel), producing the same program.
+// progInputs is everything buildProgram needs: the shapes of the
+// operands PrepareWithPlan just staged.
 type progInputs struct {
 	meta      Meta
 	plan      *StageLevels // nil = no scheduled drops
 	encrypted bool
-	slots     int
-	planes    int
+	planes    int // threshold bit planes
+	masks     int // level masks
 	reshuffle diagShape
 	levels    []diagShape
 	// Plaintext model components (nil when encrypted): the replicated
@@ -176,88 +159,14 @@ type progInputs struct {
 }
 
 // diagShape is the structural skeleton of a staged diagonal matrix: the
-// BSGS split and the plaintext-known zero diagonals. It carries no
-// operands, so codegen can build programs straight from an artifact.
+// baby/giant split and the plaintext-known zero diagonals.
 type diagShape struct {
 	period, baby, giant int
 	zero                []bool // per pre-rotated diagonal index
 }
 
-// shapeOf extracts the skeleton from staged diagonals; ok is false for
-// non-BSGS layouts (old artifacts), which the specializer does not
-// cover.
-func diagShapeOf(d *matrix.Diagonals) (diagShape, bool) {
-	if !d.IsBSGS() {
-		return diagShape{}, false
-	}
-	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.BsgsZero}, true
-}
-
-// shapeFromMatrix computes the skeleton the staging of mtx would
-// produce, without a backend: the same BSGS split decision as
-// PrepareWithPlan and the same all-zero diagonal flags.
-func shapeFromMatrix(m *Meta, mtx *matrix.Bool, period int) (diagShape, bool) {
-	baby, giant, ok := m.BSGSFor(period)
-	if !m.UseBSGS || !ok {
-		return diagShape{}, false
-	}
-	raw, err := mtx.Diagonals(period)
-	if err != nil {
-		return diagShape{}, false
-	}
-	zero := make([]bool, period)
-	for i, vec := range raw {
-		z := true
-		for _, v := range vec {
-			if v != 0 {
-				z = false
-				break
-			}
-		}
-		zero[i] = z
-	}
-	return diagShape{period: period, baby: baby, giant: giant, zero: zero}, true
-}
-
-// programInputsFromCompiled assembles build inputs from an artifact
-// alone — the codegen entry point. ok is false when the model's staging
-// is outside the specializer's coverage.
-func programInputsFromCompiled(c *Compiled, encrypt bool, plan *LevelPlan) (progInputs, bool) {
-	in := progInputs{
-		meta:      c.Meta,
-		encrypted: encrypt,
-		slots:     c.Meta.Slots,
-		planes:    len(c.ThresholdBits),
-	}
-	if plan != nil {
-		st := plan.For(encrypt)
-		in.plan = &st
-	}
-	var ok bool
-	if in.reshuffle, ok = shapeFromMatrix(&c.Meta, c.Reshuffle, c.Meta.QPad); !ok {
-		return progInputs{}, false
-	}
-	for _, lm := range c.Levels {
-		sh, ok := shapeFromMatrix(&c.Meta, lm, c.Meta.BPad)
-		if !ok {
-			return progInputs{}, false
-		}
-		in.levels = append(in.levels, sh)
-	}
-	if !encrypt {
-		span := c.Meta.BatchBlock()
-		for _, plane := range c.ThresholdBits {
-			in.threshVals = append(in.threshVals, replicatePlain(plane, c.Meta.QPad, in.slots))
-		}
-		for _, mask := range c.Masks {
-			padded := make([]uint64, in.slots)
-			for base := 0; base < len(padded); base += span {
-				copy(padded[base:base+len(mask)], mask)
-			}
-			in.maskVals = append(in.maskVals, padded)
-		}
-	}
-	return in, true
+func diagShapeOf(d *matrix.Diagonals) diagShape {
+	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.Zero}
 }
 
 // progBuilder accumulates ops, blocks and constants while walking the
@@ -310,47 +219,38 @@ func (bl *progBuilder) constReg(spec constSpec) int {
 	return r
 }
 
-// drop emits a scheduled level drop when the program is planned.
+// drop emits a scheduled level drop.
 func (bl *progBuilder) drop(r, level int) int {
-	if bl.p.planned && level >= 0 {
-		return bl.emit(opDrop, r, 0, level, 0)
-	}
-	return r
+	return bl.emit(opDrop, r, 0, level, 0)
 }
 
-// buildProgram compiles the pipeline into a Program, or returns nil when
-// the model's staging falls outside the specializer's coverage (non-BSGS
-// layouts, empty stages); the engine then keeps the generic interpreter.
-func buildProgram(in progInputs) *Program {
-	if in.planes == 0 || len(in.levels) == 0 || in.reshuffle.period == 0 {
-		return nil
+// buildProgram compiles the pipeline into a Program. Every model Compile
+// or ShardForest produces has one; the shapes rejected here can only
+// come from a hand-built or corrupted artifact.
+func buildProgram(in progInputs) (*Program, error) {
+	switch {
+	case in.planes == 0:
+		return nil, &UnsupportedModelError{Reason: "no threshold bit planes"}
+	case len(in.levels) == 0:
+		return nil, &UnsupportedModelError{Reason: "no level matrices"}
+	case in.masks != len(in.levels):
+		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d level masks for %d level matrices", in.masks, len(in.levels))}
 	}
+	// One set of baby rotations of the branch vector feeds every level
+	// product, so the level matrices must agree on the split (they are
+	// all staged with period BPad, so they do).
 	baby := in.levels[0].baby
-	for _, sh := range in.levels {
+	for l, sh := range in.levels {
 		if sh.baby != baby || sh.period != in.levels[0].period {
-			return nil
+			return nil, &UnsupportedModelError{Reason: fmt.Sprintf("level matrix %d staged %d×%d over period %d, level matrix 0 %d×%d over %d",
+				l, sh.baby, sh.giant, sh.period, baby, in.levels[0].giant, in.levels[0].period)}
 		}
 	}
+	// All-zero diagonals are skipped exactly when the model is plaintext:
+	// the server can see them anyway, whereas skipping an encrypted
+	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
-	// Degenerate stagings (an entirely skippable matrix) take plaintext
-	// shortcut paths in the generic kernels; leave them there.
-	if skipZero {
-		if allZero(in.reshuffle.zero) {
-			return nil
-		}
-		for _, sh := range in.levels {
-			if allZero(sh.zero) {
-				return nil
-			}
-		}
-	}
-	p := &Program{
-		planned:    in.plan != nil,
-		skipZero:   skipZero,
-		encrypted:  in.encrypted,
-		threshVals: in.threshVals,
-		maskVals:   in.maskVals,
-	}
+	p := &Program{}
 	if in.plan != nil {
 		p.stageLimbs[stCompare] = in.plan.Compare + 1
 		p.stageLimbs[stReshuffle] = in.plan.Reshuffle + 1
@@ -365,7 +265,7 @@ func buildProgram(in progInputs) *Program {
 	// constants. Loads are register aliases; only the drops cost work.
 	nPlanes := in.planes
 	q := make([]int, nPlanes)
-	ones := -1
+	ones, zero := -1, -1
 	bl.seg(func() {
 		for j := 0; j < nPlanes; j++ {
 			q[j] = bl.emit(opQuery, 0, 0, j, 0)
@@ -375,6 +275,13 @@ func buildProgram(in progInputs) *Program {
 		}
 		if in.encrypted {
 			ones = bl.constReg(constSpec{Kind: ckOnes})
+		}
+		// A matrix product whose every diagonal is skipped is the zero
+		// vector; it is loaded here, ahead of the parallel segments that
+		// may read it.
+		skippable := func(sh diagShape) bool { return !slices.Contains(sh.zero, false) }
+		if skipZero && (skippable(in.reshuffle) || slices.ContainsFunc(in.levels, skippable)) {
+			zero = bl.constReg(constSpec{Kind: ckZero})
 		}
 	})
 	p.regQuery = q[0]
@@ -461,11 +368,12 @@ func buildProgram(in progInputs) *Program {
 	bl.flush(stCompare)
 
 	// ---- Stage 2: reshuffle -----------------------------------------
-	branch, ok := bl.matVec(in.reshuffle, decisions, -1, skipZero, stReshuffle)
-	if !ok {
-		return nil
-	}
+	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle), stReshuffle)
+	groups := bl.matVecGroups(in.reshuffle, rots, -1, skipZero)
+	bl.flush(stReshuffle)
+	var branch int
 	bl.seg(func() {
+		branch = bl.mergeGroups(groups, zero)
 		for pw := in.meta.BPad; pw < in.meta.BatchBlock(); pw <<= 1 {
 			rot := bl.emit(opRot, branch, 0, -pw, 0)
 			branch = bl.emit(opAdd, branch, rot, 0, 0)
@@ -480,17 +388,8 @@ func buildProgram(in progInputs) *Program {
 	// ---- Stage 3: levels --------------------------------------------
 	// One shared set of baby rotations feeds every level product; under
 	// skipZero only the union of steps some level actually reads is
-	// computed (the generic path computes all of them).
-	needed := make([]bool, baby)
-	needed[0] = true
-	for _, sh := range in.levels {
-		for i := 0; i < sh.period; i++ {
-			if !(skipZero && sh.zero[i]) {
-				needed[i%sh.baby] = true
-			}
-		}
-	}
-	rots := bl.hoistRots(branch, needed, stLevels)
+	// computed.
+	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...), stLevels)
 
 	lvlGroups := make([][]int, len(in.levels))
 	for l, sh := range in.levels {
@@ -501,14 +400,14 @@ func buildProgram(in progInputs) *Program {
 	for l := range in.levels {
 		l := l
 		bl.seg(func() {
-			lvl := bl.mergeGroups(lvlGroups[l])
+			lvl := bl.mergeGroups(lvlGroups[l], zero)
 			if in.encrypted {
 				mask := bl.emit(opMask, 0, 0, l, 0)
 				prod := bl.emit(opMul, lvl, mask, 0, 0)
 				sum := bl.emit(opAdd, lvl, mask, 0, 0)
 				twice := bl.emit(opAdd, prod, prod, 0, 0)
 				lvl = bl.emit(opSub, sum, twice, 0, 0)
-			} else if !allZero(in.maskVals[l]) {
+			} else if slices.ContainsFunc(in.maskVals[l], func(v uint64) bool { return v != 0 }) {
 				coef := bl.constReg(constSpec{Kind: ckMaskCoef, Index: l})
 				add := bl.constReg(constSpec{Kind: ckMaskAdd, Index: l})
 				scaled := bl.emit(opMul, lvl, coef, 0, 0)
@@ -553,7 +452,21 @@ func buildProgram(in progInputs) *Program {
 		s := make([]he.Operand, p.numReg)
 		return &s
 	}
-	return p
+	return p, nil
+}
+
+// neededBaby marks the baby rotations that some unskipped diagonal of
+// the shapes (all of one split) reads.
+func neededBaby(skipZero bool, shapes ...diagShape) []bool {
+	needed := make([]bool, shapes[0].baby)
+	for _, sh := range shapes {
+		for i, z := range sh.zero {
+			if !(skipZero && z) {
+				needed[i%sh.baby] = true
+			}
+		}
+	}
+	return needed
 }
 
 // hoistRots emits the hoisted rotations for the needed baby steps and
@@ -624,47 +537,21 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 	return groups
 }
 
-// mergeGroups sums group results in index order (the deterministic merge
-// of the generic kernel).
-func (bl *progBuilder) mergeGroups(groups []int) int {
-	acc := -1
+// mergeGroups sums group results in index order — a deterministic merge
+// for any worker count. With every group skipped the sum is empty.
+func (bl *progBuilder) mergeGroups(groups []int, empty int) int {
+	acc := empty
 	for _, g := range groups {
 		if g < 0 {
 			continue
 		}
-		if acc < 0 {
+		if acc == empty {
 			acc = g
 		} else {
 			acc = bl.emit(opAdd, acc, g, 0, 0)
 		}
 	}
 	return acc
-}
-
-// matVec emits a full BSGS matrix-vector product: hoisted baby
-// rotations, parallel group products, serial merge. ok is false when
-// every diagonal is skippable (the generic path's plaintext-zeros
-// shortcut; unsupported here).
-func (bl *progBuilder) matVec(sh diagShape, vec, mat int, skipZero bool, stage int) (int, bool) {
-	needed := make([]bool, sh.baby)
-	needed[0] = true
-	anyDiag := false
-	for i := 0; i < sh.period; i++ {
-		if !(skipZero && sh.zero[i]) {
-			needed[i%sh.baby] = true
-			anyDiag = true
-		}
-	}
-	if !anyDiag {
-		return 0, false
-	}
-	rots := bl.hoistRots(vec, needed, stage)
-	groups := bl.matVecGroups(sh, rots, mat, skipZero)
-	bl.flush(stage)
-	var out int
-	bl.seg(func() { out = bl.mergeGroups(groups) })
-	bl.flush(stage)
-	return out, true
 }
 
 // eliminateDeadOps removes ops whose results never reach the program
@@ -739,31 +626,35 @@ func (p *Program) eliminateDeadOps() {
 }
 
 // bind stages the program's plaintext constants on the backend —
-// encoded once here instead of on every Classify call.
-func (p *Program) bind(b he.Backend) error {
+// encoded once here instead of on every Classify call. threshVals and
+// maskVals are the plaintext model components the program was built
+// from (progInputs; nil for an encrypted model, whose program has no
+// constants derived from them).
+func (p *Program) bind(b he.Backend, threshVals, maskVals [][]uint64) error {
 	t := b.PlainModulus()
 	p.bound = make([]he.Operand, len(p.consts))
 	for i, spec := range p.consts {
 		vals := make([]uint64, b.Slots())
 		switch spec.Kind {
+		case ckZero:
 		case ckOnes:
 			for j := range vals {
 				vals[j] = 1
 			}
 		case ckThreshCoef:
-			for j, m := range p.threshVals[spec.Index] {
+			for j, m := range threshVals[spec.Index] {
 				vals[j] = (2*(m%t) + t - 1) % t
 			}
 		case ckThreshNot:
-			for j, m := range p.threshVals[spec.Index] {
+			for j, m := range threshVals[spec.Index] {
 				vals[j] = (1 + t - m%t) % t
 			}
 		case ckMaskCoef:
-			for j, m := range p.maskVals[spec.Index] {
+			for j, m := range maskVals[spec.Index] {
 				vals[j] = (1 + t - (2*m)%t) % t
 			}
 		case ckMaskAdd:
-			for j, m := range p.maskVals[spec.Index] {
+			for j, m := range maskVals[spec.Index] {
 				vals[j] = m % t
 			}
 		}
@@ -774,14 +665,4 @@ func (p *Program) bind(b he.Backend) error {
 		p.bound[i] = op
 	}
 	return nil
-}
-
-func allZero[T uint64 | bool](vals []T) bool {
-	var zero T
-	for _, v := range vals {
-		if v != zero {
-			return false
-		}
-	}
-	return true
 }

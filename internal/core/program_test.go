@@ -1,0 +1,181 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"copse/internal/he"
+	"copse/internal/he/heclear"
+	"copse/internal/matrix"
+	"copse/internal/model"
+)
+
+func leafNode(label int) *model.Node { return &model.Node{Leaf: true, Label: label} }
+
+func branchNode(feature int, threshold uint64, left, right *model.Node) *model.Node {
+	return &model.Node{Feature: feature, Threshold: threshold, Left: left, Right: right}
+}
+
+// degenerateCase is one model at the edge of what Compile and
+// ReadArtifact accept, with the forest whose plaintext walk is its
+// oracle.
+type degenerateCase struct {
+	name     string
+	forest   *model.Forest
+	compiled *Compiled
+	// plainOnly restricts the case to the plaintext-model scenario (an
+	// all-zero matrix is only a shortcut there; encrypted zeros are
+	// ordinary ciphertexts).
+	plainOnly bool
+}
+
+func degenerateCases(t *testing.T) []degenerateCase {
+	t.Helper()
+	compile := func(f *model.Forest, opts Options) *Compiled {
+		opts.Slots = 1024
+		c, err := Compile(f, opts)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		return c
+	}
+	golden := func(file string) *Compiled {
+		raw, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ReadArtifact(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		return c
+	}
+	labels := []string{"a", "b", "c"}
+	stump := &model.Forest{Labels: labels, NumFeatures: 1, Precision: 4, Trees: []*model.Tree{
+		{Root: branchNode(0, 7, leafNode(0), leafNode(1))},
+	}}
+	equal := &model.Forest{Labels: labels, NumFeatures: 2, Precision: 4, Trees: []*model.Tree{
+		{Root: branchNode(0, 5, branchNode(1, 5, leafNode(0), leafNode(1)), branchNode(0, 5, leafNode(2), leafNode(0)))},
+		{Root: branchNode(1, 5, leafNode(1), branchNode(0, 5, leafNode(2), leafNode(1)))},
+	}}
+	edges := &model.Forest{Labels: labels, NumFeatures: 2, Precision: 4, Trees: []*model.Tree{
+		{Root: branchNode(0, 0, leafNode(0), branchNode(1, 15, leafNode(1), leafNode(2)))},
+		{Root: branchNode(1, 0, branchNode(0, 15, leafNode(2), leafNode(0)), leafNode(1))},
+	}}
+	figure1 := model.Figure1()
+
+	// A level whose matrix selects nothing and whose mask is all ones
+	// contributes the factor 0 ⊕ 1 = 1 to every leaf: the forest's answers
+	// are unchanged, and the plaintext-model program must lower the
+	// matrix product to the zero constant instead of skipping the level.
+	zeroLevel := compile(figure1, Options{})
+	ones := make([]uint64, zeroLevel.Meta.NumLeaves)
+	for i := range ones {
+		ones[i] = 1
+	}
+	zeroLevel.Levels = append(zeroLevel.Levels, matrix.NewBool(zeroLevel.Levels[0].Rows, zeroLevel.Levels[0].Cols))
+	zeroLevel.Masks = append(zeroLevel.Masks, ones)
+	zeroLevel.Meta.D++
+
+	return []degenerateCase{
+		{name: "one-tree", forest: figure1, compiled: compile(figure1, Options{})},
+		{name: "stump", forest: stump, compiled: compile(stump, Options{})},
+		{name: "equal-thresholds", forest: equal, compiled: compile(equal, Options{})},
+		{name: "thresholds-0-and-max", forest: edges, compiled: compile(edges, Options{})},
+		{name: "zero-level-matrix", forest: figure1, compiled: zeroLevel, plainOnly: true},
+		{name: "golden-v1", forest: figure1, compiled: golden("figure1_v1.copse")},
+		{name: "golden-v2", forest: figure1, compiled: golden("figure1_v2.copse")},
+		{name: "nobsgs", forest: figure1, compiled: compile(figure1, Options{NoBSGS: true})},
+	}
+}
+
+// TestDegenerateModelsRunTheProgram: every model shape at the edge of
+// the compiler's and the artifact reader's coverage — including the
+// naive stagings and the all-zero matrix that used to fall back to a
+// separate interpreter — classifies bit-exactly against the plaintext
+// walk, on both backends, through the op program.
+func TestDegenerateModelsRunTheProgram(t *testing.T) {
+	for _, tc := range degenerateCases(t) {
+		f := tc.forest
+		top := uint64(1)<<uint(f.Precision) - 1
+		inputs := [][]uint64{make([]uint64, f.NumFeatures), make([]uint64, f.NumFeatures), make([]uint64, f.NumFeatures), make([]uint64, f.NumFeatures)}
+		for i := 0; i < f.NumFeatures; i++ {
+			inputs[1][i] = top
+			inputs[2][i] = 5 + uint64(i) // straddles the all-equal thresholds
+			inputs[3][i] = top * uint64(i%2)
+		}
+		backends := map[string]func() he.Backend{
+			"clear": func() he.Backend { return heclear.New(tc.compiled.Meta.Slots, 65537) },
+		}
+		if !testing.Short() {
+			backends["bgv"] = func() he.Backend { return newBGVBackend(t, tc.compiled) }
+		}
+		for bname, newBackend := range backends {
+			t.Run(tc.name+"/"+bname, func(t *testing.T) {
+				b := newBackend()
+				if c, ok := b.(interface{ Close() error }); ok {
+					defer c.Close()
+				}
+				for _, encModel := range []bool{true, false} {
+					if encModel && tc.plainOnly {
+						continue
+					}
+					m, err := Prepare(b, tc.compiled, encModel)
+					if err != nil {
+						t.Fatalf("Prepare(encModel=%v): %v", encModel, err)
+					}
+					e := &Engine{Backend: b, Workers: 2}
+					for _, feats := range inputs {
+						q, err := PrepareQuery(b, &m.Meta, feats, true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out, trace, err := e.Classify(m, q)
+						if err != nil {
+							t.Fatalf("encModel=%v Classify(%v): %v", encModel, feats, err)
+						}
+						if trace.Executor != "program" {
+							t.Errorf("encModel=%v: executor %q, want program", encModel, trace.Executor)
+						}
+						slots, err := he.Reveal(b, out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := DecodeResult(&m.Meta, slots)
+						if err != nil {
+							t.Fatalf("encModel=%v DecodeResult(%v): %v", encModel, feats, err)
+						}
+						for ti, want := range f.Classify(feats) {
+							if res.PerTree[ti] != want {
+								t.Errorf("encModel=%v Classify(%v) tree %d = L%d, want L%d", encModel, feats, ti, res.PerTree[ti], want)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPrepareRejectsShapelessModel: a model with no op program is one
+// typed Prepare error, not a classify-time surprise.
+func TestPrepareRejectsShapelessModel(t *testing.T) {
+	b := heclear.New(64, 65537)
+	for name, mutate := range map[string]func(c *Compiled){
+		"no levels":        func(c *Compiled) { c.Levels, c.Masks = nil, nil },
+		"no planes":        func(c *Compiled) { c.ThresholdBits = nil },
+		"mask count":       func(c *Compiled) { c.Masks = c.Masks[:1] },
+		"level mask count": func(c *Compiled) { c.Levels = c.Levels[:1] },
+	} {
+		c := compileFigure1(t)
+		mutate(c)
+		_, err := Prepare(b, c, true)
+		var shape *UnsupportedModelError
+		if !errors.As(err, &shape) {
+			t.Errorf("%s: Prepare error %v, want *UnsupportedModelError", name, err)
+		}
+	}
+}

@@ -124,7 +124,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Backend: b, SkipZeroDiagonals: true}
+		e := &Engine{Backend: b}
 		for _, k := range []int{2, 3, 5} {
 			shards, _, err := ShardForest(c, k)
 			if err != nil {
@@ -161,9 +161,13 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 					if err != nil {
 						t.Fatalf("preparing shard %d: %v", i, err)
 					}
-					outs[i], _, err = e.Classify(ops, q)
+					var trace *Trace
+					outs[i], trace, err = e.Classify(ops, q)
 					if err != nil {
 						t.Fatalf("shard %d Classify: %v", i, err)
+					}
+					if trace.Executor != "program" {
+						t.Errorf("shard %d ran executor %q, want program", i, trace.Executor)
 					}
 				}
 				merged := mergeShardResults(t, b, outs)
@@ -258,16 +262,20 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Backend: b, Workers: 4, SkipZeroDiagonals: true}
+	e := &Engine{Backend: b, Workers: 4}
 	outs := make([]he.Operand, len(shards))
 	for i, sc := range shards {
 		ops, err := Prepare(b, sc, false)
 		if err != nil {
 			t.Fatalf("preparing shard %d: %v", i, err)
 		}
-		outs[i], _, err = e.Classify(ops, q)
+		var trace *Trace
+		outs[i], trace, err = e.Classify(ops, q)
 		if err != nil {
 			t.Fatalf("shard %d Classify: %v", i, err)
+		}
+		if trace.Executor != "program" {
+			t.Errorf("shard %d ran executor %q, want program", i, trace.Executor)
 		}
 	}
 	merged := mergeShardResults(t, b, outs)

@@ -148,7 +148,7 @@ func ShuffleResult(b he.Backend, meta *Meta, result he.Operand, padTo int, seed 
 	}
 	// The permutation is server-local plaintext: zero diagonals can be
 	// skipped without leaking anything about the model.
-	shuffled, err := matrix.MatVec(b, diag, replicated, true)
+	shuffled, err := matrix.MatVecBSGS(b, diag, replicated, true, 1)
 	if err != nil {
 		return he.Operand{}, nil, err
 	}
@@ -228,7 +228,7 @@ func ShuffleResultBatch(b he.Backend, meta *Meta, result he.Operand, batch, padT
 	if err != nil {
 		return he.Operand{}, nil, err
 	}
-	shuffled, err := matrix.MatVecBSGS(b, diag, replicated, true, workers, true)
+	shuffled, err := matrix.MatVecBSGS(b, diag, replicated, true, workers)
 	if err != nil {
 		return he.Operand{}, nil, err
 	}

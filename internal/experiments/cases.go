@@ -45,10 +45,6 @@ type Config struct {
 	// NoLevelPlan disables static level scheduling (the -nolevelplan
 	// ablation): reactive noise management on the reactive chain length.
 	NoLevelPlan bool
-	// NoSpecialize disables the specialized op-program executor (the
-	// -nospecialize ablation): Classify re-derives the pipeline from the
-	// model structure on every call (DESIGN.md §13).
-	NoSpecialize bool
 	// MeasureNoise records decrypt-side noise-budget margins at every
 	// stage boundary of each classify (Trace.Noise) — the -leveljson
 	// margin corpus. BGV only; costs one decryption per stage.

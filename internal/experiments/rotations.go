@@ -11,9 +11,9 @@ import (
 )
 
 // RotationBench is the machine-readable perf-trajectory record emitted
-// by copse-bench -rotjson (BENCH_rotations.json): per-model stage
-// timings and primitive operation counts, so successive PRs can diff the
-// rotation bill and stage breakdown without re-parsing rendered tables.
+// by copse-bench -rotjson: per-model stage timings and primitive
+// operation counts, so successive PRs can diff the rotation bill and
+// stage breakdown without re-parsing rendered tables.
 type RotationBench struct {
 	Backend string         `json:"backend"`
 	Queries int            `json:"queries"`

@@ -31,14 +31,13 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 		return nil, err
 	}
 	sysCfg := copse.SystemConfig{
-		Backend:               kind,
-		Scenario:              scenario,
-		Workers:               workers,
-		IntraOpWorkers:        cfg.IntraOp,
-		Seed:                  cfg.Seed + 100,
-		DisableLevelPlan:      cfg.NoLevelPlan,
-		MeasureNoise:          cfg.MeasureNoise,
-		DisableSpecialization: cfg.NoSpecialize,
+		Backend:          kind,
+		Scenario:         scenario,
+		Workers:          workers,
+		IntraOpWorkers:   cfg.IntraOp,
+		Seed:             cfg.Seed + 100,
+		DisableLevelPlan: cfg.NoLevelPlan,
+		MeasureNoise:     cfg.MeasureNoise,
 	}
 	if kind == copse.BackendBGV {
 		sysCfg.Security, err = securityFor(cs.Slots)
@@ -66,44 +65,35 @@ func (r *copseRunner) close() {
 // plaintext tree walk; a mismatch is an error (the harness doubles as an
 // integration test).
 func (r *copseRunner) run(queries int, seed uint64) ([]time.Duration, []*copse.Trace, error) {
-	times, traces, _, err := r.runCollect(queries, seed)
-	return times, traces, err
-}
-
-// runCollect is run plus each query's decrypted per-tree labels — the
-// corpus the specialized-vs-generic report compares bit-for-bit.
-func (r *copseRunner) runCollect(queries int, seed uint64) ([]time.Duration, []*copse.Trace, [][]int, error) {
 	rng := rand.New(rand.NewPCG(seed, 0xf00d))
 	var times []time.Duration
 	var traces []*copse.Trace
-	var results [][]int
 	for qi := 0; qi < queries; qi++ {
 		feats := randomFeatures(rng, r.cs.Forest.NumFeatures, r.cs.Forest.Precision)
 		query, err := r.sys.Diane.EncryptQuery(feats)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		start := time.Now()
 		enc, trace, err := r.sys.Sally.Classify(query)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("experiments: %s query %d: %w", r.cs.Name, qi, err)
+			return nil, nil, fmt.Errorf("experiments: %s query %d: %w", r.cs.Name, qi, err)
 		}
 		times = append(times, time.Since(start))
 		traces = append(traces, trace)
 		res, err := r.sys.Diane.DecryptResult(enc)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		want := r.cs.Forest.Classify(feats)
 		for ti := range want {
 			if res.PerTree[ti] != want[ti] {
-				return nil, nil, nil, fmt.Errorf("experiments: %s query %d tree %d: secure %d != plaintext %d",
+				return nil, nil, fmt.Errorf("experiments: %s query %d tree %d: secure %d != plaintext %d",
 					r.cs.Name, qi, ti, res.PerTree[ti], want[ti])
 			}
 		}
-		results = append(results, append([]int(nil), res.PerTree...))
 	}
-	return times, traces, results, nil
+	return times, traces, nil
 }
 
 // baselineRunner owns one instantiated Aloufi-et-al. system.

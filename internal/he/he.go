@@ -112,8 +112,8 @@ type LevelEncrypter interface {
 
 // StageLimbHinter is an optional Backend capability implemented by
 // leveled schemes whose kernel layer can exploit a fixed limb count:
-// generated specialized kernels know each pipeline stage's exact level
-// at compile time, and hinting it lets the ring layer precompute its
+// a model's op program knows each pipeline stage's exact level when it
+// is built, and hinting it lets the ring layer precompute its
 // per-op dispatch (worker pool, tile grain) once per stage instead of
 // per op. The hint is strictly advisory — operations at any other limb
 // count must behave identically — so results never depend on it.

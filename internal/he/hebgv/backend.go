@@ -131,9 +131,9 @@ func (b *Backend) IntraOpWorkers() int { return b.params.RingCtx.WorkerCount() }
 // HintStageLimbs implements he.StageLimbHinter: it installs the stage's
 // exact limb count as the ring context's advisory dispatch plan, so the
 // per-limb fan-out decision (pool, tile grain, cutoff) is made once per
-// pipeline stage instead of per ring op. Generated specialized kernels
-// emit the hints (core.KernelCtx.StageLimbs); limbs ≤ 0 clears the
-// plan. Advisory only — ops at other limb counts take the generic
+// pipeline stage instead of per ring op. The classify executor emits
+// the hints at stage transitions (core.Engine.ClassifyCtx); limbs ≤ 0
+// clears the plan. Advisory only — ops at other limb counts take the generic
 // dispatch path, so results never depend on the hint.
 func (b *Backend) HintStageLimbs(limbs int) {
 	b.params.RingCtx.SetStageLimbHint(limbs)

@@ -61,6 +61,33 @@ func Add(b Backend, x, y Operand) (Operand, error) {
 	}
 }
 
+// Sub returns x − y element-wise; a plaintext side is negated and added.
+func Sub(b Backend, x, y Operand) (Operand, error) {
+	if x.IsCipher() && y.IsCipher() {
+		ct, err := b.Sub(x.Ct, y.Ct)
+		return Operand{Ct: ct}, err
+	}
+	neg, err := Neg(b, y)
+	if err != nil {
+		return Operand{}, err
+	}
+	return Add(b, x, neg)
+}
+
+// Neg returns −x element-wise.
+func Neg(b Backend, x Operand) (Operand, error) {
+	if x.IsCipher() {
+		ct, err := b.Neg(x.Ct)
+		return Operand{Ct: ct}, err
+	}
+	t := b.PlainModulus()
+	vals := make([]uint64, b.Slots())
+	for i := range vals {
+		vals[i] = (t - x.Vals[i]%t) % t
+	}
+	return NewPlain(b, vals)
+}
+
 // Mul returns x · y element-wise. This is boolean AND for 0/1 operands.
 func Mul(b Backend, x, y Operand) (Operand, error) {
 	switch {

@@ -48,7 +48,7 @@ func TestMatVecBSGSMatchesPlain(t *testing.T) {
 		}
 		period := bits.NextPow2(cols)
 		baby, giant := BSGSSplit(period)
-		d, err := PrepareDiagonalsBSGS(b, m, period, baby, giant, encryptMat)
+		d, err := stage(b, m, period, baby, giant, encryptMat)
 		if err != nil {
 			return false
 		}
@@ -56,7 +56,7 @@ func TestMatVecBSGSMatchesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := MatVec(b, d, he.Cipher(ct), skipZero)
+		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 1)
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestMatVecBSGSRotationBudget(t *testing.T) {
 		r := rand.New(rand.NewPCG(uint64(period), 5))
 		m := randBool(r, period, period, 0.6) // dense: no zero diagonals to skip
 		baby, giant := BSGSSplit(period)
-		d, err := PrepareDiagonalsBSGS(b, m, period, baby, giant, true)
+		d, err := stage(b, m, period, baby, giant, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestMatVecBSGSRotationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.ResetCounts()
-		out, err := MatVecParallel(b, d, he.Cipher(ct), false, 4)
+		out, err := MatVecBSGS(b, d, he.Cipher(ct), false, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestMatVecBSGSRotationBudgetBGV(t *testing.T) {
 	}
 	r := rand.New(rand.NewPCG(8, 8))
 	m := randBool(r, period, period, 0.6)
-	d, err := PrepareDiagonalsBSGS(b, m, period, baby, giant, true)
+	d, err := stage(b, m, period, baby, giant, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestMatVecBSGSRotationBudgetBGV(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.ResetCounts()
-	out, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1, true)
+	out, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,61 +196,12 @@ func TestMatVecBSGSRotationBudgetBGV(t *testing.T) {
 	}
 }
 
-// TestMatVecBSGSWithSharedBabyRotations: sharing one baby-rotation set
-// across several matrices must give identical results to independent runs.
-func TestMatVecBSGSWithSharedBabyRotations(t *testing.T) {
-	b := heclear.New(64, 65537)
-	r := rand.New(rand.NewPCG(9, 9))
-	period := 16
-	baby, giant := BSGSSplit(period)
-	v := make([]uint64, period)
-	for i := range v {
-		v[i] = uint64(r.IntN(2))
-	}
-	ct, err := b.Encrypt(replicatedPlain(v, period, b.Slots()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	babyRots, err := BabyRotations(b, he.Cipher(ct), baby, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 4; trial++ {
-		m := randBool(r, 12, period, 0.5)
-		d, err := PrepareDiagonalsBSGS(b, m, period, baby, giant, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared, err := MatVecBSGSWith(b, d, babyRots, false, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		independent, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv, err := he.Reveal(b, shared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iv, err := he.Reveal(b, independent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sv {
-			if sv[i] != iv[i] {
-				t.Fatalf("trial %d slot %d: shared %d vs independent %d", trial, i, sv[i], iv[i])
-			}
-		}
-	}
-}
-
 func TestPrepareDiagonalsBSGSBadSplit(t *testing.T) {
 	b := heclear.New(16, 65537)
-	if _, err := PrepareDiagonalsBSGS(b, NewBool(4, 4), 4, 3, 2, false); err == nil {
+	if _, err := stage(b, NewBool(4, 4), 4, 3, 2, false); err == nil {
 		t.Error("split not factoring period accepted")
 	}
-	if _, err := PrepareDiagonalsBSGS(b, NewBool(4, 4), 32, 8, 4, false); err == nil {
+	if _, err := stage(b, NewBool(4, 4), 32, 8, 4, false); err == nil {
 		t.Error("period wider than slots accepted")
 	}
 }
@@ -296,7 +247,7 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 2, true)
+		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 2)
 		if err != nil {
 			t.Logf("matvec: %v", err)
 			return false

@@ -105,32 +105,26 @@ func (m *Bool) Diagonals(period int) ([][]uint64, error) {
 	return out, nil
 }
 
-// Diagonals is a matrix prepared for homomorphic multiplication: one
-// operand per rotation amount. With a plaintext model the operands are
-// plain and all-zero diagonals may be skipped; with an encrypted model
-// every diagonal is a ciphertext and all must be processed (skipping
-// would leak the branching structure — paper §7.1).
+// Diagonals is a matrix prepared for homomorphic multiplication in the
+// baby-step/giant-step layout: diagonal g·Baby+j is stored pre-rotated
+// right by g·Baby in Ops[g·Baby+j], so the kernel needs only Baby−1
+// rotations of the vector plus Giant−1 rotations of the partial sums —
+// ~2·√Period instead of Period−1. The split Baby = Period, Giant = 1 is
+// the naive one-rotation-per-diagonal kernel (no pre-rotation, no giant
+// steps), which is how stagings without a BSGS plan are expressed.
 //
-// Two layouts exist. The naive layout (PrepareDiagonals) stores diagonal
-// i in Ops[i] and the kernel issues one rotation per diagonal. The
-// baby-step/giant-step layout (PrepareDiagonalsBSGS) stores diagonal
-// g·Baby+j pre-rotated right by g·Baby in BsgsOps[g·Baby+j], so the
-// kernel needs only Baby−1 rotations of the vector plus Giant−1
-// rotations of the partial sums — ~2·√Period instead of Period−1.
+// With a plaintext model the operands are plain and all-zero diagonals
+// may be skipped; with an encrypted model every diagonal is a ciphertext
+// and all must be processed (skipping would leak the branching
+// structure — paper §7.1).
 type Diagonals struct {
 	Rows   int
 	Period int
-	Ops    []he.Operand
-	Zero   []bool // plaintext-known zero diagonals
-
-	// BSGS layout; Baby·Giant == Period when BsgsOps is populated.
+	// Baby·Giant == Period.
 	Baby, Giant int
-	BsgsOps     []he.Operand
-	BsgsZero    []bool
+	Ops         []he.Operand
+	Zero        []bool // plaintext-known zero diagonals
 }
-
-// IsBSGS reports whether d carries the baby-step/giant-step layout.
-func (d *Diagonals) IsBSGS() bool { return d.BsgsOps != nil }
 
 // BSGSSplit factors a power-of-two period into baby and giant step
 // counts with baby·giant = period and baby = 2^ceil(log2(period)/2), the
@@ -145,13 +139,6 @@ func BSGSSplit(period int) (baby, giant int) {
 	}
 	baby = 1 << ((log + 1) / 2)
 	return baby, period / baby
-}
-
-// PrepareDiagonals builds the operand form of m with a single copy of
-// each diagonal in slots [0, Rows) — the single-query layout. It is
-// PrepareDiagonalsSpan with span equal to the full slot count.
-func PrepareDiagonals(b he.Backend, m *Bool, period int, encrypt bool) (*Diagonals, error) {
-	return PrepareDiagonalsSpan(b, m, period, b.Slots(), encrypt)
 }
 
 // checkSpan validates a slot-block width for blocked staging: span must
@@ -179,57 +166,6 @@ func checkSpan(b he.Backend, m *Bool, period, span int) error {
 	return nil
 }
 
-// PrepareDiagonalsSpan builds the operand form of m with each diagonal
-// replicated into every span-aligned slot block: slot k·span + r holds
-// d_i[r] for every block k. Against a vector whose blocks each carry an
-// independent period-periodic query (see DESIGN.md §7), the kernel then
-// computes one independent matrix-vector product per block. Callers must
-// guarantee every rotated read stays inside the block: Rows − 1 + the
-// largest rotation step must be below span (COPSE stages span = 2·SPad
-// for exactly this reason). If encrypt is true the diagonals are
-// encrypted; otherwise they are encoded plaintexts.
-func PrepareDiagonalsSpan(b he.Backend, m *Bool, period, span int, encrypt bool) (*Diagonals, error) {
-	return PrepareDiagonalsSpanAt(b, m, period, span, encrypt, -1)
-}
-
-// PrepareDiagonalsSpanAt is PrepareDiagonalsSpan with the operands
-// produced at the given scheme level (the stage level a compile-time
-// plan assigned the matrix product; see Meta.LevelPlan): encrypted
-// diagonals are encrypted there directly and plaintext diagonals are
-// pre-lifted there. A negative level (or a backend without levels)
-// stages at the top as before.
-func PrepareDiagonalsSpanAt(b he.Backend, m *Bool, period, span int, encrypt bool, level int) (*Diagonals, error) {
-	if err := checkSpan(b, m, period, span); err != nil {
-		return nil, err
-	}
-	raw, err := m.Diagonals(period)
-	if err != nil {
-		return nil, err
-	}
-	slots := b.Slots()
-	d := &Diagonals{Rows: m.Rows, Period: period, Zero: make([]bool, period)}
-	ext := make([]uint64, slots)
-	for i, vec := range raw {
-		clear(ext)
-		allZero := true
-		for r, v := range vec {
-			if v != 0 {
-				allZero = false
-			}
-			for base := 0; base < slots; base += span {
-				ext[base+r] = v
-			}
-		}
-		d.Zero[i] = allZero
-		op, err := makeDiagOperand(b, ext, encrypt, level)
-		if err != nil {
-			return nil, err
-		}
-		d.Ops = append(d.Ops, op)
-	}
-	return d, nil
-}
-
 func makeDiagOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.Operand, error) {
 	if encrypt {
 		ct, err := he.EncryptAtLevel(b, vals, level)
@@ -241,32 +177,30 @@ func makeDiagOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.O
 	return he.NewPlainAtLevel(b, vals, level)
 }
 
-// PrepareDiagonalsBSGS builds the baby-step/giant-step operand form of
-// m: diagonal i = g·baby+j is laid out over the full slot width and
-// pre-rotated right by g·baby, so that
+// PrepareDiagonalsBSGSSpanAt builds the operand form of m: diagonal
+// i = g·baby+j is pre-rotated right by g·baby, so that
 //
 //	M·v = Σ_g rot( Σ_j d'_{g,j} ⊙ rot(v, j), g·baby )
 //
 // needs only (baby−1) + (giant−1) rotations. Pre-rotating happens on the
 // plaintext diagonals before encryption/encoding, so it is free. Pass the
 // split staged by the compiler (or BSGSSplit(period)).
-func PrepareDiagonalsBSGS(b he.Backend, m *Bool, period, baby, giant int, encrypt bool) (*Diagonals, error) {
-	return PrepareDiagonalsBSGSSpan(b, m, period, baby, giant, b.Slots(), encrypt)
-}
-
-// PrepareDiagonalsBSGSSpan is PrepareDiagonalsBSGS with each pre-rotated
-// diagonal replicated into every span-aligned slot block (the batched
-// layout of PrepareDiagonalsSpan): slot k·span + r + g·baby holds
-// d_{g·baby+j}[r] for every block k, so the kernel evaluates one
-// independent product per block. The caller guarantees the block absorbs
-// every read: Rows − 1 + period − 1 < span.
-func PrepareDiagonalsBSGSSpan(b he.Backend, m *Bool, period, baby, giant, span int, encrypt bool) (*Diagonals, error) {
-	return PrepareDiagonalsBSGSSpanAt(b, m, period, baby, giant, span, encrypt, -1)
-}
-
-// PrepareDiagonalsBSGSSpanAt is PrepareDiagonalsBSGSSpan with the
-// operands produced at the given scheme level (negative = top); see
-// PrepareDiagonalsSpanAt.
+//
+// Each pre-rotated diagonal is replicated into every span-aligned slot
+// block: slot k·span + r + g·baby holds d_{g·baby+j}[r] for every block
+// k. Against a vector whose blocks each carry an independent
+// period-periodic query (see DESIGN.md §7), the kernel then computes one
+// independent matrix-vector product per block; span = b.Slots() is the
+// single-query layout. The caller guarantees the block absorbs every
+// read: Rows − 1 + period − 1 < span (COPSE stages span = 2·SPad for
+// exactly this reason).
+//
+// If encrypt is true the diagonals are encrypted; otherwise they are
+// encoded plaintexts. Operands are produced at the given scheme level
+// (the stage level a compile-time plan assigned the matrix product; see
+// Meta.LevelPlan): encrypted diagonals are encrypted there directly and
+// plaintext diagonals are pre-lifted there. A negative level (or a
+// backend without levels) stages at the top.
 func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span int, encrypt bool, level int) (*Diagonals, error) {
 	if err := checkSpan(b, m, period, span); err != nil {
 		return nil, err
@@ -279,7 +213,7 @@ func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span
 		return nil, err
 	}
 	slots := b.Slots()
-	d := &Diagonals{Rows: m.Rows, Period: period, Baby: baby, Giant: giant, BsgsZero: make([]bool, period)}
+	d := &Diagonals{Rows: m.Rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
 	ext := make([]uint64, slots)
 	for i, vec := range raw {
 		shift := (i / baby) * baby
@@ -293,12 +227,12 @@ func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span
 				ext[(base+r+shift)%slots] = v
 			}
 		}
-		d.BsgsZero[i] = allZero
+		d.Zero[i] = allZero
 		op, err := makeDiagOperand(b, ext, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
-		d.BsgsOps = append(d.BsgsOps, op)
+		d.Ops = append(d.Ops, op)
 	}
 	return d, nil
 }
@@ -341,7 +275,7 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, period, baby, gian
 			return nil, err
 		}
 	}
-	d := &Diagonals{Rows: rows, Period: period, Baby: baby, Giant: giant, BsgsZero: make([]bool, period)}
+	d := &Diagonals{Rows: rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
 	ext := make([]uint64, slots)
 	for i := 0; i < period; i++ {
 		shift := (i / baby) * baby
@@ -356,129 +290,21 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, period, baby, gian
 				ext[(base+r+shift)%slots] = v
 			}
 		}
-		d.BsgsZero[i] = allZero
+		d.Zero[i] = allZero
 		op, err := makeDiagOperand(b, ext, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
-		d.BsgsOps = append(d.BsgsOps, op)
+		d.Ops = append(d.Ops, op)
 	}
 	return d, nil
 }
 
-// MatVec computes M·v homomorphically: Σ_i d_i ⊙ rot(v, i). The vector
-// operand must be slot-periodic with period d.Period (see Replicate).
-// When skipZero is true, plaintext-known zero diagonals are skipped —
-// only safe for plaintext models. The result holds M·v in slots
-// [0, Rows) and zeros elsewhere. Diagonals in the BSGS layout are
-// dispatched to the baby-step/giant-step kernel.
-func MatVec(b he.Backend, d *Diagonals, v he.Operand, skipZero bool) (he.Operand, error) {
-	if d.IsBSGS() {
-		return MatVecBSGS(b, d, v, skipZero, 1, true)
-	}
-	var acc he.Operand
-	accSet := false
-	for i := 0; i < d.Period; i++ {
-		if skipZero && d.Zero[i] {
-			continue
-		}
-		rot := v
-		if i != 0 {
-			var err error
-			rot, err = he.Rotate(b, v, i)
-			if err != nil {
-				return he.Operand{}, err
-			}
-		}
-		term, err := he.MulLazy(b, d.Ops[i], rot)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		if !accSet {
-			acc, accSet = term, true
-			continue
-		}
-		acc, err = he.Add(b, acc, term)
-		if err != nil {
-			return he.Operand{}, err
-		}
-	}
-	if !accSet {
-		return he.NewPlain(b, make([]uint64, b.Slots()))
-	}
-	return he.Relinearize(b, acc)
-}
-
-// MatVecParallel is MatVec with the per-diagonal terms computed by
-// `workers` goroutines. Results are summed in index order, so the output
-// is identical to MatVec.
-func MatVecParallel(b he.Backend, d *Diagonals, v he.Operand, skipZero bool, workers int) (he.Operand, error) {
-	if d.IsBSGS() {
-		return MatVecBSGS(b, d, v, skipZero, workers, true)
-	}
-	if workers <= 1 {
-		return MatVec(b, d, v, skipZero)
-	}
-	terms := make([]*he.Operand, d.Period)
-	err := ParallelFor(d.Period, workers, func(i int) error {
-		if skipZero && d.Zero[i] {
-			return nil
-		}
-		rot := v
-		if i != 0 {
-			var err error
-			rot, err = he.Rotate(b, v, i)
-			if err != nil {
-				return err
-			}
-		}
-		term, err := he.MulLazy(b, d.Ops[i], rot)
-		if err != nil {
-			return err
-		}
-		terms[i] = &term
-		return nil
-	})
-	if err != nil {
-		return he.Operand{}, err
-	}
-	var acc he.Operand
-	accSet := false
-	for _, term := range terms {
-		if term == nil {
-			continue
-		}
-		if !accSet {
-			acc, accSet = *term, true
-			continue
-		}
-		acc, err = he.Add(b, acc, *term)
-		if err != nil {
-			return he.Operand{}, err
-		}
-	}
-	if !accSet {
-		return he.NewPlain(b, make([]uint64, b.Slots()))
-	}
-	return he.Relinearize(b, acc)
-}
-
-// BabyRotations computes rot(v, j) for j = 0..baby-1 (index 0 is v
-// itself). With hoist set and a ciphertext operand, the backend's
-// hoisted-rotation path shares one digit decomposition across all steps.
-// The result can be fed to MatVecBSGSWith — and shared across every
-// matrix product with the same period, e.g. all level matrices.
-func BabyRotations(b he.Backend, v he.Operand, baby int, hoist bool) ([]he.Operand, error) {
-	needed := make([]bool, baby)
-	for j := range needed {
-		needed[j] = true
-	}
-	return babyRotations(b, v, needed, hoist)
-}
-
 // babyRotations computes rot(v, j) for every needed index (j=0 is v
-// itself); skipped indices are left as zero operands.
-func babyRotations(b he.Backend, v he.Operand, needed []bool, hoist bool) ([]he.Operand, error) {
+// itself) through the backend's hoisted-rotation path, which shares one
+// digit decomposition across all steps; skipped indices are left as
+// zero operands.
+func babyRotations(b he.Backend, v he.Operand, needed []bool) ([]he.Operand, error) {
 	rots := make([]he.Operand, len(needed))
 	rots[0] = v
 	var steps []int
@@ -490,72 +316,51 @@ func babyRotations(b he.Backend, v he.Operand, needed []bool, hoist bool) ([]he.
 	if len(steps) == 0 {
 		return rots, nil
 	}
-	if hoist {
-		outs, err := he.RotateHoisted(b, v, steps)
-		if err != nil {
-			return nil, err
-		}
-		for i, j := range steps {
-			rots[j] = outs[i]
-		}
-		return rots, nil
+	outs, err := he.RotateHoisted(b, v, steps)
+	if err != nil {
+		return nil, err
 	}
-	for _, j := range steps {
-		rot, err := he.Rotate(b, v, j)
-		if err != nil {
-			return nil, err
-		}
-		rots[j] = rot
+	for i, j := range steps {
+		rots[j] = outs[i]
 	}
 	return rots, nil
 }
 
-// MatVecBSGS is the baby-step/giant-step diagonal kernel over a BSGS
-// Diagonals layout: it computes the baby rotations of v, forms each
-// giant group's inner sum against the pre-rotated diagonals, then
-// rotates and accumulates the group sums — (Baby−1) + (Giant−1)
-// rotations total instead of Period−1. Under skipZero, only the baby
-// rotations some group actually needs are computed.
-func MatVecBSGS(b he.Backend, d *Diagonals, v he.Operand, skipZero bool, workers int, hoist bool) (he.Operand, error) {
-	if !d.IsBSGS() {
-		return he.Operand{}, fmt.Errorf("matrix: diagonals lack the BSGS layout")
-	}
+// MatVecBSGS computes M·v homomorphically with the baby-step/giant-step
+// diagonal kernel: it computes the baby rotations of v, forms each giant
+// group's inner sum against the pre-rotated diagonals, then rotates and
+// accumulates the group sums — (Baby−1) + (Giant−1) rotations total
+// instead of Period−1. The vector operand must be slot-periodic with
+// period d.Period (see Replicate). When skipZero is true,
+// plaintext-known zero diagonals are skipped — only safe for plaintext
+// models — and only the baby rotations some group actually needs are
+// computed. The result holds M·v in slots [0, Rows) and zeros elsewhere.
+// Giant groups run on `workers` goroutines and merge in index order, so
+// the output is identical for any worker count.
+func MatVecBSGS(b he.Backend, d *Diagonals, v he.Operand, skipZero bool, workers int) (he.Operand, error) {
 	needed := make([]bool, d.Baby)
 	for i := 0; i < d.Period; i++ {
-		if !(skipZero && d.BsgsZero[i]) {
+		if !(skipZero && d.Zero[i]) {
 			needed[i%d.Baby] = true
 		}
 	}
-	babyRots, err := babyRotations(b, v, needed, hoist)
+	babyRots, err := babyRotations(b, v, needed)
 	if err != nil {
 		return he.Operand{}, err
 	}
-	return MatVecBSGSWith(b, d, babyRots, skipZero, workers)
-}
-
-// MatVecBSGSWith is MatVecBSGS over precomputed baby rotations of the
-// vector (see BabyRotations) — the way to share one set of baby
-// rotations across several matrix products with the same period.
-func MatVecBSGSWith(b he.Backend, d *Diagonals, babyRots []he.Operand, skipZero bool, workers int) (he.Operand, error) {
-	if !d.IsBSGS() {
-		return he.Operand{}, fmt.Errorf("matrix: diagonals lack the BSGS layout")
-	}
-	if len(babyRots) < d.Baby {
-		return he.Operand{}, fmt.Errorf("matrix: got %d baby rotations, kernel needs %d", len(babyRots), d.Baby)
-	}
 	groups := make([]*he.Operand, d.Giant)
-	err := ParallelFor(d.Giant, workers, func(g int) error {
+	err = ParallelFor(d.Giant, workers, func(g int) error {
 		var acc he.Operand
 		accSet := false
 		for j := 0; j < d.Baby; j++ {
 			i := g*d.Baby + j
-			if skipZero && d.BsgsZero[i] {
+			if skipZero && d.Zero[i] {
 				continue
 			}
 			// Lazy products: the group's inner sum accumulates degree-2
 			// tensors and pays for one relinearization below, instead of
 			// one per diagonal.
-			term, err := he.MulLazy(b, d.BsgsOps[i], babyRots[j])
+			term, err := he.MulLazy(b, d.Ops[i], babyRots[j])
 			if err != nil {
 				return err
 			}
@@ -609,9 +414,10 @@ func MatVecBSGSWith(b he.Backend, d *Diagonals, babyRots []he.Operand, skipZero 
 	return acc, nil
 }
 
+// Replicate copies v — width values at the base of the slot vector, zeros
 // elsewhere — periodically across all slots by rotate-and-add doubling.
 // width must be a power of two dividing the slot count. This restores
-// the periodic layout MatVec requires between pipeline stages.
+// the periodic layout MatVecBSGS requires between pipeline stages.
 func Replicate(b he.Backend, v he.Operand, width int) (he.Operand, error) {
 	return ReplicateWithin(b, v, width, b.Slots())
 }

@@ -59,8 +59,16 @@ func TestDiagonalsErrors(t *testing.T) {
 	}
 }
 
+// stage prepares m in the single-query layout (span = all slots) at the
+// chain top. matrix_test.go stages the degenerate split baby = period,
+// giant = 1 — the naive one-rotation-per-diagonal kernel; bsgs_test.go
+// covers proper splits.
+func stage(b he.Backend, m *Bool, period, baby, giant int, encrypt bool) (*Diagonals, error) {
+	return PrepareDiagonalsBSGSSpanAt(b, m, period, baby, giant, b.Slots(), encrypt, -1)
+}
+
 // replicatedPlain builds the slot-periodic layout of v (padded to
-// period) that MatVec expects.
+// period) that MatVecBSGS expects.
 func replicatedPlain(v []uint64, period, slots int) []uint64 {
 	out := make([]uint64, slots)
 	for i := range out {
@@ -88,7 +96,7 @@ func TestMatVecMatchesPlain(t *testing.T) {
 			v[i] = uint64(r.IntN(2))
 		}
 		period := bits.NextPow2(cols)
-		d, err := PrepareDiagonals(b, m, period, encryptMat)
+		d, err := stage(b, m, period, period, 1, encryptMat)
 		if err != nil {
 			return false
 		}
@@ -96,7 +104,7 @@ func TestMatVecMatchesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := MatVec(b, d, he.Cipher(ct), skipZero)
+		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 1)
 		if err != nil {
 			return false
 		}
@@ -138,7 +146,7 @@ func TestMatVecTallMatrix(t *testing.T) {
 	}
 	v := []uint64{1, 0}
 	period := 2
-	d, err := PrepareDiagonals(b, m, period, false)
+	d, err := stage(b, m, period, period, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestMatVecTallMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MatVec(b, d, he.Cipher(ct), false)
+	got, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +173,7 @@ func TestMatVecTallMatrix(t *testing.T) {
 	}
 }
 
-func TestMatVecParallelMatchesSerial(t *testing.T) {
+func TestMatVecWorkersMatchSerial(t *testing.T) {
 	b := heclear.New(64, 65537)
 	r := rand.New(rand.NewPCG(4, 4))
 	m := randBool(r, 20, 13, 0.3)
@@ -174,7 +182,8 @@ func TestMatVecParallelMatchesSerial(t *testing.T) {
 		v[i] = uint64(r.IntN(2))
 	}
 	period := bits.NextPow2(13)
-	d, err := PrepareDiagonals(b, m, period, false)
+	baby, giant := BSGSSplit(period)
+	d, err := stage(b, m, period, baby, giant, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +191,11 @@ func TestMatVecParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := MatVec(b, d, he.Cipher(ct), false)
+	serial, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MatVecParallel(b, d, he.Cipher(ct), false, 8)
+	parallel, err := MatVecBSGS(b, d, he.Cipher(ct), false, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +223,7 @@ func TestSkipZeroSavesWork(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.Set(i, i, 1)
 	}
-	d, err := PrepareDiagonals(b, m, 8, false)
+	d, err := stage(b, m, 8, 8, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +234,14 @@ func TestSkipZeroSavesWork(t *testing.T) {
 	}
 
 	b.ResetCounts()
-	full, err := MatVec(b, d, he.Cipher(ct), false)
+	full, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullCounts := b.Counts()
 
 	b.ResetCounts()
-	skipped, err := MatVec(b, d, he.Cipher(ct), true)
+	skipped, err := MatVecBSGS(b, d, he.Cipher(ct), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestSkipZeroSavesWork(t *testing.T) {
 func TestMatVecAllZeroMatrix(t *testing.T) {
 	b := heclear.New(16, 65537)
 	m := NewBool(4, 4)
-	d, err := PrepareDiagonals(b, m, 4, false)
+	d, err := stage(b, m, 4, 4, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +276,7 @@ func TestMatVecAllZeroMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := MatVec(b, d, he.Cipher(ct), true)
+	out, err := MatVecBSGS(b, d, he.Cipher(ct), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +383,10 @@ func TestMulVecDimensionError(t *testing.T) {
 
 func TestPrepareDiagonalsTooBig(t *testing.T) {
 	b := heclear.New(8, 65537)
-	if _, err := PrepareDiagonals(b, NewBool(9, 2), 2, false); err == nil {
+	if _, err := stage(b, NewBool(9, 2), 2, 2, 1, false); err == nil {
 		t.Error("matrix taller than slots accepted")
 	}
-	if _, err := PrepareDiagonals(b, NewBool(2, 9), 16, false); err == nil {
+	if _, err := stage(b, NewBool(2, 9), 16, 16, 1, false); err == nil {
 		t.Error("period wider than slots accepted")
 	}
 }

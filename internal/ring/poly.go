@@ -106,7 +106,7 @@ type shared struct {
 	tileBytes atomic.Int64
 
 	// limbHint is the advisory fixed-limb-count plan installed by
-	// SetStageLimbHint (generated kernels hint their stage's exact limb
+	// SetStageLimbHint (the op program hints each stage's exact limb
 	// count); ops whose limb count matches skip the per-op dispatch
 	// decision. Never load-bearing: a mismatched hint falls back to the
 	// generic decision, so correctness cannot depend on it.
@@ -283,9 +283,9 @@ func (ctx *Context) tileGrain() int {
 
 // SetStageLimbHint installs an advisory dispatch plan for ops over
 // exactly m limbs: the per-op pool/cutoff/grain decision is precomputed
-// once, and ops whose limb count matches use it directly. Generated
-// specialized kernels hint each pipeline stage's exact limb count
-// (KernelCtx.StageLimbs); m ≤ 0 clears the hint. The hint is advisory —
+// once, and ops whose limb count matches use it directly. The classify
+// executor hints each pipeline stage's exact limb count
+// (he.HintStageLimbs); m ≤ 0 clears the hint. The hint is advisory —
 // ops at any other limb count take the generic decision path — so a
 // stale or concurrent hint can never change results, only dispatch cost.
 func (ctx *Context) SetStageLimbHint(m int) {

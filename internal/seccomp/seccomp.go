@@ -25,19 +25,6 @@ import (
 // ciphertext multiplications (they are affine), and only the prefix
 // products consume depth.
 func CompareGT(b he.Backend, xBits, yBits []he.Operand) (he.Operand, error) {
-	return CompareGTScheduled(b, xBits, yBits, nil)
-}
-
-// CompareGTScheduled is CompareGT under a per-round level schedule for
-// the Sklansky prefix tree: after round r every prefix operand is
-// dropped to roundLevels[r] (no-op on backends without a modulus
-// chain, and for operands already at or below the target). The compare
-// stage is the single most expensive stage of the COPSE pipeline and
-// its early rounds otherwise run 1–2 limbs above what their remaining
-// circuit needs; the compiler derives the targets alongside the stage
-// schedule (core's Meta.LevelPlan, StageLevels.CompareRounds). A nil or
-// short slice leaves the uncovered rounds reactive.
-func CompareGTScheduled(b he.Backend, xBits, yBits []he.Operand, roundLevels []int) (he.Operand, error) {
 	p := len(xBits)
 	if p == 0 || p != len(yBits) {
 		return he.Operand{}, fmt.Errorf("seccomp: mismatched bit-plane counts %d vs %d", p, len(yBits))
@@ -66,7 +53,7 @@ func CompareGTScheduled(b he.Backend, xBits, yBits []he.Operand, roundLevels []i
 	}
 
 	// pre_j = Π_{k<j} eq_k (exclusive prefix products, log depth).
-	inclusive, err := prefixProducts(b, eqs, roundLevels)
+	inclusive, err := prefixProducts(b, eqs)
 	if err != nil {
 		return he.Operand{}, err
 	}
@@ -105,17 +92,11 @@ func CompareGTScheduled(b he.Backend, xBits, yBits []he.Operand, roundLevels []i
 
 // prefixProducts returns the inclusive prefix products out[i] = Π_{j≤i}
 // ops[j] using the Sklansky construction: ceil(log2 n) multiplicative
-// depth and at most (n/2)·log2 n multiplications. roundLevels, when
-// non-nil, schedules a level drop of every element after each round:
-// sound because an element at round r has absorbed at most r
-// multiplications (no more level or noise than the schedule's carrier),
-// and dropping only ever lowers a level the next round's multiply would
-// have aligned away reactively — but on 1–2 extra limbs.
-func prefixProducts(b he.Backend, ops []he.Operand, roundLevels []int) ([]he.Operand, error) {
+// depth and at most (n/2)·log2 n multiplications.
+func prefixProducts(b he.Backend, ops []he.Operand) ([]he.Operand, error) {
 	n := len(ops)
 	out := make([]he.Operand, n)
 	copy(out, ops)
-	round := 0
 	for span := 1; span < n; span <<= 1 {
 		// Sklansky: blocks of 2·span; every element in the upper half of
 		// a block multiplies by the top of the lower half.
@@ -132,16 +113,6 @@ func prefixProducts(b he.Backend, ops []he.Operand, roundLevels []int) ([]he.Ope
 				out[i] = prod
 			}
 		}
-		if round < len(roundLevels) {
-			for i := range out {
-				dropped, err := he.DropToLevel(b, out[i], roundLevels[round])
-				if err != nil {
-					return nil, err
-				}
-				out[i] = dropped
-			}
-		}
-		round++
 	}
 	return out, nil
 }

@@ -100,10 +100,7 @@ type serviceConfig struct {
 	maxInFlight      int
 	levels           int
 	seed             uint64
-	reuseRotations   bool
-	disableHoisting  bool
 	disableLevelPlan bool
-	noSpecialize     bool
 	shuffle          bool
 	measureNoise     bool
 	batch            BatchPolicy
@@ -174,19 +171,14 @@ func WithLevels(n int) Option { return func(c *serviceConfig) { c.levels = n } }
 // (per-pass random seeds).
 func WithSeed(seed uint64) Option { return func(c *serviceConfig) { c.seed = seed } }
 
-// WithReuseRotations toggles the naive-kernel rotation-reuse ablation
-// (DESIGN.md §6); BSGS-staged models always share baby-step rotations.
-func WithReuseRotations(on bool) Option { return func(c *serviceConfig) { c.reuseRotations = on } }
-
-// WithHoisting toggles hoisted key switching (default on); disabling it
-// is the ablation knob of DESIGN.md §6.
-func WithHoisting(on bool) Option { return func(c *serviceConfig) { c.disableHoisting = !on } }
-
 // WithLevelPlan toggles static level scheduling (default on): with a
 // plan-carrying model, operands are staged at their scheduled levels,
-// the engine drops ciphertexts at stage boundaries, and the BGV chain is
-// sized to the plan's top instead of the reactive recommendation.
-// Disabling it is the -nolevelplan ablation knob of DESIGN.md §8.
+// the model's op program drops ciphertexts at stage boundaries, and the
+// BGV chain is sized to the plan's top instead of the reactive
+// recommendation. Disabling it is the -nolevelplan ablation knob of
+// DESIGN.md §8: Register stages the model without a plan, which builds
+// an op program without drops — a Register-time input, not a branch in
+// Classify.
 func WithLevelPlan(on bool) Option { return func(c *serviceConfig) { c.disableLevelPlan = !on } }
 
 // WithShuffle enables result shuffling (paper §7.2.2) on every
@@ -201,14 +193,6 @@ func WithLevelPlan(on bool) Option { return func(c *serviceConfig) { c.disableLe
 // reactively) so the classification result keeps the shuffle's level
 // headroom — Register rejects models that don't.
 func WithShuffle(on bool) Option { return func(c *serviceConfig) { c.shuffle = on } }
-
-// WithSpecialization toggles the model-specialized op-program executor
-// (default on): Register compiles each model into a flat op schedule
-// (or dispatches to a linked generated kernel) and Classify runs it
-// instead of the generic interpreter (DESIGN.md §13). Disabling it is
-// the `copse-bench -nospecialize` ablation baseline; outputs are
-// bit-identical either way.
-func WithSpecialization(on bool) Option { return func(c *serviceConfig) { c.noSpecialize = !on } }
 
 // WithNoiseMeasurement records the decrypt-side measured noise budget of
 // the pipeline carrier at every stage boundary in each pass's
@@ -407,17 +391,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		compiled: c,
 		operands: operands,
 		latency:  hist.New(),
-		engine: &core.Engine{
-			Backend:           s.backend,
-			Workers:           s.cfg.workers,
-			SkipZeroDiagonals: !encryptModel,
-			ReuseRotations:    s.cfg.reuseRotations,
-			DisableHoisting:   s.cfg.disableHoisting,
-			DisableLevelPlan:  s.cfg.disableLevelPlan,
-			MeasureNoise:      s.cfg.measureNoise,
-
-			DisableSpecialization: s.cfg.noSpecialize,
-		},
+		engine:   &core.Engine{Backend: s.backend, Workers: s.cfg.workers, MeasureNoise: s.cfg.measureNoise},
 	}
 	return nil
 }
@@ -715,7 +689,7 @@ func (s *Service) admit(ctx context.Context, name string, m *servedModel) error 
 
 // runPipeline executes one classification pass (and the optional
 // shuffle stage) with panic isolation: a panic anywhere in the
-// pipeline — the engine, a generated kernel, a matrix worker goroutine
+// pipeline — the engine, a matrix worker goroutine
 // (surfaced as *matrix.PanicError) — fails this request with a typed
 // *InternalError instead of killing the process and every other
 // in-flight pass with it.
