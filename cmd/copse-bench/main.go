@@ -37,11 +37,10 @@ func main() {
 	serveJSON := flag.String("servejson", "", "also write serving throughput (queries/sec at batch sizes 1, 4, max) to this file (e.g. BENCH_serving.json)")
 	levelJSON := flag.String("leveljson", "", "also write the level-scheduling record (per-stage limbs + limb-op integrals, planned vs -nolevelplan, BGV backend) to this file (e.g. BENCH_levels.json)")
 	noLevelPlan := flag.Bool("nolevelplan", false, "disable static level scheduling (reactive noise management; the DESIGN.md §8 ablation)")
-	nttJSON := flag.String("nttjson", "", "also write the intra-op parallelism record (serial vs fused vs limb-parallel ring kernels, classify ablation, Galois-key budget) to this file (e.g. BENCH_ntt.json)")
+	nttJSON := flag.String("nttjson", "", "also write the ring-kernel record (unfused vs fused vs vector transforms, vector-vs-scalar classify ablation, Galois-key budget) to this file (e.g. BENCH_ntt.json)")
 	shuffleJSON := flag.String("shufflejson", "", "also write the result-shuffle record (per-query shuffle cost at B=1 vs one batched pass at B=max, clear and BGV backends, rotation budget) to this file (e.g. BENCH_shuffle.json)")
 	aggJSON := flag.String("aggjson", "", "also write the dynamic-batching record (closed-loop 16-client throughput, batcher on vs off, clear plus BGV with -backend bgv) to this file (e.g. BENCH_agg.json)")
 	clusterJSON := flag.String("clusterjson", "", "also write the sharded-serving record (2-worker gateway/worker cluster over loopback HTTP vs single node, bit-identity witness plus fan-out/merge overhead, BGV) to this file (e.g. BENCH_cluster.json)")
-	intraOp := flag.Int("intraop", 0, "ring-layer limb workers for BGV runs (default/1 = serial so ablation baselines stay single-threaded; n >= 2 enables the pool)")
 	secure128 := flag.Bool("secure128", false, "with -nttjson: also run the offline Security128 (N=32768) end-to-end classify (slow)")
 	noVec := flag.Bool("novec", false, "disable the ring layer's vectorized (SIMD) kernels for every run in this process — the scalar-kernel ablation (results are bit-identical either way)")
 	flag.Parse()
@@ -54,7 +53,6 @@ func main() {
 		Backend:        *backend,
 		Queries:        *queries,
 		Workers:        *workers,
-		IntraOp:        *intraOp,
 		Seed:           *seed,
 		RealWorldScale: *scale,
 		NoLevelPlan:    *noLevelPlan,
@@ -220,12 +218,9 @@ func main() {
 	}
 
 	if *nttJSON != "" {
-		report, err := experiments.NTTReport(cfg, *intraOp, *secure128)
+		report, err := experiments.NTTReport(cfg, *secure128)
 		if err != nil {
 			log.Fatalf("ntt report: %v", err)
-		}
-		if report.WorkersExceedCPUs {
-			log.Printf("warning: %d limb workers on a %d-CPU host — the parallel columns measure oversubscription, not speedup", report.Workers, report.CPUs)
 		}
 		f, err := os.Create(*nttJSON)
 		if err != nil {

@@ -25,6 +25,8 @@ import (
 	"strings"
 
 	"copse"
+	"copse/internal/core"
+	"copse/internal/he/heclear"
 )
 
 func main() {
@@ -72,6 +74,16 @@ func main() {
 			plan.Levels, m.RecommendedLevels,
 			plan.Cipher.Compare, plan.Cipher.Reshuffle, plan.Cipher.Level, plan.Cipher.Accumulate, plan.Cipher.Final)
 	}
+	// The op program does not depend on the backend, so staging onto the
+	// exact one is enough to read off how much parallelism the model
+	// offers the pass scheduler (DESIGN.md §9).
+	staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	work, critical := staged.Program.Work(), staged.Program.CriticalPath()
+	fmt.Fprintf(os.Stderr, "  op program (cipher model): work %d, critical path %d — parallelism %.1f\n",
+		work, critical, float64(work)/float64(critical))
 
 	if *out != "" {
 		w, err := os.Create(*out)

@@ -36,7 +36,7 @@ func main() {
 	featArg := flag.String("features", "", "single feature vector (compatibility alias for -queries)")
 	backendArg := flag.String("backend", "bgv", "bgv or clear")
 	scenarioArg := flag.String("scenario", "offload", "offload, servermodel, or clienteval")
-	workers := flag.Int("workers", 1, "intra-query parallelism")
+	workers := flag.Int("workers", 0, "goroutines per classification pass (0 = GOMAXPROCS, 1 = sequential)")
 	seed := flag.Uint64("seed", 0, "deterministic keys/encryption when non-zero")
 	flag.Parse()
 
@@ -126,6 +126,7 @@ func main() {
 	if view, err := svc.ServerView(model); err == nil {
 		fmt.Printf("server-inferable structure: q̂=%d b̂=%d d=%d p=%d\n", view.QPad, view.BPad, view.D, view.P)
 	}
+	fmt.Printf("workers: %d, utilisation %.2f (op run time over workers × pass time)\n", st.Workers, st.Utilisation())
 	fmt.Printf("backend ops: %v\n", svc.Backend().Counts())
 }
 

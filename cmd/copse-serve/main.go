@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,8 +108,7 @@ func main() {
 	listen := flag.String("listen", ":8080", "listen address")
 	backendArg := flag.String("backend", "bgv", "bgv or clear")
 	scenarioArg := flag.String("scenario", "offload", "offload, servermodel, or clienteval")
-	workersArg := flag.String("workers", "", "intra-query parallelism (empty/0 = GOMAXPROCS); in -gateway mode: comma-separated worker base URLs")
-	intraOp := flag.Int("intraop", 0, "ring-layer limb workers per op (0 = core budget, 1 = serial)")
+	workersArg := flag.String("workers", "", "goroutines per classification pass (empty/0 = GOMAXPROCS, 1 = sequential); in -gateway mode: comma-separated worker base URLs")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent classification cap (0 = unlimited)")
 	shedQueue := flag.Int("shedqueue", 0, "load-shedding queue bound: calls beyond -max-inflight wait here; overflow is rejected with 429 + Retry-After (0 = queue without bound; needs -max-inflight)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request classification timeout")
@@ -158,9 +156,6 @@ func main() {
 		}
 		workers = n
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	if *workerMode {
 		runWorker(workerOptions{
@@ -171,7 +166,6 @@ func main() {
 			keyFile:     *keyFile,
 			writeKeys:   *writeKeys,
 			workers:     workers,
-			intraOp:     *intraOp,
 			maxInFlight: *maxInFlight,
 			shedQueue:   *shedQueue,
 			drain:       *drain,
@@ -184,7 +178,6 @@ func main() {
 	}
 	opts := []copse.Option{
 		copse.WithWorkers(workers),
-		copse.WithIntraOpWorkers(*intraOp),
 		copse.WithMaxInFlight(*maxInFlight),
 		copse.WithShedQueue(*shedQueue),
 		copse.WithSeed(*seed),
@@ -321,7 +314,6 @@ type workerOptions struct {
 	keyFile     string
 	writeKeys   string
 	workers     int
-	intraOp     int
 	maxInFlight int
 	shedQueue   int
 	drain       time.Duration
@@ -352,12 +344,11 @@ func runWorker(o workerOptions) {
 	}
 
 	w := cluster.NewWorker(cluster.WorkerConfig{
-		Seed:           o.seed,
-		Material:       material,
-		Workers:        o.workers,
-		IntraOpWorkers: o.intraOp,
-		MaxInFlight:    o.maxInFlight,
-		ShedQueue:      o.shedQueue,
+		Seed:        o.seed,
+		Material:    material,
+		Workers:     o.workers,
+		MaxInFlight: o.maxInFlight,
+		ShedQueue:   o.shedQueue,
 	})
 	for name, mpath := range o.manifests {
 		mf, err := os.Open(mpath)
@@ -622,6 +613,10 @@ type statsResponse struct {
 	Queued          int64   `json:"queued"`
 	MeanLatencyMS   float64 `json:"meanLatencyMS"`
 	MeanQueueWaitMS float64 `json:"meanQueueWaitMS"`
+	// Goroutines per pass, and the share of workers × pass time they
+	// spent running ops (DESIGN.md §9).
+	Workers     int     `json:"workers"`
+	Utilisation float64 `json:"utilisation"`
 	// Resilience counters (DESIGN.md §15).
 	Shed            int64 `json:"shed"`
 	DeadlineRejects int64 `json:"deadlineRejects"`
@@ -652,6 +647,8 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		Queued:           st.Queued,
 		MeanLatencyMS:    float64(st.MeanLatency().Microseconds()) / 1000,
 		MeanQueueWaitMS:  float64(st.MeanQueueWait().Microseconds()) / 1000,
+		Workers:          st.Workers,
+		Utilisation:      st.Utilisation(),
 		Shed:             st.Shed,
 		DeadlineRejects:  st.DeadlineRejects,
 		PanicsRecovered:  st.PanicsRecovered,

@@ -237,14 +237,9 @@ type SystemConfig struct {
 	Backend  BackendKind
 	Scenario Scenario
 	Security SecurityPreset
-	// Workers is the intra-query parallelism (the paper's
-	// multithreaded mode); 0 or 1 means single-threaded.
+	// Workers is the number of goroutines each classification pass runs
+	// its ops on (see WithWorkers): 0 = GOMAXPROCS, 1 = sequential.
 	Workers int
-	// IntraOpWorkers is the ring-layer limb parallelism of the BGV
-	// backend (see WithIntraOpWorkers): 0 derives it from the shared
-	// core budget, 1 forces serial, n ≥ 2 fans every op's RNS limbs
-	// across n workers.
-	IntraOpWorkers int
 	// DisableVectorKernels pins the BGV ring layer to the portable
 	// scalar kernels even on hosts with a SIMD backend (see
 	// WithVectorKernels). Results are bit-identical either way; this is
@@ -318,7 +313,6 @@ func NewSystem(c *Compiled, cfg SystemConfig) (*System, error) {
 		WithScenario(cfg.Scenario),
 		WithSecurity(cfg.Security),
 		WithWorkers(cfg.Workers),
-		WithIntraOpWorkers(cfg.IntraOpWorkers),
 		WithVectorKernels(!cfg.DisableVectorKernels),
 		WithLevels(cfg.Levels),
 		WithSeed(cfg.Seed),

@@ -33,13 +33,6 @@ type Params struct {
 	// ring.DigitPrimes chain primes and never reads this field; it is
 	// kept, validated and carried on the wire for bench/micro.go.
 	DigitBits int
-	// IntraOpWorkers is the ring-layer limb parallelism: 0 or 1 runs
-	// every op's per-limb loop serially; n ≥ 2 attaches an n-way
-	// ring.Workers pool to the context so NTTs, key switches and modulus
-	// switches fan their limbs across cores. Results are bit-identical
-	// either way. Callers that tear backends down repeatedly should
-	// release the pool via RingCtx.CloseWorkers.
-	IntraOpWorkers int
 	// DisableVectorKernels pins the ring layer to the scalar kernels even
 	// on hosts with a vector backend (the copse-bench -novec ablation and
 	// the copse.WithVectorKernels(false) option). Results are
@@ -64,9 +57,6 @@ func (p Params) Validate() error {
 	}
 	if p.DigitBits < 10 || p.DigitBits > p.PrimeBits {
 		return fmt.Errorf("bgv: DigitBits %d out of range [10,PrimeBits]", p.DigitBits)
-	}
-	if p.IntraOpWorkers < 0 {
-		return fmt.Errorf("bgv: IntraOpWorkers %d is negative", p.IntraOpWorkers)
 	}
 	return nil
 }
@@ -122,9 +112,6 @@ func NewParameters(p Params) (*Parameters, error) {
 	ctx, err := ring.NewContextQP(p.LogN, primes[:p.Levels], primes[p.Levels:], p.T)
 	if err != nil {
 		return nil, err
-	}
-	if p.IntraOpWorkers > 1 {
-		ctx.SetWorkers(ring.NewWorkers(p.IntraOpWorkers))
 	}
 	if p.DisableVectorKernels {
 		ctx.SetVectorKernels(false)

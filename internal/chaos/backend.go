@@ -10,10 +10,10 @@ import (
 // Backend wraps an he.Backend with fault injection: every operation
 // first draws from the schedule and applies the resulting latency,
 // panic, or error before (or instead of) delegating. Capability
-// interfaces (LevelDropper, LevelEncrypter, StageLimbHinter,
-// NoiseMeter) are forwarded so a wrapped leveled backend keeps its
-// scheduled-level fast paths; Counts/ResetCounts delegate to the inner
-// backend so op accounting stays truthful.
+// interfaces (LevelDropper, LevelEncrypter, NoiseMeter) are forwarded
+// so a wrapped leveled backend keeps its scheduled-level fast paths;
+// Counts/ResetCounts delegate to the inner backend so op accounting
+// stays truthful.
 type Backend struct {
 	inner   he.Backend
 	sched   *Schedule
@@ -211,23 +211,10 @@ func (c *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error)
 	return c.inner.EncodePlain(vals)
 }
 
-// HintStageLimbs implements he.StageLimbHinter by forwarding to the
-// inner backend (a no-op when the capability is absent).
-func (c *Backend) HintStageLimbs(limbs int) { he.HintStageLimbs(c.inner, limbs) }
-
 // NoiseBudget implements he.NoiseMeter via the inner backend.
 func (c *Backend) NoiseBudget(ct he.Ciphertext) (int, error) {
 	if nm, ok := c.inner.(he.NoiseMeter); ok {
 		return nm.NoiseBudget(ct)
 	}
 	return 0, fmt.Errorf("chaos: backend %q cannot measure noise", c.inner.Name())
-}
-
-// Close forwards to the inner backend when it holds releasable
-// resources.
-func (c *Backend) Close() error {
-	if cl, ok := c.inner.(interface{ Close() error }); ok {
-		return cl.Close()
-	}
-	return nil
 }

@@ -262,7 +262,6 @@ func TestWorkerOverload429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
 	q, err := core.PrepareQueryBatch(client, &manifest.Meta, [][]uint64{{3, 9, 14}}, true)
 	if err != nil {
 		t.Fatal(err)

@@ -201,15 +201,12 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// Close stops the prober and releases the cached backends.
+// Close stops the prober and drops the cached backends.
 func (g *Gateway) Close() error {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, b := range g.backends {
-		b.Close()
-	}
 	g.backends = map[string]*hebgv.Backend{}
 	return nil
 }
@@ -399,13 +396,10 @@ func (g *Gateway) ensureBackend(ctx context.Context, r *route) error {
 				continue
 			}
 			g.mu.Lock()
-			if _, dup := g.backends[r.fingerprint]; dup {
-				g.mu.Unlock()
-				backend.Close()
-			} else {
+			if _, dup := g.backends[r.fingerprint]; !dup {
 				g.backends[r.fingerprint] = backend
-				g.mu.Unlock()
 			}
+			g.mu.Unlock()
 			return nil
 		}
 	}

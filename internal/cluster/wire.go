@@ -303,8 +303,6 @@ func putParams(b *bytes.Buffer, p bgv.Params) {
 	putU8(b, uint8(p.PrimeBits))
 	putU16(b, uint16(p.Levels))
 	putU8(b, uint8(p.DigitBits))
-	// IntraOpWorkers is a local execution knob, not key material — it
-	// deliberately does not travel.
 }
 
 func (r *reader) params() bgv.Params {

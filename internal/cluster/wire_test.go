@@ -107,7 +107,6 @@ func TestWireGoldenParams(t *testing.T) {
 // and correctly rebuilt Shoup tables.
 func TestWireGoldenKeyMaterial(t *testing.T) {
 	b := tinyBackend(t)
-	defer b.Close()
 	mat := b.Material()
 
 	var buf bytes.Buffer
@@ -184,7 +183,6 @@ func TestWireGoldenKeyMaterial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fromMat.Close()
 	vals := []uint64{1, 2, 3, 4, 5, 6, 7, 0}
 	ct, err := fromMat.Encrypt(vals)
 	if err != nil {
@@ -205,7 +203,6 @@ func TestWireGoldenKeyMaterial(t *testing.T) {
 // cross-backend transport.
 func TestWireGoldenCiphertexts(t *testing.T) {
 	b := tinyBackend(t)
-	defer b.Close()
 	vals := []uint64{5, 0, 1, 3, 2, 7, 6, 4}
 	ct, err := b.Encrypt(vals)
 	if err != nil {
@@ -242,7 +239,6 @@ func TestWireGoldenCiphertexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
 	dec, err := other.Decrypt(other.ImportCiphertext(got[0].Ct, got[0].Depth))
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +401,6 @@ func TestWireSizeLimits(t *testing.T) {
 // with *KeyShapeError, whichever count lies.
 func TestWireKeyShapeError(t *testing.T) {
 	b := tinyBackend(t)
-	defer b.Close()
 	var buf bytes.Buffer
 	if err := EncodeKeyMaterial(&buf, b.PublicMaterial()); err != nil {
 		t.Fatal(err)

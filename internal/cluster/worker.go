@@ -57,10 +57,9 @@ type WorkerConfig struct {
 	// from a key-material wire frame) instead of deriving it from
 	// Seed. It must carry the secret key and evaluation keys.
 	Material *hebgv.Material
-	// Workers is the intra-query stage parallelism (copse.WithWorkers).
+	// Workers is the number of goroutines each pass runs its ops on
+	// (copse.WithWorkers): 0 = GOMAXPROCS, 1 = sequential.
 	Workers int
-	// IntraOpWorkers is the ring-layer limb parallelism.
-	IntraOpWorkers int
 	// MaxInFlight caps concurrent classification passes (0 =
 	// unlimited).
 	MaxInFlight int
@@ -156,10 +155,7 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 		if m.Secret == nil || m.Keys == nil {
 			return fmt.Errorf("cluster: worker key material needs the secret key and evaluation keys")
 		}
-		backend, err = hebgv.NewFromMaterial(hebgv.Config{
-			Seed:           w.cfg.Seed,
-			IntraOpWorkers: w.cfg.IntraOpWorkers,
-		}, m)
+		backend, err = hebgv.NewFromMaterial(hebgv.Config{Seed: w.cfg.Seed}, m)
 	} else {
 		if w.cfg.Seed == 0 {
 			return fmt.Errorf("cluster: worker needs a non-zero shared seed (or explicit key material) so every node derives the same key set")
@@ -169,7 +165,6 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 		if err != nil {
 			return err
 		}
-		params.IntraOpWorkers = w.cfg.IntraOpWorkers
 		backend, err = hebgv.New(hebgv.Config{
 			Params:             params,
 			RotationSteps:      manifest.RotationSteps,
@@ -182,7 +177,6 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 	}
 	fp, err := KeyFingerprint(backend.Material())
 	if err != nil {
-		backend.Close()
 		return err
 	}
 	w.backend = backend
@@ -233,7 +227,7 @@ func (w *Worker) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.svc != nil {
-		return w.svc.Close() // closes the external backend too
+		return w.svc.Close()
 	}
 	return nil
 }
@@ -525,6 +519,8 @@ type serviceStatsJSON struct {
 	DeadlineRejects int64                       `json:"deadlineRejects"`
 	PanicsRecovered int64                       `json:"panicsRecovered"`
 	MeanLatencyMS   float64                     `json:"meanLatencyMS"`
+	Workers         int                         `json:"workers"`
+	Utilisation     float64                     `json:"utilisation"`
 	ModelLatency    map[string]modelLatencyJSON `json:"modelLatency,omitempty"`
 }
 
@@ -538,6 +534,8 @@ func statsJSON(st copse.ServiceStats) serviceStatsJSON {
 		DeadlineRejects: st.DeadlineRejects,
 		PanicsRecovered: st.PanicsRecovered,
 		MeanLatencyMS:   ms(st.MeanLatency()),
+		Workers:         st.Workers,
+		Utilisation:     st.Utilisation(),
 	}
 	if len(st.ModelLatency) > 0 {
 		out.ModelLatency = make(map[string]modelLatencyJSON, len(st.ModelLatency))

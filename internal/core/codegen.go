@@ -58,7 +58,7 @@ func main() {
 	featArg := flag.String("features", "", "comma-separated quantized feature values ({{.Features}} expected)")
 	backendArg := flag.String("backend", "bgv", "homomorphic backend: bgv or clear")
 	scenarioArg := flag.String("scenario", "offload", "party configuration: offload, servermodel, or clienteval")
-	workers := flag.Int("workers", 1, "intra-query parallelism")
+	workers := flag.Int("workers", 0, "goroutines per classification pass (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
 	raw, err := base64.StdEncoding.DecodeString(artifactB64)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"copse/internal/he"
@@ -182,8 +183,10 @@ func replicatePlain(vals []uint64, period, slots int) []uint64 {
 // shipped backends do).
 type Engine struct {
 	Backend he.Backend
-	// Workers is the number of goroutines used inside each stage.
-	// 1 (or 0) means single-threaded — the paper's sequential runs.
+	// Workers is the number of goroutines each pass runs its ops on:
+	// 0 = GOMAXPROCS, 1 = sequential (the paper's single-threaded runs,
+	// ops in program order). Every count computes the same result bit
+	// for bit.
 	Workers int
 	// MeasureNoise records the decrypt-side measured noise budget of the
 	// carrier ciphertext at every stage boundary in Trace.Noise — the
@@ -195,6 +198,11 @@ type Engine struct {
 	// serving-path default. Ignored on backends without noise (the clear
 	// reference).
 	MeasureNoise bool
+
+	// shuffleReady, set by tests only, replaces the ready queue's
+	// priority order with the permutation of [0, n) it returns, so the
+	// schedule-independence test can run arbitrary valid schedules.
+	shuffleReady func(n int) []int32
 }
 
 // Trace records the per-stage timing and operation counts that
@@ -219,6 +227,25 @@ type Trace struct {
 	// Executor names the classify path that ran. There is one: "program",
 	// the model's op program (DESIGN.md §13).
 	Executor string
+	// Workers is the number of goroutines the pass ran its ops on (the
+	// resolved Engine.Workers).
+	Workers int
+	// The Busy fields are each stage's op run time summed over those
+	// workers: busy ÷ (stage time × Workers) is how much of the cores the
+	// stage's dependencies let the scheduler use.
+	CompareBusy, ReshuffleBusy, LevelsBusy, AccumulateBusy time.Duration
+}
+
+// StageTime is the wall time of the four engine stages; Busy is their op
+// run time summed over the workers. Busy ÷ (StageTime × Workers) is the
+// pass's utilisation: 1 on one worker, and on several as much as the
+// program's dependencies allow.
+func (t *Trace) StageTime() time.Duration {
+	return t.Compare + t.Reshuffle + t.Levels + t.Accumulate
+}
+
+func (t *Trace) Busy() time.Duration {
+	return t.CompareBusy + t.ReshuffleBusy + t.LevelsBusy + t.AccumulateBusy
 }
 
 // StageNoise records the measured remaining noise budget (bits) of the
@@ -265,10 +292,10 @@ func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error
 // — the dataflow is identical) by executing the model's op program,
 // returning the result operand and a stage trace. Encrypted or plaintext
 // query planes, encrypted or plaintext model, planned or reactive
-// staging all run the same loop: those choices were made when Prepare
+// staging all run the same ops: those choices were made when Prepare
 // built the program and packed the operands. The context is checked
-// between pipeline stages, so a cancelled request stops before starting
-// its next (expensive) stage; an already-running stage finishes first.
+// before every op, so a cancelled request stops within one op's time;
+// ops already running finish first.
 func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
 	if len(q.Bits) != len(m.Thresholds) {
 		return he.Operand{}, nil, fmt.Errorf("core: query has %d bit planes, model wants %d", len(q.Bits), len(m.Thresholds))
@@ -285,56 +312,46 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 			q.NumFeatures, q.K, q.QPad, q.Block,
 			m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock())
 	}
-	if err := ctx.Err(); err != nil {
-		return he.Operand{}, nil, err
-	}
 
 	p := m.Program
-	trace := &Trace{Executor: "program", Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}}
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	trace := &Trace{Executor: "program", Workers: workers, Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}}
 	start := time.Now()
 	// The stage op counts in the trace come from a per-call counting
 	// wrapper, not deltas of the shared backend counter: under the
 	// concurrent serving mode another goroutine's pass would otherwise
 	// leak into this trace.
 	b := he.WithCounts(e.Backend)
-	regs := p.scratch.Get().(*[]he.Operand)
+	scratch := p.scratch.Get().(*passScratch)
 	defer func() {
-		clear(*regs)
-		p.scratch.Put(regs)
+		clear(scratch.regs)
+		p.scratch.Put(scratch)
 	}()
 	ps := &pass{
-		regs:    *regs,
-		b:       b,
-		m:       m,
-		q:       q,
-		p:       p,
-		trace:   trace,
-		measure: e.MeasureNoise,
-		mark:    start,
-		cur:     stCompare,
+		passScratch: scratch,
+		b:           b,
+		m:           m,
+		q:           q,
+		p:           p,
+		workers:     workers,
+		rank:        p.sched.rank,
+		trace:       trace,
+		measure:     e.MeasureNoise,
+		mark:        start,
 	}
-	// The limb hint only short-circuits the ring layer's pool/tile
-	// dispatch decision for ops that match it — a stale hint can never
-	// change results — so clearing it on every exit is tidiness, not
-	// correctness.
-	he.HintStageLimbs(b, p.stageLimbs[stCompare])
-	defer he.HintStageLimbs(b, 0)
-	for _, blk := range p.blocks {
-		if blk.Stage != ps.cur {
-			ps.closeStage(blk.Stage)
-			if err := ctx.Err(); err != nil {
-				return he.Operand{}, nil, err
-			}
-			he.HintStageLimbs(b, p.stageLimbs[blk.Stage])
-		}
-		// Segments of one block write disjoint SSA registers, so they run
-		// on the worker pool without synchronization.
-		err := matrix.ParallelFor(len(blk.Segs), e.Workers, func(i int) error { return ps.runSeg(blk.Segs[i]) })
-		if err != nil {
-			return he.Operand{}, nil, fmt.Errorf("core: %s step: %w", stageNames[blk.Stage], err)
-		}
+	ps.wake.L = &ps.mu
+	if e.shuffleReady != nil {
+		ps.rank = e.shuffleReady(len(p.ops))
 	}
-	ps.closeStage(stDone)
+	for st := stCompare; st < stDone; st++ {
+		if err := ps.runStage(ctx, st); err != nil {
+			return he.Operand{}, nil, err
+		}
+		ps.closeStage(st)
+	}
 	trace.Total = time.Since(start) - ps.probed
 	return ps.regs[p.result], trace, nil
 }

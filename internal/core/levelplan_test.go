@@ -458,9 +458,6 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 					t.Errorf("%s enc=%v %s: measured noise %.0f bits exceeds the planner's %.1f", mb.Name, encModel, at.stage, measured, bounds[i].noise)
 				}
 			}
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }

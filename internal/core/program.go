@@ -40,12 +40,12 @@ import (
 // arithmetic mod t is exact; only noise differs), and the oracle for the
 // whole program is the plaintext walk model.Forest.Classify, which the
 // test corpus checks across every scenario, backend, batch fill and
-// shard count. Registers are SSA — each op writes a fresh register — so
-// the block segments below parallelize without synchronization and the
-// merge order stays deterministic.
+// shard count. Registers are SSA — each op writes a fresh register and
+// its operand registers name its producers — so the parallel schedule
+// is not placed by hand: schedule (sched.go) derives it from the ops.
 
 // opCode enumerates the primitive ops of the program IR. The operand
-// fields of progOp are interpreted per code; pass.runSeg is the runtime
+// fields of progOp are interpreted per code; pass.runOp is the runtime
 // semantics. Every arithmetic op takes ciphertext or plaintext operands
 // on either side, which is what lets one program serve encrypted and
 // plaintext queries alike.
@@ -70,15 +70,32 @@ const (
 
 // progOp is one op of the flat program. Dst/A/B are register indices;
 // Imm/Imm2 carry per-code immediates (plane index, rotation step, level,
-// matrix/diagonal index, hoist-table index).
+// matrix/diagonal index, hoist-table index). Stage is the pipeline stage
+// the op belongs to; a stage's ops are contiguous in the program.
 type progOp struct {
 	Code      opCode
+	Stage     uint8
 	Dst, A, B int
 	Imm, Imm2 int
 }
 
-// Pipeline stage tags, in execution order. Blocks carry them so the
-// executor can open and close the per-stage trace windows.
+// operands returns the registers op reads.
+func (op progOp) operands() []int {
+	switch op.Code {
+	case opAdd, opSub, opMul, opMulLazy:
+		if op.A == op.B {
+			return []int{op.A}
+		}
+		return []int{op.A, op.B}
+	case opMulDiag, opRelin, opNeg, opRot, opHoist, opDrop:
+		return []int{op.A}
+	}
+	return nil
+}
+
+// Pipeline stage tags, in execution order. Every op carries one; the
+// executor joins at each stage boundary, where it closes the stage's
+// trace window.
 const (
 	stCompare = iota
 	stReshuffle
@@ -86,16 +103,6 @@ const (
 	stAccumulate
 	stDone
 )
-
-// progBlock is a run of contiguous ops split into segments. Blocks
-// execute in order; within a block the segments are independent (SSA
-// registers, disjoint writes) and run on the engine's worker pool. All
-// cross-segment merges live in later single-segment blocks, in fixed
-// index order, so the result is identical for any worker count.
-type progBlock struct {
-	Stage int
-	Segs  [][2]int // [start, end) op index ranges
-}
 
 // constKind enumerates the bind-time plaintext constants. Their slot
 // values are derived from the model's plaintext components and the
@@ -122,7 +129,7 @@ type constSpec struct {
 // (plaintext constants encoded), and executed by Engine.ClassifyCtx.
 type Program struct {
 	ops    []progOp
-	blocks []progBlock
+	sched  schedule // derived from ops by newSchedule
 	hoists [][]int
 	consts []constSpec
 	numReg int
@@ -132,14 +139,8 @@ type Program struct {
 	// measured noise the per-stage trace reports.
 	regQuery, regDecisions, regBranchVec, regLevelResult int
 
-	// stageLimbs[stage] is the carrier limb count each pipeline stage
-	// runs over under the baked-in level schedule (level+1), or 0 when
-	// no schedule was compiled. The executor forwards it as an advisory
-	// ring-dispatch hint at every stage transition (he.HintStageLimbs).
-	stageLimbs [stDone]int
-
 	bound   []he.Operand // staged constants, set by bind
-	scratch sync.Pool
+	scratch sync.Pool    // *passScratch
 }
 
 // progInputs is everything buildProgram needs: the shapes of the
@@ -169,45 +170,24 @@ func diagShapeOf(d *matrix.Diagonals) diagShape {
 	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.Zero}
 }
 
-// progBuilder accumulates ops, blocks and constants while walking the
-// pipeline symbolically.
+// progBuilder accumulates ops and constants while walking the pipeline
+// symbolically; every op is tagged with the stage being walked.
 type progBuilder struct {
 	p       *Program
 	constIx map[constSpec]int
-	segs    [][2]int
-	segOpen int
-	stage   int
+	stage   uint8
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
 	dst := bl.p.numReg
 	bl.p.numReg++
-	bl.p.ops = append(bl.p.ops, progOp{Code: code, Dst: dst, A: a, B: b, Imm: imm, Imm2: imm2})
+	bl.p.ops = append(bl.p.ops, progOp{Code: code, Stage: bl.stage, Dst: dst, A: a, B: b, Imm: imm, Imm2: imm2})
 	return dst
-}
-
-// seg runs fn and records the ops it emitted as one segment of the
-// current block.
-func (bl *progBuilder) seg(fn func()) {
-	start := len(bl.p.ops)
-	fn()
-	if len(bl.p.ops) > start {
-		bl.segs = append(bl.segs, [2]int{start, len(bl.p.ops)})
-	}
-}
-
-// flush closes the current block (if any ops were recorded) under the
-// given stage tag.
-func (bl *progBuilder) flush(stage int) {
-	if len(bl.segs) > 0 {
-		bl.p.blocks = append(bl.p.blocks, progBlock{Stage: stage, Segs: bl.segs})
-		bl.segs = nil
-	}
 }
 
 // constReg returns the register of a bind-time constant, deduplicated.
 // Loads are free at run time (a register alias), so each constant is
-// loaded once in the program preamble block it first appears in.
+// loaded once, in the stage it first appears in.
 func (bl *progBuilder) constReg(spec constSpec) int {
 	if r, ok := bl.constIx[spec]; ok {
 		return r
@@ -251,71 +231,56 @@ func buildProgram(in progInputs) (*Program, error) {
 	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
 	p := &Program{}
-	if in.plan != nil {
-		p.stageLimbs[stCompare] = in.plan.Compare + 1
-		p.stageLimbs[stReshuffle] = in.plan.Reshuffle + 1
-		p.stageLimbs[stLevels] = in.plan.Level + 1
-		p.stageLimbs[stAccumulate] = in.plan.Accumulate + 1
-	}
 	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
 	L := in.plan
 
 	// ---- Stage 1: compare -------------------------------------------
-	// Preamble: query planes (dropped to the compare entry), shared
-	// constants. Loads are register aliases; only the drops cost work.
+	// Query planes (dropped to the compare entry) and shared constants.
+	// Loads are register aliases; only the drops cost work.
 	nPlanes := in.planes
 	q := make([]int, nPlanes)
 	ones, zero := -1, -1
-	bl.seg(func() {
-		for j := 0; j < nPlanes; j++ {
-			q[j] = bl.emit(opQuery, 0, 0, j, 0)
-			if L != nil {
-				q[j] = bl.drop(q[j], L.Compare)
-			}
+	for j := 0; j < nPlanes; j++ {
+		q[j] = bl.emit(opQuery, 0, 0, j, 0)
+		if L != nil {
+			q[j] = bl.drop(q[j], L.Compare)
 		}
-		if in.encrypted {
-			ones = bl.constReg(constSpec{Kind: ckOnes})
-		}
-		// A matrix product whose every diagonal is skipped is the zero
-		// vector; it is loaded here, ahead of the parallel segments that
-		// may read it.
-		skippable := func(sh diagShape) bool { return !slices.Contains(sh.zero, false) }
-		if skipZero && (skippable(in.reshuffle) || slices.ContainsFunc(in.levels, skippable)) {
-			zero = bl.constReg(constSpec{Kind: ckZero})
-		}
-	})
+	}
+	if in.encrypted {
+		ones = bl.constReg(constSpec{Kind: ckOnes})
+	}
+	// A matrix product whose every diagonal is skipped is the zero
+	// vector.
+	skippable := func(sh diagShape) bool { return !slices.Contains(sh.zero, false) }
+	if skipZero && (skippable(in.reshuffle) || slices.ContainsFunc(in.levels, skippable)) {
+		zero = bl.constReg(constSpec{Kind: ckZero})
+	}
 	p.regQuery = q[0]
-	bl.flush(stCompare)
 
-	// Per-plane eq/gt terms, one independent segment per plane.
+	// Per-plane eq/gt terms.
 	eq := make([]int, nPlanes)
 	gt := make([]int, nPlanes)
 	for j := 0; j < nPlanes; j++ {
-		j := j
-		bl.seg(func() {
-			if in.encrypted {
-				th := bl.emit(opThresh, 0, 0, j, 0)
-				prod := bl.emit(opMul, q[j], th, 0, 0)
-				sum := bl.emit(opAdd, q[j], th, 0, 0)
-				twice := bl.emit(opAdd, prod, prod, 0, 0)
-				x := bl.emit(opSub, sum, twice, 0, 0)
-				neg := bl.emit(opNeg, x, 0, 0, 0)
-				eq[j] = bl.emit(opAdd, neg, ones, 0, 0)
-				gt[j] = bl.emit(opSub, q[j], prod, 0, 0)
-			} else {
-				coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: j})
-				not := bl.constReg(constSpec{Kind: ckThreshNot, Index: j})
-				scaled := bl.emit(opMul, q[j], coef, 0, 0)
-				eq[j] = bl.emit(opAdd, scaled, not, 0, 0)
-				gt[j] = bl.emit(opMul, q[j], not, 0, 0)
-			}
-		})
+		if in.encrypted {
+			th := bl.emit(opThresh, 0, 0, j, 0)
+			prod := bl.emit(opMul, q[j], th, 0, 0)
+			sum := bl.emit(opAdd, q[j], th, 0, 0)
+			twice := bl.emit(opAdd, prod, prod, 0, 0)
+			x := bl.emit(opSub, sum, twice, 0, 0)
+			neg := bl.emit(opNeg, x, 0, 0, 0)
+			eq[j] = bl.emit(opAdd, neg, ones, 0, 0)
+			gt[j] = bl.emit(opSub, q[j], prod, 0, 0)
+		} else {
+			coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: j})
+			not := bl.constReg(constSpec{Kind: ckThreshNot, Index: j})
+			scaled := bl.emit(opMul, q[j], coef, 0, 0)
+			eq[j] = bl.emit(opAdd, scaled, not, 0, 0)
+			gt[j] = bl.emit(opMul, q[j], not, 0, 0)
+		}
 	}
-	bl.flush(stCompare)
 
 	// Sklansky prefix products over eq, with the per-round level drops
-	// of the generic schedule. Each round's multiplications are
-	// independent (distinct targets, shared read-only pivots).
+	// of the level plan.
 	incl := make([]int, nPlanes)
 	copy(incl, eq)
 	round := 0
@@ -326,132 +291,98 @@ func buildProgram(in progInputs) (*Program, error) {
 				break
 			}
 			for i := pivot + 1; i <= pivot+span && i < nPlanes; i++ {
-				i := i
-				bl.seg(func() { incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0) })
+				incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0)
 			}
 		}
-		bl.flush(stCompare)
 		if L != nil && round < len(L.CompareRounds) {
-			bl.seg(func() {
-				for i := range incl {
-					incl[i] = bl.drop(incl[i], L.CompareRounds[round])
-				}
-			})
-			bl.flush(stCompare)
+			for i := range incl {
+				incl[i] = bl.drop(incl[i], L.CompareRounds[round])
+			}
 		}
 		round++
 	}
 
 	// gt = Σ_j gt_j · pre_j with lazy products and one relinearization.
-	// pre_0 = 1, so the j=0 term is gt_0 itself.
-	terms := make([]int, nPlanes)
+	// pre_0 = 1, so the j=0 term is gt_0 itself. The sum runs in index
+	// order, so the result does not depend on the schedule.
+	decisions := gt[0]
 	for j := 1; j < nPlanes; j++ {
-		j := j
-		bl.seg(func() { terms[j] = bl.emit(opMulLazy, gt[j], incl[j-1], 0, 0) })
+		term := bl.emit(opMulLazy, gt[j], incl[j-1], 0, 0)
+		decisions = bl.emit(opAdd, decisions, term, 0, 0)
 	}
-	bl.flush(stCompare)
-	var decisions int
-	bl.seg(func() {
-		acc := gt[0]
-		for j := 1; j < nPlanes; j++ {
-			acc = bl.emit(opAdd, acc, terms[j], 0, 0)
-		}
-		if nPlanes > 1 {
-			acc = bl.emit(opRelin, acc, 0, 0, 0)
-		}
-		if L != nil {
-			acc = bl.drop(acc, L.Reshuffle)
-		}
-		decisions = acc
-	})
+	if nPlanes > 1 {
+		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
+	}
+	if L != nil {
+		decisions = bl.drop(decisions, L.Reshuffle)
+	}
 	p.regDecisions = decisions
-	bl.flush(stCompare)
 
 	// ---- Stage 2: reshuffle -----------------------------------------
-	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle), stReshuffle)
-	groups := bl.matVecGroups(in.reshuffle, rots, -1, skipZero)
-	bl.flush(stReshuffle)
-	var branch int
-	bl.seg(func() {
-		branch = bl.mergeGroups(groups, zero)
-		for pw := in.meta.BPad; pw < in.meta.BatchBlock(); pw <<= 1 {
-			rot := bl.emit(opRot, branch, 0, -pw, 0)
-			branch = bl.emit(opAdd, branch, rot, 0, 0)
-		}
-		if L != nil {
-			branch = bl.drop(branch, L.Level)
-		}
-	})
+	bl.stage = stReshuffle
+	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle))
+	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, -1, skipZero), zero)
+	for pw := in.meta.BPad; pw < in.meta.BatchBlock(); pw <<= 1 {
+		rot := bl.emit(opRot, branch, 0, -pw, 0)
+		branch = bl.emit(opAdd, branch, rot, 0, 0)
+	}
+	if L != nil {
+		branch = bl.drop(branch, L.Level)
+	}
 	p.regBranchVec = branch
-	bl.flush(stReshuffle)
 
 	// ---- Stage 3: levels --------------------------------------------
 	// One shared set of baby rotations feeds every level product; under
 	// skipZero only the union of steps some level actually reads is
 	// computed.
-	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...), stLevels)
-
-	lvlGroups := make([][]int, len(in.levels))
-	for l, sh := range in.levels {
-		lvlGroups[l] = bl.matVecGroups(sh, rots, l, skipZero)
-	}
-	bl.flush(stLevels)
+	bl.stage = stLevels
+	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...))
 	lvlRes := make([]int, len(in.levels))
-	for l := range in.levels {
-		l := l
-		bl.seg(func() {
-			lvl := bl.mergeGroups(lvlGroups[l], zero)
-			if in.encrypted {
-				mask := bl.emit(opMask, 0, 0, l, 0)
-				prod := bl.emit(opMul, lvl, mask, 0, 0)
-				sum := bl.emit(opAdd, lvl, mask, 0, 0)
-				twice := bl.emit(opAdd, prod, prod, 0, 0)
-				lvl = bl.emit(opSub, sum, twice, 0, 0)
-			} else if slices.ContainsFunc(in.maskVals[l], func(v uint64) bool { return v != 0 }) {
-				coef := bl.constReg(constSpec{Kind: ckMaskCoef, Index: l})
-				add := bl.constReg(constSpec{Kind: ckMaskAdd, Index: l})
-				scaled := bl.emit(opMul, lvl, coef, 0, 0)
-				lvl = bl.emit(opAdd, scaled, add, 0, 0)
-			}
-			// An all-zero plaintext mask XORs to the identity: alias.
-			if L != nil {
-				lvl = bl.drop(lvl, L.Accumulate)
-			}
-			lvlRes[l] = lvl
-		})
+	for l, sh := range in.levels {
+		lvl := bl.mergeGroups(bl.matVecGroups(sh, rots, l, skipZero), zero)
+		if in.encrypted {
+			mask := bl.emit(opMask, 0, 0, l, 0)
+			prod := bl.emit(opMul, lvl, mask, 0, 0)
+			sum := bl.emit(opAdd, lvl, mask, 0, 0)
+			twice := bl.emit(opAdd, prod, prod, 0, 0)
+			lvl = bl.emit(opSub, sum, twice, 0, 0)
+		} else if slices.ContainsFunc(in.maskVals[l], func(v uint64) bool { return v != 0 }) {
+			coef := bl.constReg(constSpec{Kind: ckMaskCoef, Index: l})
+			add := bl.constReg(constSpec{Kind: ckMaskAdd, Index: l})
+			scaled := bl.emit(opMul, lvl, coef, 0, 0)
+			lvl = bl.emit(opAdd, scaled, add, 0, 0)
+		}
+		// An all-zero plaintext mask XORs to the identity: alias.
+		if L != nil {
+			lvl = bl.drop(lvl, L.Accumulate)
+		}
+		lvlRes[l] = lvl
 	}
-	bl.flush(stLevels)
 	p.regLevelResult = lvlRes[0]
 
 	// ---- Stage 4: accumulate ----------------------------------------
+	bl.stage = stAccumulate
 	ops := lvlRes
 	for len(ops) > 1 {
 		pairs := len(ops) / 2
 		next := make([]int, pairs)
 		for i := 0; i < pairs; i++ {
-			i := i
-			bl.seg(func() { next[i] = bl.emit(opMul, ops[2*i], ops[2*i+1], 0, 0) })
+			next[i] = bl.emit(opMul, ops[2*i], ops[2*i+1], 0, 0)
 		}
-		bl.flush(stAccumulate)
 		if len(ops)%2 == 1 {
 			next = append(next, ops[len(ops)-1])
 		}
 		ops = next
 	}
 	res := ops[0]
-	bl.seg(func() {
-		if L != nil {
-			res = bl.drop(res, L.Final)
-		}
-	})
-	bl.flush(stAccumulate)
+	if L != nil {
+		res = bl.drop(res, L.Final)
+	}
 	p.result = res
 
 	p.eliminateDeadOps()
-	p.scratch.New = func() any {
-		s := make([]he.Operand, p.numReg)
-		return &s
-	}
+	p.sched = newSchedule(p, L)
+	p.scratch.New = func() any { return newPassScratch(p) }
 	return p, nil
 }
 
@@ -471,7 +402,7 @@ func neededBaby(skipZero bool, shapes ...diagShape) []bool {
 
 // hoistRots emits the hoisted rotations for the needed baby steps and
 // returns one register per baby index (index 0 aliases the source).
-func (bl *progBuilder) hoistRots(src int, needed []bool, stage int) []int {
+func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 	rots := make([]int, len(needed))
 	rots[0] = src
 	var steps []int
@@ -481,58 +412,44 @@ func (bl *progBuilder) hoistRots(src int, needed []bool, stage int) []int {
 		}
 	}
 	if len(steps) > 0 {
-		bl.seg(func() {
-			bl.p.hoists = append(bl.p.hoists, steps)
-			dst := bl.p.numReg
-			bl.p.numReg += len(steps)
-			bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
-			for i, s := range steps {
-				rots[s] = dst + i
-			}
-		})
-		bl.flush(stage)
+		bl.p.hoists = append(bl.p.hoists, steps)
+		dst := bl.p.numReg
+		bl.p.numReg += len(steps)
+		bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Stage: bl.stage, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
+		for i, s := range steps {
+			rots[s] = dst + i
+		}
 	}
 	return rots
 }
 
 // matVecGroups emits the per-giant-group inner products of one BSGS
-// matrix-vector product as independent segments of the current block,
-// returning the group result registers (-1 for skipped groups).
+// matrix-vector product — independent of each other, so they run
+// concurrently — returning the group result registers (-1 for skipped
+// groups).
 func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero bool) []int {
 	groups := make([]int, sh.giant)
 	for g := 0; g < sh.giant; g++ {
-		g := g
-		groups[g] = -1
-		any := false
+		acc := -1
 		for j := 0; j < sh.baby; j++ {
-			if !(skipZero && sh.zero[g*sh.baby+j]) {
-				any = true
-				break
+			i := g*sh.baby + j
+			if skipZero && sh.zero[i] {
+				continue
+			}
+			term := bl.emit(opMulDiag, rots[j], 0, mat, i)
+			if acc < 0 {
+				acc = term
+			} else {
+				acc = bl.emit(opAdd, acc, term, 0, 0)
 			}
 		}
-		if !any {
-			continue
-		}
-		bl.seg(func() {
-			acc := -1
-			for j := 0; j < sh.baby; j++ {
-				i := g*sh.baby + j
-				if skipZero && sh.zero[i] {
-					continue
-				}
-				term := bl.emit(opMulDiag, rots[j], 0, mat, i)
-				if acc < 0 {
-					acc = term
-				} else {
-					acc = bl.emit(opAdd, acc, term, 0, 0)
-				}
-			}
+		if acc >= 0 {
 			acc = bl.emit(opRelin, acc, 0, 0, 0)
 			if g > 0 {
 				acc = bl.emit(opRot, acc, 0, g*sh.baby, 0)
 			}
-			groups[g] = acc
-		})
+		}
+		groups[g] = acc
 	}
 	return groups
 }
@@ -560,69 +477,36 @@ func (bl *progBuilder) mergeGroups(groups []int, empty int) int {
 // decomposition are dead, along with their scheduled drops.
 func (p *Program) eliminateDeadOps() {
 	live := make([]bool, p.numReg)
-	live[p.result] = true
-	live[p.regQuery] = true
-	live[p.regDecisions] = true
-	live[p.regBranchVec] = true
-	live[p.regLevelResult] = true
+	for _, r := range []int{p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult} {
+		live[r] = true
+	}
 	keep := make([]bool, len(p.ops))
 	for i := len(p.ops) - 1; i >= 0; i-- {
 		op := p.ops[i]
-		isLive := false
-		if op.Code == opHoist {
-			for r := op.Dst; r < op.Dst+len(p.hoists[op.Imm]); r++ {
-				if live[r] {
-					isLive = true
-					break
-				}
+		keep[i] = slices.Contains(live[op.Dst:op.Dst+p.width(op)], true)
+		if keep[i] {
+			for _, r := range op.operands() {
+				live[r] = true
 			}
-		} else {
-			isLive = live[op.Dst]
-		}
-		keep[i] = isLive
-		if !isLive {
-			continue
-		}
-		switch op.Code {
-		case opAdd, opSub, opMul, opMulLazy:
-			live[op.A] = true
-			live[op.B] = true
-		case opMulDiag, opRelin, opNeg, opRot, opHoist, opDrop:
-			live[op.A] = true
 		}
 	}
-	// Rewrite the op list and remap block segment ranges. Deletions
-	// preserve order, so segments stay contiguous.
-	newIndex := make([]int, len(p.ops)+1)
 	n := 0
-	for i, k := range keep {
-		newIndex[i] = n
-		if k {
+	for i, op := range p.ops {
+		if keep[i] {
+			p.ops[n] = op
 			n++
 		}
 	}
-	newIndex[len(p.ops)] = n
-	ops := make([]progOp, 0, n)
-	for i, op := range p.ops {
-		if keep[i] {
-			ops = append(ops, op)
-		}
+	p.ops = p.ops[:n]
+}
+
+// width is the number of consecutive registers op writes from Dst: one,
+// except for a hoisted rotation set.
+func (p *Program) width(op progOp) int {
+	if op.Code == opHoist {
+		return len(p.hoists[op.Imm])
 	}
-	p.ops = ops
-	var blocks []progBlock
-	for _, blk := range p.blocks {
-		var segs [][2]int
-		for _, s := range blk.Segs {
-			ns, ne := newIndex[s[0]], newIndex[s[1]]
-			if ne > ns {
-				segs = append(segs, [2]int{ns, ne})
-			}
-		}
-		if len(segs) > 0 {
-			blocks = append(blocks, progBlock{Stage: blk.Stage, Segs: segs})
-		}
-	}
-	p.blocks = blocks
+	return 1
 }
 
 // bind stages the program's plaintext constants on the backend —

@@ -1,0 +1,171 @@
+package core
+
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
+// schedule is everything the executor needs to run a program's ops on
+// several goroutines, all of it derived from the ops themselves: an op
+// may run once the ops that produce its operand registers have. Nothing
+// here is placed by hand, so a change to buildProgram cannot leave a
+// stale barrier behind.
+//
+// The four pipeline stages stay joins: each hands exactly one carrier
+// to the next (the decisions, the branch vector, the level results, the
+// result), so no op of a later stage could start before the earlier
+// stage's last op anyway, and joining there keeps the per-stage trace
+// windows, noise probes and cancellation points meaningful. Dependencies
+// are therefore counted within a stage only; operands produced by an
+// earlier stage are ready when the stage starts.
+type schedule struct {
+	// stageEnd[s] is one past the last op of stage s; a stage's ops are
+	// contiguous and stages appear in pipeline order.
+	stageEnd [stDone]int
+	// deps[i] is the number of distinct ops of op i's own stage that
+	// produce its operands; succ[i] lists the ops of that stage that
+	// read op i's results, in program order.
+	deps []int32
+	succ [][]int32
+	// rank[i] is op i's place in its stage's priority order (0 runs
+	// first among ready ops): ops are ordered by the longest weighted
+	// path from the op to the end of its stage, program order breaking
+	// ties, so the critical path is never left waiting behind cheap
+	// side work.
+	rank []int32
+	// work is the summed weight of every op; critical is the summed
+	// weight along the longest dependency path of each stage. Their
+	// ratio is the parallelism the model offers.
+	work, critical int64
+}
+
+// Relative per-limb op costs, read off the benchmark's BGV microkernels
+// (bgv.mul_relin_us, bgv.rotate_us, bgv.modswitch_us, bgv.mulplain_us
+// over their limb counts). Priorities only need the order of magnitude:
+// a key switch dwarfs a modulus switch, which dwarfs pointwise work.
+const (
+	costMul       = 32 // ct×ct tensor product + relinearization
+	costKeySwitch = 26 // relinearization, or one rotation
+	costDrop      = 5  // modulus switch
+	costMulLazy   = 2  // tensor or plaintext product, no key switch
+	costAdd       = 1
+)
+
+// plainLevel marks a register the builder knows is plaintext: it
+// constrains no level and makes a product cheap.
+const plainLevel = math.MaxInt
+
+// weights estimates each op's cost as op kind × active limbs, the limbs
+// following from the level plan the program was built under (every
+// register counts one limb without a plan).
+func (p *Program) weights(plan *StageLevels) []int64 {
+	var at StageLevels // all zero without a plan
+	if plan != nil {
+		at = *plan
+	}
+	level := make([]int, p.numReg)
+	w := make([]int64, len(p.ops))
+	for i, op := range p.ops {
+		l, cost := plainLevel, 0
+		for _, r := range op.operands() {
+			l = min(l, level[r])
+		}
+		switch op.Code {
+		case opQuery, opThresh:
+			l = at.Compare
+		case opMask:
+			l = at.Level
+		case opConst:
+		case opAdd, opSub, opNeg:
+			cost = costAdd
+		case opMul:
+			cost = costMul
+			if level[op.A] == plainLevel || level[op.B] == plainLevel {
+				cost = costMulLazy
+			}
+		case opMulLazy, opMulDiag:
+			cost = costMulLazy
+		case opRelin, opRot:
+			cost = costKeySwitch
+		case opHoist:
+			// One shared decomposition, then a cheaper switch per step.
+			cost = costKeySwitch * (1 + len(p.hoists[op.Imm])) / 2
+		case opDrop:
+			cost = costDrop
+			l = min(l, op.Imm)
+		}
+		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			level[r] = l
+		}
+		if l != plainLevel {
+			w[i] = int64(cost) * int64(l+1)
+		}
+	}
+	return w
+}
+
+// newSchedule derives p's schedule from its ops.
+func newSchedule(p *Program, plan *StageLevels) schedule {
+	n := len(p.ops)
+	s := schedule{deps: make([]int32, n), succ: make([][]int32, n), rank: make([]int32, n)}
+	producer := make([]int32, p.numReg)
+	for i, op := range p.ops {
+		s.stageEnd[op.Stage] = i + 1
+		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			producer[r] = int32(i)
+		}
+		var seen [2]int32
+		from := seen[:0]
+		for _, r := range op.operands() {
+			j := producer[r]
+			if p.ops[j].Stage == op.Stage && !slices.Contains(from, j) {
+				from = append(from, j)
+				s.succ[j] = append(s.succ[j], int32(i))
+				s.deps[i]++
+			}
+		}
+	}
+	// A stage every op of which was dead still ends where it starts.
+	for st := 1; st < stDone; st++ {
+		s.stageEnd[st] = max(s.stageEnd[st], s.stageEnd[st-1])
+	}
+
+	// Longest weighted path from each op to the end of its stage;
+	// successors follow their producers, so one backward sweep does it.
+	w := p.weights(plan)
+	path := make([]int64, n)
+	for i := n - 1; i >= 0; i-- {
+		for _, j := range s.succ[i] {
+			path[i] = max(path[i], path[j])
+		}
+		path[i] += w[i]
+		s.work += w[i]
+	}
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	start := 0
+	for _, end := range s.stageEnd {
+		stage := order[start:end]
+		slices.SortStableFunc(stage, func(a, b int32) int { return cmp.Compare(path[b], path[a]) })
+		for k, i := range stage {
+			s.rank[i] = int32(k)
+		}
+		if len(stage) > 0 {
+			s.critical += path[stage[0]]
+		}
+		start = end
+	}
+	return s
+}
+
+// Work is the program's total static cost: Σ op kind × active limbs, in
+// the relative units of the scheduler's cost table.
+func (p *Program) Work() int64 { return p.sched.work }
+
+// CriticalPath is the cost along the longest dependency chain, stage by
+// stage — what a pass costs on unboundedly many workers. Work ÷
+// CriticalPath is the parallelism the model offers the scheduler.
+func (p *Program) CriticalPath() int64 { return p.sched.critical }

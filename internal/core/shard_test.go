@@ -251,7 +251,6 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 
 	rng := rand.New(rand.NewPCG(31, 8))
 	batch := make([][]uint64, min(3, c.Meta.BatchCapacity()))

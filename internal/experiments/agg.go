@@ -175,7 +175,6 @@ func aggMode(cs Case, compiled *copse.Compiled, backend string, cfg Config, quer
 		copse.WithBackend(kind),
 		copse.WithScenario(copse.ScenarioOffload),
 		copse.WithWorkers(defaultWorkers(cfg)),
-		copse.WithIntraOpWorkers(cfg.IntraOp),
 		copse.WithMaxInFlight(1),
 		copse.WithSeed(cfg.Seed + 100),
 		copse.WithBatchPolicy(copse.BatchPolicy{Window: window}),

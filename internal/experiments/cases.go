@@ -30,13 +30,6 @@ type Config struct {
 	Queries int
 	// Workers for the multithreaded runs; 0 means GOMAXPROCS.
 	Workers int
-	// IntraOp is the ring-layer limb parallelism of BGV runs (see
-	// copse.WithIntraOpWorkers). The harness default is serial (the
-	// paper's tables and the single-vs-multithreaded ablations assume a
-	// serial ring layer; the Service's auto budget would silently hand
-	// the "single-threaded" runs all the cores); pass n ≥ 2 — e.g.
-	// copse-bench -intraop — to enable the pool.
-	IntraOp int
 	// Seed drives model generation, training and query sampling.
 	Seed uint64
 	// RealWorldScale shrinks the trained models when < 1 (their size is
@@ -74,9 +67,6 @@ func filterCases(cfg Config, cases []Case) []Case {
 func (c Config) withDefaults() Config {
 	if c.Backend == "" {
 		c.Backend = "clear"
-	}
-	if c.IntraOp == 0 {
-		c.IntraOp = 1 // serial ring layer unless explicitly enabled
 	}
 	if c.Queries == 0 {
 		c.Queries = 27

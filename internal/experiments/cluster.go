@@ -117,7 +117,6 @@ func ClusterReport(cfg Config) (*ClusterBench, error) {
 	ref := copse.NewService(
 		copse.WithScenario(copse.ScenarioServerModel),
 		copse.WithWorkers(defaultWorkers(cfg)),
-		copse.WithIntraOpWorkers(cfg.IntraOp),
 		copse.WithSeed(cfg.Seed+7),
 	)
 	defer ref.Close()
@@ -140,9 +139,8 @@ func ClusterReport(cfg Config) (*ClusterBench, error) {
 	urls := make([]string, 2)
 	for i := range workers {
 		workers[i] = cluster.NewWorker(cluster.WorkerConfig{
-			Seed:           cfg.Seed + 11,
-			Workers:        defaultWorkers(cfg),
-			IntraOpWorkers: cfg.IntraOp,
+			Seed:    cfg.Seed + 11,
+			Workers: defaultWorkers(cfg),
 		})
 		defer workers[i].Close()
 		if err := workers[i].AddShard("forest", manifest, shards[i]); err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -15,30 +16,26 @@ import (
 	"copse/internal/ring"
 )
 
-// NTTBench is the machine-readable intra-op parallelism record emitted
-// by copse-bench -nttjson (BENCH_ntt.json): ring-kernel ablations
-// (serial layer-at-a-time sweeps vs the fused radix-4-style passes vs
-// the fused kernel on the limb worker pool), the end-to-end classify
-// ablation with bit-exactness between the serial and parallel paths,
-// the Galois-key material before/after the level budget, and — when the
-// offline flag is set — the Security128 (N=32768) end-to-end record.
+// NTTBench is the machine-readable ring-kernel record emitted by
+// copse-bench -nttjson (BENCH_ntt.json): transform-kernel ablations
+// (layer-at-a-time sweeps vs the fused radix-4-style passes vs the
+// vector kernels), the end-to-end classify ablation with bit-exactness
+// between the vector and scalar paths, the Galois-key material
+// before/after the level budget, and — when the offline flag is set —
+// the Security128 (N=32768) end-to-end record.
 type NTTBench struct {
 	// Provenance: the record is meaningless without the machine it was
 	// measured on. KernelVariant names the transform backend the package
-	// default selected ("avx2" or "scalar-fused"); WorkersExceedCPUs
-	// flags pool settings that oversubscribe the host, where the
-	// parallel columns measure contention rather than speedup.
-	CPUs              int    `json:"cpus"`
-	GOMAXPROCS        int    `json:"gomaxprocs"`
-	CPUModel          string `json:"cpu_model,omitempty"`
-	KernelVariant     string `json:"kernel_variant"`
-	Workers           int    `json:"workers"` // pool concurrency used for the parallel ablations
-	WorkersExceedCPUs bool   `json:"workers_exceed_cpus,omitempty"`
+	// default selected ("avx2" or "scalar-fused").
+	CPUs          int    `json:"cpus"`
+	GOMAXPROCS    int    `json:"gomaxprocs"`
+	CPUModel      string `json:"cpu_model,omitempty"`
+	KernelVariant string `json:"kernel_variant"`
 
 	// Kernels are the ring microbenchmarks, per LogN × limb count.
 	Kernels []NTTKernelCase `json:"kernels"`
 
-	// Classify is the end-to-end serial-vs-parallel ablation.
+	// Classify is the end-to-end vector-vs-scalar ablation.
 	Classify NTTClassify `json:"classify"`
 
 	// KeyMaterial is the Galois-key budget record.
@@ -55,36 +52,29 @@ type NTTKernelCase struct {
 	// SerialUS is the unfused layer-at-a-time reference
 	// (NTTGeneric/INTTGeneric), FusedUS the fused-pass scalar kernel,
 	// VectorUS the SIMD kernel where the host has one (equal to the
-	// fused scalar path otherwise), ParallelUS the default kernel with
-	// limbs fanned across the pool. The harness asserts the vector and
+	// fused scalar path otherwise). The harness asserts the vector and
 	// scalar transforms are bit-identical before timing them.
-	SerialUS   float64 `json:"serial_us"`
-	FusedUS    float64 `json:"fused_us"`
-	VectorUS   float64 `json:"vector_us"`
-	ParallelUS float64 `json:"parallel_us"`
+	SerialUS float64 `json:"serial_us"`
+	FusedUS  float64 `json:"fused_us"`
+	VectorUS float64 `json:"vector_us"`
 	// FusedSpeedup is serial/fused, VectorSpeedup fused/vector (the
-	// SIMD win over the scalar fused kernel), ParallelSpeedup
-	// serial/parallel.
-	FusedSpeedup    float64 `json:"fused_speedup"`
-	VectorSpeedup   float64 `json:"vector_speedup"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
+	// SIMD win over the scalar fused kernel).
+	FusedSpeedup  float64 `json:"fused_speedup"`
+	VectorSpeedup float64 `json:"vector_speedup"`
 }
 
-// NTTClassify compares one BGV model's classification latency between
-// the serial and pool-attached ring layer, and records that the two
-// paths decrypt to bit-identical leaf vectors for every query.
+// NTTClassify compares one BGV model's sequential classification
+// latency between the default and the scalar ring kernels, and records
+// that the two decrypt to bit-identical leaf vectors for every query.
 type NTTClassify struct {
 	Model   string `json:"model"`
 	Queries int    `json:"queries"`
-	// SerialMS is a single-threaded ring layer with the default kernel
-	// variant; NoVecMS the same run with the vector kernels disabled
-	// (the -novec ablation; equal to SerialMS on scalar-only hosts);
-	// ParallelMS the default kernels with the limb pool attached.
-	SerialMS        float64 `json:"serial_ms"`
-	NoVecMS         float64 `json:"novec_ms"`
-	ParallelMS      float64 `json:"parallel_ms"`
-	ParallelWorkers int     `json:"parallel_workers"`
-	KernelVariant   string  `json:"kernel_variant"`
+	// SerialMS is a one-worker pass with the default kernel variant;
+	// NoVecMS the same run with the vector kernels disabled (the -novec
+	// ablation; equal to SerialMS on scalar-only hosts).
+	SerialMS      float64 `json:"serial_ms"`
+	NoVecMS       float64 `json:"novec_ms"`
+	KernelVariant string  `json:"kernel_variant"`
 	// VectorSpeedup is NoVecMS/SerialMS: the end-to-end classify win
 	// from the vector kernels alone.
 	VectorSpeedup float64 `json:"vector_speedup"`
@@ -118,28 +108,21 @@ type keyMaterialBackend interface {
 	KeyMaterial() (actual, topLevel int64)
 }
 
-// NTTReport measures the intra-op parallelism record. workers sets the
-// pool concurrency for the parallel ablations (0 picks
-// max(2, NumCPU) so the pool machinery is exercised even on small
-// hosts); secure128 additionally runs the offline N=32768 case.
-func NTTReport(cfg Config, workers int, secure128 bool) (*NTTBench, error) {
+// NTTReport measures the ring-kernel record; secure128 additionally runs
+// the offline N=32768 case.
+func NTTReport(cfg Config, secure128 bool) (*NTTBench, error) {
 	cfg = cfg.withDefaults()
-	if workers <= 0 {
-		workers = max(2, runtime.NumCPU())
-	}
 	report := &NTTBench{
-		CPUs:              runtime.NumCPU(),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		CPUModel:          cpuModelName(),
-		KernelVariant:     ring.KernelVariant(),
-		Workers:           workers,
-		WorkersExceedCPUs: workers > runtime.NumCPU(),
+		CPUs:          runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		CPUModel:      cpuModelName(),
+		KernelVariant: ring.KernelVariant(),
 	}
 
-	if err := nttKernelBench(report, workers); err != nil {
+	if err := nttKernelBench(report); err != nil {
 		return nil, err
 	}
-	if err := nttClassifyBench(report, cfg, workers); err != nil {
+	if err := nttClassifyBench(report, cfg); err != nil {
 		return nil, err
 	}
 	if secure128 {
@@ -152,12 +135,11 @@ func NTTReport(cfg Config, workers int, secure128 bool) (*NTTBench, error) {
 	return report, nil
 }
 
-// nttKernelBench times the four kernel configurations per LogN × limbs:
-// unfused scalar, fused scalar, vector (where the host has one), and
-// the default kernel on the limb pool. Before timing, it asserts the
-// vector and scalar transforms agree bit-for-bit on the benchmark
-// input.
-func nttKernelBench(report *NTTBench, workers int) error {
+// nttKernelBench times the three kernel configurations per LogN × limbs:
+// unfused scalar, fused scalar and vector (where the host has one).
+// Before timing, it asserts the vector and scalar transforms agree
+// bit-for-bit on the benchmark input.
+func nttKernelBench(report *NTTBench) error {
 	const t = 65537
 	for _, logN := range []int{11, 12, 13, 15} {
 		n := 1 << logN
@@ -168,7 +150,7 @@ func nttKernelBench(report *NTTBench, workers int) error {
 			}
 			// scalarCtx pins the fused scalar kernels; vecCtx keeps the
 			// package default (the vector backend where the host has
-			// one); parCtx attaches the limb pool to the default kernels.
+			// one).
 			scalarCtx, err := ring.NewContext(logN, primes, t)
 			if err != nil {
 				return err
@@ -178,11 +160,6 @@ func nttKernelBench(report *NTTBench, workers int) error {
 			if err != nil {
 				return err
 			}
-			parCtx, err := ring.NewContext(logN, primes, t)
-			if err != nil {
-				return err
-			}
-			parCtx.SetWorkers(ring.NewWorkers(workers))
 			src := ring.NewSeededSampler(scalarCtx, 42).UniformPoly(limbs-1, false)
 
 			// Bit-identity gate: the vector path must reproduce the
@@ -231,21 +208,14 @@ func nttKernelBench(report *NTTBench, workers int) error {
 					vecCtx.Moduli[i].INTT(p.Coeffs[i])
 				}
 			})
-			parallel := medianTransformUS(src, func(p *ring.Poly) {
-				parCtx.NTT(p)
-				parCtx.INTT(p)
-			})
-			parCtx.CloseWorkers()
 			report.Kernels = append(report.Kernels, NTTKernelCase{
-				LogN:            logN,
-				Limbs:           limbs,
-				SerialUS:        serial,
-				FusedUS:         fused,
-				VectorUS:        vector,
-				ParallelUS:      parallel,
-				FusedSpeedup:    serial / fused,
-				VectorSpeedup:   fused / vector,
-				ParallelSpeedup: serial / parallel,
+				LogN:          logN,
+				Limbs:         limbs,
+				SerialUS:      serial,
+				FusedUS:       fused,
+				VectorUS:      vector,
+				FusedSpeedup:  serial / fused,
+				VectorSpeedup: fused / vector,
 			})
 		}
 	}
@@ -284,9 +254,10 @@ func medianTransformUS(src *ring.Poly, fn func(*ring.Poly)) float64 {
 	return float64(times[reps/2].Nanoseconds()) / 1e3
 }
 
-// nttClassifyBench runs the end-to-end serial/parallel ablation on the
-// depth4 micro model (BGV backend) and records key-material bytes.
-func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
+// nttClassifyBench runs the end-to-end vector/scalar ablation on the
+// depth4 micro model (BGV backend, one worker) and records key-material
+// bytes.
+func nttClassifyBench(report *NTTBench, cfg Config) error {
 	const model = "depth4"
 	queries := min(cfg.Queries, 8)
 	cases, err := MicroCases()
@@ -312,12 +283,12 @@ func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
 		return err
 	}
 
-	run := func(intra int, novec bool) (float64, [][]uint64, error) {
+	run := func(novec bool) (float64, [][]uint64, error) {
 		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
 			Backend:              copse.BackendBGV,
 			Scenario:             copse.ScenarioOffload,
 			Security:             security,
-			IntraOpWorkers:       intra,
+			Workers:              1,
 			DisableVectorKernels: novec,
 			Seed:                 cfg.Seed + 100,
 		})
@@ -325,15 +296,13 @@ func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
 			return 0, nil, err
 		}
 		defer sys.Service().Close()
-		if intra > 1 {
-			if km, ok := sys.Backend().(keyMaterialBackend); ok {
-				actual, top := km.KeyMaterial()
-				report.KeyMaterial = NTTKeyMaterial{
-					Model:        model,
-					LeveledBytes: actual,
-					TopBytes:     top,
-					Savings:      1 - float64(actual)/float64(top),
-				}
+		if km, ok := sys.Backend().(keyMaterialBackend); ok {
+			actual, top := km.KeyMaterial()
+			report.KeyMaterial = NTTKeyMaterial{
+				Model:        model,
+				LeveledBytes: actual,
+				TopBytes:     top,
+				Savings:      1 - float64(actual)/float64(top),
 			}
 		}
 		rng := rand.New(rand.NewPCG(cfg.Seed, 0xf00d))
@@ -367,48 +336,26 @@ func nttClassifyBench(report *NTTBench, cfg Config, workers int) error {
 		return medianMS(times), leafBits, nil
 	}
 
-	serialMS, serialBits, err := run(1, false)
+	serialMS, serialBits, err := run(false)
 	if err != nil {
 		return err
 	}
-	novecMS, novecBits, err := run(1, true)
+	novecMS, novecBits, err := run(true)
 	if err != nil {
 		return err
 	}
-	parallelMS, parallelBits, err := run(workers, false)
-	if err != nil {
-		return err
-	}
-	sameBits := func(a, b [][]uint64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for qi := range a {
-			if len(a[qi]) != len(b[qi]) {
-				return false
-			}
-			for j := range a[qi] {
-				if a[qi][j] != b[qi][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	identical := sameBits(serialBits, parallelBits) && sameBits(serialBits, novecBits)
+	identical := slices.EqualFunc(serialBits, novecBits, slices.Equal[[]uint64])
 	report.Classify = NTTClassify{
-		Model:           model,
-		Queries:         queries,
-		SerialMS:        serialMS,
-		NoVecMS:         novecMS,
-		ParallelMS:      parallelMS,
-		ParallelWorkers: workers,
-		KernelVariant:   ring.KernelVariant(),
-		VectorSpeedup:   novecMS / serialMS,
-		Identical:       identical,
+		Model:         model,
+		Queries:       queries,
+		SerialMS:      serialMS,
+		NoVecMS:       novecMS,
+		KernelVariant: ring.KernelVariant(),
+		VectorSpeedup: novecMS / serialMS,
+		Identical:     identical,
 	}
 	if !identical {
-		return fmt.Errorf("experiments: serial, no-vector and parallel classifications are not bit-identical")
+		return fmt.Errorf("experiments: vector and scalar classifications are not bit-identical")
 	}
 	return nil
 }
@@ -437,14 +384,12 @@ func secure128Bench(cfg Config) (*Secure128Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := max(2, runtime.NumCPU())
 	start := time.Now()
 	sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-		Backend:        copse.BackendBGV,
-		Scenario:       copse.ScenarioOffload,
-		Security:       copse.Security128,
-		IntraOpWorkers: workers,
-		Seed:           cfg.Seed + 100,
+		Backend:  copse.BackendBGV,
+		Scenario: copse.ScenarioOffload,
+		Security: copse.Security128,
+		Seed:     cfg.Seed + 100,
 	})
 	if err != nil {
 		return nil, err
@@ -482,7 +427,7 @@ func secure128Bench(cfg Config) (*Secure128Run, error) {
 		Model:      model,
 		LogN:       15,
 		Levels:     levels,
-		Workers:    workers,
+		Workers:    runtime.GOMAXPROCS(0),
 		KeygenMS:   keygenMS,
 		ClassifyMS: classifyMS,
 		Correct:    correct,

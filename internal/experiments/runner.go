@@ -34,7 +34,6 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 		Backend:          kind,
 		Scenario:         scenario,
 		Workers:          workers,
-		IntraOpWorkers:   cfg.IntraOp,
 		Seed:             cfg.Seed + 100,
 		DisableLevelPlan: cfg.NoLevelPlan,
 		MeasureNoise:     cfg.MeasureNoise,
@@ -52,10 +51,8 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 	return &copseRunner{cs: cs, sys: sys}, nil
 }
 
-// close releases the system's backend resources (the ring worker pool,
-// when IntraOp enabled one). Harness loops create one runner per case ×
-// configuration, so leaving pools attached would accumulate resident
-// goroutines across a full copse-bench run.
+// close stops the system's service (its batcher goroutines, when the
+// configuration has any).
 func (r *copseRunner) close() {
 	_ = r.sys.Service().Close()
 }

@@ -134,11 +134,6 @@ func shuffleCase(cs Case, backend string, cfg Config) (ShuffleCase, error) {
 	if err != nil {
 		return ShuffleCase{}, err
 	}
-	defer func() {
-		if c, ok := b.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}()
 	m, err := core.Prepare(b, compiled, true)
 	if err != nil {
 		return ShuffleCase{}, err

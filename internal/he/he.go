@@ -110,26 +110,20 @@ type LevelEncrypter interface {
 	EncodePlainAtLevel(vals []uint64, level int) (Plain, error)
 }
 
-// StageLimbHinter is an optional Backend capability implemented by
-// leveled schemes whose kernel layer can exploit a fixed limb count:
-// a model's op program knows each pipeline stage's exact level when it
-// is built, and hinting it lets the ring layer precompute its
-// per-op dispatch (worker pool, tile grain) once per stage instead of
-// per op. The hint is strictly advisory — operations at any other limb
-// count must behave identically — so results never depend on it.
+// StageLimbHinter was the capability through which the executor told
+// the ring layer's limb worker pool each stage's limb count.
+//
+// Deprecated: the pool is gone (DESIGN.md §9) and no backend implements
+// this; the name is kept only because bench/hetimer.go, which a change
+// that claims a gain may not edit, compiles against it.
 type StageLimbHinter interface {
-	// HintStageLimbs declares that upcoming operations run over exactly
-	// limbs active RNS limbs; limbs ≤ 0 clears the hint.
 	HintStageLimbs(limbs int)
 }
 
-// HintStageLimbs forwards a stage limb-count hint to backends with the
-// capability; a no-op elsewhere.
-func HintStageLimbs(b Backend, limbs int) {
-	if h, ok := b.(StageLimbHinter); ok {
-		h.HintStageLimbs(limbs)
-	}
-}
+// HintStageLimbs does nothing.
+//
+// Deprecated: see StageLimbHinter.
+func HintStageLimbs(Backend, int) {}
 
 // NoiseMeter is an optional Backend capability for reading the measured
 // decrypt-side noise budget of a ciphertext (requires the secret key).
@@ -391,13 +385,6 @@ func (c *CountingBackend) EncodePlainAtLevel(vals []uint64, level int) (Plain, e
 		return c.inner.EncodePlain(vals)
 	}
 	return le.EncodePlainAtLevel(vals, level)
-}
-
-// HintStageLimbs implements StageLimbHinter by forwarding to the inner
-// backend (a no-op when the capability is absent). Hints are
-// bookkeeping, not metered ops.
-func (c *CountingBackend) HintStageLimbs(limbs int) {
-	HintStageLimbs(c.inner, limbs)
 }
 
 // Name implements Backend.

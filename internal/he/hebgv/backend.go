@@ -58,10 +58,6 @@ type Config struct {
 	// composition ladder — stay at the top; rotations arriving above a
 	// leveled key fall back to the composed ladder path.
 	RotationStepLevels map[int]int
-	// IntraOpWorkers is the ring-layer limb parallelism (see
-	// bgv.Params.IntraOpWorkers); 0 or 1 is serial. Pools are released
-	// by Close.
-	IntraOpWorkers int
 	// Seed, when non-zero, makes key generation and encryption
 	// deterministic (tests and reproducible experiments only).
 	Seed uint64
@@ -71,9 +67,6 @@ type Config struct {
 // secret material (the two-party configurations of the paper share one
 // key pair between model and data owner).
 func New(cfg Config) (*Backend, error) {
-	if cfg.IntraOpWorkers > cfg.Params.IntraOpWorkers {
-		cfg.Params.IntraOpWorkers = cfg.IntraOpWorkers
-	}
 	params, err := bgv.NewParameters(cfg.Params)
 	if err != nil {
 		return nil, err
@@ -114,29 +107,6 @@ func New(cfg Config) (*Backend, error) {
 		sk:        sk,
 		pk:        pk,
 	}, nil
-}
-
-// Close releases the ring context's intra-op worker pool (a no-op when
-// the backend was built serial). The backend must not be used after
-// Close.
-func (b *Backend) Close() error {
-	b.params.RingCtx.CloseWorkers()
-	return nil
-}
-
-// IntraOpWorkers reports the ring-layer limb concurrency in effect
-// (1 = serial).
-func (b *Backend) IntraOpWorkers() int { return b.params.RingCtx.WorkerCount() }
-
-// HintStageLimbs implements he.StageLimbHinter: it installs the stage's
-// exact limb count as the ring context's advisory dispatch plan, so the
-// per-limb fan-out decision (pool, tile grain, cutoff) is made once per
-// pipeline stage instead of per ring op. The classify executor emits
-// the hints at stage transitions (core.Engine.ClassifyCtx); limbs ≤ 0
-// clears the plan. Advisory only — ops at other limb counts take the generic
-// dispatch path, so results never depend on the hint.
-func (b *Backend) HintStageLimbs(limbs int) {
-	b.params.RingCtx.SetStageLimbHint(limbs)
 }
 
 // KeyMaterial reports the in-memory evaluation-key bytes (relin plus

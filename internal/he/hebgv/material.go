@@ -55,11 +55,7 @@ func NewFromMaterial(cfg Config, m *Material) (*Backend, error) {
 	if m == nil || m.Public == nil {
 		return nil, fmt.Errorf("hebgv: material needs at least a public key")
 	}
-	p := m.Params
-	if cfg.IntraOpWorkers > p.IntraOpWorkers {
-		p.IntraOpWorkers = cfg.IntraOpWorkers
-	}
-	params, err := bgv.NewParameters(p)
+	params, err := bgv.NewParameters(m.Params)
 	if err != nil {
 		return nil, err
 	}

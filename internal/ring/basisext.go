@@ -223,7 +223,7 @@ func (ctx *Context) buildHybrid() error {
 
 // QP returns the view of the context over Q_level·P: its Moduli are
 // q_0..q_level followed by the special primes, and it shares the root's
-// worker pool, tuning and polynomial pools, so every row-wise method
+// tuning and polynomial pools, so every row-wise method
 // (NTT, MulCoeffsShoupAdd, samplers, GetPoly by row count…) works on
 // key-switching polynomials unchanged. A view has no CRT or switching
 // tables: reconstruction and ModSwitchDown belong to the root.
@@ -290,12 +290,8 @@ func (ctx *Context) DecomposeHybrid(p *Poly) []*Poly {
 		qp.Moduli[r].NTT(out)
 	}
 	total := len(digits) * rows
-	if ws, _ := ctx.limbWorkers(total, false); ws != nil {
-		ws.Run(total, task)
-	} else {
-		for tk := 0; tk < total; tk++ {
-			task(tk)
-		}
+	for tk := 0; tk < total; tk++ {
+		task(tk)
 	}
 	for _, v := range vs {
 		ctx.putRow(v)
@@ -323,20 +319,13 @@ func (ctx *Context) DivideByP(acc, out *Poly) {
 	defer ctx.putRow(v)
 	ctx.pConv.prepare(pRows, v[:ctx.N])
 
-	perPrime := func(i int) {
-		delta := ctx.getRow()
+	delta := ctx.getRow()
+	defer ctx.putRow(delta)
+	for i := 0; i <= level; i++ {
 		qi := ctx.Moduli[i]
 		ctx.pConv.target(i, pRows, v, delta[:ctx.N])
 		qi.NTT(delta)
 		rescaleRow(qi.Q, ctx.pInv.v[i], ctx.pInv.s[i], acc.Coeffs[i], delta, out.Coeffs[i])
-		ctx.putRow(delta)
-	}
-	if ws, _ := ctx.limbWorkers(level+1, false); ws != nil {
-		ws.Run(level+1, perPrime)
-	} else {
-		for i := 0; i <= level; i++ {
-			perPrime(i)
-		}
 	}
 	out.IsNTT = true
 }

@@ -317,13 +317,11 @@ func (ctx *Context) ModSwitchDown(p *Poly) {
 		}
 	}
 
-	// Each remaining prime's work — build δ mod q_i, forward-NTT it, and
-	// rescale p's residue row — is independent of every other prime's, so
-	// it fans out across the worker pool (each limb takes a private
-	// scratch row from the pool; rowPool is a sync.Pool and safe for
-	// concurrent use).
-	perPrime := func(i int) {
-		delta := ctx.getRow()
+	// Each remaining prime: build δ mod q_i, forward-NTT it, and rescale
+	// p's residue row.
+	delta := ctx.getRow()
+	defer ctx.putRow(delta)
+	for i := 0; i < l; i++ {
 		qi := ctx.Moduli[i].Q
 		tq, tqS, tql := ctx.tModQ.v[i], ctx.tModQ.s[i], tab.tq[i]
 		for j, u := range vu[:ctx.N] {
@@ -331,14 +329,6 @@ func (ctx *Context) ModSwitchDown(p *Poly) {
 		}
 		ctx.Moduli[i].NTT(delta)
 		rescaleRow(qi, tab.qInv.v[i], tab.qInv.s[i], p.Coeffs[i], delta, p.Coeffs[i])
-		ctx.putRow(delta)
-	}
-	if ws, _ := ctx.limbWorkers(l, false); ws != nil {
-		ws.Run(l, perPrime)
-	} else {
-		for i := 0; i < l; i++ {
-			perPrime(i)
-		}
 	}
 	p.Coeffs = p.Coeffs[:l]
 }

@@ -68,7 +68,7 @@ type Context struct {
 	pModQ     []uint64 // P mod q_i
 
 	// shared is the tuning and pooling state; the QP views of a context
-	// point at their root's, so a pool attached to the root serves them.
+	// point at their root's.
 	*shared
 }
 
@@ -82,45 +82,11 @@ type shared struct {
 	// element (AutomorphismNTT): uint64 element -> []uint32.
 	galois sync.Map
 
-	// workers is the optional intra-op pool fanning per-limb work across
-	// cores (workers.go). Atomic so attachment races with concurrent op
-	// traffic are safe; nil means every op runs its serial loop.
-	workers atomic.Pointer[Workers]
-
-	// pointwiseCutoff is the tunable parallelism threshold for pointwise
-	// ops (see SetPointwiseParCutoff); atomic for the same reason as
-	// workers. Zero is never stored (NewContext seeds the default).
-	pointwiseCutoff atomic.Int64
-
 	// vecRows routes eligible pointwise rows to the vector backend
 	// (vector.go); captured from the package default at construction,
 	// retunable via SetVectorKernels. The transform kernels carry their
 	// own per-Modulus selection.
 	vecRows atomic.Bool
-
-	// tileBytes is the cache-tiling target for the limb scheduler: Run
-	// fan-outs hand each worker round-robin tiles of
-	// ceil(tileBytes / rowBytes) limbs instead of one contiguous span,
-	// so the limb→worker assignment is stable across consecutive ops of
-	// a pass even as levels drop (workers.go). Zero is never stored.
-	tileBytes atomic.Int64
-
-	// limbHint is the advisory fixed-limb-count plan installed by
-	// SetStageLimbHint (the op program hints each stage's exact limb
-	// count); ops whose limb count matches skip the per-op dispatch
-	// decision. Never load-bearing: a mismatched hint falls back to the
-	// generic decision, so correctness cannot depend on it.
-	limbHint atomic.Pointer[limbPlan]
-}
-
-// limbPlan is a precomputed dispatch decision for one exact limb count:
-// the worker pool to fan to for transform-sized and pointwise ops (nil =
-// serial) and the tile grain. See SetStageLimbHint.
-type limbPlan struct {
-	m           int
-	transformWS *Workers
-	pointwiseWS *Workers
-	grain       int
 }
 
 // NewContext creates a ring context for degree n = 2^logN with the given
@@ -168,8 +134,6 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 		}
 		ctx.special = append(ctx.special, m)
 	}
-	ctx.pointwiseCutoff.Store(DefaultPointwiseParCutoff)
-	ctx.tileBytes.Store(DefaultTileBytes)
 	ctx.vecRows.Store(vectorDefault.Load())
 	ctx.buildCRT()
 	ctx.buildModDown()
@@ -202,135 +166,6 @@ func (ctx *Context) SetVectorKernels(on bool) {
 // vector backend.
 func (ctx *Context) VectorKernels() bool { return ctx.vecRows.Load() }
 
-// SetWorkers attaches an intra-op worker pool: NTTs, key-switch inner
-// products, modulus switches and (above a size cutoff) pointwise ops run
-// their per-limb loops on the pool instead of serially. nil detaches.
-// Results are bit-identical either way (each limb writes only its own
-// row). Safe to call concurrently with op traffic.
-func (ctx *Context) SetWorkers(ws *Workers) { ctx.workers.Store(ws) }
-
-// WorkerCount reports the attached pool's concurrency (1 = serial).
-func (ctx *Context) WorkerCount() int { return ctx.workers.Load().Size() }
-
-// CloseWorkers detaches and closes the attached pool, releasing its
-// resident goroutines; it blocks until in-flight fan-outs drain (ops
-// racing the close fall back to their serial loops). A no-op when no
-// pool is attached.
-func (ctx *Context) CloseWorkers() {
-	if ws := ctx.workers.Swap(nil); ws != nil {
-		ws.Close()
-	}
-}
-
-// DefaultPointwiseParCutoff is the default total element count
-// (limbs × N) below which pointwise ops stay on the serial path: the
-// small back-half ops of a level-scheduled pipeline (2 limbs at N=2048)
-// finish faster than a dispatch round-trip. Tune per host with
-// SetPointwiseParCutoff.
-const DefaultPointwiseParCutoff = 1 << 14
-
-// SetPointwiseParCutoff tunes the pointwise-parallelism threshold: ops
-// touching fewer than n total elements (limbs × N) run their serial
-// loop even with a worker pool attached. 1 (or any n ≤ N) parallelizes
-// every multi-limb pointwise op; a huge n pins them all serial (the
-// transform-sized ops — NTT, modulus switch, decompose — always
-// parallelize and are not governed by this knob). Results are
-// bit-identical at any cutoff; this trades dispatch overhead against
-// fan-out, so the right value is a per-host measurement. Safe to call
-// concurrently with op traffic; n ≤ 0 restores the default.
-func (ctx *Context) SetPointwiseParCutoff(n int) {
-	if n <= 0 {
-		n = DefaultPointwiseParCutoff
-	}
-	ctx.pointwiseCutoff.Store(int64(n))
-}
-
-// PointwiseParCutoff reports the active pointwise-parallelism threshold.
-func (ctx *Context) PointwiseParCutoff() int { return int(ctx.pointwiseCutoff.Load()) }
-
-// DefaultTileBytes is the default cache-tiling target: tiles are sized
-// so one tile's rows (~8·N bytes each) fit a mid-size L2 slice, keeping
-// a limb's working set resident on the worker that owns it across the
-// fused passes of consecutive ops. At Security128 (N=32768, 256 KiB per
-// row) this yields 4-limb tiles; tune per host with SetTileBytes.
-const DefaultTileBytes = 1 << 20
-
-// SetTileBytes tunes the cache-tiling target for limb fan-outs; n ≤ 0
-// restores the default. Results are bit-identical at any tile size (the
-// scheduler executes every index exactly once; only the limb→worker
-// placement changes). Safe to call concurrently with op traffic.
-func (ctx *Context) SetTileBytes(n int) {
-	if n <= 0 {
-		n = DefaultTileBytes
-	}
-	ctx.tileBytes.Store(int64(n))
-}
-
-// TileBytes reports the active cache-tiling target.
-func (ctx *Context) TileBytes() int { return int(ctx.tileBytes.Load()) }
-
-// tileGrain is the number of limbs per scheduler tile: enough rows to
-// fill the tile-bytes target, at least one. Independent of the limb
-// count of any particular op, which is what makes the round-robin
-// tile→worker assignment stable across the ops of a pass (workers.go).
-func (ctx *Context) tileGrain() int {
-	g := int(ctx.tileBytes.Load()) / (8 * ctx.N)
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
-// SetStageLimbHint installs an advisory dispatch plan for ops over
-// exactly m limbs: the per-op pool/cutoff/grain decision is precomputed
-// once, and ops whose limb count matches use it directly. The classify
-// executor hints each pipeline stage's exact limb count
-// (he.HintStageLimbs); m ≤ 0 clears the hint. The hint is advisory —
-// ops at any other limb count take the generic decision path — so a
-// stale or concurrent hint can never change results, only dispatch cost.
-func (ctx *Context) SetStageLimbHint(m int) {
-	if m <= 0 {
-		ctx.limbHint.Store(nil)
-		return
-	}
-	plan := &limbPlan{m: m, grain: ctx.tileGrain()}
-	if m > 1 {
-		ws := ctx.workers.Load()
-		plan.transformWS = ws
-		if int64(m*ctx.N) >= ctx.pointwiseCutoff.Load() {
-			plan.pointwiseWS = ws
-		}
-	}
-	ctx.limbHint.Store(plan)
-}
-
-// StageLimbHint reports the installed hint's limb count (0 = none).
-func (ctx *Context) StageLimbHint() int {
-	if p := ctx.limbHint.Load(); p != nil {
-		return p.m
-	}
-	return 0
-}
-
-// limbWorkers returns the pool to fan m limbs across (nil = serial) and
-// the tile grain for the fan-out. Pointwise ops (a few ns per element)
-// additionally require the total element count to clear the pointwise
-// cutoff; the transform-sized ops (NTT, modulus switch, decompose)
-// parallelize whenever more than one limb is active. A matching stage
-// limb hint short-circuits the whole decision.
-func (ctx *Context) limbWorkers(m int, pointwise bool) (*Workers, int) {
-	if p := ctx.limbHint.Load(); p != nil && p.m == m {
-		if pointwise {
-			return p.pointwiseWS, p.grain
-		}
-		return p.transformWS, p.grain
-	}
-	if m <= 1 || (pointwise && int64(m*ctx.N) < ctx.pointwiseCutoff.Load()) {
-		return nil, 1
-	}
-	return ctx.workers.Load(), ctx.tileGrain()
-}
-
 // MaxLevel returns the highest level supported by the chain.
 func (ctx *Context) MaxLevel() int { return len(ctx.Moduli) - 1 }
 
@@ -343,36 +178,26 @@ func (ctx *Context) NewPoly(level int) *Poly {
 	return p
 }
 
-// NTT converts p to evaluation domain in place, transforming limbs
-// concurrently when a worker pool is attached.
+// NTT converts p to evaluation domain in place.
 func (ctx *Context) NTT(p *Poly) {
 	if p.IsNTT {
 		panic("ring: NTT of a poly already in NTT domain")
 	}
 	m := len(p.Coeffs)
-	if ws, grain := ctx.limbWorkers(m, false); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { ctx.Moduli[i].NTT(p.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			ctx.Moduli[i].NTT(p.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		ctx.Moduli[i].NTT(p.Coeffs[i])
 	}
 	p.IsNTT = true
 }
 
-// INTT converts p to coefficient domain in place, transforming limbs
-// concurrently when a worker pool is attached.
+// INTT converts p to coefficient domain in place.
 func (ctx *Context) INTT(p *Poly) {
 	if !p.IsNTT {
 		panic("ring: INTT of a poly already in coefficient domain")
 	}
 	m := len(p.Coeffs)
-	if ws, grain := ctx.limbWorkers(m, false); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { ctx.Moduli[i].INTT(p.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			ctx.Moduli[i].INTT(p.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		ctx.Moduli[i].INTT(p.Coeffs[i])
 	}
 	p.IsNTT = false
 }
@@ -485,12 +310,8 @@ func mulScalarRow(vec bool, q, c, cs uint64, a, out []uint64) {
 func (ctx *Context) Add(a, b, out *Poly) {
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { addRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			addRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		addRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -499,12 +320,8 @@ func (ctx *Context) Add(a, b, out *Poly) {
 func (ctx *Context) Sub(a, b, out *Poly) {
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { subRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			subRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		subRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -513,12 +330,8 @@ func (ctx *Context) Sub(a, b, out *Poly) {
 func (ctx *Context) Neg(a, out *Poly) {
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { negRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			negRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		negRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -531,12 +344,8 @@ func (ctx *Context) MulCoeffs(a, b, out *Poly) {
 	}
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { mulRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			mulRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		mulRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -548,12 +357,8 @@ func (ctx *Context) MulCoeffsAdd(a, b, out *Poly) {
 	}
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) { mulAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]) })
-	} else {
-		for i := 0; i < m; i++ {
-			mulAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		mulAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -592,14 +397,8 @@ func (ctx *Context) MulCoeffsShoupAdd(a, b *Poly, bs *PolyShoup, out *Poly) {
 	}
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) {
-			mulShoupAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
-		})
-	} else {
-		for i := 0; i < m; i++ {
-			mulShoupAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		mulShoupAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -608,18 +407,10 @@ func (ctx *Context) MulCoeffsShoupAdd(a, b *Poly, bs *PolyShoup, out *Poly) {
 func (ctx *Context) MulScalar(a *Poly, c uint64, out *Poly) {
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) {
-			q := ctx.Moduli[i].Q
-			cq := c % q
-			mulScalarRow(vec, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
-		})
-	} else {
-		for i := 0; i < m; i++ {
-			q := ctx.Moduli[i].Q
-			cq := c % q
-			mulScalarRow(vec, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		q := ctx.Moduli[i].Q
+		cq := c % q
+		mulScalarRow(vec, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }

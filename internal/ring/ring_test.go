@@ -3,6 +3,7 @@ package ring
 import (
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -413,4 +414,57 @@ func TestSamplerDistributions(t *testing.T) {
 	if !diff {
 		t.Error("different seeds produced identical polys")
 	}
+}
+
+// TestFusedNTTMatchesGeneric pins the fused radix-4-style kernels to the
+// reference layer-at-a-time sweeps across transform sizes.
+func TestFusedNTTMatchesGeneric(t *testing.T) {
+	for _, logN := range []int{4, 5, 6, 8, 11, 13} {
+		n := 1 << logN
+		primes, err := GeneratePrimes(55, uint64(2*n), 1)
+		if err != nil {
+			t.Fatalf("GeneratePrimes(logN=%d): %v", logN, err)
+		}
+		m, err := NewModulus(primes[0], n)
+		if err != nil {
+			t.Fatalf("NewModulus(logN=%d): %v", logN, err)
+		}
+		a := make([]uint64, n)
+		for j := range a {
+			a[j] = (uint64(j)*0x9e3779b97f4a7c15 + 12345) % m.Q
+		}
+		fused := append([]uint64(nil), a...)
+		generic := append([]uint64(nil), a...)
+		m.NTT(fused)
+		m.NTTGeneric(generic)
+		for j := range fused {
+			if fused[j] != generic[j] {
+				t.Fatalf("logN=%d: fused NTT differs from generic at %d", logN, j)
+			}
+		}
+		m.INTT(fused)
+		m.INTTGeneric(generic)
+		for j := range fused {
+			if fused[j] != generic[j] {
+				t.Fatalf("logN=%d: fused INTT differs from generic at %d", logN, j)
+			}
+			if fused[j] != a[j] {
+				t.Fatalf("logN=%d: NTT/INTT roundtrip broke at %d", logN, j)
+			}
+		}
+	}
+}
+
+// TestWorkersRunCoverage checks the span partition covers every index
+
+func polysEqual(a, b *Poly) bool {
+	if len(a.Coeffs) != len(b.Coeffs) || a.IsNTT != b.IsNTT {
+		return false
+	}
+	for i := range a.Coeffs {
+		if !slices.Equal(a.Coeffs[i], b.Coeffs[i]) {
+			return false
+		}
+	}
+	return true
 }

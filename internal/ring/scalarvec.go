@@ -6,16 +6,9 @@ package ring
 func (ctx *Context) MulScalarVec(a *Poly, c []uint64, out *Poly) {
 	m := len(out.Coeffs)
 	vec := ctx.vecRows.Load()
-	if ws, grain := ctx.limbWorkers(m, true); ws != nil {
-		ws.RunTiled(m, grain, func(i int) {
-			q := ctx.Moduli[i].Q
-			mulScalarRow(vec, q, c[i], ShoupPrecomp(c[i], q), a.Coeffs[i], out.Coeffs[i])
-		})
-	} else {
-		for i := 0; i < m; i++ {
-			q := ctx.Moduli[i].Q
-			mulScalarRow(vec, q, c[i], ShoupPrecomp(c[i], q), a.Coeffs[i], out.Coeffs[i])
-		}
+	for i := 0; i < m; i++ {
+		q := ctx.Moduli[i].Q
+		mulScalarRow(vec, q, c[i], ShoupPrecomp(c[i], q), a.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }

@@ -135,9 +135,9 @@ func TestProgramMatchesForestBGV(t *testing.T) {
 }
 
 // TestSpecializedConcurrentClassify hammers one service from many
-// goroutines: the per-classify register pool and the parallel block
-// segments of the op program must stay race-free and bit-exact. Part of
-// the CI -race job's named list.
+// goroutines, each pass on the default GOMAXPROCS workers: the pooled
+// per-pass scratch and the passes' ready queues must stay race-free and
+// bit-exact. Part of the CI -race job's named list.
 func TestSpecializedConcurrentClassify(t *testing.T) {
 	f := copse.ExampleForest()
 	svc := exampleService(t, 64, copse.BackendClear, copse.ScenarioOffload, false)

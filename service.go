@@ -64,6 +64,11 @@ type Service struct {
 	inFlight  atomic.Int64
 	queueNS   atomic.Int64
 	latencyNS atomic.Int64
+	// Op run time summed over workers, and stage wall time, of every
+	// finished pass: their ratio over the worker count is the
+	// utilisation Stats reports.
+	busyNS  atomic.Int64
+	stageNS atomic.Int64
 
 	// Resilience counters (DESIGN.md §15). queued tracks calls waiting
 	// for an in-flight slot (the shed-queue depth); the others are
@@ -95,7 +100,6 @@ type serviceConfig struct {
 	scenario         Scenario
 	security         SecurityPreset
 	workers          int
-	intraOpWorkers   int
 	noVectorKernels  bool
 	maxInFlight      int
 	levels           int
@@ -122,21 +126,10 @@ func WithScenario(s Scenario) Option { return func(c *serviceConfig) { c.scenari
 // WithSecurity selects the BGV parameter preset (default SecurityTest).
 func WithSecurity(p SecurityPreset) Option { return func(c *serviceConfig) { c.security = p } }
 
-// WithWorkers sets the intra-query parallelism of each classification
-// (the paper's multithreaded mode); 0 or 1 means single-threaded.
+// WithWorkers sets the number of goroutines each classification pass
+// runs its ops on (the paper's multithreaded mode): 0 = GOMAXPROCS (the
+// default), 1 = sequential. Results are bit-identical at any count.
 func WithWorkers(n int) Option { return func(c *serviceConfig) { c.workers = n } }
-
-// WithIntraOpWorkers sets the ring-layer limb parallelism of the BGV
-// backend: every NTT, key switch and modulus switch fans its RNS limbs
-// across an n-way worker pool (results are bit-identical to serial).
-// The default (0) derives n from a shared core budget — query workers ×
-// in-flight passes × limb workers ≤ NumCPU, so the service's layered
-// parallelism does not oversubscribe the host (with no WithMaxInFlight
-// cap the budget assumes one pass at a time) — which on a machine
-// without spare cores per worker means serial. 1 forces serial; n ≥ 2
-// is used as given (explicit oversubscription is allowed, e.g. for
-// tests). The clear backend has no ring layer and ignores this option.
-func WithIntraOpWorkers(n int) Option { return func(c *serviceConfig) { c.intraOpWorkers = n } }
 
 // WithVectorKernels controls the ring layer's vectorized (SIMD) NTT and
 // pointwise kernels on the BGV backend. They are on by default wherever
@@ -219,6 +212,9 @@ func NewService(opts ...Option) *Service {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
 	s := &Service{
 		cfg:         cfg,
 		models:      map[string]*servedModel{},
@@ -266,7 +262,6 @@ func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
 			return nil, fmt.Errorf("copse: model staged for %d slots but preset provides %d; recompile with Slots=%d",
 				c.Meta.Slots, slots, slots)
 		}
-		params.IntraOpWorkers = s.intraOpBudget()
 		params.DisableVectorKernels = s.cfg.noVectorKernels
 		// Galois-key level budget: steps the level plan proves are only
 		// rotated in the scheduled-down back half get their keys
@@ -290,28 +285,9 @@ func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
 	return nil, fmt.Errorf("copse: unknown backend kind %d", s.cfg.backend)
 }
 
-// intraOpBudget resolves WithIntraOpWorkers against the shared core
-// budget: an explicit setting wins (1 = serial), the default splits
-// NumCPU across the concurrency the service itself creates — intra-
-// query stage workers times the in-flight pass cap — so the layered
-// parallelism does not oversubscribe the host. With no in-flight cap
-// the budget assumes one pass at a time; servers expecting sustained
-// concurrent passes should set WithMaxInFlight (or an explicit
-// intra-op count) to keep the product bounded.
-func (s *Service) intraOpBudget() int {
-	n := s.cfg.intraOpWorkers
-	if n == 0 {
-		n = runtime.NumCPU() / (max(s.cfg.workers, 1) * max(s.cfg.maxInFlight, 1))
-	}
-	if n < 2 {
-		return 0 // serial: no pool
-	}
-	return n
-}
-
-// Close releases backend resources (the ring-layer worker pool) and
-// stops every dynamic-batcher goroutine, failing any callers still
-// lingering in a forming batch; the service must not be used
+// Close stops every dynamic-batcher goroutine, failing any callers
+// still lingering in a forming batch, and closes a backend that has a
+// Close method (WithExternalBackend); the service must not be used
 // afterwards. Safe to call on a service that never registered a model,
 // and idempotent.
 func (s *Service) Close() error {
@@ -585,6 +561,11 @@ func addTrace(dst, src *Trace) {
 	dst.Accumulate += src.Accumulate
 	dst.Shuffle += src.Shuffle
 	dst.Total += src.Total
+	dst.CompareBusy += src.CompareBusy
+	dst.ReshuffleBusy += src.ReshuffleBusy
+	dst.LevelsBusy += src.LevelsBusy
+	dst.AccumulateBusy += src.AccumulateBusy
+	dst.Workers = src.Workers
 	dst.CompareOps = dst.CompareOps.Plus(src.CompareOps)
 	dst.ReshuffleOps = dst.ReshuffleOps.Plus(src.ReshuffleOps)
 	dst.LevelOps = dst.LevelOps.Plus(src.LevelOps)
@@ -649,6 +630,8 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSe
 		s.failures.Add(1)
 		return nil, nil, err
 	}
+	s.busyNS.Add(int64(trace.Busy()))
+	s.stageNS.Add(int64(trace.StageTime()))
 	return &EncryptedResult{segs: []resultSeg{{op: op, batch: max(q.Batch, 1), codebooks: codebooks}}}, trace, nil
 }
 
@@ -744,14 +727,13 @@ func (s *Service) retryAfter(m *servedModel) time.Duration {
 
 // shufflePass applies the per-pass result shuffle: one block-diagonal
 // permutation pass over every packed query, at the model's scheduled
-// shuffle level, under the same stage-worker budget as the pipeline
-// (the ring layer's intra-op pool applies through the shared backend).
+// shuffle level, on the same number of workers as the pipeline.
 // Each pass gets a fresh seed, so no two passes share permutations;
 // WithSeed makes the seeds deterministic for tests.
 func (s *Service) shufflePass(backend he.Backend, m *servedModel, op he.Operand, batch int, seed uint64, trace *core.Trace) (he.Operand, []*core.ShuffledCodebook, error) {
 	mark := time.Now()
 	counting := he.WithCounts(backend)
-	shuffled, codebooks, err := core.ShuffleResultBatch(counting, &m.operands.Meta, op, batch, 0, seed, max(s.cfg.workers, 1))
+	shuffled, codebooks, err := core.ShuffleResultBatch(counting, &m.operands.Meta, op, batch, 0, seed, s.cfg.workers)
 	if err != nil {
 		return he.Operand{}, nil, fmt.Errorf("copse: result shuffle: %w", err)
 	}
@@ -951,6 +933,13 @@ type ServiceStats struct {
 	// Latency is the cumulative classification time (excluding queue
 	// wait); Latency/Requests is the mean per-pass latency.
 	Latency time.Duration
+	// Workers is the number of goroutines each pass runs its ops on
+	// (WithWorkers, resolved). Busy is the op run time of every finished
+	// pass summed over those workers and StageTime the passes' pipeline
+	// wall time, so Busy ÷ (StageTime × Workers) — Utilisation — is the
+	// share of its cores the service kept busy while classifying.
+	Workers         int
+	Busy, StageTime time.Duration
 
 	// BatcherPasses counts coalesced passes fired by the dynamic
 	// batcher (WithBatchWindow); they are also included in Requests.
@@ -987,6 +976,15 @@ func (st ServiceStats) MeanLatency() time.Duration {
 	return st.Latency / time.Duration(st.Requests)
 }
 
+// Utilisation is Busy ÷ (StageTime × Workers): 1 when every worker ran
+// ops for the whole of every pass, 0 before the first pass.
+func (st ServiceStats) Utilisation() float64 {
+	if st.StageTime <= 0 || st.Workers <= 0 {
+		return 0
+	}
+	return float64(st.Busy) / (float64(st.StageTime) * float64(st.Workers))
+}
+
 // MeanQueueWait returns the mean per-pass queue wait.
 func (st ServiceStats) MeanQueueWait() time.Duration {
 	if st.Requests == 0 {
@@ -1017,6 +1015,9 @@ func (s *Service) Stats() ServiceStats {
 		DeadlineRejects:  s.deadlineRejects.Load(),
 		PanicsRecovered:  s.panicsRecovered.Load(),
 		Latency:          time.Duration(s.latencyNS.Load()),
+		Workers:          s.cfg.workers,
+		Busy:             time.Duration(s.busyNS.Load()),
+		StageTime:        time.Duration(s.stageNS.Load()),
 		BatcherPasses:    s.aggPasses.Load(),
 		CoalescedQueries: s.aggQueries.Load(),
 		BatchWait:        time.Duration(s.aggWaitNS.Load()),

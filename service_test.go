@@ -327,41 +327,6 @@ func TestServiceConcurrentClassifyBGV(t *testing.T) {
 	concurrentStress(t, forest, svc, 4, 2)
 }
 
-// TestServiceConcurrentClassifyIntraOp layers both parallelism levels:
-// concurrent Classify goroutines (Service workers) over a backend whose
-// ring context fans every op's limbs across an intra-op worker pool.
-// The pool is explicitly oversubscribed relative to the host so the
-// sharded dispatch, the per-limb closures and the pooled scratch rows
-// are all exercised under -race; results must still match the
-// plaintext walk on both backends (the clear backend ignores the
-// option).
-func TestServiceConcurrentClassifyIntraOp(t *testing.T) {
-	forest := copse.ExampleForest()
-	c, err := copse.Compile(forest, copse.CompileOptions{Slots: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range []copse.BackendKind{copse.BackendClear, copse.BackendBGV} {
-		if backend == copse.BackendBGV && testing.Short() {
-			continue
-		}
-		svc := copse.NewService(
-			copse.WithBackend(backend),
-			copse.WithSecurity(copse.SecurityTest),
-			copse.WithWorkers(2),
-			copse.WithIntraOpWorkers(3),
-			copse.WithSeed(23),
-		)
-		if err := svc.Register("m", c); err != nil {
-			t.Fatal(err)
-		}
-		concurrentStress(t, forest, svc, 3, 2)
-		if err := svc.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}
-}
-
 // TestServiceShuffledServing: the WithShuffle path end to end on the
 // clear backend — per-query codebooks, vote counts matching the
 // plaintext walk, per-tree labels hidden, fresh permutations per pass.
