@@ -32,18 +32,27 @@ func (ev *Evaluator) ksNoiseBits(level int) float64 {
 	return KeySwitchNoiseBits(ev.params.LogN, bitsOf(ev.params.T), level)
 }
 
+// switchedNoise is the noise estimate after a modulus switch that drops
+// `primes` primes: each takes PrimeBits off, down to the switch floor.
+func (ev *Evaluator) switchedNoise(noise float64, primes int) float64 {
+	return math.Max(noise-float64(primes*ev.params.PrimeBits), ev.msFloorBits())
+}
+
 // manage drops levels while the noise estimate gets too close to the
 // current modulus, mirroring HElib's automatic modulus switching. The
 // policy is lazy: it only switches when the decryption margin is at risk,
 // because key-switching operations (rotations, relinearization) need a
 // modulus comfortably above the key-switch noise and so benefit from
-// staying at higher levels.
+// staying at higher levels. However many primes have to go, they go in
+// one rounding.
 func (ev *Evaluator) manage(ct *Ciphertext) error {
 	margin := float64(bitsOf(ev.params.T)) + 10
-	for ct.Level() > 0 && ct.NoiseBits > float64(ev.params.QBits(ct.Level()))-margin {
-		if err := ev.ModSwitch(ct); err != nil {
-			return err
-		}
+	level, noise := ct.Level(), ct.NoiseBits
+	for level > 0 && noise > float64(ev.params.QBits(level))-margin {
+		level, noise = level-1, ev.switchedNoise(noise, 1)
+	}
+	if err := ev.DropToLevel(ct, level); err != nil {
+		return err
 	}
 	if ct.NoiseBits > float64(ev.params.QBits(ct.Level()))-float64(bitsOf(ev.params.T))-2 {
 		return fmt.Errorf("bgv: noise estimate %.0f bits exceeds modulus at level %d: %w",
@@ -52,34 +61,36 @@ func (ev *Evaluator) manage(ct *Ciphertext) error {
 	return nil
 }
 
+// atLevel returns ct at the given level: ct itself when it is already
+// there, otherwise a switched-down temporary the caller hands back with
+// release once the operation that needed it is done.
+func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
+	if ct.Level() == level {
+		return ct
+	}
+	return ev.switchedDown(ct, level)
+}
+
+// release returns the temporary atLevel made of ct, if it made one, to
+// the ring pool.
+func (ev *Evaluator) release(tmp, ct *Ciphertext) {
+	if tmp != ct {
+		ev.params.RingCtx.PutPolys(tmp.C)
+	}
+}
+
 // alignLevels switches the higher-level operand down so both share a
-// level, returning (possibly shallow-copied) aligned ciphertexts.
-func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext, error) {
-	for a.Level() > b.Level() {
-		a = a.Copy()
-		for a.Level() > b.Level() {
-			if err := ev.ModSwitch(a); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for b.Level() > a.Level() {
-		b = b.Copy()
-		for b.Level() > a.Level() {
-			if err := ev.ModSwitch(b); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return a, b, nil
+// level, returning the aligned pair (see atLevel).
+func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
+	level := min(a.Level(), b.Level())
+	return ev.atLevel(a, level), ev.atLevel(b, level)
 }
 
 // Add returns a + b.
-func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	a, b, err := ev.alignLevels(a, b)
-	if err != nil {
-		return nil, err
-	}
+func (ev *Evaluator) Add(x, y *Ciphertext) (*Ciphertext, error) {
+	a, b := ev.alignLevels(x, y)
+	defer ev.release(a, x)
+	defer ev.release(b, y)
 	ctx := ev.params.RingCtx
 	level := a.Level()
 	out := &Ciphertext{NoiseBits: math.Max(a.NoiseBits, b.NoiseBits) + 1}
@@ -100,11 +111,10 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 }
 
 // Sub returns a - b, subtracting coefficient-wise in one pass.
-func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	a, b, err := ev.alignLevels(a, b)
-	if err != nil {
-		return nil, err
-	}
+func (ev *Evaluator) Sub(x, y *Ciphertext) (*Ciphertext, error) {
+	a, b := ev.alignLevels(x, y)
+	defer ev.release(a, x)
+	defer ev.release(b, y)
 	ctx := ev.params.RingCtx
 	level := a.Level()
 	out := &Ciphertext{NoiseBits: math.Max(a.NoiseBits, b.NoiseBits) + 1}
@@ -181,50 +191,39 @@ func (ev *Evaluator) MulScalar(a *Ciphertext, c uint64) (*Ciphertext, error) {
 	return out, ev.manage(out)
 }
 
-// tensorProduct computes the degree-2 tensor (d0, d1, d2) of a·b after
+// tensorProduct computes the degree-2 tensor (d0, d1, d2) of x·y after
 // the BGV switch-down discipline (drop levels first so the tensor noise,
-// the product of the operand noises, stays small).
-func (ev *Evaluator) tensorProduct(a, b *Ciphertext) (*Ciphertext, error) {
-	if len(a.C) != 2 || len(b.C) != 2 {
+// the product of the operand noises, stays small): the operands are
+// aligned, x is cooled while it sits a whole prime above the switch
+// floor, and y follows it down. The level all of that ends at is worked
+// out on the estimates first, so each operand is rounded at most once.
+func (ev *Evaluator) tensorProduct(x, y *Ciphertext) (*Ciphertext, error) {
+	if len(x.C) != 2 || len(y.C) != 2 {
 		return nil, fmt.Errorf("bgv: Mul requires degree-1 ciphertexts")
 	}
-	a, b, err := ev.alignLevels(a, b)
-	if err != nil {
-		return nil, err
+	level, noise := x.Level(), x.NoiseBits
+	if y.Level() < level {
+		level, noise = y.Level(), ev.switchedNoise(noise, level-y.Level())
 	}
-	// Copy an operand once, before its first switch, and switch the copy
-	// in place from then on (as alignLevels does).
-	hot := func(ct *Ciphertext) bool {
-		return ct.Level() > 0 && ct.NoiseBits >= ev.msFloorBits()+float64(ev.params.PrimeBits)
+	for level > 0 && noise >= ev.msFloorBits()+float64(ev.params.PrimeBits) {
+		level, noise = level-1, ev.switchedNoise(noise, 1)
 	}
-	if hot(a) {
-		a = a.Copy()
-		for hot(a) {
-			if err := ev.ModSwitch(a); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if b.Level() > a.Level() {
-		b = b.Copy()
-		if err := ev.DropToLevel(b, a.Level()); err != nil {
-			return nil, err
-		}
-	}
-	ctx := ev.params.RingCtx
-	level := a.Level()
 	if level == 0 {
 		return nil, errNotEnoughLevels
 	}
+	a, b := ev.atLevel(x, level), ev.atLevel(y, level)
+	defer ev.release(a, x)
+	defer ev.release(b, y)
+	ctx := ev.params.RingCtx
 
-	d0 := ctx.NewPoly(level)
+	d0 := ctx.GetPoly(level)
 	ctx.MulCoeffs(a.C[0], b.C[0], d0)
-	d1 := ctx.NewPoly(level)
+	d1 := ctx.GetPoly(level)
 	tmp := ctx.GetPoly(level)
 	ctx.MulCoeffs(a.C[0], b.C[1], d1)
 	ctx.MulCoeffs(a.C[1], b.C[0], tmp)
 	ctx.Add(d1, tmp, d1)
-	d2 := ctx.NewPoly(level)
+	d2 := ctx.GetPoly(level)
 	ctx.MulCoeffs(a.C[1], b.C[1], d2)
 	ctx.PutPoly(tmp)
 
@@ -256,8 +255,10 @@ func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) (*Ciphertext, error) {
 	return out, ev.manage(out)
 }
 
-// Relinearize reduces a degree-2 ciphertext back to degree 1 and
-// modulus-switches. Degree-1 inputs pass through unchanged.
+// Relinearize reduces a degree-2 ciphertext back to degree 1 one level
+// down: the modulus switch that follows the key switch is folded into
+// the key switch's own rounding, which divides P·(c0, c1) + Σ digit·key
+// by P·q_ℓ at once. Degree-1 inputs pass through unchanged.
 func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if len(ct.C) == 2 {
 		return ct, nil
@@ -268,45 +269,51 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if ev.keys == nil || ev.keys.Relin == nil {
 		return nil, fmt.Errorf("bgv: Mul requires a relinearization key")
 	}
-	ctx := ev.params.RingCtx
 	level := ct.Level()
+	if level == 0 {
+		return nil, errNotEnoughLevels
+	}
+	ctx := ev.params.RingCtx
 
 	digits := ctx.DecomposeHybrid(ct.C[2])
-	d0, d1 := ctx.NewPoly(level), ctx.NewPoly(level)
-	ev.keySwitch(digits, ev.keys.Relin, level, d0, d1)
+	acc0, acc1 := ev.keySwitch(digits, ev.keys.Relin, level, ct.C[0], ct.C[1])
 	ctx.PutPolys(digits)
-	ctx.Add(ct.C[0], d0, d0)
-	ctx.Add(ct.C[1], d1, d1)
+	d0, d1 := ctx.GetPoly(level-1), ctx.GetPoly(level-1)
+	ctx.DivideByPQ(acc0, d0)
+	ctx.DivideByPQ(acc1, d1)
+	ctx.QP(level).PutPolys([]*ring.Poly{acc0, acc1})
 
 	out := &Ciphertext{C: []*ring.Poly{d0, d1}}
-	out.NoiseBits = math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1
-	if err := ev.ModSwitch(out); err != nil {
-		return nil, err
-	}
+	out.NoiseBits = ev.switchedNoise(math.Max(ct.NoiseBits, ev.ksNoiseBits(level))+1, 1)
 	return out, ev.manage(out)
 }
 
-// keySwitch computes (Σ_j digit_j ⊙ key_j)/P into (out0, out1), all in
-// NTT domain, from the extended digits of the polynomial being switched
-// (ring.DecomposeHybrid). The key is accessed through its
-// level-truncated view, so a switch at a scheduled-down level runs over
-// exactly the digits and limbs that level needs.
-func (ev *Evaluator) keySwitch(digits []*ring.Poly, key *SwitchingKey, level int, out0, out1 *ring.Poly) {
+// keySwitch returns the accumulators (P·c0 + Σ_j digit_j ⊙ B_j,
+// P·c1 + Σ_j digit_j ⊙ A_j) over Q_level·P, in NTT domain, from the
+// extended digits of the polynomial being switched
+// (ring.DecomposeHybrid); a nil c1 stands for zero. Dividing them by P
+// adds the switched polynomial to (c0, c1). The key is accessed through
+// its level-truncated view, so a switch at a scheduled-down level runs
+// over exactly the digits and limbs that level needs. The caller returns
+// the accumulators to the QP pool.
+func (ev *Evaluator) keySwitch(digits []*ring.Poly, key *SwitchingKey, level int, c0, c1 *ring.Poly) (acc0, acc1 *ring.Poly) {
 	ctx := ev.params.RingCtx
 	qp := ctx.QP(level)
 	key = key.AtLevel(level)
-	acc0 := qp.GetPolyZero(qp.MaxLevel())
-	acc0.IsNTT = true
-	acc1 := qp.GetPolyZero(qp.MaxLevel())
-	acc1.IsNTT = true
+	acc0 = qp.GetPoly(qp.MaxLevel())
+	ctx.MulByP(c0, acc0)
+	if c1 != nil {
+		acc1 = qp.GetPoly(qp.MaxLevel())
+		ctx.MulByP(c1, acc1)
+	} else {
+		acc1 = qp.GetPolyZero(qp.MaxLevel())
+		acc1.IsNTT = true
+	}
 	for j, dig := range digits {
 		qp.MulCoeffsShoupAdd(dig, key.B[j], key.BS[j], acc0)
 		qp.MulCoeffsShoupAdd(dig, key.A[j], key.AS[j], acc1)
 	}
-	ctx.DivideByP(acc0, out0)
-	ctx.DivideByP(acc1, out1)
-	qp.PutPoly(acc0)
-	qp.PutPoly(acc1)
+	return acc0, acc1
 }
 
 // ModSwitch drops one prime from ct's modulus chain in place, reducing
@@ -319,17 +326,46 @@ func (ev *Evaluator) ModSwitch(ct *Ciphertext) error {
 	for _, c := range ct.C {
 		ctx.ModSwitchDown(c)
 	}
-	ct.NoiseBits = math.Max(ct.NoiseBits-float64(ev.params.PrimeBits), ev.msFloorBits())
+	ct.NoiseBits = ev.switchedNoise(ct.NoiseBits, 1)
 	return nil
+}
+
+// switchedDown returns ct switched down to a level below its own as a
+// new ciphertext from the ring pool: every prime in between goes in one
+// rounding per polynomial, and only the surviving rows are written.
+func (ev *Evaluator) switchedDown(ct *Ciphertext, level int) *Ciphertext {
+	ctx := ev.params.RingCtx
+	out := &Ciphertext{
+		C:         make([]*ring.Poly, len(ct.C)),
+		NoiseBits: ev.switchedNoise(ct.NoiseBits, ct.Level()-level),
+	}
+	for i, c := range ct.C {
+		out.C[i] = ctx.GetPoly(level)
+		ctx.ModSwitchDownTo(c, out.C[i])
+	}
+	return out
+}
+
+// SwitchDown returns ct switched down to the given level, leaving ct
+// untouched; a ciphertext already at or below the level is returned as
+// it is.
+func (ev *Evaluator) SwitchDown(ct *Ciphertext, level int) (*Ciphertext, error) {
+	if ct.Level() <= level {
+		return ct, nil
+	}
+	if level < 0 {
+		return nil, errNotEnoughLevels
+	}
+	return ev.switchedDown(ct, level), nil
 }
 
 // DropToLevel switches ct down to the given level in place.
 func (ev *Evaluator) DropToLevel(ct *Ciphertext, level int) error {
-	for ct.Level() > level {
-		if err := ev.ModSwitch(ct); err != nil {
-			return err
-		}
+	out, err := ev.SwitchDown(ct, level)
+	if err != nil {
+		return err
 	}
+	*ct = *out
 	return nil
 }
 
@@ -421,9 +457,11 @@ func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt u
 	ctx := ev.params.RingCtx
 	level := ct.Level()
 
+	acc0, acc1 := ev.keySwitch(digits, ev.keys.Galois[elt], level, ct.C[0], nil)
 	k0, k1 := ctx.GetPoly(level), ctx.GetPoly(level)
-	ev.keySwitch(digits, ev.keys.Galois[elt], level, k0, k1)
-	ctx.Add(ct.C[0], k0, k0)
+	ctx.DivideByP(acc0, k0)
+	ctx.DivideByP(acc1, k1)
+	ctx.QP(level).PutPolys([]*ring.Poly{acc0, acc1})
 	c0, c1 := ctx.GetPoly(level), ctx.GetPoly(level)
 	ctx.AutomorphismNTT(k0, elt, c0)
 	ctx.AutomorphismNTT(k1, elt, c1)

@@ -2,8 +2,11 @@ package bgv
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
+
+	"copse/internal/ring"
 )
 
 // TestKeySwitchEveryLevel is the seeded property test of the hybrid key
@@ -110,6 +113,98 @@ func TestLeveledKeyServesEveryLowerLevel(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "cannot serve") {
 				t.Fatalf("key level %d used at level %d: err %v, want a level error", keyLevel, keyLevel+1, err)
 			}
+		}
+	}
+}
+
+// measuredNoise is the bit length of |t·e + m| read off with the secret
+// key.
+func (k *testKit) measuredNoise(ct *Ciphertext) int {
+	return k.params.QBits(ct.Level()) - k.dec.NoiseBudget(ct) - 1
+}
+
+// TestMultiPrimeDropMatchesSingleSwitches: dropping k = 1..5 primes in
+// one rounding, from every level of a 14-prime chain, decrypts to the
+// plaintext k single-prime switches decrypt to, with measured noise no
+// larger; and the estimate either way is the same.
+func TestMultiPrimeDropMatchesSingleSwitches(t *testing.T) {
+	const levels = 14
+	kit := newTestKit(t, levels, nil)
+	r := rand.New(rand.NewPCG(15, 3))
+	vals := randVec(r, kit.params.Slots(), kit.params.T)
+	pt, err := kit.enc.Encode(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for level := 1; level < levels; level++ {
+		ct := kit.encr.EncryptAtLevel(pt, level)
+		for k := 1; k <= min(level, 5); k++ {
+			stepwise := ct.Copy()
+			for i := 0; i < k; i++ {
+				if err := kit.eval.ModSwitch(stepwise); err != nil {
+					t.Fatal(err)
+				}
+			}
+			once, err := kit.eval.SwitchDown(ct, level-k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if once.Level() != level-k || once.NoiseBits != stepwise.NoiseBits {
+				t.Fatalf("level %d drop %d: landed at level %d with estimate %.1f, stepwise at %d with %.1f",
+					level, k, once.Level(), once.NoiseBits, stepwise.Level(), stepwise.NoiseBits)
+			}
+			if got, want := kit.decryptVec(t, once), kit.decryptVec(t, stepwise); !slices.Equal(got, want) || !slices.Equal(got, vals) {
+				t.Fatalf("level %d drop %d: one rounding and %d switches decrypt differently", level, k, k)
+			}
+			if one, many := kit.measuredNoise(once), kit.measuredNoise(stepwise); one > many {
+				t.Errorf("level %d drop %d: one rounding leaves %d bits of noise, %d switches %d", level, k, one, k, many)
+			}
+		}
+	}
+}
+
+// TestFusedRelinearizeMatchesRelinThenSwitch: Relinearize, which divides
+// by P·q_ℓ at once, decrypts to what the key switch's divide-by-P
+// followed by a modulus switch decrypts to, with no more noise, at every
+// level of a 7-prime chain (levels 1, 3, 4 and 6 cut a digit group).
+func TestFusedRelinearizeMatchesRelinThenSwitch(t *testing.T) {
+	const levels = 7
+	kit := newTestKit(t, levels, nil)
+	ctx := kit.params.RingCtx
+	r := rand.New(rand.NewPCG(15, 4))
+	for level := 1; level < levels; level++ {
+		a, b := randVec(r, kit.params.Slots(), kit.params.T), randVec(r, kit.params.Slots(), kit.params.T)
+		pa, _ := kit.enc.Encode(a)
+		pb, _ := kit.enc.Encode(b)
+		deg2, err := kit.eval.MulNoRelin(kit.encr.EncryptAtLevel(pa, level), kit.encr.EncryptAtLevel(pb, level))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, err := kit.eval.Relinearize(deg2)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		digits := ctx.DecomposeHybrid(deg2.C[2])
+		acc0, acc1 := kit.eval.keySwitch(digits, kit.eval.keys.Relin, level, deg2.C[0], deg2.C[1])
+		twoStep := &Ciphertext{C: []*ring.Poly{ctx.NewPoly(level), ctx.NewPoly(level)}, NoiseBits: deg2.NoiseBits}
+		ctx.DivideByP(acc0, twoStep.C[0])
+		ctx.DivideByP(acc1, twoStep.C[1])
+		if err := kit.eval.ModSwitch(twoStep); err != nil {
+			t.Fatal(err)
+		}
+
+		if fused.Level() != level-1 {
+			t.Fatalf("level %d: fused relinearization landed at level %d", level, fused.Level())
+		}
+		got, want := kit.decryptVec(t, fused), kit.decryptVec(t, twoStep)
+		for i := range want {
+			if got[i] != want[i] || got[i] != a[i]*b[i]%kit.params.T {
+				t.Fatalf("level %d slot %d: fused %d, relin-then-switch %d, product %d", level, i, got[i], want[i], a[i]*b[i]%kit.params.T)
+			}
+		}
+		if one, two := kit.measuredNoise(fused), kit.measuredNoise(twoStep); one > two {
+			t.Errorf("level %d: fused tail leaves %d bits of noise, relin-then-switch %d", level, one, two)
 		}
 	}
 }

@@ -15,8 +15,12 @@ import (
 // secret from Sally) or plaintext (Maurice *is* Sally, Figure 9's fast
 // configuration).
 type ModelOperands struct {
-	Meta       Meta
-	Thresholds []he.Operand // p bit planes, slot-periodic with period QPad
+	Meta Meta
+	// Thresholds are the p bit planes of the negated thresholds
+	// ¬y = 1 − y, slot-periodic with period QPad: staged negated, the one
+	// ct-ct product of a bit plane is x·¬y = [x > y] itself
+	// (DESIGN.md §13.1).
+	Thresholds []he.Operand
 	Reshuffle  *matrix.Diagonals
 	Levels     []*matrix.Diagonals
 	Masks      []he.Operand
@@ -29,6 +33,12 @@ type ModelOperands struct {
 	// Prepare time (DESIGN.md §13) — the flat schedule Engine.ClassifyCtx
 	// executes. Never nil on operands Prepare returned.
 	Program *Program
+	// plainQueryProgram is the variant Engine.ClassifyCtx runs on
+	// plaintext query planes. It differs from Program only where levels
+	// do (an encrypted model under a level plan: a plaintext factor
+	// consumes no level, so other alignments are due); everywhere else it
+	// is Program itself.
+	plainQueryProgram *Program
 }
 
 // Prepare loads c onto backend b. With encrypt=true all model components
@@ -64,8 +74,13 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	// Thresholds stay fully periodic: every block of the batched layout
 	// reads the same QPad-periodic plane (BatchBlock is a multiple of
 	// QPad), and the single-query layout is the one-block special case.
+	// They are staged negated, in every slot, padding included.
+	t := b.PlainModulus()
 	for _, plane := range c.ThresholdBits {
 		periodic := replicatePlain(plane, c.Meta.QPad, b.Slots())
+		for i, y := range periodic {
+			periodic[i] = (1 + t - y%t) % t
+		}
 		op, err := makeOperand(b, periodic, encrypt, level(func(s StageLevels) int { return s.Compare }))
 		if err != nil {
 			return nil, err
@@ -130,6 +145,21 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 			in.maskVals = append(in.maskVals, op.Vals)
 		}
 	}
+	if m.Program, err = newProgram(b, in); err != nil {
+		return nil, err
+	}
+	m.plainQueryProgram = m.Program
+	if encrypt && m.Plan != nil {
+		in.plainQuery = true
+		if m.plainQueryProgram, err = newProgram(b, in); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// newProgram builds the op program of in and binds its constants on b.
+func newProgram(b he.Backend, in progInputs) (*Program, error) {
 	p, err := buildProgram(in)
 	if err != nil {
 		return nil, err
@@ -137,8 +167,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	if err := p.bind(b, in.threshVals, in.maskVals); err != nil {
 		return nil, fmt.Errorf("core: binding op program constants: %w", err)
 	}
-	m.Program = p
-	return m, nil
+	return p, nil
 }
 
 // UnsupportedModelError is Prepare's rejection of a model whose staged
@@ -314,6 +343,9 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 	}
 
 	p := m.Program
+	if !q.Bits[0].IsCipher() {
+		p = m.plainQueryProgram
+	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -281,8 +281,6 @@ func (ps *pass) runOp(i int) (err error) {
 		R[op.Dst], err = he.MulLazy(b, d.Ops[op.Imm2], R[op.A])
 	case opRelin:
 		R[op.Dst], err = he.Relinearize(b, R[op.A])
-	case opNeg:
-		R[op.Dst], err = he.Neg(b, R[op.A])
 	case opRot:
 		R[op.Dst], err = he.Rotate(b, R[op.A], op.Imm)
 	case opHoist:

@@ -253,6 +253,9 @@ func (s *sim) fail(kind int) {
 	}
 }
 
+// modSwitch drops one prime. The evaluator rounds a multi-prime move
+// once (ring.ModSwitchDownTo), which adds no more noise than this
+// prime-at-a-time accounting; the planner keeps the conservative model.
 func (s *sim) modSwitch(c *simCt) {
 	if c.level == 0 {
 		s.fail(failLevel)
@@ -403,16 +406,6 @@ func (s *sim) add(x, y simOp) simOp {
 	return simPlain()
 }
 
-// not mirrors he.Not: Neg + AddPlain for ciphertexts.
-func (s *sim) not(x simOp) simOp {
-	if !x.cipher {
-		return x
-	}
-	x.ct.noise++
-	s.manage(&x.ct)
-	return x
-}
-
 // xor mirrors he.Xor.
 func (s *sim) xor(x, y simOp) simOp {
 	switch {
@@ -435,12 +428,14 @@ func (s *sim) xor(x, y simOp) simOp {
 	return simPlain()
 }
 
-// compare simulates seccomp.CompareGT over p bit planes. The carrier eq
-// follows the most-multiplied prefix element (every other element has
-// seen a subset of its multiplications, hence no more level or noise).
-func (s *sim) compare(p int, x, y simOp) simOp {
-	eq := s.not(s.xor(x, y))
-	gt := s.mul(x, s.not(y))
+// compare simulates the op program's compare stage over p bit planes
+// (DESIGN.md §13.1): x against the staged negated thresholds notY. The
+// carrier eq follows the most-multiplied prefix element (every other
+// element has seen a subset of its multiplications, hence no more level
+// or noise).
+func (s *sim) compare(p int, x, notY simOp) simOp {
+	gt := s.mul(x, notY)
+	eq := s.add(s.add(x, notY), s.add(gt, gt)) // Sub has Add's noise shape
 	// Sklansky prefix products over the eq planes, with the optional
 	// per-round boundary drops.
 	for round := 0; round < log2Ceil(max(p, 1)); round++ {

@@ -20,18 +20,25 @@ func planForests(t *testing.T, short bool) map[string]*model.Forest {
 		return forests
 	}
 	for _, name := range []string{"depth4", "width55"} {
-		for _, mb := range synth.Microbenchmarks() {
-			if mb.Name != name {
-				continue
-			}
+		forests[name] = microForest(t, name)
+	}
+	return forests
+}
+
+// microForest generates one of the Table 6 models by name.
+func microForest(t *testing.T, name string) *model.Forest {
+	t.Helper()
+	for _, mb := range synth.Microbenchmarks() {
+		if mb.Name == name {
 			f, err := synth.Generate(mb.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			forests[name] = f
+			return f
 		}
 	}
-	return forests
+	t.Fatalf("no Table 6 model %q", name)
+	return nil
 }
 
 // TestLevelPlanComputed: every compiled model carries a structurally
@@ -181,11 +188,69 @@ func planBackend(t *testing.T, c *Compiled, encModel bool) *hebgv.Backend {
 	return b
 }
 
+// checkPinnedMargins runs the three benchmark models with noise
+// measurement on and compares the margin at every stage boundary with
+// the pinned values.
+func checkPinnedMargins(t *testing.T) {
+	t.Helper()
+	// Margins measured before level moves became single roundings and
+	// the key-switch tail was fused (seeded keys and encryption, so a
+	// run reproduces them): a rounding that drops several primes, or
+	// P·q_ℓ, at once must leave the same headroom as the one-prime
+	// steps it replaces.
+	for _, pin := range []struct {
+		name     string
+		f        *model.Forest
+		encModel bool
+		want     StageNoise
+	}{
+		{"prec16/offload", microForest(t, "prec16"), true, StageNoise{Query: 743, Decisions: 417, BranchVec: 357, LevelResult: 251, Result: 87}},
+		{"depth4/servermodel", microForest(t, "depth4"), false, StageNoise{Query: 578, Decisions: 307, BranchVec: 283, LevelResult: 197, Result: 87}},
+		{"wide8/servermodel", wide8Forest(t), false, StageNoise{Query: 688, Decisions: 417, BranchVec: 391, LevelResult: 252, Result: 87}},
+	} {
+		c, err := Compile(pin.f, Options{Slots: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := planBackend(t, c, pin.encModel)
+		m, err := Prepare(b, c, pin.encModel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := PrepareQuery(b, &m.Meta, make([]uint64, pin.f.NumFeatures), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, trace, err := (&Engine{Backend: b, MeasureNoise: true}).Classify(m, q)
+		if err != nil {
+			t.Fatalf("%s: %v", pin.name, err)
+		}
+		got, want := trace.Noise, pin.want
+		for _, bd := range []struct {
+			stage     string
+			got, want int
+		}{
+			{"query", got.Query, want.Query}, {"decisions", got.Decisions, want.Decisions},
+			{"branch vector", got.BranchVec, want.BranchVec}, {"level result", got.LevelResult, want.LevelResult},
+			{"result", got.Result, want.Result},
+		} {
+			if bd.got < bd.want-2 || bd.got > bd.want+2 {
+				t.Errorf("%s: measured margin at the %s is %d bits, pinned %d ± 2", pin.name, bd.stage, bd.got, bd.want)
+			}
+		}
+	}
+}
+
 // TestClassifyPlannedNoiseHeadroom is the noise-headroom regression over
 // the scenario corpus: every BGV Classify under the static schedule must
 // decrypt with positive noise budget, land exactly at the planned final
 // level, and classify correctly — on the plan-sized (shortened) chain.
+// For the three benchmark models it also pins the measured margin at
+// every stage boundary.
 func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
+	if !testing.Short() {
+		checkPinnedMargins(t)
+	}
 	scenarios := []struct {
 		name     string
 		encModel bool

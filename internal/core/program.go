@@ -20,17 +20,23 @@ import (
 // kernel skip, and the XOR decomposition. The builder also applies
 // algebraic rewrites a stage-by-stage evaluation cannot:
 //
-//   - gt_j = x_j·(1−y_j) = x_j − x_j·y_j reuses the product the XOR of
-//     eq_j already computed, saving one ct-ct multiplication per bit
-//     plane;
+//   - the thresholds are staged negated (¬y_j = 1 − y_j, Prepare), so
+//     the one ct-ct product of a bit plane is gt_j = x_j·¬y_j itself, and
+//     eq_j = ¬(x_j ⊕ y_j) = (x_j + ¬y_j) − 2·gt_j costs three linear ops
+//     and one level drop on top of it;
+//   - every level move is an op: the builder tracks each register's
+//     level (the planner's noise simulation, one register at a time) and
+//     emits the alignment a binary op's operands need as an opDrop,
+//     shared per (register, level), so a planned pass leaves the backend
+//     nothing to align and the schedule sees and prices the work;
 //   - the inclusive prefix product of the last bit plane is never read
 //     by the gt sum, so its Sklansky chain (and the last plane's eq
 //     chain) is dead code;
 //   - the gt sum accumulates lazy (unrelinearized) products and pays for
 //     a single relinearization instead of one per plane;
 //   - the j=0 gt term's multiply-by-ones is the identity;
-//   - the plaintext constants of ¬ and ⊕ (ones, XOR coefficient/offset
-//     pairs) are encoded once at bind time instead of per call;
+//   - the plaintext constants of ⊕ (XOR coefficient/offset pairs) are
+//     encoded once at bind time instead of per call;
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
 //     affine pair, gt_j into one plaintext multiplication, an all-zero
 //     level mask into the identity, and an all-zero matrix into the zero
@@ -53,7 +59,7 @@ type opCode uint8
 
 const (
 	opQuery   opCode = iota // R[Dst] = query bit plane Imm
-	opThresh                // R[Dst] = model threshold plane Imm
+	opThresh                // R[Dst] = negated model threshold plane Imm
 	opMask                  // R[Dst] = level mask Imm
 	opConst                 // R[Dst] = bound plaintext constant Imm
 	opAdd                   // R[Dst] = R[A] + R[B]
@@ -62,7 +68,6 @@ const (
 	opMulLazy               // R[Dst] = R[A] ⊗ R[B] (unrelinearized)
 	opMulDiag               // R[Dst] = diag(Imm, Imm2) ⊗ R[A] (lazy)
 	opRelin                 // R[Dst] = relinearize(R[A])
-	opNeg                   // R[Dst] = −R[A]
 	opRot                   // R[Dst] = rot(R[A], Imm)
 	opHoist                 // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
 	opDrop                  // R[Dst] = R[A] switched down to level Imm
@@ -87,7 +92,7 @@ func (op progOp) operands() []int {
 			return []int{op.A}
 		}
 		return []int{op.A, op.B}
-	case opMulDiag, opRelin, opNeg, opRot, opHoist, opDrop:
+	case opMulDiag, opRelin, opRot, opHoist, opDrop:
 		return []int{op.A}
 	}
 	return nil
@@ -111,8 +116,7 @@ const (
 type constKind uint8
 
 const (
-	ckOnes       constKind = iota // all-ones (the ¬ offset)
-	ckZero                        // all-zero (an entirely skippable matrix product)
+	ckZero       constKind = iota // all-zero (an entirely skippable matrix product)
 	ckThreshCoef                  // (2·y−1) mod t over threshold plane Index (eq fold)
 	ckThreshNot                   // (1−y) mod t over threshold plane Index (eq offset and gt factor)
 	ckMaskCoef                    // (1−2·m) mod t over padded mask Index
@@ -134,6 +138,12 @@ type Program struct {
 	consts []constSpec
 	numReg int
 	result int
+	// encModel records that the staged matrices are ciphertexts: an
+	// opMulDiag is then a tensor product, not a plaintext one.
+	encModel bool
+	// level is each register's level under the plan the program was built
+	// for (plainLevel for plaintext registers); nil without a plan.
+	level []int
 
 	// Trace registers: the carrier operands whose limb counts and
 	// measured noise the per-stage trace reports.
@@ -149,12 +159,15 @@ type progInputs struct {
 	meta      Meta
 	plan      *StageLevels // nil = no scheduled drops
 	encrypted bool
-	planes    int // threshold bit planes
-	masks     int // level masks
-	reshuffle diagShape
-	levels    []diagShape
+	// plainQuery builds the variant for plaintext query planes
+	// (ScenarioClientEval): the same ops, other levels.
+	plainQuery bool
+	planes     int // threshold bit planes
+	masks      int // level masks
+	reshuffle  diagShape
+	levels     []diagShape
 	// Plaintext model components (nil when encrypted): the replicated
-	// threshold planes and block-padded masks, exactly as staged.
+	// negated threshold planes and block-padded masks, exactly as staged.
 	threshVals [][]uint64
 	maskVals   [][]uint64
 }
@@ -171,18 +184,89 @@ func diagShapeOf(d *matrix.Diagonals) diagShape {
 }
 
 // progBuilder accumulates ops and constants while walking the pipeline
-// symbolically; every op is tagged with the stage being walked.
+// symbolically; every op is tagged with the stage being walked. Under a
+// level plan it also carries each register through the planner's noise
+// simulation (levelplan.go, which mirrors the evaluator's accounting), so
+// it knows the level every register will sit at and can emit the
+// alignments of binary ops itself.
 type progBuilder struct {
 	p       *Program
 	constIx map[constSpec]int
 	stage   uint8
+
+	in     progInputs
+	at     StageLevels    // in.plan's entries; zero without a plan
+	sim    *sim           // nil without a plan: nothing tracked, no drops
+	state  []simOp        // per register, under sim
+	dropIx map[[2]int]int // (register, level) → the register holding that drop
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
+	if bl.sim != nil {
+		switch code {
+		case opAdd, opSub, opMul, opMulLazy:
+			a, b = bl.align(a, b)
+		}
+	}
 	dst := bl.p.numReg
 	bl.p.numReg++
 	bl.p.ops = append(bl.p.ops, progOp{Code: code, Stage: bl.stage, Dst: dst, A: a, B: b, Imm: imm, Imm2: imm2})
+	if bl.sim != nil {
+		bl.state = append(bl.state, bl.simulate(code, a, b, imm))
+	}
 	return dst
+}
+
+// align returns a and b with the higher of two ciphertext registers
+// replaced by its drop to the other's level.
+func (bl *progBuilder) align(a, b int) (int, int) {
+	x, y := bl.state[a], bl.state[b]
+	switch {
+	case !x.cipher || !y.cipher:
+	case x.ct.level > y.ct.level:
+		a = bl.drop(a, y.ct.level)
+	case y.ct.level > x.ct.level:
+		b = bl.drop(b, x.ct.level)
+	}
+	return a, b
+}
+
+// simulate is the state of the register an op writes.
+func (bl *progBuilder) simulate(code opCode, a, b, imm int) simOp {
+	s, at := bl.sim, bl.at
+	switch code {
+	case opQuery:
+		if bl.in.plainQuery {
+			return simPlain()
+		}
+		return s.nm.simFresh(at.Compare)
+	case opThresh:
+		return s.nm.simFresh(at.Compare)
+	case opMask:
+		return s.nm.simFresh(at.Level)
+	case opAdd, opSub:
+		return s.add(bl.state[a], bl.state[b])
+	case opMul:
+		return s.mul(bl.state[a], bl.state[b])
+	case opMulLazy:
+		return s.mulLazy(bl.state[a], bl.state[b])
+	case opMulDiag:
+		diag := simPlain()
+		if bl.in.encrypted {
+			diag = s.nm.simFresh(at.Reshuffle)
+			if imm >= 0 {
+				diag = s.nm.simFresh(at.Level)
+			}
+		}
+		return s.mulLazy(diag, bl.state[a])
+	case opRelin:
+		return s.relinOp(bl.state[a])
+	case opRot:
+		return s.rotOp(bl.state[a])
+	case opDrop:
+		return s.dropOpTo(bl.state[a], imm)
+	}
+	return simPlain() // opConst
 }
 
 // constReg returns the register of a bind-time constant, deduplicated.
@@ -199,9 +283,22 @@ func (bl *progBuilder) constReg(spec constSpec) int {
 	return r
 }
 
-// drop emits a scheduled level drop.
+// drop emits the switch of r down to a level — a scheduled boundary drop
+// or an alignment — once per (register, level). Scheduled drops are
+// emitted even where the builder expects r at the level already (the op
+// then passes its operand through): a carrier arriving higher than
+// simulated still enters its stage on schedule.
 func (bl *progBuilder) drop(r, level int) int {
-	return bl.emit(opDrop, r, 0, level, 0)
+	if bl.sim == nil {
+		return r
+	}
+	key := [2]int{r, level}
+	if d, ok := bl.dropIx[key]; ok {
+		return d
+	}
+	d := bl.emit(opDrop, r, 0, level, 0)
+	bl.dropIx[key] = d
+	return d
 }
 
 // buildProgram compiles the pipeline into a Program. Every model Compile
@@ -230,24 +327,23 @@ func buildProgram(in progInputs) (*Program, error) {
 	// the server can see them anyway, whereas skipping an encrypted
 	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
-	p := &Program{}
-	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
-	L := in.plan
+	p := &Program{encModel: in.encrypted}
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, in: in}
+	if in.plan != nil {
+		bl.at = *in.plan
+		bl.sim = newSim(planNoiseModel(in.meta.Slots, slackConfig{}))
+		bl.dropIx = map[[2]int]int{}
+	}
+	L := bl.at
 
 	// ---- Stage 1: compare -------------------------------------------
 	// Query planes (dropped to the compare entry) and shared constants.
 	// Loads are register aliases; only the drops cost work.
 	nPlanes := in.planes
 	q := make([]int, nPlanes)
-	ones, zero := -1, -1
+	zero := -1
 	for j := 0; j < nPlanes; j++ {
-		q[j] = bl.emit(opQuery, 0, 0, j, 0)
-		if L != nil {
-			q[j] = bl.drop(q[j], L.Compare)
-		}
-	}
-	if in.encrypted {
-		ones = bl.constReg(constSpec{Kind: ckOnes})
+		q[j] = bl.drop(bl.emit(opQuery, 0, 0, j, 0), L.Compare)
 	}
 	// A matrix product whose every diagonal is skipped is the zero
 	// vector.
@@ -257,19 +353,16 @@ func buildProgram(in progInputs) (*Program, error) {
 	}
 	p.regQuery = q[0]
 
-	// Per-plane eq/gt terms.
+	// Per-plane eq/gt terms. The staged threshold planes are ¬y_j.
 	eq := make([]int, nPlanes)
 	gt := make([]int, nPlanes)
 	for j := 0; j < nPlanes; j++ {
 		if in.encrypted {
-			th := bl.emit(opThresh, 0, 0, j, 0)
-			prod := bl.emit(opMul, q[j], th, 0, 0)
-			sum := bl.emit(opAdd, q[j], th, 0, 0)
-			twice := bl.emit(opAdd, prod, prod, 0, 0)
-			x := bl.emit(opSub, sum, twice, 0, 0)
-			neg := bl.emit(opNeg, x, 0, 0, 0)
-			eq[j] = bl.emit(opAdd, neg, ones, 0, 0)
-			gt[j] = bl.emit(opSub, q[j], prod, 0, 0)
+			notY := bl.emit(opThresh, 0, 0, j, 0)
+			gt[j] = bl.emit(opMul, q[j], notY, 0, 0)
+			sum := bl.emit(opAdd, q[j], notY, 0, 0)
+			twice := bl.emit(opAdd, gt[j], gt[j], 0, 0)
+			eq[j] = bl.emit(opSub, sum, twice, 0, 0)
 		} else {
 			coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: j})
 			not := bl.constReg(constSpec{Kind: ckThreshNot, Index: j})
@@ -294,7 +387,7 @@ func buildProgram(in progInputs) (*Program, error) {
 				incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0)
 			}
 		}
-		if L != nil && round < len(L.CompareRounds) {
+		if round < len(L.CompareRounds) {
 			for i := range incl {
 				incl[i] = bl.drop(incl[i], L.CompareRounds[round])
 			}
@@ -313,9 +406,7 @@ func buildProgram(in progInputs) (*Program, error) {
 	if nPlanes > 1 {
 		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
 	}
-	if L != nil {
-		decisions = bl.drop(decisions, L.Reshuffle)
-	}
+	decisions = bl.drop(decisions, L.Reshuffle)
 	p.regDecisions = decisions
 
 	// ---- Stage 2: reshuffle -----------------------------------------
@@ -326,9 +417,7 @@ func buildProgram(in progInputs) (*Program, error) {
 		rot := bl.emit(opRot, branch, 0, -pw, 0)
 		branch = bl.emit(opAdd, branch, rot, 0, 0)
 	}
-	if L != nil {
-		branch = bl.drop(branch, L.Level)
-	}
+	branch = bl.drop(branch, L.Level)
 	p.regBranchVec = branch
 
 	// ---- Stage 3: levels --------------------------------------------
@@ -353,10 +442,7 @@ func buildProgram(in progInputs) (*Program, error) {
 			lvl = bl.emit(opAdd, scaled, add, 0, 0)
 		}
 		// An all-zero plaintext mask XORs to the identity: alias.
-		if L != nil {
-			lvl = bl.drop(lvl, L.Accumulate)
-		}
-		lvlRes[l] = lvl
+		lvlRes[l] = bl.drop(lvl, L.Accumulate)
 	}
 	p.regLevelResult = lvlRes[0]
 
@@ -374,14 +460,19 @@ func buildProgram(in progInputs) (*Program, error) {
 		}
 		ops = next
 	}
-	res := ops[0]
-	if L != nil {
-		res = bl.drop(res, L.Final)
-	}
-	p.result = res
+	p.result = bl.drop(ops[0], L.Final)
 
+	if bl.sim != nil {
+		p.level = make([]int, p.numReg)
+		for r, st := range bl.state {
+			p.level[r] = plainLevel
+			if st.cipher {
+				p.level[r] = st.ct.level
+			}
+		}
+	}
 	p.eliminateDeadOps()
-	p.sched = newSchedule(p, L)
+	p.sched = newSchedule(p)
 	p.scratch.New = func() any { return newPassScratch(p) }
 	return p, nil
 }
@@ -418,6 +509,9 @@ func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 		bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Stage: bl.stage, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
 		for i, s := range steps {
 			rots[s] = dst + i
+			if bl.sim != nil {
+				bl.state = append(bl.state, bl.sim.rotOp(bl.state[src]))
+			}
 		}
 	}
 	return rots
@@ -512,8 +606,8 @@ func (p *Program) width(op progOp) int {
 // bind stages the program's plaintext constants on the backend —
 // encoded once here instead of on every Classify call. threshVals and
 // maskVals are the plaintext model components the program was built
-// from (progInputs; nil for an encrypted model, whose program has no
-// constants derived from them).
+// from (progInputs: the negated threshold planes and the masks; nil for
+// an encrypted model, whose program has no constants derived from them).
 func (p *Program) bind(b he.Backend, threshVals, maskVals [][]uint64) error {
 	t := b.PlainModulus()
 	p.bound = make([]he.Operand, len(p.consts))
@@ -521,18 +615,12 @@ func (p *Program) bind(b he.Backend, threshVals, maskVals [][]uint64) error {
 		vals := make([]uint64, b.Slots())
 		switch spec.Kind {
 		case ckZero:
-		case ckOnes:
-			for j := range vals {
-				vals[j] = 1
-			}
-		case ckThreshCoef:
+		case ckThreshCoef: // 2·y − 1 = 1 − 2·¬y
 			for j, m := range threshVals[spec.Index] {
-				vals[j] = (2*(m%t) + t - 1) % t
+				vals[j] = (1 + 2*(t-m%t)) % t
 			}
 		case ckThreshNot:
-			for j, m := range threshVals[spec.Index] {
-				vals[j] = (1 + t - m%t) % t
-			}
+			copy(vals, threshVals[spec.Index])
 		case ckMaskCoef:
 			for j, m := range maskVals[spec.Index] {
 				vals[j] = (1 + t - (2*m)%t) % t

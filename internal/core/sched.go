@@ -40,15 +40,18 @@ type schedule struct {
 	work, critical int64
 }
 
-// Relative per-limb op costs, read off the benchmark's BGV microkernels
-// (bgv.mul_relin_us, bgv.rotate_us, bgv.modswitch_us, bgv.mulplain_us
-// over their limb counts). Priorities only need the order of magnitude:
-// a key switch dwarfs a modulus switch, which dwarfs pointwise work.
+// Relative op costs per active limb, read off the benchmark's BGV
+// microkernels over their limb counts (bgv.mul_relin_us 36–44 and 33–38
+// at 14 and 8 limbs, bgv.rotate_us 33–42 and 28–33, bgv.modswitch_us 7–8,
+// in units of half a bgv.mulplain_us limb, ≈ 11 µs). Priorities only
+// need the order of magnitude: a key switch dwarfs a modulus switch,
+// which dwarfs pointwise work.
 const (
-	costMul       = 32 // ct×ct tensor product + relinearization
-	costKeySwitch = 26 // relinearization, or one rotation
-	costDrop      = 5  // modulus switch
-	costMulLazy   = 2  // tensor or plaintext product, no key switch
+	costMul       = 36 // ct×ct tensor product + relinearization into the level below
+	costKeySwitch = 30 // relinearization, or one rotation
+	costDrop      = 7  // modulus switch, per limb of the source
+	costTensor    = 4  // ct×ct tensor product, no key switch
+	costMulPlain  = 2  // plaintext product
 	costAdd       = 1
 )
 
@@ -57,46 +60,52 @@ const (
 const plainLevel = math.MaxInt
 
 // weights estimates each op's cost as op kind × active limbs, the limbs
-// following from the level plan the program was built under (every
-// register counts one limb without a plan).
-func (p *Program) weights(plan *StageLevels) []int64 {
-	var at StageLevels // all zero without a plan
-	if plan != nil {
-		at = *plan
+// being the levels the builder tracked under the program's level plan
+// (every register counts one limb without a plan).
+func (p *Program) weights() []int64 {
+	level := func(r int) int {
+		if p.level == nil {
+			return 0
+		}
+		return p.level[r]
 	}
-	level := make([]int, p.numReg)
 	w := make([]int64, len(p.ops))
 	for i, op := range p.ops {
-		l, cost := plainLevel, 0
-		for _, r := range op.operands() {
-			l = min(l, level[r])
-		}
+		l, cost := level(op.Dst), 0
 		switch op.Code {
-		case opQuery, opThresh:
-			l = at.Compare
-		case opMask:
-			l = at.Level
-		case opConst:
-		case opAdd, opSub, opNeg:
+		case opAdd, opSub:
 			cost = costAdd
-		case opMul:
-			cost = costMul
-			if level[op.A] == plainLevel || level[op.B] == plainLevel {
-				cost = costMulLazy
+		case opMul, opMulLazy:
+			switch {
+			case level(op.A) == plainLevel || level(op.B) == plainLevel:
+				cost = costMulPlain
+			case op.Code == opMul:
+				cost = costMul
+			default:
+				cost = costTensor
 			}
-		case opMulLazy, opMulDiag:
-			cost = costMulLazy
-		case opRelin, opRot:
+			l = min(level(op.A), level(op.B)) // a key switch lands a level below its work
+		case opMulDiag:
+			cost = costMulPlain
+			if p.encModel {
+				cost = costTensor
+			}
+		case opRelin:
+			cost, l = costKeySwitch, level(op.A)
+		case opRot:
 			cost = costKeySwitch
 		case opHoist:
 			// One shared decomposition, then a cheaper switch per step.
 			cost = costKeySwitch * (1 + len(p.hoists[op.Imm])) / 2
 		case opDrop:
-			cost = costDrop
-			l = min(l, op.Imm)
-		}
-		for r := op.Dst; r < op.Dst+p.width(op); r++ {
-			level[r] = l
+			// A rounding transforms every limb of its source once, however
+			// many primes it drops, and converts each dropped prime onto
+			// each limb that stays; a drop that moves nothing passes its
+			// operand through.
+			if from := level(op.A); from != plainLevel && from > l {
+				w[i] = costDrop*int64(from+1) + int64(from-l)*int64(l+1)/2
+			}
+			continue
 		}
 		if l != plainLevel {
 			w[i] = int64(cost) * int64(l+1)
@@ -106,7 +115,7 @@ func (p *Program) weights(plan *StageLevels) []int64 {
 }
 
 // newSchedule derives p's schedule from its ops.
-func newSchedule(p *Program, plan *StageLevels) schedule {
+func newSchedule(p *Program) schedule {
 	n := len(p.ops)
 	s := schedule{deps: make([]int32, n), succ: make([][]int32, n), rank: make([]int32, n)}
 	producer := make([]int32, p.numReg)
@@ -133,7 +142,7 @@ func newSchedule(p *Program, plan *StageLevels) schedule {
 
 	// Longest weighted path from each op to the end of its stage;
 	// successors follow their producers, so one backward sweep does it.
-	w := p.weights(plan)
+	w := p.weights()
 	path := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {
 		for _, j := range s.succ[i] {

@@ -326,7 +326,7 @@ func TestCancelStopsWithinOneOp(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		// The compare stage alone outlasts the cancellation by far.
 		compare := time.Duration(m.Program.sched.stageEnd[stCompare]/2/workers) * opTime
-		const cancelAfter = 6 * opTime
+		const cancelAfter = 4 * opTime
 		if compare < 5*cancelAfter {
 			t.Fatalf("compare stage is only ~%v long; the test needs a longer one", compare)
 		}

@@ -246,6 +246,13 @@ type OpCounts struct {
 	// column — it is the gauge for level scheduling (DESIGN.md §8).
 	// Backends without a level structure contribute zero.
 	LimbOps int64
+	// Aligns counts the implicit level alignments a leveled backend
+	// performed: binary ciphertext operations (Add, Sub, Mul, MulLazy)
+	// handed operands at different levels, one of which it had to
+	// modulus-switch itself. A pass under a level plan performs none —
+	// every level move is a DropToLevel op of its program (DESIGN.md
+	// §8.2) — so a non-zero count there is work the schedule cannot see.
+	Aligns int64
 }
 
 // Plus returns c + o field-wise (MaxDepth takes the larger); useful
@@ -262,6 +269,7 @@ func (c OpCounts) Plus(o OpCounts) OpCounts {
 		RotateHoisted: c.RotateHoisted + o.RotateHoisted,
 		Relin:         c.Relin + o.Relin,
 		LimbOps:       c.LimbOps + o.LimbOps,
+		Aligns:        c.Aligns + o.Aligns,
 	}
 }
 
@@ -279,12 +287,13 @@ func (c OpCounts) Minus(o OpCounts) OpCounts {
 		RotateHoisted: c.RotateHoisted - o.RotateHoisted,
 		Relin:         c.Relin - o.Relin,
 		LimbOps:       c.LimbOps - o.LimbOps,
+		Aligns:        c.Aligns - o.Aligns,
 	}
 }
 
 func (c OpCounts) String() string {
-	return fmt.Sprintf("enc=%d rot=%d(hoisted=%d) add=%d cadd=%d mul=%d(relin=%d) cmul=%d depth=%d limbops=%d",
-		c.Encrypt, c.Rotate, c.RotateHoisted, c.Add, c.ConstAdd, c.Mul, c.Relin, c.ConstMul, c.MaxDepth, c.LimbOps)
+	return fmt.Sprintf("enc=%d rot=%d(hoisted=%d) add=%d cadd=%d mul=%d(relin=%d) cmul=%d depth=%d limbops=%d aligns=%d",
+		c.Encrypt, c.Rotate, c.RotateHoisted, c.Add, c.ConstAdd, c.Mul, c.Relin, c.ConstMul, c.MaxDepth, c.LimbOps, c.Aligns)
 }
 
 // CountingBackend wraps a Backend with its own operation counter, so a
@@ -317,6 +326,19 @@ func (c *CountingBackend) NoiseBudget(ct Ciphertext) (int, error) {
 		return 0, fmt.Errorf("he: backend %q cannot measure noise", c.inner.Name())
 	}
 	return nm.NoiseBudget(ct)
+}
+
+// noteAlign counts the implicit alignment a leveled inner backend
+// performs for a binary op whose operands sit at different levels.
+func (c *CountingBackend) noteAlign(a, b Ciphertext) {
+	if c.leveler == nil {
+		return
+	}
+	la, errA := c.leveler.CiphertextLevel(a)
+	lb, errB := c.leveler.CiphertextLevel(b)
+	if errA == nil && errB == nil && la != lb {
+		c.CountAlign()
+	}
 }
 
 // limbs reports ct's active limb count on leveled inner backends, 0
@@ -418,6 +440,7 @@ func (c *CountingBackend) EncodePlain(vals []uint64) (Plain, error) {
 func (c *CountingBackend) Add(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.Add(a, b)
 	if err == nil {
+		c.noteAlign(a, b)
 		c.CountAdd()
 		c.CountLimbs(c.limbs(ct))
 	}
@@ -428,6 +451,7 @@ func (c *CountingBackend) Add(a, b Ciphertext) (Ciphertext, error) {
 func (c *CountingBackend) Sub(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.Sub(a, b)
 	if err == nil {
+		c.noteAlign(a, b)
 		c.CountAdd()
 		c.CountLimbs(c.limbs(ct))
 	}
@@ -468,6 +492,7 @@ func (c *CountingBackend) MulPlain(a Ciphertext, p Plain) (Ciphertext, error) {
 func (c *CountingBackend) Mul(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.Mul(a, b)
 	if err == nil {
+		c.noteAlign(a, b)
 		c.CountMul()
 		c.CountLimbs(c.limbs(ct))
 		c.NoteDepth(ct.Depth())
@@ -479,6 +504,7 @@ func (c *CountingBackend) Mul(a, b Ciphertext) (Ciphertext, error) {
 func (c *CountingBackend) MulLazy(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.MulLazy(a, b)
 	if err == nil {
+		c.noteAlign(a, b)
 		c.CountMul()
 		c.CountLimbs(c.limbs(ct))
 		c.NoteDepth(ct.Depth())
@@ -530,6 +556,7 @@ func (c *CountingBackend) RotateHoisted(a Ciphertext, steps []int) ([]Ciphertext
 type Counter struct {
 	encrypt, rotate, add, constAdd, mul, constMul atomic.Int64
 	maxDepth, rotateHoisted, relin, limbOps       atomic.Int64
+	aligns                                        atomic.Int64
 }
 
 // CountEncrypt records one encryption.
@@ -569,6 +596,9 @@ func (c *Counter) CountLimbs(n int) {
 	}
 }
 
+// CountAlign records one implicit level alignment (OpCounts.Aligns).
+func (c *Counter) CountAlign() { c.aligns.Add(1) }
+
 // NoteDepth records an observed multiplicative depth.
 func (c *Counter) NoteDepth(d int) {
 	for {
@@ -592,6 +622,7 @@ func (c *Counter) Counts() OpCounts {
 		RotateHoisted: c.rotateHoisted.Load(),
 		Relin:         c.relin.Load(),
 		LimbOps:       c.limbOps.Load(),
+		Aligns:        c.aligns.Load(),
 	}
 }
 
@@ -607,4 +638,5 @@ func (c *Counter) ResetCounts() {
 	c.rotateHoisted.Store(0)
 	c.relin.Store(0)
 	c.limbOps.Store(0)
+	c.aligns.Store(0)
 }

@@ -151,11 +151,11 @@ func (b *Backend) CiphertextLevel(ct he.Ciphertext) (int, error) {
 	return c.ct.Level(), nil
 }
 
-// DropToLevel implements he.LevelDropper: it modulus-switches a copy of
-// ct down to the given level (already-lower ciphertexts pass through
+// DropToLevel implements he.LevelDropper: it returns ct modulus-switched
+// down to the given level (already-lower ciphertexts pass through
 // unchanged), so a pipeline stage whose noise budget needs only a
 // fraction of the chain can run every subsequent NTT and key switch over
-// that fraction.
+// that fraction. Only the surviving limbs are ever written.
 func (b *Backend) DropToLevel(ct he.Ciphertext, level int) (he.Ciphertext, error) {
 	c, err := b.cast(ct)
 	if err != nil {
@@ -167,11 +167,11 @@ func (b *Backend) DropToLevel(ct he.Ciphertext, level int) (he.Ciphertext, error
 	if c.ct.Level() <= level {
 		return ct, nil
 	}
-	cp := c.ct.Copy()
-	if err := b.evaluator.DropToLevel(cp, level); err != nil {
+	out, err := b.evaluator.SwitchDown(c.ct, level)
+	if err != nil {
 		return nil, err
 	}
-	return &ciphertext{ct: cp, depth: c.depth}, nil
+	return &ciphertext{ct: out, depth: c.depth}, nil
 }
 
 // EncryptAtLevel implements he.LevelEncrypter: a fresh encryption landed
@@ -216,6 +216,21 @@ func (b *Backend) NoiseBudget(ct he.Ciphertext) (int, error) {
 		return 0, fmt.Errorf("hebgv: no secret key")
 	}
 	return b.decryptor.NoiseBudget(c.ct), nil
+}
+
+// castPair casts the operands of a binary op and counts the implicit
+// alignment the evaluator is about to perform when their levels differ.
+func (b *Backend) castPair(x, y he.Ciphertext) (cx, cy *ciphertext, err error) {
+	if cx, err = b.cast(x); err != nil {
+		return nil, nil, err
+	}
+	if cy, err = b.cast(y); err != nil {
+		return nil, nil, err
+	}
+	if cx.ct.Level() != cy.ct.Level() {
+		b.CountAlign()
+	}
+	return cx, cy, nil
 }
 
 func (b *Backend) cast(ct he.Ciphertext) (*ciphertext, error) {
@@ -267,11 +282,7 @@ func (b *Backend) EncodePlain(vals []uint64) (he.Plain, error) {
 
 // Add implements he.Backend.
 func (b *Backend) Add(x, y he.Ciphertext) (he.Ciphertext, error) {
-	cx, err := b.cast(x)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := b.cast(y)
+	cx, cy, err := b.castPair(x, y)
 	if err != nil {
 		return nil, err
 	}
@@ -286,11 +297,7 @@ func (b *Backend) Add(x, y he.Ciphertext) (he.Ciphertext, error) {
 
 // Sub implements he.Backend.
 func (b *Backend) Sub(x, y he.Ciphertext) (he.Ciphertext, error) {
-	cx, err := b.cast(x)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := b.cast(y)
+	cx, cy, err := b.castPair(x, y)
 	if err != nil {
 		return nil, err
 	}
@@ -358,11 +365,7 @@ func (b *Backend) MulPlain(x he.Ciphertext, p he.Plain) (he.Ciphertext, error) {
 
 // Mul implements he.Backend.
 func (b *Backend) Mul(x, y he.Ciphertext) (he.Ciphertext, error) {
-	cx, err := b.cast(x)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := b.cast(y)
+	cx, cy, err := b.castPair(x, y)
 	if err != nil {
 		return nil, err
 	}
@@ -380,11 +383,7 @@ func (b *Backend) Mul(x, y he.Ciphertext) (he.Ciphertext, error) {
 // MulLazy implements he.Backend: the degree-2 tensor product, deferring
 // the relinearization key switch so sums of products pay for it once.
 func (b *Backend) MulLazy(x, y he.Ciphertext) (he.Ciphertext, error) {
-	cx, err := b.cast(x)
-	if err != nil {
-		return nil, err
-	}
-	cy, err := b.cast(y)
+	cx, cy, err := b.castPair(x, y)
 	if err != nil {
 		return nil, err
 	}

@@ -271,8 +271,21 @@ func TestLevelCapabilities(t *testing.T) {
 	if _, err := cb.Add(op.Ct, op.Ct); err != nil {
 		t.Fatal(err)
 	}
-	if counts := cb.Counts(); counts.LimbOps != 3 {
-		t.Fatalf("counting wrapper LimbOps = %d, want 3", counts.LimbOps)
+	if counts := cb.Counts(); counts.LimbOps != 3 || counts.Aligns != 0 {
+		t.Fatalf("counting wrapper LimbOps = %d, Aligns = %d; want 3, 0", counts.LimbOps, counts.Aligns)
+	}
+	// Operands at different levels: the backend aligns them itself, and
+	// both its own counter and the wrapper's say so.
+	before := b.Counts().Aligns
+	sum, err := cb.Add(top, op.Ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if level, _ := ld.CiphertextLevel(sum); level != 2 {
+		t.Fatalf("sum of levels 5 and 2 landed at level %d", level)
+	}
+	if wrapper, backend := cb.Counts().Aligns, b.Counts().Aligns-before; wrapper != 1 || backend != 1 {
+		t.Fatalf("Aligns after one misaligned Add: wrapper %d, backend %d; want 1, 1", wrapper, backend)
 	}
 
 	// The clear backend has no level structure: helpers are no-ops.

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -102,39 +103,121 @@ func TestDecomposeHybridAgainstBigInt(t *testing.T) {
 	}
 }
 
-// TestDivideByPAgainstBigInt checks (acc − δ)/P with δ = t·centered(
-// [acc·t^{-1}]_P) against the same computation on reconstructed integers.
-func TestDivideByPAgainstBigInt(t *testing.T) {
-	const levels = 5
-	ctx := hybridContext(t, levels)
-	bigP := product(ctx.special)
+// checkRounding asserts out = (x − δ)/D over out's primes, with
+// δ = t·centered([x·t^{-1}]_D) computed on the reconstructed integers x
+// of the polynomial the rounding started from (coefficient-domain rows
+// over moduli) and D the product of dropped.
+func checkRounding(t *testing.T, ctx *Context, what string, moduli []*Modulus, rows [][]uint64, dropped []*Modulus, out *Poly) {
+	t.Helper()
+	x := bigCRT(t, ctx, moduli, rows)
+	bigD := product(dropped)
 	bigT := new(big.Int).SetUint64(ctx.T)
-	tInv := new(big.Int).ModInverse(bigT, bigP)
-	for level := 0; level < levels; level++ {
-		qp := ctx.QP(level)
-		acc := NewSeededSampler(qp, uint64(40+level)).UniformPoly(len(qp.Moduli)-1, true)
-		coeff := acc.Copy()
-		qp.INTT(coeff)
-		x := bigCRT(t, ctx, qp.Moduli, coeff.Coeffs)
+	tInv := new(big.Int).ModInverse(bigT, bigD)
+	got := out.Copy()
+	ctx.INTT(got)
+	for c := 0; c < ctx.N; c++ {
+		w := new(big.Int).Mul(x[c], tInv)
+		w.Mod(w, bigD)
+		delta := centered(w, bigD)
+		delta.Mul(delta, bigT)
+		quo, rem := new(big.Int).QuoRem(new(big.Int).Sub(x[c], delta), bigD, new(big.Int))
+		if rem.Sign() != 0 {
+			t.Fatalf("%s coeff %d: x − δ not divisible by the dropped modulus", what, c)
+		}
+		for i := range got.Coeffs {
+			if g, exp := got.Coeffs[i][c], modU64(quo, ctx.Moduli[i].Q); g != exp {
+				t.Fatalf("%s row %d coeff %d: got %d, want %d", what, i, c, g, exp)
+			}
+		}
+	}
+}
 
+// TestRoundingAgainstBigInt checks every call of the rounding kernel —
+// dropping 1..maxConvPrimes chain primes (and more, in steps) from every
+// level of a 14-prime chain, the special modulus, and the special
+// modulus with a chain prime — against the same rounding on big.Int.
+func TestRoundingAgainstBigInt(t *testing.T) {
+	const levels = 14
+	ctx := hybridContext(t, levels)
+	for level := 0; level < levels; level++ {
+		p := NewSeededSampler(ctx, uint64(30+level)).UniformPoly(level, true)
+		coeff := p.Copy()
+		ctx.INTT(coeff)
+		for k := 1; k <= min(level, maxConvPrimes+2); k++ {
+			before := p.Copy()
+			out := ctx.GetPoly(level - k)
+			ctx.ModSwitchDownTo(p, out)
+			if !polysEqual(p, before) {
+				t.Fatalf("level %d drop %d: input modified", level, k)
+			}
+			checkRounding(t, ctx, fmt.Sprintf("level %d drop %d", level, k),
+				ctx.Moduli[:level+1], coeff.Coeffs, ctx.Moduli[level-k+1:level+1], out)
+			ctx.PutPoly(out)
+		}
+
+		qp := ctx.QP(level)
+		acc := NewSeededSampler(qp, uint64(60+level)).UniformPoly(len(qp.Moduli)-1, true)
+		accCoeff := acc.Copy()
+		qp.INTT(accCoeff)
 		out := ctx.NewPoly(level)
-		ctx.DivideByP(acc, out)
-		ctx.INTT(out)
-		for c := 0; c < ctx.N; c++ {
-			w := new(big.Int).Mul(x[c], tInv)
-			w.Mod(w, bigP)
-			delta := centered(w, bigP)
-			delta.Mul(delta, bigT)
-			num := new(big.Int).Sub(x[c], delta)
-			quo, rem := new(big.Int).QuoRem(num, bigP, new(big.Int))
-			if rem.Sign() != 0 {
-				t.Fatalf("level %d coeff %d: acc − δ not divisible by P", level, c)
-			}
-			for i := 0; i <= level; i++ {
-				if got, exp := out.Coeffs[i][c], modU64(quo, ctx.Moduli[i].Q); got != exp {
-					t.Fatalf("level %d row %d coeff %d: got %d, want %d", level, i, c, got, exp)
-				}
-			}
+		ctx.DivideByP(acc.Copy(), out)
+		checkRounding(t, ctx, fmt.Sprintf("level %d divide by P", level), qp.Moduli, accCoeff.Coeffs, ctx.special, out)
+		if level > 0 {
+			out := ctx.NewPoly(level - 1)
+			ctx.DivideByPQ(acc, out)
+			checkRounding(t, ctx, fmt.Sprintf("level %d divide by P·q", level), qp.Moduli, accCoeff.Coeffs, qp.Moduli[level:], out)
+		}
+	}
+}
+
+// modSwitchDownReference is the single-prime switch as it was written
+// before every level move became one call of the rounding kernel: the
+// centered [c·t^{-1}]_{q_l} carried shifted by +q_l, δ built and
+// transformed per remaining prime.
+func modSwitchDownReference(ctx *Context, p *Poly) {
+	l := p.Level()
+	ql, t := ctx.Moduli[l].Q, ctx.T
+	top := append([]uint64(nil), p.Coeffs[l]...)
+	ctx.Moduli[l].INTT(top)
+	tInv, half := InvMod(t%ql, ql), ql>>1
+	vu := make([]uint64, ctx.N)
+	for j := range vu {
+		if v := MulMod(top[j], tInv, ql); v > half {
+			vu[j] = v
+		} else {
+			vu[j] = v + ql
+		}
+	}
+	delta := make([]uint64, ctx.N)
+	for i := 0; i < l; i++ {
+		qi := ctx.Moduli[i].Q
+		tq, qInv := t%qi, InvMod(ql%qi, qi)
+		for j, u := range vu {
+			delta[j] = SubMod(MulMod(u%qi, tq, qi), MulMod(tq, ql%qi, qi), qi)
+		}
+		ctx.Moduli[i].NTT(delta)
+		for j := range delta {
+			p.Coeffs[i][j] = MulMod(SubMod(p.Coeffs[i][j], delta[j], qi), qInv, qi)
+		}
+	}
+	p.Coeffs = p.Coeffs[:l]
+}
+
+// TestSinglePrimeDropBitIdentical: dropping one prime through the
+// rounding kernel, in place or into a destination, yields the residues
+// the dedicated single-prime loop produced, bit for bit.
+func TestSinglePrimeDropBitIdentical(t *testing.T) {
+	const levels = 14
+	ctx := hybridContext(t, levels)
+	for level := 1; level < levels; level++ {
+		p := NewSeededSampler(ctx, uint64(90+level)).UniformPoly(level, true)
+		want := p.Copy()
+		modSwitchDownReference(ctx, want)
+		into := ctx.NewPoly(level - 1)
+		ctx.ModSwitchDownTo(p, into)
+		ctx.ModSwitchDown(p)
+		if !polysEqual(p, want) || !polysEqual(into, want) {
+			t.Fatalf("level %d: one-prime drop differs from the reference switch", level)
 		}
 	}
 }
@@ -180,10 +263,16 @@ func TestHybridVectorMatchesScalar(t *testing.T) {
 		run := func(ctx *Context) []*Poly {
 			p := NewSeededSampler(ctx, uint64(60+level)).UniformPoly(level, true)
 			outs := ctx.DecomposeHybrid(p)
-			acc := outs[0].Copy()
 			quo := ctx.NewPoly(level)
-			ctx.DivideByP(acc, quo)
-			return append(outs, quo)
+			ctx.DivideByP(outs[0].Copy(), quo)
+			outs = append(outs, quo)
+			if level > 0 {
+				fused, low := ctx.NewPoly(level-1), ctx.NewPoly(0)
+				ctx.DivideByPQ(outs[0].Copy(), fused)
+				ctx.ModSwitchDownTo(p, low)
+				outs = append(outs, fused, low)
+			}
+			return outs
 		}
 		got, want := run(vec), run(scalar)
 		for k := range want {

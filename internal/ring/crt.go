@@ -231,104 +231,3 @@ func extractBitsWords(words []uint64, start, width int) uint64 {
 	}
 	return v & (uint64(1)<<uint(width) - 1)
 }
-
-// shoupVec is one constant per chain prime with its Shoup companion.
-type shoupVec struct{ v, s []uint64 }
-
-// newShoupVec evaluates f(q_i) for every modulus and precomputes the
-// companions.
-func newShoupVec(moduli []*Modulus, f func(q uint64) uint64) shoupVec {
-	sv := shoupVec{v: make([]uint64, len(moduli)), s: make([]uint64, len(moduli))}
-	for i, m := range moduli {
-		sv.v[i] = f(m.Q)
-		sv.s[i] = ShoupPrecomp(sv.v[i], m.Q)
-	}
-	return sv
-}
-
-// modDownTable holds the per-level constants of ModSwitchDown for
-// dropping q_l: t^{-1} mod q_l and, per remaining prime q_i, q_l^{-1}
-// and t·q_l.
-type modDownTable struct {
-	tInv uint64
-	qInv shoupVec
-	tq   []uint64
-}
-
-func (ctx *Context) buildModDown() {
-	t := ctx.T
-	ctx.tModQ = newShoupVec(ctx.Moduli, func(q uint64) uint64 { return t % q })
-	ctx.modDown = make([]modDownTable, len(ctx.Moduli))
-	for l := 1; l < len(ctx.Moduli); l++ {
-		ql := ctx.Moduli[l].Q
-		rest := ctx.Moduli[:l]
-		ctx.modDown[l] = modDownTable{
-			tInv: InvMod(t%ql, ql),
-			qInv: newShoupVec(rest, func(q uint64) uint64 { return InvMod(ql%q, q) }),
-			tq:   newShoupVec(rest, func(q uint64) uint64 { return MulMod(t%q, ql%q, q) }).v,
-		}
-	}
-}
-
-// rescaleRow sets out = (a − delta)·inv mod q: the exact division by a
-// dropped modulus M once delta ≡ a (mod M), with inv = M^{-1} mod q.
-// Shared by ModSwitchDown and DivideByP.
-func rescaleRow(q, inv, invS uint64, a, delta, out []uint64) {
-	a, delta = a[:len(out)], delta[:len(out)]
-	for j := range out {
-		out[j] = MulModShoup(SubMod(a[j], delta[j], q), inv, invS, q)
-	}
-}
-
-// ModSwitchDown performs the exact BGV modulus switch, dropping the top
-// prime q_l: it replaces c by (c - δ)/q_l where δ ≡ c (mod q_l) and
-// δ ≡ 0 (mod t), with δ centered so the added noise is minimal. Because
-// every prime is ≡ 1 mod t, the plaintext is preserved without scaling.
-// The input must be in NTT domain and at level ≥ 1.
-func (ctx *Context) ModSwitchDown(p *Poly) {
-	if !p.IsNTT {
-		panic("ring: ModSwitchDown requires NTT-domain input")
-	}
-	l := p.Level()
-	if l < 1 {
-		panic("ring: ModSwitchDown at level 0")
-	}
-	ql := ctx.Moduli[l].Q
-	tab := &ctx.modDown[l]
-
-	// Recover the dropped component in coefficient domain.
-	top := ctx.getRow()
-	defer ctx.putRow(top)
-	copy(top, p.Coeffs[l])
-	ctx.Moduli[l].INTT(top)
-
-	// v = centered([c * t^{-1}]_{q_l}); δ = t * v. The centered value is
-	// carried shifted by +q_l (vu = v + q_l ∈ (q_l/2, 3q_l/2]) so the
-	// per-prime loop below is branch-free: δ ≡ t·vu − t·q_l (mod q_i).
-	half := ql >> 1
-	vu := ctx.getRow()
-	defer ctx.putRow(vu)
-	for j := range vu[:ctx.N] {
-		v := MulMod(top[j], tab.tInv, ql)
-		if v > half {
-			vu[j] = v
-		} else {
-			vu[j] = v + ql
-		}
-	}
-
-	// Each remaining prime: build δ mod q_i, forward-NTT it, and rescale
-	// p's residue row.
-	delta := ctx.getRow()
-	defer ctx.putRow(delta)
-	for i := 0; i < l; i++ {
-		qi := ctx.Moduli[i].Q
-		tq, tqS, tql := ctx.tModQ.v[i], ctx.tModQ.s[i], tab.tq[i]
-		for j, u := range vu[:ctx.N] {
-			delta[j] = SubMod(MulModShoup(u, tq, tqS, qi), tql, qi)
-		}
-		ctx.Moduli[i].NTT(delta)
-		rescaleRow(qi, tab.qInv.v[i], tab.qInv.s[i], p.Coeffs[i], delta, p.Coeffs[i])
-	}
-	p.Coeffs = p.Coeffs[:l]
-}

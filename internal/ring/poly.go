@@ -52,20 +52,19 @@ type Context struct {
 
 	crt []*crtLevel // per-level CRT reconstruction tables
 
-	// modDown[l] holds the constants ModSwitchDown needs to drop q_l;
-	// tModQ is t mod q_i, shared by every level.
-	modDown []modDownTable
-	tModQ   shoupVec
+	// drops[l][k-1] rounds away the top k primes of level l
+	// (basisext.go).
+	drops [][]*rounder
 
 	// Hybrid key-switching state (nil without special primes): the P
 	// moduli, the per-level QP views, the digit base-extension tables and
-	// the divide-by-P tables (basisext.go).
+	// the roundings that end a key switch (basisext.go).
 	special   []*Modulus
 	qp        []*Context
 	digitConv [][]*baseConv
-	pConv     *baseConv
-	pInv      shoupVec // P^{-1} mod q_i
-	pModQ     []uint64 // P mod q_i
+	pRound    *rounder   // drops P
+	pqRound   []*rounder // pqRound[l] drops P·q_l
+	pModQ     shoupVec   // P mod q_i
 
 	// shared is the tuning and pooling state; the QP views of a context
 	// point at their root's.
@@ -136,7 +135,9 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 	}
 	ctx.vecRows.Store(vectorDefault.Load())
 	ctx.buildCRT()
-	ctx.buildModDown()
+	if err := ctx.buildRounders(); err != nil {
+		return nil, err
+	}
 	if len(ctx.special) > 0 {
 		if err := ctx.buildHybrid(); err != nil {
 			return nil, err
