@@ -75,15 +75,26 @@ func main() {
 			plan.Cipher.Compare, plan.Cipher.Reshuffle, plan.Cipher.Level, plan.Cipher.Accumulate, plan.Cipher.Final)
 	}
 	// The op program does not depend on the backend, so staging onto the
-	// exact one is enough to read off how much parallelism the model
-	// offers the pass scheduler (DESIGN.md §9).
-	staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, true)
-	if err != nil {
-		log.Fatal(err)
+	// exact one is enough to read off what the level pass predicts for it
+	// and how much parallelism the model offers the pass scheduler
+	// (DESIGN.md §8.1, §9).
+	for _, encModel := range []bool{true, false} {
+		staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, encModel)
+		if err != nil {
+			log.Fatal(err)
+		}
+		name := map[bool]string{true: "cipher", false: "plain"}[encModel]
+		if rows := staged.PredictedNoise(); rows != nil {
+			fmt.Fprintf(os.Stderr, "  predicted (%s model), level/margin bits:", name)
+			for _, r := range rows {
+				fmt.Fprintf(os.Stderr, " %s %d/%.0f", r.At, r.Level, r.MarginBits)
+			}
+			fmt.Fprintln(os.Stderr)
+		}
+		work, critical := staged.Program.Work(), staged.Program.CriticalPath()
+		fmt.Fprintf(os.Stderr, "  op program (%s model): work %d, critical path %d — parallelism %.1f\n",
+			name, work, critical, float64(work)/float64(critical))
 	}
-	work, critical := staged.Program.Work(), staged.Program.CriticalPath()
-	fmt.Fprintf(os.Stderr, "  op program (cipher model): work %d, critical path %d — parallelism %.1f\n",
-		work, critical, float64(work)/float64(critical))
 
 	if *out != "" {
 		w, err := os.Create(*out)

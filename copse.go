@@ -87,6 +87,10 @@ type (
 	Party = core.Party
 	// Leakage describes what a party learns in a scenario.
 	Leakage = core.Leakage
+	// PlanInfeasibleError is Service.Register's rejection of a model whose
+	// level plan its op program cannot run under (a stale or hand-edited
+	// artifact): a load-time error instead of a garbage label.
+	PlanInfeasibleError = core.PlanInfeasibleError
 )
 
 // Party configurations (see paper §7.1 and Tables 3–4).

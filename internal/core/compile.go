@@ -33,15 +33,6 @@ type Options struct {
 	// (§7.2.2). The default minimal schedule lands the result below the
 	// shuffle's entry level.
 	PlanShuffle bool
-	// SlackFloorBits floors the level planner's per-stage noise slack:
-	// no stage keeps fewer than this many bits in hand on its headroom
-	// checks. Zero selects the default floor of 1 bit; raise it to
-	// trade schedule depth for extra safety margin.
-	SlackFloorBits float64
-	// FlatSlack disables the per-stage slack calibration and restores
-	// the legacy uniform 3-bit slack on every check — the ablation knob
-	// for the calibrated profile.
-	FlatSlack bool
 }
 
 // Compiled is the vectorized representation of a decision forest: the
@@ -254,10 +245,10 @@ func Compile(f *model.Forest, opts Options) (*Compiled, error) {
 	meta.RecommendedLevels = meta.CtDepthCipherModel + 5 + log2Ceil(bPad)/3
 	if !opts.NoLevelPlan {
 		// The static level schedule (levelplan.go): per-stage target
-		// levels from a forward run of the noise model, so the engine can
-		// execute each stage on exactly the fraction of the modulus chain
-		// its remaining circuit needs.
-		meta.LevelPlan = computeLevelPlan(&meta, opts.PlanShuffle, slackConfig{floorBits: opts.SlackFloorBits, flat: opts.FlatSlack})
+		// levels from the level pass over the op program, so the engine
+		// can execute each stage on exactly the fraction of the modulus
+		// chain its remaining circuit needs.
+		meta.LevelPlan = computeLevelPlan(&meta, opts.PlanShuffle)
 	}
 
 	return &Compiled{

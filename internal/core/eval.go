@@ -170,6 +170,35 @@ func newProgram(b he.Backend, in progInputs) (*Program, error) {
 	return p, nil
 }
 
+// PlanInfeasibleError is Prepare's rejection of a level plan the level
+// pass finds infeasible for the program it would build: a hand-edited or
+// stale artifact, or an override plan that schedules some register
+// lower than the circuit allows. BGV decrypts an over-noised ciphertext
+// to garbage without complaint, so this fails at load, not at decrypt.
+type PlanInfeasibleError struct {
+	// Scenario names what the program was levelled for, e.g. "encrypted
+	// model, encrypted query".
+	Scenario string
+	// Stage is the pipeline stage the first infeasible op belongs to.
+	Stage string
+	// Kind is "level" (the chain ran out of levels, or a carrier reached
+	// a stage boundary below the next entry) or "noise" (predicted noise
+	// past the decryption margin).
+	Kind string
+	// Level is the level the failing register sat at.
+	Level int
+}
+
+func (e *PlanInfeasibleError) Error() string {
+	return fmt.Sprintf("core: level plan infeasible for %s: %s failure in the %s stage at level %d",
+		e.Scenario, e.Kind, e.Stage, e.Level)
+}
+
+func scenarioName(encModel, encQuery bool) string {
+	name := map[bool]string{true: "encrypted", false: "plaintext"}
+	return name[encModel] + " model, " + name[encQuery] + " query"
+}
+
 // UnsupportedModelError is Prepare's rejection of a model whose staged
 // shape has no op program: no threshold planes, no level matrices, or
 // level matrices and masks that disagree in count or period. Compile
@@ -219,8 +248,8 @@ type Engine struct {
 	Workers int
 	// MeasureNoise records the decrypt-side measured noise budget of the
 	// carrier ciphertext at every stage boundary in Trace.Noise — the
-	// measured-margin complement of the planner's estimates (it grounds
-	// the flat slack in core/levelplan.go against reality). Measurement
+	// measured-margin complement of the level pass's estimates
+	// (ModelOperands.PredictedNoise). Measurement
 	// decrypts, so it needs the secret key and costs one decryption per
 	// stage, outside the stage timing windows and excluded from
 	// Trace.Total: a harness knob (copse-bench -leveljson), not a
@@ -292,6 +321,42 @@ type StageNoise struct {
 	LevelResult int
 	// Result is the classification output (what decrypt sees).
 	Result int
+}
+
+// PredictedNoise is one row of the level pass's side of the table whose
+// measured side is Trace.Limbs and Trace.Noise: where the pass puts a
+// carrier and the noise margin (bits) it predicts is left there.
+type PredictedNoise struct {
+	At         string
+	Level      int
+	MarginBits float64
+}
+
+// PredictedNoise reports the level pass's estimates for the encrypted-
+// query program: the five trace boundaries in pipeline order, with the
+// hottest prefix operand after each scheduled compare round between the
+// query and the decisions. Nil for a model staged without a plan.
+func (m *ModelOperands) PredictedNoise() []PredictedNoise {
+	p := m.Program
+	if p.est == nil {
+		return nil
+	}
+	nm := planNoiseModel(m.Meta.Slots)
+	var out []PredictedNoise
+	row := func(at string, e est) {
+		if e.cipher {
+			out = append(out, PredictedNoise{At: at, Level: e.level, MarginBits: nm.qBits(e.level) - e.noise})
+		}
+	}
+	row("query", p.est[p.regQuery])
+	for r, e := range p.rounds {
+		row(fmt.Sprintf("round %d", r), e)
+	}
+	row("decisions", p.est[p.regDecisions])
+	row("branch vector", p.est[p.regBranchVec])
+	row("level result", p.est[p.regLevelResult])
+	row("result", p.est[p.result])
+	return out
 }
 
 // StageLimbs records the active RNS limb count of the pipeline's

@@ -1,0 +1,200 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"os"
+	"testing"
+	"time"
+
+	"copse/internal/he/heclear"
+	"copse/internal/model"
+	"copse/internal/synth"
+)
+
+// TestPrepareRejectsInfeasiblePlan: a plan one level lower than the
+// planner's — at the compare entry, at the final level, or at any one
+// Sklansky round — fails Prepare with the typed error, in both
+// scenarios, instead of building a program that decrypts to garbage.
+func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
+	for name, ac := range alignCorpus(t) {
+		c := ac.c
+		b := heclear.New(c.Meta.Slots, 65537)
+		for _, encModel := range []bool{true, false} {
+			if _, err := Prepare(b, c, encModel); err != nil {
+				t.Fatalf("%s enc=%v: the compiled plan: %v", name, encModel, err)
+			}
+			lowered := map[string]func(st *StageLevels){
+				"compare": func(st *StageLevels) { st.Compare-- },
+				"final":   func(st *StageLevels) { st.Final-- },
+			}
+			for r := range c.Meta.LevelPlan.For(encModel).CompareRounds {
+				lowered[fmt.Sprintf("round %d", r)] = func(st *StageLevels) { st.CompareRounds[r]-- }
+			}
+			for what, lower := range lowered {
+				plan := *c.Meta.LevelPlan
+				st := &plan.Plain
+				if encModel {
+					st = &plan.Cipher
+				}
+				st.CompareRounds = append([]int(nil), st.CompareRounds...)
+				lower(st)
+				_, err := PrepareWithPlan(b, c, encModel, &plan)
+				var infeasible *PlanInfeasibleError
+				if !errors.As(err, &infeasible) {
+					t.Errorf("%s enc=%v, %s lowered by one: Prepare error %v, want *PlanInfeasibleError", name, encModel, what, err)
+				}
+			}
+		}
+	}
+}
+
+// randomPlanCase draws one forest and its compile options: precision
+// 1..16, depth 1..8, 1..12 trees, Slots 1024/2048/4096, BSGS and
+// PlanShuffle on or off, redrawn until the model fits its slots.
+func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Options) {
+	t.Helper()
+	for {
+		depth := 1 + rng.IntN(8)
+		spec := synth.ForestSpec{
+			NumFeatures: 1 + rng.IntN(6), NumLabels: 2 + rng.IntN(3),
+			Precision: 1 + rng.IntN(16), MaxDepth: depth, Seed: rng.Uint64(),
+		}
+		for tr := 1 + rng.IntN(12); tr > 0; tr-- {
+			most := min(1<<depth-1, 3*depth)
+			spec.BranchesPerTree = append(spec.BranchesPerTree, depth+rng.IntN(most-depth+1))
+		}
+		f, err := synth.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Slots: 1024 << rng.IntN(3), NoBSGS: rng.IntN(2) == 0, PlanShuffle: rng.IntN(2) == 0}
+		if c, err := Compile(f, opts); err == nil {
+			return f, c, opts
+		}
+	}
+}
+
+// checkLevelledProgram asserts what the level pass promises of a program
+// built under st: its schedule is what its ops imply, no binary op reads
+// ciphertext registers at different levels (the static form of
+// OpCounts.Aligns == 0), no register is dropped to the same level twice,
+// and every ciphertext trace register sits exactly at its stage entry.
+func checkLevelledProgram(t *testing.T, p *Program, st StageLevels) {
+	t.Helper()
+	checkSchedule(t, p)
+	drops := map[[2]int]bool{}
+	for i, op := range p.ops {
+		switch op.Code {
+		case opDrop:
+			if key := [2]int{op.A, op.Imm}; drops[key] {
+				t.Errorf("op %d drops register %d to level %d a second time", i, op.A, op.Imm)
+			} else {
+				drops[key] = true
+			}
+		case opAdd, opSub, opMul, opMulLazy:
+			if a, b := p.est[op.A], p.est[op.B]; a.cipher && b.cipher && a.level != b.level {
+				t.Errorf("op %d (code %d) reads registers at levels %d and %d", i, op.Code, a.level, b.level)
+			}
+		}
+	}
+	for _, at := range []struct {
+		what       string
+		reg, level int
+	}{
+		{"query", p.regQuery, st.Compare}, {"decisions", p.regDecisions, st.Reshuffle},
+		{"branch vector", p.regBranchVec, st.Level}, {"level result", p.regLevelResult, st.Accumulate},
+		{"result", p.result, st.Final},
+	} {
+		if e := p.est[at.reg]; e.cipher && e.level != at.level {
+			t.Errorf("the %s sits at level %d, its stage entry is %d", at.what, e.level, at.level)
+		}
+	}
+}
+
+// TestPlannerGeneratedShapes runs the planner over generated model
+// shapes instead of a fixed corpus: seeded random forests, whole and
+// split into two or three shards, × encrypted or plaintext model ×
+// encrypted or plaintext query. Every case must have a plan whose
+// entries descend along the pipeline, whose compare rounds descend and
+// stay at or above the reshuffle entry, and under which the program
+// Prepare builds from the staged shapes is feasible and levelled. Static
+// checks only (the exact backend), so it runs under -short.
+func TestPlannerGeneratedShapes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 0x5a))
+	cases := 48
+	if testing.Short() {
+		cases = 16
+	}
+	for i := 0; i < cases; i++ {
+		f, whole, opts := randomPlanCase(t, rng)
+		models := []*Compiled{whole}
+		if k := 2 + rng.IntN(2); i%2 == 1 && len(f.Trees) >= k {
+			shards, _, err := ShardForest(whole, k)
+			if err != nil {
+				t.Fatalf("case %d (%v %+v): %v", i, &whole.Meta, opts, err)
+			}
+			models = shards
+		}
+		for mi, c := range models {
+			t.Run(fmt.Sprintf("case%d/%d", i, mi), func(t *testing.T) {
+				t.Logf("%v %+v", &c.Meta, opts)
+				plan := c.Meta.LevelPlan
+				if plan == nil {
+					t.Fatal("no level plan")
+				}
+				b := heclear.New(c.Meta.Slots, 65537)
+				for _, encModel := range []bool{true, false} {
+					st := plan.For(encModel)
+					chain := append(append([]int{st.Compare}, st.CompareRounds...), st.Reshuffle, st.Level, st.Accumulate, st.Final, minFinalLevel)
+					for j := 1; j < len(chain); j++ {
+						if chain[j] > chain[j-1] {
+							t.Errorf("enc=%v: schedule %+v does not descend", encModel, st)
+						}
+					}
+					m, err := Prepare(b, c, encModel)
+					if err != nil {
+						t.Fatalf("enc=%v: %v", encModel, err)
+					}
+					// One program serves both query kinds unless their
+					// levels differ.
+					checkLevelledProgram(t, m.Program, st)
+					if m.plainQueryProgram != m.Program {
+						checkLevelledProgram(t, m.plainQueryProgram, st)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPlannerBudget is the perf smoke for planning on the op program:
+// Compile of every Table 6 model, at Slots 1024 and 2048, must plan both
+// scenarios in under 25 ms. Gated behind COPSE_PERF_SMOKE=1 like the
+// other wall-clock checks.
+func TestPlannerBudget(t *testing.T) {
+	if os.Getenv("COPSE_PERF_SMOKE") == "" {
+		t.Skip("set COPSE_PERF_SMOKE=1 to run the planner budget smoke")
+	}
+	for _, mb := range synth.Microbenchmarks() {
+		for _, slots := range []int{1024, 2048} {
+			c, err := Compile(microForest(t, mb.Name), Options{Slots: slots, NoLevelPlan: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := time.Hour
+			for run := 0; run < 5; run++ {
+				start := time.Now()
+				if computeLevelPlan(&c.Meta, false) == nil {
+					t.Fatalf("%s/%d: no plan", mb.Name, slots)
+				}
+				best = min(best, time.Since(start))
+			}
+			t.Logf("%s slots=%d: planned in %v", mb.Name, slots, best)
+			if best > 25*time.Millisecond {
+				t.Errorf("%s slots=%d: planning took %v, budget 25ms", mb.Name, slots, best)
+			}
+		}
+	}
+}

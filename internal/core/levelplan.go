@@ -13,18 +13,18 @@ import (
 // ciphertexts as high on the modulus chain as the noise allows — so the
 // deep, rotation-heavy back half of Algorithm 1 pays full-chain NTTs and
 // key switches whose noise budget needs only one or two limbs. The
-// compiler instead runs its per-op noise model forward over the whole
-// pipeline at staging time and records a per-stage target level; the
-// engine proactively drops ciphertexts at each stage boundary, model
-// operands are encrypted (or pre-lifted) directly at their scheduled
-// level, and the serving backend sizes its chain — and its switching
-// keys — to the plan's top instead of the reactive recommendation.
+// compiler instead records a per-stage target level; the engine drops
+// ciphertexts to it, model operands are produced at it, and the serving
+// backend sizes its chain and switching keys to the plan's top.
 //
-// The noise model here MUST mirror internal/bgv/evaluator.go: the plan
-// is only a schedule, the evaluator's own management still guards
-// correctness, but a plan more aggressive than the evaluator's noise
-// accounting would make Classify fail with "modulus chain exhausted".
-// The regression tests in levelplan_test.go pin the two together.
+// There is one description of the circuit: the op program (program.go).
+// The planner builds the program's structure from Meta alone, runs the
+// level pass below over its ops under candidate schedules, and searches
+// for the lowest feasible one; Prepare builds the structure from the
+// staged shapes and runs the same pass once under the stored schedule
+// (DESIGN.md §8.1). The per-op transfer functions MUST bound
+// internal/bgv/evaluator.go from above: TestPlannerNoiseBoundsMeasured
+// holds every predicted stage boundary against a decryption.
 
 // LevelPlan is a compile-time schedule assigning each pipeline stage the
 // modulus-chain level it executes at. Levels are absolute: level 0 is
@@ -67,8 +67,8 @@ type StageLevels struct {
 	// operand is dropped to after round r, so the later rounds of the
 	// single most expensive stage run on 1–2 fewer limbs than reactive
 	// management would keep them at. Derived by lowering each round's
-	// simulated level until the full-pipeline simulation breaks. Nil on
-	// older artifacts (no per-round drops).
+	// level until the level pass breaks. Nil on older artifacts (no
+	// per-round drops).
 	CompareRounds []int
 }
 
@@ -99,72 +99,49 @@ func (p *LevelPlan) ShuffleLevel() int {
 	return max(p.Cipher.Shuffle, p.Plain.Shuffle)
 }
 
+// Scheduled drop points: the immediate of an opDrop in a program's
+// structure names the schedule entry the pass resolves it against — a
+// stage entry, or atRound+r for the drop after Sklansky round r.
+const (
+	atCompare = iota
+	atReshuffle
+	atLevel
+	atAccumulate
+	atFinal
+	atRound
+)
+
+// entry resolves a scheduled drop point. A compare round the schedule
+// does not list drops nothing: it resolves to the stage's own entry.
+func (s StageLevels) entry(point int) int {
+	if r := point - atRound; r >= 0 && r < len(s.CompareRounds) {
+		return s.CompareRounds[r]
+	}
+	return [...]int{s.Compare, s.Reshuffle, s.Level, s.Accumulate, s.Final, s.Compare}[min(point, atRound)]
+}
+
 // noiseModel mirrors the constants of internal/bgv: all shipped
 // parameter presets share the plaintext modulus and prime size; only the
 // ring degree varies with the packing width. The key-switch noise is
 // bgv.KeySwitchNoiseBits itself, not a copy. Estimates err on the safe
-// side: the modulus bit length is rounded down and per-stage slack bits
-// are kept in hand on every headroom check.
-type noiseModel struct {
-	logN      int
-	tBits     int
-	primeBits int
-	// stageSlack is the safety margin (bits) held back on every
-	// headroom check, indexed by the pipeline stage the simulator is
-	// walking: 0 compare, 1 reshuffle, 2 level, 3 accumulate, 4 the
-	// final decryptability check and the result shuffle.
-	stageSlack [5]float64
-}
+// side: the modulus bit length is rounded down and stageSlack bits are
+// kept in hand on every headroom check.
+type noiseModel struct{ logN, tBits, primeBits int }
 
-// Per-stage slack defaults, calibrated against the measured noise
-// margins in BENCH_levels.json: the model's estimates track the
-// evaluator most loosely early in the pipeline, where the key-switch
-// noise of the Sklansky rounds and the reshuffle mat-vec compounds
-// through the longest remaining circuit — those stages keep 2 bits in
-// hand. Downstream the measured margins run tens of bits wide, so the
-// level mat-vec and the short accumulate/final tail hold less back,
-// letting the schedule search shave entries the flat legacy slack
-// forced it to keep.
-var stageSlackDefaults = [5]float64{2, 2, 1.5, 1, 1}
+// stageSlack is the safety margin (bits) held back on every headroom
+// check, indexed by the stage tag of the op being walked (stDone: the
+// final decryptability check and the result shuffle). The estimates
+// compound through the longest remaining circuit early in the pipeline,
+// so those stages keep the most in hand.
+var stageSlack = [stDone + 1]float64{2, 2, 1.5, 1, 1}
 
-const (
-	// slackFloorDefault floors every stage's slack when
-	// Options.SlackFloorBits is unset.
-	slackFloorDefault = 1
-	// flatSlackBits is the legacy uniform slack (Options.FlatSlack).
-	flatSlackBits = 3
-)
+// minFinalLevel is the lowest level a schedule may land the result at:
+// level 0 would leave decryption two bits of predicted margin.
+const minFinalLevel = 1
 
-// slackConfig carries the compile-time slack knobs
-// (Options.SlackFloorBits / Options.FlatSlack) into the planner; the
-// zero value selects the calibrated per-stage defaults.
-type slackConfig struct {
-	floorBits float64
-	flat      bool
-}
-
-// planNoiseModel returns the model for a packing width (slots = N/2)
-// under the given slack profile.
-func planNoiseModel(slots int, sl slackConfig) noiseModel {
-	nm := noiseModel{
-		logN:      log2Ceil(slots) + 1,
-		tBits:     17, // t = 65537
-		primeBits: 55,
-	}
-	nm.stageSlack = stageSlackDefaults
-	if sl.flat {
-		for i := range nm.stageSlack {
-			nm.stageSlack[i] = flatSlackBits
-		}
-	}
-	floor := sl.floorBits
-	if floor <= 0 {
-		floor = slackFloorDefault
-	}
-	for i := range nm.stageSlack {
-		nm.stageSlack[i] = math.Max(nm.stageSlack[i], floor)
-	}
-	return nm
+// planNoiseModel returns the model for a packing width (slots = N/2).
+func planNoiseModel(slots int) noiseModel {
+	return noiseModel{logN: log2Ceil(slots) + 1, tBits: 17 /* t = 65537 */, primeBits: 55}
 }
 
 // qBits lower-bounds the modulus bit length at a level.
@@ -182,73 +159,38 @@ func (nm noiseModel) ks(level int) float64 {
 	return bgv.KeySwitchNoiseBits(nm.logN, nm.tBits, level)
 }
 
-// fresh is the noise of a fresh public-key encryption.
-func (nm noiseModel) fresh() float64 {
-	return float64(nm.tBits) + float64(nm.logN)/2 + 8
+// fresh is a fresh public-key encryption at a level.
+func (nm noiseModel) fresh(level int) est {
+	return est{cipher: true, level: level, noise: float64(nm.tBits) + float64(nm.logN)/2 + 8}
 }
 
-// simCt is a simulated ciphertext: a (level, noise) pair plus the
-// degree-2 flag of an unrelinearized product.
-type simCt struct {
-	level int
-	noise float64
-	deg2  bool
+// est is the planner's estimate of one register: a noiseless plaintext
+// (the zero value), or a ciphertext at a level with a bound on its noise
+// (bits) and the degree-2 flag of an unrelinearized product.
+type est struct {
+	cipher, deg2 bool
+	level        int
+	noise        float64
 }
 
-// simOp is a simulated operand: a ciphertext or a noiseless plaintext.
-type simOp struct {
-	cipher bool
-	ct     simCt
-}
-
-func simPlain() simOp { return simOp{} }
-
-func (nm noiseModel) simFresh(level int) simOp {
-	return simOp{cipher: true, ct: simCt{level: level, noise: nm.fresh()}}
-}
-
-// Failure kinds drive the schedule search: a structural failure (the
-// chain ran out of levels) is fixed by raising the failing stage's own
-// entry, while a noise failure at a stage that entered hot is fixed by
-// raising the *previous* stage — a deeper boundary drop then cools the
-// carrier to the modulus-switch floor.
+// Failure kinds: the chain ran out of levels, or the predicted noise
+// passed the decryption margin (planner.schedule reacts to each).
 const (
 	failNone = iota
 	failLevel
 	failNoise
 )
 
-// sim walks the evaluator's noise accounting over the pipeline's op
-// sequence. The first infeasibility (noise past the evaluator's error
-// threshold, or a multiplication/relinearization with no level left)
-// sticks; callers inspect ok after a run.
+// sim holds the per-op transfer functions: the evaluator's noise
+// accounting, one op at a time. The first infeasibility sticks in kind.
 type sim struct {
-	nm   noiseModel
-	ok   bool
-	kind int
-
-	// stage is the pipeline stage whose slack the headroom checks
-	// consume (an index into nm.stageSlack); simulatePipeline advances
-	// it across stage sections, shuffle simulations run at the final
-	// stage's slack.
-	stage int
-
-	// compareTargets, when set, are per-round drop levels applied to the
-	// prefix-product carrier inside compare (mirroring the per-round
-	// drops the op program emits); compareLevels records the carrier's
-	// level after each round either way.
-	compareTargets []int
-	compareLevels  []int
+	nm    noiseModel
+	stage int // indexes stageSlack
+	kind  int
 }
 
-func newSim(nm noiseModel) *sim { return &sim{nm: nm, ok: true} }
-
-// slack is the active stage's safety margin.
-func (s *sim) slack() float64 { return s.nm.stageSlack[s.stage] }
-
 func (s *sim) fail(kind int) {
-	if s.ok {
-		s.ok = false
+	if s.kind == failNone {
 		s.kind = kind
 	}
 }
@@ -256,7 +198,7 @@ func (s *sim) fail(kind int) {
 // modSwitch drops one prime. The evaluator rounds a multi-prime move
 // once (ring.ModSwitchDownTo), which adds no more noise than this
 // prime-at-a-time accounting; the planner keeps the conservative model.
-func (s *sim) modSwitch(c *simCt) {
+func (s *sim) modSwitch(c *est) {
 	if c.level == 0 {
 		s.fail(failLevel)
 		return
@@ -267,60 +209,43 @@ func (s *sim) modSwitch(c *simCt) {
 
 // manage mirrors Evaluator.manage: switch down lazily, then verify the
 // decryption margin (minus the active stage's slack).
-func (s *sim) manage(c *simCt) {
+func (s *sim) manage(c *est) {
 	margin := float64(s.nm.tBits + 10)
 	for c.level > 0 && c.noise > s.nm.qBits(c.level)-margin {
 		s.modSwitch(c)
 	}
-	if c.noise > s.nm.qBits(c.level)-float64(s.nm.tBits)-2-s.slack() {
+	if c.noise > s.nm.qBits(c.level)-float64(s.nm.tBits)-2-stageSlack[s.stage] {
 		s.fail(failNoise)
 	}
 }
 
-func (s *sim) dropTo(c *simCt, level int) {
-	for c.level > level {
-		s.modSwitch(c)
+// dropTo switches a ciphertext that sits above a level down to it.
+func (s *sim) dropTo(c est, level int) est {
+	for c.cipher && c.level > level {
+		s.modSwitch(&c)
 	}
-}
-
-func (s *sim) dropOpTo(o simOp, level int) simOp {
-	if o.cipher {
-		s.dropTo(&o.ct, level)
-	}
-	return o
-}
-
-func (s *sim) align(a, b *simCt) {
-	for a.level > b.level {
-		s.modSwitch(a)
-	}
-	for b.level > a.level {
-		s.modSwitch(b)
-	}
+	return c
 }
 
 // tensor mirrors tensorProduct + the manage call of MulNoRelin.
-func (s *sim) tensor(a, b simCt) simCt {
-	s.align(&a, &b)
-	floor := s.nm.floor()
-	for a.level > 0 && a.noise >= floor+float64(s.nm.primeBits) {
+func (s *sim) tensor(a, b est) est {
+	a, b = s.dropTo(a, b.level), s.dropTo(b, a.level)
+	for a.level > 0 && a.noise >= s.nm.floor()+float64(s.nm.primeBits) {
 		s.modSwitch(&a)
 	}
-	for b.level > a.level {
-		s.modSwitch(&b)
-	}
+	b = s.dropTo(b, a.level)
 	if a.level == 0 {
 		s.fail(failLevel)
 		return a
 	}
-	out := simCt{level: a.level, noise: a.noise + b.noise + float64(s.nm.logN) + 1, deg2: true}
+	out := est{cipher: true, level: a.level, noise: a.noise + b.noise + float64(s.nm.logN) + 1, deg2: true}
 	s.manage(&out)
 	return out
 }
 
 // relin mirrors Relinearize: key-switch noise, one unconditional modulus
 // switch, then management.
-func (s *sim) relin(c simCt) simCt {
+func (s *sim) relin(c est) est {
 	if !c.deg2 {
 		return c
 	}
@@ -331,11 +256,12 @@ func (s *sim) relin(c simCt) simCt {
 	return c
 }
 
-func (s *sim) mulCC(a, b simCt) simCt { return s.relin(s.tensor(a, b)) }
-
 // rot mirrors checkGalois + galoisFromDigits + manage.
-func (s *sim) rot(c simCt) simCt {
-	if s.nm.qBits(c.level) < s.nm.ks(c.level)+float64(s.nm.tBits)+4+s.slack() {
+func (s *sim) rot(c est) est {
+	if !c.cipher {
+		return c
+	}
+	if s.nm.qBits(c.level) < s.nm.ks(c.level)+float64(s.nm.tBits)+4+stageSlack[s.stage] {
 		s.fail(failLevel)
 		return c
 	}
@@ -344,132 +270,220 @@ func (s *sim) rot(c simCt) simCt {
 	return c
 }
 
-func (s *sim) rotOp(o simOp) simOp {
-	if o.cipher {
-		o.ct = s.rot(o.ct)
-	}
-	return o
+// mulPlain mirrors MulPlain's noise growth.
+func (s *sim) mulPlain(x est) est {
+	x.noise += float64(s.nm.tBits) + float64(s.nm.logN)/2 + 1
+	s.manage(&x)
+	return x
 }
 
-// mul mirrors he.Mul over operands.
-func (s *sim) mul(x, y simOp) simOp {
+// mulLazy mirrors he.MulLazy: a cipher×cipher product stays degree 2.
+func (s *sim) mulLazy(x, y est) est {
 	switch {
 	case x.cipher && y.cipher:
-		return simOp{cipher: true, ct: s.mulCC(x.ct, y.ct)}
+		return s.tensor(x, y)
 	case x.cipher:
 		return s.mulPlain(x)
 	case y.cipher:
 		return s.mulPlain(y)
 	}
-	return simPlain()
+	return est{}
 }
 
-// mulLazy mirrors he.MulLazy: a cipher×cipher product stays degree 2.
-func (s *sim) mulLazy(x, y simOp) simOp {
+// mul mirrors he.Mul: a cipher×cipher product is relinearized.
+func (s *sim) mul(x, y est) est {
+	out := s.mulLazy(x, y)
 	if x.cipher && y.cipher {
-		return simOp{cipher: true, ct: s.tensor(x.ct, y.ct)}
-	}
-	return s.mul(x, y)
-}
-
-func (s *sim) relinOp(o simOp) simOp {
-	if o.cipher {
-		o.ct = s.relin(o.ct)
-	}
-	return o
-}
-
-// mulPlain mirrors MulPlain's noise growth.
-func (s *sim) mulPlain(x simOp) simOp {
-	x.ct.noise += float64(s.nm.tBits) + float64(s.nm.logN)/2 + 1
-	s.manage(&x.ct)
-	return x
-}
-
-// add mirrors he.Add / AddPlain.
-func (s *sim) add(x, y simOp) simOp {
-	switch {
-	case x.cipher && y.cipher:
-		s.align(&x.ct, &y.ct)
-		out := simCt{level: x.ct.level, noise: math.Max(x.ct.noise, y.ct.noise) + 1, deg2: x.ct.deg2 || y.ct.deg2}
-		s.manage(&out)
-		return simOp{cipher: true, ct: out}
-	case x.cipher:
-		x.ct.noise++
-		s.manage(&x.ct)
-		return x
-	case y.cipher:
-		y.ct.noise++
-		s.manage(&y.ct)
-		return y
-	}
-	return simPlain()
-}
-
-// xor mirrors he.Xor.
-func (s *sim) xor(x, y simOp) simOp {
-	switch {
-	case x.cipher && y.cipher:
-		prod := s.mulCC(x.ct, y.ct)
-		sum := s.add(x, y)
-		twice := s.add(simOp{cipher: true, ct: prod}, simOp{cipher: true, ct: prod})
-		return s.add(sum, twice) // Sub has Add's noise shape
-	case x.cipher:
-		x = s.mulPlain(x)
-		x.ct.noise++
-		s.manage(&x.ct)
-		return x
-	case y.cipher:
-		y = s.mulPlain(y)
-		y.ct.noise++
-		s.manage(&y.ct)
-		return y
-	}
-	return simPlain()
-}
-
-// compare simulates the op program's compare stage over p bit planes
-// (DESIGN.md §13.1): x against the staged negated thresholds notY. The
-// carrier eq follows the most-multiplied prefix element (every other
-// element has seen a subset of its multiplications, hence no more level
-// or noise).
-func (s *sim) compare(p int, x, notY simOp) simOp {
-	gt := s.mul(x, notY)
-	eq := s.add(s.add(x, notY), s.add(gt, gt)) // Sub has Add's noise shape
-	// Sklansky prefix products over the eq planes, with the optional
-	// per-round boundary drops.
-	for round := 0; round < log2Ceil(max(p, 1)); round++ {
-		eq = s.mul(eq, eq)
-		if round < len(s.compareTargets) {
-			eq = s.dropOpTo(eq, s.compareTargets[round])
-		}
-		lvl := 0
-		if eq.cipher {
-			lvl = eq.ct.level
-		}
-		s.compareLevels = append(s.compareLevels, lvl)
-	}
-	out := s.mul(gt, eq)
-	for j := 1; j < p; j++ {
-		out = s.add(out, out)
+		out = s.relin(out)
 	}
 	return out
 }
 
-// matVec simulates the diagonal kernels of internal/matrix over a
-// baby/giant split (the naive kernel is the split baby=period, giant=1).
-func (s *sim) matVec(v, diag simOp, baby, giant int) simOp {
+// add mirrors he.Add / Sub / AddPlain.
+func (s *sim) add(x, y est) est {
+	switch {
+	case x.cipher && y.cipher:
+		x, y = s.dropTo(x, y.level), s.dropTo(y, x.level)
+		x.noise, x.deg2 = math.Max(x.noise, y.noise)+1, x.deg2 || y.deg2
+	case x.cipher:
+		x.noise++
+	case y.cipher:
+		x = y
+		x.noise++
+	default:
+		return est{}
+	}
+	s.manage(&x)
+	return x
+}
+
+// planFailure reports why a schedule is infeasible: the stage to blame,
+// the failure kind, the level the failing register sat at, and whether
+// the stage entered with noise well above the modulus-switch floor (a
+// hot entry).
+type planFailure struct {
+	stage, kind, level int
+	hotEntry           bool
+}
+
+// levelled is a program under one schedule: its ops with every scheduled
+// drop resolved and every alignment inserted, the estimate of each
+// register, the hottest prefix operand after each scheduled Sklansky round
+// (lowest level, highest noise), and the result as decryption sees it.
+type levelled struct {
+	ops    []progOp
+	est    []est
+	rounds []est
+	result est
+}
+
+// levelPass is the one walk of the circuit: it runs the transfer
+// functions over p's ops in order under the schedule at, resolves each
+// scheduled drop point, inserts (once per register and level) the drop
+// that brings the higher operand of a binary op down to the other's
+// level, and stops at the first infeasibility. The planner searches with
+// it over a structure built from Meta; Prepare installs what it returns.
+func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (levelled, *planFailure) {
+	s := &sim{nm: nm}
+	extra := len(p.ops) / 8
+	out := levelled{ops: make([]progOp, 0, len(p.ops)+extra), est: make([]est, p.numReg, p.numReg+extra)}
+	drops := map[[2]int]int{}
+	entry := [stDone]int{stReshuffle: p.regDecisions, stLevels: p.regBranchVec, stAccumulate: p.regLevelResult}
+	failure := func(stage, kind, level int, inStage bool) *planFailure {
+		e := out.est[entry[stage]]
+		return &planFailure{stage: stage, kind: kind, level: level,
+			hotEntry: inStage && stage > 0 && e.cipher && e.noise > nm.floor()+8}
+	}
+	for _, op := range p.ops {
+		s.stage = int(op.Stage)
+		var e est
+		switch op.Code {
+		case opQuery:
+			if !plainQuery {
+				e = nm.fresh(at.Compare)
+			}
+		case opThresh:
+			e = nm.fresh(at.Compare)
+		case opMask:
+			e = nm.fresh(at.Level)
+		case opAdd, opSub, opMul, opMulLazy:
+			if a, b := out.est[op.A], out.est[op.B]; a.cipher && b.cipher && a.level != b.level {
+				hi, level := &op.A, b.level
+				if b.level > a.level {
+					hi, level = &op.B, a.level
+				}
+				key := [2]int{*hi, level}
+				d, ok := drops[key]
+				if !ok {
+					d, drops[key] = len(out.est), len(out.est)
+					out.est = append(out.est, s.dropTo(out.est[*hi], level))
+					out.ops = append(out.ops, progOp{Code: opDrop, Stage: op.Stage, Dst: d, A: *hi, Imm: level})
+				}
+				*hi = d
+			}
+			switch a, b := out.est[op.A], out.est[op.B]; op.Code {
+			case opMul:
+				e = s.mul(a, b)
+			case opMulLazy:
+				e = s.mulLazy(a, b)
+			default:
+				e = s.add(a, b)
+			}
+		case opMulDiag:
+			var diag est
+			if p.encModel {
+				diag = nm.fresh(at.Reshuffle)
+				if op.Imm >= 0 {
+					diag = nm.fresh(at.Level)
+				}
+			}
+			e = s.mulLazy(diag, out.est[op.A])
+		case opRelin:
+			e = s.relin(out.est[op.A])
+		case opRot, opHoist:
+			e = s.rot(out.est[op.A])
+		case opDrop:
+			// A carrier must reach a stage boundary at or above the next
+			// entry; a Sklansky round's drop just passes lower operands on.
+			point, src := op.Imm, out.est[op.A]
+			op.Imm = at.entry(point)
+			if point >= atReshuffle && point <= atFinal && src.cipher && src.level < op.Imm {
+				return out, failure(s.stage, failLevel, src.level, false)
+			}
+			e = s.dropTo(src, op.Imm)
+			drops[[2]int{op.A, op.Imm}] = op.Dst
+			if r := point - atRound; r >= 0 && e.cipher {
+				if r == len(out.rounds) {
+					out.rounds = append(out.rounds, e)
+				}
+				out.rounds[r].level = min(out.rounds[r].level, e.level)
+				out.rounds[r].noise = max(out.rounds[r].noise, e.noise)
+			}
+		}
+		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			out.est[r] = e
+		}
+		out.ops = append(out.ops, op)
+		if s.kind != failNone {
+			return out, failure(s.stage, s.kind, e.level, true)
+		}
+	}
+	// Decryptability of the result where the schedule lands it.
+	out.result = out.est[p.result]
+	if out.result.cipher {
+		s.stage = stDone
+		if out.result.level < minFinalLevel {
+			s.fail(failLevel)
+		}
+		s.manage(&out.result)
+		if s.kind != failNone {
+			return out, failure(stAccumulate, s.kind, out.result.level, true)
+		}
+	}
+	return out, nil
+}
+
+// planStructure is the program structure the planner searches over,
+// built from Meta alone: every diagonal kept and every mask non-zero —
+// the worst case over the models Meta describes, and independent of any
+// backend, since the plan is stored in the artifact.
+func planStructure(m *Meta, encModel bool) (*Program, error) {
+	shape := func(period int) diagShape {
+		baby, giant := m.kernelSplit(period)
+		return diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
+	}
+	in := progInputs{
+		meta:      *m,
+		plan:      &StageLevels{CompareRounds: make([]int, log2Ceil(max(m.Precision, 1)))},
+		encrypted: encModel,
+		planes:    m.Precision,
+		masks:     max(m.D, 1),
+		reshuffle: shape(m.QPad),
+	}
+	for l := 0; l < in.masks; l++ {
+		in.levels = append(in.levels, shape(m.BPad))
+		in.maskVals = append(in.maskVals, []uint64{1})
+	}
+	return buildStructure(in)
+}
+
+// The result shuffle (shuffle.go) runs matrix.Replicate and
+// matrix.MatVecBSGS outside the op program, so it is the one kernel the
+// planner still walks by hand, on the same transfer functions.
+
+// matVec walks the diagonal kernel of internal/matrix over a baby/giant
+// split with a plaintext matrix.
+func (s *sim) matVec(v est, baby, giant int) est {
 	vr := v
 	if baby > 1 {
-		vr = s.rotOp(v)
+		vr = s.rot(v)
 	}
-	acc := s.mulLazy(diag, vr)
+	acc := s.mulPlain(vr)
 	for j := 1; j < baby; j++ {
-		acc = s.add(acc, s.mulLazy(diag, vr))
+		acc = s.add(acc, s.mulPlain(vr))
 	}
-	acc = s.relinOp(acc)
 	if giant > 1 {
-		acc = s.rotOp(acc)
+		acc = s.rot(acc)
 	}
 	out := acc
 	for g := 1; g < giant; g++ {
@@ -478,351 +492,182 @@ func (s *sim) matVec(v, diag simOp, baby, giant int) simOp {
 	return out
 }
 
-// replicate simulates `steps` rotate-and-add doublings.
-func (s *sim) replicate(v simOp, steps int) simOp {
-	for i := 0; i < steps; i++ {
-		v = s.add(v, s.rotOp(v))
-	}
-	return v
+// shuffleShape is what the shuffle walk needs of Meta: the BSGS split of
+// the padded leaf period (shuffle.go always stages BSGS diagonals), the
+// rotate-and-add doublings of the single-query replicate and of the
+// batched, block-local one, and whether the single-query kernel pays a
+// selector product first (batch capacity > 1).
+type shuffleShape struct {
+	baby, giant, rep, repBatched int
+	selector                     bool
 }
 
-// pipelineShape is the structural information the simulator needs,
-// extracted from Meta.
-type pipelineShape struct {
-	precision  int
-	qSplit     [2]int // reshuffle kernel baby/giant
-	bSplit     [2]int // level-matrix kernel baby/giant
-	nSplit     [2]int // shuffle kernel baby/giant
-	levels     int    // D: number of level matrices
-	reshufRep  int    // replicate doublings after the reshuffle
-	shuffleRep int    // replicate doublings before the single-query shuffle
-	// shuffleRepB is the block-local doubling count of the batched
-	// shuffle (ReplicateWithin to the batch block instead of the full
-	// ciphertext; it pays no selector mul). Always ≤ shuffleRep.
-	shuffleRepB int
-	batched     bool // batch capacity > 1 (single-query shuffle pays a selector mul)
-}
-
-func shapeOf(m *Meta) pipelineShape {
-	split := func(period int) [2]int {
-		baby, giant := m.kernelSplit(period)
-		return [2]int{baby, giant}
-	}
+func shuffleShapeOf(m *Meta) shuffleShape {
 	nPad := m.LPad()
-	// The shuffle kernel always stages BSGS diagonals (shuffle.go).
-	nBaby, nGiant := matrix.BSGSSplit(nPad)
-	return pipelineShape{
-		precision:   m.Precision,
-		qSplit:      split(m.QPad),
-		bSplit:      split(m.BPad),
-		nSplit:      [2]int{nBaby, nGiant},
-		levels:      max(m.D, 1),
-		reshufRep:   log2Ceil(m.BatchBlock() / m.BPad),
-		shuffleRep:  log2Ceil(m.Slots / nPad),
-		shuffleRepB: log2Ceil(m.BatchBlock() / nPad),
-		batched:     m.BatchCapacity() > 1,
-	}
+	baby, giant := matrix.BSGSSplit(nPad)
+	return shuffleShape{baby, giant, log2Ceil(m.Slots / nPad), log2Ceil(m.BatchBlock() / nPad), m.BatchCapacity() > 1}
 }
 
-// stageEntries is the candidate schedule the search refines.
-type stageEntries struct {
-	compare, reshuffle, level, accumulate, final int
-}
-
-// simFailure reports why a candidate schedule is infeasible: the stage
-// to blame (0 = compare, 1 = reshuffle, 2 = level, 3 = accumulate), the
-// failure kind, and whether the failing stage entered with noise well
-// above the modulus-switch floor (a hot entry — fixed by a deeper
-// boundary drop, i.e. by raising the previous stage).
-type simFailure struct {
-	stage    int
-	kind     int
-	hotEntry bool
-}
-
-// stageBounds is the simulated carrier at the stage boundaries
-// Trace.Noise measures, after each boundary drop: the query, the
-// decisions, the branch vector, the level result and the result.
-type stageBounds [5]simCt
-
-// simulatePipeline runs the whole pipeline at the candidate entries,
-// with the engine's boundary-drop semantics (including the optional
-// per-round compare drops). It returns the achieved final state, the
-// compare carrier's per-round levels and the carrier at every stage
-// boundary, or the failure that makes the candidate infeasible.
-func simulatePipeline(nm noiseModel, sh pipelineShape, encModel bool, e stageEntries, compareTargets []int) (final simCt, rounds []int, bounds stageBounds, fail simFailure, ok bool) {
-	s := newSim(nm)
-	s.compareTargets = compareTargets
-	hot := func(o simOp) bool { return o.cipher && o.ct.noise > nm.floor()+8 }
-	model := simPlain()
-	if encModel {
-		model = nm.simFresh(e.compare)
-	}
-	query := nm.simFresh(e.compare)
-	bounds[0] = query.ct
-
-	// Stage 0: compare.
-	s.stage = 0
-	decisions := s.compare(sh.precision, query, model)
-	if !s.ok {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 0, kind: s.kind}, false
-	}
-	if decisions.cipher && decisions.ct.level < e.reshuffle {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 0, kind: failLevel}, false
-	}
-	decisions = s.dropOpTo(decisions, e.reshuffle)
-	bounds[1] = decisions.ct
-
-	// Stage 1: reshuffle mat-vec + replication.
-	s.stage = 1
-	diag := simPlain()
-	if encModel {
-		diag = nm.simFresh(e.reshuffle)
-	}
-	entryHot := hot(decisions)
-	branch := s.matVec(decisions, diag, sh.qSplit[0], sh.qSplit[1])
-	branch = s.replicate(branch, sh.reshufRep)
-	if !s.ok {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 1, kind: s.kind, hotEntry: entryHot}, false
-	}
-	if branch.cipher && branch.ct.level < e.level {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 1, kind: failLevel}, false
-	}
-	branch = s.dropOpTo(branch, e.level)
-	bounds[2] = branch.ct
-
-	// Stage 2: per-level mat-vecs + mask XOR.
-	s.stage = 2
-	lvlDiag, mask := simPlain(), simPlain()
-	if encModel {
-		lvlDiag = nm.simFresh(e.level)
-		mask = nm.simFresh(e.level)
-	}
-	entryHot = hot(branch)
-	lvl := s.xor(s.matVec(branch, lvlDiag, sh.bSplit[0], sh.bSplit[1]), mask)
-	if !s.ok {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 2, kind: s.kind, hotEntry: entryHot}, false
-	}
-	if lvl.cipher && lvl.ct.level < e.accumulate {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 2, kind: failLevel}, false
-	}
-	lvl = s.dropOpTo(lvl, e.accumulate)
-	bounds[3] = lvl.ct
-
-	// Stage 3: product-tree accumulation.
-	s.stage = 3
-	entryHot = hot(lvl)
-	out := lvl
-	for n := sh.levels; n > 1; n = (n + 1) / 2 {
-		out = s.mul(out, out)
-	}
-	if !s.ok {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 3, kind: s.kind, hotEntry: entryHot}, false
-	}
-	if out.cipher && out.ct.level < e.final {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 3, kind: failLevel}, false
-	}
-	out = s.dropOpTo(out, e.final)
-	bounds[4] = out.ct
-	if !out.cipher {
-		return simCt{}, s.compareLevels, bounds, simFailure{}, s.ok
-	}
-	// Decryptability at the final level.
-	s.stage = 4
-	s.manage(&out.ct)
-	if !s.ok {
-		return simCt{}, s.compareLevels, bounds, simFailure{stage: 3, kind: s.kind, hotEntry: entryHot}, false
-	}
-	return out.ct, s.compareLevels, bounds, simFailure{}, true
-}
-
-// simulateShuffle runs the optional result shuffle from the given
-// input, through both kernels that share the Shuffle entry level: the
-// single-query one (selector mul when batched, whole-ciphertext
-// replicate) and the block-local batched one (ReplicateWithin to the
-// batch block, no selector, block-diagonal permutation). The batched
-// kernel does strictly less work, but simulating both keeps the entry
-// level sound if the shapes ever diverge.
-func simulateShuffle(nm noiseModel, sh pipelineShape, in simCt) bool {
-	single := func() bool {
-		s := newSim(nm)
-		s.stage = 4
-		v := simOp{cipher: true, ct: in}
-		if sh.batched {
+// simulateShuffle runs the result shuffle from the given input through
+// both kernels that share the Shuffle entry level: ShuffleResult and the
+// block-local ShuffleResultBatch. The batched kernel does strictly less
+// work, but walking both keeps the entry level sound if the shapes ever
+// diverge.
+func simulateShuffle(nm noiseModel, sh shuffleShape, in est) bool {
+	for _, k := range []struct {
+		selector bool
+		rep      int
+	}{{sh.selector, sh.rep}, {false, sh.repBatched}} {
+		s := &sim{nm: nm, stage: stDone}
+		v := in
+		if k.selector {
 			v = s.mulPlain(v)
 		}
-		v = s.replicate(v, sh.shuffleRep)
-		v = s.matVec(v, simPlain(), sh.nSplit[0], sh.nSplit[1])
-		if v.cipher {
-			s.manage(&v.ct)
+		for i := 0; i < k.rep; i++ {
+			v = s.add(v, s.rot(v))
 		}
-		return s.ok
-	}
-	batched := func() bool {
-		s := newSim(nm)
-		s.stage = 4
-		v := simOp{cipher: true, ct: in}
-		v = s.replicate(v, sh.shuffleRepB)
-		v = s.matVec(v, simPlain(), sh.nSplit[0], sh.nSplit[1])
-		if v.cipher {
-			s.manage(&v.ct)
-		}
-		return s.ok
-	}
-	return single() && batched()
-}
-
-// planCap bounds the schedule search: no realistic model needs a deeper
-// chain (the reactive recommendation for the deepest supported forests
-// stays well below it).
-const planCap = 48
-
-// scheduleScenario finds minimal stage entries for one scenario by
-// repeatedly simulating and raising one entry per round: the failing
-// stage's own on a structural failure (it ran out of levels), the
-// previous stage's when the failure traces back to a hot entry — a
-// deeper boundary drop then delivers the carrier at the modulus-switch
-// floor instead of carrying key-switch noise into the next stage.
-func scheduleScenario(nm noiseModel, sh pipelineShape, encModel bool, final int) (stageEntries, simCt, bool) {
-	e := stageEntries{compare: final, reshuffle: final, level: final, accumulate: final, final: final}
-	bump := func(stage int) {
-		switch stage {
-		case 0:
-			e.compare++
-		case 1:
-			e.reshuffle++
-		case 2:
-			e.level++
-		case 3:
-			e.accumulate++
+		v = s.matVec(v, sh.baby, sh.giant)
+		s.manage(&v)
+		if s.kind != failNone {
+			return false
 		}
 	}
-	for iter := 0; iter < 16*planCap; iter++ {
-		out, _, _, fail, ok := simulatePipeline(nm, sh, encModel, e, nil)
-		if ok {
-			return e, out, true
-		}
-		if fail.hotEntry && fail.stage > 0 {
-			// A hot entry means the boundary drop was too shallow to cool
-			// the carrier; raising the previous stage deepens the drop.
-			// If the stage stays infeasible once its entry is cold, the
-			// next rounds raise the stage itself.
-			bump(fail.stage - 1)
-		} else {
-			bump(fail.stage)
-		}
-		// Entries are non-increasing along the pipeline by construction.
-		e.level = max(e.level, e.accumulate)
-		e.reshuffle = max(e.reshuffle, e.level)
-		e.compare = max(e.compare, e.reshuffle)
-		if e.compare > planCap {
-			break
-		}
-	}
-	return e, simCt{}, false
+	return true
 }
 
 // shuffleEntryLevel finds the minimal entry level of the result shuffle,
 // assuming a modulus-switch-floored input (ShuffleResult drops inputs
 // arriving above it).
-func shuffleEntryLevel(nm noiseModel, sh pipelineShape) int {
-	for level := 1; level <= planCap; level++ {
-		if simulateShuffle(nm, sh, simCt{level: level, noise: nm.floor()}) {
+func shuffleEntryLevel(nm noiseModel, sh shuffleShape) int {
+	for level := 1; level < planCap; level++ {
+		if simulateShuffle(nm, sh, est{cipher: true, level: level, noise: nm.floor()}) {
 			return level
 		}
 	}
 	return planCap
 }
 
-// compareRoundPlan derives the per-round Sklansky drop levels for a
-// feasible schedule: starting from the reactive per-round trajectory the
-// simulator records, it lowers each round's level — last round first,
-// where the remaining circuit is shortest — as far as the full-pipeline
-// simulation stays feasible. The result becomes the op program's drops
-// after each Sklansky round; nil (no rounds, or a simulator
-// disagreement) simply means no per-round drops.
-func compareRoundPlan(nm noiseModel, sh pipelineShape, encModel bool, e stageEntries) []int {
-	_, reactive, _, _, ok := simulatePipeline(nm, sh, encModel, e, nil)
-	if !ok || len(reactive) == 0 {
-		return nil
+// planCap bounds the schedule search: the reactive recommendation for
+// the deepest supported forests stays well below it.
+const planCap = 48
+
+// planner is the schedule search of one scenario: the structure, and the
+// level pass as its feasibility oracle — for encrypted query planes and,
+// under an encrypted model, for plaintext ones too (ScenarioClientEval
+// runs the same schedule; a plaintext factor consumes no level, so other
+// registers run hot). With shuffleAt set the oracle also asks that the
+// result can still feed the result shuffle (Options.PlanShuffle): a
+// result landing exactly at its final level can arrive hot, and the
+// accumulate entry is what to raise then — the boundary drop it opens
+// floors the result.
+type planner struct {
+	nm        noiseModel
+	prog      *Program
+	sh        shuffleShape
+	shuffleAt int
+}
+
+func (pl planner) run(at StageLevels) (levelled, *planFailure) {
+	lv, fail := pl.prog.levelPass(pl.nm, at, false)
+	if fail == nil && pl.prog.encModel {
+		_, fail = pl.prog.levelPass(pl.nm, at, true)
 	}
-	targets := append([]int(nil), reactive...)
-	feasible := func(t []int) bool {
-		_, _, _, _, ok := simulatePipeline(nm, sh, encModel, e, t)
-		return ok
+	// ShuffleResult's entry drop, then the shuffle itself.
+	if fail == nil && pl.shuffleAt > 0 && !simulateShuffle(pl.nm, pl.sh, (&sim{nm: pl.nm}).dropTo(lv.result, pl.shuffleAt)) {
+		fail = &planFailure{stage: stAccumulate, kind: failNoise, level: lv.result.level}
 	}
-	for r := len(targets) - 1; r >= 0; r-- {
-		for targets[r] > e.reshuffle {
-			targets[r]--
-			if !feasible(targets) {
-				targets[r]++
-				break
+	return lv, fail
+}
+
+// schedule finds a locally minimal schedule landing the result at final.
+// First an ascent from the bottom to a feasible one without per-round
+// drops, raising one entry per run: the failing stage's own on a
+// structural failure (it ran out of levels), the previous stage's when
+// the failure traces back to a hot entry — a deeper boundary drop then
+// delivers the carrier at the modulus-switch floor instead of carrying
+// key-switch noise into the next stage (if the stage stays infeasible
+// once its entry is cold, the next runs raise the stage itself). Then a
+// descent: the Sklansky rounds start at the lowest level their prefix
+// operands reach on their own, and every level of the non-increasing
+// chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate is lowered —
+// last first, where the remaining circuit is shortest — while the pass
+// stays feasible, until none moves.
+func (pl planner) schedule(final int) (StageLevels, bool) {
+	at := StageLevels{Compare: final, Reshuffle: final, Level: final, Accumulate: final, Final: final}
+	entries := [stDone]*int{&at.Compare, &at.Reshuffle, &at.Level, &at.Accumulate}
+	lv, fail := pl.run(at)
+	for iter := 0; fail != nil; iter++ {
+		if fail.hotEntry {
+			fail.stage--
+		}
+		*entries[fail.stage]++
+		// Entries are non-increasing along the pipeline by construction.
+		at.Level = max(at.Level, at.Accumulate)
+		at.Reshuffle = max(at.Reshuffle, at.Level)
+		at.Compare = max(at.Compare, at.Reshuffle)
+		if iter == 16*planCap || at.Compare > planCap {
+			return at, false
+		}
+		lv, fail = pl.run(at)
+	}
+
+	chain := []*int{&at.Compare}
+	for _, r := range lv.rounds {
+		at.CompareRounds = append(at.CompareRounds, r.level)
+	}
+	if _, fail := pl.run(at); fail == nil {
+		for r := range at.CompareRounds {
+			chain = append(chain, &at.CompareRounds[r])
+		}
+	} else {
+		at.CompareRounds = nil
+	}
+	chain = append(chain, entries[1:]...)
+	for moved := true; moved; {
+		moved = false
+		for i := len(chain) - 1; i >= 0; i-- {
+			floor := final
+			if i+1 < len(chain) {
+				floor = *chain[i+1]
+			}
+			for *chain[i] > floor {
+				*chain[i]--
+				if _, fail := pl.run(at); fail != nil {
+					*chain[i]++
+					break
+				}
+				moved = true
 			}
 		}
 	}
-	// Tidy: a round target above its predecessor's can never bind (the
-	// carrier only descends).
-	for r := 1; r < len(targets); r++ {
-		targets[r] = min(targets[r], targets[r-1])
-	}
-	if !feasible(targets) {
-		return nil
-	}
-	return targets
+	return at, true
 }
 
 // computeLevelPlan builds the static schedule for a compiled model, or
 // nil when no feasible schedule exists within the search bound (the
-// engine then falls back to reactive management). The slack profile
-// (Options.SlackFloorBits / Options.FlatSlack) shapes how much noise
-// headroom each stage's checks keep in hand.
-func computeLevelPlan(m *Meta, planShuffle bool, sl slackConfig) *LevelPlan {
-	nm := planNoiseModel(m.Slots, sl)
-	sh := shapeOf(m)
+// engine then falls back to reactive management).
+func computeLevelPlan(m *Meta, planShuffle bool) *LevelPlan {
+	nm := planNoiseModel(m.Slots)
+	sh := shuffleShapeOf(m)
 	shuffleAt := shuffleEntryLevel(nm, sh)
-	minFinal := 1
+	pl := planner{nm: nm, sh: sh}
+	final := minFinalLevel
 	if planShuffle {
 		// Reserve headroom so the classification result can still feed
 		// the result shuffle.
-		minFinal = max(minFinal, shuffleAt)
+		pl.shuffleAt, final = shuffleAt, max(final, shuffleAt)
 	}
 	plan := &LevelPlan{}
 	for _, encModel := range []bool{true, false} {
-		// The shuffle entry level assumes a modulus-switch-floored input,
-		// but a result landing *exactly* at the entry level can arrive
-		// hot (no switch left to cool it — depth-4 forests do). Raising
-		// the final level by one puts a boundary drop between the
-		// pipeline and the shuffle, which floors the carrier; search
-		// upward until the shuffle simulates clean.
-		var st StageLevels
-		found := false
-		for final := minFinal; final <= planCap && !found; final++ {
-			e, out, ok := scheduleScenario(nm, sh, encModel, final)
-			if !ok {
-				break // deeper finals only make the pipeline harder
-			}
-			if planShuffle {
-				s := newSim(nm)
-				s.stage = 4
-				s.dropTo(&out, shuffleAt) // ShuffleResult's entry drop
-				if !s.ok || !simulateShuffle(nm, sh, out) {
-					continue
-				}
-			}
-			st = StageLevels{
-				Compare:       e.compare,
-				Reshuffle:     e.reshuffle,
-				Level:         e.level,
-				Accumulate:    e.accumulate,
-				Final:         e.final,
-				Shuffle:       shuffleAt,
-				CompareRounds: compareRoundPlan(nm, sh, encModel, e),
-			}
-			found = true
-		}
-		if !found {
+		var err error
+		if pl.prog, err = planStructure(m, encModel); err != nil {
 			return nil
 		}
+		st, ok := pl.schedule(final)
+		if !ok {
+			return nil
+		}
+		st.Shuffle = shuffleAt
 		if encModel {
 			plan.Cipher = st
 		} else {

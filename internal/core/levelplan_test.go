@@ -205,8 +205,13 @@ func checkPinnedMargins(t *testing.T) {
 		want     StageNoise
 	}{
 		{"prec16/offload", microForest(t, "prec16"), true, StageNoise{Query: 743, Decisions: 417, BranchVec: 357, LevelResult: 251, Result: 87}},
-		{"depth4/servermodel", microForest(t, "depth4"), false, StageNoise{Query: 578, Decisions: 307, BranchVec: 283, LevelResult: 197, Result: 87}},
-		{"wide8/servermodel", wide8Forest(t), false, StageNoise{Query: 688, Decisions: 417, BranchVec: 391, LevelResult: 252, Result: 87}},
+		// Re-pinned where planning on the op program moved an entry down
+		// (levelplans.golden lists them): depth4's level entry 5 → 4 took
+		// the branch vector from 283 to 252; wide8's chain one prime
+		// shorter (compare 12 → 11, reshuffle 7 → 6, level 7 → 5) took
+		// query / decisions / branch vector from 688 / 417 / 391.
+		{"depth4/servermodel", microForest(t, "depth4"), false, StageNoise{Query: 578, Decisions: 307, BranchVec: 252, LevelResult: 197, Result: 87}},
+		{"wide8/servermodel", wide8Forest(t), false, StageNoise{Query: 633, Decisions: 362, BranchVec: 307, LevelResult: 252, Result: 87}},
 	} {
 		c, err := Compile(pin.f, Options{Slots: 1024})
 		if err != nil {
@@ -455,35 +460,22 @@ func TestShuffleUnderLevelPlanBGV(t *testing.T) {
 	}
 }
 
-// TestPlannerNoiseBoundsMeasured pins the planner's noise model to the
-// evaluator from above: on depth4 and prec16 (the benchmark's models),
-// in both scenarios, the carrier sits at the simulated level at every
-// stage boundary and the noise the planner predicts there is at least
-// what a decryption measures.
+// TestPlannerNoiseBoundsMeasured pins the level pass to the evaluator
+// from above, on every model the benchmark gates — depth4, prec16, and
+// wide8 whole and in its two shards — in both scenarios: each trace
+// register sits at the level the pass assigned it, and the noise the
+// pass predicts for it is at least what a decryption measures.
 func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four full BGV passes")
+		t.Skip("runs ten full BGV passes")
 	}
-	for _, mb := range synth.Microbenchmarks() {
-		if mb.Name != "depth4" && mb.Name != "prec16" {
+	for name, ac := range alignCorpus(t) {
+		if name != "depth4" && name != "prec16" && ac.f.NumFeatures == 2 {
 			continue
 		}
-		f, err := synth.Generate(mb.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(f, Options{Slots: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nm := planNoiseModel(c.Meta.Slots, slackConfig{})
+		f, c := ac.f, ac.c
+		nm := planNoiseModel(c.Meta.Slots)
 		for _, encModel := range []bool{true, false} {
-			st := c.Meta.LevelPlan.For(encModel)
-			entries := stageEntries{st.Compare, st.Reshuffle, st.Level, st.Accumulate, st.Final}
-			_, _, bounds, _, ok := simulatePipeline(nm, shapeOf(&c.Meta), encModel, entries, st.CompareRounds)
-			if !ok {
-				t.Fatalf("%s: the shipped plan does not simulate clean", mb.Name)
-			}
 			b := planBackend(t, c, encModel)
 			m, err := Prepare(b, c, encModel)
 			if err != nil {
@@ -500,27 +492,31 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 			e := &Engine{Backend: b, Workers: 2, MeasureNoise: true}
 			_, trace, err := e.Classify(m, q)
 			if err != nil {
-				t.Fatalf("%s Classify: %v", mb.Name, err)
+				t.Fatalf("%s Classify: %v", name, err)
 			}
-			for i, at := range []struct {
+			p := m.Program
+			for _, at := range []struct {
 				stage         string
+				reg           int
 				limbs, budget int
 			}{
-				{"query", trace.Limbs.Query, trace.Noise.Query},
-				{"decisions", trace.Limbs.Decisions, trace.Noise.Decisions},
-				{"branch vector", trace.Limbs.BranchVec, trace.Noise.BranchVec},
-				{"level result", trace.Limbs.LevelResult, trace.Noise.LevelResult},
-				{"result", trace.Limbs.Result, trace.Noise.Result},
+				{"query", p.regQuery, trace.Limbs.Query, trace.Noise.Query},
+				{"decisions", p.regDecisions, trace.Limbs.Decisions, trace.Noise.Decisions},
+				{"branch vector", p.regBranchVec, trace.Limbs.BranchVec, trace.Noise.BranchVec},
+				{"level result", p.regLevelResult, trace.Limbs.LevelResult, trace.Noise.LevelResult},
+				{"result", p.result, trace.Limbs.Result, trace.Noise.Result},
 			} {
-				if at.limbs != bounds[i].level+1 {
-					t.Errorf("%s enc=%v %s: %d limbs, planner simulates level %d", mb.Name, encModel, at.stage, at.limbs, bounds[i].level)
+				want := p.est[at.reg]
+				if at.limbs != want.level+1 {
+					t.Errorf("%s enc=%v %s: %d limbs, the pass assigns level %d", name, encModel, at.stage, at.limbs, want.level)
 					continue
 				}
 				// The modulus is limbs 55-bit primes, one bit above the
 				// planner's lower bound qBits.
-				measured := nm.qBits(bounds[i].level) + 1 - float64(at.budget) - 1
-				if measured > bounds[i].noise {
-					t.Errorf("%s enc=%v %s: measured noise %.0f bits exceeds the planner's %.1f", mb.Name, encModel, at.stage, measured, bounds[i].noise)
+				measured := nm.qBits(want.level) + 1 - float64(at.budget) - 1
+				t.Logf("%s enc=%v %s: level %d, predicted %.1f bits, measured %.0f", name, encModel, at.stage, want.level, want.noise, measured)
+				if measured > want.noise {
+					t.Errorf("%s enc=%v %s: measured noise %.0f bits exceeds the predicted %.1f", name, encModel, at.stage, measured, want.noise)
 				}
 			}
 		}

@@ -24,11 +24,11 @@ import (
 //     the one ct-ct product of a bit plane is gt_j = x_j·¬y_j itself, and
 //     eq_j = ¬(x_j ⊕ y_j) = (x_j + ¬y_j) − 2·gt_j costs three linear ops
 //     and one level drop on top of it;
-//   - every level move is an op: the builder tracks each register's
-//     level (the planner's noise simulation, one register at a time) and
-//     emits the alignment a binary op's operands need as an opDrop,
-//     shared per (register, level), so a planned pass leaves the backend
-//     nothing to align and the schedule sees and prices the work;
+//   - every level move is an op: the builder marks the scheduled drop
+//     points, and the level pass (levelplan.go) resolves them against the
+//     plan and emits the alignment a binary op's operands need as an
+//     opDrop, shared per (register, level), so a planned pass leaves the
+//     backend nothing to align and the schedule sees and prices the work;
 //   - the inclusive prefix product of the last bit plane is never read
 //     by the gt sum, so its Sklansky chain (and the last plane's eq
 //     chain) is dead code;
@@ -70,7 +70,7 @@ const (
 	opRelin                 // R[Dst] = relinearize(R[A])
 	opRot                   // R[Dst] = rot(R[A], Imm)
 	opHoist                 // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
-	opDrop                  // R[Dst] = R[A] switched down to level Imm
+	opDrop                  // R[Dst] = R[A] switched down to level Imm (before the level pass: to drop point Imm)
 )
 
 // progOp is one op of the flat program. Dst/A/B are register indices;
@@ -141,9 +141,10 @@ type Program struct {
 	// encModel records that the staged matrices are ciphertexts: an
 	// opMulDiag is then a tensor product, not a plaintext one.
 	encModel bool
-	// level is each register's level under the plan the program was built
-	// for (plainLevel for plaintext registers); nil without a plan.
-	level []int
+	// est is the level pass's estimate (level, noise) of each register
+	// under the plan the program was built for, rounds its estimate after
+	// each scheduled Sklansky round; nil without a plan.
+	est, rounds []est
 
 	// Trace registers: the carrier operands whose limb counts and
 	// measured noise the per-stage trace reports.
@@ -156,11 +157,13 @@ type Program struct {
 // progInputs is everything buildProgram needs: the shapes of the
 // operands PrepareWithPlan just staged.
 type progInputs struct {
-	meta      Meta
-	plan      *StageLevels // nil = no scheduled drops
+	meta Meta
+	// plan is the schedule to build under; nil = no drops. The structure
+	// reads only how many Sklansky rounds it schedules.
+	plan      *StageLevels
 	encrypted bool
-	// plainQuery builds the variant for plaintext query planes
-	// (ScenarioClientEval): the same ops, other levels.
+	// plainQuery levels the program for plaintext query planes
+	// (ScenarioClientEval): the same structure, other levels.
 	plainQuery bool
 	planes     int // threshold bit planes
 	masks      int // level masks
@@ -184,89 +187,19 @@ func diagShapeOf(d *matrix.Diagonals) diagShape {
 }
 
 // progBuilder accumulates ops and constants while walking the pipeline
-// symbolically; every op is tagged with the stage being walked. Under a
-// level plan it also carries each register through the planner's noise
-// simulation (levelplan.go, which mirrors the evaluator's accounting), so
-// it knows the level every register will sit at and can emit the
-// alignments of binary ops itself.
+// symbolically; every op is tagged with the stage being walked.
 type progBuilder struct {
 	p       *Program
 	constIx map[constSpec]int
 	stage   uint8
-
-	in     progInputs
-	at     StageLevels    // in.plan's entries; zero without a plan
-	sim    *sim           // nil without a plan: nothing tracked, no drops
-	state  []simOp        // per register, under sim
-	dropIx map[[2]int]int // (register, level) → the register holding that drop
+	planned bool
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
-	if bl.sim != nil {
-		switch code {
-		case opAdd, opSub, opMul, opMulLazy:
-			a, b = bl.align(a, b)
-		}
-	}
 	dst := bl.p.numReg
 	bl.p.numReg++
 	bl.p.ops = append(bl.p.ops, progOp{Code: code, Stage: bl.stage, Dst: dst, A: a, B: b, Imm: imm, Imm2: imm2})
-	if bl.sim != nil {
-		bl.state = append(bl.state, bl.simulate(code, a, b, imm))
-	}
 	return dst
-}
-
-// align returns a and b with the higher of two ciphertext registers
-// replaced by its drop to the other's level.
-func (bl *progBuilder) align(a, b int) (int, int) {
-	x, y := bl.state[a], bl.state[b]
-	switch {
-	case !x.cipher || !y.cipher:
-	case x.ct.level > y.ct.level:
-		a = bl.drop(a, y.ct.level)
-	case y.ct.level > x.ct.level:
-		b = bl.drop(b, x.ct.level)
-	}
-	return a, b
-}
-
-// simulate is the state of the register an op writes.
-func (bl *progBuilder) simulate(code opCode, a, b, imm int) simOp {
-	s, at := bl.sim, bl.at
-	switch code {
-	case opQuery:
-		if bl.in.plainQuery {
-			return simPlain()
-		}
-		return s.nm.simFresh(at.Compare)
-	case opThresh:
-		return s.nm.simFresh(at.Compare)
-	case opMask:
-		return s.nm.simFresh(at.Level)
-	case opAdd, opSub:
-		return s.add(bl.state[a], bl.state[b])
-	case opMul:
-		return s.mul(bl.state[a], bl.state[b])
-	case opMulLazy:
-		return s.mulLazy(bl.state[a], bl.state[b])
-	case opMulDiag:
-		diag := simPlain()
-		if bl.in.encrypted {
-			diag = s.nm.simFresh(at.Reshuffle)
-			if imm >= 0 {
-				diag = s.nm.simFresh(at.Level)
-			}
-		}
-		return s.mulLazy(diag, bl.state[a])
-	case opRelin:
-		return s.relinOp(bl.state[a])
-	case opRot:
-		return s.rotOp(bl.state[a])
-	case opDrop:
-		return s.dropOpTo(bl.state[a], imm)
-	}
-	return simPlain() // opConst
 }
 
 // constReg returns the register of a bind-time constant, deduplicated.
@@ -283,28 +216,45 @@ func (bl *progBuilder) constReg(spec constSpec) int {
 	return r
 }
 
-// drop emits the switch of r down to a level — a scheduled boundary drop
-// or an alignment — once per (register, level). Scheduled drops are
-// emitted even where the builder expects r at the level already (the op
-// then passes its operand through): a carrier arriving higher than
-// simulated still enters its stage on schedule.
-func (bl *progBuilder) drop(r, level int) int {
-	if bl.sim == nil {
+// drop marks a scheduled drop of r to one of levelplan.go's drop points.
+// It is emitted even where the pass expects r at the level already (the
+// op then passes its operand through): a carrier arriving higher than
+// estimated still enters its stage on schedule.
+func (bl *progBuilder) drop(r, point int) int {
+	if !bl.planned {
 		return r
 	}
-	key := [2]int{r, level}
-	if d, ok := bl.dropIx[key]; ok {
-		return d
-	}
-	d := bl.emit(opDrop, r, 0, level, 0)
-	bl.dropIx[key] = d
-	return d
+	return bl.emit(opDrop, r, 0, point, 0)
 }
 
-// buildProgram compiles the pipeline into a Program. Every model Compile
-// or ShardForest produces has one; the shapes rejected here can only
-// come from a hand-built or corrupted artifact.
+// buildProgram compiles the pipeline into a Program: the structure,
+// levelled under in.plan by the level pass, and its schedule. A plan the
+// pass finds infeasible is a *PlanInfeasibleError.
 func buildProgram(in progInputs) (*Program, error) {
+	p, err := buildStructure(in)
+	if err != nil {
+		return nil, err
+	}
+	if in.plan != nil {
+		lv, fail := p.levelPass(planNoiseModel(in.meta.Slots), *in.plan, in.plainQuery)
+		if fail != nil {
+			return nil, &PlanInfeasibleError{
+				Scenario: scenarioName(in.encrypted, !in.plainQuery), Stage: stageNames[fail.stage],
+				Kind: [...]string{failLevel: "level", failNoise: "noise"}[fail.kind], Level: fail.level,
+			}
+		}
+		p.ops, p.est, p.rounds, p.numReg = lv.ops, lv.est, lv.rounds, len(lv.est)
+	}
+	p.sched = newSchedule(p)
+	p.scratch.New = func() any { return newPassScratch(p) }
+	return p, nil
+}
+
+// buildStructure lowers the pipeline to ops, with the scheduled drop
+// points marked when a plan is given and no levels assigned yet. Every
+// model Compile or ShardForest produces has one; the shapes rejected here
+// can only come from a hand-built or corrupted artifact.
+func buildStructure(in progInputs) (*Program, error) {
 	switch {
 	case in.planes == 0:
 		return nil, &UnsupportedModelError{Reason: "no threshold bit planes"}
@@ -328,13 +278,7 @@ func buildProgram(in progInputs) (*Program, error) {
 	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
 	p := &Program{encModel: in.encrypted}
-	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, in: in}
-	if in.plan != nil {
-		bl.at = *in.plan
-		bl.sim = newSim(planNoiseModel(in.meta.Slots, slackConfig{}))
-		bl.dropIx = map[[2]int]int{}
-	}
-	L := bl.at
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, planned: in.plan != nil}
 
 	// ---- Stage 1: compare -------------------------------------------
 	// Query planes (dropped to the compare entry) and shared constants.
@@ -343,7 +287,7 @@ func buildProgram(in progInputs) (*Program, error) {
 	q := make([]int, nPlanes)
 	zero := -1
 	for j := 0; j < nPlanes; j++ {
-		q[j] = bl.drop(bl.emit(opQuery, 0, 0, j, 0), L.Compare)
+		q[j] = bl.drop(bl.emit(opQuery, 0, 0, j, 0), atCompare)
 	}
 	// A matrix product whose every diagonal is skipped is the zero
 	// vector.
@@ -387,9 +331,9 @@ func buildProgram(in progInputs) (*Program, error) {
 				incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0)
 			}
 		}
-		if round < len(L.CompareRounds) {
+		if bl.planned && round < len(in.plan.CompareRounds) {
 			for i := range incl {
-				incl[i] = bl.drop(incl[i], L.CompareRounds[round])
+				incl[i] = bl.drop(incl[i], atRound+round)
 			}
 		}
 		round++
@@ -406,7 +350,7 @@ func buildProgram(in progInputs) (*Program, error) {
 	if nPlanes > 1 {
 		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
 	}
-	decisions = bl.drop(decisions, L.Reshuffle)
+	decisions = bl.drop(decisions, atReshuffle)
 	p.regDecisions = decisions
 
 	// ---- Stage 2: reshuffle -----------------------------------------
@@ -417,7 +361,7 @@ func buildProgram(in progInputs) (*Program, error) {
 		rot := bl.emit(opRot, branch, 0, -pw, 0)
 		branch = bl.emit(opAdd, branch, rot, 0, 0)
 	}
-	branch = bl.drop(branch, L.Level)
+	branch = bl.drop(branch, atLevel)
 	p.regBranchVec = branch
 
 	// ---- Stage 3: levels --------------------------------------------
@@ -442,7 +386,7 @@ func buildProgram(in progInputs) (*Program, error) {
 			lvl = bl.emit(opAdd, scaled, add, 0, 0)
 		}
 		// An all-zero plaintext mask XORs to the identity: alias.
-		lvlRes[l] = bl.drop(lvl, L.Accumulate)
+		lvlRes[l] = bl.drop(lvl, atAccumulate)
 	}
 	p.regLevelResult = lvlRes[0]
 
@@ -460,20 +404,8 @@ func buildProgram(in progInputs) (*Program, error) {
 		}
 		ops = next
 	}
-	p.result = bl.drop(ops[0], L.Final)
-
-	if bl.sim != nil {
-		p.level = make([]int, p.numReg)
-		for r, st := range bl.state {
-			p.level[r] = plainLevel
-			if st.cipher {
-				p.level[r] = st.ct.level
-			}
-		}
-	}
+	p.result = bl.drop(ops[0], atFinal)
 	p.eliminateDeadOps()
-	p.sched = newSchedule(p)
-	p.scratch.New = func() any { return newPassScratch(p) }
 	return p, nil
 }
 
@@ -509,9 +441,6 @@ func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 		bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Stage: bl.stage, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
 		for i, s := range steps {
 			rots[s] = dst + i
-			if bl.sim != nil {
-				bl.state = append(bl.state, bl.sim.rotOp(bl.state[src]))
-			}
 		}
 	}
 	return rots

@@ -55,19 +55,22 @@ const (
 	costAdd       = 1
 )
 
-// plainLevel marks a register the builder knows is plaintext: it
+// plainLevel marks a register the level pass knows is plaintext: it
 // constrains no level and makes a product cheap.
 const plainLevel = math.MaxInt
 
 // weights estimates each op's cost as op kind × active limbs, the limbs
-// being the levels the builder tracked under the program's level plan
+// being the levels the level pass assigned under the program's plan
 // (every register counts one limb without a plan).
 func (p *Program) weights() []int64 {
 	level := func(r int) int {
-		if p.level == nil {
+		switch {
+		case p.est == nil:
 			return 0
+		case !p.est[r].cipher:
+			return plainLevel
 		}
-		return p.level[r]
+		return p.est[r].level
 	}
 	w := make([]int64, len(p.ops))
 	for i, op := range p.ops {

@@ -314,7 +314,7 @@ func buildShard(c *Compiled, info ShardInfo, branchCol []int, rootDepths []int, 
 	meta.RecommendedLevels = meta.CtDepthCipherModel + 5 + log2Ceil(meta.BPad)/3
 	meta.LevelPlan = nil
 	if g.LevelPlan != nil {
-		meta.LevelPlan = computeLevelPlan(&meta, planShuffle, slackConfig{})
+		meta.LevelPlan = computeLevelPlan(&meta, planShuffle)
 	}
 
 	return &Compiled{

@@ -119,6 +119,22 @@ func TestServiceSlotMismatch(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsInfeasiblePlan: a model whose stored plan schedules
+// the compare stage one level too low is refused at Register with the
+// typed error, not served.
+func TestServiceRejectsInfeasiblePlan(t *testing.T) {
+	_, c := trainedModel(t, 41, 256)
+	plan := *c.Meta.LevelPlan
+	plan.Cipher.Compare--
+	plan.Plain.Compare--
+	c.Meta.LevelPlan = &plan
+	err := copse.NewService(copse.WithBackend(copse.BackendClear)).Register("stale", c)
+	var infeasible *copse.PlanInfeasibleError
+	if !errors.As(err, &infeasible) {
+		t.Fatalf("Register error %v, want *PlanInfeasibleError", err)
+	}
+}
+
 // TestServiceContextCancel: a cancelled context stops a classification
 // between stages and while queued.
 func TestServiceContextCancel(t *testing.T) {
