@@ -91,9 +91,15 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr)
 		}
-		work, critical := staged.Program.Work(), staged.Program.CriticalPath()
-		fmt.Fprintf(os.Stderr, "  op program (%s model): work %d, critical path %d — parallelism %.1f\n",
-			name, work, critical, float64(work)/float64(critical))
+		// One program per plane packing: which one a pass runs follows from
+		// how many of the batch blocks its queries fill (DESIGN.md §13.4).
+		for _, g := range staged.PlanePackings() {
+			prog := staged.ProgramFor(g)
+			work, critical, cmp := prog.Work(), prog.CriticalPath(), prog.CompareBill()
+			fmt.Fprintf(os.Stderr, "  op program (%s model), %2d planes per ciphertext (≤ %d queries in %d ciphertexts): work %d, critical path %d — parallelism %.1f; compare %d products + %d rotations = %d key switches, depth %d, work %d\n",
+				name, g, m.QueryCapacity(g), m.QueryCiphertexts(g), work, critical, float64(work)/float64(critical),
+				cmp.Products, cmp.Rotations, cmp.KeySwitches, cmp.Depth, cmp.Work)
+		}
 	}
 
 	if *out != "" {

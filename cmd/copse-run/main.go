@@ -127,6 +127,7 @@ func main() {
 		fmt.Printf("server-inferable structure: q̂=%d b̂=%d d=%d p=%d\n", view.QPad, view.BPad, view.D, view.P)
 	}
 	fmt.Printf("workers: %d, utilisation %.2f (op run time over workers × pass time)\n", st.Workers, st.Utilisation())
+	fmt.Printf("query layout: %d operand(s) over %d pass(es), %.1f bit planes per operand\n", st.QueryCiphertexts, passes, st.PlanesPerCiphertext())
 	fmt.Printf("backend ops: %v\n", svc.Backend().Counts())
 }
 

@@ -617,6 +617,10 @@ type statsResponse struct {
 	// spent running ops (DESIGN.md §9).
 	Workers     int     `json:"workers"`
 	Utilisation float64 `json:"utilisation"`
+	// Query operands the passes consumed and the bit planes per operand
+	// the traffic's batch fill realized (DESIGN.md §13.4).
+	QueryCiphertexts    int64   `json:"queryCiphertexts"`
+	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
 	// Resilience counters (DESIGN.md §15).
 	Shed            int64 `json:"shed"`
 	DeadlineRejects int64 `json:"deadlineRejects"`
@@ -656,6 +660,9 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		CoalescedQueries: st.CoalescedQueries,
 		BatchFill:        st.BatchFill,
 		MeanBatchWaitMS:  float64(st.MeanBatchWait().Microseconds()) / 1000,
+
+		QueryCiphertexts:    st.QueryCiphertexts,
+		PlanesPerCiphertext: st.PlanesPerCiphertext(),
 	}
 	if len(st.ModelLatency) > 0 {
 		resp.ModelLatency = make(map[string]modelLatency, len(st.ModelLatency))

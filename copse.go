@@ -91,6 +91,11 @@ type (
 	// level plan its op program cannot run under (a stale or hand-edited
 	// artifact): a load-time error instead of a garbage label.
 	PlanInfeasibleError = core.PlanInfeasibleError
+	// QueryLayoutError is Service.Classify's rejection of a query whose
+	// bit-plane layout names no program the model staged (a query packed
+	// by hand, or for another batch fill than it claims): a typed error
+	// before any homomorphic op, instead of a garbage label.
+	QueryLayoutError = core.QueryLayoutError
 )
 
 // Party configurations (see paper §7.1 and Tables 3–4).
@@ -388,8 +393,12 @@ type EncryptedResult struct {
 
 // resultSeg is one homomorphic pass's worth of results.
 type resultSeg struct {
-	op        he.Operand
-	batch     int
+	op    he.Operand
+	batch int
+	// capacity is the query capacity of the layout the pass ran under
+	// (Meta.QueryCapacity of the query's plane packing): what decoding
+	// may index.
+	capacity  int
 	codebooks []*core.ShuffledCodebook // nil unless the pass was shuffled
 }
 

@@ -149,8 +149,9 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}(i)
 	}
-	// Kill worker 1 while requests are in flight, then bring it back.
-	time.Sleep(500 * time.Millisecond)
+	// Kill worker 1 while requests are in flight — a few passes in, however
+	// fast a pass is — then bring it back.
+	time.Sleep(min(3*baseline, 500*time.Millisecond))
 	killed.Store(true)
 	time.Sleep(3 * time.Second)
 	killed.Store(false)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -364,6 +365,54 @@ func TestWorkerErrors(t *testing.T) {
 	}
 	if err := w2.AddShard("", manifest, shards[0]); err == nil {
 		t.Error("empty model name accepted")
+	}
+}
+
+// TestWorkerRefusesForeignPlaneCount: the batch count of a classify
+// request fixes its plane packing and so the ciphertext count; a frame
+// announcing any other count is a 400 naming the layout, refused on the
+// count alone — the frames here carry no ciphertext at all.
+func TestWorkerRefusesForeignPlaneCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stages a BGV worker")
+	}
+	c, err := core.Compile(clusterForest(t, 57), core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Seed: 73})
+	defer w.Close()
+	if err := w.AddShard("forest", manifest, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	gm := &manifest.Meta
+	for _, batch := range []int{1, gm.BatchCapacity()} {
+		want := gm.QueryCiphertexts(gm.PlanesPerCiphertext(batch))
+		for _, count := range []int{want + 1, gm.Precision + 1, 1 << 19} {
+			var payload bytes.Buffer
+			putU32(&payload, uint32(count))
+			var frame bytes.Buffer
+			if err := writeFrame(&frame, KindCiphertexts, payload.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(fmt.Sprintf("%s/v1/cluster/classify?model=forest&shard=0&batch=%d", srv.URL, batch), "application/octet-stream", &frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			layout := (&core.QueryLayoutError{Planes: count, PlanesPerCiphertext: gm.PlanesPerCiphertext(batch), Block: gm.BatchBlock(), Want: want}).Error()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || body.Error != layout {
+				t.Errorf("batch=%d with %d ciphertexts announced: %s %q (%v), want 400 %q", batch, count, resp.Status, body.Error, err, layout)
+			}
+		}
 	}
 }
 

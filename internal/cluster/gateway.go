@@ -111,6 +111,8 @@ type Gateway struct {
 	deadlineFails atomic.Int64
 	fanoutNS      atomic.Int64
 	mergeNS       atomic.Int64
+	queryPlanes   atomic.Int64 // bit planes encrypted, ...
+	queryCts      atomic.Int64 // ... and the ciphertexts that carried them
 }
 
 // workerState is the prober's view of one worker.
@@ -540,6 +542,8 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 		return nil, err
 	}
 	trace.Encrypt += time.Since(mark)
+	g.queryPlanes.Add(int64(r.meta.Precision))
+	g.queryCts.Add(int64(len(wcs)))
 
 	// Fan out: one request per shard, concurrently; each shard hedges
 	// and fails over across its holders (hedgedCall). A panic in a shard
@@ -923,6 +927,11 @@ type gatewayStatsJSON struct {
 	MergeMS          float64                     `json:"mergeMS"`
 	Workers          []gatewayWorkerJSON         `json:"workers"`
 	ModelLatency     map[string]modelLatencyJSON `json:"modelLatency,omitempty"`
+
+	// Query ciphertexts encrypted and fanned out, and the bit planes per
+	// ciphertext the requests' batch fill realized (DESIGN.md §13.4).
+	QueryCiphertexts    int64   `json:"queryCiphertexts"`
+	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
 }
 
 func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
@@ -936,6 +945,10 @@ func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
 		DeadlineFailures: g.deadlineFails.Load(),
 		FanoutMS:         ms(time.Duration(g.fanoutNS.Load())),
 		MergeMS:          ms(time.Duration(g.mergeNS.Load())),
+		QueryCiphertexts: g.queryCts.Load(),
+	}
+	if st.QueryCiphertexts > 0 {
+		st.PlanesPerCiphertext = float64(g.queryPlanes.Load()) / float64(st.QueryCiphertexts)
 	}
 	g.mu.RLock()
 	for url, ws := range g.workers {

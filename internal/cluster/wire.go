@@ -620,14 +620,27 @@ func EncodeCiphertexts(w io.Writer, cts []WireCiphertext) error {
 
 // DecodeCiphertexts reads a ciphertext-batch frame.
 func DecodeCiphertexts(rd io.Reader) ([]WireCiphertext, error) {
+	return decodeCiphertexts(rd, func(n int) error {
+		if n > 1<<20 {
+			return fmt.Errorf("cluster: implausible ciphertext count %d", n)
+		}
+		return nil
+	})
+}
+
+// decodeCiphertexts reads a ciphertext frame whose announced count
+// admit accepts; it is asked before any ciphertext is allocated.
+func decodeCiphertexts(rd io.Reader, admit func(n int) error) ([]WireCiphertext, error) {
 	payload, err := readFrame(rd, KindCiphertexts)
 	if err != nil {
 		return nil, err
 	}
 	r := &reader{b: payload}
 	n := int(r.u32())
-	if r.err == nil && n > 1<<20 {
-		return nil, fmt.Errorf("cluster: implausible ciphertext count %d", n)
+	if r.err == nil {
+		if err := admit(n); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]WireCiphertext, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {

@@ -354,8 +354,9 @@ func (w *Worker) forest(name string) (*workerForest, error) {
 	return wf, nil
 }
 
-// handleClassify is the data plane: Precision query bit-plane
-// ciphertexts in, one shard-result ciphertext out.
+// handleClassify is the data plane: the query's bit-plane ciphertexts
+// in — as many as the batch count's plane packing makes them — and one
+// shard-result ciphertext out.
 func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
 	name := qv.Get("model")
@@ -384,14 +385,18 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, &core.BatchCapacityError{Index: batch, Capacity: cap})
 		return
 	}
-	cts, err := DecodeCiphertexts(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes))
+	// The batch count fixes the plane packing, and the packing the number
+	// of ciphertexts; a frame that announces any other count is refused
+	// before a polynomial of it is allocated.
+	g := gm.PlanesPerCiphertext(batch)
+	cts, err := decodeCiphertexts(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes), func(n int) error {
+		if want := gm.QueryCiphertexts(g); n != want {
+			return &core.QueryLayoutError{Planes: n, PlanesPerCiphertext: g, Block: gm.BatchBlock(), Want: want}
+		}
+		return nil
+	})
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, err)
-		return
-	}
-	if len(cts) != gm.Precision {
-		httpError(rw, http.StatusBadRequest,
-			fmt.Errorf("cluster: query has %d bit planes, model %q wants %d", len(cts), name, gm.Precision))
 		return
 	}
 	w.mu.RLock()
@@ -408,6 +413,8 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		K:           gm.K,
 		QPad:        gm.QPad,
 		Block:       gm.BatchBlock(),
+
+		PlanesPerCiphertext: g,
 	}
 	enc, _, err := svc.Classify(r.Context(), reg, q)
 	if err != nil {
@@ -469,7 +476,7 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gm := &wf.manifest.Meta
-	results, err := core.DecodeResultBatch(gm, slots, count)
+	results, err := core.DecodeResultBatch(gm, slots, count, gm.QueryCapacity(gm.PlanesPerCiphertext(count)))
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err)
 		return
@@ -522,6 +529,11 @@ type serviceStatsJSON struct {
 	Workers         int                         `json:"workers"`
 	Utilisation     float64                     `json:"utilisation"`
 	ModelLatency    map[string]modelLatencyJSON `json:"modelLatency,omitempty"`
+
+	// Query operands the passes consumed and the bit planes per operand
+	// the traffic's batch fill realized (DESIGN.md §13.4).
+	QueryCiphertexts    int64   `json:"queryCiphertexts"`
+	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
 }
 
 func statsJSON(st copse.ServiceStats) serviceStatsJSON {
@@ -536,6 +548,9 @@ func statsJSON(st copse.ServiceStats) serviceStatsJSON {
 		MeanLatencyMS:   ms(st.MeanLatency()),
 		Workers:         st.Workers,
 		Utilisation:     st.Utilisation(),
+
+		QueryCiphertexts:    st.QueryCiphertexts,
+		PlanesPerCiphertext: st.PlanesPerCiphertext(),
 	}
 	if len(st.ModelLatency) > 0 {
 		out.ModelLatency = make(map[string]modelLatencyJSON, len(st.ModelLatency))

@@ -59,12 +59,23 @@ func alignCorpus(t *testing.T) map[string]alignCase {
 	return corpus
 }
 
+// packingFills returns one batch size per plane packing the model admits,
+// the largest that selects it: from the lone query's packing down to the
+// full batch's one plane per ciphertext.
+func packingFills(m *Meta) []int {
+	var fills []int
+	for g := m.PlanesPerCiphertext(1); g >= 1; g >>= 1 {
+		fills = append(fills, m.QueryCapacity(g))
+	}
+	return fills
+}
+
 // TestPlannedPassAlignsNothing is the every-level-move-is-an-op
 // invariant: under the level plan the backend performs no implicit
-// alignment in any stage of any scenario — each one is an opDrop of the
-// program — and the answer is the forest's. Staged reactively
-// (WithLevelPlan(false)) the same models do align inside the backend,
-// which is what the counter is for.
+// alignment in any stage of any scenario, at any plane packing — each
+// one is an opDrop of the program — and the answers are the forest's.
+// Staged reactively (WithLevelPlan(false)) the same models do align
+// inside the backend, which is what the counter is for.
 func TestPlannedPassAlignsNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 1))
 	for name, ac := range alignCorpus(t) {
@@ -72,13 +83,19 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 		for _, cfg := range schedConfigs {
 			t.Run(name+"/"+cfg.name, func(t *testing.T) {
 				b := planBackend(t, c, cfg.encModel)
-				feats := randomFeatures(rng, f.NumFeatures, f.Precision)
-				classify := func(plan *LevelPlan) *Trace {
+				stage := func(plan *LevelPlan) *ModelOperands {
 					m, err := PrepareWithPlan(b, c, cfg.encModel, plan)
 					if err != nil {
 						t.Fatal(err)
 					}
-					q, err := PrepareQuery(b, &m.Meta, feats, cfg.encQuery)
+					return m
+				}
+				classify := func(m *ModelOperands, fill int) *Trace {
+					batch := make([][]uint64, fill)
+					for i := range batch {
+						batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
+					}
+					q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -86,11 +103,15 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if g := m.Meta.PlanesPerCiphertext(fill); trace.PlanesPerCiphertext != g || trace.QueryCiphertexts != m.Meta.QueryCiphertexts(g) {
+						t.Fatalf("fill %d ran %d operands at %d planes per ciphertext, want %d at %d",
+							fill, trace.QueryCiphertexts, trace.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
+					}
 					slots, err := he.Reveal(b, out)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := DecodeResult(&m.Meta, slots)
+					results, err := DecodeResultBatch(&m.Meta, slots, fill, m.Meta.QueryCapacity(q.PlanesPerCiphertext))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,15 +119,21 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 					if c.Shard != nil {
 						start = c.Shard.TreeStart
 					}
-					if want := f.Classify(feats)[start : start+len(res.PerTree)]; !slices.Equal(res.PerTree, want) {
-						t.Fatalf("plan=%v: classified %v, forest says %v", plan != nil, res.PerTree, want)
+					for i, res := range results {
+						if want := f.Classify(batch[i])[start : start+len(res.PerTree)]; !slices.Equal(res.PerTree, want) {
+							t.Fatalf("plan=%v fill=%d query %d: classified %v, forest says %v", m.Plan != nil, fill, i, res.PerTree, want)
+						}
 					}
 					return trace
 				}
-				tr := classify(c.Meta.LevelPlan)
-				for st, ops := range []he.OpCounts{tr.CompareOps, tr.ReshuffleOps, tr.LevelOps, tr.AccumulateOps} {
-					if ops.Aligns != 0 {
-						t.Errorf("planned %s stage: backend aligned %d operands itself", stageNames[st], ops.Aligns)
+				planned := stage(c.Meta.LevelPlan)
+				for _, fill := range packingFills(&c.Meta) {
+					tr := classify(planned, fill)
+					for st, ops := range []he.OpCounts{tr.CompareOps, tr.ReshuffleOps, tr.LevelOps, tr.AccumulateOps} {
+						if ops.Aligns != 0 {
+							t.Errorf("planned %s stage at %d planes per ciphertext: backend aligned %d operands itself",
+								stageNames[st], tr.PlanesPerCiphertext, ops.Aligns)
+						}
 					}
 				}
 				// The reactive contrast runs on the Table 6 models of the
@@ -114,7 +141,7 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 				if testing.Short() || f.NumFeatures != 2 {
 					return
 				}
-				tr = classify(nil)
+				tr := classify(stage(nil), c.Meta.BatchCapacity())
 				if n := tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps).Aligns; n == 0 {
 					t.Error("reactive staging: no implicit alignment counted")
 				}

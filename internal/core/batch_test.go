@@ -76,7 +76,7 @@ func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeResultBatch(&m.Meta, slots, len(batch))
+	results, err := DecodeResultBatch(&m.Meta, slots, len(batch), m.Meta.QueryCapacity(q.PlanesPerCiphertext))
 	if err != nil {
 		t.Fatalf("DecodeResultBatch: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestBatchVsSingleEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeResultBatch(&m.Meta, slots, capacity)
+	results, err := DecodeResultBatch(&m.Meta, slots, capacity, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +238,24 @@ func TestBatchCapacityErrors(t *testing.T) {
 	}
 
 	slots := make([]uint64, b.Slots())
-	if _, err := DecodeResultAt(meta, slots, capacity); !errors.As(err, &bce) {
+	if _, err := DecodeResultAt(meta, slots, capacity, capacity); !errors.As(err, &bce) {
 		t.Errorf("DecodeResultAt(%d): got %v, want *BatchCapacityError", capacity, err)
 	}
-	if _, err := DecodeResultAt(meta, slots, -1); !errors.As(err, &bce) {
+	if _, err := DecodeResultAt(meta, slots, -1, capacity); !errors.As(err, &bce) {
 		t.Errorf("DecodeResultAt(-1): got %v, want *BatchCapacityError", err)
 	}
-	if _, err := DecodeResultBatch(meta, slots, capacity+3); !errors.As(err, &bce) {
+	if _, err := DecodeResultBatch(meta, slots, capacity+3, capacity); !errors.As(err, &bce) {
 		t.Errorf("DecodeResultBatch over capacity: got %v, want *BatchCapacityError", err)
+	}
+	// A lone query's layout holds one query: index 1 is a bit-plane block.
+	lone := meta.QueryCapacity(meta.PlanesPerCiphertext(1))
+	if _, err := DecodeResultAt(meta, slots, lone, lone); lone >= capacity || !errors.As(err, &bce) || bce.Capacity != lone {
+		t.Errorf("DecodeResultAt(%d) under a %d-query layout of capacity %d: got %v, want *BatchCapacityError", lone, lone, capacity, err)
 	}
 	if _, err := PrepareQueryBatch(b, meta, nil, true); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := DecodeResultBatch(meta, slots, 0); err == nil {
+	if _, err := DecodeResultBatch(meta, slots, 0, capacity); err == nil {
 		t.Error("zero-count decode accepted")
 	}
 }

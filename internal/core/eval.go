@@ -30,15 +30,53 @@ type ModelOperands struct {
 	// of the chain, and the program then carries no boundary drops.
 	Plan *StageLevels
 	// Program is the op program compiled from the staged shapes at
-	// Prepare time (DESIGN.md §13) — the flat schedule Engine.ClassifyCtx
-	// executes. Never nil on operands Prepare returned.
+	// Prepare time (DESIGN.md §13) for one bit plane per query ciphertext
+	// and encrypted planes — the flat schedule Engine.ClassifyCtx executes
+	// on a full batch. Never nil on operands Prepare returned.
 	Program *Program
+	// packings holds what each plane packing g the layout admits runs on
+	// (index log2 g, DESIGN.md §13.4): packings[0] is Thresholds and
+	// Program themselves.
+	packings []planePacking
+}
+
+// planePacking is what a query of one plane packing runs on: the negated
+// thresholds laid out like its planes, and the op program over them.
+type planePacking struct {
+	thresholds []he.Operand
+	program    *Program
 	// plainQueryProgram is the variant Engine.ClassifyCtx runs on
-	// plaintext query planes. It differs from Program only where levels
+	// plaintext query planes. It differs from program only where levels
 	// do (an encrypted model under a level plan: a plaintext factor
 	// consumes no level, so other alignments are due); everywhere else it
-	// is Program itself.
+	// is program itself.
 	plainQueryProgram *Program
+}
+
+// PlanePackings lists the plane packings g the model staged a program
+// for, ascending: the powers of two up to Meta.PlanesPerCiphertext(1).
+func (m *ModelOperands) PlanePackings() []int {
+	out := make([]int, len(m.packings))
+	for i := range out {
+		out[i] = 1 << i
+	}
+	return out
+}
+
+// ProgramFor returns the encrypted-query program of plane packing g, nil
+// when the model admits no such packing.
+func (m *ModelOperands) ProgramFor(g int) *Program {
+	if pk := m.packing(g); pk != nil {
+		return pk.program
+	}
+	return nil
+}
+
+func (m *ModelOperands) packing(g int) *planePacking {
+	if i := log2Ceil(max(g, 1)); g == 1<<i && i < len(m.packings) {
+		return &m.packings[i]
+	}
+	return nil
 }
 
 // Prepare loads c onto backend b. With encrypt=true all model components
@@ -71,22 +109,42 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		level = func(sel func(StageLevels) int) int { return sel(stage) }
 	}
 
-	// Thresholds stay fully periodic: every block of the batched layout
-	// reads the same QPad-periodic plane (BatchBlock is a multiple of
-	// QPad), and the single-query layout is the one-block special case.
-	// They are staged negated, in every slot, padding included.
-	t := b.PlainModulus()
-	for _, plane := range c.ThresholdBits {
-		periodic := replicatePlain(plane, c.Meta.QPad, b.Slots())
-		for i, y := range periodic {
-			periodic[i] = (1 + t - y%t) % t
-		}
-		op, err := makeOperand(b, periodic, encrypt, level(func(s StageLevels) int { return s.Compare }))
-		if err != nil {
-			return nil, err
-		}
-		m.Thresholds = append(m.Thresholds, op)
+	// Thresholds stay fully periodic within a block group: every block of
+	// the batched layout reads the same QPad-periodic plane (BatchBlock is
+	// a multiple of QPad), and the single-query layout is the one-block
+	// special case. They are staged negated, in every slot, padding
+	// included, once per plane packing: block group j/m of operand j mod m
+	// holds plane j, and a plane past the precision is ¬y = 1 against the
+	// query's x = 0, so it compares equal.
+	if len(c.ThresholdBits) == 0 || len(c.ThresholdBits) != c.Meta.Precision {
+		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d threshold bit planes at precision %d", len(c.ThresholdBits), c.Meta.Precision)}
 	}
+	t := b.PlainModulus()
+	m.packings = make([]planePacking, log2Ceil(c.Meta.PlanesPerCiphertext(1))+1)
+	for i := range m.packings {
+		g := 1 << i
+		vals := make([][]uint64, c.Meta.QueryCiphertexts(g))
+		for ct := range vals {
+			vals[ct] = make([]uint64, b.Slots())
+			for s := range vals[ct] {
+				vals[ct][s] = 1
+			}
+		}
+		for j, plane := range c.ThresholdBits {
+			ct, base := c.Meta.planeAt(j, g)
+			for s, y := range replicatePlain(plane, c.Meta.QPad, b.Slots()/g) {
+				vals[ct][base+s] = (1 + t - y%t) % t
+			}
+		}
+		for _, v := range vals {
+			op, err := makeOperand(b, v, encrypt, level(func(s StageLevels) int { return s.Compare }))
+			if err != nil {
+				return nil, err
+			}
+			m.packings[i].thresholds = append(m.packings[i].thresholds, op)
+		}
+	}
+	m.Thresholds = m.packings[0].thresholds
 
 	// Stage each matrix pre-rotated for the split the compiler planned
 	// (Meta.kernelSplit; models staged without BSGS get the degenerate
@@ -124,13 +182,12 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		m.Masks = append(m.Masks, op)
 	}
 
-	// Compile the op program from the staged shapes and encode its
+	// Compile the op programs from the staged shapes and encode their
 	// plaintext constants once, here, instead of on every Classify call.
 	in := progInputs{
 		meta:      m.Meta,
 		plan:      m.Plan,
 		encrypted: encrypt,
-		planes:    len(m.Thresholds),
 		masks:     len(m.Masks),
 		reshuffle: diagShapeOf(m.Reshuffle),
 	}
@@ -138,23 +195,30 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		in.levels = append(in.levels, diagShapeOf(d))
 	}
 	if !encrypt {
-		for _, op := range m.Thresholds {
-			in.threshVals = append(in.threshVals, op.Vals)
-		}
 		for _, op := range m.Masks {
 			in.maskVals = append(in.maskVals, op.Vals)
 		}
 	}
-	if m.Program, err = newProgram(b, in); err != nil {
-		return nil, err
-	}
-	m.plainQueryProgram = m.Program
-	if encrypt && m.Plan != nil {
-		in.plainQuery = true
-		if m.plainQueryProgram, err = newProgram(b, in); err != nil {
+	for i := range m.packings {
+		pk := &m.packings[i]
+		in.packing, in.planes, in.plainQuery, in.threshVals = 1<<i, len(pk.thresholds), false, nil
+		if !encrypt {
+			for _, op := range pk.thresholds {
+				in.threshVals = append(in.threshVals, op.Vals)
+			}
+		}
+		if pk.program, err = newProgram(b, in); err != nil {
 			return nil, err
 		}
+		pk.plainQueryProgram = pk.program
+		if encrypt && m.Plan != nil {
+			in.plainQuery = true
+			if pk.plainQueryProgram, err = newProgram(b, in); err != nil {
+				return nil, err
+			}
+		}
 	}
+	m.Program = m.packings[0].program
 	return m, nil
 }
 
@@ -288,6 +352,9 @@ type Trace struct {
 	// Workers is the number of goroutines the pass ran its ops on (the
 	// resolved Engine.Workers).
 	Workers int
+	// PlanesPerCiphertext is the plane packing g of the query the pass
+	// ran, and QueryCiphertexts the ⌈p/g⌉ operands it carried.
+	PlanesPerCiphertext, QueryCiphertexts int
 	// The Busy fields are each stage's op run time summed over those
 	// workers: busy ÷ (stage time × Workers) is how much of the cores the
 	// stage's dependencies let the scheduler use.
@@ -391,9 +458,6 @@ func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error
 // before every op, so a cancelled request stops within one op's time;
 // ops already running finish first.
 func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
-	if len(q.Bits) != len(m.Thresholds) {
-		return he.Operand{}, nil, fmt.Errorf("core: query has %d bit planes, model wants %d", len(q.Bits), len(m.Thresholds))
-	}
 	// A query packed for one model silently misclassifies on another
 	// whose layout differs (a registry makes that an easy mistake), so
 	// reject layout mismatches up front — the full packing layout, since
@@ -406,16 +470,30 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 			q.NumFeatures, q.K, q.QPad, q.Block,
 			m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock())
 	}
+	// The query's layout names the program: the one staged for its plane
+	// packing.
+	g := max(q.PlanesPerCiphertext, 1)
+	pk := m.packing(g)
+	if pk == nil || len(q.Bits) != len(pk.thresholds) {
+		mismatch := &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block}
+		if pk != nil {
+			mismatch.Want = len(pk.thresholds)
+		}
+		return he.Operand{}, nil, mismatch
+	}
 
-	p := m.Program
+	p := pk.program
 	if !q.Bits[0].IsCipher() {
-		p = m.plainQueryProgram
+		p = pk.plainQueryProgram
 	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	trace := &Trace{Executor: "program", Workers: workers, Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}}
+	trace := &Trace{
+		Executor: "program", Workers: workers, PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits),
+		Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1},
+	}
 	start := time.Now()
 	// The stage op counts in the trace come from a per-call counting
 	// wrapper, not deltas of the shared backend counter: under the
@@ -431,6 +509,7 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 		passScratch: scratch,
 		b:           b,
 		m:           m,
+		thresholds:  pk.thresholds,
 		q:           q,
 		p:           p,
 		workers:     workers,

@@ -37,10 +37,11 @@ func newPassScratch(p *Program) *passScratch {
 // lock hand-off that made the op ready orders the two).
 type pass struct {
 	*passScratch
-	b *he.CountingBackend
-	m *ModelOperands
-	q *Query
-	p *Program
+	b          *he.CountingBackend
+	m          *ModelOperands
+	thresholds []he.Operand // of the query's plane packing
+	q          *Query
+	p          *Program
 
 	workers int
 	rank    []int32 // the ready queue's order: Program.sched.rank outside tests
@@ -260,7 +261,7 @@ func (ps *pass) runOp(i int) (err error) {
 	case opQuery:
 		R[op.Dst] = ps.q.Bits[op.Imm]
 	case opThresh:
-		R[op.Dst] = ps.m.Thresholds[op.Imm]
+		R[op.Dst] = ps.thresholds[op.Imm]
 	case opMask:
 		R[op.Dst] = ps.m.Masks[op.Imm]
 	case opConst:

@@ -157,11 +157,13 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("enc=%v: %v", encModel, err)
 					}
-					// One program serves both query kinds unless their
-					// levels differ.
-					checkLevelledProgram(t, m.Program, st)
-					if m.plainQueryProgram != m.Program {
-						checkLevelledProgram(t, m.plainQueryProgram, st)
+					// Every plane packing; one program serves both query
+					// kinds unless their levels differ.
+					for _, pk := range m.packings {
+						checkLevelledProgram(t, pk.program, st)
+						if pk.plainQueryProgram != pk.program {
+							checkLevelledProgram(t, pk.plainQueryProgram, st)
+						}
 					}
 				}
 			})

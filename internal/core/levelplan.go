@@ -443,11 +443,11 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (lev
 	return out, nil
 }
 
-// planStructure is the program structure the planner searches over,
-// built from Meta alone: every diagonal kept and every mask non-zero —
-// the worst case over the models Meta describes, and independent of any
-// backend, since the plan is stored in the artifact.
-func planStructure(m *Meta, encModel bool) (*Program, error) {
+// planStructure is the program structure of plane packing g the planner
+// searches over, built from Meta alone: every diagonal kept and every
+// mask non-zero — the worst case over the models Meta describes, and
+// independent of any backend, since the plan is stored in the artifact.
+func planStructure(m *Meta, encModel bool, g int) (*Program, error) {
 	shape := func(period int) diagShape {
 		baby, giant := m.kernelSplit(period)
 		return diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
@@ -456,7 +456,8 @@ func planStructure(m *Meta, encModel bool) (*Program, error) {
 		meta:      *m,
 		plan:      &StageLevels{CompareRounds: make([]int, log2Ceil(max(m.Precision, 1)))},
 		encrypted: encModel,
-		planes:    m.Precision,
+		packing:   g,
+		planes:    m.QueryCiphertexts(g),
 		masks:     max(m.D, 1),
 		reshuffle: shape(m.QPad),
 	}
@@ -551,32 +552,46 @@ func shuffleEntryLevel(nm noiseModel, sh shuffleShape) int {
 // the deepest supported forests stays well below it.
 const planCap = 48
 
-// planner is the schedule search of one scenario: the structure, and the
-// level pass as its feasibility oracle — for encrypted query planes and,
-// under an encrypted model, for plaintext ones too (ScenarioClientEval
-// runs the same schedule; a plaintext factor consumes no level, so other
-// registers run hot). With shuffleAt set the oracle also asks that the
-// result can still feed the result shuffle (Options.PlanShuffle): a
-// result landing exactly at its final level can arrive hot, and the
-// accumulate entry is what to raise then — the boundary drop it opens
-// floors the result.
+// planner is the schedule search of one scenario: the structure of every
+// plane packing the layout admits (one stored schedule serves them all;
+// progs[0] is one plane per ciphertext), and the level pass as its
+// feasibility oracle — for encrypted query planes and, under an encrypted
+// model, for plaintext ones too (ScenarioClientEval runs the same
+// schedule; a plaintext factor consumes no level, so other registers run
+// hot). With shuffleAt set the oracle also asks that the result can still
+// feed the result shuffle (Options.PlanShuffle): a result landing exactly
+// at its final level can arrive hot, and the accumulate entry is what to
+// raise then — the boundary drop it opens floors the result.
 type planner struct {
 	nm        noiseModel
-	prog      *Program
+	progs     []*Program
 	sh        shuffleShape
 	shuffleAt int
 }
 
+// run reports the one-plane-per-ciphertext pass under at and the first
+// failure of any variant.
 func (pl planner) run(at StageLevels) (levelled, *planFailure) {
-	lv, fail := pl.prog.levelPass(pl.nm, at, false)
-	if fail == nil && pl.prog.encModel {
-		_, fail = pl.prog.levelPass(pl.nm, at, true)
+	var first levelled
+	for i, prog := range pl.progs {
+		for _, plainQuery := range []bool{false, true} {
+			if plainQuery && !prog.encModel {
+				continue // a plaintext model's levels do not depend on the query's
+			}
+			lv, fail := prog.levelPass(pl.nm, at, plainQuery)
+			if i == 0 && !plainQuery {
+				first = lv
+			}
+			// ShuffleResult's entry drop, then the shuffle itself.
+			if fail == nil && pl.shuffleAt > 0 && !simulateShuffle(pl.nm, pl.sh, (&sim{nm: pl.nm}).dropTo(lv.result, pl.shuffleAt)) {
+				fail = &planFailure{stage: stAccumulate, kind: failNoise, level: lv.result.level}
+			}
+			if fail != nil {
+				return first, fail
+			}
+		}
 	}
-	// ShuffleResult's entry drop, then the shuffle itself.
-	if fail == nil && pl.shuffleAt > 0 && !simulateShuffle(pl.nm, pl.sh, (&sim{nm: pl.nm}).dropTo(lv.result, pl.shuffleAt)) {
-		fail = &planFailure{stage: stAccumulate, kind: failNoise, level: lv.result.level}
-	}
-	return lv, fail
+	return first, nil
 }
 
 // schedule finds a locally minimal schedule landing the result at final.
@@ -659,9 +674,13 @@ func computeLevelPlan(m *Meta, planShuffle bool) *LevelPlan {
 	}
 	plan := &LevelPlan{}
 	for _, encModel := range []bool{true, false} {
-		var err error
-		if pl.prog, err = planStructure(m, encModel); err != nil {
-			return nil
+		pl.progs = nil
+		for g := 1; g <= m.PlanesPerCiphertext(1); g <<= 1 {
+			prog, err := planStructure(m, encModel, g)
+			if err != nil {
+				return nil
+			}
+			pl.progs = append(pl.progs, prog)
 		}
 		st, ok := pl.schedule(final)
 		if !ok {

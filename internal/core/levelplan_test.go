@@ -462,12 +462,13 @@ func TestShuffleUnderLevelPlanBGV(t *testing.T) {
 
 // TestPlannerNoiseBoundsMeasured pins the level pass to the evaluator
 // from above, on every model the benchmark gates — depth4, prec16, and
-// wide8 whole and in its two shards — in both scenarios: each trace
-// register sits at the level the pass assigned it, and the noise the
-// pass predicts for it is at least what a decryption measures.
+// wide8 whole and in its two shards — in both scenarios and at every
+// plane packing: each trace register sits at the level the pass assigned
+// it, and the noise the pass predicts for it is at least what a
+// decryption measures.
 func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs ten full BGV passes")
+		t.Skip("runs 36 full BGV passes")
 	}
 	for name, ac := range alignCorpus(t) {
 		if name != "depth4" && name != "prec16" && ac.f.NumFeatures == 2 {
@@ -481,42 +482,48 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			feats := make([]uint64, f.NumFeatures)
-			for i := range feats {
-				feats[i] = uint64(3*i+1) % (1 << uint(f.Precision))
-			}
-			q, err := PrepareQuery(b, &m.Meta, feats, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := &Engine{Backend: b, Workers: 2, MeasureNoise: true}
-			_, trace, err := e.Classify(m, q)
-			if err != nil {
-				t.Fatalf("%s Classify: %v", name, err)
-			}
-			p := m.Program
-			for _, at := range []struct {
-				stage         string
-				reg           int
-				limbs, budget int
-			}{
-				{"query", p.regQuery, trace.Limbs.Query, trace.Noise.Query},
-				{"decisions", p.regDecisions, trace.Limbs.Decisions, trace.Noise.Decisions},
-				{"branch vector", p.regBranchVec, trace.Limbs.BranchVec, trace.Noise.BranchVec},
-				{"level result", p.regLevelResult, trace.Limbs.LevelResult, trace.Noise.LevelResult},
-				{"result", p.result, trace.Limbs.Result, trace.Noise.Result},
-			} {
-				want := p.est[at.reg]
-				if at.limbs != want.level+1 {
-					t.Errorf("%s enc=%v %s: %d limbs, the pass assigns level %d", name, encModel, at.stage, at.limbs, want.level)
-					continue
+			for _, fill := range packingFills(&c.Meta) {
+				batch := make([][]uint64, fill)
+				for k := range batch {
+					batch[k] = make([]uint64, f.NumFeatures)
+					for i := range batch[k] {
+						batch[k][i] = uint64(3*i+k+1) % (1 << uint(f.Precision))
+					}
 				}
-				// The modulus is limbs 55-bit primes, one bit above the
-				// planner's lower bound qBits.
-				measured := nm.qBits(want.level) + 1 - float64(at.budget) - 1
-				t.Logf("%s enc=%v %s: level %d, predicted %.1f bits, measured %.0f", name, encModel, at.stage, want.level, want.noise, measured)
-				if measured > want.noise {
-					t.Errorf("%s enc=%v %s: measured noise %.0f bits exceeds the predicted %.1f", name, encModel, at.stage, measured, want.noise)
+				q, err := PrepareQueryBatch(b, &m.Meta, batch, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := &Engine{Backend: b, Workers: 2, MeasureNoise: true}
+				_, trace, err := e.Classify(m, q)
+				if err != nil {
+					t.Fatalf("%s Classify: %v", name, err)
+				}
+				g := trace.PlanesPerCiphertext
+				p := m.ProgramFor(g)
+				for _, at := range []struct {
+					stage         string
+					reg           int
+					limbs, budget int
+				}{
+					{"query", p.regQuery, trace.Limbs.Query, trace.Noise.Query},
+					{"decisions", p.regDecisions, trace.Limbs.Decisions, trace.Noise.Decisions},
+					{"branch vector", p.regBranchVec, trace.Limbs.BranchVec, trace.Noise.BranchVec},
+					{"level result", p.regLevelResult, trace.Limbs.LevelResult, trace.Noise.LevelResult},
+					{"result", p.result, trace.Limbs.Result, trace.Noise.Result},
+				} {
+					want := p.est[at.reg]
+					if at.limbs != want.level+1 {
+						t.Errorf("%s enc=%v g=%d %s: %d limbs, the pass assigns level %d", name, encModel, g, at.stage, at.limbs, want.level)
+						continue
+					}
+					// The modulus is limbs 55-bit primes, one bit above the
+					// planner's lower bound qBits.
+					measured := nm.qBits(want.level) + 1 - float64(at.budget) - 1
+					t.Logf("%s enc=%v g=%d %s: level %d, predicted %.1f bits, measured %.0f", name, encModel, g, at.stage, want.level, want.noise, measured)
+					if measured > want.noise {
+						t.Errorf("%s enc=%v g=%d %s: measured noise %.0f bits exceeds the predicted %.1f", name, encModel, g, at.stage, measured, want.noise)
+					}
 				}
 			}
 		}

@@ -120,6 +120,42 @@ func (m *Meta) BatchCapacity() int {
 	return max(m.Slots/(2*m.SPad()), 1)
 }
 
+// The plane axis of the query layout. A batch that fills no more than
+// half of the BatchCapacity blocks leaves whole block groups idle, and
+// the comparison's p bit planes ride them: under packing g the slots
+// split into g block groups of BatchCapacity/g query blocks each, query k
+// keeps the low block index k in every group, and MSB-first plane j sits
+// in block group j / m of ciphertext j mod m, m = ⌈p/g⌉ (DESIGN.md §13.4).
+// g = 1 is the one-plane-per-ciphertext layout of a full batch.
+
+// PlanesPerCiphertext returns the plane packing g of a batch of n queries:
+// the largest power of two the idle blocks leave room for, at most the
+// precision rounded up to a power of two. It is a function of the batch
+// size alone, so whoever packs a query and whoever receives it agree on
+// the layout without a word on the wire.
+func (m *Meta) PlanesPerCiphertext(batch int) int {
+	return max(min(1<<log2Ceil(max(m.Precision, 1)), m.BatchCapacity()>>log2Ceil(max(batch, 1))), 1)
+}
+
+// QueryCiphertexts is the number of ciphertexts (or plaintext vectors) a
+// query carries under packing g: ⌈p/g⌉.
+func (m *Meta) QueryCiphertexts(g int) int {
+	return (m.Precision + g - 1) / g
+}
+
+// QueryCapacity is how many queries one pass answers under packing g:
+// the blocks of one block group.
+func (m *Meta) QueryCapacity(g int) int {
+	return max(m.BatchCapacity()/max(g, 1), 1)
+}
+
+// planeAt locates bit plane j under packing g: the ciphertext that
+// carries it and the first slot of its block group.
+func (m *Meta) planeAt(j, g int) (ct, base int) {
+	n := m.QueryCiphertexts(g)
+	return j % n, j / n * (m.Slots / g)
+}
+
 // RotationStepLevels returns, for the given scenario, the highest chain
 // level each Galois rotation step is rotated at under the compiled
 // level schedule — the per-step Galois-key budget that

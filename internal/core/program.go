@@ -29,9 +29,13 @@ import (
 //     plan and emits the alignment a binary op's operands need as an
 //     opDrop, shared per (register, level), so a planned pass leaves the
 //     backend nothing to align and the schedule sees and prices the work;
-//   - the inclusive prefix product of the last bit plane is never read
-//     by the gt sum, so its Sklansky chain (and the last plane's eq
-//     chain) is dead code;
+//   - the comparison is one reduction over (GT, EQ) pairs, across the
+//     query's operands and, when its layout packs several bit planes
+//     into one (Meta.PlanesPerCiphertext), across the block groups of the
+//     result by rotate-and-multiply rounds (DESIGN.md §13.4);
+//   - the inclusive prefix product of the last operand is never read by
+//     the gt sum, so at one plane per operand its Sklansky chain (and the
+//     last plane's eq chain) is dead code;
 //   - the gt sum accumulates lazy (unrelinearized) products and pays for
 //     a single relinearization instead of one per plane;
 //   - the j=0 gt term's multiply-by-ones is the identity;
@@ -58,8 +62,8 @@ import (
 type opCode uint8
 
 const (
-	opQuery   opCode = iota // R[Dst] = query bit plane Imm
-	opThresh                // R[Dst] = negated model threshold plane Imm
+	opQuery   opCode = iota // R[Dst] = query bit-plane operand Imm
+	opThresh                // R[Dst] = negated model threshold operand Imm
 	opMask                  // R[Dst] = level mask Imm
 	opConst                 // R[Dst] = bound plaintext constant Imm
 	opAdd                   // R[Dst] = R[A] + R[B]
@@ -139,8 +143,9 @@ type Program struct {
 	numReg int
 	result int
 	// encModel records that the staged matrices are ciphertexts: an
-	// opMulDiag is then a tensor product, not a plaintext one.
-	encModel bool
+	// opMulDiag is then a tensor product, not a plaintext one. plainQuery
+	// records that the program is levelled for plaintext query planes.
+	encModel, plainQuery bool
 	// est is the level pass's estimate (level, noise) of each register
 	// under the plan the program was built for, rounds its estimate after
 	// each scheduled Sklansky round; nil without a plan.
@@ -165,10 +170,12 @@ type progInputs struct {
 	// plainQuery levels the program for plaintext query planes
 	// (ScenarioClientEval): the same structure, other levels.
 	plainQuery bool
-	planes     int // threshold bit planes
-	masks      int // level masks
-	reshuffle  diagShape
-	levels     []diagShape
+	// packing is the plane packing g the program is for, and planes the
+	// ⌈p/g⌉ query and threshold operands it reads.
+	packing, planes int
+	masks           int // level masks
+	reshuffle       diagShape
+	levels          []diagShape
 	// Plaintext model components (nil when encrypted): the replicated
 	// negated threshold planes and block-padded masks, exactly as staged.
 	threshVals [][]uint64
@@ -277,7 +284,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// the server can see them anyway, whereas skipping an encrypted
 	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
-	p := &Program{encModel: in.encrypted}
+	p := &Program{encModel: in.encrypted, plainQuery: in.plainQuery}
 	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, planned: in.plan != nil}
 
 	// ---- Stage 1: compare -------------------------------------------
@@ -316,11 +323,22 @@ func buildStructure(in progInputs) (*Program, error) {
 		}
 	}
 
-	// Sklansky prefix products over eq, with the per-round level drops
-	// of the level plan.
+	// The comparison is one reduction over the associative pair
+	// (GT, EQ)∘(GT′, EQ′) = (GT + EQ·GT′, EQ·EQ′), more significant planes
+	// on the left (DESIGN.md §13.4). Across the operands it is Sklansky
+	// prefix products over eq, with the per-round level drops of the level
+	// plan, ...
 	incl := make([]int, nPlanes)
 	copy(incl, eq)
 	round := 0
+	dropRound := func(regs []int) {
+		if bl.planned && round < len(in.plan.CompareRounds) {
+			for i, r := range regs {
+				regs[i] = bl.drop(r, atRound+round)
+			}
+		}
+		round++
+	}
 	for span := 1; span < nPlanes; span <<= 1 {
 		for blockStart := 0; blockStart < nPlanes; blockStart += 2 * span {
 			pivot := blockStart + span - 1
@@ -331,17 +349,12 @@ func buildStructure(in progInputs) (*Program, error) {
 				incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0)
 			}
 		}
-		if bl.planned && round < len(in.plan.CompareRounds) {
-			for i := range incl {
-				incl[i] = bl.drop(incl[i], atRound+round)
-			}
-		}
-		round++
+		dropRound(incl)
 	}
 
-	// gt = Σ_j gt_j · pre_j with lazy products and one relinearization.
-	// pre_0 = 1, so the j=0 term is gt_0 itself. The sum runs in index
-	// order, so the result does not depend on the schedule.
+	// ... and gt = Σ_j gt_j · pre_j with lazy products and one
+	// relinearization. pre_0 = 1, so the j=0 term is gt_0 itself. The sum
+	// runs in index order, so the result does not depend on the schedule.
 	decisions := gt[0]
 	for j := 1; j < nPlanes; j++ {
 		term := bl.emit(opMulLazy, gt[j], incl[j-1], 0, 0)
@@ -349,6 +362,23 @@ func buildStructure(in progInputs) (*Program, error) {
 	}
 	if nPlanes > 1 {
 		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
+	}
+	// Across the g block groups of one operand it is log2 g rotate-and-
+	// multiply rounds: group b reads group b + 2^r, the less significant
+	// one, through a rotation by a positive power of two, whose key is a
+	// rung of the composition ladder every key set holds at the chain top.
+	// Block group 0 — the queries' own blocks — ends holding the whole
+	// comparison; the other groups wrap around and hold garbage the block-
+	// local stages that follow never mix in. The last round's EQ is dead.
+	if in.packing > 1 {
+		pair := []int{decisions, incl[nPlanes-1]} // GT, EQ
+		for step := in.meta.Slots / in.packing; step < in.meta.Slots; step <<= 1 {
+			below := bl.emit(opRot, pair[0], 0, step, 0)
+			above := bl.emit(opAdd, pair[0], bl.emit(opMul, pair[1], below, 0, 0), 0, 0)
+			pair[0], pair[1] = above, bl.emit(opMul, pair[1], bl.emit(opRot, pair[1], 0, step, 0), 0, 0)
+			dropRound(pair)
+		}
+		decisions = pair[0]
 	}
 	decisions = bl.drop(decisions, atReshuffle)
 	p.regDecisions = decisions

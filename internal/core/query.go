@@ -8,13 +8,14 @@ import (
 )
 
 // Query is a prepared feature-vector batch: p MSB-first bit planes in
-// the slot-blocked layout matching the model's padded threshold vector.
+// the slot-blocked layout matching the model's padded threshold vector,
+// PlanesPerCiphertext of them to an operand (Meta.PlanesPerCiphertext).
 // Batch records how many independent feature vectors are packed (1 for
 // PrepareQuery); query k occupies the span-aligned slot block
-// [k·BatchBlock, (k+1)·BatchBlock). NumFeatures, K, QPad and Block
-// record the packing layout the query was prepared for, so the engine
-// can reject a query prepared for a different model (zero values —
-// hand-built queries — skip the check).
+// [k·BatchBlock, (k+1)·BatchBlock) of every block group. NumFeatures, K,
+// QPad and Block record the packing layout the query was prepared for,
+// so the engine can reject a query prepared for a different model (zero
+// values — hand-built queries — skip the check).
 type Query struct {
 	Bits  []he.Operand
 	Batch int
@@ -23,6 +24,9 @@ type Query struct {
 	K           int
 	QPad        int
 	Block       int
+	// PlanesPerCiphertext is the plane packing g of Bits; zero (a
+	// hand-built query) means one plane per operand.
+	PlanesPerCiphertext int
 
 	// Next chains an overflow continuation: a logical batch larger than
 	// Meta.BatchCapacity is prepared as a linked list of capacity-sized
@@ -46,6 +50,30 @@ func (e *BatchCapacityError) Error() string {
 	return fmt.Sprintf("core: batch index %d exceeds staged batch capacity %d", e.Index, e.Capacity)
 }
 
+// QueryLayoutError reports a query whose plane layout names no program
+// the model staged: a packing the model does not admit, or an operand
+// count that is not the packing's.
+type QueryLayoutError struct {
+	// Planes is the number of bit-plane operands the query carries.
+	Planes int
+	// PlanesPerCiphertext is the packing the query records.
+	PlanesPerCiphertext int
+	// Block is the query's block width.
+	Block int
+	// Want is the operand count the model stages for that packing; zero
+	// when it admits no such packing.
+	Want int
+}
+
+func (e *QueryLayoutError) Error() string {
+	if e.Want == 0 {
+		return fmt.Sprintf("core: query packs %d bit planes per ciphertext (block %d), a layout the model stages no program for",
+			e.PlanesPerCiphertext, e.Block)
+	}
+	return fmt.Sprintf("core: query has %d bit-plane operands at %d planes per ciphertext (block %d), model wants %d",
+		e.Planes, e.PlanesPerCiphertext, e.Block, e.Want)
+}
+
 // PrepareQuery performs Diane's side of Step 0 (§3.3) for a single
 // feature vector: it is PrepareQueryBatch of a one-element batch.
 func PrepareQuery(b he.Backend, meta *Meta, features []uint64, encrypt bool) (*Query, error) {
@@ -58,10 +86,14 @@ func PrepareQuery(b he.Backend, meta *Meta, features []uint64, encrypt bool) (*Q
 // threshold vector are in one-to-one correspondence), bit-transposed,
 // laid out QPad-periodically within its own BatchBlock-wide slot block,
 // and the combined planes are encrypted once — one homomorphic pass then
-// classifies the whole batch. With encrypt=false the planes stay
-// plaintext (the D=S configuration, where the evaluator owns the
-// features). Unused blocks are zero; their decode output is garbage and
-// DecodeResultBatch never reads them.
+// classifies the whole batch. The batch size alone fixes the plane
+// packing (Meta.PlanesPerCiphertext): a batch that leaves block groups
+// idle lays its bit planes into them, so a lone query of a model with
+// capacity ≥ p is a single ciphertext. With encrypt=false the planes
+// stay plaintext (the D=S configuration, where the evaluator owns the
+// features). Unused blocks are zero, as are planes past the precision
+// (they compare equal); the decode output of blocks that hold no query
+// is garbage and DecodeResultBatch never reads them.
 func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool) (*Query, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("core: empty query batch")
@@ -71,7 +103,8 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 	}
 	block := meta.BatchBlock()
 	limit := uint64(1) << uint(meta.Precision)
-	planes := make([][]uint64, meta.Precision)
+	g := meta.PlanesPerCiphertext(len(batch))
+	planes := make([][]uint64, meta.QueryCiphertexts(g))
 	for p := range planes {
 		planes[p] = make([]uint64, b.Slots())
 	}
@@ -93,20 +126,23 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 		if err != nil {
 			return nil, err
 		}
-		// QPad-periodic within the query's own block only.
-		base := k * block
-		for p, plane := range qPlanes {
+		// QPad-periodic within the query's own block of the plane's
+		// block group only.
+		for j, plane := range qPlanes {
+			ct, base := meta.planeAt(j, g)
+			base += k * block
 			for off := 0; off < block; off += meta.QPad {
-				copy(planes[p][base+off:base+off+len(plane)], plane)
+				copy(planes[ct][base+off:base+off+len(plane)], plane)
 			}
 		}
 	}
 	q := &Query{
-		Batch:       len(batch),
-		NumFeatures: meta.NumFeatures,
-		K:           meta.K,
-		QPad:        meta.QPad,
-		Block:       block,
+		Batch:               len(batch),
+		NumFeatures:         meta.NumFeatures,
+		K:                   meta.K,
+		QPad:                meta.QPad,
+		Block:               block,
+		PlanesPerCiphertext: g,
 	}
 	// Under a level schedule the planes are encrypted directly at the
 	// deeper of the two compare entry levels (Diane does not learn
@@ -142,15 +178,17 @@ type Result struct {
 // DecodeResult interprets the decrypted label-mask slots of a
 // single-query classification (batch index 0).
 func DecodeResult(meta *Meta, slots []uint64) (*Result, error) {
-	return DecodeResultAt(meta, slots, 0)
+	return DecodeResultAt(meta, slots, 0, 1)
 }
 
 // DecodeResultAt interprets the decrypted label-mask slots of batch
-// entry k, reading the k-th BatchBlock-wide slot block. It returns a
-// *BatchCapacityError when k exceeds the staged batch capacity.
-func DecodeResultAt(meta *Meta, slots []uint64, k int) (*Result, error) {
-	if k < 0 || k >= meta.BatchCapacity() {
-		return nil, &BatchCapacityError{Index: k, Capacity: meta.BatchCapacity()}
+// entry k, reading the k-th BatchBlock-wide slot block. capacity is the
+// query capacity of the layout the pass ran under (Meta.QueryCapacity of
+// the query's packing): the blocks past it carried bit planes, not
+// queries, so an index there is a *BatchCapacityError, not a label.
+func DecodeResultAt(meta *Meta, slots []uint64, k, capacity int) (*Result, error) {
+	if capacity = min(capacity, meta.BatchCapacity()); k < 0 || k >= capacity {
+		return nil, &BatchCapacityError{Index: k, Capacity: capacity}
 	}
 	off := k * meta.BatchBlock()
 	if len(slots) < off+meta.NumLeaves {
@@ -190,17 +228,18 @@ func DecodeResultAt(meta *Meta, slots []uint64, k int) (*Result, error) {
 
 // DecodeResultBatch decodes the first count batch entries of the
 // decrypted label-mask slots. It returns a *BatchCapacityError when
-// count exceeds the staged batch capacity.
-func DecodeResultBatch(meta *Meta, slots []uint64, count int) ([]*Result, error) {
+// count exceeds capacity, the query capacity of the pass's layout (see
+// DecodeResultAt).
+func DecodeResultBatch(meta *Meta, slots []uint64, count, capacity int) ([]*Result, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("core: batch decode of %d results", count)
 	}
-	if cap := meta.BatchCapacity(); count > cap {
-		return nil, &BatchCapacityError{Index: count, Capacity: cap}
+	if capacity = min(capacity, meta.BatchCapacity()); count > capacity {
+		return nil, &BatchCapacityError{Index: count, Capacity: capacity}
 	}
 	out := make([]*Result, count)
 	for k := range out {
-		r, err := DecodeResultAt(meta, slots, k)
+		r, err := DecodeResultAt(meta, slots, k, capacity)
 		if err != nil {
 			return nil, err
 		}

@@ -181,3 +181,51 @@ func (p *Program) Work() int64 { return p.sched.work }
 // stage — what a pass costs on unboundedly many workers. Work ÷
 // CriticalPath is the parallelism the model offers the scheduler.
 func (p *Program) CriticalPath() int64 { return p.sched.critical }
+
+// CompareBill is what a program's compare stage costs: its ct×ct
+// products, rotations and key switches (a lazy product pays none until
+// the sum it joins is relinearized), its multiplicative depth, and its
+// share of Work.
+type CompareBill struct {
+	Products, Rotations, KeySwitches, Depth int
+	Work                                    int64
+}
+
+// CompareBill walks the compare stage's ops. Which registers hold
+// ciphertexts follows from what the program was built for, so it needs no
+// plan; Work does (every register counts one limb without).
+func (p *Program) CompareBill() CompareBill {
+	var bill CompareBill
+	cipher, depth := make([]bool, p.numReg), make([]int, p.numReg)
+	w := p.weights()
+	for i, op := range p.ops[:p.sched.stageEnd[stCompare]] {
+		c, d := false, 0
+		switch op.Code {
+		case opQuery:
+			c = !p.plainQuery
+		case opThresh:
+			c = true // only an encrypted model loads its thresholds
+		case opAdd, opSub, opMul, opMulLazy:
+			c, d = cipher[op.A] || cipher[op.B], max(depth[op.A], depth[op.B])
+			if cipher[op.A] && cipher[op.B] && op.Code != opAdd && op.Code != opSub {
+				bill.Products++
+				d++
+				if op.Code == opMul {
+					bill.KeySwitches++
+				}
+			}
+		case opRelin, opRot, opDrop:
+			c, d = cipher[op.A], depth[op.A]
+			if c && op.Code != opDrop {
+				bill.KeySwitches++
+				if op.Code == opRot {
+					bill.Rotations++
+				}
+			}
+		}
+		cipher[op.Dst], depth[op.Dst] = c, d
+		bill.Depth = max(bill.Depth, d)
+		bill.Work += w[i]
+	}
+	return bill
+}

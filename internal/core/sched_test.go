@@ -112,8 +112,9 @@ func checkSchedule(t *testing.T, p *Program) {
 }
 
 // TestProgramSchedulesAreValid checks the static schedule of every
-// program the corpus builds: every configuration, planned and reactive
-// staging, shuffle headroom, the degenerate shapes and the shards.
+// program the corpus builds: every configuration and plane packing,
+// planned and reactive staging, shuffle headroom, the degenerate shapes
+// and the shards.
 func TestProgramSchedulesAreValid(t *testing.T) {
 	corpus := map[string]*Compiled{}
 	forests := planForests(t, false)
@@ -150,7 +151,12 @@ func TestProgramSchedulesAreValid(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				t.Run(fmt.Sprintf("%s/enc=%v/plan=%v", name, encModel, plan != nil), func(t *testing.T) {
-					checkSchedule(t, m.Program)
+					for _, pk := range m.packings {
+						checkSchedule(t, pk.program)
+						if pk.plainQueryProgram != pk.program {
+							checkSchedule(t, pk.plainQueryProgram)
+						}
+					}
 				})
 			}
 		}
@@ -204,7 +210,7 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 		t.Fatal(err)
 	}
 	for qi, feats := range batch {
-		res, err := DecodeResultAt(&m.Meta, slots, qi)
+		res, err := DecodeResultAt(&m.Meta, slots, qi, m.Meta.QueryCapacity(q.PlanesPerCiphertext))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,8 +247,9 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 // TestScheduleIndependent is the scheduler's correctness property: the
 // result ciphertext does not depend on the worker count or on the order
 // ready ops are taken in. It sweeps the three staging configurations ×
-// shuffle headroom × batch fill {1, capacity} on both backends, plus a
-// forest sharded two ways. Part of the CI -race list.
+// shuffle headroom × one batch fill per plane packing (the lone query to
+// the full batch) on both backends, plus a forest sharded two ways. Part
+// of the CI -race list.
 func TestScheduleIndependent(t *testing.T) {
 	backends := []string{"clear"}
 	if !testing.Short() {
@@ -269,7 +276,7 @@ func TestScheduleIndependent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, fill := range []int{1, c.Meta.BatchCapacity()} {
+					for _, fill := range packingFills(&c.Meta) {
 						batch := make([][]uint64, fill)
 						for i := range batch {
 							batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
@@ -319,13 +326,18 @@ func TestCancelStopsWithinOneOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := PrepareQuery(b, &m.Meta, make([]uint64, f.NumFeatures), true)
+	// A full batch: one plane per ciphertext is the longest compare stage.
+	batch := make([][]uint64, m.Meta.BatchCapacity())
+	for i := range batch {
+		batch[i] = make([]uint64, f.NumFeatures)
+	}
+	q, err := PrepareQueryBatch(b, &m.Meta, batch, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
 		// The compare stage alone outlasts the cancellation by far.
-		compare := time.Duration(m.Program.sched.stageEnd[stCompare]/2/workers) * opTime
+		compare := time.Duration(m.ProgramFor(q.PlanesPerCiphertext).sched.stageEnd[stCompare]/2/workers) * opTime
 		const cancelAfter = 4 * opTime
 		if compare < 5*cancelAfter {
 			t.Fatalf("compare stage is only ~%v long; the test needs a longer one", compare)

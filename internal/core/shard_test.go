@@ -148,7 +148,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refResults, err := DecodeResultBatch(&c.Meta, refSlots, batchSize)
+				refResults, err := DecodeResultBatch(&c.Meta, refSlots, batchSize, c.Meta.QueryCapacity(q.PlanesPerCiphertext))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 						t.Errorf("trial %d k=%d batch=%d query %d: merged leaf bits differ from single-node", trial, k, batchSize, qi)
 					}
 				}
-				mergedResults, err := DecodeResultBatch(&c.Meta, mergedSlots, batchSize)
+				mergedResults, err := DecodeResultBatch(&c.Meta, mergedSlots, batchSize, c.Meta.QueryCapacity(q.PlanesPerCiphertext))
 				if err != nil {
 					t.Fatalf("decoding merged result: %v", err)
 				}
@@ -206,7 +206,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 						t.Fatal(err)
 					}
 					for qi := range batch {
-						res, err := DecodeResultAt(&sc.Meta, slots, qi)
+						res, err := DecodeResultAt(&sc.Meta, slots, qi, sc.Meta.QueryCapacity(q.PlanesPerCiphertext))
 						if err != nil {
 							t.Fatalf("trial %d k=%d shard %d query %d standalone decode: %v", trial, k, i, qi, err)
 						}
@@ -282,7 +282,7 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeResultBatch(&c.Meta, slots, len(batch))
+	results, err := DecodeResultBatch(&c.Meta, slots, len(batch), c.Meta.QueryCapacity(q.PlanesPerCiphertext))
 	if err != nil {
 		t.Fatalf("decoding merged BGV result: %v", err)
 	}

@@ -69,6 +69,10 @@ type Service struct {
 	// utilisation Stats reports.
 	busyNS  atomic.Int64
 	stageNS atomic.Int64
+	// Bit planes classified and the query operands that carried them: their
+	// ratio is the plane packing the traffic's batch fill realized.
+	queryPlanes atomic.Int64
+	queryCts    atomic.Int64
 
 	// Resilience counters (DESIGN.md §15). queued tracks calls waiting
 	// for an in-flight slot (the shed-queue depth); the others are
@@ -549,8 +553,9 @@ func (s *Service) Classify(ctx context.Context, name string, q *Query) (*Encrypt
 	return merged, trace, nil
 }
 
-// addTrace accumulates one pass's trace into an aggregate: durations
-// and op bills sum, limb/noise fields keep the first pass's view.
+// addTrace accumulates one pass's trace into an aggregate: durations,
+// op bills and query operands sum, limb/noise fields and the plane
+// packing keep the first pass's view.
 func addTrace(dst, src *Trace) {
 	if src == nil {
 		return
@@ -566,6 +571,10 @@ func addTrace(dst, src *Trace) {
 	dst.LevelsBusy += src.LevelsBusy
 	dst.AccumulateBusy += src.AccumulateBusy
 	dst.Workers = src.Workers
+	dst.QueryCiphertexts += src.QueryCiphertexts
+	if dst.PlanesPerCiphertext == 0 {
+		dst.PlanesPerCiphertext = src.PlanesPerCiphertext
+	}
 	dst.CompareOps = dst.CompareOps.Plus(src.CompareOps)
 	dst.ReshuffleOps = dst.ReshuffleOps.Plus(src.ReshuffleOps)
 	dst.LevelOps = dst.LevelOps.Plus(src.LevelOps)
@@ -632,7 +641,10 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSe
 	}
 	s.busyNS.Add(int64(trace.Busy()))
 	s.stageNS.Add(int64(trace.StageTime()))
-	return &EncryptedResult{segs: []resultSeg{{op: op, batch: max(q.Batch, 1), codebooks: codebooks}}}, trace, nil
+	s.queryPlanes.Add(int64(m.operands.Meta.Precision))
+	s.queryCts.Add(int64(trace.QueryCiphertexts))
+	seg := resultSeg{op: op, batch: max(q.Batch, 1), capacity: m.operands.Meta.QueryCapacity(q.PlanesPerCiphertext), codebooks: codebooks}
+	return &EncryptedResult{segs: []resultSeg{seg}}, trace, nil
 }
 
 // admit acquires an in-flight slot (when WithMaxInFlight is set),
@@ -803,7 +815,7 @@ func (s *Service) DecryptResultBatch(name string, r *EncryptedResult) ([]*Result
 		if seg.codebooks != nil {
 			results, err = core.DecodeShuffledBatch(seg.codebooks, len(meta.LabelNames), slots, meta.BatchBlock())
 		} else {
-			results, err = core.DecodeResultBatch(meta, slots, max(seg.batch, 1))
+			results, err = core.DecodeResultBatch(meta, slots, max(seg.batch, 1), seg.capacity)
 		}
 		if err != nil {
 			return nil, err
@@ -940,6 +952,12 @@ type ServiceStats struct {
 	// share of its cores the service kept busy while classifying.
 	Workers         int
 	Busy, StageTime time.Duration
+	// QueryPlanes counts the bit planes the passes compared (the model's
+	// precision, per pass) and QueryCiphertexts the query operands that
+	// carried them: QueryPlanes ÷ QueryCiphertexts — PlanesPerCiphertext —
+	// is the plane packing the traffic's batch fill realized, 1 when
+	// every pass was more than half full.
+	QueryPlanes, QueryCiphertexts int64
 
 	// BatcherPasses counts coalesced passes fired by the dynamic
 	// batcher (WithBatchWindow); they are also included in Requests.
@@ -985,6 +1003,15 @@ func (st ServiceStats) Utilisation() float64 {
 	return float64(st.Busy) / (float64(st.StageTime) * float64(st.Workers))
 }
 
+// PlanesPerCiphertext is QueryPlanes ÷ QueryCiphertexts, 0 before the
+// first pass.
+func (st ServiceStats) PlanesPerCiphertext() float64 {
+	if st.QueryCiphertexts == 0 {
+		return 0
+	}
+	return float64(st.QueryPlanes) / float64(st.QueryCiphertexts)
+}
+
 // MeanQueueWait returns the mean per-pass queue wait.
 func (st ServiceStats) MeanQueueWait() time.Duration {
 	if st.Requests == 0 {
@@ -1018,6 +1045,8 @@ func (s *Service) Stats() ServiceStats {
 		Workers:          s.cfg.workers,
 		Busy:             time.Duration(s.busyNS.Load()),
 		StageTime:        time.Duration(s.stageNS.Load()),
+		QueryPlanes:      s.queryPlanes.Load(),
+		QueryCiphertexts: s.queryCts.Load(),
 		BatcherPasses:    s.aggPasses.Load(),
 		CoalescedQueries: s.aggQueries.Load(),
 		BatchWait:        time.Duration(s.aggWaitNS.Load()),
