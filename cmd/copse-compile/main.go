@@ -95,10 +95,17 @@ func main() {
 		// how many of the batch blocks its queries fill (DESIGN.md §13.4).
 		for _, g := range staged.PlanePackings() {
 			prog := staged.ProgramFor(g)
-			work, critical, cmp := prog.Work(), prog.CriticalPath(), prog.CompareBill()
-			fmt.Fprintf(os.Stderr, "  op program (%s model), %2d planes per ciphertext (≤ %d queries in %d ciphertexts): work %d, critical path %d — parallelism %.1f; compare %d products + %d rotations = %d key switches, depth %d, work %d\n",
-				name, g, m.QueryCapacity(g), m.QueryCiphertexts(g), work, critical, float64(work)/float64(critical),
-				cmp.Products, cmp.Rotations, cmp.KeySwitches, cmp.Depth, cmp.Work)
+			work, critical := prog.Work(), prog.CriticalPath()
+			fmt.Fprintf(os.Stderr, "  op program (%s model), %2d planes per ciphertext (≤ %d queries in %d ciphertexts): work %d, critical path %d — parallelism %.1f",
+				name, g, m.QueryCapacity(g), m.QueryCiphertexts(g), work, critical, float64(work)/float64(critical))
+			// The stage bills: the plane axis shortens compare (DESIGN.md
+			// §13.4), the level lanes levels and accumulate (§13.5).
+			for st, bill := range prog.StageBills() {
+				fmt.Fprintf(os.Stderr, "; %s %d products (%d lazy) + %d relinearizations + %d rotations = %d key switches, depth %d, work %d",
+					[...]string{"compare", "reshuffle", "levels", "accumulate"}[st],
+					bill.Products, bill.Lazy, bill.Relins, bill.Rotations, bill.KeySwitches, bill.Depth, bill.Work)
+			}
+			fmt.Fprintln(os.Stderr)
 		}
 	}
 

@@ -124,10 +124,14 @@ func main() {
 	fmt.Printf("%d queries in %d pass(es), %v total (%v mean per pass)\n",
 		len(queries), passes, elapsed.Round(time.Millisecond), st.MeanLatency().Round(time.Millisecond))
 	if view, err := svc.ServerView(model); err == nil {
-		fmt.Printf("server-inferable structure: q̂=%d b̂=%d d=%d p=%d\n", view.QPad, view.BPad, view.D, view.P)
+		// d is read off the stacked level sets: the depth rounded up to
+		// the lanes of the last one (DESIGN.md §7.1).
+		fmt.Printf("server-inferable structure: q̂=%d b̂=%d d≤%d p=%d\n", view.QPad, view.BPad, view.D, view.P)
 	}
 	fmt.Printf("workers: %d, utilisation %.2f (op run time over workers × pass time)\n", st.Workers, st.Utilisation())
-	fmt.Printf("query layout: %d operand(s) over %d pass(es), %.1f bit planes per operand\n", st.QueryCiphertexts, passes, st.PlanesPerCiphertext())
+	lanes, levelOps := meta.LevelLanes()
+	fmt.Printf("query layout: %d operand(s) over %d pass(es), %.1f bit planes per operand; level layout: %d levels in %d lane(s) of %d stacked operand(s)\n",
+		st.QueryCiphertexts, passes, st.PlanesPerCiphertext(), meta.D, lanes, levelOps)
 	fmt.Printf("backend ops: %v\n", svc.Backend().Counts())
 }
 

@@ -621,6 +621,10 @@ type statsResponse struct {
 	// the traffic's batch fill realized (DESIGN.md §13.4).
 	QueryCiphertexts    int64   `json:"queryCiphertexts"`
 	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
+	// Stacked level operands the passes multiplied the branch vector with
+	// and the level matrices per operand their lanes carried (§13.5).
+	LevelOperands    int64   `json:"levelOperands"`
+	LevelsPerOperand float64 `json:"levelsPerOperand"`
 	// Resilience counters (DESIGN.md §15).
 	Shed            int64 `json:"shed"`
 	DeadlineRejects int64 `json:"deadlineRejects"`
@@ -663,6 +667,8 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 
 		QueryCiphertexts:    st.QueryCiphertexts,
 		PlanesPerCiphertext: st.PlanesPerCiphertext(),
+		LevelOperands:       st.LevelOperands,
+		LevelsPerOperand:    st.LevelsPerOperand(),
 	}
 	if len(st.ModelLatency) > 0 {
 		resp.ModelLatency = make(map[string]modelLatency, len(st.ModelLatency))

@@ -91,10 +91,12 @@ type (
 	// level plan its op program cannot run under (a stale or hand-edited
 	// artifact): a load-time error instead of a garbage label.
 	PlanInfeasibleError = core.PlanInfeasibleError
-	// QueryLayoutError is Service.Classify's rejection of a query whose
-	// bit-plane layout names no program the model staged (a query packed
-	// by hand, or for another batch fill than it claims): a typed error
-	// before any homomorphic op, instead of a garbage label.
+	// QueryLayoutError is Service.Classify's rejection of a query laid
+	// out for something else than the model it is handed to — features
+	// packed for another model's slots, or a bit-plane layout that names
+	// no program the model staged (a query packed by hand, or for another
+	// batch fill than it claims): a typed error before any homomorphic
+	// op, instead of a garbage label.
 	QueryLayoutError = core.QueryLayoutError
 )
 

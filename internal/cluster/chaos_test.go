@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,17 +117,32 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pre-chaos latency baseline (warm: keys fetched, histograms primed)
-	// and the goroutine baseline at cluster steady state.
-	warmStart := time.Now()
-	if _, _, err := gw.Classify(context.Background(), "forest", pool[:1]); err != nil {
-		t.Fatalf("warm classify: %v", err)
+	// Pre-chaos latency baseline and the goroutine baseline at cluster
+	// steady state. The first request warms the cluster (keys fetched,
+	// histograms primed); the baseline is the median of the ones after it,
+	// since a pass is short enough now for one scheduling hiccup to double
+	// a single sample.
+	medianLatency := func(what string, n int) time.Duration {
+		t.Helper()
+		took := make([]time.Duration, n)
+		for i := range took {
+			start := time.Now()
+			if _, _, err := gw.Classify(context.Background(), "forest", pool[:1]); err != nil {
+				t.Fatalf("%s classify: %v", what, err)
+			}
+			took[i] = time.Since(start)
+		}
+		slices.Sort(took)
+		return took[n/2]
 	}
-	baseline := time.Since(warmStart)
+	medianLatency("warm", 1)
+	baseline := medianLatency("pre-chaos", 5)
 	baseGoroutines := runtime.NumGoroutine()
 
 	// Soak: concurrent clients under armed chaos, with worker 1 killed
-	// and restarted mid-run.
+	// and restarted mid-run. Each client sends at least perClient requests
+	// and keeps going until the worker is back, so the kill window always
+	// has requests in flight, however fast a pass is.
 	sched.Arm(true)
 	const clients, perClient = 4, 2
 	type outcome struct {
@@ -135,33 +151,48 @@ func TestChaosSoak(t *testing.T) {
 		err     error
 		elapsed time.Duration
 	}
-	outcomes := make(chan outcome, clients*perClient)
-	var wg sync.WaitGroup
+	var (
+		mu       sync.Mutex
+		outcomes []outcome
+		wg       sync.WaitGroup
+	)
+	restarted := make(chan struct{})
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < perClient; j++ {
+			for j := 0; ; j++ {
+				if j >= perClient {
+					select {
+					case <-restarted:
+						return
+					default:
+					}
+				}
 				qi := (i*perClient + j) % len(pool)
 				start := time.Now()
 				results, _, err := gw.Classify(context.Background(), "forest", pool[qi:qi+1])
-				outcomes <- outcome{query: qi, results: results, err: err, elapsed: time.Since(start)}
+				mu.Lock()
+				outcomes = append(outcomes, outcome{query: qi, results: results, err: err, elapsed: time.Since(start)})
+				mu.Unlock()
 			}
 		}(i)
 	}
-	// Kill worker 1 while requests are in flight — a few passes in, however
-	// fast a pass is — then bring it back.
+	// Kill worker 1 a few passes in and keep it dead until its breaker has
+	// tripped (three seconds at most), then bring it back.
 	time.Sleep(min(3*baseline, 500*time.Millisecond))
 	killed.Store(true)
-	time.Sleep(3 * time.Second)
+	for end := time.Now().Add(3 * time.Second); time.Now().Before(end) && gw.breakerFor(servers[1].URL).snapshot().Opens == 0; {
+		time.Sleep(10 * time.Millisecond)
+	}
 	killed.Store(false)
+	close(restarted)
 	wg.Wait()
-	close(outcomes)
 	sched.Arm(false)
 
 	var failures int
 	var slowest time.Duration
-	for out := range outcomes {
+	for _, out := range outcomes {
 		if out.err != nil {
 			failures++
 			t.Errorf("soak classify of query %d failed: %v", out.query, out.err)
@@ -193,14 +224,11 @@ func TestChaosSoak(t *testing.T) {
 	// pass takes well over HedgeDelay) probe the half-open breaker until
 	// a success closes it.
 	recovered := false
-	var healthyLatency time.Duration
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		start := time.Now()
 		if _, _, err := gw.Classify(context.Background(), "forest", pool[:1]); err != nil {
 			t.Fatalf("post-chaos classify: %v", err)
 		}
-		healthyLatency = time.Since(start)
 		if snap := gw.breakerFor(servers[1].URL).snapshot(); snap.State == "closed" {
 			recovered = true
 			break
@@ -210,10 +238,14 @@ func TestChaosSoak(t *testing.T) {
 		t.Error("restarted worker's breaker never closed without a manual Refresh")
 	}
 	// In-budget requests against the recovered cluster must be back
-	// within 2x the pre-chaos latency (wall-clock assertions are gated:
-	// they don't belong in the default unit run).
-	if os.Getenv("COPSE_CHAOS_SOAK") == "1" && healthyLatency > 2*baseline {
-		t.Errorf("post-recovery request %v exceeds 2x pre-chaos baseline %v", healthyLatency, baseline)
+	// within 2x the pre-chaos latency, median against median — the request
+	// that closed the breaker raced a half-open probe and is not one of
+	// them (wall-clock assertions are gated: they don't belong in the
+	// default unit run).
+	if os.Getenv("COPSE_CHAOS_SOAK") == "1" {
+		if healthy := medianLatency("post-recovery", 5); healthy > 2*baseline {
+			t.Errorf("post-recovery median %v exceeds 2x the pre-chaos median %v", healthy, baseline)
+		}
 	}
 
 	// No goroutine leaks: everything in flight (hedge losers, shard

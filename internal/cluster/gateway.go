@@ -113,6 +113,8 @@ type Gateway struct {
 	mergeNS       atomic.Int64
 	queryPlanes   atomic.Int64 // bit planes encrypted, ...
 	queryCts      atomic.Int64 // ... and the ciphertexts that carried them
+	levelMats     atomic.Int64 // level matrices of the forests fanned out, ...
+	levelOps      atomic.Int64 // ... and the stacked operands their lanes make of them
 }
 
 // workerState is the prober's view of one worker.
@@ -544,6 +546,9 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	trace.Encrypt += time.Since(mark)
 	g.queryPlanes.Add(int64(r.meta.Precision))
 	g.queryCts.Add(int64(len(wcs)))
+	_, levelOps := r.meta.LevelLanes()
+	g.levelMats.Add(int64(r.meta.D))
+	g.levelOps.Add(int64(levelOps))
 
 	// Fan out: one request per shard, concurrently; each shard hedges
 	// and fails over across its holders (hedgedCall). A panic in a shard
@@ -932,6 +937,11 @@ type gatewayStatsJSON struct {
 	// ciphertext the requests' batch fill realized (DESIGN.md §13.4).
 	QueryCiphertexts    int64   `json:"queryCiphertexts"`
 	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
+	// Stacked level operands of the forests fanned out and the level
+	// matrices per operand, by the forests' global layout (§13.5); what
+	// each shard stages for its own depth is in its worker's stats.
+	LevelOperands    int64   `json:"levelOperands"`
+	LevelsPerOperand float64 `json:"levelsPerOperand"`
 }
 
 func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
@@ -949,6 +959,9 @@ func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	}
 	if st.QueryCiphertexts > 0 {
 		st.PlanesPerCiphertext = float64(g.queryPlanes.Load()) / float64(st.QueryCiphertexts)
+	}
+	if st.LevelOperands = g.levelOps.Load(); st.LevelOperands > 0 {
+		st.LevelsPerOperand = float64(g.levelMats.Load()) / float64(st.LevelOperands)
 	}
 	g.mu.RLock()
 	for url, ws := range g.workers {

@@ -534,6 +534,10 @@ type serviceStatsJSON struct {
 	// the traffic's batch fill realized (DESIGN.md §13.4).
 	QueryCiphertexts    int64   `json:"queryCiphertexts"`
 	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
+	// Stacked level operands the passes multiplied the branch vector with
+	// and the level matrices per operand their lanes carried (§13.5).
+	LevelOperands    int64   `json:"levelOperands"`
+	LevelsPerOperand float64 `json:"levelsPerOperand"`
 }
 
 func statsJSON(st copse.ServiceStats) serviceStatsJSON {
@@ -551,6 +555,8 @@ func statsJSON(st copse.ServiceStats) serviceStatsJSON {
 
 		QueryCiphertexts:    st.QueryCiphertexts,
 		PlanesPerCiphertext: st.PlanesPerCiphertext(),
+		LevelOperands:       st.LevelOperands,
+		LevelsPerOperand:    st.LevelsPerOperand(),
 	}
 	if len(st.ModelLatency) > 0 {
 		out.ModelLatency = make(map[string]modelLatencyJSON, len(st.ModelLatency))

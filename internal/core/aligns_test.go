@@ -25,16 +25,32 @@ func wide8Forest(t *testing.T) *model.Forest {
 	return f
 }
 
+// lanes4Forest is a model whose blocks split into four level lanes: six
+// levels over a branch vector of period 8, in blocks the twelve features
+// make 64 slots wide — two stacked operands, the last two lanes of the
+// second the identity, and two rotate-and-multiply rounds in accumulate.
+func lanes4Forest(t *testing.T) *model.Forest {
+	t.Helper()
+	f, err := synth.Generate(synth.ForestSpec{
+		Name: "lanes4", NumFeatures: 12, NumLabels: 3, Precision: 5, MaxDepth: 6, BranchesPerTree: []int{6}, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 type alignCase struct {
 	f *model.Forest
 	c *Compiled
 }
 
-// alignCorpus is every Table 6 forest plus wide8 whole and split two
-// ways; the short suite keeps one model of each pipeline shape.
+// alignCorpus is every Table 6 forest (one or two level lanes), the
+// four-lane model, and wide8 whole and split two ways; the short suite
+// keeps one model of each pipeline shape.
 func alignCorpus(t *testing.T) map[string]alignCase {
 	t.Helper()
-	forests := map[string]*model.Forest{"wide8": wide8Forest(t)}
+	forests := map[string]*model.Forest{"wide8": wide8Forest(t), "lanes4": lanes4Forest(t)}
 	for _, mb := range synth.Microbenchmarks() {
 		if testing.Short() && mb.Name != "depth4" && mb.Name != "prec16" {
 			continue
@@ -48,6 +64,9 @@ func alignCorpus(t *testing.T) map[string]alignCase {
 			t.Fatalf("%s: %v", name, err)
 		}
 		corpus[name] = alignCase{f, c}
+	}
+	if lanes, ops := corpus["lanes4"].c.Meta.LevelLanes(); lanes != 4 || ops != 2 {
+		t.Fatalf("lanes4 stacks %d operands of %d lanes, want 2 of 4", ops, lanes)
 	}
 	shards, _, err := ShardForest(corpus["wide8"].c, 2)
 	if err != nil {

@@ -22,8 +22,12 @@ type ModelOperands struct {
 	// (DESIGN.md §13.1).
 	Thresholds []he.Operand
 	Reshuffle  *matrix.Diagonals
-	Levels     []*matrix.Diagonals
-	Masks      []he.Operand
+	// Levels and Masks are the level matrices and masks stacked into the
+	// lanes of the block: Meta.LevelLanes gives the lanes h and the ⌈D/h⌉
+	// operands of each, level l in lane l/⌈D/h⌉ of operand l mod ⌈D/h⌉
+	// (DESIGN.md §13.5).
+	Levels []*matrix.Diagonals
+	Masks  []he.Operand
 	// Plan is the scenario-resolved level schedule the operands were
 	// staged at (thresholds at Plan.Compare, reshuffle diagonals at
 	// Plan.Reshuffle, and so on); nil means reactive staging at the top
@@ -153,29 +157,45 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	// packed query (DESIGN.md §7); with batch capacity 1 the block is the
 	// whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
-	prep := func(mtx *matrix.Bool, period, at int) (*matrix.Diagonals, error) {
-		baby, giant := c.Meta.kernelSplit(period)
-		return matrix.PrepareDiagonalsBSGSSpanAt(b, mtx, period, baby, giant, span, encrypt, at)
-	}
-	var err error
-	m.Reshuffle, err = prep(c.Reshuffle, c.Meta.QPad, level(func(s StageLevels) int { return s.Reshuffle }))
+	baby, giant := c.Meta.kernelSplit(c.Meta.QPad)
+	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, c.Reshuffle, c.Meta.QPad, baby, giant, span, encrypt,
+		level(func(s StageLevels) int { return s.Reshuffle }))
 	if err != nil {
 		return nil, err
 	}
+	m.Reshuffle = reshuffle
+	// The level matrices and masks are stacked into the lanes of the block
+	// (Meta.LevelLanes, DESIGN.md §13.5): lane l/ops of stacked operand
+	// l mod ops holds level l, in every block. A lane past the last level
+	// holds the zero matrix under an all-ones mask, whose factor 0 ⊕ 1 = 1
+	// is the identity of the accumulate product.
+	lanes, ops, err := levelStacking(c, span, b.Slots())
+	if err != nil {
+		return nil, err
+	}
+	rows, laneWidth := c.Meta.NumLeaves, span/lanes
+	identity, ones := matrix.NewBool(rows, c.Levels[0].Cols), make([]uint64, rows)
+	for i := range ones {
+		ones[i] = 1
+	}
+	baby, giant = c.Meta.kernelSplit(c.Meta.BPad)
 	lvlAt := level(func(s StageLevels) int { return s.Level })
-	for _, lm := range c.Levels {
-		d, err := prep(lm, c.Meta.BPad, lvlAt)
+	for j := 0; j < ops; j++ {
+		mats, mask := make([]*matrix.Bool, b.Slots()/laneWidth), make([]uint64, b.Slots())
+		for k := range mats {
+			mats[k] = identity
+			laneMask := ones
+			if l := k%lanes*ops + j; l < len(c.Levels) {
+				mats[k], laneMask = c.Levels[l], c.Masks[l]
+			}
+			copy(mask[k*laneWidth:], laneMask)
+		}
+		d, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, c.Meta.BPad, baby, giant, laneWidth, encrypt, lvlAt)
 		if err != nil {
 			return nil, err
 		}
 		m.Levels = append(m.Levels, d)
-	}
-	for _, mask := range c.Masks {
-		padded := make([]uint64, b.Slots())
-		for base := 0; base < len(padded); base += span {
-			copy(padded[base:base+len(mask)], mask)
-		}
-		op, err := makeOperand(b, padded, encrypt, lvlAt)
+		op, err := makeOperand(b, mask, encrypt, lvlAt)
 		if err != nil {
 			return nil, err
 		}
@@ -189,6 +209,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 		plan:      m.Plan,
 		encrypted: encrypt,
 		masks:     len(m.Masks),
+		lanes:     lanes,
 		reshuffle: diagShapeOf(m.Reshuffle),
 	}
 	for _, d := range m.Levels {
@@ -220,6 +241,33 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	}
 	m.Program = m.packings[0].program
 	return m, nil
+}
+
+// levelStacking is the lane geometry (Meta.LevelLanes) of c's level
+// matrices in blocks of the given span, after checking that they can be
+// stacked at all: the matrices and masks the metadata describes, one
+// shape for all of them, and a lane that absorbs every diagonal read — a
+// read crossing into the next lane would multiply another level's rows
+// in, and a wrong label is not an error anyone sees.
+func levelStacking(c *Compiled, span, slots int) (lanes, ops int, err error) {
+	if len(c.Levels) == 0 {
+		return 0, 0, &UnsupportedModelError{Reason: "no level matrices"}
+	}
+	if len(c.Masks) != len(c.Levels) || len(c.Levels) != c.Meta.D {
+		return 0, 0, &UnsupportedModelError{Reason: fmt.Sprintf("%d level masks for %d level matrices of a model %d levels deep", len(c.Masks), len(c.Levels), c.Meta.D)}
+	}
+	rows, cols, period := c.Meta.NumLeaves, c.Levels[0].Cols, c.Meta.BPad
+	for l, lm := range c.Levels {
+		if lm.Rows != rows || lm.Cols != cols || cols > period || len(c.Masks[l]) != rows {
+			return 0, 0, &UnsupportedModelError{Reason: fmt.Sprintf("level matrix %d is %d×%d under a mask of %d rows, the model has %d leaves, level matrix 0 %d columns and the period is %d",
+				l, lm.Rows, lm.Cols, len(c.Masks[l]), rows, cols, period)}
+		}
+	}
+	lanes, ops = c.Meta.LevelLanes()
+	if w := span / lanes; rows > w || period > w || (w < slots && rows+period-2 >= w) {
+		return 0, 0, &UnsupportedModelError{Reason: fmt.Sprintf("a %d-slot lane cannot hold the diagonal reads of %d rows over period %d", w, rows, period)}
+	}
+	return lanes, ops, nil
 }
 
 // newProgram builds the op program of in and binds its constants on b.
@@ -355,6 +403,10 @@ type Trace struct {
 	// PlanesPerCiphertext is the plane packing g of the query the pass
 	// ran, and QueryCiphertexts the ⌈p/g⌉ operands it carried.
 	PlanesPerCiphertext, QueryCiphertexts int
+	// LevelLanes is the lane count h of the model's level stage and
+	// LevelOperands the ⌈D/h⌉ stacked level operands the pass multiplied
+	// the branch vector with (Meta.LevelLanes).
+	LevelLanes, LevelOperands int
 	// The Busy fields are each stage's op run time summed over those
 	// workers: busy ÷ (stage time × Workers) is how much of the cores the
 	// stage's dependencies let the scheduler use.
@@ -464,15 +516,13 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 	// models can share QPad while splitting it into different
 	// features×multiplicity shapes. Hand-built queries (zero stamps) are
 	// trusted.
-	if q.QPad != 0 && (q.NumFeatures != m.Meta.NumFeatures || q.K != m.Meta.K ||
-		q.QPad != m.Meta.QPad || q.Block != m.Meta.BatchBlock()) {
-		return he.Operand{}, nil, fmt.Errorf("core: query packed for layout features=%d K=%d q̂=%d block=%d, model wants features=%d K=%d q̂=%d block=%d (query prepared for a different model?)",
-			q.NumFeatures, q.K, q.QPad, q.Block,
-			m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock())
+	g := max(q.PlanesPerCiphertext, 1)
+	packed := QueryPacking{q.NumFeatures, q.K, q.QPad, q.Block}
+	if model := (QueryPacking{m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock()}); q.QPad != 0 && packed != model {
+		return he.Operand{}, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Packed: packed, Model: model}
 	}
 	// The query's layout names the program: the one staged for its plane
 	// packing.
-	g := max(q.PlanesPerCiphertext, 1)
 	pk := m.packing(g)
 	if pk == nil || len(q.Bits) != len(pk.thresholds) {
 		mismatch := &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block}
@@ -494,6 +544,7 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 		Executor: "program", Workers: workers, PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits),
 		Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1},
 	}
+	trace.LevelLanes, trace.LevelOperands = m.Meta.LevelLanes()
 	start := time.Now()
 	// The stage op counts in the trace come from a per-call counting
 	// wrapper, not deltas of the shared backend counter: under the

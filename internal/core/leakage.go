@@ -98,12 +98,14 @@ func Revealed(s Scenario, p Party) Leakage {
 // ServerView is what the evaluator can read off an encrypted model
 // without any key material: the shapes of the ciphertext collections.
 // Matrices are sent as one ciphertext per (padded) diagonal, so the
-// padded widths leak; level matrices and masks are stored separately, so
-// the depth leaks (§7.1).
+// padded widths leak; level matrices and masks are stored as ⌈D/h⌉
+// stacked sets of h lanes each, so the depth leaks up to the identity
+// lanes that pad the last set, which the server cannot tell from real
+// ones (§7.1).
 type ServerView struct {
 	QPad int // columns of the reshuffling matrix
 	BPad int // columns of each level matrix
-	D    int // number of level matrices
+	D    int // level lanes staged: the number of level matrices, rounded up to fill the last stacked set
 	P    int // bit planes of the threshold vector (precision)
 }
 
@@ -111,10 +113,11 @@ type ServerView struct {
 // executable demonstration that Table 3's "revealed to S" column is
 // real. It never touches plaintext or keys.
 func InferServerView(m *ModelOperands) ServerView {
+	lanes, _ := m.Meta.LevelLanes()
 	return ServerView{
 		QPad: m.Reshuffle.Period,
 		BPad: periodOfLevels(m),
-		D:    len(m.Levels),
+		D:    len(m.Levels) * lanes,
 		P:    len(m.Thresholds),
 	}
 }

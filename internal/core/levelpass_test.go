@@ -51,8 +51,10 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 }
 
 // randomPlanCase draws one forest and its compile options: precision
-// 1..16, depth 1..8, 1..12 trees, Slots 1024/2048/4096, BSGS and
-// PlanShuffle on or off, redrawn until the model fits its slots.
+// 1..16, depth 1..8, 1..12 trees, 1..6 features or — one case in three,
+// the wide blocks that split into level lanes — 8..24, Slots
+// 1024/2048/4096, BSGS and PlanShuffle on or off, redrawn until the model
+// fits its slots.
 func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Options) {
 	t.Helper()
 	for {
@@ -60,6 +62,9 @@ func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Opt
 		spec := synth.ForestSpec{
 			NumFeatures: 1 + rng.IntN(6), NumLabels: 2 + rng.IntN(3),
 			Precision: 1 + rng.IntN(16), MaxDepth: depth, Seed: rng.Uint64(),
+		}
+		if rng.IntN(3) == 0 {
+			spec.NumFeatures = 8 + rng.IntN(17)
 		}
 		for tr := 1 + rng.IntN(12); tr > 0; tr-- {
 			most := min(1<<depth-1, 3*depth)
@@ -77,16 +82,23 @@ func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Opt
 }
 
 // checkLevelledProgram asserts what the level pass promises of a program
-// built under st: its schedule is what its ops imply, no binary op reads
-// ciphertext registers at different levels (the static form of
-// OpCounts.Aligns == 0), no register is dropped to the same level twice,
-// and every ciphertext trace register sits exactly at its stage entry.
-func checkLevelledProgram(t *testing.T, p *Program, st StageLevels) {
+// built under st for a model of the given level lanes: its schedule is
+// what its ops imply, no binary op reads ciphertext registers at different
+// levels (the static form of OpCounts.Aligns == 0), no register is dropped
+// to the same level twice, every ciphertext trace register sits exactly at
+// its stage entry, and the accumulate stage rotates once per doubling of
+// the lanes.
+func checkLevelledProgram(t *testing.T, p *Program, st StageLevels, lanes int) {
 	t.Helper()
 	checkSchedule(t, p)
 	drops := map[[2]int]bool{}
+	rounds := 0
 	for i, op := range p.ops {
 		switch op.Code {
+		case opRot:
+			if op.Stage == stAccumulate {
+				rounds++
+			}
 		case opDrop:
 			if key := [2]int{op.A, op.Imm}; drops[key] {
 				t.Errorf("op %d drops register %d to level %d a second time", i, op.A, op.Imm)
@@ -98,6 +110,9 @@ func checkLevelledProgram(t *testing.T, p *Program, st StageLevels) {
 				t.Errorf("op %d (code %d) reads registers at levels %d and %d", i, op.Code, a.level, b.level)
 			}
 		}
+	}
+	if rounds != log2Ceil(lanes) {
+		t.Errorf("the accumulate stage rotates %d times over %d lanes", rounds, lanes)
 	}
 	for _, at := range []struct {
 		what       string
@@ -127,6 +142,13 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 	if testing.Short() {
 		cases = 16
 	}
+	laned := map[int]int{} // models seen per lane count
+	defer func() {
+		t.Logf("models per lane count: %v", laned)
+		if len(laned) < 3 {
+			t.Errorf("the generated shapes cover the lane counts %v only", laned)
+		}
+	}()
 	for i := 0; i < cases; i++ {
 		f, whole, opts := randomPlanCase(t, rng)
 		models := []*Compiled{whole}
@@ -145,6 +167,8 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 					t.Fatal("no level plan")
 				}
 				b := heclear.New(c.Meta.Slots, 65537)
+				lanes, _ := c.Meta.LevelLanes()
+				laned[lanes]++
 				for _, encModel := range []bool{true, false} {
 					st := plan.For(encModel)
 					chain := append(append([]int{st.Compare}, st.CompareRounds...), st.Reshuffle, st.Level, st.Accumulate, st.Final, minFinalLevel)
@@ -160,9 +184,9 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 					// Every plane packing; one program serves both query
 					// kinds unless their levels differ.
 					for _, pk := range m.packings {
-						checkLevelledProgram(t, pk.program, st)
+						checkLevelledProgram(t, pk.program, st, lanes)
 						if pk.plainQueryProgram != pk.program {
-							checkLevelledProgram(t, pk.plainQueryProgram, st)
+							checkLevelledProgram(t, pk.plainQueryProgram, st, lanes)
 						}
 					}
 				}
@@ -172,16 +196,21 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 }
 
 // TestPlannerBudget is the perf smoke for planning on the op program:
-// Compile of every Table 6 model, at Slots 1024 and 2048, must plan both
+// Compile of every Table 6 model and the four-lane one, at Slots 1024 and
+// 2048, must plan both
 // scenarios in under 25 ms. Gated behind COPSE_PERF_SMOKE=1 like the
 // other wall-clock checks.
 func TestPlannerBudget(t *testing.T) {
 	if os.Getenv("COPSE_PERF_SMOKE") == "" {
 		t.Skip("set COPSE_PERF_SMOKE=1 to run the planner budget smoke")
 	}
+	forests := map[string]*model.Forest{"lanes4": lanes4Forest(t)}
 	for _, mb := range synth.Microbenchmarks() {
+		forests[mb.Name] = microForest(t, mb.Name)
+	}
+	for name, f := range forests {
 		for _, slots := range []int{1024, 2048} {
-			c, err := Compile(microForest(t, mb.Name), Options{Slots: slots, NoLevelPlan: true})
+			c, err := Compile(f, Options{Slots: slots, NoLevelPlan: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,13 +218,13 @@ func TestPlannerBudget(t *testing.T) {
 			for run := 0; run < 5; run++ {
 				start := time.Now()
 				if computeLevelPlan(&c.Meta, false) == nil {
-					t.Fatalf("%s/%d: no plan", mb.Name, slots)
+					t.Fatalf("%s/%d: no plan", name, slots)
 				}
 				best = min(best, time.Since(start))
 			}
-			t.Logf("%s slots=%d: planned in %v", mb.Name, slots, best)
+			t.Logf("%s slots=%d: planned in %v", name, slots, best)
 			if best > 25*time.Millisecond {
-				t.Errorf("%s slots=%d: planning took %v, budget 25ms", mb.Name, slots, best)
+				t.Errorf("%s slots=%d: planning took %v, budget 25ms", name, slots, best)
 			}
 		}
 	}

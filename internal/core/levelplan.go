@@ -458,9 +458,9 @@ func planStructure(m *Meta, encModel bool, g int) (*Program, error) {
 		encrypted: encModel,
 		packing:   g,
 		planes:    m.QueryCiphertexts(g),
-		masks:     max(m.D, 1),
 		reshuffle: shape(m.QPad),
 	}
+	in.lanes, in.masks = m.LevelLanes()
 	for l := 0; l < in.masks; l++ {
 		in.levels = append(in.levels, shape(m.BPad))
 		in.maskVals = append(in.maskVals, []uint64{1})
@@ -493,20 +493,23 @@ func (s *sim) matVec(v est, baby, giant int) est {
 	return out
 }
 
-// shuffleShape is what the shuffle walk needs of Meta: the BSGS split of
-// the padded leaf period (shuffle.go always stages BSGS diagonals), the
-// rotate-and-add doublings of the single-query replicate and of the
-// batched, block-local one, and whether the single-query kernel pays a
-// selector product first (batch capacity > 1).
+// shuffleShape is what the shuffle kernels and their walk need of Meta:
+// the BSGS split of the padded leaf period (shuffle.go always stages BSGS
+// diagonals), the rotate-and-add doublings of the single-query replicate
+// and of the batched, block-local one, and whether each kernel pays a
+// leaf-slot selector product first — the batched one when the block's
+// level lanes past the first hold residue, the single-query one then and
+// when there are other blocks.
 type shuffleShape struct {
 	baby, giant, rep, repBatched int
-	selector                     bool
+	selector, selectorBatched    bool
 }
 
 func shuffleShapeOf(m *Meta) shuffleShape {
 	nPad := m.LPad()
 	baby, giant := matrix.BSGSSplit(nPad)
-	return shuffleShape{baby, giant, log2Ceil(m.Slots / nPad), log2Ceil(m.BatchBlock() / nPad), m.BatchCapacity() > 1}
+	lanes, _ := m.LevelLanes()
+	return shuffleShape{baby, giant, log2Ceil(m.Slots / nPad), log2Ceil(m.BatchBlock() / nPad), m.BatchCapacity() > 1 || lanes > 1, lanes > 1}
 }
 
 // simulateShuffle runs the result shuffle from the given input through
@@ -518,7 +521,7 @@ func simulateShuffle(nm noiseModel, sh shuffleShape, in est) bool {
 	for _, k := range []struct {
 		selector bool
 		rep      int
-	}{{sh.selector, sh.rep}, {false, sh.repBatched}} {
+	}{{sh.selector, sh.rep}, {sh.selectorBatched, sh.repBatched}} {
 		s := &sim{nm: nm, stage: stDone}
 		v := in
 		if k.selector {

@@ -9,13 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"copse/internal/model"
 	"copse/internal/synth"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/levelplans.golden from the plans the planner produces now")
 
-// goldenPlans compiles the plan corpus — the eight Table 6 models, wide8
-// and wide8's two K=2 shards under the default options, PlanShuffle,
+// goldenPlans compiles the plan corpus — the eight Table 6 models, the
+// four-lane model, wide8 and wide8's two K=2 shards under the default options, PlanShuffle,
 // Slots 2048 and NoBSGS — and returns one named row of plan entries per
 // (model, variant, scenario), in file order.
 func goldenPlans(t *testing.T) (names []string, rows map[string][]int) {
@@ -33,7 +34,7 @@ func goldenPlans(t *testing.T) (names []string, rows map[string][]int) {
 			}
 		}
 	}
-	models := []string{"wide8"}
+	models := []string{"wide8", "lanes4"}
 	for _, mb := range synth.Microbenchmarks() {
 		models = append(models, mb.Name)
 	}
@@ -47,8 +48,13 @@ func goldenPlans(t *testing.T) (names []string, rows map[string][]int) {
 		{"nobsgs", Options{Slots: 1024, NoBSGS: true}},
 	} {
 		for _, name := range models {
-			f := wide8Forest(t)
-			if name != "wide8" {
+			var f *model.Forest
+			switch name {
+			case "wide8":
+				f = wide8Forest(t)
+			case "lanes4":
+				f = lanes4Forest(t)
+			default:
 				f = microForest(t, name)
 			}
 			c, err := Compile(f, v.opts)

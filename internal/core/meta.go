@@ -156,6 +156,30 @@ func (m *Meta) planeAt(j, g int) (ct, base int) {
 	return j % n, j / n * (m.Slots / g)
 }
 
+// The lane axis of the level stage. The reshuffle's replicate chain fills
+// the whole block with BPad-periodic copies of the branch vector, but a
+// level product reads only rows + BPad − 1 slots of it, so a block wide
+// enough holds several level matrices side by side: it splits into h
+// lanes, level l sits in lane ⌊l/m⌋ of stacked operand l mod m, one
+// mat-vec evaluates a level in every lane, and the accumulate stage
+// finishes with log2 h rotate-and-multiply rounds inside the ciphertext
+// (DESIGN.md §13.5). h = 1 is one level matrix per operand.
+
+// LevelLanes returns the lane geometry of the level stage: the h lanes a
+// block splits into and the m = ⌈D/h⌉ stacked level operands. The
+// narrowest lane is the power of two that absorbs every diagonal read of
+// a level product (NumLeaves − 1 + BPad − 1 < w), h the lanes of that
+// width the block has room for, at most the levels rounded up to a power
+// of two — the block is then split evenly, so a lane is BatchBlock ÷ h ≥ w
+// wide. It follows from the compiled shape alone, so one staging serves
+// every plane packing and batch fill.
+func (m *Meta) LevelLanes() (lanes, operands int) {
+	d := max(m.D, 1)
+	w := 1 << log2Ceil(max(m.NumLeaves+m.BPad-1, 1))
+	lanes = min(max(m.BatchBlock()/w, 1), 1<<log2Ceil(d))
+	return lanes, (d + lanes - 1) / lanes
+}
+
 // RotationStepLevels returns, for the given scenario, the highest chain
 // level each Galois rotation step is rotated at under the compiled
 // level schedule — the per-step Galois-key budget that

@@ -92,6 +92,77 @@ func TestLoneQueryOpBudget(t *testing.T) {
 	}
 }
 
+// TestLevelOpBudget pins the deterministic bill of the level lanes:
+// prec16 under Offload stacks its five level matrices into three operands
+// of two lanes, so the levels stage is three mat-vecs over the one hoist —
+// 48 lazy tensor products, 12 relinearizations, 9 giant rotations, 3 mask
+// products — where one matrix per operand paid 80, 20, 15 and 5, and the
+// accumulate stage finishes with one rotation at the depth of a product
+// tree over five. A one-lane model (wide8) keeps one mat-vec per level and
+// a rotation-free accumulate stage.
+func TestLevelOpBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		f             *model.Forest
+		lanes, ops    int
+		levels, accum StageBill // Work aside
+	}{
+		{"prec16", microForest(t, "prec16"), 2, 3,
+			StageBill{Products: 51, Lazy: 48, Relins: 12, Rotations: 12, Hoisted: 3, KeySwitches: 27, Depth: 2},
+			StageBill{Products: 3, Rotations: 1, KeySwitches: 4, Depth: 3}},
+		{"wide8", wide8Forest(t), 1, 5,
+			StageBill{Products: 5*128 + 5, Lazy: 5 * 128, Relins: 5 * 8, Rotations: 5*7 + 15, Hoisted: 15, KeySwitches: 5 + 5*8 + 5*7 + 15, Depth: 2},
+			StageBill{Products: 4, KeySwitches: 4, Depth: 3}},
+	} {
+		c, err := Compile(tc.f, Options{Slots: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lanes, ops := c.Meta.LevelLanes(); lanes != tc.lanes || ops != tc.ops {
+			t.Fatalf("%s: %d stacked operands of %d lanes, want %d of %d", tc.name, ops, lanes, tc.ops, tc.lanes)
+		}
+		b := heclear.New(1024, 65537)
+		m, err := Prepare(b, c, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Levels) != tc.ops || len(m.Masks) != tc.ops {
+			t.Errorf("%s: staged %d level operands and %d masks, want %d of each", tc.name, len(m.Levels), len(m.Masks), tc.ops)
+		}
+		// One staging serves every plane packing: the bill does not depend
+		// on the query's layout.
+		for _, g := range m.PlanePackings() {
+			bills := m.ProgramFor(g).StageBills()
+			levels, accum := bills[stLevels], bills[stAccumulate]
+			levels.Work, accum.Work = 0, 0
+			if levels != tc.levels || accum != tc.accum {
+				t.Errorf("%s at %d planes per ciphertext: levels %+v, accumulate %+v; want %+v and %+v", tc.name, g, levels, accum, tc.levels, tc.accum)
+			}
+		}
+		q, err := PrepareQuery(b, &m.Meta, make([]uint64, tc.f.NumFeatures), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, trace, err := (&Engine{Backend: b}).Classify(m, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range []struct {
+			what string
+			ops  he.OpCounts
+			bill StageBill
+		}{{"levels", trace.LevelOps, tc.levels}, {"accumulate", trace.AccumulateOps, tc.accum}} {
+			// The exact backend has nothing to relinearize and counts none.
+			if ops := st.ops; ops.Mul != int64(st.bill.Products) || ops.Rotate != int64(st.bill.Rotations) || ops.RotateHoisted != int64(st.bill.Hoisted) {
+				t.Errorf("%s %s stage ran %v, the bill is %+v", tc.name, st.what, ops, st.bill)
+			}
+		}
+		if trace.LevelLanes != tc.lanes || trace.LevelOperands != tc.ops {
+			t.Errorf("%s: trace reports %d level operands of %d lanes", tc.name, trace.LevelOperands, trace.LevelLanes)
+		}
+	}
+}
+
 // TestQueryLayoutErrors: a query whose layout names no staged program is
 // a typed error before any op runs; a hand-built query without a layout
 // stamp is one plane per operand.
@@ -121,6 +192,8 @@ func TestQueryLayoutErrors(t *testing.T) {
 		"packing above the capacity": {func(q *Query) { q.PlanesPerCiphertext = 8 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 8, Block: 16}},
 		"packing not a power of two": {func(q *Query) { q.PlanesPerCiphertext = 3 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 3, Block: 16}},
 		"unstamped with one operand": {func(q *Query) { q.PlanesPerCiphertext = 0 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 1, Block: 16, Want: 4}},
+		"packed for another model": {func(q *Query) { q.K, q.Block = 4, 32 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 4, Block: 32,
+			Packed: QueryPacking{NumFeatures: 2, K: 4, QPad: 8, Block: 32}, Model: QueryPacking{NumFeatures: 2, K: 3, QPad: 8, Block: 16}}},
 	} {
 		q := *lone
 		q.Bits = append([]he.Operand(nil), lone.Bits...)

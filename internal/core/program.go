@@ -33,6 +33,9 @@ import (
 //     query's operands and, when its layout packs several bit planes
 //     into one (Meta.PlanesPerCiphertext), across the block groups of the
 //     result by rotate-and-multiply rounds (DESIGN.md §13.4);
+//   - the level matrices ride the lanes of a block (Meta.LevelLanes): one
+//     mat-vec evaluates a level in every lane, and the accumulate product
+//     finishes across the lanes by the same kind of rounds (§13.5);
 //   - the inclusive prefix product of the last operand is never read by
 //     the gt sum, so at one plane per operand its Sklansky chain (and the
 //     last plane's eq chain) is dead code;
@@ -173,9 +176,11 @@ type progInputs struct {
 	// packing is the plane packing g the program is for, and planes the
 	// ⌈p/g⌉ query and threshold operands it reads.
 	packing, planes int
-	masks           int // level masks
-	reshuffle       diagShape
-	levels          []diagShape
+	// lanes is the level stage's lane count h (Meta.LevelLanes); levels and
+	// masks are the ⌈D/h⌉ stacked level operands.
+	lanes, masks int
+	reshuffle    diagShape
+	levels       []diagShape
 	// Plaintext model components (nil when encrypted): the replicated
 	// negated threshold planes and block-padded masks, exactly as staged.
 	threshVals [][]uint64
@@ -421,6 +426,13 @@ func buildStructure(in progInputs) (*Program, error) {
 	p.regLevelResult = lvlRes[0]
 
 	// ---- Stage 4: accumulate ----------------------------------------
+	// The product tree over the stacked level results, then — each holding
+	// one level per lane — log2 h rounds in which lane i takes in lane
+	// i + 2^r through a rotation by a positive power of two (a ladder key,
+	// like the compare stage's). Lane 0 of every block, where decode reads,
+	// ends holding the product of all levels at the depth of a tree over
+	// them (⌈log2 ⌈D/h⌉⌉ + log2 h = ⌈log2 D⌉); the other lanes hold 0/1
+	// residue (DESIGN.md §13.5).
 	bl.stage = stAccumulate
 	ops := lvlRes
 	for len(ops) > 1 {
@@ -434,7 +446,11 @@ func buildStructure(in progInputs) (*Program, error) {
 		}
 		ops = next
 	}
-	p.result = bl.drop(ops[0], atFinal)
+	acc := ops[0]
+	for step := in.meta.BatchBlock() / in.lanes; step < in.meta.BatchBlock(); step <<= 1 {
+		acc = bl.emit(opMul, acc, bl.emit(opRot, acc, 0, step, 0), 0, 0)
+	}
+	p.result = bl.drop(acc, atFinal)
 	p.eliminateDeadOps()
 	return p, nil
 }
@@ -497,7 +513,10 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 			}
 		}
 		if acc >= 0 {
-			acc = bl.emit(opRelin, acc, 0, 0, 0)
+			// A plaintext model's products are ct×pt: nothing to relinearize.
+			if bl.p.encModel {
+				acc = bl.emit(opRelin, acc, 0, 0, 0)
+			}
 			if g > 0 {
 				acc = bl.emit(opRot, acc, 0, g*sh.baby, 0)
 			}

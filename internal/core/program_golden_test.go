@@ -17,29 +17,55 @@ var opNames = [...]string{
 	opMul: "mul", opMulLazy: "mullazy", opMulDiag: "muldiag", opRelin: "relin", opRot: "rot", opHoist: "hoist", opDrop: "drop",
 }
 
-// dumpProgram writes p's op list, hoist table, constants and carrier
-// registers one per line — everything the executor reads of a program.
-func dumpProgram(sb *strings.Builder, p *Program) {
-	fmt.Fprintf(sb, "registers %d result %d query %d decisions %d branchvec %d levelresult %d\n",
-		p.numReg, p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult)
-	for i, steps := range p.hoists {
-		fmt.Fprintf(sb, "hoist %d %v\n", i, steps)
-	}
-	for i, c := range p.consts {
-		fmt.Fprintf(sb, "const %d kind %d index %d\n", i, c.Kind, c.Index)
-	}
+// stageDigestNames label the per-stage digests of a program.
+var stageDigestNames = [stDone]string{"compare", "reshuffle", "levels", "accumulate"}
+
+// dumpStages writes p's op list stage by stage — everything the executor
+// reads of a program — in a form that does not move when another stage
+// does: a register is named by the stage that defines it and its place
+// among that stage's definitions, a hoist by its steps and a constant by
+// its spec, and each stage ends with the carrier registers it hands on.
+func dumpStages(p *Program) [stDone]string {
+	var out [stDone]strings.Builder
+	name, defined := make([]string, p.numReg), [stDone]int{}
 	for _, op := range p.ops {
-		fmt.Fprintf(sb, "%d %s r%d r%d r%d %d %d\n", op.Stage, opNames[op.Code], op.Dst, op.A, op.B, op.Imm, op.Imm2)
+		sb := &out[op.Stage]
+		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			name[r] = fmt.Sprintf("%s.%d", stageDigestNames[op.Stage], defined[op.Stage])
+			defined[op.Stage]++
+		}
+		fmt.Fprintf(sb, "%s %s", opNames[op.Code], name[op.Dst])
+		for _, r := range op.operands() {
+			fmt.Fprintf(sb, " %s", name[r])
+		}
+		switch op.Code {
+		case opHoist:
+			fmt.Fprintf(sb, " %v\n", p.hoists[op.Imm])
+		case opConst:
+			fmt.Fprintf(sb, " kind %d index %d\n", p.consts[op.Imm].Kind, p.consts[op.Imm].Index)
+		default:
+			fmt.Fprintf(sb, " %d %d\n", op.Imm, op.Imm2)
+		}
 	}
+	fmt.Fprintf(&out[stCompare], "query %s decisions %s\n", name[p.regQuery], name[p.regDecisions])
+	fmt.Fprintf(&out[stReshuffle], "branchvec %s\n", name[p.regBranchVec])
+	fmt.Fprintf(&out[stLevels], "levelresult %s\n", name[p.regLevelResult])
+	fmt.Fprintf(&out[stAccumulate], "result %s\n", name[p.result])
+	var dumps [stDone]string
+	for st := range out {
+		dumps[st] = out[st].String()
+	}
+	return dumps
 }
 
 // TestProgramAtG1IsParentProgram pins the one-plane-per-ciphertext
 // programs of the Table 6 models — encrypted and plaintext model, and the
-// plaintext-query variant of the former — to the op lists the builder
-// produced before it learned the plane axis: a full batch must run the
-// same circuit op for op. testdata/programs_g1.golden holds one digest of
-// dumpProgram per program, written at the parent commit; to see what
-// moved, dump the program there and here and diff the two.
+// plaintext-query variant of the former — stage by stage: a full batch
+// must keep running the circuit the benchmark history was taken on, and a
+// change that means to move one stage shows that it moved no other.
+// testdata/programs_g1.golden holds one digest of dumpStages per program
+// and stage; to see what moved, dump the stage at the parent commit and
+// here and diff the two.
 func TestProgramAtG1IsParentProgram(t *testing.T) {
 	var sb strings.Builder
 	for _, mb := range synth.Microbenchmarks() {
@@ -52,10 +78,10 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var dump strings.Builder
-			p := m.programFor(1, !cfg.encQuery)
-			dumpProgram(&dump, p)
-			fmt.Fprintf(&sb, "%s/%s: %d ops sha256 %x\n", mb.Name, cfg.name, len(p.ops), sha256.Sum256([]byte(dump.String())))
+			for st, dump := range dumpStages(m.programFor(1, !cfg.encQuery)) {
+				fmt.Fprintf(&sb, "%s/%s/%s: %d ops sha256 %x\n", mb.Name, cfg.name, stageDigestNames[st],
+					strings.Count(dump, "\n")-1, sha256.Sum256([]byte(dump)))
+			}
 		}
 	}
 	path := filepath.Join("testdata", "programs_g1.golden")
@@ -71,11 +97,11 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 	}
 	got, want := strings.Split(sb.String(), "\n"), strings.Split(string(raw), "\n")
 	if len(got) != len(want) {
-		t.Fatalf("%d programs, the golden table has %d", len(got)-1, len(want)-1)
+		t.Fatalf("%d stage digests, the golden table has %d", len(got)-1, len(want)-1)
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("program is %q, the parent's was %q", got[i], want[i])
+			t.Errorf("stage is %q, the golden one %q", got[i], want[i])
 		}
 	}
 }

@@ -169,6 +169,19 @@ func TestPrepareRejectsShapelessModel(t *testing.T) {
 		"no planes":        func(c *Compiled) { c.ThresholdBits = nil },
 		"mask count":       func(c *Compiled) { c.Masks = c.Masks[:1] },
 		"level mask count": func(c *Compiled) { c.Levels = c.Levels[:1] },
+		// Shapes that cannot be stacked into the lanes of a block: matrices
+		// that disagree in rows or columns, a mask that is not one bit per
+		// row, and fewer matrices than the levels the lanes were laid out
+		// for.
+		"level rows":    func(c *Compiled) { c.Levels[1] = matrix.NewBool(c.Levels[1].Rows+1, c.Levels[1].Cols) },
+		"level columns": func(c *Compiled) { c.Levels[1] = matrix.NewBool(c.Levels[1].Rows, c.Levels[1].Cols-1) },
+		"over the period": func(c *Compiled) {
+			for l := range c.Levels {
+				c.Levels[l] = matrix.NewBool(c.Levels[l].Rows, c.Meta.BPad+1)
+			}
+		},
+		"mask rows": func(c *Compiled) { c.Masks[0] = append(c.Masks[0], 1) },
+		"depth":     func(c *Compiled) { c.Meta.D++ },
 	} {
 		c := compileFigure1(t)
 		mutate(c)
@@ -177,5 +190,22 @@ func TestPrepareRejectsShapelessModel(t *testing.T) {
 		if !errors.As(err, &shape) {
 			t.Errorf("%s: Prepare error %v, want *UnsupportedModelError", name, err)
 		}
+	}
+}
+
+// TestLevelStackingHoldsTheReads: the layout makes every lane wide enough
+// for the diagonal reads of a level product (2·SPad ≥ NumLeaves + BPad), and
+// the staging does not take that on trust — in a block narrower than the
+// layout's, where row 5 of Figure 1's six would read past slot 8 through
+// diagonal 7, it refuses rather than multiply the next lane in.
+func TestLevelStackingHoldsTheReads(t *testing.T) {
+	c := compileFigure1(t)
+	if lanes, ops, err := levelStacking(c, c.Meta.BatchBlock(), 64); err != nil || lanes != 1 || ops != 3 {
+		t.Fatalf("Figure 1 in its own blocks: %d operands of %d lanes, %v", ops, lanes, err)
+	}
+	_, _, err := levelStacking(c, c.Meta.BatchBlock()/2, 64)
+	var shape *UnsupportedModelError
+	if !errors.As(err, &shape) {
+		t.Errorf("6 rows over period 8 in an 8-slot lane: %v, want *UnsupportedModelError", err)
 	}
 }

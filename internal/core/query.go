@@ -50,9 +50,18 @@ func (e *BatchCapacityError) Error() string {
 	return fmt.Sprintf("core: batch index %d exceeds staged batch capacity %d", e.Index, e.Capacity)
 }
 
-// QueryLayoutError reports a query whose plane layout names no program
-// the model staged: a packing the model does not admit, or an operand
-// count that is not the packing's.
+// QueryPacking is the slot layout a query's features are packed in:
+// NumFeatures features at multiplicity K within a QPad-periodic plane, one
+// Block-wide slot block per query.
+type QueryPacking struct {
+	NumFeatures, K, QPad, Block int
+}
+
+// QueryLayoutError reports a query laid out for something other than the
+// model it was handed to: features packed for another model's slot layout
+// (a registry makes that an easy mistake, and the pass would misclassify
+// silently), a plane packing the model stages no program for, or an
+// operand count that is not the packing's.
 type QueryLayoutError struct {
 	// Planes is the number of bit-plane operands the query carries.
 	Planes int
@@ -63,10 +72,18 @@ type QueryLayoutError struct {
 	// Want is the operand count the model stages for that packing; zero
 	// when it admits no such packing.
 	Want int
+	// Packed and Model are the feature packing the query is stamped with
+	// and the model's; they differ exactly when that is what is wrong.
+	Packed, Model QueryPacking
 }
 
 func (e *QueryLayoutError) Error() string {
-	if e.Want == 0 {
+	switch {
+	case e.Packed != e.Model:
+		return fmt.Sprintf("core: query packed for layout features=%d K=%d q̂=%d block=%d, model wants features=%d K=%d q̂=%d block=%d (query prepared for a different model?)",
+			e.Packed.NumFeatures, e.Packed.K, e.Packed.QPad, e.Packed.Block,
+			e.Model.NumFeatures, e.Model.K, e.Model.QPad, e.Model.Block)
+	case e.Want == 0:
 		return fmt.Sprintf("core: query packs %d bit planes per ciphertext (block %d), a layout the model stages no program for",
 			e.PlanesPerCiphertext, e.Block)
 	}

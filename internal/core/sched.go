@@ -182,50 +182,72 @@ func (p *Program) Work() int64 { return p.sched.work }
 // CriticalPath is the parallelism the model offers the scheduler.
 func (p *Program) CriticalPath() int64 { return p.sched.critical }
 
-// CompareBill is what a program's compare stage costs: its ct×ct
-// products, rotations and key switches (a lazy product pays none until
-// the sum it joins is relinearized), its multiplicative depth, and its
-// share of Work.
-type CompareBill struct {
-	Products, Rotations, KeySwitches, Depth int
-	Work                                    int64
+// StageBill is what one stage of a program costs: its ct×ct tensor
+// products (Lazy of them unrelinearized: they pay no key switch until the
+// sum they join is relinearized), its relinearizations, its rotations
+// (Hoisted of them the steps that share one decomposition), the key
+// switches those add up to, the multiplicative depth the stage adds to its
+// carrier, and its share of Work.
+type StageBill struct {
+	Products, Lazy, Relins, Rotations, Hoisted, KeySwitches, Depth int
+	Work                                                           int64
 }
 
-// CompareBill walks the compare stage's ops. Which registers hold
+// StageBills walks the ops once and bills each to its stage, in pipeline
+// order: compare, reshuffle, levels, accumulate. Which registers hold
 // ciphertexts follows from what the program was built for, so it needs no
 // plan; Work does (every register counts one limb without).
-func (p *Program) CompareBill() CompareBill {
-	var bill CompareBill
+func (p *Program) StageBills() [stDone]StageBill {
+	var bills [stDone]StageBill
 	cipher, depth := make([]bool, p.numReg), make([]int, p.numReg)
+	var reached [stDone + 1]int // deepest register up to the end of each stage
 	w := p.weights()
-	for i, op := range p.ops[:p.sched.stageEnd[stCompare]] {
-		c, d := false, 0
+	for i, op := range p.ops {
+		bill := &bills[op.Stage]
+		var c, lazy bool
+		var d int
 		switch op.Code {
 		case opQuery:
 			c = !p.plainQuery
-		case opThresh:
-			c = true // only an encrypted model loads its thresholds
-		case opAdd, opSub, opMul, opMulLazy:
-			c, d = cipher[op.A] || cipher[op.B], max(depth[op.A], depth[op.B])
-			if cipher[op.A] && cipher[op.B] && op.Code != opAdd && op.Code != opSub {
+		case opThresh, opMask:
+			c = true // only an encrypted model loads its thresholds and masks
+		case opAdd, opSub, opMul, opMulLazy, opMulDiag:
+			a, b := cipher[op.A], cipher[op.B]
+			d, lazy = max(depth[op.A], depth[op.B]), op.Code != opMul
+			if op.Code == opMulDiag { // the other factor is a staged diagonal
+				b, d = p.encModel, depth[op.A]
+			}
+			if c = a || b; a && b && op.Code != opAdd && op.Code != opSub {
 				bill.Products++
 				d++
-				if op.Code == opMul {
-					bill.KeySwitches++
+				if lazy {
+					bill.Lazy++
 				}
 			}
-		case opRelin, opRot, opDrop:
+		case opRelin, opRot, opHoist, opDrop:
 			c, d = cipher[op.A], depth[op.A]
-			if c && op.Code != opDrop {
-				bill.KeySwitches++
-				if op.Code == opRot {
-					bill.Rotations++
-				}
+			switch {
+			case !c:
+			case op.Code == opRelin:
+				bill.Relins++
+			case op.Code == opRot:
+				bill.Rotations++
+			case op.Code == opHoist:
+				bill.Rotations += p.width(op)
+				bill.Hoisted += p.width(op)
 			}
 		}
-		cipher[op.Dst], depth[op.Dst] = c, d
-		bill.Depth = max(bill.Depth, d)
+		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			cipher[r], depth[r] = c, d
+		}
+		reached[op.Stage+1] = max(reached[op.Stage+1], d)
 		bill.Work += w[i]
 	}
-	return bill
+	for st := range bills {
+		b := &bills[st]
+		b.KeySwitches = b.Products - b.Lazy + b.Relins + b.Rotations
+		reached[st+1] = max(reached[st+1], reached[st]) // a stage with no op left
+		b.Depth = reached[st+1] - reached[st]
+	}
+	return bills
 }

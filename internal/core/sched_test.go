@@ -248,8 +248,8 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 // result ciphertext does not depend on the worker count or on the order
 // ready ops are taken in. It sweeps the three staging configurations ×
 // shuffle headroom × one batch fill per plane packing (the lone query to
-// the full batch) on both backends, plus a forest sharded two ways. Part
-// of the CI -race list.
+// the full batch) on both backends, plus a model of four level lanes and
+// a forest sharded two ways. Part of the CI -race list.
 func TestScheduleIndependent(t *testing.T) {
 	backends := []string{"clear"}
 	if !testing.Short() {
@@ -264,10 +264,17 @@ func TestScheduleIndependent(t *testing.T) {
 				}
 				return heclear.New(c.Meta.Slots, 65537)
 			}
-			for _, shuffled := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/shuffle=%v", backend, cfg.name, shuffled), func(t *testing.T) {
-					f := model.Figure1()
-					c, err := Compile(f, Options{Slots: 1024, PlanShuffle: shuffled})
+			for _, tc := range []struct {
+				name     string
+				f        *model.Forest
+				shuffled bool
+			}{
+				{"shuffle=false", model.Figure1(), false}, {"shuffle=true", model.Figure1(), true},
+				{"lanes4", lanes4Forest(t), false}, // the accumulate stage's rotations
+			} {
+				t.Run(fmt.Sprintf("%s/%s/%s", backend, cfg.name, tc.name), func(t *testing.T) {
+					f := tc.f
+					c, err := Compile(f, Options{Slots: 1024, PlanShuffle: tc.shuffled})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -122,23 +122,14 @@ func ShuffleResult(b he.Backend, meta *Meta, result he.Operand, padTo int, seed 
 	}
 	// ShuffleResult permutes one classification: under the slot-packed
 	// batch layout (capacity > 1) the blocks beyond entry 0 carry other
-	// queries' results or idle-block residue, which a whole-ciphertext
-	// replicate would fold into the sum — so select entry 0's leaf slots
-	// first. The selector is public shape information the server already
-	// holds (it prepares the permutation from the same meta). With
-	// capacity 1 the result is already zero outside [0, NumLeaves) and
-	// the plaintext multiply (and its BGV noise) is skipped.
-	if meta.BatchCapacity() > 1 {
-		sel := make([]uint64, b.Slots())
-		for i := 0; i < n; i++ {
-			sel[i] = 1
-		}
-		selOp, err := he.NewPlain(b, sel)
-		if err != nil {
-			return he.Operand{}, nil, err
-		}
-		result, err = he.Mul(b, result, selOp)
-		if err != nil {
+	// queries' results or idle-block residue, and a block of several level
+	// lanes the residue of its lanes past the first, which a whole-
+	// ciphertext replicate would fold into the sum — so select entry 0's
+	// leaf slots first. With one block of one lane the result is already
+	// zero outside [0, NumLeaves) and the plaintext multiply (and its BGV
+	// noise) is skipped.
+	if sh := shuffleShapeOf(meta); sh.selector {
+		if result, err = selectLeafSlots(b, meta, result, 1); err != nil {
 			return he.Operand{}, nil, err
 		}
 	}
@@ -172,9 +163,9 @@ func ShuffleResult(b he.Backend, meta *Meta, result he.Operand, padTo int, seed 
 // parallelizes the kernel's giant-step groups (1 = sequential).
 //
 // The result operand must come from the classification pipeline (each
-// block zero outside its leaf slots); under a level schedule it is
-// dropped to the shuffle's scheduled entry level first, exactly like
-// ShuffleResult.
+// block zero outside its leaf slots and, with several level lanes, the
+// lanes past its first); under a level schedule it is dropped to the
+// shuffle's scheduled entry level first, exactly like ShuffleResult.
 func ShuffleResultBatch(b he.Backend, meta *Meta, result he.Operand, batch, padTo int, seed uint64, workers int) (he.Operand, []*ShuffledCodebook, error) {
 	n := meta.NumLeaves
 	if padTo == 0 {
@@ -218,12 +209,20 @@ func ShuffleResultBatch(b he.Backend, meta *Meta, result he.Operand, batch, padT
 	if err != nil {
 		return he.Operand{}, nil, err
 	}
-	// Each block is zero outside its leaf slots, so the block-local
-	// replication needs no selector mask: every query's payload is made
-	// nPad-periodic within its own block (log2(span/nPad) rotations for
-	// the whole batch), blocks never mix, and the block-diagonal kernel
-	// then applies each block's own permutation. The permutations are
-	// server-local plaintext, so zero diagonals are skippable.
+	// A block of one level lane is zero outside its leaf slots, so the
+	// block-local replication needs no selector; one of several carries
+	// the 0/1 residue of the accumulate rounds in its lanes past the first
+	// (DESIGN.md §13.5) and takes the per-block form of ShuffleResult's.
+	// Every query's payload is then made nPad-periodic within its own block
+	// (log2(span/nPad) rotations for the whole batch), blocks never mix,
+	// and the block-diagonal kernel applies each block's own permutation.
+	// The permutations are server-local plaintext, so zero diagonals are
+	// skippable.
+	if sh := shuffleShapeOf(meta); sh.selectorBatched {
+		if result, err = selectLeafSlots(b, meta, result, capacity); err != nil {
+			return he.Operand{}, nil, err
+		}
+	}
 	replicated, err := matrix.ReplicateWithin(b, result, nPad, span)
 	if err != nil {
 		return he.Operand{}, nil, err
@@ -233,6 +232,23 @@ func ShuffleResultBatch(b he.Backend, meta *Meta, result he.Operand, batch, padT
 		return he.Operand{}, nil, err
 	}
 	return shuffled, cbs, nil
+}
+
+// selectLeafSlots multiplies result by the selector of the leaf slots of
+// its first blocks — public shape information the server already holds
+// (it prepares the permutation from the same meta).
+func selectLeafSlots(b he.Backend, meta *Meta, result he.Operand, blocks int) (he.Operand, error) {
+	sel := make([]uint64, b.Slots())
+	for k := 0; k < blocks; k++ {
+		for i := 0; i < meta.NumLeaves; i++ {
+			sel[k*meta.BatchBlock()+i] = 1
+		}
+	}
+	selOp, err := he.NewPlain(b, sel)
+	if err != nil {
+		return he.Operand{}, err
+	}
+	return he.Mul(b, result, selOp)
 }
 
 // DecodeShuffled tallies votes from a shuffled result. Per-tree labels

@@ -177,7 +177,8 @@ func makeDiagOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.O
 	return he.NewPlainAtLevel(b, vals, level)
 }
 
-// PrepareDiagonalsBSGSSpanAt builds the operand form of m: diagonal
+// PrepareDiagonalsBSGSSpanAt builds the operand form of m — it is
+// PrepareDiagonalsBSGSBlocksAt with m in every block: diagonal
 // i = g·baby+j is pre-rotated right by g·baby, so that
 //
 //	M·v = Σ_g rot( Σ_j d'_{g,j} ⊙ rot(v, j), g·baby )
@@ -205,46 +206,21 @@ func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span
 	if err := checkSpan(b, m, period, span); err != nil {
 		return nil, err
 	}
-	if baby < 1 || giant < 1 || baby*giant != period {
-		return nil, fmt.Errorf("matrix: BSGS split %d×%d does not factor period %d", baby, giant, period)
+	mats := make([]*Bool, b.Slots()/span)
+	for k := range mats {
+		mats[k] = m
 	}
-	raw, err := m.Diagonals(period)
-	if err != nil {
-		return nil, err
-	}
-	slots := b.Slots()
-	d := &Diagonals{Rows: m.Rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
-	ext := make([]uint64, slots)
-	for i, vec := range raw {
-		shift := (i / baby) * baby
-		clear(ext)
-		allZero := true
-		for r, v := range vec {
-			if v != 0 {
-				allZero = false
-			}
-			for base := 0; base < slots; base += span {
-				ext[(base+r+shift)%slots] = v
-			}
-		}
-		d.Zero[i] = allZero
-		op, err := makeDiagOperand(b, ext, encrypt, level)
-		if err != nil {
-			return nil, err
-		}
-		d.Ops = append(d.Ops, op)
-	}
-	return d, nil
+	return PrepareDiagonalsBSGSBlocksAt(b, mats, period, baby, giant, span, encrypt, level)
 }
 
-// PrepareDiagonalsBSGSBlocksAt is the block-diagonal variant of
-// PrepareDiagonalsBSGSSpanAt: instead of replicating one matrix into
-// every span-aligned slot block, it stages an *independent* matrix per
-// block — mats[k]'s pre-rotated diagonal values occupy block k's slots —
-// so a single BSGS kernel pass evaluates a different matrix-vector
-// product in every block. This is the staging behind the batched result
-// shuffle (one permutation per packed query, one set of rotations for
-// the whole batch; DESIGN.md §10). len(mats) must equal slots/span and
+// PrepareDiagonalsBSGSBlocksAt is the block-diagonal stager: it stages
+// an *independent* matrix per span-aligned slot block — mats[k]'s
+// pre-rotated diagonal values occupy block k's slots — so a single BSGS
+// kernel pass evaluates a different matrix-vector product in every
+// block. This is the staging behind the batched result shuffle (one
+// permutation per packed query, one set of rotations for the whole
+// batch; DESIGN.md §10) and the level lanes (one level matrix per lane,
+// the pattern repeated in every block; §13.5). len(mats) must equal slots/span and
 // all matrices must share one shape; the span/period/read-containment
 // rules of PrepareDiagonalsBSGSSpanAt apply unchanged. A diagonal is
 // recorded zero (skippable) only when it is zero in every block.
@@ -268,12 +244,20 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, period, baby, gian
 	if baby < 1 || giant < 1 || baby*giant != period {
 		return nil, fmt.Errorf("matrix: BSGS split %d×%d does not factor period %d", baby, giant, period)
 	}
+	// A caller that repeats a pattern of matrices over the blocks passes
+	// the same pointers again: each is expanded once.
 	raw := make([][][]uint64, len(mats))
+	expanded := map[*Bool][][]uint64{}
 	for k, m := range mats {
-		var err error
-		if raw[k], err = m.Diagonals(period); err != nil {
-			return nil, err
+		diags, ok := expanded[m]
+		if !ok {
+			var err error
+			if diags, err = m.Diagonals(period); err != nil {
+				return nil, err
+			}
+			expanded[m] = diags
 		}
+		raw[k] = diags
 	}
 	d := &Diagonals{Rows: rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
 	ext := make([]uint64, slots)

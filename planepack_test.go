@@ -24,53 +24,63 @@ type packedModel struct {
 	heavy bool
 }
 
+// packModel compiles f with and without shuffle headroom and, when
+// shards > 0, splits each compile that many ways: the whole model, then
+// its shards.
+func packModel(t *testing.T, name string, f *copse.Forest, slots, shards int, bgv bool) []packedModel {
+	t.Helper()
+	whole := packedModel{name: name, forest: f, compiled: map[bool]*copse.Compiled{}, trees: [2]int{0, len(f.Trees)}, bgv: bgv, heavy: shards > 0}
+	pieces := make([]packedModel, shards)
+	for _, planShuffle := range []bool{false, true} {
+		c, err := copse.Compile(f, copse.CompileOptions{Slots: slots, PlanShuffle: planShuffle})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		whole.compiled[planShuffle] = c
+		if shards == 0 {
+			continue
+		}
+		split, _, err := copse.ShardForest(c, shards)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, sc := range split {
+			if pieces[i].compiled == nil {
+				pieces[i] = packedModel{
+					name: fmt.Sprintf("%s-shard%d", name, i), forest: f, compiled: map[bool]*copse.Compiled{},
+					trees: [2]int{sc.Shard.TreeStart, sc.Shard.TreeEnd}, bgv: bgv, heavy: true,
+				}
+			}
+			pieces[i].compiled[planShuffle] = sc
+		}
+	}
+	return append([]packedModel{whole}, pieces...)
+}
+
+func generateForest(t *testing.T, spec synth.ForestSpec) *copse.Forest {
+	t.Helper()
+	f, err := synth.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func packedModels(t *testing.T) []packedModel {
 	t.Helper()
-	generate := func(spec synth.ForestSpec) *copse.Forest {
-		f, err := synth.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
 	var models []packedModel
 	add := func(name string, f *copse.Forest, slots, shards int, bgv bool) {
-		whole := packedModel{name: name, forest: f, compiled: map[bool]*copse.Compiled{}, trees: [2]int{0, len(f.Trees)}, bgv: bgv, heavy: shards > 0}
-		pieces := make([]packedModel, shards)
-		for _, planShuffle := range []bool{false, true} {
-			c, err := copse.Compile(f, copse.CompileOptions{Slots: slots, PlanShuffle: planShuffle})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			whole.compiled[planShuffle] = c
-			if shards == 0 {
-				continue
-			}
-			split, _, err := copse.ShardForest(c, shards)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i, sc := range split {
-				if pieces[i].compiled == nil {
-					pieces[i] = packedModel{
-						name: fmt.Sprintf("%s-shard%d", name, i), forest: f, compiled: map[bool]*copse.Compiled{},
-						trees: [2]int{sc.Shard.TreeStart, sc.Shard.TreeEnd}, bgv: bgv, heavy: true,
-					}
-				}
-				pieces[i].compiled[planShuffle] = sc
-			}
-		}
-		models = append(append(models, whole), pieces...)
+		models = append(models, packModel(t, name, f, slots, shards, bgv)...)
 	}
 	for _, mb := range synth.Microbenchmarks() {
 		if mb.Name == "depth4" || mb.Name == "prec16" {
-			add(mb.Name, generate(mb.Spec), 1024, 0, true)
+			add(mb.Name, generateForest(t, mb.Spec), 1024, 0, true)
 		}
 	}
 	// The benchmark's wide model, whole and in the two shards the cluster
 	// workload serves: the shards keep the parent's block layout
 	// (Meta.ForcedSPad), so they share its plane packings.
-	add("wide8", generate(synth.ForestSpec{
+	add("wide8", generateForest(t, synth.ForestSpec{
 		Name: "wide8", NumFeatures: 4, NumLabels: 3, Precision: 8, MaxDepth: 5,
 		BranchesPerTree: []int{15, 15, 15, 15, 15, 15, 15, 15}, Seed: 1,
 	}), 1024, 2, true)
@@ -80,7 +90,7 @@ func packedModels(t *testing.T) []packedModel {
 	// Precisions that are not powers of two pad the top packing's last
 	// planes; a model that fills the slots has one packing only.
 	for _, p := range []int{14, 15} {
-		add(fmt.Sprintf("prec%d", p), generate(synth.ForestSpec{
+		add(fmt.Sprintf("prec%d", p), generateForest(t, synth.ForestSpec{
 			NumFeatures: 2, NumLabels: 3, Precision: p, MaxDepth: 4, BranchesPerTree: []int{6, 5}, Seed: uint64(p),
 		}), 1024, 0, true)
 	}
@@ -119,41 +129,49 @@ func packingBatches(m *copse.Meta) []int {
 // lone query. The short suite leaves wide8's shuffled BGV runs to the
 // full one (its encrypted staging takes seconds).
 func TestPlanePackingMatchesForest(t *testing.T) {
-	// programScenarios lists offload, the two that leave one side in
-	// plaintext, then offload's three aliases.
 	turn := 0
 	for _, pm := range packedModels(t) {
-		for _, backend := range []copse.BackendKind{copse.BackendClear, copse.BackendBGV} {
-			onBGV := backend == copse.BackendBGV
-			if onBGV && !pm.bgv {
+		servePacked(t, pm, &turn)
+	}
+}
+
+// servePacked holds pm to the forest at the batch sizes of every plane
+// packing, on both backends, shuffled and not, in the party scenarios:
+// all six on the exact backend; on BGV the two that leave one side in
+// plaintext and, taking turns, one of the four that encrypt both.
+func servePacked(t *testing.T, pm packedModel, turn *int) {
+	for _, backend := range []copse.BackendKind{copse.BackendClear, copse.BackendBGV} {
+		onBGV := backend == copse.BackendBGV
+		if onBGV && !pm.bgv {
+			continue
+		}
+		for _, shuffle := range []bool{false, true} {
+			if onBGV && shuffle && testing.Short() && pm.heavy {
 				continue
 			}
-			for _, shuffle := range []bool{false, true} {
-				if onBGV && shuffle && testing.Short() && pm.heavy {
-					continue
-				}
-				c := pm.compiled[shuffle]
-				sizes, served := packingBatches(&c.Meta), programScenarios
-				if onBGV {
-					sizes = slices.DeleteFunc(sizes, func(n int) bool {
-						return n != 1 && n != c.Meta.QueryCapacity(c.Meta.PlanesPerCiphertext(n))
-					})
-					served = append(slices.Clone(programScenarios[1:3]), programScenarios[[]int{0, 3, 4, 5}[turn%4]])
-					turn++
-				}
-				for _, sc := range served {
-					t.Run(fmt.Sprintf("%s/%s/shuffle=%v/%s", pm.name, map[bool]string{false: "clear", true: "bgv"}[onBGV], shuffle, sc.name), func(t *testing.T) {
-						svc := copse.NewService(copse.WithBackend(backend), copse.WithScenario(sc.scenario),
-							copse.WithShuffle(shuffle), copse.WithSeed(18))
-						if err := svc.Register("m", c); err != nil {
-							t.Fatal(err)
-						}
-						defer svc.Close()
-						for _, n := range sizes {
-							checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle)
-						}
-					})
-				}
+			c := pm.compiled[shuffle]
+			sizes, served := packingBatches(&c.Meta), programScenarios
+			if onBGV {
+				sizes = slices.DeleteFunc(sizes, func(n int) bool {
+					return n != 1 && n != c.Meta.QueryCapacity(c.Meta.PlanesPerCiphertext(n))
+				})
+				// programScenarios lists offload, the two that leave one side
+				// in plaintext, then offload's three aliases.
+				served = append(slices.Clone(programScenarios[1:3]), programScenarios[[]int{0, 3, 4, 5}[*turn%4]])
+				*turn++
+			}
+			for _, sc := range served {
+				t.Run(fmt.Sprintf("%s/%s/shuffle=%v/%s", pm.name, map[bool]string{false: "clear", true: "bgv"}[onBGV], shuffle, sc.name), func(t *testing.T) {
+					svc := copse.NewService(copse.WithBackend(backend), copse.WithScenario(sc.scenario),
+						copse.WithShuffle(shuffle), copse.WithSeed(18))
+					if err := svc.Register("m", c); err != nil {
+						t.Fatal(err)
+					}
+					defer svc.Close()
+					for _, n := range sizes {
+						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle)
+					}
+				})
 			}
 		}
 	}
@@ -180,6 +198,9 @@ func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *co
 	}
 	if trace.PlanesPerCiphertext != g || trace.QueryCiphertexts != len(q.Bits) {
 		t.Errorf("batch of %d: trace reports %d operands at %d planes per ciphertext", n, trace.QueryCiphertexts, trace.PlanesPerCiphertext)
+	}
+	if lanes, ops := meta.LevelLanes(); trace.LevelLanes != lanes || trace.LevelOperands != ops {
+		t.Errorf("batch of %d: trace reports %d level operands of %d lanes, the layout has %d of %d", n, trace.LevelOperands, trace.LevelLanes, ops, lanes)
 	}
 	results, err := svc.DecryptResultBatch("m", enc)
 	if err != nil {

@@ -73,6 +73,8 @@ type Service struct {
 	// ratio is the plane packing the traffic's batch fill realized.
 	queryPlanes atomic.Int64
 	queryCts    atomic.Int64
+	levelMats   atomic.Int64
+	levelOps    atomic.Int64
 
 	// Resilience counters (DESIGN.md §15). queued tracks calls waiting
 	// for an in-flight slot (the shed-queue depth); the others are
@@ -554,8 +556,8 @@ func (s *Service) Classify(ctx context.Context, name string, q *Query) (*Encrypt
 }
 
 // addTrace accumulates one pass's trace into an aggregate: durations,
-// op bills and query operands sum, limb/noise fields and the plane
-// packing keep the first pass's view.
+// op bills and query and level operands sum, limb/noise fields, the plane
+// packing and the level lanes keep the first pass's view.
 func addTrace(dst, src *Trace) {
 	if src == nil {
 		return
@@ -572,8 +574,9 @@ func addTrace(dst, src *Trace) {
 	dst.AccumulateBusy += src.AccumulateBusy
 	dst.Workers = src.Workers
 	dst.QueryCiphertexts += src.QueryCiphertexts
+	dst.LevelOperands += src.LevelOperands
 	if dst.PlanesPerCiphertext == 0 {
-		dst.PlanesPerCiphertext = src.PlanesPerCiphertext
+		dst.PlanesPerCiphertext, dst.LevelLanes = src.PlanesPerCiphertext, src.LevelLanes
 	}
 	dst.CompareOps = dst.CompareOps.Plus(src.CompareOps)
 	dst.ReshuffleOps = dst.ReshuffleOps.Plus(src.ReshuffleOps)
@@ -643,6 +646,8 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSe
 	s.stageNS.Add(int64(trace.StageTime()))
 	s.queryPlanes.Add(int64(m.operands.Meta.Precision))
 	s.queryCts.Add(int64(trace.QueryCiphertexts))
+	s.levelMats.Add(int64(m.operands.Meta.D))
+	s.levelOps.Add(int64(trace.LevelOperands))
 	seg := resultSeg{op: op, batch: max(q.Batch, 1), capacity: m.operands.Meta.QueryCapacity(q.PlanesPerCiphertext), codebooks: codebooks}
 	return &EncryptedResult{segs: []resultSeg{seg}}, trace, nil
 }
@@ -958,6 +963,12 @@ type ServiceStats struct {
 	// is the plane packing the traffic's batch fill realized, 1 when
 	// every pass was more than half full.
 	QueryPlanes, QueryCiphertexts int64
+	// LevelMatrices counts the level matrices the passes evaluated (the
+	// model's depth, per pass) and LevelOperands the stacked operands that
+	// carried them, one mat-vec each: LevelMatrices ÷ LevelOperands —
+	// LevelsPerOperand — is what the level lanes of the served models
+	// save, 1 when every block has room for one lane only.
+	LevelMatrices, LevelOperands int64
 
 	// BatcherPasses counts coalesced passes fired by the dynamic
 	// batcher (WithBatchWindow); they are also included in Requests.
@@ -1012,6 +1023,15 @@ func (st ServiceStats) PlanesPerCiphertext() float64 {
 	return float64(st.QueryPlanes) / float64(st.QueryCiphertexts)
 }
 
+// LevelsPerOperand is LevelMatrices ÷ LevelOperands, 0 before the first
+// pass.
+func (st ServiceStats) LevelsPerOperand() float64 {
+	if st.LevelOperands == 0 {
+		return 0
+	}
+	return float64(st.LevelMatrices) / float64(st.LevelOperands)
+}
+
 // MeanQueueWait returns the mean per-pass queue wait.
 func (st ServiceStats) MeanQueueWait() time.Duration {
 	if st.Requests == 0 {
@@ -1047,6 +1067,8 @@ func (s *Service) Stats() ServiceStats {
 		StageTime:        time.Duration(s.stageNS.Load()),
 		QueryPlanes:      s.queryPlanes.Load(),
 		QueryCiphertexts: s.queryCts.Load(),
+		LevelMatrices:    s.levelMats.Load(),
+		LevelOperands:    s.levelOps.Load(),
 		BatcherPasses:    s.aggPasses.Load(),
 		CoalescedQueries: s.aggQueries.Load(),
 		BatchWait:        time.Duration(s.aggWaitNS.Load()),

@@ -238,8 +238,10 @@ func TestServiceQueryModelMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Classify(context.Background(), "b", q); err == nil {
-		t.Error("query packed for model a accepted by model b")
+	_, _, err = svc.Classify(context.Background(), "b", q)
+	var layout *copse.QueryLayoutError
+	if !errors.As(err, &layout) || layout.Packed == layout.Model || layout.Model.QPad != c2.Meta.QPad || layout.Packed.QPad != c1.Meta.QPad {
+		t.Errorf("query packed for model a on model b: %v, want a *QueryLayoutError naming both packings", err)
 	}
 }
 
