@@ -96,10 +96,12 @@ func main() {
 		for _, g := range staged.PlanePackings() {
 			prog := staged.ProgramFor(g)
 			work, critical := prog.Work(), prog.CriticalPath()
-			fmt.Fprintf(os.Stderr, "  op program (%s model), %2d planes per ciphertext (≤ %d queries in %d ciphertexts): work %d, critical path %d — parallelism %.1f",
-				name, g, m.QueryCapacity(g), m.QueryCiphertexts(g), work, critical, float64(work)/float64(critical))
+			lanes, groups, levelOps := m.LevelLayout(g)
+			fmt.Fprintf(os.Stderr, "  op program (%s model), %2d planes per ciphertext (≤ %d queries in %d ciphertexts), %d levels in %d lane(s) × %d group(s) of %d stacked operand(s): work %d, critical path %d — parallelism %.1f",
+				name, g, m.QueryCapacity(g), m.QueryCiphertexts(g), m.D, lanes, groups, levelOps, work, critical, float64(work)/float64(critical))
 			// The stage bills: the plane axis shortens compare (DESIGN.md
-			// §13.4), the level lanes levels and accumulate (§13.5).
+			// §13.4), the level lanes and lane groups levels and accumulate
+			// (§13.5).
 			for st, bill := range prog.StageBills() {
 				fmt.Fprintf(os.Stderr, "; %s %d products (%d lazy) + %d relinearizations + %d rotations = %d key switches, depth %d, work %d",
 					[...]string{"compare", "reshuffle", "levels", "accumulate"}[st],

@@ -129,9 +129,12 @@ func main() {
 		fmt.Printf("server-inferable structure: q̂=%d b̂=%d d≤%d p=%d\n", view.QPad, view.BPad, view.D, view.P)
 	}
 	fmt.Printf("workers: %d, utilisation %.2f (op run time over workers × pass time)\n", st.Workers, st.Utilisation())
-	lanes, levelOps := meta.LevelLanes()
-	fmt.Printf("query layout: %d operand(s) over %d pass(es), %.1f bit planes per operand; level layout: %d levels in %d lane(s) of %d stacked operand(s)\n",
-		st.QueryCiphertexts, passes, st.PlanesPerCiphertext(), meta.D, lanes, levelOps)
+	// The level layout follows from the batch size like the plane packing
+	// does; an overflowing batch runs its last pass on fewer queries, so
+	// this is the layout of the first.
+	lanes, groups, levelOps := meta.LevelLayout(meta.PlanesPerCiphertext(min(len(queries), capacity)))
+	fmt.Printf("query layout: %d operand(s) over %d pass(es), %.1f bit planes per operand; level layout: %d levels in %d lane(s) × %d group(s) of %d stacked operand(s)\n",
+		st.QueryCiphertexts, passes, st.PlanesPerCiphertext(), meta.D, lanes, groups, levelOps)
 	fmt.Printf("backend ops: %v\n", svc.Backend().Counts())
 }
 

@@ -546,7 +546,7 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	trace.Encrypt += time.Since(mark)
 	g.queryPlanes.Add(int64(r.meta.Precision))
 	g.queryCts.Add(int64(len(wcs)))
-	_, levelOps := r.meta.LevelLanes()
+	_, _, levelOps := r.meta.LevelLayout(q.PlanesPerCiphertext)
 	g.levelMats.Add(int64(r.meta.D))
 	g.levelOps.Add(int64(levelOps))
 

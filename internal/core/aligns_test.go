@@ -101,7 +101,7 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 		f, c := ac.f, ac.c
 		for _, cfg := range schedConfigs {
 			t.Run(name+"/"+cfg.name, func(t *testing.T) {
-				b := planBackend(t, c, cfg.encModel)
+				b := he.Backend(planBackend(t, c, cfg.encModel))
 				stage := func(plan *LevelPlan) *ModelOperands {
 					m, err := PrepareWithPlan(b, c, cfg.encModel, plan)
 					if err != nil {
@@ -156,10 +156,15 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 					}
 				}
 				// The reactive contrast runs on the Table 6 models of the
-				// full suite; wide8 stages too slowly to do twice.
+				// full suite; wide8 stages too slowly to do twice. Reactive
+				// management needs the chain the compiler recommends for it,
+				// not the plan's.
 				if testing.Short() || f.NumFeatures != 2 {
 					return
 				}
+				reactive := *c
+				reactive.Meta.LevelPlan = nil
+				b = planBackend(t, &reactive, cfg.encModel)
 				tr := classify(stage(nil), c.Meta.BatchCapacity())
 				if n := tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps).Aligns; n == 0 {
 					t.Error("reactive staging: no implicit alignment counted")

@@ -233,16 +233,7 @@ func Compile(f *model.Forest, opts Options) (*Compiled, error) {
 		}
 	}
 	meta.RotationSteps = rotationSteps(qPad, bPad, nPad, slots, meta.UseBSGS)
-	logp := log2Ceil(f.Precision)
-	logd := log2Ceil(max(d, 1))
-	meta.CtDepthCipherModel = (logp + 2) + 3 + logd // SecComp + reshuffle + level + mask + accumulate
-	meta.CtDepthPlainModel = (logp + 1) + logd
-	// Beyond one prime per ciphertext multiplication, the chain must
-	// absorb the key-switch noise that accumulates when a matrix product
-	// sums b̂ rotated terms (roughly one extra modulus switch per
-	// pipeline stage) plus slack for the plaintext-multiply noise of the
-	// Z_t boolean encoding.
-	meta.RecommendedLevels = meta.CtDepthCipherModel + 5 + log2Ceil(bPad)/3
+	meta.estimateDepth()
 	if !opts.NoLevelPlan {
 		// The static level schedule (levelplan.go): per-stage target
 		// levels from the level pass over the op program, so the engine
@@ -316,4 +307,20 @@ func rotationSteps(qPad, bPad, nPad, slots int, bsgs bool) []int {
 	}
 	sort.Ints(steps)
 	return steps
+}
+
+// estimateDepth fills in the circuit-shape estimates from the precision,
+// the depth and the branch period.
+func (m *Meta) estimateDepth() {
+	logp, logd := log2Ceil(m.Precision), log2Ceil(max(m.D, 1))
+	// SecComp + reshuffle + level (its mask is folded into the matrix) +
+	// accumulate.
+	m.CtDepthCipherModel = (logp + 2) + 2 + logd
+	m.CtDepthPlainModel = (logp + 1) + logd
+	// Beyond one prime per ciphertext multiplication, the chain must
+	// absorb the key-switch noise that accumulates when a matrix product
+	// sums b̂ rotated terms (roughly one extra modulus switch per
+	// pipeline stage) plus slack for the plaintext-multiply noise of the
+	// Z_t boolean encoding.
+	m.RecommendedLevels = m.CtDepthCipherModel + 5 + log2Ceil(m.BPad)/3
 }

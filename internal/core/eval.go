@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"copse/internal/he"
@@ -25,9 +26,17 @@ type ModelOperands struct {
 	// Levels and Masks are the level matrices and masks stacked into the
 	// lanes of the block: Meta.LevelLanes gives the lanes h and the ⌈D/h⌉
 	// operands of each, level l in lane l/⌈D/h⌉ of operand l mod ⌈D/h⌉
-	// (DESIGN.md §13.5).
+	// (DESIGN.md §13.5). Operand j is staged as the affine map of its
+	// levels, b ↦ diag(1 − 2·mask_l)·L_l·b + mask_l = (L_l·b) ⊕ mask_l:
+	// Levels[j] holds the signed matrices and Masks[j] the additive masks.
 	Levels []*matrix.Diagonals
 	Masks  []he.Operand
+	// encModel records that the components are ciphertexts.
+	encModel bool
+	// grouped is the second staging of the same levels, over the lanes of
+	// Meta.LevelGroups slot groups, which the plane packings from that
+	// many up run on (Meta.LevelLayout); nil when the model has one group.
+	grouped *levelStaging
 	// Plan is the scenario-resolved level schedule the operands were
 	// staged at (thresholds at Plan.Compare, reshuffle diagonals at
 	// Plan.Reshuffle, and so on); nil means reactive staging at the top
@@ -44,10 +53,21 @@ type ModelOperands struct {
 	packings []planePacking
 }
 
+// levelStaging is one staging of the level stage's operands: the signed
+// level matrices and additive masks of ⌈D/(h·G)⌉ stacked operands, level
+// (j·h + i)·m + o in lane i of every block of slot group j of operand o.
+type levelStaging struct {
+	lanes, groups int
+	mats          []*matrix.Diagonals
+	masks         []he.Operand
+}
+
 // planePacking is what a query of one plane packing runs on: the negated
-// thresholds laid out like its planes, and the op program over them.
+// thresholds laid out like its planes, the level staging of its layout,
+// and the op program over them.
 type planePacking struct {
 	thresholds []he.Operand
+	levels     *levelStaging
 	program    *Program
 	// plainQueryProgram is the variant Engine.ClassifyCtx runs on
 	// plaintext query planes. It differs from program only where levels
@@ -101,7 +121,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
-	m := &ModelOperands{Meta: c.Meta}
+	m := &ModelOperands{Meta: c.Meta, encModel: encrypt}
 	level := func(sel func(StageLevels) int) int { return -1 }
 	// Queries are packed against this meta (PrepareQueryBatch reads its
 	// QueryLevel), so the staged meta must advertise exactly the schedule
@@ -158,76 +178,39 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	// whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	baby, giant := c.Meta.kernelSplit(c.Meta.QPad)
-	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, c.Reshuffle, c.Meta.QPad, baby, giant, span, encrypt,
+	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, reshuffleRows(c, encrypt), c.Meta.QPad, baby, giant, span, encrypt,
 		level(func(s StageLevels) int { return s.Reshuffle }))
 	if err != nil {
 		return nil, err
 	}
 	m.Reshuffle = reshuffle
-	// The level matrices and masks are stacked into the lanes of the block
-	// (Meta.LevelLanes, DESIGN.md §13.5): lane l/ops of stacked operand
-	// l mod ops holds level l, in every block. A lane past the last level
-	// holds the zero matrix under an all-ones mask, whose factor 0 ⊕ 1 = 1
-	// is the identity of the accumulate product.
-	lanes, ops, err := levelStacking(c, span, b.Slots())
+	// The level operands, once over the lanes of the block and — when the
+	// model has lane groups — once more over the lanes of every group.
+	lanes, _, err := levelStacking(c, span, b.Slots())
 	if err != nil {
 		return nil, err
 	}
-	rows, laneWidth := c.Meta.NumLeaves, span/lanes
-	identity, ones := matrix.NewBool(rows, c.Levels[0].Cols), make([]uint64, rows)
-	for i := range ones {
-		ones[i] = 1
-	}
-	baby, giant = c.Meta.kernelSplit(c.Meta.BPad)
 	lvlAt := level(func(s StageLevels) int { return s.Level })
-	for j := 0; j < ops; j++ {
-		mats, mask := make([]*matrix.Bool, b.Slots()/laneWidth), make([]uint64, b.Slots())
-		for k := range mats {
-			mats[k] = identity
-			laneMask := ones
-			if l := k%lanes*ops + j; l < len(c.Levels) {
-				mats[k], laneMask = c.Levels[l], c.Masks[l]
-			}
-			copy(mask[k*laneWidth:], laneMask)
-		}
-		d, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, c.Meta.BPad, baby, giant, laneWidth, encrypt, lvlAt)
-		if err != nil {
+	block, err := stageLevels(b, c, lanes, 1, encrypt, lvlAt)
+	if err != nil {
+		return nil, err
+	}
+	m.Levels, m.Masks = block.mats, block.masks
+	if groups := c.Meta.LevelGroups(); groups > 1 {
+		if m.grouped, err = stageLevels(b, c, lanes, groups, encrypt, lvlAt); err != nil {
 			return nil, err
 		}
-		m.Levels = append(m.Levels, d)
-		op, err := makeOperand(b, mask, encrypt, lvlAt)
-		if err != nil {
-			return nil, err
-		}
-		m.Masks = append(m.Masks, op)
 	}
 
 	// Compile the op programs from the staged shapes and encode their
 	// plaintext constants once, here, instead of on every Classify call.
-	in := progInputs{
-		meta:      m.Meta,
-		plan:      m.Plan,
-		encrypted: encrypt,
-		masks:     len(m.Masks),
-		lanes:     lanes,
-		reshuffle: diagShapeOf(m.Reshuffle),
-	}
-	for _, d := range m.Levels {
-		in.levels = append(in.levels, diagShapeOf(d))
-	}
-	if !encrypt {
-		for _, op := range m.Masks {
-			in.maskVals = append(in.maskVals, op.Vals)
-		}
-	}
 	for i := range m.packings {
 		pk := &m.packings[i]
-		in.packing, in.planes, in.plainQuery, in.threshVals = 1<<i, len(pk.thresholds), false, nil
-		if !encrypt {
-			for _, op := range pk.thresholds {
-				in.threshVals = append(in.threshVals, op.Vals)
-			}
+		pk.levels = block
+		if _, groups, _ := c.Meta.LevelLayout(1 << i); groups > 1 {
+			pk.levels = m.grouped
 		}
+		in := m.progInputs(1<<i, pk.levels, false)
 		if pk.program, err = newProgram(b, in); err != nil {
 			return nil, err
 		}
@@ -241,6 +224,112 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (
 	}
 	m.Program = m.packings[0].program
 	return m, nil
+}
+
+// progInputs describes the program of plane packing g over the level
+// staging lv to the builder: the shapes Prepare staged, and the plaintext
+// components the builder folds into constants.
+func (m *ModelOperands) progInputs(g int, lv *levelStaging, plainQuery bool) progInputs {
+	pk := m.packing(g)
+	in := progInputs{
+		meta:       m.Meta,
+		plan:       m.Plan,
+		encrypted:  m.encModel,
+		plainQuery: plainQuery,
+		packing:    g,
+		planes:     len(pk.thresholds),
+		lanes:      lv.lanes,
+		groups:     lv.groups,
+		reshuffle:  diagShapeOf(m.Reshuffle),
+	}
+	for j, d := range lv.mats {
+		in.levels = append(in.levels, diagShapeOf(d))
+		in.maskZero = append(in.maskZero, !in.encrypted && !slices.ContainsFunc(lv.masks[j].Vals, func(v uint64) bool { return v != 0 }))
+	}
+	if !in.encrypted {
+		for _, op := range pk.thresholds {
+			in.threshVals = append(in.threshVals, op.Vals)
+		}
+	}
+	return in
+}
+
+// reshuffleRows is the reshuffle matrix as Prepare stages it. Under an
+// encrypted model no diagonal is skippable, so its BPad (zero-padded) rows
+// are repeated up to SPad rows for free — the reads r + i < SPad + QPad
+// stay inside the block — and the product fills half the block with
+// BPad-periodic copies of the branch vector, which one rotation by −SPad
+// completes (buildStructure). A plaintext model keeps the B rows:
+// repeating them would un-skip zero diagonals. So does a capacity-1 model,
+// whose block the rotation wrap makes periodic.
+func reshuffleRows(c *Compiled, encrypt bool) *matrix.Bool {
+	rows := c.Meta.branchSpan(encrypt)
+	if rows <= c.Meta.BPad {
+		return c.Reshuffle
+	}
+	out := matrix.NewBool(rows, c.Reshuffle.Cols)
+	for r := 0; r < rows; r++ {
+		if src := r % c.Meta.BPad; src < c.Reshuffle.Rows {
+			for col := 0; col < c.Reshuffle.Cols; col++ {
+				out.Set(r, col, c.Reshuffle.At(src, col))
+			}
+		}
+	}
+	return out
+}
+
+// stageLevels stages the level stage's operands over h lanes × G groups:
+// lane i of every block of slot group j holds level (j·h + i)·m + o in
+// stacked operand o, m = ⌈D/(h·G)⌉, as the affine map b ↦ M'·b + mask with
+// M' = diag(1 − 2·mask)·L (entries 0, 1, t − 1) — (L·b) ⊕ mask without a
+// product (DESIGN.md §13.5). A lane past the last level holds the zero
+// matrix and the constant 1, the identity of the accumulate product. The
+// positions are fixed, so one staging per group count serves every plane
+// packing and batch fill.
+func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, level int) (*levelStaging, error) {
+	if groups < 1 || b.Slots()/groups < c.Meta.BatchBlock() {
+		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d lane groups of %d slots cannot hold a %d-slot block", groups, b.Slots()/max(groups, 1), c.Meta.BatchBlock())}
+	}
+	t := b.PlainModulus()
+	rows, laneWidth := c.Meta.NumLeaves, c.Meta.BatchBlock()/lanes
+	perGroup := b.Slots() / groups / laneWidth
+	ops := (len(c.Levels) + lanes*groups - 1) / (lanes * groups)
+	identity, ones := matrix.NewBool(rows, c.Levels[0].Cols), make([]uint64, rows)
+	for i := range ones {
+		ones[i] = 1
+	}
+	signs := make([][]uint64, len(c.Masks))
+	for l, mask := range c.Masks {
+		signs[l] = make([]uint64, rows)
+		for r, bit := range mask {
+			signs[l][r] = (1 + 2*(t-bit%t)) % t
+		}
+	}
+	baby, giant := c.Meta.kernelSplit(c.Meta.BPad)
+	st := &levelStaging{lanes: lanes, groups: groups}
+	n := b.Slots() / laneWidth
+	for o := 0; o < ops; o++ {
+		mats, coefs, mask := make([]*matrix.Bool, n), make([][]uint64, n), make([]uint64, b.Slots())
+		for k := range mats {
+			mats[k] = identity
+			laneMask := ones
+			if l := (k/perGroup*lanes+k%lanes)*ops + o; l < len(c.Levels) {
+				mats[k], coefs[k], laneMask = c.Levels[l], signs[l], c.Masks[l]
+			}
+			copy(mask[k*laneWidth:], laneMask)
+		}
+		d, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, coefs, c.Meta.BPad, baby, giant, laneWidth, encrypt, level)
+		if err != nil {
+			return nil, err
+		}
+		st.mats = append(st.mats, d)
+		op, err := makeOperand(b, mask, encrypt, level)
+		if err != nil {
+			return nil, err
+		}
+		st.masks = append(st.masks, op)
+	}
+	return st, nil
 }
 
 // levelStacking is the lane geometry (Meta.LevelLanes) of c's level
@@ -276,7 +365,7 @@ func newProgram(b he.Backend, in progInputs) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.bind(b, in.threshVals, in.maskVals); err != nil {
+	if err := p.bind(b, in.threshVals); err != nil {
 		return nil, fmt.Errorf("core: binding op program constants: %w", err)
 	}
 	return p, nil
@@ -403,10 +492,11 @@ type Trace struct {
 	// PlanesPerCiphertext is the plane packing g of the query the pass
 	// ran, and QueryCiphertexts the ⌈p/g⌉ operands it carried.
 	PlanesPerCiphertext, QueryCiphertexts int
-	// LevelLanes is the lane count h of the model's level stage and
-	// LevelOperands the ⌈D/h⌉ stacked level operands the pass multiplied
-	// the branch vector with (Meta.LevelLanes).
-	LevelLanes, LevelOperands int
+	// LevelLanes and LevelGroups are the h lanes × G groups of the level
+	// staging the pass ran on and LevelOperands the ⌈D/(h·G)⌉ stacked level
+	// operands it multiplied the branch vector with (Meta.LevelLayout of
+	// the query's plane packing).
+	LevelLanes, LevelGroups, LevelOperands int
 	// The Busy fields are each stage's op run time summed over those
 	// workers: busy ÷ (stage time × Workers) is how much of the cores the
 	// stage's dependencies let the scheduler use.
@@ -544,7 +634,7 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 		Executor: "program", Workers: workers, PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits),
 		Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1},
 	}
-	trace.LevelLanes, trace.LevelOperands = m.Meta.LevelLanes()
+	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)
 	start := time.Now()
 	// The stage op counts in the trace come from a per-call counting
 	// wrapper, not deltas of the shared backend counter: under the
@@ -561,6 +651,7 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 		b:           b,
 		m:           m,
 		thresholds:  pk.thresholds,
+		levels:      pk.levels,
 		q:           q,
 		p:           p,
 		workers:     workers,

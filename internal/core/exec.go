@@ -39,7 +39,8 @@ type pass struct {
 	*passScratch
 	b          *he.CountingBackend
 	m          *ModelOperands
-	thresholds []he.Operand // of the query's plane packing
+	thresholds []he.Operand  // of the query's plane packing
+	levels     *levelStaging // of its level layout
 	q          *Query
 	p          *Program
 
@@ -263,7 +264,7 @@ func (ps *pass) runOp(i int) (err error) {
 	case opThresh:
 		R[op.Dst] = ps.thresholds[op.Imm]
 	case opMask:
-		R[op.Dst] = ps.m.Masks[op.Imm]
+		R[op.Dst] = ps.levels.masks[op.Imm]
 	case opConst:
 		R[op.Dst] = ps.p.bound[op.Imm]
 	case opAdd:
@@ -277,7 +278,7 @@ func (ps *pass) runOp(i int) (err error) {
 	case opMulDiag:
 		d := ps.m.Reshuffle
 		if op.Imm >= 0 {
-			d = ps.m.Levels[op.Imm]
+			d = ps.levels.mats[op.Imm]
 		}
 		R[op.Dst], err = he.MulLazy(b, d.Ops[op.Imm2], R[op.A])
 	case opRelin:

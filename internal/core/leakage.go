@@ -98,10 +98,10 @@ func Revealed(s Scenario, p Party) Leakage {
 // ServerView is what the evaluator can read off an encrypted model
 // without any key material: the shapes of the ciphertext collections.
 // Matrices are sent as one ciphertext per (padded) diagonal, so the
-// padded widths leak; level matrices and masks are stored as ⌈D/h⌉
-// stacked sets of h lanes each, so the depth leaks up to the identity
-// lanes that pad the last set, which the server cannot tell from real
-// ones (§7.1).
+// padded widths leak; level matrices and masks are stored as ⌈D/(h·G)⌉
+// stacked sets of h lanes × G groups each, so the depth leaks up to the
+// identity lanes that pad the last set, which the server cannot tell from
+// real ones (§7.1).
 type ServerView struct {
 	QPad int // columns of the reshuffling matrix
 	BPad int // columns of each level matrix
@@ -111,13 +111,20 @@ type ServerView struct {
 
 // InferServerView derives the view from artifact shapes only — the
 // executable demonstration that Table 3's "revealed to S" column is
-// real. It never touches plaintext or keys.
+// real. It never touches plaintext or keys. The level lanes are those of
+// the staging a query runs on, h·G·m; a model with lane groups is staged
+// twice (Meta.LevelLayout) and the server holds both, so it reads the
+// tighter of the two bounds.
 func InferServerView(m *ModelOperands) ServerView {
 	lanes, _ := m.Meta.LevelLanes()
+	d := len(m.Levels) * lanes
+	if lv := m.grouped; lv != nil {
+		d = min(d, len(lv.mats)*lv.lanes*lv.groups)
+	}
 	return ServerView{
 		QPad: m.Reshuffle.Period,
 		BPad: periodOfLevels(m),
-		D:    len(m.Levels) * lanes,
+		D:    d,
 		P:    len(m.Thresholds),
 	}
 }

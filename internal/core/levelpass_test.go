@@ -15,8 +15,14 @@ import (
 
 // TestPrepareRejectsInfeasiblePlan: a plan one level lower than the
 // planner's — at the compare entry, at the final level, or at any one
-// Sklansky round — fails Prepare with the typed error, in both
-// scenarios, instead of building a program that decrypts to garbage.
+// Sklansky round — is refused, in both scenarios: by the planner's own
+// oracle (the level pass over planStructure at every packing, which is what
+// holds the stored plan tight), and by Prepare with the typed error instead
+// of a program that decrypts to garbage. The plan is computed from Meta
+// alone, for the worst case over the models Meta describes — it is sent to
+// the client with Meta and must say nothing more about the model — so a
+// plaintext model may pass Prepare under a plan the oracle refuses, but
+// only for having staged fewer diagonals than that worst case.
 func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 	for name, ac := range alignCorpus(t) {
 		c := ac.c
@@ -24,6 +30,17 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 		for _, encModel := range []bool{true, false} {
 			if _, err := Prepare(b, c, encModel); err != nil {
 				t.Fatalf("%s enc=%v: the compiled plan: %v", name, encModel, err)
+			}
+			pl := planner{nm: planNoiseModel(c.Meta.Slots)}
+			for g := 1; g <= c.Meta.PlanesPerCiphertext(1); g <<= 1 {
+				prog, err := planStructure(&c.Meta, encModel, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pl.progs = append(pl.progs, prog)
+			}
+			if _, fail := pl.run(c.Meta.LevelPlan.For(encModel)); fail != nil {
+				t.Fatalf("%s enc=%v: the oracle refuses the compiled plan: %+v", name, encModel, *fail)
 			}
 			lowered := map[string]func(st *StageLevels){
 				"compare": func(st *StageLevels) { st.Compare-- },
@@ -40,14 +57,31 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				}
 				st.CompareRounds = append([]int(nil), st.CompareRounds...)
 				lower(st)
-				_, err := PrepareWithPlan(b, c, encModel, &plan)
+				if _, fail := pl.run(*st); fail == nil {
+					t.Errorf("%s enc=%v, %s lowered by one: the planner's oracle still passes — the stored plan is not minimal", name, encModel, what)
+				}
+				m, err := PrepareWithPlan(b, c, encModel, &plan)
 				var infeasible *PlanInfeasibleError
-				if !errors.As(err, &infeasible) {
+				if errors.As(err, &infeasible) {
+					continue
+				}
+				if err != nil || encModel || diagProducts(m.Program) >= diagProducts(pl.progs[0]) {
 					t.Errorf("%s enc=%v, %s lowered by one: Prepare error %v, want *PlanInfeasibleError", name, encModel, what, err)
 				}
 			}
 		}
 	}
+}
+
+// diagProducts counts the diagonal products of a program's mat-vecs.
+func diagProducts(p *Program) int {
+	n := 0
+	for _, op := range p.ops {
+		if op.Code == opMulDiag {
+			n++
+		}
+	}
+	return n
 }
 
 // randomPlanCase draws one forest and its compile options: precision
@@ -82,7 +116,8 @@ func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Opt
 }
 
 // checkLevelledProgram asserts what the level pass promises of a program
-// built under st for a model of the given level lanes: its schedule is
+// built under st over the given level lanes (lanes of a block × lane
+// groups): its schedule is
 // what its ops imply, no binary op reads ciphertext registers at different
 // levels (the static form of OpCounts.Aligns == 0), no register is dropped
 // to the same level twice, every ciphertext trace register sits exactly at
@@ -142,11 +177,11 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 	if testing.Short() {
 		cases = 16
 	}
-	laned := map[int]int{} // models seen per lane count
+	laned, grouped := map[int]int{}, map[int]int{} // models seen per lane count and per group count
 	defer func() {
-		t.Logf("models per lane count: %v", laned)
-		if len(laned) < 3 {
-			t.Errorf("the generated shapes cover the lane counts %v only", laned)
+		t.Logf("models per lane count: %v, per group count: %v", laned, grouped)
+		if len(laned) < 3 || len(grouped) < 3 {
+			t.Errorf("the generated shapes cover the lane counts %v and the group counts %v only", laned, grouped)
 		}
 	}()
 	for i := 0; i < cases; i++ {
@@ -169,6 +204,7 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 				b := heclear.New(c.Meta.Slots, 65537)
 				lanes, _ := c.Meta.LevelLanes()
 				laned[lanes]++
+				grouped[c.Meta.LevelGroups()]++
 				for _, encModel := range []bool{true, false} {
 					st := plan.For(encModel)
 					chain := append(append([]int{st.Compare}, st.CompareRounds...), st.Reshuffle, st.Level, st.Accumulate, st.Final, minFinalLevel)
@@ -181,12 +217,19 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("enc=%v: %v", encModel, err)
 					}
-					// Every plane packing; one program serves both query
-					// kinds unless their levels differ.
-					for _, pk := range m.packings {
-						checkLevelledProgram(t, pk.program, st, lanes)
+					// Every plane packing, on the level staging of its layout
+					// — the lanes of a block below Meta.LevelGroups, of every
+					// group from there up; one program serves both query kinds
+					// unless their levels differ.
+					for i, pk := range m.packings {
+						h, groups, ops := c.Meta.LevelLayout(1 << i)
+						if lv := pk.levels; lv.lanes != h || lv.groups != groups || len(lv.mats) != ops || len(lv.masks) != ops {
+							t.Errorf("enc=%v: packing %d runs on %d operands (%d masks) of %d lanes × %d groups, its layout is %d of %d × %d",
+								encModel, 1<<i, len(lv.mats), len(lv.masks), lv.lanes, lv.groups, ops, h, groups)
+						}
+						checkLevelledProgram(t, pk.program, st, h*groups)
 						if pk.plainQueryProgram != pk.program {
-							checkLevelledProgram(t, pk.plainQueryProgram, st, lanes)
+							checkLevelledProgram(t, pk.plainQueryProgram, st, h*groups)
 						}
 					}
 				}

@@ -365,7 +365,9 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (lev
 		case opThresh:
 			e = nm.fresh(at.Compare)
 		case opMask:
-			e = nm.fresh(at.Level)
+			if p.encModel {
+				e = nm.fresh(at.Level)
+			}
 		case opAdd, opSub, opMul, opMulLazy:
 			if a, b := out.est[op.A], out.est[op.B]; a.cipher && b.cipher && a.level != b.level {
 				hi, level := &op.A, b.level
@@ -460,11 +462,12 @@ func planStructure(m *Meta, encModel bool, g int) (*Program, error) {
 		planes:    m.QueryCiphertexts(g),
 		reshuffle: shape(m.QPad),
 	}
-	in.lanes, in.masks = m.LevelLanes()
-	for l := 0; l < in.masks; l++ {
+	var operands int
+	in.lanes, in.groups, operands = m.LevelLayout(g)
+	for l := 0; l < operands; l++ {
 		in.levels = append(in.levels, shape(m.BPad))
-		in.maskVals = append(in.maskVals, []uint64{1})
 	}
+	in.maskZero = make([]bool, operands)
 	return buildStructure(in)
 }
 
@@ -497,9 +500,10 @@ func (s *sim) matVec(v est, baby, giant int) est {
 // the BSGS split of the padded leaf period (shuffle.go always stages BSGS
 // diagonals), the rotate-and-add doublings of the single-query replicate
 // and of the batched, block-local one, and whether each kernel pays a
-// leaf-slot selector product first — the batched one when the block's
-// level lanes past the first hold residue, the single-query one then and
-// when there are other blocks.
+// leaf-slot selector product first — the batched one when level lanes or
+// lane groups past the first hold residue (priced for the batch that runs
+// over the groups; a fuller one skips the product when lanes alone leave
+// none), the single-query one then and when there are other blocks.
 type shuffleShape struct {
 	baby, giant, rep, repBatched int
 	selector, selectorBatched    bool
@@ -509,7 +513,8 @@ func shuffleShapeOf(m *Meta) shuffleShape {
 	nPad := m.LPad()
 	baby, giant := matrix.BSGSSplit(nPad)
 	lanes, _ := m.LevelLanes()
-	return shuffleShape{baby, giant, log2Ceil(m.Slots / nPad), log2Ceil(m.BatchBlock() / nPad), m.BatchCapacity() > 1 || lanes > 1, lanes > 1}
+	residue := lanes*m.LevelGroups() > 1
+	return shuffleShape{baby, giant, log2Ceil(m.Slots / nPad), log2Ceil(m.BatchBlock() / nPad), m.BatchCapacity() > 1 || residue, residue}
 }
 
 // simulateShuffle runs the result shuffle from the given input through

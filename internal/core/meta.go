@@ -180,17 +180,61 @@ func (m *Meta) LevelLanes() (lanes, operands int) {
 	return lanes, (d + lanes - 1) / lanes
 }
 
+// The group axis of the level stage. A batch that fills at most 1/G of the
+// blocks leaves whole slot groups idle once the compare rounds have folded
+// the plane groups back into block group 0, and the level lanes ride them
+// too: the slots split into G groups Slots ÷ G apart, the branch vector is
+// replicated into each, lane i of group j holds the levels of lane
+// j·h + i, and the accumulate stage finishes with log2 G more rounds
+// across the groups (DESIGN.md §13.5). G = 1 is the lanes of a block alone.
+
+// LevelGroups returns G: the lane groups that give every level a lane of
+// its own, pow2ceil(D) ÷ h, at most the plane packing of a lone query — a
+// packing below G fills more blocks than one group holds.
+func (m *Meta) LevelGroups() int {
+	lanes, _ := m.LevelLanes()
+	return max(min((1<<log2Ceil(max(m.D, 1)))/lanes, m.PlanesPerCiphertext(1)), 1)
+}
+
+// LevelLayout returns the geometry of the level stage a query of plane
+// packing g runs on: h lanes × G groups and the ⌈D/(h·G)⌉ stacked level
+// operands — LevelGroups of them from packing G up, the lanes of a block
+// alone (G = 1, LevelLanes) below. Like the plane packing it follows from
+// the batch size alone.
+func (m *Meta) LevelLayout(g int) (lanes, groups, operands int) {
+	lanes, operands = m.LevelLanes()
+	if groups = m.LevelGroups(); g < groups {
+		return lanes, 1, operands
+	}
+	d := max(m.D, 1)
+	return lanes, groups, (d + lanes*groups - 1) / (lanes * groups)
+}
+
+// branchSpan is how many slots of a block the reshuffle product itself
+// fills with BPad-periodic copies of the branch vector, the replicate
+// rotations that follow doubling it up to the block: SPad under an
+// encrypted model of a batched layout, whose reshuffle rows are staged
+// repeated (Prepare), BPad otherwise.
+func (m *Meta) branchSpan(encModel bool) int {
+	if encModel && m.BatchCapacity() > 1 {
+		return m.SPad()
+	}
+	return m.BPad
+}
+
 // RotationStepLevels returns, for the given scenario, the highest chain
 // level each Galois rotation step is rotated at under the compiled
 // level schedule — the per-step Galois-key budget that
-// hebgv.Config.RotationStepLevels consumes. The compare stage rotates
-// nothing, so every kernel step belongs to a scheduled-down back-half
-// stage: the reshuffle kernel's steps (and the block-replication powers
-// that follow it) cap at the reshuffle entry, the level kernel's at the
-// level entry, and the result-shuffle kernel's (plus its replication
-// powers) at the shuffle entry. Positive power-of-two steps are omitted:
-// they double as the composed-rotation ladder, which must serve any
-// level (second registered models, reactive callers). Steps assigned a
+// hebgv.Config.RotationStepLevels consumes. Every kernel step belongs to a
+// scheduled-down back-half stage: the reshuffle kernel's steps (and the
+// block-replication powers that follow it) cap at the reshuffle entry, the
+// level kernel's at the level entry, and the result-shuffle kernel's (plus
+// its replication powers) at the shuffle entry. Positive power-of-two
+// steps are omitted: they double as the composed-rotation ladder, which
+// must serve any level (second registered models, reactive callers) — and
+// are the only steps the compare stage's plane rounds, the accumulate
+// stage's lane rounds and the group replication rotate by, at the top of
+// the chain included. Steps assigned a
 // level here are still safe for such callers — the evaluator falls back
 // to the ladder when a rotation arrives above a key's level. Nil when
 // the model carries no plan.

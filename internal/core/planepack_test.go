@@ -92,52 +92,81 @@ func TestLoneQueryOpBudget(t *testing.T) {
 	}
 }
 
-// TestLevelOpBudget pins the deterministic bill of the level lanes:
-// prec16 under Offload stacks its five level matrices into three operands
-// of two lanes, so the levels stage is three mat-vecs over the one hoist —
-// 48 lazy tensor products, 12 relinearizations, 9 giant rotations, 3 mask
-// products — where one matrix per operand paid 80, 20, 15 and 5, and the
-// accumulate stage finishes with one rotation at the depth of a product
-// tree over five. A one-lane model (wide8) keeps one mat-vec per level and
-// a rotation-free accumulate stage.
+// TestLevelOpBudget pins the deterministic bill of the level layouts.
+// prec16 under Offload stacks its five levels into three operands of two
+// lanes for the packings that fill more than a quarter of the blocks —
+// three mat-vecs over the one hoist: 48 lazy tensor products, 12
+// relinearizations, 9 giant rotations and, the masks being folded into the
+// signed matrices, no mask product and depth 1 — and from packing 4 up
+// into one operand of 2 lanes × 4 groups: one mat-vec, 16 / 4 / 3, two
+// more rotations in the reshuffle stage to fill the groups and two more
+// rounds in accumulate to fold them, at the depth of a product tree over
+// five either way. A one-lane model (wide8) keeps one mat-vec per level and
+// a rotation-free accumulate stage below its four groups, and runs two
+// mat-vecs over them.
 func TestLevelOpBudget(t *testing.T) {
+	type layoutBill struct {
+		lanes, groups, ops int
+		levels, accum      StageBill // Work aside
+	}
 	for _, tc := range []struct {
-		name          string
-		f             *model.Forest
-		lanes, ops    int
-		levels, accum StageBill // Work aside
+		name           string
+		f              *model.Forest
+		block, grouped layoutBill
+		// selectors counts the plaintext products that zero the lone
+		// query's decisions outside block group 0: one on the result when it
+		// is a single operand, one on each factor of the last round's GT
+		// when it is several.
+		selectors int64
 	}{
-		{"prec16", microForest(t, "prec16"), 2, 3,
-			StageBill{Products: 51, Lazy: 48, Relins: 12, Rotations: 12, Hoisted: 3, KeySwitches: 27, Depth: 2},
-			StageBill{Products: 3, Rotations: 1, KeySwitches: 4, Depth: 3}},
-		{"wide8", wide8Forest(t), 1, 5,
-			StageBill{Products: 5*128 + 5, Lazy: 5 * 128, Relins: 5 * 8, Rotations: 5*7 + 15, Hoisted: 15, KeySwitches: 5 + 5*8 + 5*7 + 15, Depth: 2},
-			StageBill{Products: 4, KeySwitches: 4, Depth: 3}},
+		{"prec16", microForest(t, "prec16"),
+			layoutBill{2, 1, 3,
+				StageBill{Products: 48, Lazy: 48, Relins: 12, Rotations: 12, Hoisted: 3, KeySwitches: 24, Depth: 1},
+				StageBill{Products: 3, Rotations: 1, KeySwitches: 4, Depth: 3}},
+			layoutBill{2, 4, 1,
+				StageBill{Products: 16, Lazy: 16, Relins: 4, Rotations: 6, Hoisted: 3, KeySwitches: 10, Depth: 1},
+				StageBill{Products: 3, Rotations: 3, KeySwitches: 6, Depth: 3}}, 1},
+		{"wide8", wide8Forest(t),
+			layoutBill{1, 1, 5,
+				StageBill{Products: 5 * 128, Lazy: 5 * 128, Relins: 5 * 8, Rotations: 5*7 + 15, Hoisted: 15, KeySwitches: 5*8 + 5*7 + 15, Depth: 1},
+				StageBill{Products: 4, KeySwitches: 4, Depth: 3}},
+			layoutBill{1, 4, 2,
+				StageBill{Products: 2 * 128, Lazy: 2 * 128, Relins: 2 * 8, Rotations: 2*7 + 15, Hoisted: 15, KeySwitches: 2*8 + 2*7 + 15, Depth: 1},
+				StageBill{Products: 3, Rotations: 2, KeySwitches: 5, Depth: 3}}, 2},
 	} {
 		c, err := Compile(tc.f, Options{Slots: 1024})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if lanes, ops := c.Meta.LevelLanes(); lanes != tc.lanes || ops != tc.ops {
-			t.Fatalf("%s: %d stacked operands of %d lanes, want %d of %d", tc.name, ops, lanes, tc.ops, tc.lanes)
 		}
 		b := heclear.New(1024, 65537)
 		m, err := Prepare(b, c, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(m.Levels) != tc.ops || len(m.Masks) != tc.ops {
-			t.Errorf("%s: staged %d level operands and %d masks, want %d of each", tc.name, len(m.Levels), len(m.Masks), tc.ops)
+		if len(m.Levels) != tc.block.ops || len(m.Masks) != tc.block.ops || m.grouped == nil || len(m.grouped.mats) != tc.grouped.ops {
+			t.Errorf("%s: staged %d level operands and %d masks, want %d of each and %d over the groups", tc.name, len(m.Levels), len(m.Masks), tc.block.ops, tc.grouped.ops)
 		}
-		// One staging serves every plane packing: the bill does not depend
-		// on the query's layout.
+		// Two stagings serve every plane packing: the bill depends on the
+		// query's layout only through which of them it runs on.
+		reshuffleRots := map[int]int{}
 		for _, g := range m.PlanePackings() {
+			want := tc.block
+			if g >= tc.grouped.groups {
+				want = tc.grouped
+			}
+			if lanes, groups, ops := c.Meta.LevelLayout(g); lanes != want.lanes || groups != want.groups || ops != want.ops {
+				t.Fatalf("%s at %d planes per ciphertext: %d stacked operands of %d lanes × %d groups, want %d of %d × %d", tc.name, g, ops, lanes, groups, want.ops, want.lanes, want.groups)
+			}
 			bills := m.ProgramFor(g).StageBills()
 			levels, accum := bills[stLevels], bills[stAccumulate]
 			levels.Work, accum.Work = 0, 0
-			if levels != tc.levels || accum != tc.accum {
-				t.Errorf("%s at %d planes per ciphertext: levels %+v, accumulate %+v; want %+v and %+v", tc.name, g, levels, accum, tc.levels, tc.accum)
+			if levels != want.levels || accum != want.accum {
+				t.Errorf("%s at %d planes per ciphertext: levels %+v, accumulate %+v; want %+v and %+v", tc.name, g, levels, accum, want.levels, want.accum)
 			}
+			reshuffleRots[want.groups] = bills[stReshuffle].Rotations
+		}
+		if grouped, block := reshuffleRots[tc.grouped.groups], reshuffleRots[1]; grouped-block != log2Ceil(tc.grouped.groups) {
+			t.Errorf("%s: the reshuffle stage rotates %d times over %d groups and %d times over one", tc.name, grouped, tc.grouped.groups, block)
 		}
 		q, err := PrepareQuery(b, &m.Meta, make([]uint64, tc.f.NumFeatures), true)
 		if err != nil {
@@ -151,14 +180,17 @@ func TestLevelOpBudget(t *testing.T) {
 			what string
 			ops  he.OpCounts
 			bill StageBill
-		}{{"levels", trace.LevelOps, tc.levels}, {"accumulate", trace.AccumulateOps, tc.accum}} {
+		}{{"levels", trace.LevelOps, tc.grouped.levels}, {"accumulate", trace.AccumulateOps, tc.grouped.accum}} {
 			// The exact backend has nothing to relinearize and counts none.
 			if ops := st.ops; ops.Mul != int64(st.bill.Products) || ops.Rotate != int64(st.bill.Rotations) || ops.RotateHoisted != int64(st.bill.Hoisted) {
 				t.Errorf("%s %s stage ran %v, the bill is %+v", tc.name, st.what, ops, st.bill)
 			}
 		}
-		if trace.LevelLanes != tc.lanes || trace.LevelOperands != tc.ops {
-			t.Errorf("%s: trace reports %d level operands of %d lanes", tc.name, trace.LevelOperands, trace.LevelLanes)
+		if trace.CompareOps.ConstMul != tc.selectors {
+			t.Errorf("%s: a lone query's compare stage ran %d plaintext products, want %d group selectors", tc.name, trace.CompareOps.ConstMul, tc.selectors)
+		}
+		if want := tc.grouped; trace.LevelLanes != want.lanes || trace.LevelGroups != want.groups || trace.LevelOperands != want.ops {
+			t.Errorf("%s: trace reports %d level operands of %d lanes × %d groups", tc.name, trace.LevelOperands, trace.LevelLanes, trace.LevelGroups)
 		}
 	}
 }

@@ -33,9 +33,15 @@ import (
 //     query's operands and, when its layout packs several bit planes
 //     into one (Meta.PlanesPerCiphertext), across the block groups of the
 //     result by rotate-and-multiply rounds (DESIGN.md §13.4);
-//   - the level matrices ride the lanes of a block (Meta.LevelLanes): one
-//     mat-vec evaluates a level in every lane, and the accumulate product
-//     finishes across the lanes by the same kind of rounds (§13.5);
+//   - the level matrices ride the lanes of a block (Meta.LevelLanes) and,
+//     when the batch leaves them idle, of several slot groups
+//     (Meta.LevelLayout): one mat-vec evaluates a level in every lane, and
+//     the accumulate product finishes across the lanes and the groups by
+//     the same kind of rounds (§13.5);
+//   - a level's mask XOR is affine in the branch vector, (L·b) ⊕ m =
+//     diag(1 − 2·m)·L·b + m, so Prepare stages the signed matrix and the
+//     level step is a mat-vec and an addition: no mask product, in any
+//     scenario;
 //   - the inclusive prefix product of the last operand is never read by
 //     the gt sum, so at one plane per operand its Sklansky chain (and the
 //     last plane's eq chain) is dead code;
@@ -46,7 +52,7 @@ import (
 //     encoded once at bind time instead of per call;
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
 //     affine pair, gt_j into one plaintext multiplication, an all-zero
-//     level mask into the identity, and an all-zero matrix into the zero
+//     level mask into nothing, and an all-zero matrix into the zero
 //     constant.
 //
 // Every rewrite preserves the decrypted result bit-for-bit (BGV
@@ -67,7 +73,7 @@ type opCode uint8
 const (
 	opQuery   opCode = iota // R[Dst] = query bit-plane operand Imm
 	opThresh                // R[Dst] = negated model threshold operand Imm
-	opMask                  // R[Dst] = level mask Imm
+	opMask                  // R[Dst] = additive level mask Imm
 	opConst                 // R[Dst] = bound plaintext constant Imm
 	opAdd                   // R[Dst] = R[A] + R[B]
 	opSub                   // R[Dst] = R[A] − R[B]
@@ -126,8 +132,7 @@ const (
 	ckZero       constKind = iota // all-zero (an entirely skippable matrix product)
 	ckThreshCoef                  // (2·y−1) mod t over threshold plane Index (eq fold)
 	ckThreshNot                   // (1−y) mod t over threshold plane Index (eq offset and gt factor)
-	ckMaskCoef                    // (1−2·m) mod t over padded mask Index
-	ckMaskAdd                     // m mod t over padded mask Index
+	ckGroupMask                   // 1 over block group 0 of plane packing Index, 0 elsewhere
 )
 
 type constSpec struct {
@@ -176,15 +181,17 @@ type progInputs struct {
 	// packing is the plane packing g the program is for, and planes the
 	// ⌈p/g⌉ query and threshold operands it reads.
 	packing, planes int
-	// lanes is the level stage's lane count h (Meta.LevelLanes); levels and
-	// masks are the ⌈D/h⌉ stacked level operands.
-	lanes, masks int
-	reshuffle    diagShape
-	levels       []diagShape
-	// Plaintext model components (nil when encrypted): the replicated
-	// negated threshold planes and block-padded masks, exactly as staged.
+	// lanes and groups are the level stage's h lanes × G slot groups
+	// (Meta.LevelLayout of the packing); levels are the ⌈D/(h·G)⌉ stacked
+	// level operands, and maskZero marks those whose additive mask is a
+	// plaintext zero.
+	lanes, groups int
+	reshuffle     diagShape
+	levels        []diagShape
+	maskZero      []bool
+	// threshVals are the replicated negated threshold planes of a plaintext
+	// model, exactly as staged (nil when encrypted).
 	threshVals [][]uint64
-	maskVals   [][]uint64
 }
 
 // diagShape is the structural skeleton of a staged diagonal matrix: the
@@ -272,8 +279,8 @@ func buildStructure(in progInputs) (*Program, error) {
 		return nil, &UnsupportedModelError{Reason: "no threshold bit planes"}
 	case len(in.levels) == 0:
 		return nil, &UnsupportedModelError{Reason: "no level matrices"}
-	case in.masks != len(in.levels):
-		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d level masks for %d level matrices", in.masks, len(in.levels))}
+	case len(in.maskZero) != len(in.levels):
+		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d level masks for %d level matrices", len(in.maskZero), len(in.levels))}
 	}
 	// One set of baby rotations of the branch vector feeds every level
 	// product, so the level matrices must agree on the split (they are
@@ -375,25 +382,59 @@ func buildStructure(in progInputs) (*Program, error) {
 	// Block group 0 — the queries' own blocks — ends holding the whole
 	// comparison; the other groups wrap around and hold garbage the block-
 	// local stages that follow never mix in. The last round's EQ is dead.
+	//
+	// The lane groups of the level stage are filled from block group 0 by
+	// rotate-and-add (below), so under a grouped layout the garbage has to
+	// be zero instead: the decisions are multiplied by the plaintext 0/1
+	// selector of block group 0. A plaintext product costs ~24 bits of
+	// noise and no level, so each one sits directly ahead of a level move
+	// the schedule makes anyway, which rounds it away (DESIGN.md §13.5):
+	// with one operand GT and EQ descend together and the result reaches
+	// the stage boundary a level above the deeper packings, so the selector
+	// multiplies the result ahead of the boundary drop; with several, EQ
+	// runs a level ahead of GT — it skips the gt sum — so in the last round
+	// GT' = sel·GT + (sel·EQ)·rot(GT) each factor is aligned down after
+	// its selector product.
 	if in.packing > 1 {
+		sel := func(r int) int { return r }
+		if in.groups > 1 {
+			mask := bl.constReg(constSpec{Kind: ckGroupMask, Index: in.packing})
+			sel = func(r int) int { return bl.emit(opMul, r, mask, 0, 0) }
+		}
 		pair := []int{decisions, incl[nPlanes-1]} // GT, EQ
 		for step := in.meta.Slots / in.packing; step < in.meta.Slots; step <<= 1 {
+			gt, eq := pair[0], pair[1]
+			if nPlanes > 1 && step == in.meta.Slots/2 {
+				gt, eq = sel(gt), sel(eq)
+			}
 			below := bl.emit(opRot, pair[0], 0, step, 0)
-			above := bl.emit(opAdd, pair[0], bl.emit(opMul, pair[1], below, 0, 0), 0, 0)
+			above := bl.emit(opAdd, gt, bl.emit(opMul, eq, below, 0, 0), 0, 0)
 			pair[0], pair[1] = above, bl.emit(opMul, pair[1], bl.emit(opRot, pair[1], 0, step, 0), 0, 0)
 			dropRound(pair)
 		}
-		decisions = pair[0]
+		if decisions = pair[0]; nPlanes == 1 {
+			decisions = sel(decisions)
+		}
 	}
 	decisions = bl.drop(decisions, atReshuffle)
 	p.regDecisions = decisions
 
 	// ---- Stage 2: reshuffle -----------------------------------------
+	// The product, block-local and so zero wherever the decisions are; the
+	// doublings that fill the block with BPad-periodic copies of the branch
+	// vector (one, by −SPad, where the rows were staged repeated); and the
+	// doublings that copy slot group 0 into the other G − 1: steps Slots/2,
+	// Slots/4, …, positive powers of two and so ladder keys, exact because
+	// the rest of the ciphertext is zero.
 	bl.stage = stReshuffle
 	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle))
 	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, -1, skipZero), zero)
-	for pw := in.meta.BPad; pw < in.meta.BatchBlock(); pw <<= 1 {
+	for pw := in.meta.branchSpan(in.encrypted); pw < in.meta.BatchBlock(); pw <<= 1 {
 		rot := bl.emit(opRot, branch, 0, -pw, 0)
+		branch = bl.emit(opAdd, branch, rot, 0, 0)
+	}
+	for step := in.meta.Slots / 2; step >= in.meta.Slots/in.groups; step >>= 1 {
+		rot := bl.emit(opRot, branch, 0, step, 0)
 		branch = bl.emit(opAdd, branch, rot, 0, 0)
 	}
 	branch = bl.drop(branch, atLevel)
@@ -402,37 +443,30 @@ func buildStructure(in progInputs) (*Program, error) {
 	// ---- Stage 3: levels --------------------------------------------
 	// One shared set of baby rotations feeds every level product; under
 	// skipZero only the union of steps some level actually reads is
-	// computed.
+	// computed. A stacked operand is an affine map of the branch vector —
+	// the signed matrices of its lanes, then their masks added — so a lane
+	// holds (L_l·b) ⊕ mask_l at the depth of the mat-vec alone.
 	bl.stage = stLevels
 	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...))
 	lvlRes := make([]int, len(in.levels))
 	for l, sh := range in.levels {
 		lvl := bl.mergeGroups(bl.matVecGroups(sh, rots, l, skipZero), zero)
-		if in.encrypted {
-			mask := bl.emit(opMask, 0, 0, l, 0)
-			prod := bl.emit(opMul, lvl, mask, 0, 0)
-			sum := bl.emit(opAdd, lvl, mask, 0, 0)
-			twice := bl.emit(opAdd, prod, prod, 0, 0)
-			lvl = bl.emit(opSub, sum, twice, 0, 0)
-		} else if slices.ContainsFunc(in.maskVals[l], func(v uint64) bool { return v != 0 }) {
-			coef := bl.constReg(constSpec{Kind: ckMaskCoef, Index: l})
-			add := bl.constReg(constSpec{Kind: ckMaskAdd, Index: l})
-			scaled := bl.emit(opMul, lvl, coef, 0, 0)
-			lvl = bl.emit(opAdd, scaled, add, 0, 0)
+		if !in.maskZero[l] {
+			lvl = bl.emit(opAdd, lvl, bl.emit(opMask, 0, 0, l, 0), 0, 0)
 		}
-		// An all-zero plaintext mask XORs to the identity: alias.
 		lvlRes[l] = bl.drop(lvl, atAccumulate)
 	}
 	p.regLevelResult = lvlRes[0]
 
 	// ---- Stage 4: accumulate ----------------------------------------
 	// The product tree over the stacked level results, then — each holding
-	// one level per lane — log2 h rounds in which lane i takes in lane
-	// i + 2^r through a rotation by a positive power of two (a ladder key,
-	// like the compare stage's). Lane 0 of every block, where decode reads,
-	// ends holding the product of all levels at the depth of a tree over
-	// them (⌈log2 ⌈D/h⌉⌉ + log2 h = ⌈log2 D⌉); the other lanes hold 0/1
-	// residue (DESIGN.md §13.5).
+	// one level per lane — log2 h rounds in which lane i of a block takes in
+	// lane i + 2^r and log2 G in which slot group j takes in group j + 2^r,
+	// each through a rotation by a positive power of two (a ladder key,
+	// like the compare stage's). Lane 0 of every block of group 0, where
+	// decode reads, ends holding the product of all levels at the depth of
+	// a tree over them (⌈log2 ⌈D/(h·G)⌉⌉ + log2 h + log2 G = ⌈log2 D⌉); the
+	// other lanes and groups hold 0/1 residue (DESIGN.md §13.5).
 	bl.stage = stAccumulate
 	ops := lvlRes
 	for len(ops) > 1 {
@@ -447,9 +481,13 @@ func buildStructure(in progInputs) (*Program, error) {
 		ops = next
 	}
 	acc := ops[0]
-	for step := in.meta.BatchBlock() / in.lanes; step < in.meta.BatchBlock(); step <<= 1 {
-		acc = bl.emit(opMul, acc, bl.emit(opRot, acc, 0, step, 0), 0, 0)
+	fold := func(from, to int) {
+		for step := from; step < to; step <<= 1 {
+			acc = bl.emit(opMul, acc, bl.emit(opRot, acc, 0, step, 0), 0, 0)
+		}
 	}
+	fold(in.meta.BatchBlock()/in.lanes, in.meta.BatchBlock())
+	fold(in.meta.Slots/in.groups, in.meta.Slots)
 	p.result = bl.drop(acc, atFinal)
 	p.eliminateDeadOps()
 	return p, nil
@@ -582,11 +620,11 @@ func (p *Program) width(op progOp) int {
 }
 
 // bind stages the program's plaintext constants on the backend —
-// encoded once here instead of on every Classify call. threshVals and
-// maskVals are the plaintext model components the program was built
-// from (progInputs: the negated threshold planes and the masks; nil for
-// an encrypted model, whose program has no constants derived from them).
-func (p *Program) bind(b he.Backend, threshVals, maskVals [][]uint64) error {
+// encoded once here instead of on every Classify call. threshVals are the
+// negated threshold planes of the plaintext model the program was built
+// from (progInputs; nil for an encrypted model, whose program has no
+// constants derived from them).
+func (p *Program) bind(b he.Backend, threshVals [][]uint64) error {
 	t := b.PlainModulus()
 	p.bound = make([]he.Operand, len(p.consts))
 	for i, spec := range p.consts {
@@ -599,13 +637,9 @@ func (p *Program) bind(b he.Backend, threshVals, maskVals [][]uint64) error {
 			}
 		case ckThreshNot:
 			copy(vals, threshVals[spec.Index])
-		case ckMaskCoef:
-			for j, m := range maskVals[spec.Index] {
-				vals[j] = (1 + t - (2*m)%t) % t
-			}
-		case ckMaskAdd:
-			for j, m := range maskVals[spec.Index] {
-				vals[j] = m % t
+		case ckGroupMask:
+			for j := range vals[:len(vals)/spec.Index] {
+				vals[j] = 1
 			}
 		}
 		op, err := he.NewPlain(b, vals)

@@ -62,7 +62,11 @@ func dumpStages(p *Program) [stDone]string {
 // programs of the Table 6 models — encrypted and plaintext model, and the
 // plaintext-query variant of the former — stage by stage: a full batch
 // must keep running the circuit the benchmark history was taken on, and a
-// change that means to move one stage shows that it moved no other.
+// change that means to move one stage shows that it moved no other. The
+// lone query's program of every model with lane groups (DESIGN.md §13.5)
+// is pinned beside them, under its packing (g16 for prec16), so the
+// grouped structure — selector, group fill, one stacked mat-vec, the
+// rounds across the groups — cannot move unseen either.
 // testdata/programs_g1.golden holds one digest of dumpStages per program
 // and stage; to see what moved, dump the stage at the parent commit and
 // here and diff the two.
@@ -78,9 +82,19 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for st, dump := range dumpStages(m.programFor(1, !cfg.encQuery)) {
-				fmt.Fprintf(&sb, "%s/%s/%s: %d ops sha256 %x\n", mb.Name, cfg.name, stageDigestNames[st],
-					strings.Count(dump, "\n")-1, sha256.Sum256([]byte(dump)))
+			packings := []int{1}
+			if lone := c.Meta.PlanesPerCiphertext(1); c.Meta.LevelGroups() > 1 {
+				packings = append(packings, lone)
+			}
+			for _, g := range packings {
+				name := mb.Name + "/" + cfg.name
+				if g > 1 {
+					name += fmt.Sprintf("/g%d", g)
+				}
+				for st, dump := range dumpStages(m.programFor(g, !cfg.encQuery)) {
+					fmt.Fprintf(&sb, "%s/%s: %d ops sha256 %x\n", name, stageDigestNames[st],
+						strings.Count(dump, "\n")-1, sha256.Sum256([]byte(dump)))
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"copse/internal/he"
@@ -197,7 +198,11 @@ func TestPrepareRejectsShapelessModel(t *testing.T) {
 // for the diagonal reads of a level product (2·SPad ≥ NumLeaves + BPad), and
 // the staging does not take that on trust — in a block narrower than the
 // layout's, where row 5 of Figure 1's six would read past slot 8 through
-// diagonal 7, it refuses rather than multiply the next lane in.
+// diagonal 7, it refuses rather than multiply the next lane in. The grouped
+// geometry is held the same way: Figure 1's three levels ride four lane
+// groups of one block each, level j in group j and the identity in the
+// fourth, every lane the affine map b ↦ (L_j·b) ⊕ mask_j of its level in
+// one mat-vec and one addition; more groups than blocks are refused.
 func TestLevelStackingHoldsTheReads(t *testing.T) {
 	c := compileFigure1(t)
 	if lanes, ops, err := levelStacking(c, c.Meta.BatchBlock(), 64); err != nil || lanes != 1 || ops != 3 {
@@ -207,5 +212,56 @@ func TestLevelStackingHoldsTheReads(t *testing.T) {
 	var shape *UnsupportedModelError
 	if !errors.As(err, &shape) {
 		t.Errorf("6 rows over period 8 in an 8-slot lane: %v, want *UnsupportedModelError", err)
+	}
+
+	meta := &c.Meta
+	if lanes, groups, ops := meta.LevelLayout(meta.PlanesPerCiphertext(1)); lanes != 1 || groups != 4 || ops != 1 || meta.BatchCapacity() != 4 {
+		t.Fatalf("Figure 1's lone query runs on %d operands of %d lanes × %d groups at capacity %d, want 1 of 1 × 4 at 4", ops, lanes, groups, meta.BatchCapacity())
+	}
+	b := heclear.New(64, 65537)
+	if _, err := stageLevels(b, c, 1, 8, false, -1); !errors.As(err, &shape) {
+		t.Errorf("eight lane groups over four blocks: %v, want *UnsupportedModelError", err)
+	}
+	st, err := stageLevels(b, c, 1, 4, false, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.mats) != 1 || len(st.masks) != 1 {
+		t.Fatalf("staged %d operands and %d masks over four groups, want one of each", len(st.mats), len(st.masks))
+	}
+	branch := make([]uint64, meta.BPad)
+	for i := range branch {
+		branch[i] = uint64(i*i+1) % 2
+	}
+	v, err := he.NewPlain(b, replicatePlain(branch, meta.BPad, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := matrix.MatVecBSGS(b, st.mats[0], v, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := he.Add(b, prod, st.masks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for group := 0; group < 4; group++ {
+		want := make([]uint64, meta.NumLeaves)
+		for r := range want {
+			want[r] = 1 // the identity lane
+		}
+		if group < len(c.Levels) {
+			lb, err := c.Levels[group].MulVec(branch[:c.Levels[group].Cols])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range want {
+				want[r] = lb[r] ^ c.Masks[group][r]
+			}
+		}
+		at := group * meta.BatchBlock() // a group is one block here
+		if got := sum.Vals[at : at+meta.NumLeaves]; !slices.Equal(got, want) {
+			t.Errorf("lane group %d holds %v, its level maps the branch vector to %v", group, got, want)
+		}
 	}
 }

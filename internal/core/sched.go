@@ -209,8 +209,10 @@ func (p *Program) StageBills() [stDone]StageBill {
 		switch op.Code {
 		case opQuery:
 			c = !p.plainQuery
-		case opThresh, opMask:
-			c = true // only an encrypted model loads its thresholds and masks
+		case opThresh:
+			c = true // only an encrypted model loads its thresholds
+		case opMask:
+			c = p.encModel
 		case opAdd, opSub, opMul, opMulLazy, opMulDiag:
 			a, b := cipher[op.A], cipher[op.B]
 			d, lazy = max(depth[op.A], depth[op.B]), op.Code != opMul

@@ -307,11 +307,7 @@ func buildShard(c *Compiled, info ShardInfo, branchCol []int, rootDepths []int, 
 	}
 	meta.RotationSteps = rotationSteps(g.QPad, meta.BPad, nPad, g.Slots, meta.UseBSGS)
 
-	logp := log2Ceil(g.Precision)
-	logd := log2Ceil(max(dS, 1))
-	meta.CtDepthCipherModel = (logp + 2) + 3 + logd
-	meta.CtDepthPlainModel = (logp + 1) + logd
-	meta.RecommendedLevels = meta.CtDepthCipherModel + 5 + log2Ceil(meta.BPad)/3
+	meta.estimateDepth()
 	meta.LevelPlan = nil
 	if g.LevelPlan != nil {
 		meta.LevelPlan = computeLevelPlan(&meta, planShuffle)

@@ -122,12 +122,12 @@ func ShuffleResult(b he.Backend, meta *Meta, result he.Operand, padTo int, seed 
 	}
 	// ShuffleResult permutes one classification: under the slot-packed
 	// batch layout (capacity > 1) the blocks beyond entry 0 carry other
-	// queries' results or idle-block residue, and a block of several level
-	// lanes the residue of its lanes past the first, which a whole-
-	// ciphertext replicate would fold into the sum — so select entry 0's
-	// leaf slots first. With one block of one lane the result is already
-	// zero outside [0, NumLeaves) and the plaintext multiply (and its BGV
-	// noise) is skipped.
+	// queries' results, idle-block residue or the residue of the level
+	// stage's lane groups, and a block of several level lanes the residue
+	// of its lanes past the first, which a whole-ciphertext replicate would
+	// fold into the sum — so select entry 0's leaf slots first. With one
+	// block of one lane the result is already zero outside [0, NumLeaves)
+	// and the plaintext multiply (and its BGV noise) is skipped.
 	if sh := shuffleShapeOf(meta); sh.selector {
 		if result, err = selectLeafSlots(b, meta, result, 1); err != nil {
 			return he.Operand{}, nil, err
@@ -156,7 +156,8 @@ func ShuffleResult(b he.Backend, meta *Meta, result he.Operand, padTo int, seed 
 // exactly those blocks, in packing order, with no cross-query linkage
 // between their permutations. Idle blocks beyond the batch are permuted
 // too (their residue stays hidden the same way), but their codebooks
-// are discarded. padTo (0 means NumLeaves) may add padding slots up to
+// are discarded; when the level stage leaves residue (below) they are
+// zeroed first. padTo (0 means NumLeaves) may add padding slots up to
 // Meta.SPad per block — the widest permutation one block can absorb
 // without its diagonal reads crossing into the neighbouring query —
 // or up to the full slot count when the layout is single-block. workers
@@ -164,7 +165,8 @@ func ShuffleResult(b he.Backend, meta *Meta, result he.Operand, padTo int, seed 
 //
 // The result operand must come from the classification pipeline (each
 // block zero outside its leaf slots and, with several level lanes, the
-// lanes past its first); under a level schedule it is dropped to the
+// lanes past its first; with several lane groups, 0/1 residue in blocks
+// past the batch); under a level schedule it is dropped to the
 // shuffle's scheduled entry level first, exactly like ShuffleResult.
 func ShuffleResultBatch(b he.Backend, meta *Meta, result he.Operand, batch, padTo int, seed uint64, workers int) (he.Operand, []*ShuffledCodebook, error) {
 	n := meta.NumLeaves
@@ -205,21 +207,26 @@ func ShuffleResultBatch(b he.Backend, meta *Meta, result he.Operand, batch, padT
 		}
 	}
 	baby, giant := matrix.BSGSSplit(nPad)
-	diag, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, nPad, baby, giant, span, false, level)
+	diag, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, nil, nPad, baby, giant, span, false, level)
 	if err != nil {
 		return he.Operand{}, nil, err
 	}
 	// A block of one level lane is zero outside its leaf slots, so the
 	// block-local replication needs no selector; one of several carries
 	// the 0/1 residue of the accumulate rounds in its lanes past the first
-	// (DESIGN.md §13.5) and takes the per-block form of ShuffleResult's.
+	// (DESIGN.md §13.5) and takes the per-block form of ShuffleResult's,
+	// over the batch's own blocks. So does a batch small enough to have run
+	// over lane groups: the groups past the first leave their residue —
+	// partial products of the batch's level results — in blocks past the
+	// batch, which the selector zeroes with the lanes. A batch too large for
+	// the groups ran the ungrouped program and pays no selector for them.
 	// Every query's payload is then made nPad-periodic within its own block
 	// (log2(span/nPad) rotations for the whole batch), blocks never mix,
 	// and the block-diagonal kernel applies each block's own permutation.
 	// The permutations are server-local plaintext, so zero diagonals are
 	// skippable.
-	if sh := shuffleShapeOf(meta); sh.selectorBatched {
-		if result, err = selectLeafSlots(b, meta, result, capacity); err != nil {
+	if lanes, groups, _ := meta.LevelLayout(meta.PlanesPerCiphertext(batch)); lanes*groups > 1 {
+		if result, err = selectLeafSlots(b, meta, result, batch); err != nil {
 			return he.Operand{}, nil, err
 		}
 	}

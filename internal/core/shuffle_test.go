@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -306,6 +307,64 @@ func TestBatchedShuffleMatchesSingle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBatchedShuffleSelectorFollowsTheBatch: the batched shuffle pays the
+// leaf-slot selector for the residue the batch's own program left. wide8
+// has one level lane and four lane groups: its lone query ran over the
+// groups and pays the product, its full batch ran the ungrouped program and
+// pays none (same seed, so the same permutation diagonals either way).
+// lanes4's four lanes leave residue at every batch: both pay it, and the
+// votes would not survive the replicate without it.
+func TestBatchedShuffleSelectorFollowsTheBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		forest *model.Forest
+		extra  int64 // plaintext products of a lone query's shuffle over a full batch's
+	}{{"wide8", wide8Forest(t), 1}, {"lanes4", lanes4Forest(t), 0}} {
+		c, err := Compile(tc.forest, Options{Slots: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := heclear.New(1024, 65537)
+		m, err := Prepare(b, c, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(7, 7))
+		products := map[int]int64{}
+		for _, size := range []int{1, m.Meta.BatchCapacity()} {
+			batch := make([][]uint64, size)
+			for k := range batch {
+				batch[k] = randomFeatures(rng, tc.forest.NumFeatures, tc.forest.Precision)
+			}
+			out := classifyBatchRaw(t, &Engine{Backend: b}, m, batch)
+			counting := he.WithCounts(b)
+			shuffled, cbs, err := ShuffleResultBatch(counting, &m.Meta, out, size, 0, 11, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			products[size] = counting.Counts().ConstMul
+			slots, _ := he.Reveal(b, shuffled)
+			results, err := DecodeShuffledBatch(cbs, len(tc.forest.Labels), slots, m.Meta.BatchBlock())
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", tc.name, size, err)
+			}
+			for k, feats := range batch {
+				want := make([]int, len(tc.forest.Labels))
+				for _, lbl := range tc.forest.Classify(feats) {
+					want[lbl]++
+				}
+				if !slices.Equal(results[k].Votes, want) {
+					t.Errorf("%s batch %d query %d: votes %v, want %v", tc.name, size, k, results[k].Votes, want)
+				}
+			}
+		}
+		lone, full := products[1], products[m.Meta.BatchCapacity()]
+		if lone-full != tc.extra {
+			t.Errorf("%s: the lone query's shuffle ran %d plaintext products, the full batch's %d, want %d apart", tc.name, lone, full, tc.extra)
 		}
 	}
 }

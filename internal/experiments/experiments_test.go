@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"copse"
+	"copse/internal/he"
 )
 
 // fastCfg keeps harness tests quick: clear backend, few queries, small
@@ -74,11 +77,14 @@ func TestFig6ShapeHolds(t *testing.T) {
 	}
 }
 
-// TestFig9ShapeHolds: plaintext models must not be meaningfully slower
-// than encrypted ones. The clear backend's margin here is small (the
-// strict operation-count claim is asserted in the core package), so the
-// timing threshold tolerates scheduler noise; the geomean must still
-// favor the plaintext model.
+// TestFig9ShapeHolds: plaintext models must not be slower than encrypted
+// ones. The geomean of the figure is held on the wall clock — the
+// real-world models carry it several-fold clear of the threshold. Model by
+// model the claim is held on the op counts of one traced query instead: on
+// the clear backend every op is one pass over the slot vector, and a lone
+// query of a Table 6 model is about a hundred of them either way (its
+// levels share one mat-vec), under a millisecond and too short to time
+// while other packages' tests share the cores.
 func TestFig9ShapeHolds(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Queries = 7
@@ -87,15 +93,34 @@ func TestFig9ShapeHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRendered(t, tbl)
-	for _, row := range tbl.Rows {
-		if strings.HasPrefix(row[0], "geomean") {
-			if sp := parseSpeedup(t, row[3]); sp < 0.95 {
-				t.Errorf("geomean: plaintext models slower than encrypted (%.2fx)", sp)
+	geomean := tbl.Rows[len(tbl.Rows)-1]
+	if sp := parseSpeedup(t, geomean[3]); geomean[0] != "geomean" || sp < 0.95 {
+		t.Errorf("%s: plaintext models slower than encrypted (%.2fx)", geomean[0], sp)
+	}
+	cases, err := AllCases(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range cases {
+		var ops [2]he.OpCounts
+		for i, scenario := range []copse.Scenario{copse.ScenarioServerModel, copse.ScenarioOffload} {
+			r, err := newCopseRunner(cs, cfg, 1, scenario)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			_, traces, err := r.run(1, cfg.Seed)
+			r.close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := traces[0]
+			ops[i] = tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps)
 		}
-		if sp := parseSpeedup(t, row[3]); sp < 0.7 {
-			t.Errorf("%s: plaintext model much slower than encrypted (%.2fx)", row[0], sp)
+		vectorOps := func(o he.OpCounts) int64 { return o.Rotate + o.Add + o.ConstAdd + o.Mul + o.ConstMul }
+		plain, enc := ops[0], ops[1]
+		if plain.Mul >= enc.Mul || vectorOps(plain) > vectorOps(enc) {
+			t.Errorf("%s: plaintext model runs %d ops (%d ciphertext products), encrypted model %d (%d)",
+				cs.Name, vectorOps(plain), plain.Mul, vectorOps(enc), enc.Mul)
 		}
 	}
 }

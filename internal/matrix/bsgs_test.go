@@ -238,7 +238,7 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 			}
 		}
 		baby, giant := BSGSSplit(period)
-		d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, period, baby, giant, span, false, -1)
+		d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, nil, period, baby, giant, span, false, -1)
 		if err != nil {
 			t.Logf("prepare: %v", err)
 			return false
@@ -275,6 +275,93 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestRowCoefficientSurvivesPreRotation: a row coefficient is applied to
+// the plaintext diagonals before the giant-step pre-rotation moves them, so
+// it must land on its own row whatever giant group the diagonal belongs to:
+// with an independent matrix and coefficient vector per block (signs 1 and
+// t − 1, zeros, arbitrary residues, and a block without coefficients), one
+// kernel pass computes diag(c_k)·M_k·v_k in every block, under every split
+// of the period, and a row scaled by zero makes its diagonals skippable.
+func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
+	const slots, span, rows, cols, period, modulus = 128, 32, 13, 16, 16, 65537
+	b := heclear.New(slots, modulus)
+	r := rand.New(rand.NewPCG(20, 1))
+	blocks := slots / span
+	mats, coefs, vecs := make([]*Bool, blocks), make([][]uint64, blocks), make([][]uint64, blocks)
+	packed := make([]uint64, slots)
+	for k := range mats {
+		mats[k] = randBool(r, rows, cols, 0.5)
+		vecs[k] = make([]uint64, cols)
+		for i := range vecs[k] {
+			vecs[k][i] = uint64(r.IntN(2))
+		}
+		for off := 0; off < span; off += period {
+			copy(packed[k*span+off:], vecs[k])
+		}
+		if k == blocks-1 {
+			continue // no coefficients: all ones
+		}
+		coefs[k] = make([]uint64, rows)
+		for i := range coefs[k] {
+			coefs[k][i] = []uint64{1, modulus - 1, 0, r.Uint64N(modulus)}[r.IntN(4)]
+		}
+	}
+	for _, split := range [][2]int{{4, 4}, {16, 1}, {2, 8}, {1, 16}} {
+		for _, skipZero := range []bool{false, true} {
+			d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, coefs, period, split[0], split[1], span, false, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := b.Encrypt(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, err := he.Reveal(b, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range mats {
+				want, err := mats[k].MulVec(vecs[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if coefs[k] != nil {
+						want[i] = want[i] * coefs[k][i] % modulus
+					}
+					if vals[k*span+i] != want[i] {
+						t.Errorf("split %v skipZero=%v block %d row %d: got %d, want %d", split, skipZero, k, i, vals[k*span+i], want[i])
+					}
+				}
+			}
+		}
+	}
+	zeroed := make([][]uint64, blocks)
+	for k := range zeroed {
+		zeroed[k] = make([]uint64, rows)
+	}
+	d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, zeroed, period, 4, 4, span, false, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, z := range d.Zero {
+		if !z {
+			t.Errorf("diagonal %d of an all-zero scaling is not recorded zero", i)
+		}
+	}
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mats, zeroed[:1], period, 4, 4, span, false, -1); err == nil {
+		t.Error("coefficient vectors not matching the blocks accepted")
+	}
+	zeroed[1] = zeroed[1][:rows-1]
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mats, zeroed, period, 4, 4, span, false, -1); err == nil {
+		t.Error("coefficient vector not matching the rows accepted")
+	}
+}
+
 func TestPrepareDiagonalsBSGSBlocksErrors(t *testing.T) {
 	b := heclear.New(64, 65537)
 	mk := func(n int, rows, cols int) []*Bool {
@@ -284,21 +371,21 @@ func TestPrepareDiagonalsBSGSBlocksErrors(t *testing.T) {
 		}
 		return out
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(2, 4, 4), 4, 2, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(2, 4, 4), nil, 4, 2, 2, 16, false, -1); err == nil {
 		t.Error("block count not matching slots/span accepted")
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, nil, 4, 2, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, nil, nil, 4, 2, 2, 16, false, -1); err == nil {
 		t.Error("empty block list accepted")
 	}
 	mixed := mk(4, 4, 4)
 	mixed[2] = NewBool(3, 4)
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mixed, 4, 2, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mixed, nil, 4, 2, 2, 16, false, -1); err == nil {
 		t.Error("mismatched block shapes accepted")
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(4, 4, 4), 4, 3, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(4, 4, 4), nil, 4, 3, 2, 16, false, -1); err == nil {
 		t.Error("split not factoring period accepted")
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(4, 15, 8), 8, 4, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(4, 15, 8), nil, 8, 4, 2, 16, false, -1); err == nil {
 		t.Error("reads crossing blocks accepted")
 	}
 }

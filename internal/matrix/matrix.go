@@ -210,7 +210,7 @@ func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span
 	for k := range mats {
 		mats[k] = m
 	}
-	return PrepareDiagonalsBSGSBlocksAt(b, mats, period, baby, giant, span, encrypt, level)
+	return PrepareDiagonalsBSGSBlocksAt(b, mats, nil, period, baby, giant, span, encrypt, level)
 }
 
 // PrepareDiagonalsBSGSBlocksAt is the block-diagonal stager: it stages
@@ -224,7 +224,14 @@ func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span
 // all matrices must share one shape; the span/period/read-containment
 // rules of PrepareDiagonalsBSGSSpanAt apply unchanged. A diagonal is
 // recorded zero (skippable) only when it is zero in every block.
-func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, period, baby, giant, span int, encrypt bool, level int) (*Diagonals, error) {
+//
+// coefs, when non-nil, scales the rows: block k stages diag(coefs[k])·mats[k]
+// (a nil coefs[k] is all ones), the coefficients already reduced mod the
+// plaintext modulus. A row's coefficient travels with the row through the
+// giant-step pre-rotation, so the kernel is unchanged — this is how the
+// level stage folds its mask's sign 1 − 2·m into the matrix (DESIGN.md
+// §13.5).
+func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, baby, giant, span int, encrypt bool, level int) (*Diagonals, error) {
 	slots := b.Slots()
 	if len(mats) == 0 {
 		return nil, fmt.Errorf("matrix: no block matrices")
@@ -235,10 +242,19 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, period, baby, gian
 	if len(mats) != slots/span {
 		return nil, fmt.Errorf("matrix: %d block matrices for %d blocks (%d slots / span %d)", len(mats), slots/span, slots, span)
 	}
+	if coefs == nil {
+		coefs = make([][]uint64, len(mats))
+	}
+	if len(coefs) != len(mats) {
+		return nil, fmt.Errorf("matrix: %d row-coefficient vectors for %d block matrices", len(coefs), len(mats))
+	}
 	rows, cols := mats[0].Rows, mats[0].Cols
 	for k, m := range mats {
 		if m.Rows != rows || m.Cols != cols {
 			return nil, fmt.Errorf("matrix: block %d is %dx%d, block 0 is %dx%d", k, m.Rows, m.Cols, rows, cols)
+		}
+		if coefs[k] != nil && len(coefs[k]) != rows {
+			return nil, fmt.Errorf("matrix: block %d has %d row coefficients for %d rows", k, len(coefs[k]), rows)
 		}
 	}
 	if baby < 1 || giant < 1 || baby*giant != period {
@@ -268,6 +284,9 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, period, baby, gian
 		for k := range mats {
 			base := k * span
 			for r, v := range raw[k][i] {
+				if coefs[k] != nil {
+					v *= coefs[k][r]
+				}
 				if v != 0 {
 					allZero = false
 				}

@@ -135,3 +135,45 @@ func checkLaneMerge(t *testing.T, f *copse.Forest, models []packedModel) {
 		}
 	}
 }
+
+// TestLevelLanesOverGroupsMatchForest is the oracle of the level stage's group axis
+// (DESIGN.md §13.5): on BGV, whatever share of the blocks a batch fills —
+// so whether its level stage runs over the lanes of a block or over those
+// of every lane group, with the selector that zeroes the decisions outside
+// block group 0, the rotate-and-add that fills the groups and the rounds
+// that fold them — every answer from the lone query to the full batch is
+// model.Forest.Classify's, with and without the result shuffle (which has
+// the residue of the groups past the first to select out), in each of the
+// three ways a model and a query are staged, and the backend aligns no
+// operand itself. The models are the benchmark's (prec16: 2 lanes × 4
+// groups; depth4: 2 × 2; wide8 and its two shards: 1 × 4), a one-lane Table
+// 6 model (width55) and the four-lane one, which has two groups. The short
+// suite keeps both edges of every packing, which the two oracles above
+// already serve for every model here but width55.
+func TestLevelLanesOverGroupsMatchForest(t *testing.T) {
+	var models []packedModel
+	for _, mb := range synth.Microbenchmarks() {
+		if mb.Name == "prec16" || mb.Name == "depth4" || mb.Name == "width55" {
+			models = append(models, packModel(t, mb.Name, generateForest(t, mb.Spec), 1024, 0, true)...)
+		}
+	}
+	models = append(models, packModel(t, "wide8", generateForest(t, synth.ForestSpec{
+		Name: "wide8", NumFeatures: 4, NumLabels: 3, Precision: 8, MaxDepth: 5,
+		BranchesPerTree: []int{15, 15, 15, 15, 15, 15, 15, 15}, Seed: 1,
+	}), 1024, 2, true)...)
+	models = append(models, packModel(t, "lanes4", generateForest(t, laneShapes[1].spec), 1024, 0, true)...)
+	want := map[string][2]int{"prec16": {2, 4}, "depth4": {2, 2}, "width55": {1, 8}, "wide8": {1, 4}, "wide8-shard0": {1, 4}, "wide8-shard1": {1, 4}, "lanes4": {4, 2}}
+	turn := 0
+	for _, pm := range models {
+		if testing.Short() && pm.name != "width55" {
+			continue
+		}
+		m := &pm.compiled[false].Meta
+		lanes, groups, _ := m.LevelLayout(m.PlanesPerCiphertext(1))
+		if w := want[pm.name]; lanes != w[0] || groups != w[1] {
+			t.Fatalf("%s: a lone query runs on %d lanes × %d groups, the case is %d × %d", pm.name, lanes, groups, w[0], w[1])
+		}
+		pm.bgv, pm.sweep = true, true
+		servePacked(t, pm, &turn, copse.BackendBGV)
+	}
+}

@@ -22,6 +22,11 @@ type packedModel struct {
 	// heavy marks the wide model and its shards, whose encrypted staging
 	// takes seconds: the short suite serves them on BGV unshuffled only.
 	heavy bool
+	// sweep serves, on BGV, every batch size from the lone query to the
+	// full batch (the short suite: both edges of every packing) in each of
+	// the three ways a model and a query are staged, instead of the largest
+	// batch of every packing with the four offload aliases taking turns.
+	sweep bool
 }
 
 // packModel compiles f with and without shuffle headroom and, when
@@ -139,8 +144,11 @@ func TestPlanePackingMatchesForest(t *testing.T) {
 // packing, on both backends, shuffled and not, in the party scenarios:
 // all six on the exact backend; on BGV the two that leave one side in
 // plaintext and, taking turns, one of the four that encrypt both.
-func servePacked(t *testing.T, pm packedModel, turn *int) {
-	for _, backend := range []copse.BackendKind{copse.BackendClear, copse.BackendBGV} {
+func servePacked(t *testing.T, pm packedModel, turn *int, backends ...copse.BackendKind) {
+	if len(backends) == 0 {
+		backends = []copse.BackendKind{copse.BackendClear, copse.BackendBGV}
+	}
+	for _, backend := range backends {
 		onBGV := backend == copse.BackendBGV
 		if onBGV && !pm.bgv {
 			continue
@@ -151,7 +159,16 @@ func servePacked(t *testing.T, pm packedModel, turn *int) {
 			}
 			c := pm.compiled[shuffle]
 			sizes, served := packingBatches(&c.Meta), programScenarios
-			if onBGV {
+			switch {
+			case onBGV && pm.sweep:
+				served = programScenarios[:3]
+				if !testing.Short() {
+					sizes = sizes[:0]
+					for n := 1; n <= c.Meta.BatchCapacity(); n++ {
+						sizes = append(sizes, n)
+					}
+				}
+			case onBGV:
 				sizes = slices.DeleteFunc(sizes, func(n int) bool {
 					return n != 1 && n != c.Meta.QueryCapacity(c.Meta.PlanesPerCiphertext(n))
 				})
@@ -169,7 +186,7 @@ func servePacked(t *testing.T, pm packedModel, turn *int) {
 					}
 					defer svc.Close()
 					for _, n := range sizes {
-						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle)
+						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle, onBGV)
 					}
 				})
 			}
@@ -178,8 +195,9 @@ func servePacked(t *testing.T, pm packedModel, turn *int) {
 }
 
 // checkPackedBatch classifies n random queries in one pass and holds the
-// pass to the packing n selects and every answer to the forest's.
-func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *copse.Meta, n int, shuffled bool) {
+// pass to the packing n selects — and, on a backend with levels, to
+// aligning nothing itself — and every answer to the forest's.
+func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *copse.Meta, n int, shuffled, levelled bool) {
 	t.Helper()
 	f := pm.forest
 	batch := randomBatch(f, n, uint64(n))
@@ -199,8 +217,11 @@ func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *co
 	if trace.PlanesPerCiphertext != g || trace.QueryCiphertexts != len(q.Bits) {
 		t.Errorf("batch of %d: trace reports %d operands at %d planes per ciphertext", n, trace.QueryCiphertexts, trace.PlanesPerCiphertext)
 	}
-	if lanes, ops := meta.LevelLanes(); trace.LevelLanes != lanes || trace.LevelOperands != ops {
-		t.Errorf("batch of %d: trace reports %d level operands of %d lanes, the layout has %d of %d", n, trace.LevelOperands, trace.LevelLanes, ops, lanes)
+	if lanes, groups, ops := meta.LevelLayout(g); trace.LevelLanes != lanes || trace.LevelGroups != groups || trace.LevelOperands != ops {
+		t.Errorf("batch of %d: trace reports %d level operands of %d lanes × %d groups, the layout has %d of %d × %d", n, trace.LevelOperands, trace.LevelLanes, trace.LevelGroups, ops, lanes, groups)
+	}
+	if ops := trace.CompareOps.Plus(trace.ReshuffleOps).Plus(trace.LevelOps).Plus(trace.AccumulateOps); levelled && ops.Aligns != 0 {
+		t.Errorf("batch of %d (g=%d): the backend aligned %d operands itself", n, g, ops.Aligns)
 	}
 	results, err := svc.DecryptResultBatch("m", enc)
 	if err != nil {

@@ -557,7 +557,7 @@ func (s *Service) Classify(ctx context.Context, name string, q *Query) (*Encrypt
 
 // addTrace accumulates one pass's trace into an aggregate: durations,
 // op bills and query and level operands sum, limb/noise fields, the plane
-// packing and the level lanes keep the first pass's view.
+// packing and the level lanes and groups keep the first pass's view.
 func addTrace(dst, src *Trace) {
 	if src == nil {
 		return
@@ -576,7 +576,7 @@ func addTrace(dst, src *Trace) {
 	dst.QueryCiphertexts += src.QueryCiphertexts
 	dst.LevelOperands += src.LevelOperands
 	if dst.PlanesPerCiphertext == 0 {
-		dst.PlanesPerCiphertext, dst.LevelLanes = src.PlanesPerCiphertext, src.LevelLanes
+		dst.PlanesPerCiphertext, dst.LevelLanes, dst.LevelGroups = src.PlanesPerCiphertext, src.LevelLanes, src.LevelGroups
 	}
 	dst.CompareOps = dst.CompareOps.Plus(src.CompareOps)
 	dst.ReshuffleOps = dst.ReshuffleOps.Plus(src.ReshuffleOps)
@@ -966,8 +966,9 @@ type ServiceStats struct {
 	// LevelMatrices counts the level matrices the passes evaluated (the
 	// model's depth, per pass) and LevelOperands the stacked operands that
 	// carried them, one mat-vec each: LevelMatrices ÷ LevelOperands —
-	// LevelsPerOperand — is what the level lanes of the served models
-	// save, 1 when every block has room for one lane only.
+	// LevelsPerOperand — is what the level lanes and lane groups of the
+	// served models save, 1 when every block has room for one lane only
+	// and every batch fills more blocks than a lane group holds.
 	LevelMatrices, LevelOperands int64
 
 	// BatcherPasses counts coalesced passes fired by the dynamic
