@@ -11,12 +11,15 @@ import (
 // BatchPolicy governs the dynamic batcher: the in-process aggregator
 // that coalesces concurrent Classify/ClassifyBatch calls for the same
 // model into shared slot-packed homomorphic passes (DESIGN.md §11).
-// A pass answers up to Meta.BatchCapacity queries for the price of one,
-// and BENCH_serving shows per-pass cost is flat in batch size — so for
-// uncoordinated traffic the batcher converts linger time directly into
-// queries/sec: a request arriving alone waits up to Window for
-// neighbours; a request arriving into a crowd shares its pass and
-// never waits.
+// A pass answers up to Meta.BatchCapacity queries. Its cost is not flat
+// in the fill — a lone query's bit planes and level matrices ride the
+// idle blocks (DESIGN.md §13.4–13.5) — but a full pass still costs far
+// less than one pass per query, so for uncoordinated traffic the
+// batcher converts linger time into queries/sec: a request arriving
+// alone waits up to Window for neighbours; a request arriving into a
+// crowd shares its pass and never waits. The benchmark's
+// `batch-saturated` workload measures the full-pass side
+// (`copse.batch_fill`, `core.pass_ms`).
 type BatchPolicy struct {
 	// Window is the linger deadline: how long the first query of a
 	// forming batch may wait for the batch to fill before the pass

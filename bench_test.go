@@ -3,7 +3,7 @@
 // (its timing tracks the operation structure; see DESIGN.md §5), and
 // real BGV ciphertexts for the absolute-cost benchmarks. The
 // copse-bench command runs the same harness with the paper's full query
-// counts and renders the tables; EXPERIMENTS.md records a full run.
+// counts and renders the tables.
 package copse_test
 
 import (
@@ -271,7 +271,7 @@ func BenchmarkTable6Generate(b *testing.B) {
 // with -benchmem to see the allocation reduction from ring pooling.
 //
 //	naive      one rotation per diagonal (CompileOptions.NoBSGS),
-//	           reactive noise management
+//	           reactive noise management (CompileOptions.NoLevelPlan)
 //	bsgs       baby-step/giant-step kernel, reactive noise management
 //	bsgs+plan  the default configuration: static level schedule,
 //	           operands staged at stage levels, chain sized to the plan
@@ -286,14 +286,15 @@ func BenchmarkClassify(b *testing.B) {
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024, NoBSGS: mode.noBSGS})
+			compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{
+				Slots: 1024, NoBSGS: mode.noBSGS, NoLevelPlan: mode.noPlan,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			sys, err := copse.NewSystem(compiled, copse.SystemConfig{
 				Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-				Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0),
-				DisableLevelPlan: mode.noPlan, Seed: 4,
+				Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0), Seed: 4,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -251,16 +251,6 @@ type SystemConfig struct {
 	// Workers is the number of goroutines each classification pass runs
 	// its ops on (see WithWorkers): 0 = GOMAXPROCS, 1 = sequential.
 	Workers int
-	// DisableVectorKernels pins the BGV ring layer to the portable
-	// scalar kernels even on hosts with a SIMD backend (see
-	// WithVectorKernels). Results are bit-identical either way; this is
-	// the ablation knob behind copse-bench -novec (DESIGN.md §14).
-	DisableVectorKernels bool
-	// DisableLevelPlan turns off static level scheduling, leaving noise
-	// management fully reactive and the BGV chain at the reactive
-	// recommendation. Scheduling is on by default; this is the ablation
-	// knob (DESIGN.md §8).
-	DisableLevelPlan bool
 	// Shuffle enables result shuffling (paper §7.2.2) on every
 	// classification pass: per-query permuted results decoded through
 	// per-query codebooks (see WithShuffle). BGV models must be compiled
@@ -324,10 +314,8 @@ func NewSystem(c *Compiled, cfg SystemConfig) (*System, error) {
 		WithScenario(cfg.Scenario),
 		WithSecurity(cfg.Security),
 		WithWorkers(cfg.Workers),
-		WithVectorKernels(!cfg.DisableVectorKernels),
 		WithLevels(cfg.Levels),
 		WithSeed(cfg.Seed),
-		WithLevelPlan(!cfg.DisableLevelPlan),
 		WithShuffle(cfg.Shuffle),
 		WithNoiseMeasurement(cfg.MeasureNoise),
 		WithBatchPolicy(cfg.Batch),

@@ -115,7 +115,7 @@ func (ek *EvaluationKeys) MaterialBytes() int64 {
 
 // TopLevelBytes returns the key material the same key set would occupy
 // had every key been generated at the chain top — the pre-level-budget
-// baseline the -nttjson report compares against.
+// baseline hebgv's Backend.KeyMaterial reports next to the actual bytes.
 func (ek *EvaluationKeys) TopLevelBytes(p *Parameters) int64 {
 	per := p.SwitchingKeyBytes(p.MaxLevel())
 	n := int64(len(ek.Galois))

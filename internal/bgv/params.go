@@ -33,12 +33,6 @@ type Params struct {
 	// ring.DigitPrimes chain primes and never reads this field; it is
 	// kept, validated and carried on the wire for bench/micro.go.
 	DigitBits int
-	// DisableVectorKernels pins the ring layer to the scalar kernels even
-	// on hosts with a vector backend (the copse-bench -novec ablation and
-	// the copse.WithVectorKernels(false) option). Results are
-	// bit-identical either way; the default (false) selects the vector
-	// kernels wherever the host and the prime chain allow.
-	DisableVectorKernels bool
 }
 
 // Validate checks internal consistency.
@@ -112,9 +106,6 @@ func NewParameters(p Params) (*Parameters, error) {
 	ctx, err := ring.NewContextQP(p.LogN, primes[:p.Levels], primes[p.Levels:], p.T)
 	if err != nil {
 		return nil, err
-	}
-	if p.DisableVectorKernels {
-		ctx.SetVectorKernels(false)
 	}
 	return &Parameters{Params: p, RingCtx: ctx}, nil
 }

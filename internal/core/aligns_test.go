@@ -93,7 +93,8 @@ func packingFills(m *Meta) []int {
 // invariant: under the level plan the backend performs no implicit
 // alignment in any stage of any scenario, at any plane packing — each
 // one is an opDrop of the program — and the answers are the forest's.
-// Staged reactively (WithLevelPlan(false)) the same models do align
+// Staged reactively (PrepareWithPlan with a nil plan, as a model
+// compiled with Options.NoLevelPlan is) the same models do align
 // inside the backend, which is what the counter is for.
 func TestPlannedPassAlignsNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 1))

@@ -116,7 +116,8 @@ func Prepare(b he.Backend, c *Compiled, encrypt bool) (*ModelOperands, error) {
 // executes at — encrypted components via leveled encryption, plaintext
 // components via eager pre-lifting — so no per-query work remains to put
 // operands on schedule. A nil plan stages reactively at the chain top
-// (the pre-level-scheduling behaviour, and the -nolevelplan ablation).
+// (the pre-level-scheduling behaviour, and what a model compiled with
+// Options.NoLevelPlan gets).
 func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (*ModelOperands, error) {
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
@@ -453,7 +454,7 @@ type Engine struct {
 	// (ModelOperands.PredictedNoise). Measurement
 	// decrypts, so it needs the secret key and costs one decryption per
 	// stage, outside the stage timing windows and excluded from
-	// Trace.Total: a harness knob (copse-bench -leveljson), not a
+	// Trace.Total: a harness knob (copse.WithNoiseMeasurement), not a
 	// serving-path default. Ignored on backends without noise (the clear
 	// reference).
 	MeasureNoise bool

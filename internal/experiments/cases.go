@@ -1,7 +1,8 @@
 // Package experiments implements the reproduction harness: one runner
 // per table and figure of the paper's evaluation section (§8). The same
 // runners back the `copse-bench` command and the benchmarks in
-// bench_test.go; EXPERIMENTS.md records their output against the paper.
+// bench_test.go. Performance tracking is a separate harness, `go run
+// ./bench`.
 package experiments
 
 import (
@@ -35,13 +36,6 @@ type Config struct {
 	// RealWorldScale shrinks the trained models when < 1 (their size is
 	// otherwise tuned to the paper's, which is slow on the BGV backend).
 	RealWorldScale float64
-	// NoLevelPlan disables static level scheduling (the -nolevelplan
-	// ablation): reactive noise management on the reactive chain length.
-	NoLevelPlan bool
-	// MeasureNoise records decrypt-side noise-budget margins at every
-	// stage boundary of each classify (Trace.Noise) — the -leveljson
-	// margin corpus. BGV only; costs one decryption per stage.
-	MeasureNoise bool
 	// Models, when non-empty, restricts the suite to the named cases.
 	Models []string
 }

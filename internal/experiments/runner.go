@@ -31,12 +31,10 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 		return nil, err
 	}
 	sysCfg := copse.SystemConfig{
-		Backend:          kind,
-		Scenario:         scenario,
-		Workers:          workers,
-		Seed:             cfg.Seed + 100,
-		DisableLevelPlan: cfg.NoLevelPlan,
-		MeasureNoise:     cfg.MeasureNoise,
+		Backend:  kind,
+		Scenario: scenario,
+		Workers:  workers,
+		Seed:     cfg.Seed + 100,
 	}
 	if kind == copse.BackendBGV {
 		sysCfg.Security, err = securityFor(cs.Slots)

@@ -128,9 +128,9 @@ func HintStageLimbs(Backend, int) {}
 // NoiseMeter is an optional Backend capability for reading the measured
 // decrypt-side noise budget of a ciphertext (requires the secret key).
 // The BGV backend implements it; the exact clear backend has no noise
-// and does not. Measurement is a diagnostic, not an evaluation op: the
-// harness uses it to record per-stage noise margins (BENCH_levels.json)
-// that ground the planner's slack.
+// and does not. Measurement is a diagnostic, not an evaluation op: it
+// records the per-stage noise margins (Trace.Noise) that ground the
+// planner's slack, and the benchmark's core.result_noise_bits.
 type NoiseMeter interface {
 	// NoiseBudget reports the remaining noise budget of ct in bits.
 	NoiseBudget(ct Ciphertext) (int, error)

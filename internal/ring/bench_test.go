@@ -16,19 +16,40 @@ func benchContext(b *testing.B, logN int) *Context {
 	return ctx
 }
 
-// BenchmarkNTT measures the core transform at the two deployed ring
-// sizes.
+// BenchmarkNTT measures a forward + inverse transform at the two
+// deployed ring sizes with each kernel: the unfused layer-at-a-time
+// reference (generic), the fused scalar kernels (scalar) and, on hosts
+// that have them, the vector kernels (avx2). The last two are the
+// vectorization ablation: SetVectorKernels pins one Modulus to the
+// scalar path, bit-identical either way.
 func BenchmarkNTT(b *testing.B) {
 	for _, logN := range []int{11, 12} {
 		ctx := benchContext(b, logN)
 		s := NewSeededSampler(ctx, 1)
 		p := s.UniformPoly(0, false)
-		b.Run(sizeName(logN), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx.Moduli[0].NTT(p.Coeffs[0])
-				ctx.Moduli[0].INTT(p.Coeffs[0])
+		m := ctx.Moduli[0]
+		kernels := []struct {
+			name     string
+			vec      bool
+			fwd, inv func([]uint64)
+		}{
+			{"generic", false, m.NTTGeneric, m.INTTGeneric},
+			{"scalar", false, m.NTT, m.INTT},
+			{"avx2", true, m.NTT, m.INTT},
+		}
+		for _, k := range kernels {
+			if k.vec && !VectorKernelsAvailable() {
+				continue
 			}
-		})
+			b.Run(sizeName(logN)+"/"+k.name, func(b *testing.B) {
+				m.SetVectorKernels(k.vec)
+				defer m.SetVectorKernels(true)
+				for i := 0; i < b.N; i++ {
+					k.fwd(p.Coeffs[0])
+					k.inv(p.Coeffs[0])
+				}
+			})
+		}
 	}
 }
 

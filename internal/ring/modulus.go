@@ -32,8 +32,8 @@ type Modulus struct {
 	psiInvRev  []uint64
 	psiInvRevS []uint64
 
-	// vec selects the AVX2 transform kernels for this modulus. Captured
-	// once at construction from the package default (and the per-modulus
+	// vec selects the AVX2 transform kernels for this modulus. Set once
+	// at construction from the host probe (and the per-modulus
 	// eligibility gate, vectorOKForModulus); SetVectorKernels retunes it.
 	vec bool
 }
@@ -202,7 +202,7 @@ func NewModulus(q uint64, n int) (*Modulus, error) {
 		N:    n,
 		LogN: logN,
 		psi:  psi,
-		vec:  vectorDefault.Load() && vectorOKForModulus(q, n),
+		vec:  vectorAvailable() && vectorOKForModulus(q, n),
 	}
 	m.psiInv = InvMod(psi, q)
 	m.nInv = InvMod(uint64(n), q)

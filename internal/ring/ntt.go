@@ -7,8 +7,8 @@ package ring
 //
 //   - NTTGeneric/INTTGeneric: the reference layer-at-a-time sweeps, one
 //     pass over the array per butterfly layer plus a final reduction
-//     sweep. Kept for tiny transforms (n < 16), for correctness tests,
-//     and as the "serial" baseline of the copse-bench -nttjson ablation.
+//     sweep. Kept for tiny transforms (n < 16) and as the reference the
+//     correctness tests check the fused kernels against.
 //   - NTT/INTT: the production kernels. The first two and last two
 //     butterfly layers are each merged into one fused radix-4-style
 //     pass that keeps four elements in registers across both layers,

@@ -82,8 +82,8 @@ type shared struct {
 	galois sync.Map
 
 	// vecRows routes eligible pointwise rows to the vector backend
-	// (vector.go); captured from the package default at construction,
-	// retunable via SetVectorKernels. The transform kernels carry their
+	// (vector.go); on wherever the host has one, retunable via
+	// SetVectorKernels. The transform kernels carry their
 	// own per-Modulus selection.
 	vecRows atomic.Bool
 }
@@ -133,7 +133,7 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 		}
 		ctx.special = append(ctx.special, m)
 	}
-	ctx.vecRows.Store(vectorDefault.Load())
+	ctx.vecRows.Store(vectorAvailable())
 	ctx.buildCRT()
 	if err := ctx.buildRounders(); err != nil {
 		return nil, err
@@ -149,9 +149,8 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 // SetVectorKernels selects the scalar or vector backend for this
 // context's pointwise rows and for every Modulus of its chain
 // (transforms). Enabling is a no-op on hosts without vector support.
-// Results are bit-identical either way; this is the per-context ablation
-// knob behind copse.WithVectorKernels / copse-bench -novec. Safe to call
-// concurrently with op traffic.
+// Results are bit-identical either way; the ring tests use it to pin
+// the scalar reference. Safe to call concurrently with op traffic.
 func (ctx *Context) SetVectorKernels(on bool) {
 	on = on && vectorAvailable()
 	ctx.vecRows.Store(on)

@@ -1,15 +1,13 @@
 package ring
 
-import "sync/atomic"
-
 // Vector kernel selection. On amd64 hosts with AVX2 the butterfly sweeps
 // of NTT/INTT and the pointwise workhorses (MulCoeffsShoupAdd,
 // MulCoeffs[Add], Add/Sub/Neg, MulScalar[Vec]) run 4-lane assembly
 // kernels (ntt_amd64.s); everywhere else — and under the `purego` build
 // tag — the scalar Go kernels are the implementation. Selection happens
-// once per Modulus/Context at construction from the package default,
-// which a capability probe seeds at init; SetVectorKernels overrides the
-// default for tests and ablation benches (copse-bench -novec).
+// once per Modulus/Context at construction from a capability probe run
+// at init; Context.SetVectorKernels and Modulus.SetVectorKernels retune
+// one instance, which is how the tests pin the scalar reference.
 //
 // The vector kernels are bit-identical to the scalar ones: the
 // butterflies and Shoup multiplies evaluate exactly the same uint64
@@ -25,36 +23,15 @@ import "sync/atomic"
 // stay below q. The 55-bit production prime menu sits comfortably inside
 // the gate; out-of-range primes silently keep the scalar kernels.
 
-// vectorDefault is the package-wide default captured by NewModulus /
-// NewContext. Seeded by the capability probe at init; SetVectorKernels
-// overrides it.
-var vectorDefault atomic.Bool
-
-func init() {
-	vectorDefault.Store(vectorAvailable())
-}
-
-// SetVectorKernels sets the package default for vector kernel selection.
-// Contexts and Moduli built afterwards capture the new default; existing
-// ones are unaffected (use Context.SetVectorKernels or
-// Modulus.SetVectorKernels to retune those). Enabling is a no-op on
-// hosts without the required CPU features.
-func SetVectorKernels(on bool) {
-	vectorDefault.Store(on && vectorAvailable())
-}
-
-// VectorKernelsEnabled reports the current package default.
-func VectorKernelsEnabled() bool { return vectorDefault.Load() }
-
 // VectorKernelsAvailable reports whether the host supports the vector
 // kernels at all (amd64 with AVX2, not built with `purego`).
 func VectorKernelsAvailable() bool { return vectorAvailable() }
 
-// KernelVariant names the transform kernel the package default selects:
-// "avx2" when the vector backend is active, "scalar-fused" otherwise.
+// KernelVariant names the transform kernel new Contexts select: "avx2"
+// when the host has the vector backend, "scalar-fused" otherwise.
 // Benchmark provenance headers record it.
 func KernelVariant() string {
-	if vectorDefault.Load() {
+	if vectorAvailable() {
 		return "avx2"
 	}
 	return "scalar-fused"

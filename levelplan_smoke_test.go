@@ -10,8 +10,9 @@ import (
 )
 
 // TestLevelPlanPerfSmoke is the CI guardrail for static level
-// scheduling: the scheduled BGV classify path must beat the reactive
-// (-nolevelplan) one on the example model. It is a coarse A/B wall-clock
+// scheduling: the scheduled BGV classify path must beat the reactive one
+// (the same model compiled with CompileOptions.NoLevelPlan) on the
+// example model. It is a coarse A/B wall-clock
 // check — the scheduled path runs a shorter modulus chain and ~2× fewer
 // limb·ops, so a regression to parity means the plan stopped being
 // applied. The reactive side aligns operands inside the backend, one
@@ -23,17 +24,15 @@ func TestLevelPlanPerfSmoke(t *testing.T) {
 	if os.Getenv("COPSE_PERF_SMOKE") == "" {
 		t.Skip("set COPSE_PERF_SMOKE=1 to run the level-plan perf smoke")
 	}
-	forest := copse.ExampleForest()
-	compiled, err := copse.Compile(forest, copse.CompileOptions{Slots: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const queries = 3
-	run := func(disablePlan bool) time.Duration {
+	run := func(noPlan bool) time.Duration {
+		compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024, NoLevelPlan: noPlan})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
 			Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-			Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0),
-			DisableLevelPlan: disablePlan, Seed: 4,
+			Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0), Seed: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

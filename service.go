@@ -102,20 +102,18 @@ type servedModel struct {
 }
 
 type serviceConfig struct {
-	backend          BackendKind
-	scenario         Scenario
-	security         SecurityPreset
-	workers          int
-	noVectorKernels  bool
-	maxInFlight      int
-	levels           int
-	seed             uint64
-	disableLevelPlan bool
-	shuffle          bool
-	measureNoise     bool
-	batch            BatchPolicy
-	extBackend       he.Backend
-	shedQueue        int
+	backend      BackendKind
+	scenario     Scenario
+	security     SecurityPreset
+	workers      int
+	maxInFlight  int
+	levels       int
+	seed         uint64
+	shuffle      bool
+	measureNoise bool
+	batch        BatchPolicy
+	extBackend   he.Backend
+	shedQueue    int
 }
 
 // Option configures a Service (functional options).
@@ -136,14 +134,6 @@ func WithSecurity(p SecurityPreset) Option { return func(c *serviceConfig) { c.s
 // runs its ops on (the paper's multithreaded mode): 0 = GOMAXPROCS (the
 // default), 1 = sequential. Results are bit-identical at any count.
 func WithWorkers(n int) Option { return func(c *serviceConfig) { c.workers = n } }
-
-// WithVectorKernels controls the ring layer's vectorized (SIMD) NTT and
-// pointwise kernels on the BGV backend. They are on by default wherever
-// the host CPU and the prime chain support them, and produce results
-// bit-identical to the portable scalar kernels; false pins the scalar
-// path (the copse-bench -novec ablation, DESIGN.md §14). The clear
-// backend has no ring layer and ignores this option.
-func WithVectorKernels(on bool) Option { return func(c *serviceConfig) { c.noVectorKernels = !on } }
 
 // WithMaxInFlight caps how many classifications run concurrently;
 // excess calls queue (their wait is reported by Stats). 0 means
@@ -170,16 +160,6 @@ func WithLevels(n int) Option { return func(c *serviceConfig) { c.levels = n } }
 // (per-pass random seeds).
 func WithSeed(seed uint64) Option { return func(c *serviceConfig) { c.seed = seed } }
 
-// WithLevelPlan toggles static level scheduling (default on): with a
-// plan-carrying model, operands are staged at their scheduled levels,
-// the model's op program drops ciphertexts at stage boundaries, and the
-// BGV chain is sized to the plan's top instead of the reactive
-// recommendation. Disabling it is the -nolevelplan ablation knob of
-// DESIGN.md §8: Register stages the model without a plan, which builds
-// an op program without drops — a Register-time input, not a branch in
-// Classify.
-func WithLevelPlan(on bool) Option { return func(c *serviceConfig) { c.disableLevelPlan = !on } }
-
 // WithShuffle enables result shuffling (paper §7.2.2) on every
 // classification pass: each packed query's leaf slots are permuted by a
 // per-pass, per-block random permutation — one block-diagonal kernel
@@ -195,7 +175,7 @@ func WithShuffle(on bool) Option { return func(c *serviceConfig) { c.shuffle = o
 
 // WithNoiseMeasurement records the decrypt-side measured noise budget of
 // the pipeline carrier at every stage boundary in each pass's
-// Trace.Noise (the BENCH_levels.json margin corpus). Measurement
+// Trace.Noise (the benchmark's core.result_noise_bits). Measurement
 // decrypts, so it requires the secret key and costs one decryption per
 // stage — a benchmarking knob, not a serving default.
 func WithNoiseMeasurement(on bool) Option { return func(c *serviceConfig) { c.measureNoise = on } }
@@ -234,8 +214,9 @@ func NewService(opts ...Option) *Service {
 	return s
 }
 
-// newBackend builds the shared backend for a first registered model.
-func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
+// newBackend builds the shared backend for a first registered model,
+// staged encrypted when encModel is set.
+func (s *Service) newBackend(c *Compiled, encModel bool) (he.Backend, error) {
 	switch s.cfg.backend {
 	case BackendClear:
 		return heclear.New(c.Meta.Slots, 65537), nil
@@ -243,14 +224,12 @@ func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
 		levels := s.cfg.levels
 		if levels == 0 {
 			levels = c.Meta.RecommendedLevels
-			if plan := c.Meta.LevelPlan; plan != nil && !s.cfg.disableLevelPlan {
+			if plan := c.Meta.LevelPlan; plan != nil {
 				// The scheduled pipeline tops out at the plan's compare
 				// entry: a shorter chain means smaller keys, cheaper key
 				// generation, and every top-level op running over the
 				// fraction of the chain the schedule actually uses.
-				if encModel, _, err := scenarioEncryption(s.cfg.scenario); err == nil {
-					levels = min(plan.ChainLevels(encModel), levels)
-				}
+				levels = min(plan.ChainLevels(encModel), levels)
 			}
 		}
 		var params bgv.Params
@@ -268,23 +247,17 @@ func (s *Service) newBackend(c *Compiled) (he.Backend, error) {
 			return nil, fmt.Errorf("copse: model staged for %d slots but preset provides %d; recompile with Slots=%d",
 				c.Meta.Slots, slots, slots)
 		}
-		params.DisableVectorKernels = s.cfg.noVectorKernels
 		// Galois-key level budget: steps the level plan proves are only
 		// rotated in the scheduled-down back half get their keys
 		// generated at that stage's level instead of the chain top
 		// (several-fold less key material on BSGS step sets; the
 		// composed-rotation ladder stays at the top as the fallback for
-		// later-registered models with different schedules).
-		var stepLevels map[int]int
-		if !s.cfg.disableLevelPlan {
-			if encModel, _, err := scenarioEncryption(s.cfg.scenario); err == nil {
-				stepLevels = c.Meta.RotationStepLevels(encModel)
-			}
-		}
+		// later-registered models with different schedules). A model
+		// without a plan keeps every key at the top.
 		return hebgv.New(hebgv.Config{
 			Params:             params,
 			RotationSteps:      c.Meta.RotationSteps,
-			RotationStepLevels: stepLevels,
+			RotationStepLevels: c.Meta.RotationStepLevels(encModel),
 			Seed:               s.cfg.seed,
 		})
 	}
@@ -338,7 +311,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		if s.cfg.extBackend != nil {
 			s.backend = s.cfg.extBackend
 		} else {
-			b, err := s.newBackend(c)
+			b, err := s.newBackend(c, encryptModel)
 			if err != nil {
 				return err
 			}
@@ -350,9 +323,6 @@ func (s *Service) Register(name string, c *Compiled) error {
 			name, c.Meta.Slots, s.backend.Slots())
 	}
 	plan := c.Meta.LevelPlan
-	if s.cfg.disableLevelPlan {
-		plan = nil
-	}
 	// A shuffled service on a leveled backend needs the classification
 	// result to land at (or above) the shuffle's entry level. A schedule
 	// compiled without PlanShuffle lands it below, and every shuffled
@@ -365,7 +335,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 				name, st.Final, plan.ShuffleLevel())
 		}
 	}
-	operands, err := core.PrepareWithPlan(s.backend, c, encryptModel, plan)
+	operands, err := core.Prepare(s.backend, c, encryptModel)
 	if err != nil {
 		return err
 	}
