@@ -216,24 +216,9 @@ func main() {
 		names = append(names, name)
 		compiled[name] = c
 	}
-	// Register order: deepest chain requirement first — the first model
-	// sizes the shared backend's modulus chain (its level plan, or the
-	// reactive recommendation) and gets the exact Galois keys, so the
-	// alphabetical tie-break must not hand that role to a shallow model.
-	// Ties (and the non-BGV backends) stay name-sorted for determinism.
-	chainOf := func(name string) int {
-		m := &compiled[name].Meta
-		if m.LevelPlan != nil {
-			return min(m.LevelPlan.Levels, m.RecommendedLevels)
-		}
-		return m.RecommendedLevels
+	if err := registerOrder(names, compiled, scenario); err != nil {
+		log.Fatal(err)
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if ci, cj := chainOf(names[i]), chainOf(names[j]); ci != cj {
-			return ci > cj
-		}
-		return names[i] < names[j]
-	})
 	if *backendArg == "bgv" {
 		preset, err := copse.SecurityForSlots(compiled[names[0]].Meta.Slots)
 		if err != nil {
@@ -269,6 +254,29 @@ func main() {
 	if err := serveHTTP(*listen, mux, *drain, svc.Close); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// registerOrder sorts names into register order: the longest chain the
+// served scenario needs first — the first model sizes the shared backend's
+// modulus chain (copse.ChainLevels) and gets the exact Galois keys, and a
+// model registered later with a longer chain has its schedule clamped. Ties
+// (and the non-BGV backends) stay name-sorted for determinism.
+func registerOrder(names []string, compiled map[string]*copse.Compiled, scenario copse.Scenario) error {
+	chain := map[string]int{}
+	for _, name := range names {
+		levels, err := copse.ChainLevels(compiled[name], scenario)
+		if err != nil {
+			return err
+		}
+		chain[name] = levels
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if ci, cj := chain[names[i]], chain[names[j]]; ci != cj {
+			return ci > cj
+		}
+		return names[i] < names[j]
+	})
+	return nil
 }
 
 // serveHTTP runs handler on addr until the process receives SIGINT or

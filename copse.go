@@ -243,6 +243,18 @@ func SecurityForSlots(slots int) (SecurityPreset, error) {
 	return 0, fmt.Errorf("copse: no BGV preset with %d slots; recompile with Slots 1024, 2048 or 16384", slots)
 }
 
+// ChainLevels is the modulus-chain length a BGV service serving c under
+// scenario s builds when c is the first model it registers — the one a
+// multi-model server must register first is the model for which it is
+// largest (see Service.Register).
+func ChainLevels(c *Compiled, s Scenario) (int, error) {
+	encModel, _, err := scenarioEncryption(s)
+	if err != nil {
+		return 0, err
+	}
+	return c.Meta.ChainLevels(encModel), nil
+}
+
 // SystemConfig configures NewSystem.
 type SystemConfig struct {
 	Backend  BackendKind

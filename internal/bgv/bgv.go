@@ -108,43 +108,65 @@ func (ct *Ciphertext) Copy() *Ciphertext {
 	return out
 }
 
-// Encryptor encrypts plaintexts under a public key. Not safe for
-// concurrent use (it owns a sampler).
+// Encryptor encrypts plaintexts: under the secret key when it was built
+// with one, under the public key otherwise. The two produce ciphertexts of
+// the same form that decrypt alike; the secret-key one is cheaper — one
+// number-theoretic transform set where the public-key one pays four — and
+// less noisy, so a party that holds the secret key (the backend that
+// generated it) encrypts with it, and a party built from public material
+// only (a gateway) through the public key. Not safe for concurrent use (it
+// owns a sampler).
 type Encryptor struct {
 	params  *Parameters
 	pk      *PublicKey
+	sk      *SecretKey // nil: encrypt through pk
 	sampler *ring.Sampler
 }
 
-// NewEncryptor returns an encryptor seeded from system entropy.
+// NewEncryptor returns a public-key encryptor seeded from system entropy.
 func NewEncryptor(params *Parameters, pk *PublicKey) *Encryptor {
 	return &Encryptor{params: params, pk: pk, sampler: ring.NewSampler(params.RingCtx)}
 }
 
-// NewSeededEncryptor returns a deterministic encryptor for tests.
+// NewSeededEncryptor returns a deterministic public-key encryptor for
+// tests.
 func NewSeededEncryptor(params *Parameters, pk *PublicKey, seed uint64) *Encryptor {
 	return &Encryptor{params: params, pk: pk, sampler: ring.NewSeededSampler(params.RingCtx, seed)}
 }
 
-// Encrypt produces a fresh encryption of pt at the top level:
-// (c0, c1) = (B·u + t·e0 + m, A·u + t·e1).
+// NewSecretKeyEncryptor returns a secret-key encryptor seeded from system
+// entropy.
+func NewSecretKeyEncryptor(params *Parameters, sk *SecretKey) *Encryptor {
+	return &Encryptor{params: params, sk: sk, sampler: ring.NewSampler(params.RingCtx)}
+}
+
+// NewSeededSecretKeyEncryptor returns a deterministic secret-key encryptor
+// for tests and reproducible experiments.
+func NewSeededSecretKeyEncryptor(params *Parameters, sk *SecretKey, seed uint64) *Encryptor {
+	return &Encryptor{params: params, sk: sk, sampler: ring.NewSeededSampler(params.RingCtx, seed)}
+}
+
+// Encrypt produces a fresh encryption of pt at the top level.
 func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return e.EncryptAtLevel(pt, e.params.MaxLevel())
 }
 
 // EncryptAtLevel produces a fresh encryption directly at the given level
-// (clamped to the chain top): the public key's unused top residues are
-// simply not touched, which is the RLWE instance a freshly encrypted,
-// then modulus-switched ciphertext would inhabit — minus the switches.
-// Level scheduling uses this to land operands at their planned stage
-// level for free.
+// (clamped to the chain top): the keys' unused top residues are simply not
+// touched, which is the RLWE instance a freshly encrypted, then
+// modulus-switched ciphertext would inhabit — minus the switches. Level
+// scheduling uses this to land operands at their planned stage level for
+// free.
+//
+// Under the secret key, (c0, c1) = (−a·s + NTT(t·e + m), a) with a drawn
+// uniformly in the NTT domain: the error and the message share one
+// transform. Under the public key, (c0, c1) = (B·u + t·e0 + m, A·u + t·e1),
+// which transforms u, e0, e1 and m.
 func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 	ctx := e.params.RingCtx
-	if level > e.params.MaxLevel() {
-		level = e.params.MaxLevel()
-	}
-	if level < 0 {
-		level = 0
+	level = min(max(level, 0), e.params.MaxLevel())
+	if e.sk != nil {
+		return e.encryptSecret(pt, level)
 	}
 
 	u := e.sampler.TernaryPoly(level)
@@ -169,6 +191,31 @@ func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 
 	return &Ciphertext{
 		C:         []*ring.Poly{c0, c1},
+		NoiseBits: e.params.freshNoiseBits(),
+	}
+}
+
+// encryptSecret is EncryptAtLevel under the secret key. Its noise, t·e,
+// is below a public-key encryption's; it keeps the same NoiseBits
+// estimate, so the evaluator and the level planner see one kind of fresh
+// ciphertext.
+func (e *Encryptor) encryptSecret(pt *Plaintext, level int) *Ciphertext {
+	ctx := e.params.RingCtx
+	a := e.sampler.UniformPoly(level, true)
+	em := e.sampler.ErrorCoeffs()
+	t := int64(e.params.T)
+	for j, m := range pt.Coeffs {
+		em[j] = em[j]*t + int64(m)
+	}
+	c0 := ctx.NewPoly(level)
+	ctx.SetLift(em, c0)
+	ctx.NTT(c0)
+	as := ctx.GetPoly(level)
+	ctx.MulCoeffs(a, e.sk.S, as)
+	ctx.Sub(c0, as, c0)
+	ctx.PutPoly(as)
+	return &Ciphertext{
+		C:         []*ring.Poly{c0, a},
 		NoiseBits: e.params.freshNoiseBits(),
 	}
 }

@@ -313,10 +313,11 @@ func rotationSteps(qPad, bPad, nPad, slots int, bsgs bool) []int {
 // the depth and the branch period.
 func (m *Meta) estimateDepth() {
 	logp, logd := log2Ceil(m.Precision), log2Ceil(max(m.D, 1))
-	// SecComp + reshuffle + level (its mask is folded into the matrix) +
-	// accumulate.
-	m.CtDepthCipherModel = (logp + 2) + 2 + logd
-	m.CtDepthPlainModel = (logp + 1) + logd
+	// SecComp (the reduction tree's ⌈log2 p⌉ levels, after the gt product
+	// of an encrypted model) + reshuffle + level (its mask is folded into
+	// the matrix) + accumulate.
+	m.CtDepthCipherModel = (logp + 1) + 2 + logd
+	m.CtDepthPlainModel = logp + logd
 	// Beyond one prime per ciphertext multiplication, the chain must
 	// absorb the key-switch noise that accumulates when a matrix product
 	// sums b̂ rotated terms (roughly one extra modulus switch per

@@ -293,7 +293,8 @@ func TestPlaintextModelCheaper(t *testing.T) {
 }
 
 // TestDepthMatchesEstimate: the compiler's depth estimates must bound
-// the measured multiplicative depth (they drive parameter selection).
+// the measured multiplicative depth (they drive parameter selection), in
+// both scenarios, for a lone query and for a full batch alike.
 func TestDepthMatchesEstimate(t *testing.T) {
 	b := heclear.New(256, 65537)
 	for _, mb := range synth.Microbenchmarks()[:3] {
@@ -305,16 +306,32 @@ func TestDepthMatchesEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Prepare(b, c, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.ResetCounts()
-		e := &Engine{Backend: b}
-		classifySecure(t, e, m, make([]uint64, forest.NumFeatures), true)
-		measured := int(b.Counts().MaxDepth)
-		if measured > c.Meta.CtDepthCipherModel {
-			t.Errorf("%s: measured depth %d exceeds estimate %d", mb.Name, measured, c.Meta.CtDepthCipherModel)
+		for _, encModel := range []bool{true, false} {
+			estimate := c.Meta.CtDepthPlainModel
+			if encModel {
+				estimate = c.Meta.CtDepthCipherModel
+			}
+			m, err := Prepare(b, c, encModel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range []int{1, c.Meta.BatchCapacity()} {
+				feats := make([][]uint64, batch)
+				for i := range feats {
+					feats[i] = make([]uint64, forest.NumFeatures)
+				}
+				q, err := PrepareQueryBatch(b, &m.Meta, feats, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.ResetCounts()
+				if _, _, err := (&Engine{Backend: b}).Classify(m, q); err != nil {
+					t.Fatal(err)
+				}
+				if measured := int(b.Counts().MaxDepth); measured > estimate {
+					t.Errorf("%s enc=%v, batch of %d: measured depth %d exceeds estimate %d", mb.Name, encModel, batch, measured, estimate)
+				}
+			}
 		}
 	}
 }

@@ -544,7 +544,7 @@ type PredictedNoise struct {
 
 // PredictedNoise reports the level pass's estimates for the encrypted-
 // query program: the five trace boundaries in pipeline order, with the
-// hottest prefix operand after each scheduled compare round between the
+// hottest operand after each scheduled compare round between the
 // query and the decisions. Nil for a model staged without a plan.
 func (m *ModelOperands) PredictedNoise() []PredictedNoise {
 	p := m.Program

@@ -15,7 +15,7 @@ import (
 
 // TestPrepareRejectsInfeasiblePlan: a plan one level lower than the
 // planner's — at the compare entry, at the final level, or at any one
-// Sklansky round — is refused, in both scenarios: by the planner's own
+// compare round — is refused, in both scenarios: by the planner's own
 // oracle (the level pass over planStructure at every packing, which is what
 // holds the stored plan tight), and by Prepare with the typed error instead
 // of a program that decrypts to garbage. The plan is computed from Meta
@@ -169,8 +169,10 @@ func checkLevelledProgram(t *testing.T, p *Program, st StageLevels, lanes int) {
 // encrypted or plaintext query. Every case must have a plan whose
 // entries descend along the pipeline, whose compare rounds descend and
 // stay at or above the reshuffle entry, and under which the program
-// Prepare builds from the staged shapes is feasible and levelled. Static
-// checks only (the exact backend), so it runs under -short.
+// Prepare builds from the staged shapes is feasible and levelled, its
+// compare stage ⌈log2 p⌉ product levels deep (one more under an encrypted
+// model) at every packing, on no more key switches than the Sklansky
+// chain's. Static checks only (the exact backend), so it runs under -short.
 func TestPlannerGeneratedShapes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 0x5a))
 	cases := 48
@@ -228,6 +230,7 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 								encModel, 1<<i, len(lv.mats), len(lv.masks), lv.lanes, lv.groups, ops, h, groups)
 						}
 						checkLevelledProgram(t, pk.program, st, h*groups)
+						checkCompareBill(t, pk.program, &c.Meta, 1<<i)
 						if pk.plainQueryProgram != pk.program {
 							checkLevelledProgram(t, pk.plainQueryProgram, st, h*groups)
 						}

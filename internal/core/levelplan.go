@@ -62,13 +62,17 @@ type StageLevels struct {
 	// needs at entry. With the default minimal schedule the result lands
 	// below it; compile with Options.PlanShuffle to reserve the headroom.
 	Shuffle int
-	// CompareRounds schedules the Sklansky prefix-product tree inside
-	// the compare stage: CompareRounds[r] is the level every prefix
-	// operand is dropped to after round r, so the later rounds of the
-	// single most expensive stage run on 1–2 fewer limbs than reactive
-	// management would keep them at. Derived by lowering each round's
-	// level until the level pass breaks. Nil on older artifacts (no
-	// per-round drops).
+	// CompareRounds schedules the reduction inside the compare stage:
+	// CompareRounds[r] is the level every live (GT, EQ) operand is dropped
+	// to after product level r — a pairing round of the tree, its eager or
+	// its lazy top level, or a plane round — in every packing, so the later
+	// levels of the single most expensive stage run on 1–2 fewer limbs than
+	// reactive management would keep them at. One entry per product level,
+	// ⌈log2 p⌉. Derived by lowering each round's level until the level pass
+	// breaks. Nil on older artifacts (no per-round drops). An artifact
+	// planned for the Sklansky prefix chain that preceded the tree carries
+	// as many entries, planned for a chain one level deeper; the tree reads
+	// them as its own, and Prepare refuses the plan if the level pass does.
 	CompareRounds []int
 }
 
@@ -94,6 +98,16 @@ func (p *LevelPlan) ChainLevels(encryptedModel bool) int {
 	return p.For(encryptedModel).Compare + 1
 }
 
+// ChainLevels is the chain length a backend built for this model alone
+// serves the given scenario on: the plan's, capped at the reactive
+// recommendation, or the recommendation itself for a model without a plan.
+func (m *Meta) ChainLevels(encryptedModel bool) int {
+	if m.LevelPlan == nil {
+		return m.RecommendedLevels
+	}
+	return min(m.LevelPlan.ChainLevels(encryptedModel), m.RecommendedLevels)
+}
+
 // ShuffleLevel is the entry level ShuffleResult needs, across scenarios.
 func (p *LevelPlan) ShuffleLevel() int {
 	return max(p.Cipher.Shuffle, p.Plain.Shuffle)
@@ -101,7 +115,7 @@ func (p *LevelPlan) ShuffleLevel() int {
 
 // Scheduled drop points: the immediate of an opDrop in a program's
 // structure names the schedule entry the pass resolves it against — a
-// stage entry, or atRound+r for the drop after Sklansky round r.
+// stage entry, or atRound+r for the drop after compare product level r.
 const (
 	atCompare = iota
 	atReshuffle
@@ -328,8 +342,8 @@ type planFailure struct {
 
 // levelled is a program under one schedule: its ops with every scheduled
 // drop resolved and every alignment inserted, the estimate of each
-// register, the hottest prefix operand after each scheduled Sklansky round
-// (lowest level, highest noise), and the result as decryption sees it.
+// register, the hottest operand after each scheduled compare round (lowest
+// level, highest noise), and the result as decryption sees it.
 type levelled struct {
 	ops    []progOp
 	est    []est
@@ -406,7 +420,7 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (lev
 			e = s.rot(out.est[op.A])
 		case opDrop:
 			// A carrier must reach a stage boundary at or above the next
-			// entry; a Sklansky round's drop just passes lower operands on.
+			// entry; a compare round's drop just passes lower operands on.
 			point, src := op.Imm, out.est[op.A]
 			op.Imm = at.entry(point)
 			if point >= atReshuffle && point <= atFinal && src.cipher && src.level < op.Imm {
@@ -610,8 +624,8 @@ func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 // delivers the carrier at the modulus-switch floor instead of carrying
 // key-switch noise into the next stage (if the stage stays infeasible
 // once its entry is cold, the next runs raise the stage itself). Then a
-// descent: the Sklansky rounds start at the lowest level their prefix
-// operands reach on their own, and every level of the non-increasing
+// descent: the compare rounds start at the lowest level their operands
+// reach on their own, and every level of the non-increasing
 // chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate is lowered —
 // last first, where the remaining circuit is shortest — while the pass
 // stays feasible, until none moves.

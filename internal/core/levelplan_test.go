@@ -70,8 +70,8 @@ func TestLevelPlanComputed(t *testing.T) {
 			if st.Accumulate+1 > plan.Levels/2 {
 				t.Errorf("%s/%s: product tree enters at %d limbs on a %d-prime chain", name, scenario, st.Accumulate+1, plan.Levels)
 			}
-			// The Sklansky rounds inside compare carry their own
-			// schedule: one entry per round, non-increasing, bracketed by
+			// The product levels inside compare carry their own
+			// schedule: one entry per level, non-increasing, bracketed by
 			// the stage's own entry and exit, and actually shedding limbs
 			// before the boundary (the compare stage is the expensive
 			// one; per-round drops are its whole point).
@@ -173,12 +173,8 @@ func TestLevelPlanNoBSGSAndShuffleVariants(t *testing.T) {
 // serving layer does.
 func planBackend(t *testing.T, c *Compiled, encModel bool) *hebgv.Backend {
 	t.Helper()
-	levels := c.Meta.RecommendedLevels
-	if c.Meta.LevelPlan != nil {
-		levels = c.Meta.LevelPlan.ChainLevels(encModel)
-	}
 	b, err := hebgv.New(hebgv.Config{
-		Params:        bgv.TestParams(levels),
+		Params:        bgv.TestParams(c.Meta.ChainLevels(encModel)),
 		RotationSteps: c.Meta.RotationSteps,
 		Seed:          33,
 	})
@@ -207,14 +203,20 @@ func checkPinnedMargins(t *testing.T) {
 		// Re-pinned where the affine level mask took a prime off the chain
 		// under the level stage (compare 13 → 12, reshuffle 7 → 6, level
 		// 6 → 5): query / decisions / branch vector were 743 / 417 / 357.
-		{"prec16/offload", microForest(t, "prec16"), true, StageNoise{Query: 688, Decisions: 362, BranchVec: 301, LevelResult: 251, Result: 87}},
+		// The query gained 6 bits (688 → 694) when the backend began to
+		// encrypt under its secret key: t·e alone is the fresh noise.
+		{"prec16/offload", microForest(t, "prec16"), true, StageNoise{Query: 694, Decisions: 362, BranchVec: 301, LevelResult: 251, Result: 87}},
 		// Re-pinned where planning on the op program moved an entry down
 		// (levelplans.golden lists them): depth4's level entry 5 → 4 took
 		// the branch vector from 283 to 252; wide8's chain one prime
 		// shorter (compare 12 → 11, reshuffle 7 → 6, level 7 → 5) took
-		// query / decisions / branch vector from 688 / 417 / 391.
-		{"depth4/servermodel", microForest(t, "depth4"), false, StageNoise{Query: 578, Decisions: 307, BranchVec: 252, LevelResult: 197, Result: 87}},
-		{"wide8/servermodel", wide8Forest(t), false, StageNoise{Query: 633, Decisions: 362, BranchVec: 307, LevelResult: 252, Result: 87}},
+		// query / decisions / branch vector from 688 / 417 / 391. The
+		// comparison tree took another prime off both plaintext-model
+		// chains (compare 10 → 9 and 11 → 10): query 578 → 529 and
+		// 633 → 584 (a prime less, 6 bits of secret-key encryption more),
+		// depth4's decisions 307 → 287.
+		{"depth4/servermodel", microForest(t, "depth4"), false, StageNoise{Query: 529, Decisions: 287, BranchVec: 252, LevelResult: 197, Result: 87}},
+		{"wide8/servermodel", wide8Forest(t), false, StageNoise{Query: 584, Decisions: 362, BranchVec: 307, LevelResult: 252, Result: 87}},
 	} {
 		c, err := Compile(pin.f, Options{Slots: 1024})
 		if err != nil {

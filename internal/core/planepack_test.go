@@ -49,7 +49,8 @@ func TestPlanePackingFollowsBatchFill(t *testing.T) {
 // TestLoneQueryOpBudget is the deterministic form of the claim: a lone
 // prec16 query under Offload is one encryption, and its compare stage —
 // one product for gt, then log2 16 rotate-and-multiply rounds — at most
-// 16 key switches, where one plane per ciphertext pays 59 products.
+// 16 key switches, where one plane per ciphertext pays 43 products: 16
+// for gt and 27 in the reduction tree over the ciphertexts.
 func TestLoneQueryOpBudget(t *testing.T) {
 	f := microForest(t, "prec16")
 	c, err := Compile(f, Options{Slots: 1024})
@@ -87,8 +88,8 @@ func TestLoneQueryOpBudget(t *testing.T) {
 	if _, trace, err = (&Engine{Backend: b}).Classify(m, q); err != nil {
 		t.Fatal(err)
 	}
-	if ops := trace.CompareOps; ops.Mul != 59 || ops.Rotate != 0 || len(q.Bits) != 16 {
-		t.Errorf("full-batch compare stage over %d ciphertexts: %v, want the 59 products of one plane per ciphertext", len(q.Bits), ops)
+	if ops := trace.CompareOps; ops.Mul != 43 || ops.Rotate != 0 || len(q.Bits) != 16 {
+		t.Errorf("full-batch compare stage over %d ciphertexts: %v, want the 43 products of one plane per ciphertext", len(q.Bits), ops)
 	}
 }
 

@@ -42,12 +42,12 @@ import (
 //     diag(1 − 2·m)·L·b + m, so Prepare stages the signed matrix and the
 //     level step is a mat-vec and an addition: no mask product, in any
 //     scenario;
-//   - the inclusive prefix product of the last operand is never read by
-//     the gt sum, so at one plane per operand its Sklansky chain (and the
-//     last plane's eq chain) is dead code;
-//   - the gt sum accumulates lazy (unrelinearized) products and pays for
-//     a single relinearization instead of one per plane;
-//   - the j=0 gt term's multiply-by-ones is the identity;
+//   - the comparison's reduction tree is depth-optimal, ⌈log2 p⌉ product
+//     levels, and reads the EQ of its last node only where plane rounds
+//     follow, so at one plane per operand those EQ products (and the last
+//     plane's eq) are dead code;
+//   - the top of the tree is one sum of lazy (unrelinearized) products and
+//     pays for a single relinearization instead of one per term;
 //   - the plaintext constants of ⊕ (XOR coefficient/offset pairs) are
 //     encoded once at bind time instead of per call;
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
@@ -156,7 +156,7 @@ type Program struct {
 	encModel, plainQuery bool
 	// est is the level pass's estimate (level, noise) of each register
 	// under the plan the program was built for, rounds its estimate after
-	// each scheduled Sklansky round; nil without a plan.
+	// each scheduled compare round; nil without a plan.
 	est, rounds []est
 
 	// Trace registers: the carrier operands whose limb counts and
@@ -172,7 +172,7 @@ type Program struct {
 type progInputs struct {
 	meta Meta
 	// plan is the schedule to build under; nil = no drops. The structure
-	// reads only how many Sklansky rounds it schedules.
+	// reads only how many compare rounds it schedules.
 	plan      *StageLevels
 	encrypted bool
 	// plainQuery levels the program for plaintext query planes
@@ -337,43 +337,90 @@ func buildStructure(in progInputs) (*Program, error) {
 
 	// The comparison is one reduction over the associative pair
 	// (GT, EQ)∘(GT′, EQ′) = (GT + EQ·GT′, EQ·EQ′), more significant planes
-	// on the left (DESIGN.md §13.4). Across the operands it is Sklansky
-	// prefix products over eq, with the per-round level drops of the level
-	// plan, ...
-	incl := make([]int, nPlanes)
-	copy(incl, eq)
+	// on the left (DESIGN.md §13.4), in one product level per round: after
+	// every round the live registers drop to the plan's next CompareRounds
+	// entry, so CompareRounds[r] is the level after product level r.
 	round := 0
-	dropRound := func(regs []int) {
+	dropRound := func(regs ...*int) {
 		if bl.planned && round < len(in.plan.CompareRounds) {
-			for i, r := range regs {
-				regs[i] = bl.drop(r, atRound+round)
+			dropped := map[int]int{} // a register read twice drops once
+			for _, r := range regs {
+				d, ok := dropped[*r]
+				if !ok {
+					d = bl.drop(*r, atRound+round)
+					dropped[*r] = d
+				}
+				*r = d
 			}
 		}
 		round++
 	}
-	for span := 1; span < nPlanes; span <<= 1 {
-		for blockStart := 0; blockStart < nPlanes; blockStart += 2 * span {
-			pivot := blockStart + span - 1
-			if pivot >= nPlanes {
+	mul := func(a, b int) int { return bl.emit(opMul, a, b, 0, 0) }
+	// Across the operands it is a tree: adjacent pairs combine until at
+	// most four nodes are left (an odd last node passes up unchanged). The
+	// leading node's GT is only ever added, never multiplied, so its
+	// products stay lazy and join the single relinearization at the top ...
+	type node struct{ gt, eq int }
+	nodes := make([]node, nPlanes)
+	for j := range nodes {
+		nodes[j] = node{gt[j], eq[j]}
+	}
+	for len(nodes) > 4 {
+		var next []node
+		for i := 0; i < len(nodes); i += 2 {
+			if i+1 == len(nodes) {
+				next = append(next, nodes[i])
 				break
 			}
-			for i := pivot + 1; i <= pivot+span && i < nPlanes; i++ {
-				incl[i] = bl.emit(opMul, incl[i], incl[pivot], 0, 0)
+			a, b := nodes[i], nodes[i+1]
+			code := opMul
+			if i == 0 {
+				code = opMulLazy
 			}
+			next = append(next, node{bl.emit(opAdd, a.gt, bl.emit(code, a.eq, b.gt, 0, 0), 0, 0), mul(a.eq, b.eq)})
 		}
-		dropRound(incl)
+		nodes = next
+		var live []*int
+		for i := range nodes {
+			live = append(live, &nodes[i].gt, &nodes[i].eq)
+		}
+		dropRound(live...)
 	}
-
-	// ... and gt = Σ_j gt_j · pre_j with lazy products and one
-	// relinearization. pre_0 = 1, so the j=0 term is gt_0 itself. The sum
-	// runs in index order, so the result does not depend on the schedule.
-	decisions := gt[0]
-	for j := 1; j < nPlanes; j++ {
-		term := bl.emit(opMulLazy, gt[j], incl[j-1], 0, 0)
-		decisions = bl.emit(opAdd, decisions, term, 0, 0)
-	}
-	if nPlanes > 1 {
+	// ... and the top is flattened into one sum of lazy products under a
+	// single relinearization: with four nodes
+	//
+	//	GT = GT0 + EQ0⊗GT1 + E01⊗GT2 + E01⊗(EQ2·GT3),   E01 = EQ0·EQ1,
+	//
+	// E01 and EQ2·GT3 the eager round ahead of it, so four nodes take two
+	// product levels and m operands ⌈log2 m⌉. The sum runs in index order,
+	// so the result does not depend on the schedule. EQ over all of them,
+	// E01·(EQ2·EQ3), is read only by the plane rounds below; without them it
+	// is dead code, like the EQ of the last node at every level.
+	decisions, eqAll := nodes[0].gt, nodes[0].eq
+	if n := len(nodes); n > 1 {
+		terms := [][2]int{{nodes[0].eq, nodes[1].gt}}
+		if n == 2 {
+			eqAll = mul(nodes[0].eq, nodes[1].eq)
+		} else {
+			e01 := mul(nodes[0].eq, nodes[1].eq)
+			terms = append(terms, [2]int{e01, nodes[2].gt})
+			rest := nodes[2].eq
+			if n == 4 {
+				terms = append(terms, [2]int{e01, mul(nodes[2].eq, nodes[3].gt)})
+				rest = mul(nodes[2].eq, nodes[3].eq)
+			}
+			live := []*int{&decisions, &e01, &rest}
+			for i := range terms {
+				live = append(live, &terms[i][0], &terms[i][1])
+			}
+			dropRound(live...)
+			eqAll = mul(e01, rest)
+		}
+		for _, t := range terms {
+			decisions = bl.emit(opAdd, decisions, bl.emit(opMulLazy, t[0], t[1], 0, 0), 0, 0)
+		}
 		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
+		dropRound(&decisions, &eqAll)
 	}
 	// Across the g block groups of one operand it is log2 g rotate-and-
 	// multiply rounds: group b reads group b + 2^r, the less significant
@@ -387,32 +434,35 @@ func buildStructure(in progInputs) (*Program, error) {
 	// rotate-and-add (below), so under a grouped layout the garbage has to
 	// be zero instead: the decisions are multiplied by the plaintext 0/1
 	// selector of block group 0. A plaintext product costs ~24 bits of
-	// noise and no level, so each one sits directly ahead of a level move
-	// the schedule makes anyway, which rounds it away (DESIGN.md §13.5):
-	// with one operand GT and EQ descend together and the result reaches
-	// the stage boundary a level above the deeper packings, so the selector
-	// multiplies the result ahead of the boundary drop; with several, EQ
-	// runs a level ahead of GT — it skips the gt sum — so in the last round
-	// GT' = sel·GT + (sel·EQ)·rot(GT) each factor is aligned down after
-	// its selector product.
+	// noise and no level, so it sits directly ahead of a level move the
+	// schedule makes anyway, which rounds it away (DESIGN.md §13.5). GT and
+	// EQ leave the tree at the same depth and descend the rounds together,
+	// so every packing reaches the stage boundary after ⌈log2 p⌉ product
+	// levels; where the selector goes is what the level pass shows. With one
+	// operand it multiplies the result ahead of the boundary drop. With
+	// several it multiplies both factors of the last round,
+	// GT' = sel·GT + (sel·EQ)·rot(GT): sel·GT waits a level above the
+	// product it is added to, so the alignment rounds its bits away, and
+	// only sel·EQ's enter a tensor product, whose modulus switch keeps ~15
+	// of the 24. On the result alone a plaintext model's decisions would
+	// carry all 24 into the reshuffle entry, and wide8's would rise a level.
 	if in.packing > 1 {
 		sel := func(r int) int { return r }
 		if in.groups > 1 {
 			mask := bl.constReg(constSpec{Kind: ckGroupMask, Index: in.packing})
 			sel = func(r int) int { return bl.emit(opMul, r, mask, 0, 0) }
 		}
-		pair := []int{decisions, incl[nPlanes-1]} // GT, EQ
 		for step := in.meta.Slots / in.packing; step < in.meta.Slots; step <<= 1 {
-			gt, eq := pair[0], pair[1]
+			gt, eq := decisions, eqAll
 			if nPlanes > 1 && step == in.meta.Slots/2 {
 				gt, eq = sel(gt), sel(eq)
 			}
-			below := bl.emit(opRot, pair[0], 0, step, 0)
-			above := bl.emit(opAdd, gt, bl.emit(opMul, eq, below, 0, 0), 0, 0)
-			pair[0], pair[1] = above, bl.emit(opMul, pair[1], bl.emit(opRot, pair[1], 0, step, 0), 0, 0)
-			dropRound(pair)
+			below := bl.emit(opRot, decisions, 0, step, 0)
+			decisions = bl.emit(opAdd, gt, mul(eq, below), 0, 0)
+			eqAll = mul(eqAll, bl.emit(opRot, eqAll, 0, step, 0))
+			dropRound(&decisions, &eqAll)
 		}
-		if decisions = pair[0]; nPlanes == 1 {
+		if nPlanes == 1 {
 			decisions = sel(decisions)
 		}
 	}
@@ -582,9 +632,10 @@ func (bl *progBuilder) mergeGroups(groups []int, empty int) int {
 }
 
 // eliminateDeadOps removes ops whose results never reach the program
-// result (or a trace register): with the gt sum reading only the first
-// p−1 inclusive prefixes, the last bit plane's Sklansky chain and eq
-// decomposition are dead, along with their scheduled drops.
+// result (or a trace register): without plane rounds to read EQ over all
+// planes, the comparison tree's EQ products of its last node at every
+// level, down to the last bit plane's eq decomposition, are dead, along
+// with their scheduled drops.
 func (p *Program) eliminateDeadOps() {
 	live := make([]bool, p.numReg)
 	for _, r := range []int{p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult} {

@@ -208,9 +208,8 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 		}
 	}
 	manifest.RotationSteps = sortedSteps(stepSet)
-	manifest.ChainLevels = m.RecommendedLevels
+	manifest.ChainLevels = m.ChainLevels(false)
 	if m.LevelPlan != nil {
-		manifest.ChainLevels = min(m.LevelPlan.ChainLevels(false), m.RecommendedLevels)
 		manifest.QueryLevel = m.LevelPlan.QueryLevel()
 	}
 	// Steps assigned no budget entry stay at the chain top; drop

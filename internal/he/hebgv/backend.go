@@ -91,22 +91,31 @@ func New(cfg Config) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	var encryptor *bgv.Encryptor
-	if cfg.Seed != 0 {
-		encryptor = bgv.NewSeededEncryptor(params, pk, cfg.Seed+1)
-	} else {
-		encryptor = bgv.NewEncryptor(params, pk)
-	}
 	return &Backend{
 		params:    params,
 		encoder:   encoder,
-		encryptor: encryptor,
+		encryptor: newEncryptor(params, pk, sk, cfg.Seed),
 		evaluator: bgv.NewEvaluator(params, keys),
 		decryptor: bgv.NewDecryptor(params, sk),
 		keys:      keys,
 		sk:        sk,
 		pk:        pk,
 	}, nil
+}
+
+// newEncryptor returns the backend's encryptor: under the secret key when
+// the backend holds it, through the public key otherwise (a backend built
+// from public material); seeded from seed+1 when seed is non-zero.
+func newEncryptor(params *bgv.Parameters, pk *bgv.PublicKey, sk *bgv.SecretKey, seed uint64) *bgv.Encryptor {
+	switch {
+	case sk != nil && seed != 0:
+		return bgv.NewSeededSecretKeyEncryptor(params, sk, seed+1)
+	case sk != nil:
+		return bgv.NewSecretKeyEncryptor(params, sk)
+	case seed != 0:
+		return bgv.NewSeededEncryptor(params, pk, seed+1)
+	}
+	return bgv.NewEncryptor(params, pk)
 }
 
 // KeyMaterial reports the in-memory evaluation-key bytes (relin plus

@@ -305,3 +305,47 @@ func TestLevelCapabilities(t *testing.T) {
 		t.Fatalf("clear OperandLimbs = %d, want 0", limbs)
 	}
 }
+
+// TestPublicMaterialEncrypts: a backend built from public material only —
+// a gateway's — holds no secret key to encrypt under, so it encrypts through
+// the public key, at the top of the chain and at a scheduled level alike;
+// the key holder, which encrypts under its secret key, decrypts both kinds,
+// and the public-only backend decrypts neither.
+func TestPublicMaterialEncrypts(t *testing.T) {
+	full := newBackend(t, 4, nil)
+	pub, err := NewFromMaterial(Config{Seed: 9}, full.PublicMaterial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewPCG(9, 9))
+	vals := make([]uint64, full.Slots())
+	for i := range vals {
+		vals[i] = r.Uint64N(full.PlainModulus())
+	}
+	var cts []he.Ciphertext
+	for _, b := range []*Backend{pub, full} {
+		top, err := b.Encrypt(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		low, err := b.EncryptAtLevel(vals, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, top, low)
+	}
+	for i, ct := range cts {
+		got, err := full.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range vals {
+			if got[j] != vals[j] {
+				t.Fatalf("ciphertext %d, slot %d: %d, want %d", i, j, got[j], vals[j])
+			}
+		}
+		if _, err := pub.Decrypt(ct); err == nil {
+			t.Errorf("ciphertext %d: the public-only backend decrypted it", i)
+		}
+	}
+}

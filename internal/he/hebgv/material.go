@@ -49,7 +49,8 @@ func (b *Backend) PublicMaterial() *Material {
 // the parameters); cfg.Seed seeds the encryptor only; rotation-step
 // fields are ignored (the material carries whatever keys were
 // generated). A material without Secret yields a backend that encrypts
-// and evaluates but fails Decrypt/NoiseBudget; without Keys it supports
+// through the public key and evaluates but fails Decrypt/NoiseBudget (with
+// Secret it encrypts under the secret key, as New's); without Keys it supports
 // only additive workloads (Rotate/Mul fail inside the evaluator).
 func NewFromMaterial(cfg Config, m *Material) (*Backend, error) {
 	if m == nil || m.Public == nil {
@@ -63,16 +64,10 @@ func NewFromMaterial(cfg Config, m *Material) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	var encryptor *bgv.Encryptor
-	if cfg.Seed != 0 {
-		encryptor = bgv.NewSeededEncryptor(params, m.Public, cfg.Seed+1)
-	} else {
-		encryptor = bgv.NewEncryptor(params, m.Public)
-	}
 	b := &Backend{
 		params:    params,
 		encoder:   encoder,
-		encryptor: encryptor,
+		encryptor: newEncryptor(params, m.Public, m.Secret, cfg.Seed),
 		evaluator: bgv.NewEvaluator(params, m.Keys),
 		keys:      m.Keys,
 		sk:        m.Secret,

@@ -452,20 +452,24 @@ func (ctx *Context) CopyInto(src, dst *Poly) {
 }
 
 // SetLift fills p (coefficient domain) with the given small signed
-// coefficients, reducing each into every active prime.
+// coefficients, reducing each into every active prime (a division only
+// for a magnitude of q or more).
 func (ctx *Context) SetLift(coeffs []int64, p *Poly) {
 	for i := range p.Coeffs {
 		q := ctx.Moduli[i].Q
 		pi := p.Coeffs[i]
 		for j, c := range coeffs {
-			if c >= 0 {
-				pi[j] = uint64(c) % q
-			} else {
-				pi[j] = q - (uint64(-c) % q)
-				if pi[j] == q {
-					pi[j] = 0
-				}
+			v := uint64(c)
+			if c < 0 {
+				v = -v
 			}
+			if v >= q {
+				v %= q
+			}
+			if c < 0 && v != 0 {
+				v = q - v
+			}
+			pi[j] = v
 		}
 	}
 	p.IsNTT = false

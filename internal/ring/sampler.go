@@ -53,18 +53,21 @@ func (s *Sampler) In(ctx *Context) *Sampler {
 
 // UniformPoly samples a uniformly random polynomial at the given level in
 // the requested domain. Because CRT is a bijection, sampling each residue
-// independently yields a uniform element of Z_Q.
+// independently yields a uniform element of Z_Q. A residue is the high
+// word of v·q for a uniform 64-bit v (Lemire's multiply-shift): uniform on
+// [0, q) once the low words below 2^64 mod q are rejected, and no division
+// per draw.
 func (s *Sampler) UniformPoly(level int, ntt bool) *Poly {
 	p := s.ctx.NewPoly(level)
 	for i := 0; i <= level; i++ {
 		q := s.ctx.Moduli[i].Q
-		bound := ^uint64(0) - (^uint64(0) % q) // rejection threshold
+		reject := -q % q // 2^64 mod q
 		pi := p.Coeffs[i]
 		for j := range pi {
 			for {
-				v := s.rng.Uint64()
-				if v < bound {
-					pi[j] = v % q
+				hi, lo := bits.Mul64(s.rng.Uint64(), q)
+				if lo >= reject {
+					pi[j] = hi
 					break
 				}
 			}
@@ -89,13 +92,19 @@ func (s *Sampler) TernaryPoly(level int) *Poly {
 // ErrorPoly samples a centered-binomial error polynomial at the given
 // level, in coefficient domain.
 func (s *Sampler) ErrorPoly(level int) *Poly {
+	p := s.ctx.NewPoly(level)
+	s.ctx.SetLift(s.ErrorCoeffs(), p)
+	return p
+}
+
+// ErrorCoeffs samples the N centered-binomial coefficients of one error
+// polynomial, for callers that fold other small terms in before lifting.
+func (s *Sampler) ErrorCoeffs() []int64 {
 	coeffs := make([]int64, s.ctx.N)
 	for j := range coeffs {
 		coeffs[j] = s.cbdSample()
 	}
-	p := s.ctx.NewPoly(level)
-	s.ctx.SetLift(coeffs, p)
-	return p
+	return coeffs
 }
 
 // cbdSample draws one centered-binomial value: popcount(a)-popcount(b)

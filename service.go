@@ -223,14 +223,11 @@ func (s *Service) newBackend(c *Compiled, encModel bool) (he.Backend, error) {
 	case BackendBGV:
 		levels := s.cfg.levels
 		if levels == 0 {
-			levels = c.Meta.RecommendedLevels
-			if plan := c.Meta.LevelPlan; plan != nil {
-				// The scheduled pipeline tops out at the plan's compare
-				// entry: a shorter chain means smaller keys, cheaper key
-				// generation, and every top-level op running over the
-				// fraction of the chain the schedule actually uses.
-				levels = min(plan.ChainLevels(encModel), levels)
-			}
+			// The scheduled pipeline tops out at the plan's compare entry:
+			// a shorter chain means smaller keys, cheaper key generation,
+			// and every top-level op running over the fraction of the chain
+			// the schedule actually uses.
+			levels = c.Meta.ChainLevels(encModel)
 		}
 		var params bgv.Params
 		switch s.cfg.security {

@@ -1,10 +1,13 @@
 package copse_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -524,6 +527,52 @@ func TestServiceShuffleRequiresHeadroom(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "PlanShuffle") {
 		t.Errorf("error %q does not name PlanShuffle", err)
+	}
+}
+
+// TestServiceV4ArtifactPlan: testdata/figure1_v4.copse was written before
+// the compare stage became a depth-optimal tree, so its CompareRounds were
+// planned for the Sklansky prefix chain, one product level deeper. On BGV,
+// under either scenario, it either registers and answers every batch fill
+// exactly as the plaintext walk does, or Register refuses it with the
+// typed *PlanInfeasibleError; it never returns a wrong label.
+func TestServiceV4ArtifactPlan(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "figure1_v4.copse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest := copse.ExampleForest()
+	for _, sc := range []copse.Scenario{copse.ScenarioOffload, copse.ScenarioServerModel} {
+		c, err := copse.ReadArtifact(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := c.Meta.LevelPlan; plan == nil || len(plan.Cipher.CompareRounds) != 2 || len(plan.Plain.CompareRounds) != 2 {
+			t.Fatalf("the v4 artifact carries plan %+v, want two compare rounds per scenario", plan)
+		}
+		svc := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithScenario(sc), copse.WithSeed(22))
+		err = svc.Register("fig1", c)
+		var infeasible *copse.PlanInfeasibleError
+		switch {
+		case errors.As(err, &infeasible):
+			t.Logf("scenario %d: refused at Register: %v", sc, err)
+		case err != nil:
+			t.Errorf("scenario %d: Register: %v, want success or *PlanInfeasibleError", sc, err)
+		default:
+			for _, fill := range []int{1, 3, c.Meta.BatchCapacity()} {
+				batch := randomBatch(forest, fill, uint64(fill))
+				results, err := svc.ClassifyBatch(context.Background(), "fig1", batch)
+				if err != nil {
+					t.Fatalf("scenario %d, batch of %d: %v", sc, fill, err)
+				}
+				for i, feats := range batch {
+					if want := forest.Classify(feats); !slices.Equal(results[i].PerTree, want) {
+						t.Errorf("scenario %d, batch of %d, query %v: labels %v, plaintext %v", sc, fill, feats, results[i].PerTree, want)
+					}
+				}
+			}
+		}
+		svc.Close()
 	}
 }
 
