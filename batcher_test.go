@@ -210,10 +210,19 @@ func TestAggregatorCancelMidLinger(t *testing.T) {
 // through the caller's codebook, per-tree labels stay hidden.
 func TestAggregatorShuffledRouting(t *testing.T) {
 	const clients = 3 // < capacity 4: MinFill pins the pass boundary
-	f, svc := batchedService(t, 55, copse.BatchPolicy{
+	f, _ := trainedModel(t, 55, 256)
+	c, err := copse.Compile(f, copse.CompileOptions{Slots: 256, PlanShuffle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := copse.NewService(copse.WithBackend(copse.BackendClear), copse.WithBatchPolicy(copse.BatchPolicy{
 		Window:  time.Minute,
 		MinFill: clients,
-	}, copse.WithShuffle(true), copse.WithSeed(7))
+	}), copse.WithShuffle(true), copse.WithSeed(7))
+	if err := svc.Register("m", c); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for g := 0; g < clients; g++ {

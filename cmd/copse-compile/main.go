@@ -36,7 +36,7 @@ func main() {
 	modelPath := flag.String("model", "", "input model in COPSE text format")
 	slots := flag.Int("slots", 1024, "target packing width (1024 = BGV test preset, 2048 = demo preset)")
 	padK := flag.Int("padk", 0, "pad feature multiplicity to this bound instead of revealing exact K (0 = exact)")
-	planShuffle := flag.Bool("planshuffle", false, "reserve level headroom for result shuffling (required to serve the artifact with copse-serve -shuffle on the BGV backend)")
+	planShuffle := flag.Bool("planshuffle", false, "reserve level headroom for result shuffling (required to serve the artifact with copse-serve -shuffle)")
 	out := flag.String("out", "", "output artifact path")
 	emit := flag.String("emit", "", "also emit a standalone Go program to this path")
 	shards := flag.Int("shards", 0, "also split the forest tree-wise into this many shard artifacts plus a merge manifest, derived from -out (cluster serving, DESIGN.md §12)")
@@ -77,9 +77,10 @@ func main() {
 	// The op program does not depend on the backend, so staging onto the
 	// exact one is enough to read off what the level pass predicts for it
 	// and how much parallelism the model offers the pass scheduler
-	// (DESIGN.md §8.1, §9).
+	// (DESIGN.md §8.1, §9). Under -planshuffle it is the program a
+	// shuffling service runs, the result shuffle its fifth stage.
 	for _, encModel := range []bool{true, false} {
-		staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, encModel)
+		staged, err := core.PrepareWithPlan(heclear.New(m.Slots, 65537), compiled, encModel, m.LevelPlan, *planShuffle)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,10 +102,10 @@ func main() {
 				name, g, m.QueryCapacity(g), m.QueryCiphertexts(g), m.D, lanes, groups, levelOps, work, critical, float64(work)/float64(critical))
 			// The stage bills: the plane axis shortens compare (DESIGN.md
 			// §13.4), the level lanes and lane groups levels and accumulate
-			// (§13.5).
+			// (§13.5); their works sum to the program's.
 			for st, bill := range prog.StageBills() {
 				fmt.Fprintf(os.Stderr, "; %s %d products (%d lazy) + %d relinearizations + %d rotations = %d key switches, depth %d, work %d",
-					[...]string{"compare", "reshuffle", "levels", "accumulate"}[st],
+					[...]string{"compare", "reshuffle", "levels", "accumulate", "shuffle"}[st],
 					bill.Products, bill.Lazy, bill.Relins, bill.Rotations, bill.KeySwitches, bill.Depth, bill.Work)
 			}
 			fmt.Fprintln(os.Stderr)

@@ -113,7 +113,7 @@ func main() {
 	shedQueue := flag.Int("shedqueue", 0, "load-shedding queue bound: calls beyond -max-inflight wait here; overflow is rejected with 429 + Retry-After (0 = queue without bound; needs -max-inflight)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request classification timeout")
 	seed := flag.Uint64("seed", 0, "deterministic keys/encryption when non-zero (tests only — except -worker mode, where a shared seed is how the fleet derives one key set; with -shuffle it also makes every shuffle permutation predictable to anyone who knows the seed, voiding the leakage hardening)")
-	shuffle := flag.Bool("shuffle", false, "shuffle results (leakage hardening, §7.2.2): responses carry per-query codebooks and vote counts instead of per-tree labels; BGV models need CompileOptions.PlanShuffle")
+	shuffle := flag.Bool("shuffle", false, "shuffle results (leakage hardening, §7.2.2): responses carry per-query codebooks and vote counts instead of per-tree labels; models need CompileOptions.PlanShuffle")
 	batchWindow := flag.Duration("batchwindow", 0, "dynamic batching linger: concurrent requests for the same model coalesce into shared slot-packed passes, waiting up to this long for co-riders (0 = off)")
 	batchMax := flag.Int("batchmax", 0, "queries per coalesced pass cap (0 = model batch capacity; needs -batchwindow)")
 	batchMinFill := flag.Int("batchminfill", 0, "fire a coalesced pass early once this many queries are pending (0 = only at capacity or linger expiry; needs -batchwindow)")

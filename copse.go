@@ -265,8 +265,8 @@ type SystemConfig struct {
 	Workers int
 	// Shuffle enables result shuffling (paper §7.2.2) on every
 	// classification pass: per-query permuted results decoded through
-	// per-query codebooks (see WithShuffle). BGV models must be compiled
-	// with CompileOptions.PlanShuffle.
+	// per-query codebooks (see WithShuffle). Models must be compiled with
+	// CompileOptions.PlanShuffle.
 	Shuffle bool
 	// MeasureNoise records decrypt-side noise-budget margins at every
 	// stage boundary in each Trace (see WithNoiseMeasurement); a

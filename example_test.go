@@ -43,8 +43,9 @@ func ExampleService() {
 // result slots in one block-diagonal pass, and the per-query codebooks
 // decode vote counts — per-tree labels stay hidden from the data owner.
 func ExampleService_shuffled() {
-	// PlanShuffle reserves the level headroom the shuffle needs on the
-	// BGV backend; the exact clear backend accepts any schedule.
+	// PlanShuffle reserves the level headroom the shuffle stage needs;
+	// the exact backend runs the same levelled program and refuses a
+	// model compiled without it, as BGV does.
 	compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024, PlanShuffle: true})
 	if err != nil {
 		log.Fatal(err)

@@ -73,11 +73,11 @@ func main() {
 
 	// Leakage-hardened serving: the raw leaf bitvector reveals the
 	// order of the labels in the forest's trees, so a shuffled service
-	// permutes every packed query's result — one block-diagonal pass
-	// for the whole batch (DESIGN.md §10) — and hands back per-query
-	// codebooks. Vote counts survive; per-tree labels don't. On BGV the
-	// model must be compiled with PlanShuffle so the result keeps the
-	// shuffle's level headroom.
+	// permutes every packed query's result — the op program's shuffle
+	// stage, one block-diagonal mat-vec for the whole batch (DESIGN.md
+	// §10) — and hands back per-query codebooks. Vote counts survive;
+	// per-tree labels don't. The model must be compiled with PlanShuffle
+	// so the result keeps the shuffle's level headroom.
 	shuffledModel, err := copse.Compile(forest, copse.CompileOptions{Slots: 1024, PlanShuffle: true})
 	if err != nil {
 		log.Fatal(err)

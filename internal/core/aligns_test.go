@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -40,14 +41,18 @@ func lanes4Forest(t *testing.T) *model.Forest {
 	return f
 }
 
+// alignCase is one model of the corpus; shuffle marks one compiled with
+// Options.PlanShuffle and served by a shuffling service, its programs
+// ending in the result shuffle stage.
 type alignCase struct {
-	f *model.Forest
-	c *Compiled
+	f       *model.Forest
+	c       *Compiled
+	shuffle bool
 }
 
 // alignCorpus is every Table 6 forest (one or two level lanes), the
-// four-lane model, and wide8 whole and split two ways; the short suite
-// keeps one model of each pipeline shape.
+// four-lane model, wide8 whole and split two ways, and Figure 1 and wide8
+// shuffled; the short suite keeps one model of each pipeline shape.
 func alignCorpus(t *testing.T) map[string]alignCase {
 	t.Helper()
 	forests := map[string]*model.Forest{"wide8": wide8Forest(t), "lanes4": lanes4Forest(t)}
@@ -63,7 +68,18 @@ func alignCorpus(t *testing.T) map[string]alignCase {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		corpus[name] = alignCase{f, c}
+		corpus[name] = alignCase{f: f, c: c}
+	}
+	shuffled := map[string]*model.Forest{"figure1": model.Figure1()}
+	if !testing.Short() {
+		shuffled["wide8"] = forests["wide8"]
+	}
+	for name, f := range shuffled {
+		c, err := Compile(f, Options{Slots: 1024, PlanShuffle: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		corpus[name+"/shuffled"] = alignCase{f, c, true}
 	}
 	if lanes, ops := corpus["lanes4"].c.Meta.LevelLanes(); lanes != 4 || ops != 2 {
 		t.Fatalf("lanes4 stacks %d operands of %d lanes, want 2 of 4", ops, lanes)
@@ -73,9 +89,58 @@ func alignCorpus(t *testing.T) map[string]alignCase {
 		t.Fatal(err)
 	}
 	for i, sc := range shards {
-		corpus[fmt.Sprintf("wide8-shard%d", i)] = alignCase{forests["wide8"], sc}
+		corpus[fmt.Sprintf("wide8-shard%d", i)] = alignCase{f: forests["wide8"], c: sc}
 	}
 	return corpus
+}
+
+// classifyCase runs one pass of q through m, shuffled when m was prepared
+// for it (under a seed fixed by the batch), and returns the result, the
+// codebooks of a shuffled pass and the trace.
+func classifyCase(t *testing.T, e *Engine, m *ModelOperands, q *Query) (he.Operand, []*ShuffledCodebook, *Trace) {
+	t.Helper()
+	var out he.Operand
+	var cbs []*ShuffledCodebook
+	var trace *Trace
+	var err error
+	if m.shuffle {
+		out, cbs, trace, err = e.ClassifyShuffledCtx(context.Background(), m, q, uint64(q.Batch))
+	} else {
+		out, trace, err = e.Classify(m, q)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, cbs, trace
+}
+
+// checkVotes decodes a pass of batch and holds every query's votes — and,
+// unshuffled, its per-tree labels — to the forest's trees [start, start+n).
+func checkVotes(t *testing.T, b he.Backend, f *model.Forest, m *ModelOperands, out he.Operand, cbs []*ShuffledCodebook, batch [][]uint64, capacity, start int) {
+	t.Helper()
+	slots, err := he.Reveal(b, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []*Result
+	if cbs != nil {
+		results, err = DecodeShuffledBatch(cbs, len(f.Labels), slots, m.Meta.BatchBlock())
+	} else {
+		results, err = DecodeResultBatch(&m.Meta, slots, len(batch), capacity)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		want := f.Classify(batch[i])[start : start+m.Meta.NumTrees]
+		votes := make([]int, len(f.Labels))
+		for _, label := range want {
+			votes[label]++
+		}
+		if !slices.Equal(res.Votes, votes) || cbs == nil && !slices.Equal(res.PerTree, want) {
+			t.Fatalf("plan=%v batch of %d, query %d: votes %v trees %v, forest says %v", m.Plan != nil, len(batch), i, res.Votes, res.PerTree, want)
+		}
+	}
 }
 
 // packingFills returns one batch size per plane packing the model admits,
@@ -104,7 +169,7 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 			t.Run(name+"/"+cfg.name, func(t *testing.T) {
 				b := he.Backend(planBackend(t, c, cfg.encModel))
 				stage := func(plan *LevelPlan) *ModelOperands {
-					m, err := PrepareWithPlan(b, c, cfg.encModel, plan)
+					m, err := PrepareWithPlan(b, c, cfg.encModel, plan, ac.shuffle)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -119,48 +184,33 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, trace, err := (&Engine{Backend: b}).Classify(m, q)
-					if err != nil {
-						t.Fatal(err)
-					}
+					out, cbs, trace := classifyCase(t, &Engine{Backend: b}, m, q)
 					if g := m.Meta.PlanesPerCiphertext(fill); trace.PlanesPerCiphertext != g || trace.QueryCiphertexts != m.Meta.QueryCiphertexts(g) {
 						t.Fatalf("fill %d ran %d operands at %d planes per ciphertext, want %d at %d",
 							fill, trace.QueryCiphertexts, trace.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
-					}
-					slots, err := he.Reveal(b, out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					results, err := DecodeResultBatch(&m.Meta, slots, fill, m.Meta.QueryCapacity(q.PlanesPerCiphertext))
-					if err != nil {
-						t.Fatal(err)
 					}
 					start := 0
 					if c.Shard != nil {
 						start = c.Shard.TreeStart
 					}
-					for i, res := range results {
-						if want := f.Classify(batch[i])[start : start+len(res.PerTree)]; !slices.Equal(res.PerTree, want) {
-							t.Fatalf("plan=%v fill=%d query %d: classified %v, forest says %v", m.Plan != nil, fill, i, res.PerTree, want)
-						}
-					}
+					checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
 					return trace
 				}
 				planned := stage(c.Meta.LevelPlan)
 				for _, fill := range packingFills(&c.Meta) {
 					tr := classify(planned, fill)
-					for st, ops := range []he.OpCounts{tr.CompareOps, tr.ReshuffleOps, tr.LevelOps, tr.AccumulateOps} {
+					for st, ops := range []he.OpCounts{tr.CompareOps, tr.ReshuffleOps, tr.LevelOps, tr.AccumulateOps, tr.ShuffleOps} {
 						if ops.Aligns != 0 {
 							t.Errorf("planned %s stage at %d planes per ciphertext: backend aligned %d operands itself",
 								stageNames[st], tr.PlanesPerCiphertext, ops.Aligns)
 						}
 					}
 				}
-				// The reactive contrast runs on the Table 6 models of the
-				// full suite; wide8 stages too slowly to do twice. Reactive
-				// management needs the chain the compiler recommends for it,
-				// not the plan's.
-				if testing.Short() || f.NumFeatures != 2 {
+				// The reactive contrast runs on the unshuffled Table 6 models
+				// of the full suite; wide8 stages too slowly to do twice.
+				// Reactive management needs the chain the compiler recommends
+				// for it, not the plan's.
+				if testing.Short() || f.NumFeatures != 2 || ac.shuffle {
 					return
 				}
 				reactive := *c

@@ -279,8 +279,10 @@ func ancestorAtLevel(path []pathStep, l int) (pathStep, bool) {
 // With bsgs set, each matrix period P contributes only its baby steps
 // 1..n1−1 and giant steps n1, 2n1, .. (n2−1)·n1 — ~2·√P keys instead of
 // the naive kernel's P−1 steps. The replication between stages rotates by
-// negated powers of two either way. nPad covers the optional
-// result-shuffling step (§7.2.2).
+// negated powers of two either way, listed up to the slot count: the
+// powers from BatchBlock up serve no stage, but the step set fixes every
+// artifact's Galois keys and their fingerprint (DESIGN.md §10.2). nPad
+// covers the optional result shuffle (§7.2.2).
 func rotationSteps(qPad, bPad, nPad, slots int, bsgs bool) []int {
 	set := map[int]bool{}
 	if bsgs {

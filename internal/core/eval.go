@@ -31,8 +31,9 @@ type ModelOperands struct {
 	// Levels[j] holds the signed matrices and Masks[j] the additive masks.
 	Levels []*matrix.Diagonals
 	Masks  []he.Operand
-	// encModel records that the components are ciphertexts.
-	encModel bool
+	// encModel records that the components are ciphertexts; shuffle that
+	// every program ends in the result shuffle stage (DESIGN.md §10).
+	encModel, shuffle bool
 	// grouped is the second staging of the same levels, over the lanes of
 	// Meta.LevelGroups slot groups, which the plane packings from that
 	// many up run on (Meta.LevelLayout); nil when the model has one group.
@@ -106,9 +107,10 @@ func (m *ModelOperands) packing(g int) *planePacking {
 // Prepare loads c onto backend b. With encrypt=true all model components
 // are encrypted; otherwise they are encoded plaintexts. Operands are
 // staged at the compiled level schedule when the model carries one; use
-// PrepareWithPlan to override (nil = reactive).
+// PrepareWithPlan to override (nil = reactive) or to prepare for a
+// service that shuffles its results.
 func Prepare(b he.Backend, c *Compiled, encrypt bool) (*ModelOperands, error) {
-	return PrepareWithPlan(b, c, encrypt, c.Meta.LevelPlan)
+	return PrepareWithPlan(b, c, encrypt, c.Meta.LevelPlan, false)
 }
 
 // PrepareWithPlan is Prepare under an explicit level schedule: every
@@ -117,12 +119,15 @@ func Prepare(b he.Backend, c *Compiled, encrypt bool) (*ModelOperands, error) {
 // components via eager pre-lifting — so no per-query work remains to put
 // operands on schedule. A nil plan stages reactively at the chain top
 // (the pre-level-scheduling behaviour, and what a model compiled with
-// Options.NoLevelPlan gets).
-func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan) (*ModelOperands, error) {
+// Options.NoLevelPlan gets). With shuffle every program ends in the result
+// shuffle stage (paper §7.2.2), and Engine.ClassifyShuffledCtx runs them;
+// a plan whose result lands below the shuffle's entry — a model compiled
+// without Options.PlanShuffle — is a *PlanInfeasibleError.
+func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, shuffle bool) (*ModelOperands, error) {
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
-	m := &ModelOperands{Meta: c.Meta, encModel: encrypt}
+	m := &ModelOperands{Meta: c.Meta, encModel: encrypt, shuffle: shuffle}
 	level := func(sel func(StageLevels) int) int { return -1 }
 	// Queries are packed against this meta (PrepareQueryBatch reads its
 	// QueryLevel), so the staged meta must advertise exactly the schedule
@@ -242,6 +247,7 @@ func (m *ModelOperands) progInputs(g int, lv *levelStaging, plainQuery bool) pro
 		lanes:      lv.lanes,
 		groups:     lv.groups,
 		reshuffle:  diagShapeOf(m.Reshuffle),
+		shuffle:    m.shuffle,
 	}
 	for j, d := range lv.mats {
 		in.levels = append(in.levels, diagShapeOf(d))
@@ -392,8 +398,12 @@ type PlanInfeasibleError struct {
 }
 
 func (e *PlanInfeasibleError) Error() string {
-	return fmt.Sprintf("core: level plan infeasible for %s: %s failure in the %s stage at level %d",
+	msg := fmt.Sprintf("core: level plan infeasible for %s: %s failure in the %s stage at level %d",
 		e.Scenario, e.Kind, e.Stage, e.Level)
+	if e.Stage == stageNames[stShuffle] {
+		msg += " (compile with CompileOptions.PlanShuffle to reserve the result shuffle's headroom)"
+	}
+	return msg
 }
 
 func scenarioName(encModel, encQuery bool) string {
@@ -472,9 +482,9 @@ type Trace struct {
 	Total                                  time.Duration
 	CompareOps, ReshuffleOps               he.OpCounts
 	LevelOps, AccumulateOps                he.OpCounts
-	// Shuffle is the optional result-shuffle pass (paper §7.2.2) the
-	// serving layer runs after the engine when shuffling is enabled;
-	// zero otherwise. Its time is included in Total.
+	// Shuffle is the result shuffle stage (paper §7.2.2) of a model
+	// prepared for a shuffling service, staging of the pass's permutations
+	// included; zero otherwise.
 	Shuffle    time.Duration
 	ShuffleOps he.OpCounts
 	// Limbs is the level plan's runtime footprint (zero-valued on
@@ -501,19 +511,19 @@ type Trace struct {
 	// The Busy fields are each stage's op run time summed over those
 	// workers: busy ÷ (stage time × Workers) is how much of the cores the
 	// stage's dependencies let the scheduler use.
-	CompareBusy, ReshuffleBusy, LevelsBusy, AccumulateBusy time.Duration
+	CompareBusy, ReshuffleBusy, LevelsBusy, AccumulateBusy, ShuffleBusy time.Duration
 }
 
-// StageTime is the wall time of the four engine stages; Busy is their op
-// run time summed over the workers. Busy ÷ (StageTime × Workers) is the
+// StageTime is the wall time of the engine stages; Busy is their op run
+// time summed over the workers. Busy ÷ (StageTime × Workers) is the
 // pass's utilisation: 1 on one worker, and on several as much as the
 // program's dependencies allow.
 func (t *Trace) StageTime() time.Duration {
-	return t.Compare + t.Reshuffle + t.Levels + t.Accumulate
+	return t.Compare + t.Reshuffle + t.Levels + t.Accumulate + t.Shuffle
 }
 
 func (t *Trace) Busy() time.Duration {
-	return t.CompareBusy + t.ReshuffleBusy + t.LevelsBusy + t.AccumulateBusy
+	return t.CompareBusy + t.ReshuffleBusy + t.LevelsBusy + t.AccumulateBusy + t.ShuffleBusy
 }
 
 // StageNoise records the measured remaining noise budget (bits) of the
@@ -601,6 +611,26 @@ func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error
 // before every op, so a cancelled request stops within one op's time;
 // ops already running finish first.
 func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
+	if m.shuffle {
+		return he.Operand{}, nil, fmt.Errorf("core: model prepared for a shuffling service: use ClassifyShuffledCtx")
+	}
+	out, _, trace, err := e.classify(ctx, m, q, 0)
+	return out, trace, err
+}
+
+// ClassifyShuffledCtx is ClassifyCtx on a model prepared for a service
+// that shuffles its results (PrepareWithPlan): the program's shuffle stage
+// permutes every block's leaf slots with permutations drawn from seed —
+// a fresh seed per pass — and the codebooks of the batch's queries, in
+// packing order, decode the result (DecodeShuffledBatch).
+func (e *Engine) ClassifyShuffledCtx(ctx context.Context, m *ModelOperands, q *Query, seed uint64) (he.Operand, []*ShuffledCodebook, *Trace, error) {
+	if !m.shuffle {
+		return he.Operand{}, nil, nil, fmt.Errorf("core: model prepared without the result shuffle")
+	}
+	return e.classify(ctx, m, q, seed)
+}
+
+func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed uint64) (he.Operand, []*ShuffledCodebook, *Trace, error) {
 	// A query packed for one model silently misclassifies on another
 	// whose layout differs (a registry makes that an easy mistake), so
 	// reject layout mismatches up front — the full packing layout, since
@@ -610,7 +640,7 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 	g := max(q.PlanesPerCiphertext, 1)
 	packed := QueryPacking{q.NumFeatures, q.K, q.QPad, q.Block}
 	if model := (QueryPacking{m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock()}); q.QPad != 0 && packed != model {
-		return he.Operand{}, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Packed: packed, Model: model}
+		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Packed: packed, Model: model}
 	}
 	// The query's layout names the program: the one staged for its plane
 	// packing.
@@ -620,7 +650,7 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 		if pk != nil {
 			mismatch.Want = len(pk.thresholds)
 		}
-		return he.Operand{}, nil, mismatch
+		return he.Operand{}, nil, nil, mismatch
 	}
 
 	p := pk.program
@@ -665,12 +695,19 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 	if e.shuffleReady != nil {
 		ps.rank = e.shuffleReady(len(p.ops))
 	}
-	for st := stCompare; st < stDone; st++ {
+	var codebooks []*ShuffledCodebook
+	for st := stCompare; st < p.stages; st++ {
+		if st == stShuffle {
+			var err error
+			if ps.shuffle, codebooks, err = stageShuffle(b, m, max(q.Batch, 1), seed); err != nil {
+				return he.Operand{}, nil, nil, fmt.Errorf("core: %s step: %w", stageNames[st], err)
+			}
+		}
 		if err := ps.runStage(ctx, st); err != nil {
-			return he.Operand{}, nil, err
+			return he.Operand{}, nil, nil, err
 		}
 		ps.closeStage(st)
 	}
 	trace.Total = time.Since(start) - ps.probed
-	return ps.regs[p.result], trace, nil
+	return ps.regs[p.result], codebooks, trace, nil
 }

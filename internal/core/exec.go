@@ -12,7 +12,7 @@ import (
 )
 
 // stageNames label the pipeline stages in errors, indexed by stage tag.
-var stageNames = [stDone]string{"comparison", "reshuffle", "level processing", "accumulation"}
+var stageNames = [stDone]string{"comparison", "reshuffle", "level processing", "accumulation", "shuffle"}
 
 // passScratch is the per-pass storage a program recycles between passes.
 type passScratch struct {
@@ -42,6 +42,7 @@ type pass struct {
 	thresholds []he.Operand  // of the query's plane packing
 	levels     *levelStaging // of its level layout
 	q          *Query
+	shuffle    *passShuffle // the pass's permutations, staged at the shuffle stage
 	p          *Program
 
 	workers int
@@ -231,6 +232,10 @@ func (ps *pass) closeStage(st int) {
 		t.Limbs.LevelResult, t.Noise.LevelResult = limbs(p.regLevelResult), noise(p.regLevelResult)
 	case stAccumulate:
 		t.Accumulate, t.AccumulateBusy, t.AccumulateOps = dur, ps.busy, delta
+	case stShuffle:
+		t.Shuffle, t.ShuffleBusy, t.ShuffleOps = dur, ps.busy, delta
+	}
+	if st == p.stages-1 {
 		t.Limbs.Result, t.Noise.Result = limbs(p.result), noise(p.result)
 	}
 	ps.base, ps.busy = counts, 0
@@ -275,9 +280,16 @@ func (ps *pass) runOp(i int) (err error) {
 		R[op.Dst], err = he.Mul(b, R[op.A], R[op.B])
 	case opMulLazy:
 		R[op.Dst], err = he.MulLazy(b, R[op.A], R[op.B])
+	case opSelect:
+		R[op.Dst] = ps.shuffle.sel
 	case opMulDiag:
-		d := ps.m.Reshuffle
-		if op.Imm >= 0 {
+		var d *matrix.Diagonals
+		switch op.Imm {
+		case matReshuffle:
+			d = ps.m.Reshuffle
+		case matShuffle:
+			d = ps.shuffle.perm
+		default:
 			d = ps.levels.mats[op.Imm]
 		}
 		R[op.Dst], err = he.MulLazy(b, d.Ops[op.Imm2], R[op.A])

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -144,17 +146,21 @@ func TestArtifactBadInput(t *testing.T) {
 	}
 }
 
-// TestBatchedShuffleLeakage extends the shuffle leakage checks to the
-// batched path: with the same query packed into every block (identical
+// TestBatchedShuffleLeakage holds the shuffle stage to its leakage
+// promise: with the same query packed into every block (identical
 // unshuffled leaf patterns), each block's hot slot must move across
 // seeds, and within one seed the blocks must not share a permutation —
 // the data owner cannot link one packed query's shuffled layout to
-// another's. Shuffles run concurrently from several goroutines so the
-// -race suite doubles as the concurrency check for the batched kernel.
+// another's. Shuffled passes over one prepared model run concurrently
+// from several goroutines, so the -race suite doubles as the concurrency
+// check for the per-pass permutations.
 func TestBatchedShuffleLeakage(t *testing.T) {
 	b := heclear.New(64, 65537)
-	c := compileFigure1(t)
-	m, err := Prepare(b, c, true)
+	c, err := Compile(model.Figure1(), Options{Slots: 64, PlanShuffle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := PrepareWithPlan(b, c, true, c.Meta.LevelPlan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,51 +174,20 @@ func TestBatchedShuffleLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := e.Classify(m, q)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const seeds = 8
-	padTo := m.Meta.SPad()
 	hot := make([][]int, seeds) // hot[seed][block]
 	errCh := make(chan error, seeds)
 	var mu sync.Mutex
 	for seed := 0; seed < seeds; seed++ {
 		go func(seed int) {
-			shuffled, cbs, err := ShuffleResultBatch(b, &m.Meta, out, capacity, padTo, uint64(seed+1), 2)
-			if err != nil {
-				errCh <- err
-				return
+			pos, err := hotSlots(b, e, m, q, uint64(seed+1))
+			if err == nil {
+				mu.Lock()
+				hot[seed] = pos
+				mu.Unlock()
 			}
-			if len(cbs) != capacity {
-				errCh <- fmt.Errorf("seed %d: %d codebooks", seed, len(cbs))
-				return
-			}
-			slots, err := he.Reveal(b, shuffled)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			pos := make([]int, capacity)
-			block := m.Meta.BatchBlock()
-			for k := 0; k < capacity; k++ {
-				pos[k] = -1
-				for i := 0; i < padTo; i++ {
-					if slots[k*block+i] == 1 {
-						pos[k] = i
-						break
-					}
-				}
-				if pos[k] < 0 {
-					errCh <- fmt.Errorf("seed %d block %d: no hot slot", seed, k)
-					return
-				}
-			}
-			mu.Lock()
-			hot[seed] = pos
-			mu.Unlock()
-			errCh <- nil
+			errCh <- err
 		}(seed)
 	}
 	for i := 0; i < seeds; i++ {
@@ -232,7 +207,7 @@ func TestBatchedShuffleLeakage(t *testing.T) {
 	}
 	// Within a seed, identical inputs must not land identically in every
 	// block (independent per-block permutations). A full coincidence is
-	// possible by chance ((1/8)^3 per seed here), so assert over the
+	// possible by chance ((1/6)^3 per seed here), so assert over the
 	// aggregate: most seeds must show differing blocks.
 	coincidences := 0
 	for seed := 0; seed < seeds; seed++ {
@@ -252,19 +227,42 @@ func TestBatchedShuffleLeakage(t *testing.T) {
 	}
 }
 
+// hotSlots runs one shuffled pass of a batch of one-tree queries under
+// seed and returns the slot each query's vote landed in, within its block.
+func hotSlots(b he.Backend, e *Engine, m *ModelOperands, q *Query, seed uint64) ([]int, error) {
+	shuffled, cbs, _, err := e.ClassifyShuffledCtx(context.Background(), m, q, seed)
+	if err != nil {
+		return nil, err
+	}
+	if len(cbs) != q.Batch {
+		return nil, fmt.Errorf("seed %d: %d codebooks for %d queries", seed, len(cbs), q.Batch)
+	}
+	slots, err := he.Reveal(b, shuffled)
+	if err != nil {
+		return nil, err
+	}
+	pos := make([]int, q.Batch)
+	for k := range pos {
+		block := slots[k*m.Meta.BatchBlock():][:m.Meta.NumLeaves]
+		if pos[k] = slices.Index(block, 1); pos[k] < 0 {
+			return nil, fmt.Errorf("seed %d block %d: no hot slot", seed, k)
+		}
+	}
+	return pos, nil
+}
+
 // TestBatchedShuffleLeakageBGV is the same property on real BGV
-// ciphertexts (fewer seeds; the kernel is the slow part).
+// ciphertexts (fewer seeds; the pass is the slow part).
 func TestBatchedShuffleLeakageBGV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BGV batched shuffle leakage is slow")
 	}
-	forest := model.Figure1()
-	c, err := Compile(forest, Options{Slots: 1024, PlanShuffle: true})
+	c, err := Compile(model.Figure1(), Options{Slots: 1024, PlanShuffle: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := Prepare(b, c, true)
+	m, err := PrepareWithPlan(b, c, true, c.Meta.LevelPlan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,34 +276,11 @@ func TestBatchedShuffleLeakageBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := e.Classify(m, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := m.Meta.BatchBlock()
-	padTo := m.Meta.SPad()
 	differs := false
 	for seed := uint64(1); seed <= 3 && !differs; seed++ {
-		shuffled, _, err := ShuffleResultBatch(b, &m.Meta, out, packed, padTo, seed, 2)
+		hot, err := hotSlots(b, e, m, q, seed)
 		if err != nil {
 			t.Fatal(err)
-		}
-		slots, err := he.Reveal(b, shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hot := make([]int, packed)
-		for k := 0; k < packed; k++ {
-			hot[k] = -1
-			for i := 0; i < padTo; i++ {
-				if slots[k*block+i] == 1 {
-					hot[k] = i
-					break
-				}
-			}
-			if hot[k] < 0 {
-				t.Fatalf("seed %d block %d: no hot slot", seed, k)
-			}
 		}
 		for k := 1; k < packed; k++ {
 			if hot[k] != hot[0] {

@@ -33,7 +33,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus["width55"] = alignCase{microForest(t, "width55"), c}
+		corpus["width55"] = alignCase{f: microForest(t, "width55"), c: c}
 	}
 	grouped := 0
 	for name, ac := range corpus {

@@ -14,8 +14,9 @@ import (
 )
 
 // TestPrepareRejectsInfeasiblePlan: a plan one level lower than the
-// planner's — at the compare entry, at the final level, or at any one
-// compare round — is refused, in both scenarios: by the planner's own
+// planner's — at the compare entry, at the final level (for a shuffled
+// model: below the shuffle's entry), or at any one compare round — is
+// refused, in both scenarios: by the planner's own
 // oracle (the level pass over planStructure at every packing, which is what
 // holds the stored plan tight), and by Prepare with the typed error instead
 // of a program that decrypts to garbage. The plan is computed from Meta
@@ -28,12 +29,12 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 		c := ac.c
 		b := heclear.New(c.Meta.Slots, 65537)
 		for _, encModel := range []bool{true, false} {
-			if _, err := Prepare(b, c, encModel); err != nil {
+			if _, err := PrepareWithPlan(b, c, encModel, c.Meta.LevelPlan, ac.shuffle); err != nil {
 				t.Fatalf("%s enc=%v: the compiled plan: %v", name, encModel, err)
 			}
 			pl := planner{nm: planNoiseModel(c.Meta.Slots)}
 			for g := 1; g <= c.Meta.PlanesPerCiphertext(1); g <<= 1 {
-				prog, err := planStructure(&c.Meta, encModel, g)
+				prog, err := planStructure(&c.Meta, encModel, ac.shuffle, g)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +61,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				if _, fail := pl.run(*st); fail == nil {
 					t.Errorf("%s enc=%v, %s lowered by one: the planner's oracle still passes — the stored plan is not minimal", name, encModel, what)
 				}
-				m, err := PrepareWithPlan(b, c, encModel, &plan)
+				m, err := PrepareWithPlan(b, c, encModel, &plan, ac.shuffle)
 				var infeasible *PlanInfeasibleError
 				if errors.As(err, &infeasible) {
 					continue
@@ -155,7 +156,7 @@ func checkLevelledProgram(t *testing.T, p *Program, st StageLevels, lanes int) {
 	}{
 		{"query", p.regQuery, st.Compare}, {"decisions", p.regDecisions, st.Reshuffle},
 		{"branch vector", p.regBranchVec, st.Level}, {"level result", p.regLevelResult, st.Accumulate},
-		{"result", p.result, st.Final},
+		{"leaf bitvector", p.regLeaves, st.Final},
 	} {
 		if e := p.est[at.reg]; e.cipher && e.level != at.level {
 			t.Errorf("the %s sits at level %d, its stage entry is %d", at.what, e.level, at.level)
@@ -172,7 +173,9 @@ func checkLevelledProgram(t *testing.T, p *Program, st StageLevels, lanes int) {
 // Prepare builds from the staged shapes is feasible and levelled, its
 // compare stage ⌈log2 p⌉ product levels deep (one more under an encrypted
 // model) at every packing, on no more key switches than the Sklansky
-// chain's. Static checks only (the exact backend), so it runs under -short.
+// chain's — with the result shuffle stage too when the case compiles with
+// PlanShuffle. Static checks only (the exact backend), so it runs under
+// -short.
 func TestPlannerGeneratedShapes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 0x5a))
 	cases := 48
@@ -215,7 +218,7 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 							t.Errorf("enc=%v: schedule %+v does not descend", encModel, st)
 						}
 					}
-					m, err := Prepare(b, c, encModel)
+					m, err := PrepareWithPlan(b, c, encModel, plan, opts.PlanShuffle)
 					if err != nil {
 						t.Fatalf("enc=%v: %v", encModel, err)
 					}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"copse/internal/bgv"
-	"copse/internal/matrix"
 )
 
 // Static level scheduling ("Level Up", Mahdavi et al. 2309.06496, applied
@@ -58,9 +57,10 @@ type StageLevels struct {
 	Accumulate int
 	// Final is the level the classification result lands at.
 	Final int
-	// Shuffle is the minimum level the optional result shuffle (§7.2.2)
-	// needs at entry. With the default minimal schedule the result lands
-	// below it; compile with Options.PlanShuffle to reserve the headroom.
+	// Shuffle is the entry level of the op program's result shuffle stage
+	// (§7.2.2), where the permutations are staged. With the default
+	// minimal schedule the result lands below it; compile with
+	// Options.PlanShuffle to reserve the headroom.
 	Shuffle int
 	// CompareRounds schedules the reduction inside the compare stage:
 	// CompareRounds[r] is the level every live (GT, EQ) operand is dropped
@@ -108,7 +108,7 @@ func (m *Meta) ChainLevels(encryptedModel bool) int {
 	return min(m.LevelPlan.ChainLevels(encryptedModel), m.RecommendedLevels)
 }
 
-// ShuffleLevel is the entry level ShuffleResult needs, across scenarios.
+// ShuffleLevel is the entry level of the shuffle stage, across scenarios.
 func (p *LevelPlan) ShuffleLevel() int {
 	return max(p.Cipher.Shuffle, p.Plain.Shuffle)
 }
@@ -122,6 +122,7 @@ const (
 	atLevel
 	atAccumulate
 	atFinal
+	atShuffle
 	atRound
 )
 
@@ -131,7 +132,7 @@ func (s StageLevels) entry(point int) int {
 	if r := point - atRound; r >= 0 && r < len(s.CompareRounds) {
 		return s.CompareRounds[r]
 	}
-	return [...]int{s.Compare, s.Reshuffle, s.Level, s.Accumulate, s.Final, s.Compare}[min(point, atRound)]
+	return [...]int{s.Compare, s.Reshuffle, s.Level, s.Accumulate, s.Final, s.Shuffle, s.Compare}[min(point, atRound)]
 }
 
 // noiseModel mirrors the constants of internal/bgv: all shipped
@@ -144,10 +145,10 @@ type noiseModel struct{ logN, tBits, primeBits int }
 
 // stageSlack is the safety margin (bits) held back on every headroom
 // check, indexed by the stage tag of the op being walked (stDone: the
-// final decryptability check and the result shuffle). The estimates
-// compound through the longest remaining circuit early in the pipeline,
-// so those stages keep the most in hand.
-var stageSlack = [stDone + 1]float64{2, 2, 1.5, 1, 1}
+// final decryptability check). The estimates compound through the longest
+// remaining circuit early in the pipeline, so those stages keep the most
+// in hand.
+var stageSlack = [stDone + 1]float64{2, 2, 1.5, 1, 1, 1}
 
 // minFinalLevel is the lowest level a schedule may land the result at:
 // level 0 would leave decryption two bits of predicted margin.
@@ -357,18 +358,24 @@ type levelled struct {
 // that brings the higher operand of a binary op down to the other's
 // level, and stops at the first infeasibility. The planner searches with
 // it over a structure built from Meta; Prepare installs what it returns.
-func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (levelled, *planFailure) {
+// It walks the stages from the one tagged from on, the carrier handed to
+// that stage estimated at in (from = stCompare walks the whole program).
+func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from int, in est) (levelled, *planFailure) {
 	s := &sim{nm: nm}
 	extra := len(p.ops) / 8
 	out := levelled{ops: make([]progOp, 0, len(p.ops)+extra), est: make([]est, p.numReg, p.numReg+extra)}
 	drops := map[[2]int]int{}
-	entry := [stDone]int{stReshuffle: p.regDecisions, stLevels: p.regBranchVec, stAccumulate: p.regLevelResult}
+	entry := [stDone]int{stReshuffle: p.regDecisions, stLevels: p.regBranchVec, stAccumulate: p.regLevelResult, stShuffle: p.regLeaves}
+	out.est[entry[from]] = in
 	failure := func(stage, kind, level int, inStage bool) *planFailure {
 		e := out.est[entry[stage]]
 		return &planFailure{stage: stage, kind: kind, level: level,
 			hotEntry: inStage && stage > 0 && e.cipher && e.noise > nm.floor()+8}
 	}
 	for _, op := range p.ops {
+		if int(op.Stage) < from {
+			continue
+		}
 		s.stage = int(op.Stage)
 		var e est
 		switch op.Code {
@@ -407,10 +414,10 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (lev
 			}
 		case opMulDiag:
 			var diag est
-			if p.encModel {
-				diag = nm.fresh(at.Reshuffle)
-				if op.Imm >= 0 {
-					diag = nm.fresh(at.Level)
+			if p.cipherDiag(op.Imm) {
+				diag = nm.fresh(at.Level)
+				if op.Imm == matReshuffle {
+					diag = nm.fresh(at.Reshuffle)
 				}
 			}
 			e = s.mulLazy(diag, out.est[op.A])
@@ -423,7 +430,7 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (lev
 			// entry; a compare round's drop just passes lower operands on.
 			point, src := op.Imm, out.est[op.A]
 			op.Imm = at.entry(point)
-			if point >= atReshuffle && point <= atFinal && src.cipher && src.level < op.Imm {
+			if point >= atReshuffle && point <= atShuffle && src.cipher && src.level < op.Imm {
 				return out, failure(s.stage, failLevel, src.level, false)
 			}
 			e = s.dropTo(src, op.Imm)
@@ -453,17 +460,35 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool) (lev
 		}
 		s.manage(&out.result)
 		if s.kind != failNone {
-			return out, failure(stAccumulate, s.kind, out.result.level, true)
+			return out, failure(p.stages-1, s.kind, out.result.level, true)
 		}
 	}
 	return out, nil
+}
+
+// shuffleEntry is the entry level of p's shuffle stage
+// (StageLevels.Shuffle): the lowest the level pass carries the stage
+// through from, its input delivered at the modulus-switch floor by the
+// boundary drop ahead of it — and above the minimal final level, so a
+// plan made for the shuffle lands its result higher than any other plan
+// does. The artifact records no option, and that is how ShardForest
+// knows to re-plan the shards with the same headroom.
+func (p *Program) shuffleEntry(nm noiseModel) int {
+	for level := minFinalLevel + 1; level < planCap; level++ {
+		in := est{cipher: true, level: level, noise: nm.floor()}
+		if _, fail := p.levelPass(nm, StageLevels{Shuffle: level}, false, stShuffle, in); fail == nil {
+			return level
+		}
+	}
+	return planCap
 }
 
 // planStructure is the program structure of plane packing g the planner
 // searches over, built from Meta alone: every diagonal kept and every
 // mask non-zero — the worst case over the models Meta describes, and
 // independent of any backend, since the plan is stored in the artifact.
-func planStructure(m *Meta, encModel bool, g int) (*Program, error) {
+// With shuffle it ends in the result shuffle stage.
+func planStructure(m *Meta, encModel, shuffle bool, g int) (*Program, error) {
 	shape := func(period int) diagShape {
 		baby, giant := m.kernelSplit(period)
 		return diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
@@ -475,6 +500,7 @@ func planStructure(m *Meta, encModel bool, g int) (*Program, error) {
 		packing:   g,
 		planes:    m.QueryCiphertexts(g),
 		reshuffle: shape(m.QPad),
+		shuffle:   shuffle,
 	}
 	var operands int
 	in.lanes, in.groups, operands = m.LevelLayout(g)
@@ -483,91 +509,6 @@ func planStructure(m *Meta, encModel bool, g int) (*Program, error) {
 	}
 	in.maskZero = make([]bool, operands)
 	return buildStructure(in)
-}
-
-// The result shuffle (shuffle.go) runs matrix.Replicate and
-// matrix.MatVecBSGS outside the op program, so it is the one kernel the
-// planner still walks by hand, on the same transfer functions.
-
-// matVec walks the diagonal kernel of internal/matrix over a baby/giant
-// split with a plaintext matrix.
-func (s *sim) matVec(v est, baby, giant int) est {
-	vr := v
-	if baby > 1 {
-		vr = s.rot(v)
-	}
-	acc := s.mulPlain(vr)
-	for j := 1; j < baby; j++ {
-		acc = s.add(acc, s.mulPlain(vr))
-	}
-	if giant > 1 {
-		acc = s.rot(acc)
-	}
-	out := acc
-	for g := 1; g < giant; g++ {
-		out = s.add(out, acc)
-	}
-	return out
-}
-
-// shuffleShape is what the shuffle kernels and their walk need of Meta:
-// the BSGS split of the padded leaf period (shuffle.go always stages BSGS
-// diagonals), the rotate-and-add doublings of the single-query replicate
-// and of the batched, block-local one, and whether each kernel pays a
-// leaf-slot selector product first — the batched one when level lanes or
-// lane groups past the first hold residue (priced for the batch that runs
-// over the groups; a fuller one skips the product when lanes alone leave
-// none), the single-query one then and when there are other blocks.
-type shuffleShape struct {
-	baby, giant, rep, repBatched int
-	selector, selectorBatched    bool
-}
-
-func shuffleShapeOf(m *Meta) shuffleShape {
-	nPad := m.LPad()
-	baby, giant := matrix.BSGSSplit(nPad)
-	lanes, _ := m.LevelLanes()
-	residue := lanes*m.LevelGroups() > 1
-	return shuffleShape{baby, giant, log2Ceil(m.Slots / nPad), log2Ceil(m.BatchBlock() / nPad), m.BatchCapacity() > 1 || residue, residue}
-}
-
-// simulateShuffle runs the result shuffle from the given input through
-// both kernels that share the Shuffle entry level: ShuffleResult and the
-// block-local ShuffleResultBatch. The batched kernel does strictly less
-// work, but walking both keeps the entry level sound if the shapes ever
-// diverge.
-func simulateShuffle(nm noiseModel, sh shuffleShape, in est) bool {
-	for _, k := range []struct {
-		selector bool
-		rep      int
-	}{{sh.selector, sh.rep}, {sh.selectorBatched, sh.repBatched}} {
-		s := &sim{nm: nm, stage: stDone}
-		v := in
-		if k.selector {
-			v = s.mulPlain(v)
-		}
-		for i := 0; i < k.rep; i++ {
-			v = s.add(v, s.rot(v))
-		}
-		v = s.matVec(v, sh.baby, sh.giant)
-		s.manage(&v)
-		if s.kind != failNone {
-			return false
-		}
-	}
-	return true
-}
-
-// shuffleEntryLevel finds the minimal entry level of the result shuffle,
-// assuming a modulus-switch-floored input (ShuffleResult drops inputs
-// arriving above it).
-func shuffleEntryLevel(nm noiseModel, sh shuffleShape) int {
-	for level := 1; level < planCap; level++ {
-		if simulateShuffle(nm, sh, est{cipher: true, level: level, noise: nm.floor()}) {
-			return level
-		}
-	}
-	return planCap
 }
 
 // planCap bounds the schedule search: the reactive recommendation for
@@ -580,15 +521,10 @@ const planCap = 48
 // feasibility oracle — for encrypted query planes and, under an encrypted
 // model, for plaintext ones too (ScenarioClientEval runs the same
 // schedule; a plaintext factor consumes no level, so other registers run
-// hot). With shuffleAt set the oracle also asks that the result can still
-// feed the result shuffle (Options.PlanShuffle): a result landing exactly
-// at its final level can arrive hot, and the accumulate entry is what to
-// raise then — the boundary drop it opens floors the result.
+// hot).
 type planner struct {
-	nm        noiseModel
-	progs     []*Program
-	sh        shuffleShape
-	shuffleAt int
+	nm    noiseModel
+	progs []*Program
 }
 
 // run reports the one-plane-per-ciphertext pass under at and the first
@@ -600,13 +536,9 @@ func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 			if plainQuery && !prog.encModel {
 				continue // a plaintext model's levels do not depend on the query's
 			}
-			lv, fail := prog.levelPass(pl.nm, at, plainQuery)
+			lv, fail := prog.levelPass(pl.nm, at, plainQuery, stCompare, est{})
 			if i == 0 && !plainQuery {
 				first = lv
-			}
-			// ShuffleResult's entry drop, then the shuffle itself.
-			if fail == nil && pl.shuffleAt > 0 && !simulateShuffle(pl.nm, pl.sh, (&sim{nm: pl.nm}).dropTo(lv.result, pl.shuffleAt)) {
-				fail = &planFailure{stage: stAccumulate, kind: failNoise, level: lv.result.level}
 			}
 			if fail != nil {
 				return first, fail
@@ -616,28 +548,31 @@ func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 	return first, nil
 }
 
-// schedule finds a locally minimal schedule landing the result at final.
+// schedule finds a locally minimal schedule landing the result at final,
+// the shuffle stage, if the structures have one, entered at shuffle.
 // First an ascent from the bottom to a feasible one without per-round
 // drops, raising one entry per run: the failing stage's own on a
 // structural failure (it ran out of levels), the previous stage's when
 // the failure traces back to a hot entry — a deeper boundary drop then
 // delivers the carrier at the modulus-switch floor instead of carrying
 // key-switch noise into the next stage (if the stage stays infeasible
-// once its entry is cold, the next runs raise the stage itself). Then a
-// descent: the compare rounds start at the lowest level their operands
-// reach on their own, and every level of the non-increasing
-// chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate is lowered —
-// last first, where the remaining circuit is shortest — while the pass
-// stays feasible, until none moves.
-func (pl planner) schedule(final int) (StageLevels, bool) {
-	at := StageLevels{Compare: final, Reshuffle: final, Level: final, Accumulate: final, Final: final}
-	entries := [stDone]*int{&at.Compare, &at.Reshuffle, &at.Level, &at.Accumulate}
+// once its entry is cold, the next runs raise the stage itself). The
+// shuffle enters at the final level the search holds, so a shuffle
+// failure always raises the accumulate entry: the boundary drop that opens
+// floors the result. Then a descent: the compare rounds start at the
+// lowest level their operands reach on their own, and every level of the
+// non-increasing chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate
+// is lowered — last first, where the remaining circuit is shortest —
+// while the pass stays feasible, until none moves.
+func (pl planner) schedule(final, shuffle int) (StageLevels, bool) {
+	at := StageLevels{Compare: final, Reshuffle: final, Level: final, Accumulate: final, Final: final, Shuffle: shuffle}
+	entries := [...]*int{&at.Compare, &at.Reshuffle, &at.Level, &at.Accumulate}
 	lv, fail := pl.run(at)
 	for iter := 0; fail != nil; iter++ {
 		if fail.hotEntry {
 			fail.stage--
 		}
-		*entries[fail.stage]++
+		*entries[min(fail.stage, stAccumulate)]++
 		// Entries are non-increasing along the pipeline by construction.
 		at.Level = max(at.Level, at.Accumulate)
 		at.Reshuffle = max(at.Reshuffle, at.Level)
@@ -682,33 +617,36 @@ func (pl planner) schedule(final int) (StageLevels, bool) {
 
 // computeLevelPlan builds the static schedule for a compiled model, or
 // nil when no feasible schedule exists within the search bound (the
-// engine then falls back to reactive management).
+// engine then falls back to reactive management). The shuffle's entry
+// comes from its stage in the lone query's structure: that packing has
+// the most lane groups, so its shuffle does everything another packing's
+// does. With planShuffle the result lands there, and every structure the
+// search runs ends in the shuffle.
 func computeLevelPlan(m *Meta, planShuffle bool) *LevelPlan {
 	nm := planNoiseModel(m.Slots)
-	sh := shuffleShapeOf(m)
-	shuffleAt := shuffleEntryLevel(nm, sh)
-	pl := planner{nm: nm, sh: sh}
+	lone, err := planStructure(m, false, true, m.PlanesPerCiphertext(1))
+	if err != nil {
+		return nil
+	}
+	shuffleAt := lone.shuffleEntry(nm)
 	final := minFinalLevel
 	if planShuffle {
-		// Reserve headroom so the classification result can still feed
-		// the result shuffle.
-		pl.shuffleAt, final = shuffleAt, max(final, shuffleAt)
+		final = max(final, shuffleAt)
 	}
 	plan := &LevelPlan{}
 	for _, encModel := range []bool{true, false} {
-		pl.progs = nil
+		pl := planner{nm: nm}
 		for g := 1; g <= m.PlanesPerCiphertext(1); g <<= 1 {
-			prog, err := planStructure(m, encModel, g)
+			prog, err := planStructure(m, encModel, planShuffle, g)
 			if err != nil {
 				return nil
 			}
 			pl.progs = append(pl.progs, prog)
 		}
-		st, ok := pl.schedule(final)
+		st, ok := pl.schedule(final, shuffleAt)
 		if !ok {
 			return nil
 		}
-		st.Shuffle = shuffleAt
 		if encModel {
 			plan.Cipher = st
 		} else {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"copse/internal/bgv"
 	"copse/internal/he"
 	"copse/internal/he/hebgv"
+	"copse/internal/he/heclear"
 	"copse/internal/model"
 	"copse/internal/synth"
 )
@@ -354,7 +357,7 @@ func TestPlannedVsReactiveEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reactive, err := PrepareWithPlan(b, c, true, nil)
+	reactive, err := PrepareWithPlan(b, c, true, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,85 +408,57 @@ func TestPlannedVsReactiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestShuffleUnderLevelPlanBGV: the default minimal schedule lands the
-// result below the shuffle's entry (clear error), and a PlanShuffle
-// staging reserves the headroom so ShuffleResult works on real
-// ciphertexts.
-func TestShuffleUnderLevelPlanBGV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("BGV integration test")
-	}
-	forest := model.Figure1()
-	feats := []uint64{0, 5} // classifies as L4
-
-	classify := func(c *Compiled) (he.Operand, *ModelOperands, *hebgv.Backend) {
-		b := planBackend(t, c, true)
-		m, err := Prepare(b, c, true)
+// TestShuffleStageNeedsHeadroom: the default minimal schedule lands the
+// result below the shuffle stage's entry, so preparing a model compiled
+// without PlanShuffle for a shuffling service fails in the level pass —
+// a *PlanInfeasibleError for the shuffle stage, naming the option — on
+// any backend, in both scenarios; a PlanShuffle compile prepares, its
+// result landing at that entry. Shuffled passes of PlanShuffle models run
+// on BGV in TestPlannedPassAlignsNothing.
+func TestShuffleStageNeedsHeadroom(t *testing.T) {
+	b := heclear.New(1024, 65537)
+	for _, planShuffle := range []bool{false, true} {
+		c, err := Compile(model.Figure1(), Options{Slots: 1024, PlanShuffle: planShuffle})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &Engine{Backend: b, Workers: 4}
-		q, err := PrepareQuery(b, &m.Meta, feats, true)
-		if err != nil {
-			t.Fatal(err)
+		plan := c.Meta.LevelPlan
+		for _, encModel := range []bool{true, false} {
+			_, err := PrepareWithPlan(b, c, encModel, plan, true)
+			if planShuffle {
+				if err != nil || plan.For(encModel).Final != plan.ShuffleLevel() {
+					t.Errorf("PlanShuffle enc=%v: %v, result at level %d for a shuffle entered at %d", encModel, err, plan.For(encModel).Final, plan.ShuffleLevel())
+				}
+				continue
+			}
+			var infeasible *PlanInfeasibleError
+			if !errors.As(err, &infeasible) || infeasible.Stage != "shuffle" || !strings.Contains(err.Error(), "PlanShuffle") {
+				t.Errorf("minimal schedule enc=%v: %v, want the shuffle stage's *PlanInfeasibleError naming PlanShuffle", encModel, err)
+			}
 		}
-		out, _, err := e.Classify(m, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, m, b
-	}
-
-	minimal, err := Compile(forest, Options{Slots: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, m, b := classify(minimal)
-	if _, _, err := ShuffleResult(b, &m.Meta, out, 0, 7); err == nil {
-		t.Error("minimal schedule: ShuffleResult should report missing headroom")
-	}
-
-	withShuffle, err := Compile(forest, Options{Slots: 1024, PlanShuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, m, b = classify(withShuffle)
-	shuffled, cb, err := ShuffleResult(b, &m.Meta, out, 0, 7)
-	if err != nil {
-		t.Fatalf("PlanShuffle staging: ShuffleResult: %v", err)
-	}
-	slots, err := he.Reveal(b, shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DecodeShuffled(cb, len(forest.Labels), slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Votes[4] != 1 {
-		t.Errorf("shuffled votes %v, want one vote for L4", res.Votes)
 	}
 }
 
 // TestPlannerNoiseBoundsMeasured pins the level pass to the evaluator
 // from above, on every model the benchmark gates — depth4, prec16, and
-// wide8 whole and in its two shards — in both scenarios and at every
-// plane packing: each trace register sits at the level the pass assigned
-// it, and the noise the pass predicts for it is at least what a
-// decryption measures.
+// wide8 whole and in its two shards — the four-lane model and the
+// shuffled Figure 1 and wide8, in both scenarios and at every plane
+// packing: each trace register sits at the level the pass assigned it,
+// and the noise the pass predicts for it is at least what a decryption
+// measures — at the shuffled result too.
 func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 36 full BGV passes")
 	}
 	for name, ac := range alignCorpus(t) {
-		if name != "depth4" && name != "prec16" && ac.f.NumFeatures == 2 {
+		if name != "depth4" && name != "prec16" && ac.f.NumFeatures == 2 && !ac.shuffle {
 			continue
 		}
 		f, c := ac.f, ac.c
 		nm := planNoiseModel(c.Meta.Slots)
 		for _, encModel := range []bool{true, false} {
 			b := planBackend(t, c, encModel)
-			m, err := Prepare(b, c, encModel)
+			m, err := PrepareWithPlan(b, c, encModel, c.Meta.LevelPlan, ac.shuffle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -499,11 +474,7 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := &Engine{Backend: b, Workers: 2, MeasureNoise: true}
-				_, trace, err := e.Classify(m, q)
-				if err != nil {
-					t.Fatalf("%s Classify: %v", name, err)
-				}
+				_, _, trace := classifyCase(t, &Engine{Backend: b, Workers: 2, MeasureNoise: true}, m, q)
 				g := trace.PlanesPerCiphertext
 				p := m.ProgramFor(g)
 				for _, at := range []struct {

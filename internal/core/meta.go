@@ -272,14 +272,11 @@ func (m *Meta) RotationStepLevels(encModel bool) map[int]int {
 	kernel(bb, bg, st.Level)
 	replicate(m.BPad, m.BatchBlock(), st.Reshuffle)
 
-	// The result shuffle always stages a BSGS kernel over the padded
-	// leaf period; its entry level is scenario-independent (both
-	// ShuffleResult and ShuffleResultBatch drop to it). The replication
-	// steps cover the single-query whole-ciphertext replicate, whose
-	// negated powers of two are a superset of the batched kernel's
-	// block-local ReplicateWithin steps (LPad up to BatchBlock), and the
-	// block-diagonal batched kernel reuses the same baby/giant steps —
-	// so one leveled key budget serves both shuffle paths.
+	// The shuffle stage always multiplies a BSGS split of the padded leaf
+	// period, at an entry level that is scenario-independent, after
+	// block-local doublings by −LPad up to −BatchBlock/2. The doublings
+	// are budgeted on up to the slot count, like rotationSteps lists them
+	// (DESIGN.md §10.2).
 	nb, ng := matrix.BSGSSplit(m.LPad())
 	shuffleAt := m.LevelPlan.ShuffleLevel()
 	kernel(nb, ng, shuffleAt)

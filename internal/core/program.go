@@ -53,7 +53,10 @@ import (
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
 //     affine pair, gt_j into one plaintext multiplication, an all-zero
 //     level mask into nothing, and an all-zero matrix into the zero
-//     constant.
+//     constant;
+//   - for a service that shuffles its results (paper §7.2.2), the result
+//     shuffle is a fifth stage of the same program, its permutations bound
+//     per pass like the query planes (shuffle.go).
 //
 // Every rewrite preserves the decrypted result bit-for-bit (BGV
 // arithmetic mod t is exact; only noise differs), and the oracle for the
@@ -84,6 +87,14 @@ const (
 	opRot                   // R[Dst] = rot(R[A], Imm)
 	opHoist                 // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
 	opDrop                  // R[Dst] = R[A] switched down to level Imm (before the level pass: to drop point Imm)
+	opSelect                // R[Dst] = the pass's selector of its queries' leaf slots
+)
+
+// The matrices an opMulDiag multiplies by, its Imm: stacked level operand
+// Imm when Imm ≥ 0, else the reshuffle or the pass's permutations.
+const (
+	matReshuffle = -1
+	matShuffle   = -2
 )
 
 // progOp is one op of the flat program. Dst/A/B are register indices;
@@ -113,12 +124,14 @@ func (op progOp) operands() []int {
 
 // Pipeline stage tags, in execution order. Every op carries one; the
 // executor joins at each stage boundary, where it closes the stage's
-// trace window.
+// trace window. Only a program built for a shuffling service has the
+// shuffle stage.
 const (
 	stCompare = iota
 	stReshuffle
 	stLevels
 	stAccumulate
+	stShuffle
 	stDone
 )
 
@@ -150,6 +163,9 @@ type Program struct {
 	consts []constSpec
 	numReg int
 	result int
+	// stages is how many pipeline stages the program runs: four, or five
+	// with the result shuffle.
+	stages int
 	// encModel records that the staged matrices are ciphertexts: an
 	// opMulDiag is then a tensor product, not a plaintext one. plainQuery
 	// records that the program is levelled for plaintext query planes.
@@ -160,8 +176,10 @@ type Program struct {
 	est, rounds []est
 
 	// Trace registers: the carrier operands whose limb counts and
-	// measured noise the per-stage trace reports.
-	regQuery, regDecisions, regBranchVec, regLevelResult int
+	// measured noise the per-stage trace reports. regLeaves is the leaf
+	// bitvector the accumulate stage lands at its final level: the result,
+	// or what the shuffle stage permutes.
+	regQuery, regDecisions, regBranchVec, regLevelResult, regLeaves int
 
 	bound   []he.Operand // staged constants, set by bind
 	scratch sync.Pool    // *passScratch
@@ -192,6 +210,8 @@ type progInputs struct {
 	// threshVals are the replicated negated threshold planes of a plaintext
 	// model, exactly as staged (nil when encrypted).
 	threshVals [][]uint64
+	// shuffle appends the result shuffle stage.
+	shuffle bool
 }
 
 // diagShape is the structural skeleton of a staged diagonal matrix: the
@@ -255,7 +275,7 @@ func buildProgram(in progInputs) (*Program, error) {
 		return nil, err
 	}
 	if in.plan != nil {
-		lv, fail := p.levelPass(planNoiseModel(in.meta.Slots), *in.plan, in.plainQuery)
+		lv, fail := p.levelPass(planNoiseModel(in.meta.Slots), *in.plan, in.plainQuery, stCompare, est{})
 		if fail != nil {
 			return nil, &PlanInfeasibleError{
 				Scenario: scenarioName(in.encrypted, !in.plainQuery), Stage: stageNames[fail.stage],
@@ -478,7 +498,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// the rest of the ciphertext is zero.
 	bl.stage = stReshuffle
 	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle))
-	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, -1, skipZero), zero)
+	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, matReshuffle, skipZero), zero)
 	for pw := in.meta.branchSpan(in.encrypted); pw < in.meta.BatchBlock(); pw <<= 1 {
 		rot := bl.emit(opRot, branch, 0, -pw, 0)
 		branch = bl.emit(opAdd, branch, rot, 0, 0)
@@ -538,9 +558,39 @@ func buildStructure(in progInputs) (*Program, error) {
 	}
 	fold(in.meta.BatchBlock()/in.lanes, in.meta.BatchBlock())
 	fold(in.meta.Slots/in.groups, in.meta.Slots)
-	p.result = bl.drop(acc, atFinal)
+	p.regLeaves = bl.drop(acc, atFinal)
+	p.result, p.stages = p.regLeaves, stShuffle
+	if in.shuffle {
+		p.result, p.stages = bl.shuffleStage(in, p.regLeaves), stDone
+	}
 	p.eliminateDeadOps()
 	return p, nil
+}
+
+// shuffleStage lowers stage 5, the result shuffle (paper §7.2.2): every
+// block's leaf slots go through a permutation of their own, one block-
+// diagonal mat-vec over the LPad period for the whole batch (DESIGN.md
+// §10). A block of several level lanes, or a batch run over lane groups,
+// leaves 0/1 residue past the leaf slots of its queries, which the
+// selector of those slots zeroes first; doublings then make each block
+// LPad-periodic within itself (its payload is zero past LPad, so blocks
+// never mix). The permutations and the selector are drawn per pass and
+// bound like the query planes (shuffle.go), so which diagonals are zero is
+// not known here: the program multiplies every one.
+func (bl *progBuilder) shuffleStage(in progInputs, leaves int) int {
+	bl.stage = stShuffle
+	v := bl.drop(leaves, atShuffle)
+	if in.lanes*in.groups > 1 {
+		v = bl.emit(opMul, v, bl.emit(opSelect, 0, 0, 0, 0), 0, 0)
+	}
+	period := in.meta.LPad()
+	for pw := period; pw < in.meta.BatchBlock(); pw <<= 1 {
+		v = bl.emit(opAdd, v, bl.emit(opRot, v, 0, -pw, 0), 0, 0)
+	}
+	baby, giant := matrix.BSGSSplit(period)
+	perm := diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
+	rots := bl.hoistRots(v, neededBaby(false, perm))
+	return bl.mergeGroups(bl.matVecGroups(perm, rots, matShuffle, false), -1)
 }
 
 // neededBaby marks the baby rotations that some unskipped diagonal of
@@ -601,8 +651,8 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 			}
 		}
 		if acc >= 0 {
-			// A plaintext model's products are ct×pt: nothing to relinearize.
-			if bl.p.encModel {
+			// Plaintext diagonals' products are ct×pt: nothing to relinearize.
+			if bl.p.cipherDiag(mat) {
 				acc = bl.emit(opRelin, acc, 0, 0, 0)
 			}
 			if g > 0 {
@@ -638,7 +688,7 @@ func (bl *progBuilder) mergeGroups(groups []int, empty int) int {
 // with their scheduled drops.
 func (p *Program) eliminateDeadOps() {
 	live := make([]bool, p.numReg)
-	for _, r := range []int{p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult} {
+	for _, r := range []int{p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult, p.regLeaves} {
 		live[r] = true
 	}
 	keep := make([]bool, len(p.ops))
@@ -659,6 +709,13 @@ func (p *Program) eliminateDeadOps() {
 		}
 	}
 	p.ops = p.ops[:n]
+}
+
+// cipherDiag reports whether the diagonals of matrix mat (an opMulDiag's
+// Imm) are ciphertexts: those of an encrypted model. The permutations are
+// the server's own plaintext.
+func (p *Program) cipherDiag(mat int) bool {
+	return p.encModel && mat != matShuffle
 }
 
 // width is the number of consecutive registers op writes from Dst: one,

@@ -15,17 +15,18 @@ import (
 var opNames = [...]string{
 	opQuery: "query", opThresh: "thresh", opMask: "mask", opConst: "const", opAdd: "add", opSub: "sub",
 	opMul: "mul", opMulLazy: "mullazy", opMulDiag: "muldiag", opRelin: "relin", opRot: "rot", opHoist: "hoist", opDrop: "drop",
+	opSelect: "select",
 }
 
 // stageDigestNames label the per-stage digests of a program.
-var stageDigestNames = [stDone]string{"compare", "reshuffle", "levels", "accumulate"}
+var stageDigestNames = [stDone]string{"compare", "reshuffle", "levels", "accumulate", "shuffle"}
 
 // dumpStages writes p's op list stage by stage — everything the executor
 // reads of a program — in a form that does not move when another stage
 // does: a register is named by the stage that defines it and its place
 // among that stage's definitions, a hoist by its steps and a constant by
 // its spec, and each stage ends with the carrier registers it hands on.
-func dumpStages(p *Program) [stDone]string {
+func dumpStages(p *Program) []string {
 	var out [stDone]strings.Builder
 	name, defined := make([]string, p.numReg), [stDone]int{}
 	for _, op := range p.ops {
@@ -50,9 +51,10 @@ func dumpStages(p *Program) [stDone]string {
 	fmt.Fprintf(&out[stCompare], "query %s decisions %s\n", name[p.regQuery], name[p.regDecisions])
 	fmt.Fprintf(&out[stReshuffle], "branchvec %s\n", name[p.regBranchVec])
 	fmt.Fprintf(&out[stLevels], "levelresult %s\n", name[p.regLevelResult])
-	fmt.Fprintf(&out[stAccumulate], "result %s\n", name[p.result])
-	var dumps [stDone]string
-	for st := range out {
+	fmt.Fprintf(&out[stAccumulate], "result %s\n", name[p.regLeaves])
+	fmt.Fprintf(&out[stShuffle], "shuffled %s\n", name[p.result])
+	dumps := make([]string, p.stages)
+	for st := range dumps {
 		dumps[st] = out[st].String()
 	}
 	return dumps

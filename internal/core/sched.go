@@ -12,9 +12,9 @@ import (
 // here is placed by hand, so a change to buildProgram cannot leave a
 // stale barrier behind.
 //
-// The four pipeline stages stay joins: each hands exactly one carrier
-// to the next (the decisions, the branch vector, the level results, the
-// result), so no op of a later stage could start before the earlier
+// The pipeline stages stay joins: each hands exactly one carrier to the
+// next (the decisions, the branch vector, the level results, the leaf
+// bitvector), so no op of a later stage could start before the earlier
 // stage's last op anyway, and joining there keeps the per-stage trace
 // windows, noise probes and cancellation points meaningful. Dependencies
 // are therefore counted within a stage only; operands produced by an
@@ -90,7 +90,7 @@ func (p *Program) weights() []int64 {
 			l = min(level(op.A), level(op.B)) // a key switch lands a level below its work
 		case opMulDiag:
 			cost = costMulPlain
-			if p.encModel {
+			if p.cipherDiag(op.Imm) {
 				cost = costTensor
 			}
 		case opRelin:
@@ -194,10 +194,11 @@ type StageBill struct {
 }
 
 // StageBills walks the ops once and bills each to its stage, in pipeline
-// order: compare, reshuffle, levels, accumulate. Which registers hold
-// ciphertexts follows from what the program was built for, so it needs no
-// plan; Work does (every register counts one limb without).
-func (p *Program) StageBills() [stDone]StageBill {
+// order: compare, reshuffle, levels, accumulate and, in a program built
+// for a shuffling service, shuffle. Which registers hold ciphertexts
+// follows from what the program was built for, so it needs no plan; Work
+// does (every register counts one limb without).
+func (p *Program) StageBills() []StageBill {
 	var bills [stDone]StageBill
 	cipher, depth := make([]bool, p.numReg), make([]int, p.numReg)
 	var reached [stDone + 1]int // deepest register up to the end of each stage
@@ -217,7 +218,7 @@ func (p *Program) StageBills() [stDone]StageBill {
 			a, b := cipher[op.A], cipher[op.B]
 			d, lazy = max(depth[op.A], depth[op.B]), op.Code != opMul
 			if op.Code == opMulDiag { // the other factor is a staged diagonal
-				b, d = p.encModel, depth[op.A]
+				b, d = p.cipherDiag(op.Imm), depth[op.A]
 			}
 			if c = a || b; a && b && op.Code != opAdd && op.Code != opSub {
 				bill.Products++
@@ -251,5 +252,5 @@ func (p *Program) StageBills() [stDone]StageBill {
 		reached[st+1] = max(reached[st+1], reached[st]) // a stage with no op left
 		b.Depth = reached[st+1] - reached[st]
 	}
-	return bills
+	return bills[:p.stages]
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,7 +99,7 @@ func checkSchedule(t *testing.T, p *Program) {
 	}
 	// Every op is live: something reads it, or it is a carrier the
 	// executor reads at a stage boundary.
-	for _, r := range []int{p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult} {
+	for _, r := range []int{p.result, p.regQuery, p.regDecisions, p.regBranchVec, p.regLevelResult, p.regLeaves} {
 		readers[r]++
 	}
 	for i, op := range p.ops {
@@ -146,18 +147,30 @@ func TestProgramSchedulesAreValid(t *testing.T) {
 	for name, c := range corpus {
 		for _, encModel := range []bool{true, false} {
 			for _, plan := range []*LevelPlan{c.Meta.LevelPlan, nil} {
-				m, err := PrepareWithPlan(b, c, encModel, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+				// A shuffling service prepares a model compiled with the
+				// shuffle's headroom, or one staged without a plan.
+				shuffles := []bool{false}
+				if plan == nil || strings.Contains(name, "shuffle=true") {
+					shuffles = append(shuffles, true)
 				}
-				t.Run(fmt.Sprintf("%s/enc=%v/plan=%v", name, encModel, plan != nil), func(t *testing.T) {
-					for _, pk := range m.packings {
-						checkSchedule(t, pk.program)
-						if pk.plainQueryProgram != pk.program {
-							checkSchedule(t, pk.plainQueryProgram)
-						}
+				for _, shuffle := range shuffles {
+					m, err := PrepareWithPlan(b, c, encModel, plan, shuffle)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-				})
+					sub := fmt.Sprintf("%s/enc=%v/plan=%v", name, encModel, plan != nil)
+					if shuffle {
+						sub += "/shuffled"
+					}
+					t.Run(sub, func(t *testing.T) {
+						for _, pk := range m.packings {
+							checkSchedule(t, pk.program)
+							if pk.plainQueryProgram != pk.program {
+								checkSchedule(t, pk.plainQueryProgram)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -201,24 +214,8 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := (&Engine{Backend: b, Workers: 1}).Classify(m, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slots, err := he.Reveal(b, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, feats := range batch {
-		res, err := DecodeResultAt(&m.Meta, slots, qi, m.Meta.QueryCapacity(q.PlanesPerCiphertext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels := f.Classify(feats)
-		if !slices.Equal(res.PerTree, labels[treeStart:treeStart+len(res.PerTree)]) {
-			t.Fatalf("query %d: sequential pass says %v, forest says %v", qi, res.PerTree, labels)
-		}
-	}
+	want, cbs, _ := classifyCase(t, &Engine{Backend: b, Workers: 1}, m, q)
+	checkVotes(t, b, f, m, want, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), treeStart)
 	rng := rand.New(rand.NewPCG(uint64(len(batch)), 0x5ced))
 	random := func(n int) []int32 {
 		order := make([]int32, n)
@@ -231,10 +228,7 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 		{Backend: b, Workers: 2}, {Backend: b, Workers: 3}, {Backend: b, Workers: 8},
 		{Backend: b, Workers: 3, shuffleReady: random}, {Backend: b, Workers: 3, shuffleReady: random},
 	} {
-		got, trace, err := e.Classify(m, q)
-		if err != nil {
-			t.Fatalf("workers=%d random=%v: %v", e.Workers, e.shuffleReady != nil, err)
-		}
+		got, _, trace := classifyCase(t, e, m, q)
 		if trace.Workers != e.Workers {
 			t.Errorf("trace reports %d workers, engine has %d", trace.Workers, e.Workers)
 		}
@@ -247,9 +241,9 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 // TestScheduleIndependent is the scheduler's correctness property: the
 // result ciphertext does not depend on the worker count or on the order
 // ready ops are taken in. It sweeps the three staging configurations ×
-// shuffle headroom × one batch fill per plane packing (the lone query to
-// the full batch) on both backends, plus a model of four level lanes and
-// a forest sharded two ways. Part of the CI -race list.
+// the result shuffle on or off × one batch fill per plane packing (the
+// lone query to the full batch) on both backends, plus a model of four
+// level lanes and a forest sharded two ways. Part of the CI -race list.
 func TestScheduleIndependent(t *testing.T) {
 	backends := []string{"clear"}
 	if !testing.Short() {
@@ -279,7 +273,7 @@ func TestScheduleIndependent(t *testing.T) {
 						t.Fatal(err)
 					}
 					b := newBackend(c)
-					m, err := Prepare(b, c, cfg.encModel)
+					m, err := PrepareWithPlan(b, c, cfg.encModel, c.Meta.LevelPlan, tc.shuffled)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -334,7 +334,7 @@ func babyRotations(b he.Backend, v he.Operand, needed []bool) ([]he.Operand, err
 // group's inner sum against the pre-rotated diagonals, then rotates and
 // accumulates the group sums — (Baby−1) + (Giant−1) rotations total
 // instead of Period−1. The vector operand must be slot-periodic with
-// period d.Period (see Replicate). When skipZero is true,
+// period d.Period. When skipZero is true,
 // plaintext-known zero diagonals are skipped — only safe for plaintext
 // models — and only the baby rotations some group actually needs are
 // computed. The result holds M·v in slots [0, Rows) and zeros elsewhere.
@@ -415,43 +415,6 @@ func MatVecBSGS(b he.Backend, d *Diagonals, v he.Operand, skipZero bool, workers
 		return he.NewPlain(b, make([]uint64, b.Slots()))
 	}
 	return acc, nil
-}
-
-// Replicate copies v — width values at the base of the slot vector, zeros
-// elsewhere — periodically across all slots by rotate-and-add doubling.
-// width must be a power of two dividing the slot count. This restores
-// the periodic layout MatVecBSGS requires between pipeline stages.
-func Replicate(b he.Backend, v he.Operand, width int) (he.Operand, error) {
-	return ReplicateWithin(b, v, width, b.Slots())
-}
-
-// ReplicateWithin replicates v — width values at the base of every
-// span-aligned slot block, zeros elsewhere in the block — periodically
-// across its own block only, by rotate-and-add doubling (log2(span/width)
-// rotations). Every block is replicated simultaneously; blocks never mix
-// because each block's payload is zero outside [0, width) and the shifts
-// stay below span. With span equal to the slot count this is Replicate.
-// width and span must be powers of two with width | span | slots.
-func ReplicateWithin(b he.Backend, v he.Operand, width, span int) (he.Operand, error) {
-	slots := b.Slots()
-	if width <= 0 || width&(width-1) != 0 || slots%width != 0 {
-		return he.Operand{}, fmt.Errorf("matrix: replication width %d must be a power of two dividing %d slots", width, slots)
-	}
-	if span <= 0 || span&(span-1) != 0 || slots%span != 0 || span%width != 0 {
-		return he.Operand{}, fmt.Errorf("matrix: replication span %d must be a power of two with %d | %d | %d", span, width, span, slots)
-	}
-	out := v
-	for p := width; p < span; p <<= 1 {
-		rot, err := he.Rotate(b, out, -p)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		out, err = he.Add(b, out, rot)
-		if err != nil {
-			return he.Operand{}, err
-		}
-	}
-	return out, nil
 }
 
 // Pad returns v zero-padded to the next power of two at least min.

@@ -291,49 +291,6 @@ func TestMatVecAllZeroMatrix(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	b := heclear.New(32, 65537)
-	v := []uint64{5, 6, 7, 0} // logical width 4, stored in [0,4)
-	ct, err := b.Encrypt(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Replicate(b, he.Cipher(ct), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := he.Reveal(b, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if vals[i] != v[i%4] {
-			t.Errorf("slot %d: got %d want %d", i, vals[i], v[i%4])
-		}
-	}
-	if _, err := Replicate(b, he.Cipher(ct), 3); err == nil {
-		t.Error("non-power-of-two width accepted")
-	}
-	// width == slots is a no-op.
-	same, err := Replicate(b, he.Cipher(ct), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := he.Reveal(b, same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := he.Reveal(b, he.Cipher(ct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sv {
-		if sv[i] != orig[i] {
-			t.Errorf("full-width replicate changed slot %d", i)
-		}
-	}
-}
-
 func TestPad(t *testing.T) {
 	got := Pad([]uint64{1, 2, 3}, 0)
 	if len(got) != 4 || got[0] != 1 || got[3] != 0 {

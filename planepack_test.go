@@ -220,7 +220,7 @@ func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *co
 	if lanes, groups, ops := meta.LevelLayout(g); trace.LevelLanes != lanes || trace.LevelGroups != groups || trace.LevelOperands != ops {
 		t.Errorf("batch of %d: trace reports %d level operands of %d lanes × %d groups, the layout has %d of %d × %d", n, trace.LevelOperands, trace.LevelLanes, trace.LevelGroups, ops, lanes, groups)
 	}
-	if ops := trace.CompareOps.Plus(trace.ReshuffleOps).Plus(trace.LevelOps).Plus(trace.AccumulateOps); levelled && ops.Aligns != 0 {
+	if ops := trace.CompareOps.Plus(trace.ReshuffleOps).Plus(trace.LevelOps).Plus(trace.AccumulateOps).Plus(trace.ShuffleOps); levelled && ops.Aligns != 0 {
 		t.Errorf("batch of %d (g=%d): the backend aligned %d operands itself", n, g, ops.Aligns)
 	}
 	results, err := svc.DecryptResultBatch("m", enc)

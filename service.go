@@ -162,15 +162,16 @@ func WithSeed(seed uint64) Option { return func(c *serviceConfig) { c.seed = see
 
 // WithShuffle enables result shuffling (paper §7.2.2) on every
 // classification pass: each packed query's leaf slots are permuted by a
-// per-pass, per-block random permutation — one block-diagonal kernel
-// pass for the whole batch (DESIGN.md §10) — so the decrypted result no
-// longer reveals the order of the labels in the forest's trees. Results
-// decode through the per-query codebooks carried on the EncryptedResult
-// (DecryptResult[Batch] handles this transparently); per-tree labels are
-// unrecoverable by design, only vote counts remain. On the BGV backend
-// models must be compiled with CompileOptions.PlanShuffle (or served
-// reactively) so the classification result keeps the shuffle's level
-// headroom — Register rejects models that don't.
+// per-pass, per-block random permutation — the op program's fifth stage,
+// one block-diagonal mat-vec for the whole batch (DESIGN.md §10) — so the
+// decrypted result no longer reveals the order of the labels in the
+// forest's trees. Results decode through the per-query codebooks carried
+// on the EncryptedResult (DecryptResult[Batch] handles this
+// transparently); per-tree labels are unrecoverable by design, only vote
+// counts remain. Models must be compiled with CompileOptions.PlanShuffle
+// (or served reactively) so the classification result keeps the
+// shuffle's level headroom — Register refuses one that does not with a
+// *PlanInfeasibleError for the shuffle stage.
 func WithShuffle(on bool) Option { return func(c *serviceConfig) { c.shuffle = on } }
 
 // WithNoiseMeasurement records the decrypt-side measured noise budget of
@@ -319,20 +320,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		return fmt.Errorf("copse: model %q staged for %d slots but service backend has %d",
 			name, c.Meta.Slots, s.backend.Slots())
 	}
-	plan := c.Meta.LevelPlan
-	// A shuffled service on a leveled backend needs the classification
-	// result to land at (or above) the shuffle's entry level. A schedule
-	// compiled without PlanShuffle lands it below, and every shuffled
-	// pass would fail — reject the staging mistake up front. Backends
-	// without a level structure (the clear reference) shuffle at any
-	// level.
-	if _, leveled := s.backend.(he.LevelDropper); s.cfg.shuffle && leveled && plan != nil {
-		if st := plan.For(encryptModel); st.Final < plan.ShuffleLevel() {
-			return fmt.Errorf("copse: model %q schedules its result at level %d, below the shuffle entry level %d; recompile with CompileOptions.PlanShuffle for shuffled serving",
-				name, st.Final, plan.ShuffleLevel())
-		}
-	}
-	operands, err := core.Prepare(s.backend, c, encryptModel)
+	operands, err := core.PrepareWithPlan(s.backend, c, encryptModel, c.Meta.LevelPlan, s.cfg.shuffle)
 	if err != nil {
 		return err
 	}
@@ -539,6 +527,7 @@ func addTrace(dst, src *Trace) {
 	dst.ReshuffleBusy += src.ReshuffleBusy
 	dst.LevelsBusy += src.LevelsBusy
 	dst.AccumulateBusy += src.AccumulateBusy
+	dst.ShuffleBusy += src.ShuffleBusy
 	dst.Workers = src.Workers
 	dst.QueryCiphertexts += src.QueryCiphertexts
 	dst.LevelOperands += src.LevelOperands
@@ -566,7 +555,7 @@ func addTrace(dst, src *Trace) {
 // deterministic seed per chunk so seeded multi-chunk batches reproduce
 // regardless of which chunk's goroutine runs first.
 func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSeed uint64) (*EncryptedResult, *Trace, error) {
-	m, backend, err := s.lookup(name)
+	m, _, err := s.lookup(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -600,7 +589,7 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSe
 
 	s.inFlight.Add(1)
 	start := time.Now()
-	op, codebooks, trace, err := s.runPipeline(ctx, backend, m, q, shuffleSeed)
+	op, codebooks, trace, err := s.runPipeline(ctx, m, q, shuffleSeed)
 	elapsed := time.Since(start)
 	s.latencyNS.Add(elapsed.Nanoseconds())
 	m.latency.Observe(elapsed)
@@ -654,13 +643,13 @@ func (s *Service) admit(ctx context.Context, name string, m *servedModel) error 
 	}
 }
 
-// runPipeline executes one classification pass (and the optional
-// shuffle stage) with panic isolation: a panic anywhere in the
-// pipeline — the engine, a matrix worker goroutine
+// runPipeline executes one classification pass — under WithShuffle its
+// shuffle stage permuting with a fresh seed — with panic isolation: a
+// panic anywhere in the pipeline — the engine, a matrix worker goroutine
 // (surfaced as *matrix.PanicError) — fails this request with a typed
 // *InternalError instead of killing the process and every other
 // in-flight pass with it.
-func (s *Service) runPipeline(ctx context.Context, backend he.Backend, m *servedModel, q *Query, shuffleSeed uint64) (op he.Operand, codebooks []*core.ShuffledCodebook, trace *core.Trace, err error) {
+func (s *Service) runPipeline(ctx context.Context, m *servedModel, q *Query, shuffleSeed uint64) (op he.Operand, codebooks []*core.ShuffledCodebook, trace *core.Trace, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicsRecovered.Add(1)
@@ -668,17 +657,13 @@ func (s *Service) runPipeline(ctx context.Context, backend he.Backend, m *served
 			err = &InternalError{Op: "classify", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	op, trace, err = m.engine.ClassifyCtx(ctx, m.operands, q)
-	if err == nil && s.cfg.shuffle {
-		// The shuffle is a pipeline stage like any other: honour a
-		// cancellation that landed during accumulation before paying for
-		// the permutation pass.
-		if err = ctx.Err(); err == nil {
-			if shuffleSeed == 0 {
-				shuffleSeed = s.nextShuffleSeed()
-			}
-			op, codebooks, err = s.shufflePass(backend, m, op, max(q.Batch, 1), shuffleSeed, trace)
+	if s.cfg.shuffle {
+		if shuffleSeed == 0 {
+			shuffleSeed = s.nextShuffleSeed()
 		}
+		op, codebooks, trace, err = m.engine.ClassifyShuffledCtx(ctx, m.operands, q, shuffleSeed)
+	} else {
+		op, trace, err = m.engine.ClassifyCtx(ctx, m.operands, q)
 	}
 	var pe *matrix.PanicError
 	if errors.As(err, &pe) {
@@ -707,26 +692,6 @@ func (s *Service) retryAfter(m *servedModel) time.Duration {
 	}
 	waves := 1 + s.cfg.shedQueue/max(s.cfg.maxInFlight, 1)
 	return time.Duration(waves) * est
-}
-
-// shufflePass applies the per-pass result shuffle: one block-diagonal
-// permutation pass over every packed query, at the model's scheduled
-// shuffle level, on the same number of workers as the pipeline.
-// Each pass gets a fresh seed, so no two passes share permutations;
-// WithSeed makes the seeds deterministic for tests.
-func (s *Service) shufflePass(backend he.Backend, m *servedModel, op he.Operand, batch int, seed uint64, trace *core.Trace) (he.Operand, []*core.ShuffledCodebook, error) {
-	mark := time.Now()
-	counting := he.WithCounts(backend)
-	shuffled, codebooks, err := core.ShuffleResultBatch(counting, &m.operands.Meta, op, batch, 0, seed, s.cfg.workers)
-	if err != nil {
-		return he.Operand{}, nil, fmt.Errorf("copse: result shuffle: %w", err)
-	}
-	if trace != nil {
-		trace.Shuffle = time.Since(mark)
-		trace.ShuffleOps = counting.Counts()
-		trace.Total += trace.Shuffle
-	}
-	return shuffled, codebooks, nil
 }
 
 // shuffleSeedStride spaces consecutive seeds of the per-pass sequence

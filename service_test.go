@@ -354,7 +354,11 @@ func TestServiceConcurrentClassifyBGV(t *testing.T) {
 // clear backend — per-query codebooks, vote counts matching the
 // plaintext walk, per-tree labels hidden, fresh permutations per pass.
 func TestServiceShuffledServing(t *testing.T) {
-	f, c := trainedModel(t, 47, 256)
+	f, _ := trainedModel(t, 47, 256)
+	c, err := copse.Compile(f, copse.CompileOptions{Slots: 256, PlanShuffle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendClear),
 		copse.WithShuffle(true),
@@ -507,7 +511,8 @@ func TestServiceShuffledServingBGV(t *testing.T) {
 
 // TestServiceShuffleRequiresHeadroom: registering a model whose schedule
 // lands the result below the shuffle entry on a shuffled BGV service
-// must fail fast with the PlanShuffle hint.
+// must fail fast in the level pass — the shuffle stage's typed
+// *PlanInfeasibleError — with the PlanShuffle hint.
 func TestServiceShuffleRequiresHeadroom(t *testing.T) {
 	c, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024}) // no PlanShuffle
 	if err != nil {
@@ -522,8 +527,9 @@ func TestServiceShuffleRequiresHeadroom(t *testing.T) {
 		copse.WithShuffle(true),
 	)
 	err = svc.Register("fig1", c)
-	if err == nil {
-		t.Fatal("shuffled service accepted a model without shuffle headroom")
+	var infeasible *copse.PlanInfeasibleError
+	if !errors.As(err, &infeasible) || infeasible.Stage != "shuffle" {
+		t.Fatalf("shuffled service registered a model without shuffle headroom: %v, want the shuffle stage's *PlanInfeasibleError", err)
 	}
 	if !strings.Contains(err.Error(), "PlanShuffle") {
 		t.Errorf("error %q does not name PlanShuffle", err)
