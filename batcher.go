@@ -8,51 +8,24 @@ import (
 	"time"
 )
 
-// BatchPolicy governs the dynamic batcher: the in-process aggregator
-// that coalesces concurrent Classify/ClassifyBatch calls for the same
-// model into shared slot-packed homomorphic passes (DESIGN.md §11).
-// A pass answers up to Meta.BatchCapacity queries. Its cost is not flat
-// in the fill — a lone query's bit planes and level matrices ride the
-// idle blocks (DESIGN.md §13.4–13.5) — but a full pass still costs far
-// less than one pass per query, so for uncoordinated traffic the
-// batcher converts linger time into queries/sec: a request arriving
-// alone waits up to Window for neighbours; a request arriving into a
-// crowd shares its pass and never waits. The benchmark's
-// `batch-saturated` workload measures the full-pass side
-// (`copse.batch_fill`, `core.pass_ms`).
-type BatchPolicy struct {
-	// Window is the linger deadline: how long the first query of a
-	// forming batch may wait for the batch to fill before the pass
-	// fires anyway. Zero disables the batcher entirely (every call runs
-	// its own passes, the pre-batcher behavior).
-	Window time.Duration
-	// MaxBatch caps how many queries one pass carries; 0 (or anything
-	// larger) means the model's full Meta.BatchCapacity. Shrinking it
-	// trades throughput for per-pass latency jitter under bursts.
-	MaxBatch int
-	// MinFill, when positive, fires a forming pass as soon as this many
-	// queries are pending instead of waiting for MaxBatch or the
-	// Window — a closed-loop fleet of N < capacity clients then runs
-	// back-to-back full-fleet passes with no linger stalls. 0 means
-	// fire only on MaxBatch or the deadline.
-	MinFill int
-}
-
-// WithBatchWindow enables the dynamic batcher with the given linger
-// window (shorthand for WithBatchPolicy(BatchPolicy{Window: d})).
-// Concurrent ClassifyBatch/ClassifyBatchShuffled calls against the
-// same model are then coalesced into shared slot-packed passes, with
-// per-slot results (and, under WithShuffle, per-query codebooks)
-// routed back to each caller. Zero (the default) disables coalescing.
+// WithBatchWindow enables the dynamic batcher: the in-process aggregator
+// that coalesces concurrent ClassifyBatch/ClassifyBatchShuffled calls
+// for the same model into shared slot-packed homomorphic passes
+// (DESIGN.md §11), with per-slot results (and, under WithShuffle,
+// per-query codebooks) routed back to each caller. A pass fires as soon
+// as the model's batch capacity (Meta.BatchCapacity) is pending, or when
+// the first query of a forming batch has lingered d. A pass's cost is
+// not flat in the fill — a lone query's bit planes and level matrices
+// ride the idle blocks (DESIGN.md §13.4–13.5) — but a full pass still
+// costs far less than one pass per query, so for uncoordinated traffic
+// the batcher converts linger time into queries/sec: a request arriving
+// alone waits up to d for neighbours; a request arriving into a crowd
+// shares its pass and never waits. The benchmark's `batch-saturated`
+// workload measures the full-pass side (`copse.batch_fill`,
+// `core.pass_ms`). Zero (the default) disables coalescing: every call
+// runs its own passes.
 func WithBatchWindow(d time.Duration) Option {
-	return func(c *serviceConfig) { c.batch.Window = d }
-}
-
-// WithBatchPolicy enables the dynamic batcher with full policy control
-// (see BatchPolicy). The batcher is active when the policy's Window is
-// positive.
-func WithBatchPolicy(p BatchPolicy) Option {
-	return func(c *serviceConfig) { c.batch = p }
+	return func(c *serviceConfig) { c.batchWindow = d }
 }
 
 // aggWaiter is one caller blocked on the aggregator: its queries, the
@@ -147,8 +120,8 @@ type aggSlice struct {
 
 // aggregator is the per-model dynamic batcher: one goroutine owning a
 // FIFO of waiters, firing a slot-packed pass whenever the pending
-// query count reaches the fire threshold or the linger window of the
-// oldest arrival expires. Passes execute on their own goroutines (the
+// query count reaches the model's batch capacity or the linger window of
+// the oldest arrival expires. Passes execute on their own goroutines (the
 // service's in-flight semaphore provides the backpressure), so a slow
 // pass never blocks the next batch from forming.
 type aggregator struct {
@@ -156,30 +129,17 @@ type aggregator struct {
 	name     string
 	window   time.Duration
 	capacity int
-	maxBatch int
-	fireAt   int
 	arrivals chan *aggWaiter
 
 	queue []*aggEntry // owned by run()
 }
 
 func newAggregator(svc *Service, name string, capacity int) *aggregator {
-	p := svc.cfg.batch
-	maxBatch := capacity
-	if p.MaxBatch > 0 && p.MaxBatch < capacity {
-		maxBatch = p.MaxBatch
-	}
-	fireAt := maxBatch
-	if p.MinFill > 0 && p.MinFill < maxBatch {
-		fireAt = p.MinFill
-	}
 	a := &aggregator{
 		svc:      svc,
 		name:     name,
-		window:   p.Window,
+		window:   svc.cfg.batchWindow,
 		capacity: capacity,
-		maxBatch: maxBatch,
-		fireAt:   fireAt,
 		arrivals: make(chan *aggWaiter),
 	}
 	go a.run()
@@ -226,8 +186,8 @@ func (a *aggregator) submit(ctx context.Context, batch [][]uint64) ([]*Result, [
 	return w.results, w.codebooks, nil
 }
 
-// run is the aggregator goroutine: enqueue arrivals, fire when full
-// (or at MinFill), linger otherwise until the window expires.
+// run is the aggregator goroutine: enqueue arrivals, fire when full,
+// linger otherwise until the window expires.
 func (a *aggregator) run() {
 	var timer *time.Timer
 	var timerC <-chan time.Time
@@ -241,7 +201,7 @@ func (a *aggregator) run() {
 		select {
 		case w := <-a.arrivals:
 			a.queue = append(a.queue, &aggEntry{w: w})
-			for a.pending() >= a.fireAt {
+			for a.pending() >= a.capacity {
 				a.fire()
 			}
 			if a.pending() > 0 {
@@ -254,9 +214,9 @@ func (a *aggregator) run() {
 			}
 		case <-timerC:
 			timerC = nil
-			// Deadline: flush everything queued. pending < fireAt ≤
-			// maxBatch normally means one pass, but abandoned-entry
-			// bookkeeping is settled at assembly, so loop to be exact.
+			// Deadline: flush everything queued. pending < capacity
+			// normally means one pass, but abandoned-entry bookkeeping is
+			// settled at assembly, so loop to be exact.
 			for a.pending() > 0 {
 				a.fire()
 			}
@@ -287,20 +247,20 @@ func (a *aggregator) pending() int {
 	return n
 }
 
-// fire assembles up to maxBatch queries FIFO from the queue — splitting
+// fire assembles up to capacity queries FIFO from the queue — splitting
 // a waiter larger than the remaining capacity across passes, the
 // overflow staying queued for the next one — and launches the pass.
 func (a *aggregator) fire() {
 	var slices []aggSlice
 	taken := 0
 	now := time.Now()
-	for len(a.queue) > 0 && taken < a.maxBatch {
+	for len(a.queue) > 0 && taken < a.capacity {
 		e := a.queue[0]
 		if e.w.isAbandoned() {
 			a.queue = a.queue[1:]
 			continue
 		}
-		n := min(a.maxBatch-taken, len(e.w.features)-e.next)
+		n := min(a.capacity-taken, len(e.w.features)-e.next)
 		slices = append(slices, aggSlice{w: e.w, lo: e.next, hi: e.next + n})
 		a.svc.aggWaitNS.Add(int64(n) * now.Sub(e.w.enqueued).Nanoseconds())
 		e.next += n
@@ -393,7 +353,7 @@ func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 // its goroutine) on first use; nil when batching is disabled or the
 // service is closed.
 func (s *Service) aggregatorFor(name string) (*aggregator, error) {
-	if s.cfg.batch.Window <= 0 {
+	if s.cfg.batchWindow <= 0 {
 		return nil, nil
 	}
 	s.mu.RLock()

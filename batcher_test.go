@@ -15,12 +15,12 @@ import (
 
 // batchedService stages one trainedModel on a clear-backend service
 // with the dynamic batcher on.
-func batchedService(t *testing.T, seed uint64, policy copse.BatchPolicy, extra ...copse.Option) (*copse.Forest, *copse.Service) {
+func batchedService(t *testing.T, seed uint64, window time.Duration, extra ...copse.Option) (*copse.Forest, *copse.Service) {
 	t.Helper()
 	f, c := trainedModel(t, seed, 256)
 	opts := append([]copse.Option{
 		copse.WithBackend(copse.BackendClear),
-		copse.WithBatchPolicy(policy),
+		copse.WithBatchWindow(window),
 	}, extra...)
 	svc := copse.NewService(opts...)
 	if err := svc.Register("m", c); err != nil {
@@ -31,14 +31,13 @@ func batchedService(t *testing.T, seed uint64, policy copse.BatchPolicy, extra .
 }
 
 // TestAggregatorCoalesces: N uncoordinated single-query goroutines
-// share one slot-packed pass (MinFill pins the pass boundary), every
+// share one slot-packed pass (the fleet fills it: the pass fires at
+// capacity, long before the window), every
 // caller gets its own correct result, and the batcher counters land in
 // Stats.
 func TestAggregatorCoalesces(t *testing.T) {
 	const clients = 4 // trainedModel capacity at 256 slots: one full pass
-	f, svc := batchedService(t, 51, copse.BatchPolicy{
-		Window: time.Minute, // the full batch fires long before this
-	})
+	f, svc := batchedService(t, 51, time.Minute)
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for g := 0; g < clients; g++ {
@@ -88,7 +87,7 @@ func TestAggregatorCoalesces(t *testing.T) {
 // window expires — the batcher never strands a request waiting for
 // co-riders that don't come.
 func TestAggregatorLingerFlush(t *testing.T) {
-	f, svc := batchedService(t, 52, copse.BatchPolicy{Window: 5 * time.Millisecond})
+	f, svc := batchedService(t, 52, 5*time.Millisecond)
 	feats := []uint64{3, 1, 4}
 	start := time.Now()
 	results, err := svc.ClassifyBatch(context.Background(), "m", [][]uint64{feats})
@@ -110,7 +109,7 @@ func TestAggregatorLingerFlush(t *testing.T) {
 // capacity flows through the batcher as multiple passes (split +
 // overflow), every query answered in order.
 func TestAggregatorOverflowChain(t *testing.T) {
-	f, svc := batchedService(t, 53, copse.BatchPolicy{Window: 2 * time.Millisecond})
+	f, svc := batchedService(t, 53, 2*time.Millisecond)
 	capacity, err := svc.BatchCapacity("m")
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,7 @@ func TestAggregatorOverflowChain(t *testing.T) {
 // neighbours' results; a caller cancelled after completion still gets
 // its answer.
 func TestAggregatorCancelMidLinger(t *testing.T) {
-	f, svc := batchedService(t, 54, copse.BatchPolicy{Window: 30 * time.Millisecond})
+	f, svc := batchedService(t, 54, 30*time.Millisecond)
 
 	// Cancelled while lingering alone: the waiter abandons, the flush
 	// finds nothing to run.
@@ -209,16 +208,14 @@ func TestAggregatorCancelMidLinger(t *testing.T) {
 // caller its own codebook window — votes must match the plaintext walk
 // through the caller's codebook, per-tree labels stay hidden.
 func TestAggregatorShuffledRouting(t *testing.T) {
-	const clients = 3 // < capacity 4: MinFill pins the pass boundary
+	const clients = 4 // the capacity at 256 slots: the fleet fills one pass
 	f, _ := trainedModel(t, 55, 256)
 	c, err := copse.Compile(f, copse.CompileOptions{Slots: 256, PlanShuffle: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := copse.NewService(copse.WithBackend(copse.BackendClear), copse.WithBatchPolicy(copse.BatchPolicy{
-		Window:  time.Minute,
-		MinFill: clients,
-	}), copse.WithShuffle(true), copse.WithSeed(7))
+	svc := copse.NewService(copse.WithBackend(copse.BackendClear), copse.WithBatchWindow(time.Minute),
+		copse.WithShuffle(true), copse.WithSeed(7))
 	if err := svc.Register("m", c); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +327,7 @@ func aggStress(t *testing.T, f *copse.Forest, svc *copse.Service, clients, round
 // backend, with an in-flight cap so batcher backpressure and the queue
 // path are exercised together.
 func TestAggregatorStressClear(t *testing.T) {
-	f, svc := batchedService(t, 56, copse.BatchPolicy{Window: time.Millisecond},
+	f, svc := batchedService(t, 56, time.Millisecond,
 		copse.WithWorkers(2), copse.WithMaxInFlight(2))
 	aggStress(t, f, svc, 8, 6)
 	st := svc.Stats()
@@ -359,7 +356,6 @@ func TestAggregatorStressBGV(t *testing.T) {
 	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
-		copse.WithSecurity(copse.SecurityTest),
 		copse.WithWorkers(2),
 		copse.WithSeed(13),
 		copse.WithBatchWindow(2*time.Millisecond),
@@ -377,7 +373,7 @@ func TestAggregatorStressBGV(t *testing.T) {
 // TestAggregatorServiceClose: Close fails queued waiters instead of
 // stranding them, and later submissions are rejected.
 func TestAggregatorServiceClose(t *testing.T) {
-	_, svc := batchedService(t, 57, copse.BatchPolicy{Window: time.Hour})
+	_, svc := batchedService(t, 57, time.Hour)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := svc.ClassifyBatch(context.Background(), "m", [][]uint64{{1, 2, 3}})
@@ -418,7 +414,7 @@ func TestDynamicBatchPerfSmoke(t *testing.T) {
 		opts := []copse.Option{
 			copse.WithBackend(copse.BackendClear),
 			copse.WithMaxInFlight(1),
-			copse.WithBatchPolicy(copse.BatchPolicy{Window: window}),
+			copse.WithBatchWindow(window),
 		}
 		svc := copse.NewService(opts...)
 		if err := svc.Register("m", c); err != nil {

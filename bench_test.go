@@ -46,9 +46,11 @@ func copseSystem(b *testing.B, cs experiments.Case, workers int, scenario copse.
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-		Backend: copse.BackendClear, Scenario: scenario, Workers: workers,
-	})
+	sys, err := copse.NewSystem(compiled,
+		copse.WithBackend(copse.BackendClear),
+		copse.WithScenario(scenario),
+		copse.WithWorkers(workers),
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,11 +241,13 @@ func BenchmarkTable5ParamSweep(b *testing.B) {
 	}
 	for _, levels := range []int{compiled.Meta.RecommendedLevels, compiled.Meta.RecommendedLevels + 2} {
 		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
-			sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-				Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-				Security: copse.SecurityTest, Levels: levels,
-				Workers: runtime.GOMAXPROCS(0), Seed: 9,
-			})
+			sys, err := copse.NewSystem(compiled,
+				copse.WithBackend(copse.BackendBGV),
+				copse.WithScenario(copse.ScenarioOffload),
+				copse.WithLevels(levels),
+				copse.WithWorkers(runtime.GOMAXPROCS(0)),
+				copse.WithSeed(9),
+			)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -292,10 +296,12 @@ func BenchmarkClassify(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-				Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-				Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0), Seed: 4,
-			})
+			sys, err := copse.NewSystem(compiled,
+				copse.WithBackend(copse.BackendBGV),
+				copse.WithScenario(copse.ScenarioOffload),
+				copse.WithWorkers(runtime.GOMAXPROCS(0)),
+				copse.WithSeed(4),
+			)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,10 +326,12 @@ func BenchmarkBGVInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-		Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-		Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0), Seed: 4,
-	})
+	sys, err := copse.NewSystem(compiled,
+		copse.WithBackend(copse.BackendBGV),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithWorkers(runtime.GOMAXPROCS(0)),
+		copse.WithSeed(4),
+	)
 	if err != nil {
 		b.Fatal(err)
 	}

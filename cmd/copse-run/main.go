@@ -11,7 +11,8 @@
 //	copse-run -artifact m.copse -features 3,5 -scenario servermodel
 //
 // -queries takes one or more semicolon-separated feature vectors;
-// -features is the single-query spelling kept for compatibility.
+// -features is the single-query spelling kept for compatibility. On
+// bgv the ring is the one the artifact's slot count picks.
 package main
 
 import (
@@ -73,21 +74,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []copse.Option{
+	svc := copse.NewService(
 		copse.WithWorkers(*workers),
 		copse.WithSeed(*seed),
 		copse.WithBackend(kind),
 		copse.WithScenario(scenario),
-	}
-	if kind == copse.BackendBGV {
-		preset, err := copse.SecurityForSlots(compiled.Meta.Slots)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, copse.WithSecurity(preset))
-	}
-
-	svc := copse.NewService(opts...)
+	)
 	const model = "model"
 	if err := svc.Register(model, compiled); err != nil {
 		log.Fatal(err)

@@ -9,10 +9,14 @@
 //	copse-serve -listen :8080 -model m=income5.copse -backend clear -workers 8
 //	copse-serve -listen :8080 -model m=income5.copse -batchwindow 20ms
 //
+// On bgv the ring is the one the artifacts' common slot count picks,
+// and the chain the one the first-registered model's level plan sizes.
+//
 // With -batchwindow, concurrent requests for the same model coalesce
-// into shared slot-packed homomorphic passes (the dynamic batcher):
-// each request waits up to the window for co-riders, then one pass
-// answers every rider's queries.
+// into shared slot-packed homomorphic passes (the dynamic batcher): a
+// pass fires once the model's batch capacity is pending, or when its
+// first request has waited the window, and answers every rider's
+// queries.
 //
 // Cluster modes (DESIGN.md §12) — a worker node serves shard
 // artifacts produced by copse-compile -shards, a gateway fans queries
@@ -38,6 +42,10 @@
 //	GET  /v1/stats     → request/query counters, latency p50/p95/p99
 //	GET  /healthz      → 200 once serving
 //
+// Failed requests answer with the status of their typed error
+// (cluster.WriteError): 400 for a malformed query, 404 for an unknown
+// model, 429 + Retry-After for shed load, 504 for a blown deadline.
+//
 // Every mode shuts down gracefully on SIGINT/SIGTERM: the listener
 // closes, in-flight requests drain (bounded by -drain), then the
 // service and its key material are released.
@@ -45,8 +53,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -114,9 +120,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request classification timeout")
 	seed := flag.Uint64("seed", 0, "deterministic keys/encryption when non-zero (tests only — except -worker mode, where a shared seed is how the fleet derives one key set; with -shuffle it also makes every shuffle permutation predictable to anyone who knows the seed, voiding the leakage hardening)")
 	shuffle := flag.Bool("shuffle", false, "shuffle results (leakage hardening, §7.2.2): responses carry per-query codebooks and vote counts instead of per-tree labels; models need CompileOptions.PlanShuffle")
-	batchWindow := flag.Duration("batchwindow", 0, "dynamic batching linger: concurrent requests for the same model coalesce into shared slot-packed passes, waiting up to this long for co-riders (0 = off)")
-	batchMax := flag.Int("batchmax", 0, "queries per coalesced pass cap (0 = model batch capacity; needs -batchwindow)")
-	batchMinFill := flag.Int("batchminfill", 0, "fire a coalesced pass early once this many queries are pending (0 = only at capacity or linger expiry; needs -batchwindow)")
+	batchWindow := flag.Duration("batchwindow", 0, "dynamic batching linger: concurrent requests for the same model coalesce into shared slot-packed passes, which fire at the model's batch capacity or once the first rider has waited this long (0 = off)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 
 	workerMode := flag.Bool("worker", false, "run as a cluster worker node serving shard artifacts (-manifest/-shards/-seed)")
@@ -157,36 +161,28 @@ func main() {
 		workers = n
 	}
 
+	// The options a worker's service shares with a single-node one.
+	opts := []copse.Option{
+		copse.WithWorkers(workers),
+		copse.WithMaxInFlight(*maxInFlight),
+		copse.WithShedQueue(*shedQueue),
+	}
 	if *workerMode {
 		runWorker(workerOptions{
-			listen:      *listen,
-			manifests:   manifests,
-			shards:      shardPaths,
-			seed:        *seed,
-			keyFile:     *keyFile,
-			writeKeys:   *writeKeys,
-			workers:     workers,
-			maxInFlight: *maxInFlight,
-			shedQueue:   *shedQueue,
-			drain:       *drain,
+			listen:    *listen,
+			manifests: manifests,
+			shards:    shardPaths,
+			seed:      *seed,
+			keyFile:   *keyFile,
+			writeKeys: *writeKeys,
+			service:   opts,
+			drain:     *drain,
 		})
 		return
 	}
 
 	if len(models) == 0 {
 		log.Fatal("need at least one -model NAME=ARTIFACT")
-	}
-	opts := []copse.Option{
-		copse.WithWorkers(workers),
-		copse.WithMaxInFlight(*maxInFlight),
-		copse.WithShedQueue(*shedQueue),
-		copse.WithSeed(*seed),
-		copse.WithShuffle(*shuffle),
-		copse.WithBatchPolicy(copse.BatchPolicy{
-			Window:   *batchWindow,
-			MaxBatch: *batchMax,
-			MinFill:  *batchMinFill,
-		}),
 	}
 	kind, err := copse.ParseBackend(*backendArg)
 	if err != nil {
@@ -196,11 +192,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts = append(opts, copse.WithBackend(kind), copse.WithScenario(scenario))
+	opts = append(opts, copse.WithSeed(*seed), copse.WithShuffle(*shuffle), copse.WithBatchWindow(*batchWindow),
+		copse.WithBackend(kind), copse.WithScenario(scenario))
 
-	// Load every artifact first: the security preset (and so the shared
-	// key set) is fixed by the models' common slot count before the
-	// service is built.
+	// Load every artifact first: the register order (and so the shared
+	// key set's chain) follows from all of them.
 	names := make([]string, 0, len(models))
 	compiled := map[string]*copse.Compiled{}
 	for name, path := range models {
@@ -219,14 +215,6 @@ func main() {
 	if err := registerOrder(names, compiled, scenario); err != nil {
 		log.Fatal(err)
 	}
-	if *backendArg == "bgv" {
-		preset, err := copse.SecurityForSlots(compiled[names[0]].Meta.Slots)
-		if err != nil {
-			log.Fatalf("%s: %v", names[0], err)
-		}
-		opts = append(opts, copse.WithSecurity(preset))
-	}
-
 	svc := copse.NewService(opts...)
 	for _, name := range names {
 		if err := svc.Register(name, compiled[name]); err != nil {
@@ -238,20 +226,11 @@ func main() {
 	}
 
 	if *batchWindow > 0 {
-		log.Printf("dynamic batching on: linger %v, max %d, minfill %d", *batchWindow, *batchMax, *batchMinFill)
+		log.Printf("dynamic batching on: linger %v, passes fire at batch capacity", *batchWindow)
 	}
 
 	srv := &server{svc: svc, timeout: *timeout, shuffle: *shuffle}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/classify", srv.classify)
-	mux.HandleFunc("GET /v1/models", srv.models)
-	mux.HandleFunc("GET /v1/stats", srv.stats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-
-	if err := serveHTTP(*listen, mux, *drain, svc.Close); err != nil {
+	if err := serveHTTP(*listen, srv.handler(), *drain, svc.Close); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -315,16 +294,14 @@ func serveHTTP(addr string, handler http.Handler, drain time.Duration, shutdown 
 }
 
 type workerOptions struct {
-	listen      string
-	manifests   modelFlags
-	shards      shardListFlags
-	seed        uint64
-	keyFile     string
-	writeKeys   string
-	workers     int
-	maxInFlight int
-	shedQueue   int
-	drain       time.Duration
+	listen    string
+	manifests modelFlags
+	shards    shardListFlags
+	seed      uint64
+	keyFile   string
+	writeKeys string
+	service   []copse.Option
+	drain     time.Duration
 }
 
 func runWorker(o workerOptions) {
@@ -351,13 +328,7 @@ func runWorker(o workerOptions) {
 		}
 	}
 
-	w := cluster.NewWorker(cluster.WorkerConfig{
-		Seed:        o.seed,
-		Material:    material,
-		Workers:     o.workers,
-		MaxInFlight: o.maxInFlight,
-		ShedQueue:   o.shedQueue,
-	})
+	w := cluster.NewWorker(cluster.WorkerConfig{Seed: o.seed, Material: material, Service: o.service})
 	for name, mpath := range o.manifests {
 		mf, err := os.Open(mpath)
 		if err != nil {
@@ -465,11 +436,6 @@ type server struct {
 	shuffle bool
 }
 
-type classifyRequest struct {
-	Model   string     `json:"model"`
-	Queries [][]uint64 `json:"queries"`
-}
-
 type classifyResult struct {
 	Label     int    `json:"label"`
 	LabelName string `json:"labelName,omitempty"`
@@ -494,51 +460,35 @@ type classifyResponse struct {
 	LatencyMS float64          `json:"latencyMS"`
 }
 
-// maxRequestBytes bounds a classify request body (~hundreds of
-// thousands of queries); larger posts get a 400 instead of exhausting
-// the process that holds the key set.
-const maxRequestBytes = 8 << 20
+// handler is the single-node HTTP surface.
+func (s *server) handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/classify", s.classify)
+	mux.HandleFunc("GET /v1/models", s.models)
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		cluster.WriteJSON(w, s.svc.Stats())
+	})
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, "ok")
+	})
+	return mux
+}
 
 func (s *server) classify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
-		return
-	}
-	if req.Model == "" || len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("need model and at least one query"))
+	req, ok := cluster.ReadClassifyRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 
-	capacity, err := s.svc.BatchCapacity(req.Model)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
 	meta, err := s.svc.Meta(req.Model)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		cluster.WriteError(w, err)
 		return
 	}
-	// Validate query shapes up front so malformed client input is a 400,
-	// not a 500 from deep inside the encryption path.
-	limit := uint64(1) << uint(meta.Precision)
-	for i, q := range req.Queries {
-		if len(q) != meta.NumFeatures {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("query %d has %d features, model %q wants %d", i, len(q), req.Model, meta.NumFeatures))
-			return
-		}
-		for j, v := range q {
-			if v >= limit {
-				httpError(w, http.StatusBadRequest,
-					fmt.Errorf("query %d feature %d value %d exceeds %d-bit precision", i, j, v, meta.Precision))
-				return
-			}
-		}
-	}
+	capacity := meta.BatchCapacity()
 	start := time.Now()
 	var results []*copse.Result
 	var codebooks []*copse.ShuffledCodebook
@@ -548,22 +498,7 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 		results, err = s.svc.ClassifyBatch(ctx, req.Model, req.Queries)
 	}
 	if err != nil {
-		// Failure-taxonomy mapping (DESIGN.md §15): typed serving errors
-		// carry their own status so clients can tell shed load (back off
-		// and retry) from timeouts and genuine faults.
-		var oe *copse.OverloadError
-		var de *copse.DeadlineError
-		status := http.StatusInternalServerError
-		switch {
-		case errors.As(err, &oe):
-			status = http.StatusTooManyRequests
-			if oe.RetryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(int(max(1, oe.RetryAfter/time.Second))))
-			}
-		case errors.As(err, &de), ctx.Err() != nil:
-			status = http.StatusGatewayTimeout
-		}
-		httpError(w, status, err)
+		cluster.WriteError(w, err)
 		return
 	}
 	resp := classifyResponse{
@@ -583,7 +518,7 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, cr)
 	}
-	writeJSON(w, resp)
+	cluster.WriteJSON(w, resp)
 }
 
 type modelInfo struct {
@@ -601,106 +536,13 @@ func (s *server) models(w http.ResponseWriter, _ *http.Request) {
 		if err != nil {
 			continue
 		}
-		capacity, _ := s.svc.BatchCapacity(name)
 		out = append(out, modelInfo{
 			Name:          name,
 			Shape:         meta.String(),
 			NumFeatures:   meta.NumFeatures,
 			Precision:     meta.Precision,
-			BatchCapacity: capacity,
+			BatchCapacity: meta.BatchCapacity(),
 		})
 	}
-	writeJSON(w, out)
-}
-
-type statsResponse struct {
-	Requests        int64   `json:"requests"`
-	Queries         int64   `json:"queries"`
-	Failures        int64   `json:"failures"`
-	InFlight        int64   `json:"inFlight"`
-	Queued          int64   `json:"queued"`
-	MeanLatencyMS   float64 `json:"meanLatencyMS"`
-	MeanQueueWaitMS float64 `json:"meanQueueWaitMS"`
-	// Goroutines per pass, and the share of workers × pass time they
-	// spent running ops (DESIGN.md §9).
-	Workers     int     `json:"workers"`
-	Utilisation float64 `json:"utilisation"`
-	// Query operands the passes consumed and the bit planes per operand
-	// the traffic's batch fill realized (DESIGN.md §13.4).
-	QueryCiphertexts    int64   `json:"queryCiphertexts"`
-	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
-	// Stacked level operands the passes multiplied the branch vector with
-	// and the level matrices per operand their lanes carried (§13.5).
-	LevelOperands    int64   `json:"levelOperands"`
-	LevelsPerOperand float64 `json:"levelsPerOperand"`
-	// Resilience counters (DESIGN.md §15).
-	Shed            int64 `json:"shed"`
-	DeadlineRejects int64 `json:"deadlineRejects"`
-	PanicsRecovered int64 `json:"panicsRecovered"`
-	// Dynamic batcher counters (zero unless -batchwindow is set).
-	BatcherPasses    int64   `json:"batcherPasses"`
-	CoalescedQueries int64   `json:"coalescedQueries"`
-	BatchFill        float64 `json:"batchFill"`
-	MeanBatchWaitMS  float64 `json:"meanBatchWaitMS"`
-	// Per-model latency quantiles from the fixed log-spaced histograms.
-	ModelLatency map[string]modelLatency `json:"modelLatency,omitempty"`
-}
-
-type modelLatency struct {
-	Count int64   `json:"count"`
-	P50MS float64 `json:"p50MS"`
-	P95MS float64 `json:"p95MS"`
-	P99MS float64 `json:"p99MS"`
-}
-
-func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
-	st := s.svc.Stats()
-	resp := statsResponse{
-		Requests:         st.Requests,
-		Queries:          st.Queries,
-		Failures:         st.Failures,
-		InFlight:         st.InFlight,
-		Queued:           st.Queued,
-		MeanLatencyMS:    float64(st.MeanLatency().Microseconds()) / 1000,
-		MeanQueueWaitMS:  float64(st.MeanQueueWait().Microseconds()) / 1000,
-		Workers:          st.Workers,
-		Utilisation:      st.Utilisation(),
-		Shed:             st.Shed,
-		DeadlineRejects:  st.DeadlineRejects,
-		PanicsRecovered:  st.PanicsRecovered,
-		BatcherPasses:    st.BatcherPasses,
-		CoalescedQueries: st.CoalescedQueries,
-		BatchFill:        st.BatchFill,
-		MeanBatchWaitMS:  float64(st.MeanBatchWait().Microseconds()) / 1000,
-
-		QueryCiphertexts:    st.QueryCiphertexts,
-		PlanesPerCiphertext: st.PlanesPerCiphertext(),
-		LevelOperands:       st.LevelOperands,
-		LevelsPerOperand:    st.LevelsPerOperand(),
-	}
-	if len(st.ModelLatency) > 0 {
-		resp.ModelLatency = make(map[string]modelLatency, len(st.ModelLatency))
-		for name, ml := range st.ModelLatency {
-			resp.ModelLatency[name] = modelLatency{
-				Count: ml.Count,
-				P50MS: float64(ml.P50.Microseconds()) / 1000,
-				P95MS: float64(ml.P95.Microseconds()) / 1000,
-				P99MS: float64(ml.P99.Microseconds()) / 1000,
-			}
-		}
-	}
-	writeJSON(w, resp)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("write response: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	cluster.WriteJSON(w, out)
 }

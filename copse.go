@@ -10,7 +10,9 @@
 // inference without learning either.
 //
 // The serving flow — a Service stages one or more compiled models onto a
-// shared backend and answers slot-packed query batches concurrently:
+// shared backend and answers slot-packed query batches concurrently. The
+// compiled model fixes the BGV ring (its slot count) and modulus chain
+// (its level plan); the options only choose how to serve it:
 //
 //	forest, _ := copse.ParseModel(r)                    // or copse.Train(...)
 //	compiled, _ := copse.Compile(forest, copse.CompileOptions{Slots: 1024})
@@ -25,10 +27,7 @@
 // The three-party view of the paper's Figure 2 remains available as a
 // thin wrapper for single-model, per-party workflows:
 //
-//	sys, _ := copse.NewSystem(compiled, copse.SystemConfig{
-//		Backend:  copse.BackendBGV,
-//		Scenario: copse.ScenarioOffload,
-//	})
+//	sys, _ := copse.NewSystem(compiled, copse.WithScenario(copse.ScenarioOffload))
 //	query, _ := sys.Diane.EncryptQuery([]uint64{3, 5})
 //	encrypted, _, _ := sys.Sally.Classify(query)
 //	result, _ := sys.Diane.DecryptResult(encrypted)
@@ -98,6 +97,10 @@ type (
 	// batch fill than it claims): a typed error before any homomorphic
 	// op, instead of a garbage label.
 	QueryLayoutError = core.QueryLayoutError
+	// FeatureError is the rejection of a feature vector the model cannot
+	// take — the wrong number of features, or a value past its precision —
+	// before anything is encrypted.
+	FeatureError = core.FeatureError
 )
 
 // Party configurations (see paper §7.1 and Tables 3–4).
@@ -186,20 +189,6 @@ const (
 	BackendClear
 )
 
-// SecurityPreset selects the BGV lattice dimension.
-type SecurityPreset int
-
-const (
-	// SecurityTest: N=2048 (1024 slots). Functionally faithful;
-	// dimension far below 128-bit security. Fast.
-	SecurityTest SecurityPreset = iota
-	// SecurityDemo: N=4096 (2048 slots), fits the largest models.
-	SecurityDemo
-	// Security128: N=32768, matching the paper's security parameter at
-	// COPSE's depths. Very slow in pure Go.
-	Security128
-)
-
 // ParseBackend maps a CLI/config string ("bgv", "clear") to a backend
 // kind.
 func ParseBackend(s string) (BackendKind, error) {
@@ -228,21 +217,6 @@ func ParseScenario(s string) (Scenario, error) {
 	return 0, fmt.Errorf("copse: unknown scenario %q (want offload, servermodel, clienteval or threeparty)", s)
 }
 
-// SecurityForSlots returns the BGV preset whose packing width matches a
-// model staged for the given slot count — the lookup every CLI that
-// loads an artifact needs before building a service.
-func SecurityForSlots(slots int) (SecurityPreset, error) {
-	switch slots {
-	case 1024:
-		return SecurityTest, nil
-	case 2048:
-		return SecurityDemo, nil
-	case 16384:
-		return Security128, nil
-	}
-	return 0, fmt.Errorf("copse: no BGV preset with %d slots; recompile with Slots 1024, 2048 or 16384", slots)
-}
-
 // ChainLevels is the modulus-chain length a BGV service serving c under
 // scenario s builds when c is the first model it registers — the one a
 // multi-model server must register first is the model for which it is
@@ -253,36 +227,6 @@ func ChainLevels(c *Compiled, s Scenario) (int, error) {
 		return 0, err
 	}
 	return c.Meta.ChainLevels(encModel), nil
-}
-
-// SystemConfig configures NewSystem.
-type SystemConfig struct {
-	Backend  BackendKind
-	Scenario Scenario
-	Security SecurityPreset
-	// Workers is the number of goroutines each classification pass runs
-	// its ops on (see WithWorkers): 0 = GOMAXPROCS, 1 = sequential.
-	Workers int
-	// Shuffle enables result shuffling (paper §7.2.2) on every
-	// classification pass: per-query permuted results decoded through
-	// per-query codebooks (see WithShuffle). Models must be compiled with
-	// CompileOptions.PlanShuffle.
-	Shuffle bool
-	// MeasureNoise records decrypt-side noise-budget margins at every
-	// stage boundary in each Trace (see WithNoiseMeasurement); a
-	// benchmarking knob.
-	MeasureNoise bool
-	// Batch configures the dynamic batcher (see WithBatchPolicy): a
-	// non-zero Window lets concurrent Classify calls coalesce into
-	// shared slot-packed passes.
-	Batch BatchPolicy
-	// Levels overrides the compiler's recommended BGV chain length.
-	Levels int
-	// Seed, when non-zero, makes key generation and encryption
-	// deterministic (tests and reproducible experiments only). With
-	// Shuffle it also makes every shuffle permutation predictable from
-	// the seed — see WithSeed.
-	Seed uint64
 }
 
 // System wires the three parties around a shared backend, mirroring the
@@ -317,21 +261,12 @@ type Server struct {
 }
 
 // NewSystem instantiates the parties for a compiled model: it builds a
-// single-model Service per the config (generating keys for exactly the
-// rotations the compiler emitted, encrypting or encoding the model per
-// the scenario) and returns the wired parties.
-func NewSystem(c *Compiled, cfg SystemConfig) (*System, error) {
-	svc := NewService(
-		WithBackend(cfg.Backend),
-		WithScenario(cfg.Scenario),
-		WithSecurity(cfg.Security),
-		WithWorkers(cfg.Workers),
-		WithLevels(cfg.Levels),
-		WithSeed(cfg.Seed),
-		WithShuffle(cfg.Shuffle),
-		WithNoiseMeasurement(cfg.MeasureNoise),
-		WithBatchPolicy(cfg.Batch),
-	)
+// single-model Service with the given options (generating keys for
+// exactly the rotations the compiler emitted, on the ring the model's
+// slot count picks, encrypting or encoding the model per the scenario)
+// and returns the wired parties.
+func NewSystem(c *Compiled, opts ...Option) (*System, error) {
+	svc := NewService(opts...)
 	if err := svc.Register(systemModel, c); err != nil {
 		return nil, err
 	}

@@ -52,9 +52,11 @@ func TestEndToEndAllScenariosClear(t *testing.T) {
 		copse.ScenarioThreeParty,
 	}
 	for _, sc := range scenarios {
-		sys, err := copse.NewSystem(c, copse.SystemConfig{
-			Backend: copse.BackendClear, Scenario: sc, Workers: 4,
-		})
+		sys, err := copse.NewSystem(c,
+			copse.WithBackend(copse.BackendClear),
+			copse.WithScenario(sc),
+			copse.WithWorkers(4),
+		)
 		if err != nil {
 			t.Fatalf("scenario %d: %v", sc, err)
 		}
@@ -73,13 +75,12 @@ func TestEndToEndAllScenariosClear(t *testing.T) {
 func TestEndToEndBGV(t *testing.T) {
 	forest := copse.ExampleForest()
 	c := compileExample(t, 1024)
-	sys, err := copse.NewSystem(c, copse.SystemConfig{
-		Backend:  copse.BackendBGV,
-		Scenario: copse.ScenarioOffload,
-		Security: copse.SecurityTest,
-		Workers:  4,
-		Seed:     5,
-	})
+	sys, err := copse.NewSystem(c,
+		copse.WithBackend(copse.BackendBGV),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithWorkers(4),
+		copse.WithSeed(5),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,18 +98,22 @@ func TestEndToEndBGV(t *testing.T) {
 	}
 }
 
-func TestSystemConfigErrors(t *testing.T) {
+// TestNewSystemErrors: a bogus backend or scenario option, and a model
+// staged for a slot count no BGV ring packs, are refused at construction.
+func TestNewSystemErrors(t *testing.T) {
 	c := compileExample(t, 64)
-	if _, err := copse.NewSystem(c, copse.SystemConfig{Backend: copse.BackendKind(99)}); err == nil {
+	if _, err := copse.NewSystem(c, copse.WithBackend(copse.BackendKind(99))); err == nil {
 		t.Error("bogus backend accepted")
 	}
-	// Slot mismatch: staged for 64, BGV test preset provides 1024.
-	if _, err := copse.NewSystem(c, copse.SystemConfig{Backend: copse.BackendBGV}); err == nil {
-		t.Error("slot mismatch accepted")
+	// No ring packs 64 slots: the refusal names the slot counts that work.
+	_, err := copse.NewSystem(c, copse.WithBackend(copse.BackendBGV))
+	if err == nil || !strings.Contains(err.Error(), "1024, 2048 or 16384") {
+		t.Errorf("64-slot model on BGV: %v, want a refusal naming 1024, 2048 or 16384", err)
 	}
-	if _, err := copse.NewSystem(c, copse.SystemConfig{
-		Backend: copse.BackendClear, Scenario: copse.Scenario(99),
-	}); err == nil {
+	if _, err := copse.NewSystem(c,
+		copse.WithBackend(copse.BackendClear),
+		copse.WithScenario(copse.Scenario(99)),
+	); err == nil {
 		t.Error("bogus scenario accepted")
 	}
 }
@@ -128,9 +133,11 @@ func TestTrainCompileClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := copse.NewSystem(c, copse.SystemConfig{
-		Backend: copse.BackendClear, Scenario: copse.ScenarioOffload, Workers: 4,
-	})
+	sys, err := copse.NewSystem(c,
+		copse.WithBackend(copse.BackendClear),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithWorkers(4),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,28 @@ import (
 // This file is the serving-failure taxonomy (DESIGN.md §15): the typed
 // errors the resilient serving stack returns instead of hanging,
 // crashing, or collapsing every failure into an untyped 500. Each type
-// maps to one HTTP status in copse-serve and the cluster worker/gateway
-// handlers:
+// maps to one HTTP status, in the one writer (cluster.WriteError) that
+// copse-serve and the cluster worker and gateway handlers all answer
+// through:
 //
 //	*OverloadError         → 429 Too Many Requests (+ Retry-After)
 //	*DeadlineError         → 504 Gateway Timeout
+//	*UnknownModelError     → 404 Not Found
+//	*FeatureError          → 400 Bad Request
 //	*InternalError         → 500 Internal Server Error
 //	cluster.ShardError     → 502 Bad Gateway
 //	cluster.ModelUnavailableError → 503 Service Unavailable
+
+// UnknownModelError is the typed refusal of a call naming a model the
+// node does not serve: one no Service registered, no worker behind a
+// gateway stages, or the worker asked does not hold.
+type UnknownModelError struct {
+	Model string
+}
+
+func (e *UnknownModelError) Error() string {
+	return fmt.Sprintf("copse: unknown model %q", e.Model)
+}
 
 // OverloadError is the typed load-shedding rejection: the service's
 // in-flight slots are all busy and the shed-queue bound (WithShedQueue)

@@ -75,21 +75,18 @@ func ExampleService_shuffled() {
 // ExampleService_dynamicBatching shows the dynamic batcher (DESIGN.md
 // §11): four uncoordinated goroutines — think independent HTTP
 // handlers — each submit one query, and the aggregator coalesces them
-// into a single slot-packed homomorphic pass. MinFill pins the pass
-// boundary at exactly the fleet size so the example is deterministic;
-// production configs usually set only WithBatchWindow and let passes
-// fire at capacity or the linger deadline.
+// into a single slot-packed homomorphic pass. A pass fires once the
+// model's batch capacity is pending or its first query has lingered the
+// window; compiled for 64 slots the model holds four queries to a pass,
+// so the fleet fills one and the example is deterministic.
 func ExampleService_dynamicBatching() {
-	compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024})
+	compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendClear),
-		copse.WithBatchPolicy(copse.BatchPolicy{
-			Window:  50 * time.Millisecond, // linger cap for a lone query
-			MinFill: 4,                     // fire as soon as the fleet is in
-		}),
+		copse.WithBatchWindow(time.Minute), // the full pass fires long before this
 	)
 	if err := svc.Register("figure1", compiled); err != nil {
 		log.Fatal(err)
@@ -132,10 +129,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-		Backend:  copse.BackendClear,
-		Scenario: copse.ScenarioOffload,
-	})
+	sys, err := copse.NewSystem(compiled, copse.WithBackend(copse.BackendClear), copse.WithScenario(copse.ScenarioOffload))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,12 +48,11 @@ func main() {
 	fmt.Printf("compiled: %s (recommended BGV levels: %d)\n",
 		compiled.Meta.String(), compiled.Meta.RecommendedLevels)
 
-	sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-		Backend:  copse.BackendBGV,
-		Scenario: copse.ScenarioOffload,
-		Security: copse.SecurityTest,
-		Workers:  runtime.GOMAXPROCS(0),
-	})
+	sys, err := copse.NewSystem(compiled,
+		copse.WithBackend(copse.BackendBGV),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithWorkers(runtime.GOMAXPROCS(0)),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

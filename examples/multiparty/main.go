@@ -37,10 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-		Backend:  copse.BackendClear,
-		Scenario: copse.ScenarioOffload,
-	})
+	sys, err := copse.NewSystem(compiled, copse.WithBackend(copse.BackendClear), copse.WithScenario(copse.ScenarioOffload))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,10 +64,7 @@ func main() {
 		{"server model (S=M)", copse.ScenarioServerModel},
 		{"client eval (S=D)", copse.ScenarioClientEval},
 	} {
-		s, err := copse.NewSystem(padded, copse.SystemConfig{
-			Backend:  copse.BackendClear,
-			Scenario: sc.scenario,
-		})
+		s, err := copse.NewSystem(padded, copse.WithBackend(copse.BackendClear), copse.WithScenario(sc.scenario))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -40,11 +40,11 @@ func main() {
 	fmt.Printf("batch capacity: %d queries per homomorphic pass\n", compiled.Meta.BatchCapacity())
 
 	// Serve it over real BGV ciphertexts. ScenarioOffload encrypts both
-	// the model and the features; the server learns neither.
+	// the model and the features; the server learns neither. The ring is
+	// the one the compiled model's 1024 slots pick.
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
 		copse.WithScenario(copse.ScenarioOffload),
-		copse.WithSecurity(copse.SecurityTest),
 		copse.WithWorkers(8),
 	)
 	if err := svc.Register("figure1", compiled); err != nil {
@@ -85,7 +85,6 @@ func main() {
 	shuffledSvc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
 		copse.WithScenario(copse.ScenarioOffload),
-		copse.WithSecurity(copse.SecurityTest),
 		copse.WithWorkers(8),
 		copse.WithShuffle(true),
 	)

@@ -43,12 +43,11 @@ func main() {
 
 	workers := runtime.GOMAXPROCS(0)
 	timeScenario := func(name string, scenario copse.Scenario) time.Duration {
-		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-			Backend:  copse.BackendBGV,
-			Scenario: scenario,
-			Security: copse.SecurityTest,
-			Workers:  workers,
-		})
+		sys, err := copse.NewSystem(compiled,
+			copse.WithBackend(copse.BackendBGV),
+			copse.WithScenario(scenario),
+			copse.WithWorkers(workers),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package bgv
 
 import (
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -431,6 +432,23 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid params accepted", i)
 		}
+	}
+}
+
+// TestParamsForSlots pins the slots→ring table.
+func TestParamsForSlots(t *testing.T) {
+	for _, slots := range []int{1024, 2048, 16384} {
+		p, err := ParamsForSlots(slots, 10)
+		if err != nil {
+			t.Fatalf("slots %d: %v", slots, err)
+		}
+		if p.Slots() != slots || p.Levels != 10 {
+			t.Errorf("slots %d: ring packs %d slots over %d levels", slots, p.Slots(), p.Levels)
+		}
+	}
+	_, err := ParamsForSlots(64, 10)
+	if err == nil || !strings.Contains(err.Error(), "1024, 2048 or 16384") {
+		t.Errorf("64 slots: %v, want a refusal naming 1024, 2048 or 16384", err)
 	}
 }
 

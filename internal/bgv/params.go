@@ -82,6 +82,22 @@ func Secure128Params(levels int) Params {
 	return Params{LogN: 15, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
 }
 
+// ParamsForSlots returns the parameter set whose ring packs the given
+// slot count, sized to the given chain length: a compiled model's
+// Meta.Slots picks its ring, and this is the only table that maps one to
+// the other.
+func ParamsForSlots(slots, levels int) (Params, error) {
+	switch slots {
+	case 1024:
+		return TestParams(levels), nil
+	case 2048:
+		return DemoParams(levels), nil
+	case 16384:
+		return Secure128Params(levels), nil
+	}
+	return Params{}, fmt.Errorf("bgv: no ring with %d slots; compile with Slots 1024, 2048 or 16384", slots)
+}
+
 // Parameters is an instantiated parameter set: the ring context plus
 // derived constants.
 type Parameters struct {

@@ -51,7 +51,7 @@ func TestChaosSoak(t *testing.T) {
 	var servers []*httptest.Server
 	var killed atomic.Bool // worker 1's kill switch
 	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{Seed: 71, MaxInFlight: 4})
+		w := NewWorker(WorkerConfig{Seed: 71, Service: []copse.Option{copse.WithMaxInFlight(4)}})
 		for _, s := range shards {
 			if err := w.AddShard("forest", manifest, s); err != nil {
 				t.Fatalf("worker %d AddShard: %v", i, err)
@@ -281,7 +281,7 @@ func TestWorkerOverload429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(WorkerConfig{Seed: 72, MaxInFlight: 1, ShedQueue: 1})
+	w := NewWorker(WorkerConfig{Seed: 72, Service: []copse.Option{copse.WithMaxInFlight(1), copse.WithShedQueue(1)}})
 	defer w.Close()
 	if err := w.AddShard("forest", manifest, shards[0]); err != nil {
 		t.Fatal(err)

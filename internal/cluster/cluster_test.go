@@ -62,7 +62,7 @@ func startCluster(t *testing.T, seed uint64, stage func(workers []*Worker)) *tes
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < 2; i++ {
-		w := NewWorker(WorkerConfig{Seed: seed, MaxInFlight: 2})
+		w := NewWorker(WorkerConfig{Seed: seed, Service: []copse.Option{copse.WithMaxInFlight(2)}})
 		tc.workers = append(tc.workers, w)
 	}
 	stage(tc.workers)
@@ -160,7 +160,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Same through the HTTP surface.
 	gw := httptest.NewServer(tc.gateway.Handler())
 	defer gw.Close()
-	body, _ := json.Marshal(gatewayClassifyRequest{Model: "forest", Queries: batch})
+	body, _ := json.Marshal(ClassifyRequest{Model: "forest", Queries: batch})
 	resp, err := http.Post(gw.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -413,24 +413,5 @@ func TestWorkerRefusesForeignPlaneCount(t *testing.T) {
 				t.Errorf("batch=%d with %d ciphertexts announced: %s %q (%v), want 400 %q", batch, count, resp.Status, body.Error, err, layout)
 			}
 		}
-	}
-}
-
-// TestParamsForSlots pins the preset lookup.
-func TestParamsForSlots(t *testing.T) {
-	for _, slots := range []int{1024, 2048, 16384} {
-		p, err := ParamsForSlots(slots, 10)
-		if err != nil {
-			t.Fatalf("slots %d: %v", slots, err)
-		}
-		if got := 1 << (p.LogN - 1); got != slots {
-			t.Errorf("slots %d: preset provides %d", slots, got)
-		}
-		if p.Levels != 10 {
-			t.Errorf("slots %d: levels %d", slots, p.Levels)
-		}
-	}
-	if _, err := ParamsForSlots(512, 10); err == nil {
-		t.Error("bogus slot count accepted")
 	}
 }

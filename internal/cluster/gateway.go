@@ -452,7 +452,7 @@ func (g *Gateway) snapshot(name string) (*route, error) {
 	defer g.mu.RUnlock()
 	r, ok := g.routes[name]
 	if !ok {
-		return nil, fmt.Errorf("cluster: model %q not served by any worker", name)
+		return nil, &copse.UnknownModelError{Model: name}
 	}
 	cp := &route{shards: r.shards, fingerprint: r.fingerprint, meta: r.meta, problem: r.problem}
 	cp.holders = make([][]string, len(r.holders))
@@ -486,6 +486,11 @@ func (g *Gateway) Classify(ctx context.Context, model string, queries [][]uint64
 	g.mu.RUnlock()
 	if backend == nil || r.meta == nil {
 		return nil, nil, &ModelUnavailableError{Model: model, Problem: "key material or meta not yet fetched"}
+	}
+	// A malformed query is the client's fault, refused before any pass:
+	// no chunk of it runs, and it is not a serving failure.
+	if err := r.meta.CheckFeatures(queries); err != nil {
+		return nil, nil, err
 	}
 
 	trace := &FanoutTrace{Shards: r.shards}
@@ -837,18 +842,10 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/classify", g.handleClassify)
 	mux.HandleFunc("GET /v1/models", func(rw http.ResponseWriter, _ *http.Request) {
-		writeJSON(rw, g.Models())
+		WriteJSON(rw, g.Models())
 	})
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	return mux
-}
-
-// maxGatewayRequestBytes bounds a JSON classify request body.
-const maxGatewayRequestBytes = 8 << 20
-
-type gatewayClassifyRequest struct {
-	Model   string     `json:"model"`
-	Queries [][]uint64 `json:"queries"`
 }
 
 type gatewayClassifyResponse struct {
@@ -862,47 +859,17 @@ type gatewayClassifyResponse struct {
 }
 
 func (g *Gateway) handleClassify(rw http.ResponseWriter, r *http.Request) {
-	var req gatewayClassifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxGatewayRequestBytes)).Decode(&req); err != nil {
-		httpError(rw, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
-		return
-	}
-	if req.Model == "" || len(req.Queries) == 0 {
-		httpError(rw, http.StatusBadRequest, fmt.Errorf("need model and at least one query"))
+	req, ok := ReadClassifyRequest(rw, r)
+	if !ok {
 		return
 	}
 	start := time.Now()
 	results, trace, err := g.Classify(r.Context(), req.Model, req.Queries)
 	if err != nil {
-		var unavailable *ModelUnavailableError
-		var shardErr *ShardError
-		var deadlineErr *copse.DeadlineError
-		var statusErr *httpStatusError
-		status := http.StatusNotFound
-		switch {
-		case errors.As(err, &deadlineErr), errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.As(err, &statusErr) && statusErr.Status == http.StatusTooManyRequests:
-			// A worker shed the request (typed 429): surface the
-			// overload verbatim so clients back off rather than retry
-			// into a saturated fleet.
-			status = http.StatusTooManyRequests
-			if statusErr.RetryAfter != "" {
-				rw.Header().Set("Retry-After", statusErr.RetryAfter)
-			}
-		case errors.As(err, &unavailable):
-			status = http.StatusServiceUnavailable
-		case errors.As(err, &shardErr):
-			status = http.StatusBadGateway
-		case strings.Contains(err.Error(), "not served"):
-			status = http.StatusNotFound
-		default:
-			status = http.StatusInternalServerError
-		}
-		httpError(rw, status, err)
+		WriteError(rw, err)
 		return
 	}
-	writeJSON(rw, gatewayClassifyResponse{
+	WriteJSON(rw, gatewayClassifyResponse{
 		Model:     req.Model,
 		Results:   results,
 		Shards:    trace.Shards,
@@ -921,17 +888,17 @@ type gatewayWorkerJSON struct {
 }
 
 type gatewayStatsJSON struct {
-	Requests         int64                       `json:"requests"`
-	Queries          int64                       `json:"queries"`
-	Failures         int64                       `json:"failures"`
-	Retries          int64                       `json:"retries"`
-	Hedges           int64                       `json:"hedges"`
-	PanicsRecovered  int64                       `json:"panicsRecovered"`
-	DeadlineFailures int64                       `json:"deadlineFailures"`
-	FanoutMS         float64                     `json:"fanoutMS"`
-	MergeMS          float64                     `json:"mergeMS"`
-	Workers          []gatewayWorkerJSON         `json:"workers"`
-	ModelLatency     map[string]modelLatencyJSON `json:"modelLatency,omitempty"`
+	Requests         int64                         `json:"requests"`
+	Queries          int64                         `json:"queries"`
+	Failures         int64                         `json:"failures"`
+	Retries          int64                         `json:"retries"`
+	Hedges           int64                         `json:"hedges"`
+	PanicsRecovered  int64                         `json:"panicsRecovered"`
+	DeadlineFailures int64                         `json:"deadlineFailures"`
+	FanoutMS         float64                       `json:"fanoutMS"`
+	MergeMS          float64                       `json:"mergeMS"`
+	Workers          []gatewayWorkerJSON           `json:"workers"`
+	ModelLatency     map[string]copse.LatencyStats `json:"modelLatency,omitempty"`
 
 	// Query ciphertexts encrypted and fanned out, and the bit planes per
 	// ciphertext the requests' batch fill realized (DESIGN.md §13.4).
@@ -973,18 +940,22 @@ func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
 		st.Workers = append(st.Workers, wj)
 	}
 	if len(g.latency) > 0 {
-		st.ModelLatency = make(map[string]modelLatencyJSON, len(g.latency))
+		st.ModelLatency = make(map[string]copse.LatencyStats, len(g.latency))
 		for name, h := range g.latency {
 			snap := h.Snapshot()
-			st.ModelLatency[name] = modelLatencyJSON{
+			st.ModelLatency[name] = copse.LatencyStats{
 				Count: snap.Count,
-				P50MS: ms(snap.Quantile(0.50)),
-				P95MS: ms(snap.Quantile(0.95)),
-				P99MS: ms(snap.Quantile(0.99)),
+				P50:   snap.Quantile(0.50),
+				P95:   snap.Quantile(0.95),
+				P99:   snap.Quantile(0.99),
 			}
 		}
 	}
 	g.mu.RUnlock()
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].URL < st.Workers[j].URL })
-	writeJSON(rw, st)
+	WriteJSON(rw, st)
+}
+
+func ms(d time.Duration) float64 {
+	return float64(d.Microseconds()) / 1000
 }

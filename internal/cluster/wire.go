@@ -41,7 +41,7 @@ const (
 
 	// DefaultMaxFrameBytes bounds a frame so a corrupt or hostile
 	// length prefix cannot drive an allocation: large enough for a
-	// Security128 evaluation-key set, small enough to fail fast on
+	// logN-15 (Secure128Params) evaluation-key set, small enough to fail fast on
 	// garbage. Override with SetMaxFrameBytes.
 	DefaultMaxFrameBytes = 1 << 31
 

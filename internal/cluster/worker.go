@@ -13,15 +13,12 @@ package cluster
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"copse"
 	"copse/internal/bgv"
@@ -29,21 +26,6 @@ import (
 	"copse/internal/he"
 	"copse/internal/he/hebgv"
 )
-
-// ParamsForSlots maps a packing width to the BGV preset providing it,
-// sized to the given chain length — the lookup a worker performs when
-// deriving its key set from a shard manifest.
-func ParamsForSlots(slots, levels int) (bgv.Params, error) {
-	switch slots {
-	case 1024:
-		return bgv.TestParams(levels), nil
-	case 2048:
-		return bgv.DemoParams(levels), nil
-	case 16384:
-		return bgv.Secure128Params(levels), nil
-	}
-	return bgv.Params{}, fmt.Errorf("cluster: no BGV preset with %d slots (want 1024, 2048 or 16384)", slots)
-}
 
 // WorkerConfig configures a worker node.
 type WorkerConfig struct {
@@ -57,16 +39,13 @@ type WorkerConfig struct {
 	// from a key-material wire frame) instead of deriving it from
 	// Seed. It must carry the secret key and evaluation keys.
 	Material *hebgv.Material
-	// Workers is the number of goroutines each pass runs its ops on
-	// (copse.WithWorkers): 0 = GOMAXPROCS, 1 = sequential.
-	Workers int
-	// MaxInFlight caps concurrent classification passes (0 =
-	// unlimited).
-	MaxInFlight int
-	// ShedQueue bounds how many passes may queue for an in-flight slot
-	// before the worker sheds load with a typed 429 + Retry-After
-	// (copse.WithShedQueue); 0 queues without bound.
-	ShedQueue int
+	// Service holds the options of the worker's copse.Service — the
+	// per-pass worker goroutines, the in-flight cap and the shed queue
+	// behind its typed 429 + Retry-After. The worker appends its own
+	// copse.WithExternalBackend and copse.WithScenario(ScenarioServerModel)
+	// last: the backend is the one the key contract derives, and shard
+	// artifacts carry plaintext models.
+	Service []copse.Option
 }
 
 // Worker is one cluster node: a copse.Service staging shard artifacts
@@ -161,7 +140,7 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 			return fmt.Errorf("cluster: worker needs a non-zero shared seed (or explicit key material) so every node derives the same key set")
 		}
 		var params bgv.Params
-		params, err = ParamsForSlots(manifest.Meta.Slots, manifest.ChainLevels)
+		params, err = bgv.ParamsForSlots(manifest.Meta.Slots, manifest.ChainLevels)
 		if err != nil {
 			return err
 		}
@@ -185,13 +164,10 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 	// configuration): the privacy boundary of the cluster is the query
 	// and result ciphertexts, and plaintext models keep the per-shard
 	// depth at CtDepthPlainModel — matching manifest.ChainLevels.
-	w.svc = copse.NewService(
+	w.svc = copse.NewService(append(slices.Clip(w.cfg.Service),
 		copse.WithExternalBackend(backend),
 		copse.WithScenario(copse.ScenarioServerModel),
-		copse.WithWorkers(w.cfg.Workers),
-		copse.WithMaxInFlight(w.cfg.MaxInFlight),
-		copse.WithShedQueue(w.cfg.ShedQueue),
-	)
+	)...)
 	return nil
 }
 
@@ -307,7 +283,7 @@ func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
 		}
 		return info.Models[i].Shard.Index < info.Models[j].Shard.Index
 	})
-	writeJSON(rw, info)
+	WriteJSON(rw, info)
 }
 
 func (w *Worker) handleKeys(rw http.ResponseWriter, _ *http.Request) {
@@ -332,7 +308,7 @@ func (w *Worker) handleKeys(rw http.ResponseWriter, _ *http.Request) {
 func (w *Worker) handleMeta(rw http.ResponseWriter, r *http.Request) {
 	wf, err := w.forest(r.URL.Query().Get("model"))
 	if err != nil {
-		httpError(rw, http.StatusNotFound, err)
+		WriteError(rw, err)
 		return
 	}
 	var buf bytes.Buffer
@@ -349,7 +325,7 @@ func (w *Worker) forest(name string) (*workerForest, error) {
 	defer w.mu.RUnlock()
 	wf := w.forests[name]
 	if wf == nil {
-		return nil, fmt.Errorf("cluster: model %q not staged on this worker", name)
+		return nil, &copse.UnknownModelError{Model: name}
 	}
 	return wf, nil
 }
@@ -372,7 +348,7 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	}
 	wf, err := w.forest(name)
 	if err != nil {
-		httpError(rw, http.StatusNotFound, err)
+		WriteError(rw, err)
 		return
 	}
 	reg, ok := wf.shards[shardIdx]
@@ -418,7 +394,7 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	}
 	enc, _, err := svc.Classify(r.Context(), reg, q)
 	if err != nil {
-		classifyError(rw, err)
+		WriteError(rw, err)
 		return
 	}
 	op, _, err := enc.Operand()
@@ -450,7 +426,7 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
 	wf, err := w.forest(qv.Get("model"))
 	if err != nil {
-		httpError(rw, http.StatusNotFound, err)
+		WriteError(rw, err)
 		return
 	}
 	count, err := strconv.Atoi(qv.Get("count"))
@@ -493,7 +469,7 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 			out[i].LabelName = gm.LabelNames[out[i].Label]
 		}
 	}
-	writeJSON(rw, out)
+	WriteJSON(rw, out)
 }
 
 func (w *Worker) handleStats(rw http.ResponseWriter, _ *http.Request) {
@@ -501,107 +477,8 @@ func (w *Worker) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	svc := w.svc
 	w.mu.RUnlock()
 	if svc == nil {
-		writeJSON(rw, struct{}{})
+		WriteJSON(rw, struct{}{})
 		return
 	}
-	writeJSON(rw, statsJSON(svc.Stats()))
-}
-
-// modelLatencyJSON is one model's latency summary in milliseconds.
-type modelLatencyJSON struct {
-	Count int64   `json:"count"`
-	P50MS float64 `json:"p50MS"`
-	P95MS float64 `json:"p95MS"`
-	P99MS float64 `json:"p99MS"`
-}
-
-// serviceStatsJSON mirrors copse.ServiceStats with durations in
-// milliseconds.
-type serviceStatsJSON struct {
-	Requests        int64                       `json:"requests"`
-	Queries         int64                       `json:"queries"`
-	Failures        int64                       `json:"failures"`
-	InFlight        int64                       `json:"inFlight"`
-	Shed            int64                       `json:"shed"`
-	DeadlineRejects int64                       `json:"deadlineRejects"`
-	PanicsRecovered int64                       `json:"panicsRecovered"`
-	MeanLatencyMS   float64                     `json:"meanLatencyMS"`
-	Workers         int                         `json:"workers"`
-	Utilisation     float64                     `json:"utilisation"`
-	ModelLatency    map[string]modelLatencyJSON `json:"modelLatency,omitempty"`
-
-	// Query operands the passes consumed and the bit planes per operand
-	// the traffic's batch fill realized (DESIGN.md §13.4).
-	QueryCiphertexts    int64   `json:"queryCiphertexts"`
-	PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
-	// Stacked level operands the passes multiplied the branch vector with
-	// and the level matrices per operand their lanes carried (§13.5).
-	LevelOperands    int64   `json:"levelOperands"`
-	LevelsPerOperand float64 `json:"levelsPerOperand"`
-}
-
-func statsJSON(st copse.ServiceStats) serviceStatsJSON {
-	out := serviceStatsJSON{
-		Requests:        st.Requests,
-		Queries:         st.Queries,
-		Failures:        st.Failures,
-		InFlight:        st.InFlight,
-		Shed:            st.Shed,
-		DeadlineRejects: st.DeadlineRejects,
-		PanicsRecovered: st.PanicsRecovered,
-		MeanLatencyMS:   ms(st.MeanLatency()),
-		Workers:         st.Workers,
-		Utilisation:     st.Utilisation(),
-
-		QueryCiphertexts:    st.QueryCiphertexts,
-		PlanesPerCiphertext: st.PlanesPerCiphertext(),
-		LevelOperands:       st.LevelOperands,
-		LevelsPerOperand:    st.LevelsPerOperand(),
-	}
-	if len(st.ModelLatency) > 0 {
-		out.ModelLatency = make(map[string]modelLatencyJSON, len(st.ModelLatency))
-		for name, l := range st.ModelLatency {
-			out.ModelLatency[name] = modelLatencyJSON{
-				Count: l.Count,
-				P50MS: ms(l.P50),
-				P95MS: ms(l.P95),
-				P99MS: ms(l.P99),
-			}
-		}
-	}
-	return out
-}
-
-func ms(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1000
-}
-
-func writeJSON(rw http.ResponseWriter, v any) {
-	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(v)
-}
-
-func httpError(rw http.ResponseWriter, status int, err error) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	_ = json.NewEncoder(rw).Encode(map[string]string{"error": err.Error()})
-}
-
-// classifyError maps the serving error taxonomy (DESIGN.md §15) onto
-// HTTP: overload is a typed 429 with a Retry-After hint — distinct
-// from 503 model-unavailable — deadline exhaustion is 504, and
-// recovered panics surface as 500.
-func classifyError(rw http.ResponseWriter, err error) {
-	var overload *copse.OverloadError
-	var deadline *copse.DeadlineError
-	switch {
-	case errors.As(err, &overload):
-		retryAfter := max(int64(overload.RetryAfter/time.Second), 1)
-		rw.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
-		httpError(rw, http.StatusTooManyRequests, err)
-	case errors.As(err, &deadline), errors.Is(err, context.DeadlineExceeded):
-		httpError(rw, http.StatusGatewayTimeout, err)
-	default:
-		httpError(rw, http.StatusInternalServerError, err)
-	}
+	WriteJSON(rw, svc.Stats())
 }

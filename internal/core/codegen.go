@@ -37,7 +37,9 @@ var programTemplate = template.Must(template.New("main").Parse(
 // This program embeds the compiled model and serves secure inference
 // queries from the command line:
 //
-//	go run . -features 3,5 [-backend bgv|clear] [-scenario offload|servermodel|clienteval]
+//	go run . -features 3,5 [-backend bgv|clear] [-scenario offload|servermodel|clienteval|threeparty]
+//
+// On bgv the ring is the one the model's slot count picks.
 package main
 
 import (
@@ -57,7 +59,7 @@ const artifactB64 = "{{.Artifact}}"
 func main() {
 	featArg := flag.String("features", "", "comma-separated quantized feature values ({{.Features}} expected)")
 	backendArg := flag.String("backend", "bgv", "homomorphic backend: bgv or clear")
-	scenarioArg := flag.String("scenario", "offload", "party configuration: offload, servermodel, or clienteval")
+	scenarioArg := flag.String("scenario", "offload", "party configuration: offload, servermodel, clienteval or threeparty")
 	workers := flag.Int("workers", 0, "goroutines per classification pass (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
@@ -70,24 +72,13 @@ func main() {
 		log.Fatalf("reading embedded artifact: %v", err)
 	}
 
-	cfg := copse.SystemConfig{Workers: *workers}
-	switch *backendArg {
-	case "bgv":
-		cfg.Backend = copse.BackendBGV
-	case "clear":
-		cfg.Backend = copse.BackendClear
-	default:
-		log.Fatalf("unknown backend %q", *backendArg)
+	backend, err := copse.ParseBackend(*backendArg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	switch *scenarioArg {
-	case "offload":
-		cfg.Scenario = copse.ScenarioOffload
-	case "servermodel":
-		cfg.Scenario = copse.ScenarioServerModel
-	case "clienteval":
-		cfg.Scenario = copse.ScenarioClientEval
-	default:
-		log.Fatalf("unknown scenario %q", *scenarioArg)
+	scenario, err := copse.ParseScenario(*scenarioArg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var features []uint64
@@ -106,7 +97,7 @@ func main() {
 		log.Fatalf("model wants {{.Features}} features, got %d", len(features))
 	}
 
-	sys, err := copse.NewSystem(compiled, cfg)
+	sys, err := copse.NewSystem(compiled, copse.WithBackend(backend), copse.WithScenario(scenario), copse.WithWorkers(*workers))
 	if err != nil {
 		log.Fatalf("setting up parties: %v", err)
 	}

@@ -91,6 +91,46 @@ func (e *QueryLayoutError) Error() string {
 		e.Planes, e.PlanesPerCiphertext, e.Block, e.Want)
 }
 
+// FeatureError reports a feature vector the model cannot take: the wrong
+// number of features, or a value at or past 2^Precision. It is the
+// client's fault, and is reported before anything is encrypted.
+type FeatureError struct {
+	// Query is the vector's index in its batch.
+	Query int
+	// Features is its feature count and Want the model's; they differ
+	// exactly when the count is what is wrong.
+	Features, Want int
+	// Feature is the index of the first value out of range, Value that
+	// value and Precision the model's bit width.
+	Feature   int
+	Value     uint64
+	Precision int
+}
+
+func (e *FeatureError) Error() string {
+	if e.Features != e.Want {
+		return fmt.Sprintf("core: query %d has %d features, model wants %d", e.Query, e.Features, e.Want)
+	}
+	return fmt.Sprintf("core: query %d feature %d value %d exceeds %d-bit precision", e.Query, e.Feature, e.Value, e.Precision)
+}
+
+// CheckFeatures returns a *FeatureError for the first vector of batch
+// the model cannot take, nil when it can take them all.
+func (m *Meta) CheckFeatures(batch [][]uint64) error {
+	limit := uint64(1) << uint(m.Precision)
+	for k, features := range batch {
+		if len(features) != m.NumFeatures {
+			return &FeatureError{Query: k, Features: len(features), Want: m.NumFeatures}
+		}
+		for f, v := range features {
+			if v >= limit {
+				return &FeatureError{Query: k, Features: len(features), Want: m.NumFeatures, Feature: f, Value: v, Precision: m.Precision}
+			}
+		}
+	}
+	return nil
+}
+
 // PrepareQuery performs Diane's side of Step 0 (§3.3) for a single
 // feature vector: it is PrepareQueryBatch of a one-element batch.
 func PrepareQuery(b he.Backend, meta *Meta, features []uint64, encrypt bool) (*Query, error) {
@@ -118,8 +158,10 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 	if cap := meta.BatchCapacity(); len(batch) > cap {
 		return nil, &BatchCapacityError{Index: len(batch), Capacity: cap}
 	}
+	if err := meta.CheckFeatures(batch); err != nil {
+		return nil, err
+	}
 	block := meta.BatchBlock()
-	limit := uint64(1) << uint(meta.Precision)
 	g := meta.PlanesPerCiphertext(len(batch))
 	planes := make([][]uint64, meta.QueryCiphertexts(g))
 	for p := range planes {
@@ -127,14 +169,8 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 	}
 	replicated := make([]uint64, meta.Q)
 	for k, features := range batch {
-		if len(features) != meta.NumFeatures {
-			return nil, fmt.Errorf("core: query %d has %d features, model wants %d", k, len(features), meta.NumFeatures)
-		}
 		clear(replicated)
 		for f, v := range features {
-			if v >= limit {
-				return nil, fmt.Errorf("core: query %d feature %d value %d exceeds %d-bit precision", k, f, v, meta.Precision)
-			}
 			for j := 0; j < meta.K; j++ {
 				replicated[f*meta.K+j] = v
 			}

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 
-	"copse"
 	"copse/internal/model"
 	"copse/internal/synth"
 	"copse/internal/train"
@@ -154,20 +153,4 @@ func AllCases(cfg Config) ([]Case, error) {
 		all = append(all, rw...)
 	}
 	return filterCases(cfg, all), nil
-}
-
-// backendKind maps the config string.
-func backendKind(cfg Config) (copse.BackendKind, error) {
-	switch cfg.Backend {
-	case "clear":
-		return copse.BackendClear, nil
-	case "bgv":
-		return copse.BackendBGV, nil
-	}
-	return 0, fmt.Errorf("experiments: unknown backend %q", cfg.Backend)
-}
-
-// securityFor picks the BGV preset matching a case's slot count.
-func securityFor(slots int) (copse.SecurityPreset, error) {
-	return copse.SecurityForSlots(slots)
 }

@@ -26,23 +26,12 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 	if err != nil {
 		return nil, fmt.Errorf("experiments: compiling %s: %w", cs.Name, err)
 	}
-	kind, err := backendKind(cfg)
+	kind, err := copse.ParseBackend(cfg.Backend)
 	if err != nil {
 		return nil, err
 	}
-	sysCfg := copse.SystemConfig{
-		Backend:  kind,
-		Scenario: scenario,
-		Workers:  workers,
-		Seed:     cfg.Seed + 100,
-	}
-	if kind == copse.BackendBGV {
-		sysCfg.Security, err = securityFor(cs.Slots)
-		if err != nil {
-			return nil, err
-		}
-	}
-	sys, err := copse.NewSystem(compiled, sysCfg)
+	sys, err := copse.NewSystem(compiled, copse.WithBackend(kind), copse.WithScenario(scenario),
+		copse.WithWorkers(workers), copse.WithSeed(cfg.Seed+100))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: system for %s: %w", cs.Name, err)
 	}
@@ -106,15 +95,9 @@ func newBaselineRunner(cs Case, cfg Config, workers int) (*baselineRunner, error
 	case "clear":
 		backend = heclear.New(cs.Slots, 65537)
 	case "bgv":
-		levels := baselineLevels(cs)
-		var params bgv.Params
-		switch cs.Slots {
-		case 1024:
-			params = bgv.TestParams(levels)
-		case 2048:
-			params = bgv.DemoParams(levels)
-		default:
-			return nil, fmt.Errorf("experiments: no baseline BGV preset for %d slots", cs.Slots)
+		params, err := bgv.ParamsForSlots(cs.Slots, baselineLevels(cs))
+		if err != nil {
+			return nil, err
 		}
 		b, err := hebgv.New(hebgv.Config{Params: params, PowerOfTwoOnly: true, Seed: cfg.Seed + 7})
 		if err != nil {

@@ -110,14 +110,8 @@ func Table5(cfg Config) (*Table, error) {
 		}
 		status := "ok"
 		var med time.Duration
-		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-			Backend:  copse.BackendBGV,
-			Scenario: copse.ScenarioOffload,
-			Security: copse.SecurityTest,
-			Levels:   levels,
-			Workers:  defaultWorkers(cfg),
-			Seed:     cfg.Seed + 3,
-		})
+		sys, err := copse.NewSystem(compiled, copse.WithBackend(copse.BackendBGV), copse.WithLevels(levels),
+			copse.WithWorkers(defaultWorkers(cfg)), copse.WithSeed(cfg.Seed+3))
 		if err != nil {
 			status = "setup failed: " + err.Error()
 		} else {
@@ -194,7 +188,7 @@ func Ablation(cfg Config) (*Table, error) {
 		Title:  "Ablation: diagonal kernel (naive vs BSGS)",
 		Header: []string{"model", "naive(ms)", "bsgs(ms)", "naive→bsgs"},
 	}
-	kind, err := backendKind(cfg)
+	kind, err := copse.ParseBackend(cfg.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -205,17 +199,7 @@ func Ablation(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sysCfg := copse.SystemConfig{
-				Backend: kind, Scenario: copse.ScenarioOffload,
-				Workers: 1, Seed: cfg.Seed + 9,
-			}
-			if kind == copse.BackendBGV {
-				sysCfg.Security, err = securityFor(cs.Slots)
-				if err != nil {
-					return nil, err
-				}
-			}
-			sys, err := copse.NewSystem(compiled, sysCfg)
+			sys, err := copse.NewSystem(compiled, copse.WithBackend(kind), copse.WithWorkers(1), copse.WithSeed(cfg.Seed+9))
 			if err != nil {
 				return nil, err
 			}

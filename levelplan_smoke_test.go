@@ -30,10 +30,12 @@ func TestLevelPlanPerfSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := copse.NewSystem(compiled, copse.SystemConfig{
-			Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-			Security: copse.SecurityTest, Workers: runtime.GOMAXPROCS(0), Seed: 4,
-		})
+		sys, err := copse.NewSystem(compiled,
+			copse.WithBackend(copse.BackendBGV),
+			copse.WithScenario(copse.ScenarioOffload),
+			copse.WithWorkers(runtime.GOMAXPROCS(0)),
+			copse.WithSeed(4),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package copse
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -30,11 +31,12 @@ import (
 // model, Service is the deployment shape of the related outsourcing
 // work: a server holding several staged models, answering batches of
 // up to Meta.BatchCapacity() queries per homomorphic pass, under an
-// optional in-flight limit with queue-wait and latency accounting.
+// optional in-flight limit with queue-wait and latency accounting. The
+// BGV ring and chain come from the first registered model (its slot
+// count and level plan), not from an option:
 //
 //	svc := copse.NewService(
 //		copse.WithBackend(copse.BackendBGV),
-//		copse.WithSecurity(copse.SecurityTest),
 //		copse.WithWorkers(8),
 //	)
 //	svc.Register("fraud", compiled)
@@ -104,14 +106,13 @@ type servedModel struct {
 type serviceConfig struct {
 	backend      BackendKind
 	scenario     Scenario
-	security     SecurityPreset
 	workers      int
 	maxInFlight  int
 	levels       int
 	seed         uint64
 	shuffle      bool
 	measureNoise bool
-	batch        BatchPolicy
+	batchWindow  time.Duration
 	extBackend   he.Backend
 	shedQueue    int
 }
@@ -126,9 +127,6 @@ func WithBackend(k BackendKind) Option { return func(c *serviceConfig) { c.backe
 // encrypted (default ScenarioOffload: model and features both
 // encrypted).
 func WithScenario(s Scenario) Option { return func(c *serviceConfig) { c.scenario = s } }
-
-// WithSecurity selects the BGV parameter preset (default SecurityTest).
-func WithSecurity(p SecurityPreset) Option { return func(c *serviceConfig) { c.security = p } }
 
 // WithWorkers sets the number of goroutines each classification pass
 // runs its ops on (the paper's multithreaded mode): 0 = GOMAXPROCS (the
@@ -149,7 +147,8 @@ func WithMaxInFlight(n int) Option { return func(c *serviceConfig) { c.maxInFlig
 // WithMaxInFlight.
 func WithShedQueue(n int) Option { return func(c *serviceConfig) { c.shedQueue = n } }
 
-// WithLevels overrides the compiler's recommended BGV chain length.
+// WithLevels overrides the BGV chain length the first registered model's
+// level plan sizes (the ring itself always follows from its slot count).
 func WithLevels(n int) Option { return func(c *serviceConfig) { c.levels = n } }
 
 // WithSeed makes key generation and encryption deterministic (tests and
@@ -187,15 +186,16 @@ func WithNoiseMeasurement(on bool) Option { return func(c *serviceConfig) { c.me
 // same hebgv backend from the shard manifest (or from serialized key
 // material) and its service stages shard models onto it. The service
 // takes ownership — Close closes the backend. The backend must match
-// every registered model's slot count; the usual security/levels/seed
-// options are ignored for backend construction.
+// every registered model's slot count; the levels and seed options are
+// ignored for backend construction.
 func WithExternalBackend(b he.Backend) Option { return func(c *serviceConfig) { c.extBackend = b } }
 
 // NewService returns an empty service. The backend (and, for BGV, the
-// key set) is created by the first Register call, which fixes the slot
-// count; every later model must be staged for the same count.
+// key set) is created by the first Register call, whose model's slot
+// count picks the ring; every later model must be staged for the same
+// count.
 func NewService(opts ...Option) *Service {
-	cfg := serviceConfig{backend: BackendBGV, scenario: ScenarioOffload, security: SecurityTest}
+	cfg := serviceConfig{backend: BackendBGV, scenario: ScenarioOffload}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -230,20 +230,9 @@ func (s *Service) newBackend(c *Compiled, encModel bool) (he.Backend, error) {
 			// the schedule actually uses.
 			levels = c.Meta.ChainLevels(encModel)
 		}
-		var params bgv.Params
-		switch s.cfg.security {
-		case SecurityTest:
-			params = bgv.TestParams(levels)
-		case SecurityDemo:
-			params = bgv.DemoParams(levels)
-		case Security128:
-			params = bgv.Secure128Params(levels)
-		default:
-			return nil, fmt.Errorf("copse: unknown security preset %d", s.cfg.security)
-		}
-		if slots := 1 << (params.LogN - 1); slots != c.Meta.Slots {
-			return nil, fmt.Errorf("copse: model staged for %d slots but preset provides %d; recompile with Slots=%d",
-				c.Meta.Slots, slots, slots)
+		params, err := bgv.ParamsForSlots(c.Meta.Slots, levels)
+		if err != nil {
+			return nil, err
 		}
 		// Galois-key level budget: steps the level plan proves are only
 		// rotated in the scheduled-down back half get their keys
@@ -350,7 +339,7 @@ func (s *Service) lookup(name string) (*servedModel, he.Backend, error) {
 	defer s.mu.RUnlock()
 	m, ok := s.models[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("copse: model %q not registered", name)
+		return nil, nil, &UnknownModelError{Model: name}
 	}
 	return m, s.backend, nil
 }
@@ -789,22 +778,27 @@ func (s *Service) ClassifyBatchShuffled(ctx context.Context, name string, batch 
 // classifyChunks is the shared serving loop behind ClassifyBatch and
 // ClassifyBatchShuffled: slot-pack, classify, decrypt, decode —
 // chunked to the model's capacity, chunks running concurrently. With
-// the dynamic batcher enabled (WithBatchWindow/WithBatchPolicy) the
-// request is instead enqueued into the model's aggregator, where it
-// shares slot-packed passes with every other concurrent caller.
+// the dynamic batcher enabled (WithBatchWindow) the request is instead
+// enqueued into the model's aggregator, where it shares slot-packed
+// passes with every other concurrent caller — once its feature vectors
+// are known good, so a malformed request fails alone.
 func (s *Service) classifyChunks(ctx context.Context, name string, batch [][]uint64) ([]*Result, []*ShuffledCodebook, error) {
 	if len(batch) == 0 {
 		return nil, nil, fmt.Errorf("copse: empty batch")
+	}
+	m, _, err := s.lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.operands.Meta.CheckFeatures(batch); err != nil {
+		return nil, nil, err
 	}
 	if agg, err := s.aggregatorFor(name); err != nil {
 		return nil, nil, err
 	} else if agg != nil {
 		return agg.submit(ctx, batch)
 	}
-	capacity, err := s.BatchCapacity(name)
-	if err != nil {
-		return nil, nil, err
-	}
+	capacity := m.operands.Meta.BatchCapacity()
 	chunks := (len(batch) + capacity - 1) / capacity
 	workers := chunks
 	if s.cfg.maxInFlight > 0 {
@@ -929,6 +923,79 @@ type LatencyStats struct {
 	Count         int64
 	P50, P95, P99 time.Duration
 }
+
+// MarshalJSON renders the summary with its quantiles in milliseconds.
+func (l LatencyStats) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count int64   `json:"count"`
+		P50MS float64 `json:"p50MS"`
+		P95MS float64 `json:"p95MS"`
+		P99MS float64 `json:"p99MS"`
+	}{l.Count, millis(l.P50), millis(l.P95), millis(l.P99)})
+}
+
+// MarshalJSON renders the snapshot as the /v1/stats body of a
+// single-node server and of a cluster worker: the counters, the mean
+// latencies in milliseconds, and the derived ratios.
+func (st ServiceStats) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Requests        int64   `json:"requests"`
+		Queries         int64   `json:"queries"`
+		Failures        int64   `json:"failures"`
+		InFlight        int64   `json:"inFlight"`
+		Queued          int64   `json:"queued"`
+		MeanLatencyMS   float64 `json:"meanLatencyMS"`
+		MeanQueueWaitMS float64 `json:"meanQueueWaitMS"`
+		// Goroutines per pass, and the share of workers × pass time they
+		// spent running ops (DESIGN.md §9).
+		Workers     int     `json:"workers"`
+		Utilisation float64 `json:"utilisation"`
+		// Query operands the passes consumed and the bit planes per operand
+		// the traffic's batch fill realized (DESIGN.md §13.4).
+		QueryCiphertexts    int64   `json:"queryCiphertexts"`
+		PlanesPerCiphertext float64 `json:"planesPerCiphertext"`
+		// Stacked level operands the passes multiplied the branch vector with
+		// and the level matrices per operand their lanes carried (§13.5).
+		LevelOperands    int64   `json:"levelOperands"`
+		LevelsPerOperand float64 `json:"levelsPerOperand"`
+		// Resilience counters (DESIGN.md §15).
+		Shed            int64 `json:"shed"`
+		DeadlineRejects int64 `json:"deadlineRejects"`
+		PanicsRecovered int64 `json:"panicsRecovered"`
+		// Dynamic batcher counters (zero without WithBatchWindow).
+		BatcherPasses    int64   `json:"batcherPasses"`
+		CoalescedQueries int64   `json:"coalescedQueries"`
+		BatchFill        float64 `json:"batchFill"`
+		MeanBatchWaitMS  float64 `json:"meanBatchWaitMS"`
+		// Per-model latency quantiles from the fixed log-spaced histograms.
+		ModelLatency map[string]LatencyStats `json:"modelLatency,omitempty"`
+	}{
+		Requests:            st.Requests,
+		Queries:             st.Queries,
+		Failures:            st.Failures,
+		InFlight:            st.InFlight,
+		Queued:              st.Queued,
+		MeanLatencyMS:       millis(st.MeanLatency()),
+		MeanQueueWaitMS:     millis(st.MeanQueueWait()),
+		Workers:             st.Workers,
+		Utilisation:         st.Utilisation(),
+		QueryCiphertexts:    st.QueryCiphertexts,
+		PlanesPerCiphertext: st.PlanesPerCiphertext(),
+		LevelOperands:       st.LevelOperands,
+		LevelsPerOperand:    st.LevelsPerOperand(),
+		Shed:                st.Shed,
+		DeadlineRejects:     st.DeadlineRejects,
+		PanicsRecovered:     st.PanicsRecovered,
+		BatcherPasses:       st.BatcherPasses,
+		CoalescedQueries:    st.CoalescedQueries,
+		BatchFill:           st.BatchFill,
+		MeanBatchWaitMS:     millis(st.MeanBatchWait()),
+		ModelLatency:        st.ModelLatency,
+	})
+}
+
+// millis is d in milliseconds, to the microsecond.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // MeanLatency returns the mean per-pass classification latency.
 func (st ServiceStats) MeanLatency() time.Duration {

@@ -340,7 +340,6 @@ func TestServiceConcurrentClassifyBGV(t *testing.T) {
 	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
-		copse.WithSecurity(copse.SecurityTest),
 		copse.WithWorkers(2),
 		copse.WithSeed(11),
 	)
@@ -473,7 +472,6 @@ func TestServiceShuffledServingBGV(t *testing.T) {
 	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
-		copse.WithSecurity(copse.SecurityTest),
 		copse.WithShuffle(true),
 		copse.WithWorkers(4),
 		copse.WithSeed(11),
@@ -523,7 +521,6 @@ func TestServiceShuffleRequiresHeadroom(t *testing.T) {
 	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
-		copse.WithSecurity(copse.SecurityTest),
 		copse.WithShuffle(true),
 	)
 	err = svc.Register("fig1", c)
@@ -595,10 +592,11 @@ func TestServicePlanlessModel(t *testing.T) {
 	if c.Meta.LevelPlan != nil {
 		t.Fatal("NoLevelPlan compiled a level plan")
 	}
-	sys, err := copse.NewSystem(c, copse.SystemConfig{
-		Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-		Security: copse.SecurityTest, Seed: 21,
-	})
+	sys, err := copse.NewSystem(c,
+		copse.WithBackend(copse.BackendBGV),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithSeed(21),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,10 +640,12 @@ func TestServiceNoiseMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := copse.NewSystem(c, copse.SystemConfig{
-		Backend: copse.BackendBGV, Scenario: copse.ScenarioOffload,
-		Security: copse.SecurityTest, MeasureNoise: true, Seed: 6,
-	})
+	sys, err := copse.NewSystem(c,
+		copse.WithBackend(copse.BackendBGV),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithNoiseMeasurement(true),
+		copse.WithSeed(6),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,9 +667,10 @@ func TestServiceNoiseMeasurement(t *testing.T) {
 		}
 	}
 	// Off by default.
-	sys2, err := copse.NewSystem(c, copse.SystemConfig{
-		Backend: copse.BackendClear, Scenario: copse.ScenarioOffload,
-	})
+	sys2, err := copse.NewSystem(c,
+		copse.WithBackend(copse.BackendClear),
+		copse.WithScenario(copse.ScenarioOffload),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
