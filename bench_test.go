@@ -7,6 +7,7 @@
 package copse_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -79,19 +80,17 @@ func benchQueries(b *testing.B, sys *copse.System, forest *model.Forest) *copse.
 
 func benchBaselineQueries(b *testing.B, cs experiments.Case, workers int) {
 	b.Helper()
-	backend := heclear.New(cs.Slots, 65537)
-	m, err := baseline.Prepare(backend, cs.Forest, true)
+	m, err := baseline.Prepare(cs.Forest, cs.Slots, "clear", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	query, err := baseline.PrepareQuery(backend, &m.Meta, make([]uint64, cs.Forest.NumFeatures), true)
+	query, err := baseline.PrepareQuery(m.Backend, &m.Meta, make([]uint64, cs.Forest.NumFeatures))
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := &baseline.Engine{Backend: backend, Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Classify(m, query); err != nil {
+		if _, _, err := baseline.Classify(context.Background(), m, query, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,23 +3,29 @@
 // [1] (paper §2.3.1, §8.2). Each tree is a boolean polynomial over the
 // decision results: every leaf contributes a term multiplying the
 // decisions (or their complements) along its root path, times the bits
-// of its label; label bits are packed into SIMD slots so one operation
-// handles all bits, but — crucially — every decision node is evaluated
-// by its own comparison. Comparison cost is therefore linear in the
-// branch count b, where COPSE's is constant (its packed comparison
-// covers all branches at once). Both systems share the same SecComp
-// circuit and the same FHE backend, exactly like the paper's evaluation
-// methodology.
+// of its label; label bits are packed into SIMD slots, every tree in its
+// own, so one ciphertext carries the whole forest's result — but,
+// crucially, every decision node is evaluated by its own comparison.
+// Comparison cost is therefore linear in the branch count b, where
+// COPSE's is constant (its packed comparison covers all branches at once).
+// The polynomial is lowered into COPSE's op program (core.BaselineForest,
+// DESIGN.md §13.6), so both systems share the same comparator, the same
+// level planner, the same executor and the same FHE backend, exactly like
+// the paper's evaluation methodology.
 package baseline
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
-	"copse/internal/bits"
+	"copse/internal/bgv"
+	"copse/internal/core"
 	"copse/internal/he"
-	"copse/internal/matrix"
+	"copse/internal/he/hebgv"
+	"copse/internal/he/heclear"
 	"copse/internal/model"
-	"copse/internal/seccomp"
 )
 
 // Meta carries the public parameters of a prepared baseline model.
@@ -29,89 +35,74 @@ type Meta struct {
 	NumTrees    int
 	NumLabels   int
 	LabelBits   int // slots used per tree result
-	Branches    int
 }
 
-// branchOps is one decision node: the bit planes of its threshold
-// (broadcast across slots) and its feature index.
-type branchOps struct {
-	feature int
-	planes  []he.Operand
-}
-
-// leafOps is one polynomial term: the root path (branch index + side)
-// and the label-bit vector.
-type leafOps struct {
-	path      []pathEdge
-	labelBits he.Operand
-	label     int
-}
-
-type pathEdge struct {
-	branch int
-	right  bool
-}
-
-// treeOps is one tree's polynomial.
-type treeOps struct {
-	branches []int // indices into Model.branches, preorder
-	leaves   []leafOps
-}
-
-// Model is a forest prepared for baseline evaluation.
+// Model is a forest prepared for baseline evaluation: its op program, the
+// backend built for it, and the encrypted thresholds and label bits the
+// program loads. The model owner encrypts them (the offload
+// configuration, paper §7).
 type Model struct {
-	Meta      Meta
-	Encrypted bool
-	branches  []branchOps
-	trees     []treeOps
+	Meta Meta
+	// Backend is the backend Prepare built for the program: on BGV, a chain
+	// of Plan.Compare + 1 primes and the power-of-two rotation keys every
+	// key set holds (the program never rotates).
+	Backend he.Backend
+	// Plan is the program's level schedule (core.PlanBaseline).
+	Plan       core.StageLevels
+	program    *core.Program
+	thresholds []he.Operand
+	labels     []he.Operand
 }
 
-// Query carries the data owner's features: p bit planes per feature,
-// each broadcast across slots (the baseline packs label bits, not
+// Query carries the data owner's encrypted features: p bit planes per
+// feature, each broadcast across slots (the baseline packs label bits, not
 // decisions, so features are scalar ciphertexts).
 type Query struct {
-	features [][]he.Operand
+	planes []he.Operand
 }
 
-// broadcast fills all slots with the bits of v's plane i.
-func broadcastPlanes(b he.Backend, v uint64, p int, encrypt bool) ([]he.Operand, error) {
-	planes, err := bits.Transpose([]uint64{v}, p)
-	if err != nil {
-		return nil, err
+// encryptPlanes encrypts the p bit planes of v, most significant first,
+// each broadcast into every slot, at the given level (-1: the chain top);
+// with negate it encrypts ¬y = 1 − y of each plane y.
+func encryptPlanes(b he.Backend, v uint64, p int, negate bool, level int) ([]he.Operand, error) {
+	if v>>uint(p) != 0 {
+		return nil, fmt.Errorf("baseline: value %d exceeds %d-bit precision", v, p)
 	}
-	ops := make([]he.Operand, p)
-	for i := range planes {
-		full := make([]uint64, b.Slots())
-		for j := range full {
-			full[j] = planes[i][0]
+	out := make([]he.Operand, p)
+	for j := range out {
+		bit := v >> uint(p-1-j) & 1
+		if negate {
+			bit ^= 1
 		}
-		ops[i], err = makeOperand(b, full, encrypt)
-		if err != nil {
+		var err error
+		if out[j], err = encrypt(b, slices.Repeat([]uint64{bit}, b.Slots()), level); err != nil {
 			return nil, err
 		}
 	}
-	return ops, nil
+	return out, nil
 }
 
-func makeOperand(b he.Backend, vals []uint64, encrypt bool) (he.Operand, error) {
-	if encrypt {
-		ct, err := b.Encrypt(vals)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		return he.Cipher(ct), nil
+func encrypt(b he.Backend, vals []uint64, level int) (he.Operand, error) {
+	ct, err := he.EncryptAtLevel(b, vals, level)
+	if err != nil {
+		return he.Operand{}, err
 	}
-	return he.NewPlain(b, vals)
+	return he.Cipher(ct), nil
 }
 
-// Prepare loads a forest for baseline evaluation. With encrypt=true the
-// thresholds and label bits are encrypted (model hidden from the
-// server); otherwise they are plaintexts.
-func Prepare(b he.Backend, f *model.Forest, encrypt bool) (*Model, error) {
+// Prepare lowers f to the baseline's op program over a ring of the given
+// slot count, plans its levels, builds the backend it runs on — "clear",
+// or "bgv" on the chain the plan needs, keyed from seed — and encrypts the
+// thresholds, negated, and the label bits at the levels the plan stages
+// them at.
+func Prepare(f *model.Forest, slots int, backend string, seed uint64) (*Model, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	labelBits := max(log2Ceil(len(f.Labels)), 1)
+	labelBits := max(bits.Len(uint(len(f.Labels)-1)), 1)
+	if len(f.Trees)*labelBits > slots {
+		return nil, fmt.Errorf("baseline: %d trees of %d label bits do not fit %d slots", len(f.Trees), labelBits, slots)
+	}
 	m := &Model{
 		Meta: Meta{
 			NumFeatures: f.NumFeatures,
@@ -119,156 +110,105 @@ func Prepare(b he.Backend, f *model.Forest, encrypt bool) (*Model, error) {
 			NumTrees:    len(f.Trees),
 			NumLabels:   len(f.Labels),
 			LabelBits:   labelBits,
-			Branches:    f.Branches(),
 		},
-		Encrypted: encrypt,
 	}
-	for _, tr := range f.Trees {
-		var t treeOps
-		var walk func(n *model.Node, path []pathEdge) error
-		walk = func(n *model.Node, path []pathEdge) error {
+	shape := &core.BaselineForest{NumFeatures: f.NumFeatures, Precision: f.Precision}
+	var thresholds []uint64
+	var labels [][]uint64
+	for ti, tr := range f.Trees {
+		var walk func(n *model.Node, path []int)
+		walk = func(n *model.Node, path []int) {
 			if n.Leaf {
-				lb := make([]uint64, b.Slots())
+				lb := make([]uint64, slots)
 				for j := 0; j < labelBits; j++ {
-					lb[j] = uint64(n.Label>>uint(j)) & 1
+					lb[ti*labelBits+j] = uint64(n.Label>>uint(j)) & 1
 				}
-				op, err := makeOperand(b, lb, encrypt)
-				if err != nil {
-					return err
-				}
-				t.leaves = append(t.leaves, leafOps{
-					path:      append([]pathEdge(nil), path...),
-					labelBits: op,
-					label:     n.Label,
-				})
-				return nil
+				labels = append(labels, lb)
+				shape.Paths = append(shape.Paths, append([]int(nil), path...))
+				return
 			}
-			planes, err := broadcastPlanes(b, n.Threshold, f.Precision, encrypt)
-			if err != nil {
-				return err
-			}
-			idx := len(m.branches)
-			m.branches = append(m.branches, branchOps{feature: n.Feature, planes: planes})
-			t.branches = append(t.branches, idx)
-			if err := walk(n.Left, append(path, pathEdge{idx, false})); err != nil {
-				return err
-			}
-			return walk(n.Right, append(path, pathEdge{idx, true}))
+			node := len(shape.Features) + 1
+			shape.Features = append(shape.Features, n.Feature)
+			thresholds = append(thresholds, n.Threshold)
+			walk(n.Left, append(path, -node))
+			walk(n.Right, append(path, node))
 		}
-		if tr.Root.Leaf {
-			return nil, fmt.Errorf("baseline: bare-leaf tree unsupported")
-		}
-		if err := walk(tr.Root, nil); err != nil {
+		walk(tr.Root, nil)
+	}
+
+	var err error
+	if m.Plan, err = core.PlanBaseline(shape, slots); err != nil {
+		return nil, err
+	}
+	switch backend {
+	case "clear":
+		m.Backend = heclear.New(slots, 65537)
+	case "bgv":
+		params, err := bgv.ParamsForSlots(slots, m.Plan.Compare+1)
+		if err != nil {
 			return nil, err
 		}
-		m.trees = append(m.trees, t)
+		if m.Backend, err = hebgv.New(hebgv.Config{Params: params, Seed: seed}); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("baseline: unknown backend %q", backend)
+	}
+	if m.program, err = core.NewBaselineProgram(m.Backend, shape, m.Plan); err != nil {
+		return nil, err
+	}
+	for _, y := range thresholds {
+		planes, err := encryptPlanes(m.Backend, y, f.Precision, true, m.Plan.Compare)
+		if err != nil {
+			return nil, err
+		}
+		m.thresholds = append(m.thresholds, planes...)
+	}
+	for _, lb := range labels {
+		op, err := encrypt(m.Backend, lb, m.Plan.Level)
+		if err != nil {
+			return nil, err
+		}
+		m.labels = append(m.labels, op)
 	}
 	return m, nil
 }
 
-// PrepareQuery encrypts (or encodes) a quantized feature vector.
-func PrepareQuery(b he.Backend, meta *Meta, features []uint64, encrypt bool) (*Query, error) {
+// PrepareQuery encrypts a quantized feature vector on the model's backend.
+func PrepareQuery(b he.Backend, meta *Meta, features []uint64) (*Query, error) {
 	if len(features) != meta.NumFeatures {
 		return nil, fmt.Errorf("baseline: got %d features, model wants %d", len(features), meta.NumFeatures)
 	}
 	q := &Query{}
-	limit := uint64(1) << uint(meta.Precision)
 	for _, v := range features {
-		if v >= limit {
-			return nil, fmt.Errorf("baseline: feature value %d exceeds %d-bit precision", v, meta.Precision)
-		}
-		planes, err := broadcastPlanes(b, v, meta.Precision, encrypt)
+		planes, err := encryptPlanes(b, v, meta.Precision, false, -1)
 		if err != nil {
 			return nil, err
 		}
-		q.features = append(q.features, planes)
+		q.planes = append(q.planes, planes...)
 	}
 	return q, nil
 }
 
-// Engine evaluates baseline models. Workers parallelizes across branch
-// comparisons and leaf terms (the TBB-style parallelism of the paper's
-// reimplementation); 1 means fully sequential.
-type Engine struct {
-	Backend he.Backend
-	Workers int
+// Classify runs m's program on q on the op-program executor with the
+// given worker count (0 = GOMAXPROCS), returning the result — every tree's
+// label bits in its own slots — and the pass's stage trace.
+func Classify(ctx context.Context, m *Model, q *Query, workers int) (he.Operand, *core.Trace, error) {
+	e := &core.Engine{Backend: m.Backend, Workers: workers}
+	return e.ClassifyBaseline(ctx, m.program, q.planes, m.thresholds, m.labels)
 }
 
-// Classify evaluates every tree's polynomial, returning one operand per
-// tree whose low LabelBits slots hold the chosen label's bits.
-func (e *Engine) Classify(m *Model, q *Query) ([]he.Operand, error) {
-	if len(q.features) != m.Meta.NumFeatures {
-		return nil, fmt.Errorf("baseline: query features %d, model wants %d", len(q.features), m.Meta.NumFeatures)
+// DecodeResult turns the decrypted result slots into one label index per
+// tree.
+func DecodeResult(meta *Meta, slots []uint64) ([]int, error) {
+	if len(slots) < meta.NumTrees*meta.LabelBits {
+		return nil, fmt.Errorf("baseline: %d result slots for %d trees of %d label bits", len(slots), meta.NumTrees, meta.LabelBits)
 	}
-	workers := max(e.Workers, 1)
-
-	// Every decision node gets its own comparison — the baseline's
-	// sequential bottleneck (parallelized across branches only by
-	// multithreading, never by packing).
-	decisions := make([]he.Operand, len(m.branches))
-	notDecisions := make([]he.Operand, len(m.branches))
-	err := matrix.ParallelFor(len(m.branches), workers, func(i int) error {
-		br := m.branches[i]
-		d, err := seccomp.CompareGT(e.Backend, q.features[br.feature], br.planes)
-		if err != nil {
-			return err
-		}
-		decisions[i] = d
-		notDecisions[i], err = he.Not(e.Backend, d)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("baseline: comparisons: %w", err)
-	}
-
-	out := make([]he.Operand, len(m.trees))
-	for ti, tree := range m.trees {
-		terms := make([]he.Operand, len(tree.leaves))
-		err := matrix.ParallelFor(len(tree.leaves), workers, func(li int) error {
-			leaf := tree.leaves[li]
-			ops := make([]he.Operand, 0, len(leaf.path)+1)
-			for _, edge := range leaf.path {
-				if edge.right {
-					ops = append(ops, decisions[edge.branch])
-				} else {
-					ops = append(ops, notDecisions[edge.branch])
-				}
-			}
-			ops = append(ops, leaf.labelBits)
-			// Pairwise products: depth logarithmic in the polynomial
-			// order, as in Aloufi et al.
-			term, err := he.MulAll(e.Backend, ops)
-			if err != nil {
-				return err
-			}
-			terms[li] = term
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("baseline: tree %d terms: %w", ti, err)
-		}
-		acc := terms[0]
-		for _, term := range terms[1:] {
-			acc, err = he.Add(e.Backend, acc, term)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out[ti] = acc
-	}
-	return out, nil
-}
-
-// DecodeResult turns decrypted per-tree slot vectors into label indices.
-func DecodeResult(meta *Meta, perTree [][]uint64) ([]int, error) {
-	if len(perTree) != meta.NumTrees {
-		return nil, fmt.Errorf("baseline: %d tree results, want %d", len(perTree), meta.NumTrees)
-	}
-	out := make([]int, len(perTree))
-	for ti, slots := range perTree {
+	out := make([]int, meta.NumTrees)
+	for ti := range out {
 		label := 0
 		for j := 0; j < meta.LabelBits; j++ {
-			bit := slots[j]
+			bit := slots[ti*meta.LabelBits+j]
 			if bit > 1 {
 				return nil, fmt.Errorf("baseline: tree %d slot %d holds %d, not a bit", ti, j, bit)
 			}
@@ -280,12 +220,4 @@ func DecodeResult(meta *Meta, perTree [][]uint64) ([]int, error) {
 		out[ti] = label
 	}
 	return out, nil
-}
-
-func log2Ceil(n int) int {
-	d := 0
-	for 1<<d < n {
-		d++
-	}
-	return d
 }

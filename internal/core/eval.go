@@ -657,15 +657,33 @@ func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	if !q.Bits[0].IsCipher() {
 		p = pk.plainQueryProgram
 	}
+	trace := &Trace{PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits)}
+	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)
+	var codebooks []*ShuffledCodebook
+	shuffle := func(b he.Backend) (sh *passShuffle, err error) {
+		sh, codebooks, err = stageShuffle(b, m, max(q.Batch, 1), seed)
+		return sh, err
+	}
+	in := passInputs{query: q.Bits, thresholds: pk.thresholds, levels: pk.levels, reshuffle: m.Reshuffle}
+	out, err := e.run(ctx, p, in, trace, shuffle)
+	if err != nil {
+		return he.Operand{}, nil, nil, err
+	}
+	return out, codebooks, trace, nil
+}
+
+// run executes program p over the operands in on e's backend, stage by
+// stage, and fills trace with the pass's worker count, stage windows and
+// total. Ahead of a shuffle stage, shuffle stages the pass's permutations
+// on the pass's backend. It is the one executor: COPSE's programs and the
+// baseline's both run here.
+func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trace, shuffle func(he.Backend) (*passShuffle, error)) (he.Operand, error) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	trace := &Trace{
-		Executor: "program", Workers: workers, PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits),
-		Noise: StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1},
-	}
-	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)
+	trace.Executor, trace.Workers = "program", workers
+	trace.Noise = StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}
 	start := time.Now()
 	// The stage op counts in the trace come from a per-call counting
 	// wrapper, not deltas of the shared backend counter: under the
@@ -679,11 +697,8 @@ func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	}()
 	ps := &pass{
 		passScratch: scratch,
+		passInputs:  in,
 		b:           b,
-		m:           m,
-		thresholds:  pk.thresholds,
-		levels:      pk.levels,
-		q:           q,
 		p:           p,
 		workers:     workers,
 		rank:        p.sched.rank,
@@ -695,19 +710,18 @@ func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	if e.shuffleReady != nil {
 		ps.rank = e.shuffleReady(len(p.ops))
 	}
-	var codebooks []*ShuffledCodebook
 	for st := stCompare; st < p.stages; st++ {
 		if st == stShuffle {
 			var err error
-			if ps.shuffle, codebooks, err = stageShuffle(b, m, max(q.Batch, 1), seed); err != nil {
-				return he.Operand{}, nil, nil, fmt.Errorf("core: %s step: %w", stageNames[st], err)
+			if ps.shuffle, err = shuffle(b); err != nil {
+				return he.Operand{}, fmt.Errorf("core: %s step: %w", stageNames[st], err)
 			}
 		}
 		if err := ps.runStage(ctx, st); err != nil {
-			return he.Operand{}, nil, nil, err
+			return he.Operand{}, err
 		}
 		ps.closeStage(st)
 	}
 	trace.Total = time.Since(start) - ps.probed
-	return ps.regs[p.result], codebooks, trace, nil
+	return ps.regs[p.result], nil
 }

@@ -29,7 +29,16 @@ func newPassScratch(p *Program) *passScratch {
 	}
 }
 
-// pass is the state of one ClassifyCtx call: the SSA register file the
+// passInputs are the operands a pass's loads read: the query's planes
+// (opQuery), the negated thresholds (opThresh), the masks of the level
+// staging (opMask) and its matrices and the reshuffle (opMulDiag).
+type passInputs struct {
+	query, thresholds []he.Operand
+	levels            *levelStaging
+	reshuffle         *matrix.Diagonals
+}
+
+// pass is the state of one program execution: the SSA register file the
 // program's ops read and write, the ready queue of the stage being run,
 // and the open stage window of the trace. Worker goroutines touch regs
 // without the lock, at disjoint indices: an op writes only its own
@@ -37,13 +46,10 @@ func newPassScratch(p *Program) *passScratch {
 // lock hand-off that made the op ready orders the two).
 type pass struct {
 	*passScratch
-	b          *he.CountingBackend
-	m          *ModelOperands
-	thresholds []he.Operand  // of the query's plane packing
-	levels     *levelStaging // of its level layout
-	q          *Query
-	shuffle    *passShuffle // the pass's permutations, staged at the shuffle stage
-	p          *Program
+	passInputs
+	b       *he.CountingBackend
+	shuffle *passShuffle // the pass's permutations, staged at the shuffle stage
+	p       *Program
 
 	workers int
 	rank    []int32 // the ready queue's order: Program.sched.rank outside tests
@@ -265,7 +271,7 @@ func (ps *pass) runOp(i int) (err error) {
 	b, R, op := ps.b, ps.regs, ps.p.ops[i]
 	switch op.Code {
 	case opQuery:
-		R[op.Dst] = ps.q.Bits[op.Imm]
+		R[op.Dst] = ps.query[op.Imm]
 	case opThresh:
 		R[op.Dst] = ps.thresholds[op.Imm]
 	case opMask:
@@ -286,7 +292,7 @@ func (ps *pass) runOp(i int) (err error) {
 		var d *matrix.Diagonals
 		switch op.Imm {
 		case matReshuffle:
-			d = ps.m.Reshuffle
+			d = ps.reshuffle
 		case matShuffle:
 			d = ps.shuffle.perm
 		default:

@@ -73,7 +73,8 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 						// The carriers, off a register file of the program's ops
 						// run in program order; the engine's pass recycles its own.
 						pk, p := m.packings[i], m.packings[i].program
-						ps := &pass{passScratch: newPassScratch(p), b: he.WithCounts(b), m: m, thresholds: pk.thresholds, levels: pk.levels, q: q, p: p}
+						in := passInputs{query: q.Bits, thresholds: pk.thresholds, levels: pk.levels, reshuffle: m.Reshuffle}
+						ps := &pass{passScratch: newPassScratch(p), passInputs: in, b: he.WithCounts(b), p: p}
 						for i := range p.ops {
 							if err := ps.runOp(i); err != nil {
 								t.Fatal(err)

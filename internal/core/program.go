@@ -146,6 +146,7 @@ const (
 	ckThreshCoef                  // (2·y−1) mod t over threshold plane Index (eq fold)
 	ckThreshNot                   // (1−y) mod t over threshold plane Index (eq offset and gt factor)
 	ckGroupMask                   // 1 over block group 0 of plane packing Index, 0 elsewhere
+	ckOnes                        // 1 in every slot (the baseline's 1 − d)
 )
 
 type constSpec struct {
@@ -154,8 +155,9 @@ type constSpec struct {
 }
 
 // Program is the compiled op schedule for one prepared model. It is
-// built by buildProgram at Prepare time, bound to a backend once
-// (plaintext constants encoded), and executed by Engine.ClassifyCtx.
+// built by buildProgram at Prepare time (the baseline's by
+// NewBaselineProgram), bound to a backend once (plaintext constants
+// encoded), and executed by Engine.ClassifyCtx (ClassifyBaseline).
 type Program struct {
 	ops    []progOp
 	sched  schedule // derived from ops by newSchedule
@@ -231,7 +233,9 @@ type progBuilder struct {
 	p       *Program
 	constIx map[constSpec]int
 	stage   uint8
-	planned bool
+	// plan marks the scheduled drop points when set; the structure reads
+	// only how many compare rounds it schedules.
+	plan *StageLevels
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
@@ -260,10 +264,152 @@ func (bl *progBuilder) constReg(spec constSpec) int {
 // op then passes its operand through): a carrier arriving higher than
 // estimated still enters its stage on schedule.
 func (bl *progBuilder) drop(r, point int) int {
-	if !bl.planned {
+	if bl.plan == nil {
 		return r
 	}
 	return bl.emit(opDrop, r, 0, point, 0)
+}
+
+func (bl *progBuilder) mul(a, b int) int { return bl.emit(opMul, a, b, 0, 0) }
+
+// dropRound drops the live registers of a comparison after product level
+// round to the level the plan's CompareRounds[round] schedules (DESIGN.md
+// §13.4); a register read twice drops once. A round the plan lists no
+// entry for drops nothing.
+func (bl *progBuilder) dropRound(round int, regs ...*int) {
+	if bl.plan == nil || round >= len(bl.plan.CompareRounds) {
+		return
+	}
+	dropped := map[int]int{}
+	for _, r := range regs {
+		d, ok := dropped[*r]
+		if !ok {
+			d = bl.drop(*r, atRound+round)
+			dropped[*r] = d
+		}
+		*r = d
+	}
+}
+
+// compare lowers one comparison [x > y] of p-bit values: q are the
+// registers of x's bit planes, most significant first, and thresh the
+// operand index of each plane of the staged negated threshold ¬y — an
+// opThresh load under an encrypted model, the folded constants of a
+// plaintext one. It returns GT and EQ over all planes and the product
+// levels it took, the round the plane rounds that may follow go on from.
+// EQ is read only by such rounds; without them it is dead code.
+func (bl *progBuilder) compare(q, thresh []int) (gt, eq, round int) {
+	// Per-plane eq/gt terms. The staged threshold planes are ¬y_j.
+	nPlanes := len(q)
+	eqs := make([]int, nPlanes)
+	gts := make([]int, nPlanes)
+	for j := 0; j < nPlanes; j++ {
+		if bl.p.encModel {
+			notY := bl.emit(opThresh, 0, 0, thresh[j], 0)
+			gts[j] = bl.emit(opMul, q[j], notY, 0, 0)
+			sum := bl.emit(opAdd, q[j], notY, 0, 0)
+			twice := bl.emit(opAdd, gts[j], gts[j], 0, 0)
+			eqs[j] = bl.emit(opSub, sum, twice, 0, 0)
+		} else {
+			coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: thresh[j]})
+			not := bl.constReg(constSpec{Kind: ckThreshNot, Index: thresh[j]})
+			scaled := bl.emit(opMul, q[j], coef, 0, 0)
+			eqs[j] = bl.emit(opAdd, scaled, not, 0, 0)
+			gts[j] = bl.emit(opMul, q[j], not, 0, 0)
+		}
+	}
+
+	// The comparison is one reduction over the associative pair
+	// (GT, EQ)∘(GT′, EQ′) = (GT + EQ·GT′, EQ·EQ′), more significant planes
+	// on the left (DESIGN.md §13.4), in one product level per round: after
+	// every round the live registers drop to the plan's next CompareRounds
+	// entry, so CompareRounds[r] is the level after product level r.
+	// Across the operands it is a tree: adjacent pairs combine until at
+	// most four nodes are left (an odd last node passes up unchanged). The
+	// leading node's GT is only ever added, never multiplied, so its
+	// products stay lazy and join the single relinearization at the top ...
+	type node struct{ gt, eq int }
+	nodes := make([]node, nPlanes)
+	for j := range nodes {
+		nodes[j] = node{gts[j], eqs[j]}
+	}
+	for len(nodes) > 4 {
+		var next []node
+		for i := 0; i < len(nodes); i += 2 {
+			if i+1 == len(nodes) {
+				next = append(next, nodes[i])
+				break
+			}
+			a, b := nodes[i], nodes[i+1]
+			code := opMul
+			if i == 0 {
+				code = opMulLazy
+			}
+			next = append(next, node{bl.emit(opAdd, a.gt, bl.emit(code, a.eq, b.gt, 0, 0), 0, 0), bl.mul(a.eq, b.eq)})
+		}
+		nodes = next
+		var live []*int
+		for i := range nodes {
+			live = append(live, &nodes[i].gt, &nodes[i].eq)
+		}
+		bl.dropRound(round, live...)
+		round++
+	}
+	// ... and the top is flattened into one sum of lazy products under a
+	// single relinearization: with four nodes
+	//
+	//	GT = GT0 + EQ0⊗GT1 + E01⊗GT2 + E01⊗(EQ2·GT3),   E01 = EQ0·EQ1,
+	//
+	// E01 and EQ2·GT3 the eager round ahead of it, so four nodes take two
+	// product levels and m operands ⌈log2 m⌉. The sum runs in index order,
+	// so the result does not depend on the schedule. EQ over all of them,
+	// E01·(EQ2·EQ3), is read only by the plane rounds; without them it is
+	// dead code, like the EQ of the last node at every level.
+	gt, eq = nodes[0].gt, nodes[0].eq
+	if n := len(nodes); n > 1 {
+		terms := [][2]int{{nodes[0].eq, nodes[1].gt}}
+		if n == 2 {
+			eq = bl.mul(nodes[0].eq, nodes[1].eq)
+		} else {
+			e01 := bl.mul(nodes[0].eq, nodes[1].eq)
+			terms = append(terms, [2]int{e01, nodes[2].gt})
+			rest := nodes[2].eq
+			if n == 4 {
+				terms = append(terms, [2]int{e01, bl.mul(nodes[2].eq, nodes[3].gt)})
+				rest = bl.mul(nodes[2].eq, nodes[3].eq)
+			}
+			live := []*int{&gt, &e01, &rest}
+			for i := range terms {
+				live = append(live, &terms[i][0], &terms[i][1])
+			}
+			bl.dropRound(round, live...)
+			round++
+			eq = bl.mul(e01, rest)
+		}
+		for _, t := range terms {
+			gt = bl.emit(opAdd, gt, bl.emit(opMulLazy, t[0], t[1], 0, 0), 0, 0)
+		}
+		gt = bl.emit(opRelin, gt, 0, 0, 0)
+		bl.dropRound(round, &gt, &eq)
+		round++
+	}
+	return gt, eq, round
+}
+
+// productTree multiplies regs together pairwise, an odd last one passing
+// up unchanged: ⌈log2 len(regs)⌉ product levels.
+func (bl *progBuilder) productTree(regs []int) int {
+	for len(regs) > 1 {
+		next := make([]int, 0, (len(regs)+1)/2)
+		for i := 0; i+1 < len(regs); i += 2 {
+			next = append(next, bl.mul(regs[i], regs[i+1]))
+		}
+		if len(regs)%2 == 1 {
+			next = append(next, regs[len(regs)-1])
+		}
+		regs = next
+	}
+	return regs[0]
 }
 
 // buildProgram compiles the pipeline into a Program: the structure,
@@ -274,11 +420,21 @@ func buildProgram(in progInputs) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.plan != nil {
-		lv, fail := p.levelPass(planNoiseModel(in.meta.Slots), *in.plan, in.plainQuery, stCompare, est{})
+	if err := p.finish(in.meta.Slots, in.plan); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// finish levels p's structure under plan (nil: none) with the level pass
+// for a ring of the given slot count, and derives its schedule. A plan the
+// pass finds infeasible is a *PlanInfeasibleError.
+func (p *Program) finish(slots int, plan *StageLevels) error {
+	if plan != nil {
+		lv, fail := p.levelPass(planNoiseModel(slots), *plan, p.plainQuery, stCompare, est{})
 		if fail != nil {
-			return nil, &PlanInfeasibleError{
-				Scenario: scenarioName(in.encrypted, !in.plainQuery), Stage: stageNames[fail.stage],
+			return &PlanInfeasibleError{
+				Scenario: scenarioName(p.encModel, !p.plainQuery), Stage: stageNames[fail.stage],
 				Kind: [...]string{failLevel: "level", failNoise: "noise"}[fail.kind], Level: fail.level,
 			}
 		}
@@ -286,7 +442,7 @@ func buildProgram(in progInputs) (*Program, error) {
 	}
 	p.sched = newSchedule(p)
 	p.scratch.New = func() any { return newPassScratch(p) }
-	return p, nil
+	return nil
 }
 
 // buildStructure lowers the pipeline to ops, with the scheduled drop
@@ -317,7 +473,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
 	p := &Program{encModel: in.encrypted, plainQuery: in.plainQuery}
-	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, planned: in.plan != nil}
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, plan: in.plan}
 
 	// ---- Stage 1: compare -------------------------------------------
 	// Query planes (dropped to the compare entry) and shared constants.
@@ -336,116 +492,16 @@ func buildStructure(in progInputs) (*Program, error) {
 	}
 	p.regQuery = q[0]
 
-	// Per-plane eq/gt terms. The staged threshold planes are ¬y_j.
-	eq := make([]int, nPlanes)
-	gt := make([]int, nPlanes)
-	for j := 0; j < nPlanes; j++ {
-		if in.encrypted {
-			notY := bl.emit(opThresh, 0, 0, j, 0)
-			gt[j] = bl.emit(opMul, q[j], notY, 0, 0)
-			sum := bl.emit(opAdd, q[j], notY, 0, 0)
-			twice := bl.emit(opAdd, gt[j], gt[j], 0, 0)
-			eq[j] = bl.emit(opSub, sum, twice, 0, 0)
-		} else {
-			coef := bl.constReg(constSpec{Kind: ckThreshCoef, Index: j})
-			not := bl.constReg(constSpec{Kind: ckThreshNot, Index: j})
-			scaled := bl.emit(opMul, q[j], coef, 0, 0)
-			eq[j] = bl.emit(opAdd, scaled, not, 0, 0)
-			gt[j] = bl.emit(opMul, q[j], not, 0, 0)
-		}
+	thresh := make([]int, nPlanes)
+	for j := range thresh {
+		thresh[j] = j
 	}
-
-	// The comparison is one reduction over the associative pair
-	// (GT, EQ)∘(GT′, EQ′) = (GT + EQ·GT′, EQ·EQ′), more significant planes
-	// on the left (DESIGN.md §13.4), in one product level per round: after
-	// every round the live registers drop to the plan's next CompareRounds
-	// entry, so CompareRounds[r] is the level after product level r.
-	round := 0
-	dropRound := func(regs ...*int) {
-		if bl.planned && round < len(in.plan.CompareRounds) {
-			dropped := map[int]int{} // a register read twice drops once
-			for _, r := range regs {
-				d, ok := dropped[*r]
-				if !ok {
-					d = bl.drop(*r, atRound+round)
-					dropped[*r] = d
-				}
-				*r = d
-			}
-		}
-		round++
-	}
-	mul := func(a, b int) int { return bl.emit(opMul, a, b, 0, 0) }
-	// Across the operands it is a tree: adjacent pairs combine until at
-	// most four nodes are left (an odd last node passes up unchanged). The
-	// leading node's GT is only ever added, never multiplied, so its
-	// products stay lazy and join the single relinearization at the top ...
-	type node struct{ gt, eq int }
-	nodes := make([]node, nPlanes)
-	for j := range nodes {
-		nodes[j] = node{gt[j], eq[j]}
-	}
-	for len(nodes) > 4 {
-		var next []node
-		for i := 0; i < len(nodes); i += 2 {
-			if i+1 == len(nodes) {
-				next = append(next, nodes[i])
-				break
-			}
-			a, b := nodes[i], nodes[i+1]
-			code := opMul
-			if i == 0 {
-				code = opMulLazy
-			}
-			next = append(next, node{bl.emit(opAdd, a.gt, bl.emit(code, a.eq, b.gt, 0, 0), 0, 0), mul(a.eq, b.eq)})
-		}
-		nodes = next
-		var live []*int
-		for i := range nodes {
-			live = append(live, &nodes[i].gt, &nodes[i].eq)
-		}
-		dropRound(live...)
-	}
-	// ... and the top is flattened into one sum of lazy products under a
-	// single relinearization: with four nodes
-	//
-	//	GT = GT0 + EQ0⊗GT1 + E01⊗GT2 + E01⊗(EQ2·GT3),   E01 = EQ0·EQ1,
-	//
-	// E01 and EQ2·GT3 the eager round ahead of it, so four nodes take two
-	// product levels and m operands ⌈log2 m⌉. The sum runs in index order,
-	// so the result does not depend on the schedule. EQ over all of them,
-	// E01·(EQ2·EQ3), is read only by the plane rounds below; without them it
-	// is dead code, like the EQ of the last node at every level.
-	decisions, eqAll := nodes[0].gt, nodes[0].eq
-	if n := len(nodes); n > 1 {
-		terms := [][2]int{{nodes[0].eq, nodes[1].gt}}
-		if n == 2 {
-			eqAll = mul(nodes[0].eq, nodes[1].eq)
-		} else {
-			e01 := mul(nodes[0].eq, nodes[1].eq)
-			terms = append(terms, [2]int{e01, nodes[2].gt})
-			rest := nodes[2].eq
-			if n == 4 {
-				terms = append(terms, [2]int{e01, mul(nodes[2].eq, nodes[3].gt)})
-				rest = mul(nodes[2].eq, nodes[3].eq)
-			}
-			live := []*int{&decisions, &e01, &rest}
-			for i := range terms {
-				live = append(live, &terms[i][0], &terms[i][1])
-			}
-			dropRound(live...)
-			eqAll = mul(e01, rest)
-		}
-		for _, t := range terms {
-			decisions = bl.emit(opAdd, decisions, bl.emit(opMulLazy, t[0], t[1], 0, 0), 0, 0)
-		}
-		decisions = bl.emit(opRelin, decisions, 0, 0, 0)
-		dropRound(&decisions, &eqAll)
-	}
-	// Across the g block groups of one operand it is log2 g rotate-and-
-	// multiply rounds: group b reads group b + 2^r, the less significant
-	// one, through a rotation by a positive power of two, whose key is a
-	// rung of the composition ladder every key set holds at the chain top.
+	decisions, eqAll, round := bl.compare(q, thresh)
+	// Across the g block groups of one operand the comparison goes on in
+	// log2 g rotate-and-multiply rounds: group b reads group b + 2^r, the
+	// less significant one, through a rotation by a positive power of two,
+	// whose key is a rung of the composition ladder every key set holds at
+	// the chain top.
 	// Block group 0 — the queries' own blocks — ends holding the whole
 	// comparison; the other groups wrap around and hold garbage the block-
 	// local stages that follow never mix in. The last round's EQ is dead.
@@ -478,9 +534,10 @@ func buildStructure(in progInputs) (*Program, error) {
 				gt, eq = sel(gt), sel(eq)
 			}
 			below := bl.emit(opRot, decisions, 0, step, 0)
-			decisions = bl.emit(opAdd, gt, mul(eq, below), 0, 0)
-			eqAll = mul(eqAll, bl.emit(opRot, eqAll, 0, step, 0))
-			dropRound(&decisions, &eqAll)
+			decisions = bl.emit(opAdd, gt, bl.mul(eq, below), 0, 0)
+			eqAll = bl.mul(eqAll, bl.emit(opRot, eqAll, 0, step, 0))
+			bl.dropRound(round, &decisions, &eqAll)
+			round++
 		}
 		if nPlanes == 1 {
 			decisions = sel(decisions)
@@ -538,19 +595,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// a tree over them (⌈log2 ⌈D/(h·G)⌉⌉ + log2 h + log2 G = ⌈log2 D⌉); the
 	// other lanes and groups hold 0/1 residue (DESIGN.md §13.5).
 	bl.stage = stAccumulate
-	ops := lvlRes
-	for len(ops) > 1 {
-		pairs := len(ops) / 2
-		next := make([]int, pairs)
-		for i := 0; i < pairs; i++ {
-			next[i] = bl.emit(opMul, ops[2*i], ops[2*i+1], 0, 0)
-		}
-		if len(ops)%2 == 1 {
-			next = append(next, ops[len(ops)-1])
-		}
-		ops = next
-	}
-	acc := ops[0]
+	acc := bl.productTree(lvlRes)
 	fold := func(from, to int) {
 		for step := from; step < to; step <<= 1 {
 			acc = bl.emit(opMul, acc, bl.emit(opRot, acc, 0, step, 0), 0, 0)
@@ -747,6 +792,10 @@ func (p *Program) bind(b he.Backend, threshVals [][]uint64) error {
 			copy(vals, threshVals[spec.Index])
 		case ckGroupMask:
 			for j := range vals[:len(vals)/spec.Index] {
+				vals[j] = 1
+			}
+		case ckOnes:
+			for j := range vals {
 				vals[j] = 1
 			}
 		}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -237,11 +239,13 @@ func TestLevelStackingHoldsTheReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, err := matrix.MatVecBSGS(b, st.mats[0], v, true, 1)
-	if err != nil {
+	p := matVecProgram(diagShapeOf(st.mats[0]), false)
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
+	p.result = bl.emit(opAdd, p.result, bl.emit(opMask, 0, 0, 0, 0), 0, 0)
+	if err := p.finish(64, nil); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := he.Add(b, prod, st.masks[0])
+	sum, err := (&Engine{Backend: b}).run(context.Background(), p, passInputs{query: []he.Operand{v}, levels: st}, &Trace{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +266,34 @@ func TestLevelStackingHoldsTheReads(t *testing.T) {
 		at := group * meta.BatchBlock() // a group is one block here
 		if got := sum.Vals[at : at+meta.NumLeaves]; !slices.Equal(got, want) {
 			t.Errorf("lane group %d holds %v, its level maps the branch vector to %v", group, got, want)
+		}
+	}
+}
+
+// matVecProgram is one mat-vec as the op program lowers it, in a
+// one-stage program: the hoisted baby rotations of query operand 0, then
+// the giant groups' inner products over level operand 0's diagonals, the
+// zero ones skipped under a plaintext model, summed in index order.
+func matVecProgram(sh diagShape, encModel bool) *Program {
+	p := &Program{encModel: encModel, stages: 1}
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
+	rots := bl.hoistRots(bl.emit(opQuery, 0, 0, 0, 0), neededBaby(!encModel, sh))
+	p.result = bl.mergeGroups(bl.matVecGroups(sh, rots, 0, !encModel), -1)
+	return p
+}
+
+// TestMatVecRotationBudget: a dense mat-vec as the op program lowers it
+// costs at most 2·√P + 1 rotations, where the naive kernel costs P − 1,
+// and its baby steps share one hoisted decomposition.
+func TestMatVecRotationBudget(t *testing.T) {
+	for _, period := range []int{4, 16, 64, 256} {
+		baby, giant := matrix.BSGSSplit(period)
+		bill := matVecProgram(diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}, true).StageBills()[stCompare]
+		if budget := 2*int(math.Sqrt(float64(period))) + 1; bill.Rotations > budget {
+			t.Errorf("period %d: %d rotations, budget 2·√P+1 = %d", period, bill.Rotations, budget)
+		}
+		if bill.Hoisted != baby-1 {
+			t.Errorf("period %d: %d hoisted rotations, want the %d baby steps", period, bill.Hoisted, baby-1)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -8,10 +9,7 @@ import (
 
 	"copse"
 	"copse/internal/baseline"
-	"copse/internal/bgv"
 	"copse/internal/he"
-	"copse/internal/he/hebgv"
-	"copse/internal/he/heclear"
 )
 
 // copseRunner owns one instantiated COPSE system for a benchmark case.
@@ -83,70 +81,39 @@ func (r *copseRunner) run(queries int, seed uint64) ([]time.Duration, []*copse.T
 // baselineRunner owns one instantiated Aloufi-et-al. system.
 type baselineRunner struct {
 	cs      Case
-	backend he.Backend
 	model   *baseline.Model
 	workers int
 }
 
 func newBaselineRunner(cs Case, cfg Config, workers int) (*baselineRunner, error) {
 	cfg = cfg.withDefaults()
-	var backend he.Backend
-	switch cfg.Backend {
-	case "clear":
-		backend = heclear.New(cs.Slots, 65537)
-	case "bgv":
-		params, err := bgv.ParamsForSlots(cs.Slots, baselineLevels(cs))
-		if err != nil {
-			return nil, err
-		}
-		b, err := hebgv.New(hebgv.Config{Params: params, PowerOfTwoOnly: true, Seed: cfg.Seed + 7})
-		if err != nil {
-			return nil, err
-		}
-		backend = b
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend %q", cfg.Backend)
-	}
-	m, err := baseline.Prepare(backend, cs.Forest, true)
+	m, err := baseline.Prepare(cs.Forest, cs.Slots, cfg.Backend, cfg.Seed+7)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: baseline prepare %s: %w", cs.Name, err)
 	}
-	return &baselineRunner{cs: cs, backend: backend, model: m, workers: workers}, nil
-}
-
-// baselineLevels sizes the BGV chain for the baseline circuit: the
-// comparison depth plus the log-depth path products.
-func baselineLevels(cs Case) int {
-	logp := log2Ceil(cs.Forest.Precision)
-	logPath := log2Ceil(cs.Forest.Depth() + 2)
-	return (logp + 2) + logPath + 1 + 4
+	return &baselineRunner{cs: cs, model: m, workers: workers}, nil
 }
 
 func (r *baselineRunner) run(queries int, seed uint64) ([]time.Duration, error) {
 	rng := rand.New(rand.NewPCG(seed, 0xbead))
-	e := &baseline.Engine{Backend: r.backend, Workers: r.workers}
 	var times []time.Duration
 	for qi := 0; qi < queries; qi++ {
 		feats := randomFeatures(rng, r.cs.Forest.NumFeatures, r.cs.Forest.Precision)
-		query, err := baseline.PrepareQuery(r.backend, &r.model.Meta, feats, true)
+		query, err := baseline.PrepareQuery(r.model.Backend, &r.model.Meta, feats)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		outs, err := e.Classify(r.model, query)
+		out, _, err := baseline.Classify(context.Background(), r.model, query, r.workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: baseline %s query %d: %w", r.cs.Name, qi, err)
 		}
 		times = append(times, time.Since(start))
-		var perTree [][]uint64
-		for _, op := range outs {
-			slots, err := he.Reveal(r.backend, op)
-			if err != nil {
-				return nil, err
-			}
-			perTree = append(perTree, slots)
+		slots, err := he.Reveal(r.model.Backend, out)
+		if err != nil {
+			return nil, err
 		}
-		got, err := baseline.DecodeResult(&r.model.Meta, perTree)
+		got, err := baseline.DecodeResult(&r.model.Meta, slots)
 		if err != nil {
 			return nil, err
 		}

@@ -123,7 +123,10 @@ func Table5(cfg Config) (*Table, error) {
 				med = median(times)
 			}
 		}
-		params := bgv.TestParams(levels)
+		params, err := bgv.ParamsForSlots(compiled.Meta.Slots, levels)
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(levels),
 			fmt.Sprint(params.LogN),

@@ -3,7 +3,6 @@ package he_test
 import (
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"copse/internal/he"
 	"copse/internal/he/heclear"
@@ -34,7 +33,7 @@ func operandFor(t *testing.T, b he.Backend, vals []uint64, cipher bool) he.Opera
 	return op
 }
 
-// TestOperandAlgebra checks Add/Mul/Xor/Not over every cipher/plain
+// TestOperandAlgebra checks Add/Mul/Sub over every cipher/plain
 // combination against direct boolean arithmetic.
 func TestOperandAlgebra(t *testing.T) {
 	b := heclear.New(16, 65537)
@@ -71,109 +70,12 @@ func TestOperandAlgebra(t *testing.T) {
 			}
 			check("mul", prod, func(a, c uint64) uint64 { return a * c })
 
-			xor, err := he.Xor(b, ox, oy)
+			diff, err := he.Sub(b, ox, oy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("xor", xor, func(a, c uint64) uint64 { return a ^ c })
-
-			not, err := he.Not(b, ox)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals, err := he.Reveal(b, not)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range x {
-				if vals[i] != 1-x[i] {
-					t.Fatalf("not slot %d: got %d want %d", i, vals[i], 1-x[i])
-				}
-			}
+			check("sub", diff, func(a, c uint64) uint64 { return (a + 65537 - c) % 65537 })
 		}
-	}
-}
-
-// TestXorAffinePath: cipher ⊕ plain must not consume a ciphertext
-// multiplication (it is the affine path the level masks rely on).
-func TestXorAffinePath(t *testing.T) {
-	b := heclear.New(8, 65537)
-	x := operandFor(t, b, []uint64{0, 1, 0, 1}, true)
-	y := operandFor(t, b, []uint64{0, 0, 1, 1}, false)
-	b.ResetCounts()
-	if _, err := he.Xor(b, x, y); err != nil {
-		t.Fatal(err)
-	}
-	counts := b.Counts()
-	if counts.Mul != 0 {
-		t.Errorf("cipher⊕plain consumed %d ct-ct multiplications", counts.Mul)
-	}
-	if counts.ConstMul != 1 || counts.ConstAdd != 1 {
-		t.Errorf("expected 1 ConstMul + 1 ConstAdd, got %v", counts)
-	}
-}
-
-// TestMulAllDepth: the product of n operands must have depth
-// ceil(log2 n), not n-1 (paper Table 1c).
-func TestMulAllDepth(t *testing.T) {
-	b := heclear.New(8, 65537)
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
-		ops := make([]he.Operand, n)
-		for i := range ops {
-			ops[i] = operandFor(t, b, []uint64{1, 1, 1, 1}, true)
-		}
-		res, err := he.MulAll(b, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDepth := 0
-		for 1<<wantDepth < n {
-			wantDepth++
-		}
-		if res.Ct.Depth() != wantDepth {
-			t.Errorf("n=%d: depth %d, want %d", n, res.Ct.Depth(), wantDepth)
-		}
-	}
-	if _, err := he.MulAll(b, nil); err == nil {
-		t.Error("MulAll of zero operands should fail")
-	}
-}
-
-// TestMulAllCorrect: product of random bit vectors equals the AND.
-func TestMulAllCorrect(t *testing.T) {
-	b := heclear.New(32, 65537)
-	f := func(seed uint64, nRaw uint8, cipherMask uint8) bool {
-		n := int(nRaw%6) + 1
-		r := rand.New(rand.NewPCG(seed, 7))
-		want := make([]uint64, 32)
-		for i := range want {
-			want[i] = 1
-		}
-		ops := make([]he.Operand, n)
-		for j := 0; j < n; j++ {
-			v := bitsVec(r, 32)
-			for i := range want {
-				want[i] &= v[i]
-			}
-			ops[j] = operandFor(t, b, v, cipherMask&(1<<uint(j)) != 0)
-		}
-		res, err := he.MulAll(b, ops)
-		if err != nil {
-			return false
-		}
-		got, err := he.Reveal(b, res)
-		if err != nil {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

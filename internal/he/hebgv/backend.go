@@ -46,9 +46,6 @@ type Config struct {
 	// keys are generated for each step plus all power-of-two steps, so
 	// uncovered rotations can still be composed.
 	RotationSteps []int
-	// PowerOfTwoOnly skips the per-step keys and generates only the
-	// power-of-two ladder (smaller keys, slower rotations).
-	PowerOfTwoOnly bool
 	// RotationStepLevels assigns individual rotation steps a maximum
 	// chain level: the step's Galois key is generated at that level
 	// instead of the top, cutting key material for steps a static level
@@ -79,10 +76,7 @@ func New(cfg Config) (*Backend, error) {
 	}
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	steps := bgv.PowerOfTwoSteps(params.Slots())
-	if !cfg.PowerOfTwoOnly {
-		steps = append(steps, cfg.RotationSteps...)
-	}
+	steps := append(bgv.PowerOfTwoSteps(params.Slots()), cfg.RotationSteps...)
 	keys, err := kg.GenEvaluationKeysAt(sk, steps, cfg.RotationStepLevels)
 	if err != nil {
 		return nil, err

@@ -106,47 +106,6 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestXorViaOperandsOnBGV exercises the operand algebra end-to-end on
-// real ciphertexts.
-func TestXorViaOperandsOnBGV(t *testing.T) {
-	b := newBackend(t, 4, nil)
-	x := []uint64{0, 1, 0, 1}
-	m := []uint64{0, 0, 1, 1}
-	ct, err := b.Encrypt(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctm, err := b.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := he.NewPlain(b, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctXor, err := he.Xor(b, he.Cipher(ct), he.Cipher(ctm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptXor, err := he.Xor(b, he.Cipher(ct), pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 1, 1, 0}
-	for name, op := range map[string]he.Operand{"cipher-cipher": ctXor, "cipher-plain": ptXor} {
-		got, err := he.Reveal(b, op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s xor slot %d: got %d want %d", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestNoiseBudgetExposed(t *testing.T) {
 	b := newBackend(t, 3, nil)
 	ct, err := b.Encrypt([]uint64{1, 2, 3})

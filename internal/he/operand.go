@@ -1,7 +1,5 @@
 package he
 
-import "fmt"
-
 // Operand is either a ciphertext or a plaintext vector. The COPSE
 // algorithm is written once over operands; which side is encrypted is
 // decided by the party configuration (paper §7): M=D encrypts both model
@@ -170,118 +168,4 @@ func RotateHoisted(b Backend, x Operand, steps []int) ([]Operand, error) {
 		outs[i] = out
 	}
 	return outs, nil
-}
-
-// Xor returns x ⊕ y for 0/1 operands, using the Z_t encoding
-// a ⊕ b = a + b − 2ab. With one plaintext side this is the affine map
-// a·(1−2m) + m and costs no ciphertext multiplication.
-func Xor(b Backend, x, y Operand) (Operand, error) {
-	switch {
-	case x.IsCipher() && y.IsCipher():
-		prod, err := b.Mul(x.Ct, y.Ct)
-		if err != nil {
-			return Operand{}, err
-		}
-		sum, err := b.Add(x.Ct, y.Ct)
-		if err != nil {
-			return Operand{}, err
-		}
-		twice, err := b.Add(prod, prod)
-		if err != nil {
-			return Operand{}, err
-		}
-		ct, err := b.Sub(sum, twice)
-		return Operand{Ct: ct}, err
-	case x.IsCipher():
-		return xorCipherPlain(b, x.Ct, y.Vals)
-	case y.IsCipher():
-		return xorCipherPlain(b, y.Ct, x.Vals)
-	default:
-		t := b.PlainModulus()
-		vals := make([]uint64, b.Slots())
-		for i := range vals {
-			vals[i] = plainXor(x.Vals[i], y.Vals[i], t)
-		}
-		return NewPlain(b, vals)
-	}
-}
-
-func plainXor(a, m, t uint64) uint64 {
-	sum := (a + m) % t
-	prod2 := 2 * (a % t) * (m % t) % t
-	return (sum + t - prod2) % t
-}
-
-func xorCipherPlain(b Backend, ct Ciphertext, mask []uint64) (Operand, error) {
-	t := b.PlainModulus()
-	coef := make([]uint64, b.Slots())
-	add := make([]uint64, b.Slots())
-	for i, m := range mask {
-		coef[i] = (1 + t - (2*m)%t) % t // 1 - 2m
-		add[i] = m % t
-	}
-	coefPt, err := b.EncodePlain(coef)
-	if err != nil {
-		return Operand{}, err
-	}
-	addPt, err := b.EncodePlain(add)
-	if err != nil {
-		return Operand{}, err
-	}
-	scaled, err := b.MulPlain(ct, coefPt)
-	if err != nil {
-		return Operand{}, err
-	}
-	out, err := b.AddPlain(scaled, addPt)
-	return Operand{Ct: out}, err
-}
-
-// Not returns 1 − x for a 0/1 operand.
-func Not(b Backend, x Operand) (Operand, error) {
-	ones := make([]uint64, b.Slots())
-	for i := range ones {
-		ones[i] = 1
-	}
-	if !x.IsCipher() {
-		t := b.PlainModulus()
-		vals := make([]uint64, b.Slots())
-		for i := range vals {
-			vals[i] = (1 + t - x.Vals[i]%t) % t
-		}
-		return NewPlain(b, vals)
-	}
-	neg, err := b.Neg(x.Ct)
-	if err != nil {
-		return Operand{}, err
-	}
-	onesPt, err := b.EncodePlain(ones)
-	if err != nil {
-		return Operand{}, err
-	}
-	out, err := b.AddPlain(neg, onesPt)
-	return Operand{Ct: out}, err
-}
-
-// MulAll multiplies all operands together with a balanced product tree,
-// giving multiplicative depth ceil(log2(len(ops))) — the paper's
-// accumulation step (§3.3 step 4, Table 1c).
-func MulAll(b Backend, ops []Operand) (Operand, error) {
-	if len(ops) == 0 {
-		return Operand{}, fmt.Errorf("he: MulAll of zero operands")
-	}
-	for len(ops) > 1 {
-		next := make([]Operand, 0, (len(ops)+1)/2)
-		for i := 0; i+1 < len(ops); i += 2 {
-			p, err := Mul(b, ops[i], ops[i+1])
-			if err != nil {
-				return Operand{}, err
-			}
-			next = append(next, p)
-		}
-		if len(ops)%2 == 1 {
-			next = append(next, ops[len(ops)-1])
-		}
-		ops = next
-	}
-	return ops[0], nil
 }

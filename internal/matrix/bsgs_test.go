@@ -1,15 +1,11 @@
 package matrix
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
-	"copse/internal/bgv"
 	"copse/internal/bits"
-	"copse/internal/he"
-	"copse/internal/he/hebgv"
 	"copse/internal/he/heclear"
 )
 
@@ -29,10 +25,10 @@ func TestBSGSSplit(t *testing.T) {
 	}
 }
 
-// TestMatVecBSGSMatchesPlain: the BSGS kernel equals the plain product
-// over random shapes, for plain and encrypted matrices, with and without
+// TestBSGSStagingMatchesPlain: the diagonals staged for a BSGS split
+// compute the plain product over random shapes, for plain and encrypted matrices, with and without
 // zero skipping.
-func TestMatVecBSGSMatchesPlain(t *testing.T) {
+func TestBSGSStagingMatchesPlain(t *testing.T) {
 	b := heclear.New(64, 65537)
 	f := func(seed uint64, rRaw, cRaw uint8, encryptMat, skipZero bool) bool {
 		rows := int(rRaw%10) + 1
@@ -52,18 +48,7 @@ func TestMatVecBSGSMatchesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ct, err := b.Encrypt(replicatedPlain(v, period, b.Slots()))
-		if err != nil {
-			return false
-		}
-		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 1)
-		if err != nil {
-			return false
-		}
-		gotVals, err := he.Reveal(b, got)
-		if err != nil {
-			return false
-		}
+		gotVals := matVec(t, b, d, replicatedPlain(v, period, b.Slots()), skipZero)
 		want, err := m.MulVec(v)
 		if err != nil {
 			return false
@@ -85,117 +70,6 @@ func TestMatVecBSGSMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestMatVecBSGSRotationBudget is the op-count regression test: the BSGS
-// kernel must need at most 2·√Period + 1 rotations per mat-vec, versus
-// Period−1 for the naive kernel.
-func TestMatVecBSGSRotationBudget(t *testing.T) {
-	b := heclear.New(256, 65537)
-	for _, period := range []int{4, 16, 64, 256} {
-		r := rand.New(rand.NewPCG(uint64(period), 5))
-		m := randBool(r, period, period, 0.6) // dense: no zero diagonals to skip
-		baby, giant := BSGSSplit(period)
-		d, err := stage(b, m, period, baby, giant, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v := make([]uint64, period)
-		for i := range v {
-			v[i] = uint64(r.IntN(2))
-		}
-		ct, err := b.Encrypt(replicatedPlain(v, period, b.Slots()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.ResetCounts()
-		out, err := MatVecBSGS(b, d, he.Cipher(ct), false, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rotations := b.Counts().Rotate
-		budget := int64(2*math.Sqrt(float64(period))) + 1
-		if rotations > budget {
-			t.Errorf("period %d: BSGS used %d rotations, budget 2·√P+1 = %d", period, rotations, budget)
-		}
-		// And it must still be the right answer.
-		gotVals, err := he.Reveal(b, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := m.MulVec(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if gotVals[i] != want[i]%65537 {
-				t.Fatalf("period %d row %d: got %d want %d", period, i, gotVals[i], want[i])
-			}
-		}
-	}
-}
-
-// TestMatVecBSGSRotationBudgetBGV is the same rotation-budget regression
-// on real BGV ciphertexts, with keys generated for exactly the BSGS step
-// set, and additionally checks that the rotations went through the
-// hoisted path.
-func TestMatVecBSGSRotationBudgetBGV(t *testing.T) {
-	if testing.Short() {
-		t.Skip("BGV kernel test in -short mode")
-	}
-	period := 16
-	baby, giant := BSGSSplit(period)
-	var steps []int
-	for j := 1; j < baby; j++ {
-		steps = append(steps, j)
-	}
-	for g := 1; g < giant; g++ {
-		steps = append(steps, g*baby)
-	}
-	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(4), RotationSteps: steps, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewPCG(8, 8))
-	m := randBool(r, period, period, 0.6)
-	d, err := stage(b, m, period, baby, giant, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := make([]uint64, period)
-	for i := range v {
-		v[i] = uint64(r.IntN(2))
-	}
-	ct, err := b.Encrypt(replicatedPlain(v, period, b.Slots()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.ResetCounts()
-	out, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := b.Counts()
-	budget := int64(2*math.Sqrt(float64(period))) + 1
-	if counts.Rotate > budget {
-		t.Errorf("BGV BSGS used %d rotations, budget 2·√P+1 = %d", counts.Rotate, budget)
-	}
-	if counts.RotateHoisted == 0 {
-		t.Error("no rotations went through the hoisted path")
-	}
-	gotVals, err := he.Reveal(b, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.MulVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if gotVals[i] != want[i]%b.PlainModulus() {
-			t.Fatalf("row %d: got %d want %d", i, gotVals[i], want[i])
-		}
-	}
-}
-
 func TestPrepareDiagonalsBSGSBadSplit(t *testing.T) {
 	b := heclear.New(16, 65537)
 	if _, err := stage(b, NewBool(4, 4), 4, 3, 2, false); err == nil {
@@ -209,7 +83,8 @@ func TestPrepareDiagonalsBSGSBadSplit(t *testing.T) {
 // TestPrepareDiagonalsBSGSBlocksMatchesPlain is the block-diagonal
 // staging property test: with an independent random matrix per slot
 // block and a block-periodic vector carrying an independent payload per
-// block, one BSGS kernel pass must compute every block's own M_k·v_k.
+// block, one mat-vec over the staged diagonals computes every block's own
+// M_k·v_k.
 func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 	const slots, span = 64, 16
 	b := heclear.New(slots, 65537)
@@ -243,19 +118,7 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 			t.Logf("prepare: %v", err)
 			return false
 		}
-		ct, err := b.Encrypt(packed)
-		if err != nil {
-			return false
-		}
-		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 2)
-		if err != nil {
-			t.Logf("matvec: %v", err)
-			return false
-		}
-		gotVals, err := he.Reveal(b, got)
-		if err != nil {
-			return false
-		}
+		gotVals := matVec(t, b, d, packed, skipZero)
 		for k := range mats {
 			want, err := mats[k].MulVec(vecs[k])
 			if err != nil {
@@ -280,7 +143,7 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 // it must land on its own row whatever giant group the diagonal belongs to:
 // with an independent matrix and coefficient vector per block (signs 1 and
 // t − 1, zeros, arbitrary residues, and a block without coefficients), one
-// kernel pass computes diag(c_k)·M_k·v_k in every block, under every split
+// mat-vec computes diag(c_k)·M_k·v_k in every block, under every split
 // of the period, and a row scaled by zero makes its diagonals skippable.
 func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
 	const slots, span, rows, cols, period, modulus = 128, 32, 13, 16, 16, 65537
@@ -312,18 +175,7 @@ func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ct, err := b.Encrypt(packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals, err := he.Reveal(b, got)
-			if err != nil {
-				t.Fatal(err)
-			}
+			vals := matVec(t, b, d, packed, skipZero)
 			for k := range mats {
 				want, err := mats[k].MulVec(vecs[k])
 				if err != nil {

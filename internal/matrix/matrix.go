@@ -1,8 +1,9 @@
-// Package matrix implements the boolean matrices and the Halevi–Shoup
-// generalized-diagonal matrix/vector kernel of the paper's §4.1.2: a
-// matrix is stored as its wrapped diagonals so that M·v becomes
+// Package matrix implements the boolean matrices and the staging of the
+// Halevi–Shoup generalized-diagonal matrix/vector kernel of the paper's
+// §4.1.2: a matrix is stored as its wrapped diagonals so that M·v becomes
 // Σ_i d_i ⊙ rot(v, i) — a constant multiplicative depth of 1 regardless
-// of the matrix size.
+// of the matrix size. The op program (internal/core) evaluates the
+// product over the staged diagonals.
 package matrix
 
 import (
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"copse/internal/bits"
 	"copse/internal/he"
 )
 
@@ -301,128 +301,6 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, coefs [][]uint64, 
 		d.Ops = append(d.Ops, op)
 	}
 	return d, nil
-}
-
-// babyRotations computes rot(v, j) for every needed index (j=0 is v
-// itself) through the backend's hoisted-rotation path, which shares one
-// digit decomposition across all steps; skipped indices are left as
-// zero operands.
-func babyRotations(b he.Backend, v he.Operand, needed []bool) ([]he.Operand, error) {
-	rots := make([]he.Operand, len(needed))
-	rots[0] = v
-	var steps []int
-	for j := 1; j < len(needed); j++ {
-		if needed[j] {
-			steps = append(steps, j)
-		}
-	}
-	if len(steps) == 0 {
-		return rots, nil
-	}
-	outs, err := he.RotateHoisted(b, v, steps)
-	if err != nil {
-		return nil, err
-	}
-	for i, j := range steps {
-		rots[j] = outs[i]
-	}
-	return rots, nil
-}
-
-// MatVecBSGS computes M·v homomorphically with the baby-step/giant-step
-// diagonal kernel: it computes the baby rotations of v, forms each giant
-// group's inner sum against the pre-rotated diagonals, then rotates and
-// accumulates the group sums — (Baby−1) + (Giant−1) rotations total
-// instead of Period−1. The vector operand must be slot-periodic with
-// period d.Period. When skipZero is true,
-// plaintext-known zero diagonals are skipped — only safe for plaintext
-// models — and only the baby rotations some group actually needs are
-// computed. The result holds M·v in slots [0, Rows) and zeros elsewhere.
-// Giant groups run on `workers` goroutines and merge in index order, so
-// the output is identical for any worker count.
-func MatVecBSGS(b he.Backend, d *Diagonals, v he.Operand, skipZero bool, workers int) (he.Operand, error) {
-	needed := make([]bool, d.Baby)
-	for i := 0; i < d.Period; i++ {
-		if !(skipZero && d.Zero[i]) {
-			needed[i%d.Baby] = true
-		}
-	}
-	babyRots, err := babyRotations(b, v, needed)
-	if err != nil {
-		return he.Operand{}, err
-	}
-	groups := make([]*he.Operand, d.Giant)
-	err = ParallelFor(d.Giant, workers, func(g int) error {
-		var acc he.Operand
-		accSet := false
-		for j := 0; j < d.Baby; j++ {
-			i := g*d.Baby + j
-			if skipZero && d.Zero[i] {
-				continue
-			}
-			// Lazy products: the group's inner sum accumulates degree-2
-			// tensors and pays for one relinearization below, instead of
-			// one per diagonal.
-			term, err := he.MulLazy(b, d.Ops[i], babyRots[j])
-			if err != nil {
-				return err
-			}
-			if !accSet {
-				acc, accSet = term, true
-				continue
-			}
-			acc, err = he.Add(b, acc, term)
-			if err != nil {
-				return err
-			}
-		}
-		if !accSet {
-			return nil
-		}
-		var err error
-		acc, err = he.Relinearize(b, acc)
-		if err != nil {
-			return err
-		}
-		if g > 0 {
-			acc, err = he.Rotate(b, acc, g*d.Baby)
-			if err != nil {
-				return err
-			}
-		}
-		groups[g] = &acc
-		return nil
-	})
-	if err != nil {
-		return he.Operand{}, err
-	}
-	var acc he.Operand
-	accSet := false
-	for _, group := range groups {
-		if group == nil {
-			continue
-		}
-		if !accSet {
-			acc, accSet = *group, true
-			continue
-		}
-		acc, err = he.Add(b, acc, *group)
-		if err != nil {
-			return he.Operand{}, err
-		}
-	}
-	if !accSet {
-		return he.NewPlain(b, make([]uint64, b.Slots()))
-	}
-	return acc, nil
-}
-
-// Pad returns v zero-padded to the next power of two at least min.
-func Pad(v []uint64, min int) []uint64 {
-	n := bits.NextPow2(max(len(v), min))
-	out := make([]uint64, n)
-	copy(out, v)
-	return out
 }
 
 // PanicError is a panic recovered inside a ParallelFor body and

@@ -3,6 +3,7 @@ package matrix
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -68,7 +69,7 @@ func stage(b he.Backend, m *Bool, period, baby, giant int, encrypt bool) (*Diago
 }
 
 // replicatedPlain builds the slot-periodic layout of v (padded to
-// period) that MatVecBSGS expects.
+// period) that a mat-vec over staged diagonals expects.
 func replicatedPlain(v []uint64, period, slots int) []uint64 {
 	out := make([]uint64, slots)
 	for i := range out {
@@ -79,8 +80,39 @@ func replicatedPlain(v []uint64, period, slots int) []uint64 {
 	return out
 }
 
-// TestMatVecMatchesPlain: homomorphic MatVec equals the plain product,
-// over random shapes, for both plain and encrypted matrices.
+// matVec evaluates, in the clear, the baby-step/giant-step identity the op
+// program's mat-vec computes (internal/core) over d's staged operands:
+//
+//	M·v = Σ_g rot(Σ_j d_{g·Baby+j} ⊙ rot(v, j), g·Baby),
+//
+// rot a left rotation of the slot vector v, skipping the diagonals d
+// records zero when skipZero.
+func matVec(t *testing.T, b he.Backend, d *Diagonals, v []uint64, skipZero bool) []uint64 {
+	t.Helper()
+	n, mod := b.Slots(), b.PlainModulus()
+	out := make([]uint64, n)
+	for g := 0; g < d.Giant; g++ {
+		for j := 0; j < d.Baby; j++ {
+			i := g*d.Baby + j
+			if skipZero && d.Zero[i] {
+				continue
+			}
+			diag, err := he.Reveal(b, d.Ops[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range out {
+				u := (s + g*d.Baby) % n
+				out[s] = (out[s] + diag[u]*v[(u+j)%n]) % mod
+			}
+		}
+	}
+	return out
+}
+
+// TestMatVecMatchesPlain: the staged diagonals compute the plain product,
+// over random shapes, for both plain and encrypted matrices, in the naive
+// split.
 func TestMatVecMatchesPlain(t *testing.T) {
 	b := heclear.New(64, 65537)
 	f := func(seed uint64, rRaw, cRaw uint8, encryptMat, skipZero bool) bool {
@@ -100,18 +132,7 @@ func TestMatVecMatchesPlain(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ct, err := b.Encrypt(replicatedPlain(v, period, b.Slots()))
-		if err != nil {
-			return false
-		}
-		got, err := MatVecBSGS(b, d, he.Cipher(ct), skipZero, 1)
-		if err != nil {
-			return false
-		}
-		gotVals, err := he.Reveal(b, got)
-		if err != nil {
-			return false
-		}
+		gotVals := matVec(t, b, d, replicatedPlain(v, period, b.Slots()), skipZero)
 		want, err := m.MulVec(v)
 		if err != nil {
 			return false
@@ -150,18 +171,7 @@ func TestMatVecTallMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := b.Encrypt(replicatedPlain(v, period, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVals, err := he.Reveal(b, got)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotVals := matVec(t, b, d, replicatedPlain(v, period, 32), false)
 	want, err := m.MulVec(v)
 	if err != nil {
 		t.Fatal(err)
@@ -173,132 +183,30 @@ func TestMatVecTallMatrix(t *testing.T) {
 	}
 }
 
-func TestMatVecWorkersMatchSerial(t *testing.T) {
-	b := heclear.New(64, 65537)
-	r := rand.New(rand.NewPCG(4, 4))
-	m := randBool(r, 20, 13, 0.3)
-	v := make([]uint64, 13)
-	for i := range v {
-		v[i] = uint64(r.IntN(2))
-	}
-	period := bits.NextPow2(13)
-	baby, giant := BSGSSplit(period)
-	d, err := stage(b, m, period, baby, giant, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := b.Encrypt(replicatedPlain(v, period, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := MatVecBSGS(b, d, he.Cipher(ct), false, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := he.Reveal(b, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pv, err := he.Reveal(b, parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sv {
-		if sv[i] != pv[i] {
-			t.Fatalf("slot %d: serial %d vs parallel %d", i, sv[i], pv[i])
-		}
-	}
-}
-
-// TestSkipZeroSavesWork: the plaintext-model optimization must reduce
-// rotations/multiplications without changing the result (this is the
-// mechanism behind Figure 9).
-func TestSkipZeroSavesWork(t *testing.T) {
+// TestZeroDiagonalsRecorded: staging records exactly the all-zero
+// diagonals, which a plaintext model's program skips (the mechanism behind
+// Figure 9), and skipping them leaves the product unchanged: a diagonal
+// matrix has one non-zero diagonal of eight, the zero matrix none.
+func TestZeroDiagonalsRecorded(t *testing.T) {
 	b := heclear.New(32, 65537)
-	m := NewBool(8, 8) // permutation-like sparse matrix: most diagonals zero
+	diag := NewBool(8, 8)
 	for i := 0; i < 8; i++ {
-		m.Set(i, i, 1)
+		diag.Set(i, i, 1)
 	}
-	d, err := stage(b, m, 8, 8, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := []uint64{1, 0, 1, 1, 0, 0, 1, 0}
-	ct, err := b.Encrypt(replicatedPlain(v, 8, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b.ResetCounts()
-	full, err := MatVecBSGS(b, d, he.Cipher(ct), false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCounts := b.Counts()
-
-	b.ResetCounts()
-	skipped, err := MatVecBSGS(b, d, he.Cipher(ct), true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipCounts := b.Counts()
-
-	if skipCounts.ConstMul >= fullCounts.ConstMul {
-		t.Errorf("skipZero did not reduce multiplications: %d vs %d", skipCounts.ConstMul, fullCounts.ConstMul)
-	}
-	fv, err := he.Reveal(b, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := he.Reveal(b, skipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fv {
-		if fv[i] != sv[i] {
-			t.Fatalf("slot %d differs: %d vs %d", i, fv[i], sv[i])
+	v := replicatedPlain([]uint64{1, 0, 1, 1, 0, 0, 1, 0}, 8, 32)
+	for name, m := range map[string]*Bool{"diagonal": diag, "zero": NewBool(8, 8)} {
+		d, err := stage(b, m, 8, 8, 1, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestMatVecAllZeroMatrix(t *testing.T) {
-	b := heclear.New(16, 65537)
-	m := NewBool(4, 4)
-	d, err := stage(b, m, 4, 4, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := b.Encrypt([]uint64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := MatVecBSGS(b, d, he.Cipher(ct), true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := he.Reveal(b, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if v != 0 {
-			t.Errorf("slot %d = %d, want 0", i, v)
+		for i, z := range d.Zero {
+			if want := name == "zero" || i > 0; z != want {
+				t.Errorf("%s: diagonal %d recorded zero=%v", name, i, z)
+			}
 		}
-	}
-}
-
-func TestPad(t *testing.T) {
-	got := Pad([]uint64{1, 2, 3}, 0)
-	if len(got) != 4 || got[0] != 1 || got[3] != 0 {
-		t.Errorf("Pad = %v", got)
-	}
-	got = Pad([]uint64{1}, 7)
-	if len(got) != 8 {
-		t.Errorf("Pad with min: len %d, want 8", len(got))
+		if full, skipped := matVec(t, b, d, v, false), matVec(t, b, d, v, true); !slices.Equal(full, skipped) {
+			t.Errorf("%s: skipping the zero diagonals moved the product: %v, all of them %v", name, skipped, full)
+		}
 	}
 }
 
