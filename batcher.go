@@ -321,13 +321,16 @@ func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 	}
 	// The pass runs under the service's lifetime, not any one waiter's
 	// context: a cancelled waiter abandons its slots, the pass proceeds
-	// for the rest.
+	// for the rest. The query and the result are the pass's own: they go
+	// back to the backend's pool once the pass no longer needs them.
 	enc, _, err := a.svc.classify(a.svc.runCtx, a.name, q, seed)
+	releaseQuery(q)
 	if err != nil {
 		fail(err)
 		return
 	}
 	results, err := a.svc.DecryptResultBatch(a.name, enc)
+	enc.release()
 	if err != nil {
 		fail(err)
 		return

@@ -270,8 +270,10 @@ func BenchmarkTable6Generate(b *testing.B) {
 
 // BenchmarkClassify: the BGV hot path end to end, across the diagonal
 // kernel and level-scheduling optimizations. Every mode runs the same
-// op-program executor; the modes differ only in what was staged. Run
-// with -benchmem to see the allocation reduction from ring pooling.
+// op-program executor; the modes differ only in what was staged. It
+// reports allocations: a warm pass draws every polynomial from the ring's
+// row pool, so B/op is the result each iteration keeps and small
+// bookkeeping.
 //
 //	naive      one rotation per diagonal (CompileOptions.NoBSGS),
 //	           reactive noise management (CompileOptions.NoLevelPlan)
@@ -289,6 +291,7 @@ func BenchmarkClassify(b *testing.B) {
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{
 				Slots: 1024, NoBSGS: mode.noBSGS, NoLevelPlan: mode.noPlan,
 			})

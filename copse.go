@@ -358,6 +358,25 @@ func (r *EncryptedResult) Codebooks() []*ShuffledCodebook {
 	return out
 }
 
+// release hands the result's ciphertexts back to the backend's pool
+// (he.Release). A serving path that made the result for a request of its
+// own calls it once the result is decoded; results the three-call API
+// returns stay the caller's and are never released here.
+func (r *EncryptedResult) release() {
+	for _, seg := range r.segs {
+		he.Release(seg.op.Ct)
+	}
+}
+
+// releaseQuery hands q's planes back to the backend's pool, on the same
+// terms as EncryptedResult.release. The serving paths build one query of
+// at most a pass, so q.Next is never set there.
+func releaseQuery(q *Query) {
+	for _, op := range q.Bits {
+		he.Release(op.Ct)
+	}
+}
+
 // Operand returns the packed result carrier of a single-pass
 // classification together with its batch count — the hook the cluster
 // data plane uses to put a worker's shard result on the wire. A

@@ -172,9 +172,9 @@ func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 	u := e.sampler.TernaryPoly(level)
 	ctx.NTT(u)
 
-	c0 := ctx.NewPoly(level)
+	c0 := ctx.GetPoly(level)
 	ctx.MulCoeffs(e.pk.B, u, c0)
-	c1 := ctx.NewPoly(level)
+	c1 := ctx.GetPoly(level)
 	ctx.MulCoeffs(e.pk.A, u, c1)
 
 	e0 := e.sampler.ErrorPoly(level)
@@ -188,6 +188,7 @@ func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 	ctx.Add(c1, e1, c1)
 
 	ctx.Add(c0, pt.lift(ctx, level), c0)
+	ctx.PutPolys([]*ring.Poly{u, e0, e1})
 
 	return &Ciphertext{
 		C:         []*ring.Poly{c0, c1},
@@ -207,7 +208,7 @@ func (e *Encryptor) encryptSecret(pt *Plaintext, level int) *Ciphertext {
 	for j, m := range pt.Coeffs {
 		em[j] = em[j]*t + int64(m)
 	}
-	c0 := ctx.NewPoly(level)
+	c0 := ctx.GetPoly(level)
 	ctx.SetLift(em, c0)
 	ctx.NTT(c0)
 	as := ctx.GetPoly(level)
@@ -232,14 +233,15 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 }
 
 // phase computes c0 + c1·s (+ c2·s²) in coefficient domain at the
-// ciphertext's level.
+// ciphertext's level, on a polynomial from the ring pool the caller
+// returns.
 func (d *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 	ctx := d.params.RingCtx
 	level := ct.Level()
 	s := restrict(d.sk.S, level)
-	acc := ct.C[0].Copy()
-	sPow := s.Copy()
-	tmp := ctx.NewPoly(level)
+	acc := ctx.CopyPooled(ct.C[0])
+	sPow := ctx.CopyPooled(s)
+	tmp := ctx.GetPoly(level)
 	for i := 1; i < len(ct.C); i++ {
 		ctx.MulCoeffs(ct.C[i], sPow, tmp)
 		ctx.Add(acc, tmp, acc)
@@ -247,6 +249,7 @@ func (d *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 			ctx.MulCoeffs(sPow, s, sPow)
 		}
 	}
+	ctx.PutPolys([]*ring.Poly{sPow, tmp})
 	ctx.INTT(acc)
 	return acc
 }
@@ -254,6 +257,7 @@ func (d *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 // Decrypt recovers the plaintext coefficients of ct.
 func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	phi := d.phase(ct)
+	defer d.params.RingCtx.PutPoly(phi)
 	return NewPlaintext(d.params.RingCtx.ToCenteredMod(phi, d.params.T))
 }
 
@@ -262,6 +266,7 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 // fails. Negative budgets mean the ciphertext is already undecryptable.
 func (d *Decryptor) NoiseBudget(ct *Ciphertext) int {
 	phi := d.phase(ct)
+	defer d.params.RingCtx.PutPoly(phi)
 	noiseBits := d.params.RingCtx.MaxCenteredBits(phi)
 	return d.params.QBits(ct.Level()) - noiseBits - 1
 }

@@ -79,12 +79,25 @@ func (ev *Evaluator) release(tmp, ct *Ciphertext) {
 	}
 }
 
+// copyPooled returns a deep copy of ct on polynomials from the ring pool.
+func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
+	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C)), NoiseBits: ct.NoiseBits}
+	for i, c := range ct.C {
+		out.C[i] = ev.params.RingCtx.CopyPooled(c)
+	}
+	return out
+}
+
 // alignLevels switches the higher-level operand down so both share a
 // level, returning the aligned pair (see atLevel).
 func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
 	level := min(a.Level(), b.Level())
 	return ev.atLevel(a, level), ev.atLevel(b, level)
 }
+
+// Every output polynomial below comes from the ring pool; the caller owns
+// the ciphertext returned and hands its polynomials back when it is done
+// with it (DESIGN.md §6.4).
 
 // Add returns a + b.
 func (ev *Evaluator) Add(x, y *Ciphertext) (*Ciphertext, error) {
@@ -98,12 +111,12 @@ func (ev *Evaluator) Add(x, y *Ciphertext) (*Ciphertext, error) {
 		var c *ring.Poly
 		switch {
 		case i < len(a.C) && i < len(b.C):
-			c = ctx.NewPoly(level)
+			c = ctx.GetPoly(level)
 			ctx.Add(a.C[i], b.C[i], c)
 		case i < len(a.C):
-			c = a.C[i].Copy()
+			c = ctx.CopyPooled(a.C[i])
 		default:
-			c = b.C[i].Copy()
+			c = ctx.CopyPooled(b.C[i])
 		}
 		out.C = append(out.C, c)
 	}
@@ -122,12 +135,12 @@ func (ev *Evaluator) Sub(x, y *Ciphertext) (*Ciphertext, error) {
 		var c *ring.Poly
 		switch {
 		case i < len(a.C) && i < len(b.C):
-			c = ctx.NewPoly(level)
+			c = ctx.GetPoly(level)
 			ctx.Sub(a.C[i], b.C[i], c)
 		case i < len(a.C):
-			c = a.C[i].Copy()
+			c = ctx.CopyPooled(a.C[i])
 		default:
-			c = ctx.NewPoly(level)
+			c = ctx.GetPoly(level)
 			ctx.Neg(b.C[i], c)
 		}
 		out.C = append(out.C, c)
@@ -135,8 +148,7 @@ func (ev *Evaluator) Sub(x, y *Ciphertext) (*Ciphertext, error) {
 	return out, ev.manage(out)
 }
 
-// Neg returns -a. The output polys come from the ring pool (fully
-// overwritten), keeping the serving hot path allocation-free.
+// Neg returns -a.
 func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	out := &Ciphertext{NoiseBits: a.NoiseBits}
@@ -148,15 +160,12 @@ func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
-// AddPlain returns a + pt. The copy of a runs through the ring pool
-// (GetPoly + CopyInto) instead of a fresh Poly.Copy.
+// AddPlain returns a + pt.
 func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	out := &Ciphertext{NoiseBits: a.NoiseBits + 1}
 	for _, c := range a.C {
-		p := ctx.GetPoly(a.Level())
-		ctx.CopyInto(c, p)
-		out.C = append(out.C, p)
+		out.C = append(out.C, ctx.CopyPooled(c))
 	}
 	ctx.Add(out.C[0], pt.lift(ctx, a.Level()), out.C[0])
 	return out, ev.manage(out)
@@ -170,7 +179,7 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 		NoiseBits: a.NoiseBits + float64(bitsOf(ev.params.T)) + float64(ev.params.LogN)/2 + 1,
 	}
 	for _, c := range a.C {
-		m := ctx.NewPoly(a.Level())
+		m := ctx.GetPoly(a.Level())
 		ctx.MulCoeffs(c, p, m)
 		out.C = append(out.C, m)
 	}
@@ -179,7 +188,7 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 
 // MulScalar returns a · c for a scalar c < T (the same value in every
 // slot). Scalars embed as constant polynomials, so no encoding is
-// needed. Output polys come from the ring pool (fully overwritten).
+// needed.
 func (ev *Evaluator) MulScalar(a *Ciphertext, c uint64) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	out := &Ciphertext{NoiseBits: a.NoiseBits + float64(bitsOf(c)) + 1}
@@ -236,11 +245,13 @@ func (ev *Evaluator) tensorProduct(x, y *Ciphertext) (*Ciphertext, error) {
 // Mul returns a·b, relinearized and modulus-switched: it consumes one
 // level.
 func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
-	out, err := ev.MulNoRelin(a, b)
+	tensor, err := ev.MulNoRelin(a, b)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Relinearize(out)
+	out, err := ev.Relinearize(tensor)
+	ev.release(tensor, out)
+	return out, err
 }
 
 // MulNoRelin returns the degree-2 product a·b without relinearizing.
@@ -359,13 +370,16 @@ func (ev *Evaluator) SwitchDown(ct *Ciphertext, level int) (*Ciphertext, error) 
 	return ev.switchedDown(ct, level), nil
 }
 
-// DropToLevel switches ct down to the given level in place.
+// DropToLevel switches ct down to the given level in place, its
+// replaced polynomials going back to the ring pool.
 func (ev *Evaluator) DropToLevel(ct *Ciphertext, level int) error {
 	out, err := ev.SwitchDown(ct, level)
-	if err != nil {
+	if err != nil || out == ct {
 		return err
 	}
+	old := ct.C
 	*ct = *out
+	ev.params.RingCtx.PutPolys(old)
 	return nil
 }
 
@@ -379,7 +393,7 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	slots := ev.params.Slots()
 	s := ((step % slots) + slots) % slots
 	if s == 0 {
-		return ct.Copy(), nil
+		return ev.copyPooled(ct), nil
 	}
 	// A direct key is only usable if it covers the ciphertext's level:
 	// keys for back-half rotation steps are generated at their scheduled
@@ -390,7 +404,8 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	if elt := ev.params.GaloisElt(s); ev.keys.Galois[elt] != nil && ev.keys.Galois[elt].Level() >= ct.Level() {
 		return ev.applyGalois(ct, elt)
 	}
-	// Compose from power-of-two hops.
+	// Compose from power-of-two hops; each intermediate goes back to the
+	// pool once the next hop has read it.
 	out := ct
 	for bit := 0; s != 0; bit++ {
 		if s&1 == 1 {
@@ -400,11 +415,12 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 			if key == nil {
 				return nil, fmt.Errorf("bgv: no Galois key for step %d (needed to compose rotation by %d)", hop, step)
 			}
-			var err error
-			out, err = ev.applyGalois(out, elt)
+			next, err := ev.applyGalois(out, elt)
+			ev.release(out, ct)
 			if err != nil {
 				return nil, err
 			}
+			out = next
 		}
 		s >>= 1
 	}
@@ -520,7 +536,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 	for i, step := range steps {
 		s := ((step % slots) + slots) % slots
 		if s == 0 {
-			outs[i] = ct.Copy()
+			outs[i] = ev.copyPooled(ct)
 			continue
 		}
 		elt := ev.params.GaloisElt(s)

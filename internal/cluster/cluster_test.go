@@ -6,16 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"copse"
+	"copse/internal/bgv"
 	"copse/internal/core"
 	"copse/internal/model"
+	"copse/internal/ring"
 	"copse/internal/synth"
 )
 
@@ -192,6 +196,232 @@ func TestClusterEndToEnd(t *testing.T) {
 	if lat, ok := st.ModelLatency["forest/0"]; !ok || lat.Count == 0 || lat.P99 < lat.P50 {
 		t.Errorf("worker latency stats: %+v", st.ModelLatency)
 	}
+}
+
+// TestWorkerAddShardUnderTraffic stages shards on live workers while
+// classify requests for a served model run through the gateway: each
+// worker takes a replica of the other's shard of that model, then both
+// shards of a second model. Under -race it holds the data plane's shard
+// lookup to the lock AddShard writes the shard map under: one request is
+// held in the frame decoder, after its lookup, for the whole staging, so
+// an unlocked lookup races with the write on every run. The ring's
+// use-after-release checks are on, so the worker's and the gateway's
+// releases of the ciphertexts they made answer to the same oracle as the
+// executor's: every answer must stay the unstaged cluster's.
+func TestWorkerAddShardUnderTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BGV cluster round trip is slow")
+	}
+	ring.SetPoolChecks(true)
+	defer ring.SetPoolChecks(false)
+	f := clusterForest(t, 54)
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, 64, func(workers []*Worker) {
+		for i, s := range shards {
+			if err := workers[i].AddShard("forest", manifest, s); err != nil {
+				t.Fatalf("worker %d AddShard: %v", i, err)
+			}
+		}
+	})
+	defer tc.close()
+
+	query := [][]uint64{{3, 9, 14}}
+	want, _, err := tc.gateway.Classify(context.Background(), "forest", query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes := make([]int, len(f.Labels))
+	for _, label := range f.Classify(query[0]) {
+		votes[label]++
+	}
+	if !reflect.DeepEqual(want[0].Votes, votes) {
+		t.Fatalf("votes %v, forest says %v", want[0].Votes, votes)
+	}
+	// A data-plane request parked in the frame decoder: it looks its shard
+	// up and then waits for a body that comes only after the staging. The
+	// test waits out the lookup with a sleep, not a signal: a signal from
+	// the handler would order its lookup before the staging for the race
+	// detector, and hide the race this test is for.
+	body := &heldBody{reading: make(chan struct{}), release: make(chan struct{})}
+	req, err := http.NewRequest(http.MethodPost, tc.servers[0].URL+"/v1/cluster/classify?model=forest&shard=0&batch=1", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = 1 << 20
+	parked := make(chan struct{})
+	go func() {
+		defer close(parked)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-body.reading
+	time.Sleep(300 * time.Millisecond)
+
+	served := make(chan error)
+	stop := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got, _, err := tc.gateway.Classify(context.Background(), "forest", query)
+			if err == nil && !reflect.DeepEqual(got[0].Votes, want[0].Votes) {
+				err = fmt.Errorf("votes %v, want %v", got[0].Votes, want[0].Votes)
+			}
+			served <- err
+		}
+	}()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range tc.workers {
+		if err := w.AddShard("forest", manifest, shards[1-i]); err != nil {
+			t.Fatalf("worker %d replica: %v", i, err)
+		}
+		if err := w.AddShard("second", manifest, shards[i]); err != nil {
+			t.Fatalf("worker %d second model: %v", i, err)
+		}
+	}
+	close(body.release)
+	<-parked
+	for range 2 {
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	for err := range served {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if err := tc.gateway.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := tc.gateway.Classify(context.Background(), "second", query); err != nil || !reflect.DeepEqual(got[0].Votes, want[0].Votes) {
+		t.Errorf("second model: %v, %v; want votes %v", got, err, want[0].Votes)
+	}
+}
+
+// TestWorkerRefusesForeignRing posts data-plane frames whose polynomials
+// this worker's ring cannot hold — as many limbs as the pool's row lists
+// have room for, over half the ring degree or over the full one — and
+// checks each fails its own request alone: answered 400, none of its
+// rows on the row pool later passes draw from, and the requests that
+// follow still classify exactly.
+func TestWorkerRefusesForeignRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BGV cluster round trip is slow")
+	}
+	ring.SetPoolChecks(true)
+	defer ring.SetPoolChecks(false)
+	f := clusterForest(t, 55)
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, 65, func(workers []*Worker) {
+		for i, s := range shards {
+			if err := workers[i].AddShard("forest", manifest, s); err != nil {
+				t.Fatalf("worker %d AddShard: %v", i, err)
+			}
+		}
+	})
+	defer tc.close()
+
+	query := [][]uint64{{3, 9, 14}}
+	votes := make([]int, len(f.Labels))
+	for _, label := range f.Classify(query[0]) {
+		votes[label]++
+	}
+	classify := func() {
+		t.Helper()
+		got, _, err := tc.gateway.Classify(context.Background(), "forest", query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0].Votes, votes) {
+			t.Fatalf("votes %v, forest says %v", got[0].Votes, votes)
+		}
+	}
+	classify()
+
+	w := tc.workers[0]
+	w.mu.RLock()
+	rc := w.backend.Parameters().RingCtx
+	w.mu.RUnlock()
+	width := rc.MaxLevel() + 1 + ring.DigitPrimes + 1
+	gm := &manifest.Meta
+	for _, n := range []int{rc.N / 2, rc.N} {
+		wcs := make([]WireCiphertext, gm.QueryCiphertexts(gm.PlanesPerCiphertext(1)))
+		for i := range wcs {
+			ct := &bgv.Ciphertext{C: make([]*ring.Poly, 2)}
+			for j := range ct.C {
+				p := &ring.Poly{Coeffs: make([][]uint64, width)}
+				for k := range p.Coeffs {
+					p.Coeffs[k] = make([]uint64, n)
+				}
+				ct.C[j] = p
+			}
+			wcs[i] = WireCiphertext{Ct: ct}
+		}
+		var frame bytes.Buffer
+		if err := EncodeCiphertexts(&frame, wcs); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(tc.servers[0].URL+"/v1/cluster/classify?model=forest&shard=0&batch=1",
+			"application/octet-stream", &frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%d limbs of degree %d: status %d, want 400", width, n, resp.StatusCode)
+		}
+		// The pool hands rows out last in, first out: what the request gave
+		// back is on top, so the next polynomials drawn show it.
+		var drawn []*ring.Poly
+		for range 2 * len(wcs) * width {
+			p := rc.GetPoly(0)
+			if len(p.Coeffs[0]) != rc.N {
+				t.Fatalf("after %d limbs of degree %d the pool hands out a %d-word row, want %d",
+					width, n, len(p.Coeffs[0]), rc.N)
+			}
+			drawn = append(drawn, p)
+		}
+		rc.PutPolys(drawn)
+		for range 3 {
+			classify()
+		}
+	}
+}
+
+// heldBody is a request body whose first read signals reading and then
+// fails once release is closed.
+type heldBody struct {
+	reading, release chan struct{}
+	once             sync.Once
+}
+
+func (b *heldBody) Read([]byte) (int, error) {
+	b.once.Do(func() { close(b.reading) })
+	<-b.release
+	return 0, io.ErrUnexpectedEOF
 }
 
 // TestClusterDegradation checks the failure contract: a dead worker

@@ -17,6 +17,7 @@ import (
 
 	"copse"
 	"copse/internal/core"
+	"copse/internal/he"
 	"copse/internal/he/hebgv"
 	"copse/internal/hist"
 )
@@ -544,8 +545,14 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 		}
 		wcs[i] = WireCiphertext{Ct: raw, Depth: depth}
 	}
+	// The query planes and, below, the merge's ciphertexts are this
+	// request's own: back to the backend's pool once the frame holds them.
 	var queryFrame bytes.Buffer
-	if err := EncodeCiphertexts(&queryFrame, wcs); err != nil {
+	err = EncodeCiphertexts(&queryFrame, wcs)
+	for _, op := range q.Bits {
+		he.Release(op.Ct)
+	}
+	if err != nil {
 		return nil, err
 	}
 	trace.Encrypt += time.Since(mark)
@@ -603,19 +610,8 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 		cancel() // the merge is local adds; the check alone gates it
 	}
 	mark = time.Now()
-	sum := backend.ImportCiphertext(shardCts[0].Ct, shardCts[0].Depth)
-	for _, wc := range shardCts[1:] {
-		sum, err = backend.Add(sum, backend.ImportCiphertext(wc.Ct, wc.Depth))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: merging shard results: %w", err)
-		}
-	}
-	raw, depth, err := backend.ExportCiphertext(sum)
+	mergedFrame, err := mergeFrame(backend, shardCts)
 	if err != nil {
-		return nil, err
-	}
-	var mergedFrame bytes.Buffer
-	if err := EncodeCiphertexts(&mergedFrame, []WireCiphertext{{Ct: raw, Depth: depth}}); err != nil {
 		return nil, err
 	}
 	elapsed = time.Since(mark)
@@ -636,6 +632,43 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	}
 	g.observeLatency(model, trace.Fanout+trace.Merge+trace.Decode)
 	return results, nil
+}
+
+// mergeFrame adds the shard results up and encodes the sum. Every
+// ciphertext it imports or makes goes back to the backend's pool once the
+// frame holds the sum.
+func mergeFrame(backend *hebgv.Backend, shardCts []WireCiphertext) (*bytes.Buffer, error) {
+	var made []he.Ciphertext
+	defer func() {
+		for _, ct := range made {
+			he.Release(ct)
+		}
+	}()
+	var sum he.Ciphertext
+	for _, wc := range shardCts {
+		shard, err := backend.ImportCiphertext(wc.Ct, wc.Depth)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: merging shard results: %w", err)
+		}
+		made = append(made, shard)
+		if sum == nil {
+			sum = shard
+			continue
+		}
+		if sum, err = backend.Add(sum, shard); err != nil {
+			return nil, fmt.Errorf("cluster: merging shard results: %w", err)
+		}
+		made = append(made, sum)
+	}
+	raw, depth, err := backend.ExportCiphertext(sum)
+	if err != nil {
+		return nil, err
+	}
+	var frame bytes.Buffer
+	if err := EncodeCiphertexts(&frame, []WireCiphertext{{Ct: raw, Depth: depth}}); err != nil {
+		return nil, err
+	}
+	return &frame, nil
 }
 
 // classifyShard posts one shard request through the hedged-retry

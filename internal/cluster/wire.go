@@ -123,14 +123,22 @@ func (e *WireVersionError) Error() string {
 	return fmt.Sprintf("cluster: wire version %d not supported (max %d)", e.Got, e.Supported)
 }
 
+// frameHeader is the size of the versioned header: magic, version,
+// kind and payload length.
+const frameHeader = 12
+
+// appendHeader appends the versioned header of a frame of the given kind
+// and payload size to b.
+func appendHeader(b []byte, kind uint16, size int) []byte {
+	b = append(b, wireMagic...)
+	b = binary.LittleEndian.AppendUint16(b, WireVersion)
+	b = binary.LittleEndian.AppendUint16(b, kind)
+	return binary.LittleEndian.AppendUint32(b, uint32(size))
+}
+
 // writeFrame wraps a payload in the versioned header.
 func writeFrame(w io.Writer, kind uint16, payload []byte) error {
-	var hdr [12]byte
-	copy(hdr[:4], wireMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], WireVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], kind)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(make([]byte, 0, frameHeader), kind, len(payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -253,20 +261,31 @@ func (r *reader) done() error {
 
 // --- polynomials ---
 
-// putPoly writes limbs, ring degree, NTT flag and raw residues.
-func putPoly(b *bytes.Buffer, p *ring.Poly) {
+// polySize is the encoded size of p: NTT flag, limbs, ring degree and
+// raw residues.
+func polySize(p *ring.Poly) int { return 7 + 8*len(p.Coeffs)*len(p.Coeffs[0]) }
+
+// appendPoly appends p's encoding (polySize) to b.
+func appendPoly(b []byte, p *ring.Poly) []byte {
 	flags := uint8(0)
 	if p.IsNTT {
 		flags = 1
 	}
-	putU8(b, flags)
-	putU16(b, uint16(len(p.Coeffs)))
-	putU32(b, uint32(len(p.Coeffs[0])))
+	b = append(b, flags)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Coeffs)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Coeffs[0])))
 	for _, limb := range p.Coeffs {
 		for _, c := range limb {
-			putU64(b, c)
+			b = binary.LittleEndian.AppendUint64(b, c)
 		}
 	}
+	return b
+}
+
+// putPoly writes p's encoding into b.
+func putPoly(b *bytes.Buffer, p *ring.Poly) {
+	b.Grow(polySize(p))
+	b.Write(appendPoly(b.AvailableBuffer(), p))
 }
 
 func (r *reader) poly() *ring.Poly {
@@ -603,19 +622,28 @@ type WireCiphertext struct {
 }
 
 // EncodeCiphertexts frames a batch of ciphertexts — the data plane's
-// payload for both query fan-out and result return.
+// payload for both query fan-out and result return — in one buffer sized
+// exactly, written to w at once.
 func EncodeCiphertexts(w io.Writer, cts []WireCiphertext) error {
-	var b bytes.Buffer
-	putU32(&b, uint32(len(cts)))
+	size := 4
 	for _, wc := range cts {
-		putU16(&b, uint16(wc.Depth))
-		putU64(&b, math.Float64bits(wc.Ct.NoiseBits))
-		putU8(&b, uint8(len(wc.Ct.C)))
+		size += 2 + 8 + 1
 		for _, p := range wc.Ct.C {
-			putPoly(&b, p)
+			size += polySize(p)
 		}
 	}
-	return writeFrame(w, KindCiphertexts, b.Bytes())
+	b := appendHeader(make([]byte, 0, frameHeader+size), KindCiphertexts, size)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cts)))
+	for _, wc := range cts {
+		b = binary.LittleEndian.AppendUint16(b, uint16(wc.Depth))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(wc.Ct.NoiseBits))
+		b = append(b, uint8(len(wc.Ct.C)))
+		for _, p := range wc.Ct.C {
+			b = appendPoly(b, p)
+		}
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // DecodeCiphertexts reads a ciphertext-batch frame.

@@ -239,7 +239,11 @@ func TestWireGoldenCiphertexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := other.Decrypt(other.ImportCiphertext(got[0].Ct, got[0].Depth))
+	imported, err := other.ImportCiphertext(got[0].Ct, got[0].Depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := other.Decrypt(imported)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,7 +351,11 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		WriteError(rw, err)
 		return
 	}
+	// AddShard writes the shard map under w.mu, so it is read under it.
+	w.mu.RLock()
 	reg, ok := wf.shards[shardIdx]
+	backend, svc := w.backend, w.svc
+	w.mu.RUnlock()
 	if !ok {
 		httpError(rw, http.StatusNotFound, fmt.Errorf("cluster: shard %d of model %q not on this worker", shardIdx, name))
 		return
@@ -375,12 +379,17 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, err)
 		return
 	}
-	w.mu.RLock()
-	backend, svc := w.backend, w.svc
-	w.mu.RUnlock()
+	// The imported query and the shard result are this request's own:
+	// they go back to the backend's pool once the pass has read the one
+	// and the frame holds the other.
 	bits := make([]he.Operand, len(cts))
 	for i, wc := range cts {
-		bits[i] = he.Cipher(backend.ImportCiphertext(wc.Ct, wc.Depth))
+		ct, err := backend.ImportCiphertext(wc.Ct, wc.Depth)
+		if err != nil {
+			httpError(rw, http.StatusBadRequest, err)
+			return
+		}
+		bits[i] = he.Cipher(ct)
 	}
 	q := &copse.Query{
 		Bits:        bits,
@@ -393,6 +402,9 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		PlanesPerCiphertext: g,
 	}
 	enc, _, err := svc.Classify(r.Context(), reg, q)
+	for _, b := range bits {
+		he.Release(b.Ct)
+	}
 	if err != nil {
 		WriteError(rw, err)
 		return
@@ -411,7 +423,9 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var buf bytes.Buffer
-	if err := EncodeCiphertexts(&buf, []WireCiphertext{{Ct: raw, Depth: depth}}); err != nil {
+	err = EncodeCiphertexts(&buf, []WireCiphertext{{Ct: raw, Depth: depth}})
+	he.Release(op.Ct)
+	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err)
 		return
 	}
@@ -446,7 +460,12 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 	w.mu.RLock()
 	backend := w.backend
 	w.mu.RUnlock()
-	slots, err := backend.Decrypt(backend.ImportCiphertext(cts[0].Ct, cts[0].Depth))
+	ct, err := backend.ImportCiphertext(cts[0].Ct, cts[0].Depth)
+	if err != nil {
+		httpError(rw, http.StatusBadRequest, err)
+		return
+	}
+	slots, err := backend.Decrypt(ct)
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err)
 		return

@@ -691,6 +691,7 @@ func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trac
 	// leak into this trace.
 	b := he.WithCounts(e.Backend)
 	scratch := p.scratch.Get().(*passScratch)
+	scratch.reset(p)
 	defer func() {
 		clear(scratch.regs)
 		p.scratch.Put(scratch)

@@ -19,6 +19,11 @@ type passScratch struct {
 	regs    []he.Operand // the SSA register file
 	pending []int32      // per op: producers still to run
 	ready   []int32      // min-heap of runnable ops by rank
+	// left[r] is how many of register r's readers (schedule.reads) are
+	// still to finish, pinned for a register the pass never releases;
+	// owner[r] is the register whose ciphertext r holds: r itself, or the
+	// operand an op passed through into r.
+	left, owner []int32
 }
 
 func newPassScratch(p *Program) *passScratch {
@@ -26,6 +31,77 @@ func newPassScratch(p *Program) *passScratch {
 		regs:    make([]he.Operand, p.numReg),
 		pending: make([]int32, len(p.ops)),
 		ready:   make([]int32, 0, len(p.ops)),
+		left:    make([]int32, p.numReg),
+		owner:   make([]int32, p.numReg),
+	}
+}
+
+// reset readies the scratch for a pass of p: every register its own
+// owner, with all its readers to come.
+func (s *passScratch) reset(p *Program) {
+	copy(s.left, p.sched.reads)
+	for r := range s.owner {
+		s.owner[r] = int32(r)
+	}
+}
+
+// Register lifetimes (DESIGN.md §6.4). The program is SSA, so every
+// register's readers are known before the pass starts (schedule.reads),
+// and the ciphertext a register holds goes back to the backend's pool
+// (he.Release) as soon as the last of them has finished. Loads never own
+// what they load, and the result goes to the caller. An op that returns
+// its operand unchanged — he.Relinearize of a finished or plaintext
+// operand, he.DropToLevel at or below the target level — does not make a
+// second owner: its register takes the operand's owner, whose life it
+// extends by its own readers. Worker goroutines settle an op's registers
+// under ps.mu, the hand-off that readies its successors, so when a count
+// reaches zero no op can still be reading the register.
+
+// retire settles op i's registers once it has run: each output that is
+// an operand passed through takes that operand's owner, each other
+// output nothing reads goes back at once, and then every operand loses
+// op i as a reader. The caller holds ps.mu, or is the pass's only
+// worker.
+func (ps *pass) retire(i int) {
+	op := ps.p.ops[i]
+	in := op.operands()
+	for r := op.Dst; r < op.Dst+ps.p.width(op); r++ {
+		ct := ps.regs[r].Ct
+		passed := -1
+		for _, a := range in {
+			if ct != nil && ct == ps.regs[a].Ct {
+				passed = a
+			}
+		}
+		switch {
+		case passed >= 0:
+			o := ps.owner[passed]
+			ps.owner[r] = o
+			if ps.left[o] != pinned {
+				ps.left[o] += ps.left[r]
+				if ps.left[r] == pinned {
+					ps.left[o] = pinned
+				}
+			}
+		case ps.left[r] == 0:
+			he.Release(ct)
+		}
+	}
+	for _, a := range in {
+		ps.unread(a)
+	}
+}
+
+// unread records that one reader of register r has finished, releasing
+// r's ciphertext if it was the last. The caller holds ps.mu, or is the
+// pass's only worker.
+func (ps *pass) unread(r int) {
+	o := ps.owner[r]
+	if ps.left[o] == pinned {
+		return
+	}
+	if ps.left[o]--; ps.left[o] == 0 {
+		he.Release(ps.regs[o].Ct)
 	}
 }
 
@@ -56,7 +132,7 @@ type pass struct {
 
 	mu   sync.Mutex
 	wake sync.Cond     // a ready op, the stage's end, or a failure
-	left int           // ops of the stage not yet finished
+	todo int           // ops of the stage not yet finished
 	err  error         // first failure: an op's error or the context's
 	busy time.Duration // Σ op run time of the open stage, over all workers
 
@@ -89,13 +165,14 @@ func (ps *pass) runStage(ctx context.Context, st int) error {
 			if err != nil {
 				return err
 			}
+			ps.retire(i)
 			ps.busy += took
 		}
 		return nil
 	}
 
 	copy(ps.pending[lo:hi], sc.deps[lo:hi])
-	ps.ready, ps.left = ps.ready[:0], hi-lo
+	ps.ready, ps.todo = ps.ready[:0], hi-lo
 	for i := lo; i < hi; i++ {
 		if sc.deps[i] == 0 {
 			ps.push(int32(i))
@@ -123,10 +200,10 @@ func (ps *pass) drain(ctx context.Context, st int) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for {
-		for len(ps.ready) == 0 && ps.left > 0 && ps.err == nil {
+		for len(ps.ready) == 0 && ps.todo > 0 && ps.err == nil {
 			ps.wake.Wait()
 		}
-		if ps.left == 0 || ps.err != nil {
+		if ps.todo == 0 || ps.err != nil {
 			return
 		}
 		if err := ctx.Err(); err != nil {
@@ -142,7 +219,8 @@ func (ps *pass) drain(ctx context.Context, st int) {
 			ps.fail(err)
 			return
 		}
-		if ps.left--; ps.left == 0 {
+		ps.retire(int(i))
+		if ps.todo--; ps.todo == 0 {
 			ps.wake.Broadcast()
 			return
 		}
@@ -243,6 +321,9 @@ func (ps *pass) closeStage(st int) {
 	}
 	if st == p.stages-1 {
 		t.Limbs.Result, t.Noise.Result = limbs(p.result), noise(p.result)
+	}
+	for _, r := range p.sched.traced[st] {
+		ps.unread(r)
 	}
 	ps.base, ps.busy = counts, 0
 	ps.mark = time.Now()

@@ -38,7 +38,20 @@ type schedule struct {
 	// weight along the longest dependency path of each stage. Their
 	// ratio is the parallelism the model offers.
 	work, critical int64
+	// reads[r] is how many readers register r has in the whole program:
+	// each op that reads it, once however many of its operands it is,
+	// and each stage-end trace report of it (traced). The executor
+	// releases r once the last of them is done (DESIGN.md §6.4). -1 pins
+	// r for the whole pass: a load's register, whose operand the pass
+	// does not own, and the result, which goes to the caller.
+	reads []int32
+	// traced[s] lists the registers whose limbs and noise the trace
+	// reports when stage s ends (pass.closeStage), besides the result.
+	traced [stDone][]int
 }
+
+// pinned marks a register the pass never releases (schedule.reads).
+const pinned = -1
 
 // Relative op costs per active limb, read off the benchmark's BGV
 // microkernels over their limb counts (bgv.mul_relin_us 36–44 and 33–38
@@ -141,6 +154,36 @@ func newSchedule(p *Program) schedule {
 	// A stage every op of which was dead still ends where it starts.
 	for st := 1; st < stDone; st++ {
 		s.stageEnd[st] = max(s.stageEnd[st], s.stageEnd[st-1])
+	}
+
+	// Register lifetimes: readers counted across stages.
+	s.traced = [stDone][]int{
+		stCompare:   {p.regQuery, p.regDecisions},
+		stReshuffle: {p.regBranchVec},
+		stLevels:    {p.regLevelResult},
+	}
+	s.reads = make([]int32, p.numReg)
+	for _, op := range p.ops {
+		switch op.Code {
+		case opQuery, opThresh, opMask, opConst, opSelect:
+			s.reads[op.Dst] = pinned
+		}
+	}
+	s.reads[p.result] = pinned
+	read := func(r int) {
+		if s.reads[r] != pinned {
+			s.reads[r]++
+		}
+	}
+	for _, op := range p.ops {
+		for _, r := range op.operands() {
+			read(r)
+		}
+	}
+	for _, regs := range s.traced {
+		for _, r := range regs {
+			read(r)
+		}
 	}
 
 	// Longest weighted path from each op to the end of its stage;

@@ -18,6 +18,26 @@ type Ciphertext interface {
 	Depth() int
 }
 
+// Releaser is an optional Ciphertext capability: a ciphertext whose
+// memory its backend pools gives it back with Release. Only the owner of
+// a ciphertext releases it — the executor at a register's last read, a
+// serving layer at the end of the request it made the ciphertext for —
+// and after the call it must not be read again. Decorators pass
+// ciphertext values through unchanged, so a release reaches the backend
+// whatever wraps it. Backends without pooled memory do not implement it.
+type Releaser interface {
+	Release()
+}
+
+// Release returns ct's memory to its backend's pool where the backend
+// pools it (Releaser), and does nothing otherwise: on a nil ciphertext,
+// or one of a backend without pooled memory.
+func Release(ct Ciphertext) {
+	if r, ok := ct.(Releaser); ok {
+		r.Release()
+	}
+}
+
 // Plain is an opaque encoded plaintext vector. Pre-encoding lets
 // backends cache expensive embeddings (the staging compiler encodes every
 // plaintext model component exactly once).
@@ -27,7 +47,10 @@ type Plain interface{}
 // plaintext modulus. All operations are functional (inputs are never
 // mutated) and safe for concurrent use: this is a contract, not a
 // convention — the serving layer issues Classify traffic against one
-// shared Backend from many goroutines. Implementations must keep
+// shared Backend from many goroutines. The one exception to "inputs are
+// never mutated" is a ciphertext its owner has released (Release): its
+// memory may already hold another result, so it must not be passed to
+// any operation again. Implementations must keep
 // per-call scratch out of shared state (pool it or stack it) and guard
 // any caches; both shipped backends are exercised under -race by the
 // concurrent-classify stress tests.

@@ -10,12 +10,14 @@ import (
 
 	"copse/internal/bgv"
 	"copse/internal/he"
+	"copse/internal/ring"
 )
 
 // Backend is the BGV-backed he.Backend. It honours the he.Backend
 // concurrency contract: the evaluator holds only read-only key
-// material, per-operation scratch polynomials come from the ring
-// context's sync.Pool (never from evaluator fields), plaintext lift
+// material, per-operation scratch and every result's polynomials come
+// from the ring context's row pool (never from evaluator fields), and a
+// released ciphertext (he.Release) gives its rows back; plaintext lift
 // caches are lock-free copy-on-write tables (populated up front by
 // level-scheduled staging, see EncodePlainAtLevel), and the one
 // genuinely stateful component — the encryptor's noise sampler — is
@@ -123,9 +125,25 @@ func (b *Backend) KeyMaterial() (actual, topLevel int64) {
 type ciphertext struct {
 	ct    *bgv.Ciphertext
 	depth int
+	ring  *ring.Context // the pool ct's polynomials go back to
 }
 
 func (c *ciphertext) Depth() int { return c.depth }
+
+// Release implements he.Releaser: ct's polynomials go back to the ring
+// pool. A second release of the same ciphertext does nothing; any other
+// use after the first fails.
+func (c *ciphertext) Release() {
+	if c.ct != nil {
+		c.ring.PutPolys(c.ct.C)
+		c.ct = nil
+	}
+}
+
+// wrap makes an evaluator result an he.Ciphertext of depth d.
+func (b *Backend) wrap(ct *bgv.Ciphertext, d int) *ciphertext {
+	return &ciphertext{ct: ct, depth: d, ring: b.params.RingCtx}
+}
 
 // Level exposes the BGV level for diagnostics.
 func (c *ciphertext) Level() int { return c.ct.Level() }
@@ -174,7 +192,7 @@ func (b *Backend) DropToLevel(ct he.Ciphertext, level int) (he.Ciphertext, error
 	if err != nil {
 		return nil, err
 	}
-	return &ciphertext{ct: out, depth: c.depth}, nil
+	return b.wrap(out, c.depth), nil
 }
 
 // EncryptAtLevel implements he.LevelEncrypter: a fresh encryption landed
@@ -190,7 +208,7 @@ func (b *Backend) EncryptAtLevel(vals []uint64, level int) (he.Ciphertext, error
 	b.encMu.Unlock()
 	b.CountEncrypt()
 	b.CountLimbs(ct.Level() + 1)
-	return &ciphertext{ct: ct}, nil
+	return b.wrap(ct, 0), nil
 }
 
 // EncodePlainAtLevel implements he.LevelEncrypter: the encoding is
@@ -263,7 +281,7 @@ func (b *Backend) Encrypt(vals []uint64) (he.Ciphertext, error) {
 	b.encMu.Unlock()
 	b.CountEncrypt()
 	b.CountLimbs(ct.Level() + 1)
-	return &ciphertext{ct: ct}, nil
+	return b.wrap(ct, 0), nil
 }
 
 // Decrypt implements he.Backend.
@@ -295,7 +313,7 @@ func (b *Backend) Add(x, y he.Ciphertext) (he.Ciphertext, error) {
 	}
 	b.CountAdd()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: max(cx.depth, cy.depth)}, nil
+	return b.wrap(out, max(cx.depth, cy.depth)), nil
 }
 
 // Sub implements he.Backend.
@@ -310,7 +328,7 @@ func (b *Backend) Sub(x, y he.Ciphertext) (he.Ciphertext, error) {
 	}
 	b.CountAdd()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: max(cx.depth, cy.depth)}, nil
+	return b.wrap(out, max(cx.depth, cy.depth)), nil
 }
 
 // Neg implements he.Backend.
@@ -325,7 +343,7 @@ func (b *Backend) Neg(x he.Ciphertext) (he.Ciphertext, error) {
 	}
 	b.CountAdd()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: cx.depth}, nil
+	return b.wrap(out, cx.depth), nil
 }
 
 // AddPlain implements he.Backend.
@@ -344,7 +362,7 @@ func (b *Backend) AddPlain(x he.Ciphertext, p he.Plain) (he.Ciphertext, error) {
 	}
 	b.CountConstAdd()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: cx.depth}, nil
+	return b.wrap(out, cx.depth), nil
 }
 
 // MulPlain implements he.Backend.
@@ -363,7 +381,7 @@ func (b *Backend) MulPlain(x he.Ciphertext, p he.Plain) (he.Ciphertext, error) {
 	}
 	b.CountConstMul()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: cx.depth}, nil
+	return b.wrap(out, cx.depth), nil
 }
 
 // Mul implements he.Backend.
@@ -380,7 +398,7 @@ func (b *Backend) Mul(x, y he.Ciphertext) (he.Ciphertext, error) {
 	b.CountLimbs(out.Level() + 1)
 	d := max(cx.depth, cy.depth) + 1
 	b.NoteDepth(d)
-	return &ciphertext{ct: out, depth: d}, nil
+	return b.wrap(out, d), nil
 }
 
 // MulLazy implements he.Backend: the degree-2 tensor product, deferring
@@ -398,7 +416,7 @@ func (b *Backend) MulLazy(x, y he.Ciphertext) (he.Ciphertext, error) {
 	b.CountLimbs(out.Level() + 1)
 	d := max(cx.depth, cy.depth) + 1
 	b.NoteDepth(d)
-	return &ciphertext{ct: out, depth: d}, nil
+	return b.wrap(out, d), nil
 }
 
 // Relinearize implements he.Backend.
@@ -416,7 +434,7 @@ func (b *Backend) Relinearize(x he.Ciphertext) (he.Ciphertext, error) {
 	}
 	b.CountRelin()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: cx.depth}, nil
+	return b.wrap(out, cx.depth), nil
 }
 
 // RotateHoisted implements he.Backend: the ciphertext's key-switch digit
@@ -449,7 +467,7 @@ func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, 
 	outs := make([]he.Ciphertext, len(cts))
 	limbSum := 0
 	for i, ct := range cts {
-		outs[i] = &ciphertext{ct: ct, depth: cx.depth}
+		outs[i] = b.wrap(ct, cx.depth)
 		// Step-0 copies rotate nothing; like the rotation counters (and
 		// the he.CountingBackend wrapper), they contribute no limb·ops.
 		if rotates, _ := b.evaluator.HoistableStepAt(steps[i], level); rotates {
@@ -472,5 +490,5 @@ func (b *Backend) Rotate(x he.Ciphertext, k int) (he.Ciphertext, error) {
 	}
 	b.CountRotate()
 	b.CountLimbs(out.Level() + 1)
-	return &ciphertext{ct: out, depth: cx.depth}, nil
+	return b.wrap(out, cx.depth), nil
 }

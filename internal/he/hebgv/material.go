@@ -91,7 +91,26 @@ func (b *Backend) ExportCiphertext(ct he.Ciphertext) (*bgv.Ciphertext, int, erro
 	return c.ct, c.depth, nil
 }
 
-// ImportCiphertext wraps a wire ciphertext for this backend.
-func (b *Backend) ImportCiphertext(ct *bgv.Ciphertext, depth int) he.Ciphertext {
-	return &ciphertext{ct: ct, depth: depth}
+// ImportCiphertext wraps a wire ciphertext for this backend. It refuses
+// one this ring cannot hold — limbs past the chain, polynomials of
+// different levels, rows other than N words — so a malformed frame fails
+// its own request and none of its rows reaches an evaluator or the pool.
+func (b *Backend) ImportCiphertext(ct *bgv.Ciphertext, depth int) (he.Ciphertext, error) {
+	ctx := b.params.RingCtx
+	if ct == nil || len(ct.C) < 2 {
+		return nil, fmt.Errorf("hebgv: imported ciphertext has fewer than 2 polynomials")
+	}
+	limbs := len(ct.C[0].Coeffs)
+	for _, p := range ct.C {
+		if len(p.Coeffs) != limbs || limbs < 1 || limbs > ctx.MaxLevel()+1 {
+			return nil, fmt.Errorf("hebgv: imported ciphertext has %d limbs in a polynomial, want %d of at most %d",
+				len(p.Coeffs), limbs, ctx.MaxLevel()+1)
+		}
+		for _, row := range p.Coeffs {
+			if len(row) != ctx.N {
+				return nil, fmt.Errorf("hebgv: imported ciphertext has ring degree %d, want %d", len(row), ctx.N)
+			}
+		}
+	}
+	return b.wrap(ct, depth), nil
 }

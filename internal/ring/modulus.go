@@ -183,8 +183,8 @@ func GeneratePrimes(bitLen int, step uint64, count int) ([]uint64, error) {
 // NewModulus builds the NTT tables for prime q and transform size n (a
 // power of two). q must satisfy q ≡ 1 (mod 2n).
 func NewModulus(q uint64, n int) (*Modulus, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("ring: transform size %d is not a power of two", n)
+	if n < 16 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("ring: transform size %d is not a power of two of at least 16", n)
 	}
 	if (q-1)%uint64(2*n) != 0 {
 		return nil, fmt.Errorf("ring: prime %d is not congruent to 1 mod %d", q, 2*n)

@@ -1,21 +1,15 @@
 package ring
 
-// Negacyclic NTT kernels. Two implementations share the Harvey
-// lazy-reduction butterflies (intermediates in [0, 4q), a single final
-// reduction into [0, q), requiring q < 2^62 which NewModulus
-// guarantees):
-//
-//   - NTTGeneric/INTTGeneric: the reference layer-at-a-time sweeps, one
-//     pass over the array per butterfly layer plus a final reduction
-//     sweep. Kept for tiny transforms (n < 16) and as the reference the
-//     correctness tests check the fused kernels against.
-//   - NTT/INTT: the production kernels. The first two and last two
-//     butterfly layers are each merged into one fused radix-4-style
-//     pass that keeps four elements in registers across both layers,
-//     and the final full-reduction (forward) / 1/N-scaling (inverse)
-//     sweep is folded into the last fused pass. A logN-layer transform
-//     therefore makes logN−2 passes over the array instead of logN+1,
-//     cutting memory traffic where the serial kernel is bound by it.
+// Negacyclic NTT kernels, on the Harvey lazy-reduction butterflies
+// (intermediates in [0, 4q), a single final reduction into [0, q),
+// requiring q < 2^62 which NewModulus guarantees). The first two and last
+// two butterfly layers are each merged into one fused radix-4-style pass
+// that keeps four elements in registers across both layers, and the
+// final full-reduction (forward) / 1/N-scaling (inverse) sweep is folded
+// into the last fused pass. A logN-layer transform therefore makes
+// logN−2 passes over the array instead of logN+1, cutting memory traffic
+// where the serial kernel is bound by it. The reference layer-at-a-time
+// sweeps the tests check them against live in ntt_ref_test.go.
 
 // NTT transforms a in place from coefficient to evaluation (NTT) domain.
 // The output is in bit-reversed order, following the standard iterative
@@ -32,10 +26,6 @@ func (m *Modulus) NTT(a []uint64) {
 // implementation and the bit-identity reference for the vector backend.
 func (m *Modulus) nttScalar(a []uint64) {
 	n := m.N
-	if n < 16 {
-		m.NTTGeneric(a)
-		return
-	}
 	q := m.Q
 	twoQ := 2 * q
 
@@ -164,10 +154,6 @@ func (m *Modulus) INTT(a []uint64) {
 // implementation and the bit-identity reference for the vector backend.
 func (m *Modulus) inttScalar(a []uint64) {
 	n := m.N
-	if n < 16 {
-		m.INTTGeneric(a)
-		return
-	}
 	q := m.Q
 	twoQ := 2 * q
 
@@ -281,79 +267,4 @@ func scaleReduce(x, nInv, nInvS, q uint64) uint64 {
 		r -= q
 	}
 	return r
-}
-
-// NTTGeneric is the reference layer-at-a-time forward transform: one
-// sweep per butterfly layer plus a final reduction sweep. It computes
-// exactly what NTT computes.
-func (m *Modulus) NTTGeneric(a []uint64) {
-	n := m.N
-	q := m.Q
-	twoQ := 2 * q
-	t := n
-	for grp := 1; grp < n; grp <<= 1 {
-		t >>= 1
-		for i := 0; i < grp; i++ {
-			j1 := 2 * i * t
-			w := m.psiRev[grp+i]
-			ws := m.psiRevS[grp+i]
-			// Equal-length subslices let the compiler drop the bounds
-			// checks in the butterfly loop.
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			for j, u := range x {
-				if u >= twoQ {
-					u -= twoQ
-				}
-				v := MulModShoupLazy(y[j], w, ws, q)
-				x[j] = u + v
-				y[j] = u - v + twoQ
-			}
-		}
-	}
-	for i, r := range a {
-		if r >= twoQ {
-			r -= twoQ
-		}
-		if r >= q {
-			r -= q
-		}
-		a[i] = r
-	}
-}
-
-// INTTGeneric is the reference layer-at-a-time inverse transform,
-// including the 1/N scaling. It computes exactly what INTT computes.
-func (m *Modulus) INTTGeneric(a []uint64) {
-	n := m.N
-	q := m.Q
-	twoQ := 2 * q
-	t := 1
-	for grp := n >> 1; grp >= 1; grp >>= 1 {
-		j1 := 0
-		for i := 0; i < grp; i++ {
-			w := m.psiInvRev[grp+i]
-			ws := m.psiInvRevS[grp+i]
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			for j, u := range x {
-				v := y[j]
-				r := u + v
-				if r >= twoQ {
-					r -= twoQ
-				}
-				x[j] = r
-				y[j] = MulModShoupLazy(u-v+twoQ, w, ws, q)
-			}
-			j1 += 2 * t
-		}
-		t <<= 1
-	}
-	for i := range a {
-		r := MulModShoupLazy(a[i], m.nInv, m.nInvS, q)
-		if r >= q {
-			r -= q
-		}
-		a[i] = r
-	}
 }

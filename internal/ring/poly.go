@@ -74,8 +74,7 @@ type Context struct {
 // shared is the mutable state a root context and its QP views have in
 // common.
 type shared struct {
-	pool polyPools // row-count-keyed polynomial recycling (pool.go)
-	rows rowPool   // single-prime scratch rows
+	rows rowPool // every polynomial's rows (pool.go)
 
 	// galois caches the NTT-domain index permutation of each Galois
 	// element (AutomorphismNTT): uint64 element -> []uint32.
@@ -133,6 +132,8 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 		}
 		ctx.special = append(ctx.special, m)
 	}
+	ctx.rows.width = len(ctx.Moduli) + len(ctx.special) + 1
+	trimEachGC(ctx.shared)
 	ctx.vecRows.Store(vectorAvailable())
 	ctx.buildCRT()
 	if err := ctx.buildRounders(); err != nil {
@@ -442,13 +443,19 @@ func (ctx *Context) Automorphism(a *Poly, g uint64, out *Poly) {
 	out.IsNTT = false
 }
 
-// CopyInto copies src into dst, which must share src's level. Together
-// with GetPoly this replaces Copy on hot paths.
+// CopyInto copies src into dst, which must share src's level.
 func (ctx *Context) CopyInto(src, dst *Poly) {
 	for i := range src.Coeffs {
 		copy(dst.Coeffs[i], src.Coeffs[i])
 	}
 	dst.IsNTT = src.IsNTT
+}
+
+// CopyPooled returns a copy of p with rows from the pool.
+func (ctx *Context) CopyPooled(p *Poly) *Poly {
+	out := ctx.GetPoly(p.Level())
+	ctx.CopyInto(p, out)
+	return out
 }
 
 // SetLift fills p (coefficient domain) with the given small signed

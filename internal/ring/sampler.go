@@ -58,7 +58,7 @@ func (s *Sampler) In(ctx *Context) *Sampler {
 // [0, q) once the low words below 2^64 mod q are rejected, and no division
 // per draw.
 func (s *Sampler) UniformPoly(level int, ntt bool) *Poly {
-	p := s.ctx.NewPoly(level)
+	p := s.ctx.GetPoly(level)
 	for i := 0; i <= level; i++ {
 		q := s.ctx.Moduli[i].Q
 		reject := -q % q // 2^64 mod q
@@ -84,7 +84,7 @@ func (s *Sampler) TernaryPoly(level int) *Poly {
 	for j := range coeffs {
 		coeffs[j] = int64(s.rng.IntN(3)) - 1
 	}
-	p := s.ctx.NewPoly(level)
+	p := s.ctx.GetPoly(level)
 	s.ctx.SetLift(coeffs, p)
 	return p
 }
@@ -92,7 +92,7 @@ func (s *Sampler) TernaryPoly(level int) *Poly {
 // ErrorPoly samples a centered-binomial error polynomial at the given
 // level, in coefficient domain.
 func (s *Sampler) ErrorPoly(level int) *Poly {
-	p := s.ctx.NewPoly(level)
+	p := s.ctx.GetPoly(level)
 	s.ctx.SetLift(s.ErrorCoeffs(), p)
 	return p
 }

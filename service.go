@@ -826,11 +826,15 @@ func (s *Service) classifyChunks(ctx context.Context, name string, batch [][]uin
 		if s.cfg.shuffle {
 			seed = shuffleBase + uint64(ci)*shuffleSeedStride
 		}
+		// The chunk's query and result are its own: back to the pool once
+		// they have served (DESIGN.md §6.4).
 		enc, _, err := s.classify(ctx, name, q, seed)
+		releaseQuery(q)
 		if err != nil {
 			return err
 		}
 		results, err := s.DecryptResultBatch(name, enc)
+		enc.release()
 		if err != nil {
 			return err
 		}
