@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"copse"
+	"copse/internal/cluster"
 	"copse/internal/synth"
 )
 
@@ -130,6 +131,23 @@ func TestClusterSmoke(t *testing.T) {
 			t.Errorf("query %d: gateway perTree %v, plain eval %v", i, cr.Results[i].PerTree, want)
 		}
 	}
+
+	// What the gateway fetched: parameters and public key, no secret or
+	// switching key, a fraction of a megabyte.
+	resp, err = http.Get(workerURL(0) + "/v1/cluster/keys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	mat, err := cluster.DecodeKeyMaterial(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("key frame: %v", err)
+	}
+	if mat.Secret != nil || mat.Keys != nil || len(raw) >= 1<<20 {
+		t.Errorf("gateway key frame: %d bytes, secret key %v, switching keys %v", len(raw), mat.Secret != nil, mat.Keys != nil)
+	}
+	t.Logf("gateway key frame: %d bytes", len(raw))
 
 	// Kill worker 1 outright: the gateway must mark the model
 	// unavailable within a couple of probe intervals.

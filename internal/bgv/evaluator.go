@@ -3,22 +3,42 @@ package bgv
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"copse/internal/ring"
 )
 
 // Evaluator performs homomorphic operations. It holds only read-only key
 // material, so a single Evaluator is safe for concurrent use across
-// goroutines as long as distinct ciphertexts are operated on.
+// goroutines as long as distinct ciphertexts are operated on. Its key
+// set is replaced whole (SetKeys), never written in place.
 type Evaluator struct {
 	params *Parameters
-	keys   *EvaluationKeys
+	keys   atomic.Pointer[EvaluationKeys]
 }
 
 // NewEvaluator returns an evaluator using the given evaluation keys. The
 // keys may be nil for purely additive workloads.
 func NewEvaluator(params *Parameters, keys *EvaluationKeys) *Evaluator {
-	return &Evaluator{params: params, keys: keys}
+	ev := &Evaluator{params: params}
+	ev.keys.Store(keys)
+	return ev
+}
+
+// Keys returns the evaluator's current key set (nil when it has none).
+func (ev *Evaluator) Keys() *EvaluationKeys { return ev.keys.Load() }
+
+// SetKeys publishes a new key set. Operations already running finish on
+// the set they loaded, so a set that grows (KeyGenerator.WithGaloisKeys)
+// is published while other goroutines rotate.
+func (ev *Evaluator) SetKeys(keys *EvaluationKeys) { ev.keys.Store(keys) }
+
+// galois returns the current Galois key for elt, nil when there is none.
+func (ev *Evaluator) galois(elt uint64) *SwitchingKey {
+	if keys := ev.keys.Load(); keys != nil {
+		return keys.Galois[elt]
+	}
+	return nil
 }
 
 // msFloorBits is the noise level right after a modulus switch:
@@ -277,7 +297,8 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	if len(ct.C) != 3 {
 		return nil, fmt.Errorf("bgv: Relinearize requires a ciphertext of degree at most 2")
 	}
-	if ev.keys == nil || ev.keys.Relin == nil {
+	keys := ev.keys.Load()
+	if keys == nil || keys.Relin == nil {
 		return nil, fmt.Errorf("bgv: Mul requires a relinearization key")
 	}
 	level := ct.Level()
@@ -287,7 +308,7 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 
 	digits := ctx.DecomposeHybrid(ct.C[2])
-	acc0, acc1 := ev.keySwitch(digits, ev.keys.Relin, level, ct.C[0], ct.C[1])
+	acc0, acc1 := ev.keySwitch(digits, keys.Relin, level, ct.C[0], ct.C[1])
 	ctx.PutPolys(digits)
 	d0, d1 := ctx.GetPoly(level-1), ctx.GetPoly(level-1)
 	ctx.DivideByPQ(acc0, d0)
@@ -387,7 +408,7 @@ func (ev *Evaluator) DropToLevel(ct *Ciphertext, level int) error {
 // If no Galois key exists for the exact step, the rotation is composed
 // from available power-of-two steps.
 func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
-	if ev.keys == nil {
+	if ev.keys.Load() == nil {
 		return nil, fmt.Errorf("bgv: Rotate requires Galois keys")
 	}
 	slots := ev.params.Slots()
@@ -396,12 +417,11 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 		return ev.copyPooled(ct), nil
 	}
 	// A direct key is only usable if it covers the ciphertext's level:
-	// keys for back-half rotation steps are generated at their scheduled
-	// stage level (GenEvaluationKeysAt), and a rotation arriving above
-	// that — a second registered model with a different schedule, or a
-	// reactive caller — falls back to the composed path, whose
-	// power-of-two ladder keys always live at the chain top.
-	if elt := ev.params.GaloisElt(s); ev.keys.Galois[elt] != nil && ev.keys.Galois[elt].Level() >= ct.Level() {
+	// keys may be generated below the chain top (WithGaloisKeys), and a
+	// rotation arriving above one falls back to the composed path, which
+	// needs power-of-two keys at that level.
+	elt := ev.params.GaloisElt(s)
+	if key := ev.galois(elt); key != nil && key.Level() >= ct.Level() {
 		return ev.applyGalois(ct, elt)
 	}
 	// Compose from power-of-two hops; each intermediate goes back to the
@@ -411,8 +431,7 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 		if s&1 == 1 {
 			hop := 1 << bit
 			elt := ev.params.GaloisElt(hop)
-			key := ev.keys.Galois[elt]
-			if key == nil {
+			if ev.galois(elt) == nil {
 				return nil, fmt.Errorf("bgv: no Galois key for step %d (needed to compose rotation by %d)", hop, step)
 			}
 			next, err := ev.applyGalois(out, elt)
@@ -444,7 +463,7 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, elt uint64) (*Ciphertext, error
 // switch adds ~ksNoiseBits of absolute noise; refuse to rotate when the
 // current modulus cannot absorb it.
 func (ev *Evaluator) checkGalois(ct *Ciphertext, elt uint64) error {
-	key := ev.keys.Galois[elt]
+	key := ev.galois(elt)
 	if key == nil {
 		return fmt.Errorf("bgv: no Galois key for element %d", elt)
 	}
@@ -473,7 +492,7 @@ func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt u
 	ctx := ev.params.RingCtx
 	level := ct.Level()
 
-	acc0, acc1 := ev.keySwitch(digits, ev.keys.Galois[elt], level, ct.C[0], nil)
+	acc0, acc1 := ev.keySwitch(digits, ev.galois(elt), level, ct.C[0], nil)
 	k0, k1 := ctx.GetPoly(level), ctx.GetPoly(level)
 	ctx.DivideByP(acc0, k0)
 	ctx.DivideByP(acc1, k1)
@@ -502,10 +521,7 @@ func (ev *Evaluator) HoistableStepAt(step, level int) (rotates, hoisted bool) {
 	if s == 0 {
 		return false, false
 	}
-	if ev.keys == nil {
-		return true, false
-	}
-	key := ev.keys.Galois[ev.params.GaloisElt(s)]
+	key := ev.galois(ev.params.GaloisElt(s))
 	return true, key != nil && key.Level() >= level
 }
 
@@ -517,7 +533,7 @@ func (ev *Evaluator) HoistableStepAt(step, level int) (rotates, hoisted bool) {
 // direct Galois key fall back to the composed Rotate path (no hoisting
 // for those steps).
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
-	if ev.keys == nil {
+	if ev.keys.Load() == nil {
 		return nil, fmt.Errorf("bgv: RotateHoisted requires Galois keys")
 	}
 	if len(steps) == 0 {
@@ -540,7 +556,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 			continue
 		}
 		elt := ev.params.GaloisElt(s)
-		if key := ev.keys.Galois[elt]; key == nil || key.Level() < level {
+		if key := ev.galois(elt); key == nil || key.Level() < level {
 			outs[i], err = ev.Rotate(ct, s)
 		} else if err = ev.checkGalois(ct, elt); err == nil {
 			if digits == nil {

@@ -2,6 +2,7 @@ package bgv
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"copse/internal/ring"
@@ -29,7 +30,7 @@ type PublicKey struct {
 // group in two — but cannot serve levels above ℓ: it has no residues
 // for those primes. Keys for rotation steps used only by the scheduled
 // back half of the pipeline are therefore generated directly at their
-// stage level, cutting key material (GenEvaluationKeysAt).
+// stage level, cutting key material (WithGaloisKeys).
 // BS and AS are the Shoup companion tables of B and A, letting the
 // evaluator's digit ⊙ key inner products run division-free.
 type SwitchingKey struct {
@@ -239,19 +240,13 @@ func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 	return kg.genSwitchingKeyAt(s2, kg.secretQP(sk, top), top)
 }
 
-// GenGaloisKey builds the switching key for the Galois element g at the
-// chain top.
-func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, g uint64) *SwitchingKey {
-	return kg.GenGaloisKeyAt(sk, g, kg.params.MaxLevel())
-}
-
 // GenGaloisKeyAt builds the Galois key at the given level. The key
 // switches s to σ_g^{-1}(s): the evaluator key-switches c1 as it stands
 // and applies σ_g to the result, which lands back under s — so the
 // automorphism costs two row permutations per rotation instead of one
-// per digit. The key can serve rotations at any level ≤ its own; the
-// evaluator falls back to composed power-of-two rotations (whose ladder
-// keys stay at the top) when asked to rotate above a key's level.
+// per digit. The key can serve rotations at any level ≤ its own; asked
+// to rotate above a key's level, the evaluator falls back to composing
+// power-of-two rotations, whose keys must then cover that level.
 func (kg *KeyGenerator) GenGaloisKeyAt(sk *SecretKey, g uint64, level int) *SwitchingKey {
 	qp := kg.params.RingCtx.QP(level)
 	sOut := qp.NewPoly(qp.MaxLevel())
@@ -273,32 +268,33 @@ func invGaloisElt(g uint64, n int) uint64 {
 // GenEvaluationKeys builds the relinearization key plus Galois keys for
 // the given rotation steps, all at the chain top. Step 0 is ignored.
 func (kg *KeyGenerator) GenEvaluationKeys(sk *SecretKey, steps []int) (*EvaluationKeys, error) {
-	return kg.GenEvaluationKeysAt(sk, steps, nil)
+	rots := make([]Rotation, len(steps))
+	for i, s := range steps {
+		rots[i] = Rotation{Step: s, Level: kg.params.MaxLevel()}
+	}
+	return kg.WithGaloisKeys(sk, &EvaluationKeys{Relin: kg.GenRelinKey(sk)}, rots), nil
 }
 
-// GenEvaluationKeysAt is GenEvaluationKeys under a per-step level
-// budget: a step with an entry in stepLevels gets its Galois key
-// generated at that level (clamped to the chain) instead of the top —
-// the right choice for steps a static level schedule proves are only
-// ever rotated in the scheduled-down back half of a pipeline. Steps
-// without an entry (and the relinearization key, which serves every
-// stage) stay at the top. When two steps share a Galois element the
-// deeper requirement wins.
-func (kg *KeyGenerator) GenEvaluationKeysAt(sk *SecretKey, steps []int, stepLevels map[int]int) (*EvaluationKeys, error) {
+// Rotation is one rotation a key set must serve directly: a slot step at
+// a chain level.
+type Rotation struct{ Step, Level int }
+
+// WithGaloisKeys returns ek with a direct Galois key for every rotation
+// in rots: a missing key (or one below a needed level) is generated at
+// the highest level its element is rotated at, clamped to the chain, in
+// the order the elements first appear — so seeded runs repeat. ek is
+// never written: the result is a new set sharing ek's other keys, which
+// an evaluator publishes (Evaluator.SetKeys) while passes run on the old
+// one. ek may be nil.
+func (kg *KeyGenerator) WithGaloisKeys(sk *SecretKey, ek *EvaluationKeys, rots []Rotation) *EvaluationKeys {
 	top := kg.params.MaxLevel()
-	ek := &EvaluationKeys{Galois: make(map[uint64]*SwitchingKey)}
-	ek.Relin = kg.GenRelinKey(sk)
 	want := make(map[uint64]int)
-	var order []uint64 // deterministic generation order for seeded runs
-	for _, s := range steps {
-		if s%kg.params.Slots() == 0 {
+	var order []uint64
+	for _, r := range rots {
+		if r.Step%kg.params.Slots() == 0 {
 			continue
 		}
-		lvl := top
-		if l, ok := stepLevels[s]; ok {
-			lvl = min(max(l, 0), top)
-		}
-		g := kg.params.GaloisElt(s)
+		g, lvl := kg.params.GaloisElt(r.Step), min(max(r.Level, 0), top)
 		if cur, seen := want[g]; !seen {
 			want[g] = lvl
 			order = append(order, g)
@@ -306,10 +302,21 @@ func (kg *KeyGenerator) GenEvaluationKeysAt(sk *SecretKey, steps []int, stepLeve
 			want[g] = lvl
 		}
 	}
-	for _, g := range order {
-		ek.Galois[g] = kg.GenGaloisKeyAt(sk, g, want[g])
+	if ek == nil {
+		ek = &EvaluationKeys{}
 	}
-	return ek, nil
+	out := ek
+	for _, g := range order {
+		if k := ek.Galois[g]; k != nil && k.Level() >= want[g] {
+			continue
+		}
+		if out == ek {
+			out = &EvaluationKeys{Relin: ek.Relin, Galois: map[uint64]*SwitchingKey{}}
+			maps.Copy(out.Galois, ek.Galois)
+		}
+		out.Galois[g] = kg.GenGaloisKeyAt(sk, g, want[g])
+	}
+	return out
 }
 
 // PowerOfTwoSteps returns the rotation steps ±1, ±2, ±4, ... up to

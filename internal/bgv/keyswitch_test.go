@@ -186,7 +186,7 @@ func TestFusedRelinearizeMatchesRelinThenSwitch(t *testing.T) {
 		}
 
 		digits := ctx.DecomposeHybrid(deg2.C[2])
-		acc0, acc1 := kit.eval.keySwitch(digits, kit.eval.keys.Relin, level, deg2.C[0], deg2.C[1])
+		acc0, acc1 := kit.eval.keySwitch(digits, kit.eval.Keys().Relin, level, deg2.C[0], deg2.C[1])
 		twoStep := &Ciphertext{C: []*ring.Poly{ctx.NewPoly(level), ctx.NewPoly(level)}, NoiseBits: deg2.NoiseBits}
 		ctx.DivideByP(acc0, twoStep.C[0])
 		ctx.DivideByP(acc1, twoStep.C[1])

@@ -98,7 +98,7 @@ func TestDropToLevelThenRotate(t *testing.T) {
 // rows 0..level plus the special rows), and is cached.
 func TestSwitchingKeyViews(t *testing.T) {
 	kit := newTestKit(t, 6, nil)
-	key := kit.eval.keys.Relin
+	key := kit.eval.Keys().Relin
 	top := kit.params.MaxLevel()
 
 	if key.AtLevel(top) != key {

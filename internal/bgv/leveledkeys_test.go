@@ -7,8 +7,8 @@ import (
 
 // leveledKit builds a BGV instance whose Galois key for step 3 is
 // generated at the given level while the power-of-two ladder stays at
-// the chain top — the shape GenEvaluationKeysAt produces for a
-// level-scheduled back-half step.
+// the chain top — the shape WithGaloisKeys produces for a step a
+// staged program rotates only at a scheduled-down level.
 func leveledKit(t *testing.T, levels, keyLevel int) *testKit {
 	t.Helper()
 	params, err := NewParameters(TestParams(levels))
@@ -18,11 +18,11 @@ func leveledKit(t *testing.T, levels, keyLevel int) *testKit {
 	kg := NewSeededKeyGenerator(params, 4321)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	steps := append(PowerOfTwoSteps(params.Slots()), 3)
-	keys, err := kg.GenEvaluationKeysAt(sk, steps, map[int]int{3: keyLevel})
+	keys, err := kg.GenEvaluationKeys(sk, PowerOfTwoSteps(params.Slots()))
 	if err != nil {
-		t.Fatalf("GenEvaluationKeysAt: %v", err)
+		t.Fatalf("GenEvaluationKeys: %v", err)
 	}
+	keys = kg.WithGaloisKeys(sk, keys, []Rotation{{Step: 3, Level: keyLevel}})
 	enc, err := NewEncoder(params)
 	if err != nil {
 		t.Fatalf("NewEncoder: %v", err)
@@ -123,14 +123,14 @@ func TestLeveledGaloisKeyDirectUseAboveLevelRejected(t *testing.T) {
 func TestLeveledKeyMaterialShrinks(t *testing.T) {
 	const levels, keyLevel = 6, 3
 	kit := leveledKit(t, levels, keyLevel)
-	key := kit.eval.keys.Galois[kit.params.GaloisElt(3)]
+	key := kit.eval.Keys().Galois[kit.params.GaloisElt(3)]
 	if key.Level() != keyLevel {
 		t.Fatalf("step-3 key at level %d, want %d", key.Level(), keyLevel)
 	}
 	if got, want := key.MaterialBytes(), kit.params.SwitchingKeyBytes(keyLevel); got != want {
 		t.Fatalf("leveled key bytes %d, want %d", got, want)
 	}
-	ek := kit.eval.keys
+	ek := kit.eval.Keys()
 	if ek.MaterialBytes() >= ek.TopLevelBytes(kit.params) {
 		t.Fatalf("leveled key set (%d bytes) not smaller than all-top baseline (%d bytes)",
 			ek.MaterialBytes(), ek.TopLevelBytes(kit.params))

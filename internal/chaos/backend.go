@@ -10,8 +10,9 @@ import (
 // Backend wraps an he.Backend with fault injection: every operation
 // first draws from the schedule and applies the resulting latency,
 // panic, or error before (or instead of) delegating. Capability
-// interfaces (LevelDropper, LevelEncrypter, NoiseMeter) are forwarded
-// so a wrapped leveled backend keeps its scheduled-level fast paths;
+// interfaces (LevelDropper, LevelEncrypter, NoiseMeter, RotationKeyer)
+// are forwarded so a wrapped leveled backend keeps its scheduled-level
+// fast paths and its staging makes the keys its programs rotate by;
 // Counts/ResetCounts delegate to the inner backend so op accounting
 // stays truthful.
 type Backend struct {
@@ -209,6 +210,12 @@ func (c *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error)
 		return le.EncodePlainAtLevel(vals, level)
 	}
 	return c.inner.EncodePlain(vals)
+}
+
+// EnsureRotationKeys implements he.RotationKeyer via the inner backend,
+// fault-free: key generation is staging, not an evaluation op.
+func (c *Backend) EnsureRotationKeys(rots []he.Rotation) error {
+	return he.EnsureRotationKeys(c.inner, rots)
 }
 
 // NoiseBudget implements he.NoiseMeter via the inner backend.

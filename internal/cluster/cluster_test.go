@@ -526,6 +526,124 @@ func TestClusterDegradation(t *testing.T) {
 	}
 }
 
+// TestGatewayHoldsPublicKeyOnly: the gateway encrypts and adds, so it
+// fetches the parameters and public key and nothing else — under 1 MB
+// for wide8 at 1024 slots, where the workers' Galois keys are tens of
+// megabytes — holds no evaluation key after Refresh, and still answers as
+// the forest does. A worker serving its secret key or its switching keys
+// is refused with a *KeyScopeError, and the model stays unavailable.
+func TestGatewayHoldsPublicKeyOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stages wide8 on two BGV workers")
+	}
+	f, err := synth.Generate(synth.ForestSpec{
+		Name: "wide8", NumFeatures: 4, NumLabels: 3, Precision: 8, MaxDepth: 5,
+		BranchesPerTree: []int{15, 15, 15, 15, 15, 15, 15, 15}, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, 63, func(workers []*Worker) {
+		for i, s := range shards {
+			if err := workers[i].AddShard("wide8", manifest, s); err != nil {
+				t.Fatalf("worker %d AddShard: %v", i, err)
+			}
+		}
+	})
+	defer tc.close()
+
+	resp, err := http.Get(tc.servers[0].URL + "/v1/cluster/keys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) >= 1<<20 {
+		t.Errorf("key frame is %d bytes, want under 1 MB", len(frame))
+	}
+	tc.gateway.mu.RLock()
+	backend := tc.gateway.backends[tc.workers[0].Fingerprint()]
+	tc.gateway.mu.RUnlock()
+	if backend == nil {
+		t.Fatal("no gateway backend after Refresh")
+	}
+	if actual, _ := backend.KeyMaterial(); actual != 0 {
+		t.Errorf("gateway holds %d bytes of evaluation keys", actual)
+	}
+	held, _ := tc.workers[0].Service().Backend().(interface{ KeyMaterial() (int64, int64) }).KeyMaterial()
+	t.Logf("key frame %d bytes; worker 0 holds %.1f MB of evaluation keys", len(frame), float64(held)/(1<<20))
+
+	batch := make([][]uint64, 3)
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := range batch {
+		batch[i] = make([]uint64, f.NumFeatures)
+		for j := range batch[i] {
+			batch[i][j] = rng.Uint64N(1 << uint(f.Precision))
+		}
+	}
+	got, _, err := tc.gateway.Classify(context.Background(), "wide8", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range batch {
+		if want := f.Classify(q); !reflect.DeepEqual(got[i].PerTree, want) {
+			t.Errorf("query %d: gateway perTree %v, forest says %v", i, got[i].PerTree, want)
+		}
+	}
+
+	// Workers that serve more than encryption needs.
+	for _, tcase := range []struct {
+		name              string
+		secret, switching bool
+	}{
+		{"secret key", true, false},
+		{"switching keys", false, true},
+		{"both", true, true},
+	} {
+		mat := tc.workers[0].Material()
+		if !tcase.secret {
+			mat.Secret = nil
+		}
+		if !tcase.switching {
+			mat.Keys = nil
+		}
+		var buf bytes.Buffer
+		if err := EncodeKeyMaterial(&buf, mat); err != nil {
+			t.Fatal(err)
+		}
+		leaky := func(w *Worker) *httptest.Server {
+			mux := http.NewServeMux()
+			mux.Handle("/", w.Handler())
+			mux.HandleFunc("GET /v1/cluster/keys", func(rw http.ResponseWriter, _ *http.Request) { _, _ = rw.Write(buf.Bytes()) })
+			return httptest.NewServer(mux)
+		}
+		s0, s1 := leaky(tc.workers[0]), leaky(tc.workers[1])
+		g := NewGateway(GatewayConfig{Workers: []string{s0.URL, s1.URL}})
+		err := g.Refresh(context.Background())
+		var kse *KeyScopeError
+		if !errors.As(err, &kse) || kse.Secret != tcase.secret || kse.SwitchingKeys != tcase.switching {
+			t.Errorf("%s: Refresh error %v, want *KeyScopeError{Secret: %v, SwitchingKeys: %v}", tcase.name, err, tcase.secret, tcase.switching)
+		}
+		if models := g.Models(); len(models) != 1 || models[0].Available {
+			t.Errorf("%s: model should be unavailable: %+v", tcase.name, models)
+		}
+		g.Close()
+		s0.Close()
+		s1.Close()
+	}
+}
+
 // TestClusterFingerprintMismatch checks that workers with divergent
 // key sets are refused: the model is marked unavailable with a
 // fingerprint problem rather than silently merging undecryptable

@@ -362,10 +362,25 @@ func (g *Gateway) filterAdmitted(holders []string) []string {
 	return out
 }
 
+// KeyScopeError is the gateway's refusal of a key frame that carries
+// more than encryption needs. A gateway holding a secret key could
+// decrypt every query and result it routes (the trust boundary of
+// DESIGN.md §12.2), and switching keys serve no gateway op.
+type KeyScopeError struct {
+	Worker                string
+	Secret, SwitchingKeys bool
+}
+
+func (e *KeyScopeError) Error() string {
+	return fmt.Sprintf("cluster: worker %s served key material with secret key %v, switching keys %v; the gateway takes parameters and public key only",
+		e.Worker, e.Secret, e.SwitchingKeys)
+}
+
 // ensureBackend builds (once per fingerprint) the encrypt/merge
-// backend from a holder's public key material. The material has no
-// evaluation keys — the gateway's only homomorphic op is addition,
-// which needs none.
+// backend from a holder's public key material: parameters and public
+// key, nothing else — the gateway's only homomorphic op is addition,
+// which needs no key, and a frame that carries more is refused with a
+// *KeyScopeError.
 func (g *Gateway) ensureBackend(ctx context.Context, r *route) error {
 	g.mu.RLock()
 	_, ok := g.backends[r.fingerprint]
@@ -384,6 +399,10 @@ func (g *Gateway) ensureBackend(ctx context.Context, r *route) error {
 			mat, err := DecodeKeyMaterial(bytes.NewReader(body))
 			if err != nil {
 				lastErr = err
+				continue
+			}
+			if mat.Secret != nil || mat.Keys != nil {
+				lastErr = &KeyScopeError{Worker: url, Secret: mat.Secret != nil, SwitchingKeys: mat.Keys != nil}
 				continue
 			}
 			fp, err := KeyFingerprint(mat)

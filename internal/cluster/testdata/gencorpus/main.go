@@ -18,6 +18,7 @@ import (
 	"copse/internal/bgv"
 	"copse/internal/cluster"
 	"copse/internal/core"
+	"copse/internal/he"
 	"copse/internal/he/hebgv"
 	"copse/internal/model"
 )
@@ -34,11 +35,17 @@ func main() {
 	// Same deliberately tiny parameter set as the golden wire tests
 	// (N=16) so the corpus stays a few kilobytes per file.
 	params := bgv.Params{LogN: 4, T: 65537, PrimeBits: 40, Levels: 3, DigitBits: 30}
-	backend, err := hebgv.New(hebgv.Config{Params: params, RotationSteps: []int{3, -2}, Seed: 42})
+	backend, err := hebgv.New(hebgv.Config{Params: params, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer backend.Close()
+	// The key set the corpus was cut from: the power-of-two ladder, then
+	// {3, −2}, all at the chain top, drawn in that order.
+	var rots []he.Rotation
+	for _, s := range append(bgv.PowerOfTwoSteps(backend.Slots()), 3, -2) {
+		rots = append(rots, he.Rotation{Step: s, Level: backend.MaxLevel()})
+	}
+	must(backend.EnsureRotationKeys(rots))
 
 	seeds := map[string][]byte{}
 
@@ -46,8 +53,12 @@ func main() {
 	must(cluster.EncodeParams(&pb, params))
 	seeds["params"] = pb.Bytes()
 
+	// The secret key stays out; the evaluation keys give the frame's
+	// switching-key decoder coverage.
+	keys := backend.Material()
+	keys.Secret = nil
 	var kb bytes.Buffer
-	must(cluster.EncodeKeyMaterial(&kb, backend.PublicMaterial()))
+	must(cluster.EncodeKeyMaterial(&kb, keys))
 	seeds["keymaterial"] = kb.Bytes()
 
 	ct, err := backend.Encrypt([]uint64{5, 0, 1, 3, 2, 7, 6, 4})

@@ -14,6 +14,7 @@ import (
 
 	"copse/internal/bgv"
 	"copse/internal/core"
+	"copse/internal/he"
 	"copse/internal/he/hebgv"
 	"copse/internal/model"
 )
@@ -27,16 +28,25 @@ func tinyParams() bgv.Params {
 	return bgv.Params{LogN: 4, T: 65537, PrimeBits: 40, Levels: 3, DigitBits: 30}
 }
 
-// tinyBackend builds a deterministic backend on the tiny parameters.
+// tinyBackend builds a deterministic backend on the tiny parameters
+// holding the key set the golden files were cut from: the power-of-two
+// ladder and {3, −2} at the chain top, except step 3 at level 1, drawn in
+// that order from seed 42.
 func tinyBackend(t *testing.T) *hebgv.Backend {
 	t.Helper()
-	b, err := hebgv.New(hebgv.Config{
-		Params:             tinyParams(),
-		RotationSteps:      []int{3, -2},
-		RotationStepLevels: map[int]int{3: 1},
-		Seed:               42,
-	})
+	b, err := hebgv.New(hebgv.Config{Params: tinyParams(), Seed: 42})
 	if err != nil {
+		t.Fatal(err)
+	}
+	var rots []he.Rotation
+	for _, s := range append(bgv.PowerOfTwoSteps(b.Slots()), 3, -2) {
+		r := he.Rotation{Step: s, Level: b.MaxLevel()}
+		if s == 3 {
+			r.Level = 1
+		}
+		rots = append(rots, r)
+	}
+	if err := b.EnsureRotationKeys(rots); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -404,9 +414,12 @@ func TestWireSizeLimits(t *testing.T) {
 // counts disagree with the shape its own Params imply fails the decode
 // with *KeyShapeError, whichever count lies.
 func TestWireKeyShapeError(t *testing.T) {
-	b := tinyBackend(t)
+	// The evaluation keys without the secret key: the relin key's
+	// header follows the public key.
+	mat := tinyBackend(t).Material()
+	mat.Secret = nil
 	var buf bytes.Buffer
-	if err := EncodeKeyMaterial(&buf, b.PublicMaterial()); err != nil {
+	if err := EncodeKeyMaterial(&buf, mat); err != nil {
 		t.Fatal(err)
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()[12:]))

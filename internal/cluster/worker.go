@@ -37,7 +37,8 @@ type WorkerConfig struct {
 	Seed uint64
 	// Material, when non-nil, supplies the key set directly (decoded
 	// from a key-material wire frame) instead of deriving it from
-	// Seed. It must carry the secret key and evaluation keys.
+	// Seed. It must carry the secret key; the worker makes whatever
+	// evaluation keys its shards need that the material lacks.
 	Material *hebgv.Material
 	// Service holds the options of the worker's copse.Service — the
 	// per-pass worker goroutines, the in-flight cap and the shed queue
@@ -73,13 +74,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 
 // AddShard stages one shard of a forest under a model name. The first
 // shard fixes the worker's backend: built from cfg.Material when set,
-// otherwise derived from the manifest's key contract (chain length,
-// rotation-step union, step levels) and cfg.Seed — identical across
-// every worker sharing the seed, because key generation is
-// deterministic in the contract. Later shards (of this or other
-// forests) share the backend; their rotation steps must be covered by
-// the first manifest's union or fall back to composed power-of-two
-// hops.
+// otherwise derived from the manifest's key contract (the chain length)
+// and cfg.Seed — the same key pair on every worker sharing the seed,
+// because key generation is deterministic in the contract. Every shard
+// (of this or other forests) shares the backend and makes the Galois
+// keys its staged programs rotate by that the worker lacks, at the
+// levels they rotate at; passes of shards already staged keep running
+// while it does.
 func (w *Worker) AddShard(name string, manifest *core.ShardManifest, shard *core.Compiled) error {
 	if name == "" {
 		return fmt.Errorf("cluster: empty model name")
@@ -131,8 +132,8 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 	var backend *hebgv.Backend
 	var err error
 	if m := w.cfg.Material; m != nil {
-		if m.Secret == nil || m.Keys == nil {
-			return fmt.Errorf("cluster: worker key material needs the secret key and evaluation keys")
+		if m.Secret == nil {
+			return fmt.Errorf("cluster: worker key material needs the secret key")
 		}
 		backend, err = hebgv.NewFromMaterial(hebgv.Config{Seed: w.cfg.Seed}, m)
 	} else {
@@ -144,12 +145,7 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 		if err != nil {
 			return err
 		}
-		backend, err = hebgv.New(hebgv.Config{
-			Params:             params,
-			RotationSteps:      manifest.RotationSteps,
-			RotationStepLevels: manifest.RotationStepLevels,
-			Seed:               w.cfg.Seed,
-		})
+		backend, err = hebgv.New(hebgv.Config{Params: params, Seed: w.cfg.Seed})
 	}
 	if err != nil {
 		return err
@@ -179,9 +175,10 @@ func (w *Worker) Fingerprint() string {
 	return w.fingerprint
 }
 
-// Material returns the worker's full key material (secret key
-// included) for distribution to sibling workers, or nil before the
-// first AddShard. Handle with the same care as the secret key itself.
+// Material returns the worker's full key material — the secret key and
+// every evaluation key made so far — for distribution to sibling
+// workers, or nil before the first AddShard. Handle with the same care
+// as the secret key itself.
 func (w *Worker) Material() *hebgv.Material {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -294,6 +291,7 @@ func (w *Worker) handleKeys(rw http.ResponseWriter, _ *http.Request) {
 		httpError(rw, http.StatusServiceUnavailable, fmt.Errorf("cluster: no key set yet"))
 		return
 	}
+	// The gateway encrypts and adds: parameters and public key only.
 	// Buffer the frame: once streaming to rw starts, an encode error
 	// could no longer become a clean HTTP error.
 	var buf bytes.Buffer

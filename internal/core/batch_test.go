@@ -165,11 +165,7 @@ func TestBatchVsSingleEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := hebgv.New(hebgv.Config{
-		Params:        bgv.TestParams(c.Meta.RecommendedLevels),
-		RotationSteps: c.Meta.RotationSteps,
-		Seed:          3,
-	})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.RecommendedLevels), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,7 @@ import (
 // parameter recommendation — the staging step of §5.
 func newBGVBackend(t *testing.T, c *Compiled) *hebgv.Backend {
 	t.Helper()
-	b, err := hebgv.New(hebgv.Config{
-		Params:        bgv.TestParams(c.Meta.RecommendedLevels),
-		RotationSteps: c.Meta.RotationSteps,
-		Seed:          21,
-	})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.RecommendedLevels), Seed: 21})
 	if err != nil {
 		t.Fatalf("hebgv.New: %v", err)
 	}

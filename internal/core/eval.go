@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -229,7 +230,51 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, s
 		}
 	}
 	m.Program = m.packings[0].program
+	// The programs are the one record of what the model rotates by, and
+	// at which level: the backend makes exactly those keys.
+	if rk, ok := b.(he.RotationKeyer); ok {
+		if err := rk.EnsureRotationKeys(m.rotations()); err != nil {
+			return nil, err
+		}
+	}
 	return m, nil
+}
+
+// rotations lists, without repeats, every rotation m's programs issue —
+// each plane packing's, its plaintext-query variant's, and the shuffle
+// stage's when m shuffles — at the level the level pass puts the
+// register rotated at. Rotations of plaintext registers need no key and
+// are left out; a program without a plan rotates at the chain top.
+func (m *ModelOperands) rotations() []he.Rotation {
+	var out []he.Rotation
+	seen := map[he.Rotation]bool{}
+	for _, pk := range m.packings {
+		for _, p := range []*Program{pk.program, pk.plainQueryProgram} {
+			for _, op := range p.ops {
+				var steps []int
+				switch op.Code {
+				case opRot:
+					steps = []int{op.Imm}
+				case opHoist:
+					steps = p.hoists[op.Imm]
+				}
+				r := he.Rotation{Level: math.MaxInt}
+				if p.est != nil {
+					r.Level = p.est[op.A].level
+					if !p.est[op.A].cipher {
+						continue
+					}
+				}
+				for _, r.Step = range steps {
+					if !seen[r] {
+						seen[r] = true
+						out = append(out, r)
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // progInputs describes the program of plane packing g over the level

@@ -95,52 +95,6 @@ func TestLevelPlanComputed(t *testing.T) {
 	}
 }
 
-// TestRotationStepLevelsAgreeWithRotationSteps pins the Galois-key
-// level budget to the compiler's step enumeration: RotationStepLevels
-// and rotationSteps each enumerate the kernel and replication steps, so
-// a divergence between them would either leave dead map entries
-// (harmless but wrong) or silently forfeit key-material savings. The
-// contract: every map entry names a staged step within the chain, and
-// every staged step that is not a positive power of two (the
-// composition ladder, deliberately kept at the top) carries a level.
-func TestRotationStepLevelsAgreeWithRotationSteps(t *testing.T) {
-	for name, f := range planForests(t, false) {
-		for _, noBSGS := range []bool{false, true} {
-			c, err := Compile(f, Options{Slots: 1024, NoBSGS: noBSGS})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.Meta.LevelPlan == nil {
-				t.Fatalf("%s: no level plan", name)
-			}
-			staged := map[int]bool{}
-			for _, s := range c.Meta.RotationSteps {
-				staged[s] = true
-			}
-			for _, encModel := range []bool{true, false} {
-				levels := c.Meta.RotationStepLevels(encModel)
-				top := c.Meta.LevelPlan.For(encModel).Compare
-				for s, lvl := range levels {
-					if !staged[s] {
-						t.Errorf("%s noBSGS=%v enc=%v: leveled step %d is not in RotationSteps", name, noBSGS, encModel, s)
-					}
-					if lvl < 0 || lvl > top {
-						t.Errorf("%s noBSGS=%v enc=%v: step %d level %d outside [0, %d]", name, noBSGS, encModel, s, lvl, top)
-					}
-				}
-				for _, s := range c.Meta.RotationSteps {
-					if s > 0 && s&(s-1) == 0 {
-						continue // ladder steps stay at the top by design
-					}
-					if _, ok := levels[s]; !ok {
-						t.Errorf("%s noBSGS=%v enc=%v: staged step %d has no level budget", name, noBSGS, encModel, s)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestLevelPlanNoBSGSAndShuffleVariants: the ablation stagings also get
 // feasible plans, and PlanShuffle reserves at least the shuffle's entry.
 func TestLevelPlanNoBSGSAndShuffleVariants(t *testing.T) {
@@ -176,11 +130,7 @@ func TestLevelPlanNoBSGSAndShuffleVariants(t *testing.T) {
 // serving layer does.
 func planBackend(t *testing.T, c *Compiled, encModel bool) *hebgv.Backend {
 	t.Helper()
-	b, err := hebgv.New(hebgv.Config{
-		Params:        bgv.TestParams(c.Meta.ChainLevels(encModel)),
-		RotationSteps: c.Meta.RotationSteps,
-		Seed:          33,
-	})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.ChainLevels(encModel)), Seed: 33})
 	if err != nil {
 		t.Fatalf("hebgv.New: %v", err)
 	}

@@ -222,68 +222,6 @@ func (m *Meta) branchSpan(encModel bool) int {
 	return m.BPad
 }
 
-// RotationStepLevels returns, for the given scenario, the highest chain
-// level each Galois rotation step is rotated at under the compiled
-// level schedule — the per-step Galois-key budget that
-// hebgv.Config.RotationStepLevels consumes. Every kernel step belongs to a
-// scheduled-down back-half stage: the reshuffle kernel's steps (and the
-// block-replication powers that follow it) cap at the reshuffle entry, the
-// level kernel's at the level entry, and the result-shuffle kernel's (plus
-// its replication powers) at the shuffle entry. Positive power-of-two
-// steps are omitted: they double as the composed-rotation ladder, which
-// must serve any level (second registered models, reactive callers) — and
-// are the only steps the compare stage's plane rounds, the accumulate
-// stage's lane rounds and the group replication rotate by, at the top of
-// the chain included. Steps assigned a
-// level here are still safe for such callers — the evaluator falls back
-// to the ladder when a rotation arrives above a key's level. Nil when
-// the model carries no plan.
-func (m *Meta) RotationStepLevels(encModel bool) map[int]int {
-	if m.LevelPlan == nil {
-		return nil
-	}
-	st := m.LevelPlan.For(encModel)
-	out := map[int]int{}
-	bump := func(step, level int) {
-		if step > 0 && step&(step-1) == 0 {
-			return // composition-ladder steps stay at the chain top
-		}
-		if cur, ok := out[step]; !ok || level > cur {
-			out[step] = level
-		}
-	}
-	kernel := func(baby, giant, level int) {
-		for j := 1; j < baby; j++ {
-			bump(j, level)
-		}
-		for g := 1; g < giant; g++ {
-			bump(g*baby, level)
-		}
-	}
-	replicate := func(from, to, level int) {
-		for p := from; p < to; p <<= 1 {
-			bump(-p, level)
-		}
-	}
-
-	qb, qg := m.kernelSplit(m.QPad)
-	kernel(qb, qg, st.Reshuffle)
-	bb, bg := m.kernelSplit(m.BPad)
-	kernel(bb, bg, st.Level)
-	replicate(m.BPad, m.BatchBlock(), st.Reshuffle)
-
-	// The shuffle stage always multiplies a BSGS split of the padded leaf
-	// period, at an entry level that is scenario-independent, after
-	// block-local doublings by −LPad up to −BatchBlock/2. The doublings
-	// are budgeted on up to the slot count, like rotationSteps lists them
-	// (DESIGN.md §10.2).
-	nb, ng := matrix.BSGSSplit(m.LPad())
-	shuffleAt := m.LevelPlan.ShuffleLevel()
-	kernel(nb, ng, shuffleAt)
-	replicate(m.LPad(), m.Slots, shuffleAt)
-	return out
-}
-
 // BSGSPlan is the staged baby-step/giant-step split for one matrix
 // period: Baby·Giant == Period.
 type BSGSPlan struct {

@@ -499,9 +499,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	decisions, eqAll, round := bl.compare(q, thresh)
 	// Across the g block groups of one operand the comparison goes on in
 	// log2 g rotate-and-multiply rounds: group b reads group b + 2^r, the
-	// less significant one, through a rotation by a positive power of two,
-	// whose key is a rung of the composition ladder every key set holds at
-	// the chain top.
+	// less significant one, through a rotation by a positive power of two.
 	// Block group 0 — the queries' own blocks — ends holding the whole
 	// comparison; the other groups wrap around and hold garbage the block-
 	// local stages that follow never mix in. The last round's EQ is dead.
@@ -551,8 +549,8 @@ func buildStructure(in progInputs) (*Program, error) {
 	// doublings that fill the block with BPad-periodic copies of the branch
 	// vector (one, by −SPad, where the rows were staged repeated); and the
 	// doublings that copy slot group 0 into the other G − 1: steps Slots/2,
-	// Slots/4, …, positive powers of two and so ladder keys, exact because
-	// the rest of the ciphertext is zero.
+	// Slots/4, …, positive powers of two, exact because the rest of the
+	// ciphertext is zero.
 	bl.stage = stReshuffle
 	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle))
 	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, matReshuffle, skipZero), zero)
@@ -589,11 +587,11 @@ func buildStructure(in progInputs) (*Program, error) {
 	// The product tree over the stacked level results, then — each holding
 	// one level per lane — log2 h rounds in which lane i of a block takes in
 	// lane i + 2^r and log2 G in which slot group j takes in group j + 2^r,
-	// each through a rotation by a positive power of two (a ladder key,
-	// like the compare stage's). Lane 0 of every block of group 0, where
-	// decode reads, ends holding the product of all levels at the depth of
-	// a tree over them (⌈log2 ⌈D/(h·G)⌉⌉ + log2 h + log2 G = ⌈log2 D⌉); the
-	// other lanes and groups hold 0/1 residue (DESIGN.md §13.5).
+	// each through a rotation by a positive power of two. Lane 0 of every
+	// block of group 0, where decode reads, ends holding the product of all
+	// levels at the depth of a tree over them (⌈log2 ⌈D/(h·G)⌉⌉ + log2 h +
+	// log2 G = ⌈log2 D⌉); the other lanes and groups hold 0/1 residue
+	// (DESIGN.md §13.5).
 	bl.stage = stAccumulate
 	acc := bl.productTree(lvlRes)
 	fold := func(from, to int) {

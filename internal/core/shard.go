@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"copse/internal/bits"
 	"copse/internal/matrix"
@@ -47,11 +46,11 @@ type ShardInfo struct {
 
 // ShardManifest is the merge manifest accompanying a sharded model: the
 // global (parent) Meta the gateway decodes merged results with, the
-// per-shard ranges, and the key-material contract every worker of the
-// cluster must honour so that one key set serves all shards — chain
-// length, the sorted union of every shard's Galois steps, and the
-// merged per-step level budget. Two workers constructing backends from
-// the same manifest (and the same seed) generate identical keys.
+// per-shard ranges, and the key contract every worker of the cluster
+// must honour so that one key pair serves all shards — the chain length.
+// Two workers constructing backends from the same manifest (and the same
+// seed) derive identical secret and public keys; each makes the Galois
+// keys of the shards it stages itself.
 type ShardManifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
@@ -63,11 +62,6 @@ type ShardManifest struct {
 	// QueryLevel is the level the gateway encrypts query planes at (0
 	// when the parent carries no plan; backends then encrypt at top).
 	QueryLevel int `json:"query_level"`
-	// RotationSteps is the sorted union of every shard's step set.
-	RotationSteps []int `json:"rotation_steps"`
-	// RotationStepLevels is the per-step Galois-key level budget merged
-	// across shards (deepest need wins).
-	RotationStepLevels map[int]int `json:"rotation_step_levels,omitempty"`
 
 	// Meta is the parent model's metadata (including its level plan):
 	// what the gateway uses to encrypt queries and decode merged
@@ -160,12 +154,10 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 
 	out := make([]*Compiled, shards)
 	manifest := &ShardManifest{
-		Version:            1,
-		Shards:             shards,
-		Meta:               *m,
-		RotationStepLevels: map[int]int{},
+		Version: 1,
+		Shards:  shards,
+		Meta:    *m,
 	}
-	stepSet := map[int]bool{}
 	for i := range out {
 		info := ShardInfo{
 			Index:       i,
@@ -198,26 +190,10 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 		}
 		out[i] = sc
 		manifest.Ranges = append(manifest.Ranges, info)
-		for _, s := range sc.Meta.RotationSteps {
-			stepSet[s] = true
-		}
-		for s, lvl := range sc.Meta.RotationStepLevels(false) {
-			if cur, ok := manifest.RotationStepLevels[s]; !ok || lvl > cur {
-				manifest.RotationStepLevels[s] = lvl
-			}
-		}
 	}
-	manifest.RotationSteps = sortedSteps(stepSet)
 	manifest.ChainLevels = m.ChainLevels(false)
 	if m.LevelPlan != nil {
 		manifest.QueryLevel = m.LevelPlan.QueryLevel()
-	}
-	// Steps assigned no budget entry stay at the chain top; drop
-	// budgeted steps the union added back at top for another shard.
-	for s := range manifest.RotationStepLevels {
-		if !stepSet[s] {
-			delete(manifest.RotationStepLevels, s)
-		}
 	}
 	return out, manifest, nil
 }
@@ -442,13 +418,4 @@ func shardBounds(treeBranchOffsets []int, shards int) []int {
 
 func branchesOf(treeBranchOffsets []int, t int) int {
 	return treeBranchOffsets[t+1] - treeBranchOffsets[t]
-}
-
-func sortedSteps(set map[int]bool) []int {
-	steps := make([]int, 0, len(set))
-	for s := range set {
-		steps = append(steps, s)
-	}
-	sort.Ints(steps)
-	return steps
 }

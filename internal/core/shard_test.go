@@ -242,12 +242,7 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := hebgv.New(hebgv.Config{
-		Params:             bgv.TestParams(manifest.ChainLevels),
-		RotationSteps:      manifest.RotationSteps,
-		RotationStepLevels: manifest.RotationStepLevels,
-		Seed:               9,
-	})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(manifest.ChainLevels), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,10 +269,10 @@ func TestBatchedShuffleErrors(t *testing.T) {
 
 // TestBatchedShuffleBGVLeveledKeys runs a shuffled pass on real BGV
 // ciphertexts with the full leveled staging: a PlanShuffle-compiled
-// model, chain sized to the plan, Galois keys generated at the level
-// budget Meta.RotationStepLevels emits — proving the leveled key set
-// covers the shuffle stage — and asserts the stage's rotation bill for
-// the whole batch stays within 2·√P+1.
+// model, chain sized to the plan, Galois keys made by staging at the
+// levels the programs rotate at — proving the leveled key set covers the
+// shuffle stage — and asserts the stage's rotation bill for the whole
+// batch stays within 2·√P+1.
 func TestBatchedShuffleBGVLeveledKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BGV batched shuffle is slow")
@@ -286,12 +286,7 @@ func TestBatchedShuffleBGVLeveledKeys(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no level plan")
 	}
-	b, err := hebgv.New(hebgv.Config{
-		Params:             bgv.TestParams(plan.ChainLevels(true)),
-		RotationSteps:      c.Meta.RotationSteps,
-		RotationStepLevels: c.Meta.RotationStepLevels(true),
-		Seed:               17,
-	})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(plan.ChainLevels(true)), Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

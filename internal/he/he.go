@@ -133,6 +133,33 @@ type LevelEncrypter interface {
 	EncodePlainAtLevel(vals []uint64, level int) (Plain, error)
 }
 
+// Rotation is one rotation a staged program issues: a slot step, and
+// the chain level of the ciphertext it rotates (a level past the chain
+// top means the top).
+type Rotation struct{ Step, Level int }
+
+// RotationKeyer is an optional Backend capability of schemes whose
+// rotations need per-step keys (BGV's Galois keys) and that hold the
+// secret key to make them: staging hands it every rotation the model's op
+// programs issue (core.PrepareWithPlan). Decorators that stage without
+// making keys do not implement it.
+type RotationKeyer interface {
+	// EnsureRotationKeys makes every rotation in rots servable by a
+	// direct key: a missing key is generated, one below a needed level
+	// regenerated at it. Operations already running keep the key set
+	// they started with.
+	EnsureRotationKeys(rots []Rotation) error
+}
+
+// EnsureRotationKeys hands rots to b where b makes rotation keys
+// (RotationKeyer), and does nothing otherwise.
+func EnsureRotationKeys(b Backend, rots []Rotation) error {
+	if rk, ok := b.(RotationKeyer); ok {
+		return rk.EnsureRotationKeys(rots)
+	}
+	return nil
+}
+
 // StageLimbHinter was the capability through which the executor told
 // the ring layer's limb worker pool each stage's limb count.
 //
@@ -430,6 +457,12 @@ func (c *CountingBackend) EncodePlainAtLevel(vals []uint64, level int) (Plain, e
 		return c.inner.EncodePlain(vals)
 	}
 	return le.EncodePlainAtLevel(vals, level)
+}
+
+// EnsureRotationKeys implements RotationKeyer via the inner backend (a
+// no-op when the inner backend makes no rotation keys).
+func (c *CountingBackend) EnsureRotationKeys(rots []Rotation) error {
+	return EnsureRotationKeys(c.inner, rots)
 }
 
 // Name implements Backend.

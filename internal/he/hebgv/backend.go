@@ -30,59 +30,44 @@ type Backend struct {
 	params    *bgv.Parameters
 	encoder   *bgv.Encoder
 	encryptor *bgv.Encryptor
-	evaluator *bgv.Evaluator
+	evaluator *bgv.Evaluator // holds the current evaluation keys
 	decryptor *bgv.Decryptor // nil when constructed without the secret key
-	keys      *bgv.EvaluationKeys
 	sk        *bgv.SecretKey // nil when constructed without the secret key
 	pk        *bgv.PublicKey
 
 	encMu sync.Mutex // the encryptor owns a sampler and is not concurrency-safe
+
+	// keygen makes the Galois keys staging asks for (EnsureRotationKeys);
+	// nil without the secret key. It owns a sampler, so keyMu serializes
+	// its use.
+	keygen *bgv.KeyGenerator
+	keyMu  sync.Mutex
 }
 
 // Config controls backend construction.
 type Config struct {
 	// Params is the BGV parameter set.
 	Params bgv.Params
-	// RotationSteps lists the slot-rotation amounts needed by the
-	// workload (the COPSE compiler computes these for a model). Galois
-	// keys are generated for each step plus all power-of-two steps, so
-	// uncovered rotations can still be composed.
-	RotationSteps []int
-	// RotationStepLevels assigns individual rotation steps a maximum
-	// chain level: the step's Galois key is generated at that level
-	// instead of the top, cutting key material for steps a static level
-	// schedule proves are only rotated in the scheduled-down back half
-	// (core.Meta.RotationStepLevels computes the map from a compiled
-	// plan). Steps without an entry — including the whole power-of-two
-	// composition ladder — stay at the top; rotations arriving above a
-	// leveled key fall back to the composed ladder path.
-	RotationStepLevels map[int]int
 	// Seed, when non-zero, makes key generation and encryption
 	// deterministic (tests and reproducible experiments only).
 	Seed uint64
 }
 
-// New generates keys and returns a backend holding both the public and
+// New generates the secret key, the public key and the relinearization
+// key, in that order, and returns a backend holding both the public and
 // secret material (the two-party configurations of the paper share one
-// key pair between model and data owner).
+// key pair between model and data owner). It makes no Galois keys:
+// staging a model asks for the ones its op programs rotate by, at the
+// levels they rotate at (EnsureRotationKeys).
 func New(cfg Config) (*Backend, error) {
 	params, err := bgv.NewParameters(cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	var kg *bgv.KeyGenerator
-	if cfg.Seed != 0 {
-		kg = bgv.NewSeededKeyGenerator(params, cfg.Seed)
-	} else {
-		kg = bgv.NewKeyGenerator(params)
-	}
+	kg := newKeyGenerator(params, cfg.Seed)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	steps := append(bgv.PowerOfTwoSteps(params.Slots()), cfg.RotationSteps...)
-	keys, err := kg.GenEvaluationKeysAt(sk, steps, cfg.RotationStepLevels)
-	if err != nil {
-		return nil, err
-	}
+	keys := &bgv.EvaluationKeys{Relin: kg.GenRelinKey(sk)}
 	encoder, err := bgv.NewEncoder(params)
 	if err != nil {
 		return nil, err
@@ -93,10 +78,44 @@ func New(cfg Config) (*Backend, error) {
 		encryptor: newEncryptor(params, pk, sk, cfg.Seed),
 		evaluator: bgv.NewEvaluator(params, keys),
 		decryptor: bgv.NewDecryptor(params, sk),
-		keys:      keys,
 		sk:        sk,
 		pk:        pk,
+		keygen:    kg,
 	}, nil
+}
+
+// newKeyGenerator returns a key generator seeded from seed when it is
+// non-zero, from the system entropy source otherwise.
+func newKeyGenerator(params *bgv.Parameters, seed uint64) *bgv.KeyGenerator {
+	if seed != 0 {
+		return bgv.NewSeededKeyGenerator(params, seed)
+	}
+	return bgv.NewKeyGenerator(params)
+}
+
+// EnsureRotationKeys implements he.RotationKeyer: every rotation gets a
+// direct Galois key at or above its level (clamped to the chain), and a
+// key this backend lacks is generated — in the order the rotations name
+// it, so seeded runs repeat. The grown key set is published whole
+// (bgv.Evaluator.SetKeys): passes already running keep the set they
+// loaded. Without the secret key only rotations already covered pass.
+func (b *Backend) EnsureRotationKeys(rots []he.Rotation) error {
+	b.keyMu.Lock()
+	defer b.keyMu.Unlock()
+	var missing []bgv.Rotation
+	for _, r := range rots {
+		level := min(max(r.Level, 0), b.params.MaxLevel())
+		if rotates, direct := b.evaluator.HoistableStepAt(r.Step, level); rotates && !direct {
+			if b.keygen == nil {
+				return fmt.Errorf("hebgv: no secret key to make the Galois key for rotation step %d at level %d", r.Step, level)
+			}
+			missing = append(missing, bgv.Rotation{Step: r.Step, Level: level})
+		}
+	}
+	if len(missing) > 0 {
+		b.evaluator.SetKeys(b.keygen.WithGaloisKeys(b.sk, b.evaluator.Keys(), missing))
+	}
+	return nil
 }
 
 // newEncryptor returns the backend's encryptor: under the secret key when
@@ -119,7 +138,11 @@ func newEncryptor(params *bgv.Parameters, pk *bgv.PublicKey, sk *bgv.SecretKey, 
 // set would occupy with every key generated at the chain top — the
 // before/after gauge for the Galois-key level budget.
 func (b *Backend) KeyMaterial() (actual, topLevel int64) {
-	return b.keys.MaterialBytes(), b.keys.TopLevelBytes(b.params)
+	keys := b.evaluator.Keys()
+	if keys == nil {
+		return 0, 0
+	}
+	return keys.MaterialBytes(), keys.TopLevelBytes(b.params)
 }
 
 type ciphertext struct {

@@ -9,13 +9,26 @@ import (
 	"copse/internal/he/heclear"
 )
 
+// newBackend builds a seeded backend holding Galois keys for steps at
+// the chain top.
 func newBackend(t *testing.T, levels int, steps []int) *Backend {
 	t.Helper()
-	b, err := New(Config{Params: bgv.TestParams(levels), RotationSteps: steps, Seed: 7})
+	b, err := New(Config{Params: bgv.TestParams(levels), Seed: 7})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	if err := b.EnsureRotationKeys(rotationsAt(steps, b.MaxLevel())); err != nil {
+		t.Fatal(err)
+	}
 	return b
+}
+
+func rotationsAt(steps []int, level int) []he.Rotation {
+	rots := make([]he.Rotation, len(steps))
+	for i, s := range steps {
+		rots[i] = he.Rotation{Step: s, Level: level}
+	}
+	return rots
 }
 
 func TestInterfaceCompliance(t *testing.T) {

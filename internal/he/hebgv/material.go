@@ -7,15 +7,16 @@ import (
 	"copse/internal/he"
 )
 
-// Key-material portability: a cluster distributes one key set across
-// processes — workers evaluate and decrypt with the full material, the
-// stateless gateway encrypts queries and adds shard results with the
-// public part only. Material is the in-memory form; internal/cluster
-// puts it on the wire.
+// Key-material portability: a cluster distributes one key pair across
+// processes — workers evaluate and decrypt, and make the Galois keys
+// their own staged programs rotate by; the stateless gateway encrypts
+// queries and adds shard results with the public key alone. Material is
+// the in-memory form; internal/cluster puts it on the wire.
 
 // Material is a backend's exportable key set. Secret and Keys may be
 // nil: Public alone supports encrypt + keyless ops (add/sub), Keys adds
-// rotations and multiplications, Secret adds decryption.
+// rotations and multiplications, Secret adds decryption and the making
+// of any key the material lacks.
 type Material struct {
 	// Params is the seedable parameter set (prime generation is
 	// deterministic, so the chain itself need not travel).
@@ -25,33 +26,35 @@ type Material struct {
 	Keys   *bgv.EvaluationKeys
 }
 
-// Material exports the backend's key set. The returned structure shares
+// Material exports the backend's key set: the secret key, the public key
+// and every evaluation key made so far. The returned structure shares
 // the backend's key polynomials; callers must treat it as read-only.
 func (b *Backend) Material() *Material {
 	return &Material{
 		Params: b.params.Params,
 		Secret: b.sk,
 		Public: b.pk,
-		Keys:   b.keys,
+		Keys:   b.evaluator.Keys(),
 	}
 }
 
-// PublicMaterial exports the key set without the secret key — what a
-// worker hands the gateway.
+// PublicMaterial exports the encryption scope of the key set, the
+// parameters and the public key — what a worker hands the gateway.
 func (b *Backend) PublicMaterial() *Material {
-	m := b.Material()
-	m.Secret = nil
-	return m
+	return &Material{Params: b.params.Params, Public: b.pk}
 }
 
 // NewFromMaterial constructs a backend around existing key material
-// instead of generating keys. cfg.Params is ignored (the material pins
-// the parameters); cfg.Seed seeds the encryptor only; rotation-step
-// fields are ignored (the material carries whatever keys were
-// generated). A material without Secret yields a backend that encrypts
-// through the public key and evaluates but fails Decrypt/NoiseBudget (with
-// Secret it encrypts under the secret key, as New's); without Keys it supports
-// only additive workloads (Rotate/Mul fail inside the evaluator).
+// instead of generating the key pair. cfg.Params is ignored (the
+// material pins the parameters); cfg.Seed seeds the encryptor and the
+// key generator. A material without Secret yields a backend that
+// encrypts through the public key and evaluates with the keys it carries
+// but fails Decrypt/NoiseBudget (with Secret it encrypts under the
+// secret key, as New's); without Keys it supports only additive
+// workloads (Rotate/Mul fail inside the evaluator). With Secret the
+// backend makes what the material lacks: a relinearization key at
+// construction, Galois keys as staging asks for them
+// (EnsureRotationKeys).
 func NewFromMaterial(cfg Config, m *Material) (*Backend, error) {
 	if m == nil || m.Public == nil {
 		return nil, fmt.Errorf("hebgv: material needs at least a public key")
@@ -69,12 +72,19 @@ func NewFromMaterial(cfg Config, m *Material) (*Backend, error) {
 		encoder:   encoder,
 		encryptor: newEncryptor(params, m.Public, m.Secret, cfg.Seed),
 		evaluator: bgv.NewEvaluator(params, m.Keys),
-		keys:      m.Keys,
 		sk:        m.Secret,
 		pk:        m.Public,
 	}
 	if m.Secret != nil {
 		b.decryptor = bgv.NewDecryptor(params, m.Secret)
+		b.keygen = newKeyGenerator(params, cfg.Seed)
+		if m.Keys == nil || m.Keys.Relin == nil {
+			keys := &bgv.EvaluationKeys{Relin: b.keygen.GenRelinKey(m.Secret)}
+			if m.Keys != nil {
+				keys.Galois = m.Keys.Galois
+			}
+			b.evaluator.SetKeys(keys)
+		}
 	}
 	return b, nil
 }

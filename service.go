@@ -234,19 +234,9 @@ func (s *Service) newBackend(c *Compiled, encModel bool) (he.Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Galois-key level budget: steps the level plan proves are only
-		// rotated in the scheduled-down back half get their keys
-		// generated at that stage's level instead of the chain top
-		// (several-fold less key material on BSGS step sets; the
-		// composed-rotation ladder stays at the top as the fallback for
-		// later-registered models with different schedules). A model
-		// without a plan keeps every key at the top.
-		return hebgv.New(hebgv.Config{
-			Params:             params,
-			RotationSteps:      c.Meta.RotationSteps,
-			RotationStepLevels: c.Meta.RotationStepLevels(encModel),
-			Seed:               s.cfg.seed,
-		})
+		// The key pair and the relinearization key only: staging each
+		// model makes the Galois keys its programs rotate by.
+		return hebgv.New(hebgv.Config{Params: params, Seed: s.cfg.seed})
 	}
 	return nil, fmt.Errorf("copse: unknown backend kind %d", s.cfg.backend)
 }
@@ -271,15 +261,15 @@ func (s *Service) Close() error {
 
 // Register stages a compiled model under a name, sharing the service's
 // backend and key set with every other registered model. The first
-// registration creates the backend (generating Galois keys for that
-// model's rotation-step set plus the power-of-two ladder, on a modulus
-// chain sized to that model's level plan); later models must be staged
-// for the same slot count, any rotation step they need beyond the first
-// model's key set is composed from power-of-two hops — exact steps, a
-// few extra key switches — and a later model needing a deeper chain
-// than the first model's plan has its schedule clamped to the available
-// top. Register a service's largest/deepest model first to give it the
-// exact keys and chain (or fix the chain with WithLevels).
+// registration creates the backend (the key pair and relinearization
+// key, on a modulus chain sized to that model's level plan); later models
+// must be staged for the same slot count, and a later model needing a
+// deeper chain than the first model's plan has its schedule clamped to
+// the available top. Register a service's deepest model first to give it
+// the exact chain (or fix the chain with WithLevels). Every registration
+// makes the Galois keys its model's op programs rotate by that the
+// service lacks, each at the highest level a program rotates it at
+// (DESIGN.md §7.3); models already serving keep running while it does.
 func (s *Service) Register(name string, c *Compiled) error {
 	if name == "" {
 		return fmt.Errorf("copse: empty model name")
