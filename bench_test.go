@@ -269,32 +269,26 @@ func BenchmarkTable6Generate(b *testing.B) {
 }
 
 // BenchmarkClassify: the BGV hot path end to end, across the diagonal
-// kernel and level-scheduling optimizations. Every mode runs the same
-// op-program executor; the modes differ only in what was staged. It
-// reports allocations: a warm pass draws every polynomial from the ring's
-// row pool, so B/op is the result each iteration keeps and small
+// kernels. Both modes run the same op-program executor under the model's
+// level plan, on a chain sized to it; they differ only in what was staged.
+// It reports allocations: a warm pass draws every polynomial from the
+// ring's row pool, so B/op is the result each iteration keeps and small
 // bookkeeping.
 //
-//	naive      one rotation per diagonal (CompileOptions.NoBSGS),
-//	           reactive noise management (CompileOptions.NoLevelPlan)
-//	bsgs       baby-step/giant-step kernel, reactive noise management
-//	bsgs+plan  the default configuration: static level schedule,
-//	           operands staged at stage levels, chain sized to the plan
+//	naive  one rotation per diagonal (CompileOptions.NoBSGS)
+//	bsgs   the default configuration: baby-step/giant-step kernel
 func BenchmarkClassify(b *testing.B) {
 	modes := []struct {
-		name           string
-		noBSGS, noPlan bool
+		name   string
+		noBSGS bool
 	}{
-		{"naive", true, true},
-		{"bsgs", false, true},
-		{"bsgs+plan", false, false},
+		{"naive", true},
+		{"bsgs", false},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
-			compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{
-				Slots: 1024, NoBSGS: mode.noBSGS, NoLevelPlan: mode.noPlan,
-			})
+			compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024, NoBSGS: mode.noBSGS})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -69,29 +69,26 @@ func main() {
 		m.QPad, m.BPad, len(m.RotationSteps), m.RecommendedLevels)
 	fmt.Fprintf(os.Stderr, "  ct-ct depth: %d (encrypted model) / %d (plaintext model)\n",
 		m.CtDepthCipherModel, m.CtDepthPlainModel)
-	if plan := m.LevelPlan; plan != nil {
-		fmt.Fprintf(os.Stderr, "  level plan: %d-prime chain (reactive: %d); cipher-model stages compare=%d reshuffle=%d level=%d accumulate=%d final=%d\n",
-			plan.Levels, m.RecommendedLevels,
-			plan.Cipher.Compare, plan.Cipher.Reshuffle, plan.Cipher.Level, plan.Cipher.Accumulate, plan.Cipher.Final)
-	}
+	plan := m.LevelPlan
+	fmt.Fprintf(os.Stderr, "  level plan: %d-prime chain (recommended: %d); cipher-model stages compare=%d reshuffle=%d level=%d accumulate=%d final=%d\n",
+		plan.Levels, m.RecommendedLevels,
+		plan.Cipher.Compare, plan.Cipher.Reshuffle, plan.Cipher.Level, plan.Cipher.Accumulate, plan.Cipher.Final)
 	// The op program does not depend on the backend, so staging onto the
 	// exact one is enough to read off what the level pass predicts for it
 	// and how much parallelism the model offers the pass scheduler
 	// (DESIGN.md §8.1, §9). Under -planshuffle it is the program a
 	// shuffling service runs, the result shuffle its fifth stage.
 	for _, encModel := range []bool{true, false} {
-		staged, err := core.PrepareWithPlan(heclear.New(m.Slots, 65537), compiled, encModel, m.LevelPlan, *planShuffle)
+		staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, encModel, *planShuffle)
 		if err != nil {
 			log.Fatal(err)
 		}
 		name := map[bool]string{true: "cipher", false: "plain"}[encModel]
-		if rows := staged.PredictedNoise(); rows != nil {
-			fmt.Fprintf(os.Stderr, "  predicted (%s model), level/margin bits:", name)
-			for _, r := range rows {
-				fmt.Fprintf(os.Stderr, " %s %d/%.0f", r.At, r.Level, r.MarginBits)
-			}
-			fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "  predicted (%s model), level/margin bits:", name)
+		for _, r := range staged.PredictedNoise() {
+			fmt.Fprintf(os.Stderr, " %s %d/%.0f", r.At, r.Level, r.MarginBits)
 		}
+		fmt.Fprintln(os.Stderr)
 		// One program per plane packing: which one a pass runs follows from
 		// how many of the batch blocks its queries fill (DESIGN.md §13.4).
 		for _, g := range staged.PlanePackings() {

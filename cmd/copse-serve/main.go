@@ -117,7 +117,7 @@ func main() {
 	workersArg := flag.String("workers", "", "goroutines per classification pass (empty/0 = GOMAXPROCS, 1 = sequential); in -gateway mode: comma-separated worker base URLs")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent classification cap (0 = unlimited)")
 	shedQueue := flag.Int("shedqueue", 0, "load-shedding queue bound: calls beyond -max-inflight wait here; overflow is rejected with 429 + Retry-After (0 = queue without bound; needs -max-inflight)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-request classification timeout")
+	timeout := flag.Duration("timeout", 2*time.Minute, "deadline of every request, in every mode: a classification that cannot finish in it answers 504 (a gateway splits it over its stages and the worker hops, a worker's service fails fast on it)")
 	seed := flag.Uint64("seed", 0, "deterministic keys/encryption when non-zero (tests only — except -worker mode, where a shared seed is how the fleet derives one key set; with -shuffle it also makes every shuffle permutation predictable to anyone who knows the seed, voiding the leakage hardening)")
 	shuffle := flag.Bool("shuffle", false, "shuffle results (leakage hardening, §7.2.2): responses carry per-query codebooks and vote counts instead of per-tree labels; models need CompileOptions.PlanShuffle")
 	batchWindow := flag.Duration("batchwindow", 0, "dynamic batching linger: concurrent requests for the same model coalesce into shared slot-packed passes, which fire at the model's batch capacity or once the first rider has waited this long (0 = off)")
@@ -176,6 +176,7 @@ func main() {
 			keyFile:   *keyFile,
 			writeKeys: *writeKeys,
 			service:   opts,
+			timeout:   *timeout,
 			drain:     *drain,
 		})
 		return
@@ -229,8 +230,8 @@ func main() {
 		log.Printf("dynamic batching on: linger %v, passes fire at batch capacity", *batchWindow)
 	}
 
-	srv := &server{svc: svc, timeout: *timeout, shuffle: *shuffle}
-	if err := serveHTTP(*listen, srv.handler(), *drain, svc.Close); err != nil {
+	srv := &server{svc: svc, shuffle: *shuffle}
+	if err := serveHTTP(*listen, srv.handler(), *timeout, *drain, svc.Close); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -258,15 +259,16 @@ func registerOrder(names []string, compiled map[string]*copse.Compiled, scenario
 	return nil
 }
 
-// serveHTTP runs handler on addr until the process receives SIGINT or
-// SIGTERM, then drains in-flight requests (bounded by drain) and calls
-// shutdown to release the service and its key material. A listener
-// error (port in use, etc.) is returned immediately.
-func serveHTTP(addr string, handler http.Handler, drain time.Duration, shutdown func() error) error {
+// serveHTTP runs handler on addr, every request under the timeout
+// deadline, until the process receives SIGINT or SIGTERM, then drains
+// in-flight requests (bounded by drain) and calls shutdown to release the
+// service and its key material. A listener error (port in use, etc.) is
+// returned immediately.
+func serveHTTP(addr string, handler http.Handler, timeout, drain time.Duration, shutdown func() error) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := &http.Server{Addr: addr, Handler: withDeadline(handler, timeout)}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("listening on %s", addr)
@@ -293,6 +295,18 @@ func serveHTTP(addr string, handler http.Handler, drain time.Duration, shutdown 
 	}
 }
 
+// withDeadline puts every request h serves under a deadline timeout from
+// its arrival: the one -timeout of all three modes. The single-node
+// service and a worker's fail fast on it, and a gateway splits it over its
+// stages and worker hops; a request that runs out answers 504.
+func withDeadline(h http.Handler, timeout time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		h.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
+
 type workerOptions struct {
 	listen    string
 	manifests modelFlags
@@ -301,6 +315,7 @@ type workerOptions struct {
 	keyFile   string
 	writeKeys string
 	service   []copse.Option
+	timeout   time.Duration
 	drain     time.Duration
 }
 
@@ -375,7 +390,7 @@ func runWorker(o workerOptions) {
 		log.Printf("wrote full key material (secret included) to %s — distribute over a private channel only", o.writeKeys)
 	}
 
-	if err := serveHTTP(o.listen, w.Handler(), o.drain, w.Close); err != nil {
+	if err := serveHTTP(o.listen, w.Handler(), o.timeout, o.drain, w.Close); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -403,11 +418,10 @@ func runGateway(o gatewayOptions) {
 	}
 
 	g := cluster.NewGateway(cluster.GatewayConfig{
-		Workers:        urls,
-		ProbeInterval:  o.probe,
-		RequestTimeout: o.timeout,
-		Breaker:        cluster.BreakerConfig{Threshold: o.breaker},
-		Retries:        o.retries,
+		Workers:       urls,
+		ProbeInterval: o.probe,
+		Breaker:       cluster.BreakerConfig{Threshold: o.breaker},
+		Retries:       o.retries,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	err := g.Refresh(ctx)
@@ -425,14 +439,13 @@ func runGateway(o gatewayOptions) {
 	}
 	g.Start()
 
-	if err := serveHTTP(o.listen, g.Handler(), o.drain, g.Close); err != nil {
+	if err := serveHTTP(o.listen, g.Handler(), o.timeout, o.drain, g.Close); err != nil {
 		log.Fatal(err)
 	}
 }
 
 type server struct {
 	svc     *copse.Service
-	timeout time.Duration
 	shuffle bool
 }
 
@@ -480,9 +493,7 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-
+	ctx := r.Context()
 	meta, err := s.svc.Meta(req.Model)
 	if err != nil {
 		cluster.WriteError(w, err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,7 +30,7 @@ func serveFigure1(t *testing.T, shuffle bool, opts ...copse.Option) (*copse.Fore
 	if err := svc.Register("figure1", c); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer((&server{svc: svc, timeout: time.Minute, shuffle: shuffle}).handler())
+	ts := httptest.NewServer((&server{svc: svc, shuffle: shuffle}).handler())
 	t.Cleanup(ts.Close)
 	return forest, c, ts
 }
@@ -203,4 +204,86 @@ func TestSingleNodeHTTPShuffled(t *testing.T) {
 			t.Errorf("query %d: votes %v, want %v", i, votes, want)
 		}
 	}
+}
+
+// figure1Cluster runs one worker holding the Figure 1 model as a single
+// shard, served through wrapWorker, and a gateway that has probed it.
+func figure1Cluster(t *testing.T, wrapWorker func(http.Handler) http.Handler) *cluster.Gateway {
+	t.Helper()
+	c, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := copse.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cluster.NewWorker(cluster.WorkerConfig{Seed: 9})
+	t.Cleanup(func() { w.Close() })
+	if err := w.AddShard("figure1", manifest, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	ws := httptest.NewServer(wrapWorker(w.Handler()))
+	t.Cleanup(ws.Close)
+	g := cluster.NewGateway(cluster.GatewayConfig{Workers: []string{ws.URL}, Retries: -1})
+	t.Cleanup(func() { g.Close() })
+	if err := g.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestGatewayRequestDeadline: a gateway under a deadline it cannot meet
+// answers /v1/classify with 504 — the -timeout deadline reaches its
+// stage budget, not only each hop.
+func TestGatewayRequestDeadline(t *testing.T) {
+	g := figure1Cluster(t, func(h http.Handler) http.Handler { return h })
+	gs := httptest.NewServer(withDeadline(g.Handler(), time.Nanosecond))
+	defer gs.Close()
+	var resp struct{ Error string }
+	if status := postClassify(t, gs.URL, cluster.ClassifyRequest{Model: "figure1", Queries: [][]uint64{{3, 7}}}, &resp); status != http.StatusGatewayTimeout {
+		t.Fatalf("gateway under a 1 ns deadline: %d %q, want 504", status, resp.Error)
+	}
+}
+
+// TestWorkerRequestDeadline: a worker under a deadline it cannot meet
+// answers /v1/cluster/classify with 504 — the -timeout deadline reaches
+// its service's fast-fail.
+func TestWorkerRequestDeadline(t *testing.T) {
+	var mu sync.Mutex
+	var statuses []int
+	g := figure1Cluster(t, func(h http.Handler) http.Handler {
+		h = withDeadline(h, time.Nanosecond)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+			h.ServeHTTP(rec, r)
+			if r.URL.Path == "/v1/cluster/classify" {
+				mu.Lock()
+				statuses = append(statuses, rec.status)
+				mu.Unlock()
+			}
+		})
+	})
+	gs := httptest.NewServer(g.Handler())
+	defer gs.Close()
+	var resp struct{ Error string }
+	if status := postClassify(t, gs.URL, cluster.ClassifyRequest{Model: "figure1", Queries: [][]uint64{{3, 7}}}, &resp); status == http.StatusOK {
+		t.Fatal("classified through a worker under a 1 ns deadline")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(statuses) == 0 || slices.ContainsFunc(statuses, func(s int) bool { return s != http.StatusGatewayTimeout }) {
+		t.Fatalf("worker /v1/cluster/classify answered %v, want 504", statuses)
+	}
+}
+
+// statusRecorder notes the status a handler answers with.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(status int) {
+	r.status = status
+	r.ResponseWriter.WriteHeader(status)
 }

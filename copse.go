@@ -86,9 +86,11 @@ type (
 	Party = core.Party
 	// Leakage describes what a party learns in a scenario.
 	Leakage = core.Leakage
-	// PlanInfeasibleError is Service.Register's rejection of a model whose
-	// level plan its op program cannot run under (a stale or hand-edited
-	// artifact): a load-time error instead of a garbage label.
+	// PlanInfeasibleError is the load-time refusal of a model without a
+	// feasible level plan: Compile's and ReadArtifact's when the planner
+	// finds none, Service.Register's when the stored plan is one its op
+	// program cannot run under (a stale or hand-edited artifact) — an
+	// error instead of a garbage label.
 	PlanInfeasibleError = core.PlanInfeasibleError
 	// QueryLayoutError is Service.Classify's rejection of a query laid
 	// out for something else than the model it is handed to — features

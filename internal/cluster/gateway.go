@@ -488,24 +488,9 @@ func (g *Gateway) snapshot(name string) (*route, error) {
 // supports within each query's block, so the sum is bit-identical to
 // the unsharded classification (DESIGN.md §12).
 func (g *Gateway) Classify(ctx context.Context, model string, queries [][]uint64) ([]DecodedResult, *FanoutTrace, error) {
-	r, err := g.snapshot(model)
+	r, backend, err := g.admit(model)
 	if err != nil {
 		return nil, nil, err
-	}
-	// Availability reflects both the probe's view (snapshot holders) and
-	// the data path's (breaker state), so a worker that died between
-	// probes stops receiving traffic as soon as its breaker opens.
-	for i, h := range r.holders {
-		r.holders[i] = g.filterAdmitted(h)
-	}
-	if !r.available() {
-		return nil, nil, &ModelUnavailableError{Model: model, Missing: r.missing(), Problem: r.problem}
-	}
-	g.mu.RLock()
-	backend := g.backends[r.fingerprint]
-	g.mu.RUnlock()
-	if backend == nil || r.meta == nil {
-		return nil, nil, &ModelUnavailableError{Model: model, Problem: "key material or meta not yet fetched"}
 	}
 	// A malformed query is the client's fault, refused before any pass:
 	// no chunk of it runs, and it is not a serving failure.
@@ -529,6 +514,36 @@ func (g *Gateway) Classify(ctx context.Context, model string, queries [][]uint64
 	g.requests.Add(1)
 	g.queries.Add(int64(len(queries)))
 	return out, trace, nil
+}
+
+// admit is the one admission check: Classify serves under it and Models
+// reports it. It returns the model's route, its holders filtered by the
+// breakers, and the backend to encrypt and merge on; when any of them is
+// missing it returns a *ModelUnavailableError beside the route.
+func (g *Gateway) admit(model string) (*route, *hebgv.Backend, error) {
+	r, err := g.snapshot(model)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Availability reflects both the probe's view (snapshot holders) and
+	// the data path's (breaker state), so a worker that died between
+	// probes stops receiving traffic as soon as its breaker opens.
+	for i, h := range r.holders {
+		r.holders[i] = g.filterAdmitted(h)
+	}
+	if !r.available() {
+		return r, nil, &ModelUnavailableError{Model: model, Missing: r.missing(), Problem: r.problem}
+	}
+	g.mu.RLock()
+	backend := g.backends[r.fingerprint]
+	g.mu.RUnlock()
+	// A route can hold a meta carried over by model name while its
+	// fingerprint has no backend yet: after Close, or while a changed
+	// fleet's key material is being fetched.
+	if backend == nil || r.meta == nil {
+		return r, nil, &ModelUnavailableError{Model: model, Problem: "key material or meta not yet fetched"}
+	}
+	return r, backend, nil
 }
 
 // FanoutTrace is the per-request cluster timing breakdown.
@@ -846,8 +861,8 @@ type GatewayModel struct {
 }
 
 // Models returns the shard-aware model inventory. Availability is the
-// serving truth — it reflects the probe view and the per-worker breaker
-// state, exactly like Classify's admission check.
+// serving truth: Classify's admission check (admit), which reflects the
+// probe view, the per-worker breaker state and the key material fetched.
 func (g *Gateway) Models() []GatewayModel {
 	g.mu.RLock()
 	names := make([]string, 0, len(g.routes))
@@ -857,22 +872,23 @@ func (g *Gateway) Models() []GatewayModel {
 	g.mu.RUnlock()
 	out := make([]GatewayModel, 0, len(names))
 	for _, name := range names {
-		// snapshot + filter outside the read lock: filterAdmitted takes
-		// the gateway lock itself when it must create a breaker.
-		r, err := g.snapshot(name)
-		if err != nil {
+		// admit outside the read lock: filterAdmitted takes the gateway
+		// lock itself when it must create a breaker.
+		r, _, err := g.admit(name)
+		if r == nil {
 			continue
-		}
-		for i, h := range r.holders {
-			r.holders[i] = g.filterAdmitted(h)
 		}
 		m := GatewayModel{
 			Name:          name,
 			Shards:        r.shards,
-			Available:     r.available() && r.meta != nil,
+			Available:     err == nil,
 			MissingShards: r.missing(),
 			Problem:       r.problem,
 			Workers:       r.holders,
+		}
+		var unavailable *ModelUnavailableError
+		if errors.As(err, &unavailable) {
+			m.Problem = unavailable.Problem
 		}
 		if r.meta != nil {
 			m.NumFeatures = r.meta.NumFeatures

@@ -156,3 +156,63 @@ func TestGatewayRefusesMalformedQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayModelsMatchAdmission: /v1/models reports a model available
+// exactly when Classify admits it. A route that keeps its meta while its
+// fingerprint has no backend — here after Close, which drops the backends
+// — is unavailable in /v1/models, with the reason, and Classify refuses it
+// with a 503.
+func TestGatewayModelsMatchAdmission(t *testing.T) {
+	c, err := core.Compile(clusterForest(t, 58), core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Seed: 74})
+	defer w.Close()
+	if err := w.AddShard("forest", manifest, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	ws := httptest.NewServer(w.Handler())
+	defer ws.Close()
+	g := NewGateway(GatewayConfig{Workers: []string{ws.URL}})
+	if err := g.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gs := httptest.NewServer(g.Handler())
+	defer gs.Close()
+	models := func() []GatewayModel {
+		t.Helper()
+		resp, err := http.Get(gs.URL + "/v1/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out []GatewayModel
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got := models(); len(got) != 1 || !got[0].Available {
+		t.Fatalf("after Refresh: %+v, want forest available", got)
+	}
+
+	g.Close()
+	got := models()
+	if len(got) != 1 || got[0].Available || got[0].NumFeatures == 0 || got[0].Problem == "" {
+		t.Errorf("meta but no backend: %+v, want forest unavailable with its meta and a reason", got)
+	}
+	body, _ := json.Marshal(ClassifyRequest{Model: "forest", Queries: [][]uint64{{1, 2, 3}}})
+	resp, err := http.Post(gs.URL+"/v1/classify", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("classify on a route without a backend: %s, want 503", resp.Status)
+	}
+}

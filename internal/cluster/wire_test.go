@@ -283,9 +283,6 @@ func TestWireGoldenMeta(t *testing.T) {
 	if !reflect.DeepEqual(got, &c.Meta) {
 		t.Errorf("meta round trip:\n got %+v\nwant %+v", got, &c.Meta)
 	}
-	if got.LevelPlan == nil {
-		t.Error("level plan lost on the wire")
-	}
 }
 
 // TestWireVersionError pins the typed future-version error: a frame

@@ -138,7 +138,7 @@ func checkVotes(t *testing.T, b he.Backend, f *model.Forest, m *ModelOperands, o
 			votes[label]++
 		}
 		if !slices.Equal(res.Votes, votes) || cbs == nil && !slices.Equal(res.PerTree, want) {
-			t.Fatalf("plan=%v batch of %d, query %d: votes %v trees %v, forest says %v", m.Plan != nil, len(batch), i, res.Votes, res.PerTree, want)
+			t.Fatalf("batch of %d, query %d: votes %v trees %v, forest says %v", len(batch), i, res.Votes, res.PerTree, want)
 		}
 	}
 }
@@ -158,9 +158,6 @@ func packingFills(m *Meta) []int {
 // invariant: under the level plan the backend performs no implicit
 // alignment in any stage of any scenario, at any plane packing — each
 // one is an opDrop of the program — and the answers are the forest's.
-// Staged reactively (PrepareWithPlan with a nil plan, as a model
-// compiled with Options.NoLevelPlan is) the same models do align
-// inside the backend, which is what the counter is for.
 func TestPlannedPassAlignsNothing(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 1))
 	for name, ac := range alignCorpus(t) {
@@ -168,14 +165,15 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 		for _, cfg := range schedConfigs {
 			t.Run(name+"/"+cfg.name, func(t *testing.T) {
 				b := he.Backend(planBackend(t, c, cfg.encModel))
-				stage := func(plan *LevelPlan) *ModelOperands {
-					m, err := PrepareWithPlan(b, c, cfg.encModel, plan, ac.shuffle)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return m
+				m, err := Prepare(b, c, cfg.encModel, ac.shuffle)
+				if err != nil {
+					t.Fatal(err)
 				}
-				classify := func(m *ModelOperands, fill int) *Trace {
+				start := 0
+				if c.Shard != nil {
+					start = c.Shard.TreeStart
+				}
+				for _, fill := range packingFills(&c.Meta) {
 					batch := make([][]uint64, fill)
 					for i := range batch {
 						batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
@@ -184,41 +182,18 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, cbs, trace := classifyCase(t, &Engine{Backend: b}, m, q)
-					if g := m.Meta.PlanesPerCiphertext(fill); trace.PlanesPerCiphertext != g || trace.QueryCiphertexts != m.Meta.QueryCiphertexts(g) {
+					out, cbs, tr := classifyCase(t, &Engine{Backend: b}, m, q)
+					if g := m.Meta.PlanesPerCiphertext(fill); tr.PlanesPerCiphertext != g || tr.QueryCiphertexts != m.Meta.QueryCiphertexts(g) {
 						t.Fatalf("fill %d ran %d operands at %d planes per ciphertext, want %d at %d",
-							fill, trace.QueryCiphertexts, trace.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
-					}
-					start := 0
-					if c.Shard != nil {
-						start = c.Shard.TreeStart
+							fill, tr.QueryCiphertexts, tr.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
 					}
 					checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
-					return trace
-				}
-				planned := stage(c.Meta.LevelPlan)
-				for _, fill := range packingFills(&c.Meta) {
-					tr := classify(planned, fill)
 					for st, ops := range []he.OpCounts{tr.CompareOps, tr.ReshuffleOps, tr.LevelOps, tr.AccumulateOps, tr.ShuffleOps} {
 						if ops.Aligns != 0 {
-							t.Errorf("planned %s stage at %d planes per ciphertext: backend aligned %d operands itself",
+							t.Errorf("%s stage at %d planes per ciphertext: backend aligned %d operands itself",
 								stageNames[st], tr.PlanesPerCiphertext, ops.Aligns)
 						}
 					}
-				}
-				// The reactive contrast runs on the unshuffled Table 6 models
-				// of the full suite; wide8 stages too slowly to do twice.
-				// Reactive management needs the chain the compiler recommends
-				// for it, not the plan's.
-				if testing.Short() || f.NumFeatures != 2 || ac.shuffle {
-					return
-				}
-				reactive := *c
-				reactive.Meta.LevelPlan = nil
-				b = planBackend(t, &reactive, cfg.encModel)
-				tr := classify(stage(nil), c.Meta.BatchCapacity())
-				if n := tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps).Aligns; n == 0 {
-					t.Error("reactive staging: no implicit alignment counted")
 				}
 			})
 		}

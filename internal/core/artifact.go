@@ -17,9 +17,9 @@ import (
 // schedule (Meta.LevelPlan); v4 added the sharding fields
 // (Meta.ForcedSPad, Compiled.Shard). The payload encoding is unchanged —
 // gob is self-describing — so older artifacts still load: their
-// zero-valued fields select the naive kernel (v1), reactive noise
-// management (v1/v2, LevelPlan == nil), and unsharded layout (v1–v3)
-// they were staged for.
+// zero-valued fields select the naive kernel (v1) and unsharded layout
+// (v1–v3) they were staged for. A v1/v2 artifact carries no level plan;
+// ReadArtifact plans it at load, with the result shuffle's headroom.
 const (
 	artifactMagic   = "COPSEv4\n"
 	artifactMagicV3 = "COPSEv3\n"
@@ -56,6 +56,15 @@ func ReadArtifact(r io.Reader) (*Compiled, error) {
 	c := &Compiled{}
 	if err := gob.NewDecoder(zr).Decode(c); err != nil {
 		return nil, fmt.Errorf("core: decoding artifact: %w", err)
+	}
+	if string(magic) == artifactMagicV2 || string(magic) == artifactMagicV1 {
+		// Older artifacts were served at the chain top, result shuffle
+		// included, and never promised a minimal chain: the plan keeps
+		// the headroom to shuffle. A model the planner cannot schedule is
+		// refused here, typed, like Compile refuses it.
+		if c.Meta.LevelPlan, err = computeLevelPlan(&c.Meta, true); err != nil {
+			return nil, fmt.Errorf("core: planning a %s artifact: %w", magic[:len(magic)-1], err)
+		}
 	}
 	return c, nil
 }

@@ -2,14 +2,15 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"copse/internal/he"
-	"copse/internal/he/heclear"
 	"copse/internal/model"
 )
 
@@ -83,9 +84,6 @@ func TestArtifactV3CarriesLevelPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Meta.LevelPlan == nil {
-		t.Fatal("no level plan compiled")
-	}
 	var buf bytes.Buffer
 	if err := WriteArtifact(&buf, c); err != nil {
 		t.Fatal(err)
@@ -94,20 +92,19 @@ func TestArtifactV3CarriesLevelPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Meta.LevelPlan == nil {
-		t.Fatal("level plan lost in round trip")
-	}
 	if !reflect.DeepEqual(back.Meta.LevelPlan, c.Meta.LevelPlan) {
 		t.Errorf("level plan changed in round trip: %+v vs %+v", back.Meta.LevelPlan, c.Meta.LevelPlan)
 	}
 }
 
 // TestGoldenArtifactBackCompat: the committed golden v1 and v2 artifacts
-// (written by the earlier format generations; see testdata) load, report
-// no level plan — selecting the reactive fallback they were staged for —
-// and classify correctly.
+// (written by the earlier format generations; see testdata) load with a
+// level plan — made at load, with the result shuffle's headroom — and
+// classify on BGV exactly like the forest in every scenario, shuffled and
+// not, with no level alignment left to the backend.
 func TestGoldenArtifactBackCompat(t *testing.T) {
 	forest := model.Figure1()
+	batch := [][]uint64{{0, 5}, {6, 0}, {15, 15}}
 	for _, tc := range []struct {
 		file    string
 		useBSGS bool
@@ -123,42 +120,67 @@ func TestGoldenArtifactBackCompat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.file, err)
 		}
-		if c.Meta.LevelPlan != nil {
-			t.Errorf("%s: pre-v3 artifact reports a level plan", tc.file)
-		}
 		if c.Meta.UseBSGS != tc.useBSGS {
 			t.Errorf("%s: UseBSGS = %v, want %v", tc.file, c.Meta.UseBSGS, tc.useBSGS)
 		}
-		b := heclear.New(c.Meta.Slots, 65537)
-		m, err := Prepare(b, c, true)
+		want, err := computeLevelPlan(&c.Meta, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Plan != nil {
-			t.Errorf("%s: reactive artifact staged with a plan", tc.file)
+		if !reflect.DeepEqual(c.Meta.LevelPlan, want) {
+			t.Fatalf("%s: planned at load %+v, want the shuffle-headroom plan %+v", tc.file, c.Meta.LevelPlan, want)
 		}
-		e := &Engine{Backend: b}
-		for _, feats := range [][]uint64{{0, 5}, {6, 0}, {15, 15}} {
-			want := forest.Classify(feats)
-			q, err := PrepareQuery(b, &m.Meta, feats, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, _, err := e.Classify(m, q)
-			if err != nil {
-				t.Fatalf("%s: Classify(%v): %v", tc.file, feats, err)
-			}
-			slots, err := he.Reveal(b, out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := DecodeResult(&m.Meta, slots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.PerTree[0] != want[0] {
-				t.Errorf("%s: Classify(%v) = L%d, want L%d", tc.file, feats, res.PerTree[0], want[0])
+		for _, cfg := range schedConfigs {
+			b := planBackend(t, c, cfg.encModel)
+			for _, shuffle := range []bool{false, true} {
+				m, err := Prepare(b, c, cfg.encModel, shuffle)
+				if err != nil {
+					t.Fatalf("%s/%s/shuffle=%v: %v", tc.file, cfg.name, shuffle, err)
+				}
+				q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, cbs, tr := classifyCase(t, &Engine{Backend: b}, m, q)
+				checkVotes(t, b, forest, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), 0)
+				if n := tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps).Plus(tr.ShuffleOps).Aligns; n != 0 {
+					t.Errorf("%s/%s/shuffle=%v: backend aligned %d operands itself", tc.file, cfg.name, shuffle, n)
+				}
 			}
 		}
+	}
+}
+
+// TestUnplannableArtifactRefused: a v2 artifact the planner cannot
+// schedule — the golden one with its payload corrupted to a 1024-bit
+// comparison on a ring of 2^62 slots, past the search bound — is refused
+// by ReadArtifact with the typed error instead of loading without a plan.
+func TestUnplannableArtifactRefused(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "figure1_v2.copse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw[len(artifactMagicV2):]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Compiled{}
+	if err := gob.NewDecoder(zr).Decode(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Meta.Slots, c.Meta.Precision = 1<<62, 1024
+	var buf bytes.Buffer
+	buf.WriteString(artifactMagicV2)
+	zw := gzip.NewWriter(&buf)
+	if err := gob.NewEncoder(zw).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadArtifact(&buf)
+	var infeasible *PlanInfeasibleError
+	if !errors.As(err, &infeasible) {
+		t.Fatalf("ReadArtifact: %v, want *PlanInfeasibleError", err)
 	}
 }

@@ -35,16 +35,16 @@ type BaselineForest struct {
 }
 
 // buildBaseline lowers f to ops in three stages — compare, levels,
-// accumulate — with the scheduled drop points marked when a plan is given.
-// The reshuffle stage is empty: the decisions are already one ciphertext
-// per node.
-func buildBaseline(f *BaselineForest, plan *StageLevels) (*Program, error) {
+// accumulate — with the scheduled drop points of plan marked. The
+// reshuffle stage is empty: the decisions are already one ciphertext per
+// node.
+func buildBaseline(f *BaselineForest, plan StageLevels) (*Program, error) {
 	prec := f.Precision
 	if prec < 1 || len(f.Features) == 0 || len(f.Paths) == 0 {
 		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d decision nodes and %d leaves at precision %d", len(f.Features), len(f.Paths), prec)}
 	}
 	p := &Program{encModel: true, stages: stShuffle}
-	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, plan: plan}
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, rounds: len(plan.CompareRounds)}
 
 	// ---- Stage 1: compare -------------------------------------------
 	// Every node's comparison, on its feature's planes and its own ¬y.
@@ -103,12 +103,12 @@ func buildBaseline(f *BaselineForest, plan *StageLevels) (*Program, error) {
 // its query and thresholds at the Compare entry and its label bits at the
 // Level entry; the chain it needs is Compare + 1.
 func PlanBaseline(f *BaselineForest, slots int) (StageLevels, error) {
-	p, err := buildBaseline(f, &StageLevels{CompareRounds: make([]int, log2Ceil(max(f.Precision, 1)))})
+	p, err := buildBaseline(f, StageLevels{CompareRounds: make([]int, log2Ceil(max(f.Precision, 1)))})
 	if err != nil {
 		return StageLevels{}, err
 	}
-	plan, ok := planner{nm: planNoiseModel(slots), progs: []*Program{p}}.schedule(minFinalLevel, 0)
-	if !ok {
+	plan, fail := planner{nm: planNoiseModel(slots), progs: []*Program{p}}.schedule(minFinalLevel, 0)
+	if fail != nil {
 		return StageLevels{}, fmt.Errorf("core: no level schedule for the baseline within %d levels", planCap)
 	}
 	return plan, nil
@@ -117,11 +117,11 @@ func PlanBaseline(f *BaselineForest, slots int) (StageLevels, error) {
 // NewBaselineProgram builds f's baseline program under plan (PlanBaseline's)
 // and binds its constant on b.
 func NewBaselineProgram(b he.Backend, f *BaselineForest, plan StageLevels) (*Program, error) {
-	p, err := buildBaseline(f, &plan)
+	p, err := buildBaseline(f, plan)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.finish(b.Slots(), &plan); err != nil {
+	if err := p.finish(b.Slots(), plan); err != nil {
 		return nil, err
 	}
 	if err := p.bind(b, nil); err != nil {

@@ -55,7 +55,7 @@ func randomFeatures(rng *rand.Rand, numFeatures, precision int) []uint64 {
 // against the plaintext forest walk.
 func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, batch [][]uint64, encryptModel, encryptQuery bool) {
 	t.Helper()
-	m, err := Prepare(b, c, encryptModel)
+	m, err := Prepare(b, c, encryptModel, false)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestBatchVsSingleEquivalenceBGV(t *testing.T) {
 	for i := range batch {
 		batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
 	}
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

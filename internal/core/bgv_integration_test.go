@@ -30,7 +30,7 @@ func TestPipelineOnBGVFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPipelineOnBGVPlaintextModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := Prepare(b, c, false)
+	m, err := Prepare(b, c, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestComparatorPrecisionSweep(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(p), 17))
 		for _, sc := range scenarios {
 			t.Run(fmt.Sprintf("p%d/%s", p, sc.name), func(t *testing.T) {
-				m, err := core.Prepare(b, c, sc.encModel)
+				m, err := core.Prepare(b, c, sc.encModel, false)
 				if err != nil {
 					t.Fatal(err)
 				}

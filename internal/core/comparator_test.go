@@ -92,7 +92,7 @@ func TestCompareBillTable6(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Prepare(heclear.New(1024, 65537), c, tc.encModel)
+		m, err := Prepare(heclear.New(1024, 65537), c, tc.encModel, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,10 +24,6 @@ type Options struct {
 	// escape hatch. The default (false) emits the reduced ~2·√period
 	// rotation-step set and pre-rotated diagonals.
 	NoBSGS bool
-	// NoLevelPlan skips the static level schedule (Meta.LevelPlan),
-	// staging a reactive-only model — the ablation knob for level
-	// scheduling (DESIGN.md §8).
-	NoLevelPlan bool
 	// PlanShuffle reserves level headroom in the schedule so the
 	// classification result can still feed the optional result shuffle
 	// (§7.2.2). The default minimal schedule lands the result below the
@@ -234,12 +230,12 @@ func Compile(f *model.Forest, opts Options) (*Compiled, error) {
 	}
 	meta.RotationSteps = rotationSteps(qPad, bPad, nPad, slots, meta.UseBSGS)
 	meta.estimateDepth()
-	if !opts.NoLevelPlan {
-		// The static level schedule (levelplan.go): per-stage target
-		// levels from the level pass over the op program, so the engine
-		// can execute each stage on exactly the fraction of the modulus
-		// chain its remaining circuit needs.
-		meta.LevelPlan = computeLevelPlan(&meta, opts.PlanShuffle)
+	// The static level schedule (levelplan.go): per-stage target levels
+	// from the level pass over the op program, so the engine executes each
+	// stage on exactly the fraction of the modulus chain its remaining
+	// circuit needs. A model without one is not served.
+	if meta.LevelPlan, err = computeLevelPlan(&meta, opts.PlanShuffle); err != nil {
+		return nil, err
 	}
 
 	return &Compiled{

@@ -105,7 +105,7 @@ func classifySecure(t *testing.T, e *Engine, m *ModelOperands, feats []uint64, e
 func TestFigure1Walkthrough(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPipelineMatchesDirectEvaluation(t *testing.T) {
 		}
 		encModel := cfg&1 != 0
 		encFeats := cfg&2 != 0
-		m, err := Prepare(b, c, encModel)
+		m, err := Prepare(b, c, encModel, false)
 		if err != nil {
 			t.Logf("prepare: %v", err)
 			return false
@@ -263,7 +263,7 @@ func TestPlaintextModelCheaper(t *testing.T) {
 	feats := []uint64{3, 9}
 	direct := model.Figure1().Classify(feats)
 
-	encM, err := Prepare(b, c, true)
+	encM, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestPlaintextModelCheaper(t *testing.T) {
 	gotEnc := classifySecure(t, e, encM, feats, true)
 	encOps := b.Counts()
 
-	plainM, err := Prepare(b, c, false)
+	plainM, err := Prepare(b, c, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestDepthMatchesEstimate(t *testing.T) {
 			if encModel {
 				estimate = c.Meta.CtDepthCipherModel
 			}
-			m, err := Prepare(b, c, encModel)
+			m, err := Prepare(b, c, encModel, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +346,7 @@ func TestPadMultiplicityTo(t *testing.T) {
 	if c.Meta.K != 5 || c.Meta.Q != 10 || c.Meta.QPad != 16 {
 		t.Errorf("padded meta: K=%d Q=%d QPad=%d", c.Meta.K, c.Meta.Q, c.Meta.QPad)
 	}
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestPadMultiplicityTo(t *testing.T) {
 func TestTraceStages(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestPrepareSlotMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Prepare(b, c, true); err == nil {
+	if _, err := Prepare(b, c, true, false); err == nil {
 		t.Error("slot mismatch accepted")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -41,9 +40,8 @@ type ModelOperands struct {
 	grouped *levelStaging
 	// Plan is the scenario-resolved level schedule the operands were
 	// staged at (thresholds at Plan.Compare, reshuffle diagonals at
-	// Plan.Reshuffle, and so on); nil means reactive staging at the top
-	// of the chain, and the program then carries no boundary drops.
-	Plan *StageLevels
+	// Plan.Reshuffle, and so on): Meta.LevelPlan.For the model's scenario.
+	Plan StageLevels
 	// Program is the op program compiled from the staged shapes at
 	// Prepare time (DESIGN.md §13) for one bit plane per query ciphertext
 	// and encrypted planes — the flat schedule Engine.ClassifyCtx executes
@@ -105,40 +103,22 @@ func (m *ModelOperands) packing(g int) *planePacking {
 	return nil
 }
 
-// Prepare loads c onto backend b. With encrypt=true all model components
-// are encrypted; otherwise they are encoded plaintexts. Operands are
-// staged at the compiled level schedule when the model carries one; use
-// PrepareWithPlan to override (nil = reactive) or to prepare for a
-// service that shuffles its results.
-func Prepare(b he.Backend, c *Compiled, encrypt bool) (*ModelOperands, error) {
-	return PrepareWithPlan(b, c, encrypt, c.Meta.LevelPlan, false)
-}
-
-// PrepareWithPlan is Prepare under an explicit level schedule: every
-// model component is produced directly at the level its pipeline stage
-// executes at — encrypted components via leveled encryption, plaintext
-// components via eager pre-lifting — so no per-query work remains to put
-// operands on schedule. A nil plan stages reactively at the chain top
-// (the pre-level-scheduling behaviour, and what a model compiled with
-// Options.NoLevelPlan gets). With shuffle every program ends in the result
-// shuffle stage (paper §7.2.2), and Engine.ClassifyShuffledCtx runs them;
-// a plan whose result lands below the shuffle's entry — a model compiled
-// without Options.PlanShuffle — is a *PlanInfeasibleError.
-func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, shuffle bool) (*ModelOperands, error) {
+// Prepare loads c onto backend b under its level plan, c.Meta.LevelPlan:
+// every model component is produced directly at the level its pipeline
+// stage executes at — encrypted components via leveled encryption,
+// plaintext components via eager pre-lifting — so no per-query work
+// remains to put operands on schedule. With encrypt=true all model
+// components are encrypted; otherwise they are encoded plaintexts. With
+// shuffle every program ends in the result shuffle stage (paper §7.2.2),
+// and Engine.ClassifyShuffledCtx runs them. A plan the level pass finds
+// infeasible for the programs built — a stale or hand-edited artifact, or
+// a shuffle whose entry lies above where a model compiled without
+// Options.PlanShuffle lands its result — is a *PlanInfeasibleError.
+func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, error) {
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
-	m := &ModelOperands{Meta: c.Meta, encModel: encrypt, shuffle: shuffle}
-	level := func(sel func(StageLevels) int) int { return -1 }
-	// Queries are packed against this meta (PrepareQueryBatch reads its
-	// QueryLevel), so the staged meta must advertise exactly the schedule
-	// the operands follow — the override plan, or none.
-	m.Meta.LevelPlan = plan
-	if plan != nil {
-		stage := plan.For(encrypt)
-		m.Plan = &stage
-		level = func(sel func(StageLevels) int) int { return sel(stage) }
-	}
+	m := &ModelOperands{Meta: c.Meta, encModel: encrypt, shuffle: shuffle, Plan: c.Meta.LevelPlan.For(encrypt)}
 
 	// Thresholds stay fully periodic within a block group: every block of
 	// the batched layout reads the same QPad-periodic plane (BatchBlock is
@@ -168,7 +148,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, s
 			}
 		}
 		for _, v := range vals {
-			op, err := makeOperand(b, v, encrypt, level(func(s StageLevels) int { return s.Compare }))
+			op, err := makeOperand(b, v, encrypt, m.Plan.Compare)
 			if err != nil {
 				return nil, err
 			}
@@ -185,8 +165,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, s
 	// whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	baby, giant := c.Meta.kernelSplit(c.Meta.QPad)
-	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, reshuffleRows(c, encrypt), c.Meta.QPad, baby, giant, span, encrypt,
-		level(func(s StageLevels) int { return s.Reshuffle }))
+	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, reshuffleRows(c, encrypt), c.Meta.QPad, baby, giant, span, encrypt, m.Plan.Reshuffle)
 	if err != nil {
 		return nil, err
 	}
@@ -197,14 +176,13 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, s
 	if err != nil {
 		return nil, err
 	}
-	lvlAt := level(func(s StageLevels) int { return s.Level })
-	block, err := stageLevels(b, c, lanes, 1, encrypt, lvlAt)
+	block, err := stageLevels(b, c, lanes, 1, encrypt, m.Plan.Level)
 	if err != nil {
 		return nil, err
 	}
 	m.Levels, m.Masks = block.mats, block.masks
 	if groups := c.Meta.LevelGroups(); groups > 1 {
-		if m.grouped, err = stageLevels(b, c, lanes, groups, encrypt, lvlAt); err != nil {
+		if m.grouped, err = stageLevels(b, c, lanes, groups, encrypt, m.Plan.Level); err != nil {
 			return nil, err
 		}
 	}
@@ -222,7 +200,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, s
 			return nil, err
 		}
 		pk.plainQueryProgram = pk.program
-		if encrypt && m.Plan != nil {
+		if encrypt {
 			in.plainQuery = true
 			if pk.plainQueryProgram, err = newProgram(b, in); err != nil {
 				return nil, err
@@ -244,7 +222,7 @@ func PrepareWithPlan(b he.Backend, c *Compiled, encrypt bool, plan *LevelPlan, s
 // each plane packing's, its plaintext-query variant's, and the shuffle
 // stage's when m shuffles — at the level the level pass puts the
 // register rotated at. Rotations of plaintext registers need no key and
-// are left out; a program without a plan rotates at the chain top.
+// are left out.
 func (m *ModelOperands) rotations() []he.Rotation {
 	var out []he.Rotation
 	seen := map[he.Rotation]bool{}
@@ -258,13 +236,10 @@ func (m *ModelOperands) rotations() []he.Rotation {
 				case opHoist:
 					steps = p.hoists[op.Imm]
 				}
-				r := he.Rotation{Level: math.MaxInt}
-				if p.est != nil {
-					r.Level = p.est[op.A].level
-					if !p.est[op.A].cipher {
-						continue
-					}
+				if !p.est[op.A].cipher {
+					continue
 				}
+				r := he.Rotation{Level: p.est[op.A].level}
 				for _, r.Step = range steps {
 					if !seen[r] {
 						seen[r] = true
@@ -423,11 +398,14 @@ func newProgram(b he.Backend, in progInputs) (*Program, error) {
 	return p, nil
 }
 
-// PlanInfeasibleError is Prepare's rejection of a level plan the level
-// pass finds infeasible for the program it would build: a hand-edited or
-// stale artifact, or an override plan that schedules some register
-// lower than the circuit allows. BGV decrypts an over-noised ciphertext
-// to garbage without complaint, so this fails at load, not at decrypt.
+// PlanInfeasibleError is the refusal of a model that has no feasible
+// level plan. Compile, ShardForest and ReadArtifact return it when the
+// planner finds no schedule within its search bound (the failure of the
+// last schedule tried); Prepare when the level pass finds the stored plan
+// infeasible for the program it would build — a hand-edited or stale
+// artifact that schedules some register lower than the circuit allows.
+// BGV decrypts an over-noised ciphertext to garbage without complaint, so
+// this fails at load, not at decrypt.
 type PlanInfeasibleError struct {
 	// Scenario names what the program was levelled for, e.g. "encrypted
 	// model, encrypted query".
@@ -600,12 +578,9 @@ type PredictedNoise struct {
 // PredictedNoise reports the level pass's estimates for the encrypted-
 // query program: the five trace boundaries in pipeline order, with the
 // hottest operand after each scheduled compare round between the
-// query and the decisions. Nil for a model staged without a plan.
+// query and the decisions.
 func (m *ModelOperands) PredictedNoise() []PredictedNoise {
 	p := m.Program
-	if p.est == nil {
-		return nil
-	}
 	nm := planNoiseModel(m.Meta.Slots)
 	var out []PredictedNoise
 	row := func(at string, e est) {
@@ -650,11 +625,10 @@ func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error
 // ClassifyCtx evaluates the model on a query (or slot-packed query batch
 // — the dataflow is identical) by executing the model's op program,
 // returning the result operand and a stage trace. Encrypted or plaintext
-// query planes, encrypted or plaintext model, planned or reactive
-// staging all run the same ops: those choices were made when Prepare
-// built the program and packed the operands. The context is checked
-// before every op, so a cancelled request stops within one op's time;
-// ops already running finish first.
+// query planes and encrypted or plaintext model all run the same ops:
+// those choices were made when Prepare built the program and packed the
+// operands. The context is checked before every op, so a cancelled
+// request stops within one op's time; ops already running finish first.
 func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
 	if m.shuffle {
 		return he.Operand{}, nil, fmt.Errorf("core: model prepared for a shuffling service: use ClassifyShuffledCtx")
@@ -664,10 +638,10 @@ func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (h
 }
 
 // ClassifyShuffledCtx is ClassifyCtx on a model prepared for a service
-// that shuffles its results (PrepareWithPlan): the program's shuffle stage
-// permutes every block's leaf slots with permutations drawn from seed —
-// a fresh seed per pass — and the codebooks of the batch's queries, in
-// packing order, decode the result (DecodeShuffledBatch).
+// that shuffles its results (Prepare with shuffle): the program's shuffle
+// stage permutes every block's leaf slots with permutations drawn from
+// seed — a fresh seed per pass — and the codebooks of the batch's queries,
+// in packing order, decode the result (DecodeShuffledBatch).
 func (e *Engine) ClassifyShuffledCtx(ctx context.Context, m *ModelOperands, q *Query, seed uint64) (he.Operand, []*ShuffledCodebook, *Trace, error) {
 	if !m.shuffle {
 		return he.Operand{}, nil, nil, fmt.Errorf("core: model prepared without the result shuffle")

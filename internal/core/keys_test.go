@@ -10,11 +10,10 @@ import (
 )
 
 // programRotation is one rotation an op of a staged program issues: its
-// step, and the level pass's estimate of the register rotated (nil
-// without a plan).
+// step, and the level pass's estimate of the register rotated.
 type programRotation struct {
 	step int
-	reg  *est
+	reg  est
 }
 
 // stagedRotations walks the ops of every program m staged — each plane
@@ -33,11 +32,7 @@ func stagedRotations(m *ModelOperands) []programRotation {
 					steps = p.hoists[op.Imm]
 				}
 				for _, s := range steps {
-					r := programRotation{step: s}
-					if p.est != nil {
-						r.reg = &p.est[op.A]
-					}
-					out = append(out, r)
+					out = append(out, programRotation{step: s, reg: p.est[op.A]})
 				}
 			}
 		}
@@ -47,8 +42,8 @@ func stagedRotations(m *ModelOperands) []programRotation {
 
 // checkKeysFollowPrograms holds b's Galois keys to the programs staged
 // on it, both ways: every rotation of a ciphertext register has a
-// direct key at or above the level the register sits at (the chain top
-// without a plan), each key sits exactly at the highest such level, and
+// direct key at or above the level the register sits at, each key sits
+// exactly at the highest such level, and
 // no key exists for an element no program rotates by.
 func checkKeysFollowPrograms(t *testing.T, b *hebgv.Backend, staged ...*ModelOperands) {
 	t.Helper()
@@ -64,13 +59,10 @@ func checkKeysFollowPrograms(t *testing.T, b *hebgv.Backend, staged ...*ModelOpe
 			}
 			elt := params.GaloisElt(r.step)
 			rotated[elt] = true
-			level := top
-			if r.reg != nil {
-				if !r.reg.cipher {
-					continue
-				}
-				level = min(r.reg.level, top)
+			if !r.reg.cipher {
+				continue
 			}
+			level := min(r.reg.level, top)
 			need[elt] = max(need[elt], level)
 			if rotates, direct := ev.HoistableStepAt(r.step, level); !rotates || !direct {
 				t.Errorf("rotation by %d at level %d has no direct key (rotates %v, direct %v)", r.step, level, rotates, direct)
@@ -119,7 +111,7 @@ func TestKeysFollowPrograms(t *testing.T) {
 					b := planBackend(t, models[0], encModel)
 					var staged []*ModelOperands
 					for _, mc := range models {
-						m, err := PrepareWithPlan(b, mc, encModel, mc.Meta.LevelPlan, shuffle)
+						m, err := Prepare(b, mc, encModel, shuffle)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -78,7 +78,7 @@ func TestTable4LeakageThreeParty(t *testing.T) {
 func TestInferServerView(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true) // fully encrypted model
+	m, err := Prepare(b, c, true, false) // fully encrypted model
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	// The round-tripped artifact must still classify correctly.
 	b := heclear.New(64, 65537)
-	m, err := Prepare(b, back, true)
+	m, err := Prepare(b, back, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestBatchedShuffleLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := PrepareWithPlan(b, c, true, c.Meta.LevelPlan, true)
+	m, err := Prepare(b, c, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestBatchedShuffleLeakageBGV(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := PrepareWithPlan(b, c, true, c.Meta.LevelPlan, true)
+	m, err := Prepare(b, c, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 		slots, block := meta.Slots, meta.BatchBlock()
 		for _, encModel := range []bool{true, false} {
 			b := heclear.New(slots, 65537)
-			m, err := Prepare(b, c, encModel)
+			m, err := Prepare(b, c, encModel, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 		c := ac.c
 		b := heclear.New(c.Meta.Slots, 65537)
 		for _, encModel := range []bool{true, false} {
-			if _, err := PrepareWithPlan(b, c, encModel, c.Meta.LevelPlan, ac.shuffle); err != nil {
+			if _, err := Prepare(b, c, encModel, ac.shuffle); err != nil {
 				t.Fatalf("%s enc=%v: the compiled plan: %v", name, encModel, err)
 			}
 			pl := planner{nm: planNoiseModel(c.Meta.Slots)}
@@ -61,7 +61,9 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				if _, fail := pl.run(*st); fail == nil {
 					t.Errorf("%s enc=%v, %s lowered by one: the planner's oracle still passes — the stored plan is not minimal", name, encModel, what)
 				}
-				m, err := PrepareWithPlan(b, c, encModel, &plan, ac.shuffle)
+				lc := *c
+				lc.Meta.LevelPlan = &plan
+				m, err := Prepare(b, &lc, encModel, ac.shuffle)
 				var infeasible *PlanInfeasibleError
 				if errors.As(err, &infeasible) {
 					continue
@@ -203,9 +205,6 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 			t.Run(fmt.Sprintf("case%d/%d", i, mi), func(t *testing.T) {
 				t.Logf("%v %+v", &c.Meta, opts)
 				plan := c.Meta.LevelPlan
-				if plan == nil {
-					t.Fatal("no level plan")
-				}
 				b := heclear.New(c.Meta.Slots, 65537)
 				lanes, _ := c.Meta.LevelLanes()
 				laned[lanes]++
@@ -218,14 +217,14 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 							t.Errorf("enc=%v: schedule %+v does not descend", encModel, st)
 						}
 					}
-					m, err := PrepareWithPlan(b, c, encModel, plan, opts.PlanShuffle)
+					m, err := Prepare(b, c, encModel, opts.PlanShuffle)
 					if err != nil {
 						t.Fatalf("enc=%v: %v", encModel, err)
 					}
 					// Every plane packing, on the level staging of its layout
 					// — the lanes of a block below Meta.LevelGroups, of every
-					// group from there up; one program serves both query kinds
-					// unless their levels differ.
+					// group from there up; an encrypted model levels a second
+					// program for plaintext query planes.
 					for i, pk := range m.packings {
 						h, groups, ops := c.Meta.LevelLayout(1 << i)
 						if lv := pk.levels; lv.lanes != h || lv.groups != groups || len(lv.mats) != ops || len(lv.masks) != ops {
@@ -245,10 +244,9 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 }
 
 // TestPlannerBudget is the perf smoke for planning on the op program:
-// Compile of every Table 6 model and the four-lane one, at Slots 1024 and
-// 2048, must plan both
-// scenarios in under 25 ms. Gated behind COPSE_PERF_SMOKE=1 like the
-// other wall-clock checks.
+// computeLevelPlan over the Meta of every Table 6 model and the four-lane
+// one, compiled at Slots 1024 and 2048, must plan both scenarios in under
+// 25 ms. Gated behind COPSE_PERF_SMOKE=1 like the other wall-clock checks.
 func TestPlannerBudget(t *testing.T) {
 	if os.Getenv("COPSE_PERF_SMOKE") == "" {
 		t.Skip("set COPSE_PERF_SMOKE=1 to run the planner budget smoke")
@@ -259,15 +257,15 @@ func TestPlannerBudget(t *testing.T) {
 	}
 	for name, f := range forests {
 		for _, slots := range []int{1024, 2048} {
-			c, err := Compile(f, Options{Slots: slots, NoLevelPlan: true})
+			c, err := Compile(f, Options{Slots: slots})
 			if err != nil {
 				t.Fatal(err)
 			}
 			best := time.Hour
 			for run := 0; run < 5; run++ {
 				start := time.Now()
-				if computeLevelPlan(&c.Meta, false) == nil {
-					t.Fatalf("%s/%d: no plan", name, slots)
+				if _, err := computeLevelPlan(&c.Meta, false); err != nil {
+					t.Fatalf("%s/%d: %v", name, slots, err)
 				}
 				best = min(best, time.Since(start))
 			}

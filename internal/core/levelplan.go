@@ -29,12 +29,13 @@ import (
 // modulus-chain level it executes at. Levels are absolute: level 0 is
 // the last prime of a chain of Levels primes, and a backend with a
 // longer chain simply never uses the extra top primes (operands are
-// produced at the scheduled levels directly). Old artifacts carry no
-// plan (nil) and fall back to reactive noise management.
+// produced at the scheduled levels directly). Every model carries one:
+// Compile and ShardForest plan what they build, and ReadArtifact plans
+// an artifact older than the schedule at load.
 type LevelPlan struct {
 	// Levels is the chain length (prime count) the plan was computed
-	// for — the fraction of the reactive recommendation the scheduled
-	// pipeline actually needs.
+	// for — the fraction of Meta.RecommendedLevels the scheduled pipeline
+	// actually needs.
 	Levels int
 	// Cipher is the schedule for encrypted-model scenarios, Plain for
 	// plaintext-model ones (the features are encrypted either way; the
@@ -67,9 +68,9 @@ type StageLevels struct {
 	// to after product level r — a pairing round of the tree, its eager or
 	// its lazy top level, or a plane round — in every packing, so the later
 	// levels of the single most expensive stage run on 1–2 fewer limbs than
-	// reactive management would keep them at. One entry per product level,
-	// ⌈log2 p⌉. Derived by lowering each round's level until the level pass
-	// breaks. Nil on older artifacts (no per-round drops). An artifact
+	// the evaluator's lazy switching would keep them at. One entry per
+	// product level, ⌈log2 p⌉. Derived by lowering each round's level until
+	// the level pass breaks. Nil on older artifacts (no per-round drops). An artifact
 	// planned for the Sklansky prefix chain that preceded the tree carries
 	// as many entries, planned for a chain one level deeper; the tree reads
 	// them as its own, and Prepare refuses the plan if the level pass does.
@@ -99,12 +100,8 @@ func (p *LevelPlan) ChainLevels(encryptedModel bool) int {
 }
 
 // ChainLevels is the chain length a backend built for this model alone
-// serves the given scenario on: the plan's, capped at the reactive
-// recommendation, or the recommendation itself for a model without a plan.
+// serves the given scenario on: the plan's, capped at RecommendedLevels.
 func (m *Meta) ChainLevels(encryptedModel bool) int {
-	if m.LevelPlan == nil {
-		return m.RecommendedLevels
-	}
 	return min(m.LevelPlan.ChainLevels(encryptedModel), m.RecommendedLevels)
 }
 
@@ -339,6 +336,17 @@ func (s *sim) add(x, y est) est {
 type planFailure struct {
 	stage, kind, level int
 	hotEntry           bool
+	// encModel and plainQuery name the scenario of the failing program.
+	encModel, plainQuery bool
+}
+
+// infeasible is the failure as the typed error Compile, ReadArtifact and
+// Prepare refuse a model with.
+func (f *planFailure) infeasible() *PlanInfeasibleError {
+	return &PlanInfeasibleError{
+		Scenario: scenarioName(f.encModel, !f.plainQuery), Stage: stageNames[f.stage],
+		Kind: [...]string{failLevel: "level", failNoise: "noise"}[f.kind], Level: f.level,
+	}
 }
 
 // levelled is a program under one schedule: its ops with every scheduled
@@ -370,7 +378,8 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 	failure := func(stage, kind, level int, inStage bool) *planFailure {
 		e := out.est[entry[stage]]
 		return &planFailure{stage: stage, kind: kind, level: level,
-			hotEntry: inStage && stage > 0 && e.cipher && e.noise > nm.floor()+8}
+			hotEntry: inStage && stage > 0 && e.cipher && e.noise > nm.floor()+8,
+			encModel: p.encModel, plainQuery: plainQuery}
 	}
 	for _, op := range p.ops {
 		if int(op.Stage) < from {
@@ -495,7 +504,7 @@ func planStructure(m *Meta, encModel, shuffle bool, g int) (*Program, error) {
 	}
 	in := progInputs{
 		meta:      *m,
-		plan:      &StageLevels{CompareRounds: make([]int, log2Ceil(max(m.Precision, 1)))},
+		plan:      StageLevels{CompareRounds: make([]int, log2Ceil(max(m.Precision, 1)))},
 		encrypted: encModel,
 		packing:   g,
 		planes:    m.QueryCiphertexts(g),
@@ -511,7 +520,7 @@ func planStructure(m *Meta, encModel, shuffle bool, g int) (*Program, error) {
 	return buildStructure(in)
 }
 
-// planCap bounds the schedule search: the reactive recommendation for
+// planCap bounds the schedule search: Meta.RecommendedLevels for
 // the deepest supported forests stays well below it.
 const planCap = 48
 
@@ -563,8 +572,9 @@ func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 // lowest level their operands reach on their own, and every level of the
 // non-increasing chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate
 // is lowered — last first, where the remaining circuit is shortest —
-// while the pass stays feasible, until none moves.
-func (pl planner) schedule(final, shuffle int) (StageLevels, bool) {
+// while the pass stays feasible, until none moves. A search that passes
+// the bound returns the last run's failure.
+func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 	at := StageLevels{Compare: final, Reshuffle: final, Level: final, Accumulate: final, Final: final, Shuffle: shuffle}
 	entries := [...]*int{&at.Compare, &at.Reshuffle, &at.Level, &at.Accumulate}
 	lv, fail := pl.run(at)
@@ -578,7 +588,7 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, bool) {
 		at.Reshuffle = max(at.Reshuffle, at.Level)
 		at.Compare = max(at.Compare, at.Reshuffle)
 		if iter == 16*planCap || at.Compare > planCap {
-			return at, false
+			return at, fail
 		}
 		lv, fail = pl.run(at)
 	}
@@ -612,21 +622,21 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, bool) {
 			}
 		}
 	}
-	return at, true
+	return at, nil
 }
 
-// computeLevelPlan builds the static schedule for a compiled model, or
-// nil when no feasible schedule exists within the search bound (the
-// engine then falls back to reactive management). The shuffle's entry
-// comes from its stage in the lone query's structure: that packing has
-// the most lane groups, so its shuffle does everything another packing's
-// does. With planShuffle the result lands there, and every structure the
-// search runs ends in the shuffle.
-func computeLevelPlan(m *Meta, planShuffle bool) *LevelPlan {
+// computeLevelPlan builds the static schedule for a compiled model: a
+// *PlanInfeasibleError when no feasible schedule exists within the search
+// bound, an *UnsupportedModelError when Meta describes no program. The
+// shuffle's entry comes from its stage in the lone query's structure: that
+// packing has the most lane groups, so its shuffle does everything another
+// packing's does. With planShuffle the result lands there, and every
+// structure the search runs ends in the shuffle.
+func computeLevelPlan(m *Meta, planShuffle bool) (*LevelPlan, error) {
 	nm := planNoiseModel(m.Slots)
 	lone, err := planStructure(m, false, true, m.PlanesPerCiphertext(1))
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	shuffleAt := lone.shuffleEntry(nm)
 	final := minFinalLevel
@@ -639,13 +649,13 @@ func computeLevelPlan(m *Meta, planShuffle bool) *LevelPlan {
 		for g := 1; g <= m.PlanesPerCiphertext(1); g <<= 1 {
 			prog, err := planStructure(m, encModel, planShuffle, g)
 			if err != nil {
-				return nil
+				return nil, err
 			}
 			pl.progs = append(pl.progs, prog)
 		}
-		st, ok := pl.schedule(final, shuffleAt)
-		if !ok {
-			return nil
+		st, fail := pl.schedule(final, shuffleAt)
+		if fail != nil {
+			return nil, fail.infeasible()
 		}
 		if encModel {
 			plan.Cipher = st
@@ -654,5 +664,5 @@ func computeLevelPlan(m *Meta, planShuffle bool) *LevelPlan {
 		}
 	}
 	plan.Levels = plan.QueryLevel() + 1
-	return plan
+	return plan, nil
 }

@@ -46,8 +46,7 @@ func microForest(t *testing.T, name string) *model.Forest {
 
 // TestLevelPlanComputed: every compiled model carries a structurally
 // sound schedule — monotone non-increasing along the pipeline, final
-// level positive, and a chain no longer than the reactive
-// recommendation.
+// level positive, and a chain shorter than RecommendedLevels.
 func TestLevelPlanComputed(t *testing.T) {
 	for name, f := range planForests(t, false) {
 		c, err := Compile(f, Options{Slots: 1024})
@@ -55,11 +54,8 @@ func TestLevelPlanComputed(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan := c.Meta.LevelPlan
-		if plan == nil {
-			t.Fatalf("%s: no level plan computed", name)
-		}
 		if plan.Levels >= c.Meta.RecommendedLevels {
-			t.Errorf("%s: planned chain %d not shorter than reactive %d", name, plan.Levels, c.Meta.RecommendedLevels)
+			t.Errorf("%s: planned chain %d not shorter than the recommended %d", name, plan.Levels, c.Meta.RecommendedLevels)
 		}
 		for scenario, st := range map[string]StageLevels{"cipher": plan.Cipher, "plain": plan.Plain} {
 			if st.Final < 1 {
@@ -95,32 +91,18 @@ func TestLevelPlanComputed(t *testing.T) {
 	}
 }
 
-// TestLevelPlanNoBSGSAndShuffleVariants: the ablation stagings also get
-// feasible plans, and PlanShuffle reserves at least the shuffle's entry.
+// TestLevelPlanNoBSGSAndShuffleVariants: the naive staging also gets a
+// feasible plan, and PlanShuffle reserves at least the shuffle's entry.
 func TestLevelPlanNoBSGSAndShuffleVariants(t *testing.T) {
 	f := model.Figure1()
-	naive, err := Compile(f, Options{Slots: 1024, NoBSGS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive.Meta.LevelPlan == nil {
-		t.Fatal("naive staging: no level plan")
-	}
-	off, err := Compile(f, Options{Slots: 1024, NoLevelPlan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Meta.LevelPlan != nil {
-		t.Fatal("NoLevelPlan still produced a plan")
+	if _, err := Compile(f, Options{Slots: 1024, NoBSGS: true}); err != nil {
+		t.Fatalf("naive staging: %v", err)
 	}
 	sh, err := Compile(f, Options{Slots: 1024, PlanShuffle: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := sh.Meta.LevelPlan
-	if plan == nil {
-		t.Fatal("PlanShuffle staging: no level plan")
-	}
 	if plan.Cipher.Final < plan.ShuffleLevel() || plan.Plain.Final < plan.ShuffleLevel() {
 		t.Errorf("PlanShuffle did not reserve shuffle headroom: %+v", plan)
 	}
@@ -176,7 +158,7 @@ func checkPinnedMargins(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := planBackend(t, c, pin.encModel)
-		m, err := Prepare(b, c, pin.encModel)
+		m, err := Prepare(b, c, pin.encModel, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,11 +210,8 @@ func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := c.Meta.LevelPlan
-			if plan == nil {
-				t.Fatalf("%s: no plan", name)
-			}
 			b := planBackend(t, c, sc.encModel)
-			m, err := Prepare(b, c, sc.encModel)
+			m, err := Prepare(b, c, sc.encModel, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,75 +268,6 @@ func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
 	}
 }
 
-// TestPlannedVsReactiveEquivalence is the property test: on one shared
-// backend (reactive chain length), the level-scheduled and reactive
-// evaluations of the same queries must decrypt to identical leaf
-// vectors.
-func TestPlannedVsReactiveEquivalence(t *testing.T) {
-	f := model.Figure1()
-	c, err := Compile(f, Options{Slots: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Meta.LevelPlan == nil {
-		t.Fatal("no plan")
-	}
-	b := newBGVBackend(t, c) // reactive chain: both stagings fit
-	planned, err := Prepare(b, c, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reactive, err := PrepareWithPlan(b, c, true, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reactive.Plan != nil || reactive.Meta.LevelPlan != nil {
-		t.Fatal("reactive staging still advertises a plan")
-	}
-	e := &Engine{Backend: b, Workers: 4}
-	inputs := [][]uint64{{0, 5}, {6, 0}, {3, 2}, {15, 15}}
-	if testing.Short() {
-		inputs = inputs[:2]
-	}
-	for _, feats := range inputs {
-		qPlanned, err := PrepareQuery(b, &planned.Meta, feats, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qReactive, err := PrepareQuery(b, &reactive.Meta, feats, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outP, traceP, err := e.Classify(planned, qPlanned)
-		if err != nil {
-			t.Fatalf("planned Classify(%v): %v", feats, err)
-		}
-		outR, traceR, err := e.Classify(reactive, qReactive)
-		if err != nil {
-			t.Fatalf("reactive Classify(%v): %v", feats, err)
-		}
-		if traceP.Limbs.Result == 0 || traceR.Limbs.Result != 0 &&
-			traceR.Limbs.Result < traceP.Limbs.Result {
-			t.Errorf("limb trace: planned %+v, reactive %+v", traceP.Limbs, traceR.Limbs)
-		}
-		slotsP, err := he.Reveal(b, outP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slotsR, err := he.Reveal(b, outR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		window := planned.Meta.NumLeaves
-		for i := 0; i < window; i++ {
-			if slotsP[i] != slotsR[i] {
-				t.Fatalf("Classify(%v): planned and reactive leaf vectors differ at slot %d (%d vs %d)",
-					feats, i, slotsP[i], slotsR[i])
-			}
-		}
-	}
-}
-
 // TestShuffleStageNeedsHeadroom: the default minimal schedule lands the
 // result below the shuffle stage's entry, so preparing a model compiled
 // without PlanShuffle for a shuffling service fails in the level pass —
@@ -374,7 +284,7 @@ func TestShuffleStageNeedsHeadroom(t *testing.T) {
 		}
 		plan := c.Meta.LevelPlan
 		for _, encModel := range []bool{true, false} {
-			_, err := PrepareWithPlan(b, c, encModel, plan, true)
+			_, err := Prepare(b, c, encModel, true)
 			if planShuffle {
 				if err != nil || plan.For(encModel).Final != plan.ShuffleLevel() {
 					t.Errorf("PlanShuffle enc=%v: %v, result at level %d for a shuffle entered at %d", encModel, err, plan.For(encModel).Final, plan.ShuffleLevel())
@@ -408,7 +318,7 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 		nm := planNoiseModel(c.Meta.Slots)
 		for _, encModel := range []bool{true, false} {
 			b := planBackend(t, c, encModel)
-			m, err := PrepareWithPlan(b, c, encModel, c.Meta.LevelPlan, ac.shuffle)
+			m, err := Prepare(b, c, encModel, ac.shuffle)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,9 +64,9 @@ type Meta struct {
 	// LevelPlan is the static level schedule the compiler derived by
 	// running its noise model forward over the pipeline (DESIGN.md §8):
 	// per-stage target levels that let the back half of Algorithm 1 run
-	// on a fraction of the modulus chain. Nil on artifacts older than v3
-	// (and when no feasible schedule was found); the engine then falls
-	// back to reactive noise management.
+	// on a fraction of the modulus chain. Every model has one: Compile
+	// and ShardForest refuse a model without a feasible schedule, and
+	// ReadArtifact plans an artifact older than v3 at load.
 	LevelPlan *LevelPlan
 
 	// ForcedSPad, when non-zero, pins SPad (and therefore BatchBlock /

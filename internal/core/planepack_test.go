@@ -58,7 +58,7 @@ func TestLoneQueryOpBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := heclear.New(1024, 65537)
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestLevelOpBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := heclear.New(1024, 65537)
-		m, err := Prepare(b, c, true)
+		m, err := Prepare(b, c, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestQueryLayoutErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 // executes that schedule — the only classify path. Everything that
 // varies between models and scenarios is a build input here, not a
 // branch at run time: BSGS loop bounds (naive stagings are the split
-// baby = period, giant = 1), rotation steps, level-drop targets (none
-// for reactive staging), which diagonals a plaintext model lets the
-// kernel skip, and the XOR decomposition. The builder also applies
-// algebraic rewrites a stage-by-stage evaluation cannot:
+// baby = period, giant = 1), rotation steps, level-drop targets, which
+// diagonals a plaintext model lets the kernel skip, and the XOR
+// decomposition. The builder also applies algebraic rewrites a
+// stage-by-stage evaluation cannot:
 //
 //   - the thresholds are staged negated (¬y_j = 1 − y_j, Prepare), so
 //     the one ct-ct product of a bit plane is gt_j = x_j·¬y_j itself, and
@@ -174,7 +174,7 @@ type Program struct {
 	encModel, plainQuery bool
 	// est is the level pass's estimate (level, noise) of each register
 	// under the plan the program was built for, rounds its estimate after
-	// each scheduled compare round; nil without a plan.
+	// each scheduled compare round.
 	est, rounds []est
 
 	// Trace registers: the carrier operands whose limb counts and
@@ -188,12 +188,12 @@ type Program struct {
 }
 
 // progInputs is everything buildProgram needs: the shapes of the
-// operands PrepareWithPlan just staged.
+// operands Prepare just staged.
 type progInputs struct {
 	meta Meta
-	// plan is the schedule to build under; nil = no drops. The structure
-	// reads only how many compare rounds it schedules.
-	plan      *StageLevels
+	// plan is the schedule to build under. The structure reads only how
+	// many compare rounds it schedules.
+	plan      StageLevels
 	encrypted bool
 	// plainQuery levels the program for plaintext query planes
 	// (ScenarioClientEval): the same structure, other levels.
@@ -233,9 +233,8 @@ type progBuilder struct {
 	p       *Program
 	constIx map[constSpec]int
 	stage   uint8
-	// plan marks the scheduled drop points when set; the structure reads
-	// only how many compare rounds it schedules.
-	plan *StageLevels
+	// rounds is how many compare rounds the plan schedules a drop after.
+	rounds int
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
@@ -264,9 +263,6 @@ func (bl *progBuilder) constReg(spec constSpec) int {
 // op then passes its operand through): a carrier arriving higher than
 // estimated still enters its stage on schedule.
 func (bl *progBuilder) drop(r, point int) int {
-	if bl.plan == nil {
-		return r
-	}
 	return bl.emit(opDrop, r, 0, point, 0)
 }
 
@@ -277,7 +273,7 @@ func (bl *progBuilder) mul(a, b int) int { return bl.emit(opMul, a, b, 0, 0) }
 // §13.4); a register read twice drops once. A round the plan lists no
 // entry for drops nothing.
 func (bl *progBuilder) dropRound(round int, regs ...*int) {
-	if bl.plan == nil || round >= len(bl.plan.CompareRounds) {
+	if round >= bl.rounds {
 		return
 	}
 	dropped := map[int]int{}
@@ -426,29 +422,23 @@ func buildProgram(in progInputs) (*Program, error) {
 	return p, nil
 }
 
-// finish levels p's structure under plan (nil: none) with the level pass
-// for a ring of the given slot count, and derives its schedule. A plan the
-// pass finds infeasible is a *PlanInfeasibleError.
-func (p *Program) finish(slots int, plan *StageLevels) error {
-	if plan != nil {
-		lv, fail := p.levelPass(planNoiseModel(slots), *plan, p.plainQuery, stCompare, est{})
-		if fail != nil {
-			return &PlanInfeasibleError{
-				Scenario: scenarioName(p.encModel, !p.plainQuery), Stage: stageNames[fail.stage],
-				Kind: [...]string{failLevel: "level", failNoise: "noise"}[fail.kind], Level: fail.level,
-			}
-		}
-		p.ops, p.est, p.rounds, p.numReg = lv.ops, lv.est, lv.rounds, len(lv.est)
+// finish levels p's structure under plan with the level pass for a ring
+// of the given slot count, and derives its schedule. A plan the pass finds
+// infeasible is a *PlanInfeasibleError.
+func (p *Program) finish(slots int, plan StageLevels) error {
+	lv, fail := p.levelPass(planNoiseModel(slots), plan, p.plainQuery, stCompare, est{})
+	if fail != nil {
+		return fail.infeasible()
 	}
+	p.ops, p.est, p.rounds, p.numReg = lv.ops, lv.est, lv.rounds, len(lv.est)
 	p.sched = newSchedule(p)
 	p.scratch.New = func() any { return newPassScratch(p) }
 	return nil
 }
 
 // buildStructure lowers the pipeline to ops, with the scheduled drop
-// points marked when a plan is given and no levels assigned yet. Every
-// model Compile or ShardForest produces has one; the shapes rejected here
-// can only come from a hand-built or corrupted artifact.
+// points marked and no levels assigned yet. The shapes rejected here can
+// only come from a hand-built or corrupted artifact.
 func buildStructure(in progInputs) (*Program, error) {
 	switch {
 	case in.planes == 0:
@@ -473,7 +463,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// model's would leak its branching structure (§7.1).
 	skipZero := !in.encrypted
 	p := &Program{encModel: in.encrypted, plainQuery: in.plainQuery}
-	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, plan: in.plan}
+	bl := &progBuilder{p: p, constIx: map[constSpec]int{}, rounds: len(in.plan.CompareRounds)}
 
 	// ---- Stage 1: compare -------------------------------------------
 	// Query planes (dropped to the compare entry) and shared constants.

@@ -80,7 +80,7 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range schedConfigs {
-			m, err := Prepare(heclear.New(1024, 65537), c, cfg.encModel)
+			m, err := Prepare(heclear.New(1024, 65537), c, cfg.encModel, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -126,7 +126,7 @@ func TestDegenerateModelsRunTheProgram(t *testing.T) {
 					if encModel && tc.plainOnly {
 						continue
 					}
-					m, err := Prepare(b, tc.compiled, encModel)
+					m, err := Prepare(b, tc.compiled, encModel, false)
 					if err != nil {
 						t.Fatalf("Prepare(encModel=%v): %v", encModel, err)
 					}
@@ -188,7 +188,7 @@ func TestPrepareRejectsShapelessModel(t *testing.T) {
 	} {
 		c := compileFigure1(t)
 		mutate(c)
-		_, err := Prepare(b, c, true)
+		_, err := Prepare(b, c, true, false)
 		var shape *UnsupportedModelError
 		if !errors.As(err, &shape) {
 			t.Errorf("%s: Prepare error %v, want *UnsupportedModelError", name, err)
@@ -242,7 +242,7 @@ func TestLevelStackingHoldsTheReads(t *testing.T) {
 	p := matVecProgram(diagShapeOf(st.mats[0]), false)
 	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
 	p.result = bl.emit(opAdd, p.result, bl.emit(opMask, 0, 0, 0, 0), 0, 0)
-	if err := p.finish(64, nil); err != nil {
+	if err := p.finish(64, StageLevels{}); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := (&Engine{Backend: b}).run(context.Background(), p, passInputs{query: []he.Operand{v}, levels: st}, &Trace{}, nil)
@@ -273,9 +273,10 @@ func TestLevelStackingHoldsTheReads(t *testing.T) {
 // matVecProgram is one mat-vec as the op program lowers it, in a
 // one-stage program: the hoisted baby rotations of query operand 0, then
 // the giant groups' inner products over level operand 0's diagonals, the
-// zero ones skipped under a plaintext model, summed in index order.
+// zero ones skipped under a plaintext model, summed in index order. The
+// query is a ciphertext under an encrypted model, a plaintext otherwise.
 func matVecProgram(sh diagShape, encModel bool) *Program {
-	p := &Program{encModel: encModel, stages: 1}
+	p := &Program{encModel: encModel, plainQuery: !encModel, stages: 1}
 	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
 	rots := bl.hoistRots(bl.emit(opQuery, 0, 0, 0, 0), neededBaby(!encModel, sh))
 	p.result = bl.mergeGroups(bl.matVecGroups(sh, rots, 0, !encModel), -1)
@@ -288,7 +289,11 @@ func matVecProgram(sh diagShape, encModel bool) *Program {
 func TestMatVecRotationBudget(t *testing.T) {
 	for _, period := range []int{4, 16, 64, 256} {
 		baby, giant := matrix.BSGSSplit(period)
-		bill := matVecProgram(diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}, true).StageBills()[stCompare]
+		p := matVecProgram(diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}, true)
+		if err := p.finish(1024, StageLevels{Compare: 8, Level: 8}); err != nil {
+			t.Fatal(err)
+		}
+		bill := p.StageBills()[stCompare]
 		if budget := 2*int(math.Sqrt(float64(period))) + 1; bill.Rotations > budget {
 			t.Errorf("period %d: %d rotations, budget 2·√P+1 = %d", period, bill.Rotations, budget)
 		}

@@ -197,16 +197,11 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 		Block:               block,
 		PlanesPerCiphertext: g,
 	}
-	// Under a level schedule the planes are encrypted directly at the
-	// deeper of the two compare entry levels (Diane does not learn
-	// whether the model is encrypted); the engine drops them the last
-	// step on the shallower path. Without a plan they sit at the top.
-	level := -1
-	if meta.LevelPlan != nil {
-		level = meta.LevelPlan.QueryLevel()
-	}
+	// The planes are encrypted directly at the deeper of the two compare
+	// entry levels (Diane does not learn whether the model is encrypted);
+	// the engine drops them the last step on the shallower path.
 	for _, plane := range planes {
-		op, err := makeOperand(b, plane, encrypt, level)
+		op, err := makeOperand(b, plane, encrypt, meta.LevelPlan.QueryLevel())
 		if err != nil {
 			return nil, err
 		}

@@ -73,14 +73,10 @@ const (
 const plainLevel = math.MaxInt
 
 // weights estimates each op's cost as op kind × active limbs, the limbs
-// being the levels the level pass assigned under the program's plan
-// (every register counts one limb without a plan).
+// being the levels the level pass assigned under the program's plan.
 func (p *Program) weights() []int64 {
 	level := func(r int) int {
-		switch {
-		case p.est == nil:
-			return 0
-		case !p.est[r].cipher:
+		if !p.est[r].cipher {
 			return plainLevel
 		}
 		return p.est[r].level
@@ -239,8 +235,8 @@ type StageBill struct {
 // StageBills walks the ops once and bills each to its stage, in pipeline
 // order: compare, reshuffle, levels, accumulate and, in a program built
 // for a shuffling service, shuffle. Which registers hold ciphertexts
-// follows from what the program was built for, so it needs no plan; Work
-// does (every register counts one limb without).
+// follows from what the program was built for; Work prices each op at
+// the levels the level pass assigned.
 func (p *Program) StageBills() []StageBill {
 	var bills [stDone]StageBill
 	cipher, depth := make([]bool, p.numReg), make([]int, p.numReg)

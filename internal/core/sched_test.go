@@ -114,8 +114,7 @@ func checkSchedule(t *testing.T, p *Program) {
 
 // TestProgramSchedulesAreValid checks the static schedule of every
 // program the corpus builds: every configuration and plane packing,
-// planned and reactive staging, shuffle headroom, the degenerate shapes
-// and the shards.
+// shuffle headroom, the degenerate shapes and the shards.
 func TestProgramSchedulesAreValid(t *testing.T) {
 	corpus := map[string]*Compiled{}
 	forests := planForests(t, false)
@@ -146,31 +145,29 @@ func TestProgramSchedulesAreValid(t *testing.T) {
 	b := heclear.New(1024, 65537)
 	for name, c := range corpus {
 		for _, encModel := range []bool{true, false} {
-			for _, plan := range []*LevelPlan{c.Meta.LevelPlan, nil} {
-				// A shuffling service prepares a model compiled with the
-				// shuffle's headroom, or one staged without a plan.
-				shuffles := []bool{false}
-				if plan == nil || strings.Contains(name, "shuffle=true") {
-					shuffles = append(shuffles, true)
+			// A shuffling service prepares a model compiled with the
+			// shuffle's headroom.
+			shuffles := []bool{false}
+			if strings.Contains(name, "shuffle=true") {
+				shuffles = append(shuffles, true)
+			}
+			for _, shuffle := range shuffles {
+				m, err := Prepare(b, c, encModel, shuffle)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				for _, shuffle := range shuffles {
-					m, err := PrepareWithPlan(b, c, encModel, plan, shuffle)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sub := fmt.Sprintf("%s/enc=%v/plan=%v", name, encModel, plan != nil)
-					if shuffle {
-						sub += "/shuffled"
-					}
-					t.Run(sub, func(t *testing.T) {
-						for _, pk := range m.packings {
-							checkSchedule(t, pk.program)
-							if pk.plainQueryProgram != pk.program {
-								checkSchedule(t, pk.plainQueryProgram)
-							}
+				sub := fmt.Sprintf("%s/enc=%v", name, encModel)
+				if shuffle {
+					sub += "/shuffled"
+				}
+				t.Run(sub, func(t *testing.T) {
+					for _, pk := range m.packings {
+						checkSchedule(t, pk.program)
+						if pk.plainQueryProgram != pk.program {
+							checkSchedule(t, pk.plainQueryProgram)
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
@@ -273,7 +270,7 @@ func TestScheduleIndependent(t *testing.T) {
 						t.Fatal(err)
 					}
 					b := newBackend(c)
-					m, err := PrepareWithPlan(b, c, cfg.encModel, c.Meta.LevelPlan, tc.shuffled)
+					m, err := Prepare(b, c, cfg.encModel, tc.shuffled)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -299,7 +296,7 @@ func TestScheduleIndependent(t *testing.T) {
 				b := newBackend(c)
 				batch := [][]uint64{randomFeatures(rng, f.NumFeatures, f.Precision), randomFeatures(rng, f.NumFeatures, f.Precision)}
 				for _, sc := range shards {
-					m, err := Prepare(b, sc, cfg.encModel)
+					m, err := Prepare(b, sc, cfg.encModel, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -323,7 +320,7 @@ func TestCancelStopsWithinOneOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type ShardManifest struct {
 	// plaintext-model (offload) serving — the parent plan's chain capped
 	// at the parent recommendation, mirroring Service's sizing rule.
 	ChainLevels int `json:"chain_levels"`
-	// QueryLevel is the level the gateway encrypts query planes at (0
-	// when the parent carries no plan; backends then encrypt at top).
+	// QueryLevel is the level the gateway encrypts query planes at: the
+	// parent plan's.
 	QueryLevel int `json:"query_level"`
 
 	// Meta is the parent model's metadata (including its level plan):
@@ -143,14 +143,11 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 	rootDepths := treeDepths(c, treeBranchOffsets)
 
 	bounds := shardBounds(treeBranchOffsets, shards)
-	planShuffle := false
-	if m.LevelPlan != nil {
-		// Compile does not record Options.PlanShuffle, but a plan built
-		// with it reserves Final ≥ the shuffle entry in both scenarios;
-		// re-plan shards with the same headroom.
-		planShuffle = m.LevelPlan.Cipher.Final >= m.LevelPlan.ShuffleLevel() &&
-			m.LevelPlan.Plain.Final >= m.LevelPlan.ShuffleLevel()
-	}
+	// Compile does not record Options.PlanShuffle, but a plan built with
+	// it reserves Final ≥ the shuffle entry in both scenarios; re-plan
+	// shards with the same headroom.
+	plan := m.LevelPlan
+	planShuffle := plan.Cipher.Final >= plan.ShuffleLevel() && plan.Plain.Final >= plan.ShuffleLevel()
 
 	out := make([]*Compiled, shards)
 	manifest := &ShardManifest{
@@ -173,28 +170,20 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: building shard %d/%d: %w", i, shards, err)
 		}
-		if m.LevelPlan != nil {
-			// Queries are encrypted once against the parent plan and the
-			// engine only ever drops levels, so every shard's compare
-			// entry must sit at or below the parent's in both scenarios
-			// (a smaller circuit schedules shallower; this guards the
-			// invariant rather than establishing it).
-			sp := sc.Meta.LevelPlan
-			if sp == nil {
-				return nil, nil, fmt.Errorf("core: shard %d/%d: no feasible level plan (parent has one)", i, shards)
-			}
-			if sp.Plain.Compare > m.LevelPlan.Plain.Compare || sp.Cipher.Compare > m.LevelPlan.Cipher.Compare {
-				return nil, nil, fmt.Errorf("core: shard %d/%d schedules compare at (%d,%d) above the parent's (%d,%d)",
-					i, shards, sp.Cipher.Compare, sp.Plain.Compare, m.LevelPlan.Cipher.Compare, m.LevelPlan.Plain.Compare)
-			}
+		// Queries are encrypted once against the parent plan and the
+		// engine only ever drops levels, so every shard's compare entry
+		// must sit at or below the parent's in both scenarios (a smaller
+		// circuit schedules shallower; this guards the invariant rather
+		// than establishing it).
+		if sp := sc.Meta.LevelPlan; sp.Plain.Compare > plan.Plain.Compare || sp.Cipher.Compare > plan.Cipher.Compare {
+			return nil, nil, fmt.Errorf("core: shard %d/%d schedules compare at (%d,%d) above the parent's (%d,%d)",
+				i, shards, sp.Cipher.Compare, sp.Plain.Compare, plan.Cipher.Compare, plan.Plain.Compare)
 		}
 		out[i] = sc
 		manifest.Ranges = append(manifest.Ranges, info)
 	}
 	manifest.ChainLevels = m.ChainLevels(false)
-	if m.LevelPlan != nil {
-		manifest.QueryLevel = m.LevelPlan.QueryLevel()
-	}
+	manifest.QueryLevel = plan.QueryLevel()
 	return out, manifest, nil
 }
 
@@ -283,9 +272,9 @@ func buildShard(c *Compiled, info ShardInfo, branchCol []int, rootDepths []int, 
 	meta.RotationSteps = rotationSteps(g.QPad, meta.BPad, nPad, g.Slots, meta.UseBSGS)
 
 	meta.estimateDepth()
-	meta.LevelPlan = nil
-	if g.LevelPlan != nil {
-		meta.LevelPlan = computeLevelPlan(&meta, planShuffle)
+	var err error
+	if meta.LevelPlan, err = computeLevelPlan(&meta, planShuffle); err != nil {
+		return nil, err
 	}
 
 	return &Compiled{

@@ -120,7 +120,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := Prepare(b, c, false)
+		single, err := Prepare(b, c, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 				// with plain adds.
 				outs := make([]he.Operand, len(shards))
 				for i, sc := range shards {
-					ops, err := Prepare(b, sc, false)
+					ops, err := Prepare(b, sc, false, false)
 					if err != nil {
 						t.Fatalf("preparing shard %d: %v", i, err)
 					}
@@ -259,7 +259,7 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	e := &Engine{Backend: b, Workers: 4}
 	outs := make([]he.Operand, len(shards))
 	for i, sc := range shards {
-		ops, err := Prepare(b, sc, false)
+		ops, err := Prepare(b, sc, false, false)
 		if err != nil {
 			t.Fatalf("preparing shard %d: %v", i, err)
 		}

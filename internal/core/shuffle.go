@@ -80,16 +80,12 @@ func stageShuffle(b he.Backend, m *ModelOperands, batch int, seed uint64) (*pass
 			}
 		}
 	}
-	level := -1
-	if m.Plan != nil {
-		level = m.Plan.Shuffle
-	}
 	baby, giant := matrix.BSGSSplit(meta.LPad())
-	perm, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, nil, meta.LPad(), baby, giant, block, false, level)
+	perm, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, nil, meta.LPad(), baby, giant, block, false, m.Plan.Shuffle)
 	if err != nil {
 		return nil, nil, err
 	}
-	selOp, err := he.NewPlainAtLevel(b, sel, level)
+	selOp, err := he.NewPlainAtLevel(b, sel, m.Plan.Shuffle)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,7 +25,7 @@ func shuffledModel(t *testing.T, f *model.Forest, slots int, encModel bool) (he.
 		t.Fatal(err)
 	}
 	b := heclear.New(slots, 65537)
-	m, err := PrepareWithPlan(b, c, encModel, c.Meta.LevelPlan, true)
+	m, err := Prepare(b, c, encModel, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestConcurrentClassify(t *testing.T) {
 	b := heclear.New(64, 65537)
 	forest := model.Figure1()
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true)
+	m, err := Prepare(b, c, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,15 +282,11 @@ func TestBatchedShuffleBGVLeveledKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := c.Meta.LevelPlan
-	if plan == nil {
-		t.Fatal("no level plan")
-	}
-	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(plan.ChainLevels(true)), Seed: 17})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.LevelPlan.ChainLevels(true)), Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := PrepareWithPlan(b, c, true, plan, true)
+	m, err := Prepare(b, c, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

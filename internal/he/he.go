@@ -141,7 +141,7 @@ type Rotation struct{ Step, Level int }
 // RotationKeyer is an optional Backend capability of schemes whose
 // rotations need per-step keys (BGV's Galois keys) and that hold the
 // secret key to make them: staging hands it every rotation the model's op
-// programs issue (core.PrepareWithPlan). Decorators that stage without
+// programs issue (core.Prepare). Decorators that stage without
 // making keys do not implement it.
 type RotationKeyer interface {
 	// EnsureRotationKeys makes every rotation in rots servable by a

@@ -168,9 +168,10 @@ func WithSeed(seed uint64) Option { return func(c *serviceConfig) { c.seed = see
 // on the EncryptedResult (DecryptResult[Batch] handles this
 // transparently); per-tree labels are unrecoverable by design, only vote
 // counts remain. Models must be compiled with CompileOptions.PlanShuffle
-// (or served reactively) so the classification result keeps the
-// shuffle's level headroom — Register refuses one that does not with a
-// *PlanInfeasibleError for the shuffle stage.
+// (artifacts older than the level plan are planned with it at load) so the
+// classification result keeps the shuffle's level headroom — Register
+// refuses one that does not with a *PlanInfeasibleError for the shuffle
+// stage.
 func WithShuffle(on bool) Option { return func(c *serviceConfig) { c.shuffle = on } }
 
 // WithNoiseMeasurement records the decrypt-side measured noise budget of
@@ -299,7 +300,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		return fmt.Errorf("copse: model %q staged for %d slots but service backend has %d",
 			name, c.Meta.Slots, s.backend.Slots())
 	}
-	operands, err := core.PrepareWithPlan(s.backend, c, encryptModel, c.Meta.LevelPlan, s.cfg.shuffle)
+	operands, err := core.Prepare(s.backend, c, encryptModel, s.cfg.shuffle)
 	if err != nil {
 		return err
 	}

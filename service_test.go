@@ -15,7 +15,6 @@ import (
 
 	"copse"
 	"copse/internal/core"
-	"copse/internal/he"
 	"copse/internal/synth"
 )
 
@@ -516,9 +515,6 @@ func TestServiceShuffleRequiresHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Meta.LevelPlan == nil {
-		t.Skip("no level plan on this model")
-	}
 	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
 		copse.WithShuffle(true),
@@ -550,7 +546,7 @@ func TestServiceV4ArtifactPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan := c.Meta.LevelPlan; plan == nil || len(plan.Cipher.CompareRounds) != 2 || len(plan.Plain.CompareRounds) != 2 {
+		if plan := c.Meta.LevelPlan; len(plan.Cipher.CompareRounds) != 2 || len(plan.Plain.CompareRounds) != 2 {
 			t.Fatalf("the v4 artifact carries plan %+v, want two compare rounds per scenario", plan)
 		}
 		svc := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithScenario(sc), copse.WithSeed(22))
@@ -576,57 +572,6 @@ func TestServiceV4ArtifactPlan(t *testing.T) {
 			}
 		}
 		svc.Close()
-	}
-}
-
-// TestServicePlanlessModel: an artifact compiled with NoLevelPlan is
-// served reactively — the BGV chain is the compiler's reactive
-// recommendation, the backend level-aligns mismatched operands itself,
-// and every label still matches the plaintext walk.
-func TestServicePlanlessModel(t *testing.T) {
-	forest := copse.ExampleForest()
-	c, err := copse.Compile(forest, copse.CompileOptions{Slots: 1024, NoLevelPlan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Meta.LevelPlan != nil {
-		t.Fatal("NoLevelPlan compiled a level plan")
-	}
-	sys, err := copse.NewSystem(c,
-		copse.WithBackend(copse.BackendBGV),
-		copse.WithScenario(copse.ScenarioOffload),
-		copse.WithSeed(21),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Service().Close()
-	ld, ok := sys.Backend().(he.LevelDropper)
-	if !ok {
-		t.Fatalf("BGV backend %T has no level structure", sys.Backend())
-	}
-	if primes := ld.MaxLevel() + 1; primes != c.Meta.RecommendedLevels {
-		t.Errorf("planless chain has %d primes, want the reactive recommendation %d", primes, c.Meta.RecommendedLevels)
-	}
-	for i, feats := range randomBatch(forest, 3, 21) {
-		q, err := sys.Diane.EncryptQuery(feats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, trace, err := sys.Sally.Classify(q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if ops := trace.CompareOps.Plus(trace.ReshuffleOps).Plus(trace.LevelOps).Plus(trace.AccumulateOps); ops.Aligns == 0 {
-			t.Errorf("query %d: reactive pass aligned no operands", i)
-		}
-		res, err := sys.Diane.DecryptResult(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := forest.Classify(feats); !slices.Equal(res.PerTree, want) {
-			t.Errorf("query %d %v: labels %v, plaintext %v", i, feats, res.PerTree, want)
-		}
 	}
 }
 
