@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -112,11 +111,21 @@ func checkSchedule(t *testing.T, p *Program) {
 	}
 }
 
-// TestProgramSchedulesAreValid checks the static schedule of every
-// program the corpus builds: every configuration and plane packing,
-// shuffle headroom, the degenerate shapes and the shards.
-func TestProgramSchedulesAreValid(t *testing.T) {
-	corpus := map[string]*Compiled{}
+// scheduleCase is one model of the schedule corpus, with the forest whose
+// trees [start, start+NumTrees) its answers must match.
+type scheduleCase struct {
+	f *model.Forest
+	c *Compiled
+	// plainOnly: see degenerateCase.
+	plainOnly bool
+}
+
+// scheduleCorpus compiles every configuration of the plan forests and
+// the shardable one — default, PlanShuffle, NoBSGS — the degenerate
+// shapes, and two shards of each multi-tree model.
+func scheduleCorpus(t *testing.T) map[string]scheduleCase {
+	t.Helper()
+	corpus := map[string]scheduleCase{}
 	forests := planForests(t, false)
 	forests["shardable"] = shardTestForest(t, 77)
 	for name, f := range forests {
@@ -125,47 +134,120 @@ func TestProgramSchedulesAreValid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			corpus[fmt.Sprintf("%s/shuffle=%v/nobsgs=%v", name, opts.PlanShuffle, opts.NoBSGS)] = c
+			corpus[fmt.Sprintf("%s/shuffle=%v/nobsgs=%v", name, opts.PlanShuffle, opts.NoBSGS)] = scheduleCase{f: f, c: c}
 		}
 	}
 	for _, dc := range degenerateCases(t) {
-		corpus["degenerate/"+dc.name] = dc.compiled
+		corpus["degenerate/"+dc.name] = scheduleCase{dc.forest, dc.compiled, dc.plainOnly}
 	}
 	for _, name := range slices.Collect(maps.Keys(corpus)) {
-		if c := corpus[name]; c.Meta.NumTrees >= 2 {
-			shards, _, err := ShardForest(c, 2)
+		if sc := corpus[name]; sc.c.Meta.NumTrees >= 2 {
+			shards, _, err := ShardForest(sc.c, 2)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for i, sc := range shards {
-				corpus[fmt.Sprintf("%s/shard%d", name, i)] = sc
+			for i, c := range shards {
+				corpus[fmt.Sprintf("%s/shard%d", name, i)] = scheduleCase{sc.f, c, sc.plainOnly}
 			}
 		}
 	}
+	return corpus
+}
+
+// prepareScheduleCase stages sc for one scenario, shuffled or not, and
+// holds Prepare to the plan: a shuffling service stages exactly the
+// models whose result lands at or above the shuffle's entry — compiled
+// with PlanShuffle, a shard of one, or an old artifact planned at load —
+// and every other model is refused with the shuffle stage's typed error.
+// It returns nil for a refused model.
+func prepareScheduleCase(t *testing.T, b he.Backend, sc scheduleCase, encModel, shuffle bool) *ModelOperands {
+	t.Helper()
+	m, err := Prepare(b, sc.c, encModel, shuffle)
+	plan := sc.c.Meta.LevelPlan
+	if !shuffle || plan.For(encModel).Final >= plan.ShuffleLevel() {
+		if err != nil {
+			t.Fatalf("Prepare(enc=%v, shuffle=%v): %v", encModel, shuffle, err)
+		}
+		return m
+	}
+	var infeasible *PlanInfeasibleError
+	if !errors.As(err, &infeasible) || infeasible.Stage != "shuffle" {
+		t.Fatalf("Prepare(enc=%v) of a result at level %d for a shuffle entered at %d: %v, want the shuffle stage's *PlanInfeasibleError",
+			encModel, plan.For(encModel).Final, plan.ShuffleLevel(), err)
+	}
+	return nil
+}
+
+// TestProgramSchedulesAreValid checks the static schedule of every
+// program the corpus builds: every configuration and plane packing,
+// shuffled and not, the degenerate shapes and the shards. A shuffled
+// cell of a model without the shuffle's headroom checks the refusal.
+func TestProgramSchedulesAreValid(t *testing.T) {
 	b := heclear.New(1024, 65537)
-	for name, c := range corpus {
+	for name, sc := range scheduleCorpus(t) {
 		for _, encModel := range []bool{true, false} {
-			// A shuffling service prepares a model compiled with the
-			// shuffle's headroom.
-			shuffles := []bool{false}
-			if strings.Contains(name, "shuffle=true") {
-				shuffles = append(shuffles, true)
-			}
-			for _, shuffle := range shuffles {
-				m, err := Prepare(b, c, encModel, shuffle)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+			for _, shuffle := range []bool{false, true} {
 				sub := fmt.Sprintf("%s/enc=%v", name, encModel)
 				if shuffle {
 					sub += "/shuffled"
 				}
 				t.Run(sub, func(t *testing.T) {
+					m := prepareScheduleCase(t, b, sc, encModel, shuffle)
+					if m == nil {
+						return
+					}
 					for _, pk := range m.packings {
 						checkSchedule(t, pk.program)
 						if pk.plainQueryProgram != pk.program {
 							checkSchedule(t, pk.plainQueryProgram)
 						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestScheduleCorpusMatchesForest is the forest oracle over the same
+// corpus: every model it stages, in the three staging configurations and
+// shuffled where the plan allows, classifies a random batch at every plane packing
+// exactly like its forest's trees, on the exact backend. (The BGV sweeps
+// over the benchmark's models are TestPlannedPassAlignsNothing and
+// TestPlanePackingMatchesForest.)
+func TestScheduleCorpusMatchesForest(t *testing.T) {
+	b := heclear.New(1024, 65537)
+	rng := rand.New(rand.NewPCG(29, 1))
+	for name, sc := range scheduleCorpus(t) {
+		start := 0
+		if sc.c.Shard != nil {
+			start = sc.c.Shard.TreeStart
+		}
+		for _, cfg := range schedConfigs {
+			if cfg.encModel && sc.plainOnly {
+				continue
+			}
+			for _, shuffle := range []bool{false, true} {
+				plan := sc.c.Meta.LevelPlan
+				if shuffle && plan.For(cfg.encModel).Final < plan.ShuffleLevel() {
+					continue
+				}
+				sub := name + "/" + cfg.name
+				if shuffle {
+					sub += "/shuffled"
+				}
+				t.Run(sub, func(t *testing.T) {
+					m := prepareScheduleCase(t, b, sc, cfg.encModel, shuffle)
+					for _, fill := range packingFills(&sc.c.Meta) {
+						batch := make([][]uint64, fill)
+						for i := range batch {
+							batch[i] = randomFeatures(rng, sc.f.NumFeatures, sc.f.Precision)
+						}
+						q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out, cbs, _ := classifyCase(t, &Engine{Backend: b}, m, q)
+						checkVotes(t, b, sc.f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
 					}
 				})
 			}
