@@ -274,11 +274,7 @@ func (a *aggregator) fire() {
 	}
 	// The shuffle seed is reserved at fire time so seeded services
 	// reproduce pass-for-pass regardless of pass goroutine scheduling.
-	var seed uint64
-	if a.svc.cfg.shuffle {
-		seed = a.svc.nextShuffleSeed()
-	}
-	go a.runPass(slices, taken, seed)
+	go a.runPass(slices, taken, a.svc.shuffleSeedBlock(1))
 }
 
 // runPass executes one coalesced pass: slot-pack every live slice's
@@ -314,28 +310,14 @@ func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 	for _, sl := range live {
 		feats = append(feats, sl.w.features[sl.lo:sl.hi]...)
 	}
-	q, err := a.svc.EncryptQueryBatch(a.name, feats)
-	if err != nil {
-		fail(err)
-		return
-	}
 	// The pass runs under the service's lifetime, not any one waiter's
 	// context: a cancelled waiter abandons its slots, the pass proceeds
-	// for the rest. The query and the result are the pass's own: they go
-	// back to the backend's pool once the pass no longer needs them.
-	enc, _, err := a.svc.classify(a.svc.runCtx, a.name, q, seed)
-	releaseQuery(q)
+	// for the rest.
+	results, codebooks, err := a.svc.pass(a.svc.runCtx, a.name, feats, seed)
 	if err != nil {
 		fail(err)
 		return
 	}
-	results, err := a.svc.DecryptResultBatch(a.name, enc)
-	enc.release()
-	if err != nil {
-		fail(err)
-		return
-	}
-	codebooks := enc.Codebooks()
 	a.svc.aggPasses.Add(1)
 	a.svc.aggQueries.Add(int64(len(feats)))
 	a.svc.aggFillNum.Add(int64(len(feats)))

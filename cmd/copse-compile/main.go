@@ -76,10 +76,12 @@ func main() {
 	// The op program does not depend on the backend, so staging onto the
 	// exact one is enough to read off what the level pass predicts for it
 	// and how much parallelism the model offers the pass scheduler
-	// (DESIGN.md §8.1, §9). Under -planshuffle it is the program a
-	// shuffling service runs, the result shuffle its fifth stage.
+	// (DESIGN.md §8.1, §9): the programs of encrypted query planes, which
+	// the Offload and ServerModel scenarios send. Under -planshuffle it is
+	// the program a shuffling service runs, the result shuffle its fifth
+	// stage.
 	for _, encModel := range []bool{true, false} {
-		staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, encModel, *planShuffle)
+		staged, err := core.Prepare(heclear.New(m.Slots, 65537), compiled, encModel, true, *planShuffle)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -238,9 +238,9 @@ func main() {
 
 // registerOrder sorts names into register order: the longest chain the
 // served scenario needs first — the first model sizes the shared backend's
-// modulus chain (copse.ChainLevels) and gets the exact Galois keys, and a
-// model registered later with a longer chain has its schedule clamped. Ties
-// (and the non-BGV backends) stay name-sorted for determinism.
+// modulus chain (copse.ChainLevels), and Register refuses a model that
+// needs a longer chain than the backend has. Ties (and the non-BGV
+// backends) stay name-sorted for determinism.
 func registerOrder(names []string, compiled map[string]*copse.Compiled, scenario copse.Scenario) error {
 	chain := map[string]int{}
 	for _, name := range names {

@@ -763,3 +763,107 @@ func TestWorkerRefusesForeignPlaneCount(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayLatencyPerPass: a request of 2·capacity+1 queries runs three
+// passes, and the gateway's per-model latency histogram takes one
+// observation per pass — that pass's own fan-out, merge and decode, not
+// the request's running total — so the largest reads below the total.
+func TestGatewayLatencyPerPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BGV cluster round trip is slow")
+	}
+	f := clusterForest(t, 58)
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, 67, func(workers []*Worker) {
+		for i, s := range shards {
+			if err := workers[i].AddShard("forest", manifest, s); err != nil {
+				t.Fatalf("worker %d AddShard: %v", i, err)
+			}
+		}
+	})
+	defer tc.close()
+	rng := rand.New(rand.NewPCG(5, 8))
+	batch := make([][]uint64, 2*c.Meta.BatchCapacity()+1)
+	for i := range batch {
+		batch[i] = make([]uint64, f.NumFeatures)
+		for j := range batch[i] {
+			batch[i][j] = rng.Uint64N(1 << uint(f.Precision))
+		}
+	}
+	got, trace, err := tc.gateway.Classify(context.Background(), "forest", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, feats := range batch {
+		if want := f.Classify(feats); !reflect.DeepEqual(got[i].PerTree, want) {
+			t.Errorf("query %d: trees %v, the forest says %v", i, got[i].PerTree, want)
+		}
+	}
+	tc.gateway.mu.RLock()
+	snap := tc.gateway.latency["forest"].Snapshot()
+	tc.gateway.mu.RUnlock()
+	total := trace.Fanout + trace.Merge + trace.Decode
+	if trace.Passes != 3 || snap.Count != 3 {
+		t.Fatalf("%d passes, %d latency observations, want 3 of each", trace.Passes, snap.Count)
+	}
+	if largest := snap.Quantile(1); largest >= total {
+		t.Errorf("largest pass latency reads %v, the request's fan-out + merge + decode is %v: a pass recorded a running total", largest, total)
+	}
+}
+
+// TestWorkerDecodeCountBound: a decode request announcing more results
+// than a pass can hold is the client's fault — a 400 carrying the typed
+// capacity error, like an oversized classify batch — not a 500 that the
+// gateway's breakers would count against the worker.
+func TestWorkerDecodeCountBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stages a BGV worker")
+	}
+	c, err := core.Compile(clusterForest(t, 59), core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Seed: 79})
+	defer w.Close()
+	if err := w.AddShard("forest", manifest, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	// A well-formed merged result, so nothing but the count is wrong.
+	ct, err := w.backend.Encrypt(make([]uint64, c.Meta.Slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, depth, err := w.backend.ExportCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := EncodeCiphertexts(&frame, []WireCiphertext{{Ct: raw, Depth: depth}}); err != nil {
+		t.Fatal(err)
+	}
+	capacity := manifest.Meta.BatchCapacity()
+	resp, err := http.Post(fmt.Sprintf("%s/v1/cluster/decode?model=forest&count=%d", srv.URL, capacity+1), "application/octet-stream", &frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	want := (&core.BatchCapacityError{Index: capacity + 1, Capacity: capacity}).Error()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || body.Error != want {
+		t.Errorf("decode of %d results at capacity %d: %s %q (%v), want 400 %q", capacity+1, capacity, resp.Status, body.Error, err, want)
+	}
+}

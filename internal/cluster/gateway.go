@@ -632,9 +632,9 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 			return nil, &ShardError{Model: model, Shard: shard, Err: err}
 		}
 	}
-	elapsed := time.Since(mark)
-	trace.Fanout += elapsed
-	g.fanoutNS.Add(elapsed.Nanoseconds())
+	fanout := time.Since(mark)
+	trace.Fanout += fanout
+	g.fanoutNS.Add(fanout.Nanoseconds())
 
 	// Merge: per-shard vote sums have disjoint slot supports — plain
 	// additions at the (low) result level, no keys involved.
@@ -648,9 +648,9 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	if err != nil {
 		return nil, err
 	}
-	elapsed = time.Since(mark)
-	trace.Merge += elapsed
-	g.mergeNS.Add(elapsed.Nanoseconds())
+	merge := time.Since(mark)
+	trace.Merge += merge
+	g.mergeNS.Add(merge.Nanoseconds())
 
 	// Decode on any healthy holder (all hold the same secret key).
 	dctx, dcancel, err := g.stageBudget(ctx, "decode")
@@ -660,11 +660,13 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	defer dcancel()
 	mark = time.Now()
 	results, err := g.decode(dctx, model, r, mergedFrame.Bytes(), len(chunk))
-	trace.Decode += time.Since(mark)
+	decode := time.Since(mark)
+	trace.Decode += decode
 	if err != nil {
 		return nil, err
 	}
-	g.observeLatency(model, trace.Fanout+trace.Merge+trace.Decode)
+	// trace sums the request's passes; the histogram takes this one's.
+	g.observeLatency(model, fanout+merge+decode)
 	return results, nil
 }
 

@@ -446,6 +446,11 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusBadRequest, fmt.Errorf("cluster: bad result count %q", qv.Get("count")))
 		return
 	}
+	gm := &wf.manifest.Meta
+	if cap := gm.BatchCapacity(); count > cap {
+		WriteError(rw, &core.BatchCapacityError{Index: count, Capacity: cap})
+		return
+	}
 	cts, err := DecodeCiphertexts(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes))
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, err)
@@ -468,7 +473,6 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	gm := &wf.manifest.Meta
 	results, err := core.DecodeResultBatch(gm, slots, count, gm.QueryCapacity(gm.PlanesPerCiphertext(count)))
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err)

@@ -99,15 +99,7 @@ func alignCorpus(t *testing.T) map[string]alignCase {
 // codebooks of a shuffled pass and the trace.
 func classifyCase(t *testing.T, e *Engine, m *ModelOperands, q *Query) (he.Operand, []*ShuffledCodebook, *Trace) {
 	t.Helper()
-	var out he.Operand
-	var cbs []*ShuffledCodebook
-	var trace *Trace
-	var err error
-	if m.shuffle {
-		out, cbs, trace, err = e.ClassifyShuffledCtx(context.Background(), m, q, uint64(q.Batch))
-	} else {
-		out, trace, err = e.Classify(m, q)
-	}
+	out, cbs, trace, err := e.Classify(context.Background(), m, q, uint64(q.Batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +157,7 @@ func TestPlannedPassAlignsNothing(t *testing.T) {
 		for _, cfg := range schedConfigs {
 			t.Run(name+"/"+cfg.name, func(t *testing.T) {
 				b := he.Backend(planBackend(t, c, cfg.encModel))
-				m, err := Prepare(b, c, cfg.encModel, ac.shuffle)
+				m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, ac.shuffle)
 				if err != nil {
 					t.Fatal(err)
 				}

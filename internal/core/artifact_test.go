@@ -133,7 +133,7 @@ func TestGoldenArtifactBackCompat(t *testing.T) {
 		for _, cfg := range schedConfigs {
 			b := planBackend(t, c, cfg.encModel)
 			for _, shuffle := range []bool{false, true} {
-				m, err := Prepare(b, c, cfg.encModel, shuffle)
+				m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, shuffle)
 				if err != nil {
 					t.Fatalf("%s/%s/shuffle=%v: %v", tc.file, cfg.name, shuffle, err)
 				}

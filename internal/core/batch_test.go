@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -55,7 +56,7 @@ func randomFeatures(rng *rand.Rand, numFeatures, precision int) []uint64 {
 // against the plaintext forest walk.
 func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, batch [][]uint64, encryptModel, encryptQuery bool) {
 	t.Helper()
-	m, err := Prepare(b, c, encryptModel, false)
+	m, err := Prepare(b, c, encryptModel, encryptQuery, false)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
@@ -68,7 +69,7 @@ func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, 
 	if q.Batch != len(batch) {
 		t.Fatalf("query batch size %d, want %d", q.Batch, len(batch))
 	}
-	out, _, err := e.Classify(m, q)
+	out, _, _, err := e.Classify(context.Background(), m, q, 0)
 	if err != nil {
 		t.Fatalf("batched Classify: %v", err)
 	}
@@ -87,7 +88,7 @@ func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		sout, _, err := e.Classify(m, single)
+		sout, _, _, err := e.Classify(context.Background(), m, single, 0)
 		if err != nil {
 			t.Fatalf("single Classify(%v): %v", feats, err)
 		}
@@ -178,7 +179,7 @@ func TestBatchVsSingleEquivalenceBGV(t *testing.T) {
 	for i := range batch {
 		batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
 	}
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestBatchVsSingleEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := e.Classify(m, q)
+	out, _, _, err := e.Classify(context.Background(), m, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

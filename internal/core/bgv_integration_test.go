@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"copse/internal/bgv"
@@ -30,7 +31,7 @@ func TestPipelineOnBGVFigure1(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestPipelineOnBGVFigure1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := e.Classify(m, q)
+		out, _, _, err := e.Classify(context.Background(), m, q, 0)
 		if err != nil {
 			t.Fatalf("Classify(%v): %v", feats, err)
 		}
@@ -80,7 +81,7 @@ func TestPipelineOnBGVPlaintextModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := Prepare(b, c, false, false)
+	m, err := Prepare(b, c, false, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func classifySecureBGV(t *testing.T, e *Engine, m *ModelOperands, feats []uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := e.Classify(m, q)
+	out, _, _, err := e.Classify(context.Background(), m, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestComparatorPrecisionSweep(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(p), 17))
 		for _, sc := range scenarios {
 			t.Run(fmt.Sprintf("p%d/%s", p, sc.name), func(t *testing.T) {
-				m, err := core.Prepare(b, c, sc.encModel, false)
+				m, err := core.Prepare(b, c, sc.encModel, sc.encQuery, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func TestComparatorPrecisionSweep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, _, err := e.Classify(m, q)
+					out, _, _, err := e.Classify(context.Background(), m, q, 0)
 					if err != nil {
 						t.Fatalf("batch of %d: %v", fill, err)
 					}

@@ -57,13 +57,13 @@ func sklanskyKeySwitches(m, g int, encModel bool) int {
 
 // checkCompareBill asserts what the reduction tree promises of a program's
 // compare stage: ⌈log2 p⌉ product levels, one more under an encrypted model
-// (the gt product of the planes), and no more key switches than the
-// Sklansky chain it replaced.
+// on encrypted query planes (the gt product of the planes), and no more
+// key switches than the Sklansky chain it replaced.
 func checkCompareBill(t *testing.T, p *Program, meta *Meta, g int) {
 	t.Helper()
 	bill := p.StageBills()[stCompare]
 	depth := log2Ceil(meta.Precision)
-	if p.encModel {
+	if p.encModel && !p.plainQuery {
 		depth++
 	}
 	if bill.Depth != depth {
@@ -92,7 +92,7 @@ func TestCompareBillTable6(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Prepare(heclear.New(1024, 65537), c, tc.encModel, false)
+		m, err := Prepare(heclear.New(1024, 65537), c, tc.encModel, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}

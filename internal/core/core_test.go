@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -85,7 +86,7 @@ func classifySecure(t *testing.T, e *Engine, m *ModelOperands, feats []uint64, e
 	if err != nil {
 		t.Fatalf("PrepareQuery: %v", err)
 	}
-	out, _, err := e.Classify(m, q)
+	out, _, _, err := e.Classify(context.Background(), m, q, 0)
 	if err != nil {
 		t.Fatalf("Classify: %v", err)
 	}
@@ -105,7 +106,7 @@ func classifySecure(t *testing.T, e *Engine, m *ModelOperands, feats []uint64, e
 func TestFigure1Walkthrough(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestPipelineMatchesDirectEvaluation(t *testing.T) {
 		}
 		encModel := cfg&1 != 0
 		encFeats := cfg&2 != 0
-		m, err := Prepare(b, c, encModel, false)
+		m, err := Prepare(b, c, encModel, encFeats, false)
 		if err != nil {
 			t.Logf("prepare: %v", err)
 			return false
@@ -263,7 +264,7 @@ func TestPlaintextModelCheaper(t *testing.T) {
 	feats := []uint64{3, 9}
 	direct := model.Figure1().Classify(feats)
 
-	encM, err := Prepare(b, c, true, false)
+	encM, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestPlaintextModelCheaper(t *testing.T) {
 	gotEnc := classifySecure(t, e, encM, feats, true)
 	encOps := b.Counts()
 
-	plainM, err := Prepare(b, c, false, false)
+	plainM, err := Prepare(b, c, false, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestDepthMatchesEstimate(t *testing.T) {
 			if encModel {
 				estimate = c.Meta.CtDepthCipherModel
 			}
-			m, err := Prepare(b, c, encModel, false)
+			m, err := Prepare(b, c, encModel, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +326,7 @@ func TestDepthMatchesEstimate(t *testing.T) {
 					t.Fatal(err)
 				}
 				b.ResetCounts()
-				if _, _, err := (&Engine{Backend: b}).Classify(m, q); err != nil {
+				if _, _, _, err := (&Engine{Backend: b}).Classify(context.Background(), m, q, 0); err != nil {
 					t.Fatal(err)
 				}
 				if measured := int(b.Counts().MaxDepth); measured > estimate {
@@ -346,7 +347,7 @@ func TestPadMultiplicityTo(t *testing.T) {
 	if c.Meta.K != 5 || c.Meta.Q != 10 || c.Meta.QPad != 16 {
 		t.Errorf("padded meta: K=%d Q=%d QPad=%d", c.Meta.K, c.Meta.Q, c.Meta.QPad)
 	}
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestPadMultiplicityTo(t *testing.T) {
 func TestTraceStages(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestTraceStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Backend: b}
-	_, trace, err := e.Classify(m, q)
+	_, _, trace, err := e.Classify(context.Background(), m, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestPrepareSlotMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Prepare(b, c, true, false); err == nil {
+	if _, err := Prepare(b, c, true, true, false); err == nil {
 		t.Error("slot mismatch accepted")
 	}
 }

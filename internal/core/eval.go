@@ -31,9 +31,11 @@ type ModelOperands struct {
 	// Levels[j] holds the signed matrices and Masks[j] the additive masks.
 	Levels []*matrix.Diagonals
 	Masks  []he.Operand
-	// encModel records that the components are ciphertexts; shuffle that
-	// every program ends in the result shuffle stage (DESIGN.md §10).
-	encModel, shuffle bool
+	// encModel records that the components are ciphertexts, encQuery the
+	// kind of query plane the programs are levelled for — the one kind the
+	// engine takes — and shuffle that every program ends in the result
+	// shuffle stage (DESIGN.md §10).
+	encModel, encQuery, shuffle bool
 	// grouped is the second staging of the same levels, over the lanes of
 	// Meta.LevelGroups slot groups, which the plane packings from that
 	// many up run on (Meta.LevelLayout); nil when the model has one group.
@@ -44,8 +46,9 @@ type ModelOperands struct {
 	Plan StageLevels
 	// Program is the op program compiled from the staged shapes at
 	// Prepare time (DESIGN.md §13) for one bit plane per query ciphertext
-	// and encrypted planes — the flat schedule Engine.ClassifyCtx executes
-	// on a full batch. Never nil on operands Prepare returned.
+	// and the plane kind Prepare was given — the flat schedule
+	// Engine.Classify executes on a full batch. Never nil on operands
+	// Prepare returned.
 	Program *Program
 	// packings holds what each plane packing g the layout admits runs on
 	// (index log2 g, DESIGN.md §13.4): packings[0] is Thresholds and
@@ -69,12 +72,6 @@ type planePacking struct {
 	thresholds []he.Operand
 	levels     *levelStaging
 	program    *Program
-	// plainQueryProgram is the variant Engine.ClassifyCtx runs on
-	// plaintext query planes. It differs from program only where levels
-	// do (an encrypted model under a level plan: a plaintext factor
-	// consumes no level, so other alignments are due); everywhere else it
-	// is program itself.
-	plainQueryProgram *Program
 }
 
 // PlanePackings lists the plane packings g the model staged a program
@@ -87,8 +84,8 @@ func (m *ModelOperands) PlanePackings() []int {
 	return out
 }
 
-// ProgramFor returns the encrypted-query program of plane packing g, nil
-// when the model admits no such packing.
+// ProgramFor returns the program of plane packing g, nil when the model
+// admits no such packing.
 func (m *ModelOperands) ProgramFor(g int) *Program {
 	if pk := m.packing(g); pk != nil {
 		return pk.program
@@ -107,18 +104,28 @@ func (m *ModelOperands) packing(g int) *planePacking {
 // every model component is produced directly at the level its pipeline
 // stage executes at — encrypted components via leveled encryption,
 // plaintext components via eager pre-lifting — so no per-query work
-// remains to put operands on schedule. With encrypt=true all model
-// components are encrypted; otherwise they are encoded plaintexts. With
-// shuffle every program ends in the result shuffle stage (paper §7.2.2),
-// and Engine.ClassifyShuffledCtx runs them. A plan the level pass finds
+// remains to put operands on schedule. With encModel all model components
+// are encrypted; otherwise they are encoded plaintexts. encQuery is the
+// kind of query plane the scenario sends: each plane packing gets the one
+// program levelled for it, and Engine.Classify refuses a query of the
+// other kind with a *QueryLayoutError. With shuffle every program ends in
+// the result shuffle stage (paper §7.2.2). A plan the level pass finds
 // infeasible for the programs built — a stale or hand-edited artifact, or
 // a shuffle whose entry lies above where a model compiled without
-// Options.PlanShuffle lands its result — is a *PlanInfeasibleError.
-func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, error) {
+// Options.PlanShuffle lands its result — is a *PlanInfeasibleError. So is
+// a backend whose modulus chain is shorter than the c.Meta.ChainLevels
+// the model would size itself: a service shares one backend, and the
+// first model registered sized its chain.
+func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*ModelOperands, error) {
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
-	m := &ModelOperands{Meta: c.Meta, encModel: encrypt, shuffle: shuffle, Plan: c.Meta.LevelPlan.For(encrypt)}
+	// The level-forwarding wrappers report top level 0 over a backend
+	// without a chain, and no plan fits in one prime.
+	if ld, ok := b.(he.LevelDropper); ok && ld.MaxLevel() > 0 && ld.MaxLevel() < c.Meta.ChainLevels(encModel)-1 {
+		return nil, &PlanInfeasibleError{Scenario: scenarioName(encModel, encQuery), Stage: stageNames[stCompare], Kind: "chain", Level: c.Meta.ChainLevels(encModel) - 1}
+	}
+	m := &ModelOperands{Meta: c.Meta, encModel: encModel, encQuery: encQuery, shuffle: shuffle, Plan: c.Meta.LevelPlan.For(encModel)}
 
 	// Thresholds stay fully periodic within a block group: every block of
 	// the batched layout reads the same QPad-periodic plane (BatchBlock is
@@ -148,7 +155,7 @@ func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, 
 			}
 		}
 		for _, v := range vals {
-			op, err := makeOperand(b, v, encrypt, m.Plan.Compare)
+			op, err := makeOperand(b, v, encModel, m.Plan.Compare)
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +172,7 @@ func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, 
 	// whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	baby, giant := c.Meta.kernelSplit(c.Meta.QPad)
-	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, reshuffleRows(c, encrypt), c.Meta.QPad, baby, giant, span, encrypt, m.Plan.Reshuffle)
+	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, reshuffleRows(c, encModel), c.Meta.QPad, baby, giant, span, encModel, m.Plan.Reshuffle)
 	if err != nil {
 		return nil, err
 	}
@@ -176,13 +183,13 @@ func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, 
 	if err != nil {
 		return nil, err
 	}
-	block, err := stageLevels(b, c, lanes, 1, encrypt, m.Plan.Level)
+	block, err := stageLevels(b, c, lanes, 1, encModel, m.Plan.Level)
 	if err != nil {
 		return nil, err
 	}
 	m.Levels, m.Masks = block.mats, block.masks
 	if groups := c.Meta.LevelGroups(); groups > 1 {
-		if m.grouped, err = stageLevels(b, c, lanes, groups, encrypt, m.Plan.Level); err != nil {
+		if m.grouped, err = stageLevels(b, c, lanes, groups, encModel, m.Plan.Level); err != nil {
 			return nil, err
 		}
 	}
@@ -195,16 +202,8 @@ func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, 
 		if _, groups, _ := c.Meta.LevelLayout(1 << i); groups > 1 {
 			pk.levels = m.grouped
 		}
-		in := m.progInputs(1<<i, pk.levels, false)
-		if pk.program, err = newProgram(b, in); err != nil {
+		if pk.program, err = newProgram(b, m.progInputs(1<<i, pk.levels)); err != nil {
 			return nil, err
-		}
-		pk.plainQueryProgram = pk.program
-		if encrypt {
-			in.plainQuery = true
-			if pk.plainQueryProgram, err = newProgram(b, in); err != nil {
-				return nil, err
-			}
 		}
 	}
 	m.Program = m.packings[0].program
@@ -219,32 +218,30 @@ func Prepare(b he.Backend, c *Compiled, encrypt, shuffle bool) (*ModelOperands, 
 }
 
 // rotations lists, without repeats, every rotation m's programs issue —
-// each plane packing's, its plaintext-query variant's, and the shuffle
-// stage's when m shuffles — at the level the level pass puts the
-// register rotated at. Rotations of plaintext registers need no key and
-// are left out.
+// each plane packing's, the shuffle stage's included when m shuffles — at
+// the level the level pass puts the register rotated at. Rotations of
+// plaintext registers need no key and are left out.
 func (m *ModelOperands) rotations() []he.Rotation {
 	var out []he.Rotation
 	seen := map[he.Rotation]bool{}
 	for _, pk := range m.packings {
-		for _, p := range []*Program{pk.program, pk.plainQueryProgram} {
-			for _, op := range p.ops {
-				var steps []int
-				switch op.Code {
-				case opRot:
-					steps = []int{op.Imm}
-				case opHoist:
-					steps = p.hoists[op.Imm]
-				}
-				if !p.est[op.A].cipher {
-					continue
-				}
-				r := he.Rotation{Level: p.est[op.A].level}
-				for _, r.Step = range steps {
-					if !seen[r] {
-						seen[r] = true
-						out = append(out, r)
-					}
+		p := pk.program
+		for _, op := range p.ops {
+			var steps []int
+			switch op.Code {
+			case opRot:
+				steps = []int{op.Imm}
+			case opHoist:
+				steps = p.hoists[op.Imm]
+			}
+			if !p.est[op.A].cipher {
+				continue
+			}
+			r := he.Rotation{Level: p.est[op.A].level}
+			for _, r.Step = range steps {
+				if !seen[r] {
+					seen[r] = true
+					out = append(out, r)
 				}
 			}
 		}
@@ -254,14 +251,17 @@ func (m *ModelOperands) rotations() []he.Rotation {
 
 // progInputs describes the program of plane packing g over the level
 // staging lv to the builder: the shapes Prepare staged, and the plaintext
-// components the builder folds into constants.
-func (m *ModelOperands) progInputs(g int, lv *levelStaging, plainQuery bool) progInputs {
+// components the builder folds into constants. Plaintext planes move the
+// levels only under an encrypted model (a plaintext factor consumes no
+// level, so other alignments are due); a plaintext model's program is the
+// same for both kinds.
+func (m *ModelOperands) progInputs(g int, lv *levelStaging) progInputs {
 	pk := m.packing(g)
 	in := progInputs{
 		meta:       m.Meta,
 		plan:       m.Plan,
 		encrypted:  m.encModel,
-		plainQuery: plainQuery,
+		plainQuery: m.encModel && !m.encQuery,
 		packing:    g,
 		planes:     len(pk.thresholds),
 		lanes:      lv.lanes,
@@ -403,9 +403,10 @@ func newProgram(b he.Backend, in progInputs) (*Program, error) {
 // planner finds no schedule within its search bound (the failure of the
 // last schedule tried); Prepare when the level pass finds the stored plan
 // infeasible for the program it would build — a hand-edited or stale
-// artifact that schedules some register lower than the circuit allows.
-// BGV decrypts an over-noised ciphertext to garbage without complaint, so
-// this fails at load, not at decrypt.
+// artifact that schedules some register lower than the circuit allows —
+// or finds the backend's chain too short for the plan. BGV decrypts an
+// over-noised ciphertext to garbage without complaint, so this fails at
+// load, not at decrypt.
 type PlanInfeasibleError struct {
 	// Scenario names what the program was levelled for, e.g. "encrypted
 	// model, encrypted query".
@@ -413,14 +414,19 @@ type PlanInfeasibleError struct {
 	// Stage is the pipeline stage the first infeasible op belongs to.
 	Stage string
 	// Kind is "level" (the chain ran out of levels, or a carrier reached
-	// a stage boundary below the next entry) or "noise" (predicted noise
-	// past the decryption margin).
+	// a stage boundary below the next entry), "noise" (predicted noise
+	// past the decryption margin) or "chain" (the stage enters at Level,
+	// above the top of the backend's modulus chain).
 	Kind string
 	// Level is the level the failing register sat at.
 	Level int
 }
 
 func (e *PlanInfeasibleError) Error() string {
+	if e.Kind == "chain" {
+		return fmt.Sprintf("core: level plan infeasible for %s: the %s stage enters at level %d, above the top of the backend's modulus chain",
+			e.Scenario, e.Stage, e.Level)
+	}
 	msg := fmt.Sprintf("core: level plan infeasible for %s: %s failure in the %s stage at level %d",
 		e.Scenario, e.Kind, e.Stage, e.Level)
 	if e.Stage == stageNames[stShuffle] {
@@ -469,11 +475,13 @@ func replicatePlain(vals []uint64, period, slots int) []uint64 {
 	return out
 }
 
-// Engine runs Algorithm 1. The zero value is not usable; construct with
-// a backend. An Engine holds no per-call state: Classify may be invoked
-// from many goroutines concurrently over the same ModelOperands, as long
-// as the backend honours the he.Backend concurrency contract (both
-// shipped backends do).
+// Engine runs Algorithm 1: Classify is its one entry point for prepared
+// models (ClassifyBaseline runs the baseline's programs on the same
+// executor). The zero value is not usable; construct with a backend. An
+// Engine holds no per-call state: Classify may be invoked from many
+// goroutines concurrently over the same ModelOperands, as long as the
+// backend honours the he.Backend concurrency contract (both shipped
+// backends do).
 type Engine struct {
 	Backend he.Backend
 	// Workers is the number of goroutines each pass runs its ops on:
@@ -575,10 +583,10 @@ type PredictedNoise struct {
 	MarginBits float64
 }
 
-// PredictedNoise reports the level pass's estimates for the encrypted-
-// query program: the five trace boundaries in pipeline order, with the
-// hottest operand after each scheduled compare round between the
-// query and the decisions.
+// PredictedNoise reports the level pass's estimates for Program: the
+// five trace boundaries in pipeline order, with the hottest operand after
+// each scheduled compare round between the query and the decisions, each
+// where it is a ciphertext.
 func (m *ModelOperands) PredictedNoise() []PredictedNoise {
 	p := m.Program
 	nm := planNoiseModel(m.Meta.Slots)
@@ -615,41 +623,20 @@ type StageLimbs struct {
 	Result int
 }
 
-// Classify evaluates the model on an encrypted query, returning the
-// result operand (the N-hot leaf bitvector of §4.1.2) and a stage trace.
-// It is ClassifyCtx without cancellation.
-func (e *Engine) Classify(m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
-	return e.ClassifyCtx(context.Background(), m, q)
-}
-
-// ClassifyCtx evaluates the model on a query (or slot-packed query batch
-// — the dataflow is identical) by executing the model's op program,
-// returning the result operand and a stage trace. Encrypted or plaintext
-// query planes and encrypted or plaintext model all run the same ops:
-// those choices were made when Prepare built the program and packed the
-// operands. The context is checked before every op, so a cancelled
+// Classify evaluates the model on a query (or slot-packed query batch —
+// the dataflow is identical) by executing the op program of the query's
+// plane packing, returning the result operand (the N-hot leaf bitvector
+// of §4.1.2) and a stage trace. Whether
+// the model and the query planes are encrypted was fixed when Prepare
+// built the program; a query whose planes are the other kind is refused
+// with a *QueryLayoutError before any op runs. On a model prepared with
+// the shuffle, the program's shuffle stage permutes every block's leaf
+// slots with permutations drawn from seed — a fresh seed per pass — and
+// the codebooks of the batch's queries, in packing order, decode the
+// result (DecodeShuffledBatch); otherwise the codebooks are nil and seed
+// is unused. The context is checked before every op, so a cancelled
 // request stops within one op's time; ops already running finish first.
-func (e *Engine) ClassifyCtx(ctx context.Context, m *ModelOperands, q *Query) (he.Operand, *Trace, error) {
-	if m.shuffle {
-		return he.Operand{}, nil, fmt.Errorf("core: model prepared for a shuffling service: use ClassifyShuffledCtx")
-	}
-	out, _, trace, err := e.classify(ctx, m, q, 0)
-	return out, trace, err
-}
-
-// ClassifyShuffledCtx is ClassifyCtx on a model prepared for a service
-// that shuffles its results (Prepare with shuffle): the program's shuffle
-// stage permutes every block's leaf slots with permutations drawn from
-// seed — a fresh seed per pass — and the codebooks of the batch's queries,
-// in packing order, decode the result (DecodeShuffledBatch).
-func (e *Engine) ClassifyShuffledCtx(ctx context.Context, m *ModelOperands, q *Query, seed uint64) (he.Operand, []*ShuffledCodebook, *Trace, error) {
-	if !m.shuffle {
-		return he.Operand{}, nil, nil, fmt.Errorf("core: model prepared without the result shuffle")
-	}
-	return e.classify(ctx, m, q, seed)
-}
-
-func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed uint64) (he.Operand, []*ShuffledCodebook, *Trace, error) {
+func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed uint64) (he.Operand, []*ShuffledCodebook, *Trace, error) {
 	// A query packed for one model silently misclassifies on another
 	// whose layout differs (a registry makes that an easy mistake), so
 	// reject layout mismatches up front — the full packing layout, since
@@ -662,7 +649,7 @@ func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Packed: packed, Model: model}
 	}
 	// The query's layout names the program: the one staged for its plane
-	// packing.
+	// packing, levelled for the plane kind the model was prepared for.
 	pk := m.packing(g)
 	if pk == nil || len(q.Bits) != len(pk.thresholds) {
 		mismatch := &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block}
@@ -671,10 +658,9 @@ func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 		}
 		return he.Operand{}, nil, nil, mismatch
 	}
-
-	p := pk.program
-	if !q.Bits[0].IsCipher() {
-		p = pk.plainQueryProgram
+	if i := slices.IndexFunc(q.Bits, func(op he.Operand) bool { return op.IsCipher() != m.encQuery }); i >= 0 {
+		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Want: len(pk.thresholds),
+			Encrypted: q.Bits[i].IsCipher(), WantEncrypted: m.encQuery}
 	}
 	trace := &Trace{PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits)}
 	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)
@@ -684,7 +670,7 @@ func (e *Engine) classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 		return sh, err
 	}
 	in := passInputs{query: q.Bits, thresholds: pk.thresholds, levels: pk.levels, reshuffle: m.Reshuffle}
-	out, err := e.run(ctx, p, in, trace, shuffle)
+	out, err := e.run(ctx, pk.program, in, trace, shuffle)
 	if err != nil {
 		return he.Operand{}, nil, nil, err
 	}

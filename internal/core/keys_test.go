@@ -16,24 +16,22 @@ type programRotation struct {
 	reg  est
 }
 
-// stagedRotations walks the ops of every program m staged — each plane
-// packing's, and its plaintext-query variant — and lists the rotations
-// they issue.
+// stagedRotations walks the ops of every program m staged — one per
+// plane packing — and lists the rotations they issue.
 func stagedRotations(m *ModelOperands) []programRotation {
 	var out []programRotation
 	for _, pk := range m.packings {
-		for _, p := range []*Program{pk.program, pk.plainQueryProgram} {
-			for _, op := range p.ops {
-				var steps []int
-				switch op.Code {
-				case opRot:
-					steps = []int{op.Imm}
-				case opHoist:
-					steps = p.hoists[op.Imm]
-				}
-				for _, s := range steps {
-					out = append(out, programRotation{step: s, reg: p.est[op.A]})
-				}
+		p := pk.program
+		for _, op := range p.ops {
+			var steps []int
+			switch op.Code {
+			case opRot:
+				steps = []int{op.Imm}
+			case opHoist:
+				steps = p.hoists[op.Imm]
+			}
+			for _, s := range steps {
+				out = append(out, programRotation{step: s, reg: p.est[op.A]})
 			}
 		}
 	}
@@ -83,17 +81,16 @@ func checkKeysFollowPrograms(t *testing.T, b *hebgv.Backend, staged ...*ModelOpe
 
 // TestKeysFollowPrograms stages the benchmark models — depth4, prec16,
 // wide8, and wide8's two shards onto one backend, as a worker holding
-// both stages them — on BGV, with an encrypted model (Offload; ClientEval
-// stages the same programs, the plaintext-query variant included) and a
-// plaintext one (ServerModel), shuffled and not. Staging makes the key
-// set: after it, the backend holds exactly the Galois keys the staged op
+// both stages them — on BGV, in each scenario configuration (Offload,
+// ServerModel, ClientEval), shuffled and not. Staging makes the key set:
+// after it, the backend holds exactly the Galois keys the staged op
 // programs rotate by, each at the highest level one is rotated at.
 func TestKeysFollowPrograms(t *testing.T) {
 	forests := map[string]*model.Forest{"depth4": microForest(t, "depth4"), "prec16": microForest(t, "prec16"), "wide8": wide8Forest(t)}
 	for _, name := range []string{"depth4", "prec16", "wide8", "wide8-shards"} {
 		for _, shuffle := range []bool{false, true} {
-			for _, encModel := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%s/shuffle=%v/encModel=%v", name, shuffle, encModel), func(t *testing.T) {
+			for _, cfg := range schedConfigs {
+				t.Run(fmt.Sprintf("%s/shuffle=%v/%s", name, shuffle, cfg.name), func(t *testing.T) {
 					f := forests[name]
 					if name == "wide8-shards" {
 						f = forests["wide8"]
@@ -108,10 +105,10 @@ func TestKeysFollowPrograms(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					b := planBackend(t, models[0], encModel)
+					b := planBackend(t, models[0], cfg.encModel)
 					var staged []*ModelOperands
 					for _, mc := range models {
-						m, err := Prepare(b, mc, encModel, shuffle)
+						m, err := Prepare(b, mc, cfg.encModel, cfg.encQuery, shuffle)
 						if err != nil {
 							t.Fatal(err)
 						}

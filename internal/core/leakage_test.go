@@ -78,7 +78,7 @@ func TestTable4LeakageThreeParty(t *testing.T) {
 func TestInferServerView(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true, false) // fully encrypted model
+	m, err := Prepare(b, c, true, true, false) // fully encrypted model
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	// The round-tripped artifact must still classify correctly.
 	b := heclear.New(64, 65537)
-	m, err := Prepare(b, back, true, false)
+	m, err := Prepare(b, back, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestBatchedShuffleLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Prepare(b, c, true, true)
+	m, err := Prepare(b, c, true, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestBatchedShuffleLeakage(t *testing.T) {
 // hotSlots runs one shuffled pass of a batch of one-tree queries under
 // seed and returns the slot each query's vote landed in, within its block.
 func hotSlots(b he.Backend, e *Engine, m *ModelOperands, q *Query, seed uint64) ([]int, error) {
-	shuffled, cbs, _, err := e.ClassifyShuffledCtx(context.Background(), m, q, seed)
+	shuffled, cbs, _, err := e.Classify(context.Background(), m, q, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +262,7 @@ func TestBatchedShuffleLeakageBGV(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBGVBackend(t, c)
-	m, err := Prepare(b, c, true, true)
+	m, err := Prepare(b, c, true, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

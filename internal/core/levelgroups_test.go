@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -42,7 +43,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 		slots, block := meta.Slots, meta.BatchBlock()
 		for _, encModel := range []bool{true, false} {
 			b := heclear.New(slots, 65537)
-			m, err := Prepare(b, c, encModel, false)
+			m, err := Prepare(b, c, encModel, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +55,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 				alone.packings = slices.Clone(m.packings)
 				pk := &alone.packings[i]
 				pk.levels = &levelStaging{lanes: lanes, groups: 1, mats: m.Levels, masks: m.Masks}
-				if pk.program, err = newProgram(b, alone.progInputs(g, pk.levels, false)); err != nil {
+				if pk.program, err = newProgram(b, alone.progInputs(g, pk.levels)); err != nil {
 					t.Fatal(err)
 				}
 				for _, fill := range []int{1, meta.QueryCapacity(g)} {
@@ -82,7 +83,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 						}
 						decisions, _ := he.Reveal(b, ps.regs[p.regDecisions])
 						branch, _ := he.Reveal(b, ps.regs[p.regBranchVec])
-						out, trace, err := (&Engine{Backend: b}).Classify(m, q)
+						out, _, trace, err := (&Engine{Backend: b}).Classify(context.Background(), m, q, 0)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -111,7 +112,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 								}
 							}
 						}
-						ref, _, err := (&Engine{Backend: b}).Classify(&alone, q)
+						ref, _, _, err := (&Engine{Backend: b}).Classify(context.Background(), &alone, q, 0)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -29,7 +29,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 		c := ac.c
 		b := heclear.New(c.Meta.Slots, 65537)
 		for _, encModel := range []bool{true, false} {
-			if _, err := Prepare(b, c, encModel, ac.shuffle); err != nil {
+			if _, err := Prepare(b, c, encModel, true, ac.shuffle); err != nil {
 				t.Fatalf("%s enc=%v: the compiled plan: %v", name, encModel, err)
 			}
 			pl := planner{nm: planNoiseModel(c.Meta.Slots)}
@@ -63,7 +63,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				}
 				lc := *c
 				lc.Meta.LevelPlan = &plan
-				m, err := Prepare(b, &lc, encModel, ac.shuffle)
+				m, err := Prepare(b, &lc, encModel, true, ac.shuffle)
 				var infeasible *PlanInfeasibleError
 				if errors.As(err, &infeasible) {
 					continue
@@ -209,7 +209,8 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 				lanes, _ := c.Meta.LevelLanes()
 				laned[lanes]++
 				grouped[c.Meta.LevelGroups()]++
-				for _, encModel := range []bool{true, false} {
+				for _, cfg := range schedConfigs {
+					encModel := cfg.encModel
 					st := plan.For(encModel)
 					chain := append(append([]int{st.Compare}, st.CompareRounds...), st.Reshuffle, st.Level, st.Accumulate, st.Final, minFinalLevel)
 					for j := 1; j < len(chain); j++ {
@@ -217,14 +218,13 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 							t.Errorf("enc=%v: schedule %+v does not descend", encModel, st)
 						}
 					}
-					m, err := Prepare(b, c, encModel, opts.PlanShuffle)
+					m, err := Prepare(b, c, encModel, cfg.encQuery, opts.PlanShuffle)
 					if err != nil {
-						t.Fatalf("enc=%v: %v", encModel, err)
+						t.Fatalf("%s: %v", cfg.name, err)
 					}
 					// Every plane packing, on the level staging of its layout
 					// — the lanes of a block below Meta.LevelGroups, of every
-					// group from there up; an encrypted model levels a second
-					// program for plaintext query planes.
+					// group from there up.
 					for i, pk := range m.packings {
 						h, groups, ops := c.Meta.LevelLayout(1 << i)
 						if lv := pk.levels; lv.lanes != h || lv.groups != groups || len(lv.mats) != ops || len(lv.masks) != ops {
@@ -233,9 +233,6 @@ func TestPlannerGeneratedShapes(t *testing.T) {
 						}
 						checkLevelledProgram(t, pk.program, st, h*groups)
 						checkCompareBill(t, pk.program, &c.Meta, 1<<i)
-						if pk.plainQueryProgram != pk.program {
-							checkLevelledProgram(t, pk.plainQueryProgram, st, h*groups)
-						}
 					}
 				}
 			})

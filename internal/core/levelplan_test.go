@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -158,7 +159,7 @@ func checkPinnedMargins(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := planBackend(t, c, pin.encModel)
-		m, err := Prepare(b, c, pin.encModel, false)
+		m, err := Prepare(b, c, pin.encModel, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func checkPinnedMargins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, trace, err := (&Engine{Backend: b, MeasureNoise: true}).Classify(m, q)
+		_, _, trace, err := (&Engine{Backend: b, MeasureNoise: true}).Classify(context.Background(), m, q, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", pin.name, err)
 		}
@@ -211,7 +212,7 @@ func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
 			}
 			plan := c.Meta.LevelPlan
 			b := planBackend(t, c, sc.encModel)
-			m, err := Prepare(b, c, sc.encModel, false)
+			m, err := Prepare(b, c, sc.encModel, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +230,7 @@ func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, trace, err := e.Classify(m, q)
+				out, _, trace, err := e.Classify(context.Background(), m, q, 0)
 				if err != nil {
 					t.Fatalf("%s/%s Classify(%v): %v", name, sc.name, feats, err)
 				}
@@ -284,7 +285,7 @@ func TestShuffleStageNeedsHeadroom(t *testing.T) {
 		}
 		plan := c.Meta.LevelPlan
 		for _, encModel := range []bool{true, false} {
-			_, err := Prepare(b, c, encModel, true)
+			_, err := Prepare(b, c, encModel, true, true)
 			if planShuffle {
 				if err != nil || plan.For(encModel).Final != plan.ShuffleLevel() {
 					t.Errorf("PlanShuffle enc=%v: %v, result at level %d for a shuffle entered at %d", encModel, err, plan.For(encModel).Final, plan.ShuffleLevel())
@@ -318,7 +319,7 @@ func TestPlannerNoiseBoundsMeasured(t *testing.T) {
 		nm := planNoiseModel(c.Meta.Slots)
 		for _, encModel := range []bool{true, false} {
 			b := planBackend(t, c, encModel)
-			m, err := Prepare(b, c, encModel, ac.shuffle)
+			m, err := Prepare(b, c, encModel, true, ac.shuffle)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"copse/internal/he"
@@ -58,7 +60,7 @@ func TestLoneQueryOpBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := heclear.New(1024, 65537)
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestLoneQueryOpBudget(t *testing.T) {
 	if n := b.Counts().Minus(before).Encrypt; n != 1 || len(q.Bits) != 1 {
 		t.Errorf("a lone query is %d encryptions and %d ciphertexts, want 1 and 1", n, len(q.Bits))
 	}
-	_, trace, err := (&Engine{Backend: b}).Classify(m, q)
+	_, _, trace, err := (&Engine{Backend: b}).Classify(context.Background(), m, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestLoneQueryOpBudget(t *testing.T) {
 	if q, err = PrepareQueryBatch(b, &m.Meta, full, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, trace, err = (&Engine{Backend: b}).Classify(m, q); err != nil {
+	if _, _, trace, err = (&Engine{Backend: b}).Classify(context.Background(), m, q, 0); err != nil {
 		t.Fatal(err)
 	}
 	if ops := trace.CompareOps; ops.Mul != 43 || ops.Rotate != 0 || len(q.Bits) != 16 {
@@ -140,7 +142,7 @@ func TestLevelOpBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := heclear.New(1024, 65537)
-		m, err := Prepare(b, c, true, false)
+		m, err := Prepare(b, c, true, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +175,7 @@ func TestLevelOpBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, trace, err := (&Engine{Backend: b}).Classify(m, q)
+		_, _, trace, err := (&Engine{Backend: b}).Classify(context.Background(), m, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +207,7 @@ func TestQueryLayoutErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestQueryLayoutErrors(t *testing.T) {
 		q := *lone
 		q.Bits = append([]he.Operand(nil), lone.Bits...)
 		tc.mutate(&q)
-		_, _, err := e.Classify(m, &q)
+		_, _, _, err := e.Classify(context.Background(), m, &q, 0)
 		var le *QueryLayoutError
 		if !errors.As(err, &le) || *le != tc.want {
 			t.Errorf("%s: Classify error %v, want %+v", name, err, tc.want)
@@ -242,7 +244,44 @@ func TestQueryLayoutErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Classify(m, &Query{Bits: full.Bits, Batch: 4}); err != nil {
+	if _, _, _, err := e.Classify(context.Background(), m, &Query{Bits: full.Bits, Batch: 4}, 0); err != nil {
 		t.Errorf("hand-built query of %d planes: %v", len(full.Bits), err)
+	}
+}
+
+// TestQueryPlaneKindRefused: each scenario configuration stages the one
+// program levelled for its query planes, and a query of the other kind is
+// a typed error before any op runs — run on the other program's levels it
+// would be mis-levelled. The query of the staged kind still classifies.
+func TestQueryPlaneKindRefused(t *testing.T) {
+	c, err := Compile(model.Figure1(), Options{Slots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feats := []uint64{0, 5}
+	want := model.Figure1().Classify(feats)
+	for _, cfg := range schedConfigs {
+		b := heclear.New(64, 65537)
+		m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &Engine{Backend: b}
+		other, err := PrepareQuery(b, &m.Meta, feats, !cfg.encQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.ResetCounts()
+		_, _, _, err = e.Classify(context.Background(), m, other, 0)
+		var le *QueryLayoutError
+		if !errors.As(err, &le) || le.Encrypted != !cfg.encQuery || le.WantEncrypted != cfg.encQuery {
+			t.Errorf("%s: a query of the other plane kind: %v, want a *QueryLayoutError naming both kinds", cfg.name, err)
+		}
+		if ops := b.Counts(); ops != (he.OpCounts{}) {
+			t.Errorf("%s: the refused query ran ops %+v", cfg.name, ops)
+		}
+		if got := classifySecure(t, e, m, feats, cfg.encQuery); !slices.Equal(got, want) {
+			t.Errorf("%s: trees %v, the forest says %v", cfg.name, got, want)
+		}
 	}
 }

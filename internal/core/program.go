@@ -11,7 +11,7 @@ import (
 
 // This file implements the op program: at Prepare time the staged model
 // plus its level plan is compiled into a flat, static schedule of
-// primitive homomorphic ops (DESIGN.md §13), and Engine.ClassifyCtx
+// primitive homomorphic ops (DESIGN.md §13), and Engine.Classify
 // executes that schedule — the only classify path. Everything that
 // varies between models and scenarios is a build input here, not a
 // branch at run time: BSGS loop bounds (naive stagings are the split
@@ -157,7 +157,7 @@ type constSpec struct {
 // Program is the compiled op schedule for one prepared model. It is
 // built by buildProgram at Prepare time (the baseline's by
 // NewBaselineProgram), bound to a backend once (plaintext constants
-// encoded), and executed by Engine.ClassifyCtx (ClassifyBaseline).
+// encoded), and executed by Engine.Classify (ClassifyBaseline).
 type Program struct {
 	ops    []progOp
 	sched  schedule // derived from ops by newSchedule

@@ -61,8 +61,9 @@ func dumpStages(p *Program) []string {
 }
 
 // TestProgramAtG1IsParentProgram pins the one-plane-per-ciphertext
-// programs of the Table 6 models — encrypted and plaintext model, and the
-// plaintext-query variant of the former — stage by stage: a full batch
+// programs of the Table 6 models — each scenario configuration staging its
+// one program: encrypted and plaintext model on encrypted query planes,
+// and an encrypted model on plaintext ones — stage by stage: a full batch
 // must keep running the circuit the benchmark history was taken on, and a
 // change that means to move one stage shows that it moved no other. The
 // lone query's program of every model with lane groups (DESIGN.md §13.5)
@@ -80,7 +81,7 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range schedConfigs {
-			m, err := Prepare(heclear.New(1024, 65537), c, cfg.encModel, false)
+			m, err := Prepare(heclear.New(1024, 65537), c, cfg.encModel, cfg.encQuery, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +94,7 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 				if g > 1 {
 					name += fmt.Sprintf("/g%d", g)
 				}
-				for st, dump := range dumpStages(m.programFor(g, !cfg.encQuery)) {
+				for st, dump := range dumpStages(m.ProgramFor(g)) {
 					fmt.Fprintf(&sb, "%s/%s: %d ops sha256 %x\n", name, stageDigestNames[st],
 						strings.Count(dump, "\n")-1, sha256.Sum256([]byte(dump)))
 				}
@@ -120,12 +121,4 @@ func TestProgramAtG1IsParentProgram(t *testing.T) {
 			t.Errorf("stage is %q, the golden one %q", got[i], want[i])
 		}
 	}
-}
-
-// programFor returns the program a query of plane packing g runs.
-func (m *ModelOperands) programFor(g int, plainQuery bool) *Program {
-	if plainQuery {
-		return m.packing(g).plainQueryProgram
-	}
-	return m.packing(g).program
 }

@@ -126,7 +126,7 @@ func TestDegenerateModelsRunTheProgram(t *testing.T) {
 					if encModel && tc.plainOnly {
 						continue
 					}
-					m, err := Prepare(b, tc.compiled, encModel, false)
+					m, err := Prepare(b, tc.compiled, encModel, true, false)
 					if err != nil {
 						t.Fatalf("Prepare(encModel=%v): %v", encModel, err)
 					}
@@ -136,7 +136,7 @@ func TestDegenerateModelsRunTheProgram(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						out, trace, err := e.Classify(m, q)
+						out, _, trace, err := e.Classify(context.Background(), m, q, 0)
 						if err != nil {
 							t.Fatalf("encModel=%v Classify(%v): %v", encModel, feats, err)
 						}
@@ -188,7 +188,7 @@ func TestPrepareRejectsShapelessModel(t *testing.T) {
 	} {
 		c := compileFigure1(t)
 		mutate(c)
-		_, err := Prepare(b, c, true, false)
+		_, err := Prepare(b, c, true, true, false)
 		var shape *UnsupportedModelError
 		if !errors.As(err, &shape) {
 			t.Errorf("%s: Prepare error %v, want *UnsupportedModelError", name, err)

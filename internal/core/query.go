@@ -60,8 +60,10 @@ type QueryPacking struct {
 // QueryLayoutError reports a query laid out for something other than the
 // model it was handed to: features packed for another model's slot layout
 // (a registry makes that an easy mistake, and the pass would misclassify
-// silently), a plane packing the model stages no program for, or an
-// operand count that is not the packing's.
+// silently), a plane packing the model stages no program for, an operand
+// count that is not the packing's, or bit planes of the other kind than
+// the ones the model's programs are levelled for (the program would run
+// mis-levelled).
 type QueryLayoutError struct {
 	// Planes is the number of bit-plane operands the query carries.
 	Planes int
@@ -75,6 +77,10 @@ type QueryLayoutError struct {
 	// Packed and Model are the feature packing the query is stamped with
 	// and the model's; they differ exactly when that is what is wrong.
 	Packed, Model QueryPacking
+	// Encrypted is whether the query's offending bit plane is a
+	// ciphertext and WantEncrypted whether the model was prepared for
+	// encrypted planes; they differ exactly when that is what is wrong.
+	Encrypted, WantEncrypted bool
 }
 
 func (e *QueryLayoutError) Error() string {
@@ -86,6 +92,9 @@ func (e *QueryLayoutError) Error() string {
 	case e.Want == 0:
 		return fmt.Sprintf("core: query packs %d bit planes per ciphertext (block %d), a layout the model stages no program for",
 			e.PlanesPerCiphertext, e.Block)
+	case e.Encrypted != e.WantEncrypted:
+		kind := map[bool]string{true: "encrypted", false: "plaintext"}
+		return fmt.Sprintf("core: query carries %s bit planes, model prepared for %s ones", kind[e.Encrypted], kind[e.WantEncrypted])
 	}
 	return fmt.Sprintf("core: query has %d bit-plane operands at %d planes per ciphertext (block %d), model wants %d",
 		e.Planes, e.PlanesPerCiphertext, e.Block, e.Want)

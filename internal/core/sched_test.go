@@ -160,9 +160,9 @@ func scheduleCorpus(t *testing.T) map[string]scheduleCase {
 // with PlanShuffle, a shard of one, or an old artifact planned at load —
 // and every other model is refused with the shuffle stage's typed error.
 // It returns nil for a refused model.
-func prepareScheduleCase(t *testing.T, b he.Backend, sc scheduleCase, encModel, shuffle bool) *ModelOperands {
+func prepareScheduleCase(t *testing.T, b he.Backend, sc scheduleCase, encModel, encQuery, shuffle bool) *ModelOperands {
 	t.Helper()
-	m, err := Prepare(b, sc.c, encModel, shuffle)
+	m, err := Prepare(b, sc.c, encModel, encQuery, shuffle)
 	plan := sc.c.Meta.LevelPlan
 	if !shuffle || plan.For(encModel).Final >= plan.ShuffleLevel() {
 		if err != nil {
@@ -185,22 +185,19 @@ func prepareScheduleCase(t *testing.T, b he.Backend, sc scheduleCase, encModel, 
 func TestProgramSchedulesAreValid(t *testing.T) {
 	b := heclear.New(1024, 65537)
 	for name, sc := range scheduleCorpus(t) {
-		for _, encModel := range []bool{true, false} {
+		for _, cfg := range schedConfigs {
 			for _, shuffle := range []bool{false, true} {
-				sub := fmt.Sprintf("%s/enc=%v", name, encModel)
+				sub := name + "/" + cfg.name
 				if shuffle {
 					sub += "/shuffled"
 				}
 				t.Run(sub, func(t *testing.T) {
-					m := prepareScheduleCase(t, b, sc, encModel, shuffle)
+					m := prepareScheduleCase(t, b, sc, cfg.encModel, cfg.encQuery, shuffle)
 					if m == nil {
 						return
 					}
 					for _, pk := range m.packings {
 						checkSchedule(t, pk.program)
-						if pk.plainQueryProgram != pk.program {
-							checkSchedule(t, pk.plainQueryProgram)
-						}
 					}
 				})
 			}
@@ -236,7 +233,7 @@ func TestScheduleCorpusMatchesForest(t *testing.T) {
 					sub += "/shuffled"
 				}
 				t.Run(sub, func(t *testing.T) {
-					m := prepareScheduleCase(t, b, sc, cfg.encModel, shuffle)
+					m := prepareScheduleCase(t, b, sc, cfg.encModel, cfg.encQuery, shuffle)
 					for _, fill := range packingFills(&sc.c.Meta) {
 						batch := make([][]uint64, fill)
 						for i := range batch {
@@ -352,7 +349,7 @@ func TestScheduleIndependent(t *testing.T) {
 						t.Fatal(err)
 					}
 					b := newBackend(c)
-					m, err := Prepare(b, c, cfg.encModel, tc.shuffled)
+					m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, tc.shuffled)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -378,7 +375,7 @@ func TestScheduleIndependent(t *testing.T) {
 				b := newBackend(c)
 				batch := [][]uint64{randomFeatures(rng, f.NumFeatures, f.Precision), randomFeatures(rng, f.NumFeatures, f.Precision)}
 				for _, sc := range shards {
-					m, err := Prepare(b, sc, cfg.encModel, false)
+					m, err := Prepare(b, sc, cfg.encModel, cfg.encQuery, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -402,7 +399,7 @@ func TestCancelStopsWithinOneOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +427,7 @@ func TestCancelStopsWithinOneOp(t *testing.T) {
 			cancelled = time.Now()
 			cancel()
 		})
-		_, _, err := (&Engine{Backend: b, Workers: workers}).ClassifyCtx(ctx, m, q)
+		_, _, _, err := (&Engine{Backend: b, Workers: workers}).Classify(ctx, m, q, 0)
 		returned := time.Now()
 		timer.Stop()
 		sched.Arm(false)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -120,7 +121,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := Prepare(b, c, false, false)
+		single, err := Prepare(b, c, false, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refOut, _, err := e.Classify(single, q)
+				refOut, _, _, err := e.Classify(context.Background(), single, q, 0)
 				if err != nil {
 					t.Fatalf("single-node Classify: %v", err)
 				}
@@ -157,12 +158,12 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 				// with plain adds.
 				outs := make([]he.Operand, len(shards))
 				for i, sc := range shards {
-					ops, err := Prepare(b, sc, false, false)
+					ops, err := Prepare(b, sc, false, true, false)
 					if err != nil {
 						t.Fatalf("preparing shard %d: %v", i, err)
 					}
 					var trace *Trace
-					outs[i], trace, err = e.Classify(ops, q)
+					outs[i], _, trace, err = e.Classify(context.Background(), ops, q, 0)
 					if err != nil {
 						t.Fatalf("shard %d Classify: %v", i, err)
 					}
@@ -259,12 +260,12 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	e := &Engine{Backend: b, Workers: 4}
 	outs := make([]he.Operand, len(shards))
 	for i, sc := range shards {
-		ops, err := Prepare(b, sc, false, false)
+		ops, err := Prepare(b, sc, false, true, false)
 		if err != nil {
 			t.Fatalf("preparing shard %d: %v", i, err)
 		}
 		var trace *Trace
-		outs[i], trace, err = e.Classify(ops, q)
+		outs[i], _, trace, err = e.Classify(context.Background(), ops, q, 0)
 		if err != nil {
 			t.Fatalf("shard %d Classify: %v", i, err)
 		}

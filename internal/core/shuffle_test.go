@@ -25,7 +25,7 @@ func shuffledModel(t *testing.T, f *model.Forest, slots int, encModel bool) (he.
 		t.Fatal(err)
 	}
 	b := heclear.New(slots, 65537)
-	m, err := Prepare(b, c, encModel, true)
+	m, err := Prepare(b, c, encModel, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestShuffleStageMatchesForest(t *testing.T) {
 							t.Fatal(err)
 						}
 						for seed := uint64(1); seed <= 2; seed++ {
-							out, cbs, trace, err := (&Engine{Backend: b, Workers: 2}).ClassifyShuffledCtx(context.Background(), m, q, seed)
+							out, cbs, trace, err := (&Engine{Backend: b, Workers: 2}).Classify(context.Background(), m, q, seed)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -109,7 +109,7 @@ func TestShuffledTraceCountsTheStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, tr, err := (&Engine{Backend: b, Workers: 2}).ClassifyShuffledCtx(context.Background(), m, q, 3)
+	_, _, tr, err := (&Engine{Backend: b, Workers: 2}).Classify(context.Background(), m, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,6 @@ func TestShuffledTraceCountsTheStage(t *testing.T) {
 	}
 	if tr.ShuffleBusy == 0 || tr.Busy() != tr.CompareBusy+tr.ReshuffleBusy+tr.LevelsBusy+tr.AccumulateBusy+tr.ShuffleBusy {
 		t.Errorf("Busy %v, shuffle busy %v: the shuffle stage is not counted", tr.Busy(), tr.ShuffleBusy)
-	}
-	if _, _, err := (&Engine{Backend: b}).Classify(m, q); err == nil {
-		t.Error("an unshuffled pass ran on a model prepared for shuffling")
 	}
 }
 
@@ -147,7 +144,7 @@ func TestConcurrentClassify(t *testing.T) {
 	b := heclear.New(64, 65537)
 	forest := model.Figure1()
 	c := compileFigure1(t)
-	m, err := Prepare(b, c, true, false)
+	m, err := Prepare(b, c, true, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestConcurrentClassify(t *testing.T) {
 				errCh <- err
 				return
 			}
-			out, _, err := e.Classify(m, q)
+			out, _, _, err := e.Classify(context.Background(), m, q, 0)
 			if err != nil {
 				errCh <- err
 				return
@@ -227,7 +224,7 @@ func TestBatchedShuffleCodebookIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	codebooks := func(seed uint64) []*ShuffledCodebook {
-		_, cbs, _, err := (&Engine{Backend: b, Workers: 2}).ClassifyShuffledCtx(context.Background(), m, q, seed)
+		_, cbs, _, err := (&Engine{Backend: b, Workers: 2}).Classify(context.Background(), m, q, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +283,7 @@ func TestBatchedShuffleBGVLeveledKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Prepare(b, c, true, true)
+	m, err := Prepare(b, c, true, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +297,7 @@ func TestBatchedShuffleBGVLeveledKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shuffled, cbs, trace, err := (&Engine{Backend: b, Workers: 4}).ClassifyShuffledCtx(context.Background(), m, q, 9)
+	shuffled, cbs, trace, err := (&Engine{Backend: b, Workers: 4}).Classify(context.Background(), m, q, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package copse_test
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -114,5 +115,46 @@ func TestServiceLateRegistration(t *testing.T) {
 				t.Errorf("prec16 batch of %d, query %v: trees %v, forest says %v", n, feats, results[i].PerTree, want)
 			}
 		}
+	}
+}
+
+// TestRegisterRefusesShortChain registers depth4 and then prec16 on one
+// BGV service without WithLevels: depth4 sizes the chain to its own plan,
+// which is shorter than the one prec16's plan enters at, so Register
+// refuses prec16 with a typed *PlanInfeasibleError instead of staging a
+// model whose every pass would exhaust the chain. depth4 keeps serving.
+func TestRegisterRefusesShortChain(t *testing.T) {
+	compile := func(f *copse.Forest) *copse.Compiled {
+		c, err := copse.Compile(f, copse.CompileOptions{Slots: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	depth4 := microbenchForest(t, "depth4")
+	c4, c16 := compile(depth4), compile(microbenchForest(t, "prec16"))
+	if c16.Meta.ChainLevels(true) <= c4.Meta.ChainLevels(true) {
+		t.Fatalf("prec16's chain (%d) is no longer than depth4's (%d)", c16.Meta.ChainLevels(true), c4.Meta.ChainLevels(true))
+	}
+	svc := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithWorkers(2), copse.WithSeed(31))
+	defer svc.Close()
+	if err := svc.Register("depth4", c4); err != nil {
+		t.Fatal(err)
+	}
+	err := svc.Register("prec16", c16)
+	var infeasible *copse.PlanInfeasibleError
+	if !errors.As(err, &infeasible) || infeasible.Kind != "chain" || infeasible.Level != c16.Meta.ChainLevels(true)-1 {
+		t.Fatalf("Register(prec16) on depth4's chain: %v, want a *PlanInfeasibleError for the chain at level %d", err, c16.Meta.ChainLevels(true)-1)
+	}
+	if names := svc.Models(); !slices.Equal(names, []string{"depth4"}) {
+		t.Errorf("models after the refusal: %v", names)
+	}
+	batch := randomBatch(depth4, 1, 7)
+	res, err := svc.ClassifyBatch(context.Background(), "depth4", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := depth4.Classify(batch[0]); !slices.Equal(res[0].PerTree, want) {
+		t.Errorf("depth4 after the refusal: trees %v, forest says %v", res[0].PerTree, want)
 	}
 }

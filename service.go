@@ -148,7 +148,8 @@ func WithMaxInFlight(n int) Option { return func(c *serviceConfig) { c.maxInFlig
 func WithShedQueue(n int) Option { return func(c *serviceConfig) { c.shedQueue = n } }
 
 // WithLevels overrides the BGV chain length the first registered model's
-// level plan sizes (the ring itself always follows from its slot count).
+// level plan sizes (the ring itself always follows from its slot count);
+// Register refuses a model whose plan needs a longer one.
 func WithLevels(n int) Option { return func(c *serviceConfig) { c.levels = n } }
 
 // WithSeed makes key generation and encryption deterministic (tests and
@@ -265,17 +266,19 @@ func (s *Service) Close() error {
 // registration creates the backend (the key pair and relinearization
 // key, on a modulus chain sized to that model's level plan); later models
 // must be staged for the same slot count, and a later model needing a
-// deeper chain than the first model's plan has its schedule clamped to
-// the available top. Register a service's deepest model first to give it
-// the exact chain (or fix the chain with WithLevels). Every registration
-// makes the Galois keys its model's op programs rotate by that the
-// service lacks, each at the highest level a program rotates it at
-// (DESIGN.md §7.3); models already serving keep running while it does.
+// longer chain than the backend has (ChainLevels) is refused with a
+// *PlanInfeasibleError. Register a service's deepest model first (or fix
+// the chain with WithLevels). The scenario fixes what is encrypted, so
+// each plane packing stages the one op program the scenario's queries run.
+// Every registration makes the Galois keys its model's op programs rotate
+// by that the service lacks, each at the highest level a program rotates
+// it at (DESIGN.md §7.3); models already serving keep running while it
+// does.
 func (s *Service) Register(name string, c *Compiled) error {
 	if name == "" {
 		return fmt.Errorf("copse: empty model name")
 	}
-	encryptModel, _, err := scenarioEncryption(s.cfg.scenario)
+	encryptModel, encryptFeats, err := scenarioEncryption(s.cfg.scenario)
 	if err != nil {
 		return err
 	}
@@ -300,7 +303,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		return fmt.Errorf("copse: model %q staged for %d slots but service backend has %d",
 			name, c.Meta.Slots, s.backend.Slots())
 	}
-	operands, err := core.Prepare(s.backend, c, encryptModel, s.cfg.shuffle)
+	operands, err := core.Prepare(s.backend, c, encryptModel, encryptFeats, s.cfg.shuffle)
 	if err != nil {
 		return err
 	}
@@ -421,20 +424,26 @@ func (s *Service) EncryptQueryBatch(name string, batch [][]uint64) (*Query, erro
 // or recovered inside a matrix worker — surface as a typed
 // *InternalError on this request only.
 func (s *Service) prepareBatch(backend he.Backend, meta *core.Meta, batch [][]uint64, encFeats bool) (q *Query, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicsRecovered.Add(1)
-			q = nil
-			err = &InternalError{Op: "encrypt", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	q, err = core.PrepareQueryBatch(backend, meta, batch, encFeats)
-	var pe *matrix.PanicError
-	if errors.As(err, &pe) {
+	defer s.isolate("encrypt", &err)
+	return core.PrepareQueryBatch(backend, meta, batch, encFeats)
+}
+
+// isolate, deferred by a serving step that returns its error through err,
+// turns a panic in the step — direct, or recovered inside a matrix worker
+// and surfaced as *matrix.PanicError — into a typed *InternalError for op
+// on this request only, instead of killing the process and every other
+// in-flight pass with it.
+func (s *Service) isolate(op string, err *error) {
+	if r := recover(); r != nil {
 		s.panicsRecovered.Add(1)
-		err = &InternalError{Op: "encrypt", Value: pe.Value, Stack: pe.Stack}
+		*err = &InternalError{Op: op, Value: r, Stack: debug.Stack()}
+		return
 	}
-	return q, err
+	var pe *matrix.PanicError
+	if errors.As(*err, &pe) {
+		s.panicsRecovered.Add(1)
+		*err = &InternalError{Op: op, Value: pe.Value, Stack: pe.Stack}
+	}
 }
 
 // Classify runs Algorithm 1 on a prepared (possibly batched) query.
@@ -446,40 +455,21 @@ func (s *Service) prepareBatch(backend he.Backend, meta *core.Meta, batch [][]ui
 // the in-flight cap — and returns one combined result; the trace then
 // aggregates the links (durations and op bills summed).
 func (s *Service) Classify(ctx context.Context, name string, q *Query) (*EncryptedResult, *Trace, error) {
-	if q.Next == nil {
-		return s.classify(ctx, name, q, 0)
-	}
 	var links []*Query
 	for l := q; l != nil; l = l.Next {
 		links = append(links, l)
 	}
-	var shuffleBase uint64
-	if s.cfg.shuffle {
-		// One seed per link, reserved up front: seeded runs reproduce
-		// regardless of which link's goroutine runs first.
-		shuffleBase = s.shuffleSeedBlock(len(links))
-	}
-	workers := len(links)
-	if s.cfg.maxInFlight > 0 {
-		workers = min(workers, s.cfg.maxInFlight)
-	}
-	workers = min(workers, runtime.GOMAXPROCS(0))
 	encs := make([]*EncryptedResult, len(links))
 	traces := make([]*Trace, len(links))
-	err := matrix.ParallelFor(len(links), workers, func(i int) error {
-		var seed uint64
-		if s.cfg.shuffle {
-			seed = shuffleBase + uint64(i)*shuffleSeedStride
-		}
-		enc, trace, err := s.classify(ctx, name, links[i], seed)
-		if err != nil {
-			return err
-		}
-		encs[i], traces[i] = enc, trace
-		return nil
+	err := s.passes(len(links), func(i int, seed uint64) (err error) {
+		encs[i], traces[i], err = s.classify(ctx, name, links[i], seed)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(links) == 1 {
+		return encs[0], traces[0], nil
 	}
 	merged := &EncryptedResult{}
 	trace := &Trace{}
@@ -530,11 +520,27 @@ func addTrace(dst, src *Trace) {
 	}
 }
 
-// classify is Classify with an optional shuffle-seed override (0 means
-// draw from the service's per-pass sequence) — classifyChunks pins a
-// deterministic seed per chunk so seeded multi-chunk batches reproduce
-// regardless of which chunk's goroutine runs first.
-func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSeed uint64) (*EncryptedResult, *Trace, error) {
+// passes runs n independent passes concurrently — bounded by
+// WithMaxInFlight when set and by the host's core count — handing pass i
+// the i-th shuffle seed of a block reserved up front, so seeded shuffled
+// runs reproduce whichever pass's goroutine runs first. It is the one
+// multi-pass runner: Classify's chained links and classifyChunks' chunks
+// both run here.
+func (s *Service) passes(n int, run func(i int, seed uint64) error) error {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if s.cfg.maxInFlight > 0 {
+		workers = min(workers, s.cfg.maxInFlight)
+	}
+	base := s.shuffleSeedBlock(n)
+	return matrix.ParallelFor(n, workers, func(i int) error {
+		return run(i, base+uint64(i)*shuffleSeedStride)
+	})
+}
+
+// classify runs one pass of Algorithm 1 over one query link — admission,
+// the in-flight slot, the engine pass and the serving counters — with
+// the shuffle seed its caller reserved (unused on an unshuffled service).
+func (s *Service) classify(ctx context.Context, name string, q *Query, seed uint64) (*EncryptedResult, *Trace, error) {
 	m, _, err := s.lookup(name)
 	if err != nil {
 		return nil, nil, err
@@ -569,7 +575,7 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, shuffleSe
 
 	s.inFlight.Add(1)
 	start := time.Now()
-	op, codebooks, trace, err := s.runPipeline(ctx, m, q, shuffleSeed)
+	op, codebooks, trace, err := s.execute(ctx, m, q, seed)
 	elapsed := time.Since(start)
 	s.latencyNS.Add(elapsed.Nanoseconds())
 	m.latency.Observe(elapsed)
@@ -623,34 +629,10 @@ func (s *Service) admit(ctx context.Context, name string, m *servedModel) error 
 	}
 }
 
-// runPipeline executes one classification pass — under WithShuffle its
-// shuffle stage permuting with a fresh seed — with panic isolation: a
-// panic anywhere in the pipeline — the engine, a matrix worker goroutine
-// (surfaced as *matrix.PanicError) — fails this request with a typed
-// *InternalError instead of killing the process and every other
-// in-flight pass with it.
-func (s *Service) runPipeline(ctx context.Context, m *servedModel, q *Query, shuffleSeed uint64) (op he.Operand, codebooks []*core.ShuffledCodebook, trace *core.Trace, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panicsRecovered.Add(1)
-			op, codebooks, trace = he.Operand{}, nil, nil
-			err = &InternalError{Op: "classify", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if s.cfg.shuffle {
-		if shuffleSeed == 0 {
-			shuffleSeed = s.nextShuffleSeed()
-		}
-		op, codebooks, trace, err = m.engine.ClassifyShuffledCtx(ctx, m.operands, q, shuffleSeed)
-	} else {
-		op, trace, err = m.engine.ClassifyCtx(ctx, m.operands, q)
-	}
-	var pe *matrix.PanicError
-	if errors.As(err, &pe) {
-		s.panicsRecovered.Add(1)
-		err = &InternalError{Op: "classify", Value: pe.Value, Stack: pe.Stack}
-	}
-	return op, codebooks, trace, err
+// execute is the engine pass of classify, panic-isolated.
+func (s *Service) execute(ctx context.Context, m *servedModel, q *Query, seed uint64) (op he.Operand, codebooks []*core.ShuffledCodebook, trace *core.Trace, err error) {
+	defer s.isolate("classify", &err)
+	return m.engine.Classify(ctx, m.operands, q, seed)
 }
 
 // passEstimate is the model's typical per-pass latency (the observed
@@ -678,22 +660,19 @@ func (s *Service) retryAfter(m *servedModel) time.Duration {
 // (an odd constant, so the walk covers the whole 2^64 ring).
 const shuffleSeedStride = 0x9e3779b97f4a7c15
 
-// nextShuffleSeed returns a fresh per-pass shuffle seed: random by
-// default, the next element of a deterministic sequence under WithSeed
-// (concurrent direct Classify callers draw in completion order; the
-// chunked batch entrypoints reserve a whole block up front instead —
-// shuffleSeedBlock — so seeded ClassifyBatch[Shuffled] runs reproduce
-// exactly regardless of chunk scheduling).
-func (s *Service) nextShuffleSeed() uint64 {
-	return s.shuffleSeedBlock(1)
-}
-
 // shuffleSeedBlock atomically reserves n consecutive seeds of the
 // per-pass sequence and returns the first; the caller derives seed i as
-// base + i·shuffleSeedStride. Distinct calls never overlap (the range
-// is consumed from the shared counter), so no two passes — chunked or
-// direct — share a permutation.
+// base + i·shuffleSeedStride. The seeds are random by default and the
+// next elements of a deterministic sequence under WithSeed; an
+// unshuffled service reserves nothing and gets 0. Distinct calls never
+// overlap (the range is consumed from the shared counter), so no two
+// passes — chunked, batched or direct — share a permutation, and every
+// caller reserves before its passes run, so seeded runs reproduce
+// whatever the scheduling.
 func (s *Service) shuffleSeedBlock(n int) uint64 {
+	if !s.cfg.shuffle {
+		return 0
+	}
 	hi := s.shuffleSeq.Add(uint64(n))
 	if s.cfg.seed != 0 {
 		return s.cfg.seed + (hi-uint64(n)+1)*shuffleSeedStride
@@ -790,48 +769,21 @@ func (s *Service) classifyChunks(ctx context.Context, name string, batch [][]uin
 		return agg.submit(ctx, batch)
 	}
 	capacity := m.operands.Meta.BatchCapacity()
-	chunks := (len(batch) + capacity - 1) / capacity
-	workers := chunks
-	if s.cfg.maxInFlight > 0 {
-		workers = min(workers, s.cfg.maxInFlight)
-	}
-	workers = min(workers, runtime.GOMAXPROCS(0))
 	out := make([]*Result, len(batch))
 	var codebooks []*ShuffledCodebook
-	var shuffleBase uint64
 	if s.cfg.shuffle {
 		codebooks = make([]*ShuffledCodebook, len(batch))
-		// Reserve one seed per chunk up front: the chunk→seed mapping is
-		// then deterministic under WithSeed no matter which chunk's
-		// goroutine runs first.
-		shuffleBase = s.shuffleSeedBlock(chunks)
 	}
-	err = matrix.ParallelFor(chunks, workers, func(ci int) error {
-		lo := ci * capacity
+	err = s.passes((len(batch)+capacity-1)/capacity, func(i int, seed uint64) error {
+		lo := i * capacity
 		hi := min(lo+capacity, len(batch))
-		q, err := s.EncryptQueryBatch(name, batch[lo:hi])
-		if err != nil {
-			return err
-		}
-		var seed uint64
-		if s.cfg.shuffle {
-			seed = shuffleBase + uint64(ci)*shuffleSeedStride
-		}
-		// The chunk's query and result are its own: back to the pool once
-		// they have served (DESIGN.md §6.4).
-		enc, _, err := s.classify(ctx, name, q, seed)
-		releaseQuery(q)
-		if err != nil {
-			return err
-		}
-		results, err := s.DecryptResultBatch(name, enc)
-		enc.release()
+		results, cbs, err := s.pass(ctx, name, batch[lo:hi], seed)
 		if err != nil {
 			return err
 		}
 		copy(out[lo:hi], results)
 		if codebooks != nil {
-			copy(codebooks[lo:hi], enc.Codebooks())
+			copy(codebooks[lo:hi], cbs)
 		}
 		return nil
 	})
@@ -839,6 +791,31 @@ func (s *Service) classifyChunks(ctx context.Context, name string, batch [][]uin
 		return nil, nil, err
 	}
 	return out, codebooks, nil
+}
+
+// pass answers at most one pass's worth of feature vectors end to end:
+// encrypt them into one query, classify it with the shuffle seed the
+// caller reserved, decrypt and decode, and return the results with their
+// codebooks (nil unshuffled). The query and the result are the pass's
+// own: they go back to the backend's pool once the pass no longer needs
+// them (DESIGN.md §6.4). classifyChunks and the dynamic batcher both run
+// their passes here.
+func (s *Service) pass(ctx context.Context, name string, feats [][]uint64, seed uint64) ([]*Result, []*ShuffledCodebook, error) {
+	q, err := s.EncryptQueryBatch(name, feats)
+	if err != nil {
+		return nil, nil, err
+	}
+	enc, _, err := s.classify(ctx, name, q, seed)
+	releaseQuery(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := s.DecryptResultBatch(name, enc)
+	enc.release()
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, enc.Codebooks(), nil
 }
 
 // ServiceStats is a snapshot of the serving counters.
