@@ -84,12 +84,11 @@ func (pt *Plaintext) PreLift(ctx *ring.Context, levels ...int) {
 }
 
 // Ciphertext is a BGV ciphertext of degree len(C)-1 in the secret key,
-// stored in NTT domain. NoiseBits is a running upper-bound estimate of
-// log2 of the critical quantity |t·e + m|, used by the evaluator to drive
-// automatic modulus switching (HElib does the same).
+// stored in NTT domain. It carries no noise estimate: a level plan fixes
+// the level of every ciphertext before it exists, and decryption measures
+// the noise it decrypts through (Decryptor.Decrypt).
 type Ciphertext struct {
-	C         []*ring.Poly
-	NoiseBits float64
+	C []*ring.Poly
 }
 
 // Level returns the ciphertext level.
@@ -101,7 +100,7 @@ func (ct *Ciphertext) Degree() int { return len(ct.C) - 1 }
 
 // Copy returns a deep copy.
 func (ct *Ciphertext) Copy() *Ciphertext {
-	out := &Ciphertext{NoiseBits: ct.NoiseBits}
+	out := &Ciphertext{}
 	for _, c := range ct.C {
 		out.C = append(out.C, c.Copy())
 	}
@@ -190,16 +189,12 @@ func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
 	ctx.Add(c0, pt.lift(ctx, level), c0)
 	ctx.PutPolys([]*ring.Poly{u, e0, e1})
 
-	return &Ciphertext{
-		C:         []*ring.Poly{c0, c1},
-		NoiseBits: e.params.freshNoiseBits(),
-	}
+	return &Ciphertext{C: []*ring.Poly{c0, c1}}
 }
 
 // encryptSecret is EncryptAtLevel under the secret key. Its noise, t·e,
-// is below a public-key encryption's; it keeps the same NoiseBits
-// estimate, so the evaluator and the level planner see one kind of fresh
-// ciphertext.
+// is below a public-key encryption's, so the level planner's one fresh
+// estimate bounds both.
 func (e *Encryptor) encryptSecret(pt *Plaintext, level int) *Ciphertext {
 	ctx := e.params.RingCtx
 	a := e.sampler.UniformPoly(level, true)
@@ -215,10 +210,7 @@ func (e *Encryptor) encryptSecret(pt *Plaintext, level int) *Ciphertext {
 	ctx.MulCoeffs(a, e.sk.S, as)
 	ctx.Sub(c0, as, c0)
 	ctx.PutPoly(as)
-	return &Ciphertext{
-		C:         []*ring.Poly{c0, a},
-		NoiseBits: e.params.freshNoiseBits(),
-	}
+	return &Ciphertext{C: []*ring.Poly{c0, a}}
 }
 
 // Decryptor decrypts ciphertexts with the secret key.
@@ -254,11 +246,20 @@ func (d *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 	return acc
 }
 
-// Decrypt recovers the plaintext coefficients of ct.
-func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
+// Decrypt recovers the plaintext coefficients of ct. The reconstruction
+// measures the phase it centers, and a phase with no budget left — its
+// largest coefficient within a bit of Q/2, where |t·e + m| wraps and the
+// coefficients mod t are garbage — is refused with a *NoiseOverflowError
+// instead of decoded: the measurement is exact where a noise estimate
+// would be a guess.
+func (d *Decryptor) Decrypt(ct *Ciphertext) (*Plaintext, error) {
 	phi := d.phase(ct)
 	defer d.params.RingCtx.PutPoly(phi)
-	return NewPlaintext(d.params.RingCtx.ToCenteredMod(phi, d.params.T))
+	coeffs, bits := d.params.RingCtx.ToCenteredMod(phi, d.params.T)
+	if budget := d.params.QBits(ct.Level()) - bits - 1; budget <= 0 {
+		return nil, &NoiseOverflowError{Level: ct.Level(), Budget: budget}
+	}
+	return NewPlaintext(coeffs), nil
 }
 
 // NoiseBudget returns the remaining noise budget of ct in bits: the
@@ -269,13 +270,6 @@ func (d *Decryptor) NoiseBudget(ct *Ciphertext) int {
 	defer d.params.RingCtx.PutPoly(phi)
 	noiseBits := d.params.RingCtx.MaxCenteredBits(phi)
 	return d.params.QBits(ct.Level()) - noiseBits - 1
-}
-
-// freshNoiseBits estimates log2|t·e + m| of a fresh public-key
-// encryption: t · (e0 + e·u + e1·s) has canonical norm about
-// t·B·sqrt(2N), padded generously.
-func (p *Parameters) freshNoiseBits() float64 {
-	return float64(bitsOf(p.T)) + float64(p.LogN)/2 + 8
 }
 
 func bitsOf(x uint64) int {
@@ -290,3 +284,26 @@ func bitsOf(x uint64) int {
 // errNotEnoughLevels is returned when an operation would need a level
 // below zero.
 var errNotEnoughLevels = fmt.Errorf("bgv: modulus chain exhausted (increase Params.Levels)")
+
+// LevelMismatchError is the refusal of a binary ciphertext op whose
+// operands sit at different levels, A and B. The evaluator switches no
+// operand down on its own: a level plan places every move as an op, so a
+// mismatch is a program the plan did not level.
+type LevelMismatchError struct {
+	A, B int
+}
+
+func (e *LevelMismatchError) Error() string {
+	return fmt.Sprintf("bgv: operands at levels %d and %d (a binary op needs both at one level)", e.A, e.B)
+}
+
+// NoiseOverflowError is Decrypt's refusal of a ciphertext whose measured
+// noise has reached the modulus at its level: Budget bits (≤ 0) were left,
+// so the decoded slots would be wrong.
+type NoiseOverflowError struct {
+	Level, Budget int
+}
+
+func (e *NoiseOverflowError) Error() string {
+	return fmt.Sprintf("bgv: decryption at level %d measured a noise budget of %d bits: the noise overflowed the modulus", e.Level, e.Budget)
+}

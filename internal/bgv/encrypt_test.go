@@ -8,9 +8,10 @@ import (
 
 // TestSecretKeyEncryption: an encryption under the secret key decrypts
 // exactly at every level of the chain, its measured fresh noise stays
-// within freshNoiseBits — the bound the evaluator and the level planner
-// assume of every fresh ciphertext — and it multiplies like any other
-// ciphertext. The public-key path, which a party without the secret key
+// within the fresh bound — log2 t + logN/2 + 8 bits: t·(e0 + e·u + e1·s)
+// has canonical norm about t·B·sqrt(2N), padded generously, which the
+// level planner assumes of every fresh ciphertext — and it multiplies
+// like any other ciphertext. The public-key path, which a party without the secret key
 // encrypts through, is held to the same three checks beside it.
 func TestSecretKeyEncryption(t *testing.T) {
 	kit := newTestKit(t, 6, nil)
@@ -18,6 +19,7 @@ func TestSecretKeyEncryption(t *testing.T) {
 		"secret key": NewSeededSecretKeyEncryptor(kit.params, kit.sk, 5),
 		"public key": kit.encr,
 	}
+	freshBound := float64(bitsOf(kit.params.T)) + float64(kit.params.LogN)/2 + 8
 	r := rand.New(rand.NewPCG(5, 5))
 	for name, encr := range encryptors {
 		for level := 0; level <= kit.params.MaxLevel(); level++ {
@@ -34,11 +36,11 @@ func TestSecretKeyEncryption(t *testing.T) {
 				t.Errorf("%s, level %d: decrypts to something else", name, level)
 			}
 			noise := kit.params.RingCtx.MaxCenteredBits(kit.dec.phase(ct))
-			if float64(noise) > kit.params.freshNoiseBits() {
-				t.Errorf("%s, level %d: fresh noise %d bits, the bound is %.1f", name, level, noise, kit.params.freshNoiseBits())
+			if float64(noise) > freshBound {
+				t.Errorf("%s, level %d: fresh noise %d bits, the bound is %.1f", name, level, noise, freshBound)
 			}
 			if level == kit.params.MaxLevel() {
-				t.Logf("%s: fresh noise %d bits (bound %.1f)", name, noise, kit.params.freshNoiseBits())
+				t.Logf("%s: fresh noise %d bits (bound %.1f)", name, noise, freshBound)
 				sq, err := kit.eval.Mul(ct, ct)
 				if err != nil {
 					t.Fatal(err)

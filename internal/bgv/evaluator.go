@@ -2,7 +2,6 @@ package bgv
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"copse/internal/ring"
@@ -41,58 +40,8 @@ func (ev *Evaluator) galois(elt uint64) *SwitchingKey {
 	return nil
 }
 
-// msFloorBits is the noise level right after a modulus switch:
-// roughly t·(1 + ||s||_1) plus rounding, padded.
-func (ev *Evaluator) msFloorBits() float64 {
-	return float64(bitsOf(ev.params.T)) + float64(ev.params.LogN) + 4
-}
-
-// ksNoiseBits is the additive noise of one key switch at a level.
-func (ev *Evaluator) ksNoiseBits(level int) float64 {
-	return KeySwitchNoiseBits(ev.params.LogN, bitsOf(ev.params.T), level)
-}
-
-// switchedNoise is the noise estimate after a modulus switch that drops
-// `primes` primes: each takes PrimeBits off, down to the switch floor.
-func (ev *Evaluator) switchedNoise(noise float64, primes int) float64 {
-	return math.Max(noise-float64(primes*ev.params.PrimeBits), ev.msFloorBits())
-}
-
-// manage drops levels while the noise estimate gets too close to the
-// current modulus, mirroring HElib's automatic modulus switching. The
-// policy is lazy: it only switches when the decryption margin is at risk,
-// because key-switching operations (rotations, relinearization) need a
-// modulus comfortably above the key-switch noise and so benefit from
-// staying at higher levels. However many primes have to go, they go in
-// one rounding.
-func (ev *Evaluator) manage(ct *Ciphertext) error {
-	margin := float64(bitsOf(ev.params.T)) + 10
-	level, noise := ct.Level(), ct.NoiseBits
-	for level > 0 && noise > float64(ev.params.QBits(level))-margin {
-		level, noise = level-1, ev.switchedNoise(noise, 1)
-	}
-	if err := ev.DropToLevel(ct, level); err != nil {
-		return err
-	}
-	if ct.NoiseBits > float64(ev.params.QBits(ct.Level()))-float64(bitsOf(ev.params.T))-2 {
-		return fmt.Errorf("bgv: noise estimate %.0f bits exceeds modulus at level %d: %w",
-			ct.NoiseBits, ct.Level(), errNotEnoughLevels)
-	}
-	return nil
-}
-
-// atLevel returns ct at the given level: ct itself when it is already
-// there, otherwise a switched-down temporary the caller hands back with
-// release once the operation that needed it is done.
-func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
-	if ct.Level() == level {
-		return ct
-	}
-	return ev.switchedDown(ct, level)
-}
-
-// release returns the temporary atLevel made of ct, if it made one, to
-// the ring pool.
+// release returns tmp's polynomials to the ring pool unless tmp is ct
+// itself: an intermediate an operation made of ct and no longer needs.
 func (ev *Evaluator) release(tmp, ct *Ciphertext) {
 	if tmp != ct {
 		ev.params.RingCtx.PutPolys(tmp.C)
@@ -101,32 +50,35 @@ func (ev *Evaluator) release(tmp, ct *Ciphertext) {
 
 // copyPooled returns a deep copy of ct on polynomials from the ring pool.
 func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
-	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C)), NoiseBits: ct.NoiseBits}
+	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C))}
 	for i, c := range ct.C {
 		out.C[i] = ev.params.RingCtx.CopyPooled(c)
 	}
 	return out
 }
 
-// alignLevels switches the higher-level operand down so both share a
-// level, returning the aligned pair (see atLevel).
-func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
-	level := min(a.Level(), b.Level())
-	return ev.atLevel(a, level), ev.atLevel(b, level)
+// sameLevel refuses a binary op whose operands sit at different levels:
+// the evaluator executes a level plan and makes no level move of its own
+// (every move is a DropToLevel op of the program, DESIGN.md §8.2).
+func sameLevel(a, b *Ciphertext) error {
+	if a.Level() != b.Level() {
+		return &LevelMismatchError{A: a.Level(), B: b.Level()}
+	}
+	return nil
 }
 
 // Every output polynomial below comes from the ring pool; the caller owns
 // the ciphertext returned and hands its polynomials back when it is done
 // with it (DESIGN.md §6.4).
 
-// Add returns a + b.
-func (ev *Evaluator) Add(x, y *Ciphertext) (*Ciphertext, error) {
-	a, b := ev.alignLevels(x, y)
-	defer ev.release(a, x)
-	defer ev.release(b, y)
+// Add returns a + b; the operands must share a level.
+func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
+	if err := sameLevel(a, b); err != nil {
+		return nil, err
+	}
 	ctx := ev.params.RingCtx
 	level := a.Level()
-	out := &Ciphertext{NoiseBits: math.Max(a.NoiseBits, b.NoiseBits) + 1}
+	out := &Ciphertext{}
 	for i := 0; i < max(len(a.C), len(b.C)); i++ {
 		var c *ring.Poly
 		switch {
@@ -140,17 +92,18 @@ func (ev *Evaluator) Add(x, y *Ciphertext) (*Ciphertext, error) {
 		}
 		out.C = append(out.C, c)
 	}
-	return out, ev.manage(out)
+	return out, nil
 }
 
-// Sub returns a - b, subtracting coefficient-wise in one pass.
-func (ev *Evaluator) Sub(x, y *Ciphertext) (*Ciphertext, error) {
-	a, b := ev.alignLevels(x, y)
-	defer ev.release(a, x)
-	defer ev.release(b, y)
+// Sub returns a - b, subtracting coefficient-wise in one pass; the
+// operands must share a level.
+func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
+	if err := sameLevel(a, b); err != nil {
+		return nil, err
+	}
 	ctx := ev.params.RingCtx
 	level := a.Level()
-	out := &Ciphertext{NoiseBits: math.Max(a.NoiseBits, b.NoiseBits) + 1}
+	out := &Ciphertext{}
 	for i := 0; i < max(len(a.C), len(b.C)); i++ {
 		var c *ring.Poly
 		switch {
@@ -165,13 +118,13 @@ func (ev *Evaluator) Sub(x, y *Ciphertext) (*Ciphertext, error) {
 		}
 		out.C = append(out.C, c)
 	}
-	return out, ev.manage(out)
+	return out, nil
 }
 
 // Neg returns -a.
 func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
-	out := &Ciphertext{NoiseBits: a.NoiseBits}
+	out := &Ciphertext{}
 	for _, c := range a.C {
 		n := ctx.GetPoly(a.Level())
 		ctx.Neg(c, n)
@@ -183,27 +136,25 @@ func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
 // AddPlain returns a + pt.
 func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
-	out := &Ciphertext{NoiseBits: a.NoiseBits + 1}
+	out := &Ciphertext{}
 	for _, c := range a.C {
 		out.C = append(out.C, ctx.CopyPooled(c))
 	}
 	ctx.Add(out.C[0], pt.lift(ctx, a.Level()), out.C[0])
-	return out, ev.manage(out)
+	return out, nil
 }
 
 // MulPlain returns a · pt (slot-wise).
 func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
 	p := pt.lift(ctx, a.Level())
-	out := &Ciphertext{
-		NoiseBits: a.NoiseBits + float64(bitsOf(ev.params.T)) + float64(ev.params.LogN)/2 + 1,
-	}
+	out := &Ciphertext{}
 	for _, c := range a.C {
 		m := ctx.GetPoly(a.Level())
 		ctx.MulCoeffs(c, p, m)
 		out.C = append(out.C, m)
 	}
-	return out, ev.manage(out)
+	return out, nil
 }
 
 // MulScalar returns a · c for a scalar c < T (the same value in every
@@ -211,38 +162,29 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 // needed.
 func (ev *Evaluator) MulScalar(a *Ciphertext, c uint64) (*Ciphertext, error) {
 	ctx := ev.params.RingCtx
-	out := &Ciphertext{NoiseBits: a.NoiseBits + float64(bitsOf(c)) + 1}
+	out := &Ciphertext{}
 	for _, p := range a.C {
 		m := ctx.GetPoly(a.Level())
 		ctx.MulScalar(p, c, m)
 		out.C = append(out.C, m)
 	}
-	return out, ev.manage(out)
+	return out, nil
 }
 
-// tensorProduct computes the degree-2 tensor (d0, d1, d2) of x·y after
-// the BGV switch-down discipline (drop levels first so the tensor noise,
-// the product of the operand noises, stays small): the operands are
-// aligned, x is cooled while it sits a whole prime above the switch
-// floor, and y follows it down. The level all of that ends at is worked
-// out on the estimates first, so each operand is rounded at most once.
-func (ev *Evaluator) tensorProduct(x, y *Ciphertext) (*Ciphertext, error) {
-	if len(x.C) != 2 || len(y.C) != 2 {
+// tensorProduct computes the degree-2 tensor (d0, d1, d2) of a·b. The
+// operands must share a level with a prime below it, which the
+// relinearization that follows switches away.
+func (ev *Evaluator) tensorProduct(a, b *Ciphertext) (*Ciphertext, error) {
+	if len(a.C) != 2 || len(b.C) != 2 {
 		return nil, fmt.Errorf("bgv: Mul requires degree-1 ciphertexts")
 	}
-	level, noise := x.Level(), x.NoiseBits
-	if y.Level() < level {
-		level, noise = y.Level(), ev.switchedNoise(noise, level-y.Level())
+	if err := sameLevel(a, b); err != nil {
+		return nil, err
 	}
-	for level > 0 && noise >= ev.msFloorBits()+float64(ev.params.PrimeBits) {
-		level, noise = level-1, ev.switchedNoise(noise, 1)
-	}
+	level := a.Level()
 	if level == 0 {
 		return nil, errNotEnoughLevels
 	}
-	a, b := ev.atLevel(x, level), ev.atLevel(y, level)
-	defer ev.release(a, x)
-	defer ev.release(b, y)
 	ctx := ev.params.RingCtx
 
 	d0 := ctx.GetPoly(level)
@@ -256,14 +198,11 @@ func (ev *Evaluator) tensorProduct(x, y *Ciphertext) (*Ciphertext, error) {
 	ctx.MulCoeffs(a.C[1], b.C[1], d2)
 	ctx.PutPoly(tmp)
 
-	return &Ciphertext{
-		C:         []*ring.Poly{d0, d1, d2},
-		NoiseBits: a.NoiseBits + b.NoiseBits + float64(ev.params.LogN) + 1,
-	}, nil
+	return &Ciphertext{C: []*ring.Poly{d0, d1, d2}}, nil
 }
 
 // Mul returns a·b, relinearized and modulus-switched: it consumes one
-// level.
+// level. The operands must share a level.
 func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 	tensor, err := ev.MulNoRelin(a, b)
 	if err != nil {
@@ -278,12 +217,9 @@ func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {
 // Degree-2 ciphertexts support Add/Sub/Neg, so a sum of products can be
 // accumulated first and key-switched once with Relinearize — amortizing
 // the key switch across the whole inner product (lazy relinearization).
+// The operands must share a level.
 func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) (*Ciphertext, error) {
-	out, err := ev.tensorProduct(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return out, ev.manage(out)
+	return ev.tensorProduct(a, b)
 }
 
 // Relinearize reduces a degree-2 ciphertext back to degree 1 one level
@@ -315,9 +251,7 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 	ctx.DivideByPQ(acc1, d1)
 	ctx.QP(level).PutPolys([]*ring.Poly{acc0, acc1})
 
-	out := &Ciphertext{C: []*ring.Poly{d0, d1}}
-	out.NoiseBits = ev.switchedNoise(math.Max(ct.NoiseBits, ev.ksNoiseBits(level))+1, 1)
-	return out, ev.manage(out)
+	return &Ciphertext{C: []*ring.Poly{d0, d1}}, nil
 }
 
 // keySwitch returns the accumulators (P·c0 + Σ_j digit_j ⊙ B_j,
@@ -358,29 +292,14 @@ func (ev *Evaluator) ModSwitch(ct *Ciphertext) error {
 	for _, c := range ct.C {
 		ctx.ModSwitchDown(c)
 	}
-	ct.NoiseBits = ev.switchedNoise(ct.NoiseBits, 1)
 	return nil
 }
 
-// switchedDown returns ct switched down to a level below its own as a
-// new ciphertext from the ring pool: every prime in between goes in one
-// rounding per polynomial, and only the surviving rows are written.
-func (ev *Evaluator) switchedDown(ct *Ciphertext, level int) *Ciphertext {
-	ctx := ev.params.RingCtx
-	out := &Ciphertext{
-		C:         make([]*ring.Poly, len(ct.C)),
-		NoiseBits: ev.switchedNoise(ct.NoiseBits, ct.Level()-level),
-	}
-	for i, c := range ct.C {
-		out.C[i] = ctx.GetPoly(level)
-		ctx.ModSwitchDownTo(c, out.C[i])
-	}
-	return out
-}
-
-// SwitchDown returns ct switched down to the given level, leaving ct
-// untouched; a ciphertext already at or below the level is returned as
-// it is.
+// SwitchDown returns ct switched down to the given level as a new
+// ciphertext from the ring pool, leaving ct untouched: every prime in
+// between goes in one rounding per polynomial, and only the surviving
+// rows are written. A ciphertext already at or below the level is
+// returned as it is.
 func (ev *Evaluator) SwitchDown(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if ct.Level() <= level {
 		return ct, nil
@@ -388,7 +307,12 @@ func (ev *Evaluator) SwitchDown(ct *Ciphertext, level int) (*Ciphertext, error) 
 	if level < 0 {
 		return nil, errNotEnoughLevels
 	}
-	return ev.switchedDown(ct, level), nil
+	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C))}
+	for i, c := range ct.C {
+		out.C[i] = ev.params.RingCtx.GetPoly(level)
+		ev.params.RingCtx.ModSwitchDownTo(c, out.C[i])
+	}
+	return out, nil
 }
 
 // DropToLevel switches ct down to the given level in place, its
@@ -460,8 +384,8 @@ func (ev *Evaluator) applyGalois(ct *Ciphertext, elt uint64) (*Ciphertext, error
 }
 
 // checkGalois validates ct and the headroom for one key switch. A key
-// switch adds ~ksNoiseBits of absolute noise; refuse to rotate when the
-// current modulus cannot absorb it.
+// switch adds ~KeySwitchNoiseBits of absolute noise; refuse to rotate
+// when the current modulus cannot absorb it.
 func (ev *Evaluator) checkGalois(ct *Ciphertext, elt uint64) error {
 	key := ev.galois(elt)
 	if key == nil {
@@ -474,8 +398,8 @@ func (ev *Evaluator) checkGalois(ct *Ciphertext, elt uint64) error {
 	if len(ct.C) != 2 {
 		return fmt.Errorf("bgv: rotation requires a degree-1 ciphertext")
 	}
-	level := ct.Level()
-	if float64(ev.params.QBits(level)) < ev.ksNoiseBits(level)+float64(bitsOf(ev.params.T))+4 {
+	level, tBits := ct.Level(), bitsOf(ev.params.T)
+	if float64(ev.params.QBits(level)) < KeySwitchNoiseBits(ev.params.LogN, tBits, level)+float64(tBits)+4 {
 		return fmt.Errorf("bgv: rotation at level %d lacks key-switch headroom: %w", level, errNotEnoughLevels)
 	}
 	return nil
@@ -503,11 +427,7 @@ func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt u
 	ctx.PutPoly(k0)
 	ctx.PutPoly(k1)
 
-	out := &Ciphertext{
-		C:         []*ring.Poly{c0, c1},
-		NoiseBits: math.Max(ct.NoiseBits, ev.ksNoiseBits(level)) + 1,
-	}
-	return out, ev.manage(out)
+	return &Ciphertext{C: []*ring.Poly{c0, c1}}, nil
 }
 
 // HoistableStepAt classifies a rotation step at a level for op

@@ -13,8 +13,9 @@ import (
 // switch: at every level 0..L — a 7-prime chain, so levels 0, 1, 3, 4
 // and 6 cut a three-prime digit group short — relinearization, Rotate
 // and RotateHoisted decrypt to the plaintext product and rotations,
-// hoisted equals unhoisted slot for slot, and the measured noise never
-// exceeds the ciphertext's NoiseBits estimate.
+// and hoisted equals unhoisted slot for slot. The level planner's noise
+// estimate of each op is held to the measured noise in internal/core
+// (TestPlannerTransferBoundsMeasuredNoise).
 func TestKeySwitchEveryLevel(t *testing.T) {
 	const levels = 7
 	steps := []int{1, 5, -3}
@@ -22,13 +23,6 @@ func TestKeySwitchEveryLevel(t *testing.T) {
 	slots := kit.params.Slots()
 	r := rand.New(rand.NewPCG(2021, 12))
 
-	checkNoise := func(level int, op string, ct *Ciphertext) {
-		t.Helper()
-		measured := kit.params.QBits(ct.Level()) - kit.dec.NoiseBudget(ct) - 1
-		if float64(measured) > ct.NoiseBits {
-			t.Errorf("level %d %s: measured noise %d bits exceeds the estimate %.1f", level, op, measured, ct.NoiseBits)
-		}
-	}
 	for level := 0; level < levels; level++ {
 		a, b := randVec(r, slots, kit.params.T), randVec(r, slots, kit.params.T)
 		encrypt := func(vals []uint64) *Ciphertext {
@@ -52,7 +46,6 @@ func TestKeySwitchEveryLevel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("level %d Relinearize: %v", level, err)
 			}
-			checkNoise(level, "relinearize", prod)
 			for i, got := range kit.decryptVec(t, prod) {
 				if want := a[i] * b[i] % kit.params.T; got != want {
 					t.Fatalf("level %d product slot %d: got %d, want %d", level, i, got, want)
@@ -69,8 +62,6 @@ func TestKeySwitchEveryLevel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("level %d Rotate(%d): %v", level, step, err)
 			}
-			checkNoise(level, "rotate", rot)
-			checkNoise(level, "rotate-hoisted", hoisted[k])
 			plain, hoist := kit.decryptVec(t, rot), kit.decryptVec(t, hoisted[k])
 			for i := range plain {
 				want := a[((i+step)%slots+slots)%slots]
@@ -126,7 +117,7 @@ func (k *testKit) measuredNoise(ct *Ciphertext) int {
 // TestMultiPrimeDropMatchesSingleSwitches: dropping k = 1..5 primes in
 // one rounding, from every level of a 14-prime chain, decrypts to the
 // plaintext k single-prime switches decrypt to, with measured noise no
-// larger; and the estimate either way is the same.
+// larger.
 func TestMultiPrimeDropMatchesSingleSwitches(t *testing.T) {
 	const levels = 14
 	kit := newTestKit(t, levels, nil)
@@ -149,9 +140,8 @@ func TestMultiPrimeDropMatchesSingleSwitches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if once.Level() != level-k || once.NoiseBits != stepwise.NoiseBits {
-				t.Fatalf("level %d drop %d: landed at level %d with estimate %.1f, stepwise at %d with %.1f",
-					level, k, once.Level(), once.NoiseBits, stepwise.Level(), stepwise.NoiseBits)
+			if once.Level() != level-k || stepwise.Level() != level-k {
+				t.Fatalf("level %d drop %d: landed at level %d, stepwise at %d", level, k, once.Level(), stepwise.Level())
 			}
 			if got, want := kit.decryptVec(t, once), kit.decryptVec(t, stepwise); !slices.Equal(got, want) || !slices.Equal(got, vals) {
 				t.Fatalf("level %d drop %d: one rounding and %d switches decrypt differently", level, k, k)
@@ -187,7 +177,7 @@ func TestFusedRelinearizeMatchesRelinThenSwitch(t *testing.T) {
 
 		digits := ctx.DecomposeHybrid(deg2.C[2])
 		acc0, acc1 := kit.eval.keySwitch(digits, kit.eval.Keys().Relin, level, deg2.C[0], deg2.C[1])
-		twoStep := &Ciphertext{C: []*ring.Poly{ctx.NewPoly(level), ctx.NewPoly(level)}, NoiseBits: deg2.NoiseBits}
+		twoStep := &Ciphertext{C: []*ring.Poly{ctx.NewPoly(level), ctx.NewPoly(level)}}
 		ctx.DivideByP(acc0, twoStep.C[0])
 		ctx.DivideByP(acc1, twoStep.C[1])
 		if err := kit.eval.ModSwitch(twoStep); err != nil {

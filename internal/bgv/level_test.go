@@ -26,7 +26,7 @@ func TestEncryptAtLevel(t *testing.T) {
 		if ct.Level() != want {
 			t.Fatalf("EncryptAtLevel(%d): level %d, want %d", level, ct.Level(), want)
 		}
-		got := kit.enc.Decode(kit.dec.Decrypt(ct))
+		got := kit.decryptVec(t, ct)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("EncryptAtLevel(%d): slot %d = %d, want %d", level, i, got[i], vals[i])
@@ -41,7 +41,7 @@ func TestEncryptAtLevel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Rotate at level 2: %v", err)
 	}
-	got := kit.enc.Decode(kit.dec.Decrypt(rot))
+	got := kit.decryptVec(t, rot)
 	slots := kit.params.Slots()
 	for i := 0; i < slots; i++ {
 		if got[i] != vals[(i+3)%slots] {
@@ -52,7 +52,7 @@ func TestEncryptAtLevel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Mul at level 2: %v", err)
 	}
-	got = kit.enc.Decode(kit.dec.Decrypt(prod))
+	got = kit.decryptVec(t, prod)
 	tMod := kit.params.T
 	for i := range vals {
 		if got[i] != vals[i]*vals[i]%tMod {
@@ -84,7 +84,7 @@ func TestDropToLevelThenRotate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Rotate at level %d: %v", level, err)
 		}
-		got := kit.enc.Decode(kit.dec.Decrypt(rot))
+		got := kit.decryptVec(t, rot)
 		for i := 0; i < slots; i++ {
 			if got[i] != vals[(i+1)%slots] {
 				t.Fatalf("level %d: rotated slot %d = %d, want %d", level, i, got[i], vals[(i+1)%slots])

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"copse"
 	"copse/internal/bgv"
 	"copse/internal/core"
+	"copse/internal/he"
 	"copse/internal/model"
 	"copse/internal/ring"
 	"copse/internal/synth"
@@ -760,6 +762,139 @@ func TestWorkerRefusesForeignPlaneCount(t *testing.T) {
 			if err != nil || resp.StatusCode != http.StatusBadRequest || body.Error != layout {
 				t.Errorf("batch=%d with %d ciphertexts announced: %s %q (%v), want 400 %q", batch, count, resp.Status, body.Error, err, layout)
 			}
+		}
+	}
+}
+
+// TestWorkerRefusesQueryAtWrongLevel: a frame with the right plane count
+// whose planes sit one level below the shard's compare entry — the lowest
+// level its program's entry drop takes them from — is a 400 naming both
+// levels, refused before any op runs; frames at the manifest's query
+// level, where the gateway encrypts them, and at the entry are served.
+func TestWorkerRefusesQueryAtWrongLevel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stages a BGV worker")
+	}
+	c, err := core.Compile(clusterForest(t, 59), core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Seed: 74})
+	defer w.Close()
+	if err := w.AddShard("forest", manifest, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	w.mu.RLock()
+	backend := w.backend
+	w.mu.RUnlock()
+	gm := &manifest.Meta
+	q, err := core.PrepareQueryBatch(backend, gm, [][]uint64{{3, 9, 14}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(level int) (int, string) {
+		t.Helper()
+		wcs := make([]WireCiphertext, len(q.Bits))
+		for i, op := range q.Bits {
+			low, err := he.DropToLevel(backend, op, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wcs[i].Ct, wcs[i].Depth, err = backend.ExportCiphertext(low.Ct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var frame bytes.Buffer
+		if err := EncodeCiphertexts(&frame, wcs); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/cluster/classify?model=forest&shard=0&batch=1", "application/octet-stream", &frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&body) // a 200 carries a frame, not JSON
+		return resp.StatusCode, body.Error
+	}
+	// Encryption clamps the query level to the worker's chain top; a
+	// worker serves the plaintext-model scenario.
+	level := min(manifest.QueryLevel, backend.MaxLevel())
+	entry := min(shards[0].Meta.LevelPlan.Plain.Compare, backend.MaxLevel())
+	for _, at := range []int{level, entry} {
+		if status, msg := post(at); status != http.StatusOK {
+			t.Fatalf("planes at level %d (query level %d, compare entry %d): %d %q", at, level, entry, status, msg)
+		}
+	}
+	want := (&core.QueryLayoutError{Want: len(q.Bits), Level: entry - 1, WantLevel: entry}).Error()
+	if status, msg := post(entry - 1); status != http.StatusBadRequest || !strings.Contains(msg, want) {
+		t.Errorf("planes one level below the compare entry: %d %q, want 400 %q", status, msg, want)
+	}
+}
+
+// TestClusterShallowShard: a forest whose trees differ in depth shards
+// into a deep shard and a shallow one, whose smaller circuit schedules its
+// compare entry below the whole model's query level, where the gateway
+// encrypts every shard's planes. The shallow shard's program drops them to
+// its entry, so the gateway's answers are single-node serving's.
+func TestClusterShallowShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BGV cluster round trip is slow")
+	}
+	gen := func(depth int, branches []int, seed uint64) *model.Forest {
+		f, err := synth.Generate(synth.ForestSpec{NumFeatures: 3, NumLabels: 3, Precision: 4, MaxDepth: depth, BranchesPerTree: branches, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := gen(6, []int{10}, 91)
+	f.Trees = append(f.Trees, gen(1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 92).Trees...)
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shallow := shards[1].Meta.LevelPlan
+	if shallow.QueryLevel() >= manifest.QueryLevel {
+		t.Fatalf("the shallow shard's plan reads query planes at level %d, not below the model's %d", shallow.QueryLevel(), manifest.QueryLevel)
+	}
+	t.Logf("query level %d; shallow shard compare entry %d", manifest.QueryLevel, shallow.Plain.Compare)
+
+	tc := startCluster(t, 63, func(workers []*Worker) {
+		for i, s := range shards {
+			if err := workers[i].AddShard("forest", manifest, s); err != nil {
+				t.Fatalf("worker %d AddShard: %v", i, err)
+			}
+		}
+	})
+	defer tc.close()
+	ref := copse.NewService(copse.WithScenario(copse.ScenarioServerModel), copse.WithSeed(8))
+	defer ref.Close()
+	if err := ref.Register("forest", c); err != nil {
+		t.Fatal(err)
+	}
+	batch := [][]uint64{{3, 9, 14}, {0, 15, 7}}
+	want, err := ref.ClassifyBatch(context.Background(), "forest", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := tc.gateway.Classify(context.Background(), "forest", batch)
+	if err != nil {
+		t.Fatalf("gateway classify: %v", err)
+	}
+	for i, res := range got {
+		if !reflect.DeepEqual(res.PerTree, want[i].PerTree) || !reflect.DeepEqual(res.LeafBits, want[i].LeafBits) {
+			t.Errorf("query %d: sharded perTree %v leaf bits %v, single-node %v %v", i, res.PerTree, res.LeafBits, want[i].PerTree, want[i].LeafBits)
 		}
 	}
 }

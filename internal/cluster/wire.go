@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 
 	"copse/internal/bgv"
@@ -37,7 +36,15 @@ const (
 	// WireVersion 2 carries hybrid switching keys (digits × chain and
 	// special-prime limbs) in the key-material frame; version-1 key
 	// frames hold base-2^w gadget keys and fail the shape validation.
-	WireVersion = 2
+	// Version 3 drops the noise estimate from the ciphertext frame
+	// (ciphertextVersion); key, params and meta frames kept their layout,
+	// so version-2 ones still load.
+	WireVersion = 3
+
+	// ciphertextVersion is the first version of the ciphertext frame's
+	// layout: an older frame holds an 8-byte noise estimate after each
+	// depth, and is refused.
+	ciphertextVersion = 3
 
 	// DefaultMaxFrameBytes bounds a frame so a corrupt or hostile
 	// length prefix cannot drive an allocation: large enough for a
@@ -114,12 +121,17 @@ const (
 )
 
 // WireVersionError is the typed error a decoder returns when a frame
-// was produced by a newer wire version than this process understands.
+// was produced by a newer wire version than this process understands, or
+// by one older than Min, the first version of its kind's layout.
 type WireVersionError struct {
 	Got, Supported uint16
+	Min            uint16
 }
 
 func (e *WireVersionError) Error() string {
+	if e.Got < e.Min {
+		return fmt.Sprintf("cluster: wire version %d frame predates its layout at version %d", e.Got, e.Min)
+	}
 	return fmt.Sprintf("cluster: wire version %d not supported (max %d)", e.Got, e.Supported)
 }
 
@@ -159,6 +171,9 @@ func readFrame(r io.Reader, wantKind uint16) ([]byte, error) {
 	}
 	if k := binary.LittleEndian.Uint16(hdr[6:8]); k != wantKind {
 		return nil, fmt.Errorf("cluster: frame kind %d, want %d", k, wantKind)
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); wantKind == KindCiphertexts && v < ciphertextVersion {
+		return nil, &WireVersionError{Got: v, Supported: WireVersion, Min: ciphertextVersion}
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[8:12]))
 	if limit := MaxFrameBytes(); n > limit {
@@ -627,7 +642,7 @@ type WireCiphertext struct {
 func EncodeCiphertexts(w io.Writer, cts []WireCiphertext) error {
 	size := 4
 	for _, wc := range cts {
-		size += 2 + 8 + 1
+		size += 2 + 1
 		for _, p := range wc.Ct.C {
 			size += polySize(p)
 		}
@@ -636,7 +651,6 @@ func EncodeCiphertexts(w io.Writer, cts []WireCiphertext) error {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cts)))
 	for _, wc := range cts {
 		b = binary.LittleEndian.AppendUint16(b, uint16(wc.Depth))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(wc.Ct.NoiseBits))
 		b = append(b, uint8(len(wc.Ct.C)))
 		for _, p := range wc.Ct.C {
 			b = appendPoly(b, p)
@@ -673,7 +687,6 @@ func decodeCiphertexts(rd io.Reader, admit func(n int) error) ([]WireCiphertext,
 	out := make([]WireCiphertext, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		wc := WireCiphertext{Depth: int(r.u16())}
-		noise := math.Float64frombits(r.u64())
 		polys := int(r.u8())
 		if r.err != nil {
 			break
@@ -681,7 +694,7 @@ func decodeCiphertexts(rd io.Reader, admit func(n int) error) ([]WireCiphertext,
 		if polys < 2 || polys > 8 {
 			return nil, fmt.Errorf("cluster: implausible ciphertext degree %d", polys-1)
 		}
-		wc.Ct = &bgv.Ciphertext{NoiseBits: noise, C: make([]*ring.Poly, polys)}
+		wc.Ct = &bgv.Ciphertext{C: make([]*ring.Poly, polys)}
 		for j := 0; j < polys; j++ {
 			wc.Ct.C[j] = r.poly()
 		}

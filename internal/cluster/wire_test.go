@@ -315,6 +315,36 @@ func TestWireVersionError(t *testing.T) {
 	}
 }
 
+// TestWireVersion2Frames: version 3 changed only the ciphertext frame,
+// which lost its noise estimate, so a version-2 ciphertext frame is refused
+// with a *WireVersionError naming the first version of the current layout,
+// while version-2 params, key and meta frames, whose layout is unchanged,
+// still decode.
+func TestWireVersion2Frames(t *testing.T) {
+	v2 := func(name string) []byte {
+		raw, err := os.ReadFile(goldenPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(raw[4:6], 2)
+		return raw
+	}
+	_, err := DecodeCiphertexts(bytes.NewReader(v2("cts.wire")))
+	var ve *WireVersionError
+	if !errors.As(err, &ve) || ve.Got != 2 || ve.Min != 3 {
+		t.Fatalf("version-2 ciphertext frame: %v, want a *WireVersionError refusing version 2 below 3", err)
+	}
+	if _, err := DecodeParams(bytes.NewReader(v2("params.wire"))); err != nil {
+		t.Errorf("version-2 params frame: %v", err)
+	}
+	if _, err := DecodeKeyMaterial(bytes.NewReader(v2("keys.wire"))); err != nil {
+		t.Errorf("version-2 key frame: %v", err)
+	}
+	if _, err := DecodeMeta(bytes.NewReader(v2("meta.wire"))); err != nil {
+		t.Errorf("version-2 meta frame: %v", err)
+	}
+}
+
 // TestWireFrameErrors pins the non-version failure modes: bad magic,
 // wrong kind, truncation, and trailing garbage.
 func TestWireFrameErrors(t *testing.T) {

@@ -415,16 +415,22 @@ type PlanInfeasibleError struct {
 	Stage string
 	// Kind is "level" (the chain ran out of levels, or a carrier reached
 	// a stage boundary below the next entry), "noise" (predicted noise
-	// past the decryption margin) or "chain" (the stage enters at Level,
-	// above the top of the backend's modulus chain).
+	// past the decryption margin), "move" (the program needs a level move
+	// at Level the schedule places no op for, which the evaluator does not
+	// make on its own) or "chain" (the stage enters at Level, above the
+	// top of the backend's modulus chain).
 	Kind string
 	// Level is the level the failing register sat at.
 	Level int
 }
 
 func (e *PlanInfeasibleError) Error() string {
-	if e.Kind == "chain" {
+	switch e.Kind {
+	case "chain":
 		return fmt.Sprintf("core: level plan infeasible for %s: the %s stage enters at level %d, above the top of the backend's modulus chain",
+			e.Scenario, e.Stage, e.Level)
+	case "move":
+		return fmt.Sprintf("core: level plan infeasible for %s: the %s stage needs a level move at level %d that the schedule places no op for",
 			e.Scenario, e.Stage, e.Level)
 	}
 	msg := fmt.Sprintf("core: level plan infeasible for %s: %s failure in the %s stage at level %d",
@@ -626,10 +632,11 @@ type StageLimbs struct {
 // Classify evaluates the model on a query (or slot-packed query batch —
 // the dataflow is identical) by executing the op program of the query's
 // plane packing, returning the result operand (the N-hot leaf bitvector
-// of §4.1.2) and a stage trace. Whether
-// the model and the query planes are encrypted was fixed when Prepare
-// built the program; a query whose planes are the other kind is refused
-// with a *QueryLayoutError before any op runs. On a model prepared with
+// of §4.1.2) and a stage trace. Whether the model and the query planes
+// are encrypted was fixed when Prepare built the program; a query whose
+// planes are the other kind, or whose encrypted planes sit below the
+// level the program reads them at, is refused with a
+// *QueryLayoutError before any op runs. On a model prepared with
 // the shuffle, the program's shuffle stage permutes every block's leaf
 // slots with permutations drawn from seed — a fresh seed per pass — and
 // the codebooks of the batch's queries, in packing order, decode the
@@ -661,6 +668,20 @@ func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	if i := slices.IndexFunc(q.Bits, func(op he.Operand) bool { return op.IsCipher() != m.encQuery }); i >= 0 {
 		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Want: len(pk.thresholds),
 			Encrypted: q.Bits[i].IsCipher(), WantEncrypted: m.encQuery}
+	}
+	// The program's first op on each encrypted plane drops it to the
+	// scenario's compare entry (clamped to the chain top as encryption
+	// clamps it), which works from any level at or above it; the backend
+	// makes no other level move, so a plane below it would fail mid-pass.
+	// A shard's entry may sit below the whole model's query level.
+	if ld, ok := e.Backend.(he.LevelDropper); ok && m.encQuery {
+		want := min(m.Plan.Compare, ld.MaxLevel())
+		for _, op := range q.Bits {
+			if level, err := ld.CiphertextLevel(op.Ct); err == nil && level < want {
+				return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Want: len(pk.thresholds),
+					Encrypted: true, WantEncrypted: true, Level: level, WantLevel: want}
+			}
+		}
 	}
 	trace := &Trace{PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits)}
 	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)

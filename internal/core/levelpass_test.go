@@ -40,7 +40,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				}
 				pl.progs = append(pl.progs, prog)
 			}
-			if _, fail := pl.run(c.Meta.LevelPlan.For(encModel)); fail != nil {
+			if _, fail := pl.run(c.Meta.LevelPlan.For(encModel), true); fail != nil {
 				t.Fatalf("%s enc=%v: the oracle refuses the compiled plan: %+v", name, encModel, *fail)
 			}
 			lowered := map[string]func(st *StageLevels){
@@ -58,7 +58,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				}
 				st.CompareRounds = append([]int(nil), st.CompareRounds...)
 				lower(st)
-				if _, fail := pl.run(*st); fail == nil {
+				if _, fail := pl.run(*st, true); fail == nil {
 					t.Errorf("%s enc=%v, %s lowered by one: the planner's oracle still passes — the stored plan is not minimal", name, encModel, what)
 				}
 				lc := *c
@@ -122,7 +122,7 @@ func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Opt
 // built under st over the given level lanes (lanes of a block × lane
 // groups): its schedule is
 // what its ops imply, no binary op reads ciphertext registers at different
-// levels (the static form of OpCounts.Aligns == 0), no register is dropped
+// levels (what the evaluator would refuse), no register is dropped
 // to the same level twice, every ciphertext trace register sits exactly at
 // its stage entry, and the accumulate stage rotates once per doubling of
 // the lanes.

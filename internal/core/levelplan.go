@@ -22,8 +22,9 @@ import (
 // for the lowest feasible one; Prepare builds the structure from the
 // staged shapes and runs the same pass once under the stored schedule
 // (DESIGN.md §8.1). The per-op transfer functions MUST bound
-// internal/bgv/evaluator.go from above: TestPlannerNoiseBoundsMeasured
-// holds every predicted stage boundary against a decryption.
+// internal/bgv/evaluator.go from above: TestPlannerTransferBoundsMeasuredNoise
+// holds each op, TestPlannerNoiseBoundsMeasured every predicted stage
+// boundary, against a decryption.
 
 // LevelPlan is a compile-time schedule assigning each pipeline stage the
 // modulus-chain level it executes at. Levels are absolute: level 0 is
@@ -68,7 +69,7 @@ type StageLevels struct {
 	// to after product level r — a pairing round of the tree, its eager or
 	// its lazy top level, or a plane round — in every packing, so the later
 	// levels of the single most expensive stage run on 1–2 fewer limbs than
-	// the evaluator's lazy switching would keep them at. One entry per
+	// lazy switching would keep them at. One entry per
 	// product level, ⌈log2 p⌉. Derived by lowering each round's level until
 	// the level pass breaks. Nil on older artifacts (no per-round drops). An artifact
 	// planned for the Sklansky prefix chain that preceded the tree carries
@@ -186,19 +187,25 @@ type est struct {
 }
 
 // Failure kinds: the chain ran out of levels, or the predicted noise
-// passed the decryption margin (planner.schedule reacts to each).
+// passed the decryption margin (planner.schedule reacts to each), or the
+// program needs a level move it has no op for (levelled.unplaced).
 const (
 	failNone = iota
 	failLevel
 	failNoise
+	failMove
 )
 
-// sim holds the per-op transfer functions: the evaluator's noise
-// accounting, one op at a time. The first infeasibility sticks in kind.
+// sim holds the per-op transfer functions: the evaluator's noise, one op
+// at a time. The first infeasibility sticks in kind. It also models the
+// one level move no op places, a lazy drop as the noise nears the modulus
+// (manage), which the search may pass through on its way to the compare
+// rounds; moves counts the primes it drops.
 type sim struct {
 	nm    noiseModel
 	stage int // indexes stageSlack
 	kind  int
+	moves int
 }
 
 func (s *sim) fail(kind int) {
@@ -219,12 +226,13 @@ func (s *sim) modSwitch(c *est) {
 	c.noise = math.Max(c.noise-float64(s.nm.primeBits), s.nm.floor())
 }
 
-// manage mirrors Evaluator.manage: switch down lazily, then verify the
+// manage switches down lazily (an unplaced move), then verifies the
 // decryption margin (minus the active stage's slack).
 func (s *sim) manage(c *est) {
 	margin := float64(s.nm.tBits + 10)
 	for c.level > 0 && c.noise > s.nm.qBits(c.level)-margin {
 		s.modSwitch(c)
+		s.moves++
 	}
 	if c.noise > s.nm.qBits(c.level)-float64(s.nm.tBits)-2-stageSlack[s.stage] {
 		s.fail(failNoise)
@@ -239,13 +247,23 @@ func (s *sim) dropTo(c est, level int) est {
 	return c
 }
 
-// tensor mirrors tensorProduct + the manage call of MulNoRelin.
+// cool switches the first factor of a product down while it sits a whole
+// prime above the switch floor, so the tensor's noise, the product of the
+// factors', stays small: the BGV switch-down discipline. The level pass
+// places the move, the second factor following, as opDrops ahead of the
+// product.
+func (s *sim) cool(x est) est {
+	for x.level > 0 && x.noise >= s.nm.floor()+float64(s.nm.primeBits) {
+		s.modSwitch(&x)
+	}
+	return x
+}
+
+// tensor is a cipher×cipher tensor product of factors at one level with a
+// prime below it. The level pass aligns every pair of operands it can
+// (place); a pair it leaves apart follows a lazy drop manage has counted.
 func (s *sim) tensor(a, b est) est {
 	a, b = s.dropTo(a, b.level), s.dropTo(b, a.level)
-	for a.level > 0 && a.noise >= s.nm.floor()+float64(s.nm.primeBits) {
-		s.modSwitch(&a)
-	}
-	b = s.dropTo(b, a.level)
 	if a.level == 0 {
 		s.fail(failLevel)
 		return a
@@ -255,7 +273,7 @@ func (s *sim) tensor(a, b est) est {
 	return out
 }
 
-// relin mirrors Relinearize: key-switch noise, one unconditional modulus
+// relin is Relinearize: key-switch noise, one unconditional modulus
 // switch, then management.
 func (s *sim) relin(c est) est {
 	if !c.deg2 {
@@ -268,7 +286,7 @@ func (s *sim) relin(c est) est {
 	return c
 }
 
-// rot mirrors checkGalois + galoisFromDigits + manage.
+// rot is checkGalois + galoisFromDigits, then management.
 func (s *sim) rot(c est) est {
 	if !c.cipher {
 		return c
@@ -282,14 +300,14 @@ func (s *sim) rot(c est) est {
 	return c
 }
 
-// mulPlain mirrors MulPlain's noise growth.
+// mulPlain is MulPlain's noise growth.
 func (s *sim) mulPlain(x est) est {
 	x.noise += float64(s.nm.tBits) + float64(s.nm.logN)/2 + 1
 	s.manage(&x)
 	return x
 }
 
-// mulLazy mirrors he.MulLazy: a cipher×cipher product stays degree 2.
+// mulLazy is he.MulLazy: a cipher×cipher product stays degree 2.
 func (s *sim) mulLazy(x, y est) est {
 	switch {
 	case x.cipher && y.cipher:
@@ -302,7 +320,7 @@ func (s *sim) mulLazy(x, y est) est {
 	return est{}
 }
 
-// mul mirrors he.Mul: a cipher×cipher product is relinearized.
+// mul is he.Mul: a cipher×cipher product is relinearized.
 func (s *sim) mul(x, y est) est {
 	out := s.mulLazy(x, y)
 	if x.cipher && y.cipher {
@@ -311,7 +329,7 @@ func (s *sim) mul(x, y est) est {
 	return out
 }
 
-// add mirrors he.Add / Sub / AddPlain.
+// add is he.Add / Sub / AddPlain.
 func (s *sim) add(x, y est) est {
 	switch {
 	case x.cipher && y.cipher:
@@ -345,26 +363,31 @@ type planFailure struct {
 func (f *planFailure) infeasible() *PlanInfeasibleError {
 	return &PlanInfeasibleError{
 		Scenario: scenarioName(f.encModel, !f.plainQuery), Stage: stageNames[f.stage],
-		Kind: [...]string{failLevel: "level", failNoise: "noise"}[f.kind], Level: f.level,
+		Kind: [...]string{failLevel: "level", failNoise: "noise", failMove: "move"}[f.kind], Level: f.level,
 	}
 }
 
 // levelled is a program under one schedule: its ops with every scheduled
 // drop resolved and every alignment inserted, the estimate of each
 // register, the hottest operand after each scheduled compare round (lowest
-// level, highest noise), and the result as decryption sees it.
+// level, highest noise), and the result as decryption sees it. unplaced is
+// the first op that needs a level move the program has no op for: the
+// search tolerates one, Program.finish refuses it.
 type levelled struct {
-	ops    []progOp
-	est    []est
-	rounds []est
-	result est
+	ops      []progOp
+	est      []est
+	rounds   []est
+	result   est
+	unplaced *planFailure
 }
 
 // levelPass is the one walk of the circuit: it runs the transfer
 // functions over p's ops in order under the schedule at, resolves each
-// scheduled drop point, inserts (once per register and level) the drop
-// that brings the higher operand of a binary op down to the other's
-// level, and stops at the first infeasibility. The planner searches with
+// scheduled drop point, inserts (once per register and level) the drops
+// that bring the operands of a binary op to one level — for a product, the
+// level its first factor cools to (sim.cool); for a diagonal product, the
+// level the encrypted diagonals are staged at — and stops at the first
+// infeasibility. The planner searches with
 // it over a structure built from Meta; Prepare installs what it returns.
 // It walks the stages from the one tagged from on, the carrier handed to
 // that stage estimated at in (from = stCompare walks the whole program).
@@ -375,6 +398,21 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 	drops := map[[2]int]int{}
 	entry := [stDone]int{stReshuffle: p.regDecisions, stLevels: p.regBranchVec, stAccumulate: p.regLevelResult, stShuffle: p.regLeaves}
 	out.est[entry[from]] = in
+	// place returns register r at level, inserting (once per register and
+	// level) the opDrop that brings a ciphertext above it down.
+	place := func(r, level int, stage uint8) int {
+		if e := out.est[r]; !e.cipher || e.level <= level {
+			return r
+		}
+		key := [2]int{r, level}
+		d, ok := drops[key]
+		if !ok {
+			d, drops[key] = len(out.est), len(out.est)
+			out.est = append(out.est, s.dropTo(out.est[r], level))
+			out.ops = append(out.ops, progOp{Code: opDrop, Stage: stage, Dst: d, A: r, Imm: level})
+		}
+		return d
+	}
 	failure := func(stage, kind, level int, inStage bool) *planFailure {
 		e := out.est[entry[stage]]
 		return &planFailure{stage: stage, kind: kind, level: level,
@@ -399,19 +437,12 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 				e = nm.fresh(at.Level)
 			}
 		case opAdd, opSub, opMul, opMulLazy:
-			if a, b := out.est[op.A], out.est[op.B]; a.cipher && b.cipher && a.level != b.level {
-				hi, level := &op.A, b.level
-				if b.level > a.level {
-					hi, level = &op.B, a.level
+			if a, b := out.est[op.A], out.est[op.B]; a.cipher && b.cipher {
+				level := min(a.level, b.level)
+				if op.Code != opAdd && op.Code != opSub {
+					level = s.cool(s.dropTo(a, level)).level
 				}
-				key := [2]int{*hi, level}
-				d, ok := drops[key]
-				if !ok {
-					d, drops[key] = len(out.est), len(out.est)
-					out.est = append(out.est, s.dropTo(out.est[*hi], level))
-					out.ops = append(out.ops, progOp{Code: opDrop, Stage: op.Stage, Dst: d, A: *hi, Imm: level})
-				}
-				*hi = d
+				op.A, op.B = place(op.A, level, op.Stage), place(op.B, level, op.Stage)
 			}
 			switch a, b := out.est[op.A], out.est[op.B]; op.Code {
 			case opMul:
@@ -428,6 +459,7 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 				if op.Imm == matReshuffle {
 					diag = nm.fresh(at.Reshuffle)
 				}
+				op.A = place(op.A, diag.level, op.Stage)
 			}
 			e = s.mulLazy(diag, out.est[op.A])
 		case opRelin:
@@ -458,6 +490,9 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 		out.ops = append(out.ops, op)
 		if s.kind != failNone {
 			return out, failure(s.stage, s.kind, e.level, true)
+		}
+		if s.moves > 0 && out.unplaced == nil {
+			out.unplaced = failure(s.stage, failMove, e.level, false)
 		}
 	}
 	// Decryptability of the result where the schedule lands it.
@@ -537,8 +572,9 @@ type planner struct {
 }
 
 // run reports the one-plane-per-ciphertext pass under at and the first
-// failure of any variant.
-func (pl planner) run(at StageLevels) (levelled, *planFailure) {
+// failure of any variant; with placed, a pass that needs a level move it
+// has no op for (levelled.unplaced) fails too.
+func (pl planner) run(at StageLevels, placed bool) (levelled, *planFailure) {
 	var first levelled
 	for i, prog := range pl.progs {
 		for _, plainQuery := range []bool{false, true} {
@@ -548,6 +584,9 @@ func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 			lv, fail := prog.levelPass(pl.nm, at, plainQuery, stCompare, est{})
 			if i == 0 && !plainQuery {
 				first = lv
+			}
+			if fail == nil && placed {
+				fail = lv.unplaced
 			}
 			if fail != nil {
 				return first, fail
@@ -572,12 +611,15 @@ func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 // lowest level their operands reach on their own, and every level of the
 // non-increasing chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate
 // is lowered — last first, where the remaining circuit is shortest —
-// while the pass stays feasible, until none moves. A search that passes
-// the bound returns the last run's failure.
+// while the pass stays feasible and places every level move as an op,
+// until none moves. The ascent tolerates an unplaced move (a lazy drop the
+// compare rounds or a lower entry may yet absorb); the schedule returned
+// has none. A search that passes the bound returns the last run's
+// failure, and a schedule that still needs an unplaced move returns it.
 func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 	at := StageLevels{Compare: final, Reshuffle: final, Level: final, Accumulate: final, Final: final, Shuffle: shuffle}
 	entries := [...]*int{&at.Compare, &at.Reshuffle, &at.Level, &at.Accumulate}
-	lv, fail := pl.run(at)
+	lv, fail := pl.run(at, false)
 	for iter := 0; fail != nil; iter++ {
 		if fail.hotEntry {
 			fail.stage--
@@ -590,14 +632,14 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 		if iter == 16*planCap || at.Compare > planCap {
 			return at, fail
 		}
-		lv, fail = pl.run(at)
+		lv, fail = pl.run(at, false)
 	}
 
 	chain := []*int{&at.Compare}
 	for _, r := range lv.rounds {
 		at.CompareRounds = append(at.CompareRounds, r.level)
 	}
-	if _, fail := pl.run(at); fail == nil {
+	if _, fail := pl.run(at, true); fail == nil {
 		for r := range at.CompareRounds {
 			chain = append(chain, &at.CompareRounds[r])
 		}
@@ -614,7 +656,7 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 			}
 			for *chain[i] > floor {
 				*chain[i]--
-				if _, fail := pl.run(at); fail != nil {
+				if _, fail := pl.run(at, true); fail != nil {
 					*chain[i]++
 					break
 				}
@@ -622,7 +664,8 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 			}
 		}
 	}
-	return at, nil
+	_, fail = pl.run(at, true)
+	return at, fail
 }
 
 // computeLevelPlan builds the static schedule for a compiled model: a

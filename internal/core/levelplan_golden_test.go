@@ -18,11 +18,14 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/levelplans.golde
 // goldenPlans compiles the plan corpus — the eight Table 6 models, the
 // four-lane model, wide8 and wide8's two K=2 shards under the default options, PlanShuffle,
 // Slots 2048 and NoBSGS — and returns one named row of plan entries per
-// (model, variant, scenario), in file order.
-func goldenPlans(t *testing.T) (names []string, rows map[string][]int) {
+// (model, variant, scenario), in file order, and the Meta each
+// (model, variant) was planned for.
+func goldenPlans(t *testing.T) (names []string, rows map[string][]int, metas map[string]*Meta) {
 	t.Helper()
-	rows = map[string][]int{}
-	add := func(name string, plan *LevelPlan) {
+	rows, metas = map[string][]int{}, map[string]*Meta{}
+	add := func(name string, meta *Meta) {
+		metas[name] = meta
+		plan := meta.LevelPlan
 		for _, encModel := range []bool{true, false} {
 			key := name + map[bool]string{true: "/cipher", false: "/plain"}[encModel]
 			names = append(names, key)
@@ -57,7 +60,7 @@ func goldenPlans(t *testing.T) (names []string, rows map[string][]int) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, v.name, err)
 			}
-			add(name+"/"+v.name, c.Meta.LevelPlan)
+			add(name+"/"+v.name, &c.Meta)
 			if name != "wide8" {
 				continue
 			}
@@ -66,11 +69,11 @@ func goldenPlans(t *testing.T) (names []string, rows map[string][]int) {
 				t.Fatalf("wide8/%s: %v", v.name, err)
 			}
 			for i, sc := range shards {
-				add(fmt.Sprintf("wide8-shard%d/%s", i, v.name), sc.Meta.LevelPlan)
+				add(fmt.Sprintf("wide8-shard%d/%s", i, v.name), &sc.Meta)
 			}
 		}
 	}
-	return names, rows
+	return names, rows, metas
 }
 
 // goldenFields names the columns of a golden row; compare rounds follow.
@@ -90,7 +93,7 @@ func goldenField(i int) string {
 // planning, no BGV: it runs under -short.
 func TestLevelPlansGolden(t *testing.T) {
 	path := filepath.Join("testdata", "levelplans.golden")
-	names, rows := goldenPlans(t)
+	names, rows, _ := goldenPlans(t)
 	if *updateGolden {
 		var sb strings.Builder
 		sb.WriteString("# config/variant/scenario: " + strings.Join(goldenFields, " ") + " compare-rounds...\n")

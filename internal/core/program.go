@@ -26,9 +26,10 @@ import (
 //     and one level drop on top of it;
 //   - every level move is an op: the builder marks the scheduled drop
 //     points, and the level pass (levelplan.go) resolves them against the
-//     plan and emits the alignment a binary op's operands need as an
-//     opDrop, shared per (register, level), so a planned pass leaves the
-//     backend nothing to align and the schedule sees and prices the work;
+//     plan and emits the alignment a binary op's operands need, and the
+//     cooling a hot product factor needs, as opDrops shared per
+//     (register, level), so the backend, which makes no level move of its
+//     own, has none left to make and the schedule sees and prices the work;
 //   - the comparison is one reduction over (GT, EQ) pairs, across the
 //     query's operands and, when its layout packs several bit planes
 //     into one (Meta.PlanesPerCiphertext), across the block groups of the
@@ -424,9 +425,14 @@ func buildProgram(in progInputs) (*Program, error) {
 
 // finish levels p's structure under plan with the level pass for a ring
 // of the given slot count, and derives its schedule. A plan the pass finds
-// infeasible is a *PlanInfeasibleError.
+// infeasible is a *PlanInfeasibleError, and so is one under which the
+// program needs a level move the pass cannot place as an op (kind "move"):
+// the evaluator makes none of its own.
 func (p *Program) finish(slots int, plan StageLevels) error {
 	lv, fail := p.levelPass(planNoiseModel(slots), plan, p.plainQuery, stCompare, est{})
+	if fail == nil {
+		fail = lv.unplaced
+	}
 	if fail != nil {
 		return fail.infeasible()
 	}

@@ -81,6 +81,11 @@ type QueryLayoutError struct {
 	// ciphertext and WantEncrypted whether the model was prepared for
 	// encrypted planes; they differ exactly when that is what is wrong.
 	Encrypted, WantEncrypted bool
+	// Level is the chain level of the offending encrypted bit plane and
+	// WantLevel the lowest the model's programs read planes from (their
+	// compare entry); Level is below it exactly when that is what is
+	// wrong.
+	Level, WantLevel int
 }
 
 func (e *QueryLayoutError) Error() string {
@@ -95,6 +100,8 @@ func (e *QueryLayoutError) Error() string {
 	case e.Encrypted != e.WantEncrypted:
 		kind := map[bool]string{true: "encrypted", false: "plaintext"}
 		return fmt.Sprintf("core: query carries %s bit planes, model prepared for %s ones", kind[e.Encrypted], kind[e.WantEncrypted])
+	case e.Level < e.WantLevel:
+		return fmt.Sprintf("core: query bit plane at level %d, below the level %d the model's programs read them at (query encrypted for another plan?)", e.Level, e.WantLevel)
 	}
 	return fmt.Sprintf("core: query has %d bit-plane operands at %d planes per ciphertext (block %d), model wants %d",
 		e.Planes, e.PlanesPerCiphertext, e.Block, e.Want)

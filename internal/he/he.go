@@ -128,8 +128,8 @@ type LevelEncrypter interface {
 	// to the chain top).
 	EncryptAtLevel(vals []uint64, level int) (Ciphertext, error)
 	// EncodePlainAtLevel encodes vals and eagerly lifts the encoding at
-	// the given level (and the level below, where operands aligned by one
-	// modulus switch land), so serving-time uses are cache hits.
+	// the given level, the one the program consumes it at, so
+	// serving-time uses are cache hits.
 	EncodePlainAtLevel(vals []uint64, level int) (Plain, error)
 }
 
@@ -296,13 +296,6 @@ type OpCounts struct {
 	// column — it is the gauge for level scheduling (DESIGN.md §8).
 	// Backends without a level structure contribute zero.
 	LimbOps int64
-	// Aligns counts the implicit level alignments a leveled backend
-	// performed: binary ciphertext operations (Add, Sub, Mul, MulLazy)
-	// handed operands at different levels, one of which it had to
-	// modulus-switch itself. A pass under a level plan performs none —
-	// every level move is a DropToLevel op of its program (DESIGN.md
-	// §8.2) — so a non-zero count there is work the schedule cannot see.
-	Aligns int64
 }
 
 // Plus returns c + o field-wise (MaxDepth takes the larger); useful
@@ -319,7 +312,6 @@ func (c OpCounts) Plus(o OpCounts) OpCounts {
 		RotateHoisted: c.RotateHoisted + o.RotateHoisted,
 		Relin:         c.Relin + o.Relin,
 		LimbOps:       c.LimbOps + o.LimbOps,
-		Aligns:        c.Aligns + o.Aligns,
 	}
 }
 
@@ -337,13 +329,12 @@ func (c OpCounts) Minus(o OpCounts) OpCounts {
 		RotateHoisted: c.RotateHoisted - o.RotateHoisted,
 		Relin:         c.Relin - o.Relin,
 		LimbOps:       c.LimbOps - o.LimbOps,
-		Aligns:        c.Aligns - o.Aligns,
 	}
 }
 
 func (c OpCounts) String() string {
-	return fmt.Sprintf("enc=%d rot=%d(hoisted=%d) add=%d cadd=%d mul=%d(relin=%d) cmul=%d depth=%d limbops=%d aligns=%d",
-		c.Encrypt, c.Rotate, c.RotateHoisted, c.Add, c.ConstAdd, c.Mul, c.Relin, c.ConstMul, c.MaxDepth, c.LimbOps, c.Aligns)
+	return fmt.Sprintf("enc=%d rot=%d(hoisted=%d) add=%d cadd=%d mul=%d(relin=%d) cmul=%d depth=%d limbops=%d",
+		c.Encrypt, c.Rotate, c.RotateHoisted, c.Add, c.ConstAdd, c.Mul, c.Relin, c.ConstMul, c.MaxDepth, c.LimbOps)
 }
 
 // CountingBackend wraps a Backend with its own operation counter, so a
@@ -376,19 +367,6 @@ func (c *CountingBackend) NoiseBudget(ct Ciphertext) (int, error) {
 		return 0, fmt.Errorf("he: backend %q cannot measure noise", c.inner.Name())
 	}
 	return nm.NoiseBudget(ct)
-}
-
-// noteAlign counts the implicit alignment a leveled inner backend
-// performs for a binary op whose operands sit at different levels.
-func (c *CountingBackend) noteAlign(a, b Ciphertext) {
-	if c.leveler == nil {
-		return
-	}
-	la, errA := c.leveler.CiphertextLevel(a)
-	lb, errB := c.leveler.CiphertextLevel(b)
-	if errA == nil && errB == nil && la != lb {
-		c.CountAlign()
-	}
 }
 
 // limbs reports ct's active limb count on leveled inner backends, 0
@@ -496,7 +474,6 @@ func (c *CountingBackend) EncodePlain(vals []uint64) (Plain, error) {
 func (c *CountingBackend) Add(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.Add(a, b)
 	if err == nil {
-		c.noteAlign(a, b)
 		c.CountAdd()
 		c.CountLimbs(c.limbs(ct))
 	}
@@ -507,7 +484,6 @@ func (c *CountingBackend) Add(a, b Ciphertext) (Ciphertext, error) {
 func (c *CountingBackend) Sub(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.Sub(a, b)
 	if err == nil {
-		c.noteAlign(a, b)
 		c.CountAdd()
 		c.CountLimbs(c.limbs(ct))
 	}
@@ -548,7 +524,6 @@ func (c *CountingBackend) MulPlain(a Ciphertext, p Plain) (Ciphertext, error) {
 func (c *CountingBackend) Mul(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.Mul(a, b)
 	if err == nil {
-		c.noteAlign(a, b)
 		c.CountMul()
 		c.CountLimbs(c.limbs(ct))
 		c.NoteDepth(ct.Depth())
@@ -560,7 +535,6 @@ func (c *CountingBackend) Mul(a, b Ciphertext) (Ciphertext, error) {
 func (c *CountingBackend) MulLazy(a, b Ciphertext) (Ciphertext, error) {
 	ct, err := c.inner.MulLazy(a, b)
 	if err == nil {
-		c.noteAlign(a, b)
 		c.CountMul()
 		c.CountLimbs(c.limbs(ct))
 		c.NoteDepth(ct.Depth())
@@ -612,7 +586,6 @@ func (c *CountingBackend) RotateHoisted(a Ciphertext, steps []int) ([]Ciphertext
 type Counter struct {
 	encrypt, rotate, add, constAdd, mul, constMul atomic.Int64
 	maxDepth, rotateHoisted, relin, limbOps       atomic.Int64
-	aligns                                        atomic.Int64
 }
 
 // CountEncrypt records one encryption.
@@ -652,9 +625,6 @@ func (c *Counter) CountLimbs(n int) {
 	}
 }
 
-// CountAlign records one implicit level alignment (OpCounts.Aligns).
-func (c *Counter) CountAlign() { c.aligns.Add(1) }
-
 // NoteDepth records an observed multiplicative depth.
 func (c *Counter) NoteDepth(d int) {
 	for {
@@ -678,7 +648,6 @@ func (c *Counter) Counts() OpCounts {
 		RotateHoisted: c.rotateHoisted.Load(),
 		Relin:         c.relin.Load(),
 		LimbOps:       c.limbOps.Load(),
-		Aligns:        c.aligns.Load(),
 	}
 }
 
@@ -694,5 +663,4 @@ func (c *Counter) ResetCounts() {
 	c.rotateHoisted.Store(0)
 	c.relin.Store(0)
 	c.limbOps.Store(0)
-	c.aligns.Store(0)
 }

@@ -1,7 +1,11 @@
 // Package hebgv adapts the BGV scheme (internal/bgv) to the he.Backend
 // interface used by the COPSE runtime. It plays the role HElib plays in
-// the paper: packed ciphertexts, Galois rotations, and automatic noise
-// management via modulus switching.
+// the paper: packed ciphertexts, Galois rotations and modulus switching.
+// Unlike HElib it makes no noise decision of its own: every level move is
+// a DropToLevel the caller's level plan placed, a binary op on operands at
+// different levels is refused (*bgv.LevelMismatchError), and decryption
+// refuses a ciphertext whose measured noise overflowed
+// (*bgv.NoiseOverflowError).
 package hebgv
 
 import (
@@ -235,9 +239,9 @@ func (b *Backend) EncryptAtLevel(vals []uint64, level int) (he.Ciphertext, error
 }
 
 // EncodePlainAtLevel implements he.LevelEncrypter: the encoding is
-// eagerly lifted into the ciphertext ring at the scheduled level and the
-// level below it (where operands aligned by one modulus switch land), so
-// serving-time plaintext multiplies and additions are cache hits.
+// eagerly lifted into the ciphertext ring at the scheduled level, the one
+// the program consumes it at, so serving-time plaintext multiplies and
+// additions are cache hits.
 func (b *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error) {
 	pt, err := b.encoder.Encode(vals)
 	if err != nil {
@@ -246,7 +250,7 @@ func (b *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error)
 	if level > b.params.MaxLevel() {
 		level = b.params.MaxLevel()
 	}
-	pt.PreLift(b.params.RingCtx, level, level-1)
+	pt.PreLift(b.params.RingCtx, level)
 	return pt, nil
 }
 
@@ -262,17 +266,13 @@ func (b *Backend) NoiseBudget(ct he.Ciphertext) (int, error) {
 	return b.decryptor.NoiseBudget(c.ct), nil
 }
 
-// castPair casts the operands of a binary op and counts the implicit
-// alignment the evaluator is about to perform when their levels differ.
+// castPair casts the operands of a binary op.
 func (b *Backend) castPair(x, y he.Ciphertext) (cx, cy *ciphertext, err error) {
 	if cx, err = b.cast(x); err != nil {
 		return nil, nil, err
 	}
 	if cy, err = b.cast(y); err != nil {
 		return nil, nil, err
-	}
-	if cx.ct.Level() != cy.ct.Level() {
-		b.CountAlign()
 	}
 	return cx, cy, nil
 }
@@ -307,7 +307,9 @@ func (b *Backend) Encrypt(vals []uint64) (he.Ciphertext, error) {
 	return b.wrap(ct, 0), nil
 }
 
-// Decrypt implements he.Backend.
+// Decrypt implements he.Backend. A ciphertext whose measured noise
+// overflowed its modulus is refused with the decryptor's
+// *bgv.NoiseOverflowError, not decoded into wrong slots.
 func (b *Backend) Decrypt(ct he.Ciphertext) ([]uint64, error) {
 	c, err := b.cast(ct)
 	if err != nil {
@@ -316,7 +318,11 @@ func (b *Backend) Decrypt(ct he.Ciphertext) ([]uint64, error) {
 	if b.decryptor == nil {
 		return nil, fmt.Errorf("hebgv: no secret key")
 	}
-	return b.encoder.Decode(b.decryptor.Decrypt(c.ct)), nil
+	pt, err := b.decryptor.Decrypt(c.ct)
+	if err != nil {
+		return nil, err
+	}
+	return b.encoder.Decode(pt), nil
 }
 
 // EncodePlain implements he.Backend.

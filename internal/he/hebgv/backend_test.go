@@ -1,6 +1,7 @@
 package hebgv
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 
@@ -77,6 +78,17 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// aligned drops the top-level operand x to cur's level, as a
+	// program's opDrop would: the BGV backend refuses a binary op across
+	// levels. On the clear backend, which has no levels, it is a no-op.
+	aligned := func(b he.Backend, x, cur he.Ciphertext) he.Ciphertext {
+		op, err := he.DropToLevel(b, he.Cipher(x), he.OperandLimbs(b, he.Cipher(cur))-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op.Ct
+	}
+
 	type step struct {
 		name string
 		bgv  func() (he.Ciphertext, error)
@@ -88,8 +100,8 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		{"addplain", func() (he.Ciphertext, error) { return bg.AddPlain(curB, pmB) }, func() (he.Ciphertext, error) { return cl.AddPlain(curC, pmC) }},
 		{"rotate3", func() (he.Ciphertext, error) { return bg.Rotate(curB, 3) }, func() (he.Ciphertext, error) { return cl.Rotate(curC, 3) }},
 		{"mulplain", func() (he.Ciphertext, error) { return bg.MulPlain(curB, pmB) }, func() (he.Ciphertext, error) { return cl.MulPlain(curC, pmC) }},
-		{"sub", func() (he.Ciphertext, error) { return bg.Sub(curB, bb) }, func() (he.Ciphertext, error) { return cl.Sub(curC, bc) }},
-		{"add", func() (he.Ciphertext, error) { return bg.Add(curB, bb) }, func() (he.Ciphertext, error) { return cl.Add(curC, bc) }},
+		{"sub", func() (he.Ciphertext, error) { return bg.Sub(curB, aligned(bg, bb, curB)) }, func() (he.Ciphertext, error) { return cl.Sub(curC, aligned(cl, bc, curC)) }},
+		{"add", func() (he.Ciphertext, error) { return bg.Add(curB, aligned(bg, bb, curB)) }, func() (he.Ciphertext, error) { return cl.Add(curC, aligned(cl, bc, curC)) }},
 		{"neg", func() (he.Ciphertext, error) { return bg.Neg(curB) }, func() (he.Ciphertext, error) { return cl.Neg(curC) }},
 		{"mul2", func() (he.Ciphertext, error) { return bg.Mul(curB, curB) }, func() (he.Ciphertext, error) { return cl.Mul(curC, curC) }},
 	}
@@ -167,7 +179,8 @@ func TestCountsOnBGV(t *testing.T) {
 // TestLevelCapabilities: the BGV backend implements the optional level
 // interfaces — proactive drops, leveled encryption, pre-lifted plaintext
 // encoding — and the CountingBackend wrapper passes them through with
-// limb accounting; the clear backend stays a no-op.
+// limb accounting; a binary op across levels is refused; the clear
+// backend stays a no-op.
 func TestLevelCapabilities(t *testing.T) {
 	b := newBackend(t, 6, []int{2})
 	var backend he.Backend = b
@@ -243,21 +256,28 @@ func TestLevelCapabilities(t *testing.T) {
 	if _, err := cb.Add(op.Ct, op.Ct); err != nil {
 		t.Fatal(err)
 	}
-	if counts := cb.Counts(); counts.LimbOps != 3 || counts.Aligns != 0 {
-		t.Fatalf("counting wrapper LimbOps = %d, Aligns = %d; want 3, 0", counts.LimbOps, counts.Aligns)
+	if counts := cb.Counts(); counts.LimbOps != 3 {
+		t.Fatalf("counting wrapper LimbOps = %d, want 3", counts.LimbOps)
 	}
-	// Operands at different levels: the backend aligns them itself, and
-	// both its own counter and the wrapper's say so.
-	before := b.Counts().Aligns
-	sum, err := cb.Add(top, op.Ct)
-	if err != nil {
-		t.Fatal(err)
+	// Operands at different levels: the backend refuses every binary op
+	// on them, through the wrapper too, moves neither operand, and
+	// neither counter records the op.
+	before, wrapped := b.Counts(), cb.Counts()
+	binary := map[string]func(x, y he.Ciphertext) (he.Ciphertext, error){
+		"Add": cb.Add, "Sub": cb.Sub, "Mul": cb.Mul, "MulLazy": cb.MulLazy,
 	}
-	if level, _ := ld.CiphertextLevel(sum); level != 2 {
-		t.Fatalf("sum of levels 5 and 2 landed at level %d", level)
+	for name, f := range binary {
+		out, err := f(top, op.Ct)
+		var mismatch *bgv.LevelMismatchError
+		if !errors.As(err, &mismatch) || out != nil || mismatch.A != 5 || mismatch.B != 2 {
+			t.Fatalf("%s of levels 5 and 2: %v, %v; want a *bgv.LevelMismatchError{5, 2}", name, out, err)
+		}
 	}
-	if wrapper, backend := cb.Counts().Aligns, b.Counts().Aligns-before; wrapper != 1 || backend != 1 {
-		t.Fatalf("Aligns after one misaligned Add: wrapper %d, backend %d; want 1, 1", wrapper, backend)
+	if level, _ := ld.CiphertextLevel(top); level != 5 {
+		t.Fatalf("a refused op moved its operand to level %d", level)
+	}
+	if b.Counts() != before || cb.Counts() != wrapped {
+		t.Fatalf("refused ops counted: backend %v → %v, wrapper %v → %v", before, b.Counts(), wrapped, cb.Counts())
 	}
 
 	// The clear backend has no level structure: helpers are no-ops.

@@ -122,40 +122,32 @@ func (cl *crtLevel) reconstructCoeff(res []uint64, moduli []*Modulus, out, scrat
 
 // ToCenteredMod reconstructs each coefficient of p (coefficient domain),
 // centers it in (-Q/2, Q/2], and reduces modulo m. This is the final step
-// of BGV decryption.
-func (ctx *Context) ToCenteredMod(p *Poly, m uint64) []uint64 {
-	if p.IsNTT {
-		panic("ring: ToCenteredMod requires coefficient-domain input")
-	}
-	cl := ctx.crt[p.Level()]
+// of BGV decryption. It also returns the bit length of the largest
+// centered coefficient, measured in the same loop (MaxCenteredBits), so
+// decryption checks the noise it decrypts through at no extra
+// reconstruction.
+func (ctx *Context) ToCenteredMod(p *Poly, m uint64) ([]uint64, int) {
 	out := make([]uint64, ctx.N)
-	acc := new(big.Int)
-	scratch := new(big.Int)
-	mBig := new(big.Int).SetUint64(m)
-	res := make([]uint64, p.Level()+1)
-	for j := 0; j < ctx.N; j++ {
-		for i := range res {
-			res[i] = p.Coeffs[i][j]
-		}
-		cl.reconstructCoeff(res, ctx.Moduli, acc, scratch)
-		if acc.Cmp(cl.halfQ) > 0 {
-			acc.Sub(acc, cl.bigQ)
-		}
-		acc.Mod(acc, mBig) // big.Int Mod is Euclidean: result in [0, m)
-		out[j] = acc.Uint64()
-	}
-	return out
+	return out, ctx.centered(p, m, out)
 }
 
 // MaxCenteredBits returns the bit length of the largest centered
 // coefficient of p. It is used to measure ciphertext noise.
 func (ctx *Context) MaxCenteredBits(p *Poly) int {
+	return ctx.centered(p, 0, nil)
+}
+
+// centered reconstructs and centers every coefficient of p, writes each
+// reduced modulo m into out when out is non-nil, and returns the bit
+// length of the largest centered one.
+func (ctx *Context) centered(p *Poly, m uint64, out []uint64) int {
 	if p.IsNTT {
-		panic("ring: MaxCenteredBits requires coefficient-domain input")
+		panic("ring: centered reconstruction requires coefficient-domain input")
 	}
 	cl := ctx.crt[p.Level()]
 	acc := new(big.Int)
 	scratch := new(big.Int)
+	mBig := new(big.Int).SetUint64(m)
 	res := make([]uint64, p.Level()+1)
 	maxBits := 0
 	for j := 0; j < ctx.N; j++ {
@@ -165,10 +157,11 @@ func (ctx *Context) MaxCenteredBits(p *Poly) int {
 		cl.reconstructCoeff(res, ctx.Moduli, acc, scratch)
 		if acc.Cmp(cl.halfQ) > 0 {
 			acc.Sub(acc, cl.bigQ)
-			acc.Neg(acc)
 		}
-		if bl := acc.BitLen(); bl > maxBits {
-			maxBits = bl
+		maxBits = max(maxBits, acc.BitLen()) // BitLen ignores the sign
+		if out != nil {
+			acc.Mod(acc, mBig) // big.Int Mod is Euclidean: result in [0, m)
+			out[j] = acc.Uint64()
 		}
 	}
 	return maxBits

@@ -258,7 +258,10 @@ func TestSetLiftAndToCenteredMod(t *testing.T) {
 	}
 	p := ctx.NewPoly(ctx.MaxLevel())
 	ctx.SetLift(coeffs, p)
-	got := ctx.ToCenteredMod(p, ctx.T)
+	got, bits := ctx.ToCenteredMod(p, ctx.T)
+	if want := ctx.MaxCenteredBits(p); bits != want {
+		t.Errorf("ToCenteredMod measured %d bits, MaxCenteredBits %d", bits, want)
+	}
 	for j, c := range coeffs {
 		want := ((c % int64(ctx.T)) + int64(ctx.T)) % int64(ctx.T)
 		if got[j] != uint64(want) {
@@ -293,7 +296,10 @@ func TestModSwitchDown(t *testing.T) {
 	ctx.INTT(p)
 	after := ctx.MaxCenteredBits(p)
 
-	got := ctx.ToCenteredMod(p, ctx.T)
+	got, bits := ctx.ToCenteredMod(p, ctx.T)
+	if bits != after {
+		t.Errorf("ToCenteredMod measured %d bits after the switch, MaxCenteredBits %d", bits, after)
+	}
 	for j, m := range msg {
 		if got[j] != uint64(m) {
 			t.Fatalf("plaintext changed at %d: got %d want %d", j, got[j], m)

@@ -144,8 +144,8 @@ func checkLaneMerge(t *testing.T, f *copse.Forest, models []packedModel) {
 // that fold them — every answer from the lone query to the full batch is
 // model.Forest.Classify's, with and without the result shuffle (which has
 // the residue of the groups past the first to select out), in each of the
-// three ways a model and a query are staged, and the backend aligns no
-// operand itself. The models are the benchmark's (prec16: 2 lanes × 4
+// three ways a model and a query are staged, on an evaluator that aligns
+// no operand itself. The models are the benchmark's (prec16: 2 lanes × 4
 // groups; depth4: 2 × 2; wide8 and its two shards: 1 × 4), a one-lane Table
 // 6 model (width55) and the four-lane one, which has two groups. The short
 // suite keeps both edges of every packing, which the two oracles above

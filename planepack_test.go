@@ -186,7 +186,7 @@ func servePacked(t *testing.T, pm packedModel, turn *int, backends ...copse.Back
 					}
 					defer svc.Close()
 					for _, n := range sizes {
-						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle, onBGV)
+						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle)
 					}
 				})
 			}
@@ -195,9 +195,8 @@ func servePacked(t *testing.T, pm packedModel, turn *int, backends ...copse.Back
 }
 
 // checkPackedBatch classifies n random queries in one pass and holds the
-// pass to the packing n selects — and, on a backend with levels, to
-// aligning nothing itself — and every answer to the forest's.
-func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *copse.Meta, n int, shuffled, levelled bool) {
+// pass to the packing n selects and every answer to the forest's.
+func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *copse.Meta, n int, shuffled bool) {
 	t.Helper()
 	f := pm.forest
 	batch := randomBatch(f, n, uint64(n))
@@ -219,9 +218,6 @@ func checkPackedBatch(t *testing.T, svc *copse.Service, pm packedModel, meta *co
 	}
 	if lanes, groups, ops := meta.LevelLayout(g); trace.LevelLanes != lanes || trace.LevelGroups != groups || trace.LevelOperands != ops {
 		t.Errorf("batch of %d: trace reports %d level operands of %d lanes × %d groups, the layout has %d of %d × %d", n, trace.LevelOperands, trace.LevelLanes, trace.LevelGroups, ops, lanes, groups)
-	}
-	if ops := trace.CompareOps.Plus(trace.ReshuffleOps).Plus(trace.LevelOps).Plus(trace.AccumulateOps).Plus(trace.ShuffleOps); levelled && ops.Aligns != 0 {
-		t.Errorf("batch of %d (g=%d): the backend aligned %d operands itself", n, g, ops.Aligns)
 	}
 	results, err := svc.DecryptResultBatch("m", enc)
 	if err != nil {

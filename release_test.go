@@ -53,7 +53,7 @@ func TestUseAfterReleaseOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, n := range []int{1, c.Meta.BatchCapacity()} {
-						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle, true)
+						checkPackedBatch(t, svc, pm, &c.Meta, n, shuffle)
 					}
 					batch := randomBatch(pm.forest, 1, 99)
 					results, err := svc.ClassifyBatch(context.Background(), "m", batch)
