@@ -65,7 +65,7 @@ func main() {
 	}
 	m := compiled.Meta
 	fmt.Fprintf(os.Stderr, "staged %s\n", m.String())
-	fmt.Fprintf(os.Stderr, "  padded widths: q̂=%d b̂=%d; rotation keys: %d; recommended BGV levels: %d\n",
+	fmt.Fprintf(os.Stderr, "  padded widths: q̂=%d b̂=%d; compile-time rotation steps: %d; recommended BGV levels: %d\n",
 		m.QPad, m.BPad, len(m.RotationSteps), m.RecommendedLevels)
 	fmt.Fprintf(os.Stderr, "  ct-ct depth: %d (encrypted model) / %d (plaintext model)\n",
 		m.CtDepthCipherModel, m.CtDepthPlainModel)

@@ -44,8 +44,8 @@ type Meta struct {
 type Model struct {
 	Meta Meta
 	// Backend is the backend Prepare built for the program: on BGV, a chain
-	// of Plan.Compare + 1 primes and the power-of-two rotation keys every
-	// key set holds (the program never rotates).
+	// of Plan.Compare + 1 primes and no Galois keys (the program never
+	// rotates).
 	Backend he.Backend
 	// Plan is the program's level schedule (core.PlanBaseline).
 	Plan       core.StageLevels

@@ -307,3 +307,20 @@ type NoiseOverflowError struct {
 func (e *NoiseOverflowError) Error() string {
 	return fmt.Sprintf("bgv: decryption at level %d measured a noise budget of %d bits: the noise overflowed the modulus", e.Level, e.Budget)
 }
+
+// MissingKeyError is the refusal of a rotation by Step of a ciphertext at
+// Level that no Galois key serves directly: the key for its element sits
+// at KeyLevel, below the ciphertext, or there is none (KeyLevel −1).
+// Staging generates a key for every rotation a program makes, at the
+// highest level it makes it, so a missing key is a rotation no staged
+// program asked for.
+type MissingKeyError struct {
+	Step, Level, KeyLevel int
+}
+
+func (e *MissingKeyError) Error() string {
+	if e.KeyLevel < 0 {
+		return fmt.Sprintf("bgv: no Galois key for rotation step %d (needed at level %d)", e.Step, e.Level)
+	}
+	return fmt.Sprintf("bgv: the Galois key for rotation step %d sits at level %d, below the rotation at level %d", e.Step, e.KeyLevel, e.Level)
+}

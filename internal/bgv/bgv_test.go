@@ -16,8 +16,8 @@ type testKit struct {
 	sk     *SecretKey
 }
 
-// newTestKit builds a full BGV instance with Galois keys for the given
-// rotation steps (power-of-two steps are always included).
+// newTestKit builds a full BGV instance with Galois keys, at the chain
+// top, for exactly the given rotation steps.
 func newTestKit(t *testing.T, levels int, steps []int) *testKit {
 	t.Helper()
 	params, err := NewParameters(TestParams(levels))
@@ -27,8 +27,7 @@ func newTestKit(t *testing.T, levels int, steps []int) *testKit {
 	kg := NewSeededKeyGenerator(params, 1234)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	allSteps := append(PowerOfTwoSteps(params.Slots()), steps...)
-	keys, err := kg.GenEvaluationKeys(sk, allSteps)
+	keys, err := kg.GenEvaluationKeys(sk, steps)
 	if err != nil {
 		t.Fatalf("GenEvaluationKeys: %v", err)
 	}
@@ -275,8 +274,11 @@ func TestMulChain(t *testing.T) {
 	}
 }
 
+// TestRotate: every keyed step — negative ones and steps past slots/2
+// included — and step 0 rotate the slots exactly; a step without a key
+// of its own is refused, not composed from the keyed ones.
 func TestRotate(t *testing.T) {
-	kit := newTestKit(t, 2, []int{1, 3, 7})
+	kit := newTestKit(t, 2, []int{1, 3, 7, -1, 100})
 	slots := kit.params.Slots()
 	vals := make([]uint64, slots)
 	for i := range vals {
@@ -296,31 +298,8 @@ func TestRotate(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRotateComposed exercises rotations that have no dedicated key and
-// must be composed from power-of-two hops.
-func TestRotateComposed(t *testing.T) {
-	kit := newTestKit(t, 2, nil) // only power-of-two keys
-	slots := kit.params.Slots()
-	vals := make([]uint64, slots)
-	for i := range vals {
-		vals[i] = uint64(i * 3 % 1000)
-	}
-	ct := kit.encryptVec(t, vals)
-	for _, step := range []int{5, 11, 37, slots/2 + 1} {
-		rot, err := kit.eval.Rotate(ct, step)
-		if err != nil {
-			t.Fatalf("Rotate(%d): %v", step, err)
-		}
-		got := kit.decryptVec(t, rot)
-		for i := range got {
-			want := vals[(i+step)%slots]
-			if got[i] != want {
-				t.Fatalf("composed Rotate(%d) slot %d: got %d want %d", step, i, got[i], want)
-			}
-		}
-	}
+	_, err := kit.eval.Rotate(ct, 4)
+	wantMissingKey(t, "Rotate(4) = 1+3 with no step-4 key", err, MissingKeyError{Step: 4, Level: ct.Level(), KeyLevel: -1})
 }
 
 func TestModSwitchPreservesPlaintext(t *testing.T) {

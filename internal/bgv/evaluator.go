@@ -32,14 +32,6 @@ func (ev *Evaluator) Keys() *EvaluationKeys { return ev.keys.Load() }
 // is published while other goroutines rotate.
 func (ev *Evaluator) SetKeys(keys *EvaluationKeys) { ev.keys.Store(keys) }
 
-// galois returns the current Galois key for elt, nil when there is none.
-func (ev *Evaluator) galois(elt uint64) *SwitchingKey {
-	if keys := ev.keys.Load(); keys != nil {
-		return keys.Galois[elt]
-	}
-	return nil
-}
-
 // release returns tmp's polynomials to the ring pool unless tmp is ct
 // itself: an intermediate an operation made of ct and no longer needs.
 func (ev *Evaluator) release(tmp, ct *Ciphertext) {
@@ -329,94 +321,47 @@ func (ev *Evaluator) DropToLevel(ct *Ciphertext, level int) error {
 }
 
 // Rotate returns ct with slots rotated left by step: out[i] = in[i+step].
-// If no Galois key exists for the exact step, the rotation is composed
-// from available power-of-two steps.
+// It is the one-step case of RotateHoisted.
 func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
-	if ev.keys.Load() == nil {
-		return nil, fmt.Errorf("bgv: Rotate requires Galois keys")
-	}
-	slots := ev.params.Slots()
-	s := ((step % slots) + slots) % slots
-	if s == 0 {
-		return ev.copyPooled(ct), nil
-	}
-	// A direct key is only usable if it covers the ciphertext's level:
-	// keys may be generated below the chain top (WithGaloisKeys), and a
-	// rotation arriving above one falls back to the composed path, which
-	// needs power-of-two keys at that level.
-	elt := ev.params.GaloisElt(s)
-	if key := ev.galois(elt); key != nil && key.Level() >= ct.Level() {
-		return ev.applyGalois(ct, elt)
-	}
-	// Compose from power-of-two hops; each intermediate goes back to the
-	// pool once the next hop has read it.
-	out := ct
-	for bit := 0; s != 0; bit++ {
-		if s&1 == 1 {
-			hop := 1 << bit
-			elt := ev.params.GaloisElt(hop)
-			if ev.galois(elt) == nil {
-				return nil, fmt.Errorf("bgv: no Galois key for step %d (needed to compose rotation by %d)", hop, step)
-			}
-			next, err := ev.applyGalois(out, elt)
-			ev.release(out, ct)
-			if err != nil {
-				return nil, err
-			}
-			out = next
-		}
-		s >>= 1
-	}
-	return out, nil
-}
-
-// applyGalois applies the automorphism x -> x^elt and key-switches back
-// to the original secret.
-func (ev *Evaluator) applyGalois(ct *Ciphertext, elt uint64) (*Ciphertext, error) {
-	if err := ev.checkGalois(ct, elt); err != nil {
+	outs, err := ev.RotateHoisted(ct, []int{step})
+	if err != nil {
 		return nil, err
 	}
-	ctx := ev.params.RingCtx
-	digits := ctx.DecomposeHybrid(ct.C[1])
-	out, err := ev.galoisFromDigits(ct, digits, elt)
-	ctx.PutPolys(digits)
-	return out, err
+	return outs[0], nil
 }
 
-// checkGalois validates ct and the headroom for one key switch. A key
-// switch adds ~KeySwitchNoiseBits of absolute noise; refuse to rotate
-// when the current modulus cannot absorb it.
-func (ev *Evaluator) checkGalois(ct *Ciphertext, elt uint64) error {
-	key := ev.galois(elt)
-	if key == nil {
-		return fmt.Errorf("bgv: no Galois key for element %d", elt)
+// GaloisKey returns the Galois element of a left rotation by step (not 0
+// mod slots) and the key that serves it directly at the given level: one
+// generated at or above that level. The evaluator rotates by nothing
+// else — staging fixes every rotation a program makes and generates its
+// keys (DESIGN.md §9.4) — so a rotation no key serves is refused with a
+// *MissingKeyError.
+func (ev *Evaluator) GaloisKey(step, level int) (uint64, *SwitchingKey, error) {
+	elt := ev.params.GaloisElt(step)
+	keyLevel := -1
+	if keys := ev.keys.Load(); keys != nil {
+		if key := keys.Galois[elt]; key != nil {
+			if key.Level() >= level {
+				return elt, key, nil
+			}
+			keyLevel = key.Level()
+		}
 	}
-	if key.Level() < ct.Level() {
-		return fmt.Errorf("bgv: Galois key for element %d generated at level %d cannot serve a rotation at level %d",
-			elt, key.Level(), ct.Level())
-	}
-	if len(ct.C) != 2 {
-		return fmt.Errorf("bgv: rotation requires a degree-1 ciphertext")
-	}
-	level, tBits := ct.Level(), bitsOf(ev.params.T)
-	if float64(ev.params.QBits(level)) < KeySwitchNoiseBits(ev.params.LogN, tBits, level)+float64(tBits)+4 {
-		return fmt.Errorf("bgv: rotation at level %d lacks key-switch headroom: %w", level, errNotEnoughLevels)
-	}
-	return nil
+	return 0, nil, &MissingKeyError{Step: step, Level: level, KeyLevel: keyLevel}
 }
 
 // galoisFromDigits finishes a rotation from the hoisted state, the
 // extended digits of c1: it key-switches c1 from s to σ^{-1}(s) (the
-// form Galois keys are generated in), adds c0, and applies σ to both
-// components as an NTT-domain index permutation, which lands the result
-// back under s. One decomposition therefore serves every rotation of the
-// same ciphertext, and each step costs a multiply-accumulate, one
+// form Galois keys are generated in) under key, adds c0, and applies σ
+// to both components as an NTT-domain index permutation, which lands the
+// result back under s. One decomposition therefore serves every rotation
+// of the same ciphertext, and each step costs a multiply-accumulate, one
 // divide-by-P and two permutations.
-func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt uint64) (*Ciphertext, error) {
+func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt uint64, key *SwitchingKey) *Ciphertext {
 	ctx := ev.params.RingCtx
 	level := ct.Level()
 
-	acc0, acc1 := ev.keySwitch(digits, ev.galois(elt), level, ct.C[0], nil)
+	acc0, acc1 := ev.keySwitch(digits, key, level, ct.C[0], nil)
 	k0, k1 := ctx.GetPoly(level), ctx.GetPoly(level)
 	ctx.DivideByP(acc0, k0)
 	ctx.DivideByP(acc1, k1)
@@ -427,70 +372,59 @@ func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt u
 	ctx.PutPoly(k0)
 	ctx.PutPoly(k1)
 
-	return &Ciphertext{C: []*ring.Poly{c0, c1}}, nil
-}
-
-// HoistableStepAt classifies a rotation step at a level for op
-// accounting: it returns (false, false) for a no-op step (0 mod slots),
-// (true, true) when a direct Galois key exists covering the level so
-// the step rides the hoisted path, and (true, false) when the step must
-// be composed from power-of-two hops instead.
-func (ev *Evaluator) HoistableStepAt(step, level int) (rotates, hoisted bool) {
-	slots := ev.params.Slots()
-	s := ((step % slots) + slots) % slots
-	if s == 0 {
-		return false, false
-	}
-	key := ev.galois(ev.params.GaloisElt(s))
-	return true, key != nil && key.Level() >= level
+	return &Ciphertext{C: []*ring.Poly{c0, c1}}
 }
 
 // RotateHoisted rotates ct left by every step in steps with hoisted key
 // switching (Halevi–Shoup 2018): the c1 component is split into extended
 // key-switching digits once and every requested rotation reuses them —
-// amortizing the INTT, base extension and digit NTTs. The result
-// slice is parallel to steps; step 0 returns a copy. Steps lacking a
-// direct Galois key fall back to the composed Rotate path (no hoisting
-// for those steps).
+// amortizing the INTT, base extension and digit NTTs. The result slice
+// is parallel to steps; step 0 (mod slots) returns a copy. Every other
+// step needs a direct Galois key at ct's level (GaloisKey) and the level
+// the headroom of one key switch; both are checked for every step before
+// anything is decomposed or drawn from the ring pool.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
-	if ev.keys.Load() == nil {
-		return nil, fmt.Errorf("bgv: RotateHoisted requires Galois keys")
-	}
-	if len(steps) == 0 {
-		return nil, nil
-	}
 	if len(ct.C) != 2 {
 		return nil, fmt.Errorf("bgv: rotation requires a degree-1 ciphertext")
 	}
-	ctx := ev.params.RingCtx
 	slots := ev.params.Slots()
 	level := ct.Level()
+	type galois struct {
+		elt uint64
+		key *SwitchingKey
+	}
+	gs := make([]galois, len(steps))
+	rotates := false
+	for i, step := range steps {
+		if step%slots == 0 {
+			continue
+		}
+		elt, key, err := ev.GaloisKey(step, level)
+		if err != nil {
+			return nil, err
+		}
+		gs[i], rotates = galois{elt, key}, true
+	}
+	// A key switch adds ~KeySwitchNoiseBits of absolute noise; refuse to
+	// rotate when the current modulus cannot absorb it.
+	tBits := bitsOf(ev.params.T)
+	if rotates && float64(ev.params.QBits(level)) < KeySwitchNoiseBits(ev.params.LogN, tBits, level)+float64(tBits)+4 {
+		return nil, fmt.Errorf("bgv: rotation at level %d lacks key-switch headroom: %w", level, errNotEnoughLevels)
+	}
 
+	ctx := ev.params.RingCtx
 	outs := make([]*Ciphertext, len(steps))
 	var digits []*ring.Poly
-	var err error
-	for i, step := range steps {
-		s := ((step % slots) + slots) % slots
-		if s == 0 {
+	for i, g := range gs {
+		if g.key == nil {
 			outs[i] = ev.copyPooled(ct)
 			continue
 		}
-		elt := ev.params.GaloisElt(s)
-		if key := ev.galois(elt); key == nil || key.Level() < level {
-			outs[i], err = ev.Rotate(ct, s)
-		} else if err = ev.checkGalois(ct, elt); err == nil {
-			if digits == nil {
-				digits = ctx.DecomposeHybrid(ct.C[1])
-			}
-			outs[i], err = ev.galoisFromDigits(ct, digits, elt)
+		if digits == nil {
+			digits = ctx.DecomposeHybrid(ct.C[1])
 		}
-		if err != nil {
-			break
-		}
+		outs[i] = ev.galoisFromDigits(ct, digits, g.elt, g.key)
 	}
 	ctx.PutPolys(digits)
-	if err != nil {
-		return nil, err
-	}
 	return outs, nil
 }

@@ -244,9 +244,8 @@ func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 // switches s to σ_g^{-1}(s): the evaluator key-switches c1 as it stands
 // and applies σ_g to the result, which lands back under s — so the
 // automorphism costs two row permutations per rotation instead of one
-// per digit. The key can serve rotations at any level ≤ its own; asked
-// to rotate above a key's level, the evaluator falls back to composing
-// power-of-two rotations, whose keys must then cover that level.
+// per digit. The key serves rotations at any level ≤ its own; a
+// rotation above it is refused (*MissingKeyError).
 func (kg *KeyGenerator) GenGaloisKeyAt(sk *SecretKey, g uint64, level int) *SwitchingKey {
 	qp := kg.params.RingCtx.QP(level)
 	sOut := qp.NewPoly(qp.MaxLevel())
@@ -317,16 +316,6 @@ func (kg *KeyGenerator) WithGaloisKeys(sk *SecretKey, ek *EvaluationKeys, rots [
 		out.Galois[g] = kg.GenGaloisKeyAt(sk, g, want[g])
 	}
 	return out
-}
-
-// PowerOfTwoSteps returns the rotation steps ±1, ±2, ±4, ... up to
-// slots/2, from which any rotation can be composed.
-func PowerOfTwoSteps(slots int) []int {
-	var steps []int
-	for s := 1; s < slots; s <<= 1 {
-		steps = append(steps, s, -s)
-	}
-	return steps
 }
 
 // restrict returns a view of p at the given (lower or equal) level,

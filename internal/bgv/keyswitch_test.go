@@ -3,7 +3,6 @@ package bgv
 import (
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"testing"
 
 	"copse/internal/ring"
@@ -82,14 +81,13 @@ func TestLeveledKeyServesEveryLowerLevel(t *testing.T) {
 	for keyLevel := 0; keyLevel < levels; keyLevel++ {
 		kit := leveledKit(t, levels, keyLevel)
 		slots := kit.params.Slots()
-		elt := kit.params.GaloisElt(step)
 		vals := randVec(rand.New(rand.NewPCG(7, uint64(keyLevel))), slots, kit.params.T)
 		pt, err := kit.enc.Encode(vals)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for level := 0; level <= keyLevel; level++ {
-			rot, err := kit.eval.applyGalois(kit.encr.EncryptAtLevel(pt, level), elt)
+			rot, err := kit.eval.Rotate(kit.encr.EncryptAtLevel(pt, level), step)
 			if err != nil {
 				t.Fatalf("key level %d at level %d: %v", keyLevel, level, err)
 			}
@@ -100,10 +98,8 @@ func TestLeveledKeyServesEveryLowerLevel(t *testing.T) {
 			}
 		}
 		if keyLevel+1 < levels {
-			_, err := kit.eval.applyGalois(kit.encr.EncryptAtLevel(pt, keyLevel+1), elt)
-			if err == nil || !strings.Contains(err.Error(), "cannot serve") {
-				t.Fatalf("key level %d used at level %d: err %v, want a level error", keyLevel, keyLevel+1, err)
-			}
+			_, err := kit.eval.Rotate(kit.encr.EncryptAtLevel(pt, keyLevel+1), step)
+			wantMissingKey(t, "rotation above the key", err, MissingKeyError{Step: step, Level: keyLevel + 1, KeyLevel: keyLevel})
 		}
 	}
 }

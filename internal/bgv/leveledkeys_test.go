@@ -1,14 +1,10 @@
 package bgv
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// leveledKit builds a BGV instance whose Galois key for step 3 is
-// generated at the given level while the power-of-two ladder stays at
-// the chain top — the shape WithGaloisKeys produces for a step a
-// staged program rotates only at a scheduled-down level.
+// leveledKit builds a BGV instance whose one Galois key, for step 3, is
+// generated at the given level — the shape WithGaloisKeys produces for a
+// step a staged program rotates only at a scheduled-down level.
 func leveledKit(t *testing.T, levels, keyLevel int) *testKit {
 	t.Helper()
 	params, err := NewParameters(TestParams(levels))
@@ -18,11 +14,7 @@ func leveledKit(t *testing.T, levels, keyLevel int) *testKit {
 	kg := NewSeededKeyGenerator(params, 4321)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	keys, err := kg.GenEvaluationKeys(sk, PowerOfTwoSteps(params.Slots()))
-	if err != nil {
-		t.Fatalf("GenEvaluationKeys: %v", err)
-	}
-	keys = kg.WithGaloisKeys(sk, keys, []Rotation{{Step: 3, Level: keyLevel}})
+	keys := kg.WithGaloisKeys(sk, &EvaluationKeys{Relin: kg.GenRelinKey(sk)}, []Rotation{{Step: 3, Level: keyLevel}})
 	enc, err := NewEncoder(params)
 	if err != nil {
 		t.Fatalf("NewEncoder: %v", err)
@@ -67,54 +59,22 @@ func TestLeveledGaloisKeyServesScheduledLevel(t *testing.T) {
 	}
 }
 
-// TestLeveledGaloisKeyFallbackAboveLevel: the same rotation issued above
-// the key's level cannot use the direct key and must fall back to the
-// top-level power-of-two ladder — still correct, just composed.
-func TestLeveledGaloisKeyFallbackAboveLevel(t *testing.T) {
-	const levels, keyLevel = 6, 3
-	kit := leveledKit(t, levels, keyLevel)
-	slots := kit.params.Slots()
-	vals := make([]uint64, slots)
-	for i := range vals {
-		vals[i] = uint64((3*i + 1) % 89)
-	}
-	ct := kit.encryptVec(t, vals) // top of the chain, above the step-3 key
-	if ct.Level() <= keyLevel {
-		t.Fatalf("test needs a ciphertext above level %d", keyLevel)
-	}
-	rot, err := kit.eval.Rotate(ct, 3)
-	if err != nil {
-		t.Fatalf("Rotate(3) above key level: %v", err)
-	}
-	got := kit.decryptVec(t, rot)
-	for i := range got {
-		if want := vals[(i+3)%slots]; got[i] != want {
-			t.Fatalf("slot %d: got %d want %d", i, got[i], want)
-		}
-	}
-	// The hoisted path must take the same fallback.
-	outs, err := kit.eval.RotateHoisted(ct, []int{3})
-	if err != nil {
-		t.Fatalf("RotateHoisted(3) above key level: %v", err)
-	}
-	got = kit.decryptVec(t, outs[0])
-	for i := range got {
-		if want := vals[(i+3)%slots]; got[i] != want {
-			t.Fatalf("hoisted slot %d: got %d want %d", i, got[i], want)
-		}
-	}
-}
-
-// TestLeveledGaloisKeyDirectUseAboveLevelRejected: forcing the direct
-// path above the key's level must fail loudly, not corrupt.
+// TestLeveledGaloisKeyDirectUseAboveLevelRejected: the same rotation
+// issued above the key's level is refused, one step or hoisted — not
+// composed from other keys, and not served by a key that cannot reach
+// the ciphertext's primes.
 func TestLeveledGaloisKeyDirectUseAboveLevelRejected(t *testing.T) {
 	const levels, keyLevel = 6, 3
 	kit := leveledKit(t, levels, keyLevel)
 	ct := kit.encryptVec(t, make([]uint64, kit.params.Slots()))
-	elt := kit.params.GaloisElt(3)
-	if _, err := kit.eval.applyGalois(ct, elt); err == nil || !strings.Contains(err.Error(), "cannot serve") {
-		t.Fatalf("applyGalois above key level: got err %v, want level error", err)
+	if ct.Level() <= keyLevel {
+		t.Fatalf("test needs a ciphertext above level %d", keyLevel)
 	}
+	want := MissingKeyError{Step: 3, Level: ct.Level(), KeyLevel: keyLevel}
+	_, err := kit.eval.Rotate(ct, 3)
+	wantMissingKey(t, "Rotate(3) above the key", err, want)
+	_, err = kit.eval.RotateHoisted(ct, []int{3})
+	wantMissingKey(t, "RotateHoisted(3) above the key", err, want)
 }
 
 // TestLeveledKeyMaterialShrinks pins the byte accounting: a key at

@@ -129,9 +129,6 @@ func NewSchedule(cfg Config) *Schedule {
 // run is reproducible regardless of how much clean traffic preceded it.
 func (s *Schedule) Arm(on bool) { s.armed.Store(on) }
 
-// Armed reports whether the schedule is injecting.
-func (s *Schedule) Armed() bool { return s.armed.Load() }
-
 // Injected reports how many non-zero faults the schedule has produced.
 func (s *Schedule) Injected() int64 { return s.drawn.Load() }
 

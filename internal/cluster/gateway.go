@@ -251,9 +251,14 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 	g.mu.Lock()
 	g.workers = states
 	g.rebuildLocked()
+	// A route's meta and problem are written after it is published (by
+	// this and by concurrent refreshes), so they are read and written
+	// under g.mu only; its other fields are fixed at rebuild.
 	routes := make(map[string]*route, len(g.routes))
 	for name, r := range g.routes {
-		routes[name] = r
+		if r.problem == "" {
+			routes[name] = r
+		}
 	}
 	g.mu.Unlock()
 
@@ -261,9 +266,6 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 	// seen yet (outside the lock: these are network calls).
 	var firstErr error
 	for name, r := range routes {
-		if r.problem != "" {
-			continue
-		}
 		if err := g.ensureBackend(ctx, r); err != nil {
 			g.setProblem(name, fmt.Sprintf("fetching key material: %v", err))
 			if firstErr == nil {
@@ -435,7 +437,10 @@ func (g *Gateway) ensureBackend(ctx context.Context, r *route) error {
 
 // ensureMeta fetches (once per model) the forest's global Meta.
 func (g *Gateway) ensureMeta(ctx context.Context, name string, r *route) error {
-	if r.meta != nil {
+	g.mu.RLock()
+	have := r.meta != nil
+	g.mu.RUnlock()
+	if have {
 		return nil
 	}
 	var lastErr error
@@ -456,7 +461,6 @@ func (g *Gateway) ensureMeta(ctx context.Context, name string, r *route) error {
 				cur.meta = meta
 			}
 			g.mu.Unlock()
-			r.meta = meta
 			return nil
 		}
 	}

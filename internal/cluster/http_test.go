@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,5 +215,71 @@ func TestGatewayModelsMatchAdmission(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("classify on a route without a backend: %s, want 503", resp.Status)
+	}
+}
+
+// TestGatewayConcurrentRefresh: Refresh calls racing each other and
+// Models on a fresh gateway read and write a route's meta and problem
+// under the gateway lock only (run under -race), and leave the model
+// routed with its meta.
+func TestGatewayConcurrentRefresh(t *testing.T) {
+	c, err := core.Compile(clusterForest(t, 58), core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startCluster(t, 74, func(workers []*Worker) {
+		for i, s := range shards {
+			if err := workers[i].AddShard("forest", manifest, s); err != nil {
+				t.Fatalf("worker %d AddShard: %v", i, err)
+			}
+		}
+	})
+	defer tc.close()
+	var urls []string
+	for _, s := range tc.servers {
+		urls = append(urls, s.URL)
+	}
+	// Each round is a fresh gateway: its first refreshes fetch the meta.
+	for range 16 {
+		g := NewGateway(GatewayConfig{Workers: urls})
+		var refreshes, models sync.WaitGroup
+		errs := make(chan error, 3)
+		for range 3 {
+			refreshes.Add(1)
+			go func() {
+				defer refreshes.Done()
+				errs <- g.Refresh(context.Background())
+			}()
+		}
+		done := make(chan struct{})
+		models.Add(1)
+		go func() {
+			defer models.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					g.Models()
+				}
+			}
+		}()
+		refreshes.Wait()
+		close(done)
+		models.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Errorf("Refresh: %v", err)
+			}
+		}
+		if got := g.Models(); len(got) != 1 || !got[0].Available || got[0].NumFeatures == 0 {
+			t.Errorf("after concurrent refreshes: %+v, want forest available with its meta", got)
+		}
+		g.Close()
 	}
 }

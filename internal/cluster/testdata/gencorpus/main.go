@@ -39,10 +39,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The key set the corpus was cut from: the power-of-two ladder, then
-	// {3, −2}, all at the chain top, drawn in that order.
+	// The key set the corpus was cut from: steps ±1, ±2, ±4 (a
+	// power-of-two ladder over the 8 slots), then {3, −2}, all at the
+	// chain top, drawn in that order.
 	var rots []he.Rotation
-	for _, s := range append(bgv.PowerOfTwoSteps(backend.Slots()), 3, -2) {
+	for _, s := range []int{1, -1, 2, -2, 4, -4, 3, -2} {
 		rots = append(rots, he.Rotation{Step: s, Level: backend.MaxLevel()})
 	}
 	must(backend.EnsureRotationKeys(rots))

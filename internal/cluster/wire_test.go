@@ -29,9 +29,9 @@ func tinyParams() bgv.Params {
 }
 
 // tinyBackend builds a deterministic backend on the tiny parameters
-// holding the key set the golden files were cut from: the power-of-two
-// ladder and {3, −2} at the chain top, except step 3 at level 1, drawn in
-// that order from seed 42.
+// holding the key set the golden files were cut from: steps ±1, ±2, ±4
+// (a power-of-two ladder over the 8 slots) and {3, −2} at the chain top,
+// except step 3 at level 1, drawn in that order from seed 42.
 func tinyBackend(t *testing.T) *hebgv.Backend {
 	t.Helper()
 	b, err := hebgv.New(hebgv.Config{Params: tinyParams(), Seed: 42})
@@ -39,7 +39,7 @@ func tinyBackend(t *testing.T) *hebgv.Backend {
 		t.Fatal(err)
 	}
 	var rots []he.Rotation
-	for _, s := range append(bgv.PowerOfTwoSteps(b.Slots()), 3, -2) {
+	for _, s := range []int{1, -1, 2, -2, 4, -4, 3, -2} {
 		r := he.Rotation{Step: s, Level: b.MaxLevel()}
 		if s == 3 {
 			r.Level = 1

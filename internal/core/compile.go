@@ -276,9 +276,10 @@ func ancestorAtLevel(path []pathStep, l int) (pathStep, bool) {
 // 1..n1−1 and giant steps n1, 2n1, .. (n2−1)·n1 — ~2·√P keys instead of
 // the naive kernel's P−1 steps. The replication between stages rotates by
 // negated powers of two either way, listed up to the slot count: the
-// powers from BatchBlock up serve no stage, but the step set fixes every
-// artifact's Galois keys and their fingerprint (DESIGN.md §10.2). nPad
-// covers the optional result shuffle (§7.2.2).
+// powers from BatchBlock up serve no stage, but they stay in every
+// artifact's Meta.RotationSteps, whose wire form is pinned. No key is
+// made from the list — keys follow the op programs (DESIGN.md §9.4,
+// §10.2). nPad covers the optional result shuffle (§7.2.2).
 func rotationSteps(qPad, bPad, nPad, slots int, bsgs bool) []int {
 	set := map[int]bool{}
 	if bsgs {

@@ -62,8 +62,8 @@ func checkKeysFollowPrograms(t *testing.T, b *hebgv.Backend, staged ...*ModelOpe
 			}
 			level := min(r.reg.level, top)
 			need[elt] = max(need[elt], level)
-			if rotates, direct := ev.HoistableStepAt(r.step, level); !rotates || !direct {
-				t.Errorf("rotation by %d at level %d has no direct key (rotates %v, direct %v)", r.step, level, rotates, direct)
+			if _, _, err := ev.GaloisKey(r.step, level); err != nil {
+				t.Errorf("rotation by %d at level %d: %v", r.step, level, err)
 			}
 		}
 	}

@@ -286,7 +286,7 @@ func (s *sim) relin(c est) est {
 	return c
 }
 
-// rot is checkGalois + galoisFromDigits, then management.
+// rot is RotateHoisted's headroom check + galoisFromDigits, then management.
 func (s *sim) rot(c est) est {
 	if !c.cipher {
 		return c

@@ -38,10 +38,12 @@ type Meta struct {
 
 	// Slots is the packing width the model was staged for.
 	Slots int
-	// RotationSteps are the Galois rotations the evaluation needs; the
-	// model owner generates exactly these keys. With UseBSGS the set is
-	// the reduced baby-step/giant-step one (~2·√period per matrix period
-	// instead of period−1 steps).
+	// RotationSteps are the rotation steps compile time lists for the
+	// staging: with UseBSGS the reduced baby-step/giant-step set (~2·√period
+	// per matrix period instead of period−1 steps), plus the replication
+	// doublings. No key is made from it: staging makes the Galois keys the
+	// op programs rotate by, at the levels they rotate at (DESIGN.md §9.4,
+	// §10.2), so the list may hold steps no program issues.
 	RotationSteps []int
 	// UseBSGS records that the model was staged for the baby-step/
 	// giant-step diagonal kernel: Prepare lays matrix diagonals out

@@ -342,9 +342,8 @@ func (c OpCounts) String() string {
 // while other goroutines drive the same inner backend — the inner
 // backend's global counters see everything, the wrapper sees only the
 // operations issued through it. Counts mirrors the inner backends'
-// accounting, with one approximation: RotateHoisted attributes every
-// non-zero step to the hoisted path (the BGV backend checks per-step
-// key availability, which the wrapper cannot see).
+// accounting exactly: RotateHoisted counts every non-zero step as one
+// hoisted rotation, as the backends do.
 type CountingBackend struct {
 	Counter
 	inner   Backend

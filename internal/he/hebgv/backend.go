@@ -102,16 +102,20 @@ func newKeyGenerator(params *bgv.Parameters, seed uint64) *bgv.KeyGenerator {
 // key this backend lacks is generated — in the order the rotations name
 // it, so seeded runs repeat. The grown key set is published whole
 // (bgv.Evaluator.SetKeys): passes already running keep the set they
-// loaded. Without the secret key only rotations already covered pass.
+// loaded. Without the secret key only rotations already covered pass;
+// the first other one is refused with its *bgv.MissingKeyError.
 func (b *Backend) EnsureRotationKeys(rots []he.Rotation) error {
 	b.keyMu.Lock()
 	defer b.keyMu.Unlock()
 	var missing []bgv.Rotation
 	for _, r := range rots {
+		if r.Step%b.params.Slots() == 0 {
+			continue
+		}
 		level := min(max(r.Level, 0), b.params.MaxLevel())
-		if rotates, direct := b.evaluator.HoistableStepAt(r.Step, level); rotates && !direct {
+		if _, _, err := b.evaluator.GaloisKey(r.Step, level); err != nil {
 			if b.keygen == nil {
-				return fmt.Errorf("hebgv: no secret key to make the Galois key for rotation step %d at level %d", r.Step, level)
+				return err
 			}
 			missing = append(missing, bgv.Rotation{Step: r.Step, Level: level})
 		}
@@ -477,33 +481,19 @@ func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, 
 	if err != nil {
 		return nil, err
 	}
-	// Attribute each step where it actually went: step-0 copies rotate
-	// nothing, keyless (or key-below-level) steps took the composed
-	// per-step path.
-	hoisted := 0
-	level := cx.ct.Level()
-	for _, step := range steps {
-		rotates, viaHoist := b.evaluator.HoistableStepAt(step, level)
-		switch {
-		case !rotates:
-		case viaHoist:
-			hoisted++
-		default:
-			b.CountRotate()
-		}
-	}
-	b.CountRotateHoisted(hoisted)
+	// Every non-zero step is one hoisted rotation; step-0 copies rotate
+	// nothing and, as in the he.CountingBackend wrapper, count no limb·ops.
+	slots := b.params.Slots()
 	outs := make([]he.Ciphertext, len(cts))
-	limbSum := 0
+	rotated := 0
 	for i, ct := range cts {
 		outs[i] = b.wrap(ct, cx.depth)
-		// Step-0 copies rotate nothing; like the rotation counters (and
-		// the he.CountingBackend wrapper), they contribute no limb·ops.
-		if rotates, _ := b.evaluator.HoistableStepAt(steps[i], level); rotates {
-			limbSum += ct.Level() + 1
+		if steps[i]%slots != 0 {
+			rotated++
 		}
 	}
-	b.CountLimbs(limbSum)
+	b.CountRotateHoisted(rotated)
+	b.CountLimbs(rotated * (cx.ct.Level() + 1))
 	return outs, nil
 }
 

@@ -341,3 +341,98 @@ func TestPublicMaterialEncrypts(t *testing.T) {
 		}
 	}
 }
+
+// wantMissingKey fails t unless err is a *bgv.MissingKeyError with
+// exactly the given fields.
+func wantMissingKey(t *testing.T, what string, err error, want bgv.MissingKeyError) {
+	t.Helper()
+	var mk *bgv.MissingKeyError
+	if !errors.As(err, &mk) {
+		t.Fatalf("%s: err %v, want *bgv.MissingKeyError", what, err)
+	}
+	if *mk != want {
+		t.Fatalf("%s: refused with %+v, want %+v", what, *mk, want)
+	}
+}
+
+// TestRotationRefusedThroughCounting: a rotation above its key's level,
+// or with no key, is refused through a he.CountingBackend with the
+// evaluator's *bgv.MissingKeyError, and neither the wrapper's counters
+// nor the backend's move.
+func TestRotationRefusedThroughCounting(t *testing.T) {
+	b, err := New(Config{Params: bgv.TestParams(4), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EnsureRotationKeys([]he.Rotation{{Step: 1, Level: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := b.Encrypt([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.ResetCounts()
+	w := he.WithCounts(b)
+	top := b.MaxLevel()
+	_, err = w.Rotate(ct, 1)
+	wantMissingKey(t, "Rotate(1) above the key", err, bgv.MissingKeyError{Step: 1, Level: top, KeyLevel: 1})
+	_, err = w.RotateHoisted(ct, []int{0, 1})
+	wantMissingKey(t, "RotateHoisted(0, 1) above the key", err, bgv.MissingKeyError{Step: 1, Level: top, KeyLevel: 1})
+	_, err = w.RotateHoisted(ct, []int{2})
+	wantMissingKey(t, "RotateHoisted(2) with no key", err, bgv.MissingKeyError{Step: 2, Level: top, KeyLevel: -1})
+	if got := w.Counts(); got != (he.OpCounts{}) {
+		t.Errorf("wrapper counted refused rotations: %v", got)
+	}
+	if got := b.Counts(); got != (he.OpCounts{}) {
+		t.Errorf("backend counted refused rotations: %v", got)
+	}
+}
+
+// TestEnsureRotationKeysPublicMaterial: a backend without the secret key
+// passes the rotations its key set already serves and refuses the first
+// other one with a *bgv.MissingKeyError.
+func TestEnsureRotationKeysPublicMaterial(t *testing.T) {
+	full := newBackend(t, 4, []int{1})
+	top := full.MaxLevel()
+	m := full.Material()
+	m.Secret = nil
+	keyed, err := NewFromMaterial(Config{Seed: 9}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := keyed.EnsureRotationKeys([]he.Rotation{{Step: 1, Level: top}, {Step: 0, Level: top}}); err != nil {
+		t.Errorf("rotations the key set serves: %v", err)
+	}
+	err = keyed.EnsureRotationKeys([]he.Rotation{{Step: 1, Level: top}, {Step: 2, Level: top + 3}})
+	wantMissingKey(t, "step 2 on keyed public material", err, bgv.MissingKeyError{Step: 2, Level: top, KeyLevel: -1})
+	pub, err := NewFromMaterial(Config{Seed: 9}, full.PublicMaterial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = pub.EnsureRotationKeys([]he.Rotation{{Step: 1, Level: 0}})
+	wantMissingKey(t, "step 1 on public material", err, bgv.MissingKeyError{Step: 1, Level: 0, KeyLevel: -1})
+}
+
+// TestRotateHoistedCountsMatchWrapper: a hoisted batch with step-0
+// copies — 0 and the slot count — moves the backend's counters exactly
+// as a he.CountingBackend's: every other step one hoisted rotation of
+// the ciphertext's limbs, the copies nothing.
+func TestRotateHoistedCountsMatchWrapper(t *testing.T) {
+	b := newBackend(t, 4, []int{1, 3, -2})
+	ct, err := b.EncryptAtLevel([]uint64{5, 6, 7}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.ResetCounts()
+	w := he.WithCounts(b)
+	if _, err := w.RotateHoisted(ct, []int{0, 1, 3, b.Slots(), -2}); err != nil {
+		t.Fatal(err)
+	}
+	got, want := b.Counts(), w.Counts()
+	if got != want {
+		t.Errorf("backend counted %v, wrapper %v", got, want)
+	}
+	if want.RotateHoisted != 3 || want.Rotate != 3 || want.LimbOps != 3*3 {
+		t.Errorf("wrapper counted %v, want 3 hoisted rotations of 3 limbs", want)
+	}
+}

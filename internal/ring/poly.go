@@ -32,13 +32,6 @@ func (p *Poly) Copy() *Poly {
 	return out
 }
 
-// DropLevel removes the top prime's residues, lowering the level by one.
-// It does not rescale; callers wanting BGV modulus switching should use
-// the scheme-level operation.
-func (p *Poly) DropLevel() {
-	p.Coeffs = p.Coeffs[:len(p.Coeffs)-1]
-}
-
 // Context bundles a ring degree, a chain of NTT-friendly primes and the
 // plaintext modulus, along with the precomputation needed for CRT
 // reconstruction at every level. A context built with NewContextQP also
