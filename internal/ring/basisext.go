@@ -105,14 +105,14 @@ func newBaseConv(src, dst []*Modulus, srcScale, dstScale func(q uint64) uint64) 
 }
 
 // prepare replaces each source row x_k (coefficient domain) by y_k in
-// place and writes the overflow count v.
-func (bc *baseConv) prepare(x [][]uint64, v []uint64) {
+// place and writes the overflow count v. The estimate of v stays scalar
+// on every tier: Go may fuse its a*b+c under GOAMD64=v3, so a vector
+// copy could round the other way at the ±1/2 tie.
+func (bc *baseConv) prepare(tier kernelTier, x [][]uint64, v []uint64) {
 	for k, row := range x {
-		s, c, cs := bc.src[k].Q, bc.pre.v[k], bc.pre.s[k]
+		s := bc.src[k].Q
 		row = row[:len(v)]
-		for j := range row {
-			row[j] = MulModShoup(row[j], c, cs, s)
-		}
+		mulScalarRow(tier, s, bc.pre.v[k], bc.pre.s[k], row, row)
 	}
 	switch len(x) {
 	case 1:
@@ -151,9 +151,13 @@ func (bc *baseConv) prepare(x [][]uint64, v []uint64) {
 }
 
 // target writes x̃ mod dst[r] into out from the prepared rows.
-func (bc *baseConv) target(r int, y [][]uint64, v, out []uint64) {
+func (bc *baseConv) target(tier kernelTier, r int, y [][]uint64, v, out []uint64) {
 	m := bc.dst[r].Q
 	mat, corr := bc.mat[r], &bc.corr[r]
+	if convVecOK(tier, len(out)) {
+		targetVecAsm(m, y, mat.v, mat.s, corr, v, out)
+		return
+	}
 	v = v[:len(out)]
 	reduce := func(a uint64) uint64 { // [0, 7m) -> [0, m)
 		if a >= 4*m {
@@ -303,6 +307,7 @@ func (ctx *Context) DecomposeHybrid(p *Poly) []*Poly {
 	ctx.CopyInto(p, pc)
 	ctx.INTT(pc)
 
+	tier := ctx.rowKernels()
 	digits := make([]*Poly, HybridDigits(level))
 	convs := make([]*baseConv, len(digits))
 	vs := make([][]uint64, len(digits))
@@ -310,7 +315,7 @@ func (ctx *Context) DecomposeHybrid(p *Poly) []*Poly {
 		lo, hi := digitSpan(j, level)
 		convs[j] = ctx.digitConv[j][hi-lo-1]
 		vs[j] = ctx.getRow()
-		convs[j].prepare(pc.Coeffs[lo:hi], vs[j][:ctx.N])
+		convs[j].prepare(tier, pc.Coeffs[lo:hi], vs[j][:ctx.N])
 		digits[j] = qp.GetPoly(rows - 1)
 		digits[j].IsNTT = true
 	}
@@ -329,7 +334,7 @@ func (ctx *Context) DecomposeHybrid(p *Poly) []*Poly {
 		if r > level {
 			slot = r - level - 1 + len(ctx.Moduli)
 		}
-		convs[j].target(slot, pc.Coeffs[lo:hi], vs[j], out)
+		convs[j].target(tier, slot, pc.Coeffs[lo:hi], vs[j], out)
 		qp.Moduli[r].NTT(out)
 	}
 	total := len(digits) * rows
@@ -413,23 +418,28 @@ func (ctx *Context) round(r *rounder, src, in, out [][]uint64) {
 	for k, m := range r.conv.src {
 		m.INTT(src[k])
 	}
+	tier := ctx.rowKernels()
 	v := ctx.getRow()
 	defer ctx.putRow(v)
-	r.conv.prepare(src, v[:ctx.N])
+	r.conv.prepare(tier, src, v[:ctx.N])
 
 	delta := ctx.getRow()
 	defer ctx.putRow(delta)
 	for i := range out {
 		m := r.conv.dst[i]
-		r.conv.target(i, src, v, delta[:ctx.N])
+		r.conv.target(tier, i, src, v, delta[:ctx.N])
 		m.NTT(delta)
-		rescaleRow(m.Q, r.dInv.v[i], r.dInv.s[i], in[i], delta, out[i])
+		rescaleRow(tier, m.Q, r.dInv.v[i], r.dInv.s[i], in[i], delta, out[i])
 	}
 }
 
 // rescaleRow sets out = (a − delta)·inv mod q: the exact division by the
 // dropped modulus D once delta ≡ a (mod D), with inv = D^{-1} mod q.
-func rescaleRow(q, inv, invS uint64, a, delta, out []uint64) {
+func rescaleRow(tier kernelTier, q, inv, invS uint64, a, delta, out []uint64) {
+	if convVecOK(tier, len(out)) {
+		rescaleVecAsm(q, inv, invS, a, delta, out)
+		return
+	}
 	a, delta = a[:len(out)], delta[:len(out)]
 	for j := range out {
 		out[j] = MulModShoup(SubMod(a[j], delta[j], q), inv, invS, q)
@@ -489,9 +499,9 @@ func (ctx *Context) MulByP(a, acc *Poly) {
 	if !a.IsNTT || len(acc.Coeffs) != chain+len(ctx.special) {
 		panic("ring: MulByP requires NTT-domain input and a QP polynomial at its level")
 	}
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i, row := range a.Coeffs {
-		mulScalarRow(vec, ctx.Moduli[i].Q, ctx.pModQ.v[i], ctx.pModQ.s[i], row, acc.Coeffs[i])
+		mulScalarRow(tier, ctx.Moduli[i].Q, ctx.pModQ.v[i], ctx.pModQ.s[i], row, acc.Coeffs[i])
 	}
 	for _, row := range acc.Coeffs[chain:] {
 		clear(row)

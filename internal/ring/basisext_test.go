@@ -241,46 +241,49 @@ func TestAutomorphismNTTMatchesCoefficientDomain(t *testing.T) {
 	}
 }
 
-// TestHybridVectorMatchesScalar: the key-switching ring ops are
-// bit-identical with the vector kernels on and off (under purego both
-// sides run the scalar kernels and the test is a tautology).
+// TestHybridVectorMatchesScalar: the key-switching ring ops — digit
+// decomposition, the divides by P and P·q_l, a multi-prime level drop —
+// are bit-identical on every tier and on the scalar kernels.
 func TestHybridVectorMatchesScalar(t *testing.T) {
 	const logN, levels, plainT = 8, 5, 257
 	primes, err := GeneratePrimes(55, uint64(2<<logN)*plainT, levels+DigitPrimes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(vec bool) *Context {
+	build := func(tier kernelTier) *Context {
 		ctx, err := NewContextQP(logN, primes[:levels], primes[levels:], plainT)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx.SetVectorKernels(vec)
+		ctx.pinTier(tier)
 		return ctx
 	}
-	vec, scalar := build(true), build(false)
-	for level := 0; level < levels; level++ {
-		run := func(ctx *Context) []*Poly {
-			p := NewSeededSampler(ctx, uint64(60+level)).UniformPoly(level, true)
-			outs := ctx.DecomposeHybrid(p)
-			quo := ctx.NewPoly(level)
-			ctx.DivideByP(outs[0].Copy(), quo)
-			outs = append(outs, quo)
-			if level > 0 {
-				fused, low := ctx.NewPoly(level-1), ctx.NewPoly(0)
-				ctx.DivideByPQ(outs[0].Copy(), fused)
-				ctx.ModSwitchDownTo(p, low)
-				outs = append(outs, fused, low)
-			}
-			return outs
+	run := func(ctx *Context, level int) []*Poly {
+		p := NewSeededSampler(ctx, uint64(60+level)).UniformPoly(level, true)
+		outs := ctx.DecomposeHybrid(p)
+		quo := ctx.NewPoly(level)
+		ctx.DivideByP(outs[0].Copy(), quo)
+		outs = append(outs, quo)
+		if level > 0 {
+			fused, low := ctx.NewPoly(level-1), ctx.NewPoly(0)
+			ctx.DivideByPQ(outs[0].Copy(), fused)
+			ctx.ModSwitchDownTo(p, low)
+			outs = append(outs, fused, low)
 		}
-		got, want := run(vec), run(scalar)
-		for k := range want {
-			if !polysEqual(got[k], want[k]) {
-				t.Fatalf("level %d output %d: vector and scalar kernels disagree", level, k)
-			}
-		}
+		return outs
 	}
+	scalar := build(tierScalar)
+	forEachTier(t, func(t *testing.T, tier kernelTier) {
+		vec := build(tier)
+		for level := 0; level < levels; level++ {
+			got, want := run(vec, level), run(scalar, level)
+			for k := range want {
+				if !polysEqual(got[k], want[k]) {
+					t.Fatalf("level %d output %d: %s and scalar kernels disagree", level, k, tier)
+				}
+			}
+		}
+	})
 }
 
 func TestNewContextQPRejectsBadSpecialPrimes(t *testing.T) {

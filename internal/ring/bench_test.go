@@ -16,40 +16,100 @@ func benchContext(b *testing.B, logN int) *Context {
 	return ctx
 }
 
+// benchTiers are the kernel tiers the ring benchmarks run on, one row
+// each; the rows of tiers the host lacks are left out.
+func benchTiers() []kernelTier {
+	tiers := []kernelTier{tierScalar}
+	for _, t := range vectorTiers {
+		if t <= hostTier {
+			tiers = append(tiers, t)
+		}
+	}
+	return tiers
+}
+
 // BenchmarkNTT measures a forward + inverse transform at the two
 // deployed ring sizes with each kernel: the unfused layer-at-a-time
 // reference (generic), the fused scalar kernels (scalar) and, on hosts
-// that have them, the vector kernels (avx2). The last two are the
-// vectorization ablation: SetVectorKernels pins one Modulus to the
-// scalar path, bit-identical either way.
+// that have them, the vector tiers (avx2, avx512). Every row computes
+// the same bits; the last three are the vectorization ablation.
 func BenchmarkNTT(b *testing.B) {
 	for _, logN := range []int{11, 12} {
 		ctx := benchContext(b, logN)
 		s := NewSeededSampler(ctx, 1)
 		p := s.UniformPoly(0, false)
 		m := ctx.Moduli[0]
-		kernels := []struct {
-			name     string
-			vec      bool
-			fwd, inv func([]uint64)
-		}{
-			{"generic", false, m.NTTGeneric, m.INTTGeneric},
-			{"scalar", false, m.NTT, m.INTT},
-			{"avx2", true, m.NTT, m.INTT},
-		}
-		for _, k := range kernels {
-			if k.vec && !VectorKernelsAvailable() {
-				continue
+		b.Run(sizeName(logN)+"/generic", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.NTTGeneric(p.Coeffs[0])
+				m.INTTGeneric(p.Coeffs[0])
 			}
-			b.Run(sizeName(logN)+"/"+k.name, func(b *testing.B) {
-				m.SetVectorKernels(k.vec)
-				defer m.SetVectorKernels(true)
+		})
+		for _, tier := range benchTiers() {
+			b.Run(sizeName(logN)+"/"+tierName(tier), func(b *testing.B) {
+				m.pinTier(tier)
+				defer m.pinTier(hostTier)
 				for i := 0; i < b.N; i++ {
-					k.fwd(p.Coeffs[0])
-					k.inv(p.Coeffs[0])
+					m.NTT(p.Coeffs[0])
+					m.INTT(p.Coeffs[0])
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMulShoupAdd measures the key-switch inner product at the top
+// level of the N=4096 chain: every digit of a decomposition times both
+// halves of a switching key (over Q·P, with its Shoup tables),
+// accumulated into the two QP products — the key switch's pointwise
+// work, bound by streaming the key rows.
+func BenchmarkMulShoupAdd(b *testing.B) {
+	ctx := benchContext(b, 12)
+	level := ctx.MaxLevel()
+	qp := ctx.QP(level)
+	s := NewSeededSampler(ctx, 4)
+	digits := ctx.DecomposeHybrid(s.UniformPoly(level, true))
+	rows := len(qp.Moduli)
+	keys := make([]*Poly, 2*len(digits))
+	keysS := make([]*PolyShoup, len(keys))
+	for i := range keys {
+		keys[i] = NewSeededSampler(qp, uint64(10+i)).UniformPoly(rows-1, true)
+		keysS[i] = qp.ShoupPoly(keys[i])
+	}
+	acc := [2]*Poly{qp.NewPoly(rows - 1), qp.NewPoly(rows - 1)}
+	for _, tier := range benchTiers() {
+		b.Run("N=4096/"+tierName(tier), func(b *testing.B) {
+			ctx.pinTier(tier)
+			defer ctx.pinTier(hostTier)
+			for i := 0; i < b.N; i++ {
+				for j, d := range digits {
+					for h := range acc {
+						qp.MulCoeffsShoupAdd(d, keys[2*j+h], keysS[2*j+h], acc[h])
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDivideByP measures the rounding that ends a key switch at
+// the top level of the N=4096 chain: the special rows' INTT, the base
+// conversion to every chain prime, its NTT and the rescale.
+func BenchmarkDivideByP(b *testing.B) {
+	ctx := benchContext(b, 12)
+	level := ctx.MaxLevel()
+	qp := ctx.QP(level)
+	acc := NewSeededSampler(qp, 5).UniformPoly(len(qp.Moduli)-1, true)
+	work, out := acc.Copy(), ctx.NewPoly(level)
+	for _, tier := range benchTiers() {
+		b.Run("N=4096/"+tierName(tier), func(b *testing.B) {
+			ctx.pinTier(tier)
+			defer ctx.pinTier(hostTier)
+			for i := 0; i < b.N; i++ {
+				ctx.CopyInto(acc, work)
+				ctx.DivideByP(work, out)
+			}
+		})
 	}
 }
 
@@ -79,4 +139,12 @@ func BenchmarkDecomposeHybrid(b *testing.B) {
 
 func sizeName(logN int) string {
 	return map[int]string{11: "N=2048", 12: "N=4096"}[logN]
+}
+
+// tierName names a benchmark row: the fused scalar kernels are "scalar".
+func tierName(t kernelTier) string {
+	if t == tierScalar {
+		return "scalar"
+	}
+	return t.String()
 }

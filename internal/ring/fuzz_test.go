@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -50,66 +51,83 @@ func FuzzNTTRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzVectorVsScalar: the vector transform and pointwise kernels must
-// be bit-identical to the scalar ones on any input. On hosts without a
-// vector backend the target degenerates to scalar-vs-scalar (still a
-// valid round-trip exercise).
+// FuzzVectorVsScalar: every vector tier the host has must be
+// bit-identical to the scalar kernels on any input each kernel accepts:
+// the transforms, every pointwise row, the base-conversion target from 1
+// to maxConvPrimes source primes, and the rescale. edges picks the input
+// rows (fuzzRow): uniform, or the boundary values 0, q−1 and the lazy
+// bounds 2q−1 (inverse transform) and 4q−1 (forward transform, the
+// Shoup rows' multiplicand, the conversion's source rows).
 func FuzzVectorVsScalar(f *testing.F) {
-	f.Add(uint64(7), uint64(0), uint64(0))
-	f.Add(uint64(99), uint64(1), uint64(2))
-	f.Add(uint64(0xabcd), uint64(3), uint64(1))
-	f.Fuzz(func(t *testing.T, seed, logNSel, primeSel uint64) {
+	f.Add(uint64(7), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(99), uint64(1), uint64(2), uint64(4))
+	f.Add(uint64(0xabcd), uint64(3), uint64(1), uint64(3))
+	f.Fuzz(func(t *testing.T, seed, logNSel, primeSel, edges uint64) {
 		if !VectorKernelsAvailable() {
 			t.Skip("no vector backend on this host/build")
 		}
 		m := fuzzModulus(t, logNSel, primeSel)
-		m.SetVectorKernels(true)
 		rng := rand.New(rand.NewSource(int64(seed)))
-		q := m.Q
-		a := make([]uint64, m.N)
-		b := make([]uint64, m.N)
-		bs := make([]uint64, m.N)
-		for i := range a {
-			a[i] = rng.Uint64() % q
-			b[i] = rng.Uint64() % q
-			bs[i] = ShoupPrecomp(b[i], q)
-		}
+		q, n := m.Q, m.N
+		row := func(bound uint64) []uint64 { return fuzzRow(rng, edges, n, q, bound) }
 
-		want := append([]uint64(nil), a...)
-		got := append([]uint64(nil), a...)
-		m.nttScalar(want)
-		m.nttVec(got)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("NTT diverges at %d: scalar %d vector %d (q=%d n=%d)", i, want[i], got[i], q, m.N)
-			}
+		// Conversion primes: 1 to maxConvPrimes sources and a target,
+		// of 50 to 59 bits (the conversion bound is 2^60).
+		k := 1 + int(seed%maxConvPrimes)
+		convPrimes, err := GeneratePrimes(50+int(primeSel%10), 2, k+1)
+		if err != nil {
+			t.Fatalf("GeneratePrimes: %v", err)
 		}
-		m.inttScalar(want)
-		m.inttVec(got)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("INTT diverges at %d: scalar %d vector %d (q=%d n=%d)", i, want[i], got[i], q, m.N)
-			}
+		y := make([][]uint64, k)
+		for i, s := range convPrimes[:k] {
+			y[i] = fuzzRow(rng, edges, n, s, 4*s)
 		}
+		rows := rowCase{
+			q: q, a: row(q), b: row(q), acc: row(q), lazy: row(4 * q), c: rng.Uint64() % q,
+			conv: newConv(convPrimes[:k], convPrimes[k]), y: y, v: fuzzRow(rng, edges, n, uint64(k)+1, 8),
+		}
+		fwd, inv := row(4*q), row(2*q)
 
-		n := m.N
-		ws := make([]uint64, n)
-		gs := make([]uint64, n)
-		mulRowScalar(q, a, b, ws)
-		mulVecAsm(q, a, b, gs)
-		for i := range ws {
-			if ws[i] != gs[i] {
-				t.Fatalf("MulMod row diverges at %d: scalar %d vector %d (q=%d)", i, ws[i], gs[i], q)
+		for _, tier := range vectorTiers {
+			if tier > hostTier {
+				continue
 			}
-		}
-		copy(ws, a)
-		copy(gs, a)
-		mulShoupAddRowScalar(q, b, b, bs, ws)
-		mulShoupAddVecAsm(q, b, b, bs, gs)
-		for i := range ws {
-			if ws[i] != gs[i] {
-				t.Fatalf("Shoup mul-add row diverges at %d: scalar %d vector %d (q=%d)", i, ws[i], gs[i], q)
-			}
+			m.pinTier(tier)
+			want := append([]uint64(nil), fwd...)
+			got := append([]uint64(nil), fwd...)
+			m.nttScalar(want)
+			m.NTT(got)
+			rowsEqual(t, fmt.Sprintf("%s NTT (edges=%d)", tier, edges), want, got)
+			copy(want, inv)
+			copy(got, inv)
+			m.inttScalar(want)
+			m.INTT(got)
+			rowsEqual(t, fmt.Sprintf("%s INTT (edges=%d)", tier, edges), want, got)
+			checkRowKernels(t, tier, rows)
 		}
 	})
+}
+
+// fuzzRow draws n values below bound for a kernel over modulus q:
+// edges%5 selects uniform values (0), all 0 (1), all q−1 (2), all
+// bound−1 (3), or a per-value mix of those (4).
+func fuzzRow(rng *rand.Rand, edges uint64, n int, q, bound uint64) []uint64 {
+	row := make([]uint64, n)
+	for i := range row {
+		pick := edges % 5
+		if pick == 4 {
+			pick = uint64(rng.Intn(4))
+		}
+		switch pick {
+		case 0:
+			row[i] = rng.Uint64() % bound
+		case 1:
+			row[i] = 0
+		case 2:
+			row[i] = q - 1
+		case 3:
+			row[i] = bound - 1
+		}
+	}
+	return row
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Modulus holds a single NTT-friendly prime together with the precomputed
@@ -32,23 +33,36 @@ type Modulus struct {
 	psiInvRev  []uint64
 	psiInvRevS []uint64
 
-	// vec selects the AVX2 transform kernels for this modulus. Set once
-	// at construction from the host probe (and the per-modulus
-	// eligibility gate, vectorOKForModulus); SetVectorKernels retunes it.
-	vec bool
+	// tier is the kernelTier this modulus transforms with: the host's
+	// at construction (scalar if the modulus fails the eligibility gate,
+	// vectorOKForModulus); SetVectorKernels retunes it. Atomic, because a
+	// retune may race with transforms.
+	tier atomic.Uint32
 }
 
 // SetVectorKernels enables or disables the vector transform kernels for
 // this modulus. Enabling is a no-op when the host lacks the backend or
-// the modulus fails the eligibility gate. Not safe to call concurrently
-// with transforms on the same modulus.
-func (m *Modulus) SetVectorKernels(on bool) {
-	m.vec = on && vectorAvailable() && vectorOKForModulus(m.Q, m.N)
+// the modulus fails the eligibility gate. Safe to call concurrently with
+// transforms: each transform runs wholly on one backend, and every
+// backend computes the same bits.
+func (m *Modulus) SetVectorKernels(on bool) { m.pinTier(vectorTier(on)) }
+
+// pinTier selects tier t for this modulus' transforms, capped at the
+// host's tier and at scalar for an ineligible modulus. The tests pin
+// each tier through it.
+func (m *Modulus) pinTier(t kernelTier) {
+	if !vectorOKForModulus(m.Q, m.N) {
+		t = tierScalar
+	}
+	m.tier.Store(uint32(min(t, hostTier)))
 }
+
+// kernels returns the tier this modulus transforms with.
+func (m *Modulus) kernels() kernelTier { return kernelTier(m.tier.Load()) }
 
 // VectorKernels reports whether this modulus transforms via the vector
 // kernels.
-func (m *Modulus) VectorKernels() bool { return m.vec }
+func (m *Modulus) VectorKernels() bool { return m.kernels() != tierScalar }
 
 // AddMod returns x+y mod q. Inputs must be fully reduced.
 func AddMod(x, y, q uint64) uint64 {
@@ -202,8 +216,8 @@ func NewModulus(q uint64, n int) (*Modulus, error) {
 		N:    n,
 		LogN: logN,
 		psi:  psi,
-		vec:  vectorAvailable() && vectorOKForModulus(q, n),
 	}
+	m.pinTier(hostTier)
 	m.psiInv = InvMod(psi, q)
 	m.nInv = InvMod(uint64(n), q)
 	m.nInvS = ShoupPrecomp(m.nInv, q)

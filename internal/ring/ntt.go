@@ -15,15 +15,15 @@ package ring
 // The output is in bit-reversed order, following the standard iterative
 // Cooley-Tukey decimation-in-time negacyclic transform.
 func (m *Modulus) NTT(a []uint64) {
-	if m.vec {
-		m.nttVec(a)
+	if t := m.kernels(); t != tierScalar {
+		m.nttVec(t, a)
 		return
 	}
 	m.nttScalar(a)
 }
 
 // nttScalar is the fused scalar forward transform — the portable
-// implementation and the bit-identity reference for the vector backend.
+// implementation and the bit-identity reference for the vector tiers.
 func (m *Modulus) nttScalar(a []uint64) {
 	n := m.N
 	q := m.Q
@@ -143,15 +143,15 @@ func reduce4Q(r, q, twoQ uint64) uint64 {
 // INTT transforms a in place from NTT (bit-reversed) back to coefficient
 // domain, including the 1/N scaling. It is the exact inverse of NTT.
 func (m *Modulus) INTT(a []uint64) {
-	if m.vec {
-		m.inttVec(a)
+	if t := m.kernels(); t != tierScalar {
+		m.inttVec(t, a)
 		return
 	}
 	m.inttScalar(a)
 }
 
 // inttScalar is the fused scalar inverse transform — the portable
-// implementation and the bit-identity reference for the vector backend.
+// implementation and the bit-identity reference for the vector tiers.
 func (m *Modulus) inttScalar(a []uint64) {
 	n := m.N
 	q := m.Q

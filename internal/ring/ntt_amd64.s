@@ -2,7 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the ring layer. Shared register conventions:
+// Kernels for the ring layer in two tiers: the 4-lane AVX2 kernels
+// first, the 8-lane AVX-512 kernels after them (ntt_amd64.go picks one
+// by the host's CPUID). Every kernel of either tier evaluates the scalar
+// kernels' uint64 formulas, so all three backends compute the same bits.
+//
+// AVX2 kernels. Shared register conventions:
 //
 //   Y15 = LO32 (0x00000000FFFFFFFF per lane)
 //   Y14 = Q    (modulus broadcast)
@@ -726,5 +731,1000 @@ mulscalar_loop:
 	JNZ mulscalar_loop
 
 mulscalar_done:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// AVX-512 kernels (AVX512F + AVX512DQ). Shared register conventions:
+//
+//   Z31 = LO32 (0x00000000FFFFFFFF per lane)
+//   Z30 = Q    (modulus broadcast)
+//   Z29 = 2Q
+//
+// The formulas are the AVX2 kernels' eight lanes wide, with two gaps
+// closed: a conditional subtraction is the unsigned VPMINUQ(x, x−k)
+// (x − k wraps above x exactly when x < k), and a low 64-bit product is
+// one exact VPMULLQ. Only the high word of a Shoup product is still
+// built from 32-bit VPMULUDQ halves.
+
+// MULHI512 computes OUT = hi64(X*W) per lane, given XH = X>>32 and
+// WH = W>>32: with s = xl*wh + (xl*wl)>>32 (exact in 64 bits),
+// hi = xh*wh + s>>32 + (xh*wl + lo32(s))>>32. Clobbers T0..T2.
+#define MULHI512(X, XH, W, WH, T0, T1, T2, OUT) \
+	VPMULUDQ W, X, T0    \
+	VPMULUDQ WH, X, T1   \
+	VPMULUDQ W, XH, T2   \
+	VPMULUDQ WH, XH, OUT \
+	VPSRLQ $32, T0, T0   \
+	VPADDQ T0, T1, T1    \
+	VPANDQ Z31, T1, T0   \
+	VPSRLQ $32, T1, T1   \
+	VPADDQ T0, T2, T2    \
+	VPADDQ T1, OUT, OUT  \
+	VPSRLQ $32, T2, T2   \
+	VPADDQ T2, OUT, OUT
+
+// LAZYMUL512 computes OUT = X*W − hi64(X*WS)*Q per lane — exactly
+// MulModShoupLazy, result in [0, 2q). XH = X>>32, WSH = WS>>32.
+// Clobbers T0..T3; OUT must differ from every input.
+#define LAZYMUL512(X, XH, W, WS, WSH, T0, T1, T2, T3, OUT) \
+	MULHI512(X, XH, WS, WSH, T0, T1, T2, T3) \
+	VPMULLQ Z30, T3, T3 \
+	VPMULLQ W, X, OUT   \
+	VPSUBQ T3, OUT, OUT
+
+// CONDSUB512: X -= K if X >= K (unsigned). Clobbers T.
+#define CONDSUB512(X, K, T) \
+	VPSUBQ K, X, T \
+	VPMINUQ T, X, X
+
+// LOADCONSTS512: broadcast Q/2Q/LO32 from the GP register holding q.
+// Clobbers QR.
+#define LOADCONSTS512(QR) \
+	VPBROADCASTQ QR, Z30   \
+	LEAQ (QR)(QR*1), QR    \
+	VPBROADCASTQ QR, Z29   \
+	MOVL $0xFFFFFFFF, QR   \
+	VPBROADCASTQ QR, Z31
+
+// Lane index vectors of the shuffling kernels.
+
+// spread4: two twiddles, four lanes each (the t = 4 layers).
+DATA spread4<>+0(SB)/8, $0
+DATA spread4<>+8(SB)/8, $0
+DATA spread4<>+16(SB)/8, $0
+DATA spread4<>+24(SB)/8, $0
+DATA spread4<>+32(SB)/8, $1
+DATA spread4<>+40(SB)/8, $1
+DATA spread4<>+48(SB)/8, $1
+DATA spread4<>+56(SB)/8, $1
+GLOBL spread4<>(SB), RODATA|NOPTR, $64
+
+// spread2: four twiddles, two lanes each (the forward t = 2 layer).
+DATA spread2<>+0(SB)/8, $0
+DATA spread2<>+8(SB)/8, $0
+DATA spread2<>+16(SB)/8, $1
+DATA spread2<>+24(SB)/8, $1
+DATA spread2<>+32(SB)/8, $2
+DATA spread2<>+40(SB)/8, $2
+DATA spread2<>+48(SB)/8, $3
+DATA spread2<>+56(SB)/8, $3
+GLOBL spread2<>(SB), RODATA|NOPTR, $64
+
+// fwdTailLo/Hi interleave the [c0 c1] and [c2 c3] pairs of four blocks
+// back into blocks 0-1 and 2-3.
+DATA fwdTailLo<>+0(SB)/8, $0
+DATA fwdTailLo<>+8(SB)/8, $1
+DATA fwdTailLo<>+16(SB)/8, $8
+DATA fwdTailLo<>+24(SB)/8, $9
+DATA fwdTailLo<>+32(SB)/8, $2
+DATA fwdTailLo<>+40(SB)/8, $3
+DATA fwdTailLo<>+48(SB)/8, $10
+DATA fwdTailLo<>+56(SB)/8, $11
+GLOBL fwdTailLo<>(SB), RODATA|NOPTR, $64
+
+DATA fwdTailHi<>+0(SB)/8, $4
+DATA fwdTailHi<>+8(SB)/8, $5
+DATA fwdTailHi<>+16(SB)/8, $12
+DATA fwdTailHi<>+24(SB)/8, $13
+DATA fwdTailHi<>+32(SB)/8, $6
+DATA fwdTailHi<>+40(SB)/8, $7
+DATA fwdTailHi<>+48(SB)/8, $14
+DATA fwdTailHi<>+56(SB)/8, $15
+GLOBL fwdTailHi<>(SB), RODATA|NOPTR, $64
+
+// invHeadW: the inverse t = 1 twiddles of four blocks in the lane order
+// of the even/odd unpack (blocks 0,2,0,2,1,3,1,3; pair a then b).
+DATA invHeadW<>+0(SB)/8, $0
+DATA invHeadW<>+8(SB)/8, $4
+DATA invHeadW<>+16(SB)/8, $1
+DATA invHeadW<>+24(SB)/8, $5
+DATA invHeadW<>+32(SB)/8, $2
+DATA invHeadW<>+40(SB)/8, $6
+DATA invHeadW<>+48(SB)/8, $3
+DATA invHeadW<>+56(SB)/8, $7
+GLOBL invHeadW<>(SB), RODATA|NOPTR, $64
+
+// invHeadW2: the inverse t = 2 twiddles (blocks 0,2,1,3 twice).
+DATA invHeadW2<>+0(SB)/8, $0
+DATA invHeadW2<>+8(SB)/8, $2
+DATA invHeadW2<>+16(SB)/8, $1
+DATA invHeadW2<>+24(SB)/8, $3
+DATA invHeadW2<>+32(SB)/8, $0
+DATA invHeadW2<>+40(SB)/8, $2
+DATA invHeadW2<>+48(SB)/8, $1
+DATA invHeadW2<>+56(SB)/8, $3
+GLOBL invHeadW2<>(SB), RODATA|NOPTR, $64
+
+// invHeadLo/Hi gather the sums (table 1) and differences (table 2) of
+// the t = 2 layer back into blocks 0-1 and 2-3.
+DATA invHeadLo<>+0(SB)/8, $0
+DATA invHeadLo<>+8(SB)/8, $4
+DATA invHeadLo<>+16(SB)/8, $8
+DATA invHeadLo<>+24(SB)/8, $12
+DATA invHeadLo<>+32(SB)/8, $2
+DATA invHeadLo<>+40(SB)/8, $6
+DATA invHeadLo<>+48(SB)/8, $10
+DATA invHeadLo<>+56(SB)/8, $14
+GLOBL invHeadLo<>(SB), RODATA|NOPTR, $64
+
+DATA invHeadHi<>+0(SB)/8, $1
+DATA invHeadHi<>+8(SB)/8, $5
+DATA invHeadHi<>+16(SB)/8, $9
+DATA invHeadHi<>+24(SB)/8, $13
+DATA invHeadHi<>+32(SB)/8, $3
+DATA invHeadHi<>+40(SB)/8, $7
+DATA invHeadHi<>+48(SB)/8, $11
+DATA invHeadHi<>+56(SB)/8, $15
+GLOBL invHeadHi<>(SB), RODATA|NOPTR, $64
+
+// func nttFwdHeadAVX512(a []uint64, w1, w1s, w2, w2s, w3, w3s, q uint64)
+//
+// Fused first double layer of the forward transform over the strided
+// quarter-slices x0..x3, eight independent j per step.
+TEXT ·nttFwdHeadAVX512(SB), NOSPLIT, $0-80
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), BX
+	MOVQ q+72(FP), AX
+	LOADCONSTS512(AX)
+	VPBROADCASTQ w1+24(FP), Z11
+	VPBROADCASTQ w1s+32(FP), Z10
+	VPSRLQ $32, Z10, Z9
+	VPBROADCASTQ w2+40(FP), Z16
+	VPBROADCASTQ w2s+48(FP), Z17
+	VPSRLQ $32, Z17, Z18
+	VPBROADCASTQ w3+56(FP), Z19
+	VPBROADCASTQ w3s+64(FP), Z20
+	VPSRLQ $32, Z20, Z21
+	SHRQ $2, BX
+	SHLQ $3, BX
+	MOVQ SI, R8
+	LEAQ (SI)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+
+fwdhead512_loop:
+	VMOVDQU64 (R8), Z0
+	VMOVDQU64 (R9), Z1
+	VMOVDQU64 (R10), Z2
+	VMOVDQU64 (R11), Z3
+	CONDSUB512(Z0, Z29, Z8)
+	CONDSUB512(Z1, Z29, Z8)
+	VPSRLQ $32, Z2, Z4
+	LAZYMUL512(Z2, Z4, Z11, Z10, Z9, Z5, Z6, Z7, Z8, Z12)
+	VPADDQ Z12, Z0, Z2
+	VPSUBQ Z12, Z0, Z4
+	VPADDQ Z29, Z4, Z4
+	VPSRLQ $32, Z3, Z5
+	LAZYMUL512(Z3, Z5, Z11, Z10, Z9, Z6, Z7, Z8, Z0, Z12)
+	VPADDQ Z12, Z1, Z3
+	VPSUBQ Z12, Z1, Z5
+	VPADDQ Z29, Z5, Z5
+	CONDSUB512(Z2, Z29, Z8)
+	VPSRLQ $32, Z3, Z6
+	LAZYMUL512(Z3, Z6, Z16, Z17, Z18, Z7, Z8, Z0, Z1, Z12)
+	VPADDQ Z12, Z2, Z0
+	VMOVDQU64 Z0, (R8)
+	VPSUBQ Z12, Z2, Z0
+	VPADDQ Z29, Z0, Z0
+	VMOVDQU64 Z0, (R9)
+	CONDSUB512(Z4, Z29, Z8)
+	VPSRLQ $32, Z5, Z6
+	LAZYMUL512(Z5, Z6, Z19, Z20, Z21, Z7, Z8, Z0, Z1, Z12)
+	VPADDQ Z12, Z4, Z0
+	VMOVDQU64 Z0, (R10)
+	VPSUBQ Z12, Z4, Z0
+	VPADDQ Z29, Z0, Z0
+	VMOVDQU64 Z0, (R11)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $64, BX
+	JNZ fwdhead512_loop
+	VZEROUPPER
+	RET
+
+// func nttLayerFwdAVX512(a, psiRev, psiRevS []uint64, grp, t int, q uint64)
+//
+// One forward butterfly layer with t >= 8:
+//   u = condsub2q(x[j]); v = lazymul(y[j], w); x[j] = u+v; y[j] = u-v+2q
+TEXT ·nttLayerFwdAVX512(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ psiRev_base+24(FP), R8
+	MOVQ psiRevS_base+48(FP), R9
+	MOVQ grp+72(FP), CX
+	MOVQ t+80(FP), R10
+	MOVQ q+88(FP), AX
+	LOADCONSTS512(AX)
+	LEAQ (R8)(CX*8), R8
+	LEAQ (R9)(CX*8), R9
+	SHLQ $3, R10
+
+fwdlayer512_outer:
+	VPBROADCASTQ (R8), Z11
+	VPBROADCASTQ (R9), Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $8, R8
+	ADDQ $8, R9
+	MOVQ SI, DX
+	LEAQ (SI)(R10*1), DI
+	MOVQ R10, BX
+
+fwdlayer512_inner:
+	VMOVDQU64 (DX), Z0
+	VMOVDQU64 (DI), Z1
+	CONDSUB512(Z0, Z29, Z8)
+	VPSRLQ $32, Z1, Z2
+	LAZYMUL512(Z1, Z2, Z11, Z10, Z9, Z3, Z4, Z5, Z6, Z7)
+	VPADDQ Z7, Z0, Z8
+	VMOVDQU64 Z8, (DX)
+	VPSUBQ Z7, Z0, Z8
+	VPADDQ Z29, Z8, Z8
+	VMOVDQU64 Z8, (DI)
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ fwdlayer512_inner
+
+	LEAQ (SI)(R10*2), SI
+	DECQ CX
+	JNZ fwdlayer512_outer
+	VZEROUPPER
+	RET
+
+// func nttLayerFwd4AVX512(a, psiRev, psiRevS []uint64, q uint64)
+//
+// The forward layer grp = n/8, t = 4: each step takes two groups, their
+// x halves in one vector and their y halves in another, each group's
+// twiddle spread over four lanes.
+TEXT ·nttLayerFwd4AVX512(SB), NOSPLIT, $0-80
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), BX
+	MOVQ psiRev_base+24(FP), R8
+	MOVQ psiRevS_base+48(FP), R9
+	MOVQ q+72(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ BX, CX
+	SHRQ $3, CX
+	LEAQ (R8)(CX*8), R8
+	LEAQ (R9)(CX*8), R9
+	VMOVDQU64 spread4<>(SB), Z12
+	SHLQ $3, BX
+
+fwd4_512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VSHUFI64X2 $0x44, Z1, Z0, Z2
+	VSHUFI64X2 $0xEE, Z1, Z0, Z3
+	VMOVDQU (R8), X11
+	VPERMQ Z11, Z12, Z11
+	VMOVDQU (R9), X10
+	VPERMQ Z10, Z12, Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $16, R8
+	ADDQ $16, R9
+	CONDSUB512(Z2, Z29, Z8)
+	VPSRLQ $32, Z3, Z4
+	LAZYMUL512(Z3, Z4, Z11, Z10, Z9, Z5, Z6, Z7, Z8, Z0)
+	VPADDQ Z0, Z2, Z1
+	VPSUBQ Z0, Z2, Z3
+	VPADDQ Z29, Z3, Z3
+	VSHUFI64X2 $0x44, Z3, Z1, Z4
+	VSHUFI64X2 $0xEE, Z3, Z1, Z5
+	VMOVDQU64 Z4, (SI)
+	VMOVDQU64 Z5, 64(SI)
+	ADDQ $128, SI
+	SUBQ $128, BX
+	JNZ fwd4_512_loop
+	VZEROUPPER
+	RET
+
+// func nttFwdTailAVX512(a, psiRev, psiRevS []uint64, q uint64)
+//
+// Fused final double layer (t=2 then t=1) of the forward transform with
+// the [0, q) reduction folded in, four 4-element blocks per step:
+//
+//   t=2: elements 0,1 against 2,3 of each block, twiddle psiRev[quarter+i]
+//   t=1: (b0,b1),(b2,b3) against psiRev[half+2i], psiRev[half+2i+1]
+TEXT ·nttFwdTailAVX512(SB), NOSPLIT, $0-80
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), BX
+	MOVQ psiRev_base+24(FP), R8
+	MOVQ psiRevS_base+48(FP), R9
+	MOVQ q+72(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ BX, CX
+	SHRQ $2, CX
+	LEAQ (R8)(CX*8), R10
+	LEAQ (R9)(CX*8), R11
+	MOVQ BX, DX
+	SHRQ $1, DX
+	LEAQ (R8)(DX*8), R12
+	LEAQ (R9)(DX*8), R13
+	VMOVDQU64 spread2<>(SB), Z12
+	VMOVDQU64 fwdTailLo<>(SB), Z13
+	VMOVDQU64 fwdTailHi<>(SB), Z14
+	SHLQ $3, BX
+
+fwdtail512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VSHUFI64X2 $0x88, Z1, Z0, Z2
+	VSHUFI64X2 $0xDD, Z1, Z0, Z3
+	VMOVDQU (R10), Y11
+	VPERMQ Z11, Z12, Z11
+	VMOVDQU (R11), Y10
+	VPERMQ Z10, Z12, Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	CONDSUB512(Z2, Z29, Z8)
+	VPSRLQ $32, Z3, Z4
+	LAZYMUL512(Z3, Z4, Z11, Z10, Z9, Z5, Z6, Z7, Z8, Z0)
+	VPADDQ Z0, Z2, Z1
+	VPSUBQ Z0, Z2, Z2
+	VPADDQ Z29, Z2, Z2
+	VPUNPCKLQDQ Z2, Z1, Z3
+	VPUNPCKHQDQ Z2, Z1, Z4
+	VMOVDQU64 (R12), Z11
+	VMOVDQU64 (R13), Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $64, R12
+	ADDQ $64, R13
+	CONDSUB512(Z3, Z29, Z8)
+	VPSRLQ $32, Z4, Z5
+	LAZYMUL512(Z4, Z5, Z11, Z10, Z9, Z6, Z7, Z8, Z0, Z1)
+	VPADDQ Z1, Z3, Z0
+	VPSUBQ Z1, Z3, Z2
+	VPADDQ Z29, Z2, Z2
+	CONDSUB512(Z0, Z29, Z8)
+	CONDSUB512(Z2, Z29, Z8)
+	CONDSUB512(Z0, Z30, Z8)
+	CONDSUB512(Z2, Z30, Z8)
+	VPUNPCKLQDQ Z2, Z0, Z3
+	VPUNPCKHQDQ Z2, Z0, Z4
+	VMOVDQA64 Z3, Z5
+	VPERMT2Q Z4, Z13, Z5
+	VPERMT2Q Z4, Z14, Z3
+	VMOVDQU64 Z5, (SI)
+	VMOVDQU64 Z3, 64(SI)
+	ADDQ $128, SI
+	SUBQ $128, BX
+	JNZ fwdtail512_loop
+	VZEROUPPER
+	RET
+
+// func inttHeadAVX512(a, psiInvRev, psiInvRevS []uint64, q uint64)
+//
+// Fused first double layer (t=1 then t=2) of the inverse transform,
+// four 4-element blocks per step, outputs lazy in [0, 2q). The even/odd
+// unpack pairs element 0 with 1 and 2 with 3 of blocks 0/2 and 1/3; the
+// 128-bit shuffle then pairs the t = 2 partners.
+TEXT ·inttHeadAVX512(SB), NOSPLIT, $0-80
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), BX
+	MOVQ psiInvRev_base+24(FP), R8
+	MOVQ psiInvRevS_base+48(FP), R9
+	MOVQ q+72(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ BX, CX
+	SHRQ $2, CX
+	LEAQ (R8)(CX*8), R10
+	LEAQ (R9)(CX*8), R11
+	MOVQ BX, DX
+	SHRQ $1, DX
+	LEAQ (R8)(DX*8), R12
+	LEAQ (R9)(DX*8), R13
+	VMOVDQU64 invHeadW<>(SB), Z12
+	VMOVDQU64 invHeadW2<>(SB), Z13
+	VMOVDQU64 invHeadLo<>(SB), Z14
+	VMOVDQU64 invHeadHi<>(SB), Z15
+	SHLQ $3, BX
+
+intthead512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VPUNPCKLQDQ Z1, Z0, Z2
+	VPUNPCKHQDQ Z1, Z0, Z3
+	VPADDQ Z3, Z2, Z0
+	CONDSUB512(Z0, Z29, Z8)
+	VPSUBQ Z3, Z2, Z1
+	VPADDQ Z29, Z1, Z1
+	VPERMQ (R12), Z12, Z11
+	VPERMQ (R13), Z12, Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $64, R12
+	ADDQ $64, R13
+	VPSRLQ $32, Z1, Z4
+	LAZYMUL512(Z1, Z4, Z11, Z10, Z9, Z5, Z6, Z7, Z8, Z2)
+	VSHUFI64X2 $0x88, Z2, Z0, Z3
+	VSHUFI64X2 $0xDD, Z2, Z0, Z4
+	VMOVDQU (R10), Y11
+	VPERMQ Z11, Z13, Z11
+	VMOVDQU (R11), Y10
+	VPERMQ Z10, Z13, Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	VPADDQ Z4, Z3, Z0
+	CONDSUB512(Z0, Z29, Z8)
+	VPSUBQ Z4, Z3, Z1
+	VPADDQ Z29, Z1, Z1
+	VPSRLQ $32, Z1, Z4
+	LAZYMUL512(Z1, Z4, Z11, Z10, Z9, Z5, Z6, Z7, Z8, Z2)
+	VMOVDQA64 Z0, Z3
+	VPERMT2Q Z2, Z14, Z3
+	VPERMT2Q Z2, Z15, Z0
+	VMOVDQU64 Z3, (SI)
+	VMOVDQU64 Z0, 64(SI)
+	ADDQ $128, SI
+	SUBQ $128, BX
+	JNZ intthead512_loop
+	VZEROUPPER
+	RET
+
+// func inttLayer4AVX512(a, psiInvRev, psiInvRevS []uint64, q uint64)
+//
+// The inverse layer grp = n/8, t = 4, two groups per step as in
+// nttLayerFwd4AVX512.
+TEXT ·inttLayer4AVX512(SB), NOSPLIT, $0-80
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), BX
+	MOVQ psiInvRev_base+24(FP), R8
+	MOVQ psiInvRevS_base+48(FP), R9
+	MOVQ q+72(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ BX, CX
+	SHRQ $3, CX
+	LEAQ (R8)(CX*8), R8
+	LEAQ (R9)(CX*8), R9
+	VMOVDQU64 spread4<>(SB), Z12
+	SHLQ $3, BX
+
+inv4_512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 64(SI), Z1
+	VSHUFI64X2 $0x44, Z1, Z0, Z2
+	VSHUFI64X2 $0xEE, Z1, Z0, Z3
+	VMOVDQU (R8), X11
+	VPERMQ Z11, Z12, Z11
+	VMOVDQU (R9), X10
+	VPERMQ Z10, Z12, Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $16, R8
+	ADDQ $16, R9
+	VPADDQ Z3, Z2, Z0
+	CONDSUB512(Z0, Z29, Z8)
+	VPSUBQ Z3, Z2, Z1
+	VPADDQ Z29, Z1, Z1
+	VPSRLQ $32, Z1, Z4
+	LAZYMUL512(Z1, Z4, Z11, Z10, Z9, Z5, Z6, Z7, Z8, Z2)
+	VSHUFI64X2 $0x44, Z2, Z0, Z4
+	VSHUFI64X2 $0xEE, Z2, Z0, Z5
+	VMOVDQU64 Z4, (SI)
+	VMOVDQU64 Z5, 64(SI)
+	ADDQ $128, SI
+	SUBQ $128, BX
+	JNZ inv4_512_loop
+	VZEROUPPER
+	RET
+
+// func inttLayerAVX512(a, psiInvRev, psiInvRevS []uint64, grp, t int, q uint64)
+//
+// One inverse butterfly layer with t >= 8: x[j] = condsub2q(u+v);
+// y[j] = lazymul(u-v+2q, w).
+TEXT ·inttLayerAVX512(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ psiInvRev_base+24(FP), R8
+	MOVQ psiInvRevS_base+48(FP), R9
+	MOVQ grp+72(FP), CX
+	MOVQ t+80(FP), R10
+	MOVQ q+88(FP), AX
+	LOADCONSTS512(AX)
+	LEAQ (R8)(CX*8), R8
+	LEAQ (R9)(CX*8), R9
+	SHLQ $3, R10
+
+invlayer512_outer:
+	VPBROADCASTQ (R8), Z11
+	VPBROADCASTQ (R9), Z10
+	VPSRLQ $32, Z10, Z9
+	ADDQ $8, R8
+	ADDQ $8, R9
+	MOVQ SI, DX
+	LEAQ (SI)(R10*1), DI
+	MOVQ R10, BX
+
+invlayer512_inner:
+	VMOVDQU64 (DX), Z0
+	VMOVDQU64 (DI), Z1
+	VPADDQ Z1, Z0, Z2
+	CONDSUB512(Z2, Z29, Z8)
+	VMOVDQU64 Z2, (DX)
+	VPSUBQ Z1, Z0, Z2
+	VPADDQ Z29, Z2, Z2
+	VPSRLQ $32, Z2, Z3
+	LAZYMUL512(Z2, Z3, Z11, Z10, Z9, Z4, Z5, Z6, Z7, Z8)
+	VMOVDQU64 Z8, (DI)
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ invlayer512_inner
+
+	LEAQ (SI)(R10*2), SI
+	DECQ CX
+	JNZ invlayer512_outer
+	VZEROUPPER
+	RET
+
+// func inttTailAVX512(a []uint64, w1, w1s, w2, w2s, w3, w3s, nInv, nInvS, q uint64)
+//
+// Fused final double layer of the inverse transform (grp=2 then grp=1)
+// over the strided quarter-slices, with the 1/N scaling and [0, q)
+// reduction folded in. Lane-parallel, no shuffles.
+TEXT ·inttTailAVX512(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ a_len+8(FP), BX
+	MOVQ q+88(FP), AX
+	LOADCONSTS512(AX)
+	VPBROADCASTQ w1+24(FP), Z16
+	VPBROADCASTQ w1s+32(FP), Z17
+	VPSRLQ $32, Z17, Z18
+	VPBROADCASTQ w2+40(FP), Z19
+	VPBROADCASTQ w2s+48(FP), Z20
+	VPSRLQ $32, Z20, Z21
+	VPBROADCASTQ w3+56(FP), Z22
+	VPBROADCASTQ w3s+64(FP), Z23
+	VPSRLQ $32, Z23, Z24
+	VPBROADCASTQ nInv+72(FP), Z25
+	VPBROADCASTQ nInvS+80(FP), Z26
+	VPSRLQ $32, Z26, Z27
+	SHRQ $2, BX
+	SHLQ $3, BX
+	MOVQ SI, R8
+	LEAQ (SI)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+
+intttail512_loop:
+	VMOVDQU64 (R8), Z0
+	VMOVDQU64 (R9), Z1
+	VPADDQ Z1, Z0, Z2
+	CONDSUB512(Z2, Z29, Z8)
+	VPSUBQ Z1, Z0, Z3
+	VPADDQ Z29, Z3, Z3
+	VMOVDQU64 (R10), Z0
+	VMOVDQU64 (R11), Z1
+	VPADDQ Z1, Z0, Z4
+	CONDSUB512(Z4, Z29, Z8)
+	VPSUBQ Z1, Z0, Z5
+	VPADDQ Z29, Z5, Z5
+	VPADDQ Z4, Z2, Z0
+	CONDSUB512(Z0, Z29, Z8)
+	VPSUBQ Z4, Z2, Z2
+	VPADDQ Z29, Z2, Z2
+	VPSRLQ $32, Z0, Z1
+	LAZYMUL512(Z0, Z1, Z25, Z26, Z27, Z4, Z6, Z7, Z8, Z11)
+	CONDSUB512(Z11, Z30, Z4)
+	VMOVDQU64 Z11, (R8)
+	VPSRLQ $32, Z2, Z1
+	LAZYMUL512(Z2, Z1, Z16, Z17, Z18, Z0, Z4, Z6, Z7, Z8)
+	VPSRLQ $32, Z8, Z1
+	LAZYMUL512(Z8, Z1, Z25, Z26, Z27, Z0, Z2, Z4, Z6, Z7)
+	CONDSUB512(Z7, Z30, Z0)
+	VMOVDQU64 Z7, (R10)
+	VPSRLQ $32, Z3, Z1
+	LAZYMUL512(Z3, Z1, Z19, Z20, Z21, Z0, Z2, Z4, Z6, Z7)
+	VPSRLQ $32, Z5, Z1
+	LAZYMUL512(Z5, Z1, Z22, Z23, Z24, Z0, Z2, Z4, Z6, Z8)
+	VPADDQ Z8, Z7, Z0
+	CONDSUB512(Z0, Z29, Z2)
+	VPSUBQ Z8, Z7, Z3
+	VPADDQ Z29, Z3, Z3
+	VPSRLQ $32, Z0, Z1
+	LAZYMUL512(Z0, Z1, Z25, Z26, Z27, Z2, Z4, Z6, Z7, Z8)
+	CONDSUB512(Z8, Z30, Z0)
+	VMOVDQU64 Z8, (R9)
+	VPSRLQ $32, Z3, Z1
+	LAZYMUL512(Z3, Z1, Z16, Z17, Z18, Z0, Z2, Z4, Z6, Z7)
+	VPSRLQ $32, Z7, Z1
+	LAZYMUL512(Z7, Z1, Z25, Z26, Z27, Z0, Z2, Z4, Z6, Z8)
+	CONDSUB512(Z8, Z30, Z0)
+	VMOVDQU64 Z8, (R11)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	SUBQ $64, BX
+	JNZ intttail512_loop
+	VZEROUPPER
+	RET
+
+// func addVecAVX512(q uint64, a, b, out []uint64)
+TEXT ·addVecAVX512(SB), NOSPLIT, $0-80
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ a_base+8(FP), SI
+	MOVQ b_base+32(FP), DX
+	MOVQ out_base+56(FP), DI
+	MOVQ out_len+64(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ addvec512_done
+
+addvec512_loop:
+	VMOVDQU64 (SI), Z0
+	VPADDQ (DX), Z0, Z0
+	CONDSUB512(Z0, Z30, Z1)
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ addvec512_loop
+
+addvec512_done:
+	VZEROUPPER
+	RET
+
+// func subVecAVX512(q uint64, a, b, out []uint64)
+TEXT ·subVecAVX512(SB), NOSPLIT, $0-80
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ a_base+8(FP), SI
+	MOVQ b_base+32(FP), DX
+	MOVQ out_base+56(FP), DI
+	MOVQ out_len+64(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ subvec512_done
+
+subvec512_loop:
+	VMOVDQU64 (SI), Z0
+	VPSUBQ (DX), Z0, Z0
+	VPADDQ Z30, Z0, Z0
+	CONDSUB512(Z0, Z30, Z1)
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ subvec512_loop
+
+subvec512_done:
+	VZEROUPPER
+	RET
+
+// func negVecAVX512(q uint64, a, out []uint64)
+//
+// out = q − a where a ≠ 0, else 0: the subtraction under the mask of the
+// nonzero lanes, zeroing the others.
+TEXT ·negVecAVX512(SB), NOSPLIT, $0-56
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ a_base+8(FP), SI
+	MOVQ out_base+32(FP), DI
+	MOVQ out_len+40(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ negvec512_done
+
+negvec512_loop:
+	VMOVDQU64 (SI), Z0
+	VPTESTMQ Z0, Z0, K1
+	VPSUBQ.Z Z0, Z30, K1, Z1
+	VMOVDQU64 Z1, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ negvec512_loop
+
+negvec512_done:
+	VZEROUPPER
+	RET
+
+// MULMOD512: canonical x*y mod q for Z0=x, Z1=y, the AVX2 MULMODCORE's
+// split reduction with R32 = 2^32 mod q in Z28 (Shoup companion Z27,
+// its high half Z26):
+//   c = lazymul(P_hi, R32); d = c + hi32(P_lo); e = lazymul(d, R32);
+//   f = e + lo32(P_lo) < 3q; two conditional subtractions by q.
+// Result in Z10. Clobbers Z0..Z10. Requires 2^32 < q < 2^61.
+#define MULMOD512 \
+	VPSRLQ $32, Z0, Z2                                     \
+	VPSRLQ $32, Z1, Z3                                     \
+	MULHI512(Z0, Z2, Z1, Z3, Z4, Z5, Z6, Z7)               \
+	VPMULLQ Z1, Z0, Z8                                     \
+	VPSRLQ $32, Z7, Z2                                     \
+	LAZYMUL512(Z7, Z2, Z28, Z27, Z26, Z3, Z4, Z5, Z6, Z9)  \
+	VPSRLQ $32, Z8, Z0                                     \
+	VPADDQ Z0, Z9, Z9                                      \
+	VPSRLQ $32, Z9, Z2                                     \
+	LAZYMUL512(Z9, Z2, Z28, Z27, Z26, Z3, Z4, Z5, Z6, Z10) \
+	VPANDQ Z31, Z8, Z0                                     \
+	VPADDQ Z0, Z10, Z10                                    \
+	CONDSUB512(Z10, Z30, Z0)                               \
+	CONDSUB512(Z10, Z30, Z0)
+
+// func mulVecAVX512(q, r32, r32s uint64, a, b, out []uint64)
+TEXT ·mulVecAVX512(SB), NOSPLIT, $0-96
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	VPBROADCASTQ r32+8(FP), Z28
+	VPBROADCASTQ r32s+16(FP), Z27
+	VPSRLQ $32, Z27, Z26
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ out_base+72(FP), DI
+	MOVQ out_len+80(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ mulvec512_done
+
+mulvec512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (DX), Z1
+	MULMOD512
+	VMOVDQU64 Z10, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ mulvec512_loop
+
+mulvec512_done:
+	VZEROUPPER
+	RET
+
+// func mulAddVecAVX512(q, r32, r32s uint64, a, b, out []uint64)
+TEXT ·mulAddVecAVX512(SB), NOSPLIT, $0-96
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	VPBROADCASTQ r32+8(FP), Z28
+	VPBROADCASTQ r32s+16(FP), Z27
+	VPSRLQ $32, Z27, Z26
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ out_base+72(FP), DI
+	MOVQ out_len+80(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ muladdvec512_done
+
+muladdvec512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (DX), Z1
+	MULMOD512
+	VPADDQ (DI), Z10, Z10
+	CONDSUB512(Z10, Z30, Z0)
+	VMOVDQU64 Z10, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ muladdvec512_loop
+
+muladdvec512_done:
+	VZEROUPPER
+	RET
+
+// func mulShoupAddVecAVX512(q uint64, a, b, bs, out []uint64)
+TEXT ·mulShoupAddVecAVX512(SB), NOSPLIT, $0-104
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ a_base+8(FP), SI
+	MOVQ b_base+32(FP), DX
+	MOVQ bs_base+56(FP), R8
+	MOVQ out_base+80(FP), DI
+	MOVQ out_len+88(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ mulshoupadd512_done
+
+mulshoupadd512_loop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (DX), Z11
+	VMOVDQU64 (R8), Z10
+	VPSRLQ $32, Z10, Z9
+	VPSRLQ $32, Z0, Z1
+	LAZYMUL512(Z0, Z1, Z11, Z10, Z9, Z2, Z3, Z4, Z5, Z6)
+	CONDSUB512(Z6, Z30, Z0)
+	VPADDQ (DI), Z6, Z6
+	CONDSUB512(Z6, Z30, Z0)
+	VMOVDQU64 Z6, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, R8
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ mulshoupadd512_loop
+
+mulshoupadd512_done:
+	VZEROUPPER
+	RET
+
+// func mulScalarVecAVX512(q, c, cs uint64, a, out []uint64)
+TEXT ·mulScalarVecAVX512(SB), NOSPLIT, $0-72
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	VPBROADCASTQ c+8(FP), Z11
+	VPBROADCASTQ cs+16(FP), Z10
+	VPSRLQ $32, Z10, Z9
+	MOVQ a_base+24(FP), SI
+	MOVQ out_base+48(FP), DI
+	MOVQ out_len+56(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ mulscalar512_done
+
+mulscalar512_loop:
+	VMOVDQU64 (SI), Z0
+	VPSRLQ $32, Z0, Z1
+	LAZYMUL512(Z0, Z1, Z11, Z10, Z9, Z2, Z3, Z4, Z5, Z6)
+	CONDSUB512(Z6, Z30, Z0)
+	VMOVDQU64 Z6, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ mulscalar512_loop
+
+mulscalar512_done:
+	VZEROUPPER
+	RET
+
+// CONVTERM512(ROW, C, CS, CSH): Z1 += lazymul(ROW[j], C) for the
+// conversion kernel. Clobbers Z2..Z8.
+#define CONVTERM512(ROW, C, CS, CSH) \
+	VMOVDQU64 (ROW)(BX*1), Z2                          \
+	VPSRLQ $32, Z2, Z3                                 \
+	LAZYMUL512(Z2, Z3, C, CS, CSH, Z4, Z5, Z6, Z7, Z8) \
+	VPADDQ Z8, Z1, Z1
+
+// func convTargetAVX512(m uint64, y [][]uint64, c, cs []uint64, corr *corrTable, v, out []uint64)
+//
+// out[j] = reduce(Σ_k lazymul(y_k[j], c_k) + corr[v[j] mod 8]) for the
+// K = len(y) ∈ [1, 5] source rows: the correction is one VPERMQ over the
+// 8-entry table, and the reduction is the scalar kernel's chain of
+// conditional subtractions — by 8m when K ≥ 4 (the sum is below 11m),
+// then by 4m, 2m and m (below 7m).
+TEXT ·convTargetAVX512(SB), NOSPLIT, $0-136
+	MOVQ m+0(FP), AX
+	LOADCONSTS512(AX)
+	MOVQ m+0(FP), AX
+	SHLQ $2, AX
+	VPBROADCASTQ AX, Z28
+	SHLQ $1, AX
+	VPBROADCASTQ AX, Z27
+	MOVQ corr+80(FP), AX
+	VMOVDQU64 (AX), Z26
+	MOVQ y_base+8(FP), SI
+	MOVQ y_len+16(FP), CX
+	MOVQ c_base+32(FP), DX
+	MOVQ cs_base+56(FP), DI
+	MOVQ 0(SI), R8
+	VPBROADCASTQ 0(DX), Z16
+	VPBROADCASTQ 0(DI), Z21
+	VPSRLQ $32, Z21, Z11
+	CMPQ CX, $2
+	JLT convtarget512_loaded
+	MOVQ 24(SI), R9
+	VPBROADCASTQ 8(DX), Z17
+	VPBROADCASTQ 8(DI), Z22
+	VPSRLQ $32, Z22, Z12
+	CMPQ CX, $3
+	JLT convtarget512_loaded
+	MOVQ 48(SI), R10
+	VPBROADCASTQ 16(DX), Z18
+	VPBROADCASTQ 16(DI), Z23
+	VPSRLQ $32, Z23, Z13
+	CMPQ CX, $4
+	JLT convtarget512_loaded
+	MOVQ 72(SI), R11
+	VPBROADCASTQ 24(DX), Z19
+	VPBROADCASTQ 24(DI), Z24
+	VPSRLQ $32, Z24, Z14
+	CMPQ CX, $5
+	JLT convtarget512_loaded
+	MOVQ 96(SI), R12
+	VPBROADCASTQ 32(DX), Z20
+	VPBROADCASTQ 32(DI), Z25
+	VPSRLQ $32, Z25, Z15
+
+convtarget512_loaded:
+	MOVQ v_base+88(FP), DX
+	MOVQ out_base+112(FP), DI
+	MOVQ out_len+120(FP), AX
+	SHLQ $3, AX
+	XORQ BX, BX
+	TESTQ AX, AX
+	JZ convtarget512_done
+
+convtarget512_loop:
+	VMOVDQU64 (DX)(BX*1), Z0
+	VPERMQ Z26, Z0, Z1
+	CONVTERM512(R8, Z16, Z21, Z11)
+	CMPQ CX, $1
+	JEQ convtarget512_reduce
+	CONVTERM512(R9, Z17, Z22, Z12)
+	CMPQ CX, $2
+	JEQ convtarget512_reduce
+	CONVTERM512(R10, Z18, Z23, Z13)
+	CMPQ CX, $3
+	JEQ convtarget512_reduce
+	CONVTERM512(R11, Z19, Z24, Z14)
+	CMPQ CX, $4
+	JEQ convtarget512_wide
+	CONVTERM512(R12, Z20, Z25, Z15)
+
+convtarget512_wide:
+	CONDSUB512(Z1, Z27, Z2)
+
+convtarget512_reduce:
+	CONDSUB512(Z1, Z28, Z2)
+	CONDSUB512(Z1, Z29, Z2)
+	CONDSUB512(Z1, Z30, Z2)
+	VMOVDQU64 Z1, (DI)(BX*1)
+	ADDQ $64, BX
+	CMPQ BX, AX
+	JLT convtarget512_loop
+
+convtarget512_done:
+	VZEROUPPER
+	RET
+
+// func rescaleVecAVX512(q, inv, invS uint64, a, delta, out []uint64)
+//
+// out = MulModShoup(SubMod(a, delta), inv): a − delta + q reduced once,
+// then the Shoup product reduced once.
+TEXT ·rescaleVecAVX512(SB), NOSPLIT, $0-96
+	MOVQ q+0(FP), AX
+	LOADCONSTS512(AX)
+	VPBROADCASTQ inv+8(FP), Z11
+	VPBROADCASTQ invS+16(FP), Z10
+	VPSRLQ $32, Z10, Z9
+	MOVQ a_base+24(FP), SI
+	MOVQ delta_base+48(FP), DX
+	MOVQ out_base+72(FP), DI
+	MOVQ out_len+80(FP), BX
+	SHLQ $3, BX
+	TESTQ BX, BX
+	JZ rescale512_done
+
+rescale512_loop:
+	VMOVDQU64 (SI), Z0
+	VPSUBQ (DX), Z0, Z0
+	VPADDQ Z30, Z0, Z0
+	CONDSUB512(Z0, Z30, Z1)
+	VPSRLQ $32, Z0, Z1
+	LAZYMUL512(Z0, Z1, Z11, Z10, Z9, Z2, Z3, Z4, Z5, Z6)
+	CONDSUB512(Z6, Z30, Z0)
+	VMOVDQU64 Z6, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $64, BX
+	JNZ rescale512_loop
+
+rescale512_done:
 	VZEROUPPER
 	RET

@@ -73,11 +73,11 @@ type shared struct {
 	// element (AutomorphismNTT): uint64 element -> []uint32.
 	galois sync.Map
 
-	// vecRows routes eligible pointwise rows to the vector backend
-	// (vector.go); on wherever the host has one, retunable via
-	// SetVectorKernels. The transform kernels carry their
-	// own per-Modulus selection.
-	vecRows atomic.Bool
+	// rowTier is the kernelTier of the pointwise rows, the base
+	// conversions and the rescales (vector.go): the host's, retunable
+	// via SetVectorKernels. The transform kernels carry their own
+	// per-Modulus selection.
+	rowTier atomic.Uint32
 }
 
 // NewContext creates a ring context for degree n = 2^logN with the given
@@ -127,7 +127,7 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 	}
 	ctx.rows.width = len(ctx.Moduli) + len(ctx.special) + 1
 	trimEachGC(ctx.shared)
-	ctx.vecRows.Store(vectorAvailable())
+	ctx.rowTier.Store(uint32(hostTier))
 	ctx.buildCRT()
 	if err := ctx.buildRounders(); err != nil {
 		return nil, err
@@ -145,20 +145,26 @@ func NewContextQP(logN int, primes, special []uint64, t uint64) (*Context, error
 // (transforms). Enabling is a no-op on hosts without vector support.
 // Results are bit-identical either way; the ring tests use it to pin
 // the scalar reference. Safe to call concurrently with op traffic.
-func (ctx *Context) SetVectorKernels(on bool) {
-	on = on && vectorAvailable()
-	ctx.vecRows.Store(on)
+func (ctx *Context) SetVectorKernels(on bool) { ctx.pinTier(vectorTier(on)) }
+
+// pinTier selects tier t (capped at the host's) for the context's rows
+// and for every Modulus of its chain. The tests pin each tier through it.
+func (ctx *Context) pinTier(t kernelTier) {
+	ctx.rowTier.Store(uint32(min(t, hostTier)))
 	for _, m := range ctx.Moduli {
-		m.SetVectorKernels(on)
+		m.pinTier(t)
 	}
 	for _, m := range ctx.special {
-		m.SetVectorKernels(on)
+		m.pinTier(t)
 	}
 }
 
+// rowKernels returns the tier of the context's rows.
+func (ctx *Context) rowKernels() kernelTier { return kernelTier(ctx.rowTier.Load()) }
+
 // VectorKernels reports whether this context routes eligible rows to the
 // vector backend.
-func (ctx *Context) VectorKernels() bool { return ctx.vecRows.Load() }
+func (ctx *Context) VectorKernels() bool { return ctx.rowKernels() != tierScalar }
 
 // MaxLevel returns the highest level supported by the chain.
 func (ctx *Context) MaxLevel() int { return len(ctx.Moduli) - 1 }
@@ -199,8 +205,8 @@ func (ctx *Context) INTT(p *Poly) {
 // Per-limb pointwise kernels. Free functions over plain rows keep the
 // serial paths closure-free (no allocation) and give the parallel paths
 // one shared body. Each has a scalar body plus a dispatcher that routes
-// eligible rows (rowVecOK) to the vector backend; the two paths are
-// bit-identical (vector.go).
+// eligible rows (rowVecOK) to the tier's vector kernel — 4-lane AVX2 or
+// 8-lane AVX-512; every path is bit-identical (vector.go).
 
 func addRowScalar(q uint64, a, b, out []uint64) {
 	for j := range out {
@@ -208,9 +214,9 @@ func addRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func addRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		addVecAsm(q, a, b, out)
+func addRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		addVecAsm(tier, q, a, b, out)
 		return
 	}
 	addRowScalar(q, a, b, out)
@@ -222,9 +228,9 @@ func subRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func subRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		subVecAsm(q, a, b, out)
+func subRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		subVecAsm(tier, q, a, b, out)
 		return
 	}
 	subRowScalar(q, a, b, out)
@@ -236,9 +242,9 @@ func negRowScalar(q uint64, a, out []uint64) {
 	}
 }
 
-func negRow(vec bool, q uint64, a, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		negVecAsm(q, a, out)
+func negRow(tier kernelTier, q uint64, a, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		negVecAsm(tier, q, a, out)
 		return
 	}
 	negRowScalar(q, a, out)
@@ -250,9 +256,9 @@ func mulRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func mulRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulVecAsm(q, a, b, out)
+func mulRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulVecAsm(tier, q, a, b, out)
 		return
 	}
 	mulRowScalar(q, a, b, out)
@@ -264,9 +270,9 @@ func mulAddRowScalar(q uint64, a, b, out []uint64) {
 	}
 }
 
-func mulAddRow(vec bool, q uint64, a, b, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulAddVecAsm(q, a, b, out)
+func mulAddRow(tier kernelTier, q uint64, a, b, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulAddVecAsm(tier, q, a, b, out)
 		return
 	}
 	mulAddRowScalar(q, a, b, out)
@@ -278,9 +284,9 @@ func mulShoupAddRowScalar(q uint64, a, b, bs, out []uint64) {
 	}
 }
 
-func mulShoupAddRow(vec bool, q uint64, a, b, bs, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulShoupAddVecAsm(q, a, b, bs, out)
+func mulShoupAddRow(tier kernelTier, q uint64, a, b, bs, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulShoupAddVecAsm(tier, q, a, b, bs, out)
 		return
 	}
 	mulShoupAddRowScalar(q, a, b, bs, out)
@@ -292,9 +298,9 @@ func mulScalarRowScalar(q, c, cs uint64, a, out []uint64) {
 	}
 }
 
-func mulScalarRow(vec bool, q, c, cs uint64, a, out []uint64) {
-	if rowVecOK(vec, q, len(out)) {
-		mulScalarVecAsm(q, c, cs, a, out)
+func mulScalarRow(tier kernelTier, q, c, cs uint64, a, out []uint64) {
+	if rowVecOK(tier, q, len(out)) {
+		mulScalarVecAsm(tier, q, c, cs, a, out)
 		return
 	}
 	mulScalarRowScalar(q, c, cs, a, out)
@@ -303,9 +309,9 @@ func mulScalarRow(vec bool, q, c, cs uint64, a, out []uint64) {
 // Add sets out = a + b. All three must share a level and domain.
 func (ctx *Context) Add(a, b, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
-		addRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+		addRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -313,9 +319,9 @@ func (ctx *Context) Add(a, b, out *Poly) {
 // Sub sets out = a - b.
 func (ctx *Context) Sub(a, b, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
-		subRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+		subRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -323,9 +329,9 @@ func (ctx *Context) Sub(a, b, out *Poly) {
 // Neg sets out = -a.
 func (ctx *Context) Neg(a, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
-		negRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i])
+		negRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }
@@ -337,9 +343,9 @@ func (ctx *Context) MulCoeffs(a, b, out *Poly) {
 		panic("ring: MulCoeffs requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
-		mulRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+		mulRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -350,9 +356,9 @@ func (ctx *Context) MulCoeffsAdd(a, b, out *Poly) {
 		panic("ring: MulCoeffsAdd requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
-		mulAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
+		mulAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -390,9 +396,9 @@ func (ctx *Context) MulCoeffsShoupAdd(a, b *Poly, bs *PolyShoup, out *Poly) {
 		panic("ring: MulCoeffsShoupAdd requires NTT-domain operands")
 	}
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
-		mulShoupAddRow(vec, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
+		mulShoupAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -400,11 +406,11 @@ func (ctx *Context) MulCoeffsShoupAdd(a, b *Poly, bs *PolyShoup, out *Poly) {
 // MulScalar sets out = a * c for a word-sized scalar c.
 func (ctx *Context) MulScalar(a *Poly, c uint64, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
 		q := ctx.Moduli[i].Q
 		cq := c % q
-		mulScalarRow(vec, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
+		mulScalarRow(tier, q, cq, ShoupPrecomp(cq, q), a.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }

@@ -5,10 +5,10 @@ package ring
 // 2^{kw} mod q_i that exceed 64 bits as integers.
 func (ctx *Context) MulScalarVec(a *Poly, c []uint64, out *Poly) {
 	m := len(out.Coeffs)
-	vec := ctx.vecRows.Load()
+	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
 		q := ctx.Moduli[i].Q
-		mulScalarRow(vec, q, c[i], ShoupPrecomp(c[i], q), a.Coeffs[i], out.Coeffs[i])
+		mulScalarRow(tier, q, c[i], ShoupPrecomp(c[i], q), a.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = a.IsNTT
 }

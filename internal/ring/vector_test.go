@@ -1,18 +1,36 @@
 package ring
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// vectorTestModulus builds a Modulus over a fresh 55-bit prime for the
-// given logN with the vector kernels force-enabled (skipping the test
-// when the host has no vector backend).
-func vectorTestModulus(t *testing.T, logN int) *Modulus {
+// vectorTiers are the tiers the equivalence tests check against the
+// scalar kernels.
+var vectorTiers = []kernelTier{tierAVX2, tierAVX512}
+
+// forEachTier runs f as one subtest per vector tier, named after it; a
+// tier the host (or build) lacks is a skip that names it.
+func forEachTier(t *testing.T, f func(t *testing.T, tier kernelTier)) {
 	t.Helper()
-	if !VectorKernelsAvailable() {
-		t.Skip("no vector backend on this host/build")
+	for _, tier := range vectorTiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			if tier > hostTier {
+				t.Skipf("no %s tier on this host/build (host tier %s)", tier, hostTier)
+			}
+			f(t, tier)
+		})
 	}
+}
+
+// vectorTestModulus builds a Modulus over a fresh 55-bit prime for the
+// given logN pinned to the given tier.
+func vectorTestModulus(t *testing.T, logN int, tier kernelTier) *Modulus {
+	t.Helper()
 	n := 1 << logN
 	primes, err := GeneratePrimes(55, uint64(2*n), 1)
 	if err != nil {
@@ -22,9 +40,9 @@ func vectorTestModulus(t *testing.T, logN int) *Modulus {
 	if err != nil {
 		t.Fatalf("NewModulus: %v", err)
 	}
-	m.SetVectorKernels(true)
-	if !m.VectorKernels() {
-		t.Fatalf("vector kernels did not engage for q=%d n=%d", primes[0], n)
+	m.pinTier(tier)
+	if m.kernels() != tier {
+		t.Fatalf("tier %s did not engage for q=%d n=%d (got %s)", tier, primes[0], n, m.kernels())
 	}
 	return m
 }
@@ -37,114 +55,225 @@ func randRow(rng *rand.Rand, n int, q uint64) []uint64 {
 	return row
 }
 
-// TestVectorKernelsMatchScalar asserts bit-identity of the AVX2
-// transform kernels against the fused scalar reference across sizes.
-func TestVectorKernelsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, logN := range []int{5, 6, 8, 11, 12, 13} {
-		m := vectorTestModulus(t, logN)
-		n := m.N
-		for trial := 0; trial < 4; trial++ {
-			a := randRow(rng, n, m.Q)
-			want := append([]uint64(nil), a...)
-			got := append([]uint64(nil), a...)
-			m.nttScalar(want)
-			m.nttVec(got)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("logN=%d NTT diverges at %d: scalar %d vector %d", logN, i, want[i], got[i])
-				}
-			}
-			m.inttScalar(want)
-			m.inttVec(got)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("logN=%d INTT diverges at %d: scalar %d vector %d", logN, i, want[i], got[i])
-				}
-			}
-			if got[0] != a[0] {
-				t.Fatalf("logN=%d round trip failed", logN)
-			}
+func rowsEqual(t *testing.T, what string, want, got []uint64) {
+	t.Helper()
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s diverges at %d: scalar %d vector %d", what, i, want[i], got[i])
 		}
 	}
 }
 
-// TestVectorRowKernelsMatchScalar asserts bit-identity of every
-// pointwise vector kernel against its scalar row, including ragged
-// lengths that exercise the scalar tail in the wrappers.
-func TestVectorRowKernelsMatchScalar(t *testing.T) {
-	if !VectorKernelsAvailable() {
-		t.Skip("no vector backend on this host/build")
-	}
-	rng := rand.New(rand.NewSource(11))
-	primes, err := GeneratePrimes(55, 1<<13, 2)
-	if err != nil {
-		t.Fatalf("GeneratePrimes: %v", err)
-	}
-	for _, q := range primes {
-		for _, n := range []int{16, 64, 67, 256, 1024} {
-			a := randRow(rng, n, q)
-			b := randRow(rng, n, q)
-			bs := make([]uint64, n)
-			for i := range bs {
-				bs[i] = ShoupPrecomp(b[i], q)
+// TestVectorKernelsMatchScalar asserts bit-identity of each tier's
+// transform kernels against the fused scalar reference across sizes,
+// including the sizes where the 8-lane tier hands the transform to the
+// 4-lane kernels (n = 32) and where its t = 4 layer meets the head and
+// tail (n = 64, 128), on reduced inputs and on the forward transform's
+// lazy input range [0, 4q).
+func TestVectorKernelsMatchScalar(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier kernelTier) {
+		rng := rand.New(rand.NewSource(7))
+		for _, logN := range []int{5, 6, 7, 8, 11, 12, 13} {
+			m := vectorTestModulus(t, logN, tier)
+			n := m.N
+			for trial := 0; trial < 4; trial++ {
+				bound := m.Q
+				if trial == 3 {
+					bound = 4 * m.Q
+				}
+				a := randRow(rng, n, bound)
+				want := append([]uint64(nil), a...)
+				got := append([]uint64(nil), a...)
+				m.nttScalar(want)
+				m.NTT(got)
+				rowsEqual(t, fmt.Sprintf("logN=%d NTT", logN), want, got)
+				m.inttScalar(want)
+				m.INTT(got)
+				rowsEqual(t, fmt.Sprintf("logN=%d INTT", logN), want, got)
+				if trial < 3 && got[0] != a[0] {
+					t.Fatalf("logN=%d round trip failed", logN)
+				}
 			}
-			acc := randRow(rng, n, q)
-			c := rng.Uint64() % q
-			cs := ShoupPrecomp(c, q)
+		}
+	})
+}
 
-			check := func(name string, scalar, vec func(out []uint64)) {
-				t.Helper()
-				want := make([]uint64, n)
-				got := make([]uint64, n)
-				scalar(want)
-				vec(got)
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s q=%d n=%d diverges at %d: scalar %d vector %d", name, q, n, i, want[i], got[i])
+// rowCase is one set of inputs for every pointwise and level-move
+// kernel over modulus q: a, b and acc reduced, c < q, lazy the Shoup
+// rows' multiplicand, and a base conversion to q with its source rows y
+// and overflow counts v. A Shoup product takes any 64-bit multiplicand,
+// so lazy, y and v may hold any value.
+type rowCase struct {
+	q               uint64
+	a, b, acc, lazy []uint64
+	c               uint64
+	conv            *baseConv
+	y               [][]uint64
+	v               []uint64
+}
+
+// checkRowKernels runs every pointwise and level-move kernel on tier
+// and on the scalar path over in, failing at the first output that
+// differs.
+func checkRowKernels(t *testing.T, tier kernelTier, in rowCase) {
+	t.Helper()
+	q, a, b, acc, lazy, c := in.q, in.a, in.b, in.acc, in.lazy, in.c
+	n := len(a)
+	bs := make([]uint64, n)
+	for i := range b {
+		bs[i] = ShoupPrecomp(b[i], q)
+	}
+	cs := ShoupPrecomp(c, q)
+	check := func(name string, scalar, vec func(out []uint64)) {
+		t.Helper()
+		want := make([]uint64, n)
+		got := make([]uint64, n)
+		scalar(want)
+		vec(got)
+		rowsEqual(t, fmt.Sprintf("%s %s q=%d n=%d", tier, name, q, n), want, got)
+	}
+	check("add",
+		func(out []uint64) { addRowScalar(q, a, b, out) },
+		func(out []uint64) { addVecAsm(tier, q, a, b, out) })
+	check("sub",
+		func(out []uint64) { subRowScalar(q, a, b, out) },
+		func(out []uint64) { subVecAsm(tier, q, a, b, out) })
+	check("neg",
+		func(out []uint64) { negRowScalar(q, a, out) },
+		func(out []uint64) { negVecAsm(tier, q, a, out) })
+	check("mul",
+		func(out []uint64) { mulRowScalar(q, a, b, out) },
+		func(out []uint64) { mulVecAsm(tier, q, a, b, out) })
+	check("mulAdd",
+		func(out []uint64) { copy(out, acc); mulAddRowScalar(q, a, b, out) },
+		func(out []uint64) { copy(out, acc); mulAddVecAsm(tier, q, a, b, out) })
+	check("mulShoupAdd",
+		func(out []uint64) { copy(out, acc); mulShoupAddRowScalar(q, lazy, b, bs, out) },
+		func(out []uint64) { copy(out, acc); mulShoupAddVecAsm(tier, q, lazy, b, bs, out) })
+	check("mulScalar",
+		func(out []uint64) { mulScalarRowScalar(q, c, cs, lazy, out) },
+		func(out []uint64) { mulScalarVecAsm(tier, q, c, cs, lazy, out) })
+	check("rescale",
+		func(out []uint64) { rescaleRow(tierScalar, q, c, cs, a, b, out) },
+		func(out []uint64) { rescaleRow(tier, q, c, cs, a, b, out) })
+	check(fmt.Sprintf("target from %d primes", len(in.y)),
+		func(out []uint64) { in.conv.target(tierScalar, 0, in.y, in.v, out) },
+		func(out []uint64) { in.conv.target(tier, 0, in.y, in.v, out) })
+}
+
+// newConv builds a base conversion from the source primes to q.
+func newConv(src []uint64, q uint64) *baseConv {
+	mods := make([]*Modulus, len(src))
+	for k, s := range src {
+		mods[k] = &Modulus{Q: s}
+	}
+	one := func(uint64) uint64 { return 1 }
+	return newBaseConv(mods, []*Modulus{{Q: q}}, one, one)
+}
+
+// TestVectorRowKernelsMatchScalar asserts bit-identity of every
+// pointwise and level-move kernel of each tier against its scalar row,
+// including ragged lengths that exercise the scalar tail in the
+// wrappers, and the conversion from every source count.
+func TestVectorRowKernelsMatchScalar(t *testing.T) {
+	forEachTier(t, func(t *testing.T, tier kernelTier) {
+		rng := rand.New(rand.NewSource(11))
+		primes, err := GeneratePrimes(55, 1<<13, 2+maxConvPrimes)
+		if err != nil {
+			t.Fatalf("GeneratePrimes: %v", err)
+		}
+		for _, q := range primes[:2] {
+			for _, n := range []int{16, 64, 67, 71, 256, 1024} {
+				// Full-range multiplicands make the lazy products'
+				// [q, 2q) outcomes common. Every fourth column of the
+				// conversion takes the source values with the largest
+				// lazy products, and extremeConv's tables then carry
+				// the sums to their bound.
+				for k := 1; k <= maxConvPrimes; k++ {
+					for _, conv := range []*baseConv{newConv(primes[2:2+k], q), extremeConv(rng, k, q)} {
+						y := make([][]uint64, k)
+						for i := range y {
+							y[i] = randRow(rng, n, ^uint64(0))
+							for j := 0; j < n; j += 4 {
+								y[i][j] = largestLazy(rng, conv.mat[0].v[i], conv.mat[0].s[i], q)
+							}
+						}
+						checkRowKernels(t, tier, rowCase{
+							q: q, a: randRow(rng, n, q), b: randRow(rng, n, q),
+							acc: randRow(rng, n, q), lazy: randRow(rng, n, ^uint64(0)),
+							c: rng.Uint64() % q, conv: conv, y: y,
+							v: randRow(rng, n, ^uint64(0)),
+						})
 					}
 				}
 			}
-			check("add",
-				func(out []uint64) { addRowScalar(q, a, b, out) },
-				func(out []uint64) { addVecAsm(q, a, b, out) })
-			check("sub",
-				func(out []uint64) { subRowScalar(q, a, b, out) },
-				func(out []uint64) { subVecAsm(q, a, b, out) })
-			check("neg",
-				func(out []uint64) { negRowScalar(q, a, out) },
-				func(out []uint64) { negVecAsm(q, a, out) })
-			check("mul",
-				func(out []uint64) { mulRowScalar(q, a, b, out) },
-				func(out []uint64) { mulVecAsm(q, a, b, out) })
-			check("mulAdd",
-				func(out []uint64) { copy(out, acc); mulAddRowScalar(q, a, b, out) },
-				func(out []uint64) { copy(out, acc); mulAddVecAsm(q, a, b, out) })
-			check("mulShoupAdd",
-				func(out []uint64) { copy(out, acc); mulShoupAddRowScalar(q, a, b, bs, out) },
-				func(out []uint64) { copy(out, acc); mulShoupAddVecAsm(q, a, b, bs, out) })
-			check("mulScalar",
-				func(out []uint64) { mulScalarRowScalar(q, c, cs, a, out) },
-				func(out []uint64) { mulScalarVecAsm(q, c, cs, a, out) })
+		}
+	})
+}
+
+// extremeConv is a conversion to q from k sources whose tables push its
+// sums to their bound. A lazy Shoup product by c stays below
+// (1 + f)·q, f the fraction c·2^64/q rounds away in c's companion, so
+// each constant is the one of 256 random draws with the largest f, and
+// every correction is q−1. The tables of real primes rarely come near,
+// so only these reach the 8q step of the four- and five-source
+// reductions (sums up to 11q).
+func extremeConv(rng *rand.Rand, k int, q uint64) *baseConv {
+	bc := &baseConv{
+		dst:  []*Modulus{{Q: q}},
+		mat:  make([]shoupVec, 1),
+		corr: make([]corrTable, 1),
+	}
+	for range k {
+		best, bestC := uint64(0), uint64(0)
+		for range 256 {
+			c := rng.Uint64() % q
+			if _, f := bits.Div64(c, 0, q); f > best {
+				best, bestC = f, c
+			}
+		}
+		bc.mat[0].v = append(bc.mat[0].v, bestC)
+		bc.mat[0].s = append(bc.mat[0].s, ShoupPrecomp(bestC, q))
+	}
+	for u := range bc.corr[0] {
+		bc.corr[0][u] = q - 1
+	}
+	return bc
+}
+
+// largestLazy returns, of 256 random multiplicands, the one whose lazy
+// Shoup product by w is largest (close to 2q).
+func largestLazy(rng *rand.Rand, w, ws, q uint64) uint64 {
+	best, bestY := uint64(0), uint64(0)
+	for range 256 {
+		y := rng.Uint64()
+		if r := MulModShoupLazy(y, w, ws, q); r > best {
+			best, bestY = r, y
 		}
 	}
+	return bestY
 }
 
 // TestVectorNegZero pins the x=0 edge of the vectorized NegMod.
 func TestVectorNegZero(t *testing.T) {
-	if !VectorKernelsAvailable() {
-		t.Skip("no vector backend on this host/build")
-	}
-	q := uint64(1)<<55 - 55
-	a := []uint64{0, 1, q - 1, 0, 0, q / 2, 3, 0}
-	want := make([]uint64, len(a))
-	got := make([]uint64, len(a))
-	negRowScalar(q, a, want)
-	negVecAsm(q, a, got)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("neg diverges at %d: scalar %d vector %d", i, want[i], got[i])
-		}
+	forEachTier(t, func(t *testing.T, tier kernelTier) {
+		q := uint64(1)<<55 - 55
+		a := []uint64{0, 1, q - 1, 0, 0, q / 2, 3, 0, q - 1, 0, 0, 0, 7, 0, 1, 0}
+		want := make([]uint64, len(a))
+		got := make([]uint64, len(a))
+		negRowScalar(q, a, want)
+		negVecAsm(tier, q, a, got)
+		rowsEqual(t, "neg", want, got)
+	})
+}
+
+// TestVectorKernelVariant logs the tier this host runs and checks the
+// probe's reports agree with one another.
+func TestVectorKernelVariant(t *testing.T) {
+	t.Logf("ring.KernelVariant() = %s", KernelVariant())
+	if KernelVariant() != hostTier.String() || VectorKernelsAvailable() != (hostTier != tierScalar) {
+		t.Fatalf("KernelVariant %s, VectorKernelsAvailable %v, host tier %s disagree",
+			KernelVariant(), VectorKernelsAvailable(), hostTier)
 	}
 }
 
@@ -163,4 +292,66 @@ func TestModulusVectorGate(t *testing.T) {
 	if !vectorOKForModulus(uint64(1)<<55-55, 32) {
 		t.Fatal("55-bit prime at n=32 should be vector-eligible")
 	}
+}
+
+// TestSetVectorKernelsConcurrent switches a context between tiers while
+// other goroutines transform, multiply and rescale through it: every
+// result must equal the scalar one (each op runs wholly on one backend,
+// and every backend computes the same bits), and under -race the
+// switching must not race with the kernels' dispatch.
+func TestSetVectorKernelsConcurrent(t *testing.T) {
+	const logN, levels, plainT = 8, 4, 257
+	primes, err := GeneratePrimes(55, uint64(2<<logN)*plainT, levels+DigitPrimes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContextQP(logN, primes[:levels], primes[levels:], plainT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSeededSampler(ctx, 9)
+	a, b := s.UniformPoly(ctx.MaxLevel(), true), s.UniformPoly(ctx.MaxLevel(), true)
+	run := func() *Poly {
+		p := ctx.NewPoly(ctx.MaxLevel())
+		ctx.MulCoeffs(a, b, p)
+		ctx.INTT(p)
+		ctx.NTT(p)
+		ctx.ModSwitchDown(p)
+		return p
+	}
+	ctx.SetVectorKernels(false)
+	want := run()
+
+	var stop atomic.Bool
+	var toggler sync.WaitGroup
+	toggler.Add(1)
+	go func() {
+		defer toggler.Done()
+		for i := 0; !stop.Load(); i++ {
+			switch i % 3 {
+			case 0:
+				ctx.SetVectorKernels(true)
+			case 1:
+				ctx.SetVectorKernels(false)
+			default:
+				ctx.pinTier(tierAVX2)
+			}
+		}
+	}()
+	var workers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for i := 0; i < 50; i++ {
+				if !polysEqual(run(), want) {
+					t.Error("a result computed while the tier switched differs from the scalar one")
+					return
+				}
+			}
+		}()
+	}
+	workers.Wait()
+	stop.Store(true)
+	toggler.Wait()
 }
