@@ -105,7 +105,7 @@ func main() {
 			for st, bill := range prog.StageBills() {
 				fmt.Fprintf(os.Stderr, "; %s %d products (%d lazy) + %d relinearizations + %d rotations = %d key switches, depth %d, work %d",
 					[...]string{"compare", "reshuffle", "levels", "accumulate", "shuffle"}[st],
-					bill.Products, bill.Lazy, bill.Relins, bill.Rotations, bill.KeySwitches, bill.Depth, bill.Work)
+					bill.Ops.Mul, bill.Lazy, bill.Ops.Relin, bill.Ops.Rotate, bill.KeySwitches, bill.Depth, bill.Work)
 			}
 			fmt.Fprintln(os.Stderr)
 		}

@@ -103,6 +103,9 @@ type (
 	// take — the wrong number of features, or a value past its precision —
 	// before anything is encrypted.
 	FeatureError = core.FeatureError
+	// EmptyBatchError is the rejection of a batch with no feature vector
+	// in it, before anything is encrypted.
+	EmptyBatchError = core.EmptyBatchError
 )
 
 // Party configurations (see paper §7.1 and Tables 3–4).

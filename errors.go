@@ -16,6 +16,7 @@ import (
 //	*DeadlineError         → 504 Gateway Timeout
 //	*UnknownModelError     → 404 Not Found
 //	*FeatureError          → 400 Bad Request
+//	*EmptyBatchError       → 400 Bad Request
 //	*InternalError         → 500 Internal Server Error
 //	cluster.ShardError     → 502 Bad Gateway
 //	cluster.ModelUnavailableError → 503 Service Unavailable

@@ -42,6 +42,7 @@ func WriteError(rw http.ResponseWriter, err error) {
 		deadline    *copse.DeadlineError
 		unknown     *copse.UnknownModelError
 		feature     *core.FeatureError
+		empty       *core.EmptyBatchError
 		layout      *core.QueryLayoutError
 		capacity    *core.BatchCapacityError
 		unavailable *ModelUnavailableError
@@ -61,7 +62,7 @@ func WriteError(rw http.ResponseWriter, err error) {
 		status = http.StatusGatewayTimeout
 	case errors.As(err, &unknown):
 		status = http.StatusNotFound
-	case errors.As(err, &feature), errors.As(err, &layout), errors.As(err, &capacity):
+	case errors.As(err, &feature), errors.As(err, &empty), errors.As(err, &layout), errors.As(err, &capacity):
 		status = http.StatusBadRequest
 	case errors.As(err, &unavailable):
 		status = http.StatusServiceUnavailable

@@ -34,6 +34,7 @@ func TestWriteErrorStatus(t *testing.T) {
 		{&copse.UnknownModelError{Model: "m"}, http.StatusNotFound, ""},
 		{&core.FeatureError{Query: 1, Features: 3, Want: 2}, http.StatusBadRequest, ""},
 		{&core.FeatureError{Query: 0, Features: 2, Want: 2, Feature: 1, Value: 16, Precision: 4}, http.StatusBadRequest, ""},
+		{&core.EmptyBatchError{}, http.StatusBadRequest, ""},
 		{&core.QueryLayoutError{Planes: 5, PlanesPerCiphertext: 1, Block: 8, Want: 4}, http.StatusBadRequest, ""},
 		{&core.BatchCapacityError{Index: 9, Capacity: 8}, http.StatusBadRequest, ""},
 		{&ModelUnavailableError{Model: "m", Missing: []int{1}}, http.StatusServiceUnavailable, ""},
@@ -57,9 +58,9 @@ func TestWriteErrorStatus(t *testing.T) {
 }
 
 // TestGatewayRefusesMalformedQueries: an unknown model is a 404 and a
-// malformed feature vector a 400 at the gateway — refused before any
-// pass, not counted as serving failures — and an unknown model is a 404
-// at the worker too.
+// malformed feature vector or an empty batch a 400 at the gateway —
+// refused before any pass, not counted as requests or serving failures —
+// and an unknown model is a 404 at the worker too.
 func TestGatewayRefusesMalformedQueries(t *testing.T) {
 	c, err := core.Compile(clusterForest(t, 58), core.Options{Slots: 1024})
 	if err != nil {
@@ -109,6 +110,12 @@ func TestGatewayRefusesMalformedQueries(t *testing.T) {
 		if err != nil || resp.StatusCode != tc.status || got.Error != tc.err.Error() {
 			t.Errorf("gateway %s: %s %q (%v), want %d %q", tc.name, resp.Status, got.Error, err, tc.status, tc.err.Error())
 		}
+	}
+	// An empty batch reaches Gateway.Classify only in process (the HTTP
+	// body is refused first); it is refused typed.
+	var empty *core.EmptyBatchError
+	if _, _, err := g.Classify(context.Background(), "forest", nil); !errors.As(err, &empty) {
+		t.Errorf("gateway Classify of no queries: %v, want *core.EmptyBatchError", err)
 	}
 	var stats struct{ Requests, Failures int64 }
 	resp, err := http.Get(gs.URL + "/v1/stats")

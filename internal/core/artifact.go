@@ -57,6 +57,11 @@ func ReadArtifact(r io.Reader) (*Compiled, error) {
 	if err := gob.NewDecoder(zr).Decode(c); err != nil {
 		return nil, fmt.Errorf("core: decoding artifact: %w", err)
 	}
+	// A shape Compile never produces is refused before anything is
+	// planned or staged from it.
+	if err := c.Meta.checkShape(); err != nil {
+		return nil, fmt.Errorf("core: reading a %s artifact: %w", magic[:len(magic)-1], err)
+	}
 	if string(magic) == artifactMagicV2 || string(magic) == artifactMagicV1 {
 		// Older artifacts were served at the chain top, result shuffle
 		// included, and never promised a minimal chain: the plan keeps

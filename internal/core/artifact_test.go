@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"copse/internal/model"
 )
@@ -148,11 +149,9 @@ func TestGoldenArtifactBackCompat(t *testing.T) {
 	}
 }
 
-// TestUnplannableArtifactRefused: a v2 artifact the planner cannot
-// schedule — the golden one with its payload corrupted to a 1024-bit
-// comparison on a ring of 2^62 slots, past the search bound — is refused
-// by ReadArtifact with the typed error instead of loading without a plan.
-func TestUnplannableArtifactRefused(t *testing.T) {
+// corruptV2 is the golden v2 artifact with its Meta changed by corrupt.
+func corruptV2(t *testing.T, corrupt func(*Meta)) []byte {
+	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "figure1_v2.copse"))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,7 @@ func TestUnplannableArtifactRefused(t *testing.T) {
 	if err := gob.NewDecoder(zr).Decode(c); err != nil {
 		t.Fatal(err)
 	}
-	c.Meta.Slots, c.Meta.Precision = 1<<62, 1024
+	corrupt(&c.Meta)
 	var buf bytes.Buffer
 	buf.WriteString(artifactMagicV2)
 	zw := gzip.NewWriter(&buf)
@@ -175,9 +174,72 @@ func TestUnplannableArtifactRefused(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadArtifact(&buf)
+	return buf.Bytes()
+}
+
+// TestUnplannableArtifactRefused: a v2 artifact the planner cannot
+// schedule — the golden one with its payload corrupted to the widest
+// comparison a model may have and 128 levels over 128 branches, on a ring
+// of 2^62 slots, past the search bound — is refused by ReadArtifact with
+// the typed error instead of loading without a plan.
+func TestUnplannableArtifactRefused(t *testing.T) {
+	raw := corruptV2(t, func(m *Meta) {
+		m.Slots, m.Precision = 1<<62, model.MaxPrecision
+		m.B, m.BPad, m.D = 128, 128, 128
+	})
+	_, err := ReadArtifact(bytes.NewReader(raw))
 	var infeasible *PlanInfeasibleError
 	if !errors.As(err, &infeasible) {
 		t.Fatalf("ReadArtifact: %v, want *PlanInfeasibleError", err)
 	}
+}
+
+// TestMalformedArtifactRefused: an artifact whose Meta breaks an invariant
+// Compile guarantees is refused by ReadArtifact with an
+// *UnsupportedModelError before anything is planned from it — among them
+// a v2 artifact with no features on no slots, whose planning once
+// allocated until the process was killed (FuzzReadArtifact's corpus holds
+// it).
+func TestMalformedArtifactRefused(t *testing.T) {
+	for name, corrupt := range map[string]func(*Meta){
+		"no features, no slots":     func(m *Meta) { m.NumFeatures, m.Slots = 0, 0 },
+		"slots not a power of two":  func(m *Meta) { m.Slots = 1000 },
+		"precision":                 func(m *Meta) { m.Precision = model.MaxPrecision + 1 },
+		"Q ≠ K·features":            func(m *Meta) { m.K = 4 },
+		"QPad past Q's power":       func(m *Meta) { m.QPad = 16 },
+		"periods past the slots":    func(m *Meta) { m.Slots = 4 },
+		"more levels than branches": func(m *Meta) { m.D = m.B + 1 },
+		"no leaves":                 func(m *Meta) { m.NumLeaves = 0 },
+		"leaf offsets":              func(m *Meta) { m.NumTrees = 2 },
+		"BSGS split":                func(m *Meta) { m.BSGSPlans[0].Giant = 1 << 40 },
+	} {
+		start := time.Now()
+		_, err := ReadArtifact(bytes.NewReader(corruptV2(t, corrupt)))
+		var unsupported *UnsupportedModelError
+		if !errors.As(err, &unsupported) {
+			t.Errorf("%s: ReadArtifact: %v, want *UnsupportedModelError", name, err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: refused after %v", name, took)
+		}
+	}
+}
+
+// FuzzReadArtifact: ReadArtifact returns a model or an error for any
+// bytes — no panic, and no planning of a shape Compile never produces.
+// The seeds are the golden v1, v2 and v4 artifacts.
+func FuzzReadArtifact(f *testing.F) {
+	for _, name := range []string{"figure1_v1.copse", "figure1_v2.copse", "figure1_v4.copse"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadArtifact(bytes.NewReader(data))
+		if err == nil && c.Meta.LevelPlan == nil && (bytes.HasPrefix(data, []byte(artifactMagicV2)) || bytes.HasPrefix(data, []byte(artifactMagicV1))) {
+			t.Fatal("a v1/v2 artifact loaded without a level plan")
+		}
+	})
 }

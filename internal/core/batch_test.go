@@ -249,8 +249,9 @@ func TestBatchCapacityErrors(t *testing.T) {
 	if _, err := DecodeResultAt(meta, slots, lone, lone); lone >= capacity || !errors.As(err, &bce) || bce.Capacity != lone {
 		t.Errorf("DecodeResultAt(%d) under a %d-query layout of capacity %d: got %v, want *BatchCapacityError", lone, lone, capacity, err)
 	}
-	if _, err := PrepareQueryBatch(b, meta, nil, true); err == nil {
-		t.Error("empty batch accepted")
+	var empty *EmptyBatchError
+	if _, err := PrepareQueryBatch(b, meta, nil, true); !errors.As(err, &empty) {
+		t.Errorf("empty batch: got %v, want *EmptyBatchError", err)
 	}
 	if _, err := DecodeResultBatch(meta, slots, 0, capacity); err == nil {
 		t.Error("zero-count decode accepted")

@@ -448,8 +448,9 @@ func scenarioName(encModel, encQuery bool) string {
 
 // UnsupportedModelError is Prepare's rejection of a model whose staged
 // shape has no op program: no threshold planes, no level matrices, or
-// level matrices and masks that disagree in count or period. Compile
-// never produces one; a hand-built or corrupted artifact can.
+// level matrices and masks that disagree in count or period; and
+// ReadArtifact's of a Meta that breaks an invariant Compile guarantees.
+// Compile never produces one; a hand-built or corrupted artifact can.
 type UnsupportedModelError struct {
 	Reason string
 }
@@ -513,7 +514,8 @@ type Engine struct {
 }
 
 // Trace records the per-stage timing and operation counts that
-// Figure 10's breakdowns report.
+// Figure 10's breakdowns report. The op counts are the program's bill
+// (Program.StageBills); times, limbs and noise are measured.
 type Trace struct {
 	Compare, Reshuffle, Levels, Accumulate time.Duration
 	Total                                  time.Duration
@@ -686,8 +688,8 @@ func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	trace := &Trace{PlanesPerCiphertext: g, QueryCiphertexts: len(q.Bits)}
 	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)
 	var codebooks []*ShuffledCodebook
-	shuffle := func(b he.Backend) (sh *passShuffle, err error) {
-		sh, codebooks, err = stageShuffle(b, m, max(q.Batch, 1), seed)
+	shuffle := func() (sh *passShuffle, err error) {
+		sh, codebooks, err = stageShuffle(e.Backend, m, max(q.Batch, 1), seed)
 		return sh, err
 	}
 	in := passInputs{query: q.Bits, thresholds: pk.thresholds, levels: pk.levels, reshuffle: m.Reshuffle}
@@ -700,10 +702,10 @@ func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 
 // run executes program p over the operands in on e's backend, stage by
 // stage, and fills trace with the pass's worker count, stage windows and
-// total. Ahead of a shuffle stage, shuffle stages the pass's permutations
-// on the pass's backend. It is the one executor: COPSE's programs and the
+// total. Ahead of a shuffle stage, shuffle stages the pass's
+// permutations. It is the one executor: COPSE's programs and the
 // baseline's both run here.
-func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trace, shuffle func(he.Backend) (*passShuffle, error)) (he.Operand, error) {
+func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trace, shuffle func() (*passShuffle, error)) (he.Operand, error) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -711,11 +713,6 @@ func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trac
 	trace.Executor, trace.Workers = "program", workers
 	trace.Noise = StageNoise{Query: -1, Decisions: -1, BranchVec: -1, LevelResult: -1, Result: -1}
 	start := time.Now()
-	// The stage op counts in the trace come from a per-call counting
-	// wrapper, not deltas of the shared backend counter: under the
-	// concurrent serving mode another goroutine's pass would otherwise
-	// leak into this trace.
-	b := he.WithCounts(e.Backend)
 	scratch := p.scratch.Get().(*passScratch)
 	scratch.reset(p)
 	defer func() {
@@ -725,7 +722,7 @@ func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trac
 	ps := &pass{
 		passScratch: scratch,
 		passInputs:  in,
-		b:           b,
+		b:           e.Backend,
 		p:           p,
 		workers:     workers,
 		rank:        p.sched.rank,
@@ -740,7 +737,7 @@ func (e *Engine) run(ctx context.Context, p *Program, in passInputs, trace *Trac
 	for st := stCompare; st < p.stages; st++ {
 		if st == stShuffle {
 			var err error
-			if ps.shuffle, err = shuffle(b); err != nil {
+			if ps.shuffle, err = shuffle(); err != nil {
 				return he.Operand{}, fmt.Errorf("core: %s step: %w", stageNames[st], err)
 			}
 		}

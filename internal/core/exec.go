@@ -123,7 +123,7 @@ type passInputs struct {
 type pass struct {
 	*passScratch
 	passInputs
-	b       *he.CountingBackend
+	b       he.Backend
 	shuffle *passShuffle // the pass's permutations, staged at the shuffle stage
 	p       *Program
 
@@ -139,7 +139,6 @@ type pass struct {
 	trace   *Trace
 	measure bool          // Engine.MeasureNoise
 	probed  time.Duration // spent between stage windows (noise probes)
-	base    he.OpCounts   // counter snapshot at the open window's start
 	mark    time.Time     // the open window's start
 }
 
@@ -286,15 +285,19 @@ func (ps *pass) pop() int32 {
 	return top
 }
 
-// closeStage closes stage st's trace window (duration, busy time, op
-// counts, carrier limb counts) and opens the next one. Noise probes
-// decrypt, so they run between the two windows and their time is kept
-// out of Trace.Total: measured and unmeasured runs report comparable
-// stage and pass times.
+// closeStage closes stage st's trace window (duration, busy time, the
+// stage's op bill, carrier limb counts) and opens the next one. The op
+// counts are the program's (Program.StageBills), as the pass's backend
+// counts them: one without a modulus chain counts no limbs and has
+// nothing to relinearize. Noise probes decrypt, so they run between the
+// two windows and their time is kept out of Trace.Total: measured and
+// unmeasured runs report comparable stage and pass times.
 func (ps *pass) closeStage(st int) {
 	now := time.Now()
-	counts := ps.b.Counts()
-	delta, dur := counts.Minus(ps.base), now.Sub(ps.mark)
+	ops, dur := ps.p.bills[st].Ops, now.Sub(ps.mark)
+	if ld, ok := ps.b.(he.LevelDropper); !ok || ld.MaxLevel() == 0 {
+		ops.LimbOps, ops.Relin = 0, 0
+	}
 	limbs := func(reg int) int { return he.OperandLimbs(ps.b, ps.regs[reg]) }
 	noise := func(reg int) int {
 		if !ps.measure {
@@ -305,19 +308,19 @@ func (ps *pass) closeStage(st int) {
 	t, p := ps.trace, ps.p
 	switch st {
 	case stCompare:
-		t.Compare, t.CompareBusy, t.CompareOps = dur, ps.busy, delta
+		t.Compare, t.CompareBusy, t.CompareOps = dur, ps.busy, ops
 		t.Limbs.Query, t.Noise.Query = limbs(p.regQuery), noise(p.regQuery)
 		t.Limbs.Decisions, t.Noise.Decisions = limbs(p.regDecisions), noise(p.regDecisions)
 	case stReshuffle:
-		t.Reshuffle, t.ReshuffleBusy, t.ReshuffleOps = dur, ps.busy, delta
+		t.Reshuffle, t.ReshuffleBusy, t.ReshuffleOps = dur, ps.busy, ops
 		t.Limbs.BranchVec, t.Noise.BranchVec = limbs(p.regBranchVec), noise(p.regBranchVec)
 	case stLevels:
-		t.Levels, t.LevelsBusy, t.LevelOps = dur, ps.busy, delta
+		t.Levels, t.LevelsBusy, t.LevelOps = dur, ps.busy, ops
 		t.Limbs.LevelResult, t.Noise.LevelResult = limbs(p.regLevelResult), noise(p.regLevelResult)
 	case stAccumulate:
-		t.Accumulate, t.AccumulateBusy, t.AccumulateOps = dur, ps.busy, delta
+		t.Accumulate, t.AccumulateBusy, t.AccumulateOps = dur, ps.busy, ops
 	case stShuffle:
-		t.Shuffle, t.ShuffleBusy, t.ShuffleOps = dur, ps.busy, delta
+		t.Shuffle, t.ShuffleBusy, t.ShuffleOps = dur, ps.busy, ops
 	}
 	if st == p.stages-1 {
 		t.Limbs.Result, t.Noise.Result = limbs(p.result), noise(p.result)
@@ -325,7 +328,7 @@ func (ps *pass) closeStage(st int) {
 	for _, r := range p.sched.traced[st] {
 		ps.unread(r)
 	}
-	ps.base, ps.busy = counts, 0
+	ps.busy = 0
 	ps.mark = time.Now()
 	ps.probed += ps.mark.Sub(now)
 }

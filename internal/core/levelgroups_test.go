@@ -75,7 +75,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 						// run in program order; the engine's pass recycles its own.
 						pk, p := m.packings[i], m.packings[i].program
 						in := passInputs{query: q.Bits, thresholds: pk.thresholds, levels: pk.levels, reshuffle: m.Reshuffle}
-						ps := &pass{passScratch: newPassScratch(p), passInputs: in, b: he.WithCounts(b), p: p}
+						ps := &pass{passScratch: newPassScratch(p), passInputs: in, b: b, p: p}
 						for i := range p.ops {
 							if err := ps.runOp(i); err != nil {
 								t.Fatal(err)

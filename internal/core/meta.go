@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"copse/internal/matrix"
+	"copse/internal/model"
 )
 
 // Meta carries the public and structural parameters of a compiled model.
@@ -264,6 +265,47 @@ func log2Ceil(n int) int {
 		d++
 	}
 	return d
+}
+
+// checkShape refuses, with an *UnsupportedModelError, a Meta that breaks
+// an invariant Compile and ShardForest guarantee: a power-of-two slot
+// count, every count of the model at least one and the precision within
+// the model's bound, Q = K·NumFeatures, QPad, BPad and LPad the next
+// powers of two of Q, B and NumLeaves and none past Slots, no more levels
+// than branches, a tree-offset sentinel, and staged BSGS splits of their
+// period. Only a corrupted or hand-built artifact breaks one, and the
+// planner would build programs of whatever size it names.
+func (m *Meta) checkShape() error {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	// padded reports that pad is the next power of two of n ≥ 1 and fits
+	// the slots.
+	padded := func(n, pad int) bool { return n >= 1 && pow2(pad) && pad >= n && pad/2 < n && pad <= m.Slots }
+	var reason string
+	switch {
+	case !pow2(m.Slots):
+		reason = fmt.Sprintf("%d slots, not a power of two", m.Slots)
+	case m.Precision < 1 || m.Precision > model.MaxPrecision:
+		reason = fmt.Sprintf("precision %d outside [1, %d]", m.Precision, model.MaxPrecision)
+	case m.NumFeatures < 1 || m.K < 1 || m.Q%m.K != 0 || m.Q/m.K != m.NumFeatures || !padded(m.Q, m.QPad):
+		reason = fmt.Sprintf("%d features of multiplicity %d in %d threshold columns padded to %d", m.NumFeatures, m.K, m.Q, m.QPad)
+	case m.D < 1 || m.D > m.B || !padded(m.B, m.BPad):
+		reason = fmt.Sprintf("%d levels over %d branches padded to %d", m.D, m.B, m.BPad)
+	case m.NumLeaves > m.Slots || !padded(m.NumLeaves, m.LPad()):
+		reason = fmt.Sprintf("%d leaves", m.NumLeaves)
+	case m.NumTrees < 1 || len(m.TreeLeafOffsets) != m.NumTrees+1:
+		reason = fmt.Sprintf("%d trees with %d leaf offsets", m.NumTrees, len(m.TreeLeafOffsets))
+	case m.ForcedSPad != 0 && (!pow2(m.ForcedSPad) || m.ForcedSPad > m.Slots):
+		reason = fmt.Sprintf("forced slot period %d", m.ForcedSPad)
+	}
+	for _, plan := range m.BSGSPlans {
+		if reason == "" && (!pow2(plan.Period) || plan.Period > m.Slots || plan.Baby < 1 || plan.Period%plan.Baby != 0 || plan.Period/plan.Baby != plan.Giant) {
+			reason = fmt.Sprintf("BSGS split %d × %d of period %d", plan.Baby, plan.Giant, plan.Period)
+		}
+	}
+	if reason != "" {
+		return &UnsupportedModelError{Reason: reason}
+	}
+	return nil
 }
 
 func (m *Meta) String() string {

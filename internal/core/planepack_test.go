@@ -110,7 +110,7 @@ func TestLoneQueryOpBudget(t *testing.T) {
 func TestLevelOpBudget(t *testing.T) {
 	type layoutBill struct {
 		lanes, groups, ops int
-		levels, accum      StageBill // Work aside
+		levels, accum      keyBill
 	}
 	for _, tc := range []struct {
 		name           string
@@ -124,18 +124,18 @@ func TestLevelOpBudget(t *testing.T) {
 	}{
 		{"prec16", microForest(t, "prec16"),
 			layoutBill{2, 1, 3,
-				StageBill{Products: 48, Lazy: 48, Relins: 12, Rotations: 12, Hoisted: 3, KeySwitches: 24, Depth: 1},
-				StageBill{Products: 3, Rotations: 1, KeySwitches: 4, Depth: 3}},
+				keyBill{Products: 48, Lazy: 48, Relins: 12, Rotations: 12, Hoisted: 3, KeySwitches: 24, Depth: 1},
+				keyBill{Products: 3, Rotations: 1, KeySwitches: 4, Depth: 3}},
 			layoutBill{2, 4, 1,
-				StageBill{Products: 16, Lazy: 16, Relins: 4, Rotations: 6, Hoisted: 3, KeySwitches: 10, Depth: 1},
-				StageBill{Products: 3, Rotations: 3, KeySwitches: 6, Depth: 3}}, 1},
+				keyBill{Products: 16, Lazy: 16, Relins: 4, Rotations: 6, Hoisted: 3, KeySwitches: 10, Depth: 1},
+				keyBill{Products: 3, Rotations: 3, KeySwitches: 6, Depth: 3}}, 1},
 		{"wide8", wide8Forest(t),
 			layoutBill{1, 1, 5,
-				StageBill{Products: 5 * 128, Lazy: 5 * 128, Relins: 5 * 8, Rotations: 5*7 + 15, Hoisted: 15, KeySwitches: 5*8 + 5*7 + 15, Depth: 1},
-				StageBill{Products: 4, KeySwitches: 4, Depth: 3}},
+				keyBill{Products: 5 * 128, Lazy: 5 * 128, Relins: 5 * 8, Rotations: 5*7 + 15, Hoisted: 15, KeySwitches: 5*8 + 5*7 + 15, Depth: 1},
+				keyBill{Products: 4, KeySwitches: 4, Depth: 3}},
 			layoutBill{1, 4, 2,
-				StageBill{Products: 2 * 128, Lazy: 2 * 128, Relins: 2 * 8, Rotations: 2*7 + 15, Hoisted: 15, KeySwitches: 2*8 + 2*7 + 15, Depth: 1},
-				StageBill{Products: 3, Rotations: 2, KeySwitches: 5, Depth: 3}}, 2},
+				keyBill{Products: 2 * 128, Lazy: 2 * 128, Relins: 2 * 8, Rotations: 2*7 + 15, Hoisted: 15, KeySwitches: 2*8 + 2*7 + 15, Depth: 1},
+				keyBill{Products: 3, Rotations: 2, KeySwitches: 5, Depth: 3}}, 2},
 	} {
 		c, err := Compile(tc.f, Options{Slots: 1024})
 		if err != nil {
@@ -161,12 +161,11 @@ func TestLevelOpBudget(t *testing.T) {
 				t.Fatalf("%s at %d planes per ciphertext: %d stacked operands of %d lanes × %d groups, want %d of %d × %d", tc.name, g, ops, lanes, groups, want.ops, want.lanes, want.groups)
 			}
 			bills := m.ProgramFor(g).StageBills()
-			levels, accum := bills[stLevels], bills[stAccumulate]
-			levels.Work, accum.Work = 0, 0
+			levels, accum := keyBillOf(bills[stLevels]), keyBillOf(bills[stAccumulate])
 			if levels != want.levels || accum != want.accum {
 				t.Errorf("%s at %d planes per ciphertext: levels %+v, accumulate %+v; want %+v and %+v", tc.name, g, levels, accum, want.levels, want.accum)
 			}
-			reshuffleRots[want.groups] = bills[stReshuffle].Rotations
+			reshuffleRots[want.groups] = int(bills[stReshuffle].Ops.Rotate)
 		}
 		if grouped, block := reshuffleRots[tc.grouped.groups], reshuffleRots[1]; grouped-block != log2Ceil(tc.grouped.groups) {
 			t.Errorf("%s: the reshuffle stage rotates %d times over %d groups and %d times over one", tc.name, grouped, tc.grouped.groups, block)
@@ -182,7 +181,7 @@ func TestLevelOpBudget(t *testing.T) {
 		for _, st := range []struct {
 			what string
 			ops  he.OpCounts
-			bill StageBill
+			bill keyBill
 		}{{"levels", trace.LevelOps, tc.grouped.levels}, {"accumulate", trace.AccumulateOps, tc.grouped.accum}} {
 			// The exact backend has nothing to relinearize and counts none.
 			if ops := st.ops; ops.Mul != int64(st.bill.Products) || ops.Rotate != int64(st.bill.Rotations) || ops.RotateHoisted != int64(st.bill.Hoisted) {

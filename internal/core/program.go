@@ -161,7 +161,8 @@ type constSpec struct {
 // encoded), and executed by Engine.Classify (ClassifyBaseline).
 type Program struct {
 	ops    []progOp
-	sched  schedule // derived from ops by newSchedule
+	sched  schedule    // derived from ops by newSchedule
+	bills  []StageBill // per stage, derived from ops by bill
 	hoists [][]int
 	consts []constSpec
 	numReg int
@@ -424,10 +425,10 @@ func buildProgram(in progInputs) (*Program, error) {
 }
 
 // finish levels p's structure under plan with the level pass for a ring
-// of the given slot count, and derives its schedule. A plan the pass finds
-// infeasible is a *PlanInfeasibleError, and so is one under which the
-// program needs a level move the pass cannot place as an op (kind "move"):
-// the evaluator makes none of its own.
+// of the given slot count, and derives its schedule and its bill. A plan
+// the pass finds infeasible is a *PlanInfeasibleError, and so is one
+// under which the program needs a level move the pass cannot place as an
+// op (kind "move"): the evaluator makes none of its own.
 func (p *Program) finish(slots int, plan StageLevels) error {
 	lv, fail := p.levelPass(planNoiseModel(slots), plan, p.plainQuery, stCompare, est{})
 	if fail == nil {
@@ -437,7 +438,8 @@ func (p *Program) finish(slots int, plan StageLevels) error {
 		return fail.infeasible()
 	}
 	p.ops, p.est, p.rounds, p.numReg = lv.ops, lv.est, lv.rounds, len(lv.est)
-	p.sched = newSchedule(p)
+	w := p.weights()
+	p.sched, p.bills = newSchedule(p, w), p.bill(w)
 	p.scratch.New = func() any { return newPassScratch(p) }
 	return nil
 }

@@ -293,7 +293,7 @@ func TestMatVecRotationBudget(t *testing.T) {
 		if err := p.finish(1024, StageLevels{Compare: 8, Level: 8}); err != nil {
 			t.Fatal(err)
 		}
-		bill := p.StageBills()[stCompare]
+		bill := keyBillOf(p.StageBills()[stCompare])
 		if budget := 2*int(math.Sqrt(float64(period))) + 1; bill.Rotations > budget {
 			t.Errorf("period %d: %d rotations, budget 2·√P+1 = %d", period, bill.Rotations, budget)
 		}

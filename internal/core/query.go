@@ -130,9 +130,20 @@ func (e *FeatureError) Error() string {
 	return fmt.Sprintf("core: query %d feature %d value %d exceeds %d-bit precision", e.Query, e.Feature, e.Value, e.Precision)
 }
 
-// CheckFeatures returns a *FeatureError for the first vector of batch
-// the model cannot take, nil when it can take them all.
+// EmptyBatchError reports a batch with no feature vector in it: there is
+// nothing to classify. Like a FeatureError it is the client's fault, and
+// is reported before anything is encrypted.
+type EmptyBatchError struct{}
+
+func (*EmptyBatchError) Error() string { return "core: empty query batch" }
+
+// CheckFeatures returns an *EmptyBatchError for an empty batch and a
+// *FeatureError for the first vector of batch the model cannot take, nil
+// when it can take them all.
 func (m *Meta) CheckFeatures(batch [][]uint64) error {
+	if len(batch) == 0 {
+		return &EmptyBatchError{}
+	}
 	limit := uint64(1) << uint(m.Precision)
 	for k, features := range batch {
 		if len(features) != m.NumFeatures {
@@ -168,9 +179,6 @@ func PrepareQuery(b he.Backend, meta *Meta, features []uint64, encrypt bool) (*Q
 // (they compare equal); the decode output of blocks that hold no query
 // is garbage and DecodeResultBatch never reads them.
 func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool) (*Query, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("core: empty query batch")
-	}
 	if cap := meta.BatchCapacity(); len(batch) > cap {
 		return nil, &BatchCapacityError{Index: len(batch), Capacity: cap}
 	}

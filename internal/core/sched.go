@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+
+	"copse/internal/he"
 )
 
 // schedule is everything the executor needs to run a program's ops on
@@ -126,8 +128,8 @@ func (p *Program) weights() []int64 {
 	return w
 }
 
-// newSchedule derives p's schedule from its ops.
-func newSchedule(p *Program) schedule {
+// newSchedule derives p's schedule from its ops, priced by w.
+func newSchedule(p *Program, w []int64) schedule {
 	n := len(p.ops)
 	s := schedule{deps: make([]int32, n), succ: make([][]int32, n), rank: make([]int32, n)}
 	producer := make([]int32, p.numReg)
@@ -184,7 +186,6 @@ func newSchedule(p *Program) schedule {
 
 	// Longest weighted path from each op to the end of its stage;
 	// successors follow their producers, so one backward sweep does it.
-	w := p.weights()
 	path := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {
 		for _, j := range s.succ[i] {
@@ -221,75 +222,101 @@ func (p *Program) Work() int64 { return p.sched.work }
 // CriticalPath is the parallelism the model offers the scheduler.
 func (p *Program) CriticalPath() int64 { return p.sched.critical }
 
-// StageBill is what one stage of a program costs: its ct×ct tensor
-// products (Lazy of them unrelinearized: they pay no key switch until the
-// sum they join is relinearized), its relinearizations, its rotations
-// (Hoisted of them the steps that share one decomposition), the key
-// switches those add up to, the multiplicative depth the stage adds to its
-// carrier, and its share of Work.
+// StageBill is what one stage of a program costs. Ops are the
+// homomorphic ops it issues, as a leveled backend counts them
+// (he.OpCounts; Ops.MaxDepth is the pass's depth so far). Lazy of the
+// ct×ct products (Ops.Mul) are unrelinearized: they pay no key switch
+// until the sum they join is relinearized (Ops.Relin). KeySwitches is
+// what the products, relinearizations and rotations add up to, Depth the
+// multiplicative depth the stage adds to its carrier, and Work its share
+// of the program's Work.
 type StageBill struct {
-	Products, Lazy, Relins, Rotations, Hoisted, KeySwitches, Depth int
-	Work                                                           int64
+	Ops                      he.OpCounts
+	Lazy, KeySwitches, Depth int
+	Work                     int64
 }
 
-// StageBills walks the ops once and bills each to its stage, in pipeline
+// StageBills returns the program's bill stage by stage, in pipeline
 // order: compare, reshuffle, levels, accumulate and, in a program built
-// for a shuffling service, shuffle. Which registers hold ciphertexts
-// follows from what the program was built for; Work prices each op at
-// the levels the level pass assigned.
-func (p *Program) StageBills() []StageBill {
-	var bills [stDone]StageBill
-	cipher, depth := make([]bool, p.numReg), make([]int, p.numReg)
-	var reached [stDone + 1]int // deepest register up to the end of each stage
-	w := p.weights()
+// for a shuffling service, shuffle.
+func (p *Program) StageBills() []StageBill { return slices.Clone(p.bills) }
+
+// bill walks the levelled ops once and bills each to its stage, with the
+// counting rules of the he operand algebra and the BGV backend, from what
+// the level pass knows of every register: whether it holds a ciphertext,
+// its level, and whether it is an unrelinearized product. Every counted op
+// adds its result's limbs to LimbOps (a hoisted set, its source's for each
+// step). A plaintext minus a ciphertext is a negation and a plaintext
+// addition, a relinearization counts only on a degree-2 operand, and a
+// hoisted set counts its non-zero steps. MaxDepth is the running maximum
+// over the pass. w prices each op for Work.
+func (p *Program) bill(w []int64) []StageBill {
+	bills := make([]StageBill, p.stages)
+	depth := make([]int, p.numReg)
+	limbs := func(r int) int64 { return int64(p.est[r].level + 1) }
 	for i, op := range p.ops {
 		bill := &bills[op.Stage]
-		var c, lazy bool
-		var d int
+		ops, d := &bill.Ops, 0
 		switch op.Code {
-		case opQuery:
-			c = !p.plainQuery
-		case opThresh:
-			c = true // only an encrypted model loads its thresholds
-		case opMask:
-			c = p.encModel
 		case opAdd, opSub, opMul, opMulLazy, opMulDiag:
-			a, b := cipher[op.A], cipher[op.B]
-			d, lazy = max(depth[op.A], depth[op.B]), op.Code != opMul
-			if op.Code == opMulDiag { // the other factor is a staged diagonal
+			a, b := p.est[op.A].cipher, p.est[op.B].cipher
+			d = max(depth[op.A], depth[op.B])
+			if op.Code == opMulDiag { // the other factor is a staged diagonal, fresh
 				b, d = p.cipherDiag(op.Imm), depth[op.A]
 			}
-			if c = a || b; a && b && op.Code != opAdd && op.Code != opSub {
-				bill.Products++
+			switch {
+			case !a && !b: // plaintext arithmetic
+			case op.Code == opAdd || op.Code == opSub:
+				if a && b {
+					ops.Add++
+				} else {
+					ops.ConstAdd++
+				}
+				if op.Code == opSub && !a {
+					ops.Add++
+					ops.LimbOps += limbs(op.B)
+				}
+			case a && b:
+				ops.Mul++
 				d++
-				if lazy {
+				if op.Code != opMul {
 					bill.Lazy++
 				}
+			default:
+				ops.ConstMul++
+			}
+			if a || b {
+				ops.LimbOps += limbs(op.Dst)
 			}
 		case opRelin, opRot, opHoist, opDrop:
-			c, d = cipher[op.A], depth[op.A]
-			switch {
-			case !c:
-			case op.Code == opRelin:
-				bill.Relins++
+			d = depth[op.A]
+			switch e := p.est[op.A]; {
+			case !e.cipher:
+			case op.Code == opRelin && e.deg2:
+				ops.Relin++
+				ops.LimbOps += limbs(op.Dst)
 			case op.Code == opRot:
-				bill.Rotations++
-			case op.Code == opHoist:
-				bill.Rotations += p.width(op)
-				bill.Hoisted += p.width(op)
+				ops.Rotate++
+				ops.LimbOps += limbs(op.Dst)
+			case op.Code == opHoist: // its steps are baby steps, none zero
+				n := int64(p.width(op))
+				ops.Rotate += n
+				ops.RotateHoisted += n
+				ops.LimbOps += n * limbs(op.A)
 			}
 		}
 		for r := op.Dst; r < op.Dst+p.width(op); r++ {
-			cipher[r], depth[r] = c, d
+			depth[r] = d
 		}
-		reached[op.Stage+1] = max(reached[op.Stage+1], d)
+		ops.MaxDepth = max(ops.MaxDepth, int64(d))
 		bill.Work += w[i]
 	}
+	var reached int64 // the pass's depth before the stage
 	for st := range bills {
 		b := &bills[st]
-		b.KeySwitches = b.Products - b.Lazy + b.Relins + b.Rotations
-		reached[st+1] = max(reached[st+1], reached[st]) // a stage with no op left
-		b.Depth = reached[st+1] - reached[st]
+		b.Ops.MaxDepth = max(b.Ops.MaxDepth, reached) // a stage with no op left
+		b.Depth, reached = int(b.Ops.MaxDepth-reached), b.Ops.MaxDepth
+		b.KeySwitches = int(b.Ops.Mul+b.Ops.Relin+b.Ops.Rotate) - b.Lazy
 	}
-	return bills[:p.stages]
+	return bills
 }

@@ -48,7 +48,7 @@ func Table1(cfg Config, caseName string) (*Table, error) {
 	add("reshuffle", "Multiply", "q", meta.Q, trace.ReshuffleOps.Mul)
 
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("paper multiplicative depth: 2·log p + log d + 2 = %d; measured: %d", 2*logp+logd+2, measuredDepth(trace)),
+		fmt.Sprintf("paper multiplicative depth: 2·log p + log d + 2 = %d; measured: %d", 2*logp+logd+2, trace.AccumulateOps.MaxDepth),
 		fmt.Sprintf("padded widths actually processed: q̂=%d (q=%d), b̂=%d (b=%d)", meta.QPad, meta.Q, meta.BPad, b),
 	)
 	return t, nil
@@ -80,7 +80,7 @@ func Table2(cfg Config, caseName string) (*Table, error) {
 	row("ConstMul", "- (encoding artifact)", 0, total.ConstMul)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("paper multiplicative depth 2·log p + log d + 2 = %d; measured %d (our comparison circuit is shallower: log p + 2)",
-			2*logp+logd+2, measuredDepth(trace)),
+			2*logp+logd+2, trace.AccumulateOps.MaxDepth),
 	)
 	return t, nil
 }
@@ -108,28 +108,7 @@ func tracedRun(cfg Config, caseName string) (Case, *copse.Trace, *copse.Meta, er
 	return Case{}, nil, nil, fmt.Errorf("experiments: no case named %q", caseName)
 }
 
+// totalOps is the pass's bill over its four stages.
 func totalOps(tr *copse.Trace) he.OpCounts {
-	sum := func(a, b he.OpCounts) he.OpCounts {
-		return he.OpCounts{
-			Encrypt:  a.Encrypt + b.Encrypt,
-			Rotate:   a.Rotate + b.Rotate,
-			Add:      a.Add + b.Add,
-			ConstAdd: a.ConstAdd + b.ConstAdd,
-			Mul:      a.Mul + b.Mul,
-			ConstMul: a.ConstMul + b.ConstMul,
-		}
-	}
-	t := sum(tr.CompareOps, tr.ReshuffleOps)
-	t = sum(t, tr.LevelOps)
-	return sum(t, tr.AccumulateOps)
-}
-
-func measuredDepth(tr *copse.Trace) int64 {
-	d := tr.CompareOps.MaxDepth
-	for _, ops := range []he.OpCounts{tr.ReshuffleOps, tr.LevelOps, tr.AccumulateOps} {
-		if ops.MaxDepth > d {
-			d = ops.MaxDepth
-		}
-	}
-	return d
+	return tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps)
 }

@@ -337,250 +337,6 @@ func (c OpCounts) String() string {
 		c.Encrypt, c.Rotate, c.RotateHoisted, c.Add, c.ConstAdd, c.Mul, c.Relin, c.ConstMul, c.MaxDepth, c.LimbOps)
 }
 
-// CountingBackend wraps a Backend with its own operation counter, so a
-// single logical task (one classification pass) can be metered even
-// while other goroutines drive the same inner backend — the inner
-// backend's global counters see everything, the wrapper sees only the
-// operations issued through it. Counts mirrors the inner backends'
-// accounting exactly: RotateHoisted counts every non-zero step as one
-// hoisted rotation, as the backends do.
-type CountingBackend struct {
-	Counter
-	inner   Backend
-	leveler LevelDropper // inner's level capability, nil when absent
-}
-
-// WithCounts wraps b with a fresh per-wrapper counter.
-func WithCounts(b Backend) *CountingBackend {
-	c := &CountingBackend{inner: b}
-	c.leveler, _ = b.(LevelDropper)
-	return c
-}
-
-// NoiseBudget implements NoiseMeter via the inner backend (an error when
-// the inner backend cannot measure). Measurement is free of charge in
-// the op counters.
-func (c *CountingBackend) NoiseBudget(ct Ciphertext) (int, error) {
-	nm, ok := c.inner.(NoiseMeter)
-	if !ok {
-		return 0, fmt.Errorf("he: backend %q cannot measure noise", c.inner.Name())
-	}
-	return nm.NoiseBudget(ct)
-}
-
-// limbs reports ct's active limb count on leveled inner backends, 0
-// elsewhere — the per-op contribution to OpCounts.LimbOps.
-func (c *CountingBackend) limbs(ct Ciphertext) int {
-	if c.leveler == nil || ct == nil {
-		return 0
-	}
-	level, err := c.leveler.CiphertextLevel(ct)
-	if err != nil {
-		return 0
-	}
-	return level + 1
-}
-
-// DropToLevel implements LevelDropper by delegating to the inner
-// backend; it passes ciphertexts through unchanged when the inner
-// backend has no level structure. Drops are bookkeeping, not metered
-// ops, so nothing is counted.
-func (c *CountingBackend) DropToLevel(ct Ciphertext, level int) (Ciphertext, error) {
-	if c.leveler == nil {
-		return ct, nil
-	}
-	return c.leveler.DropToLevel(ct, level)
-}
-
-// CiphertextLevel implements LevelDropper via the inner backend.
-func (c *CountingBackend) CiphertextLevel(ct Ciphertext) (int, error) {
-	if c.leveler == nil {
-		return 0, fmt.Errorf("he: backend %q has no level structure", c.inner.Name())
-	}
-	return c.leveler.CiphertextLevel(ct)
-}
-
-// MaxLevel implements LevelDropper via the inner backend (0 when the
-// inner backend has no level structure).
-func (c *CountingBackend) MaxLevel() int {
-	if c.leveler == nil {
-		return 0
-	}
-	return c.leveler.MaxLevel()
-}
-
-// EncryptAtLevel implements LevelEncrypter by delegating to the inner
-// backend, falling back to a top-level Encrypt when the inner backend
-// has no leveled encryption — so staging through a counting wrapper
-// keeps the scheduled-level fast path.
-func (c *CountingBackend) EncryptAtLevel(vals []uint64, level int) (Ciphertext, error) {
-	le, ok := c.inner.(LevelEncrypter)
-	if !ok || level < 0 {
-		return c.Encrypt(vals)
-	}
-	ct, err := le.EncryptAtLevel(vals, level)
-	if err == nil {
-		c.CountEncrypt()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// EncodePlainAtLevel implements LevelEncrypter via the inner backend
-// (plain EncodePlain when the capability is absent).
-func (c *CountingBackend) EncodePlainAtLevel(vals []uint64, level int) (Plain, error) {
-	le, ok := c.inner.(LevelEncrypter)
-	if !ok || level < 0 {
-		return c.inner.EncodePlain(vals)
-	}
-	return le.EncodePlainAtLevel(vals, level)
-}
-
-// EnsureRotationKeys implements RotationKeyer via the inner backend (a
-// no-op when the inner backend makes no rotation keys).
-func (c *CountingBackend) EnsureRotationKeys(rots []Rotation) error {
-	return EnsureRotationKeys(c.inner, rots)
-}
-
-// Name implements Backend.
-func (c *CountingBackend) Name() string { return c.inner.Name() }
-
-// Slots implements Backend.
-func (c *CountingBackend) Slots() int { return c.inner.Slots() }
-
-// PlainModulus implements Backend.
-func (c *CountingBackend) PlainModulus() uint64 { return c.inner.PlainModulus() }
-
-// Encrypt implements Backend.
-func (c *CountingBackend) Encrypt(vals []uint64) (Ciphertext, error) {
-	ct, err := c.inner.Encrypt(vals)
-	if err == nil {
-		c.CountEncrypt()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// Decrypt implements Backend.
-func (c *CountingBackend) Decrypt(ct Ciphertext) ([]uint64, error) { return c.inner.Decrypt(ct) }
-
-// EncodePlain implements Backend.
-func (c *CountingBackend) EncodePlain(vals []uint64) (Plain, error) {
-	return c.inner.EncodePlain(vals)
-}
-
-// Add implements Backend.
-func (c *CountingBackend) Add(a, b Ciphertext) (Ciphertext, error) {
-	ct, err := c.inner.Add(a, b)
-	if err == nil {
-		c.CountAdd()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// Sub implements Backend.
-func (c *CountingBackend) Sub(a, b Ciphertext) (Ciphertext, error) {
-	ct, err := c.inner.Sub(a, b)
-	if err == nil {
-		c.CountAdd()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// Neg implements Backend.
-func (c *CountingBackend) Neg(a Ciphertext) (Ciphertext, error) {
-	ct, err := c.inner.Neg(a)
-	if err == nil {
-		c.CountAdd()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// AddPlain implements Backend.
-func (c *CountingBackend) AddPlain(a Ciphertext, p Plain) (Ciphertext, error) {
-	ct, err := c.inner.AddPlain(a, p)
-	if err == nil {
-		c.CountConstAdd()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// MulPlain implements Backend.
-func (c *CountingBackend) MulPlain(a Ciphertext, p Plain) (Ciphertext, error) {
-	ct, err := c.inner.MulPlain(a, p)
-	if err == nil {
-		c.CountConstMul()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// Mul implements Backend.
-func (c *CountingBackend) Mul(a, b Ciphertext) (Ciphertext, error) {
-	ct, err := c.inner.Mul(a, b)
-	if err == nil {
-		c.CountMul()
-		c.CountLimbs(c.limbs(ct))
-		c.NoteDepth(ct.Depth())
-	}
-	return ct, err
-}
-
-// MulLazy implements Backend.
-func (c *CountingBackend) MulLazy(a, b Ciphertext) (Ciphertext, error) {
-	ct, err := c.inner.MulLazy(a, b)
-	if err == nil {
-		c.CountMul()
-		c.CountLimbs(c.limbs(ct))
-		c.NoteDepth(ct.Depth())
-	}
-	return ct, err
-}
-
-// Relinearize implements Backend. Pass-through results (already degree
-// 1, or backends without relinearization) are not counted, matching the
-// inner backends.
-func (c *CountingBackend) Relinearize(a Ciphertext) (Ciphertext, error) {
-	ct, err := c.inner.Relinearize(a)
-	if err == nil && ct != a {
-		c.CountRelin()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// Rotate implements Backend.
-func (c *CountingBackend) Rotate(a Ciphertext, k int) (Ciphertext, error) {
-	ct, err := c.inner.Rotate(a, k)
-	if err == nil {
-		c.CountRotate()
-		c.CountLimbs(c.limbs(ct))
-	}
-	return ct, err
-}
-
-// RotateHoisted implements Backend.
-func (c *CountingBackend) RotateHoisted(a Ciphertext, steps []int) ([]Ciphertext, error) {
-	cts, err := c.inner.RotateHoisted(a, steps)
-	if err == nil {
-		slots := c.inner.Slots()
-		n, limbSum := 0, 0
-		for i, s := range steps {
-			if ((s%slots)+slots)%slots != 0 {
-				n++
-				limbSum += c.limbs(cts[i])
-			}
-		}
-		c.CountRotateHoisted(n)
-		c.CountLimbs(limbSum)
-	}
-	return cts, err
-}
-
 // Counter is an embeddable atomic operation counter for backends.
 type Counter struct {
 	encrypt, rotate, add, constAdd, mul, constMul atomic.Int64

@@ -482,7 +482,7 @@ func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, 
 		return nil, err
 	}
 	// Every non-zero step is one hoisted rotation; step-0 copies rotate
-	// nothing and, as in the he.CountingBackend wrapper, count no limb·ops.
+	// nothing and count no limb·ops.
 	slots := b.params.Slots()
 	outs := make([]he.Ciphertext, len(cts))
 	rotated := 0

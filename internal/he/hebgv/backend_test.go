@@ -178,9 +178,8 @@ func TestCountsOnBGV(t *testing.T) {
 
 // TestLevelCapabilities: the BGV backend implements the optional level
 // interfaces — proactive drops, leveled encryption, pre-lifted plaintext
-// encoding — and the CountingBackend wrapper passes them through with
-// limb accounting; a binary op across levels is refused; the clear
-// backend stays a no-op.
+// encoding — and the operand helpers read them; a binary op across levels
+// is refused; the clear backend stays a no-op.
 func TestLevelCapabilities(t *testing.T) {
 	b := newBackend(t, 6, []int{2})
 	var backend he.Backend = b
@@ -244,27 +243,19 @@ func TestLevelCapabilities(t *testing.T) {
 		}
 	}
 
-	// Operand helpers + counting wrapper limb integral.
-	cb := he.WithCounts(b)
-	op, err := he.DropToLevel(cb, he.Cipher(top), 2)
+	// Operand helpers.
+	op, err := he.DropToLevel(backend, he.Cipher(top), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limbs := he.OperandLimbs(cb, op); limbs != 3 {
+	if limbs := he.OperandLimbs(backend, op); limbs != 3 {
 		t.Fatalf("OperandLimbs = %d, want 3", limbs)
 	}
-	if _, err := cb.Add(op.Ct, op.Ct); err != nil {
-		t.Fatal(err)
-	}
-	if counts := cb.Counts(); counts.LimbOps != 3 {
-		t.Fatalf("counting wrapper LimbOps = %d, want 3", counts.LimbOps)
-	}
 	// Operands at different levels: the backend refuses every binary op
-	// on them, through the wrapper too, moves neither operand, and
-	// neither counter records the op.
-	before, wrapped := b.Counts(), cb.Counts()
+	// on them, moves neither operand, and does not count the op.
+	before := b.Counts()
 	binary := map[string]func(x, y he.Ciphertext) (he.Ciphertext, error){
-		"Add": cb.Add, "Sub": cb.Sub, "Mul": cb.Mul, "MulLazy": cb.MulLazy,
+		"Add": b.Add, "Sub": b.Sub, "Mul": b.Mul, "MulLazy": b.MulLazy,
 	}
 	for name, f := range binary {
 		out, err := f(top, op.Ct)
@@ -276,8 +267,8 @@ func TestLevelCapabilities(t *testing.T) {
 	if level, _ := ld.CiphertextLevel(top); level != 5 {
 		t.Fatalf("a refused op moved its operand to level %d", level)
 	}
-	if b.Counts() != before || cb.Counts() != wrapped {
-		t.Fatalf("refused ops counted: backend %v → %v, wrapper %v → %v", before, b.Counts(), wrapped, cb.Counts())
+	if b.Counts() != before {
+		t.Fatalf("refused ops counted: %v → %v", before, b.Counts())
 	}
 
 	// The clear backend has no level structure: helpers are no-ops.
@@ -355,11 +346,10 @@ func wantMissingKey(t *testing.T, what string, err error, want bgv.MissingKeyErr
 	}
 }
 
-// TestRotationRefusedThroughCounting: a rotation above its key's level,
-// or with no key, is refused through a he.CountingBackend with the
-// evaluator's *bgv.MissingKeyError, and neither the wrapper's counters
-// nor the backend's move.
-func TestRotationRefusedThroughCounting(t *testing.T) {
+// TestRotationRefusedUncounted: a rotation above its key's level, or with
+// no key, is refused with the evaluator's *bgv.MissingKeyError, and the
+// backend's counters do not move.
+func TestRotationRefusedUncounted(t *testing.T) {
 	b, err := New(Config{Params: bgv.TestParams(4), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -372,17 +362,13 @@ func TestRotationRefusedThroughCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.ResetCounts()
-	w := he.WithCounts(b)
 	top := b.MaxLevel()
-	_, err = w.Rotate(ct, 1)
+	_, err = b.Rotate(ct, 1)
 	wantMissingKey(t, "Rotate(1) above the key", err, bgv.MissingKeyError{Step: 1, Level: top, KeyLevel: 1})
-	_, err = w.RotateHoisted(ct, []int{0, 1})
+	_, err = b.RotateHoisted(ct, []int{0, 1})
 	wantMissingKey(t, "RotateHoisted(0, 1) above the key", err, bgv.MissingKeyError{Step: 1, Level: top, KeyLevel: 1})
-	_, err = w.RotateHoisted(ct, []int{2})
+	_, err = b.RotateHoisted(ct, []int{2})
 	wantMissingKey(t, "RotateHoisted(2) with no key", err, bgv.MissingKeyError{Step: 2, Level: top, KeyLevel: -1})
-	if got := w.Counts(); got != (he.OpCounts{}) {
-		t.Errorf("wrapper counted refused rotations: %v", got)
-	}
 	if got := b.Counts(); got != (he.OpCounts{}) {
 		t.Errorf("backend counted refused rotations: %v", got)
 	}
@@ -413,26 +399,21 @@ func TestEnsureRotationKeysPublicMaterial(t *testing.T) {
 	wantMissingKey(t, "step 1 on public material", err, bgv.MissingKeyError{Step: 1, Level: 0, KeyLevel: -1})
 }
 
-// TestRotateHoistedCountsMatchWrapper: a hoisted batch with step-0
-// copies — 0 and the slot count — moves the backend's counters exactly
-// as a he.CountingBackend's: every other step one hoisted rotation of
-// the ciphertext's limbs, the copies nothing.
-func TestRotateHoistedCountsMatchWrapper(t *testing.T) {
+// TestRotateHoistedCounts: a hoisted batch with step-0 copies — 0 and
+// the slot count — counts every other step as one hoisted rotation of the
+// ciphertext's limbs, and the copies as nothing: the rule a program's bill
+// follows (core.Program.StageBills).
+func TestRotateHoistedCounts(t *testing.T) {
 	b := newBackend(t, 4, []int{1, 3, -2})
 	ct, err := b.EncryptAtLevel([]uint64{5, 6, 7}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.ResetCounts()
-	w := he.WithCounts(b)
-	if _, err := w.RotateHoisted(ct, []int{0, 1, 3, b.Slots(), -2}); err != nil {
+	if _, err := b.RotateHoisted(ct, []int{0, 1, 3, b.Slots(), -2}); err != nil {
 		t.Fatal(err)
 	}
-	got, want := b.Counts(), w.Counts()
-	if got != want {
-		t.Errorf("backend counted %v, wrapper %v", got, want)
-	}
-	if want.RotateHoisted != 3 || want.Rotate != 3 || want.LimbOps != 3*3 {
-		t.Errorf("wrapper counted %v, want 3 hoisted rotations of 3 limbs", want)
+	if got, want := b.Counts(), (he.OpCounts{Rotate: 3, RotateHoisted: 3, LimbOps: 3 * 3}); got != want {
+		t.Errorf("counted %v, want 3 hoisted rotations of 3 limbs", got)
 	}
 }

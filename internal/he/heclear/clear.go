@@ -209,16 +209,22 @@ func (b *Backend) MulPlain(x he.Ciphertext, p he.Plain) (he.Ciphertext, error) {
 }
 
 // RotateHoisted implements he.Backend. The clear backend has no shared
-// work to hoist, so it is a plain Rotate loop.
+// work to hoist; it counts as the BGV backend does, every non-zero step
+// one hoisted rotation and the step-0 copies nothing.
 func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
-	outs := make([]he.Ciphertext, len(steps))
-	for i, k := range steps {
-		out, err := b.Rotate(x, k)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
+	c, err := b.cast(x)
+	if err != nil {
+		return nil, err
 	}
+	outs := make([]he.Ciphertext, len(steps))
+	rotated := 0
+	for i, k := range steps {
+		outs[i] = b.rotate(c, k)
+		if k%b.slots != 0 {
+			rotated++
+		}
+	}
+	b.CountRotateHoisted(rotated)
 	return outs, nil
 }
 
@@ -229,9 +235,14 @@ func (b *Backend) Rotate(x he.Ciphertext, k int) (he.Ciphertext, error) {
 		return nil, err
 	}
 	b.CountRotate()
+	return b.rotate(c, k), nil
+}
+
+// rotate rotates c's slots left by k.
+func (b *Backend) rotate(c *ciphertext, k int) *ciphertext {
 	out := &ciphertext{vals: make([]uint64, b.slots), depth: c.depth}
 	for i := range out.vals {
 		out.vals[i] = c.vals[(i+k%b.slots+b.slots)%b.slots]
 	}
-	return out, nil
+	return out
 }

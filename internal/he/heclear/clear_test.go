@@ -120,6 +120,15 @@ func TestCountsAndDepth(t *testing.T) {
 	if c := b.Counts(); c != (he.OpCounts{}) {
 		t.Errorf("counts after reset: %v", c)
 	}
+
+	// A hoisted batch counts as on BGV: every non-zero step one hoisted
+	// rotation, the step-0 copies (0 and the slot count) nothing.
+	if _, err := b.RotateHoisted(a, []int{0, 1, 3, b.Slots(), -2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.Counts(), (he.OpCounts{Rotate: 3, RotateHoisted: 3}); got != want {
+		t.Errorf("hoisted rotations counted %v, want %v", got, want)
+	}
 }
 
 func TestRangeErrors(t *testing.T) {

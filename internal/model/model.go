@@ -37,6 +37,9 @@ type Forest struct {
 	Trees       []*Tree
 }
 
+// MaxPrecision is the widest fixed-point precision a forest may have.
+const MaxPrecision = 32
+
 // Validate checks structural invariants: label/feature indices in range,
 // thresholds within precision, complete branch nodes.
 func (f *Forest) Validate() error {
@@ -49,8 +52,8 @@ func (f *Forest) Validate() error {
 	if len(f.Labels) == 0 {
 		return fmt.Errorf("model: forest has no labels")
 	}
-	if f.Precision < 1 || f.Precision > 32 {
-		return fmt.Errorf("model: precision %d out of range [1,32]", f.Precision)
+	if f.Precision < 1 || f.Precision > MaxPrecision {
+		return fmt.Errorf("model: precision %d out of range [1,%d]", f.Precision, MaxPrecision)
 	}
 	limit := uint64(1) << uint(f.Precision)
 	for ti, tree := range f.Trees {

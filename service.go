@@ -753,9 +753,6 @@ func (s *Service) ClassifyBatchShuffled(ctx context.Context, name string, batch 
 // passes with every other concurrent caller — once its feature vectors
 // are known good, so a malformed request fails alone.
 func (s *Service) classifyChunks(ctx context.Context, name string, batch [][]uint64) ([]*Result, []*ShuffledCodebook, error) {
-	if len(batch) == 0 {
-		return nil, nil, fmt.Errorf("copse: empty batch")
-	}
 	m, _, err := s.lookup(name)
 	if err != nil {
 		return nil, nil, err

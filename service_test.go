@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"copse"
 	"copse/internal/core"
@@ -206,6 +207,27 @@ func TestServiceBatchCapacityError(t *testing.T) {
 				t.Errorf("query %d tree %d: L%d, want L%d", i, ti, lbl, want[ti])
 			}
 		}
+	}
+}
+
+// TestServiceRefusesEmptyBatch: a batch with no feature vector is the
+// client's fault, refused typed — with and without the dynamic batcher,
+// and when encrypting a batch — before any pass runs.
+func TestServiceRefusesEmptyBatch(t *testing.T) {
+	_, c := trainedModel(t, 44, 256)
+	for _, opts := range [][]copse.Option{nil, {copse.WithBatchWindow(time.Millisecond)}} {
+		svc := copse.NewService(append(opts, copse.WithBackend(copse.BackendClear))...)
+		if err := svc.Register("m", c); err != nil {
+			t.Fatal(err)
+		}
+		var empty *copse.EmptyBatchError
+		if _, err := svc.ClassifyBatch(context.Background(), "m", nil); !errors.As(err, &empty) {
+			t.Errorf("ClassifyBatch of no queries: %v, want *copse.EmptyBatchError", err)
+		}
+		if _, err := svc.EncryptQueryBatch("m", [][]uint64{}); !errors.As(err, &empty) {
+			t.Errorf("EncryptQueryBatch of no queries: %v, want *copse.EmptyBatchError", err)
+		}
+		svc.Close()
 	}
 }
 
