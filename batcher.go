@@ -9,10 +9,10 @@ import (
 )
 
 // WithBatchWindow enables the dynamic batcher: the in-process aggregator
-// that coalesces concurrent ClassifyBatch/ClassifyBatchShuffled calls
-// for the same model into shared slot-packed homomorphic passes
-// (DESIGN.md §11), with per-slot results (and, under WithShuffle,
-// per-query codebooks) routed back to each caller. A pass fires as soon
+// that coalesces concurrent ClassifyBatch calls for the same model into
+// shared slot-packed homomorphic passes (DESIGN.md §11), with per-slot
+// results (under WithShuffle each carrying its codebook) routed back to
+// each caller. A pass fires as soon
 // as the model's batch capacity (Meta.BatchCapacity) is pending, or when
 // the first query of a forming batch has lingered d. A pass's cost is
 // not flat in the fill — a lone query's bit planes and level matrices
@@ -29,16 +29,15 @@ func WithBatchWindow(d time.Duration) Option {
 }
 
 // aggWaiter is one caller blocked on the aggregator: its queries, the
-// routing slots its per-query results (and codebooks) land in, and the
+// routing slots its per-query results land in, and the
 // channel its goroutine waits on. A waiter's queries may be spread
 // over several passes (mixed-size requests split and overflow); the
 // waiter completes when the last slot is delivered, or fails on the
 // first pass error.
 type aggWaiter struct {
-	features  [][]uint64
-	enqueued  time.Time
-	results   []*Result
-	codebooks []*ShuffledCodebook // routed only on shuffled services
+	features [][]uint64
+	enqueued time.Time
+	results  []*Result
 
 	mu        sync.Mutex
 	remaining int
@@ -52,16 +51,13 @@ type aggWaiter struct {
 // [lo, lo+len(results)). Delivery to an abandoned waiter (its caller's
 // context expired while the pass was in flight) is dropped: the pass
 // proceeded for its neighbours, this caller already returned.
-func (w *aggWaiter) deliver(lo int, results []*Result, codebooks []*ShuffledCodebook) {
+func (w *aggWaiter) deliver(lo int, results []*Result) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.finished || w.abandoned {
 		return
 	}
 	copy(w.results[lo:], results)
-	if w.codebooks != nil && codebooks != nil {
-		copy(w.codebooks[lo:], codebooks)
-	}
 	w.remaining -= len(results)
 	if w.remaining == 0 {
 		w.finished = true
@@ -150,7 +146,7 @@ func newAggregator(svc *Service, name string, capacity int) *aggregator {
 // answered, the caller's context expires (the waiter abandons its
 // slots; any shared pass proceeds for the rest), or the service
 // closes.
-func (a *aggregator) submit(ctx context.Context, batch [][]uint64) ([]*Result, []*ShuffledCodebook, error) {
+func (a *aggregator) submit(ctx context.Context, batch [][]uint64) ([]*Result, error) {
 	w := &aggWaiter{
 		features:  batch,
 		enqueued:  time.Now(),
@@ -158,32 +154,29 @@ func (a *aggregator) submit(ctx context.Context, batch [][]uint64) ([]*Result, [
 		remaining: len(batch),
 		done:      make(chan struct{}),
 	}
-	if a.svc.cfg.shuffle {
-		w.codebooks = make([]*ShuffledCodebook, len(batch))
-	}
 	select {
 	case a.arrivals <- w:
 	case <-ctx.Done():
 		a.svc.failures.Add(1)
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	case <-a.svc.closing:
-		return nil, nil, fmt.Errorf("copse: service closed")
+		return nil, fmt.Errorf("copse: service closed")
 	}
 	select {
 	case <-w.done:
 	case <-ctx.Done():
 		if w.abandon() {
 			a.svc.failures.Add(1)
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		}
 		// Completed concurrently with the cancellation: the results are
 		// already routed, hand them over.
 		<-w.done
 	}
 	if w.err != nil {
-		return nil, nil, w.err
+		return nil, w.err
 	}
-	return w.results, w.codebooks, nil
+	return w.results, nil
 }
 
 // run is the aggregator goroutine: enqueue arrivals, fire when full,
@@ -280,7 +273,7 @@ func (a *aggregator) fire() {
 // runPass executes one coalesced pass: slot-pack every live slice's
 // queries, classify (through the service's in-flight limiter — the
 // batcher inherits the WithMaxInFlight backpressure), decrypt, and
-// route each waiter's window of results (and codebooks) back to it.
+// route each waiter's window of results back to it.
 func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 	live := slices[:0]
 	for _, sl := range slices {
@@ -313,7 +306,7 @@ func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 	// The pass runs under the service's lifetime, not any one waiter's
 	// context: a cancelled waiter abandons its slots, the pass proceeds
 	// for the rest.
-	results, codebooks, err := a.svc.pass(a.svc.runCtx, a.name, feats, seed)
+	results, err := a.svc.pass(a.svc.runCtx, a.name, feats, seed)
 	if err != nil {
 		fail(err)
 		return
@@ -325,11 +318,7 @@ func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 	off := 0
 	for _, sl := range live {
 		n := sl.hi - sl.lo
-		var cbs []*ShuffledCodebook
-		if codebooks != nil {
-			cbs = codebooks[off : off+n]
-		}
-		sl.w.deliver(sl.lo, results[off:off+n], cbs)
+		sl.w.deliver(sl.lo, results[off:off+n])
 		off += n
 	}
 }

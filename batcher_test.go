@@ -227,7 +227,7 @@ func TestAggregatorShuffledRouting(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			feats := []uint64{uint64(g+2) % 16, uint64(g*3) % 16, uint64(g+9) % 16}
-			results, codebooks, err := svc.ClassifyBatchShuffled(context.Background(), "m", [][]uint64{feats})
+			results, err := svc.ClassifyBatch(context.Background(), "m", [][]uint64{feats})
 			if err != nil {
 				errs[g] = err
 				return
@@ -236,7 +236,7 @@ func TestAggregatorShuffledRouting(t *testing.T) {
 				errs[g] = fmt.Errorf("client %d: shuffled result exposes per-tree labels", g)
 				return
 			}
-			if codebooks[0] == nil || len(codebooks[0].Slots) == 0 {
+			if cb := results[0].Codebook; cb == nil || len(cb.Slots) == 0 {
 				errs[g] = fmt.Errorf("client %d: missing codebook", g)
 				return
 			}

@@ -37,10 +37,16 @@
 //
 //	POST /v1/classify  {"model": "fraud", "queries": [[3,5,...], ...]}
 //	  → {"model": "fraud", "results": [{"label": ..., "labelName": ...,
-//	     "votes": [...], "perTree": [...]}, ...], "latencyMS": ...}
+//	     "votes": [...], "perTree": [...], "leafBits": [...]}, ...],
+//	     "passes": ..., "latencyMS": ...}
 //	GET  /v1/models    → per-model shape and batch capacity
 //	GET  /v1/stats     → request/query counters, latency p50/p95/p99
 //	GET  /healthz      → 200 once serving
+//
+// The classify body is cluster.ClassifyResponse on every node kind. Under
+// -shuffle it carries "shuffled": true, and each result its "codebook"
+// and "numTrees" in place of "perTree" and "leafBits"; a gateway adds
+// "shards", "fanoutMS" and "mergeMS".
 //
 // Failed requests answer with the status of their typed error
 // (cluster.WriteError): 400 for a malformed query, 404 for an unknown
@@ -68,6 +74,7 @@ import (
 	"copse"
 	"copse/internal/cluster"
 	"copse/internal/he/hebgv"
+	"copse/internal/hist"
 )
 
 type modelFlags map[string]string
@@ -230,7 +237,7 @@ func main() {
 		log.Printf("dynamic batching on: linger %v, passes fire at batch capacity", *batchWindow)
 	}
 
-	srv := &server{svc: svc, shuffle: *shuffle}
+	srv := &server{svc: svc}
 	if err := serveHTTP(*listen, srv.handler(), *timeout, *drain, svc.Close); err != nil {
 		log.Fatal(err)
 	}
@@ -445,32 +452,7 @@ func runGateway(o gatewayOptions) {
 }
 
 type server struct {
-	svc     *copse.Service
-	shuffle bool
-}
-
-type classifyResult struct {
-	Label     int    `json:"label"`
-	LabelName string `json:"labelName,omitempty"`
-	Votes     []int  `json:"votes"`
-	// PerTree is omitted on shuffled responses: the shuffle hides tree
-	// boundaries by design, only vote counts survive.
-	PerTree []int `json:"perTree,omitempty"`
-	// Codebook is the query's shuffled decoding table (shuffled
-	// responses only): slot i of the permuted result votes for label
-	// Codebook[i].
-	Codebook []int `json:"codebook,omitempty"`
-	// NumTrees accompanies a codebook so the client can sanity-check the
-	// vote total.
-	NumTrees int `json:"numTrees,omitempty"`
-}
-
-type classifyResponse struct {
-	Model     string           `json:"model"`
-	Shuffled  bool             `json:"shuffled,omitempty"`
-	Results   []classifyResult `json:"results"`
-	Passes    int              `json:"passes"`
-	LatencyMS float64          `json:"latencyMS"`
+	svc *copse.Service
 }
 
 // handler is the single-node HTTP surface.
@@ -493,7 +475,6 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx := r.Context()
 	meta, err := s.svc.Meta(req.Model)
 	if err != nil {
 		cluster.WriteError(w, err)
@@ -501,35 +482,18 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	}
 	capacity := meta.BatchCapacity()
 	start := time.Now()
-	var results []*copse.Result
-	var codebooks []*copse.ShuffledCodebook
-	if s.shuffle {
-		results, codebooks, err = s.svc.ClassifyBatchShuffled(ctx, req.Model, req.Queries)
-	} else {
-		results, err = s.svc.ClassifyBatch(ctx, req.Model, req.Queries)
-	}
+	results, err := s.svc.ClassifyBatch(r.Context(), req.Model, req.Queries)
 	if err != nil {
 		cluster.WriteError(w, err)
 		return
 	}
-	resp := classifyResponse{
+	cluster.WriteJSON(w, cluster.ClassifyResponse{
 		Model:     req.Model,
-		Shuffled:  s.shuffle,
+		Shuffled:  results[0].Codebook != nil,
+		Results:   cluster.DecodeResults(results, meta.LabelNames),
 		Passes:    (len(req.Queries) + capacity - 1) / capacity,
-		LatencyMS: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for i, res := range results {
-		cr := classifyResult{Label: res.Plurality(), Votes: res.Votes, PerTree: res.PerTree}
-		if cr.Label < len(meta.LabelNames) {
-			cr.LabelName = meta.LabelNames[cr.Label]
-		}
-		if codebooks != nil {
-			cr.Codebook = codebooks[i].Slots
-			cr.NumTrees = codebooks[i].NumTrees
-		}
-		resp.Results = append(resp.Results, cr)
-	}
-	cluster.WriteJSON(w, resp)
+		LatencyMS: hist.Millis(time.Since(start)),
+	})
 }
 
 type modelInfo struct {

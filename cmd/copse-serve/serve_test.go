@@ -30,7 +30,7 @@ func serveFigure1(t *testing.T, shuffle bool, opts ...copse.Option) (*copse.Fore
 	if err := svc.Register("figure1", c); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer((&server{svc: svc, shuffle: shuffle}).handler())
+	ts := httptest.NewServer((&server{svc: svc}).handler())
 	t.Cleanup(ts.Close)
 	return forest, c, ts
 }
@@ -78,7 +78,7 @@ func TestSingleNodeHTTP(t *testing.T) {
 	forest, c, ts := serveFigure1(t, false)
 
 	queries := [][]uint64{{0, 5}, {7, 0}, {3, 3}, {6, 6}}
-	var resp classifyResponse
+	var resp cluster.ClassifyResponse
 	if status := postClassify(t, ts.URL, cluster.ClassifyRequest{Model: "figure1", Queries: queries}, &resp); status != http.StatusOK {
 		t.Fatalf("classify: status %d", status)
 	}
@@ -104,7 +104,7 @@ func TestSingleNodeHTTP(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var one classifyResponse
+			var one cluster.ClassifyResponse
 			if err := json.NewDecoder(resp.Body).Decode(&one); err != nil || len(one.Results) != 1 {
 				errs[i] = fmt.Errorf("query %v: %s %+v (%v)", q, resp.Status, one, err)
 			} else if want := forest.Classify(q); !slices.Equal(one.Results[0].PerTree, want) {
@@ -171,7 +171,8 @@ func TestSingleNodeHTTP(t *testing.T) {
 }
 
 // TestSingleNodeHTTPShuffled: a shuffled service answers with per-query
-// codebooks and vote counts, and no per-tree labels at all.
+// codebooks, tree counts and vote counts, and no per-tree labels or leaf
+// bits at all.
 func TestSingleNodeHTTPShuffled(t *testing.T) {
 	forest, _, ts := serveFigure1(t, true, copse.WithSeed(7))
 	queries := [][]uint64{{0, 5}, {7, 0}}
@@ -186,8 +187,13 @@ func TestSingleNodeHTTPShuffled(t *testing.T) {
 		t.Fatalf("shuffled response: %+v", resp)
 	}
 	for i, res := range resp.Results {
-		if _, ok := res["perTree"]; ok {
-			t.Errorf("query %d: shuffled result carries perTree", i)
+		for _, hidden := range []string{"perTree", "leafBits"} {
+			if _, ok := res[hidden]; ok {
+				t.Errorf("query %d: shuffled result carries %s", i, hidden)
+			}
+		}
+		if string(res["numTrees"]) != fmt.Sprint(len(forest.Trees)) {
+			t.Errorf("query %d: numTrees %s, want %d", i, res["numTrees"], len(forest.Trees))
 		}
 		var codebook, votes []int
 		if err := json.Unmarshal(res["codebook"], &codebook); err != nil || len(codebook) == 0 {
@@ -231,6 +237,51 @@ func figure1Cluster(t *testing.T, wrapWorker func(http.Handler) http.Handler) *c
 		t.Fatal(err)
 	}
 	return g
+}
+
+// TestClassifyResponseShape: the single node and the gateway answer
+// /v1/classify for the same forest with one body shape,
+// cluster.ClassifyResponse, and the same labels, votes, per-tree labels
+// and leaf bits; only the single node's or only the gateway's fields are
+// left out of the other's body.
+func TestClassifyResponseShape(t *testing.T) {
+	forest, _, single := serveFigure1(t, false)
+	gs := httptest.NewServer(figure1Cluster(t, func(h http.Handler) http.Handler { return h }).Handler())
+	defer gs.Close()
+	req := cluster.ClassifyRequest{Model: "figure1", Queries: [][]uint64{{0, 5}, {7, 0}, {3, 3}}}
+	var bodies [2]cluster.ClassifyResponse
+	var raw [2]map[string]json.RawMessage
+	for i, url := range []string{single.URL, gs.URL} {
+		if status := postClassify(t, url, req, &bodies[i]); status != http.StatusOK {
+			t.Fatalf("%s: status %d", url, status)
+		}
+		postClassify(t, url, req, &raw[i])
+	}
+	node, gateway := bodies[0], bodies[1]
+	if len(node.Results) != len(req.Queries) || len(gateway.Results) != len(req.Queries) {
+		t.Fatalf("single node %d results, gateway %d, for %d queries", len(node.Results), len(gateway.Results), len(req.Queries))
+	}
+	for i, q := range req.Queries {
+		a, b := node.Results[i], gateway.Results[i]
+		if want := forest.Classify(q); !slices.Equal(a.PerTree, want) {
+			t.Errorf("query %v: per-tree %v, want %v", q, a.PerTree, want)
+		}
+		if a.Label != b.Label || a.LabelName != b.LabelName || !slices.Equal(a.Votes, b.Votes) ||
+			!slices.Equal(a.PerTree, b.PerTree) || !slices.Equal(a.LeafBits, b.LeafBits) {
+			t.Errorf("query %v: single node %+v, gateway %+v", q, a, b)
+		}
+	}
+	if gateway.Shards != 1 || node.Shards != 0 || node.Passes != 1 || gateway.Passes != 1 {
+		t.Errorf("single node %d shards %d passes, gateway %d shards %d passes", node.Shards, node.Passes, gateway.Shards, gateway.Passes)
+	}
+	for _, field := range []string{"shards", "fanoutMS", "mergeMS"} {
+		if _, ok := raw[0][field]; ok {
+			t.Errorf("single-node body carries the gateway's %q", field)
+		}
+	}
+	if _, ok := raw[1]["shuffled"]; ok {
+		t.Error("gateway body carries the single node's \"shuffled\"")
+	}
 }
 
 // TestGatewayRequestDeadline: a gateway under a deadline it cannot meet

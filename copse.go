@@ -313,28 +313,24 @@ func (d *DataOwner) EncryptQuery(features []uint64) (*Query, error) {
 }
 
 // EncryptQueryBatch slot-packs up to Meta.BatchCapacity feature vectors
-// into one encrypted query set; one Classify call answers all of them.
+// into one encrypted query set; one Classify call answers all of them. A
+// larger batch is refused with a *core.BatchCapacityError.
 func (d *DataOwner) EncryptQueryBatch(batch [][]uint64) (*Query, error) {
 	return d.sys.svc.EncryptQueryBatch(systemModel, batch)
 }
 
 // ShuffledCodebook is the public decoding table of one shuffled query:
 // the slot→label map the data owner tallies votes through (paper
-// §7.2.2). Returned per packed query by the shuffled serving path.
+// §7.2.2). Every Result of a shuffled pass carries its own
+// (Result.Codebook).
 type ShuffledCodebook = core.ShuffledCodebook
 
-// EncryptedResult is Sally's output: the encrypted N-hot leaf
-// bitvector, one per packed query. Under WithShuffle each query's leaf
-// slots are permuted and the matching per-query codebooks ride along.
-// A request larger than the model's batch capacity classifies as a
-// chain of passes whose results ride in one EncryptedResult, decoded
-// in packing order by DecryptResultBatch.
+// EncryptedResult is Sally's output of one pass: the encrypted N-hot
+// leaf bitvector of every packed query. Under WithShuffle each query's
+// leaf slots are permuted and the matching per-query codebooks ride
+// along, onto the decoded Results. It records the registry entry that
+// produced it, and decodes under that entry's name only.
 type EncryptedResult struct {
-	segs []resultSeg
-}
-
-// resultSeg is one homomorphic pass's worth of results.
-type resultSeg struct {
 	op    he.Operand
 	batch int
 	// capacity is the query capacity of the layout the pass ran under
@@ -342,57 +338,22 @@ type resultSeg struct {
 	// may index.
 	capacity  int
 	codebooks []*core.ShuffledCodebook // nil unless the pass was shuffled
+	model     *servedModel
 }
 
-// Codebooks returns the per-query shuffled codebooks of a shuffled
-// classification, in packing order across every pass (nil for
-// unshuffled passes). Together with the decrypted slots these are all
-// the data owner needs to tally votes — and all they can learn: leaf
-// order and tree boundaries stay hidden.
-func (r *EncryptedResult) Codebooks() []*ShuffledCodebook {
-	if len(r.segs) == 1 {
-		return r.segs[0].codebooks
-	}
-	var out []*ShuffledCodebook
-	for _, seg := range r.segs {
-		if seg.codebooks == nil {
-			return nil
-		}
-		out = append(out, seg.codebooks...)
-	}
-	return out
-}
-
-// release hands the result's ciphertexts back to the backend's pool
-// (he.Release). A serving path that made the result for a request of its
-// own calls it once the result is decoded; results the three-call API
-// returns stay the caller's and are never released here.
-func (r *EncryptedResult) release() {
-	for _, seg := range r.segs {
-		he.Release(seg.op.Ct)
-	}
-}
-
-// releaseQuery hands q's planes back to the backend's pool, on the same
-// terms as EncryptedResult.release. The serving paths build one query of
-// at most a pass, so q.Next is never set there.
+// releaseQuery hands q's planes back to the backend's pool (he.Release).
+// A serving path that made the query for a request of its own calls it
+// once the pass has read the planes; queries the three-call API returns
+// stay the caller's and are never released here.
 func releaseQuery(q *Query) {
 	for _, op := range q.Bits {
 		he.Release(op.Ct)
 	}
 }
 
-// Operand returns the packed result carrier of a single-pass
-// classification together with its batch count — the hook the cluster
-// data plane uses to put a worker's shard result on the wire. A
-// chained multi-pass result has no single carrier and returns an
-// error (cluster requests are capped at one pass).
-func (r *EncryptedResult) Operand() (he.Operand, int, error) {
-	if len(r.segs) != 1 {
-		return he.Operand{}, 0, fmt.Errorf("copse: result spans %d passes, no single operand", len(r.segs))
-	}
-	return r.segs[0].op, r.segs[0].batch, nil
-}
+// Operand returns the packed result carrier — the hook the cluster data
+// plane uses to put a worker's shard result on the wire.
+func (r *EncryptedResult) Operand() he.Operand { return r.op }
 
 // Classify runs Algorithm 1 on an encrypted query (or slot-packed
 // batch; one pass classifies every packed query).

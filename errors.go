@@ -17,6 +17,7 @@ import (
 //	*UnknownModelError     → 404 Not Found
 //	*FeatureError          → 400 Bad Request
 //	*EmptyBatchError       → 400 Bad Request
+//	*ResultModelError      → 400 Bad Request
 //	*InternalError         → 500 Internal Server Error
 //	cluster.ShardError     → 502 Bad Gateway
 //	cluster.ModelUnavailableError → 503 Service Unavailable
@@ -30,6 +31,22 @@ type UnknownModelError struct {
 
 func (e *UnknownModelError) Error() string {
 	return fmt.Sprintf("copse: unknown model %q", e.Model)
+}
+
+// ResultModelError is the typed refusal of a result decrypted under
+// another model's name than the registry entry that produced it: that
+// model's codebook and tree boundaries would decode it to wrong labels
+// without complaint.
+type ResultModelError struct {
+	// Model is the name the result was to be decoded under.
+	Model string
+	// ProducedBy is the name of the entry that produced it ("" for a
+	// result no Service classified).
+	ProducedBy string
+}
+
+func (e *ResultModelError) Error() string {
+	return fmt.Sprintf("copse: result produced by model %q cannot be decoded as model %q", e.ProducedBy, e.Model)
 }
 
 // OverloadError is the typed load-shedding rejection: the service's

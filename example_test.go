@@ -40,8 +40,9 @@ func ExampleService() {
 
 // ExampleService_shuffled shows shuffled batched serving (paper
 // §7.2.2 + DESIGN.md §10): WithShuffle permutes every packed query's
-// result slots in one block-diagonal pass, and the per-query codebooks
-// decode vote counts — per-tree labels stay hidden from the data owner.
+// result slots in one block-diagonal pass, and each query's codebook,
+// carried on its Result, decodes vote counts — per-tree labels stay
+// hidden from the data owner.
 func ExampleService_shuffled() {
 	// PlanShuffle reserves the level headroom the shuffle stage needs;
 	// the exact backend runs the same levelled program and refuses a
@@ -59,13 +60,13 @@ func ExampleService_shuffled() {
 		log.Fatal(err)
 	}
 	batch := [][]uint64{{0, 5}, {7, 0}}
-	results, codebooks, err := svc.ClassifyBatchShuffled(context.Background(), "figure1", batch)
+	results, err := svc.ClassifyBatch(context.Background(), "figure1", batch)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i, res := range results {
 		fmt.Printf("Classify(%d, %d) votes %v → L%d (codebook over %d shuffled slots)\n",
-			batch[i][0], batch[i][1], res.Votes, res.Plurality(), len(codebooks[i].Slots))
+			batch[i][0], batch[i][1], res.Votes, res.Plurality(), len(res.Codebook.Slots))
 	}
 	// Output:
 	// Classify(0, 5) votes [0 0 0 0 1 0] → L4 (codebook over 6 shuffled slots)

@@ -75,7 +75,8 @@ func main() {
 	// order of the labels in the forest's trees, so a shuffled service
 	// permutes every packed query's result — the op program's shuffle
 	// stage, one block-diagonal mat-vec for the whole batch (DESIGN.md
-	// §10) — and hands back per-query codebooks. Vote counts survive;
+	// §10) — and every decoded result carries its query's codebook
+	// (res.Codebook). Vote counts survive;
 	// per-tree labels don't. The model must be compiled with PlanShuffle
 	// so the result keeps the shuffle's level headroom.
 	shuffledModel, err := copse.Compile(forest, copse.CompileOptions{Slots: 1024, PlanShuffle: true})
@@ -92,14 +93,14 @@ func main() {
 		log.Fatal(err)
 	}
 	defer shuffledSvc.Close()
-	sResults, codebooks, err := shuffledSvc.ClassifyBatchShuffled(context.Background(), "figure1", batch)
+	sResults, err := shuffledSvc.ClassifyBatch(context.Background(), "figure1", batch)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nshuffled serving (one permutation pass per batch):")
 	for i, res := range sResults {
 		fmt.Printf("Classify(x=%d, y=%d) votes %v → %s  (codebook %v)\n",
-			batch[i][0], batch[i][1], res.Votes, forest.Labels[res.Plurality()], codebooks[i].Slots)
+			batch[i][0], batch[i][1], res.Votes, forest.Labels[res.Plurality()], res.Codebook.Slots)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("gateway HTTP classify: %s", resp.Status)
 	}
-	var httpResp gatewayClassifyResponse
+	var httpResp ClassifyResponse
 	if err := json.NewDecoder(resp.Body).Decode(&httpResp); err != nil {
 		t.Fatal(err)
 	}

@@ -922,16 +922,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-type gatewayClassifyResponse struct {
-	Model     string          `json:"model"`
-	Results   []DecodedResult `json:"results"`
-	Shards    int             `json:"shards"`
-	Passes    int             `json:"passes"`
-	LatencyMS float64         `json:"latencyMS"`
-	FanoutMS  float64         `json:"fanoutMS"`
-	MergeMS   float64         `json:"mergeMS"`
-}
-
 func (g *Gateway) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	req, ok := ReadClassifyRequest(rw, r)
 	if !ok {
@@ -943,14 +933,14 @@ func (g *Gateway) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		WriteError(rw, err)
 		return
 	}
-	WriteJSON(rw, gatewayClassifyResponse{
+	WriteJSON(rw, ClassifyResponse{
 		Model:     req.Model,
 		Results:   results,
 		Shards:    trace.Shards,
 		Passes:    trace.Passes,
-		LatencyMS: ms(time.Since(start)),
-		FanoutMS:  ms(trace.Fanout),
-		MergeMS:   ms(trace.Merge),
+		LatencyMS: hist.Millis(time.Since(start)),
+		FanoutMS:  hist.Millis(trace.Fanout),
+		MergeMS:   hist.Millis(trace.Merge),
 	})
 }
 
@@ -994,8 +984,8 @@ func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
 		Hedges:           g.hedges.Load(),
 		PanicsRecovered:  g.panics.Load(),
 		DeadlineFailures: g.deadlineFails.Load(),
-		FanoutMS:         ms(time.Duration(g.fanoutNS.Load())),
-		MergeMS:          ms(time.Duration(g.mergeNS.Load())),
+		FanoutMS:         hist.Millis(time.Duration(g.fanoutNS.Load())),
+		MergeMS:          hist.Millis(time.Duration(g.mergeNS.Load())),
 		QueryCiphertexts: g.queryCts.Load(),
 	}
 	if st.QueryCiphertexts > 0 {
@@ -1016,20 +1006,10 @@ func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
 	if len(g.latency) > 0 {
 		st.ModelLatency = make(map[string]copse.LatencyStats, len(g.latency))
 		for name, h := range g.latency {
-			snap := h.Snapshot()
-			st.ModelLatency[name] = copse.LatencyStats{
-				Count: snap.Count,
-				P50:   snap.Quantile(0.50),
-				P95:   snap.Quantile(0.95),
-				P99:   snap.Quantile(0.99),
-			}
+			st.ModelLatency[name] = h.Snapshot().Summary()
 		}
 	}
 	g.mu.RUnlock()
 	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].URL < st.Workers[j].URL })
 	WriteJSON(rw, st)
-}
-
-func ms(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1000
 }

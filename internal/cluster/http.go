@@ -43,6 +43,7 @@ func WriteError(rw http.ResponseWriter, err error) {
 		unknown     *copse.UnknownModelError
 		feature     *core.FeatureError
 		empty       *core.EmptyBatchError
+		foreign     *copse.ResultModelError
 		layout      *core.QueryLayoutError
 		capacity    *core.BatchCapacityError
 		unavailable *ModelUnavailableError
@@ -62,7 +63,7 @@ func WriteError(rw http.ResponseWriter, err error) {
 		status = http.StatusGatewayTimeout
 	case errors.As(err, &unknown):
 		status = http.StatusNotFound
-	case errors.As(err, &feature), errors.As(err, &empty), errors.As(err, &layout), errors.As(err, &capacity):
+	case errors.As(err, &feature), errors.As(err, &empty), errors.As(err, &foreign), errors.As(err, &layout), errors.As(err, &capacity):
 		status = http.StatusBadRequest
 	case errors.As(err, &unavailable):
 		status = http.StatusServiceUnavailable
@@ -97,4 +98,52 @@ func ReadClassifyRequest(rw http.ResponseWriter, r *http.Request) (ClassifyReque
 		return req, false
 	}
 	return req, true
+}
+
+// ClassifyResponse is the JSON body of a POST /v1/classify answer, on a
+// single-node server and on a gateway alike. Shuffled is set by a single
+// node only; Shards, FanoutMS and MergeMS by a gateway only.
+type ClassifyResponse struct {
+	Model     string          `json:"model"`
+	Shuffled  bool            `json:"shuffled,omitempty"`
+	Results   []DecodedResult `json:"results"`
+	Shards    int             `json:"shards,omitempty"`
+	Passes    int             `json:"passes"`
+	LatencyMS float64         `json:"latencyMS"`
+	FanoutMS  float64         `json:"fanoutMS,omitempty"`
+	MergeMS   float64         `json:"mergeMS,omitempty"`
+}
+
+// DecodedResult is one decrypted classification as every node reports
+// it: a /v1/classify result, and a worker decode endpoint's answer to the
+// gateway. LeafBits is the raw N-hot leaf bitvector — the gateway's
+// bit-exactness checks compare it against single-node serving. A shuffled
+// result (single node only) has no LeafBits or PerTree; it carries its
+// codebook instead — slot i of the permuted result votes for label
+// Codebook[i] — and NumTrees, so the client can check the vote total.
+type DecodedResult struct {
+	Label     int      `json:"label"`
+	LabelName string   `json:"labelName,omitempty"`
+	Votes     []int    `json:"votes"`
+	PerTree   []int    `json:"perTree,omitempty"`
+	LeafBits  []uint64 `json:"leafBits,omitempty"`
+	Codebook  []int    `json:"codebook,omitempty"`
+	NumTrees  int      `json:"numTrees,omitempty"`
+}
+
+// DecodeResults converts decoded Results into their DecodedResult form,
+// naming each plurality label from labelNames.
+func DecodeResults(results []*copse.Result, labelNames []string) []DecodedResult {
+	out := make([]DecodedResult, len(results))
+	for i, res := range results {
+		d := DecodedResult{Label: res.Plurality(), Votes: res.Votes, PerTree: res.PerTree, LeafBits: res.LeafBits}
+		if d.Label < len(labelNames) {
+			d.LabelName = labelNames[d.Label]
+		}
+		if cb := res.Codebook; cb != nil {
+			d.Codebook, d.NumTrees = cb.Slots, cb.NumTrees
+		}
+		out[i] = d
+	}
+	return out
 }

@@ -35,6 +35,7 @@ func TestWriteErrorStatus(t *testing.T) {
 		{&core.FeatureError{Query: 1, Features: 3, Want: 2}, http.StatusBadRequest, ""},
 		{&core.FeatureError{Query: 0, Features: 2, Want: 2, Feature: 1, Value: 16, Precision: 4}, http.StatusBadRequest, ""},
 		{&core.EmptyBatchError{}, http.StatusBadRequest, ""},
+		{&copse.ResultModelError{Model: "b", ProducedBy: "a"}, http.StatusBadRequest, ""},
 		{&core.QueryLayoutError{Planes: 5, PlanesPerCiphertext: 1, Block: 8, Want: 4}, http.StatusBadRequest, ""},
 		{&core.BatchCapacityError{Index: 9, Capacity: 8}, http.StatusBadRequest, ""},
 		{&ModelUnavailableError{Model: "m", Missing: []int{1}}, http.StatusServiceUnavailable, ""},

@@ -222,18 +222,6 @@ type WorkerShard struct {
 	BatchCapacity int            `json:"batchCapacity"`
 }
 
-// DecodedResult is one decrypted classification, as the worker decode
-// endpoint reports it to the gateway. LeafBits is the raw N-hot leaf
-// bitvector — the gateway's bit-exactness checks compare it against
-// single-node serving.
-type DecodedResult struct {
-	Label     int      `json:"label"`
-	LabelName string   `json:"labelName,omitempty"`
-	Votes     []int    `json:"votes"`
-	PerTree   []int    `json:"perTree"`
-	LeafBits  []uint64 `json:"leafBits"`
-}
-
 // maxDataPlaneBytes bounds a data-plane request body; a query batch is
 // Precision ciphertexts, far below this.
 const maxDataPlaneBytes = 256 << 20
@@ -407,12 +395,9 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		WriteError(rw, err)
 		return
 	}
-	op, _, err := enc.Operand()
-	if err == nil && !op.IsCipher() {
-		err = fmt.Errorf("cluster: shard result is not a ciphertext")
-	}
-	if err != nil {
-		httpError(rw, http.StatusInternalServerError, err)
+	op := enc.Operand()
+	if !op.IsCipher() {
+		httpError(rw, http.StatusInternalServerError, fmt.Errorf("cluster: shard result is not a ciphertext"))
 		return
 	}
 	raw, depth, err := backend.ExportCiphertext(op.Ct)
@@ -478,19 +463,7 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	out := make([]DecodedResult, len(results))
-	for i, res := range results {
-		out[i] = DecodedResult{
-			Label:    res.Plurality(),
-			Votes:    res.Votes,
-			PerTree:  res.PerTree,
-			LeafBits: res.LeafBits,
-		}
-		if out[i].Label < len(gm.LabelNames) {
-			out[i].LabelName = gm.LabelNames[out[i].Label]
-		}
-	}
-	WriteJSON(rw, out)
+	WriteJSON(rw, DecodeResults(results, gm.LabelNames))
 }
 
 func (w *Worker) handleStats(rw http.ResponseWriter, _ *http.Request) {

@@ -27,14 +27,6 @@ type Query struct {
 	// PlanesPerCiphertext is the plane packing g of Bits; zero (a
 	// hand-built query) means one plane per operand.
 	PlanesPerCiphertext int
-
-	// Next chains an overflow continuation: a logical batch larger than
-	// Meta.BatchCapacity is prepared as a linked list of capacity-sized
-	// Query links, each packed from slot block 0 and classified in its
-	// own pass. PrepareQueryBatch itself never chains (it keeps the
-	// one-pass BatchCapacityError contract); the serving layer builds
-	// and walks chains.
-	Next *Query
 }
 
 // BatchCapacityError reports a batch index or size exceeding the staged
@@ -245,6 +237,10 @@ type Result struct {
 	// PerTree gives each tree's chosen label index; deriving it needs
 	// the tree boundaries, which only the model owner knows.
 	PerTree []int
+	// Codebook is the shuffled decoding table the result was tallied
+	// through (§7.2.2): nil unless the pass was shuffled, in which case
+	// LeafBits and PerTree are nil and Votes is all the result reveals.
+	Codebook *ShuffledCodebook
 }
 
 // DecodeResult interprets the decrypted label-mask slots of a

@@ -94,12 +94,13 @@ func stageShuffle(b he.Backend, m *ModelOperands, batch int, seed uint64) (*pass
 
 // DecodeShuffled tallies votes from a shuffled result. Per-tree labels
 // are unrecoverable by design (the tree boundaries are hidden); only the
-// label vote counts — what the data owner legitimately learns — remain.
+// label vote counts — what the data owner legitimately learns — remain,
+// and the Result carries cb, the codebook they were tallied through.
 func DecodeShuffled(cb *ShuffledCodebook, numLabels int, slots []uint64) (*Result, error) {
 	if len(slots) < len(cb.Slots) {
 		return nil, fmt.Errorf("core: result has %d slots, codebook has %d", len(slots), len(cb.Slots))
 	}
-	r := &Result{Votes: make([]int, numLabels)}
+	r := &Result{Votes: make([]int, numLabels), Codebook: cb}
 	total := 0
 	for i, label := range cb.Slots {
 		bit := slots[i]

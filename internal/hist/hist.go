@@ -9,6 +9,7 @@
 package hist
 
 import (
+	"encoding/json"
 	"sync/atomic"
 	"time"
 )
@@ -130,3 +131,30 @@ func (s Snapshot) Quantile(q float64) time.Duration {
 	}
 	return 0
 }
+
+// Summary is a snapshot's count and interpolated p50/p95/p99: the one
+// form both Service.Stats and the gateway's /v1/stats report a
+// distribution in.
+type Summary struct {
+	Count         int64
+	P50, P95, P99 time.Duration
+}
+
+// Summary summarizes the snapshot.
+func (s Snapshot) Summary() Summary {
+	return Summary{Count: s.Count, P50: s.Quantile(0.50), P95: s.Quantile(0.95), P99: s.Quantile(0.99)}
+}
+
+// MarshalJSON renders the summary with its quantiles in milliseconds.
+func (s Summary) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count int64   `json:"count"`
+		P50MS float64 `json:"p50MS"`
+		P95MS float64 `json:"p95MS"`
+		P99MS float64 `json:"p99MS"`
+	}{s.Count, Millis(s.P50), Millis(s.P95), Millis(s.P99)})
+}
+
+// Millis is d in milliseconds, to the microsecond: the unit every JSON
+// latency field is in.
+func Millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

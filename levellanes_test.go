@@ -110,10 +110,7 @@ func checkLaneMerge(t *testing.T, f *copse.Forest, models []packedModel) {
 			if err != nil {
 				t.Fatalf("%s: %v", pm.name, err)
 			}
-			op, _, err := enc.Operand()
-			if err != nil {
-				t.Fatal(err)
-			}
+			op := enc.Operand()
 			if i == 0 {
 				merged = op
 			} else if merged, err = he.Add(svc.Backend(), merged, op); err != nil {

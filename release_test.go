@@ -120,10 +120,7 @@ func TestPassAllocationBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				op, _, err := enc.Operand()
-				if err != nil {
-					t.Fatal(err)
-				}
+				op := enc.Operand()
 				he.Release(op.Ct) // the result is the caller's to give back
 			}
 			for range 3 {

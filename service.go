@@ -97,6 +97,7 @@ type Service struct {
 // servedModel is one registry entry: the compiled model staged onto the
 // service backend plus its (stateless, concurrency-safe) engine.
 type servedModel struct {
+	name     string
 	compiled *Compiled
 	operands *core.ModelOperands
 	engine   *core.Engine
@@ -167,8 +168,9 @@ func WithSeed(seed uint64) Option { return func(c *serviceConfig) { c.seed = see
 // decrypted result no longer reveals the order of the labels in the
 // forest's trees. Results decode through the per-query codebooks carried
 // on the EncryptedResult (DecryptResult[Batch] handles this
-// transparently); per-tree labels are unrecoverable by design, only vote
-// counts remain. Models must be compiled with CompileOptions.PlanShuffle
+// transparently), and each decoded Result carries its own
+// (Result.Codebook); per-tree labels are unrecoverable by design, only
+// vote counts remain. Models must be compiled with CompileOptions.PlanShuffle
 // (artifacts older than the level plan are planned with it at load) so the
 // classification result keeps the shuffle's level headroom — Register
 // refuses one that does not with a *PlanInfeasibleError for the shuffle
@@ -308,6 +310,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		return err
 	}
 	s.models[name] = &servedModel{
+		name:     name,
 		compiled: c,
 		operands: operands,
 		latency:  hist.New(),
@@ -381,14 +384,12 @@ func (s *Service) EncryptQuery(name string, features []uint64) (*Query, error) {
 	return s.EncryptQueryBatch(name, [][]uint64{features})
 }
 
-// EncryptQueryBatch slot-packs feature vectors into encrypted query
-// sets. Up to BatchCapacity vectors share one set and one Classify
-// pass answers all of them; a larger batch is split transparently into
-// a chain of capacity-sized sets (Query.Next) which Classify runs as
-// ceil(len/capacity) passes — the service boundary never surfaces the
-// low-level *core.BatchCapacityError, which remains the contract of
-// the single-pass core.PrepareQueryBatch API.
-func (s *Service) EncryptQueryBatch(name string, batch [][]uint64) (*Query, error) {
+// EncryptQueryBatch slot-packs up to BatchCapacity feature vectors into
+// one encrypted query set, which one Classify pass answers; a larger batch
+// is refused with a *core.BatchCapacityError (ClassifyBatch splits one
+// into passes). Encryption panics — direct or recovered inside a matrix
+// worker — surface as a typed *InternalError on this request only.
+func (s *Service) EncryptQueryBatch(name string, batch [][]uint64) (q *Query, err error) {
 	m, backend, err := s.lookup(name)
 	if err != nil {
 		return nil, err
@@ -397,35 +398,8 @@ func (s *Service) EncryptQueryBatch(name string, batch [][]uint64) (*Query, erro
 	if err != nil {
 		return nil, err
 	}
-	meta := &m.operands.Meta
-	capacity := meta.BatchCapacity()
-	if len(batch) <= capacity {
-		return s.prepareBatch(backend, meta, batch, encFeats)
-	}
-	var head *Query
-	var tail *Query
-	for lo := 0; lo < len(batch); lo += capacity {
-		q, err := s.prepareBatch(backend, meta, batch[lo:min(lo+capacity, len(batch))], encFeats)
-		if err != nil {
-			return nil, err
-		}
-		if head == nil {
-			head = q
-		} else {
-			tail.Next = q
-		}
-		tail = q
-	}
-	return head, nil
-}
-
-// prepareBatch runs one core.PrepareQueryBatch pass with the same
-// panic isolation as the classify pipeline: encryption panics — direct
-// or recovered inside a matrix worker — surface as a typed
-// *InternalError on this request only.
-func (s *Service) prepareBatch(backend he.Backend, meta *core.Meta, batch [][]uint64, encFeats bool) (q *Query, err error) {
 	defer s.isolate("encrypt", &err)
-	return core.PrepareQueryBatch(backend, meta, batch, encFeats)
+	return core.PrepareQueryBatch(backend, &m.operands.Meta, batch, encFeats)
 }
 
 // isolate, deferred by a serving step that returns its error through err,
@@ -446,98 +420,17 @@ func (s *Service) isolate(op string, err *error) {
 	}
 }
 
-// Classify runs Algorithm 1 on a prepared (possibly batched) query.
-// It is safe to call from many goroutines; with WithMaxInFlight set,
-// excess calls queue (cancellable while queued) and the wait shows up
-// in Stats. The context is also checked between pipeline stages. A
-// query chained across several sets (EncryptQueryBatch of more than
-// BatchCapacity vectors) runs one pass per link — concurrently, under
-// the in-flight cap — and returns one combined result; the trace then
-// aggregates the links (durations and op bills summed).
+// Classify runs Algorithm 1 on a prepared (possibly batched) query: one
+// pass under one reserved shuffle seed, so seeded shuffled runs
+// reproduce. It is safe to call from many goroutines; with
+// WithMaxInFlight set, excess calls queue (cancellable while queued) and
+// the wait shows up in Stats. The context is also checked between
+// pipeline stages.
 func (s *Service) Classify(ctx context.Context, name string, q *Query) (*EncryptedResult, *Trace, error) {
-	var links []*Query
-	for l := q; l != nil; l = l.Next {
-		links = append(links, l)
-	}
-	encs := make([]*EncryptedResult, len(links))
-	traces := make([]*Trace, len(links))
-	err := s.passes(len(links), func(i int, seed uint64) (err error) {
-		encs[i], traces[i], err = s.classify(ctx, name, links[i], seed)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(links) == 1 {
-		return encs[0], traces[0], nil
-	}
-	merged := &EncryptedResult{}
-	trace := &Trace{}
-	for i, enc := range encs {
-		merged.segs = append(merged.segs, enc.segs...)
-		addTrace(trace, traces[i])
-	}
-	return merged, trace, nil
+	return s.classify(ctx, name, q, s.shuffleSeedBlock(1))
 }
 
-// addTrace accumulates one pass's trace into an aggregate: durations,
-// op bills and query and level operands sum, limb/noise fields, the plane
-// packing and the level lanes and groups keep the first pass's view.
-func addTrace(dst, src *Trace) {
-	if src == nil {
-		return
-	}
-	dst.Compare += src.Compare
-	dst.Reshuffle += src.Reshuffle
-	dst.Levels += src.Levels
-	dst.Accumulate += src.Accumulate
-	dst.Shuffle += src.Shuffle
-	dst.Total += src.Total
-	dst.CompareBusy += src.CompareBusy
-	dst.ReshuffleBusy += src.ReshuffleBusy
-	dst.LevelsBusy += src.LevelsBusy
-	dst.AccumulateBusy += src.AccumulateBusy
-	dst.ShuffleBusy += src.ShuffleBusy
-	dst.Workers = src.Workers
-	dst.QueryCiphertexts += src.QueryCiphertexts
-	dst.LevelOperands += src.LevelOperands
-	if dst.PlanesPerCiphertext == 0 {
-		dst.PlanesPerCiphertext, dst.LevelLanes, dst.LevelGroups = src.PlanesPerCiphertext, src.LevelLanes, src.LevelGroups
-	}
-	dst.CompareOps = dst.CompareOps.Plus(src.CompareOps)
-	dst.ReshuffleOps = dst.ReshuffleOps.Plus(src.ReshuffleOps)
-	dst.LevelOps = dst.LevelOps.Plus(src.LevelOps)
-	dst.AccumulateOps = dst.AccumulateOps.Plus(src.AccumulateOps)
-	dst.ShuffleOps = dst.ShuffleOps.Plus(src.ShuffleOps)
-	if dst.Limbs == (core.StageLimbs{}) {
-		dst.Limbs = src.Limbs
-	}
-	if dst.Noise == (core.StageNoise{}) {
-		dst.Noise = src.Noise
-	}
-	if dst.Executor == "" {
-		dst.Executor = src.Executor
-	}
-}
-
-// passes runs n independent passes concurrently — bounded by
-// WithMaxInFlight when set and by the host's core count — handing pass i
-// the i-th shuffle seed of a block reserved up front, so seeded shuffled
-// runs reproduce whichever pass's goroutine runs first. It is the one
-// multi-pass runner: Classify's chained links and classifyChunks' chunks
-// both run here.
-func (s *Service) passes(n int, run func(i int, seed uint64) error) error {
-	workers := min(n, runtime.GOMAXPROCS(0))
-	if s.cfg.maxInFlight > 0 {
-		workers = min(workers, s.cfg.maxInFlight)
-	}
-	base := s.shuffleSeedBlock(n)
-	return matrix.ParallelFor(n, workers, func(i int) error {
-		return run(i, base+uint64(i)*shuffleSeedStride)
-	})
-}
-
-// classify runs one pass of Algorithm 1 over one query link — admission,
+// classify runs one pass of Algorithm 1 over one query — admission,
 // the in-flight slot, the engine pass and the serving counters — with
 // the shuffle seed its caller reserved (unused on an unshuffled service).
 func (s *Service) classify(ctx context.Context, name string, q *Query, seed uint64) (*EncryptedResult, *Trace, error) {
@@ -590,8 +483,13 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, seed uint
 	s.queryCts.Add(int64(trace.QueryCiphertexts))
 	s.levelMats.Add(int64(m.operands.Meta.D))
 	s.levelOps.Add(int64(trace.LevelOperands))
-	seg := resultSeg{op: op, batch: max(q.Batch, 1), capacity: m.operands.Meta.QueryCapacity(q.PlanesPerCiphertext), codebooks: codebooks}
-	return &EncryptedResult{segs: []resultSeg{seg}}, trace, nil
+	return &EncryptedResult{
+		op:        op,
+		batch:     max(q.Batch, 1),
+		capacity:  m.operands.Meta.QueryCapacity(q.PlanesPerCiphertext),
+		codebooks: codebooks,
+		model:     m,
+	}, trace, nil
 }
 
 // admit acquires an in-flight slot (when WithMaxInFlight is set),
@@ -689,130 +587,102 @@ func (s *Service) DecryptResult(name string, r *EncryptedResult) (*Result, error
 	return results[0], nil
 }
 
-// DecryptResultBatch decrypts one classification — every pass of a
-// chained multi-pass result — and decodes every packed query's result,
-// in the order the batch was packed. Shuffled results (WithShuffle)
-// decode through their per-query codebooks: the Results carry vote
-// counts only — per-tree labels and raw leaf bits are hidden by the
-// shuffle, by design.
+// DecryptResultBatch decrypts one classification pass and decodes every
+// packed query's result, in the order the batch was packed. Shuffled
+// results (WithShuffle) decode through their per-query codebooks, which
+// each Result carries: vote counts only — per-tree labels and raw leaf
+// bits are hidden by the shuffle, by design. A result is decoded only
+// under the registry entry that produced it: any other name is refused
+// with a *ResultModelError, since another model's codebook would decode
+// it to wrong labels without complaint.
 func (s *Service) DecryptResultBatch(name string, r *EncryptedResult) ([]*Result, error) {
 	m, backend, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	meta := &m.operands.Meta
-	var out []*Result
-	for _, seg := range r.segs {
-		slots, err := he.Reveal(backend, seg.op)
-		if err != nil {
-			return nil, err
+	if r.model != m {
+		err := &ResultModelError{Model: name}
+		if r.model != nil {
+			err.ProducedBy = r.model.name
 		}
-		var results []*Result
-		if seg.codebooks != nil {
-			results, err = core.DecodeShuffledBatch(seg.codebooks, len(meta.LabelNames), slots, meta.BatchBlock())
-		} else {
-			results, err = core.DecodeResultBatch(meta, slots, max(seg.batch, 1), seg.capacity)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, results...)
+		return nil, err
 	}
-	return out, nil
+	slots, err := he.Reveal(backend, r.op)
+	if err != nil {
+		return nil, err
+	}
+	meta := &m.operands.Meta
+	if r.codebooks != nil {
+		return core.DecodeShuffledBatch(r.codebooks, len(meta.LabelNames), slots, meta.BatchBlock())
+	}
+	return core.DecodeResultBatch(meta, slots, r.batch, r.capacity)
 }
 
 // ClassifyBatch is the end-to-end serving loop: slot-pack the feature
 // vectors, run one homomorphic pass, decrypt and decode per-query
-// results. Batches larger than the model's capacity are split into
-// ceil(len/capacity) passes which run concurrently (the passes are
-// independent and Classify is concurrency-safe), bounded by
-// WithMaxInFlight when set and by the host's core count otherwise.
+// results (a shuffled service's each carrying its codebook). Batches
+// larger than the model's capacity are split into ceil(len/capacity)
+// passes which run concurrently, bounded by WithMaxInFlight when set and
+// by the host's core count otherwise, each under the next seed of a
+// block reserved up front, so seeded shuffled runs reproduce whichever
+// pass's goroutine runs first. With the dynamic batcher enabled
+// (WithBatchWindow) the request is instead enqueued into the model's
+// aggregator, where it shares slot-packed passes with every other
+// concurrent caller — once its feature vectors are known good, so a
+// malformed request fails alone.
 func (s *Service) ClassifyBatch(ctx context.Context, name string, batch [][]uint64) ([]*Result, error) {
-	results, _, err := s.classifyChunks(ctx, name, batch)
-	return results, err
-}
-
-// ClassifyBatchShuffled is ClassifyBatch with the shuffled decoding
-// surface exposed: alongside each query's decoded Result (vote counts;
-// per-tree labels are hidden by the shuffle) it returns the per-query
-// ShuffledCodebook the result was decoded through — what a deployment
-// hands the data owner together with the shuffled ciphertext. Requires
-// WithShuffle.
-func (s *Service) ClassifyBatchShuffled(ctx context.Context, name string, batch [][]uint64) ([]*Result, []*ShuffledCodebook, error) {
-	if !s.cfg.shuffle {
-		return nil, nil, fmt.Errorf("copse: service built without WithShuffle")
-	}
-	return s.classifyChunks(ctx, name, batch)
-}
-
-// classifyChunks is the shared serving loop behind ClassifyBatch and
-// ClassifyBatchShuffled: slot-pack, classify, decrypt, decode —
-// chunked to the model's capacity, chunks running concurrently. With
-// the dynamic batcher enabled (WithBatchWindow) the request is instead
-// enqueued into the model's aggregator, where it shares slot-packed
-// passes with every other concurrent caller — once its feature vectors
-// are known good, so a malformed request fails alone.
-func (s *Service) classifyChunks(ctx context.Context, name string, batch [][]uint64) ([]*Result, []*ShuffledCodebook, error) {
 	m, _, err := s.lookup(name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := m.operands.Meta.CheckFeatures(batch); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if agg, err := s.aggregatorFor(name); err != nil {
-		return nil, nil, err
+		return nil, err
 	} else if agg != nil {
 		return agg.submit(ctx, batch)
 	}
 	capacity := m.operands.Meta.BatchCapacity()
-	out := make([]*Result, len(batch))
-	var codebooks []*ShuffledCodebook
-	if s.cfg.shuffle {
-		codebooks = make([]*ShuffledCodebook, len(batch))
+	n := (len(batch) + capacity - 1) / capacity
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if s.cfg.maxInFlight > 0 {
+		workers = min(workers, s.cfg.maxInFlight)
 	}
-	err = s.passes((len(batch)+capacity-1)/capacity, func(i int, seed uint64) error {
+	base := s.shuffleSeedBlock(n)
+	out := make([]*Result, len(batch))
+	err = matrix.ParallelFor(n, workers, func(i int) error {
 		lo := i * capacity
 		hi := min(lo+capacity, len(batch))
-		results, cbs, err := s.pass(ctx, name, batch[lo:hi], seed)
-		if err != nil {
-			return err
-		}
+		results, err := s.pass(ctx, name, batch[lo:hi], base+uint64(i)*shuffleSeedStride)
 		copy(out[lo:hi], results)
-		if codebooks != nil {
-			copy(codebooks[lo:hi], cbs)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return out, codebooks, nil
+	return out, nil
 }
 
 // pass answers at most one pass's worth of feature vectors end to end:
 // encrypt them into one query, classify it with the shuffle seed the
-// caller reserved, decrypt and decode, and return the results with their
-// codebooks (nil unshuffled). The query and the result are the pass's
-// own: they go back to the backend's pool once the pass no longer needs
-// them (DESIGN.md §6.4). classifyChunks and the dynamic batcher both run
-// their passes here.
-func (s *Service) pass(ctx context.Context, name string, feats [][]uint64, seed uint64) ([]*Result, []*ShuffledCodebook, error) {
+// caller reserved, decrypt and decode. The query and the result are the
+// pass's own: they go back to the backend's pool once the pass no longer
+// needs them (DESIGN.md §6.4). ClassifyBatch and the dynamic batcher both
+// run their passes here.
+func (s *Service) pass(ctx context.Context, name string, feats [][]uint64, seed uint64) ([]*Result, error) {
 	q, err := s.EncryptQueryBatch(name, feats)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	enc, _, err := s.classify(ctx, name, q, seed)
 	releaseQuery(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	results, err := s.DecryptResultBatch(name, enc)
-	enc.release()
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, enc.Codebooks(), nil
+	he.Release(enc.op.Ct)
+	return results, err
 }
 
 // ServiceStats is a snapshot of the serving counters.
@@ -887,21 +757,9 @@ type ServiceStats struct {
 }
 
 // LatencyStats is one model's latency distribution summary: the pass
-// count and interpolated p50/p95/p99 over fixed log-spaced buckets.
-type LatencyStats struct {
-	Count         int64
-	P50, P95, P99 time.Duration
-}
-
-// MarshalJSON renders the summary with its quantiles in milliseconds.
-func (l LatencyStats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Count int64   `json:"count"`
-		P50MS float64 `json:"p50MS"`
-		P95MS float64 `json:"p95MS"`
-		P99MS float64 `json:"p99MS"`
-	}{l.Count, millis(l.P50), millis(l.P95), millis(l.P99)})
-}
+// count and interpolated p50/p95/p99 over fixed log-spaced buckets,
+// rendered in JSON with its quantiles in milliseconds.
+type LatencyStats = hist.Summary
 
 // MarshalJSON renders the snapshot as the /v1/stats body of a
 // single-node server and of a cluster worker: the counters, the mean
@@ -944,8 +802,8 @@ func (st ServiceStats) MarshalJSON() ([]byte, error) {
 		Failures:            st.Failures,
 		InFlight:            st.InFlight,
 		Queued:              st.Queued,
-		MeanLatencyMS:       millis(st.MeanLatency()),
-		MeanQueueWaitMS:     millis(st.MeanQueueWait()),
+		MeanLatencyMS:       hist.Millis(st.MeanLatency()),
+		MeanQueueWaitMS:     hist.Millis(st.MeanQueueWait()),
 		Workers:             st.Workers,
 		Utilisation:         st.Utilisation(),
 		QueryCiphertexts:    st.QueryCiphertexts,
@@ -958,13 +816,10 @@ func (st ServiceStats) MarshalJSON() ([]byte, error) {
 		BatcherPasses:       st.BatcherPasses,
 		CoalescedQueries:    st.CoalescedQueries,
 		BatchFill:           st.BatchFill,
-		MeanBatchWaitMS:     millis(st.MeanBatchWait()),
+		MeanBatchWaitMS:     hist.Millis(st.MeanBatchWait()),
 		ModelLatency:        st.ModelLatency,
 	})
 }
-
-// millis is d in milliseconds, to the microsecond.
-func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // MeanLatency returns the mean per-pass classification latency.
 func (st ServiceStats) MeanLatency() time.Duration {
@@ -1049,13 +904,7 @@ func (s *Service) Stats() ServiceStats {
 	if len(s.models) > 0 {
 		st.ModelLatency = make(map[string]LatencyStats, len(s.models))
 		for name, m := range s.models {
-			snap := m.latency.Snapshot()
-			st.ModelLatency[name] = LatencyStats{
-				Count: snap.Count,
-				P50:   snap.Quantile(0.50),
-				P95:   snap.Quantile(0.95),
-				P99:   snap.Quantile(0.99),
-			}
+			st.ModelLatency[name] = m.latency.Snapshot().Summary()
 		}
 	}
 	s.mu.RUnlock()

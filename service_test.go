@@ -16,6 +16,7 @@ import (
 
 	"copse"
 	"copse/internal/core"
+	"copse/internal/model"
 	"copse/internal/synth"
 )
 
@@ -158,9 +159,11 @@ func TestServiceContextCancel(t *testing.T) {
 	}
 }
 
-// TestServiceBatchCapacityError: the service boundary splits oversized
-// batches into a chain of passes transparently; the typed error stays
-// at the low-level PrepareQueryBatch API.
+// TestServiceBatchCapacityError: one three-call pass classifies one
+// query set, so EncryptQueryBatch refuses a batch past the capacity with
+// the typed error of core.PrepareQueryBatch, before any pass is counted;
+// ClassifyBatch splits the same batch into passes and answers every
+// query.
 func TestServiceBatchCapacityError(t *testing.T) {
 	f, c := trainedModel(t, 44, 256)
 	svc := copse.NewService(copse.WithBackend(copse.BackendClear))
@@ -177,23 +180,22 @@ func TestServiceBatchCapacityError(t *testing.T) {
 		over[i] = []uint64{rng.Uint64N(16), rng.Uint64N(16), rng.Uint64N(16)}
 	}
 
-	// The low-level core API keeps its one-pass contract.
-	_, err = core.PrepareQueryBatch(svc.Backend(), &c.Meta, over, false)
-	var bce *core.BatchCapacityError
-	if !errors.As(err, &bce) {
-		t.Errorf("core.PrepareQueryBatch: %v, want *core.BatchCapacityError", err)
+	for api, prepare := range map[string]func() (*copse.Query, error){
+		"core.PrepareQueryBatch":    func() (*copse.Query, error) { return core.PrepareQueryBatch(svc.Backend(), &c.Meta, over, false) },
+		"Service.EncryptQueryBatch": func() (*copse.Query, error) { return svc.EncryptQueryBatch("m", over) },
+	} {
+		_, err := prepare()
+		var bce *core.BatchCapacityError
+		if !errors.As(err, &bce) || bce.Index != len(over) || bce.Capacity != capacity {
+			t.Errorf("%s of %d queries: %v, want *core.BatchCapacityError{%d, %d}", api, len(over), err, len(over), capacity)
+		}
+	}
+	if st := svc.Stats(); st.Requests != 0 || st.Failures != 0 {
+		t.Errorf("refused encryption counted %d requests, %d failures", st.Requests, st.Failures)
 	}
 
-	// The service chains the overflow and answers every query.
-	q, err := svc.EncryptQueryBatch("m", over)
-	if err != nil {
-		t.Fatalf("oversized EncryptQueryBatch: %v", err)
-	}
-	enc, _, err := svc.Classify(context.Background(), "m", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := svc.DecryptResultBatch("m", enc)
+	// ClassifyBatch splits the batch into passes and answers every query.
+	results, err := svc.ClassifyBatch(context.Background(), "m", over)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +203,78 @@ func TestServiceBatchCapacityError(t *testing.T) {
 		t.Fatalf("%d results for %d queries", len(results), len(over))
 	}
 	for i, feats := range over {
-		want := f.Classify(feats)
-		for ti, lbl := range results[i].PerTree {
-			if lbl != want[ti] {
-				t.Errorf("query %d tree %d: L%d, want L%d", i, ti, lbl, want[ti])
+		if want := f.Classify(feats); !slices.Equal(results[i].PerTree, want) {
+			t.Errorf("query %d: per-tree %v, want %v", i, results[i].PerTree, want)
+		}
+	}
+	if st := svc.Stats(); st.Requests != 3 {
+		t.Errorf("ClassifyBatch of %d queries at capacity %d ran %d passes, want 3", len(over), capacity, st.Requests)
+	}
+}
+
+// relabelled returns f with every leaf label shifted by one (mod the
+// label count): the same layout, and so the same packing, as f.
+func relabelled(f *copse.Forest) *copse.Forest {
+	var shift func(n *model.Node) *model.Node
+	shift = func(n *model.Node) *model.Node {
+		if n.Leaf {
+			return &model.Node{Leaf: true, Label: (n.Label + 1) % len(f.Labels)}
+		}
+		return &model.Node{Feature: n.Feature, Threshold: n.Threshold, Left: shift(n.Left), Right: shift(n.Right)}
+	}
+	g := *f
+	g.Trees = nil
+	for _, tr := range f.Trees {
+		g.Trees = append(g.Trees, &model.Tree{Root: shift(tr.Root)})
+	}
+	return &g
+}
+
+// TestServiceResultModelMismatch: a result decodes only under the
+// registry entry that produced it. Figure 1 as "a" and its relabelled
+// twin as "b" share a layout, so "b" would decode "a"'s result to a
+// wrong label without complaint; DecryptResult[Batch] refuses it typed,
+// on both backends.
+func TestServiceResultModelMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		kind  copse.BackendKind
+		slots int
+	}{{copse.BackendClear, 256}, {copse.BackendBGV, 1024}} {
+		forest := copse.ExampleForest()
+		svc := copse.NewService(copse.WithBackend(tc.kind), copse.WithSeed(5))
+		for name, f := range map[string]*copse.Forest{"a": forest, "b": relabelled(forest)} {
+			c, err := copse.Compile(f, copse.CompileOptions{Slots: tc.slots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Register(name, c); err != nil {
+				t.Fatal(err)
 			}
 		}
+		q, err := svc.EncryptQuery("a", []uint64{3, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, _, err := svc.Classify(context.Background(), "a", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &copse.ResultModelError{Model: "b", ProducedBy: "a"}
+		var rme *copse.ResultModelError
+		if res, err := svc.DecryptResult("b", enc); !errors.As(err, &rme) || *rme != *want {
+			t.Errorf("backend %d: model a's result decrypted as b: %+v, %v, want %v", tc.kind, res, err, want)
+		}
+		if res, err := svc.DecryptResultBatch("b", enc); !errors.As(err, &rme) || *rme != *want {
+			t.Errorf("backend %d: model a's result batch-decrypted as b: %+v, %v, want %v", tc.kind, res, err, want)
+		}
+		res, err := svc.DecryptResult("a", enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := forest.Classify([]uint64{3, 5}); !slices.Equal(res.PerTree, want) {
+			t.Errorf("backend %d: model a's result as a: per-tree %v, want %v", tc.kind, res.PerTree, want)
+		}
+		svc.Close()
 	}
 }
 
@@ -399,12 +467,12 @@ func TestServiceShuffledServing(t *testing.T) {
 			batch[i][j] = rng.Uint64N(1 << uint(f.Precision))
 		}
 	}
-	results, codebooks, err := svc.ClassifyBatchShuffled(context.Background(), "m", batch)
+	results, err := svc.ClassifyBatch(context.Background(), "m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(batch) || len(codebooks) != len(batch) {
-		t.Fatalf("%d results, %d codebooks for %d queries", len(results), len(codebooks), len(batch))
+	if len(results) != len(batch) {
+		t.Fatalf("%d results for %d queries", len(results), len(batch))
 	}
 	for i, feats := range batch {
 		wantVotes := make([]int, len(f.Labels))
@@ -420,38 +488,21 @@ func TestServiceShuffledServing(t *testing.T) {
 		if results[i].PerTree != nil {
 			t.Errorf("query %d: shuffled result exposes per-tree labels %v", i, results[i].PerTree)
 		}
-		if codebooks[i] == nil || len(codebooks[i].Slots) == 0 {
+		if cb := results[i].Codebook; cb == nil || len(cb.Slots) == 0 {
 			t.Errorf("query %d: missing codebook", i)
 		}
 	}
-	// ClassifyBatch (codebooks hidden) must serve the same votes.
-	plain, err := svc.ClassifyBatch(context.Background(), "m", batch[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain[0].PerTree != nil {
-		t.Error("shuffled service leaked per-tree labels through ClassifyBatch")
-	}
 	// Distinct passes draw distinct permutations: classify the same query
 	// twice and compare codebooks.
-	_, cb1, err := svc.ClassifyBatchShuffled(context.Background(), "m", batch[:1])
+	one1, err := svc.ClassifyBatch(context.Background(), "m", batch[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cb2, err := svc.ClassifyBatchShuffled(context.Background(), "m", batch[:1])
+	one2, err := svc.ClassifyBatch(context.Background(), "m", batch[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := len(cb1[0].Slots) == len(cb2[0].Slots)
-	if same {
-		for i := range cb1[0].Slots {
-			if cb1[0].Slots[i] != cb2[0].Slots[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	if slices.Equal(one1[0].Codebook.Slots, one2[0].Codebook.Slots) {
 		t.Error("two passes shared a shuffle permutation")
 	}
 
@@ -466,14 +517,71 @@ func TestServiceShuffledServing(t *testing.T) {
 	if err := svc2.Register("m", c); err != nil {
 		t.Fatal(err)
 	}
-	_, replay, err := svc2.ClassifyBatchShuffled(context.Background(), "m", batch)
+	replay, err := svc2.ClassifyBatch(context.Background(), "m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range codebooks {
-		for j := range codebooks[i].Slots {
-			if replay[i].Slots[j] != codebooks[i].Slots[j] {
-				t.Fatalf("query %d: seeded replay produced a different codebook", i)
+	for i := range results {
+		if !slices.Equal(replay[i].Codebook.Slots, results[i].Codebook.Slots) {
+			t.Fatalf("query %d: seeded replay produced a different codebook", i)
+		}
+	}
+}
+
+// TestServiceShuffledCodebookPaths: a shuffled result's codebook reaches
+// the caller on every serving path — ClassifyBatch direct, ClassifyBatch
+// through the dynamic batcher, and the three calls EncryptQueryBatch,
+// Classify, DecryptResultBatch — and an unshuffled result carries none.
+func TestServiceShuffledCodebookPaths(t *testing.T) {
+	f, _ := trainedModel(t, 48, 256)
+	c, err := copse.Compile(f, copse.CompileOptions{Slots: 256, PlanShuffle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := [][]uint64{{1, 2, 3}, {9, 0, 14}}
+	for _, shuffle := range []bool{false, true} {
+		for _, path := range []string{"direct", "batcher", "three-call"} {
+			opts := []copse.Option{copse.WithBackend(copse.BackendClear), copse.WithShuffle(shuffle), copse.WithSeed(3)}
+			if path == "batcher" {
+				opts = append(opts, copse.WithBatchWindow(time.Millisecond))
+			}
+			svc := copse.NewService(opts...)
+			if err := svc.Register("m", c); err != nil {
+				t.Fatal(err)
+			}
+			var results []*copse.Result
+			if path == "three-call" {
+				q, err := svc.EncryptQueryBatch("m", batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc, _, err := svc.Classify(context.Background(), "m", q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, err = svc.DecryptResultBatch("m", enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else if results, err = svc.ClassifyBatch(context.Background(), "m", batch); err != nil {
+				t.Fatal(err)
+			}
+			svc.Close()
+			for i, res := range results {
+				cb := res.Codebook
+				switch {
+				case !shuffle && cb != nil:
+					t.Errorf("unshuffled %s query %d carries a codebook", path, i)
+				case shuffle && (cb == nil || len(cb.Slots) != c.Meta.NumLeaves || cb.NumTrees != len(f.Trees)):
+					t.Errorf("shuffled %s query %d: codebook %+v, want one over %d leaves of %d trees", path, i, cb, c.Meta.NumLeaves, len(f.Trees))
+				}
+				wantVotes := make([]int, len(f.Labels))
+				for _, lbl := range f.Classify(batch[i]) {
+					wantVotes[lbl]++
+				}
+				if !slices.Equal(res.Votes, wantVotes) {
+					t.Errorf("shuffle=%v %s query %d: votes %v, want %v", shuffle, path, i, res.Votes, wantVotes)
+				}
 			}
 		}
 	}
@@ -507,7 +615,7 @@ func TestServiceShuffledServingBGV(t *testing.T) {
 	for i := range batch {
 		batch[i] = []uint64{rng.Uint64N(16), rng.Uint64N(16)}
 	}
-	results, codebooks, err := svc.ClassifyBatchShuffled(context.Background(), "fig1", batch)
+	results, err := svc.ClassifyBatch(context.Background(), "fig1", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +630,7 @@ func TestServiceShuffledServingBGV(t *testing.T) {
 				break
 			}
 		}
-		if codebooks[i] == nil {
+		if results[i].Codebook == nil {
 			t.Fatalf("query %d: no codebook", i)
 		}
 	}
