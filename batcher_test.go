@@ -208,7 +208,6 @@ func TestAggregatorCancelMidLinger(t *testing.T) {
 // caller its own codebook window — votes must match the plaintext walk
 // through the caller's codebook, per-tree labels stay hidden.
 func TestAggregatorShuffledRouting(t *testing.T) {
-	const clients = 4 // the capacity at 256 slots: the fleet fills one pass
 	f, _ := trainedModel(t, 55, 256)
 	c, err := copse.Compile(f, copse.CompileOptions{Slots: 256, PlanShuffle: true})
 	if err != nil {
@@ -220,6 +219,12 @@ func TestAggregatorShuffledRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
+	// One client per query the model packs: the fleet fills one pass,
+	// which fires at once instead of when the window expires.
+	clients, err := svc.BatchCapacity("m")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for g := 0; g < clients; g++ {

@@ -268,50 +268,35 @@ func BenchmarkTable6Generate(b *testing.B) {
 	}
 }
 
-// BenchmarkClassify: the BGV hot path end to end, across the diagonal
-// kernels. Both modes run the same op-program executor under the model's
-// level plan, on a chain sized to it; they differ only in what was staged.
-// It reports allocations: a warm pass draws every polynomial from the
-// ring's row pool, so B/op is the result each iteration keeps and small
-// bookkeeping.
-//
-//	naive  one rotation per diagonal (CompileOptions.NoBSGS)
-//	bsgs   the default configuration: baby-step/giant-step kernel
+// BenchmarkClassify: the BGV hot path end to end — the op-program
+// executor under the model's level plan, on a chain sized to it, with the
+// rotation, hoisting and limb-op counts per query. It reports
+// allocations: a warm pass draws every polynomial from the ring's row
+// pool, so B/op is the result each iteration keeps and small bookkeeping.
 func BenchmarkClassify(b *testing.B) {
-	modes := []struct {
-		name   string
-		noBSGS bool
-	}{
-		{"naive", true},
-		{"bsgs", false},
+	b.ReportAllocs()
+	compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024})
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			compiled, err := copse.Compile(copse.ExampleForest(), copse.CompileOptions{Slots: 1024, NoBSGS: mode.noBSGS})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys, err := copse.NewSystem(compiled,
-				copse.WithBackend(copse.BackendBGV),
-				copse.WithScenario(copse.ScenarioOffload),
-				copse.WithWorkers(runtime.GOMAXPROCS(0)),
-				copse.WithSeed(4),
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Backend().ResetCounts()
-			trace := benchQueries(b, sys, copse.ExampleForest())
-			counts := sys.Backend().Counts()
-			iters := int64(b.N)
-			b.ReportMetric(float64(counts.Rotate/iters), "rotations/op")
-			b.ReportMetric(float64(counts.RotateHoisted/iters), "hoisted-rot/op")
-			b.ReportMetric(float64(counts.LimbOps/iters), "limb-ops/op")
-			if trace != nil {
-				b.ReportMetric(float64(trace.Limbs.Result), "result-limbs")
-			}
-		})
+	sys, err := copse.NewSystem(compiled,
+		copse.WithBackend(copse.BackendBGV),
+		copse.WithScenario(copse.ScenarioOffload),
+		copse.WithWorkers(runtime.GOMAXPROCS(0)),
+		copse.WithSeed(4),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.Backend().ResetCounts()
+	trace := benchQueries(b, sys, copse.ExampleForest())
+	counts := sys.Backend().Counts()
+	iters := int64(b.N)
+	b.ReportMetric(float64(counts.Rotate/iters), "rotations/op")
+	b.ReportMetric(float64(counts.RotateHoisted/iters), "hoisted-rot/op")
+	b.ReportMetric(float64(counts.LimbOps/iters), "limb-ops/op")
+	if trace != nil {
+		b.ReportMetric(float64(trace.Limbs.Result), "result-limbs")
 	}
 }
 

@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("copse-bench: ")
 
-	exp := flag.String("exp", "all", "experiment id: table1,table2,table3,table4,table5,table6,fig6,fig7,fig8,fig9,fig10a,fig10b,fig10c,ablation or all")
+	exp := flag.String("exp", "all", "experiment id: table1,table2,table3,table4,table5,table6,fig6,fig7,fig8,fig9,fig10a,fig10b,fig10c or all")
 	backend := flag.String("backend", "clear", "clear or bgv")
 	queries := flag.Int("queries", 27, "queries per model (paper: 27 medians)")
 	workers := flag.Int("workers", 0, "threads for multithreaded runs (0 = GOMAXPROCS)")
@@ -48,24 +48,23 @@ func main() {
 	}
 
 	runners := map[string]func() (*experiments.Table, error){
-		"table1":   func() (*experiments.Table, error) { return experiments.Table1(cfg, *opcase) },
-		"table2":   func() (*experiments.Table, error) { return experiments.Table2(cfg, *opcase) },
-		"table3":   func() (*experiments.Table, error) { return experiments.Table3(), nil },
-		"table4":   func() (*experiments.Table, error) { return experiments.Table4(), nil },
-		"table5":   func() (*experiments.Table, error) { return experiments.Table5(cfg) },
-		"table6":   func() (*experiments.Table, error) { return experiments.Table6() },
-		"fig6":     func() (*experiments.Table, error) { return experiments.Fig6(cfg) },
-		"fig7":     func() (*experiments.Table, error) { return experiments.Fig7(cfg) },
-		"fig8":     func() (*experiments.Table, error) { return experiments.Fig8(cfg) },
-		"fig9":     func() (*experiments.Table, error) { return experiments.Fig9(cfg) },
-		"fig10a":   func() (*experiments.Table, error) { return experiments.Fig10(cfg, "a") },
-		"fig10b":   func() (*experiments.Table, error) { return experiments.Fig10(cfg, "b") },
-		"fig10c":   func() (*experiments.Table, error) { return experiments.Fig10(cfg, "c") },
-		"ablation": func() (*experiments.Table, error) { return experiments.Ablation(cfg) },
+		"table1": func() (*experiments.Table, error) { return experiments.Table1(cfg, *opcase) },
+		"table2": func() (*experiments.Table, error) { return experiments.Table2(cfg, *opcase) },
+		"table3": func() (*experiments.Table, error) { return experiments.Table3(), nil },
+		"table4": func() (*experiments.Table, error) { return experiments.Table4(), nil },
+		"table5": func() (*experiments.Table, error) { return experiments.Table5(cfg) },
+		"table6": func() (*experiments.Table, error) { return experiments.Table6() },
+		"fig6":   func() (*experiments.Table, error) { return experiments.Fig6(cfg) },
+		"fig7":   func() (*experiments.Table, error) { return experiments.Fig7(cfg) },
+		"fig8":   func() (*experiments.Table, error) { return experiments.Fig8(cfg) },
+		"fig9":   func() (*experiments.Table, error) { return experiments.Fig9(cfg) },
+		"fig10a": func() (*experiments.Table, error) { return experiments.Fig10(cfg, "a") },
+		"fig10b": func() (*experiments.Table, error) { return experiments.Fig10(cfg, "b") },
+		"fig10c": func() (*experiments.Table, error) { return experiments.Fig10(cfg, "c") },
 	}
 	order := []string{
 		"table6", "table3", "table4", "table1", "table2", "table5",
-		"fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig10c", "ablation",
+		"fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig10c",
 	}
 
 	var ids []string

@@ -12,14 +12,17 @@ import (
 // it — the analogue of the paper's generated C++ being compiled and
 // linked against the runtime (§5).
 
-// Artifact versions: v2 added the BSGS staging fields (Meta.UseBSGS,
-// Meta.BSGSPlans, the reduced RotationSteps); v3 added the static level
-// schedule (Meta.LevelPlan); v4 added the sharding fields
-// (Meta.ForcedSPad, Compiled.Shard). The payload encoding is unchanged —
-// gob is self-describing — so older artifacts still load: their
-// zero-valued fields select the naive kernel (v1) and unsharded layout
-// (v1–v3) they were staged for. A v1/v2 artifact carries no level plan;
-// ReadArtifact plans it at load, with the result shuffle's headroom.
+// Artifact versions: v2 added the baby-step/giant-step staging (two
+// split fields Meta no longer has, and the reduced RotationSteps); v3
+// added the static level schedule (Meta.LevelPlan); v4 added the sharding
+// fields (Meta.ForcedSPad, Compiled.Shard). The payload encoding is
+// unchanged — gob is self-describing and skips fields either side lacks —
+// so older artifacts still load: their zero-valued fields select the
+// unsharded layout (v1–v3). Prepare stages every artifact from its
+// plaintext matrices on the one BSGS kernel, so a v1 artifact, written
+// for the naive one-rotation-per-diagonal kernel, gets the BSGS kernel
+// like any other. A v1/v2 artifact carries no level plan; ReadArtifact
+// plans it at load, with the result shuffle's headroom.
 const (
 	artifactMagic   = "COPSEv4\n"
 	artifactMagicV3 = "COPSEv3\n"

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,14 +13,15 @@ import (
 	"testing"
 	"time"
 
+	"copse/internal/he"
 	"copse/internal/model"
 )
 
-// TestArtifactV1BackwardCompat: a v1 artifact (naive-kernel staging, no
-// BSGS fields) must still load, and its zero-valued BSGS fields must
-// select the naive kernel it was staged for.
+// TestArtifactV1BackwardCompat: a v1-tagged artifact still loads, with
+// its Meta unchanged: the payload encoding is the same (gob), which is
+// exactly what the compatibility claim rests on.
 func TestArtifactV1BackwardCompat(t *testing.T) {
-	c, err := Compile(model.Figure1(), Options{Slots: 64, NoBSGS: true})
+	c, err := Compile(model.Figure1(), Options{Slots: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,24 +29,21 @@ func TestArtifactV1BackwardCompat(t *testing.T) {
 	if err := WriteArtifact(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the header to the v1 magic: the payload encoding is the
-	// same (gob), which is exactly what the compatibility claim rests on.
 	raw := buf.Bytes()
 	copy(raw, artifactMagicV1)
 	back, err := ReadArtifact(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("reading v1-tagged artifact: %v", err)
 	}
-	if back.Meta.UseBSGS {
-		t.Error("naive-staged artifact reports BSGS")
-	}
-	if back.Meta.B != c.Meta.B || len(back.Meta.RotationSteps) != len(c.Meta.RotationSteps) {
+	if back.Meta.B != c.Meta.B || !reflect.DeepEqual(back.Meta.RotationSteps, c.Meta.RotationSteps) {
 		t.Error("v1 round trip changed meta")
 	}
 }
 
-func TestArtifactV2CarriesBSGSPlan(t *testing.T) {
-	c, err := Compile(model.Figure1(), Options{Slots: 64})
+// TestArtifactV3CarriesLevelPlan: the current format is written under its
+// magic and round-trips the static level schedule.
+func TestArtifactV3CarriesLevelPlan(t *testing.T) {
+	c, err := Compile(model.Figure1(), Options{Slots: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,84 +58,69 @@ func TestArtifactV2CarriesBSGSPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Meta.UseBSGS || len(back.Meta.BSGSPlans) == 0 {
-		t.Error("BSGS staging lost in round trip")
-	}
-	baby, giant, ok := back.Meta.BSGSFor(back.Meta.BPad)
-	if !ok || baby*giant != back.Meta.BPad {
-		t.Errorf("BSGSFor(BPad=%d) = (%d, %d, %v)", back.Meta.BPad, baby, giant, ok)
-	}
-	// The BSGS step set must be strictly smaller than the naive one for
-	// this model (q̂=8, b̂=8: 1..7 plus replication vs baby+giant steps).
-	naive, err := Compile(model.Figure1(), Options{Slots: 64, NoBSGS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Meta.RotationSteps) >= len(naive.Meta.RotationSteps) {
-		t.Errorf("BSGS step set (%d) not smaller than naive (%d)",
-			len(back.Meta.RotationSteps), len(naive.Meta.RotationSteps))
-	}
-}
-
-// TestArtifactV3CarriesLevelPlan: the current format round-trips the
-// static level schedule.
-func TestArtifactV3CarriesLevelPlan(t *testing.T) {
-	c, err := Compile(model.Figure1(), Options{Slots: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadArtifact(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(back.Meta.LevelPlan, c.Meta.LevelPlan) {
 		t.Errorf("level plan changed in round trip: %+v vs %+v", back.Meta.LevelPlan, c.Meta.LevelPlan)
 	}
 }
 
-// TestGoldenArtifactBackCompat: the committed golden v1 and v2 artifacts
-// (written by the earlier format generations; see testdata) load with a
-// level plan — made at load, with the result shuffle's headroom — and
-// classify on BGV exactly like the forest in every scenario, shuffled and
-// not, with no level alignment left to the backend.
+// TestGoldenArtifactBackCompat: the committed golden v1, v2 and v4
+// artifacts (written by the format generations of their names; see
+// testdata) load — v1 and v2 with a level plan made at load, with the
+// result shuffle's headroom — and, under that plan, prepare to one
+// program in every scenario, shuffled and not: the same stage bills at
+// every plane packing and the same rotations, since a v1 artifact,
+// written for the naive kernel, is staged on the BSGS one like the
+// others. Each classifies on BGV exactly like the forest, with no level
+// alignment left to the backend.
 func TestGoldenArtifactBackCompat(t *testing.T) {
 	forest := model.Figure1()
 	batch := [][]uint64{{0, 5}, {6, 0}, {15, 15}}
-	for _, tc := range []struct {
-		file    string
-		useBSGS bool
-	}{
-		{"figure1_v1.copse", false},
-		{"figure1_v2.copse", true},
-	} {
-		raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
+	type program struct {
+		bills     [][]StageBill
+		rotations []he.Rotation
+	}
+	first := map[string]program{}
+	for _, file := range []string{"figure1_v1.copse", "figure1_v2.copse", "figure1_v4.copse"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			t.Fatal(err)
 		}
 		c, err := ReadArtifact(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if c.Meta.UseBSGS != tc.useBSGS {
-			t.Errorf("%s: UseBSGS = %v, want %v", tc.file, c.Meta.UseBSGS, tc.useBSGS)
+			t.Fatalf("%s: %v", file, err)
 		}
 		want, err := computeLevelPlan(&c.Meta, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if file == "figure1_v4.copse" {
+			// v4 carries the plan it was compiled with: no shuffle
+			// headroom, and rounds planned for an older comparison
+			// circuit (TestServiceV4ArtifactPlan serves it as it is).
+			// Under the plan v1 and v2 get at load its programs compare
+			// with theirs.
+			c.Meta.LevelPlan = want
+		}
 		if !reflect.DeepEqual(c.Meta.LevelPlan, want) {
-			t.Fatalf("%s: planned at load %+v, want the shuffle-headroom plan %+v", tc.file, c.Meta.LevelPlan, want)
+			t.Fatalf("%s: planned at load %+v, want the shuffle-headroom plan %+v", file, c.Meta.LevelPlan, want)
 		}
 		for _, cfg := range schedConfigs {
 			b := planBackend(t, c, cfg.encModel)
 			for _, shuffle := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shuffle=%v", cfg.name, shuffle)
 				m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, shuffle)
 				if err != nil {
-					t.Fatalf("%s/%s/shuffle=%v: %v", tc.file, cfg.name, shuffle, err)
+					t.Fatalf("%s/%s: %v", file, name, err)
+				}
+				got := program{rotations: m.rotations()}
+				for _, g := range m.PlanePackings() {
+					got.bills = append(got.bills, m.ProgramFor(g).StageBills())
+				}
+				if want, ok := first[name]; !ok {
+					first[name] = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: prepared to another program than figure1_v1.copse: bills %v, rotations %v; want %v, %v",
+						file, name, got.bills, got.rotations, want.bills, want.rotations)
 				}
 				q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
 				if err != nil {
@@ -211,7 +195,6 @@ func TestMalformedArtifactRefused(t *testing.T) {
 		"more levels than branches": func(m *Meta) { m.D = m.B + 1 },
 		"no leaves":                 func(m *Meta) { m.NumLeaves = 0 },
 		"leaf offsets":              func(m *Meta) { m.NumTrees = 2 },
-		"BSGS split":                func(m *Meta) { m.BSGSPlans[0].Giant = 1 << 40 },
 	} {
 		start := time.Now()
 		_, err := ReadArtifact(bytes.NewReader(corruptV2(t, corrupt)))

@@ -19,11 +19,6 @@ type Options struct {
 	// K, pads every feature's threshold group to this bound instead, so
 	// only an upper bound on K is revealed (§7.2.1). Zero means exact K.
 	PadMultiplicityTo int
-	// NoBSGS stages the naive one-rotation-per-diagonal kernel instead
-	// of the baby-step/giant-step one — an ablation and compatibility
-	// escape hatch. The default (false) emits the reduced ~2·√period
-	// rotation-step set and pre-rotated diagonals.
-	NoBSGS bool
 	// PlanShuffle reserves level headroom in the schedule so the
 	// classification result can still feed the optional result shuffle
 	// (§7.2.2). The default minimal schedule lands the result below the
@@ -215,20 +210,7 @@ func Compile(f *model.Forest, opts Options) (*Compiled, error) {
 		TreeLeafOffsets: treeLeafOffsets,
 		Slots:           slots,
 	}
-	nPad := bits.NextPow2(numLeaves)
-	meta.UseBSGS = !opts.NoBSGS
-	if meta.UseBSGS {
-		seen := map[int]bool{}
-		for _, period := range []int{qPad, bPad, nPad} {
-			if seen[period] {
-				continue
-			}
-			seen[period] = true
-			baby, giant := matrix.BSGSSplit(period)
-			meta.BSGSPlans = append(meta.BSGSPlans, BSGSPlan{Period: period, Baby: baby, Giant: giant})
-		}
-	}
-	meta.RotationSteps = rotationSteps(qPad, bPad, nPad, slots, meta.UseBSGS)
+	meta.RotationSteps = rotationSteps(qPad, bPad, bits.NextPow2(numLeaves), slots)
 	meta.estimateDepth()
 	// The static level schedule (levelplan.go): per-stage target levels
 	// from the level pass over the op program, so the engine executes each
@@ -272,29 +254,23 @@ func ancestorAtLevel(path []pathStep, l int) (pathStep, bool) {
 }
 
 // rotationSteps returns the Galois rotation amounts Algorithm 1 needs.
-// With bsgs set, each matrix period P contributes only its baby steps
-// 1..n1−1 and giant steps n1, 2n1, .. (n2−1)·n1 — ~2·√P keys instead of
-// the naive kernel's P−1 steps. The replication between stages rotates by
-// negated powers of two either way, listed up to the slot count: the
+// Each matrix period P contributes its baby steps 1..n1−1 and giant steps
+// n1, 2n1, .. (n2−1)·n1 of the split matrix.BSGSSplit(P) — ~2·√P keys
+// instead of the naive kernel's P−1 steps. The replication between stages
+// rotates by negated powers of two, listed up to the slot count: the
 // powers from BatchBlock up serve no stage, but they stay in every
 // artifact's Meta.RotationSteps, whose wire form is pinned. No key is
 // made from the list — keys follow the op programs (DESIGN.md §9.4,
 // §10.2). nPad covers the optional result shuffle (§7.2.2).
-func rotationSteps(qPad, bPad, nPad, slots int, bsgs bool) []int {
+func rotationSteps(qPad, bPad, nPad, slots int) []int {
 	set := map[int]bool{}
-	if bsgs {
-		for _, period := range []int{qPad, bPad, nPad} {
-			baby, giant := matrix.BSGSSplit(period)
-			for j := 1; j < baby; j++ {
-				set[j] = true
-			}
-			for g := 1; g < giant; g++ {
-				set[g*baby] = true
-			}
+	for _, period := range []int{qPad, bPad, nPad} {
+		baby, giant := matrix.BSGSSplit(period)
+		for j := 1; j < baby; j++ {
+			set[j] = true
 		}
-	} else {
-		for i := 1; i < max(qPad, bPad, nPad); i++ {
-			set[i] = true
+		for g := 1; g < giant; g++ {
+			set[g*baby] = true
 		}
 	}
 	for p := min(bPad, nPad); p < slots; p <<= 1 {

@@ -164,15 +164,14 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	}
 	m.Thresholds = m.packings[0].thresholds
 
-	// Stage each matrix pre-rotated for the split the compiler planned
-	// (Meta.kernelSplit; models staged without BSGS get the degenerate
-	// naive split). Diagonals are replicated into every BatchBlock-wide
-	// slot block so the kernels evaluate one independent product per
-	// packed query (DESIGN.md §7); with batch capacity 1 the block is the
-	// whole ciphertext and this is the original layout.
+	// Stage each matrix pre-rotated for its period's BSGS split, whatever
+	// the artifact's version. The reshuffle matrix is repeated into every
+	// BatchBlock-wide slot block so the kernel evaluates one independent
+	// product per packed query (DESIGN.md §7); with batch capacity 1 the
+	// block is the whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
-	baby, giant := c.Meta.kernelSplit(c.Meta.QPad)
-	reshuffle, err := matrix.PrepareDiagonalsBSGSSpanAt(b, reshuffleRows(c, encModel), c.Meta.QPad, baby, giant, span, encModel, m.Plan.Reshuffle)
+	reshuffleMats := slices.Repeat([]*matrix.Bool{reshuffleRows(c, encModel)}, b.Slots()/span)
+	reshuffle, err := matrix.PrepareDiagonalsAt(b, reshuffleMats, nil, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +331,6 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 			signs[l][r] = (1 + 2*(t-bit%t)) % t
 		}
 	}
-	baby, giant := c.Meta.kernelSplit(c.Meta.BPad)
 	st := &levelStaging{lanes: lanes, groups: groups}
 	n := b.Slots() / laneWidth
 	for o := 0; o < ops; o++ {
@@ -345,7 +343,7 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 			}
 			copy(mask[k*laneWidth:], laneMask)
 		}
-		d, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, coefs, c.Meta.BPad, baby, giant, laneWidth, encrypt, level)
+		d, err := matrix.PrepareDiagonalsAt(b, mats, coefs, c.Meta.BPad, laneWidth, encrypt, level)
 		if err != nil {
 			return nil, err
 		}

@@ -90,8 +90,8 @@ func diagProducts(p *Program) int {
 // randomPlanCase draws one forest and its compile options: precision
 // 1..16, depth 1..8, 1..12 trees, 1..6 features or — one case in three,
 // the wide blocks that split into level lanes — 8..24, Slots
-// 1024/2048/4096, BSGS and PlanShuffle on or off, redrawn until the model
-// fits its slots.
+// 1024/2048/4096, PlanShuffle on or off, redrawn until the model fits its
+// slots.
 func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Options) {
 	t.Helper()
 	for {
@@ -111,7 +111,7 @@ func randomPlanCase(t *testing.T, rng *rand.Rand) (*model.Forest, *Compiled, Opt
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Slots: 1024 << rng.IntN(3), NoBSGS: rng.IntN(2) == 0, PlanShuffle: rng.IntN(2) == 0}
+		opts := Options{Slots: 1024 << rng.IntN(3), PlanShuffle: rng.IntN(2) == 0}
 		if c, err := Compile(f, opts); err == nil {
 			return f, c, opts
 		}
@@ -180,7 +180,7 @@ func checkLevelledProgram(t *testing.T, p *Program, st StageLevels, lanes int) {
 // -short.
 func TestPlannerGeneratedShapes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 0x5a))
-	cases := 48
+	cases := 52
 	if testing.Short() {
 		cases = 16
 	}

@@ -533,23 +533,19 @@ func (p *Program) shuffleEntry(nm noiseModel) int {
 // independent of any backend, since the plan is stored in the artifact.
 // With shuffle it ends in the result shuffle stage.
 func planStructure(m *Meta, encModel, shuffle bool, g int) (*Program, error) {
-	shape := func(period int) diagShape {
-		baby, giant := m.kernelSplit(period)
-		return diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
-	}
 	in := progInputs{
 		meta:      *m,
 		plan:      StageLevels{CompareRounds: make([]int, log2Ceil(max(m.Precision, 1)))},
 		encrypted: encModel,
 		packing:   g,
 		planes:    m.QueryCiphertexts(g),
-		reshuffle: shape(m.QPad),
+		reshuffle: denseShape(m.QPad),
 		shuffle:   shuffle,
 	}
 	var operands int
 	in.lanes, in.groups, operands = m.LevelLayout(g)
 	for l := 0; l < operands; l++ {
-		in.levels = append(in.levels, shape(m.BPad))
+		in.levels = append(in.levels, denseShape(m.BPad))
 	}
 	in.maskZero = make([]bool, operands)
 	return buildStructure(in)

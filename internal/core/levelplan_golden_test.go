@@ -16,8 +16,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/levelplans.golden from the plans the planner produces now")
 
 // goldenPlans compiles the plan corpus — the eight Table 6 models, the
-// four-lane model, wide8 and wide8's two K=2 shards under the default options, PlanShuffle,
-// Slots 2048 and NoBSGS — and returns one named row of plan entries per
+// four-lane model, wide8 and wide8's two K=2 shards under the default options, PlanShuffle
+// and Slots 2048 — and returns one named row of plan entries per
 // (model, variant, scenario), in file order, and the Meta each
 // (model, variant) was planned for.
 func goldenPlans(t *testing.T) (names []string, rows map[string][]int, metas map[string]*Meta) {
@@ -44,7 +44,6 @@ func goldenPlans(t *testing.T) (names []string, rows map[string][]int, metas map
 		{"default", Options{Slots: 1024}},
 		{"planshuffle", Options{Slots: 1024, PlanShuffle: true}},
 		{"slots2048", Options{Slots: 2048}},
-		{"nobsgs", Options{Slots: 1024, NoBSGS: true}},
 	} {
 		for _, name := range models {
 			var f *model.Forest

@@ -92,14 +92,10 @@ func TestLevelPlanComputed(t *testing.T) {
 	}
 }
 
-// TestLevelPlanNoBSGSAndShuffleVariants: the naive staging also gets a
-// feasible plan, and PlanShuffle reserves at least the shuffle's entry.
-func TestLevelPlanNoBSGSAndShuffleVariants(t *testing.T) {
-	f := model.Figure1()
-	if _, err := Compile(f, Options{Slots: 1024, NoBSGS: true}); err != nil {
-		t.Fatalf("naive staging: %v", err)
-	}
-	sh, err := Compile(f, Options{Slots: 1024, PlanShuffle: true})
+// TestLevelPlanShuffleVariant: PlanShuffle reserves at least the
+// shuffle's entry.
+func TestLevelPlanShuffleVariant(t *testing.T) {
+	sh, err := Compile(model.Figure1(), Options{Slots: 1024, PlanShuffle: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 
-	"copse/internal/matrix"
 	"copse/internal/model"
 )
 
@@ -40,22 +39,13 @@ type Meta struct {
 	// Slots is the packing width the model was staged for.
 	Slots int
 	// RotationSteps are the rotation steps compile time lists for the
-	// staging: with UseBSGS the reduced baby-step/giant-step set (~2·√period
-	// per matrix period instead of period−1 steps), plus the replication
-	// doublings. No key is made from it: staging makes the Galois keys the
-	// op programs rotate by, at the levels they rotate at (DESIGN.md §9.4,
-	// §10.2), so the list may hold steps no program issues.
+	// staging: the reduced baby-step/giant-step set (~2·√period per matrix
+	// period instead of period−1 steps; a v1 artifact lists the naive
+	// set), plus the replication doublings. No key is made from it:
+	// staging makes the Galois keys the op programs rotate by, at the
+	// levels they rotate at (DESIGN.md §9.4, §10.2), so the list may hold
+	// steps no program issues.
 	RotationSteps []int
-	// UseBSGS records that the model was staged for the baby-step/
-	// giant-step diagonal kernel: Prepare lays matrix diagonals out
-	// pre-rotated by their giant step and RotationSteps holds only the
-	// reduced step set. Zero-value (old artifacts) means the naive
-	// one-rotation-per-diagonal kernel.
-	UseBSGS bool
-	// BSGSPlans is the staged baby/giant split for each matrix period
-	// (QPad for the reshuffle, BPad for the level matrices, padded
-	// NumLeaves for result shuffling).
-	BSGSPlans []BSGSPlan
 
 	// Circuit-shape estimates (ciphertext-ciphertext multiplicative
 	// depth) used to choose encryption parameters — the staging
@@ -225,39 +215,6 @@ func (m *Meta) branchSpan(encModel bool) int {
 	return m.BPad
 }
 
-// BSGSPlan is the staged baby-step/giant-step split for one matrix
-// period: Baby·Giant == Period.
-type BSGSPlan struct {
-	Period, Baby, Giant int
-}
-
-// kernelSplit returns the baby/giant split a model matrix of the given
-// period is staged and evaluated with: the compiler's staged BSGS plan,
-// or — for models staged without BSGS (CompileOptions.NoBSGS, v1
-// artifacts) — baby = period, giant = 1, which is the naive
-// one-rotation-per-diagonal kernel written as a split: the same
-// diagonals, and exactly the rotation steps 1..period−1 such a model's
-// RotationSteps carry.
-func (m *Meta) kernelSplit(period int) (baby, giant int) {
-	if !m.UseBSGS {
-		return period, 1
-	}
-	if baby, giant, ok := m.BSGSFor(period); ok {
-		return baby, giant
-	}
-	return matrix.BSGSSplit(period)
-}
-
-// BSGSFor returns the staged split for a period, if one was staged.
-func (m *Meta) BSGSFor(period int) (baby, giant int, ok bool) {
-	for _, p := range m.BSGSPlans {
-		if p.Period == period {
-			return p.Baby, p.Giant, true
-		}
-	}
-	return 0, 0, false
-}
-
 // log2Ceil returns ceil(log2(n)) for n ≥ 1.
 func log2Ceil(n int) int {
 	d := 0
@@ -272,9 +229,9 @@ func log2Ceil(n int) int {
 // count, every count of the model at least one and the precision within
 // the model's bound, Q = K·NumFeatures, QPad, BPad and LPad the next
 // powers of two of Q, B and NumLeaves and none past Slots, no more levels
-// than branches, a tree-offset sentinel, and staged BSGS splits of their
-// period. Only a corrupted or hand-built artifact breaks one, and the
-// planner would build programs of whatever size it names.
+// than branches, and a tree-offset sentinel. Only a corrupted or
+// hand-built artifact breaks one, and the planner would build programs of
+// whatever size it names.
 func (m *Meta) checkShape() error {
 	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
 	// padded reports that pad is the next power of two of n ≥ 1 and fits
@@ -296,11 +253,6 @@ func (m *Meta) checkShape() error {
 		reason = fmt.Sprintf("%d trees with %d leaf offsets", m.NumTrees, len(m.TreeLeafOffsets))
 	case m.ForcedSPad != 0 && (!pow2(m.ForcedSPad) || m.ForcedSPad > m.Slots):
 		reason = fmt.Sprintf("forced slot period %d", m.ForcedSPad)
-	}
-	for _, plan := range m.BSGSPlans {
-		if reason == "" && (!pow2(plan.Period) || plan.Period > m.Slots || plan.Baby < 1 || plan.Period%plan.Baby != 0 || plan.Period/plan.Baby != plan.Giant) {
-			reason = fmt.Sprintf("BSGS split %d × %d of period %d", plan.Baby, plan.Giant, plan.Period)
-		}
 	}
 	if reason != "" {
 		return &UnsupportedModelError{Reason: reason}

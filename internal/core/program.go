@@ -14,10 +14,9 @@ import (
 // primitive homomorphic ops (DESIGN.md §13), and Engine.Classify
 // executes that schedule — the only classify path. Everything that
 // varies between models and scenarios is a build input here, not a
-// branch at run time: BSGS loop bounds (naive stagings are the split
-// baby = period, giant = 1), rotation steps, level-drop targets, which
-// diagonals a plaintext model lets the kernel skip, and the XOR
-// decomposition. The builder also applies algebraic rewrites a
+// branch at run time: BSGS loop bounds, rotation steps, level-drop
+// targets, which diagonals a plaintext model lets the kernel skip, and
+// the XOR decomposition. The builder also applies algebraic rewrites a
 // stage-by-stage evaluation cannot:
 //
 //   - the thresholds are staged negated (¬y_j = 1 − y_j, Prepare), so
@@ -227,6 +226,14 @@ type diagShape struct {
 
 func diagShapeOf(d *matrix.Diagonals) diagShape {
 	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.Zero}
+}
+
+// denseShape is the shape of a period-wide matrix with no diagonal known
+// zero, split as the stager splits every matrix: the planner's worst case,
+// and the shuffle stage's permutations, which are drawn per pass.
+func denseShape(period int) diagShape {
+	baby, giant := matrix.BSGSSplit(period)
+	return diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
 }
 
 // progBuilder accumulates ops and constants while walking the pipeline
@@ -457,13 +464,12 @@ func buildStructure(in progInputs) (*Program, error) {
 		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d level masks for %d level matrices", len(in.maskZero), len(in.levels))}
 	}
 	// One set of baby rotations of the branch vector feeds every level
-	// product, so the level matrices must agree on the split (they are
-	// all staged with period BPad, so they do).
-	baby := in.levels[0].baby
+	// product, so the level matrices must share a period, and with it the
+	// split (they are all staged with period BPad, so they do).
 	for l, sh := range in.levels {
-		if sh.baby != baby || sh.period != in.levels[0].period {
-			return nil, &UnsupportedModelError{Reason: fmt.Sprintf("level matrix %d staged %d×%d over period %d, level matrix 0 %d×%d over %d",
-				l, sh.baby, sh.giant, sh.period, baby, in.levels[0].giant, in.levels[0].period)}
+		if sh.period != in.levels[0].period {
+			return nil, &UnsupportedModelError{Reason: fmt.Sprintf("level matrix %d staged over period %d, level matrix 0 over %d",
+				l, sh.period, in.levels[0].period)}
 		}
 	}
 	// All-zero diagonals are skipped exactly when the model is plaintext:
@@ -628,8 +634,7 @@ func (bl *progBuilder) shuffleStage(in progInputs, leaves int) int {
 	for pw := period; pw < in.meta.BatchBlock(); pw <<= 1 {
 		v = bl.emit(opAdd, v, bl.emit(opRot, v, 0, -pw, 0), 0, 0)
 	}
-	baby, giant := matrix.BSGSSplit(period)
-	perm := diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}
+	perm := denseShape(period)
 	rots := bl.hoistRots(v, neededBaby(false, perm))
 	return bl.mergeGroups(bl.matVecGroups(perm, rots, matShuffle, false), -1)
 }

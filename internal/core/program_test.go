@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -91,15 +92,16 @@ func degenerateCases(t *testing.T) []degenerateCase {
 		{name: "zero-level-matrix", forest: figure1, compiled: zeroLevel, plainOnly: true},
 		{name: "golden-v1", forest: figure1, compiled: golden("figure1_v1.copse")},
 		{name: "golden-v2", forest: figure1, compiled: golden("figure1_v2.copse")},
-		{name: "nobsgs", forest: figure1, compiled: compile(figure1, Options{NoBSGS: true})},
+		{name: "golden-v4", forest: figure1, compiled: golden("figure1_v4.copse")},
 	}
 }
 
 // TestDegenerateModelsRunTheProgram: every model shape at the edge of
 // the compiler's and the artifact reader's coverage — including the
-// naive stagings and the all-zero matrix that used to fall back to a
-// separate interpreter — classifies bit-exactly against the plaintext
-// walk, on both backends, through the op program.
+// golden v1, v2 and v4 artifacts, staged on the BSGS kernel like any model,
+// and the all-zero matrix that used to fall back to a separate
+// interpreter — classifies bit-exactly against the plaintext walk, on
+// both backends, through the op program.
 func TestDegenerateModelsRunTheProgram(t *testing.T) {
 	for _, tc := range degenerateCases(t) {
 		f := tc.forest
@@ -283,13 +285,59 @@ func matVecProgram(sh diagShape, encModel bool) *Program {
 	return p
 }
 
+// TestStagedSplitIsBSGSSplit: Prepare stages every diagonal product on
+// the split matrix.BSGSSplit gives its period — the reshuffle over QPad
+// and each level operand over BPad, at every plane packing, in every
+// scenario — for compiled models and for the golden v1 artifact, which
+// was written for the naive kernel and is staged like any model.
+func TestStagedSplitIsBSGSSplit(t *testing.T) {
+	models := map[string]*Compiled{}
+	for name, f := range planForests(t, false) {
+		c, err := Compile(f, Options{Slots: 1024})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		models[name] = c
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "figure1_v1.copse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if models["golden-v1"], err = ReadArtifact(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range models {
+		t.Run(name, func(t *testing.T) {
+			b := heclear.New(c.Meta.Slots, 65537)
+			check := func(what string, d *matrix.Diagonals, period int) {
+				t.Helper()
+				if baby, giant := matrix.BSGSSplit(period); d.Period != period || d.Baby != baby || d.Giant != giant {
+					t.Errorf("%s: staged period %d as %d×%d, want period %d as %d×%d", what, d.Period, d.Baby, d.Giant, period, baby, giant)
+				}
+			}
+			for _, cfg := range schedConfigs {
+				m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, false)
+				if err != nil {
+					t.Fatalf("%s: %v", cfg.name, err)
+				}
+				check(cfg.name+" reshuffle", m.Reshuffle, c.Meta.QPad)
+				for g, pk := range m.packings {
+					for l, d := range pk.levels.mats {
+						check(fmt.Sprintf("%s packing %d level operand %d", cfg.name, 1<<g, l), d, c.Meta.BPad)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestMatVecRotationBudget: a dense mat-vec as the op program lowers it
 // costs at most 2·√P + 1 rotations, where the naive kernel costs P − 1,
 // and its baby steps share one hoisted decomposition.
 func TestMatVecRotationBudget(t *testing.T) {
 	for _, period := range []int{4, 16, 64, 256} {
-		baby, giant := matrix.BSGSSplit(period)
-		p := matVecProgram(diagShape{period: period, baby: baby, giant: giant, zero: make([]bool, period)}, true)
+		sh := denseShape(period)
+		p := matVecProgram(sh, true)
 		if err := p.finish(1024, StageLevels{Compare: 8, Level: 8}); err != nil {
 			t.Fatal(err)
 		}
@@ -297,8 +345,8 @@ func TestMatVecRotationBudget(t *testing.T) {
 		if budget := 2*int(math.Sqrt(float64(period))) + 1; bill.Rotations > budget {
 			t.Errorf("period %d: %d rotations, budget 2·√P+1 = %d", period, bill.Rotations, budget)
 		}
-		if bill.Hoisted != baby-1 {
-			t.Errorf("period %d: %d hoisted rotations, want the %d baby steps", period, bill.Hoisted, baby-1)
+		if bill.Hoisted != sh.baby-1 {
+			t.Errorf("period %d: %d hoisted rotations, want the %d baby steps", period, bill.Hoisted, sh.baby-1)
 		}
 	}
 }

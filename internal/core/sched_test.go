@@ -121,20 +121,27 @@ type scheduleCase struct {
 }
 
 // scheduleCorpus compiles every configuration of the plan forests and
-// the shardable one — default, PlanShuffle, NoBSGS — the degenerate
-// shapes, and two shards of each multi-tree model.
+// the shardable one — default, PlanShuffle and Slots 2048 — the
+// degenerate shapes, and two shards of each multi-tree model.
 func scheduleCorpus(t *testing.T) map[string]scheduleCase {
 	t.Helper()
 	corpus := map[string]scheduleCase{}
 	forests := planForests(t, false)
 	forests["shardable"] = shardTestForest(t, 77)
 	for name, f := range forests {
-		for _, opts := range []Options{{Slots: 1024}, {Slots: 1024, PlanShuffle: true}, {Slots: 1024, NoBSGS: true}} {
-			c, err := Compile(f, opts)
+		for _, v := range []struct {
+			name string
+			opts Options
+		}{
+			{"shuffle=false", Options{Slots: 1024}},
+			{"shuffle=true", Options{Slots: 1024, PlanShuffle: true}},
+			{"slots2048", Options{Slots: 2048}},
+		} {
+			c, err := Compile(f, v.opts)
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s/%s: %v", name, v.name, err)
 			}
-			corpus[fmt.Sprintf("%s/shuffle=%v/nobsgs=%v", name, opts.PlanShuffle, opts.NoBSGS)] = scheduleCase{f: f, c: c}
+			corpus[name+"/"+v.name] = scheduleCase{f: f, c: c}
 		}
 	}
 	for _, dc := range degenerateCases(t) {
@@ -183,8 +190,8 @@ func prepareScheduleCase(t *testing.T, b he.Backend, sc scheduleCase, encModel, 
 // shuffled and not, the degenerate shapes and the shards. A shuffled
 // cell of a model without the shuffle's headroom checks the refusal.
 func TestProgramSchedulesAreValid(t *testing.T) {
-	b := heclear.New(1024, 65537)
 	for name, sc := range scheduleCorpus(t) {
+		b := heclear.New(sc.c.Meta.Slots, 65537)
 		for _, cfg := range schedConfigs {
 			for _, shuffle := range []bool{false, true} {
 				sub := name + "/" + cfg.name
@@ -212,9 +219,9 @@ func TestProgramSchedulesAreValid(t *testing.T) {
 // over the benchmark's models are TestPlannedPassAlignsNothing and
 // TestPlanePackingMatchesForest.)
 func TestScheduleCorpusMatchesForest(t *testing.T) {
-	b := heclear.New(1024, 65537)
 	rng := rand.New(rand.NewPCG(29, 1))
 	for name, sc := range scheduleCorpus(t) {
+		b := heclear.New(sc.c.Meta.Slots, 65537)
 		start := 0
 		if sc.c.Shard != nil {
 			start = sc.c.Shard.TreeStart

@@ -256,20 +256,7 @@ func buildShard(c *Compiled, info ShardInfo, branchCol []int, rootDepths []int, 
 		return nil, fmt.Errorf("shard layout diverged from parent (SPad %d vs %d)", meta.SPad(), g.SPad())
 	}
 
-	nPad := bits.NextPow2(g.NumLeaves)
-	meta.BSGSPlans = nil
-	if meta.UseBSGS {
-		seen := map[int]bool{}
-		for _, period := range []int{g.QPad, meta.BPad, nPad} {
-			if seen[period] {
-				continue
-			}
-			seen[period] = true
-			baby, giant := matrix.BSGSSplit(period)
-			meta.BSGSPlans = append(meta.BSGSPlans, BSGSPlan{Period: period, Baby: baby, Giant: giant})
-		}
-	}
-	meta.RotationSteps = rotationSteps(g.QPad, meta.BPad, nPad, g.Slots, meta.UseBSGS)
+	meta.RotationSteps = rotationSteps(g.QPad, meta.BPad, bits.NextPow2(g.NumLeaves), g.Slots)
 
 	meta.estimateDepth()
 	var err error

@@ -80,8 +80,7 @@ func stageShuffle(b he.Backend, m *ModelOperands, batch int, seed uint64) (*pass
 			}
 		}
 	}
-	baby, giant := matrix.BSGSSplit(meta.LPad())
-	perm, err := matrix.PrepareDiagonalsBSGSBlocksAt(b, mats, nil, meta.LPad(), baby, giant, block, false, m.Plan.Shuffle)
+	perm, err := matrix.PrepareDiagonalsAt(b, mats, nil, meta.LPad(), block, false, m.Plan.Shuffle)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -220,17 +220,6 @@ func TestTable6(t *testing.T) {
 	}
 }
 
-func TestAblation(t *testing.T) {
-	tbl, err := Ablation(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRendered(t, tbl)
-	if len(tbl.Rows) != 2 {
-		t.Errorf("ablation rows: %d", len(tbl.Rows))
-	}
-}
-
 func TestMedianAndGeomean(t *testing.T) {
 	if m := median([]time.Duration{3, 1, 2}); m != 2 {
 		t.Errorf("median = %v", m)

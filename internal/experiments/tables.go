@@ -173,51 +173,3 @@ func Table6() (*Table, error) {
 	t.Notes = append(t.Notes, "paper Table 6: every forest has 2 features and 3 distinct labels")
 	return t, nil
 }
-
-// Ablation runs the COPSE-Go design-choice ablation called out in
-// DESIGN.md §6: the diagonal kernel, naive (one rotation per diagonal)
-// versus baby-step/giant-step. Both are the same op program built over a
-// different staged split, so the comparison isolates the rotation count.
-// Hoisted versus per-step rotation cost is not an executor mode; the
-// benchmark's per-layer table reports it as bgv.rotate_us.lo against
-// bgv.rotate_hoisted_us_per_step.lo.
-func Ablation(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	micro, err := MicroCases()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Ablation: diagonal kernel (naive vs BSGS)",
-		Header: []string{"model", "naive(ms)", "bsgs(ms)", "naive→bsgs"},
-	}
-	kind, err := copse.ParseBackend(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	for _, cs := range []Case{micro[2], micro[5]} { // depth6, width677: most levels/branches
-		var medians [2]time.Duration
-		for i, noBSGS := range []bool{true, false} {
-			compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: cs.Slots, NoBSGS: noBSGS})
-			if err != nil {
-				return nil, err
-			}
-			sys, err := copse.NewSystem(compiled, copse.WithBackend(kind), copse.WithWorkers(1), copse.WithSeed(cfg.Seed+9))
-			if err != nil {
-				return nil, err
-			}
-			r := &copseRunner{cs: cs, sys: sys}
-			times, _, err := r.run(cfg.Queries, cfg.Seed)
-			r.close()
-			if err != nil {
-				return nil, err
-			}
-			medians[i] = median(times)
-		}
-		t.Rows = append(t.Rows, []string{cs.Name, ms(medians[0]), ms(medians[1]), speedup(medians[0], medians[1])})
-	}
-	t.Notes = append(t.Notes,
-		"BSGS cuts each matrix product from period−1 to ~2·√period rotations; both kernels share the branch vector's baby rotations across levels",
-	)
-	return t, nil
-}

@@ -25,9 +25,10 @@ func TestBSGSSplit(t *testing.T) {
 	}
 }
 
-// TestBSGSStagingMatchesPlain: the diagonals staged for a BSGS split
-// compute the plain product over random shapes, for plain and encrypted matrices, with and without
-// zero skipping.
+// TestBSGSStagingMatchesPlain: the diagonals staged for the period's
+// BSGS split compute the plain product over random shapes, for plain and
+// encrypted matrices, with and without zero skipping (skipping is only
+// allowed for plaintext models), and leave clean zeros past the rows.
 func TestBSGSStagingMatchesPlain(t *testing.T) {
 	b := heclear.New(64, 65537)
 	f := func(seed uint64, rRaw, cRaw uint8, encryptMat, skipZero bool) bool {
@@ -43,9 +44,12 @@ func TestBSGSStagingMatchesPlain(t *testing.T) {
 			v[i] = uint64(r.IntN(2))
 		}
 		period := bits.NextPow2(cols)
-		baby, giant := BSGSSplit(period)
-		d, err := stage(b, m, period, baby, giant, encryptMat)
+		d, err := stage(b, m, period, encryptMat)
 		if err != nil {
+			return false
+		}
+		if baby, giant := BSGSSplit(period); d.Baby != baby || d.Giant != giant {
+			t.Logf("period %d staged as %d×%d, want %d×%d", period, d.Baby, d.Giant, baby, giant)
 			return false
 		}
 		gotVals := matVec(t, b, d, replicatedPlain(v, period, b.Slots()), skipZero)
@@ -67,16 +71,6 @@ func TestBSGSStagingMatchesPlain(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPrepareDiagonalsBSGSBadSplit(t *testing.T) {
-	b := heclear.New(16, 65537)
-	if _, err := stage(b, NewBool(4, 4), 4, 3, 2, false); err == nil {
-		t.Error("split not factoring period accepted")
-	}
-	if _, err := stage(b, NewBool(4, 4), 32, 8, 4, false); err == nil {
-		t.Error("period wider than slots accepted")
 	}
 }
 
@@ -112,8 +106,7 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 				copy(packed[k*span+off:k*span+off+len(v)], v)
 			}
 		}
-		baby, giant := BSGSSplit(period)
-		d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, nil, period, baby, giant, span, false, -1)
+		d, err := PrepareDiagonalsAt(b, mats, nil, period, span, false, -1)
 		if err != nil {
 			t.Logf("prepare: %v", err)
 			return false
@@ -143,8 +136,8 @@ func TestPrepareDiagonalsBSGSBlocksMatchesPlain(t *testing.T) {
 // it must land on its own row whatever giant group the diagonal belongs to:
 // with an independent matrix and coefficient vector per block (signs 1 and
 // t − 1, zeros, arbitrary residues, and a block without coefficients), one
-// mat-vec computes diag(c_k)·M_k·v_k in every block, under every split
-// of the period, and a row scaled by zero makes its diagonals skippable.
+// mat-vec over the period's four giant groups computes diag(c_k)·M_k·v_k
+// in every block, and a row scaled by zero makes its diagonals skippable.
 func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
 	const slots, span, rows, cols, period, modulus = 128, 32, 13, 16, 16, 65537
 	b := heclear.New(slots, modulus)
@@ -169,25 +162,23 @@ func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
 			coefs[k][i] = []uint64{1, modulus - 1, 0, r.Uint64N(modulus)}[r.IntN(4)]
 		}
 	}
-	for _, split := range [][2]int{{4, 4}, {16, 1}, {2, 8}, {1, 16}} {
-		for _, skipZero := range []bool{false, true} {
-			d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, coefs, period, split[0], split[1], span, false, -1)
+	d, err := PrepareDiagonalsAt(b, mats, coefs, period, span, false, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, skipZero := range []bool{false, true} {
+		vals := matVec(t, b, d, packed, skipZero)
+		for k := range mats {
+			want, err := mats[k].MulVec(vecs[k])
 			if err != nil {
 				t.Fatal(err)
 			}
-			vals := matVec(t, b, d, packed, skipZero)
-			for k := range mats {
-				want, err := mats[k].MulVec(vecs[k])
-				if err != nil {
-					t.Fatal(err)
+			for i := range want {
+				if coefs[k] != nil {
+					want[i] = want[i] * coefs[k][i] % modulus
 				}
-				for i := range want {
-					if coefs[k] != nil {
-						want[i] = want[i] * coefs[k][i] % modulus
-					}
-					if vals[k*span+i] != want[i] {
-						t.Errorf("split %v skipZero=%v block %d row %d: got %d, want %d", split, skipZero, k, i, vals[k*span+i], want[i])
-					}
+				if vals[k*span+i] != want[i] {
+					t.Errorf("skipZero=%v block %d row %d: got %d, want %d", skipZero, k, i, vals[k*span+i], want[i])
 				}
 			}
 		}
@@ -196,7 +187,7 @@ func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
 	for k := range zeroed {
 		zeroed[k] = make([]uint64, rows)
 	}
-	d, err := PrepareDiagonalsBSGSBlocksAt(b, mats, zeroed, period, 4, 4, span, false, -1)
+	d, err = PrepareDiagonalsAt(b, mats, zeroed, period, span, false, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +196,11 @@ func TestRowCoefficientSurvivesPreRotation(t *testing.T) {
 			t.Errorf("diagonal %d of an all-zero scaling is not recorded zero", i)
 		}
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mats, zeroed[:1], period, 4, 4, span, false, -1); err == nil {
+	if _, err := PrepareDiagonalsAt(b, mats, zeroed[:1], period, span, false, -1); err == nil {
 		t.Error("coefficient vectors not matching the blocks accepted")
 	}
 	zeroed[1] = zeroed[1][:rows-1]
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mats, zeroed, period, 4, 4, span, false, -1); err == nil {
+	if _, err := PrepareDiagonalsAt(b, mats, zeroed, period, span, false, -1); err == nil {
 		t.Error("coefficient vector not matching the rows accepted")
 	}
 }
@@ -223,21 +214,18 @@ func TestPrepareDiagonalsBSGSBlocksErrors(t *testing.T) {
 		}
 		return out
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(2, 4, 4), nil, 4, 2, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsAt(b, mk(2, 4, 4), nil, 4, 16, false, -1); err == nil {
 		t.Error("block count not matching slots/span accepted")
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, nil, nil, 4, 2, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsAt(b, nil, nil, 4, 16, false, -1); err == nil {
 		t.Error("empty block list accepted")
 	}
 	mixed := mk(4, 4, 4)
 	mixed[2] = NewBool(3, 4)
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mixed, nil, 4, 2, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsAt(b, mixed, nil, 4, 16, false, -1); err == nil {
 		t.Error("mismatched block shapes accepted")
 	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(4, 4, 4), nil, 4, 3, 2, 16, false, -1); err == nil {
-		t.Error("split not factoring period accepted")
-	}
-	if _, err := PrepareDiagonalsBSGSBlocksAt(b, mk(4, 15, 8), nil, 8, 4, 2, 16, false, -1); err == nil {
+	if _, err := PrepareDiagonalsAt(b, mk(4, 15, 8), nil, 8, 16, false, -1); err == nil {
 		t.Error("reads crossing blocks accepted")
 	}
 }

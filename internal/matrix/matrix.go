@@ -29,7 +29,10 @@ func NewBool(rows, cols int) *Bool {
 // At returns entry (i, j).
 func (m *Bool) At(i, j int) uint64 { return m.data[i*m.Cols+j] }
 
-// GobEncode implements gob.GobEncoder (the entries are unexported).
+// GobEncode implements gob.GobEncoder. The entries are unexported, so
+// gob calls GobEncode and GobDecode to write and read every artifact's
+// Reshuffle and Levels: without them an artifact ships its matrices
+// with no entries.
 func (m *Bool) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
@@ -109,9 +112,8 @@ func (m *Bool) Diagonals(period int) ([][]uint64, error) {
 // baby-step/giant-step layout: diagonal g·Baby+j is stored pre-rotated
 // right by g·Baby in Ops[g·Baby+j], so the kernel needs only Baby−1
 // rotations of the vector plus Giant−1 rotations of the partial sums —
-// ~2·√Period instead of Period−1. The split Baby = Period, Giant = 1 is
-// the naive one-rotation-per-diagonal kernel (no pre-rotation, no giant
-// steps), which is how stagings without a BSGS plan are expressed.
+// ~2·√Period instead of the naive kernel's Period−1. The split is
+// BSGSSplit(Period), the one split every matrix is staged with.
 //
 // With a plaintext model the operands are plain and all-zero diagonals
 // may be skipped; with an encrypted model every diagonal is a ciphertext
@@ -120,7 +122,7 @@ func (m *Bool) Diagonals(period int) ([][]uint64, error) {
 type Diagonals struct {
 	Rows   int
 	Period int
-	// Baby·Giant == Period.
+	// Baby, Giant = BSGSSplit(Period).
 	Baby, Giant int
 	Ops         []he.Operand
 	Zero        []bool // plaintext-known zero diagonals
@@ -128,7 +130,9 @@ type Diagonals struct {
 
 // BSGSSplit factors a power-of-two period into baby and giant step
 // counts with baby·giant = period and baby = 2^ceil(log2(period)/2), the
-// split minimizing baby+giant over powers of two.
+// split minimizing baby+giant over powers of two. It is the one split
+// rule: the stager and the program builder's worst-case shapes both take
+// it from here.
 func BSGSSplit(period int) (baby, giant int) {
 	if period <= 1 {
 		return 1, 1
@@ -177,53 +181,29 @@ func makeDiagOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.O
 	return he.NewPlainAtLevel(b, vals, level)
 }
 
-// PrepareDiagonalsBSGSSpanAt builds the operand form of m — it is
-// PrepareDiagonalsBSGSBlocksAt with m in every block: diagonal
+// PrepareDiagonalsAt builds the operand form of the block-diagonal
+// matrix with mats[k] in the k-th span-aligned slot block, staged for the
+// baby-step/giant-step kernel of the split BSGSSplit(period): diagonal
 // i = g·baby+j is pre-rotated right by g·baby, so that
 //
 //	M·v = Σ_g rot( Σ_j d'_{g,j} ⊙ rot(v, j), g·baby )
 //
 // needs only (baby−1) + (giant−1) rotations. Pre-rotating happens on the
-// plaintext diagonals before encryption/encoding, so it is free. Pass the
-// split staged by the compiler (or BSGSSplit(period)).
+// plaintext diagonals before encryption/encoding, so it is free.
 //
-// Each pre-rotated diagonal is replicated into every span-aligned slot
-// block: slot k·span + r + g·baby holds d_{g·baby+j}[r] for every block
-// k. Against a vector whose blocks each carry an independent
-// period-periodic query (see DESIGN.md §7), the kernel then computes one
-// independent matrix-vector product per block; span = b.Slots() is the
-// single-query layout. The caller guarantees the block absorbs every
-// read: Rows − 1 + period − 1 < span (COPSE stages span = 2·SPad for
-// exactly this reason).
-//
-// If encrypt is true the diagonals are encrypted; otherwise they are
-// encoded plaintexts. Operands are produced at the given scheme level
-// (the stage level a compile-time plan assigned the matrix product; see
-// Meta.LevelPlan): encrypted diagonals are encrypted there directly and
-// plaintext diagonals are pre-lifted there. A negative level (or a
-// backend without levels) stages at the top.
-func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span int, encrypt bool, level int) (*Diagonals, error) {
-	if err := checkSpan(b, m, period, span); err != nil {
-		return nil, err
-	}
-	mats := make([]*Bool, b.Slots()/span)
-	for k := range mats {
-		mats[k] = m
-	}
-	return PrepareDiagonalsBSGSBlocksAt(b, mats, nil, period, baby, giant, span, encrypt, level)
-}
-
-// PrepareDiagonalsBSGSBlocksAt is the block-diagonal stager: it stages
-// an *independent* matrix per span-aligned slot block — mats[k]'s
-// pre-rotated diagonal values occupy block k's slots — so a single BSGS
-// kernel pass evaluates a different matrix-vector product in every
-// block. This is the staging behind the batched result shuffle (one
-// permutation per packed query, one set of rotations for the whole
-// batch; DESIGN.md §10) and the level lanes (one level matrix per lane,
-// the pattern repeated in every block; §13.5). len(mats) must equal slots/span and
-// all matrices must share one shape; the span/period/read-containment
-// rules of PrepareDiagonalsBSGSSpanAt apply unchanged. A diagonal is
-// recorded zero (skippable) only when it is zero in every block.
+// Slot k·span + r + g·baby holds mats[k]'s d_{g·baby+j}[r]: against a
+// vector whose blocks each carry an independent period-periodic query
+// (see DESIGN.md §7), one kernel pass computes an independent
+// matrix-vector product per block, so a caller that repeats one matrix
+// in every block stages one product per packed query, and span =
+// b.Slots() is the single-query layout. Per-block matrices are the
+// batched result shuffle (one permutation per packed query, one set of
+// rotations for the whole batch; DESIGN.md §10) and the level lanes (one
+// level matrix per lane, the pattern repeated in every block; §13.5).
+// len(mats) must equal slots/span and all matrices must share one shape.
+// The block must absorb every read: Rows − 1 + period − 1 < span (COPSE
+// stages span = 2·SPad for exactly this reason). A diagonal is recorded
+// zero (skippable) only when it is zero in every block.
 //
 // coefs, when non-nil, scales the rows: block k stages diag(coefs[k])·mats[k]
 // (a nil coefs[k] is all ones), the coefficients already reduced mod the
@@ -231,7 +211,14 @@ func PrepareDiagonalsBSGSSpanAt(b he.Backend, m *Bool, period, baby, giant, span
 // giant-step pre-rotation, so the kernel is unchanged — this is how the
 // level stage folds its mask's sign 1 − 2·m into the matrix (DESIGN.md
 // §13.5).
-func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, baby, giant, span int, encrypt bool, level int) (*Diagonals, error) {
+//
+// If encrypt is true the diagonals are encrypted; otherwise they are
+// encoded plaintexts. Operands are produced at the given scheme level
+// (the stage level a compile-time plan assigned the matrix product; see
+// Meta.LevelPlan): encrypted diagonals are encrypted there directly and
+// plaintext diagonals are pre-lifted there. A negative level (or a
+// backend without levels) stages at the top.
+func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, span int, encrypt bool, level int) (*Diagonals, error) {
 	slots := b.Slots()
 	if len(mats) == 0 {
 		return nil, fmt.Errorf("matrix: no block matrices")
@@ -257,9 +244,6 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, coefs [][]uint64, 
 			return nil, fmt.Errorf("matrix: block %d has %d row coefficients for %d rows", k, len(coefs[k]), rows)
 		}
 	}
-	if baby < 1 || giant < 1 || baby*giant != period {
-		return nil, fmt.Errorf("matrix: BSGS split %d×%d does not factor period %d", baby, giant, period)
-	}
 	// A caller that repeats a pattern of matrices over the blocks passes
 	// the same pointers again: each is expanded once.
 	raw := make([][][]uint64, len(mats))
@@ -275,6 +259,7 @@ func PrepareDiagonalsBSGSBlocksAt(b he.Backend, mats []*Bool, coefs [][]uint64, 
 		}
 		raw[k] = diags
 	}
+	baby, giant := BSGSSplit(period)
 	d := &Diagonals{Rows: rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
 	ext := make([]uint64, slots)
 	for i := 0; i < period; i++ {

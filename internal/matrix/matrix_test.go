@@ -5,9 +5,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-	"testing/quick"
 
-	"copse/internal/bits"
 	"copse/internal/he"
 	"copse/internal/he/heclear"
 )
@@ -61,11 +59,9 @@ func TestDiagonalsErrors(t *testing.T) {
 }
 
 // stage prepares m in the single-query layout (span = all slots) at the
-// chain top. matrix_test.go stages the degenerate split baby = period,
-// giant = 1 — the naive one-rotation-per-diagonal kernel; bsgs_test.go
-// covers proper splits.
-func stage(b he.Backend, m *Bool, period, baby, giant int, encrypt bool) (*Diagonals, error) {
-	return PrepareDiagonalsBSGSSpanAt(b, m, period, baby, giant, b.Slots(), encrypt, -1)
+// chain top.
+func stage(b he.Backend, m *Bool, period int, encrypt bool) (*Diagonals, error) {
+	return PrepareDiagonalsAt(b, []*Bool{m}, nil, period, b.Slots(), encrypt, -1)
 }
 
 // replicatedPlain builds the slot-periodic layout of v (padded to
@@ -110,52 +106,6 @@ func matVec(t *testing.T, b he.Backend, d *Diagonals, v []uint64, skipZero bool)
 	return out
 }
 
-// TestMatVecMatchesPlain: the staged diagonals compute the plain product,
-// over random shapes, for both plain and encrypted matrices, in the naive
-// split.
-func TestMatVecMatchesPlain(t *testing.T) {
-	b := heclear.New(64, 65537)
-	f := func(seed uint64, rRaw, cRaw uint8, encryptMat, skipZero bool) bool {
-		rows := int(rRaw%10) + 1
-		cols := int(cRaw%10) + 1
-		if skipZero && encryptMat {
-			skipZero = false // skipping is only allowed for plaintext models
-		}
-		r := rand.New(rand.NewPCG(seed, 2))
-		m := randBool(r, rows, cols, 0.4)
-		v := make([]uint64, cols)
-		for i := range v {
-			v[i] = uint64(r.IntN(2))
-		}
-		period := bits.NextPow2(cols)
-		d, err := stage(b, m, period, period, 1, encryptMat)
-		if err != nil {
-			return false
-		}
-		gotVals := matVec(t, b, d, replicatedPlain(v, period, b.Slots()), skipZero)
-		want, err := m.MulVec(v)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < rows; i++ {
-			if gotVals[i] != want[i]%65537 {
-				return false
-			}
-		}
-		// Slots beyond rows must be clean zeros (the next pipeline stage
-		// relies on this).
-		for i := rows; i < b.Slots(); i++ {
-			if gotVals[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMatVecTallMatrix checks the m > n cyclic-extension case from
 // Halevi–Shoup (§4.1.2).
 func TestMatVecTallMatrix(t *testing.T) {
@@ -167,7 +117,7 @@ func TestMatVecTallMatrix(t *testing.T) {
 	}
 	v := []uint64{1, 0}
 	period := 2
-	d, err := stage(b, m, period, period, 1, false)
+	d, err := stage(b, m, period, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +145,7 @@ func TestZeroDiagonalsRecorded(t *testing.T) {
 	}
 	v := replicatedPlain([]uint64{1, 0, 1, 1, 0, 0, 1, 0}, 8, 32)
 	for name, m := range map[string]*Bool{"diagonal": diag, "zero": NewBool(8, 8)} {
-		d, err := stage(b, m, 8, 8, 1, false)
+		d, err := stage(b, m, 8, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,10 +198,10 @@ func TestMulVecDimensionError(t *testing.T) {
 
 func TestPrepareDiagonalsTooBig(t *testing.T) {
 	b := heclear.New(8, 65537)
-	if _, err := stage(b, NewBool(9, 2), 2, 2, 1, false); err == nil {
+	if _, err := stage(b, NewBool(9, 2), 2, false); err == nil {
 		t.Error("matrix taller than slots accepted")
 	}
-	if _, err := stage(b, NewBool(2, 9), 16, 16, 1, false); err == nil {
+	if _, err := stage(b, NewBool(2, 9), 16, false); err == nil {
 		t.Error("period wider than slots accepted")
 	}
 }
