@@ -8,10 +8,9 @@
 //
 //	copse-run -artifact income5.copse -queries 30,9,40,0,0,3,7,1
 //	copse-run -artifact m.copse -queries "3,5;0,7;12,2" -backend clear
-//	copse-run -artifact m.copse -features 3,5 -scenario servermodel
+//	copse-run -artifact m.copse -queries 3,5 -scenario servermodel
 //
-// -queries takes one or more semicolon-separated feature vectors;
-// -features is the single-query spelling kept for compatibility. On
+// -queries takes one or more semicolon-separated feature vectors. On
 // bgv the ring is the one the artifact's slot count picks.
 package main
 
@@ -34,24 +33,16 @@ func main() {
 
 	artifact := flag.String("artifact", "", "compiled model artifact")
 	queryArg := flag.String("queries", "", "semicolon-separated feature vectors, each comma-separated")
-	featArg := flag.String("features", "", "single feature vector (compatibility alias for -queries)")
 	backendArg := flag.String("backend", "bgv", "bgv or clear")
 	scenarioArg := flag.String("scenario", "offload", "offload, servermodel, or clienteval")
 	workers := flag.Int("workers", 0, "goroutines per classification pass (0 = GOMAXPROCS, 1 = sequential)")
 	seed := flag.Uint64("seed", 0, "deterministic keys/encryption when non-zero")
 	flag.Parse()
 
-	if *artifact == "" || (*queryArg == "" && *featArg == "") {
+	if *artifact == "" || *queryArg == "" {
 		log.Fatal("need -artifact FILE and -queries LIST[;LIST...]")
 	}
-	if *queryArg != "" && *featArg != "" {
-		log.Fatal("-queries and -features are mutually exclusive")
-	}
-	spec := *queryArg
-	if spec == "" {
-		spec = *featArg
-	}
-	queries, err := parseQueries(spec)
+	queries, err := parseQueries(*queryArg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,18 +24,16 @@
 //	results, _ := svc.ClassifyBatch(ctx, "forest", [][]uint64{{3, 5}, {7, 1}})
 //	fmt.Println(results[0].Plurality())
 //
-// The three-party view of the paper's Figure 2 remains available as a
-// thin wrapper for single-model, per-party workflows:
+// The three calls under ClassifyBatch are the steps of the paper's
+// Figure 2, each named for the party that takes it:
 //
-//	sys, _ := copse.NewSystem(compiled, copse.WithScenario(copse.ScenarioOffload))
-//	query, _ := sys.Diane.EncryptQuery([]uint64{3, 5})
-//	encrypted, _, _ := sys.Sally.Classify(query)
-//	result, _ := sys.Diane.DecryptResult(encrypted)
+//	query, _ := svc.EncryptQuery("forest", []uint64{3, 5})  // Diane
+//	encrypted, _, _ := svc.Classify(ctx, "forest", query)   // Sally
+//	result, _ := svc.DecryptResult("forest", encrypted)     // Diane
 //	fmt.Println(result.Plurality())
 package copse
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -234,59 +232,6 @@ func ChainLevels(c *Compiled, s Scenario) (int, error) {
 	return c.Meta.ChainLevels(encModel), nil
 }
 
-// System wires the three parties around a shared backend, mirroring the
-// workflow of Figure 2. It is a thin single-model view over Service —
-// the party split (Maurice/Diane/Sally) names who may call what, while
-// the service underneath does the staging, batching and bookkeeping.
-type System struct {
-	Maurice *ModelOwner
-	Diane   *DataOwner
-	Sally   *Server
-
-	svc *Service
-}
-
-// systemModel is the registry name a System's single model serves under.
-const systemModel = "default"
-
-// ModelOwner (Maurice) holds the compiled model and knows its private
-// structure.
-type ModelOwner struct {
-	Compiled *Compiled
-}
-
-// DataOwner (Diane) prepares queries and decrypts results.
-type DataOwner struct {
-	sys *System
-}
-
-// Server (Sally) executes inference over operands it cannot read.
-type Server struct {
-	sys *System
-}
-
-// NewSystem instantiates the parties for a compiled model: it builds a
-// single-model Service with the given options (generating keys for
-// exactly the rotations the compiler emitted, on the ring the model's
-// slot count picks, encrypting or encoding the model per the scenario)
-// and returns the wired parties.
-func NewSystem(c *Compiled, opts ...Option) (*System, error) {
-	svc := NewService(opts...)
-	if err := svc.Register(systemModel, c); err != nil {
-		return nil, err
-	}
-	sys := &System{svc: svc}
-	sys.Maurice = &ModelOwner{Compiled: c}
-	sys.Diane = &DataOwner{sys: sys}
-	sys.Sally = &Server{sys: sys}
-	return sys, nil
-}
-
-// Service exposes the serving layer a System wraps, for callers that
-// started with the three-party API and want the batched/concurrent
-// surface (registry, stats, context-aware classify).
-func (s *System) Service() *Service { return s.svc }
-
 // scenarioEncryption maps a scenario to (model encrypted, features
 // encrypted).
 func scenarioEncryption(s Scenario) (encModel, encFeats bool, err error) {
@@ -299,24 +244,6 @@ func scenarioEncryption(s Scenario) (encModel, encFeats bool, err error) {
 		return true, false, nil
 	}
 	return false, false, fmt.Errorf("copse: unknown scenario %d", s)
-}
-
-// Backend exposes the underlying homomorphic backend (for op counting
-// and diagnostics).
-func (s *System) Backend() he.Backend { return s.svc.Backend() }
-
-// EncryptQuery prepares a quantized feature vector per the scenario:
-// replicated to the model's maximum multiplicity K, padded,
-// bit-transposed, and encrypted (left plaintext in ScenarioClientEval).
-func (d *DataOwner) EncryptQuery(features []uint64) (*Query, error) {
-	return d.sys.svc.EncryptQuery(systemModel, features)
-}
-
-// EncryptQueryBatch slot-packs up to Meta.BatchCapacity feature vectors
-// into one encrypted query set; one Classify call answers all of them. A
-// larger batch is refused with a *core.BatchCapacityError.
-func (d *DataOwner) EncryptQueryBatch(batch [][]uint64) (*Query, error) {
-	return d.sys.svc.EncryptQueryBatch(systemModel, batch)
 }
 
 // ShuffledCodebook is the public decoding table of one shuffled query:
@@ -354,41 +281,3 @@ func releaseQuery(q *Query) {
 // Operand returns the packed result carrier — the hook the cluster data
 // plane uses to put a worker's shard result on the wire.
 func (r *EncryptedResult) Operand() he.Operand { return r.op }
-
-// Classify runs Algorithm 1 on an encrypted query (or slot-packed
-// batch; one pass classifies every packed query).
-func (s *Server) Classify(q *Query) (*EncryptedResult, *Trace, error) {
-	return s.sys.svc.Classify(context.Background(), systemModel, q)
-}
-
-// ClassifyCtx is Classify with cancellation between pipeline stages.
-func (s *Server) ClassifyCtx(ctx context.Context, q *Query) (*EncryptedResult, *Trace, error) {
-	return s.sys.svc.Classify(ctx, systemModel, q)
-}
-
-// ServerView reports what the server can infer from artifact shapes
-// alone (the executable form of Table 3's leakage).
-func (s *Server) ServerView() core.ServerView {
-	view, _ := s.sys.svc.ServerView(systemModel)
-	return view
-}
-
-// DecryptResult decrypts and decodes a classification (batch entry 0).
-func (d *DataOwner) DecryptResult(r *EncryptedResult) (*Result, error) {
-	return d.sys.svc.DecryptResult(systemModel, r)
-}
-
-// DecryptResultBatch decrypts one classification pass and decodes every
-// packed query's result, in packing order.
-func (d *DataOwner) DecryptResultBatch(r *EncryptedResult) ([]*Result, error) {
-	return d.sys.svc.DecryptResultBatch(systemModel, r)
-}
-
-// Meta exposes the compiled model's public parameters.
-func (s *Server) Meta() *Meta {
-	m, err := s.sys.svc.Meta(systemModel)
-	if err != nil {
-		return nil
-	}
-	return m
-}

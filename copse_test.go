@@ -2,6 +2,7 @@ package copse_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,21 +22,34 @@ func compileExample(t *testing.T, slots int) *copse.Compiled {
 	return c
 }
 
-// classifyVia runs one query through the public three-party workflow.
-func classifyVia(t *testing.T, sys *copse.System, feats []uint64) *copse.Result {
+// serve registers c under name on a new service, closed when the test
+// ends.
+func serve(t *testing.T, name string, c *copse.Compiled, opts ...copse.Option) *copse.Service {
 	t.Helper()
-	q, err := sys.Diane.EncryptQuery(feats)
+	svc := copse.NewService(opts...)
+	t.Cleanup(func() { svc.Close() })
+	if err := svc.Register(name, c); err != nil {
+		t.Fatalf("Register(%s): %v", name, err)
+	}
+	return svc
+}
+
+// classifyVia runs one query through the three-call API: the data owner
+// encrypts it, the server classifies it, the data owner decrypts.
+func classifyVia(t *testing.T, svc *copse.Service, name string, feats []uint64) *copse.Result {
+	t.Helper()
+	q, err := svc.EncryptQuery(name, feats)
 	if err != nil {
 		t.Fatalf("EncryptQuery: %v", err)
 	}
-	enc, trace, err := sys.Sally.Classify(q)
+	enc, trace, err := svc.Classify(context.Background(), name, q)
 	if err != nil {
 		t.Fatalf("Classify: %v", err)
 	}
 	if trace.Total <= 0 {
 		t.Error("trace has no total time")
 	}
-	res, err := sys.Diane.DecryptResult(enc)
+	res, err := svc.DecryptResult(name, enc)
 	if err != nil {
 		t.Fatalf("DecryptResult: %v", err)
 	}
@@ -52,17 +66,14 @@ func TestEndToEndAllScenariosClear(t *testing.T) {
 		copse.ScenarioThreeParty,
 	}
 	for _, sc := range scenarios {
-		sys, err := copse.NewSystem(c,
+		svc := serve(t, "figure1", c,
 			copse.WithBackend(copse.BackendClear),
 			copse.WithScenario(sc),
 			copse.WithWorkers(4),
 		)
-		if err != nil {
-			t.Fatalf("scenario %d: %v", sc, err)
-		}
 		for _, feats := range [][]uint64{{0, 5}, {7, 0}, {15, 15}} {
 			want := forest.Classify(feats)
-			res := classifyVia(t, sys, feats)
+			res := classifyVia(t, svc, "figure1", feats)
 			if res.PerTree[0] != want[0] {
 				t.Errorf("scenario %d Classify(%v) = L%d, want L%d", sc, feats, res.PerTree[0], want[0])
 			}
@@ -75,42 +86,47 @@ func TestEndToEndAllScenariosClear(t *testing.T) {
 func TestEndToEndBGV(t *testing.T) {
 	forest := copse.ExampleForest()
 	c := compileExample(t, 1024)
-	sys, err := copse.NewSystem(c,
+	svc := serve(t, "figure1", c,
 		copse.WithBackend(copse.BackendBGV),
 		copse.WithScenario(copse.ScenarioOffload),
 		copse.WithWorkers(4),
 		copse.WithSeed(5),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, feats := range [][]uint64{{0, 5}, {6, 2}} {
 		want := forest.Classify(feats)
-		res := classifyVia(t, sys, feats)
+		res := classifyVia(t, svc, "figure1", feats)
 		if res.PerTree[0] != want[0] {
 			t.Errorf("Classify(%v) = L%d, want L%d", feats, res.PerTree[0], want[0])
 		}
 	}
-	// Sally's structural view must match the leakage model.
-	view := sys.Sally.ServerView()
+	// The server's structural view must match the leakage model.
+	view, err := svc.ServerView("figure1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if view.QPad != c.Meta.QPad || view.D != c.Meta.D {
 		t.Errorf("server view %+v inconsistent with meta %s", view, c.Meta.String())
 	}
 }
 
-// TestNewSystemErrors: a bogus backend or scenario option, and a model
-// staged for a slot count no BGV ring packs, are refused at construction.
-func TestNewSystemErrors(t *testing.T) {
+// TestServiceRegisterErrors: a bogus backend or scenario option, and a
+// model staged for a slot count no BGV ring packs, are refused at the
+// first Register.
+func TestServiceRegisterErrors(t *testing.T) {
 	c := compileExample(t, 64)
-	if _, err := copse.NewSystem(c, copse.WithBackend(copse.BackendKind(99))); err == nil {
+	register := func(opts ...copse.Option) error {
+		svc := copse.NewService(opts...)
+		defer svc.Close()
+		return svc.Register("figure1", c)
+	}
+	if err := register(copse.WithBackend(copse.BackendKind(99))); err == nil {
 		t.Error("bogus backend accepted")
 	}
 	// No ring packs 64 slots: the refusal names the slot counts that work.
-	_, err := copse.NewSystem(c, copse.WithBackend(copse.BackendBGV))
-	if err == nil || !strings.Contains(err.Error(), "1024, 2048 or 16384") {
+	if err := register(copse.WithBackend(copse.BackendBGV)); err == nil || !strings.Contains(err.Error(), "1024, 2048 or 16384") {
 		t.Errorf("64-slot model on BGV: %v, want a refusal naming 1024, 2048 or 16384", err)
 	}
-	if _, err := copse.NewSystem(c,
+	if err := register(
 		copse.WithBackend(copse.BackendClear),
 		copse.WithScenario(copse.Scenario(99)),
 	); err == nil {
@@ -133,14 +149,11 @@ func TestTrainCompileClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := copse.NewSystem(c,
+	svc := serve(t, "income", c,
 		copse.WithBackend(copse.BackendClear),
 		copse.WithScenario(copse.ScenarioOffload),
 		copse.WithWorkers(4),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 10; i++ {
 		q, err := tm.QuantizeFeatures(ds.X[i])
 		if err != nil {
@@ -150,7 +163,7 @@ func TestTrainCompileClassify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := classifyVia(t, sys, q)
+		res := classifyVia(t, svc, "income", q)
 		if got := res.Plurality(); got != want {
 			t.Errorf("row %d: secure plurality %d, plaintext %d", i, got, want)
 		}

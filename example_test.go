@@ -130,19 +130,22 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := copse.NewSystem(compiled, copse.WithBackend(copse.BackendClear), copse.WithScenario(copse.ScenarioOffload))
+	// Maurice's compiled model, served by Sally.
+	svc := copse.NewService(copse.WithBackend(copse.BackendClear), copse.WithScenario(copse.ScenarioOffload))
+	defer svc.Close()
+	if err := svc.Register("figure1", compiled); err != nil {
+		log.Fatal(err)
+	}
+	// Diane encrypts her features, Sally classifies them, Diane decrypts.
+	query, err := svc.EncryptQuery("figure1", []uint64{0, 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	query, err := sys.Diane.EncryptQuery([]uint64{0, 5})
+	encrypted, _, err := svc.Classify(context.Background(), "figure1", query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	encrypted, _, err := sys.Sally.Classify(query)
-	if err != nil {
-		log.Fatal(err)
-	}
-	result, err := sys.Diane.DecryptResult(encrypted)
+	result, err := svc.DecryptResult("figure1", encrypted)
 	if err != nil {
 		log.Fatal(err)
 	}

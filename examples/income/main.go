@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -48,12 +49,14 @@ func main() {
 	fmt.Printf("compiled: %s (recommended BGV levels: %d)\n",
 		compiled.Meta.String(), compiled.Meta.RecommendedLevels)
 
-	sys, err := copse.NewSystem(compiled,
+	// Maurice hands the compiled model to Sally, who serves it.
+	svc := copse.NewService(
 		copse.WithBackend(copse.BackendBGV),
 		copse.WithScenario(copse.ScenarioOffload),
 		copse.WithWorkers(runtime.GOMAXPROCS(0)),
 	)
-	if err != nil {
+	defer svc.Close()
+	if err := svc.Register("income", compiled); err != nil {
 		log.Fatal(err)
 	}
 
@@ -68,15 +71,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		query, err := sys.Diane.EncryptQuery(features)
+		// Diane encrypts the row, Sally classifies it, Diane decrypts.
+		query, err := svc.EncryptQuery("income", features)
 		if err != nil {
 			log.Fatal(err)
 		}
-		enc, trace, err := sys.Sally.Classify(query)
+		enc, trace, err := svc.Classify(context.Background(), "income", query)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.Diane.DecryptResult(enc)
+		res, err := svc.DecryptResult("income", enc)
 		if err != nil {
 			log.Fatal(err)
 		}

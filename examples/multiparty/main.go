@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -37,11 +38,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := copse.NewSystem(compiled, copse.WithBackend(copse.BackendClear), copse.WithScenario(copse.ScenarioOffload))
+	svc := copse.NewService(copse.WithBackend(copse.BackendClear), copse.WithScenario(copse.ScenarioOffload))
+	defer svc.Close()
+	if err := svc.Register("figure1", compiled); err != nil {
+		log.Fatal(err)
+	}
+	// What Sally, the server, sees.
+	view, err := svc.ServerView("figure1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	view := sys.Sally.ServerView()
 	fmt.Printf("server view (offload, model fully encrypted): q̂=%d b̂=%d d=%d p=%d\n",
 		view.QPad, view.BPad, view.D, view.P)
 	fmt.Println("  → the server learns padded widths and depth, exactly Table 3's q, b, d")
@@ -64,22 +70,24 @@ func main() {
 		{"server model (S=M)", copse.ScenarioServerModel},
 		{"client eval (S=D)", copse.ScenarioClientEval},
 	} {
-		s, err := copse.NewSystem(padded, copse.WithBackend(copse.BackendClear), copse.WithScenario(sc.scenario))
+		s := copse.NewService(copse.WithBackend(copse.BackendClear), copse.WithScenario(sc.scenario))
+		if err := s.Register("padded", padded); err != nil {
+			log.Fatal(err)
+		}
+		// Diane encrypts the query, Sally classifies it, Diane decrypts.
+		q, err := s.EncryptQuery("padded", []uint64{0, 5})
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := s.Diane.EncryptQuery([]uint64{0, 5})
+		enc, _, err := s.Classify(context.Background(), "padded", q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		enc, _, err := s.Sally.Classify(q)
+		res, err := s.DecryptResult("padded", enc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := s.Diane.DecryptResult(enc)
-		if err != nil {
-			log.Fatal(err)
-		}
+		_ = s.Close()
 		fmt.Printf("  %-20s Classify(0,5) = %s ✓\n", sc.name, forest.Labels[res.PerTree[0]])
 	}
 	fmt.Println("\n(three-party deployments need multi-key or threshold FHE wrappers — paper §7.1)")

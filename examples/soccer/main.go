@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -43,12 +44,14 @@ func main() {
 
 	workers := runtime.GOMAXPROCS(0)
 	timeScenario := func(name string, scenario copse.Scenario) time.Duration {
-		sys, err := copse.NewSystem(compiled,
+		// Sally serves the match predictor under the scenario's split.
+		svc := copse.NewService(
 			copse.WithBackend(copse.BackendBGV),
 			copse.WithScenario(scenario),
 			copse.WithWorkers(workers),
 		)
-		if err != nil {
+		defer svc.Close()
+		if err := svc.Register("soccer", compiled); err != nil {
 			log.Fatal(err)
 		}
 		var total time.Duration
@@ -58,17 +61,18 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			query, err := sys.Diane.EncryptQuery(features)
+			// Diane encrypts the match, Sally classifies it, Diane decrypts.
+			query, err := svc.EncryptQuery("soccer", features)
 			if err != nil {
 				log.Fatal(err)
 			}
 			start := time.Now()
-			enc, _, err := sys.Sally.Classify(query)
+			enc, _, err := svc.Classify(context.Background(), "soccer", query)
 			if err != nil {
 				log.Fatal(err)
 			}
 			total += time.Since(start)
-			res, err := sys.Diane.DecryptResult(enc)
+			res, err := svc.DecryptResult("soccer", enc)
 			if err != nil {
 				log.Fatal(err)
 			}

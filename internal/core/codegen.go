@@ -44,6 +44,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"flag"
 	"fmt"
@@ -97,24 +98,28 @@ func main() {
 		log.Fatalf("model wants {{.Features}} features, got %d", len(features))
 	}
 
-	sys, err := copse.NewSystem(compiled, copse.WithBackend(backend), copse.WithScenario(scenario), copse.WithWorkers(*workers))
-	if err != nil {
-		log.Fatalf("setting up parties: %v", err)
+	// The embedded model is Maurice's; Diane encrypts the query and
+	// decrypts the result, Sally classifies it.
+	const model = "model"
+	svc := copse.NewService(copse.WithBackend(backend), copse.WithScenario(scenario), copse.WithWorkers(*workers))
+	defer svc.Close()
+	if err := svc.Register(model, compiled); err != nil {
+		log.Fatalf("staging the model: %v", err)
 	}
-	query, err := sys.Diane.EncryptQuery(features)
+	query, err := svc.EncryptQuery(model, features)
 	if err != nil {
 		log.Fatalf("encrypting query: %v", err)
 	}
-	encrypted, trace, err := sys.Sally.Classify(query)
+	encrypted, trace, err := svc.Classify(context.Background(), model, query)
 	if err != nil {
 		log.Fatalf("classifying: %v", err)
 	}
-	result, err := sys.Diane.DecryptResult(encrypted)
+	result, err := svc.DecryptResult(model, encrypted)
 	if err != nil {
 		log.Fatalf("decrypting result: %v", err)
 	}
 
-	meta := sys.Sally.Meta()
+	meta := &compiled.Meta
 	fmt.Printf("model: %s\n", meta)
 	fmt.Printf("per-tree labels:")
 	for _, l := range result.PerTree {

@@ -113,17 +113,18 @@ func (m *ModelOperands) packing(g int) *planePacking {
 // infeasible for the programs built — a stale or hand-edited artifact, or
 // a shuffle whose entry lies above where a model compiled without
 // Options.PlanShuffle lands its result — is a *PlanInfeasibleError. So is
-// a backend whose modulus chain is shorter than the c.Meta.ChainLevels
-// the model would size itself: a service shares one backend, and the
-// first model registered sized its chain.
+// a backend whose modulus chain is too short (CheckChain): a service
+// shares one backend, and the first model registered sized its chain.
 func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*ModelOperands, error) {
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
 	// The level-forwarding wrappers report top level 0 over a backend
-	// without a chain, and no plan fits in one prime.
-	if ld, ok := b.(he.LevelDropper); ok && ld.MaxLevel() > 0 && ld.MaxLevel() < c.Meta.ChainLevels(encModel)-1 {
-		return nil, &PlanInfeasibleError{Scenario: scenarioName(encModel, encQuery), Stage: stageNames[stCompare], Kind: "chain", Level: c.Meta.ChainLevels(encModel) - 1}
+	// without a chain; whoever builds a chain checks a one-prime one.
+	if ld, ok := b.(he.LevelDropper); ok && ld.MaxLevel() > 0 {
+		if err := CheckChain(&c.Meta, encModel, encQuery, ld.MaxLevel()); err != nil {
+			return nil, err
+		}
 	}
 	m := &ModelOperands{Meta: c.Meta, encModel: encModel, encQuery: encQuery, shuffle: shuffle, Plan: c.Meta.LevelPlan.For(encModel)}
 
@@ -437,6 +438,16 @@ func (e *PlanInfeasibleError) Error() string {
 		msg += " (compile with CompileOptions.PlanShuffle to reserve the result shuffle's headroom)"
 	}
 	return msg
+}
+
+// CheckChain refuses, with a *PlanInfeasibleError of kind "chain", a
+// modulus chain whose top level lies below where m's plan enters the
+// compare stage: a chain shorter than m.ChainLevels(encModel) primes.
+func CheckChain(m *Meta, encModel, encQuery bool, top int) error {
+	if need := m.ChainLevels(encModel); top < need-1 {
+		return &PlanInfeasibleError{Scenario: scenarioName(encModel, encQuery), Stage: stageNames[stCompare], Kind: "chain", Level: need - 1}
+	}
+	return nil
 }
 
 func scenarioName(encModel, encQuery bool) string {

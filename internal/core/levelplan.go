@@ -101,9 +101,10 @@ func (p *LevelPlan) ChainLevels(encryptedModel bool) int {
 }
 
 // ChainLevels is the chain length a backend built for this model alone
-// serves the given scenario on: the plan's, capped at RecommendedLevels.
+// serves the given scenario on: its plan's. RecommendedLevels, a depth
+// estimate the artifact carries unchecked, does not bound it.
 func (m *Meta) ChainLevels(encryptedModel bool) int {
-	return min(m.LevelPlan.ChainLevels(encryptedModel), m.RecommendedLevels)
+	return m.LevelPlan.ChainLevels(encryptedModel)
 }
 
 // ShuffleLevel is the entry level of the shuffle stage, across scenarios.

@@ -103,7 +103,8 @@ func tracedRun(cfg Config, caseName string) (Case, *copse.Trace, *copse.Meta, er
 		if err != nil {
 			return Case{}, nil, nil, err
 		}
-		return cs, traces[0], r.sys.Sally.Meta(), nil
+		meta, err := r.svc.Meta(cs.Name)
+		return cs, traces[0], meta, err
 	}
 	return Case{}, nil, nil, fmt.Errorf("experiments: no case named %q", caseName)
 }

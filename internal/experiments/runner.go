@@ -12,10 +12,11 @@ import (
 	"copse/internal/he"
 )
 
-// copseRunner owns one instantiated COPSE system for a benchmark case.
+// copseRunner owns one COPSE service serving a benchmark case under the
+// case's name.
 type copseRunner struct {
 	cs  Case
-	sys *copse.System
+	svc *copse.Service
 }
 
 func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (*copseRunner, error) {
@@ -28,18 +29,19 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 	if err != nil {
 		return nil, err
 	}
-	sys, err := copse.NewSystem(compiled, copse.WithBackend(kind), copse.WithScenario(scenario),
+	svc := copse.NewService(copse.WithBackend(kind), copse.WithScenario(scenario),
 		copse.WithWorkers(workers), copse.WithSeed(cfg.Seed+100))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: system for %s: %w", cs.Name, err)
+	if err := svc.Register(cs.Name, compiled); err != nil {
+		_ = svc.Close()
+		return nil, fmt.Errorf("experiments: service for %s: %w", cs.Name, err)
 	}
-	return &copseRunner{cs: cs, sys: sys}, nil
+	return &copseRunner{cs: cs, svc: svc}, nil
 }
 
-// close stops the system's service (its batcher goroutines, when the
+// close stops the service (its batcher goroutines, when the
 // configuration has any).
 func (r *copseRunner) close() {
-	_ = r.sys.Service().Close()
+	_ = r.svc.Close()
 }
 
 // run executes `queries` random inference queries, returning the Classify
@@ -52,18 +54,18 @@ func (r *copseRunner) run(queries int, seed uint64) ([]time.Duration, []*copse.T
 	var traces []*copse.Trace
 	for qi := 0; qi < queries; qi++ {
 		feats := randomFeatures(rng, r.cs.Forest.NumFeatures, r.cs.Forest.Precision)
-		query, err := r.sys.Diane.EncryptQuery(feats)
+		query, err := r.svc.EncryptQuery(r.cs.Name, feats)
 		if err != nil {
 			return nil, nil, err
 		}
 		start := time.Now()
-		enc, trace, err := r.sys.Sally.Classify(query)
+		enc, trace, err := r.svc.Classify(context.Background(), r.cs.Name, query)
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: %s query %d: %w", r.cs.Name, qi, err)
 		}
 		times = append(times, time.Since(start))
 		traces = append(traces, trace)
-		res, err := r.sys.Diane.DecryptResult(enc)
+		res, err := r.svc.DecryptResult(r.cs.Name, enc)
 		if err != nil {
 			return nil, nil, err
 		}

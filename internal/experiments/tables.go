@@ -110,12 +110,12 @@ func Table5(cfg Config) (*Table, error) {
 		}
 		status := "ok"
 		var med time.Duration
-		sys, err := copse.NewSystem(compiled, copse.WithBackend(copse.BackendBGV), copse.WithLevels(levels),
+		svc := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithLevels(levels),
 			copse.WithWorkers(defaultWorkers(cfg)), copse.WithSeed(cfg.Seed+3))
-		if err != nil {
+		if err := svc.Register(cs.Name, compiled); err != nil {
 			status = "setup failed: " + err.Error()
 		} else {
-			r := &copseRunner{cs: cs, sys: sys}
+			r := &copseRunner{cs: cs, svc: svc}
 			times, _, err := r.run(min(cfg.Queries, 3), cfg.Seed)
 			if err != nil {
 				status = "failed: " + truncate(err.Error(), 40)
@@ -123,6 +123,7 @@ func Table5(cfg Config) (*Table, error) {
 				med = median(times)
 			}
 		}
+		_ = svc.Close()
 		params, err := bgv.ParamsForSlots(compiled.Meta.Slots, levels)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package copse_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"slices"
@@ -153,5 +154,54 @@ func TestRegisterRefusesShortChain(t *testing.T) {
 	}
 	if want := depth4.Classify(batch[0]); !slices.Equal(res[0].PerTree, want) {
 		t.Errorf("depth4 after the refusal: trees %v, forest says %v", res[0].PerTree, want)
+	}
+
+	// A one-prime chain has top level 0, as a backend without a chain
+	// reports; it is refused the same way, not left to exhaust every pass.
+	short := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithLevels(1), copse.WithSeed(31))
+	defer short.Close()
+	err = short.Register("depth4", c4)
+	if !errors.As(err, &infeasible) || infeasible.Kind != "chain" || infeasible.Level != c4.Meta.ChainLevels(true)-1 {
+		t.Errorf("Register(depth4) on a one-prime chain: %v, want a *PlanInfeasibleError for the chain at level %d", err, c4.Meta.ChainLevels(true)-1)
+	}
+}
+
+// TestStaleRecommendedLevelsServes: RecommendedLevels is a depth
+// estimate an artifact carries unchecked. An artifact whose estimate sits
+// below its level plan's chain still sizes the chain by its plan, and
+// answers on BGV instead of exhausting the chain in every pass.
+func TestStaleRecommendedLevelsServes(t *testing.T) {
+	forest := copse.ExampleForest()
+	for _, rec := range []int{2, 5} {
+		c, err := copse.Compile(forest, copse.CompileOptions{Slots: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Meta.RecommendedLevels = rec
+		var buf bytes.Buffer
+		if err := copse.WriteArtifact(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = copse.ReadArtifact(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Meta.ChainLevels(true), c.Meta.LevelPlan.ChainLevels(true); got != want {
+			t.Errorf("RecommendedLevels %d: chain %d, the plan's is %d", rec, got, want)
+		}
+		svc := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithWorkers(2), copse.WithSeed(32))
+		if err := svc.Register("figure1", c); err != nil {
+			t.Fatalf("RecommendedLevels %d: Register: %v", rec, err)
+		}
+		batch := [][]uint64{{0, 5}, {6, 2}}
+		res, err := svc.ClassifyBatch(context.Background(), "figure1", batch)
+		if err != nil {
+			t.Fatalf("RecommendedLevels %d: %v", rec, err)
+		}
+		for i, feats := range batch {
+			if want := forest.Classify(feats); !slices.Equal(res[i].PerTree, want) {
+				t.Errorf("RecommendedLevels %d, query %v: trees %v, forest says %v", rec, feats, res[i].PerTree, want)
+			}
+		}
+		svc.Close()
 	}
 }

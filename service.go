@@ -27,13 +27,12 @@ import (
 // slot-packed multi-query classification and a concurrency contract —
 // every method is safe to call from many goroutines.
 //
-// Where System wires the paper's three notional parties around a single
-// model, Service is the deployment shape of the related outsourcing
-// work: a server holding several staged models, answering batches of
-// up to Meta.BatchCapacity() queries per homomorphic pass, under an
-// optional in-flight limit with queue-wait and latency accounting. The
-// BGV ring and chain come from the first registered model (its slot
-// count and level plan), not from an option:
+// Service is the deployment shape of the paper's Figure 2 and of the
+// related outsourcing work: a server holding several staged models,
+// answering batches of up to Meta.BatchCapacity() queries per
+// homomorphic pass, under an optional in-flight limit with queue-wait
+// and latency accounting. The BGV ring and chain come from the first
+// registered model (its slot count and level plan), not from an option:
 //
 //	svc := copse.NewService(
 //		copse.WithBackend(copse.BackendBGV),
@@ -220,8 +219,10 @@ func NewService(opts ...Option) *Service {
 }
 
 // newBackend builds the shared backend for a first registered model,
-// staged encrypted when encModel is set.
-func (s *Service) newBackend(c *Compiled, encModel bool) (he.Backend, error) {
+// staged encrypted when encModel is set and queried with encrypted
+// planes when encQuery is. A chain too short for the model's plan is
+// refused before any key is made.
+func (s *Service) newBackend(c *Compiled, encModel, encQuery bool) (he.Backend, error) {
 	switch s.cfg.backend {
 	case BackendClear:
 		return heclear.New(c.Meta.Slots, 65537), nil
@@ -236,6 +237,9 @@ func (s *Service) newBackend(c *Compiled, encModel bool) (he.Backend, error) {
 		}
 		params, err := bgv.ParamsForSlots(c.Meta.Slots, levels)
 		if err != nil {
+			return nil, err
+		}
+		if err := core.CheckChain(&c.Meta, encModel, encQuery, params.Levels-1); err != nil {
 			return nil, err
 		}
 		// The key pair and the relinearization key only: staging each
@@ -294,7 +298,7 @@ func (s *Service) Register(name string, c *Compiled) error {
 		if s.cfg.extBackend != nil {
 			s.backend = s.cfg.extBackend
 		} else {
-			b, err := s.newBackend(c, encryptModel)
+			b, err := s.newBackend(c, encryptModel, encryptFeats)
 			if err != nil {
 				return err
 			}

@@ -715,20 +715,17 @@ func TestServiceNoiseMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := copse.NewSystem(c,
+	svc := serve(t, "figure1", c,
 		copse.WithBackend(copse.BackendBGV),
 		copse.WithScenario(copse.ScenarioOffload),
 		copse.WithNoiseMeasurement(true),
 		copse.WithSeed(6),
 	)
+	q, err := svc.EncryptQuery("figure1", []uint64{0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sys.Diane.EncryptQuery([]uint64{0, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, trace, err := sys.Sally.Classify(q)
+	_, trace, err := svc.Classify(context.Background(), "figure1", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,18 +739,15 @@ func TestServiceNoiseMeasurement(t *testing.T) {
 		}
 	}
 	// Off by default.
-	sys2, err := copse.NewSystem(c,
+	svc2 := serve(t, "figure1", c,
 		copse.WithBackend(copse.BackendClear),
 		copse.WithScenario(copse.ScenarioOffload),
 	)
+	q2, err := svc2.EncryptQuery("figure1", []uint64{0, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := sys2.Diane.EncryptQuery([]uint64{0, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, trace2, err := sys2.Sally.Classify(q2)
+	_, trace2, err := svc2.Classify(context.Background(), "figure1", q2)
 	if err != nil {
 		t.Fatal(err)
 	}
