@@ -159,7 +159,7 @@ func main() {
 		if err := w.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote merge manifest %s (%d shards, chain %d levels)\n", mpath, manifest.Shards, manifest.ChainLevels)
+		fmt.Fprintf(os.Stderr, "wrote merge manifest %s (%d shards, chain %d levels)\n", mpath, manifest.Shards, manifest.Meta.ChainLevels(false))
 	}
 	if *emit != "" {
 		w, err := os.Create(*emit)

@@ -86,7 +86,8 @@ func (b *breaker) openLocked(now time.Time) {
 // Admit asks to send one request through the breaker. When admitted it
 // returns a release callback the caller MUST invoke with the request's
 // health outcome (ok=true for success — or for failures that say
-// nothing about worker health, like a cancelled hedge loser or a 4xx).
+// nothing about worker health, like an attempt whose caller gave up or a
+// 4xx).
 func (b *breaker) Admit() (release func(ok bool), admitted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

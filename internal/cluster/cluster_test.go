@@ -528,6 +528,111 @@ func TestClusterDegradation(t *testing.T) {
 	}
 }
 
+// TestGatewayTriesRecoveringHolderFirst pins the trial order of the
+// gateway's holder calls: with one shard on two holders, A's breaker open
+// past its cooldown and B's closed, a request sends its shard call to A
+// first, so live traffic re-admits a recovering worker. A success closes
+// A's breaker; a 500 from A fails the same call over to B, which answers,
+// and re-opens A's breaker.
+func TestGatewayTriesRecoveringHolderFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BGV cluster round trip is slow")
+	}
+	f := clusterForest(t, 53)
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		calls []string // holders of the shard calls, in order
+		failA bool     // A answers its shard calls 500
+	)
+	var servers []*httptest.Server
+	for _, name := range []string{"B", "A"} {
+		w := NewWorker(WorkerConfig{Seed: 63})
+		defer w.Close()
+		if err := w.AddShard("forest", manifest, shards[0]); err != nil {
+			t.Fatalf("worker %s: %v", name, err)
+		}
+		h := w.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/cluster/classify" {
+				mu.Lock()
+				calls = append(calls, name)
+				fail := failA && name == "A"
+				mu.Unlock()
+				if fail {
+					http.Error(rw, "injected", http.StatusInternalServerError)
+					return
+				}
+			}
+			h.ServeHTTP(rw, r)
+		}))
+		defer srv.Close()
+		servers = append(servers, srv)
+	}
+	urlA := servers[1].URL
+	gw := NewGateway(GatewayConfig{
+		Workers:        []string{servers[0].URL, urlA},
+		RequestTimeout: 10 * time.Minute,
+		ProbeInterval:  time.Hour,
+		Breaker:        BreakerConfig{Cooldown: time.Minute},
+	})
+	defer gw.Close()
+	if err := gw.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	breakerA := gw.breakerFor(urlA)
+	openPastCooldown := func() {
+		breakerA.mu.Lock()
+		breakerA.openLocked(time.Now().Add(-2 * time.Minute))
+		breakerA.mu.Unlock()
+	}
+	query := [][]uint64{{3, 9, 14}}
+	classify := func(what string, want []string) {
+		t.Helper()
+		mu.Lock()
+		calls = nil
+		mu.Unlock()
+		results, _, err := gw.Classify(context.Background(), "forest", query)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := f.Classify(query[0]); !reflect.DeepEqual(results[0].PerTree, got) {
+			t.Errorf("%s: per-tree labels %v, the forest says %v", what, results[0].PerTree, got)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if !reflect.DeepEqual(calls, want) {
+			t.Fatalf("%s: shard calls went to %v, want %v", what, calls, want)
+		}
+	}
+
+	openPastCooldown()
+	classify("A due a trial", []string{"A"})
+	if state, _ := breakerA.peek(); state != breakerClosed {
+		t.Errorf("A's breaker after a successful trial: %v, want closed", state)
+	}
+
+	openPastCooldown()
+	mu.Lock()
+	failA = true
+	mu.Unlock()
+	retries := gw.retries.Load()
+	classify("A due a trial, answering 500", []string{"A", "B"})
+	if state, allows := breakerA.peek(); state != breakerOpen || allows {
+		t.Errorf("A's breaker after a failed trial: %v (admits %v), want open in a fresh cooldown", state, allows)
+	}
+	if got := gw.retries.Load() - retries; got != 1 {
+		t.Errorf("the failover counted %d retries, want 1", got)
+	}
+}
+
 // TestGatewayHoldsPublicKeyOnly: the gateway encrypts and adds, so it
 // fetches the parameters and public key and nothing else — under 1 MB
 // for wide8 at 1024 slots, where the workers' Galois keys are tens of
@@ -825,7 +930,7 @@ func TestWorkerRefusesQueryAtWrongLevel(t *testing.T) {
 	}
 	// Encryption clamps the query level to the worker's chain top; a
 	// worker serves the plaintext-model scenario.
-	level := min(manifest.QueryLevel, backend.MaxLevel())
+	level := min(manifest.Meta.LevelPlan.QueryLevel(), backend.MaxLevel())
 	entry := min(shards[0].Meta.LevelPlan.Plain.Compare, backend.MaxLevel())
 	for _, at := range []int{level, entry} {
 		if status, msg := post(at); status != http.StatusOK {
@@ -865,10 +970,10 @@ func TestClusterShallowShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	shallow := shards[1].Meta.LevelPlan
-	if shallow.QueryLevel() >= manifest.QueryLevel {
-		t.Fatalf("the shallow shard's plan reads query planes at level %d, not below the model's %d", shallow.QueryLevel(), manifest.QueryLevel)
+	if shallow.QueryLevel() >= manifest.Meta.LevelPlan.QueryLevel() {
+		t.Fatalf("the shallow shard's plan reads query planes at level %d, not below the model's %d", shallow.QueryLevel(), manifest.Meta.LevelPlan.QueryLevel())
 	}
-	t.Logf("query level %d; shallow shard compare entry %d", manifest.QueryLevel, shallow.Plain.Compare)
+	t.Logf("query level %d; shallow shard compare entry %d", manifest.Meta.LevelPlan.QueryLevel(), shallow.Plain.Compare)
 
 	tc := startCluster(t, 63, func(workers []*Worker) {
 		for i, s := range shards {

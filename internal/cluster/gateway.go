@@ -77,10 +77,6 @@ type GatewayConfig struct {
 	// RetryBackoff is the base inter-round backoff (default 50ms,
 	// doubling per round, capped at 2s, jittered ±50%).
 	RetryBackoff time.Duration
-	// HedgeDelay launches a hedged attempt on the next holder when the
-	// first has not answered within this delay (replicated shards only);
-	// 0 disables hedging.
-	HedgeDelay time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
 }
@@ -107,7 +103,6 @@ type Gateway struct {
 	queries       atomic.Int64
 	failures      atomic.Int64
 	retries       atomic.Int64
-	hedges        atomic.Int64
 	panics        atomic.Int64
 	deadlineFails atomic.Int64
 	fanoutNS      atomic.Int64
@@ -600,9 +595,9 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	g.levelMats.Add(int64(r.meta.D))
 	g.levelOps.Add(int64(levelOps))
 
-	// Fan out: one request per shard, concurrently; each shard hedges
-	// and fails over across its holders (hedgedCall). A panic in a shard
-	// goroutine fails the request, not the process.
+	// Fan out: one request per shard, concurrently; each shard fails over
+	// across its holders (holderCall). A panic in a shard goroutine fails
+	// the request, not the process.
 	fctx, fcancel, err := g.stageBudget(ctx, "fanout")
 	if err != nil {
 		return nil, err
@@ -711,12 +706,11 @@ func mergeFrame(backend *hebgv.Backend, shardCts []WireCiphertext) (*bytes.Buffe
 	return &frame, nil
 }
 
-// classifyShard posts one shard request through the hedged-retry
-// machinery: holders with closed breakers are tried first, a hedge
-// launches after HedgeDelay, failures fail over immediately, and
+// classifyShard posts one shard request through holderCall: a holder due
+// a half-open trial is tried first, failures fail over immediately, and
 // exhausted rounds back off and retry.
 func (g *Gateway) classifyShard(ctx context.Context, model string, shard int, holders []string, frame []byte, batch int) (WireCiphertext, error) {
-	return hedgedCall(g, ctx, holders, func(ctx context.Context, url string) (WireCiphertext, error) {
+	return holderCall(g, ctx, holders, func(ctx context.Context, url string) (WireCiphertext, error) {
 		target := fmt.Sprintf("%s/v1/cluster/classify?model=%s&shard=%d&batch=%d", url, model, shard, batch)
 		body, err := g.postRaw(ctx, target, frame)
 		if err != nil {
@@ -734,7 +728,7 @@ func (g *Gateway) classifyShard(ctx context.Context, model string, shard int, ho
 }
 
 // decode posts the merged ciphertext to any holder of the model,
-// retrying alternates through the hedged-call machinery — a single
+// retrying alternates through holderCall — a single
 // holder failure after a successful merge must not waste the whole
 // fan-out. If every breaker refuses admission, it bypasses them for
 // one sequential last-resort pass: the merge is already paid for, so
@@ -762,7 +756,7 @@ func (g *Gateway) decode(ctx context.Context, model string, r *route, frame []by
 		}
 		return results, nil
 	}
-	results, err := hedgedCall(g, ctx, urls, call)
+	results, err := holderCall(g, ctx, urls, call)
 	if errors.Is(err, errAllBreakersOpen) {
 		for _, url := range urls {
 			if results, lerr := call(ctx, url); lerr == nil {
@@ -956,7 +950,6 @@ type gatewayStatsJSON struct {
 	Queries          int64                         `json:"queries"`
 	Failures         int64                         `json:"failures"`
 	Retries          int64                         `json:"retries"`
-	Hedges           int64                         `json:"hedges"`
 	PanicsRecovered  int64                         `json:"panicsRecovered"`
 	DeadlineFailures int64                         `json:"deadlineFailures"`
 	FanoutMS         float64                       `json:"fanoutMS"`
@@ -981,7 +974,6 @@ func (g *Gateway) handleStats(rw http.ResponseWriter, _ *http.Request) {
 		Queries:          g.queries.Load(),
 		Failures:         g.failures.Load(),
 		Retries:          g.retries.Load(),
-		Hedges:           g.hedges.Load(),
 		PanicsRecovered:  g.panics.Load(),
 		DeadlineFailures: g.deadlineFails.Load(),
 		FanoutMS:         hist.Millis(time.Duration(g.fanoutNS.Load())),

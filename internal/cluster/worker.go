@@ -141,7 +141,7 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 			return fmt.Errorf("cluster: worker needs a non-zero shared seed (or explicit key material) so every node derives the same key set")
 		}
 		var params bgv.Params
-		params, err = bgv.ParamsForSlots(manifest.Meta.Slots, manifest.ChainLevels)
+		params, err = bgv.ParamsForSlots(manifest.Meta.Slots, manifest.Meta.ChainLevels(false))
 		if err != nil {
 			return err
 		}
@@ -158,8 +158,8 @@ func (w *Worker) initLocked(manifest *core.ShardManifest) error {
 	w.fingerprint = fp
 	// Shard artifacts carry plaintext model operands (the server-model
 	// configuration): the privacy boundary of the cluster is the query
-	// and result ciphertexts, and plaintext models keep the per-shard
-	// depth at CtDepthPlainModel — matching manifest.ChainLevels.
+	// and result ciphertexts, and every shard's plaintext-model plan fits
+	// the parent's chain the backend was built with.
 	w.svc = copse.NewService(append(slices.Clip(w.cfg.Service),
 		copse.WithExternalBackend(backend),
 		copse.WithScenario(copse.ScenarioServerModel),

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -144,45 +143,4 @@ func packingFills(m *Meta) []int {
 		fills = append(fills, m.QueryCapacity(g))
 	}
 	return fills
-}
-
-// TestPlannedPassAlignsNothing is the every-level-move-is-an-op
-// invariant: under the level plan every stage of every scenario, at any
-// plane packing, runs on a backend that refuses a binary op on operands at
-// different levels (*bgv.LevelMismatchError) — each level move is an
-// opDrop of the program — and the answers are the forest's.
-func TestPlannedPassAlignsNothing(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 1))
-	for name, ac := range alignCorpus(t) {
-		f, c := ac.f, ac.c
-		for _, cfg := range schedConfigs {
-			t.Run(name+"/"+cfg.name, func(t *testing.T) {
-				b := he.Backend(planBackend(t, c, cfg.encModel))
-				m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, ac.shuffle)
-				if err != nil {
-					t.Fatal(err)
-				}
-				start := 0
-				if c.Shard != nil {
-					start = c.Shard.TreeStart
-				}
-				for _, fill := range packingFills(&c.Meta) {
-					batch := make([][]uint64, fill)
-					for i := range batch {
-						batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
-					}
-					q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out, cbs, tr := classifyCase(t, &Engine{Backend: b}, m, q)
-					if g := m.Meta.PlanesPerCiphertext(fill); tr.PlanesPerCiphertext != g || tr.QueryCiphertexts != m.Meta.QueryCiphertexts(g) {
-						t.Fatalf("fill %d ran %d operands at %d planes per ciphertext, want %d at %d",
-							fill, tr.QueryCiphertexts, tr.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
-					}
-					checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
-				}
-			})
-		}
-	}
 }

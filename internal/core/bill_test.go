@@ -41,37 +41,53 @@ func checkBill(t *testing.T, b he.Backend, p *Program, trace *Trace) {
 }
 
 // TestProgramBillMatchesBackendCounters is the oracle of the op bill a
-// pass copies into its trace instead of measuring it (Program.StageBills):
-// for every model of the alignment corpus, in every scenario and at every
-// plane packing, and for a baseline program, a pass run alone on BGV and
-// on the exact backend moves the backend's own counters by exactly the
-// program's bill.
+// pass copies into its trace instead of measuring it (Program.StageBills),
+// and of the answers and layout of every planned pass: for every model of
+// the alignment corpus, in every scenario and at every plane packing, a
+// pass run alone on BGV and on the exact backend moves the backend's own
+// counters by exactly the program's bill, runs at the packing its batch
+// fill selects, and answers as the forest does. The BGV evaluator refuses
+// a binary op on operands at different levels (*bgv.LevelMismatchError),
+// so each level move of the plan is an opDrop of the program. The passes
+// run on the default worker count (GOMAXPROCS). A baseline program's bill
+// is checked the same way.
 func TestProgramBillMatchesBackendCounters(t *testing.T) {
 	rng := rand.New(rand.NewPCG(34, 1))
 	for name, ac := range alignCorpus(t) {
 		f, c := ac.f, ac.c
+		start := 0
+		if c.Shard != nil {
+			start = c.Shard.TreeStart
+		}
 		for _, cfg := range schedConfigs {
-			for _, b := range []he.Backend{planBackend(t, c, cfg.encModel), heclear.New(c.Meta.Slots, 65537)} {
-				t.Run(name+"/"+cfg.name+"/"+b.Name(), func(t *testing.T) {
-					m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, ac.shuffle)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, fill := range packingFills(&c.Meta) {
-						batch := make([][]uint64, fill)
-						for i := range batch {
-							batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
-						}
-						q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
+			t.Run(name+"/"+cfg.name, func(t *testing.T) {
+				for _, b := range []he.Backend{planBackend(t, c, cfg.encModel), heclear.New(c.Meta.Slots, 65537)} {
+					t.Run(b.Name(), func(t *testing.T) {
+						m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, ac.shuffle)
 						if err != nil {
 							t.Fatal(err)
 						}
-						b.ResetCounts()
-						_, _, trace := classifyCase(t, &Engine{Backend: b, Workers: 2}, m, q)
-						checkBill(t, b, m.ProgramFor(q.PlanesPerCiphertext), trace)
-					}
-				})
-			}
+						for _, fill := range packingFills(&c.Meta) {
+							batch := make([][]uint64, fill)
+							for i := range batch {
+								batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
+							}
+							q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
+							if err != nil {
+								t.Fatal(err)
+							}
+							b.ResetCounts()
+							out, cbs, trace := classifyCase(t, &Engine{Backend: b}, m, q)
+							if g := m.Meta.PlanesPerCiphertext(fill); trace.PlanesPerCiphertext != g || trace.QueryCiphertexts != m.Meta.QueryCiphertexts(g) {
+								t.Fatalf("fill %d ran %d operands at %d planes per ciphertext, want %d at %d",
+									fill, trace.QueryCiphertexts, trace.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
+							}
+							checkBill(t, b, m.ProgramFor(q.PlanesPerCiphertext), trace)
+							checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
+						}
+					})
+				}
+			})
 		}
 	}
 

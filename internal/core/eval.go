@@ -414,10 +414,11 @@ type PlanInfeasibleError struct {
 	Stage string
 	// Kind is "level" (the chain ran out of levels, or a carrier reached
 	// a stage boundary below the next entry), "noise" (predicted noise
-	// past the decryption margin), "move" (the program needs a level move
-	// at Level the schedule places no op for, which the evaluator does not
-	// make on its own) or "chain" (the stage enters at Level, above the
-	// top of the backend's modulus chain).
+	// past the margin: at level 0 the decryption margin, above it the
+	// margin past which the register would need a level move the program
+	// has no op for, and the evaluator makes none of its own) or "chain"
+	// (the stage enters at Level, above the top of the backend's modulus
+	// chain).
 	Kind string
 	// Level is the level the failing register sat at.
 	Level int
@@ -427,9 +428,6 @@ func (e *PlanInfeasibleError) Error() string {
 	switch e.Kind {
 	case "chain":
 		return fmt.Sprintf("core: level plan infeasible for %s: the %s stage enters at level %d, above the top of the backend's modulus chain",
-			e.Scenario, e.Stage, e.Level)
-	case "move":
-		return fmt.Sprintf("core: level plan infeasible for %s: the %s stage needs a level move at level %d that the schedule places no op for",
 			e.Scenario, e.Stage, e.Level)
 	}
 	msg := fmt.Sprintf("core: level plan infeasible for %s: %s failure in the %s stage at level %d",

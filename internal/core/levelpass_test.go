@@ -40,7 +40,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				}
 				pl.progs = append(pl.progs, prog)
 			}
-			if _, fail := pl.run(c.Meta.LevelPlan.For(encModel), true); fail != nil {
+			if _, fail := pl.run(c.Meta.LevelPlan.For(encModel)); fail != nil {
 				t.Fatalf("%s enc=%v: the oracle refuses the compiled plan: %+v", name, encModel, *fail)
 			}
 			lowered := map[string]func(st *StageLevels){
@@ -58,7 +58,7 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 				}
 				st.CompareRounds = append([]int(nil), st.CompareRounds...)
 				lower(st)
-				if _, fail := pl.run(*st, true); fail == nil {
+				if _, fail := pl.run(*st); fail == nil {
 					t.Errorf("%s enc=%v, %s lowered by one: the planner's oracle still passes — the stored plan is not minimal", name, encModel, what)
 				}
 				lc := *c

@@ -188,25 +188,19 @@ type est struct {
 }
 
 // Failure kinds: the chain ran out of levels, or the predicted noise
-// passed the decryption margin (planner.schedule reacts to each), or the
-// program needs a level move it has no op for (levelled.unplaced).
+// passed the decryption margin (planner.schedule reacts to each).
 const (
 	failNone = iota
 	failLevel
 	failNoise
-	failMove
 )
 
 // sim holds the per-op transfer functions: the evaluator's noise, one op
-// at a time. The first infeasibility sticks in kind. It also models the
-// one level move no op places, a lazy drop as the noise nears the modulus
-// (manage), which the search may pass through on its way to the compare
-// rounds; moves counts the primes it drops.
+// at a time. The first infeasibility sticks in kind.
 type sim struct {
 	nm    noiseModel
 	stage int // indexes stageSlack
 	kind  int
-	moves int
 }
 
 func (s *sim) fail(kind int) {
@@ -227,15 +221,16 @@ func (s *sim) modSwitch(c *est) {
 	c.noise = math.Max(c.noise-float64(s.nm.primeBits), s.nm.floor())
 }
 
-// manage switches down lazily (an unplaced move), then verifies the
-// decryption margin (minus the active stage's slack).
+// manage verifies the noise margin: tBits + 10 bits below the modulus
+// above level 0, where a register nearer the modulus would need a level
+// move no op makes; at level 0 the decryption margin minus the active
+// stage's slack.
 func (s *sim) manage(c *est) {
-	margin := float64(s.nm.tBits + 10)
-	for c.level > 0 && c.noise > s.nm.qBits(c.level)-margin {
-		s.modSwitch(c)
-		s.moves++
+	limit := s.nm.qBits(c.level) - float64(s.nm.tBits+10)
+	if c.level == 0 {
+		limit = s.nm.qBits(0) - float64(s.nm.tBits) - 2 - stageSlack[s.stage]
 	}
-	if c.noise > s.nm.qBits(c.level)-float64(s.nm.tBits)-2-stageSlack[s.stage] {
+	if c.noise > limit {
 		s.fail(failNoise)
 	}
 }
@@ -261,8 +256,7 @@ func (s *sim) cool(x est) est {
 }
 
 // tensor is a cipher×cipher tensor product of factors at one level with a
-// prime below it. The level pass aligns every pair of operands it can
-// (place); a pair it leaves apart follows a lazy drop manage has counted.
+// prime below it. The level pass aligns every pair of operands (place).
 func (s *sim) tensor(a, b est) est {
 	a, b = s.dropTo(a, b.level), s.dropTo(b, a.level)
 	if a.level == 0 {
@@ -364,22 +358,19 @@ type planFailure struct {
 func (f *planFailure) infeasible() *PlanInfeasibleError {
 	return &PlanInfeasibleError{
 		Scenario: scenarioName(f.encModel, !f.plainQuery), Stage: stageNames[f.stage],
-		Kind: [...]string{failLevel: "level", failNoise: "noise", failMove: "move"}[f.kind], Level: f.level,
+		Kind: [...]string{failLevel: "level", failNoise: "noise"}[f.kind], Level: f.level,
 	}
 }
 
 // levelled is a program under one schedule: its ops with every scheduled
 // drop resolved and every alignment inserted, the estimate of each
 // register, the hottest operand after each scheduled compare round (lowest
-// level, highest noise), and the result as decryption sees it. unplaced is
-// the first op that needs a level move the program has no op for: the
-// search tolerates one, Program.finish refuses it.
+// level, highest noise), and the result as decryption sees it.
 type levelled struct {
-	ops      []progOp
-	est      []est
-	rounds   []est
-	result   est
-	unplaced *planFailure
+	ops    []progOp
+	est    []est
+	rounds []est
+	result est
 }
 
 // levelPass is the one walk of the circuit: it runs the transfer
@@ -492,9 +483,6 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 		if s.kind != failNone {
 			return out, failure(s.stage, s.kind, e.level, true)
 		}
-		if s.moves > 0 && out.unplaced == nil {
-			out.unplaced = failure(s.stage, failMove, e.level, false)
-		}
 	}
 	// Decryptability of the result where the schedule lands it.
 	out.result = out.est[p.result]
@@ -569,9 +557,8 @@ type planner struct {
 }
 
 // run reports the one-plane-per-ciphertext pass under at and the first
-// failure of any variant; with placed, a pass that needs a level move it
-// has no op for (levelled.unplaced) fails too.
-func (pl planner) run(at StageLevels, placed bool) (levelled, *planFailure) {
+// failure of any variant.
+func (pl planner) run(at StageLevels) (levelled, *planFailure) {
 	var first levelled
 	for i, prog := range pl.progs {
 		for _, plainQuery := range []bool{false, true} {
@@ -581,9 +568,6 @@ func (pl planner) run(at StageLevels, placed bool) (levelled, *planFailure) {
 			lv, fail := prog.levelPass(pl.nm, at, plainQuery, stCompare, est{})
 			if i == 0 && !plainQuery {
 				first = lv
-			}
-			if fail == nil && placed {
-				fail = lv.unplaced
 			}
 			if fail != nil {
 				return first, fail
@@ -608,15 +592,13 @@ func (pl planner) run(at StageLevels, placed bool) (levelled, *planFailure) {
 // lowest level their operands reach on their own, and every level of the
 // non-increasing chain compare ≥ rounds ≥ reshuffle ≥ level ≥ accumulate
 // is lowered — last first, where the remaining circuit is shortest —
-// while the pass stays feasible and places every level move as an op,
-// until none moves. The ascent tolerates an unplaced move (a lazy drop the
-// compare rounds or a lower entry may yet absorb); the schedule returned
-// has none. A search that passes the bound returns the last run's
-// failure, and a schedule that still needs an unplaced move returns it.
+// while the pass stays feasible, until none moves, so the schedule
+// returned is feasible. A search that passes the bound returns the last
+// run's failure.
 func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 	at := StageLevels{Compare: final, Reshuffle: final, Level: final, Accumulate: final, Final: final, Shuffle: shuffle}
 	entries := [...]*int{&at.Compare, &at.Reshuffle, &at.Level, &at.Accumulate}
-	lv, fail := pl.run(at, false)
+	lv, fail := pl.run(at)
 	for iter := 0; fail != nil; iter++ {
 		if fail.hotEntry {
 			fail.stage--
@@ -629,14 +611,14 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 		if iter == 16*planCap || at.Compare > planCap {
 			return at, fail
 		}
-		lv, fail = pl.run(at, false)
+		lv, fail = pl.run(at)
 	}
 
 	chain := []*int{&at.Compare}
 	for _, r := range lv.rounds {
 		at.CompareRounds = append(at.CompareRounds, r.level)
 	}
-	if _, fail := pl.run(at, true); fail == nil {
+	if _, fail := pl.run(at); fail == nil {
 		for r := range at.CompareRounds {
 			chain = append(chain, &at.CompareRounds[r])
 		}
@@ -653,7 +635,7 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 			}
 			for *chain[i] > floor {
 				*chain[i]--
-				if _, fail := pl.run(at, true); fail != nil {
+				if _, fail := pl.run(at); fail != nil {
 					*chain[i]++
 					break
 				}
@@ -661,8 +643,7 @@ func (pl planner) schedule(final, shuffle int) (StageLevels, *planFailure) {
 			}
 		}
 	}
-	_, fail = pl.run(at, true)
-	return at, fail
+	return at, nil
 }
 
 // computeLevelPlan builds the static schedule for a compiled model: a

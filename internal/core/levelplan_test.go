@@ -271,7 +271,7 @@ func TestClassifyPlannedNoiseHeadroom(t *testing.T) {
 // a *PlanInfeasibleError for the shuffle stage, naming the option — on
 // any backend, in both scenarios; a PlanShuffle compile prepares, its
 // result landing at that entry. Shuffled passes of PlanShuffle models run
-// on BGV in TestPlannedPassAlignsNothing.
+// on BGV in TestProgramBillMatchesBackendCounters.
 func TestShuffleStageNeedsHeadroom(t *testing.T) {
 	b := heclear.New(1024, 65537)
 	for _, planShuffle := range []bool{false, true} {

@@ -433,14 +433,9 @@ func buildProgram(in progInputs) (*Program, error) {
 
 // finish levels p's structure under plan with the level pass for a ring
 // of the given slot count, and derives its schedule and its bill. A plan
-// the pass finds infeasible is a *PlanInfeasibleError, and so is one
-// under which the program needs a level move the pass cannot place as an
-// op (kind "move"): the evaluator makes none of its own.
+// the pass finds infeasible is a *PlanInfeasibleError.
 func (p *Program) finish(slots int, plan StageLevels) error {
 	lv, fail := p.levelPass(planNoiseModel(slots), plan, p.plainQuery, stCompare, est{})
-	if fail == nil {
-		fail = lv.unplaced
-	}
 	if fail != nil {
 		return fail.infeasible()
 	}

@@ -216,7 +216,7 @@ func TestProgramSchedulesAreValid(t *testing.T) {
 // corpus: every model it stages, in the three staging configurations and
 // shuffled where the plan allows, classifies a random batch at every plane packing
 // exactly like its forest's trees, on the exact backend. (The BGV sweeps
-// over the benchmark's models are TestPlannedPassAlignsNothing and
+// over the benchmark's models are TestProgramBillMatchesBackendCounters and
 // TestPlanePackingMatchesForest.)
 func TestScheduleCorpusMatchesForest(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 1))

@@ -45,23 +45,16 @@ type ShardInfo struct {
 }
 
 // ShardManifest is the merge manifest accompanying a sharded model: the
-// global (parent) Meta the gateway decodes merged results with, the
-// per-shard ranges, and the key contract every worker of the cluster
-// must honour so that one key pair serves all shards — the chain length.
+// global (parent) Meta the gateway encrypts queries and decodes merged
+// results with, and the per-shard ranges. The parent's level plan is the
+// key contract every worker of the cluster honours so that one key pair
+// serves all shards: its plaintext-model chain, Meta.ChainLevels(false).
 // Two workers constructing backends from the same manifest (and the same
 // seed) derive identical secret and public keys; each makes the Galois
 // keys of the shards it stages itself.
 type ShardManifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
-
-	// ChainLevels is the modulus-chain length cluster backends use for
-	// plaintext-model (offload) serving — the parent plan's chain capped
-	// at the parent recommendation, mirroring Service's sizing rule.
-	ChainLevels int `json:"chain_levels"`
-	// QueryLevel is the level the gateway encrypts query planes at: the
-	// parent plan's.
-	QueryLevel int `json:"query_level"`
 
 	// Meta is the parent model's metadata (including its level plan):
 	// what the gateway uses to encrypt queries and decode merged
@@ -182,8 +175,6 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 		out[i] = sc
 		manifest.Ranges = append(manifest.Ranges, info)
 	}
-	manifest.ChainLevels = m.ChainLevels(false)
-	manifest.QueryLevel = plan.QueryLevel()
 	return out, manifest, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -243,7 +244,7 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(manifest.ChainLevels), Seed: 9})
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(manifest.Meta.ChainLevels(false)), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +314,24 @@ func TestShardManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, manifest) {
 		t.Errorf("manifest round trip:\n got %+v\nwant %+v", got, manifest)
+	}
+	// A manifest written when it carried the chain and the query level
+	// beside Meta loads to the same manifest: the chain the worker stages
+	// comes from Meta's plan, whatever those fields say.
+	var legacy map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	chain := c.Meta.ChainLevels(false)
+	legacy["chain_levels"], legacy["query_level"] = chain, c.Meta.LevelPlan.QueryLevel()
+	old, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ReadManifest(bytes.NewReader(old)); err != nil || !reflect.DeepEqual(got, manifest) {
+		t.Errorf("manifest with chain_levels and query_level: %v\n got %+v\nwant %+v", err, got, manifest)
+	} else if got.Meta.ChainLevels(false) != chain {
+		t.Errorf("manifest with chain_levels %d stages a chain of %d", chain, got.Meta.ChainLevels(false))
 	}
 	if _, err := ReadManifest(bytes.NewReader([]byte(`{"magic":"nope"}`))); err == nil {
 		t.Error("bad magic accepted")

@@ -18,8 +18,8 @@ import (
 // to the noise a decryption measures after the BGV op itself, at every
 // level of a 7-prime chain: the estimate must bound the measurement from
 // above, and at the level the evaluator lands the result. Each op runs
-// under its own sim; a cell the sim refuses or takes a lazy drop in is not
-// compared, and every op must be compared at some level. It is the one
+// under its own sim; a cell the sim refuses is not compared, and every op
+// must be compared at some level. It is the one
 // noise estimate left; the evaluator keeps none.
 func TestPlannerTransferBoundsMeasuredNoise(t *testing.T) {
 	const levels = 7
@@ -60,15 +60,14 @@ func TestPlannerTransferBoundsMeasuredNoise(t *testing.T) {
 	for name, encr := range encryptors {
 		for level := 0; level < levels; level++ {
 			// check compares one op's result with its estimate e, made
-			// under the sims given, where every one of them accepts its op
-			// and takes no lazy drop.
+			// under the sims given, where every one of them accepts its op.
 			check := func(op string, ct *bgv.Ciphertext, err error, e est, sims ...*sim) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("%s, level %d, %s: %v", name, level, op, err)
 				}
 				for _, s := range sims {
-					if s.kind != failNone || s.moves != 0 {
+					if s.kind != failNone {
 						return
 					}
 				}
@@ -165,14 +164,14 @@ func TestStrippedCompareRoundsPlaced(t *testing.T) {
 	checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), 0)
 }
 
-// TestUnplacedMoveRefused: a program whose level pass needs a level move
-// it cannot place as an op — a register whose noise nears the modulus after
-// a run of plaintext products and additions, which the sim drops lazily,
-// where the evaluator makes no move of its own — is refused with a
-// *PlanInfeasibleError of kind "move": by Prepare's finish under a given
-// plan, and by the schedule search, which tolerates the move on its way up
-// but returns no schedule that still needs it. The dropped register is not
-// the result, so the pass meets no other failure.
+// TestUnplacedMoveRefused: a program whose level pass would need a level
+// move it has no op for — a register whose noise nears the modulus after
+// a run of plaintext products and additions, where the evaluator makes no
+// move of its own — is refused: by Prepare's finish under a given plan,
+// with a *PlanInfeasibleError of kind "noise" in the compare stage; and
+// the schedule search raises the compare entry until the pass needs no
+// such move, so the schedule it returns passes finish. The register is
+// not the result, so the pass meets no other failure.
 func TestUnplacedMoveRefused(t *testing.T) {
 	ops := []progOp{
 		{Code: opQuery, Dst: 0},
@@ -183,58 +182,21 @@ func TestUnplacedMoveRefused(t *testing.T) {
 		ops = append(ops, progOp{Code: opAdd, Dst: r, A: r - 1, B: 0})
 	}
 	p := &Program{stages: 1, numReg: 8, result: 0, ops: ops}
-	want := func(what string, fail error) {
-		t.Helper()
-		var infeasible *PlanInfeasibleError
-		if !errors.As(fail, &infeasible) || infeasible.Kind != "move" || infeasible.Stage != stageNames[stCompare] {
-			t.Errorf("%s: %v, want a *PlanInfeasibleError of kind move in the compare stage", what, fail)
-		}
-	}
 	plan := StageLevels{Compare: 1, Reshuffle: 1, Level: 1, Accumulate: 1, Final: 1}
-	want("finish", p.finish(1024, plan))
+	var infeasible *PlanInfeasibleError
+	if err := p.finish(1024, plan); !errors.As(err, &infeasible) || infeasible.Kind != "noise" || infeasible.Stage != stageNames[stCompare] {
+		t.Errorf("finish: %v, want a *PlanInfeasibleError of kind noise in the compare stage", err)
+	}
 	pl := planner{nm: planNoiseModel(1024), progs: []*Program{p}}
-	if lv, fail := pl.run(plan, false); fail != nil || lv.unplaced == nil {
-		t.Fatalf("the pass tolerating unplaced moves: %v, unplaced %v; want it feasible with an unplaced move", fail, lv.unplaced)
+	at, fail := pl.schedule(1, planCap)
+	if fail != nil {
+		t.Fatalf("the schedule search: %v", fail.infeasible())
 	}
-	_, fail := pl.schedule(1, planCap)
-	if fail == nil {
-		t.Fatal("the schedule search returned a schedule that needs an unplaced move")
+	if at.Compare <= plan.Compare {
+		t.Errorf("the search entered compare at %d, not above the refused %d", at.Compare, plan.Compare)
 	}
-	want("schedule", fail.infeasible())
-}
-
-// TestGoldenPlansPlaceEveryMove is the static form of the deleted runtime
-// noise layer: under every plan of the golden corpus, every structure the
-// planner searched it over — each plane packing, each scenario, encrypted
-// and (under an encrypted model) plaintext query planes — levels with no
-// level move the program lacks an op for. Pure planning: it runs under
-// -short.
-func TestGoldenPlansPlaceEveryMove(t *testing.T) {
-	_, _, metas := goldenPlans(t)
-	for name, meta := range metas {
-		plan := meta.LevelPlan
-		shuffle := plan.Cipher.Final >= plan.ShuffleLevel() && plan.Plain.Final >= plan.ShuffleLevel()
-		nm := planNoiseModel(meta.Slots)
-		for _, encModel := range []bool{true, false} {
-			for g := 1; g <= meta.PlanesPerCiphertext(1); g <<= 1 {
-				prog, err := planStructure(meta, encModel, shuffle, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, plainQuery := range []bool{false, true} {
-					if plainQuery && !encModel {
-						continue
-					}
-					lv, fail := prog.levelPass(nm, plan.For(encModel), plainQuery, stCompare, est{})
-					if fail == nil {
-						fail = lv.unplaced
-					}
-					if fail != nil {
-						t.Errorf("%s enc=%v g=%d plainQuery=%v: %v", name, encModel, g, plainQuery, fail.infeasible())
-					}
-				}
-			}
-		}
+	if err := p.finish(1024, at); err != nil {
+		t.Errorf("finish under the searched schedule %+v: %v", at, err)
 	}
 }
 
