@@ -124,7 +124,7 @@ func main() {
 	workersArg := flag.String("workers", "", "goroutines per classification pass (empty/0 = GOMAXPROCS, 1 = sequential); in -gateway mode: comma-separated worker base URLs")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent classification cap (0 = unlimited)")
 	shedQueue := flag.Int("shedqueue", 0, "load-shedding queue bound: calls beyond -max-inflight wait here; overflow is rejected with 429 + Retry-After (0 = queue without bound; needs -max-inflight)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "deadline of every request, in every mode: a classification that cannot finish in it answers 504 (a gateway splits it over its stages and the worker hops, a worker's service fails fast on it)")
+	timeout := flag.Duration("timeout", 2*time.Minute, "deadline of every request, in every mode: a classification that cannot finish in it answers 504 (a gateway runs every stage and worker hop under it, a worker's service fails fast on it)")
 	seed := flag.Uint64("seed", 0, "deterministic keys/encryption when non-zero (tests only — except -worker mode, where a shared seed is how the fleet derives one key set; with -shuffle it also makes every shuffle permutation predictable to anyone who knows the seed, voiding the leakage hardening)")
 	shuffle := flag.Bool("shuffle", false, "shuffle results (leakage hardening, §7.2.2): responses carry per-query codebooks and vote counts instead of per-tree labels; models need CompileOptions.PlanShuffle")
 	batchWindow := flag.Duration("batchwindow", 0, "dynamic batching linger: concurrent requests for the same model coalesce into shared slot-packed passes, which fire at the model's batch capacity or once the first rider has waited this long (0 = off)")
@@ -304,8 +304,8 @@ func serveHTTP(addr string, handler http.Handler, timeout, drain time.Duration, 
 
 // withDeadline puts every request h serves under a deadline timeout from
 // its arrival: the one -timeout of all three modes. The single-node
-// service and a worker's fail fast on it, and a gateway splits it over its
-// stages and worker hops; a request that runs out answers 504.
+// service and a worker's fail fast on it, and a gateway runs every stage
+// and worker hop under it; a request that runs out answers 504.
 func withDeadline(h http.Handler, timeout time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)

@@ -286,7 +286,7 @@ func TestClassifyResponseShape(t *testing.T) {
 
 // TestGatewayRequestDeadline: a gateway under a deadline it cannot meet
 // answers /v1/classify with 504 — the -timeout deadline reaches its
-// stage budget, not only each hop.
+// stage checks, not only each hop.
 func TestGatewayRequestDeadline(t *testing.T) {
 	g := figure1Cluster(t, func(h http.Handler) http.Handler { return h })
 	gs := httptest.NewServer(withDeadline(g.Handler(), time.Nanosecond))

@@ -258,12 +258,8 @@ type ShuffledCodebook = core.ShuffledCodebook
 // along, onto the decoded Results. It records the registry entry that
 // produced it, and decodes under that entry's name only.
 type EncryptedResult struct {
-	op    he.Operand
-	batch int
-	// capacity is the query capacity of the layout the pass ran under
-	// (Meta.QueryCapacity of the query's plane packing): what decoding
-	// may index.
-	capacity  int
+	op        he.Operand
+	batch     int
 	codebooks []*core.ShuffledCodebook // nil unless the pass was shuffled
 	model     *servedModel
 }

@@ -12,11 +12,8 @@ type BreakerConfig struct {
 	// opens the breaker (default 3).
 	Threshold int
 	// Cooldown is how long an open breaker rejects traffic before
-	// admitting half-open trial requests (default 5s).
+	// admitting one half-open trial request (default 5s).
 	Cooldown time.Duration
-	// HalfOpenMax bounds how many trial requests may probe a half-open
-	// worker concurrently (default 1).
-	HalfOpenMax int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -25,9 +22,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.HalfOpenMax <= 0 {
-		c.HalfOpenMax = 1
 	}
 	return c
 }
@@ -54,8 +48,8 @@ func (s breakerState) String() string {
 // breaker is a per-worker circuit breaker: closed (normal traffic) →
 // open after Threshold consecutive data-path failures (reject
 // immediately, sparing the fleet doomed round trips and the worker a
-// retry storm) → half-open after Cooldown (admit up to HalfOpenMax
-// concurrent trials; one success closes, one failure re-opens). It
+// retry storm) → half-open after Cooldown (admit one trial and nothing
+// else while it runs; its success closes, its failure re-opens). It
 // replaces the old one-way markDown-until-next-Refresh: a worker that
 // recovers gets traffic back at the next cooldown without waiting for
 // a probe cycle or a manual Refresh.
@@ -66,7 +60,6 @@ type breaker struct {
 	state       breakerState
 	consecutive int       // consecutive failures while closed
 	openedAt    time.Time // last transition into open
-	trials      int       // in-flight half-open trials
 	opens       int64     // cumulative open transitions (stats)
 }
 
@@ -79,7 +72,6 @@ func (b *breaker) openLocked(now time.Time) {
 	b.state = breakerOpen
 	b.openedAt = now
 	b.consecutive = 0
-	b.trials = 0
 	b.opens++
 }
 
@@ -98,15 +90,12 @@ func (b *breaker) Admit() (release func(ok bool), admitted bool) {
 		if time.Since(b.openedAt) < b.cfg.Cooldown {
 			return nil, false
 		}
+		// Half-open is the flag of the one trial in flight: it admits
+		// nothing else until the trial settles.
 		b.state = breakerHalfOpen
-		b.trials = 1
 		return b.releaseTrial, true
 	default: // half-open
-		if b.trials >= b.cfg.HalfOpenMax {
-			return nil, false
-		}
-		b.trials++
-		return b.releaseTrial, true
+		return nil, false
 	}
 }
 
@@ -133,16 +122,12 @@ func (b *breaker) releaseClosed(ok bool) {
 func (b *breaker) releaseTrial(ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.trials > 0 {
-		b.trials--
-	}
 	if b.state != breakerHalfOpen {
 		return
 	}
 	if ok {
 		b.state = breakerClosed
 		b.consecutive = 0
-		b.trials = 0
 	} else {
 		b.openLocked(time.Now())
 	}
@@ -159,8 +144,8 @@ func (b *breaker) peek() (state breakerState, allows bool) {
 		return breakerClosed, true
 	case breakerOpen:
 		return breakerOpen, time.Since(b.openedAt) >= b.cfg.Cooldown
-	default:
-		return breakerHalfOpen, b.trials < b.cfg.HalfOpenMax
+	default: // its one trial is in flight
+		return breakerHalfOpen, false
 	}
 }
 

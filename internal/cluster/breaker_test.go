@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,7 +13,7 @@ import (
 // re-opening, and a success streak resetting the failure count. Run
 // under -race in CI together with the concurrent hammer below.
 func TestBreakerTransitions(t *testing.T) {
-	cfg := BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond, HalfOpenMax: 1}
+	cfg := BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond}
 	b := newBreaker(cfg)
 
 	fail := func() {
@@ -59,9 +60,9 @@ func TestBreakerTransitions(t *testing.T) {
 	if state, _ := b.peek(); state != breakerHalfOpen {
 		t.Fatalf("state during trial = %v, want half-open", state)
 	}
-	// HalfOpenMax=1: a second concurrent trial must be refused.
+	// One trial at a time: a second concurrent one must be refused.
 	if _, ok := b.Admit(); ok {
-		t.Fatal("half-open breaker exceeded HalfOpenMax")
+		t.Fatal("half-open breaker admitted a second trial")
 	}
 	release(false)
 	if state, _ := b.peek(); state != breakerOpen {
@@ -86,11 +87,51 @@ func TestBreakerTransitions(t *testing.T) {
 
 // TestBreakerConcurrent hammers one breaker from many goroutines with
 // mixed outcomes while others poll peek/snapshot — the state machine's
-// invariants (never more than HalfOpenMax concurrent trials, release
-// callbacks safe after state changes) must hold under the race
-// detector.
+// invariants (never more than one half-open trial, release callbacks safe
+// after state changes) must hold under the race detector.
 func TestBreakerConcurrent(t *testing.T) {
-	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Millisecond, HalfOpenMax: 2})
+	// Concurrent requests at a cooled-down breaker: exactly one of them
+	// is its trial, however many arrive together.
+	const callers = 16
+	burst := newBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Millisecond})
+	for round := 0; round < 20; round++ {
+		release, ok := burst.Admit()
+		if !ok {
+			t.Fatalf("round %d: breaker refused admission before the burst", round)
+		}
+		release(false) // opens: Threshold 1
+		time.Sleep(2 * time.Millisecond)
+		var admitted atomic.Int64
+		var releases [callers]func(bool)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for i := range releases {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				if release, ok := burst.Admit(); ok {
+					admitted.Add(1)
+					releases[i] = release
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		if n := admitted.Load(); n != 1 {
+			t.Fatalf("round %d: %d concurrent half-open trials, want 1", round, n)
+		}
+		for _, release := range releases {
+			if release != nil {
+				release(true) // closes
+			}
+		}
+		if state, _ := burst.peek(); state != breakerClosed {
+			t.Fatalf("round %d: state after a successful trial = %v, want closed", round, state)
+		}
+	}
+
+	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Millisecond})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -96,7 +96,6 @@ func TestChaosSoak(t *testing.T) {
 		ProbeInterval:  time.Hour, // recovery must come from the breakers, not the prober
 		Breaker:        BreakerConfig{Threshold: 3, Cooldown: 150 * time.Millisecond},
 		Retries:        6,
-		RetryBackoff:   20 * time.Millisecond,
 		Client:         &http.Client{Transport: &chaos.RoundTripper{Inner: inner, Sched: sched}},
 	})
 	defer gw.Close()

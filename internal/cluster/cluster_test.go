@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1055,6 +1056,74 @@ func TestGatewayLatencyPerPass(t *testing.T) {
 	}
 	if largest := snap.Quantile(1); largest >= total {
 		t.Errorf("largest pass latency reads %v, the request's fan-out + merge + decode is %v: a pass recorded a running total", largest, total)
+	}
+}
+
+// TestGatewayFanoutUsesTheDeadline: every stage of a gateway pass runs
+// under the caller's own deadline, so a fan-out that takes about 70 % of
+// it answers, and answers correctly — no stage is held to a share of the
+// budget that would fail it while the decode still had time to run.
+func TestGatewayFanoutUsesTheDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BGV cluster round trip is slow")
+	}
+	f := clusterForest(t, 61)
+	c, err := core.Compile(f, core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, manifest, err := core.ShardForest(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerConfig{Seed: 83})
+	defer w.Close()
+	if err := w.AddShard("forest", manifest, shards[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The worker holds each shard call for delay before serving it.
+	var delay atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cluster/classify" {
+			time.Sleep(time.Duration(delay.Load()))
+		}
+		w.Handler().ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+	g := NewGateway(GatewayConfig{Workers: []string{srv.URL}, Retries: -1})
+	defer g.Close()
+	if err := g.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	queries := [][]uint64{{1, 9, 14}}
+	// Two unhurried passes measure the fan-out and the stages around it.
+	fanout, rest := time.Duration(1<<62), time.Duration(0)
+	for range 2 {
+		start := time.Now()
+		_, trace, err := g.Classify(context.Background(), "forest", queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fanout, rest = min(fanout, trace.Fanout), max(rest, time.Since(start)-trace.Fanout)
+	}
+	// A deadline ten times what the other stages take, and a worker delay
+	// that brings the fan-out to 70 % of it.
+	budget := max(time.Second, 10*rest, 2*fanout)
+	delay.Store(int64(budget*7/10 - fanout))
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	got, trace, err := g.Classify(ctx, "forest", queries)
+	if err != nil {
+		t.Fatalf("a fan-out of about 70%% of a %v deadline: %v", budget, err)
+	}
+	if want := f.Classify(queries[0]); !reflect.DeepEqual(got[0].PerTree, want) {
+		t.Errorf("trees %v, the forest says %v", got[0].PerTree, want)
+	}
+	if share := float64(trace.Fanout) / float64(budget); share < 0.65 {
+		t.Errorf("the fan-out took %.0f%% of the deadline, want about 70%%", 100*share)
+	}
+	if n := g.deadlineFails.Load(); n != 0 {
+		t.Errorf("%d deadline failures", n)
 	}
 }
 

@@ -59,6 +59,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// retryBackoff is the base backoff between holder-call rounds: it
+// doubles per round, capped at 2s, each wait jittered by
+// jitteredBackoff.
+const retryBackoff = 50 * time.Millisecond
+
 // jitteredBackoff spreads a base backoff uniformly over [b/2, 3b/2) so
 // concurrent retriers do not re-converge on the recovering worker in
 // lockstep.
@@ -93,7 +98,7 @@ func holderCall[T any](g *Gateway, ctx context.Context, urls []string, call func
 		release(breakerSuccess(ctx, err))
 		return val, err
 	}
-	backoff := g.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
 	admittedAny := false
 	for round := 0; round <= g.cfg.Retries; round++ {
@@ -134,10 +139,10 @@ func holderCall[T any](g *Gateway, ctx context.Context, urls []string, call func
 }
 
 // holderOrder lists the holders whose breakers admit a request now:
-// first those due a half-open trial (open past the cooldown, or half-open
-// with a trial free), then the closed ones. A recovering worker thus gets
-// its trial from the next request that can reach it, not only after every
-// healthy holder has failed.
+// first those due a half-open trial (open past the cooldown), then the
+// closed ones. A recovering worker thus gets its trial from the next
+// request that can reach it, not only after every healthy holder has
+// failed.
 func (g *Gateway) holderOrder(urls []string) []string {
 	var trials, closed []string
 	for _, url := range urls {
@@ -150,51 +155,4 @@ func (g *Gateway) holderOrder(urls []string) []string {
 		}
 	}
 	return append(trials, closed...)
-}
-
-// stageWeights apportions a request's remaining deadline across the
-// pipeline stages of one pass (DESIGN.md §15). Shares are recomputed
-// from the live remaining budget at each stage boundary, so slack left
-// by a fast stage flows to the stages after it.
-var stageWeights = []struct {
-	name string
-	w    float64
-}{
-	{"encrypt", 0.15},
-	{"fanout", 0.55},
-	{"merge", 0.05},
-	{"decode", 0.25},
-}
-
-// stageBudget derives stage's share of ctx's remaining deadline budget:
-// remaining × w(stage) / Σ w(stage..last). Without a deadline it
-// returns ctx unchanged. An exhausted budget fails fast with a typed
-// *copse.DeadlineError instead of starting work that cannot finish.
-func (g *Gateway) stageBudget(ctx context.Context, stage string) (context.Context, context.CancelFunc, error) {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		return ctx, func() {}, nil
-	}
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		g.deadlineFails.Add(1)
-		return nil, nil, &copse.DeadlineError{Stage: stage, Remaining: remaining}
-	}
-	var w, sum float64
-	seen := false
-	for _, s := range stageWeights {
-		if s.name == stage {
-			seen = true
-			w = s.w
-		}
-		if seen {
-			sum += s.w
-		}
-	}
-	if !seen || sum == 0 {
-		return ctx, func() {}, nil
-	}
-	share := time.Duration(float64(remaining) * w / sum)
-	sctx, cancel := context.WithDeadline(ctx, time.Now().Add(share))
-	return sctx, cancel, nil
 }

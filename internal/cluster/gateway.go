@@ -64,22 +64,21 @@ type GatewayConfig struct {
 	Workers []string
 	// ProbeInterval is the health-prober period (default 2s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default 5s).
-	ProbeTimeout time.Duration
 	// RequestTimeout bounds one data-plane round trip (default 2min).
 	RequestTimeout time.Duration
 	// Breaker tunes the per-worker circuit breakers (DESIGN.md §15).
 	Breaker BreakerConfig
 	// Retries is the number of extra rounds a failed shard/decode call
 	// makes over its holders, with exponential backoff + jitter between
-	// rounds. 0 means the default (2); negative disables retries.
+	// rounds (retryBackoff). 0 means the default (2); negative disables
+	// retries.
 	Retries int
-	// RetryBackoff is the base inter-round backoff (default 50ms,
-	// doubling per round, capped at 2s, jittered ±50%).
-	RetryBackoff time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
 }
+
+// probeTimeout bounds one health-probe round trip.
+const probeTimeout = 5 * time.Second
 
 // Gateway is the stateless routing tier: it holds public key material
 // and routing state only — every secret stays on the workers — so any
@@ -148,9 +147,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 5 * time.Second
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Minute
 	}
@@ -160,9 +156,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		cfg.Retries = 2
 	case cfg.Retries < 0:
 		cfg.Retries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	client := cfg.Client
 	if client == nil {
@@ -193,7 +186,7 @@ func (g *Gateway) Start() {
 				return
 			case <-ticker.C:
 				// No outer deadline: the info probes bound themselves
-				// with ProbeTimeout, and the heavier first-contact
+				// with probeTimeout, and the heavier first-contact
 				// fetches (key material) with RequestTimeout.
 				_ = g.Refresh(context.Background())
 			}
@@ -225,8 +218,8 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 	for _, url := range g.cfg.Workers {
 		go func(url string) {
 			// A probe must answer fast even when the full request
-			// timeout is generous: ProbeTimeout bounds it separately.
-			pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+			// timeout is generous: probeTimeout bounds it separately.
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			var info WorkerInfo
 			err := g.getJSON(pctx, url+"/v1/cluster/info", &info)
@@ -555,15 +548,24 @@ type FanoutTrace struct {
 	Decode  time.Duration // decode round trip to a worker
 }
 
-// classifyChunk runs one capacity-bounded pass. With a caller deadline,
-// each stage runs under its share of the remaining budget (stageBudget)
-// and an exhausted budget fails fast with a typed *copse.DeadlineError
-// before the stage spends work it cannot finish.
+// classifyChunk runs one capacity-bounded pass, every stage under the
+// caller's own context. At each stage boundary a caller deadline that has
+// passed fails the pass with a typed *copse.DeadlineError naming the stage
+// ahead, before it spends work that cannot finish.
 func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, backend *hebgv.Backend, chunk [][]uint64, trace *FanoutTrace) ([]DecodedResult, error) {
-	if _, cancel, err := g.stageBudget(ctx, "encrypt"); err != nil {
+	expired := func(stage string) error {
+		deadline, ok := ctx.Deadline()
+		if !ok {
+			return nil
+		}
+		if remaining := time.Until(deadline); remaining <= 0 {
+			g.deadlineFails.Add(1)
+			return &copse.DeadlineError{Stage: stage, Remaining: remaining}
+		}
+		return nil
+	}
+	if err := expired("encrypt"); err != nil {
 		return nil, err
-	} else {
-		cancel() // encryption is local compute; the check alone gates it
 	}
 	mark := time.Now()
 	q, err := core.PrepareQueryBatch(backend, r.meta, chunk, true)
@@ -598,8 +600,7 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	// Fan out: one request per shard, concurrently; each shard fails over
 	// across its holders (holderCall). A panic in a shard goroutine fails
 	// the request, not the process.
-	fctx, fcancel, err := g.stageBudget(ctx, "fanout")
-	if err != nil {
+	if err := expired("fanout"); err != nil {
 		return nil, err
 	}
 	mark = time.Now()
@@ -616,11 +617,10 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 					errs[shard] = &copse.InternalError{Op: "shard fan-out", Value: rec, Stack: debug.Stack()}
 				}
 			}()
-			shardCts[shard], errs[shard] = g.classifyShard(fctx, model, shard, r.holders[shard], queryFrame.Bytes(), len(chunk))
+			shardCts[shard], errs[shard] = g.classifyShard(ctx, model, shard, r.holders[shard], queryFrame.Bytes(), len(chunk))
 		}(shard)
 	}
 	wg.Wait()
-	fcancel()
 	for shard, err := range errs {
 		if err != nil {
 			var de *copse.DeadlineError
@@ -637,10 +637,8 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 
 	// Merge: per-shard vote sums have disjoint slot supports — plain
 	// additions at the (low) result level, no keys involved.
-	if _, cancel, err := g.stageBudget(ctx, "merge"); err != nil {
+	if err := expired("merge"); err != nil {
 		return nil, err
-	} else {
-		cancel() // the merge is local adds; the check alone gates it
 	}
 	mark = time.Now()
 	mergedFrame, err := mergeFrame(backend, shardCts)
@@ -652,13 +650,11 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	g.mergeNS.Add(merge.Nanoseconds())
 
 	// Decode on any healthy holder (all hold the same secret key).
-	dctx, dcancel, err := g.stageBudget(ctx, "decode")
-	if err != nil {
+	if err := expired("decode"); err != nil {
 		return nil, err
 	}
-	defer dcancel()
 	mark = time.Now()
-	results, err := g.decode(dctx, model, r, mergedFrame.Bytes(), len(chunk))
+	results, err := g.decode(ctx, model, r, mergedFrame.Bytes(), len(chunk))
 	decode := time.Since(mark)
 	trace.Decode += decode
 	if err != nil {
@@ -716,14 +712,7 @@ func (g *Gateway) classifyShard(ctx context.Context, model string, shard int, ho
 		if err != nil {
 			return WireCiphertext{}, err
 		}
-		cts, err := DecodeCiphertexts(bytes.NewReader(body))
-		if err == nil && len(cts) != 1 {
-			err = fmt.Errorf("cluster: worker returned %d ciphertexts, want 1", len(cts))
-		}
-		if err != nil {
-			return WireCiphertext{}, err
-		}
-		return cts[0], nil
+		return decodeOneCiphertext(bytes.NewReader(body))
 	})
 }
 

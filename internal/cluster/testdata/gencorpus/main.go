@@ -50,10 +50,6 @@ func main() {
 
 	seeds := map[string][]byte{}
 
-	var pb bytes.Buffer
-	must(cluster.EncodeParams(&pb, params))
-	seeds["params"] = pb.Bytes()
-
 	// The secret key stays out; the evaluation keys give the frame's
 	// switching-key decoder coverage.
 	keys := backend.Material()
@@ -82,9 +78,9 @@ func main() {
 	must(cluster.EncodeMeta(&mb, &compiled.Meta))
 	seeds["meta"] = mb.Bytes()
 
-	// Hostile variants of the params frame: decoders must fail these
+	// Hostile variants of the meta frame: decoders must fail these
 	// with typed errors, never a panic or a large allocation.
-	frame := bytes.Clone(seeds["params"])
+	frame := bytes.Clone(seeds["meta"])
 	seeds["truncated"] = frame[:len(frame)-2]
 
 	bad := bytes.Clone(frame)

@@ -6,8 +6,8 @@
 // level-2 adds (see core.ShardForest and DESIGN.md §12).
 //
 // This file is the wire layer: every object that crosses a process
-// boundary — parameters, key material, ciphertext batches, model
-// metadata — travels as a versioned, length-prefixed binary frame.
+// boundary — key material (with its parameters), ciphertext batches,
+// model metadata — travels as a versioned, length-prefixed binary frame.
 // The control plane (HTTP/JSON) carries frames base64-less as raw
 // bodies; the data plane streams them directly over the socket.
 package cluster
@@ -37,20 +37,14 @@ const (
 	// special-prime limbs) in the key-material frame; version-1 key
 	// frames hold base-2^w gadget keys and fail the shape validation.
 	// Version 3 drops the noise estimate from the ciphertext frame
-	// (ciphertextVersion); key, params and meta frames kept their layout,
-	// so version-2 ones still load.
+	// (ciphertextVersion); key and meta frames kept their layout, so
+	// version-2 ones still load.
 	WireVersion = 3
 
 	// ciphertextVersion is the first version of the ciphertext frame's
 	// layout: an older frame holds an 8-byte noise estimate after each
 	// depth, and is refused.
 	ciphertextVersion = 3
-
-	// DefaultMaxFrameBytes bounds a frame so a corrupt or hostile
-	// length prefix cannot drive an allocation: large enough for a
-	// logN-15 (Secure128Params) evaluation-key set, small enough to fail fast on
-	// garbage. Override with SetMaxFrameBytes.
-	DefaultMaxFrameBytes = 1 << 31
 
 	// maxWireLevels supplements bgv.Params.Validate with a wire-level
 	// sanity bound: Validate leaves Levels unbounded above (a local
@@ -61,23 +55,18 @@ const (
 	maxWireLevels = 64
 )
 
-// maxFrameBytes is the live frame-size limit (see SetMaxFrameBytes).
+// defaultMaxFrameBytes bounds a frame so a corrupt or hostile length
+// prefix cannot drive an allocation: large enough for a logN-15
+// (Secure128Params) evaluation-key set, small enough to fail fast on
+// garbage.
+const defaultMaxFrameBytes = 1 << 31
+
+// maxFrameBytes is the payload size every frame decoder accepts (and the
+// decompressed size of a key-material frame): defaultMaxFrameBytes, which
+// tests lower to exercise the limit.
 var maxFrameBytes atomic.Int64
 
-func init() { maxFrameBytes.Store(DefaultMaxFrameBytes) }
-
-// MaxFrameBytes reports the current frame payload size limit.
-func MaxFrameBytes() int64 { return maxFrameBytes.Load() }
-
-// SetMaxFrameBytes bounds the payload size every frame decoder will
-// accept (and the decompressed size of a key-material frame).
-// Non-positive restores DefaultMaxFrameBytes. Safe for concurrent use.
-func SetMaxFrameBytes(n int64) {
-	if n <= 0 {
-		n = DefaultMaxFrameBytes
-	}
-	maxFrameBytes.Store(n)
-}
+func init() { maxFrameBytes.Store(defaultMaxFrameBytes) }
 
 // FrameSizeError is the typed error a decoder returns when a frame's
 // declared (or decompressed) size exceeds the configured limit.
@@ -112,10 +101,11 @@ func (e *KeyShapeError) Error() string {
 	return fmt.Sprintf("cluster: switching key %s is %d, parameters imply %d", e.What, e.Got, e.Want)
 }
 
-// Frame kinds.
+// Frame kinds. The numbers are part of the wire format, so they start at
+// 2: kind 1 was a parameters frame no node sent (parameters travel inside
+// the key-material frame), and the others kept their numbers when it went.
 const (
-	KindParams uint16 = iota + 1
-	KindKeyMaterial
+	KindKeyMaterial uint16 = iota + 2
 	KindCiphertexts
 	KindMeta
 )
@@ -176,7 +166,7 @@ func readFrame(r io.Reader, wantKind uint16) ([]byte, error) {
 		return nil, &WireVersionError{Got: v, Supported: WireVersion, Min: ciphertextVersion}
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[8:12]))
-	if limit := MaxFrameBytes(); n > limit {
+	if limit := maxFrameBytes.Load(); n > limit {
 		return nil, &FrameSizeError{Size: n, Limit: limit}
 	}
 	// Read incrementally (bytes.Buffer.ReadFrom grows as data arrives)
@@ -331,6 +321,9 @@ func (r *reader) poly() *ring.Poly {
 
 // --- parameters ---
 
+// putParams writes a parameter set. The prime chain itself never
+// travels: bgv prime generation is deterministic, so Params alone
+// reconstructs identical parameters on the far side.
 func putParams(b *bytes.Buffer, p bgv.Params) {
 	putU8(b, uint8(p.LogN))
 	putU64(b, p.T)
@@ -347,32 +340,6 @@ func (r *reader) params() bgv.Params {
 		Levels:    int(r.u16()),
 		DigitBits: int(r.u8()),
 	}
-}
-
-// EncodeParams frames a parameter set. The prime chain itself never
-// travels: bgv prime generation is deterministic, so Params alone
-// reconstructs identical parameters on the far side.
-func EncodeParams(w io.Writer, p bgv.Params) error {
-	var b bytes.Buffer
-	putParams(&b, p)
-	return writeFrame(w, KindParams, b.Bytes())
-}
-
-// DecodeParams reads a parameter frame.
-func DecodeParams(rd io.Reader) (bgv.Params, error) {
-	payload, err := readFrame(rd, KindParams)
-	if err != nil {
-		return bgv.Params{}, err
-	}
-	r := &reader{b: payload}
-	p := r.params()
-	if err := r.done(); err != nil {
-		return bgv.Params{}, err
-	}
-	if err := checkWireParams(p); err != nil {
-		return bgv.Params{}, err
-	}
-	return p, p.Validate()
 }
 
 // wireParamsHook, when non-nil, gets a veto over decoded parameter
@@ -543,7 +510,7 @@ func DecodeKeyMaterial(rd io.Reader) (*hebgv.Material, error) {
 	// Bound the decompressed size too: gzip can expand ~1000:1, so a
 	// small in-limit frame could otherwise balloon far past the frame
 	// budget (a classic decompression bomb).
-	limit := MaxFrameBytes()
+	limit := maxFrameBytes.Load()
 	raw, err := io.ReadAll(io.LimitReader(zr, limit+1))
 	if err != nil {
 		return nil, err
@@ -668,6 +635,22 @@ func DecodeCiphertexts(rd io.Reader) ([]WireCiphertext, error) {
 		}
 		return nil
 	})
+}
+
+// decodeOneCiphertext reads a ciphertext frame that must hold exactly
+// one ciphertext — a shard's vote sum, or the merge of them — refusing
+// any other announced count before a ciphertext of it is allocated.
+func decodeOneCiphertext(rd io.Reader) (WireCiphertext, error) {
+	cts, err := decodeCiphertexts(rd, func(n int) error {
+		if n != 1 {
+			return fmt.Errorf("cluster: frame announces %d ciphertexts, want 1", n)
+		}
+		return nil
+	})
+	if err != nil {
+		return WireCiphertext{}, err
+	}
+	return cts[0], nil
 }
 
 // decodeCiphertexts reads a ciphertext frame whose announced count

@@ -8,11 +8,12 @@ import (
 	"copse/internal/bgv"
 )
 
-// FuzzWireDecode drives every frame decoder with arbitrary bytes: the
-// wire layer's contract is that hostile input fails with a typed error
-// — never a panic, and never an allocation proportional to a lying
-// length prefix (the fuzz body pins MaxFrameBytes to 1 MiB so a
-// violation shows up as an OOM-scale allocation the engine catches).
+// FuzzWireDecode drives the three frame decoders — key material,
+// ciphertexts, meta — with arbitrary bytes: the wire layer's contract is
+// that hostile input fails with a typed error — never a panic, and never
+// an allocation proportional to a lying length prefix (the fuzz body
+// lowers maxFrameBytes to 1 MiB so a violation shows up as an OOM-scale
+// allocation the engine catches).
 //
 // The committed seed corpus under testdata/fuzz/FuzzWireDecode holds a
 // valid frame of every kind plus truncated, garbled and oversized
@@ -24,7 +25,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("CPSW"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		SetMaxFrameBytes(1 << 20)
+		maxFrameBytes.Store(1 << 20)
 		// A frame carrying valid-but-large parameters (LogN 15, 64
 		// levels) makes DecodeKeyMaterial legitimately pay seconds of
 		// prime generation; veto those so the engine keeps mutating
@@ -36,10 +37,9 @@ func FuzzWireDecode(f *testing.F) {
 			return nil
 		}
 		defer func() {
-			SetMaxFrameBytes(0)
+			maxFrameBytes.Store(defaultMaxFrameBytes)
 			wireParamsHook = nil
 		}()
-		_, _ = DecodeParams(bytes.NewReader(data))
 		_, _ = DecodeKeyMaterial(bytes.NewReader(data))
 		_, _ = DecodeCiphertexts(bytes.NewReader(data))
 		_, _ = DecodeMeta(bytes.NewReader(data))

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"copse/internal/bgv"
@@ -74,41 +75,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: encoding differs from golden file (%d vs %d bytes); if the format change is intentional, bump WireVersion and regenerate with -update", name, len(got), len(want))
-	}
-}
-
-// TestWireGoldenParams pins the parameter frame format.
-func TestWireGoldenParams(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeParams(&buf, tinyParams()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "params.wire", buf.Bytes())
-
-	got, err := DecodeParams(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tinyParams() {
-		t.Errorf("params round trip: got %+v, want %+v", got, tinyParams())
-	}
-
-	// Golden decode: the committed bytes must still decode and
-	// re-encode byte-identically.
-	golden, err := os.ReadFile(goldenPath("params.wire"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := DecodeParams(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("decoding golden params: %v", err)
-	}
-	var re bytes.Buffer
-	if err := EncodeParams(&re, p); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(re.Bytes(), golden) {
-		t.Error("golden params do not re-encode byte-identically")
 	}
 }
 
@@ -285,22 +251,59 @@ func TestWireGoldenMeta(t *testing.T) {
 	}
 }
 
+// goldenFrame reads a committed golden frame.
+func goldenFrame(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// keyPayload returns the gunzipped payload of a key-material frame.
+func keyPayload(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(frame[frameHeader:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// keyFrame gzips a key-material payload into a frame.
+func keyFrame(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := writeFrame(&out, KindKeyMaterial, zbuf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // TestWireVersionError pins the typed future-version error: a frame
 // stamped with a newer wire version must fail with *WireVersionError on
 // every decoder, not decode into garbage.
 func TestWireVersionError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeParams(&buf, tinyParams()); err != nil {
-		t.Fatal(err)
-	}
-	future := bytes.Clone(buf.Bytes())
+	future := goldenFrame(t, "meta.wire")
 	binary.LittleEndian.PutUint16(future[4:6], WireVersion+1)
 
 	decoders := map[string]func([]byte) error{
-		"params": func(b []byte) error { _, err := DecodeParams(bytes.NewReader(b)); return err },
-		"keys":   func(b []byte) error { _, err := DecodeKeyMaterial(bytes.NewReader(b)); return err },
-		"cts":    func(b []byte) error { _, err := DecodeCiphertexts(bytes.NewReader(b)); return err },
-		"meta":   func(b []byte) error { _, err := DecodeMeta(bytes.NewReader(b)); return err },
+		"keys": func(b []byte) error { _, err := DecodeKeyMaterial(bytes.NewReader(b)); return err },
+		"cts":  func(b []byte) error { _, err := DecodeCiphertexts(bytes.NewReader(b)); return err },
+		"meta": func(b []byte) error { _, err := DecodeMeta(bytes.NewReader(b)); return err },
 	}
 	for name, dec := range decoders {
 		err := dec(future)
@@ -318,14 +321,11 @@ func TestWireVersionError(t *testing.T) {
 // TestWireVersion2Frames: version 3 changed only the ciphertext frame,
 // which lost its noise estimate, so a version-2 ciphertext frame is refused
 // with a *WireVersionError naming the first version of the current layout,
-// while version-2 params, key and meta frames, whose layout is unchanged,
-// still decode.
+// while version-2 key and meta frames, whose layout is unchanged, still
+// decode.
 func TestWireVersion2Frames(t *testing.T) {
 	v2 := func(name string) []byte {
-		raw, err := os.ReadFile(goldenPath(name))
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := goldenFrame(t, name)
 		binary.LittleEndian.PutUint16(raw[4:6], 2)
 		return raw
 	}
@@ -333,9 +333,6 @@ func TestWireVersion2Frames(t *testing.T) {
 	var ve *WireVersionError
 	if !errors.As(err, &ve) || ve.Got != 2 || ve.Min != 3 {
 		t.Fatalf("version-2 ciphertext frame: %v, want a *WireVersionError refusing version 2 below 3", err)
-	}
-	if _, err := DecodeParams(bytes.NewReader(v2("params.wire"))); err != nil {
-		t.Errorf("version-2 params frame: %v", err)
 	}
 	if _, err := DecodeKeyMaterial(bytes.NewReader(v2("keys.wire"))); err != nil {
 		t.Errorf("version-2 key frame: %v", err)
@@ -348,91 +345,80 @@ func TestWireVersion2Frames(t *testing.T) {
 // TestWireFrameErrors pins the non-version failure modes: bad magic,
 // wrong kind, truncation, and trailing garbage.
 func TestWireFrameErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeParams(&buf, tinyParams()); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
+	frame := goldenFrame(t, "meta.wire")
 
 	bad := bytes.Clone(frame)
 	copy(bad[:4], "NOPE")
-	if _, err := DecodeParams(bytes.NewReader(bad)); err == nil {
+	if _, err := DecodeMeta(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
 	if _, err := DecodeCiphertexts(bytes.NewReader(frame)); err == nil {
-		t.Error("params frame accepted as ciphertexts")
+		t.Error("meta frame accepted as ciphertexts")
 	}
-	if _, err := DecodeParams(bytes.NewReader(frame[:len(frame)-2])); err == nil {
+	if _, err := DecodeMeta(bytes.NewReader(frame[:len(frame)-2])); err == nil {
 		t.Error("truncated frame accepted")
 	}
 	long := bytes.Clone(frame)
 	binary.LittleEndian.PutUint32(long[8:12], uint32(len(frame))) // claims more payload than present
-	if _, err := DecodeParams(bytes.NewReader(long)); err == nil {
+	if _, err := DecodeMeta(bytes.NewReader(long)); err == nil {
 		t.Error("overlong length prefix accepted")
+	}
+	// A ciphertext frame that must hold one ciphertext is refused at its
+	// count: a 16-byte frame announcing 2^20 of them gets the count
+	// error, not a *TruncatedFrameError after the slice is allocated.
+	var many bytes.Buffer
+	if err := writeFrame(&many, KindCiphertexts, binary.LittleEndian.AppendUint32(nil, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	var tfe *TruncatedFrameError
+	if _, err := decodeOneCiphertext(bytes.NewReader(many.Bytes())); many.Len() != 16 || errors.As(err, &tfe) ||
+		err == nil || !strings.Contains(err.Error(), "announces 1048576 ciphertexts, want 1") {
+		t.Errorf("%d-byte frame announcing 2^20 ciphertexts: %v, want the count error", many.Len(), err)
+	}
+	if _, err := DecodeCiphertexts(bytes.NewReader(many.Bytes())); !errors.As(err, &tfe) {
+		t.Errorf("the same frame as a batch: %v, want *TruncatedFrameError", err)
 	}
 }
 
 // TestWireSizeLimits pins the typed size and truncation errors, the
-// configurable frame budget, and the decompressed-size bound on key
-// material.
+// frame budget, and the decompressed-size bound on key material.
 func TestWireSizeLimits(t *testing.T) {
-	defer SetMaxFrameBytes(0)
-	var buf bytes.Buffer
-	if err := EncodeParams(&buf, tinyParams()); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
+	defer maxFrameBytes.Store(defaultMaxFrameBytes)
+	frame := goldenFrame(t, "meta.wire")
 
-	// Declared payload over the configured limit fails typed, before
-	// any allocation proportional to the claim.
-	SetMaxFrameBytes(8)
+	// Declared payload over the limit fails typed, before any allocation
+	// proportional to the claim.
+	maxFrameBytes.Store(8)
 	var fse *FrameSizeError
-	if _, err := DecodeParams(bytes.NewReader(frame)); !errors.As(err, &fse) {
+	if _, err := DecodeMeta(bytes.NewReader(frame)); !errors.As(err, &fse) {
 		t.Errorf("over-limit frame error = %v, want *FrameSizeError", err)
 	} else if fse.Limit != 8 {
 		t.Errorf("FrameSizeError limit = %d, want 8", fse.Limit)
 	}
-	SetMaxFrameBytes(0)
-	if MaxFrameBytes() != DefaultMaxFrameBytes {
-		t.Errorf("SetMaxFrameBytes(0) left limit %d, want default %d", MaxFrameBytes(), DefaultMaxFrameBytes)
-	}
+	maxFrameBytes.Store(defaultMaxFrameBytes)
 
 	// A stream shorter than its header's promise fails typed too.
 	var tfe *TruncatedFrameError
-	if _, err := DecodeParams(bytes.NewReader(frame[:len(frame)-2])); !errors.As(err, &tfe) {
+	if _, err := DecodeMeta(bytes.NewReader(frame[:len(frame)-2])); !errors.As(err, &tfe) {
 		t.Errorf("truncated stream error = %v, want *TruncatedFrameError", err)
 	} else if tfe.Got >= tfe.Want {
 		t.Errorf("TruncatedFrameError got %d >= want %d", tfe.Got, tfe.Want)
 	}
 
 	// An implausible level count fails at the wire layer, before the
-	// decoder pays prime generation proportional to the lie.
-	deep := tinyParams()
-	deep.Levels = maxWireLevels + 1
-	var db bytes.Buffer
-	if err := EncodeParams(&db, deep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeParams(bytes.NewReader(db.Bytes())); err == nil {
-		t.Error("implausible level count accepted")
+	// decoder pays prime generation proportional to the lie. Levels is
+	// the u16 after LogN (1 byte), T (8) and PrimeBits (1).
+	deep := keyPayload(t, goldenFrame(t, "keys.wire"))
+	binary.LittleEndian.PutUint16(deep[10:12], maxWireLevels+1)
+	if _, err := DecodeKeyMaterial(bytes.NewReader(keyFrame(t, deep))); err == nil || !strings.Contains(err.Error(), "implausible level count") {
+		t.Errorf("key frame of %d levels: %v, want the wire's level cap", maxWireLevels+1, err)
 	}
 
 	// Decompression bomb: a small gzipped key-material frame expanding
 	// past the budget must fail with *FrameSizeError, not balloon.
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	if _, err := zw.Write(make([]byte, 1<<16)); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var bomb bytes.Buffer
-	if err := writeFrame(&bomb, KindKeyMaterial, zbuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	SetMaxFrameBytes(1 << 12)
-	if _, err := DecodeKeyMaterial(bytes.NewReader(bomb.Bytes())); !errors.As(err, &fse) {
+	bomb := keyFrame(t, make([]byte, 1<<16))
+	maxFrameBytes.Store(1 << 12)
+	if _, err := DecodeKeyMaterial(bytes.NewReader(bomb)); !errors.As(err, &fse) {
 		t.Errorf("decompression bomb error = %v, want *FrameSizeError", err)
 	}
 }
@@ -449,14 +435,7 @@ func TestWireKeyShapeError(t *testing.T) {
 	if err := EncodeKeyMaterial(&buf, mat); err != nil {
 		t.Fatal(err)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()[12:]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := keyPayload(t, buf.Bytes())
 	// Params (13 bytes), flags, then the two public-key polys (7-byte
 	// header + limbs·N residues each) precede the relin key's header.
 	p := tinyParams()
@@ -465,19 +444,7 @@ func TestWireKeyShapeError(t *testing.T) {
 	reframe := func(mutate func(raw []byte)) []byte {
 		raw := bytes.Clone(payload)
 		mutate(raw)
-		var zbuf bytes.Buffer
-		zw := gzip.NewWriter(&zbuf)
-		if _, err := zw.Write(raw); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if err := writeFrame(&out, KindKeyMaterial, zbuf.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
+		return keyFrame(t, raw)
 	}
 	if _, err := DecodeKeyMaterial(bytes.NewReader(reframe(func([]byte) {}))); err != nil {
 		t.Fatalf("untampered reframe does not decode: %v", err)

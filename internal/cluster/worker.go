@@ -436,19 +436,15 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 		WriteError(rw, &core.BatchCapacityError{Index: count, Capacity: cap})
 		return
 	}
-	cts, err := DecodeCiphertexts(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes))
+	wc, err := decodeOneCiphertext(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes))
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, err)
-		return
-	}
-	if len(cts) != 1 {
-		httpError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode wants 1 merged ciphertext, got %d", len(cts)))
 		return
 	}
 	w.mu.RLock()
 	backend := w.backend
 	w.mu.RUnlock()
-	ct, err := backend.ImportCiphertext(cts[0].Ct, cts[0].Depth)
+	ct, err := backend.ImportCiphertext(wc.Ct, wc.Depth)
 	if err != nil {
 		httpError(rw, http.StatusBadRequest, err)
 		return
@@ -458,7 +454,7 @@ func (w *Worker) handleDecode(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	results, err := core.DecodeResultBatch(gm, slots, count, gm.QueryCapacity(gm.PlanesPerCiphertext(count)))
+	results, err := core.DecodeResultBatch(gm, slots, count)
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, err)
 		return

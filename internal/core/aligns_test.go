@@ -107,7 +107,7 @@ func classifyCase(t *testing.T, e *Engine, m *ModelOperands, q *Query) (he.Opera
 
 // checkVotes decodes a pass of batch and holds every query's votes — and,
 // unshuffled, its per-tree labels — to the forest's trees [start, start+n).
-func checkVotes(t *testing.T, b he.Backend, f *model.Forest, m *ModelOperands, out he.Operand, cbs []*ShuffledCodebook, batch [][]uint64, capacity, start int) {
+func checkVotes(t *testing.T, b he.Backend, f *model.Forest, m *ModelOperands, out he.Operand, cbs []*ShuffledCodebook, batch [][]uint64, start int) {
 	t.Helper()
 	slots, err := he.Reveal(b, out)
 	if err != nil {
@@ -117,7 +117,7 @@ func checkVotes(t *testing.T, b he.Backend, f *model.Forest, m *ModelOperands, o
 	if cbs != nil {
 		results, err = DecodeShuffledBatch(cbs, len(f.Labels), slots, m.Meta.BatchBlock())
 	} else {
-		results, err = DecodeResultBatch(&m.Meta, slots, len(batch), capacity)
+		results, err = DecodeResultBatch(&m.Meta, slots, len(batch))
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func TestGoldenArtifactBackCompat(t *testing.T) {
 					t.Fatal(err)
 				}
 				out, cbs, _ := classifyCase(t, &Engine{Backend: b}, m, q)
-				checkVotes(t, b, forest, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), 0)
+				checkVotes(t, b, forest, m, out, cbs, batch, 0)
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func runBatchVsSingle(t *testing.T, b he.Backend, f *model.Forest, c *Compiled, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeResultBatch(&m.Meta, slots, len(batch), m.Meta.QueryCapacity(q.PlanesPerCiphertext))
+	results, err := DecodeResultBatch(&m.Meta, slots, len(batch))
 	if err != nil {
 		t.Fatalf("DecodeResultBatch: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestBatchVsSingleEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeResultBatch(&m.Meta, slots, capacity, capacity)
+	results, err := DecodeResultBatch(&m.Meta, slots, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestBatchCapacityErrors(t *testing.T) {
 	if _, err := DecodeResultAt(meta, slots, -1, capacity); !errors.As(err, &bce) {
 		t.Errorf("DecodeResultAt(-1): got %v, want *BatchCapacityError", err)
 	}
-	if _, err := DecodeResultBatch(meta, slots, capacity+3, capacity); !errors.As(err, &bce) {
+	if _, err := DecodeResultBatch(meta, slots, capacity+3); !errors.As(err, &bce) {
 		t.Errorf("DecodeResultBatch over capacity: got %v, want *BatchCapacityError", err)
 	}
 	// A lone query's layout holds one query: index 1 is a bit-plane block.
@@ -253,7 +253,7 @@ func TestBatchCapacityErrors(t *testing.T) {
 	if _, err := PrepareQueryBatch(b, meta, nil, true); !errors.As(err, &empty) {
 		t.Errorf("empty batch: got %v, want *EmptyBatchError", err)
 	}
-	if _, err := DecodeResultBatch(meta, slots, 0, capacity); err == nil {
+	if _, err := DecodeResultBatch(meta, slots, 0); err == nil {
 		t.Error("zero-count decode accepted")
 	}
 }

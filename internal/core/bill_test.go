@@ -83,7 +83,7 @@ func TestProgramBillMatchesBackendCounters(t *testing.T) {
 									fill, trace.QueryCiphertexts, trace.PlanesPerCiphertext, m.Meta.QueryCiphertexts(g), g)
 							}
 							checkBill(t, b, m.ProgramFor(q.PlanesPerCiphertext), trace)
-							checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
+							checkVotes(t, b, f, m, out, cbs, batch, start)
 						}
 					})
 				}

@@ -97,7 +97,7 @@ func TestComparatorPrecisionSweep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					results, err := core.DecodeResultBatch(&m.Meta, slots, fill, m.Meta.QueryCapacity(q.PlanesPerCiphertext))
+					results, err := core.DecodeResultBatch(&m.Meta, slots, fill)
 					if err != nil {
 						t.Fatal(err)
 					}

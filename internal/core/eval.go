@@ -156,7 +156,7 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 			}
 		}
 		for _, v := range vals {
-			op, err := makeOperand(b, v, encModel, m.Plan.Compare)
+			op, err := he.NewOperandAtLevel(b, v, encModel, m.Plan.Compare)
 			if err != nil {
 				return nil, err
 			}
@@ -349,7 +349,7 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 			return nil, err
 		}
 		st.mats = append(st.mats, d)
-		op, err := makeOperand(b, mask, encrypt, level)
+		op, err := he.NewOperandAtLevel(b, mask, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
@@ -464,17 +464,6 @@ type UnsupportedModelError struct {
 
 func (e *UnsupportedModelError) Error() string {
 	return "core: model has no op program: " + e.Reason
-}
-
-func makeOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.Operand, error) {
-	if encrypt {
-		ct, err := he.EncryptAtLevel(b, vals, level)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		return he.Cipher(ct), nil
-	}
-	return he.NewPlainAtLevel(b, vals, level)
 }
 
 // replicatePlain lays vals (logical width `period`, zero-padded) out
@@ -657,22 +646,21 @@ func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	// whose layout differs (a registry makes that an easy mistake), so
 	// reject layout mismatches up front — the full packing layout, since
 	// models can share QPad while splitting it into different
-	// features×multiplicity shapes. Hand-built queries (zero stamps) are
-	// trusted.
-	g := max(q.PlanesPerCiphertext, 1)
+	// features×multiplicity shapes — and so is a query without stamps.
+	g := q.PlanesPerCiphertext
 	packed := QueryPacking{q.NumFeatures, q.K, q.QPad, q.Block}
-	if model := (QueryPacking{m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock()}); q.QPad != 0 && packed != model {
+	if model := (QueryPacking{m.Meta.NumFeatures, m.Meta.K, m.Meta.QPad, m.Meta.BatchBlock()}); packed != model {
 		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Packed: packed, Model: model}
 	}
-	// The query's layout names the program: the one staged for its plane
-	// packing, levelled for the plane kind the model was prepared for.
+	// The batch count fixes the plane packing, and the packing names the
+	// program: the one staged for it, levelled for the plane kind the
+	// model was prepared for.
+	if q.Batch < 1 || g != m.Meta.PlanesPerCiphertext(q.Batch) {
+		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block}
+	}
 	pk := m.packing(g)
-	if pk == nil || len(q.Bits) != len(pk.thresholds) {
-		mismatch := &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block}
-		if pk != nil {
-			mismatch.Want = len(pk.thresholds)
-		}
-		return he.Operand{}, nil, nil, mismatch
+	if len(q.Bits) != len(pk.thresholds) {
+		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Want: len(pk.thresholds)}
 	}
 	if i := slices.IndexFunc(q.Bits, func(op he.Operand) bool { return op.IsCipher() != m.encQuery }); i >= 0 {
 		return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Want: len(pk.thresholds),
@@ -696,7 +684,7 @@ func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	trace.LevelLanes, trace.LevelGroups, trace.LevelOperands = pk.levels.lanes, pk.levels.groups, len(pk.levels.mats)
 	var codebooks []*ShuffledCodebook
 	shuffle := func() (sh *passShuffle, err error) {
-		sh, codebooks, err = stageShuffle(e.Backend, m, max(q.Batch, 1), seed)
+		sh, codebooks, err = stageShuffle(e.Backend, m, q.Batch, seed)
 		return sh, err
 	}
 	in := passInputs{query: q.Bits, thresholds: pk.thresholds, levels: pk.levels, reshuffle: m.Reshuffle}

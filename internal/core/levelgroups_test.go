@@ -127,7 +127,7 @@ func TestLevelGroupsOnTheExactBackend(t *testing.T) {
 								t.Errorf("query %d: lane 0 holds %v, the G = 1 program's result is %v", k, got[lo:hi], want[lo:hi])
 							}
 						}
-						results, err := DecodeResultBatch(meta, got, fill, meta.QueryCapacity(g))
+						results, err := DecodeResultBatch(meta, got, fill)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -197,9 +197,9 @@ func TestLevelOpBudget(t *testing.T) {
 	}
 }
 
-// TestQueryLayoutErrors: a query whose layout names no staged program is
-// a typed error before any op runs; a hand-built query without a layout
-// stamp is one plane per operand.
+// TestQueryLayoutErrors: a query whose layout is not the one its batch
+// count fixes is a typed error before any op runs, and so is a query
+// without layout stamps.
 func TestQueryLayoutErrors(t *testing.T) {
 	b := heclear.New(64, 65537)
 	c, err := Compile(model.Figure1(), Options{Slots: 64}) // p = 4, capacity 4
@@ -225,7 +225,9 @@ func TestQueryLayoutErrors(t *testing.T) {
 		"operand count":              {func(q *Query) { q.Bits = append(q.Bits, q.Bits[0]) }, QueryLayoutError{Planes: 2, PlanesPerCiphertext: 4, Block: 16, Want: 1}},
 		"packing above the capacity": {func(q *Query) { q.PlanesPerCiphertext = 8 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 8, Block: 16}},
 		"packing not a power of two": {func(q *Query) { q.PlanesPerCiphertext = 3 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 3, Block: 16}},
-		"unstamped with one operand": {func(q *Query) { q.PlanesPerCiphertext = 0 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 1, Block: 16, Want: 4}},
+		"unstamped packing":          {func(q *Query) { q.PlanesPerCiphertext = 0 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 0, Block: 16}},
+		"unstamped batch count":      {func(q *Query) { q.Batch = 0 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 4, Block: 16}},
+		"packing of another batch":   {func(q *Query) { q.Batch = 4 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 4, Block: 16}},
 		"packed for another model": {func(q *Query) { q.K, q.Block = 4, 32 }, QueryLayoutError{Planes: 1, PlanesPerCiphertext: 4, Block: 32,
 			Packed: QueryPacking{NumFeatures: 2, K: 4, QPad: 8, Block: 32}, Model: QueryPacking{NumFeatures: 2, K: 3, QPad: 8, Block: 16}}},
 	} {
@@ -238,13 +240,18 @@ func TestQueryLayoutErrors(t *testing.T) {
 			t.Errorf("%s: Classify error %v, want %+v", name, err, tc.want)
 		}
 	}
-	// One plane per operand, no stamps: the hand-built query of old.
+	// A full batch's planes, one per operand, without the stamps.
 	full, err := PrepareQueryBatch(b, &m.Meta, [][]uint64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := e.Classify(context.Background(), m, &Query{Bits: full.Bits, Batch: 4}, 0); err != nil {
-		t.Errorf("hand-built query of %d planes: %v", len(full.Bits), err)
+	_, _, _, err = e.Classify(context.Background(), m, &Query{Bits: full.Bits, Batch: 4}, 0)
+	want := QueryLayoutError{Planes: 4, Model: QueryPacking{NumFeatures: 2, K: 3, QPad: 8, Block: 16}}
+	if le := (*QueryLayoutError)(nil); !errors.As(err, &le) || *le != want {
+		t.Errorf("unstamped query of %d planes: Classify error %v, want %+v", len(full.Bits), err, want)
+	}
+	if _, _, _, err := e.Classify(context.Background(), m, full, 0); err != nil {
+		t.Errorf("the stamped query of %d planes: %v", len(full.Bits), err)
 	}
 }
 

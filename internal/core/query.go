@@ -14,8 +14,8 @@ import (
 // PrepareQuery); query k occupies the span-aligned slot block
 // [k·BatchBlock, (k+1)·BatchBlock) of every block group. NumFeatures, K,
 // QPad and Block record the packing layout the query was prepared for,
-// so the engine can reject a query prepared for a different model (zero
-// values — hand-built queries — skip the check).
+// so the engine can reject a query prepared for a different model; a
+// query without these stamps is refused too.
 type Query struct {
 	Bits  []he.Operand
 	Batch int
@@ -24,8 +24,8 @@ type Query struct {
 	K           int
 	QPad        int
 	Block       int
-	// PlanesPerCiphertext is the plane packing g of Bits; zero (a
-	// hand-built query) means one plane per operand.
+	// PlanesPerCiphertext is the plane packing g of Bits, the one the
+	// batch count fixes (Meta.PlanesPerCiphertext(Batch)).
 	PlanesPerCiphertext int
 }
 
@@ -52,8 +52,9 @@ type QueryPacking struct {
 // QueryLayoutError reports a query laid out for something other than the
 // model it was handed to: features packed for another model's slot layout
 // (a registry makes that an easy mistake, and the pass would misclassify
-// silently), a plane packing the model stages no program for, an operand
-// count that is not the packing's, or bit planes of the other kind than
+// silently), a missing layout stamp, a plane packing other than the one
+// the batch count fixes, an operand count that is not the packing's, or
+// bit planes of the other kind than
 // the ones the model's programs are levelled for (the program would run
 // mis-levelled).
 type QueryLayoutError struct {
@@ -64,7 +65,7 @@ type QueryLayoutError struct {
 	// Block is the query's block width.
 	Block int
 	// Want is the operand count the model stages for that packing; zero
-	// when it admits no such packing.
+	// when the packing is not the one the query's batch count fixes.
 	Want int
 	// Packed and Model are the feature packing the query is stamped with
 	// and the model's; they differ exactly when that is what is wrong.
@@ -87,7 +88,7 @@ func (e *QueryLayoutError) Error() string {
 			e.Packed.NumFeatures, e.Packed.K, e.Packed.QPad, e.Packed.Block,
 			e.Model.NumFeatures, e.Model.K, e.Model.QPad, e.Model.Block)
 	case e.Want == 0:
-		return fmt.Sprintf("core: query packs %d bit planes per ciphertext (block %d), a layout the model stages no program for",
+		return fmt.Sprintf("core: query packs %d bit planes per ciphertext (block %d), not the packing its batch count fixes",
 			e.PlanesPerCiphertext, e.Block)
 	case e.Encrypted != e.WantEncrypted:
 		kind := map[bool]string{true: "encrypted", false: "plaintext"}
@@ -217,7 +218,7 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 	// entry levels (Diane does not learn whether the model is encrypted);
 	// the engine drops them the last step on the shallower path.
 	for _, plane := range planes {
-		op, err := makeOperand(b, plane, encrypt, meta.LevelPlan.QueryLevel())
+		op, err := he.NewOperandAtLevel(b, plane, encrypt, meta.LevelPlan.QueryLevel())
 		if err != nil {
 			return nil, err
 		}
@@ -295,14 +296,16 @@ func DecodeResultAt(meta *Meta, slots []uint64, k, capacity int) (*Result, error
 }
 
 // DecodeResultBatch decodes the first count batch entries of the
-// decrypted label-mask slots. It returns a *BatchCapacityError when
-// count exceeds capacity, the query capacity of the pass's layout (see
-// DecodeResultAt).
-func DecodeResultBatch(meta *Meta, slots []uint64, count, capacity int) ([]*Result, error) {
+// decrypted label-mask slots of a pass over a count-query batch. The
+// count fixes the pass's plane packing, and the packing the query
+// capacity of its layout (see DecodeResultAt); a count past the model's
+// batch capacity is a *BatchCapacityError.
+func DecodeResultBatch(meta *Meta, slots []uint64, count int) ([]*Result, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("core: batch decode of %d results", count)
 	}
-	if capacity = min(capacity, meta.BatchCapacity()); count > capacity {
+	capacity := meta.QueryCapacity(meta.PlanesPerCiphertext(count))
+	if count > capacity {
 		return nil, &BatchCapacityError{Index: count, Capacity: capacity}
 	}
 	out := make([]*Result, count)

@@ -251,7 +251,7 @@ func TestScheduleCorpusMatchesForest(t *testing.T) {
 							t.Fatal(err)
 						}
 						out, cbs, _ := classifyCase(t, &Engine{Backend: b}, m, q)
-						checkVotes(t, b, sc.f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), start)
+						checkVotes(t, b, sc.f, m, out, cbs, batch, start)
 					}
 				})
 			}
@@ -298,7 +298,7 @@ func checkScheduleIndependent(t *testing.T, b he.Backend, f *model.Forest, m *Mo
 		t.Fatal(err)
 	}
 	want, cbs, _ := classifyCase(t, &Engine{Backend: b, Workers: 1}, m, q)
-	checkVotes(t, b, f, m, want, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), treeStart)
+	checkVotes(t, b, f, m, want, cbs, batch, treeStart)
 	rng := rand.New(rand.NewPCG(uint64(len(batch)), 0x5ced))
 	random := func(n int) []int32 {
 		order := make([]int32, n)

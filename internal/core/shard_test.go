@@ -150,7 +150,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refResults, err := DecodeResultBatch(&c.Meta, refSlots, batchSize, c.Meta.QueryCapacity(q.PlanesPerCiphertext))
+				refResults, err := DecodeResultBatch(&c.Meta, refSlots, batchSize)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func TestShardMergeEquivalenceClear(t *testing.T) {
 						t.Errorf("trial %d k=%d batch=%d query %d: merged leaf bits differ from single-node", trial, k, batchSize, qi)
 					}
 				}
-				mergedResults, err := DecodeResultBatch(&c.Meta, mergedSlots, batchSize, c.Meta.QueryCapacity(q.PlanesPerCiphertext))
+				mergedResults, err := DecodeResultBatch(&c.Meta, mergedSlots, batchSize)
 				if err != nil {
 					t.Fatalf("decoding merged result: %v", err)
 				}
@@ -279,7 +279,7 @@ func TestShardMergeEquivalenceBGV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := DecodeResultBatch(&c.Meta, slots, len(batch), c.Meta.QueryCapacity(q.PlanesPerCiphertext))
+	results, err := DecodeResultBatch(&c.Meta, slots, len(batch))
 	if err != nil {
 		t.Fatalf("decoding merged BGV result: %v", err)
 	}

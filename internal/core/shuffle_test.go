@@ -84,7 +84,7 @@ func TestShuffleStageMatchesForest(t *testing.T) {
 									t.Fatalf("codebook over %d slots, the model has %d leaves", len(cb.Slots), meta.NumLeaves)
 								}
 							}
-							checkVotes(t, b, tc.f, m, out, cbs, batch, 0, 0)
+							checkVotes(t, b, tc.f, m, out, cbs, batch, 0)
 							products := int64(meta.LPad())
 							if lanes, groups, _ := meta.LevelLayout(q.PlanesPerCiphertext); lanes*groups > 1 {
 								products++
@@ -313,5 +313,5 @@ func TestBatchedShuffleBGVLeveledKeys(t *testing.T) {
 	if budget <= 0 {
 		t.Fatalf("shuffled result noise budget %d", budget)
 	}
-	checkVotes(t, b, forest, m, shuffled, cbs, batch, 0, 0)
+	checkVotes(t, b, forest, m, shuffled, cbs, batch, 0)
 }

@@ -161,7 +161,7 @@ func TestStrippedCompareRoundsPlaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, cbs, _ := classifyCase(t, &Engine{Backend: b}, m, q)
-	checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), 0)
+	checkVotes(t, b, f, m, out, cbs, batch, 0)
 }
 
 // TestUnplacedMoveRefused: a program whose level pass would need a level
@@ -227,7 +227,7 @@ func TestQueryAtWrongLevelRefused(t *testing.T) {
 		want := min(m.Plan.Compare, b.MaxLevel())
 		e := &Engine{Backend: b}
 		out, cbs, _ := classifyCase(t, e, m, q)
-		checkVotes(t, b, f, m, out, cbs, batch, m.Meta.QueryCapacity(q.PlanesPerCiphertext), 0)
+		checkVotes(t, b, f, m, out, cbs, batch, 0)
 
 		low := *q
 		low.Bits = nil

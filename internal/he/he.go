@@ -267,6 +267,20 @@ func NewPlainAtLevel(b Backend, vals []uint64, level int) (Operand, error) {
 	return Operand{Pt: pt, Vals: padded}, nil
 }
 
+// NewOperandAtLevel stages vals at the given level: encrypted
+// (EncryptAtLevel) when encrypt is set, else a plaintext operand
+// (NewPlainAtLevel).
+func NewOperandAtLevel(b Backend, vals []uint64, encrypt bool, level int) (Operand, error) {
+	if encrypt {
+		ct, err := EncryptAtLevel(b, vals, level)
+		if err != nil {
+			return Operand{}, err
+		}
+		return Cipher(ct), nil
+	}
+	return NewPlainAtLevel(b, vals, level)
+}
+
 // OpCounts tallies primitive FHE operations in the categories of the
 // paper's Table 1: Encrypt, Rotate, Add (ciphertext-ciphertext additions,
 // including subtractions and negations), ConstAdd (plaintext additions),

@@ -170,17 +170,6 @@ func checkSpan(b he.Backend, m *Bool, period, span int) error {
 	return nil
 }
 
-func makeDiagOperand(b he.Backend, vals []uint64, encrypt bool, level int) (he.Operand, error) {
-	if encrypt {
-		ct, err := he.EncryptAtLevel(b, vals, level)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		return he.Cipher(ct), nil
-	}
-	return he.NewPlainAtLevel(b, vals, level)
-}
-
 // PrepareDiagonalsAt builds the operand form of the block-diagonal
 // matrix with mats[k] in the k-th span-aligned slot block, staged for the
 // baby-step/giant-step kernel of the split BSGSSplit(period): diagonal
@@ -279,7 +268,7 @@ func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, sp
 			}
 		}
 		d.Zero[i] = allZero
-		op, err := makeDiagOperand(b, ext, encrypt, level)
+		op, err := he.NewOperandAtLevel(b, ext, encrypt, level)
 		if err != nil {
 			return nil, err
 		}

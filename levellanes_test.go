@@ -121,7 +121,7 @@ func checkLaneMerge(t *testing.T, f *copse.Forest, models []packedModel) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := core.DecodeResultBatch(meta, slots, n, meta.QueryCapacity(q.PlanesPerCiphertext))
+		results, err := core.DecodeResultBatch(meta, slots, n)
 		if err != nil {
 			t.Fatalf("batch of %d: decoding the merged result: %v", n, err)
 		}

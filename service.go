@@ -489,8 +489,7 @@ func (s *Service) classify(ctx context.Context, name string, q *Query, seed uint
 	s.levelOps.Add(int64(trace.LevelOperands))
 	return &EncryptedResult{
 		op:        op,
-		batch:     max(q.Batch, 1),
-		capacity:  m.operands.Meta.QueryCapacity(q.PlanesPerCiphertext),
+		batch:     q.Batch,
 		codebooks: codebooks,
 		model:     m,
 	}, trace, nil
@@ -619,7 +618,7 @@ func (s *Service) DecryptResultBatch(name string, r *EncryptedResult) ([]*Result
 	if r.codebooks != nil {
 		return core.DecodeShuffledBatch(r.codebooks, len(meta.LabelNames), slots, meta.BatchBlock())
 	}
-	return core.DecodeResultBatch(meta, slots, r.batch, r.capacity)
+	return core.DecodeResultBatch(meta, slots, r.batch)
 }
 
 // ClassifyBatch is the end-to-end serving loop: slot-pack the feature
