@@ -20,7 +20,8 @@ type ModelOperands struct {
 	// Thresholds are the p bit planes of the negated thresholds
 	// ¬y = 1 − y, slot-periodic with period QPad: staged negated, the one
 	// ct-ct product of a bit plane is x·¬y = [x > y] itself
-	// (DESIGN.md §13.1).
+	// (DESIGN.md §13.1). A plaintext model's planes are values only
+	// (Vals, no Pt): its programs fold them into constants.
 	Thresholds []he.Operand
 	Reshuffle  *matrix.Diagonals
 	// Levels and Masks are the level matrices and masks stacked into the
@@ -134,7 +135,9 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	// special case. They are staged negated, in every slot, padding
 	// included, once per plane packing: block group j/m of operand j mod m
 	// holds plane j, and a plane past the precision is ¬y = 1 against the
-	// query's x = 0, so it compares equal.
+	// query's x = 0, so it compares equal. A plaintext model's programs
+	// fold the planes into bound constants and load none, so its planes
+	// are staged as values only, neither encoded nor lifted.
 	if len(c.ThresholdBits) == 0 || len(c.ThresholdBits) != c.Meta.Precision {
 		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d threshold bit planes at precision %d", len(c.ThresholdBits), c.Meta.Precision)}
 	}
@@ -156,9 +159,13 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 			}
 		}
 		for _, v := range vals {
-			op, err := he.NewOperandAtLevel(b, v, encModel, m.Plan.Compare)
-			if err != nil {
-				return nil, err
+			op := he.Operand{Vals: v}
+			if encModel {
+				ct, err := he.EncryptAtLevel(b, v, m.Plan.Compare)
+				if err != nil {
+					return nil, err
+				}
+				op = he.Cipher(ct)
 			}
 			m.packings[i].thresholds = append(m.packings[i].thresholds, op)
 		}

@@ -115,10 +115,10 @@ func (m *Bool) Diagonals(period int) ([][]uint64, error) {
 // ~2·√Period instead of the naive kernel's Period−1. The split is
 // BSGSSplit(Period), the one split every matrix is staged with.
 //
-// With a plaintext model the operands are plain and all-zero diagonals
-// may be skipped; with an encrypted model every diagonal is a ciphertext
-// and all must be processed (skipping would leak the branching
-// structure — paper §7.1).
+// With a plaintext model the operands are plain, all-zero diagonals may
+// be skipped, and they share one staged operand; with an encrypted model
+// every diagonal is its own ciphertext and all must be processed
+// (skipping would leak the branching structure — paper §7.1).
 type Diagonals struct {
 	Rows   int
 	Period int
@@ -207,6 +207,15 @@ func checkSpan(b he.Backend, m *Bool, period, span int) error {
 // Meta.LevelPlan): encrypted diagonals are encrypted there directly and
 // plaintext diagonals are pre-lifted there. A negative level (or a
 // backend without levels) stages at the top.
+//
+// Plaintext diagonals that are zero in every block are staged once: the
+// first is encoded and lifted, and every later Ops[i] recorded zero is
+// that same operand. A program that skips zero diagonals never reads them,
+// and one that multiplies every diagonal (the result shuffle, whose
+// permutations change each pass) gets a correct zero product from the
+// shared operand. Encrypted diagonals are each staged on their own: an
+// encrypted model's program multiplies all of them, so that the zero
+// pattern stays hidden (paper §7.1), and each must be a fresh encryption.
 func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, span int, encrypt bool, level int) (*Diagonals, error) {
 	slots := b.Slots()
 	if len(mats) == 0 {
@@ -251,6 +260,7 @@ func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, sp
 	baby, giant := BSGSSplit(period)
 	d := &Diagonals{Rows: rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
 	ext := make([]uint64, slots)
+	var zero *he.Operand // the first all-zero plaintext diagonal
 	for i := 0; i < period; i++ {
 		shift := (i / baby) * baby
 		clear(ext)
@@ -268,11 +278,18 @@ func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, sp
 			}
 		}
 		d.Zero[i] = allZero
+		if allZero && !encrypt && zero != nil {
+			d.Ops = append(d.Ops, *zero)
+			continue
+		}
 		op, err := he.NewOperandAtLevel(b, ext, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
 		d.Ops = append(d.Ops, op)
+		if allZero && !encrypt {
+			zero = &op
+		}
 	}
 	return d, nil
 }

@@ -58,7 +58,22 @@ func FormatString(f *Forest) (string, error) {
 	return sb.String(), nil
 }
 
-// Parse reads a forest in the text serialization format.
+// MaxTreeDepth is the deepest nesting of branch nodes Parse reads. The
+// parser recurses once per nesting level, so the input must not pick how
+// deep its stack grows; a forest the paper's pipeline evaluates is orders
+// of magnitude shallower.
+const MaxTreeDepth = 1024
+
+// DepthError is Parse's refusal of a tree whose branch nodes nest deeper
+// than MaxTreeDepth.
+type DepthError struct{}
+
+func (e *DepthError) Error() string {
+	return fmt.Sprintf("tree nests branch nodes deeper than %d", MaxTreeDepth)
+}
+
+// Parse reads a forest in the text serialization format. A tree nested
+// deeper than MaxTreeDepth is refused with a *DepthError.
 func Parse(r io.Reader) (*Forest, error) {
 	f := &Forest{}
 	sc := bufio.NewScanner(r)
@@ -113,7 +128,7 @@ func ParseString(s string) (*Forest, error) {
 
 func parseTree(s string) (*Node, error) {
 	toks := tokenize(s)
-	node, rest, err := parseNode(toks)
+	node, rest, err := parseNode(toks, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +144,9 @@ func tokenize(s string) []string {
 	return strings.Fields(s)
 }
 
-func parseNode(toks []string) (*Node, []string, error) {
+// parseNode reads the node at the head of toks, depth branch nodes
+// below the root.
+func parseNode(toks []string, depth int) (*Node, []string, error) {
 	if len(toks) == 0 {
 		return nil, nil, fmt.Errorf("unexpected end of tree")
 	}
@@ -143,6 +160,9 @@ func parseNode(toks []string) (*Node, []string, error) {
 	if len(toks) < 5 {
 		return nil, nil, fmt.Errorf("truncated branch node")
 	}
+	if depth == MaxTreeDepth {
+		return nil, nil, &DepthError{}
+	}
 	feature, err := strconv.Atoi(toks[1])
 	if err != nil {
 		return nil, nil, fmt.Errorf("bad feature index %q", toks[1])
@@ -151,11 +171,11 @@ func parseNode(toks []string) (*Node, []string, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("bad threshold %q", toks[2])
 	}
-	left, rest, err := parseNode(toks[3:])
+	left, rest, err := parseNode(toks[3:], depth+1)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, rest, err := parseNode(rest)
+	right, rest, err := parseNode(rest, depth+1)
 	if err != nil {
 		return nil, nil, err
 	}
