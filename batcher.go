@@ -3,7 +3,6 @@ package copse
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -284,31 +283,19 @@ func (a *aggregator) runPass(slices []aggSlice, total int, seed uint64) {
 	if len(live) == 0 {
 		return // everyone left during assembly: skip the pass entirely
 	}
-	fail := func(err error) {
-		for _, sl := range live {
-			sl.w.fail(err)
-		}
-	}
-	// Panic isolation: the pass runs on its own goroutine, so an
-	// unrecovered panic (a poisoned batch, a backend bug) would kill the
-	// process. Fail this pass's waiters with a typed *InternalError
-	// instead; every other pass and waiter proceeds.
-	defer func() {
-		if r := recover(); r != nil {
-			a.svc.panicsRecovered.Add(1)
-			fail(&InternalError{Op: "batcher", Value: r, Stack: debug.Stack()})
-		}
-	}()
 	feats := make([][]uint64, 0, total)
 	for _, sl := range live {
 		feats = append(feats, sl.w.features[sl.lo:sl.hi]...)
 	}
 	// The pass runs under the service's lifetime, not any one waiter's
 	// context: a cancelled waiter abandons its slots, the pass proceeds
-	// for the rest.
+	// for the rest. A panic in it fails this pass's waiters with the
+	// pass's *InternalError; every other pass and waiter proceeds.
 	results, err := a.svc.pass(a.svc.runCtx, a.name, feats, seed)
 	if err != nil {
-		fail(err)
+		for _, sl := range live {
+			sl.w.fail(err)
+		}
 		return
 	}
 	a.svc.aggPasses.Add(1)

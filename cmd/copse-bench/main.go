@@ -52,7 +52,7 @@ func main() {
 		"table2": func() (*experiments.Table, error) { return experiments.Table2(cfg, *opcase) },
 		"table3": func() (*experiments.Table, error) { return experiments.Table3(), nil },
 		"table4": func() (*experiments.Table, error) { return experiments.Table4(), nil },
-		"table5": func() (*experiments.Table, error) { return experiments.Table5(cfg) },
+		"table5": func() (*experiments.Table, error) { return experiments.Table5() },
 		"table6": func() (*experiments.Table, error) { return experiments.Table6() },
 		"fig6":   func() (*experiments.Table, error) { return experiments.Fig6(cfg) },
 		"fig7":   func() (*experiments.Table, error) { return experiments.Fig7(cfg) },

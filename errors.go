@@ -98,7 +98,7 @@ func (e *DeadlineError) Error() string {
 // cannot take down the process (and every other in-flight request) with
 // it. The panic value and stack are preserved for diagnosis.
 type InternalError struct {
-	// Op names where the panic was recovered ("classify", "batcher",
+	// Op names where the panic was recovered ("classify", "pass",
 	// "shard fan-out", ...).
 	Op string
 	// Value is the recovered panic value.

@@ -68,34 +68,21 @@ func TestParams(levels int) Params {
 	return Params{LogN: 11, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
 }
 
-// DemoParams returns a mid-sized set used by the examples and benchmark
-// harness: N=4096 (2048 slots), enough for the paper's real-world models.
-// Security is still below 128 bits at the depths COPSE uses; see DESIGN.md.
-func DemoParams(levels int) Params {
-	return Params{LogN: 12, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
-}
-
-// Secure128Params returns a parameter set whose dimension matches the
-// paper's security parameter of 128 at the multiplicative depths COPSE
-// produces. It is expensive in pure Go and intended for offline runs.
-func Secure128Params(levels int) Params {
-	return Params{LogN: 15, T: 65537, PrimeBits: 55, Levels: levels, DigitBits: 45}
-}
-
 // ParamsForSlots returns the parameter set whose ring packs the given
 // slot count, sized to the given chain length: a compiled model's
 // Meta.Slots picks its ring, and this is the only table that maps one to
-// the other.
+// the other. 1024 slots is TestParams' ring; 2048 (N = 4096) is enough for
+// the paper's real-world models, still below 128-bit security at the
+// depths COPSE uses; 16384 (N = 2^15) matches the paper's security
+// parameter of 128 and is expensive in pure Go (DESIGN.md §2).
 func ParamsForSlots(slots, levels int) (Params, error) {
-	switch slots {
-	case 1024:
-		return TestParams(levels), nil
-	case 2048:
-		return DemoParams(levels), nil
-	case 16384:
-		return Secure128Params(levels), nil
+	logN, ok := map[int]int{1024: 11, 2048: 12, 16384: 15}[slots]
+	if !ok {
+		return Params{}, fmt.Errorf("bgv: no ring with %d slots; compile with Slots 1024, 2048 or 16384", slots)
 	}
-	return Params{}, fmt.Errorf("bgv: no ring with %d slots; compile with Slots 1024, 2048 or 16384", slots)
+	p := TestParams(levels)
+	p.LogN = logN
+	return p, nil
 }
 
 // Parameters is an instantiated parameter set: the ring context plus

@@ -1,12 +1,14 @@
-// Package experiments implements the reproduction harness: one runner
-// per table and figure of the paper's evaluation section (§8). The same
-// runners back the `copse-bench` command and the benchmarks in
-// bench_test.go. Performance tracking is a separate harness, `go run
-// ./bench`.
+// Package experiments implements the reproduction harness behind
+// `copse-bench`: one runner per table and figure of the paper's
+// evaluation section (§8). Tables 1, 2 and 5 read what the compiler knows
+// — a program's bill, a plan's chain — and run no pass; Figures 6–9 are
+// one routine comparing two sides query by query. Performance tracking is
+// a separate harness, `go run ./bench`.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"copse/internal/model"
 	"copse/internal/synth"
@@ -39,22 +41,9 @@ type Config struct {
 	Models []string
 }
 
-// filterCases applies cfg.Models.
+// filterCases applies cfg.Models, in place.
 func filterCases(cfg Config, cases []Case) []Case {
-	if len(cfg.Models) == 0 {
-		return cases
-	}
-	keep := map[string]bool{}
-	for _, m := range cfg.Models {
-		keep[m] = true
-	}
-	var out []Case
-	for _, c := range cases {
-		if keep[c.Name] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.DeleteFunc(cases, func(c Case) bool { return len(cfg.Models) > 0 && !slices.Contains(cfg.Models, c.Name) })
 }
 
 func (c Config) withDefaults() Config {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"copse"
 	"copse/internal/he"
+	"copse/internal/model"
 )
 
 // fastCfg keeps harness tests quick: clear backend, few queries, small
@@ -78,13 +81,14 @@ func TestFig6ShapeHolds(t *testing.T) {
 }
 
 // TestFig9ShapeHolds: plaintext models must not be slower than encrypted
-// ones. The geomean of the figure is held on the wall clock — the
-// real-world models carry it several-fold clear of the threshold. Model by
-// model the claim is held on the op counts of one traced query instead: on
-// the clear backend every op is one pass over the slot vector, and a lone
-// query of a Table 6 model is about a hundred of them either way (its
-// levels share one mat-vec), under a millisecond and too short to time
-// while other packages' tests share the cores.
+// ones. The geomean over the figure's models is held on the wall clock —
+// the real-world models carry it several-fold clear of the threshold.
+// Model by model the claim is held on the bills of the lone-query programs
+// of both model encryptions instead, which are the op counts a pass of
+// each reports: on the clear backend every op is one pass over the slot
+// vector, and a lone query of a Table 6 model is about a hundred of them
+// either way (its levels share one mat-vec), under a millisecond and too
+// short to time while other packages' tests share the cores.
 func TestFig9ShapeHolds(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Queries = 7
@@ -93,9 +97,15 @@ func TestFig9ShapeHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRendered(t, tbl)
-	geomean := tbl.Rows[len(tbl.Rows)-1]
-	if sp := parseSpeedup(t, geomean[3]); geomean[0] != "geomean" || sp < 0.95 {
-		t.Errorf("%s: plaintext models slower than encrypted (%.2fx)", geomean[0], sp)
+	var ratios []float64
+	for _, row := range tbl.Rows[:len(tbl.Rows)-2] {
+		ratios = append(ratios, parseSpeedup(t, row[3]))
+	}
+	if micro, rw := tbl.Rows[len(tbl.Rows)-2][0], tbl.Rows[len(tbl.Rows)-1][0]; micro != "geomean micro" || rw != "geomean real-world" {
+		t.Errorf("last rows %q, %q, want the micro and real-world geomeans", micro, rw)
+	}
+	if sp := geomean(ratios); sp < 0.95 {
+		t.Errorf("plaintext models slower than encrypted (geomean %.2fx)", sp)
 	}
 	cases, err := AllCases(cfg.withDefaults())
 	if err != nil {
@@ -103,18 +113,12 @@ func TestFig9ShapeHolds(t *testing.T) {
 	}
 	for _, cs := range cases {
 		var ops [2]he.OpCounts
-		for i, scenario := range []copse.Scenario{copse.ScenarioServerModel, copse.ScenarioOffload} {
-			r, err := newCopseRunner(cs, cfg, 1, scenario)
+		for i, encModel := range []bool{false, true} {
+			bills, _, err := programBill(cs, encModel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, traces, err := r.run(1, cfg.Seed)
-			r.close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := traces[0]
-			ops[i] = tr.CompareOps.Plus(tr.ReshuffleOps).Plus(tr.LevelOps).Plus(tr.AccumulateOps)
+			ops[i] = sumBills(bills)
 		}
 		vectorOps := func(o he.OpCounts) int64 { return o.Rotate + o.Add + o.ConstAdd + o.Mul + o.ConstMul }
 		plain, enc := ops[0], ops[1]
@@ -122,6 +126,111 @@ func TestFig9ShapeHolds(t *testing.T) {
 			t.Errorf("%s: plaintext model runs %d ops (%d ciphertext products), encrypted model %d (%d)",
 				cs.Name, vectorOps(plain), plain.Mul, vectorOps(enc), enc.Mul)
 		}
+	}
+}
+
+// fakeSide answers with the plaintext walk's labels, wrong ones from
+// query wrongAt on (never when negative), taking the next of its
+// durations per call and logging its name in calls.
+type fakeSide struct {
+	name    string
+	forest  *model.Forest
+	took    []time.Duration
+	wrongAt int
+	calls   *[]string
+	closed  *int
+}
+
+func (f *fakeSide) classify(feats []uint64) ([]int, time.Duration, error) {
+	n := len(*f.calls)
+	*f.calls = append(*f.calls, f.name)
+	labels := f.forest.Classify(feats)
+	if q := n / 2; f.wrongAt >= 0 && q >= f.wrongAt {
+		labels[0]++
+	}
+	d := f.took[0]
+	f.took = f.took[1:]
+	return labels, d, nil
+}
+
+func (f *fakeSide) close() { *f.closed++ }
+
+// TestComparisonRoutine drives the one routine of Figures 6–9 with two
+// fake sides of known durations: the first call of each is the warm-up,
+// slow enough to move any median it joined; the rounds alternate which
+// side goes first; the medians (of an even count), speedups and geomean
+// rows are exact; and a wrong label is an error naming the side, the case
+// and the query.
+func TestComparisonRoutine(t *testing.T) {
+	micro, err := MicroCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := micro[7]
+	rw.RealWorld = true
+	cases := []Case{micro[0], rw}
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	// Per case, the fast side's then the slow side's durations, warm-up
+	// first: medians 2.5 ms and 7.5 ms on depth4, 2 ms and 10 ms on the
+	// real-world stand-in.
+	durations := map[string][2][]time.Duration{
+		micro[0].Name: {ms(100, 1, 2, 3, 4), ms(1, 3, 6, 9, 12)},
+		rw.Name:       {ms(1000, 2, 2, 2, 2), ms(1, 10, 10, 10, 10)},
+	}
+	var calls []string
+	closed := 0
+	open := func(name string, col int, wrongAt int) opener {
+		return func(cs Case) (side, error) {
+			return &fakeSide{name: name, forest: cs.Forest, took: durations[cs.Name][col],
+				wrongAt: wrongAt, calls: &calls, closed: &closed}, nil
+		}
+	}
+	c := comparison{
+		title: "fake",
+		names: [2]string{"fast", "slow"},
+		open:  [2]opener{open("fast", 0, -1), open("slow", 1, -1)},
+		note:  "note",
+	}
+	cfg := Config{Queries: 4, Seed: 3}
+	tbl, err := c.run(cfg, cases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"depth4", "2.50", "7.50", "3.00x"},
+		{rw.Name, "2.00", "10.00", "5.00x"},
+		{"geomean micro", "", "", "3.00x"},
+		{"geomean real-world", "", "", "5.00x"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("rows %v, want %v", tbl.Rows, want)
+	}
+	if want := []string{"model", "fast(ms)", "slow(ms)", "speedup"}; !reflect.DeepEqual(tbl.Header, want) {
+		t.Errorf("header %v, want %v", tbl.Header, want)
+	}
+	// Warm-up in the fast-first order, then the rounds alternating.
+	order := []string{"fast", "slow", "slow", "fast", "fast", "slow", "slow", "fast", "fast", "slow"}
+	if wantCalls := append(slices.Clone(order), order...); !reflect.DeepEqual(calls, wantCalls) {
+		t.Errorf("call order %v, want %v", calls, wantCalls)
+	}
+	if closed != 4 {
+		t.Errorf("%d sides closed, want 4", closed)
+	}
+
+	calls, closed = nil, 0
+	c.names[1], c.open[1] = "liar", open("liar", 1, 2)
+	_, err = c.run(cfg, cases)
+	if err == nil || !strings.Contains(err.Error(), "liar on depth4, query 2:") {
+		t.Errorf("wrong answer returned %v, want an error naming liar, depth4 and query 2", err)
+	}
+	if closed != 2 {
+		t.Errorf("%d sides closed after the error, want 2", closed)
 	}
 }
 
@@ -161,16 +270,16 @@ func TestTables1And2(t *testing.T) {
 	}
 	// The BSGS kernel must beat the paper's naive d·b rotation count:
 	// the baby steps are shared across levels and each level only pays
-	// its giant steps, so the measured count sits well below d·b.
+	// its giant steps, so the program's count sits well below d·b.
 	for _, row := range t1.Rows {
 		if row[0] == "levels(xd)" && row[1] == "Rotate" {
 			paperVal, err1 := strconv.Atoi(row[3])
-			measured, err2 := strconv.Atoi(row[4])
+			program, err2 := strconv.Atoi(row[4])
 			if err1 != nil || err2 != nil {
 				t.Fatalf("bad row %v", row)
 			}
-			if measured <= 0 || measured >= paperVal {
-				t.Errorf("BSGS level rotations %d not below the paper's naive %d", measured, paperVal)
+			if program <= 0 || program >= paperVal {
+				t.Errorf("BSGS level rotations %d not below the paper's naive %d", program, paperVal)
 			}
 		}
 	}
@@ -192,6 +301,37 @@ func TestTable3And4(t *testing.T) {
 	checkRendered(t, t4)
 	if t4.Rows[1][1] != "everything" || t4.Rows[2][3] != "everything" {
 		t.Errorf("Table 4 collusion columns wrong: %v", t4.Rows)
+	}
+}
+
+// TestTable5 holds the parameter table to the plans it reads: per Table 6
+// model, the encrypted model's row then the plaintext model's, each chain
+// Meta.ChainLevels primes long with ⌈levels/3⌉ key-switch digits at its
+// top.
+func TestTable5(t *testing.T) {
+	tbl, err := Table5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRendered(t, tbl)
+	micro, err := MicroCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 2*len(micro) {
+		t.Fatalf("Table 5 rows: %d, want %d", len(tbl.Rows), 2*len(micro))
+	}
+	for i, row := range tbl.Rows {
+		cs := micro[i/2]
+		compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: cs.Slots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := compiled.Meta.ChainLevels(i%2 == 0)
+		want := []string{cs.Name, [...]string{"encrypted", "plaintext"}[i%2], "11", strconv.Itoa(levels)}
+		if !reflect.DeepEqual(row[:4], want) || row[6] != strconv.Itoa((levels+2)/3) {
+			t.Errorf("row %v, want %v … %d digits", row, want, (levels+2)/3)
+		}
 	}
 }
 
@@ -223,6 +363,9 @@ func TestTable6(t *testing.T) {
 func TestMedianAndGeomean(t *testing.T) {
 	if m := median([]time.Duration{3, 1, 2}); m != 2 {
 		t.Errorf("median = %v", m)
+	}
+	if m := median([]time.Duration{4, 1, 3, 2}); m != 2 {
+		t.Errorf("median of an even count = %v, want the mean of the middle two", m)
 	}
 	if m := median(nil); m != 0 {
 		t.Errorf("median(nil) = %v", m)

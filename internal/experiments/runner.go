@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"time"
 
 	"copse"
@@ -12,15 +13,26 @@ import (
 	"copse/internal/he"
 )
 
-// copseRunner owns one COPSE service serving a benchmark case under the
-// case's name.
-type copseRunner struct {
-	cs  Case
-	svc *copse.Service
+// A side is one of the two systems a figure compares, opened on one case.
+// classify answers one query with its per-tree labels and the time the
+// answer took, encryption and decryption left out.
+type side interface {
+	classify(feats []uint64) ([]int, time.Duration, error)
+	close()
 }
 
-func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (*copseRunner, error) {
-	cfg = cfg.withDefaults()
+// An opener opens one side of a comparison on a case.
+type opener func(Case) (side, error)
+
+// copseSide serves a case on a COPSE service under the case's name; trace
+// is the stage trace of its last pass.
+type copseSide struct {
+	cs    Case
+	svc   *copse.Service
+	trace *copse.Trace
+}
+
+func newCopseSide(cs Case, cfg Config, workers int, scenario copse.Scenario) (*copseSide, error) {
 	compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: cs.Slots})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: compiling %s: %w", cs.Name, err)
@@ -35,107 +47,98 @@ func newCopseRunner(cs Case, cfg Config, workers int, scenario copse.Scenario) (
 		_ = svc.Close()
 		return nil, fmt.Errorf("experiments: service for %s: %w", cs.Name, err)
 	}
-	return &copseRunner{cs: cs, svc: svc}, nil
+	return &copseSide{cs: cs, svc: svc}, nil
 }
 
-// close stops the service (its batcher goroutines, when the
-// configuration has any).
-func (r *copseRunner) close() {
-	_ = r.svc.Close()
+// openCopse opens a COPSE side of the given workers and scenario.
+func openCopse(cfg Config, workers int, scenario copse.Scenario) opener {
+	return func(cs Case) (side, error) { return newCopseSide(cs, cfg, workers, scenario) }
 }
 
-// run executes `queries` random inference queries, returning the Classify
-// wall times and stage traces. Every result is verified against the
-// plaintext tree walk; a mismatch is an error (the harness doubles as an
-// integration test).
-func (r *copseRunner) run(queries int, seed uint64) ([]time.Duration, []*copse.Trace, error) {
-	rng := rand.New(rand.NewPCG(seed, 0xf00d))
-	var times []time.Duration
-	var traces []*copse.Trace
-	for qi := 0; qi < queries; qi++ {
-		feats := randomFeatures(rng, r.cs.Forest.NumFeatures, r.cs.Forest.Precision)
-		query, err := r.svc.EncryptQuery(r.cs.Name, feats)
-		if err != nil {
-			return nil, nil, err
-		}
-		start := time.Now()
-		enc, trace, err := r.svc.Classify(context.Background(), r.cs.Name, query)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: %s query %d: %w", r.cs.Name, qi, err)
-		}
-		times = append(times, time.Since(start))
-		traces = append(traces, trace)
-		res, err := r.svc.DecryptResult(r.cs.Name, enc)
-		if err != nil {
-			return nil, nil, err
-		}
-		want := r.cs.Forest.Classify(feats)
-		for ti := range want {
-			if res.PerTree[ti] != want[ti] {
-				return nil, nil, fmt.Errorf("experiments: %s query %d tree %d: secure %d != plaintext %d",
-					r.cs.Name, qi, ti, res.PerTree[ti], want[ti])
-			}
-		}
+func (s *copseSide) classify(feats []uint64) ([]int, time.Duration, error) {
+	query, err := s.svc.EncryptQuery(s.cs.Name, feats)
+	if err != nil {
+		return nil, 0, err
 	}
-	return times, traces, nil
+	start := time.Now()
+	enc, trace, err := s.svc.Classify(context.Background(), s.cs.Name, query)
+	took := time.Since(start)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.trace = trace
+	res, err := s.svc.DecryptResult(s.cs.Name, enc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.PerTree, took, nil
 }
 
-// baselineRunner owns one instantiated Aloufi-et-al. system.
-type baselineRunner struct {
-	cs      Case
+func (s *copseSide) close() { _ = s.svc.Close() }
+
+// baselineSide is one instantiated Aloufi-et-al. system.
+type baselineSide struct {
 	model   *baseline.Model
 	workers int
 }
 
-func newBaselineRunner(cs Case, cfg Config, workers int) (*baselineRunner, error) {
-	cfg = cfg.withDefaults()
-	m, err := baseline.Prepare(cs.Forest, cs.Slots, cfg.Backend, cfg.Seed+7)
+// openBaseline opens a baseline side of the given workers.
+func openBaseline(cfg Config, workers int) opener {
+	return func(cs Case) (side, error) {
+		m, err := baseline.Prepare(cs.Forest, cs.Slots, cfg.Backend, cfg.Seed+7)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: baseline prepare %s: %w", cs.Name, err)
+		}
+		return &baselineSide{model: m, workers: workers}, nil
+	}
+}
+
+func (s *baselineSide) classify(feats []uint64) ([]int, time.Duration, error) {
+	query, err := baseline.PrepareQuery(s.model.Backend, &s.model.Meta, feats)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: baseline prepare %s: %w", cs.Name, err)
+		return nil, 0, err
 	}
-	return &baselineRunner{cs: cs, model: m, workers: workers}, nil
+	start := time.Now()
+	out, _, err := baseline.Classify(context.Background(), s.model, query, s.workers)
+	took := time.Since(start)
+	if err != nil {
+		return nil, 0, err
+	}
+	slots, err := he.Reveal(s.model.Backend, out)
+	if err != nil {
+		return nil, 0, err
+	}
+	labels, err := baseline.DecodeResult(&s.model.Meta, slots)
+	return labels, took, err
 }
 
-func (r *baselineRunner) run(queries int, seed uint64) ([]time.Duration, error) {
-	rng := rand.New(rand.NewPCG(seed, 0xbead))
-	var times []time.Duration
-	for qi := 0; qi < queries; qi++ {
-		feats := randomFeatures(rng, r.cs.Forest.NumFeatures, r.cs.Forest.Precision)
-		query, err := baseline.PrepareQuery(r.model.Backend, &r.model.Meta, feats)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		out, _, err := baseline.Classify(context.Background(), r.model, query, r.workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: baseline %s query %d: %w", r.cs.Name, qi, err)
-		}
-		times = append(times, time.Since(start))
-		slots, err := he.Reveal(r.model.Backend, out)
-		if err != nil {
-			return nil, err
-		}
-		got, err := baseline.DecodeResult(&r.model.Meta, slots)
-		if err != nil {
-			return nil, err
-		}
-		want := r.cs.Forest.Classify(feats)
-		for ti := range want {
-			if got[ti] != want[ti] {
-				return nil, fmt.Errorf("experiments: baseline %s query %d tree %d: %d != %d",
-					r.cs.Name, qi, ti, got[ti], want[ti])
-			}
-		}
+func (s *baselineSide) close() {}
+
+// answer has side s, named name, classify query q of case cs and checks
+// its labels against the plaintext tree walk: the harness doubles as an
+// integration test. Query 0 is a round's warm-up.
+func answer(s side, name string, cs Case, q int, feats []uint64) (time.Duration, error) {
+	got, took, err := s.classify(feats)
+	if want := cs.Forest.Classify(feats); err == nil && !slices.Equal(got, want) {
+		err = fmt.Errorf("labels %v, plaintext walk %v", got, want)
 	}
-	return times, nil
+	if err != nil {
+		return 0, fmt.Errorf("experiments: %s on %s, query %d: %w", name, cs.Name, q, err)
+	}
+	return took, nil
 }
 
-func randomFeatures(r *rand.Rand, n, precision int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.Uint64N(1 << uint(precision))
+// queryStream draws the feature vectors of a case's queries, the same
+// for every side and every figure under one seed.
+func queryStream(cfg Config, cs Case) func() []uint64 {
+	rng := rand.New(rand.NewPCG(cfg.Seed, 0xf00d))
+	return func() []uint64 {
+		out := make([]uint64, cs.Forest.NumFeatures)
+		for i := range out {
+			out[i] = rng.Uint64N(1 << uint(cs.Forest.Precision))
+		}
+		return out
 	}
-	return out
 }
 
 func log2Ceil(n int) int {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -72,14 +72,15 @@ func speedup(base, improved time.Duration) string {
 	return fmt.Sprintf("%.2fx", float64(base)/float64(improved))
 }
 
-// median returns the median of the samples.
+// median returns the median of the samples: the middle one of an odd
+// count, the mean of the two middle ones of an even count.
 func median(samples []time.Duration) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
+	s := slices.Sorted(slices.Values(samples))
+	n := len(s)
+	return (s[(n-1)/2] + s[n/2]) / 2
 }
 
 // geomean returns the geometric mean of positive ratios.

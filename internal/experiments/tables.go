@@ -2,60 +2,39 @@ package experiments
 
 import (
 	"fmt"
-	"time"
+	"math/big"
+	"strings"
 
 	"copse"
 	"copse/internal/bgv"
+	"copse/internal/ring"
 	"copse/internal/synth"
 )
 
 // Table3 renders the two-party leakage table (paper Table 3) from the
 // executable leakage model.
 func Table3() *Table {
-	t := &Table{
-		Title:  "Table 3: data revealed to each notional party, two-party configurations",
-		Header: []string{"scenario", "revealed to S", "revealed to M", "revealed to D"},
-	}
-	rows := []struct {
-		name string
-		s    copse.Scenario
-	}{
-		{"S, M=D (offload)", copse.ScenarioOffload},
-		{"S=M, D (server model)", copse.ScenarioServerModel},
-		{"S=D, M (client eval)", copse.ScenarioClientEval},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.name,
-			leakString(copse.Revealed(r.s, copse.PartyServer)),
-			leakString(copse.Revealed(r.s, copse.PartyModelOwner)),
-			leakString(copse.Revealed(r.s, copse.PartyDataOwner)),
-		})
-	}
-	return t
+	return leakTable("Table 3: data revealed to each notional party, two-party configurations",
+		[]string{"S, M=D (offload)", "S=M, D (server model)", "S=D, M (client eval)"},
+		[]copse.Scenario{copse.ScenarioOffload, copse.ScenarioServerModel, copse.ScenarioClientEval})
 }
 
 // Table4 renders the three-party leakage table (paper Table 4).
 func Table4() *Table {
-	t := &Table{
-		Title:  "Table 4: data revealed to each party, three-party configurations",
-		Header: []string{"scenario", "revealed to S", "revealed to M", "revealed to D"},
-	}
-	rows := []struct {
-		name string
-		s    copse.Scenario
-	}{
-		{"no collusion", copse.ScenarioThreeParty},
-		{"S colludes with M", copse.ScenarioColludeSM},
-		{"S colludes with D", copse.ScenarioColludeSD},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.name,
-			leakString(copse.Revealed(r.s, copse.PartyServer)),
-			leakString(copse.Revealed(r.s, copse.PartyModelOwner)),
-			leakString(copse.Revealed(r.s, copse.PartyDataOwner)),
-		})
+	return leakTable("Table 4: data revealed to each party, three-party configurations",
+		[]string{"no collusion", "S colludes with M", "S colludes with D"},
+		[]copse.Scenario{copse.ScenarioThreeParty, copse.ScenarioColludeSM, copse.ScenarioColludeSD})
+}
+
+// leakTable renders what each party learns under each scenario.
+func leakTable(title string, names []string, scenarios []copse.Scenario) *Table {
+	t := &Table{Title: title, Header: []string{"scenario", "revealed to S", "revealed to M", "revealed to D"}}
+	for i, s := range scenarios {
+		row := []string{names[i]}
+		for _, party := range []copse.Party{copse.PartyServer, copse.PartyModelOwner, copse.PartyDataOwner} {
+			row = append(row, leakString(copse.Revealed(s, party)))
+		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -64,90 +43,75 @@ func leakString(l copse.Leakage) string {
 	if l.Everything {
 		return "everything"
 	}
-	out := ""
-	appendIf := func(cond bool, s string) {
-		if cond {
-			if out != "" {
-				out += ", "
-			}
-			out += s
+	var out []string
+	for _, f := range []struct {
+		revealed bool
+		name     string
+	}{{l.Q, "q"}, {l.B, "b"}, {l.K, "K"}, {l.D, "d"}} {
+		if f.revealed {
+			out = append(out, f.name)
 		}
 	}
-	appendIf(l.Q, "q")
-	appendIf(l.B, "b")
-	appendIf(l.K, "K")
-	appendIf(l.D, "d")
-	if out == "" {
+	if len(out) == 0 {
 		return "∅"
 	}
-	return out
+	return strings.Join(out, ", ")
 }
 
-// Table5 reinterprets the paper's encryption-parameter study (Table 5:
-// security parameter 128, 400 modulus bits, 3 key-switching columns in
-// HElib) for the pure-Go BGV substrate: it sweeps the chain length
-// around the compiler's recommendation and reports timing and remaining
-// noise budget, identifying the smallest working chain.
-func Table5(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
+// Table5 is the paper's encryption-parameter table (Table 5: security
+// 128, 400 modulus bits, 3 key-switching columns in HElib) for the pure-Go
+// BGV substrate. Per Table 6 model and model encryption it prints the ring
+// the model's slots pick, the chain its level plan needs
+// (Meta.ChainLevels), the bits of the ciphertext modulus Q and of the
+// key-switching modulus P on that chain, and the key-switch digits at its
+// top. All of it is fixed at compile time: no service is built and no
+// pass runs.
+func Table5() (*Table, error) {
 	micro, err := MicroCases()
 	if err != nil {
 		return nil, err
 	}
-	cs := micro[0] // depth4
-	compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: 1024})
-	if err != nil {
-		return nil, err
-	}
-	rec := compiled.Meta.RecommendedLevels
 	t := &Table{
-		Title:  fmt.Sprintf("Table 5: BGV parameter sweep on %s (recommended levels = %d)", cs.Name, rec),
-		Header: []string{"levels", "logN", "modulus bits", "median(ms)", "status"},
+		Title:  "Table 5: BGV parameters of each model's level plan",
+		Header: []string{"model", "model encryption", "logN", "chain primes", "Q bits", "P bits", "key-switch digits"},
 	}
-	for _, levels := range []int{rec - 4, rec - 2, rec, rec + 2} {
-		if levels < 2 {
-			continue
-		}
-		status := "ok"
-		var med time.Duration
-		svc := copse.NewService(copse.WithBackend(copse.BackendBGV), copse.WithLevels(levels),
-			copse.WithWorkers(defaultWorkers(cfg)), copse.WithSeed(cfg.Seed+3))
-		if err := svc.Register(cs.Name, compiled); err != nil {
-			status = "setup failed: " + err.Error()
-		} else {
-			r := &copseRunner{cs: cs, svc: svc}
-			times, _, err := r.run(min(cfg.Queries, 3), cfg.Seed)
-			if err != nil {
-				status = "failed: " + truncate(err.Error(), 40)
-			} else {
-				med = median(times)
-			}
-		}
-		_ = svc.Close()
-		params, err := bgv.ParamsForSlots(compiled.Meta.Slots, levels)
+	for _, cs := range micro {
+		compiled, err := copse.Compile(cs.Forest, copse.CompileOptions{Slots: cs.Slots})
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(levels),
-			fmt.Sprint(params.LogN),
-			fmt.Sprint(levels * params.PrimeBits),
-			ms(med),
-			status,
-		})
+		for _, encModel := range []bool{true, false} {
+			levels := compiled.Meta.ChainLevels(encModel)
+			p, err := bgv.ParamsForSlots(cs.Slots, levels)
+			if err != nil {
+				return nil, err
+			}
+			params, err := bgv.NewParameters(p)
+			if err != nil {
+				return nil, err
+			}
+			top := params.MaxLevel()
+			bigP := big.NewInt(1)
+			for _, m := range params.RingCtx.QP(top).Moduli[top+1:] {
+				bigP.Mul(bigP, new(big.Int).SetUint64(m.Q))
+			}
+			t.Rows = append(t.Rows, []string{
+				cs.Name,
+				map[bool]string{true: "encrypted", false: "plaintext"}[encModel],
+				fmt.Sprint(p.LogN),
+				fmt.Sprint(levels),
+				fmt.Sprint(params.QBits(top)),
+				fmt.Sprint(bigP.BitLen()),
+				fmt.Sprint(ring.HybridDigits(top)),
+			})
+		}
 	}
 	t.Notes = append(t.Notes,
 		"paper Table 5 (HElib): security 128, 400 modulus bits, 3 key-switching columns",
 		"our substrate needs deeper chains because the Z_t bit encoding adds multiplications (DESIGN.md §3)",
+		"logN 11 is a test ring, far below 128-bit security at these moduli (DESIGN.md §2)",
 	)
 	return t, nil
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 // Table6 regenerates the microbenchmark specification table.

@@ -32,8 +32,30 @@ func chaosService(t *testing.T, seed uint64, cfg chaos.Config, opts ...copse.Opt
 
 // TestServicePanicIsolation: a panicking backend op must surface as a
 // typed *copse.InternalError on the one request that hit it — never
-// crash the process or poison the service for later requests.
+// crash the process or poison the service for later requests. A panic in
+// decryption, the step of a pass after encrypt and classify, is the same
+// counted error with the dynamic batcher and without.
 func TestServicePanicIsolation(t *testing.T) {
+	for _, path := range []struct {
+		name string
+		opts []copse.Option
+	}{{"decrypt/direct", nil}, {"decrypt/batcher", []copse.Option{copse.WithBatchWindow(time.Millisecond)}}} {
+		t.Run(path.name, func(t *testing.T) {
+			decryptPanics := chaos.Config{PerOp: map[chaos.Op]chaos.Rates{chaos.OpDecrypt: {Panic: 1}}}
+			_, svc, sched := chaosService(t, 7, decryptPanics, path.opts...)
+			defer svc.Close()
+			sched.Arm(true)
+			_, err := svc.ClassifyBatch(context.Background(), "m", [][]uint64{{1, 2, 3}})
+			var ie *copse.InternalError
+			if !errors.As(err, &ie) {
+				t.Fatalf("classify under a decryption panic returned %v (%T), want *copse.InternalError", err, err)
+			}
+			if st := svc.Stats(); st.PanicsRecovered != 1 {
+				t.Errorf("%d panics recovered, want 1", st.PanicsRecovered)
+			}
+		})
+	}
+
 	f, svc, sched := chaosService(t, 7, chaos.Config{Default: chaos.Rates{Panic: 1}})
 	defer svc.Close()
 

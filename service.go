@@ -672,8 +672,10 @@ func (s *Service) ClassifyBatch(ctx context.Context, name string, batch [][]uint
 // caller reserved, decrypt and decode. The query and the result are the
 // pass's own: they go back to the backend's pool once the pass no longer
 // needs them (DESIGN.md §6.4). ClassifyBatch and the dynamic batcher both
-// run their passes here.
-func (s *Service) pass(ctx context.Context, name string, feats [][]uint64, seed uint64) ([]*Result, error) {
+// run their passes here, so a panic anywhere in one, decryption included,
+// is the same counted *InternalError on either path.
+func (s *Service) pass(ctx context.Context, name string, feats [][]uint64, seed uint64) (_ []*Result, err error) {
+	defer s.isolate("pass", &err)
 	q, err := s.EncryptQueryBatch(name, feats)
 	if err != nil {
 		return nil, err
