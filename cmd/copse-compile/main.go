@@ -1,13 +1,11 @@
 // Command copse-compile is the COPSE staging compiler: it reads a
 // decision-forest model in the text format, restructures it into the
-// vectorizable form of the paper's §4.2, and writes a compiled artifact.
-// With -emit it additionally generates a standalone Go program
-// specialized to the model (the analogue of the paper's generated C++).
+// vectorizable form of the paper's §4.2, and writes a compiled artifact,
+// which copse-run and copse-serve load and run.
 //
 // Usage:
 //
 //	copse-compile -model income5.forest -out income5.copse
-//	copse-compile -model income5.forest -slots 2048 -emit main.go
 //	copse-compile -model income5.forest -out income5.copse -shards 2
 //
 // With -shards K the compiled forest is additionally split tree-wise
@@ -38,7 +36,6 @@ func main() {
 	padK := flag.Int("padk", 0, "pad feature multiplicity to this bound instead of revealing exact K (0 = exact)")
 	planShuffle := flag.Bool("planshuffle", false, "reserve level headroom for result shuffling (required to serve the artifact with copse-serve -shuffle)")
 	out := flag.String("out", "", "output artifact path")
-	emit := flag.String("emit", "", "also emit a standalone Go program to this path")
 	shards := flag.Int("shards", 0, "also split the forest tree-wise into this many shard artifacts plus a merge manifest, derived from -out (cluster serving, DESIGN.md §12)")
 	flag.Parse()
 
@@ -145,7 +142,7 @@ func main() {
 			if err := w.Close(); err != nil {
 				log.Fatal(err)
 			}
-			r := manifest.Ranges[i]
+			r := piece.Shard
 			fmt.Fprintf(os.Stderr, "wrote shard %s (trees %d..%d)\n", path, r.TreeStart, r.TreeEnd-1)
 		}
 		mpath := stem + ".manifest.json"
@@ -161,20 +158,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote merge manifest %s (%d shards, chain %d levels)\n", mpath, manifest.Shards, manifest.Meta.ChainLevels(false))
 	}
-	if *emit != "" {
-		w, err := os.Create(*emit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := copse.GenerateProgram(w, compiled); err != nil {
-			log.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "emitted program %s\n", *emit)
-	}
-	if *out == "" && *emit == "" {
+	if *out == "" {
 		if err := copse.WriteArtifact(os.Stdout, compiled); err != nil {
 			log.Fatal(err)
 		}

@@ -84,9 +84,9 @@ type (
 	Party = core.Party
 	// Leakage describes what a party learns in a scenario.
 	Leakage = core.Leakage
-	// PlanInfeasibleError is the load-time refusal of a model without a
-	// feasible level plan: Compile's and ReadArtifact's when the planner
-	// finds none, Service.Register's when the stored plan is one its op
+	// PlanInfeasibleError is the refusal of a model without a feasible
+	// level plan: Compile's and ShardForest's when the planner finds
+	// none, Service.Register's when the stored plan is one its op
 	// program cannot run under (a stale or hand-edited artifact) — an
 	// error instead of a garbage label.
 	PlanInfeasibleError = core.PlanInfeasibleError
@@ -152,8 +152,9 @@ type (
 	// ShardInfo locates one shard inside its parent forest.
 	ShardInfo = core.ShardInfo
 	// ShardManifest is the merge manifest of a sharded forest: the
-	// shared key contract (chain length, rotation-step union) plus the
-	// global Meta and per-shard ranges a gateway merges through.
+	// parent's Meta, whose level plan is the key contract every worker
+	// shares and through which a gateway encrypts queries and decodes
+	// merged results.
 	ShardManifest = core.ShardManifest
 )
 
@@ -173,12 +174,6 @@ func WriteManifest(w io.Writer, m *ShardManifest) error { return m.WriteManifest
 
 // ReadManifest deserializes a shard manifest.
 func ReadManifest(r io.Reader) (*ShardManifest, error) { return core.ReadManifest(r) }
-
-// GenerateProgram emits a standalone Go program specialized to the
-// compiled model — the staging-compiler output of the paper's §5
-// (there it is C++ linking the runtime; here it is Go driving this
-// package's API).
-func GenerateProgram(w io.Writer, c *Compiled) error { return core.GenerateProgram(w, c) }
 
 // BackendKind selects the homomorphic backend.
 type BackendKind int

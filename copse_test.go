@@ -3,9 +3,6 @@ package copse_test
 import (
 	"bytes"
 	"context"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -207,47 +204,5 @@ func TestLeakagePublicAPI(t *testing.T) {
 	l := copse.Revealed(copse.ScenarioOffload, copse.PartyServer)
 	if !l.Q || !l.B || !l.D || l.K || l.Everything {
 		t.Errorf("offload server leakage: %+v", l)
-	}
-}
-
-// TestGeneratedProgramBuildsAndRuns compiles the staging compiler's
-// generated Go program in a scratch module and executes an inference
-// with it — the full §5 story.
-func TestGeneratedProgramBuildsAndRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles a generated program")
-	}
-	repoRoot, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := compileExample(t, 64)
-	dir := t.TempDir()
-	var src bytes.Buffer
-	if err := copse.GenerateProgram(&src, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), src.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gomod := "module generated\n\ngo 1.23\n\nrequire copse v0.0.0\n\nreplace copse => " + repoRoot + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tidy := exec.Command("go", "mod", "tidy")
-	tidy.Dir = dir
-	tidy.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off")
-	if out, err := tidy.CombinedOutput(); err != nil {
-		t.Fatalf("go mod tidy: %v\n%s", err, out)
-	}
-	run := exec.Command("go", "run", ".", "-features", "0,5", "-backend", "clear")
-	run.Dir = dir
-	run.Env = append(os.Environ(), "GOPROXY=off")
-	out, err := run.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "plurality: L4") {
-		t.Errorf("generated program output:\n%s", out)
 	}
 }

@@ -703,7 +703,9 @@ func EncodeMeta(w io.Writer, m *core.Meta) error {
 	return writeFrame(w, KindMeta, b.Bytes())
 }
 
-// DecodeMeta reads a Meta frame.
+// DecodeMeta reads a Meta frame and refuses, with the
+// *core.UnsupportedModelError of Meta.Validate, a Meta of a shape no
+// compiler output has.
 func DecodeMeta(rd io.Reader) (*core.Meta, error) {
 	payload, err := readFrame(rd, KindMeta)
 	if err != nil {
@@ -711,6 +713,9 @@ func DecodeMeta(rd io.Reader) (*core.Meta, error) {
 	}
 	m := &core.Meta{}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(m); err != nil {
+		return nil, fmt.Errorf("cluster: decoding meta: %w", err)
+	}
+	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: decoding meta: %w", err)
 	}
 	return m, nil

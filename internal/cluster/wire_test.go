@@ -251,6 +251,34 @@ func TestWireGoldenMeta(t *testing.T) {
 	}
 }
 
+// TestDecodeMetaRefusesBrokenShape: a meta frame whose Meta breaks an
+// invariant the compiler guarantees — no level plan, or a slot count
+// that is not a power of two — is refused by DecodeMeta with the
+// *core.UnsupportedModelError of Meta.Validate, the error ReadArtifact
+// and ReadManifest give, instead of reaching the gateway's encoder.
+func TestDecodeMetaRefusesBrokenShape(t *testing.T) {
+	c, err := core.Compile(model.Figure1(), core.Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*core.Meta){
+		"no level plan":            func(m *core.Meta) { m.LevelPlan = nil },
+		"slots not a power of two": func(m *core.Meta) { m.Slots = 1000 },
+	} {
+		m := c.Meta
+		corrupt(&m)
+		var buf bytes.Buffer
+		if err := EncodeMeta(&buf, &m); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodeMeta(&buf)
+		var unsupported *core.UnsupportedModelError
+		if !errors.As(err, &unsupported) {
+			t.Errorf("%s: DecodeMeta: %v, want *core.UnsupportedModelError", name, err)
+		}
+	}
+}
+
 // goldenFrame reads a committed golden frame.
 func goldenFrame(t *testing.T, name string) []byte {
 	t.Helper()

@@ -64,7 +64,14 @@ type Worker struct {
 // workerForest is one forest family the worker holds shards of.
 type workerForest struct {
 	manifest *core.ShardManifest
-	shards   map[int]string // shard index → service registry name
+	shards   map[int]workerShard // by shard index
+}
+
+// workerShard is one staged shard: its service registry name and its
+// range in the parent forest.
+type workerShard struct {
+	reg  string
+	info core.ShardInfo
 }
 
 // NewWorker returns an empty worker; AddShard stages models onto it.
@@ -110,7 +117,7 @@ func (w *Worker) AddShard(name string, manifest *core.ShardManifest, shard *core
 	}
 	wf := w.forests[name]
 	if wf == nil {
-		wf = &workerForest{manifest: manifest, shards: map[int]string{}}
+		wf = &workerForest{manifest: manifest, shards: map[int]workerShard{}}
 		w.forests[name] = wf
 	} else if wf.manifest.Shards != manifest.Shards {
 		return fmt.Errorf("cluster: model %q already staged with %d shards, manifest says %d",
@@ -123,7 +130,7 @@ func (w *Worker) AddShard(name string, manifest *core.ShardManifest, shard *core
 	if err := w.svc.Register(reg, shard); err != nil {
 		return err
 	}
-	wf.shards[info.Index] = reg
+	wf.shards[info.Index] = workerShard{reg: reg, info: info}
 	return nil
 }
 
@@ -250,10 +257,10 @@ func (w *Worker) handleInfo(rw http.ResponseWriter, _ *http.Request) {
 	}
 	for name, wf := range w.forests {
 		gm := &wf.manifest.Meta
-		for idx := range wf.shards {
+		for _, ws := range wf.shards {
 			info.Models = append(info.Models, WorkerShard{
 				Name:          name,
-				Shard:         wf.manifest.Ranges[idx],
+				Shard:         ws.info,
 				Shards:        wf.manifest.Shards,
 				NumFeatures:   gm.NumFeatures,
 				Precision:     gm.Precision,
@@ -339,7 +346,7 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	}
 	// AddShard writes the shard map under w.mu, so it is read under it.
 	w.mu.RLock()
-	reg, ok := wf.shards[shardIdx]
+	ws, ok := wf.shards[shardIdx]
 	backend, svc := w.backend, w.svc
 	w.mu.RUnlock()
 	if !ok {
@@ -387,7 +394,7 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 
 		PlanesPerCiphertext: g,
 	}
-	enc, _, err := svc.Classify(r.Context(), reg, q)
+	enc, _, err := svc.Classify(r.Context(), ws.reg, q)
 	for _, b := range bits {
 		he.Release(b.Ct)
 	}

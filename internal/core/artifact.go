@@ -12,23 +12,11 @@ import (
 // it — the analogue of the paper's generated C++ being compiled and
 // linked against the runtime (§5).
 
-// Artifact versions: v2 added the baby-step/giant-step staging (two
-// split fields Meta no longer has, and the reduced RotationSteps); v3
-// added the static level schedule (Meta.LevelPlan); v4 added the sharding
-// fields (Meta.ForcedSPad, Compiled.Shard). The payload encoding is
-// unchanged — gob is self-describing and skips fields either side lacks —
-// so older artifacts still load: their zero-valued fields select the
-// unsharded layout (v1–v3). Prepare stages every artifact from its
-// plaintext matrices on the one BSGS kernel, so a v1 artifact, written
-// for the naive one-rotation-per-diagonal kernel, gets the BSGS kernel
-// like any other. A v1/v2 artifact carries no level plan; ReadArtifact
-// plans it at load, with the result shuffle's headroom.
-const (
-	artifactMagic   = "COPSEv4\n"
-	artifactMagicV3 = "COPSEv3\n"
-	artifactMagicV2 = "COPSEv2\n"
-	artifactMagicV1 = "COPSEv1\n"
-)
+// artifactMagic is the one artifact header written or read: a v4
+// artifact carries its level plan and sharding fields. Gob skips fields
+// either side lacks, so an artifact of another format would decode; its
+// header is what ReadArtifact refuses it by, asking for a recompile.
+const artifactMagic = "COPSEv4\n"
 
 // WriteArtifact serializes c.
 func WriteArtifact(w io.Writer, c *Compiled) error {
@@ -48,8 +36,8 @@ func ReadArtifact(r io.Reader) (*Compiled, error) {
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("core: reading artifact header: %w", err)
 	}
-	if string(magic) != artifactMagic && string(magic) != artifactMagicV3 && string(magic) != artifactMagicV2 && string(magic) != artifactMagicV1 {
-		return nil, fmt.Errorf("core: not a COPSE artifact (bad magic %q)", magic)
+	if string(magic) != artifactMagic {
+		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("artifact header %q is not %q: recompile the model", magic, artifactMagic)}
 	}
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -61,18 +49,9 @@ func ReadArtifact(r io.Reader) (*Compiled, error) {
 		return nil, fmt.Errorf("core: decoding artifact: %w", err)
 	}
 	// A shape Compile never produces is refused before anything is
-	// planned or staged from it.
-	if err := c.Meta.checkShape(); err != nil {
-		return nil, fmt.Errorf("core: reading a %s artifact: %w", magic[:len(magic)-1], err)
-	}
-	if string(magic) == artifactMagicV2 || string(magic) == artifactMagicV1 {
-		// Older artifacts were served at the chain top, result shuffle
-		// included, and never promised a minimal chain: the plan keeps
-		// the headroom to shuffle. A model the planner cannot schedule is
-		// refused here, typed, like Compile refuses it.
-		if c.Meta.LevelPlan, err = computeLevelPlan(&c.Meta, true); err != nil {
-			return nil, fmt.Errorf("core: planning a %s artifact: %w", magic[:len(magic)-1], err)
-		}
+	// staged from it.
+	if err := c.Meta.Validate(); err != nil {
+		return nil, fmt.Errorf("core: reading an artifact: %w", err)
 	}
 	return c, nil
 }

@@ -46,7 +46,7 @@ type Compiled struct {
 	Masks [][]uint64
 	// Shard, when non-nil, marks this model as one shard of a tree-wise
 	// split produced by ShardForest and locates it inside the parent
-	// forest. Nil on unsharded models (and artifacts older than v4).
+	// forest. Nil on unsharded models.
 	Shard *ShardInfo
 }
 

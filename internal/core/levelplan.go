@@ -31,8 +31,8 @@ import (
 // the last prime of a chain of Levels primes, and a backend with a
 // longer chain simply never uses the extra top primes (operands are
 // produced at the scheduled levels directly). Every model carries one:
-// Compile and ShardForest plan what they build, and ReadArtifact plans
-// an artifact older than the schedule at load.
+// Compile and ShardForest plan what they build, and every decoder of a
+// Meta refuses one without a plan (Meta.Validate).
 type LevelPlan struct {
 	// Levels is the chain length (prime count) the plan was computed
 	// for — the fraction of Meta.RecommendedLevels the scheduled pipeline

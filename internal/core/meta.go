@@ -40,11 +40,10 @@ type Meta struct {
 	Slots int
 	// RotationSteps are the rotation steps compile time lists for the
 	// staging: the reduced baby-step/giant-step set (~2·√period per matrix
-	// period instead of period−1 steps; a v1 artifact lists the naive
-	// set), plus the replication doublings. No key is made from it:
-	// staging makes the Galois keys the op programs rotate by, at the
-	// levels they rotate at (DESIGN.md §9.4, §10.2), so the list may hold
-	// steps no program issues.
+	// period instead of period−1 steps), plus the replication doublings.
+	// No key is made from it: staging makes the Galois keys the op
+	// programs rotate by, at the levels they rotate at (DESIGN.md §9.4,
+	// §10.2), so the list may hold steps no program issues.
 	RotationSteps []int
 
 	// Circuit-shape estimates (ciphertext-ciphertext multiplicative
@@ -59,7 +58,7 @@ type Meta struct {
 	// per-stage target levels that let the back half of Algorithm 1 run
 	// on a fraction of the modulus chain. Every model has one: Compile
 	// and ShardForest refuse a model without a feasible schedule, and
-	// ReadArtifact plans an artifact older than v3 at load.
+	// Validate a Meta without a plan.
 	LevelPlan *LevelPlan
 
 	// ForcedSPad, when non-zero, pins SPad (and therefore BatchBlock /
@@ -68,7 +67,7 @@ type Meta struct {
 	// the parent's slot layout: queries encrypted once against the global
 	// layout evaluate on any shard, and per-shard result ciphertexts
 	// occupy disjoint slot supports that merge with plain adds. Zero on
-	// unsharded models (and artifacts older than v4).
+	// unsharded models.
 	ForcedSPad int
 }
 
@@ -224,15 +223,16 @@ func log2Ceil(n int) int {
 	return d
 }
 
-// checkShape refuses, with an *UnsupportedModelError, a Meta that breaks
+// Validate refuses, with an *UnsupportedModelError, a Meta that breaks
 // an invariant Compile and ShardForest guarantee: a power-of-two slot
 // count, every count of the model at least one and the precision within
 // the model's bound, Q = K·NumFeatures, QPad, BPad and LPad the next
 // powers of two of Q, B and NumLeaves and none past Slots, no more levels
-// than branches, and a tree-offset sentinel. Only a corrupted or
-// hand-built artifact breaks one, and the planner would build programs of
-// whatever size it names.
-func (m *Meta) checkShape() error {
+// than branches, a tree-offset sentinel, and a level plan. Only a
+// corrupted or hand-built Meta breaks one, and the planner would build
+// programs of whatever size it names. Every decoder of a Meta runs it:
+// ReadArtifact, ReadManifest and the cluster's meta frame.
+func (m *Meta) Validate() error {
 	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
 	// padded reports that pad is the next power of two of n ≥ 1 and fits
 	// the slots.
@@ -253,6 +253,8 @@ func (m *Meta) checkShape() error {
 		reason = fmt.Sprintf("%d trees with %d leaf offsets", m.NumTrees, len(m.TreeLeafOffsets))
 	case m.ForcedSPad != 0 && (!pow2(m.ForcedSPad) || m.ForcedSPad > m.Slots):
 		reason = fmt.Sprintf("forced slot period %d", m.ForcedSPad)
+	case m.LevelPlan == nil:
+		reason = "no level plan"
 	}
 	if reason != "" {
 		return &UnsupportedModelError{Reason: reason}

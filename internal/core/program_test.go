@@ -84,24 +84,42 @@ func degenerateCases(t *testing.T) []degenerateCase {
 	zeroLevel.Masks = append(zeroLevel.Masks, ones)
 	zeroLevel.Meta.D++
 
+	// golden-v1 and golden-v2 are the models the retired v1 and v2 golden
+	// artifacts loaded to: Figure 1 under the plan ReadArtifact gave them
+	// at load, with the result shuffle's headroom. The v1 artifact, written
+	// for the naive kernel, listed every rotation step below the period;
+	// staging reads none of the list.
+	shuffleHeadroom := func(naiveSteps bool) *Compiled {
+		c := compile(figure1, Options{PlanShuffle: true})
+		if naiveSteps {
+			m := &c.Meta
+			m.RotationSteps = slices.DeleteFunc(m.RotationSteps, func(s int) bool { return s > 0 })
+			for s := 1; s < max(m.QPad, m.BPad); s++ {
+				m.RotationSteps = append(m.RotationSteps, s)
+			}
+		}
+		return c
+	}
+
 	return []degenerateCase{
 		{name: "one-tree", forest: figure1, compiled: compile(figure1, Options{})},
 		{name: "stump", forest: stump, compiled: compile(stump, Options{})},
 		{name: "equal-thresholds", forest: equal, compiled: compile(equal, Options{})},
 		{name: "thresholds-0-and-max", forest: edges, compiled: compile(edges, Options{})},
 		{name: "zero-level-matrix", forest: figure1, compiled: zeroLevel, plainOnly: true},
-		{name: "golden-v1", forest: figure1, compiled: golden("figure1_v1.copse")},
-		{name: "golden-v2", forest: figure1, compiled: golden("figure1_v2.copse")},
+		{name: "golden-v1", forest: figure1, compiled: shuffleHeadroom(true)},
+		{name: "golden-v2", forest: figure1, compiled: shuffleHeadroom(false)},
 		{name: "golden-v4", forest: figure1, compiled: golden("figure1_v4.copse")},
 	}
 }
 
 // TestDegenerateModelsRunTheProgram: every model shape at the edge of
 // the compiler's and the artifact reader's coverage — including the
-// golden v1, v2 and v4 artifacts, staged on the BSGS kernel like any model,
+// models of the retired v1 and v2 goldens under the shuffle's headroom,
+// the golden v4 artifact's plan made for an older comparison circuit,
 // and the all-zero matrix that used to fall back to a separate
-// interpreter — classifies bit-exactly against the plaintext walk, on
-// both backends, through the op program.
+// interpreter — classifies bit-exactly against the
+// plaintext walk, on both backends, through the op program.
 func TestDegenerateModelsRunTheProgram(t *testing.T) {
 	for _, tc := range degenerateCases(t) {
 		f := tc.forest
@@ -288,8 +306,7 @@ func matVecProgram(sh diagShape, encModel bool) *Program {
 // TestStagedSplitIsBSGSSplit: Prepare stages every diagonal product on
 // the split matrix.BSGSSplit gives its period — the reshuffle over QPad
 // and each level operand over BPad, at every plane packing, in every
-// scenario — for compiled models and for the golden v1 artifact, which
-// was written for the naive kernel and is staged like any model.
+// scenario.
 func TestStagedSplitIsBSGSSplit(t *testing.T) {
 	models := map[string]*Compiled{}
 	for name, f := range planForests(t, false) {
@@ -298,13 +315,6 @@ func TestStagedSplitIsBSGSSplit(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		models[name] = c
-	}
-	raw, err := os.ReadFile(filepath.Join("testdata", "figure1_v1.copse"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if models["golden-v1"], err = ReadArtifact(bytes.NewReader(raw)); err != nil {
-		t.Fatal(err)
 	}
 	for name, c := range models {
 		t.Run(name, func(t *testing.T) {

@@ -46,22 +46,20 @@ type ShardInfo struct {
 
 // ShardManifest is the merge manifest accompanying a sharded model: the
 // global (parent) Meta the gateway encrypts queries and decodes merged
-// results with, and the per-shard ranges. The parent's level plan is the
-// key contract every worker of the cluster honours so that one key pair
-// serves all shards: its plaintext-model chain, Meta.ChainLevels(false).
+// results with. Each shard's range is its own artifact's Compiled.Shard,
+// and the file's magic versions the format. The parent's level plan is
+// the key contract every worker of the cluster honours so that one key
+// pair serves all shards: its plaintext-model chain, Meta.ChainLevels(false).
 // Two workers constructing backends from the same manifest (and the same
 // seed) derive identical secret and public keys; each makes the Galois
 // keys of the shards it stages itself.
 type ShardManifest struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
+	Shards int `json:"shards"`
 
 	// Meta is the parent model's metadata (including its level plan):
 	// what the gateway uses to encrypt queries and decode merged
 	// results.
 	Meta Meta `json:"meta"`
-
-	Ranges []ShardInfo `json:"ranges"`
 }
 
 // manifestMagic versions the manifest file format.
@@ -87,6 +85,9 @@ func ReadManifest(r io.Reader) (*ShardManifest, error) {
 	}
 	if f.Magic != manifestMagic {
 		return nil, fmt.Errorf("core: not a COPSE shard manifest (magic %q)", f.Magic)
+	}
+	if err := f.Meta.Validate(); err != nil {
+		return nil, fmt.Errorf("core: reading a shard manifest: %w", err)
 	}
 	return &f.ShardManifest, nil
 }
@@ -143,11 +144,7 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 	planShuffle := plan.Cipher.Final >= plan.ShuffleLevel() && plan.Plain.Final >= plan.ShuffleLevel()
 
 	out := make([]*Compiled, shards)
-	manifest := &ShardManifest{
-		Version: 1,
-		Shards:  shards,
-		Meta:    *m,
-	}
+	manifest := &ShardManifest{Shards: shards, Meta: *m}
 	for i := range out {
 		info := ShardInfo{
 			Index:       i,
@@ -173,7 +170,6 @@ func ShardForest(c *Compiled, shards int) ([]*Compiled, *ShardManifest, error) {
 				i, shards, sp.Cipher.Compare, sp.Plain.Compare, plan.Cipher.Compare, plan.Plain.Compare)
 		}
 		out[i] = sc
-		manifest.Ranges = append(manifest.Ranges, info)
 	}
 	return out, manifest, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -62,17 +63,14 @@ func TestShardForestLayout(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ShardForest(%d): %v", k, err)
 		}
-		if len(shards) != k || manifest.Shards != k || len(manifest.Ranges) != k {
-			t.Fatalf("ShardForest(%d): got %d shards, manifest %d/%d ranges", k, len(shards), manifest.Shards, len(manifest.Ranges))
+		if len(shards) != k || manifest.Shards != k {
+			t.Fatalf("ShardForest(%d): got %d shards, manifest %d", k, len(shards), manifest.Shards)
 		}
 		trees, branches, leaves := 0, 0, 0
 		for i, s := range shards {
 			info := s.Shard
 			if info == nil || info.Index != i || info.Count != k {
 				t.Fatalf("k=%d shard %d: bad ShardInfo %+v", k, i, info)
-			}
-			if !reflect.DeepEqual(*info, manifest.Ranges[i]) {
-				t.Errorf("k=%d shard %d: ShardInfo %+v != manifest range %+v", k, i, *info, manifest.Ranges[i])
 			}
 			if i == 0 && info.TreeStart != 0 {
 				t.Errorf("k=%d: first shard starts at tree %d", k, info.TreeStart)
@@ -316,14 +314,17 @@ func TestShardManifestRoundTrip(t *testing.T) {
 		t.Errorf("manifest round trip:\n got %+v\nwant %+v", got, manifest)
 	}
 	// A manifest written when it carried the chain and the query level
-	// beside Meta loads to the same manifest: the chain the worker stages
-	// comes from Meta's plan, whatever those fields say.
+	// beside Meta, a version number and the shard ranges loads to the
+	// same manifest: the chain the worker stages comes from Meta's plan,
+	// and each shard's range from its own artifact, whatever those fields
+	// say.
 	var legacy map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &legacy); err != nil {
 		t.Fatal(err)
 	}
 	chain := c.Meta.ChainLevels(false)
 	legacy["chain_levels"], legacy["query_level"] = chain, c.Meta.LevelPlan.QueryLevel()
+	legacy["version"], legacy["ranges"] = 1, []ShardInfo{{Index: 0, Count: 3}, {Index: 1, Count: 3}, {Index: 2, Count: 3}}
 	old, err := json.Marshal(legacy)
 	if err != nil {
 		t.Fatal(err)
@@ -335,6 +336,31 @@ func TestShardManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadManifest(bytes.NewReader([]byte(`{"magic":"nope"}`))); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// TestManifestWithoutPlanRefused: a manifest whose Meta has no level plan
+// — the key contract every worker derives its chain from — is refused by
+// ReadManifest with the *UnsupportedModelError of Meta.Validate, before a
+// worker stages anything from it.
+func TestManifestWithoutPlanRefused(t *testing.T) {
+	c, err := Compile(shardTestForest(t, 63), Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, manifest, err := ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest.Meta.LevelPlan = nil
+	var buf bytes.Buffer
+	if err := manifest.WriteManifest(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadManifest(&buf)
+	var unsupported *UnsupportedModelError
+	if !errors.As(err, &unsupported) {
+		t.Fatalf("ReadManifest of a manifest without a plan: %v, want *UnsupportedModelError", err)
 	}
 }
 

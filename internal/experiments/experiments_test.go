@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"copse"
 	"copse/internal/he"
@@ -375,6 +376,42 @@ func TestMedianAndGeomean(t *testing.T) {
 	}
 	if g := geomean(nil); g != 0 {
 		t.Errorf("geomean(nil) = %v", g)
+	}
+}
+
+// TestRenderPadsByDisplayWidth: cells holding multi-byte runes ("∅", "·",
+// "—") are padded by the runes they print, so every row of a rendered
+// table is as wide as its header row, and each column starts where the
+// header's does.
+func TestRenderPadsByDisplayWidth(t *testing.T) {
+	tbl := &Table{
+		Title:  "widths",
+		Header: []string{"party", "op", "learns"},
+		Rows: [][]string{
+			{"server", "p·log p + 3p - 2", "∅"},
+			{"∅", "—", "Q, B, D"},
+			{"model owner", "2p", "everything"},
+		},
+	}
+	var buf bytes.Buffer
+	if err := tbl.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	header := lines[1]
+	width := utf8.RuneCountInString(header)
+	for i, line := range lines[3 : 3+len(tbl.Rows)] {
+		if got := utf8.RuneCountInString(line); got != width {
+			t.Errorf("row %d %q is %d runes wide, header %q %d", i, line, got, header, width)
+		}
+		for c := range tbl.Header[1:] {
+			col := strings.Index(header, tbl.Header[c+1])
+			start := utf8.RuneCountInString(header[:col])
+			cell := tbl.Rows[i][c+1]
+			if runes := []rune(line); !strings.HasPrefix(string(runes[start:]), cell) {
+				t.Errorf("row %d: %q does not start at rune %d (the header's column) in %q", i, cell, start, line)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result.
@@ -17,16 +18,17 @@ type Table struct {
 	Notes  []string
 }
 
-// Render writes the table as aligned text.
+// Render writes the table as aligned text. Cells are padded by rune
+// count, so a cell holding "∅" or "·" is as wide as it prints.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -38,7 +40,7 @@ func (t *Table) Render(w io.Writer) error {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(c)
-			sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
 		sb.WriteString("\n")
 	}

@@ -135,9 +135,6 @@ func negVecAVX2(q uint64, a, out []uint64)
 func mulVecAVX2(q, r32, r32s uint64, a, b, out []uint64)
 
 //go:noescape
-func mulAddVecAVX2(q, r32, r32s uint64, a, b, out []uint64)
-
-//go:noescape
 func mulShoupAddVecAVX2(q uint64, a, b, bs, out []uint64)
 
 //go:noescape
@@ -154,9 +151,6 @@ func negVecAVX512(q uint64, a, out []uint64)
 
 //go:noescape
 func mulVecAVX512(q, r32, r32s uint64, a, b, out []uint64)
-
-//go:noescape
-func mulAddVecAVX512(q, r32, r32s uint64, a, b, out []uint64)
 
 //go:noescape
 func mulShoupAddVecAVX512(q uint64, a, b, bs, out []uint64)
@@ -315,19 +309,6 @@ func mulVecAsm(tier kernelTier, q uint64, a, b, out []uint64) {
 	}
 	if n < len(out) {
 		mulRowScalar(q, a[n:], b[n:], out[n:])
-	}
-}
-
-func mulAddVecAsm(tier kernelTier, q uint64, a, b, out []uint64) {
-	n := vecLen(tier, len(out))
-	r32, r32s := r32ModQ(q)
-	if tier == tierAVX512 {
-		mulAddVecAVX512(q, r32, r32s, a[:n], b[:n], out[:n])
-	} else {
-		mulAddVecAVX2(q, r32, r32s, a[:n], b[:n], out[:n])
-	}
-	if n < len(out) {
-		mulAddRowScalar(q, a[n:], b[n:], out[n:])
 	}
 }
 

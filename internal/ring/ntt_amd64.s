@@ -639,38 +639,6 @@ mulvec_done:
 	VZEROUPPER
 	RET
 
-// func mulAddVecAVX2(q, r32, r32s uint64, a, b, out []uint64)
-TEXT ·mulAddVecAVX2(SB), NOSPLIT, $0-96
-	MOVQ q+0(FP), AX
-	LOADQLO32(AX)
-	VPBROADCASTQ r32+8(FP), Y13
-	VPBROADCASTQ r32s+16(FP), Y12
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	MOVQ out_base+72(FP), DI
-	MOVQ out_len+80(FP), BX
-	SHLQ $3, BX
-	TESTQ BX, BX
-	JZ muladdvec_done
-
-muladdvec_loop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DX), Y1
-	MULMODCORE
-	VMOVDQU (DI), Y0
-	VPADDQ Y6, Y0, Y0
-	CONDSUBQ(Y0, Y1)
-	VMOVDQU Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, DI
-	SUBQ $32, BX
-	JNZ muladdvec_loop
-
-muladdvec_done:
-	VZEROUPPER
-	RET
-
 // func mulShoupAddVecAVX2(q uint64, a, b, bs, out []uint64)
 TEXT ·mulShoupAddVecAVX2(SB), NOSPLIT, $0-104
 	MOVQ q+0(FP), AX
@@ -1493,38 +1461,6 @@ mulvec512_loop:
 	JNZ mulvec512_loop
 
 mulvec512_done:
-	VZEROUPPER
-	RET
-
-// func mulAddVecAVX512(q, r32, r32s uint64, a, b, out []uint64)
-TEXT ·mulAddVecAVX512(SB), NOSPLIT, $0-96
-	MOVQ q+0(FP), AX
-	LOADCONSTS512(AX)
-	VPBROADCASTQ r32+8(FP), Z28
-	VPBROADCASTQ r32s+16(FP), Z27
-	VPSRLQ $32, Z27, Z26
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	MOVQ out_base+72(FP), DI
-	MOVQ out_len+80(FP), BX
-	SHLQ $3, BX
-	TESTQ BX, BX
-	JZ muladdvec512_done
-
-muladdvec512_loop:
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 (DX), Z1
-	MULMOD512
-	VPADDQ (DI), Z10, Z10
-	CONDSUB512(Z10, Z30, Z0)
-	VMOVDQU64 Z10, (DI)
-	ADDQ $64, SI
-	ADDQ $64, DX
-	ADDQ $64, DI
-	SUBQ $64, BX
-	JNZ muladdvec512_loop
-
-muladdvec512_done:
 	VZEROUPPER
 	RET
 

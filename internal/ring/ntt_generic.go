@@ -13,11 +13,10 @@ const hostTier = tierScalar
 func (m *Modulus) nttVec(_ kernelTier, a []uint64)  { m.nttScalar(a) }
 func (m *Modulus) inttVec(_ kernelTier, a []uint64) { m.inttScalar(a) }
 
-func addVecAsm(_ kernelTier, q uint64, a, b, out []uint64)    { addRowScalar(q, a, b, out) }
-func subVecAsm(_ kernelTier, q uint64, a, b, out []uint64)    { subRowScalar(q, a, b, out) }
-func negVecAsm(_ kernelTier, q uint64, a, out []uint64)       { negRowScalar(q, a, out) }
-func mulVecAsm(_ kernelTier, q uint64, a, b, out []uint64)    { mulRowScalar(q, a, b, out) }
-func mulAddVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { mulAddRowScalar(q, a, b, out) }
+func addVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { addRowScalar(q, a, b, out) }
+func subVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { subRowScalar(q, a, b, out) }
+func negVecAsm(_ kernelTier, q uint64, a, out []uint64)    { negRowScalar(q, a, out) }
+func mulVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { mulRowScalar(q, a, b, out) }
 func mulShoupAddVecAsm(_ kernelTier, q uint64, a, b, bs, out []uint64) {
 	mulShoupAddRowScalar(q, a, b, bs, out)
 }

@@ -19,9 +19,6 @@ type Poly struct {
 // Level returns the level of p (number of active primes minus one).
 func (p *Poly) Level() int { return len(p.Coeffs) - 1 }
 
-// N returns the ring degree.
-func (p *Poly) N() int { return len(p.Coeffs[0]) }
-
 // Copy returns a deep copy of p.
 func (p *Poly) Copy() *Poly {
 	out := &Poly{Coeffs: make([][]uint64, len(p.Coeffs)), IsNTT: p.IsNTT}
@@ -264,20 +261,6 @@ func mulRow(tier kernelTier, q uint64, a, b, out []uint64) {
 	mulRowScalar(q, a, b, out)
 }
 
-func mulAddRowScalar(q uint64, a, b, out []uint64) {
-	for j := range out {
-		out[j] = AddMod(out[j], MulMod(a[j], b[j], q), q)
-	}
-}
-
-func mulAddRow(tier kernelTier, q uint64, a, b, out []uint64) {
-	if rowVecOK(tier, q, len(out)) {
-		mulAddVecAsm(tier, q, a, b, out)
-		return
-	}
-	mulAddRowScalar(q, a, b, out)
-}
-
 func mulShoupAddRowScalar(q uint64, a, b, bs, out []uint64) {
 	for j := range out {
 		out[j] = AddMod(out[j], MulModShoup(a[j], b[j], bs[j], q), q)
@@ -346,19 +329,6 @@ func (ctx *Context) MulCoeffs(a, b, out *Poly) {
 	tier := ctx.rowKernels()
 	for i := 0; i < m; i++ {
 		mulRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
-	}
-	out.IsNTT = true
-}
-
-// MulCoeffsAdd sets out += a ⊙ b (pointwise, NTT domain).
-func (ctx *Context) MulCoeffsAdd(a, b, out *Poly) {
-	if !a.IsNTT || !b.IsNTT {
-		panic("ring: MulCoeffsAdd requires NTT-domain operands")
-	}
-	m := len(out.Coeffs)
-	tier := ctx.rowKernels()
-	for i := 0; i < m; i++ {
-		mulAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], out.Coeffs[i])
 	}
 	out.IsNTT = true
 }

@@ -144,9 +144,6 @@ func checkRowKernels(t *testing.T, tier kernelTier, in rowCase) {
 	check("mul",
 		func(out []uint64) { mulRowScalar(q, a, b, out) },
 		func(out []uint64) { mulVecAsm(tier, q, a, b, out) })
-	check("mulAdd",
-		func(out []uint64) { copy(out, acc); mulAddRowScalar(q, a, b, out) },
-		func(out []uint64) { copy(out, acc); mulAddVecAsm(tier, q, a, b, out) })
 	check("mulShoupAdd",
 		func(out []uint64) { copy(out, acc); mulShoupAddRowScalar(q, lazy, b, bs, out) },
 		func(out []uint64) { copy(out, acc); mulShoupAddVecAsm(tier, q, lazy, b, bs, out) })
