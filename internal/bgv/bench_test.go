@@ -1,8 +1,12 @@
 package bgv
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+)
 
-func benchKit(b *testing.B, levels int) (*Parameters, *Encoder, *Encryptor, *Evaluator) {
+func benchKit(b *testing.B, levels int) (*Parameters, *Encoder, *Encryptor, *Evaluator, *SecretKey) {
 	b.Helper()
 	params, err := NewParameters(TestParams(levels))
 	if err != nil {
@@ -19,13 +23,13 @@ func benchKit(b *testing.B, levels int) (*Parameters, *Encoder, *Encryptor, *Eva
 	if err != nil {
 		b.Fatal(err)
 	}
-	return params, enc, NewSeededEncryptor(params, pk, 2), NewEvaluator(params, keys)
+	return params, enc, NewSeededEncryptor(params, pk, 2), NewEvaluator(params, keys), sk
 }
 
 // BenchmarkHomomorphicOps measures the primitive BGV operations the
 // COPSE complexity model counts (paper §6).
 func BenchmarkHomomorphicOps(b *testing.B) {
-	params, enc, encryptor, eval := benchKit(b, 6)
+	params, enc, encryptor, eval, sk := benchKit(b, 6)
 	vals := make([]uint64, params.Slots())
 	for i := range vals {
 		vals[i] = uint64(i % 2)
@@ -39,6 +43,32 @@ func BenchmarkHomomorphicOps(b *testing.B) {
 	b.Run("encrypt", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			encryptor.Encrypt(pt)
+		}
+	})
+	b.Run("encrypt-secret", func(b *testing.B) {
+		secret := NewSeededSecretKeyEncryptor(params, sk, 3)
+		for i := 0; i < b.N; i++ {
+			secret.Encrypt(pt)
+		}
+	})
+	// A query's eight bit planes under the public key, one reservation
+	// spread over GOMAXPROCS goroutines: one iteration is the set.
+	b.Run("encrypt-set", func(b *testing.B) {
+		const planes = 8
+		workers := min(runtime.GOMAXPROCS(0), planes)
+		for i := 0; i < b.N; i++ {
+			res := encryptor.Reserve(planes)
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := w; j < planes; j += workers {
+						res.EncryptAtLevel(j, pt, params.MaxLevel())
+					}
+				}()
+			}
+			wg.Wait()
 		}
 	})
 	b.Run("add", func(b *testing.B) {

@@ -2,6 +2,7 @@ package bgv
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"copse/internal/ring"
@@ -35,13 +36,11 @@ func (pt *Plaintext) lift(ctx *ring.Context, level int) *ring.Poly {
 			return p
 		}
 	}
+	// Every coefficient is below T, and T below every prime of the
+	// chain: each residue row is the coefficients themselves.
 	p := ctx.NewPoly(level)
 	for i := 0; i <= level; i++ {
-		q := ctx.Moduli[i].Q
-		pi := p.Coeffs[i]
-		for j, c := range pt.Coeffs {
-			pi[j] = c % q
-		}
+		copy(p.Coeffs[i], pt.Coeffs)
 	}
 	ctx.NTT(p)
 	return publishAt(&pt.lifts, level, p)
@@ -110,39 +109,63 @@ func (ct *Ciphertext) Copy() *Ciphertext {
 // Encryptor encrypts plaintexts: under the secret key when it was built
 // with one, under the public key otherwise. The two produce ciphertexts of
 // the same form that decrypt alike; the secret-key one is cheaper — one
-// number-theoretic transform set where the public-key one pays four — and
-// less noisy, so a party that holds the secret key (the backend that
+// number-theoretic transform set where the public-key one pays three —
+// and less noisy, so a party that holds the secret key (the backend that
 // generated it) encrypts with it, and a party built from public material
-// only (a gateway) through the public key. Not safe for concurrent use (it
-// owns a sampler).
+// only (a gateway) through the public key.
+//
+// Safe for concurrent use. The encryptor's own stream only hands out
+// seeds: each ciphertext draws one 32-byte seed from it, in order, under
+// a short lock, and then samples its randomness from a ChaCha8 stream of
+// its own outside the lock. A seeded encryptor therefore makes the same
+// ciphertexts for the same sequence of reservations (Reserve), whichever
+// goroutines encrypt them.
 type Encryptor struct {
-	params  *Parameters
-	pk      *PublicKey
-	sk      *SecretKey // nil: encrypt through pk
-	sampler *ring.Sampler
+	params *Parameters
+	pk     *PublicKey
+	sk     *SecretKey // nil: encrypt through pk
+
+	// The Shoup companion tables of pk.B and pk.A (public-key encryptor
+	// only): u multiplies into both and adds onto a transformed error in
+	// one pass each.
+	bs, as *ring.PolyShoup
+
+	mu    sync.Mutex
+	seeds *ring.Sampler // the encryptor's stream, drawn from under mu
+
+	samplers sync.Pool // *ring.Sampler, reseeded for every ciphertext
+}
+
+func newEncryptor(params *Parameters, pk *PublicKey, sk *SecretKey, seeds *ring.Sampler) *Encryptor {
+	e := &Encryptor{params: params, pk: pk, sk: sk, seeds: seeds}
+	e.samplers.New = func() any { return ring.NewSeededSampler(params.RingCtx, 0) }
+	if sk == nil {
+		e.bs, e.as = params.RingCtx.ShoupPoly(pk.B), params.RingCtx.ShoupPoly(pk.A)
+	}
+	return e
 }
 
 // NewEncryptor returns a public-key encryptor seeded from system entropy.
 func NewEncryptor(params *Parameters, pk *PublicKey) *Encryptor {
-	return &Encryptor{params: params, pk: pk, sampler: ring.NewSampler(params.RingCtx)}
+	return newEncryptor(params, pk, nil, ring.NewSampler(params.RingCtx))
 }
 
 // NewSeededEncryptor returns a deterministic public-key encryptor for
 // tests.
 func NewSeededEncryptor(params *Parameters, pk *PublicKey, seed uint64) *Encryptor {
-	return &Encryptor{params: params, pk: pk, sampler: ring.NewSeededSampler(params.RingCtx, seed)}
+	return newEncryptor(params, pk, nil, ring.NewSeededSampler(params.RingCtx, seed))
 }
 
 // NewSecretKeyEncryptor returns a secret-key encryptor seeded from system
 // entropy.
 func NewSecretKeyEncryptor(params *Parameters, sk *SecretKey) *Encryptor {
-	return &Encryptor{params: params, sk: sk, sampler: ring.NewSampler(params.RingCtx)}
+	return newEncryptor(params, nil, sk, ring.NewSampler(params.RingCtx))
 }
 
 // NewSeededSecretKeyEncryptor returns a deterministic secret-key encryptor
 // for tests and reproducible experiments.
 func NewSeededSecretKeyEncryptor(params *Parameters, sk *SecretKey, seed uint64) *Encryptor {
-	return &Encryptor{params: params, sk: sk, sampler: ring.NewSeededSampler(params.RingCtx, seed)}
+	return newEncryptor(params, nil, sk, ring.NewSeededSampler(params.RingCtx, seed))
 }
 
 // Encrypt produces a fresh encryption of pt at the top level.
@@ -155,62 +178,95 @@ func (e *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 // touched, which is the RLWE instance a freshly encrypted, then
 // modulus-switched ciphertext would inhabit — minus the switches. Level
 // scheduling uses this to land operands at their planned stage level for
-// free.
+// free. It is a reservation of one (Reserve).
+func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
+	return e.Reserve(1).EncryptAtLevel(0, pt, level)
+}
+
+// Reserve draws the seeds of the next n encryptions, in order, under the
+// encryptor's lock.
+func (e *Encryptor) Reserve(n int) *Reservation {
+	seeds := make([][32]byte, n)
+	e.mu.Lock()
+	for i := range seeds {
+		seeds[i] = e.seeds.Seed()
+	}
+	e.mu.Unlock()
+	return &Reservation{e: e, seeds: seeds}
+}
+
+// Reservation is a set of n encryptions, each with the seed of its own
+// stream drawn. Its encryptions are independent of one another and may
+// run concurrently, each index once.
+type Reservation struct {
+	e     *Encryptor
+	seeds [][32]byte
+}
+
+// EncryptAtLevel makes the i-th encryption of the reservation: pt at the
+// given level (clamped to the chain top), from the i-th seed's stream.
 //
 // Under the secret key, (c0, c1) = (−a·s + NTT(t·e + m), a) with a drawn
-// uniformly in the NTT domain: the error and the message share one
-// transform. Under the public key, (c0, c1) = (B·u + t·e0 + m, A·u + t·e1),
-// which transforms u, e0, e1 and m.
-func (e *Encryptor) EncryptAtLevel(pt *Plaintext, level int) *Ciphertext {
-	ctx := e.params.RingCtx
+// uniformly in the NTT domain. Under the public key, (c0, c1) =
+// (B·u + NTT(t·e0 + m), A·u + NTT(t·e1)): the message is folded into e0
+// before the transform, so u, e0 and e1 are the three transforms. Either
+// way the stream is drawn in one order — a, e; or u, e0, e1.
+func (r *Reservation) EncryptAtLevel(i int, pt *Plaintext, level int) *Ciphertext {
+	e := r.e
+	s := e.samplers.Get().(*ring.Sampler)
+	s.Reseed(r.seeds[i])
+	defer e.samplers.Put(s)
 	level = min(max(level, 0), e.params.MaxLevel())
 	if e.sk != nil {
-		return e.encryptSecret(pt, level)
+		return e.encryptSecret(s, pt, level)
 	}
+	return e.encryptPublic(s, pt, level)
+}
 
-	u := e.sampler.TernaryPoly(level)
+// encryptPublic is the public-key encryption from sampler s.
+func (e *Encryptor) encryptPublic(s *ring.Sampler, pt *Plaintext, level int) *Ciphertext {
+	ctx := e.params.RingCtx
+	u := s.TernaryPoly(level)
 	ctx.NTT(u)
-
 	c0 := ctx.GetPoly(level)
-	ctx.MulCoeffs(e.pk.B, u, c0)
+	ctx.SetLift(e.scaleError(s.ErrorCoeffs(), pt.Coeffs), c0)
+	ctx.NTT(c0)
+	ctx.MulCoeffsShoupAdd(u, e.pk.B, e.bs, c0)
 	c1 := ctx.GetPoly(level)
-	ctx.MulCoeffs(e.pk.A, u, c1)
-
-	e0 := e.sampler.ErrorPoly(level)
-	ctx.MulScalar(e0, e.params.T, e0)
-	ctx.NTT(e0)
-	ctx.Add(c0, e0, c0)
-
-	e1 := e.sampler.ErrorPoly(level)
-	ctx.MulScalar(e1, e.params.T, e1)
-	ctx.NTT(e1)
-	ctx.Add(c1, e1, c1)
-
-	ctx.Add(c0, pt.lift(ctx, level), c0)
-	ctx.PutPolys([]*ring.Poly{u, e0, e1})
-
+	ctx.SetLift(e.scaleError(s.ErrorCoeffs(), nil), c1)
+	ctx.NTT(c1)
+	ctx.MulCoeffsShoupAdd(u, e.pk.A, e.as, c1)
+	ctx.PutPoly(u)
 	return &Ciphertext{C: []*ring.Poly{c0, c1}}
 }
 
-// encryptSecret is EncryptAtLevel under the secret key. Its noise, t·e,
-// is below a public-key encryption's, so the level planner's one fresh
-// estimate bounds both.
-func (e *Encryptor) encryptSecret(pt *Plaintext, level int) *Ciphertext {
+// encryptSecret is the secret-key encryption from sampler s. Its noise,
+// t·e, is below a public-key encryption's, so the level planner's one
+// fresh estimate bounds both.
+func (e *Encryptor) encryptSecret(s *ring.Sampler, pt *Plaintext, level int) *Ciphertext {
 	ctx := e.params.RingCtx
-	a := e.sampler.UniformPoly(level, true)
-	em := e.sampler.ErrorCoeffs()
-	t := int64(e.params.T)
-	for j, m := range pt.Coeffs {
-		em[j] = em[j]*t + int64(m)
-	}
+	a := s.UniformPoly(level, true)
 	c0 := ctx.GetPoly(level)
-	ctx.SetLift(em, c0)
+	ctx.SetLift(e.scaleError(s.ErrorCoeffs(), pt.Coeffs), c0)
 	ctx.NTT(c0)
 	as := ctx.GetPoly(level)
 	ctx.MulCoeffs(a, e.sk.S, as)
 	ctx.Sub(c0, as, c0)
 	ctx.PutPoly(as)
 	return &Ciphertext{C: []*ring.Poly{c0, a}}
+}
+
+// scaleError overwrites the error coefficients em with t·e + m (m nil:
+// t·e). The sum stays small, so the lift of the result is exact.
+func (e *Encryptor) scaleError(em []int64, m []uint64) []int64 {
+	t := int64(e.params.T)
+	for j := range em {
+		em[j] *= t
+	}
+	for j, v := range m {
+		em[j] += int64(v)
+	}
+	return em
 }
 
 // Decryptor decrypts ciphertexts with the secret key.

@@ -147,6 +147,10 @@ func writeFrame(w io.Writer, kind uint16, payload []byte) error {
 	return err
 }
 
+// frameGrowCap bounds the payload buffer readFrame allocates on the word
+// of a frame's length prefix alone.
+const frameGrowCap = 16 << 20
+
 // readFrame reads one frame, enforcing magic, version and kind.
 func readFrame(r io.Reader, wantKind uint16) ([]byte, error) {
 	var hdr [12]byte
@@ -169,11 +173,13 @@ func readFrame(r io.Reader, wantKind uint16) ([]byte, error) {
 	if limit := maxFrameBytes.Load(); n > limit {
 		return nil, &FrameSizeError{Size: n, Limit: limit}
 	}
-	// Read incrementally (bytes.Buffer.ReadFrom grows as data arrives)
-	// rather than allocating n bytes up front: a lying length prefix
-	// then costs only as much memory as bytes actually received.
-	var buf bytes.Buffer
-	if got, err := io.CopyN(&buf, r, n); err != nil {
+	// Grow the buffer once, to the announced length up to 16 MiB, so a
+	// query frame is read into one allocation; past that it grows as
+	// data arrives, so a lying length prefix costs at most 16 MiB more
+	// than the bytes actually received. ReadFrom keeps MinRead bytes free
+	// ahead of every read, the one that meets the end included.
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, frameGrowCap)+bytes.MinRead))
+	if got, err := io.CopyN(buf, r, n); err != nil {
 		return nil, fmt.Errorf("cluster: reading frame payload: %w",
 			&TruncatedFrameError{What: "frame payload", Want: n, Got: got})
 	}

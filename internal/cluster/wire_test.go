@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -405,6 +406,30 @@ func TestWireFrameErrors(t *testing.T) {
 	}
 	if _, err := DecodeCiphertexts(bytes.NewReader(many.Bytes())); !errors.As(err, &tfe) {
 		t.Errorf("the same frame as a batch: %v, want *TruncatedFrameError", err)
+	}
+}
+
+// TestReadFrameOneAllocation: a frame's payload is read into one buffer
+// sized from its length prefix — reading a 3 MiB query frame allocates
+// the frame and little more, not a buffer doubled its way up from
+// nothing (about twice the frame).
+func TestReadFrameOneAllocation(t *testing.T) {
+	const size = 3 << 20
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, KindCiphertexts, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	const reads = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reads {
+		if payload, err := readFrame(bytes.NewReader(frame.Bytes()), KindCiphertexts); err != nil || len(payload) != size {
+			t.Fatalf("readFrame: %d bytes, %v", len(payload), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > size+64<<10 {
+		t.Errorf("reading a %d-byte frame allocated %d bytes, want at most %d", size, per, size+64<<10)
 	}
 }
 

@@ -56,6 +56,8 @@ func TestArtifactHeaderRefused(t *testing.T) {
 			t.Errorf("header %q: ReadArtifact: %v, want *UnsupportedModelError", header, err)
 		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", header)) {
 			t.Errorf("header %q: refusal %q does not name it", header, err)
+		} else if !strings.HasPrefix(err.Error(), "core: unsupported model: ") {
+			t.Errorf("header %q: refusal %q does not read as an unsupported model", header, err)
 		}
 	}
 }

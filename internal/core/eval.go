@@ -460,17 +460,20 @@ func scenarioName(encModel, encQuery bool) string {
 	return name[encModel] + " model, " + name[encQuery] + " query"
 }
 
-// UnsupportedModelError is Prepare's rejection of a model whose staged
-// shape has no op program: no threshold planes, no level matrices, or
-// level matrices and masks that disagree in count or period; and
-// ReadArtifact's of a Meta that breaks an invariant Compile guarantees.
-// Compile never produces one; a hand-built or corrupted artifact can.
+// UnsupportedModelError is the refusal of a model this build cannot
+// serve. Prepare refuses a staged shape with no op program: no threshold
+// planes, no level matrices, or level matrices and masks that disagree in
+// count or period. ReadArtifact refuses a file that is not a current
+// artifact (another header: recompile), and it, the shard manifest and
+// the cluster meta frame refuse a Meta that breaks an invariant Compile
+// guarantees (Meta.Validate). Compile never produces one; a hand-built,
+// stale or corrupted file can. Reason says which.
 type UnsupportedModelError struct {
 	Reason string
 }
 
 func (e *UnsupportedModelError) Error() string {
-	return "core: model has no op program: " + e.Reason
+	return "core: unsupported model: " + e.Reason
 }
 
 // replicatePlain lays vals (logical width `period`, zero-padded) out

@@ -215,14 +215,26 @@ func PrepareQueryBatch(b he.Backend, meta *Meta, batch [][]uint64, encrypt bool)
 		PlanesPerCiphertext: g,
 	}
 	// The planes are encrypted directly at the deeper of the two compare
-	// entry levels (Diane does not learn whether the model is encrypted);
-	// the engine drops them the last step on the shallower path.
-	for _, plane := range planes {
-		op, err := he.NewOperandAtLevel(b, plane, encrypt, meta.LevelPlan.QueryLevel())
-		if err != nil {
-			return nil, err
+	// entry levels (Diane does not learn whether the model is encrypted),
+	// all in one call the backend may spread across cores; the engine
+	// drops them the last step on the shallower path.
+	level := meta.LevelPlan.QueryLevel()
+	if !encrypt {
+		for _, plane := range planes {
+			op, err := he.NewPlainAtLevel(b, plane, level)
+			if err != nil {
+				return nil, err
+			}
+			q.Bits = append(q.Bits, op)
 		}
-		q.Bits = append(q.Bits, op)
+		return q, nil
+	}
+	cts, err := he.EncryptSetAtLevel(b, planes, level)
+	if err != nil {
+		return nil, err
+	}
+	for _, ct := range cts {
+		q.Bits = append(q.Bits, he.Cipher(ct))
 	}
 	return q, nil
 }

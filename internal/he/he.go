@@ -133,6 +133,15 @@ type LevelEncrypter interface {
 	EncodePlainAtLevel(vals []uint64, level int) (Plain, error)
 }
 
+// SetEncrypter is an optional Backend capability for encrypting a set of
+// vectors at one level in one call — a query's bit planes — which the
+// backend may spread across cores. The ciphertexts come back in the
+// set's order, and a seeded backend makes the same ones whatever the
+// core count.
+type SetEncrypter interface {
+	EncryptSetAtLevel(set [][]uint64, level int) ([]Ciphertext, error)
+}
+
 // Rotation is one rotation a staged program issues: a slot step, and
 // the chain level of the ciphertext it rotates (a level past the chain
 // top means the top).
@@ -248,6 +257,27 @@ func EncryptAtLevel(b Backend, vals []uint64, level int) (Ciphertext, error) {
 		return le.EncryptAtLevel(vals, level)
 	}
 	return b.Encrypt(vals)
+}
+
+// EncryptSetAtLevel encrypts every vector of set at the given level: in
+// one call where the backend is a SetEncrypter, else one EncryptAtLevel
+// after another. On an error no ciphertext of the set is returned.
+func EncryptSetAtLevel(b Backend, set [][]uint64, level int) ([]Ciphertext, error) {
+	if se, ok := b.(SetEncrypter); ok && level >= 0 {
+		return se.EncryptSetAtLevel(set, level)
+	}
+	cts := make([]Ciphertext, len(set))
+	for i, vals := range set {
+		ct, err := EncryptAtLevel(b, vals, level)
+		if err != nil {
+			for _, done := range cts[:i] {
+				Release(done)
+			}
+			return nil, err
+		}
+		cts[i] = ct
+	}
+	return cts, nil
 }
 
 // NewPlainAtLevel encodes vals (padding to Slots with zeros) as a

@@ -10,10 +10,12 @@ package hebgv
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"copse/internal/bgv"
 	"copse/internal/he"
+	"copse/internal/matrix"
 	"copse/internal/ring"
 )
 
@@ -23,11 +25,11 @@ import (
 // from the ring context's row pool (never from evaluator fields), and a
 // released ciphertext (he.Release) gives its rows back; plaintext lift
 // caches are lock-free copy-on-write tables (populated up front by
-// level-scheduled staging, see EncodePlainAtLevel), and the one
-// genuinely stateful component — the encryptor's noise sampler — is
-// serialized behind encMu. Concurrent Classify traffic over one shared
-// Backend is the serving layer's normal mode (verified under -race by
-// TestServiceConcurrentClassifyBGV).
+// level-scheduled staging, see EncodePlainAtLevel), and the encryptor
+// takes only a short lock to hand each ciphertext the seed of its own
+// sampling stream (bgv.Encryptor.Reserve). Concurrent Classify traffic
+// over one shared Backend is the serving layer's normal mode (verified
+// under -race by TestServiceConcurrentClassifyBGV and TestEncryptConcurrent).
 type Backend struct {
 	he.Counter
 
@@ -38,8 +40,6 @@ type Backend struct {
 	decryptor *bgv.Decryptor // nil when constructed without the secret key
 	sk        *bgv.SecretKey // nil when constructed without the secret key
 	pk        *bgv.PublicKey
-
-	encMu sync.Mutex // the encryptor owns a sampler and is not concurrency-safe
 
 	// keygen makes the Galois keys staging asks for (EnsureRotationKeys);
 	// nil without the secret key. It owns a sampler, so keyMu serializes
@@ -228,18 +228,41 @@ func (b *Backend) DropToLevel(ct he.Ciphertext, level int) (he.Ciphertext, error
 
 // EncryptAtLevel implements he.LevelEncrypter: a fresh encryption landed
 // directly at the scheduled level, skipping the modulus switches a
-// top-level encryption followed by a drop would pay.
+// top-level encryption followed by a drop would pay. It is a set of one
+// (EncryptSetAtLevel).
 func (b *Backend) EncryptAtLevel(vals []uint64, level int) (he.Ciphertext, error) {
-	pt, err := b.encoder.Encode(vals)
+	cts, err := b.EncryptSetAtLevel([][]uint64{vals}, level)
 	if err != nil {
 		return nil, err
 	}
-	b.encMu.Lock()
-	ct := b.encryptor.EncryptAtLevel(pt, level)
-	b.encMu.Unlock()
-	b.CountEncrypt()
-	b.CountLimbs(ct.Level() + 1)
-	return b.wrap(ct, 0), nil
+	return cts[0], nil
+}
+
+// EncryptSetAtLevel implements he.SetEncrypter: it encodes and encrypts
+// every vector of set at the given level on up to GOMAXPROCS goroutines.
+// The set's seeds are reserved in order before any of it runs, so a
+// seeded backend makes the same ciphertexts whatever the core count.
+func (b *Backend) EncryptSetAtLevel(set [][]uint64, level int) ([]he.Ciphertext, error) {
+	encs := b.encryptor.Reserve(len(set))
+	cts := make([]he.Ciphertext, len(set))
+	err := matrix.ParallelFor(len(set), runtime.GOMAXPROCS(0), func(i int) error {
+		pt, err := b.encoder.Encode(set[i])
+		if err != nil {
+			return err
+		}
+		ct := encs.EncryptAtLevel(i, pt, level)
+		b.CountEncrypt()
+		b.CountLimbs(ct.Level() + 1)
+		cts[i] = b.wrap(ct, 0)
+		return nil
+	})
+	if err != nil {
+		for _, ct := range cts {
+			he.Release(ct)
+		}
+		return nil, err
+	}
+	return cts, nil
 }
 
 // EncodePlainAtLevel implements he.LevelEncrypter: the encoding is
@@ -299,16 +322,7 @@ func (b *Backend) castPlain(p he.Plain) (*bgv.Plaintext, error) {
 
 // Encrypt implements he.Backend.
 func (b *Backend) Encrypt(vals []uint64) (he.Ciphertext, error) {
-	pt, err := b.encoder.Encode(vals)
-	if err != nil {
-		return nil, err
-	}
-	b.encMu.Lock()
-	ct := b.encryptor.Encrypt(pt)
-	b.encMu.Unlock()
-	b.CountEncrypt()
-	b.CountLimbs(ct.Level() + 1)
-	return b.wrap(ct, 0), nil
+	return b.EncryptAtLevel(vals, b.params.MaxLevel())
 }
 
 // Decrypt implements he.Backend. A ciphertext whose measured noise

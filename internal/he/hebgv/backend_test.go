@@ -2,7 +2,11 @@ package hebgv
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"copse/internal/bgv"
@@ -415,5 +419,120 @@ func TestRotateHoistedCounts(t *testing.T) {
 	}
 	if got, want := b.Counts(), (he.OpCounts{Rotate: 3, RotateHoisted: 3, LimbOps: 3 * 3}); got != want {
 		t.Errorf("counted %v, want 3 hoisted rotations of 3 limbs", got)
+	}
+}
+
+// encryptionSet is eight random vectors, a query's worth of planes.
+func encryptionSet(b *Backend, seed uint64) [][]uint64 {
+	r := rand.New(rand.NewPCG(seed, seed))
+	set := make([][]uint64, 8)
+	for i := range set {
+		set[i] = make([]uint64, b.Slots())
+		for j := range set[i] {
+			set[i][j] = r.Uint64N(b.PlainModulus())
+		}
+	}
+	return set
+}
+
+// TestEncryptSetDeterministic: a seeded backend's set encryption is the
+// same ciphertexts, coefficient for coefficient, on one encryption
+// goroutine and on four, and again in a second run — under the secret key
+// and through the public key (a gateway) — and they are the ciphertexts
+// the backend makes one EncryptAtLevel at a time.
+func TestEncryptSetDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	full := newBackend(t, 4, nil)
+	kinds := map[string]func() *Backend{
+		"secret key": func() *Backend { return newBackend(t, 4, nil) },
+		"public key": func() *Backend {
+			b, err := NewFromMaterial(Config{Seed: 9}, full.PublicMaterial())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+	}
+	set := encryptionSet(full, 4)
+	const level = 2
+	coeffs := func(b *Backend, cts []he.Ciphertext) [][][]uint64 {
+		var out [][][]uint64
+		for _, ct := range cts {
+			raw, _, err := b.ExportCiphertext(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range raw.C {
+				out = append(out, p.Coeffs)
+			}
+		}
+		return out
+	}
+	for name, mk := range kinds {
+		var runs [][][][]uint64
+		for _, procs := range []int{1, 4, 4} {
+			runtime.GOMAXPROCS(procs)
+			b := mk()
+			cts, err := b.EncryptSetAtLevel(set, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, coeffs(b, cts))
+		}
+		runtime.GOMAXPROCS(4)
+		one := mk()
+		var single []he.Ciphertext
+		for _, vals := range set {
+			ct, err := one.EncryptAtLevel(vals, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single = append(single, ct)
+		}
+		runs = append(runs, coeffs(one, single))
+		for i, run := range runs[1:] {
+			if !slices.EqualFunc(run, runs[0], func(a, b [][]uint64) bool { return slices.EqualFunc(a, b, slices.Equal) }) {
+				t.Errorf("%s: run %d differs from the one-goroutine set", name, i+1)
+			}
+		}
+	}
+}
+
+// TestEncryptConcurrent: eight goroutines encrypting sets on one backend
+// at once each get ciphertexts of their own vectors (run it under -race).
+func TestEncryptConcurrent(t *testing.T) {
+	b := newBackend(t, 3, nil)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				set := encryptionSet(b, uint64(10*g+round))
+				cts, err := b.EncryptSetAtLevel(set, 1+round%2)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i, ct := range cts {
+					got, err := b.Decrypt(ct)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !slices.Equal(got, set[i]) {
+						errs <- fmt.Errorf("goroutine %d, round %d: ciphertext %d decrypts to another vector", g, round, i)
+						return
+					}
+					he.Release(ct)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

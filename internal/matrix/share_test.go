@@ -1,4 +1,4 @@
-package matrix
+package matrix_test
 
 import (
 	"math/rand/v2"
@@ -8,6 +8,7 @@ import (
 	"copse/internal/he"
 	"copse/internal/he/hebgv"
 	"copse/internal/he/heclear"
+	"copse/internal/matrix"
 )
 
 // homMatVec evaluates M·x over d's staged operands with the backend's
@@ -15,7 +16,7 @@ import (
 // result shuffle does:
 //
 //	M·x = Σ_g rot(Σ_j d_{g·Baby+j} ⊙ rot(x, j), g·Baby).
-func homMatVec(t *testing.T, b he.Backend, d *Diagonals, x he.Operand) he.Operand {
+func homMatVec(t *testing.T, b he.Backend, d *matrix.Diagonals, x he.Operand) he.Operand {
 	t.Helper()
 	must := func(op he.Operand, err error) he.Operand {
 		t.Helper()
@@ -61,8 +62,8 @@ func TestZeroDiagonalsShareOneOperand(t *testing.T) {
 	r := rand.New(rand.NewPCG(41, 1))
 	// Each block matrix sets entries on diagonals 0, 3 and 5 only, so
 	// diagonals 1, 2, 4, 6 and 7 are zero in every block.
-	pattern := func() *Bool {
-		m := NewBool(rows, period)
+	pattern := func() *matrix.Bool {
+		m := matrix.NewBool(rows, period)
 		for row := 0; row < rows; row++ {
 			for _, i := range []int{0, 3, 5} {
 				m.Set(row, (row+i)%period, uint64(r.IntN(2)))
@@ -83,8 +84,8 @@ func TestZeroDiagonalsShareOneOperand(t *testing.T) {
 	}{{"clear", heclear.New(1024, 65537)}, {"bgv", bgvBackend}} {
 		b := tc.b
 		slots := b.Slots()
-		distinct := []*Bool{pattern(), pattern(), pattern()}
-		mats, vecs := make([]*Bool, slots/span), make([][]uint64, slots/span)
+		distinct := []*matrix.Bool{pattern(), pattern(), pattern()}
+		mats, vecs := make([]*matrix.Bool, slots/span), make([][]uint64, slots/span)
 		packed := make([]uint64, slots)
 		for k := range mats {
 			mats[k] = distinct[k%len(distinct)]
@@ -106,7 +107,7 @@ func TestZeroDiagonalsShareOneOperand(t *testing.T) {
 			}
 		}
 		for _, encrypt := range []bool{false, true} {
-			d, err := PrepareDiagonalsAt(b, mats, nil, period, span, encrypt, -1)
+			d, err := matrix.PrepareDiagonalsAt(b, mats, nil, period, span, encrypt, -1)
 			if err != nil {
 				t.Fatal(err)
 			}

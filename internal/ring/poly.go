@@ -428,25 +428,41 @@ func (ctx *Context) CopyPooled(p *Poly) *Poly {
 }
 
 // SetLift fills p (coefficient domain) with the given small signed
-// coefficients, reducing each into every active prime (a division only
-// for a magnitude of q or more).
+// coefficients, reducing each into every active prime. When every c is
+// in [−q, q), a residue is c + q·[c < 0], the sign taken as a mask rather
+// than a branch (a sampled error's sign is a coin flip the predictor
+// cannot learn); otherwise every coefficient takes a division.
 func (ctx *Context) SetLift(coeffs []int64, p *Poly) {
+	// c ^ c>>63 is c for c ≥ 0 and |c| − 1 below, so an OR of them all
+	// under q puts every c in [−q, q).
+	var bound uint64
+	for _, c := range coeffs {
+		bound |= uint64(c ^ c>>63)
+	}
 	for i := range p.Coeffs {
 		q := ctx.Moduli[i].Q
-		pi := p.Coeffs[i]
+		pi := p.Coeffs[i][:len(coeffs)]
+		if bound < q {
+			for j, c := range coeffs {
+				pi[j] = uint64(c) + q&uint64(c>>63)
+			}
+			continue
+		}
 		for j, c := range coeffs {
-			v := uint64(c)
-			if c < 0 {
-				v = -v
-			}
-			if v >= q {
-				v %= q
-			}
-			if c < 0 && v != 0 {
-				v = q - v
-			}
-			pi[j] = v
+			pi[j] = liftLarge(c, q)
 		}
 	}
 	p.IsNTT = false
+}
+
+// liftLarge reduces any coefficient into [0, q).
+func liftLarge(c int64, q uint64) uint64 {
+	v := uint64(c)
+	if c < 0 {
+		v = -v
+	}
+	if v %= q; c < 0 && v != 0 {
+		v = q - v
+	}
+	return v
 }

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -270,6 +271,53 @@ func TestSetLiftAndToCenteredMod(t *testing.T) {
 	}
 }
 
+// TestSetLiftBoundaries: the lift agrees with the reference reduction
+// (big-integer c mod q) at the edges of its branch-free range — ±(q−2),
+// ±(q−1), ±q, ±(q+1) — and far past it, up to the extremes of int64, in
+// every prime of the chain: each value lifted beside zeros only (so the
+// value alone decides whether a prime takes the branch-free path), and
+// all of them in one vector of small errors.
+func TestSetLiftBoundaries(t *testing.T) {
+	ctx := testContext(t)
+	var edges []int64
+	for _, m := range ctx.Moduli {
+		q := int64(m.Q)
+		for _, c := range []int64{q - 2, q - 1, q, q + 1, 2 * q} {
+			edges = append(edges, c, -c)
+		}
+	}
+	edges = append(edges, 0, 1, -1, 1<<62, -(1 << 62), 1<<63-1, -1<<63+1, -1<<63)
+	check := func(coeffs []int64) {
+		t.Helper()
+		p := ctx.NewPoly(ctx.MaxLevel())
+		ctx.SetLift(coeffs, p)
+		for i, m := range ctx.Moduli {
+			q := new(big.Int).SetUint64(m.Q)
+			for j, c := range coeffs {
+				want := new(big.Int).Mod(big.NewInt(c), q).Uint64()
+				if got := p.Coeffs[i][j]; got != want {
+					t.Errorf("prime %d: SetLift(%d) = %d, want %d", i, c, got, want)
+				}
+			}
+		}
+	}
+	small := func() []int64 {
+		coeffs := make([]int64, ctx.N)
+		for j := range coeffs {
+			coeffs[j] = int64(j%43) - 21
+		}
+		return coeffs
+	}
+	all := small()
+	for k, c := range edges {
+		one := make([]int64, ctx.N)
+		one[k] = c
+		check(one)
+		all[k] = c
+	}
+	check(all)
+}
+
 // TestModSwitchDown checks that switching m + t*e down a level preserves
 // the plaintext and shrinks the noise.
 func TestModSwitchDown(t *testing.T) {
@@ -419,6 +467,50 @@ func TestSamplerDistributions(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds produced identical polys")
+	}
+}
+
+// TestSamplerDrawsMatchRand: the sampler draws what a math/rand/v2 Rand
+// over the same ChaCha8 stream draws — a ternary coefficient is
+// Rand.IntN(3) − 1, an error coefficient the popcount difference of two
+// Uint64 draws — and a reseeded sampler draws what a fresh one on that
+// seed does, from scratch it reuses.
+func TestSamplerDrawsMatchRand(t *testing.T) {
+	ctx := testContext(t)
+	s := NewSeededSampler(ctx, 17)
+	var seed [32]byte
+	seed[0] = 17
+	ref := rand.New(rand.NewChaCha8(seed))
+	q := ctx.Moduli[0].Q
+	centered := func(v uint64) int64 {
+		if v > q/2 {
+			return int64(v) - int64(q)
+		}
+		return int64(v)
+	}
+	for round := 0; round < 3; round++ {
+		tern := s.TernaryPoly(0)
+		for j, v := range tern.Coeffs[0] {
+			if want := int64(ref.IntN(3)) - 1; centered(v) != want {
+				t.Fatalf("round %d: ternary coefficient %d = %d, want %d", round, j, centered(v), want)
+			}
+		}
+		e := s.ErrorPoly(0)
+		for j, v := range e.Coeffs[0] {
+			a, b := ref.Uint64()&(1<<21-1), ref.Uint64()&(1<<21-1)
+			if want := int64(bits.OnesCount64(a)) - int64(bits.OnesCount64(b)); centered(v) != want {
+				t.Fatalf("round %d: error coefficient %d = %d, want %d", round, j, centered(v), want)
+			}
+		}
+	}
+
+	child := s.Seed()
+	fresh := NewSeededSampler(ctx, 0)
+	fresh.Reseed(child)
+	want := fresh.ErrorPoly(ctx.MaxLevel())
+	s.Reseed(child)
+	if got := s.ErrorPoly(ctx.MaxLevel()); !slices.EqualFunc(got.Coeffs, want.Coeffs, slices.Equal) {
+		t.Error("a reseeded sampler draws other errors than a fresh one on the same seed")
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 // Sampler draws the random polynomials used by the BGV scheme: uniform
 // masks, ternary secrets, and centered-binomial errors. It is
 // deterministic given a seed, which keeps tests and benchmarks
-// reproducible; NewSampler seeds from crypto/rand.
+// reproducible; NewSampler seeds from crypto/rand. Not safe for
+// concurrent use.
 type Sampler struct {
-	ctx *Context
-	rng *rand.Rand
-	cbd int // centered binomial parameter: sum of cbd bits minus cbd bits
+	ctx     *Context
+	rng     *rand.ChaCha8
+	cbd     int     // centered binomial parameter: sum of cbd bits minus cbd bits
+	scratch []int64 // the N small coefficients of the polynomial being drawn
 }
 
 // NewSampler returns a sampler seeded from the operating system's entropy
@@ -40,7 +42,7 @@ func NewSeededSampler(ctx *Context, seed uint64) *Sampler {
 func newSamplerFromSeed(ctx *Context, seed [32]byte) *Sampler {
 	return &Sampler{
 		ctx: ctx,
-		rng: rand.New(rand.NewChaCha8(seed)),
+		rng: rand.NewChaCha8(seed),
 		cbd: 21, // sigma = sqrt(21/2) ≈ 3.24, the conventional RLWE width
 	}
 }
@@ -50,6 +52,20 @@ func newSamplerFromSeed(ctx *Context, seed [32]byte) *Sampler {
 func (s *Sampler) In(ctx *Context) *Sampler {
 	return &Sampler{ctx: ctx, rng: s.rng, cbd: s.cbd}
 }
+
+// Seed draws 32 bytes from the stream: the seed of a stream of its own
+// (Reseed), which samples independently of this one.
+func (s *Sampler) Seed() [32]byte {
+	var seed [32]byte
+	for i := 0; i < len(seed); i += 8 {
+		binary.LittleEndian.PutUint64(seed[i:], s.rng.Uint64())
+	}
+	return seed
+}
+
+// Reseed restarts the sampler on the stream seed keys: what follows is
+// what a sampler newly made from that seed would draw.
+func (s *Sampler) Reseed(seed [32]byte) { s.rng.Seed(seed) }
 
 // UniformPoly samples a uniformly random polynomial at the given level in
 // the requested domain. Because CRT is a bijection, sampling each residue
@@ -78,11 +94,17 @@ func (s *Sampler) UniformPoly(level int, ntt bool) *Poly {
 }
 
 // TernaryPoly samples a uniform ternary polynomial (coefficients in
-// {-1,0,1}) at the given level, in coefficient domain.
+// {-1,0,1}) at the given level, in coefficient domain. Each coefficient
+// is the draw math/rand/v2's Rand.IntN(3) makes of the stream, minus one:
+// the high word of x·3, redrawn when the low word is below 2^64 mod 3 = 1.
 func (s *Sampler) TernaryPoly(level int) *Poly {
-	coeffs := make([]int64, s.ctx.N)
+	coeffs := s.coeffs()
 	for j := range coeffs {
-		coeffs[j] = int64(s.rng.IntN(3)) - 1
+		hi, lo := bits.Mul64(s.rng.Uint64(), 3)
+		for lo == 0 {
+			hi, lo = bits.Mul64(s.rng.Uint64(), 3)
+		}
+		coeffs[j] = int64(hi) - 1
 	}
 	p := s.ctx.GetPoly(level)
 	s.ctx.SetLift(coeffs, p)
@@ -99,12 +121,22 @@ func (s *Sampler) ErrorPoly(level int) *Poly {
 
 // ErrorCoeffs samples the N centered-binomial coefficients of one error
 // polynomial, for callers that fold other small terms in before lifting.
+// The slice is the sampler's scratch: it holds until the sampler's next
+// draw of small coefficients.
 func (s *Sampler) ErrorCoeffs() []int64 {
-	coeffs := make([]int64, s.ctx.N)
+	coeffs := s.coeffs()
 	for j := range coeffs {
 		coeffs[j] = s.cbdSample()
 	}
 	return coeffs
+}
+
+// coeffs returns the sampler's N-word scratch.
+func (s *Sampler) coeffs() []int64 {
+	if s.scratch == nil {
+		s.scratch = make([]int64, s.ctx.N)
+	}
+	return s.scratch
 }
 
 // cbdSample draws one centered-binomial value: popcount(a)-popcount(b)
