@@ -125,10 +125,10 @@ type Encryptor struct {
 	pk     *PublicKey
 	sk     *SecretKey // nil: encrypt through pk
 
-	// The Shoup companion tables of pk.B and pk.A (public-key encryptor
-	// only): u multiplies into both and adds onto a transformed error in
-	// one pass each.
-	bs, as *ring.PolyShoup
+	// Montgomery-form copies of pk.B and pk.A (public-key encryptor
+	// only): u multiplies into both and adds onto the transformed errors
+	// in one pass (ring.Context.DotMontgomeryAdd).
+	pkB, pkA *ring.Poly
 
 	mu    sync.Mutex
 	seeds *ring.Sampler // the encryptor's stream, drawn from under mu
@@ -140,7 +140,10 @@ func newEncryptor(params *Parameters, pk *PublicKey, sk *SecretKey, seeds *ring.
 	e := &Encryptor{params: params, pk: pk, sk: sk, seeds: seeds}
 	e.samplers.New = func() any { return ring.NewSeededSampler(params.RingCtx, 0) }
 	if sk == nil {
-		e.bs, e.as = params.RingCtx.ShoupPoly(pk.B), params.RingCtx.ShoupPoly(pk.A)
+		ctx := params.RingCtx
+		e.pkB, e.pkA = ctx.NewPoly(pk.B.Level()), ctx.NewPoly(pk.A.Level())
+		ctx.MontgomeryForm(pk.B, e.pkB)
+		ctx.MontgomeryForm(pk.A, e.pkA)
 	}
 	return e
 }
@@ -231,11 +234,10 @@ func (e *Encryptor) encryptPublic(s *ring.Sampler, pt *Plaintext, level int) *Ci
 	c0 := ctx.GetPoly(level)
 	ctx.SetLift(e.scaleError(s.ErrorCoeffs(), pt.Coeffs), c0)
 	ctx.NTT(c0)
-	ctx.MulCoeffsShoupAdd(u, e.pk.B, e.bs, c0)
 	c1 := ctx.GetPoly(level)
 	ctx.SetLift(e.scaleError(s.ErrorCoeffs(), nil), c1)
 	ctx.NTT(c1)
-	ctx.MulCoeffsShoupAdd(u, e.pk.A, e.as, c1)
+	ctx.DotMontgomeryAdd([]*ring.Poly{u}, []*ring.Poly{e.pkB}, []*ring.Poly{e.pkA}, c0, c1)
 	ctx.PutPoly(u)
 	return &Ciphertext{C: []*ring.Poly{c0, c1}}
 }

@@ -249,11 +249,12 @@ func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
 // keySwitch returns the accumulators (P·c0 + Σ_j digit_j ⊙ B_j,
 // P·c1 + Σ_j digit_j ⊙ A_j) over Q_level·P, in NTT domain, from the
 // extended digits of the polynomial being switched
-// (ring.DecomposeHybrid); a nil c1 stands for zero. Dividing them by P
-// adds the switched polynomial to (c0, c1). The key is accessed through
-// its level-truncated view, so a switch at a scheduled-down level runs
-// over exactly the digits and limbs that level needs. The caller returns
-// the accumulators to the QP pool.
+// (ring.DecomposeHybrid); a nil c1 stands for zero. Both sums are one
+// pass of the Montgomery-form inner product, each digit read once.
+// Dividing them by P adds the switched polynomial to (c0, c1). The key
+// is accessed through its level-truncated view, so a switch at a
+// scheduled-down level runs over exactly the digits and limbs that level
+// needs. The caller returns the accumulators to the QP pool.
 func (ev *Evaluator) keySwitch(digits []*ring.Poly, key *SwitchingKey, level int, c0, c1 *ring.Poly) (acc0, acc1 *ring.Poly) {
 	ctx := ev.params.RingCtx
 	qp := ctx.QP(level)
@@ -267,10 +268,7 @@ func (ev *Evaluator) keySwitch(digits []*ring.Poly, key *SwitchingKey, level int
 		acc1 = qp.GetPolyZero(qp.MaxLevel())
 		acc1.IsNTT = true
 	}
-	for j, dig := range digits {
-		qp.MulCoeffsShoupAdd(dig, key.B[j], key.BS[j], acc0)
-		qp.MulCoeffsShoupAdd(dig, key.A[j], key.AS[j], acc1)
-	}
+	qp.DotMontgomeryAdd(digits, key.B, key.A, acc0, acc1)
 	return acc0, acc1
 }
 

@@ -31,11 +31,14 @@ type PublicKey struct {
 // for those primes. Keys for rotation steps used only by the scheduled
 // back half of the pipeline are therefore generated directly at their
 // stage level, cutting key material (WithGaloisKeys).
-// BS and AS are the Shoup companion tables of B and A, letting the
-// evaluator's digit ⊙ key inner products run division-free.
+//
+// B and A are stored in Montgomery form, every residue w as w·2^64 mod q
+// (ring.Context.MontgomeryForm): the evaluator's digit ⊙ key inner
+// product (ring.Context.DotMontgomeryAdd) multiplies them as they stand
+// and takes the 2^64 out in the one reduction it makes per coefficient,
+// so a key needs no companion table beside it.
 type SwitchingKey struct {
-	B, A   []*ring.Poly
-	BS, AS []*ring.PolyShoup
+	B, A []*ring.Poly
 
 	views atomic.Pointer[[]*SwitchingKey] // level-indexed truncated views
 }
@@ -44,24 +47,23 @@ type SwitchingKey struct {
 // generated at).
 func (k *SwitchingKey) Level() int { return k.B[0].Level() - ring.DigitPrimes }
 
-// MaterialBytes returns the in-memory size of the key's polynomials
-// (B, A and their Shoup companions).
+// MaterialBytes returns the in-memory size of the key's polynomials: B
+// and A, two per digit.
 func (k *SwitchingKey) MaterialBytes() int64 {
 	var total int64
 	for d := range k.B {
-		total += int64(len(k.B[d].Coeffs)) * int64(len(k.B[d].Coeffs[0])) * 8 * 4
+		total += int64(len(k.B[d].Coeffs)) * int64(len(k.B[d].Coeffs[0])) * 8 * 2
 	}
 	return total
 }
 
 // AtLevel returns a view of k truncated to the given level: only the
 // digits that exist at that level are kept, and each retained key poly
-// (and its Shoup companion) is restricted to the active chain primes
-// plus the special primes. A key switch at a scheduled-down level
-// therefore extends fewer digits and multiplies fewer limbs than the
-// top-level key would suggest. Views share the full key's residue rows
-// (no copying) and are cached per level; the key's own level returns k
-// itself.
+// is restricted to the active chain primes plus the special primes. A
+// key switch at a scheduled-down level therefore extends fewer digits
+// and multiplies fewer limbs than the top-level key would suggest. Views
+// share the full key's residue rows (no copying) and are cached per
+// level; the key's own level returns k itself.
 func (k *SwitchingKey) AtLevel(level int) *SwitchingKey {
 	top := k.Level()
 	if level >= top {
@@ -73,12 +75,7 @@ func (k *SwitchingKey) AtLevel(level int) *SwitchingKey {
 		}
 	}
 	digits := ring.HybridDigits(level)
-	v := &SwitchingKey{
-		B:  make([]*ring.Poly, digits),
-		A:  make([]*ring.Poly, digits),
-		BS: make([]*ring.PolyShoup, digits),
-		AS: make([]*ring.PolyShoup, digits),
-	}
+	v := &SwitchingKey{B: make([]*ring.Poly, digits), A: make([]*ring.Poly, digits)}
 	// rows keeps chain rows 0..level and the special rows above the
 	// key's own chain.
 	rows := func(all [][]uint64) [][]uint64 {
@@ -87,8 +84,6 @@ func (k *SwitchingKey) AtLevel(level int) *SwitchingKey {
 	for d := 0; d < digits; d++ {
 		v.B[d] = &ring.Poly{Coeffs: rows(k.B[d].Coeffs), IsNTT: true}
 		v.A[d] = &ring.Poly{Coeffs: rows(k.A[d].Coeffs), IsNTT: true}
-		v.BS[d] = &ring.PolyShoup{S: rows(k.BS[d].S)}
-		v.AS[d] = &ring.PolyShoup{S: rows(k.AS[d].S)}
 	}
 	return publishAt(&k.views, level, v)
 }
@@ -102,7 +97,7 @@ type EvaluationKeys struct {
 }
 
 // MaterialBytes returns the total in-memory key material (relin + all
-// Galois keys, Shoup companions included).
+// Galois keys).
 func (ek *EvaluationKeys) MaterialBytes() int64 {
 	var total int64
 	if ek.Relin != nil {
@@ -192,7 +187,8 @@ func (kg *KeyGenerator) secretQP(sk *SecretKey, level int) *ring.Poly {
 // genSwitchingKeyAt builds the key that switches `target` (NTT domain,
 // at least `level` chain limbs) to the secret sOut, a coefficient-domain
 // QP poly at `level` that the call transforms in place. Fewer digits and
-// fewer residues per digit than a top-level key.
+// fewer residues per digit than a top-level key. Each half leaves in
+// Montgomery form.
 func (kg *KeyGenerator) genSwitchingKeyAt(target, sOut *ring.Poly, level int) *SwitchingKey {
 	ctx := kg.params.RingCtx
 	qp := ctx.QP(level)
@@ -223,10 +219,10 @@ func (kg *KeyGenerator) genSwitchingKeyAt(target, sOut *ring.Poly, level int) *S
 		ctx.MulScalarVec(tgt, factors, scaled)
 		bq := restrict(b, level)
 		ctx.Add(bq, scaled, bq)
+		qp.MontgomeryForm(b, b)
+		qp.MontgomeryForm(a, a)
 		swk.B = append(swk.B, b)
 		swk.A = append(swk.A, a)
-		swk.BS = append(swk.BS, qp.ShoupPoly(b))
-		swk.AS = append(swk.AS, qp.ShoupPoly(a))
 	}
 	return swk
 }

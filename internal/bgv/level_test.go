@@ -108,7 +108,7 @@ func TestSwitchingKeyViews(t *testing.T) {
 	if len(v.B) != ring.HybridDigits(1) {
 		t.Errorf("level-1 view keeps %d digits, want %d", len(v.B), ring.HybridDigits(1))
 	}
-	if rows := 2 + ring.DigitPrimes; v.Level() != 1 || len(v.B[0].Coeffs) != rows || len(v.BS[0].S) != rows {
+	if rows := 2 + ring.DigitPrimes; v.Level() != 1 || len(v.B[0].Coeffs) != rows || len(v.A[0].Coeffs) != rows {
 		t.Errorf("level-1 view not truncated to 2 chain limbs plus the special limbs")
 	}
 	if &v.B[0].Coeffs[0][0] != &key.B[0].Coeffs[0][0] || &v.B[0].Coeffs[2][0] != &key.B[0].Coeffs[top+1][0] {

@@ -1,6 +1,10 @@
 package bgv
 
-import "testing"
+import (
+	"testing"
+
+	"copse/internal/ring"
+)
 
 // leveledKit builds a BGV instance whose one Galois key, for step 3, is
 // generated at the given level — the shape WithGaloisKeys produces for a
@@ -80,6 +84,8 @@ func TestLeveledGaloisKeyDirectUseAboveLevelRejected(t *testing.T) {
 // TestLeveledKeyMaterialShrinks pins the byte accounting: a key at
 // level 3 of an 6-prime chain holds fewer digits × fewer limbs than a
 // top-level key, and MaterialBytes/TopLevelBytes see the difference.
+// A key is two polynomials per digit and nothing beside them: at level
+// 3, two digits of 4 chain and 3 special limbs of N words.
 func TestLeveledKeyMaterialShrinks(t *testing.T) {
 	const levels, keyLevel = 6, 3
 	kit := leveledKit(t, levels, keyLevel)
@@ -87,8 +93,9 @@ func TestLeveledKeyMaterialShrinks(t *testing.T) {
 	if key.Level() != keyLevel {
 		t.Fatalf("step-3 key at level %d, want %d", key.Level(), keyLevel)
 	}
-	if got, want := key.MaterialBytes(), kit.params.SwitchingKeyBytes(keyLevel); got != want {
-		t.Fatalf("leveled key bytes %d, want %d", got, want)
+	want := int64(2*2*(keyLevel+1+ring.DigitPrimes)*kit.params.N()) * 8
+	if got := key.MaterialBytes(); got != want || kit.params.SwitchingKeyBytes(keyLevel) != want {
+		t.Fatalf("leveled key bytes %d (SwitchingKeyBytes %d), want %d", got, kit.params.SwitchingKeyBytes(keyLevel), want)
 	}
 	ek := kit.eval.Keys()
 	if ek.MaterialBytes() >= ek.TopLevelBytes(kit.params) {

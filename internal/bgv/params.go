@@ -121,12 +121,12 @@ func (p *Parameters) MaxLevel() int { return p.Levels - 1 }
 func (p *Parameters) QBits(level int) int { return p.RingCtx.BigQ(level).BitLen() }
 
 // SwitchingKeyBytes returns the in-memory size of one switching key
-// generated at the given level: one (B, A) pair per key-switch digit,
-// each a poly of N uint64 residues over the level+1 chain primes and the
-// special primes, plus the two Shoup companion tables of the same shape.
+// generated at the given level: one (B, A) pair per key-switch digit —
+// two polynomials, each of N uint64 residues over the level+1 chain
+// primes and the special primes, and no companion tables.
 func (p *Parameters) SwitchingKeyBytes(level int) int64 {
 	rows := int64(level + 1 + ring.DigitPrimes)
-	return int64(ring.HybridDigits(level)) * rows * int64(p.N()) * 8 * 4
+	return int64(ring.HybridDigits(level)) * rows * int64(p.N()) * 8 * 2
 }
 
 // KeySwitchNoiseBits bounds log2 of the noise one hybrid key switch at

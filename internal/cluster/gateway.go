@@ -582,13 +582,9 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 	}
 	// The query planes and, below, the merge's ciphertexts are this
 	// request's own: back to the backend's pool once the frame holds them.
-	var queryFrame bytes.Buffer
-	err = EncodeCiphertexts(&queryFrame, wcs)
+	queryFrame := ciphertextFrame(wcs)
 	for _, op := range q.Bits {
 		he.Release(op.Ct)
-	}
-	if err != nil {
-		return nil, err
 	}
 	trace.Encrypt += time.Since(mark)
 	g.queryPlanes.Add(int64(r.meta.Precision))
@@ -617,7 +613,7 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 					errs[shard] = &copse.InternalError{Op: "shard fan-out", Value: rec, Stack: debug.Stack()}
 				}
 			}()
-			shardCts[shard], errs[shard] = g.classifyShard(ctx, model, shard, r.holders[shard], queryFrame.Bytes(), len(chunk))
+			shardCts[shard], errs[shard] = g.classifyShard(ctx, model, shard, r.holders[shard], queryFrame, len(chunk))
 		}(shard)
 	}
 	wg.Wait()
@@ -654,7 +650,7 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 		return nil, err
 	}
 	mark = time.Now()
-	results, err := g.decode(ctx, model, r, mergedFrame.Bytes(), len(chunk))
+	results, err := g.decode(ctx, model, r, mergedFrame, len(chunk))
 	decode := time.Since(mark)
 	trace.Decode += decode
 	if err != nil {
@@ -668,7 +664,7 @@ func (g *Gateway) classifyChunk(ctx context.Context, model string, r *route, bac
 // mergeFrame adds the shard results up and encodes the sum. Every
 // ciphertext it imports or makes goes back to the backend's pool once the
 // frame holds the sum.
-func mergeFrame(backend *hebgv.Backend, shardCts []WireCiphertext) (*bytes.Buffer, error) {
+func mergeFrame(backend *hebgv.Backend, shardCts []WireCiphertext) ([]byte, error) {
 	var made []he.Ciphertext
 	defer func() {
 		for _, ct := range made {
@@ -695,11 +691,7 @@ func mergeFrame(backend *hebgv.Backend, shardCts []WireCiphertext) (*bytes.Buffe
 	if err != nil {
 		return nil, err
 	}
-	var frame bytes.Buffer
-	if err := EncodeCiphertexts(&frame, []WireCiphertext{{Ct: raw, Depth: depth}}); err != nil {
-		return nil, err
-	}
-	return &frame, nil
+	return ciphertextFrame([]WireCiphertext{{Ct: raw, Depth: depth}}), nil
 }
 
 // classifyShard posts one shard request through holderCall: a holder due

@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"copse/internal/bgv"
@@ -209,6 +210,20 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+
+	// pool, when set, is the ring whose row pool poly draws from, once
+	// the polynomial's shape fits it; taken lists what it drew, which a
+	// failed decode hands back (release).
+	pool  *ring.Context
+	taken []*ring.Poly
+}
+
+// release returns every polynomial the reader drew from its pool.
+func (r *reader) release() {
+	if r.pool != nil {
+		r.pool.PutPolys(r.taken)
+	}
+	r.taken = nil
 }
 
 func (r *reader) take(n int) []byte {
@@ -299,6 +314,9 @@ func putPoly(b *bytes.Buffer, p *ring.Poly) {
 	b.Write(appendPoly(b.AvailableBuffer(), p))
 }
 
+// poly reads one polynomial. With a pool its rows come from the pool,
+// only after the frame is known to hold all of them and their shape fits
+// the pool's ring, and every residue must be reduced by its prime.
 func (r *reader) poly() *ring.Poly {
 	flags := r.u8()
 	limbs := int(r.u16())
@@ -310,17 +328,37 @@ func (r *reader) poly() *ring.Poly {
 		r.err = fmt.Errorf("cluster: implausible poly shape (%d limbs, N=%d)", limbs, n)
 		return nil
 	}
-	p := &ring.Poly{Coeffs: make([][]uint64, limbs), IsNTT: flags&1 != 0}
-	for i := range p.Coeffs {
-		raw := r.take(n * 8)
-		if raw == nil {
-			return nil
+	if r.pool != nil && (limbs > r.pool.MaxLevel()+1 || n != r.pool.N) {
+		r.err = fmt.Errorf("cluster: poly of %d limbs over N=%d does not fit the ring (at most %d limbs over N=%d)",
+			limbs, n, r.pool.MaxLevel()+1, r.pool.N)
+		return nil
+	}
+	raw := r.take(limbs * n * 8)
+	if raw == nil {
+		return nil
+	}
+	var p *ring.Poly
+	if r.pool != nil {
+		p = r.pool.GetPoly(limbs - 1)
+		r.taken = append(r.taken, p)
+	} else {
+		p = &ring.Poly{Coeffs: make([][]uint64, limbs)}
+		for i := range p.Coeffs {
+			p.Coeffs[i] = make([]uint64, n)
 		}
-		limb := make([]uint64, n)
+	}
+	p.IsNTT = flags&1 != 0
+	for i, limb := range p.Coeffs {
 		for j := range limb {
 			limb[j] = binary.LittleEndian.Uint64(raw[j*8:])
 		}
-		p.Coeffs[i] = limb
+		raw = raw[n*8:]
+		// The key-switch inner product's bound holds for reduced
+		// residues only.
+		if r.pool != nil && slices.Max(limb) >= r.pool.Moduli[i].Q {
+			r.err = fmt.Errorf("cluster: ciphertext residue %d not reduced modulo %d", slices.Max(limb), r.pool.Moduli[i].Q)
+			return nil
+		}
 	}
 	return p
 }
@@ -371,17 +409,22 @@ func checkWireParams(p bgv.Params) error {
 
 // putSwitchingKey writes the key's shape — digits, chain limbs (the
 // Q-part of every key poly) and special-prime limbs (the P-part) — and
-// then each digit's (B, A) pair, chain rows first.
-func putSwitchingKey(b *bytes.Buffer, k *bgv.SwitchingKey) {
+// then each digit's (B, A) pair, chain rows first. The key is held in
+// Montgomery form; its residues travel in normal form, taken out over
+// the ring ctx of the key's parameters, so the frame does not depend on
+// how a process stores its keys.
+func putSwitchingKey(b *bytes.Buffer, ctx *ring.Context, k *bgv.SwitchingKey) {
 	putU16(b, uint16(len(k.B)))
 	putU16(b, uint16(k.Level()+1))
 	putU16(b, uint16(len(k.B[0].Coeffs)-k.Level()-1))
+	qp := ctx.QP(k.Level())
+	p := qp.NewPoly(qp.MaxLevel())
 	for d := range k.B {
-		putPoly(b, k.B[d])
-		putPoly(b, k.A[d])
+		qp.NormalForm(k.B[d], p)
+		putPoly(b, p)
+		qp.NormalForm(k.A[d], p)
+		putPoly(b, p)
 	}
-	// Shoup companion tables are derived data; the decoder rebuilds
-	// them, halving the frame size.
 }
 
 // switchingKey reads one key and checks every count against the shape
@@ -408,12 +451,7 @@ func (r *reader) switchingKey(ctx *ring.Context) *bgv.SwitchingKey {
 		return nil
 	}
 	qp := ctx.QP(chain - 1)
-	k := &bgv.SwitchingKey{
-		B:  make([]*ring.Poly, digits),
-		A:  make([]*ring.Poly, digits),
-		BS: make([]*ring.PolyShoup, digits),
-		AS: make([]*ring.PolyShoup, digits),
-	}
+	k := &bgv.SwitchingKey{B: make([]*ring.Poly, digits), A: make([]*ring.Poly, digits)}
 	keyPoly := func() *ring.Poly {
 		p := r.poly()
 		if r.err != nil {
@@ -427,8 +465,8 @@ func (r *reader) switchingKey(ctx *ring.Context) *bgv.SwitchingKey {
 			!check("polynomial degree", len(p.Coeffs[0]), ctx.N) {
 			return nil
 		}
-		// ShoupPoly divides by the modulus: an unreduced residue would
-		// overflow its quotient, so reject it here.
+		// The key-switch inner product's bound holds for reduced
+		// residues only, so reject an unreduced one here.
 		for i, row := range p.Coeffs {
 			for _, c := range row {
 				if q := qp.Moduli[i].Q; c >= q {
@@ -437,6 +475,7 @@ func (r *reader) switchingKey(ctx *ring.Context) *bgv.SwitchingKey {
 				}
 			}
 		}
+		qp.MontgomeryForm(p, p)
 		return p
 	}
 	for d := 0; d < digits; d++ {
@@ -445,8 +484,6 @@ func (r *reader) switchingKey(ctx *ring.Context) *bgv.SwitchingKey {
 		if r.err != nil {
 			return nil
 		}
-		k.BS[d] = qp.ShoupPoly(k.B[d])
-		k.AS[d] = qp.ShoupPoly(k.A[d])
 	}
 	return k
 }
@@ -475,6 +512,14 @@ func EncodeKeyMaterial(w io.Writer, m *hebgv.Material) error {
 	if m.Keys != nil && len(m.Keys.Galois) > 0 {
 		flags |= matHasGalois
 	}
+	var ctx *ring.Context
+	if flags&(matHasRelin|matHasGalois) != 0 {
+		params, err := bgv.NewParameters(m.Params)
+		if err != nil {
+			return err
+		}
+		ctx = params.RingCtx
+	}
 	putU8(&b, flags)
 	putPoly(&b, m.Public.B)
 	putPoly(&b, m.Public.A)
@@ -482,13 +527,13 @@ func EncodeKeyMaterial(w io.Writer, m *hebgv.Material) error {
 		putPoly(&b, m.Secret.S)
 	}
 	if flags&matHasRelin != 0 {
-		putSwitchingKey(&b, m.Keys.Relin)
+		putSwitchingKey(&b, ctx, m.Keys.Relin)
 	}
 	if flags&matHasGalois != 0 {
 		putU32(&b, uint32(len(m.Keys.Galois)))
 		for _, elt := range sortedElts(m.Keys.Galois) {
 			putU64(&b, elt)
-			putSwitchingKey(&b, m.Keys.Galois[elt])
+			putSwitchingKey(&b, ctx, m.Keys.Galois[elt])
 		}
 	}
 	var zbuf bytes.Buffer
@@ -502,8 +547,9 @@ func EncodeKeyMaterial(w io.Writer, m *hebgv.Material) error {
 	return writeFrame(w, KindKeyMaterial, zbuf.Bytes())
 }
 
-// DecodeKeyMaterial reads a key-material frame, rebuilding the derived
-// Shoup tables against the (deterministically regenerated) prime chain.
+// DecodeKeyMaterial reads a key-material frame, putting the switching
+// keys into Montgomery form over the (deterministically regenerated)
+// prime chain.
 func DecodeKeyMaterial(rd io.Reader) (*hebgv.Material, error) {
 	payload, err := readFrame(rd, KindKeyMaterial)
 	if err != nil {
@@ -610,9 +656,16 @@ type WireCiphertext struct {
 }
 
 // EncodeCiphertexts frames a batch of ciphertexts — the data plane's
-// payload for both query fan-out and result return — in one buffer sized
-// exactly, written to w at once.
+// payload for both query fan-out and result return — and writes the
+// frame to w at once.
 func EncodeCiphertexts(w io.Writer, cts []WireCiphertext) error {
+	_, err := w.Write(ciphertextFrame(cts))
+	return err
+}
+
+// ciphertextFrame is EncodeCiphertexts' frame in one slice sized
+// exactly, which the serving paths send as it stands.
+func ciphertextFrame(cts []WireCiphertext) []byte {
 	size := 4
 	for _, wc := range cts {
 		size += 2 + 1
@@ -629,13 +682,12 @@ func EncodeCiphertexts(w io.Writer, cts []WireCiphertext) error {
 			b = appendPoly(b, p)
 		}
 	}
-	_, err := w.Write(b)
-	return err
+	return b
 }
 
 // DecodeCiphertexts reads a ciphertext-batch frame.
 func DecodeCiphertexts(rd io.Reader) ([]WireCiphertext, error) {
-	return decodeCiphertexts(rd, func(n int) error {
+	return decodeCiphertexts(rd, nil, func(n int) error {
 		if n > 1<<20 {
 			return fmt.Errorf("cluster: implausible ciphertext count %d", n)
 		}
@@ -647,7 +699,7 @@ func DecodeCiphertexts(rd io.Reader) ([]WireCiphertext, error) {
 // one ciphertext — a shard's vote sum, or the merge of them — refusing
 // any other announced count before a ciphertext of it is allocated.
 func decodeOneCiphertext(rd io.Reader) (WireCiphertext, error) {
-	cts, err := decodeCiphertexts(rd, func(n int) error {
+	cts, err := decodeCiphertexts(rd, nil, func(n int) error {
 		if n != 1 {
 			return fmt.Errorf("cluster: frame announces %d ciphertexts, want 1", n)
 		}
@@ -660,13 +712,21 @@ func decodeOneCiphertext(rd io.Reader) (WireCiphertext, error) {
 }
 
 // decodeCiphertexts reads a ciphertext frame whose announced count
-// admit accepts; it is asked before any ciphertext is allocated.
-func decodeCiphertexts(rd io.Reader, admit func(n int) error) ([]WireCiphertext, error) {
+// admit accepts; it is asked before any ciphertext is allocated. With a
+// pool, every polynomial's rows come from that ring's row pool (reader.
+// poly), so the release of the ciphertexts after their use returns them;
+// a frame refused after rows were drawn hands them back.
+func decodeCiphertexts(rd io.Reader, pool *ring.Context, admit func(n int) error) (_ []WireCiphertext, err error) {
 	payload, err := readFrame(rd, KindCiphertexts)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload}
+	r := &reader{b: payload, pool: pool}
+	defer func() {
+		if err != nil {
+			r.release()
+		}
+	}()
 	n := int(r.u32())
 	if r.err == nil {
 		if err := admit(n); err != nil {

@@ -19,6 +19,7 @@ import (
 	"copse/internal/he"
 	"copse/internal/he/hebgv"
 	"copse/internal/model"
+	"copse/internal/ring"
 )
 
 // -update regenerates the golden wire files from the current encoder.
@@ -80,8 +81,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestWireGoldenKeyMaterial pins the key-material frame format and the
-// full round trip: decoded material must carry identical polynomials
-// and correctly rebuilt Shoup tables.
+// full round trip: decoded material must carry identical polynomials,
+// the switching keys back in the Montgomery form they left in.
 func TestWireGoldenKeyMaterial(t *testing.T) {
 	b := tinyBackend(t)
 	mat := b.Material()
@@ -111,10 +112,6 @@ func TestWireGoldenKeyMaterial(t *testing.T) {
 	if !reflect.DeepEqual(got.Keys.Relin.B, mat.Keys.Relin.B) || !reflect.DeepEqual(got.Keys.Relin.A, mat.Keys.Relin.A) {
 		t.Error("relin key polys lost in round trip")
 	}
-	// Shoup companions are rebuilt, not shipped — they must still match.
-	if !reflect.DeepEqual(got.Keys.Relin.BS, mat.Keys.Relin.BS) || !reflect.DeepEqual(got.Keys.Relin.AS, mat.Keys.Relin.AS) {
-		t.Error("rebuilt Shoup tables differ from originals")
-	}
 	if len(got.Keys.Galois) != len(mat.Keys.Galois) {
 		t.Fatalf("Galois key count %d, want %d", len(got.Keys.Galois), len(mat.Keys.Galois))
 	}
@@ -124,7 +121,7 @@ func TestWireGoldenKeyMaterial(t *testing.T) {
 			t.Errorf("Galois elt %d lost", elt)
 			continue
 		}
-		if !reflect.DeepEqual(gk.B, k.B) || !reflect.DeepEqual(gk.BS, k.BS) {
+		if !reflect.DeepEqual(gk.B, k.B) || !reflect.DeepEqual(gk.A, k.A) {
 			t.Errorf("Galois key %d differs after round trip", elt)
 		}
 	}
@@ -228,6 +225,116 @@ func TestWireGoldenCiphertexts(t *testing.T) {
 		if dec[i] != v {
 			t.Fatalf("transported ciphertext slot %d = %d, want %d", i, dec[i], v)
 		}
+	}
+}
+
+// TestDecodeOntoPoolRows: with a ring, a ciphertext frame decodes onto
+// rows of that ring's pool, which a release after use takes back. A frame
+// refused — at its count, at a shape the ring cannot hold, at a
+// truncated row, at a residue not reduced by its prime or at trailing
+// bytes — keeps none of them: the rows the pool hands out next are the
+// ones it held before the decode.
+func TestDecodeOntoPoolRows(t *testing.T) {
+	b := tinyBackend(t)
+	rc := b.Parameters().RingCtx
+	var wcs []WireCiphertext
+	for _, v := range []uint64{3, 5} {
+		ct, err := b.Encrypt([]uint64{v, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, depth, err := b.ExportCiphertext(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcs = append(wcs, WireCiphertext{Ct: raw, Depth: depth})
+	}
+	frame := ciphertextFrame(wcs)
+	payload := frame[frameHeader:]
+	anyCount := func(int) error { return nil }
+
+	got, err := decodeCiphertexts(bytes.NewReader(frame), rc, anyCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wc := range got {
+		if !reflect.DeepEqual(wc, wcs[i]) {
+			t.Fatalf("ciphertext %d decoded onto pool rows differs from the one encoded", i)
+		}
+	}
+	last := got[1].Ct.C[1].Coeffs[len(got[1].Ct.C[1].Coeffs)-1]
+	for _, wc := range got {
+		rc.PutPolys(wc.Ct.C)
+	}
+	if p := rc.GetPoly(0); &p.Coeffs[0][0] != &last[0] {
+		t.Error("the decoded rows did not go back to the pool")
+	} else {
+		rc.PutPoly(p)
+	}
+
+	reframe := func(payload []byte) []byte {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, KindCiphertexts, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	foreign := make([]WireCiphertext, len(wcs))
+	for i, wc := range wcs {
+		ct := &bgv.Ciphertext{}
+		for _, p := range wc.Ct.C {
+			half := &ring.Poly{IsNTT: true}
+			for _, row := range p.Coeffs {
+				half.Coeffs = append(half.Coeffs, row[:rc.N/2])
+			}
+			ct.C = append(ct.C, half)
+		}
+		foreign[i] = WireCiphertext{Ct: ct, Depth: wc.Depth}
+	}
+	level := wcs[0].Ct.Level()
+	for _, c := range []struct {
+		what  string
+		frame []byte
+		admit func(int) error
+	}{
+		{"a refused count", frame, func(int) error { return errors.New("no") }},
+		{"rows of half the ring's degree", ciphertextFrame(foreign), anyCount},
+		{"a truncated last row", reframe(payload[:len(payload)-8]), anyCount},
+		{"an unreduced residue", reframe(append(bytes.Clone(payload[:len(payload)-8]), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)), anyCount},
+		{"trailing bytes", reframe(append(bytes.Clone(payload), 0, 0, 0, 0, 0, 0, 0, 0)), anyCount},
+	} {
+		held := map[*uint64]bool{}
+		var draw []*ring.Poly
+		for range 4 {
+			p := rc.GetPoly(level)
+			for _, row := range p.Coeffs {
+				held[&row[0]] = true
+			}
+			draw = append(draw, p)
+		}
+		rc.PutPolys(draw)
+		_, err := decodeCiphertexts(bytes.NewReader(c.frame), rc, c.admit)
+		if err == nil {
+			t.Fatalf("%s: decoded", c.what)
+		}
+		var tfe *TruncatedFrameError
+		if c.what == "a truncated last row" && !errors.As(err, &tfe) {
+			t.Errorf("%s: %v, want a *TruncatedFrameError", c.what, err)
+		}
+		if c.what == "an unreduced residue" && !strings.Contains(err.Error(), "not reduced") {
+			t.Errorf("%s: %v, want the residue refused", c.what, err)
+		}
+		draw = draw[:0]
+		for range 4 {
+			p := rc.GetPoly(level)
+			for _, row := range p.Coeffs {
+				if !held[&row[0]] {
+					t.Fatalf("%s: the decode kept rows it drew from the pool", c.what)
+				}
+			}
+			draw = append(draw, p)
+		}
+		rc.PutPolys(draw)
 	}
 }
 

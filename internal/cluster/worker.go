@@ -360,9 +360,12 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	}
 	// The batch count fixes the plane packing, and the packing the number
 	// of ciphertexts; a frame that announces any other count is refused
-	// before a polynomial of it is allocated.
+	// before a polynomial of it is allocated. The planes are decoded onto
+	// rows of the backend's ring pool, which the release after the pass
+	// takes back.
 	g := gm.PlanesPerCiphertext(batch)
-	cts, err := decodeCiphertexts(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes), func(n int) error {
+	pool := backend.Parameters().RingCtx
+	cts, err := decodeCiphertexts(http.MaxBytesReader(rw, r.Body, maxDataPlaneBytes), pool, func(n int) error {
 		if want := gm.QueryCiphertexts(g); n != want {
 			return &core.QueryLayoutError{Planes: n, PlanesPerCiphertext: g, Block: gm.BatchBlock(), Want: want}
 		}
@@ -379,6 +382,9 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 	for i, wc := range cts {
 		ct, err := backend.ImportCiphertext(wc.Ct, wc.Depth)
 		if err != nil {
+			for _, c := range cts {
+				pool.PutPolys(c.Ct.C)
+			}
 			httpError(rw, http.StatusBadRequest, err)
 			return
 		}
@@ -412,15 +418,10 @@ func (w *Worker) handleClassify(rw http.ResponseWriter, r *http.Request) {
 		httpError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	var buf bytes.Buffer
-	err = EncodeCiphertexts(&buf, []WireCiphertext{{Ct: raw, Depth: depth}})
+	frame := ciphertextFrame([]WireCiphertext{{Ct: raw, Depth: depth}})
 	he.Release(op.Ct)
-	if err != nil {
-		httpError(rw, http.StatusInternalServerError, err)
-		return
-	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = rw.Write(buf.Bytes())
+	_, _ = rw.Write(frame)
 }
 
 // handleDecode decrypts a merged result ciphertext and decodes it

@@ -142,9 +142,10 @@ func newEncryptor(params *bgv.Parameters, pk *bgv.PublicKey, sk *bgv.SecretKey, 
 }
 
 // KeyMaterial reports the in-memory evaluation-key bytes (relin plus
-// Galois keys, Shoup companions included) and the bytes the same key
-// set would occupy with every key generated at the chain top — the
-// before/after gauge for the Galois-key level budget.
+// Galois keys: two polynomials per digit, in Montgomery form, with no
+// companion tables) and the bytes the same key set would occupy with
+// every key generated at the chain top — the before/after gauge for the
+// Galois-key level budget.
 func (b *Backend) KeyMaterial() (actual, topLevel int64) {
 	keys := b.evaluator.Keys()
 	if keys == nil {

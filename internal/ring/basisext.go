@@ -271,7 +271,7 @@ func (ctx *Context) buildHybrid() error {
 // QP returns the view of the context over Q_level·P: its Moduli are
 // q_0..q_level followed by the special primes, and it shares the root's
 // tuning and its row pool, so every row-wise method
-// (NTT, MulCoeffsShoupAdd, samplers, GetPoly by row count…) works on
+// (NTT, DotMontgomeryAdd, samplers, GetPoly by row count…) works on
 // key-switching polynomials unchanged. A view has no CRT or switching
 // tables: reconstruction and ModSwitchDown belong to the root.
 func (ctx *Context) QP(level int) *Context { return ctx.qp[level] }

@@ -58,35 +58,32 @@ func BenchmarkNTT(b *testing.B) {
 	}
 }
 
-// BenchmarkMulShoupAdd measures the key-switch inner product at the top
-// level of the N=4096 chain: every digit of a decomposition times both
-// halves of a switching key (over Q·P, with its Shoup tables),
-// accumulated into the two QP products — the key switch's pointwise
-// work, bound by streaming the key rows.
-func BenchmarkMulShoupAdd(b *testing.B) {
+// BenchmarkDotMontgomery measures the key-switch inner product at the
+// top level of the N=4096 chain: every digit of a decomposition times
+// both halves of a switching key (over Q·P, in Montgomery form),
+// accumulated into the two QP products in one pass per row — the key
+// switch's pointwise work, bound by streaming the key rows.
+func BenchmarkDotMontgomery(b *testing.B) {
 	ctx := benchContext(b, 12)
 	level := ctx.MaxLevel()
 	qp := ctx.QP(level)
 	s := NewSeededSampler(ctx, 4)
 	digits := ctx.DecomposeHybrid(s.UniformPoly(level, true))
 	rows := len(qp.Moduli)
-	keys := make([]*Poly, 2*len(digits))
-	keysS := make([]*PolyShoup, len(keys))
-	for i := range keys {
-		keys[i] = NewSeededSampler(qp, uint64(10+i)).UniformPoly(rows-1, true)
-		keysS[i] = qp.ShoupPoly(keys[i])
+	keyB, keyA := make([]*Poly, len(digits)), make([]*Poly, len(digits))
+	for j := range digits {
+		keyB[j] = NewSeededSampler(qp, uint64(10+2*j)).UniformPoly(rows-1, true)
+		keyA[j] = NewSeededSampler(qp, uint64(11+2*j)).UniformPoly(rows-1, true)
+		qp.MontgomeryForm(keyB[j], keyB[j])
+		qp.MontgomeryForm(keyA[j], keyA[j])
 	}
-	acc := [2]*Poly{qp.NewPoly(rows - 1), qp.NewPoly(rows - 1)}
+	acc0, acc1 := qp.NewPoly(rows-1), qp.NewPoly(rows-1)
 	for _, tier := range benchTiers() {
 		b.Run("N=4096/"+tierName(tier), func(b *testing.B) {
 			ctx.pinTier(tier)
 			defer ctx.pinTier(hostTier)
 			for i := 0; i < b.N; i++ {
-				for j, d := range digits {
-					for h := range acc {
-						qp.MulCoeffsShoupAdd(d, keys[2*j+h], keysS[2*j+h], acc[h])
-					}
-				}
+				qp.DotMontgomeryAdd(digits, keyB, keyA, acc0, acc1)
 			}
 		})
 	}

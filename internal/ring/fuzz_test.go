@@ -53,11 +53,13 @@ func FuzzNTTRoundTrip(f *testing.F) {
 
 // FuzzVectorVsScalar: every vector tier the host has must be
 // bit-identical to the scalar kernels on any input each kernel accepts:
-// the transforms, every pointwise row, the base-conversion target from 1
-// to maxConvPrimes source primes, and the rescale. edges picks the input
-// rows (fuzzRow): uniform, or the boundary values 0, q−1 and the lazy
-// bounds 2q−1 (inverse transform) and 4q−1 (forward transform, the
-// Shoup rows' multiplicand, the conversion's source rows).
+// the transforms, every pointwise row, the key-switch inner product from
+// 1 to montGroup digits, the base-conversion target from 1 to
+// maxConvPrimes source primes, and the rescale. edges picks the input
+// rows (fuzzRow): uniform, or the boundary values 0, q−1 (the inner
+// product's largest operands) and the lazy bounds 2q−1 (inverse
+// transform) and 4q−1 (forward transform, the Shoup rows' multiplicand,
+// the conversion's source rows).
 func FuzzVectorVsScalar(f *testing.F) {
 	f.Add(uint64(7), uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(99), uint64(1), uint64(2), uint64(4))
@@ -82,8 +84,10 @@ func FuzzVectorVsScalar(f *testing.F) {
 		for i, s := range convPrimes[:k] {
 			y[i] = fuzzRow(rng, edges, n, s, 4*s)
 		}
+		dig, kb, ka := montRows(func() []uint64 { return row(q) })
 		rows := rowCase{
 			q: q, a: row(q), b: row(q), acc: row(q), lazy: row(4 * q), c: rng.Uint64() % q,
+			dig: dig, kb: kb, ka: ka,
 			conv: newConv(convPrimes[:k], convPrimes[k]), y: y, v: fuzzRow(rng, edges, n, uint64(k)+1, 8),
 		}
 		fwd, inv := row(4*q), row(2*q)

@@ -25,6 +25,13 @@ type Modulus struct {
 	nInv   uint64 // N^{-1} mod Q
 	nInvS  uint64 // Shoup precomputation for nInv
 
+	// Montgomery constants: Q^{-1} mod 2^64 (the reduction), and 2^64
+	// and 2^-64 mod Q with their Shoup companions (into and out of
+	// Montgomery form).
+	qInv        uint64
+	r64, r64S   uint64
+	rInv, rInvS uint64
+
 	// Powers of psi (resp. psi^{-1}) in bit-reversed order, with Shoup
 	// companions, as used by the iterative Cooley-Tukey / Gentleman-Sande
 	// butterflies.
@@ -125,6 +132,32 @@ func MulModShoupLazy(x, w, ws, q uint64) uint64 {
 	return x*w - hi*q
 }
 
+// montInv returns q^{-1} mod 2^64 for odd q: q is its own inverse mod 8,
+// and each Newton step doubles the bits that are right.
+func montInv(q uint64) uint64 {
+	inv := q
+	for range 5 {
+		inv *= 2 - q*inv
+	}
+	return inv
+}
+
+// montReduce returns (h·2^64 + l)·2^-64 mod q, fully reduced, for any
+// h < 2q; qInv is q^{-1} mod 2^64. With m = l·qInv mod 2^64, m·q ≡ l
+// (mod 2^64), so (h·2^64 + l − m·q)/2^64 is exactly h − hi64(m·q), which
+// lies in (−q, 2q).
+func montReduce(h, l, q, qInv uint64) uint64 {
+	mh, _ := bits.Mul64(l*qInv, q)
+	r := h - mh
+	if h < mh {
+		r += q
+	}
+	if r >= q {
+		r -= q
+	}
+	return r
+}
+
 // PowMod returns x^e mod q.
 func PowMod(x, e, q uint64) uint64 {
 	r := uint64(1)
@@ -221,6 +254,11 @@ func NewModulus(q uint64, n int) (*Modulus, error) {
 	m.psiInv = InvMod(psi, q)
 	m.nInv = InvMod(uint64(n), q)
 	m.nInvS = ShoupPrecomp(m.nInv, q)
+	m.qInv = montInv(q)
+	m.r64 = -q % q
+	m.r64S = ShoupPrecomp(m.r64, q)
+	m.rInv = InvMod(m.r64, q)
+	m.rInvS = ShoupPrecomp(m.rInv, q)
 
 	m.psiRev = make([]uint64, n)
 	m.psiRevS = make([]uint64, n)

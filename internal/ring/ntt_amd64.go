@@ -135,7 +135,7 @@ func negVecAVX2(q uint64, a, out []uint64)
 func mulVecAVX2(q, r32, r32s uint64, a, b, out []uint64)
 
 //go:noescape
-func mulShoupAddVecAVX2(q uint64, a, b, bs, out []uint64)
+func dotMontVecAVX2(q, qInv uint64, d, b, a [][]uint64, out0, out1 []uint64)
 
 //go:noescape
 func mulScalarVecAVX2(q, c, cs uint64, a, out []uint64)
@@ -153,7 +153,7 @@ func negVecAVX512(q uint64, a, out []uint64)
 func mulVecAVX512(q, r32, r32s uint64, a, b, out []uint64)
 
 //go:noescape
-func mulShoupAddVecAVX512(q uint64, a, b, bs, out []uint64)
+func dotMontVecAVX512(q, qInv uint64, d, b, a [][]uint64, out0, out1 []uint64)
 
 //go:noescape
 func mulScalarVecAVX512(q, c, cs uint64, a, out []uint64)
@@ -312,15 +312,32 @@ func mulVecAsm(tier kernelTier, q uint64, a, b, out []uint64) {
 	}
 }
 
-func mulShoupAddVecAsm(tier kernelTier, q uint64, a, b, bs, out []uint64) {
-	n := vecLen(tier, len(out))
-	if tier == tierAVX512 {
-		mulShoupAddVecAVX512(q, a[:n], b[:n], bs[:n], out[:n])
-	} else {
-		mulShoupAddVecAVX2(q, a[:n], b[:n], bs[:n], out[:n])
+// dotMontVecAsm is dotMontRowScalar on the tier's kernel for 1 to
+// montGroup digits, over the lane-aligned prefix, with the scalar kernel
+// on the ragged tail. The checks keep the kernel's reads inside the rows.
+func dotMontVecAsm(tier kernelTier, q, qInv uint64, d, b, a [][]uint64, out0, out1 []uint64) {
+	n := len(out0)
+	if len(d) == 0 || len(d) > montGroup || len(b) < len(d) || len(a) < len(d) {
+		panic("ring: inner product of more than montGroup digits")
 	}
-	if n < len(out) {
-		mulShoupAddRowScalar(q, a[n:], b[n:], bs[n:], out[n:])
+	for k := range d {
+		_, _, _ = d[k][:n], b[k][:n], a[k][:n]
+	}
+	out1 = out1[:n]
+	v := vecLen(tier, n)
+	if tier == tierAVX512 {
+		dotMontVecAVX512(q, qInv, d, b, a, out0[:v], out1[:v])
+	} else {
+		dotMontVecAVX2(q, qInv, d, b, a, out0[:v], out1[:v])
+	}
+	if v < n {
+		var dt, bt, at [montGroup][]uint64
+		for k := range d {
+			dt[k], bt[k], at[k] = d[k][v:n], b[k][v:n], a[k][v:n]
+		}
+		var lo0, lo1 [8]uint64
+		k := len(d)
+		dotMontRowScalar(q, qInv, dt[:k], bt[:k], at[:k], out0[v:], out1[v:], lo0[:n-v], lo1[:n-v])
 	}
 }
 

@@ -639,38 +639,128 @@ mulvec_done:
 	VZEROUPPER
 	RET
 
-// func mulShoupAddVecAVX2(q uint64, a, b, bs, out []uint64)
-TEXT ·mulShoupAddVecAVX2(SB), NOSPLIT, $0-104
+// MULHI computes OUT = hi64(X*W) per lane, given XH = X>>32 and
+// WH = W>>32: MULHI512's formula four lanes wide. Clobbers T0..T2.
+#define MULHI(X, XH, W, WH, T0, T1, T2, OUT) \
+	VPMULUDQ W, X, T0    \
+	VPMULUDQ WH, X, T1   \
+	VPMULUDQ W, XH, T2   \
+	VPMULUDQ WH, XH, OUT \
+	VPSRLQ $32, T0, T0   \
+	VPADDQ T0, T1, T1    \
+	VPAND Y15, T1, T0    \
+	VPSRLQ $32, T1, T1   \
+	VPADDQ T0, T2, T2    \
+	VPADDQ T1, OUT, OUT  \
+	VPSRLQ $32, T2, T2   \
+	VPADDQ T2, OUT, OUT
+
+// DOTTERM adds the product of the digit Y6 (its high halves in Y7) and
+// the key residues K to a 128-bit sum kept as three 64-bit lanes,
+// HI·2^64 + MID·2^32 + LO: lo32(dl·kl) into LO, hi32(dl·kl) + dl·kh +
+// dh·kl into MID, dh·kh into HI. With every operand below 2^60 and at
+// most montGroup = 8 terms, MID stays below 8·(2^61 − 2^32) < 2^64.
+// Clobbers K and Y9..Y12.
+#define DOTTERM(K, LO, MID, HI) \
+	VPSRLQ $32, K, Y9    \
+	VPMULUDQ K, Y6, Y10  \
+	VPMULUDQ Y9, Y6, Y11 \
+	VPMULUDQ K, Y7, Y12  \
+	VPMULUDQ Y9, Y7, Y9  \
+	VPADDQ Y11, MID, MID \
+	VPADDQ Y12, MID, MID \
+	VPADDQ Y9, HI, HI    \
+	VPAND Y15, Y10, Y11  \
+	VPADDQ Y11, LO, LO   \
+	VPSRLQ $32, Y10, Y10 \
+	VPADDQ Y10, MID, MID
+
+// DOTREDUCE adds the Montgomery reduction of the sum (LO, MID, HI) to
+// the row at PTR+BX. It folds the sum into words L (low) and H (high,
+// below q), takes m = L·qInv mod 2^64 (qInv in Y13) from 32-bit halves,
+// and r = H − hi64(m·q) in (−q, q), plus q where negative (a signed
+// compare: both sides are below 2^63). Clobbers LO, MID, HI, Y6..Y12.
+#define DOTREDUCE(LO, MID, HI, PTR) \
+	VPSRLQ $32, LO, Y6                      \
+	VPADDQ Y6, MID, MID                     \
+	VPAND Y15, LO, LO                       \
+	VPSLLQ $32, MID, Y6                     \
+	VPOR Y6, LO, LO                         \
+	VPSRLQ $32, MID, MID                    \
+	VPADDQ MID, HI, HI                      \
+	VPSRLQ $32, LO, Y6                      \
+	VPSRLQ $32, Y13, Y7                     \
+	VPMULUDQ Y13, Y6, Y6                    \
+	VPMULUDQ Y7, LO, Y7                     \
+	VPADDQ Y7, Y6, Y6                       \
+	VPSLLQ $32, Y6, Y6                      \
+	VPMULUDQ Y13, LO, LO                    \
+	VPADDQ Y6, LO, LO                       \
+	VPSRLQ $32, LO, MID                     \
+	VPSRLQ $32, Y14, Y8                     \
+	MULHI(LO, MID, Y14, Y8, Y9, Y10, Y11, Y12) \
+	VPCMPGTQ HI, Y12, Y9                    \
+	VPSUBQ Y12, HI, HI                      \
+	VPAND Y14, Y9, Y9                       \
+	VPADDQ Y9, HI, HI                       \
+	VMOVDQU (PTR)(BX*1), Y9                 \
+	VPADDQ Y9, HI, HI                       \
+	CONDSUBQ(HI, Y9)                        \
+	VMOVDQU HI, (PTR)(BX*1)
+
+// func dotMontVecAVX2(q, qInv uint64, d, b, a [][]uint64, out0, out1 []uint64)
+//
+// out0 += Σ_k d_k·b_k·2^-64 and out1 += Σ_k d_k·a_k·2^-64 mod q over the
+// K = len(d) ∈ [1, montGroup] digits: each digit row is loaded once per
+// four lanes and multiplied into both sums, and each sum is reduced once.
+TEXT ·dotMontVecAVX2(SB), NOSPLIT, $0-136
 	MOVQ q+0(FP), AX
 	LOADQLO32(AX)
-	MOVQ a_base+8(FP), SI
-	MOVQ b_base+32(FP), DX
-	MOVQ bs_base+56(FP), R8
-	MOVQ out_base+80(FP), DI
-	MOVQ out_len+88(FP), BX
-	SHLQ $3, BX
-	TESTQ BX, BX
-	JZ mulshoupadd_done
+	VPBROADCASTQ qInv+8(FP), Y13
+	MOVQ d_base+16(FP), SI
+	MOVQ d_len+24(FP), CX
+	IMULQ $24, CX
+	MOVQ b_base+40(FP), DX
+	MOVQ a_base+64(FP), R8
+	MOVQ out0_base+88(FP), DI
+	MOVQ out1_base+112(FP), R11
+	MOVQ out0_len+96(FP), AX
+	SHLQ $3, AX
+	XORQ BX, BX
+	TESTQ AX, AX
+	JZ dotmont_done
+	TESTQ CX, CX
+	JZ dotmont_done
 
-mulshoupadd_loop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DX), Y10
-	VMOVDQU (R8), Y9
-	VPSRLQ $32, Y0, Y1
-	LAZYMUL(Y0, Y1, Y10, Y9, Y2, Y3, Y4, Y5, Y6)
-	CONDSUBQ(Y6, Y0)
-	VMOVDQU (DI), Y0
-	VPADDQ Y6, Y0, Y0
-	CONDSUBQ(Y0, Y1)
-	VMOVDQU Y0, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, R8
-	ADDQ $32, DI
-	SUBQ $32, BX
-	JNZ mulshoupadd_loop
+dotmont_loop:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	XORQ R9, R9
 
-mulshoupadd_done:
+dotmont_digit:
+	MOVQ (SI)(R9*1), R10
+	VMOVDQU (R10)(BX*1), Y6
+	VPSRLQ $32, Y6, Y7
+	MOVQ (DX)(R9*1), R10
+	VMOVDQU (R10)(BX*1), Y8
+	DOTTERM(Y8, Y0, Y1, Y2)
+	MOVQ (R8)(R9*1), R10
+	VMOVDQU (R10)(BX*1), Y8
+	DOTTERM(Y8, Y3, Y4, Y5)
+	ADDQ $24, R9
+	CMPQ R9, CX
+	JLT dotmont_digit
+	DOTREDUCE(Y0, Y1, Y2, DI)
+	DOTREDUCE(Y3, Y4, Y5, R11)
+	ADDQ $32, BX
+	CMPQ BX, AX
+	JLT dotmont_loop
+
+dotmont_done:
 	VZEROUPPER
 	RET
 
@@ -1464,38 +1554,97 @@ mulvec512_done:
 	VZEROUPPER
 	RET
 
-// func mulShoupAddVecAVX512(q uint64, a, b, bs, out []uint64)
-TEXT ·mulShoupAddVecAVX512(SB), NOSPLIT, $0-104
+// DOTTERM512 is DOTTERM eight lanes wide: the digit in Z6 (high halves
+// Z7) times the key residues K into the sum (LO, MID, HI). Clobbers K and
+// Z10..Z13.
+#define DOTTERM512(K, LO, MID, HI) \
+	VPSRLQ $32, K, Z10    \
+	VPMULUDQ K, Z6, Z11   \
+	VPMULUDQ Z10, Z6, Z12 \
+	VPMULUDQ K, Z7, Z13   \
+	VPMULUDQ Z10, Z7, Z10 \
+	VPADDQ Z12, MID, MID  \
+	VPADDQ Z13, MID, MID  \
+	VPADDQ Z10, HI, HI    \
+	VPANDQ Z31, Z11, Z12  \
+	VPADDQ Z12, LO, LO    \
+	VPSRLQ $32, Z11, Z11  \
+	VPADDQ Z11, MID, MID
+
+// DOTREDUCE512 is DOTREDUCE eight lanes wide: m = L·qInv is one VPMULLQ
+// (qInv in Z28, q>>32 in Z27), and both corrections are VPMINUQ — the
+// negative r wraps above r + q, and r ≥ q stays above r − q. Clobbers
+// LO, MID, HI, Z10..Z13.
+#define DOTREDUCE512(LO, MID, HI, PTR) \
+	VPSRLQ $32, LO, Z10                             \
+	VPADDQ Z10, MID, MID                            \
+	VPANDQ Z31, LO, LO                              \
+	VPSLLQ $32, MID, Z10                            \
+	VPORQ Z10, LO, LO                               \
+	VPSRLQ $32, MID, MID                            \
+	VPADDQ MID, HI, HI                              \
+	VPMULLQ Z28, LO, LO                             \
+	VPSRLQ $32, LO, MID                             \
+	MULHI512(LO, MID, Z30, Z27, Z10, Z11, Z12, Z13) \
+	VPSUBQ Z13, HI, HI                              \
+	VPADDQ Z30, HI, Z10                             \
+	VPMINUQ Z10, HI, HI                             \
+	VPADDQ (PTR)(BX*1), HI, HI                      \
+	CONDSUB512(HI, Z30, Z10)                        \
+	VMOVDQU64 HI, (PTR)(BX*1)
+
+// func dotMontVecAVX512(q, qInv uint64, d, b, a [][]uint64, out0, out1 []uint64)
+//
+// dotMontVecAVX2 eight lanes wide.
+TEXT ·dotMontVecAVX512(SB), NOSPLIT, $0-136
 	MOVQ q+0(FP), AX
 	LOADCONSTS512(AX)
-	MOVQ a_base+8(FP), SI
-	MOVQ b_base+32(FP), DX
-	MOVQ bs_base+56(FP), R8
-	MOVQ out_base+80(FP), DI
-	MOVQ out_len+88(FP), BX
-	SHLQ $3, BX
-	TESTQ BX, BX
-	JZ mulshoupadd512_done
+	VPBROADCASTQ qInv+8(FP), Z28
+	VPSRLQ $32, Z30, Z27
+	MOVQ d_base+16(FP), SI
+	MOVQ d_len+24(FP), CX
+	IMULQ $24, CX
+	MOVQ b_base+40(FP), DX
+	MOVQ a_base+64(FP), R8
+	MOVQ out0_base+88(FP), DI
+	MOVQ out1_base+112(FP), R11
+	MOVQ out0_len+96(FP), AX
+	SHLQ $3, AX
+	XORQ BX, BX
+	TESTQ AX, AX
+	JZ dotmont512_done
+	TESTQ CX, CX
+	JZ dotmont512_done
 
-mulshoupadd512_loop:
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 (DX), Z11
-	VMOVDQU64 (R8), Z10
-	VPSRLQ $32, Z10, Z9
-	VPSRLQ $32, Z0, Z1
-	LAZYMUL512(Z0, Z1, Z11, Z10, Z9, Z2, Z3, Z4, Z5, Z6)
-	CONDSUB512(Z6, Z30, Z0)
-	VPADDQ (DI), Z6, Z6
-	CONDSUB512(Z6, Z30, Z0)
-	VMOVDQU64 Z6, (DI)
-	ADDQ $64, SI
-	ADDQ $64, DX
-	ADDQ $64, R8
-	ADDQ $64, DI
-	SUBQ $64, BX
-	JNZ mulshoupadd512_loop
+dotmont512_loop:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	XORQ R9, R9
 
-mulshoupadd512_done:
+dotmont512_digit:
+	MOVQ (SI)(R9*1), R10
+	VMOVDQU64 (R10)(BX*1), Z6
+	VPSRLQ $32, Z6, Z7
+	MOVQ (DX)(R9*1), R10
+	VMOVDQU64 (R10)(BX*1), Z8
+	DOTTERM512(Z8, Z0, Z1, Z2)
+	MOVQ (R8)(R9*1), R10
+	VMOVDQU64 (R10)(BX*1), Z8
+	DOTTERM512(Z8, Z3, Z4, Z5)
+	ADDQ $24, R9
+	CMPQ R9, CX
+	JLT dotmont512_digit
+	DOTREDUCE512(Z0, Z1, Z2, DI)
+	DOTREDUCE512(Z3, Z4, Z5, R11)
+	ADDQ $64, BX
+	CMPQ BX, AX
+	JLT dotmont512_loop
+
+dotmont512_done:
 	VZEROUPPER
 	RET
 

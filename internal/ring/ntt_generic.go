@@ -17,11 +17,12 @@ func addVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { addRowScalar(q, a, 
 func subVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { subRowScalar(q, a, b, out) }
 func negVecAsm(_ kernelTier, q uint64, a, out []uint64)    { negRowScalar(q, a, out) }
 func mulVecAsm(_ kernelTier, q uint64, a, b, out []uint64) { mulRowScalar(q, a, b, out) }
-func mulShoupAddVecAsm(_ kernelTier, q uint64, a, b, bs, out []uint64) {
-	mulShoupAddRowScalar(q, a, b, bs, out)
-}
 func mulScalarVecAsm(_ kernelTier, q, c, cs uint64, a, out []uint64) {
 	mulScalarRowScalar(q, c, cs, a, out)
+}
+
+func dotMontVecAsm(kernelTier, uint64, uint64, [][]uint64, [][]uint64, [][]uint64, []uint64, []uint64) {
+	panic("ring: no vector backend in this build")
 }
 
 func targetVecAsm(uint64, [][]uint64, []uint64, []uint64, *corrTable, []uint64, []uint64) {

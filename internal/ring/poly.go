@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -261,18 +262,47 @@ func mulRow(tier kernelTier, q uint64, a, b, out []uint64) {
 	mulRowScalar(q, a, b, out)
 }
 
-func mulShoupAddRowScalar(q uint64, a, b, bs, out []uint64) {
-	for j := range out {
-		out[j] = AddMod(out[j], MulModShoup(a[j], b[j], bs[j], q), q)
-	}
-}
+// montGroup is the most digits one Montgomery reduction of the inner
+// product covers. For q < maxHybridModulus = 2^60 the sum of montGroup
+// products of reduced operands stays below 8q² < q·2^64, the reduction's
+// bound, and the vector kernels' 32-bit partial sums stay inside their
+// 64-bit lanes (ntt_amd64.s).
+const montGroup = 8
 
-func mulShoupAddRow(tier kernelTier, q uint64, a, b, bs, out []uint64) {
-	if rowVecOK(tier, q, len(out)) {
-		mulShoupAddVecAsm(tier, q, a, b, bs, out)
-		return
+// dotMontRowScalar is the inner product over one prime for at most
+// montGroup digits: out0 += Σ_k d_k·b_k·2^-64 and out1 += Σ_k d_k·a_k·2^-64
+// mod q, every operand reduced. Each sum is exact in 128 bits — its high
+// words accumulate on top of out's residues (below 2q with them), its
+// low words in the scratch rows lo0 and lo1, at least as long as out —
+// and is reduced once. The length guards let every loop below run
+// without bounds checks.
+func dotMontRowScalar(q, qInv uint64, d, b, a [][]uint64, out0, out1, lo0, lo1 []uint64) {
+	n := len(out0)
+	if len(out1) != n || len(lo0) < n || len(lo1) < n || len(b) < len(d) || len(a) < len(d) {
+		panic("ring: inner product rows of unequal length")
 	}
-	mulShoupAddRowScalar(q, a, b, bs, out)
+	clear(lo0)
+	clear(lo1)
+	for k, dk := range d {
+		bk, ak := b[k], a[k]
+		if len(dk) < n || len(bk) < n || len(ak) < n {
+			panic("ring: inner product rows of unequal length")
+		}
+		for j := range out0 {
+			x := dk[j]
+			hi, lo := bits.Mul64(x, bk[j])
+			var c uint64
+			lo0[j], c = bits.Add64(lo0[j], lo, 0)
+			out0[j] += hi + c
+			hi, lo = bits.Mul64(x, ak[j])
+			lo1[j], c = bits.Add64(lo1[j], lo, 0)
+			out1[j] += hi + c
+		}
+	}
+	for j := range out0 {
+		out0[j] = montReduce(out0[j], lo0[j], q, qInv)
+		out1[j] = montReduce(out1[j], lo1[j], q, qInv)
+	}
 }
 
 func mulScalarRowScalar(q, c, cs uint64, a, out []uint64) {
@@ -333,44 +363,74 @@ func (ctx *Context) MulCoeffs(a, b, out *Poly) {
 	out.IsNTT = true
 }
 
-// PolyShoup is the per-coefficient Shoup companion table of a fixed
-// NTT-domain polynomial, enabling division-free pointwise products
-// against it. Key-switching keys are the intended use: they are
-// multiplied against every digit of every key switch, so the one-time
-// precomputation pays for itself immediately.
-type PolyShoup struct {
-	S [][]uint64
-}
-
-// ShoupPoly precomputes the companion table of p (which must be fully
-// reduced; NTT domain in practice).
-func (ctx *Context) ShoupPoly(p *Poly) *PolyShoup {
-	s := make([][]uint64, len(p.Coeffs))
-	for i := range p.Coeffs {
-		q := ctx.Moduli[i].Q
-		row := make([]uint64, len(p.Coeffs[i]))
-		for j, w := range p.Coeffs[i] {
-			row[j] = ShoupPrecomp(w, q)
-		}
-		s[i] = row
-	}
-	return &PolyShoup{S: s}
-}
-
-// MulCoeffsShoupAdd sets out += a ⊙ b (pointwise, NTT domain), where bs
-// is b's Shoup companion table. b may live at a higher level than out;
-// only out's active primes are touched. This is the key-switch inner
-// product, the hottest pointwise loop of the evaluator.
-func (ctx *Context) MulCoeffsShoupAdd(a, b *Poly, bs *PolyShoup, out *Poly) {
-	if !a.IsNTT || !b.IsNTT {
-		panic("ring: MulCoeffsShoupAdd requires NTT-domain operands")
-	}
-	m := len(out.Coeffs)
+// MontgomeryForm sets out = p·2^64 (mod each prime), the form in which
+// DotMontgomeryAdd takes its fixed operands. out may alias p.
+func (ctx *Context) MontgomeryForm(p, out *Poly) {
 	tier := ctx.rowKernels()
-	for i := 0; i < m; i++ {
-		mulShoupAddRow(tier, ctx.Moduli[i].Q, a.Coeffs[i], b.Coeffs[i], bs.S[i], out.Coeffs[i])
+	for i, row := range out.Coeffs {
+		m := ctx.Moduli[i]
+		mulScalarRow(tier, m.Q, m.r64, m.r64S, p.Coeffs[i], row)
 	}
-	out.IsNTT = true
+	out.IsNTT = p.IsNTT
+}
+
+// NormalForm undoes MontgomeryForm: out = p·2^-64 (mod each prime). out
+// may alias p.
+func (ctx *Context) NormalForm(p, out *Poly) {
+	tier := ctx.rowKernels()
+	for i, row := range out.Coeffs {
+		m := ctx.Moduli[i]
+		mulScalarRow(tier, m.Q, m.rInv, m.rInvS, p.Coeffs[i], row)
+	}
+	out.IsNTT = p.IsNTT
+}
+
+// DotMontgomeryAdd sets acc0 += Σ_j d_j ⊙ b_j and acc1 += Σ_j d_j ⊙ a_j
+// (pointwise, NTT domain), where the fixed operands b_j and a_j are in
+// Montgomery form and every d_j is fully reduced. Per coefficient it
+// loads each d_j once, sums the products of up to montGroup digits
+// exactly in 128 bits, and makes one Montgomery reduction, which also
+// takes the 2^64 back out. b_j and a_j may live at a higher level than
+// the accumulators; only the accumulators' rows are touched. This is the
+// key-switch inner product, the hottest pointwise loop of the evaluator,
+// and the public-key encryption's one-digit product.
+func (ctx *Context) DotMontgomeryAdd(d, b, a []*Poly, acc0, acc1 *Poly) {
+	if len(b) < len(d) || len(a) < len(d) {
+		panic("ring: DotMontgomeryAdd needs a fixed operand per digit")
+	}
+	for _, p := range d {
+		if !p.IsNTT {
+			panic("ring: DotMontgomeryAdd requires NTT-domain operands")
+		}
+	}
+	tier := ctx.rowKernels()
+	var lo0, lo1 []uint64 // the scalar kernel's low words, lent by the pool
+	dr, br, ar := make([][]uint64, 0, montGroup), make([][]uint64, 0, montGroup), make([][]uint64, 0, montGroup)
+	for len(d) > 0 {
+		k := min(len(d), montGroup)
+		dg, bg, ag := d[:k], b[:k], a[:k]
+		d, b, a = d[k:], b[k:], a[k:]
+		for i, out0 := range acc0.Coeffs {
+			m, out1 := ctx.Moduli[i], acc1.Coeffs[i]
+			dr, br, ar = dr[:0], br[:0], ar[:0]
+			for j, p := range dg {
+				dr, br, ar = append(dr, p.Coeffs[i]), append(br, bg[j].Coeffs[i]), append(ar, ag[j].Coeffs[i])
+			}
+			if rowVecOK(tier, m.Q, len(out0)) {
+				dotMontVecAsm(tier, m.Q, m.qInv, dr, br, ar, out0, out1)
+				continue
+			}
+			if lo0 == nil {
+				lo0, lo1 = ctx.getRow(), ctx.getRow()
+			}
+			dotMontRowScalar(m.Q, m.qInv, dr, br, ar, out0, out1, lo0, lo1)
+		}
+	}
+	if lo0 != nil {
+		ctx.putRow(lo0)
+		ctx.putRow(lo1)
+	}
+	acc0.IsNTT, acc1.IsNTT = true, true
 }
 
 // MulScalar sets out = a * c for a word-sized scalar c.

@@ -27,9 +27,10 @@ import (
 // It needs no size setting: it takes back only polynomials it made, so it
 // never holds more rows than were out at once. Its row lists have room
 // for one row more than any polynomial has (width), which is how PutPoly
-// tells them from a polynomial made elsewhere — a decoded wire
-// ciphertext, a Copy — whose rows it leaves to the collector: taking
-// them would only grow the free list past what any pass draws.
+// tells them from a polynomial made elsewhere — a Copy, a wire
+// ciphertext decoded without a pool — whose rows it leaves to the
+// collector: taking them would only grow the free list past what any
+// pass draws.
 //
 // The garbage collector does not empty the pool; it trims it. The list
 // is last in, first out, so the rows at its bottom that no GetPoly

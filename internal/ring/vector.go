@@ -1,8 +1,8 @@
 package ring
 
 // Vector kernel selection. On amd64 hosts the butterfly sweeps of
-// NTT/INTT and the pointwise workhorses (MulCoeffsShoupAdd,
-// MulCoeffs[Add], Add/Sub/Neg, MulScalar[Vec]) run assembly kernels
+// NTT/INTT and the pointwise workhorses (DotMontgomeryAdd, MulCoeffs,
+// Add/Sub/Neg, MulScalar[Vec]) run assembly kernels
 // (ntt_amd64.s) of one of two tiers: 8-lane AVX-512 where the host has
 // AVX512F and AVX512DQ, otherwise 4-lane AVX2. The AVX-512 tier also
 // vectorizes the base conversion and rescale of every level move
@@ -15,8 +15,9 @@ package ring
 //
 // Every tier is bit-identical to the scalar kernels: the butterflies and
 // Shoup multiplies evaluate exactly the same uint64 formulas lane-wise
-// (same lazy-reduction bounds), and the fully-reduced kernels (MulMod)
-// produce canonical residues on every path. The property is asserted per
+// (same lazy-reduction bounds), and the fully-reduced kernels (MulMod,
+// the Montgomery inner product) produce canonical residues on every
+// path. The property is asserted per
 // tier by TestVectorKernelsMatchScalar, TestVectorRowKernelsMatchScalar
 // and FuzzVectorVsScalar.
 //

@@ -100,16 +100,27 @@ func TestVectorKernelsMatchScalar(t *testing.T) {
 
 // rowCase is one set of inputs for every pointwise and level-move
 // kernel over modulus q: a, b and acc reduced, c < q, lazy the Shoup
-// rows' multiplicand, and a base conversion to q with its source rows y
-// and overflow counts v. A Shoup product takes any 64-bit multiplicand,
-// so lazy, y and v may hold any value.
+// rows' multiplicand, montGroup reduced digit rows dig and key rows kb
+// and ka for the inner product, and a base conversion to q with its
+// source rows y and overflow counts v. A Shoup product takes any 64-bit
+// multiplicand, so lazy, y and v may hold any value.
 type rowCase struct {
 	q               uint64
 	a, b, acc, lazy []uint64
 	c               uint64
+	dig, kb, ka     [][]uint64
 	conv            *baseConv
 	y               [][]uint64
 	v               []uint64
+}
+
+// montRows draws the inner product's montGroup digit rows and key rows:
+// reduced values, from row.
+func montRows(row func() []uint64) (dig, kb, ka [][]uint64) {
+	for range montGroup {
+		dig, kb, ka = append(dig, row()), append(kb, row()), append(ka, row())
+	}
+	return dig, kb, ka
 }
 
 // checkRowKernels runs every pointwise and level-move kernel on tier
@@ -119,10 +130,6 @@ func checkRowKernels(t *testing.T, tier kernelTier, in rowCase) {
 	t.Helper()
 	q, a, b, acc, lazy, c := in.q, in.a, in.b, in.acc, in.lazy, in.c
 	n := len(a)
-	bs := make([]uint64, n)
-	for i := range b {
-		bs[i] = ShoupPrecomp(b[i], q)
-	}
 	cs := ShoupPrecomp(c, q)
 	check := func(name string, scalar, vec func(out []uint64)) {
 		t.Helper()
@@ -144,9 +151,24 @@ func checkRowKernels(t *testing.T, tier kernelTier, in rowCase) {
 	check("mul",
 		func(out []uint64) { mulRowScalar(q, a, b, out) },
 		func(out []uint64) { mulVecAsm(tier, q, a, b, out) })
-	check("mulShoupAdd",
-		func(out []uint64) { copy(out, acc); mulShoupAddRowScalar(q, lazy, b, bs, out) },
-		func(out []uint64) { copy(out, acc); mulShoupAddVecAsm(tier, q, lazy, b, bs, out) })
+	// The inner product from 1 to montGroup digits, into acc and b.
+	qInv := montInv(q)
+	for k := 1; k <= montGroup; k++ {
+		dig, kb, ka := in.dig[:k], in.kb[:k], in.ka[:k]
+		dot := func(vec bool) [2][]uint64 {
+			out := [2][]uint64{append([]uint64(nil), acc...), append([]uint64(nil), b...)}
+			if vec {
+				dotMontVecAsm(tier, q, qInv, dig, kb, ka, out[0], out[1])
+			} else {
+				dotMontRowScalar(q, qInv, dig, kb, ka, out[0], out[1], make([]uint64, n), make([]uint64, n))
+			}
+			return out
+		}
+		want, got := dot(false), dot(true)
+		for h := range want {
+			rowsEqual(t, fmt.Sprintf("%s dotMont of %d digits, output %d, q=%d n=%d", tier, k, h, q, n), want[h], got[h])
+		}
+	}
 	check("mulScalar",
 		func(out []uint64) { mulScalarRowScalar(q, c, cs, lazy, out) },
 		func(out []uint64) { mulScalarVecAsm(tier, q, c, cs, lazy, out) })
@@ -195,10 +217,11 @@ func TestVectorRowKernelsMatchScalar(t *testing.T) {
 								y[i][j] = largestLazy(rng, conv.mat[0].v[i], conv.mat[0].s[i], q)
 							}
 						}
+						dig, kb, ka := montRows(func() []uint64 { return randRow(rng, n, q) })
 						checkRowKernels(t, tier, rowCase{
 							q: q, a: randRow(rng, n, q), b: randRow(rng, n, q),
 							acc: randRow(rng, n, q), lazy: randRow(rng, n, ^uint64(0)),
-							c: rng.Uint64() % q, conv: conv, y: y,
+							c: rng.Uint64() % q, dig: dig, kb: kb, ka: ka, conv: conv, y: y,
 							v: randRow(rng, n, ^uint64(0)),
 						})
 					}
@@ -351,4 +374,67 @@ func TestSetVectorKernelsConcurrent(t *testing.T) {
 	workers.Wait()
 	stop.Store(true)
 	toggler.Wait()
+}
+
+// TestVectorDotMontgomeryAdd holds the key-switch inner product, on the
+// scalar kernel and on each vector tier, to an independent formula:
+// acc + Σ_j d_j·(b_j·2^-64) by MulMod, on a QP context's rows. It runs 1
+// to 8 digits, and 9 and 17, which the kernel reduces in groups of
+// montGroup; every third case takes every operand at q−1, where the
+// products and their 32-bit partial sums are largest.
+func TestVectorDotMontgomeryAdd(t *testing.T) {
+	const logN, levels, plainT = 6, 3, 257
+	primes, err := GeneratePrimes(59, uint64(2<<logN)*plainT, levels+DigitPrimes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContextQP(logN, primes[:levels], primes[levels:], plainT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := ctx.QP(ctx.MaxLevel())
+	top := len(qp.Moduli) - 1
+	s := NewSeededSampler(qp, 17)
+	poly := func(edge bool) *Poly {
+		p := s.UniformPoly(top, true)
+		if edge {
+			for i, row := range p.Coeffs {
+				for j := range row {
+					row[j] = qp.Moduli[i].Q - 1
+				}
+			}
+		}
+		return p
+	}
+	tiers := append([]kernelTier{tierScalar}, vectorTiers...)
+	for c, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17} {
+		edge := c%3 == 2
+		d, b, a := make([]*Poly, k), make([]*Poly, k), make([]*Poly, k)
+		for j := range k {
+			d[j], b[j], a[j] = poly(edge), poly(edge), poly(edge)
+		}
+		acc0, acc1 := poly(edge), poly(false)
+		want0, want1 := acc0.Copy(), acc1.Copy()
+		for i, m := range qp.Moduli {
+			for j := range want0.Coeffs[i] {
+				for h := range k {
+					x := d[h].Coeffs[i][j]
+					want0.Coeffs[i][j] = AddMod(want0.Coeffs[i][j], MulMod(x, MulMod(b[h].Coeffs[i][j], m.rInv, m.Q), m.Q), m.Q)
+					want1.Coeffs[i][j] = AddMod(want1.Coeffs[i][j], MulMod(x, MulMod(a[h].Coeffs[i][j], m.rInv, m.Q), m.Q), m.Q)
+				}
+			}
+		}
+		for _, tier := range tiers {
+			if tier > hostTier {
+				continue
+			}
+			qp.pinTier(tier)
+			got0, got1 := acc0.Copy(), acc1.Copy()
+			qp.DotMontgomeryAdd(d, b, a, got0, got1)
+			if !polysEqual(got0, want0) || !polysEqual(got1, want1) {
+				t.Errorf("%s, %d digits (edge operands %v): the inner product differs from the MulMod formula", tier, k, edge)
+			}
+		}
+		qp.pinTier(hostTier)
+	}
 }
