@@ -36,14 +36,34 @@ func (pt *Plaintext) lift(ctx *ring.Context, level int) *ring.Poly {
 			return p
 		}
 	}
-	// Every coefficient is below T, and T below every prime of the
-	// chain: each residue row is the coefficients themselves.
+	return publishAt(&pt.lifts, level, pt.embed(ctx, level))
+}
+
+// Lift returns the plaintext's NTT-domain embedding at the given level
+// from the cache MulPlain and AddPlain read, lifting it on a miss.
+func (pt *Plaintext) Lift(ctx *ring.Context, level int) *ring.Poly { return pt.lift(ctx, level) }
+
+// embed returns a fresh NTT-domain embedding of the plaintext at the
+// given level. Every coefficient is below T, and T below every prime of
+// the chain: each residue row is the coefficients themselves.
+func (pt *Plaintext) embed(ctx *ring.Context, level int) *ring.Poly {
 	p := ctx.NewPoly(level)
 	for i := 0; i <= level; i++ {
 		copy(p.Coeffs[i], pt.Coeffs)
 	}
 	ctx.NTT(p)
-	return publishAt(&pt.lifts, level, p)
+	return p
+}
+
+// MontgomeryLift returns a fresh NTT-domain embedding of the plaintext at
+// the given level in Montgomery form (ring.Context.MontgomeryForm), the
+// form ring.Context.DotMontgomeryAdd takes its fixed operands in. It is
+// made in place and not cached: a staged factor holds it instead of a
+// lift, and it serves every level up to its own.
+func (pt *Plaintext) MontgomeryLift(ctx *ring.Context, level int) *ring.Poly {
+	p := pt.embed(ctx, level)
+	ctx.MontgomeryForm(p, p)
+	return p
 }
 
 // publishAt installs v at a level index of a lock-free copy-on-write

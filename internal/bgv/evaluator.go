@@ -193,6 +193,61 @@ func (ev *Evaluator) tensorProduct(a, b *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{C: []*ring.Poly{d0, d1, d2}}, nil
 }
 
+// Fused sums of products against staged factors (DESIGN.md §13.7). A
+// factor is a fixed multiplicand held in Montgomery form (w·2^64 mod
+// each prime), the form ring.Context.DotMontgomeryAdd reads: each sum is
+// exact in 128 bits and reduced once per montGroup terms, which takes the
+// 2^64 back out, so every result residue is fully reduced and the same
+// as that of the MulCoeffs-and-Add chain it replaces. Factors may live
+// above the sum's level; only its rows are read.
+
+// ProductSum returns the degree-1 ciphertext (Σ_k d_k ⊙ b_k,
+// Σ_k d_k ⊙ a_k) at the given level, where of each pair (d_k, b_k) and
+// (d_k, a_k) exactly one factor is in Montgomery form: a plaintext
+// factor's lifts d_k against the halves (b_k, a_k) of ciphertexts, or a
+// plaintext's lifts d_k against a ciphertext factor's halves.
+func (ev *Evaluator) ProductSum(d, b, a []*ring.Poly, level int) *Ciphertext {
+	ctx := ev.params.RingCtx
+	o0, o1 := ctx.GetPolyZero(level), ctx.GetPolyZero(level)
+	ctx.DotMontgomeryAdd(d, b, a, o0, o1)
+	return &Ciphertext{C: []*ring.Poly{o0, o1}}
+}
+
+// TensorSum returns Σ_k x_k ⊗ e_k, the degree-2 sum of the tensor
+// products of the degree-1 ciphertexts xs, all at one level with a prime
+// below it, with the ciphertext factors es (both halves in Montgomery
+// form, at or above that level): (Σ x0·e0, Σ x0·e1 + x1·e0, Σ x1·e1) in
+// two passes of the inner product, one per half of x.
+func (ev *Evaluator) TensorSum(xs, es []*Ciphertext) (*Ciphertext, error) {
+	if len(xs) == 0 || len(es) != len(xs) {
+		return nil, fmt.Errorf("bgv: a tensor sum of %d ciphertexts and %d factors", len(xs), len(es))
+	}
+	level := xs[0].Level()
+	x0, x1 := make([]*ring.Poly, len(xs)), make([]*ring.Poly, len(xs))
+	e0, e1 := make([]*ring.Poly, len(xs)), make([]*ring.Poly, len(xs))
+	for k, x := range xs {
+		e := es[k]
+		if len(x.C) != 2 || len(e.C) != 2 {
+			return nil, fmt.Errorf("bgv: Mul requires degree-1 ciphertexts")
+		}
+		if err := sameLevel(x, xs[0]); err != nil {
+			return nil, err
+		}
+		if e.Level() < level {
+			return nil, &LevelMismatchError{A: e.Level(), B: level}
+		}
+		x0[k], x1[k], e0[k], e1[k] = x.C[0], x.C[1], e.C[0], e.C[1]
+	}
+	if level == 0 {
+		return nil, errNotEnoughLevels
+	}
+	ctx := ev.params.RingCtx
+	o0, o1, o2 := ctx.GetPolyZero(level), ctx.GetPolyZero(level), ctx.GetPolyZero(level)
+	ctx.DotMontgomeryAdd(x0, e0, e1, o0, o1)
+	ctx.DotMontgomeryAdd(x1, e0, e1, o1, o2)
+	return &Ciphertext{C: []*ring.Poly{o0, o1, o2}}, nil
+}
+
 // Mul returns a·b, relinearized and modulus-switched: it consumes one
 // level. The operands must share a level.
 func (ev *Evaluator) Mul(a, b *Ciphertext) (*Ciphertext, error) {

@@ -10,8 +10,8 @@ import (
 // Backend wraps an he.Backend with fault injection: every operation
 // first draws from the schedule and applies the resulting latency,
 // panic, or error before (or instead of) delegating. Capability
-// interfaces (LevelDropper, LevelEncrypter, NoiseMeter, RotationKeyer)
-// are forwarded so a wrapped leveled backend keeps its scheduled-level
+// interfaces (LevelDropper, LevelEncrypter, NoiseMeter, RotationKeyer,
+// FactorSummer) are forwarded so a wrapped leveled backend keeps its scheduled-level
 // fast paths and its staging makes the keys its programs rotate by;
 // Counts/ResetCounts delegate to the inner backend so op accounting
 // stays truthful.
@@ -224,4 +224,28 @@ func (c *Backend) NoiseBudget(ct he.Ciphertext) (int, error) {
 		return nm.NoiseBudget(ct)
 	}
 	return 0, fmt.Errorf("chaos: backend %q cannot measure noise", c.inner.Name())
+}
+
+// StageFactorAtLevel implements he.FactorSummer via the inner backend
+// (its operand form when the capability is absent), drawing the fault of
+// the encryption or encoding it makes.
+func (c *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he.Operand, error) {
+	op := OpEncode
+	if encrypt {
+		op = OpEncrypt
+	}
+	if err := c.inject(op); err != nil {
+		return he.Operand{}, err
+	}
+	return he.StageFactorAtLevel(c.inner, vals, encrypt, level)
+}
+
+// MulDiagSum implements he.FactorSummer via the inner backend (its
+// MulLazy and Add chain when the capability is absent), drawing one
+// product fault for the whole sum.
+func (c *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
+	if err := c.inject(OpMul); err != nil {
+		return he.Operand{}, err
+	}
+	return he.MulDiagSum(c.inner, terms)
 }

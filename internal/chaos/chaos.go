@@ -27,15 +27,17 @@ import (
 type Op string
 
 const (
-	// OpEncrypt covers Encrypt/EncryptAtLevel.
+	// OpEncrypt covers Encrypt/EncryptAtLevel and the staging of an
+	// encrypted factor.
 	OpEncrypt Op = "encrypt"
 	// OpDecrypt covers Decrypt.
 	OpDecrypt Op = "decrypt"
-	// OpEncode covers EncodePlain/EncodePlainAtLevel.
+	// OpEncode covers EncodePlain/EncodePlainAtLevel and the staging of
+	// a plaintext factor (StageFactorAtLevel).
 	OpEncode Op = "encode"
 	// OpAdd covers Add/Sub/Neg/AddPlain.
 	OpAdd Op = "add"
-	// OpMul covers Mul/MulLazy/MulPlain/Relinearize.
+	// OpMul covers Mul/MulLazy/MulPlain/Relinearize/MulDiagSum.
 	OpMul Op = "mul"
 	// OpRotate covers Rotate/RotateHoisted.
 	OpRotate Op = "rotate"

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +122,50 @@ func TestBackendInjection(t *testing.T) {
 		}()
 		pb.Rotate(ct, 1)
 	}()
+}
+
+// TestDiagSumInjection: the fused diagonal sum and the staging of its
+// factors draw faults like the ops they stand for — a product fault for
+// the sum, an encryption or encoding fault for a factor — and, disarmed,
+// forward to the inner backend's capability, so a wrapped pass computes
+// what the bare backend does.
+func TestDiagSumInjection(t *testing.T) {
+	inner := heclear.New(8, 257)
+	sched := NewSchedule(Config{Seed: 7, Default: Rates{Error: 1}})
+	b := WrapBackend(inner, sched)
+	var _ he.FactorSummer = b
+
+	f, err := b.StageFactorAtLevel([]uint64{1, 2, 3}, true, 0)
+	if err != nil {
+		t.Fatalf("disarmed StageFactorAtLevel: %v", err)
+	}
+	x, err := b.Encrypt([]uint64{4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := []he.Term{{Factor: f, X: he.Cipher(x)}, {Factor: f, X: he.Cipher(x)}}
+	sum, err := b.MulDiagSum(terms)
+	if err != nil {
+		t.Fatalf("disarmed MulDiagSum: %v", err)
+	}
+	got, err := he.Reveal(b, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{8, 20, 36, 0, 0, 0, 0, 0}; !slices.Equal(got, want) {
+		t.Fatalf("disarmed MulDiagSum = %v, want %v", got, want)
+	}
+
+	sched.Arm(true)
+	var inj *InjectedError
+	if _, err := he.MulDiagSum(b, terms); !errors.As(err, &inj) || inj.Op != OpMul {
+		t.Errorf("armed MulDiagSum: got %v, want *InjectedError{Op: mul}", err)
+	}
+	for encrypt, op := range map[bool]Op{true: OpEncrypt, false: OpEncode} {
+		if _, err := he.StageFactorAtLevel(b, []uint64{1}, encrypt, 0); !errors.As(err, &inj) || inj.Op != op {
+			t.Errorf("armed StageFactorAtLevel (encrypt=%v): got %v, want *InjectedError{Op: %s}", encrypt, err, op)
+		}
+	}
 }
 
 // TestRoundTripperFaults drives each transport fault class at rate 1

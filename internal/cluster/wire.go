@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"copse/internal/bgv"
@@ -152,40 +153,64 @@ func writeFrame(w io.Writer, kind uint16, payload []byte) error {
 // of a frame's length prefix alone.
 const frameGrowCap = 16 << 20
 
-// readFrame reads one frame, enforcing magic, version and kind.
+// readFrame reads one frame, enforcing magic, version and kind, into a
+// buffer of its own.
 func readFrame(r io.Reader, wantKind uint16) ([]byte, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("cluster: reading frame header: %w", err)
-	}
-	if string(hdr[:4]) != wireMagic {
-		return nil, fmt.Errorf("cluster: bad frame magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v > WireVersion {
-		return nil, &WireVersionError{Got: v, Supported: WireVersion}
-	}
-	if k := binary.LittleEndian.Uint16(hdr[6:8]); k != wantKind {
-		return nil, fmt.Errorf("cluster: frame kind %d, want %d", k, wantKind)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); wantKind == KindCiphertexts && v < ciphertextVersion {
-		return nil, &WireVersionError{Got: v, Supported: WireVersion, Min: ciphertextVersion}
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[8:12]))
-	if limit := maxFrameBytes.Load(); n > limit {
-		return nil, &FrameSizeError{Size: n, Limit: limit}
-	}
-	// Grow the buffer once, to the announced length up to 16 MiB, so a
-	// query frame is read into one allocation; past that it grows as
-	// data arrives, so a lying length prefix costs at most 16 MiB more
-	// than the bytes actually received. ReadFrom keeps MinRead bytes free
-	// ahead of every read, the one that meets the end included.
-	buf := bytes.NewBuffer(make([]byte, 0, min(n, frameGrowCap)+bytes.MinRead))
-	if got, err := io.CopyN(buf, r, n); err != nil {
-		return nil, fmt.Errorf("cluster: reading frame payload: %w",
-			&TruncatedFrameError{What: "frame payload", Want: n, Got: got})
+	var buf bytes.Buffer
+	if err := readFrameInto(r, wantKind, &buf); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
+
+// readFrameInto reads one frame, enforcing magic, version and kind, and
+// leaves its payload in buf, whose earlier contents it drops.
+func readFrameInto(r io.Reader, wantKind uint16, buf *bytes.Buffer) error {
+	var hdr [12]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("cluster: reading frame header: %w", err)
+	}
+	if string(hdr[:4]) != wireMagic {
+		return fmt.Errorf("cluster: bad frame magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v > WireVersion {
+		return &WireVersionError{Got: v, Supported: WireVersion}
+	}
+	if k := binary.LittleEndian.Uint16(hdr[6:8]); k != wantKind {
+		return fmt.Errorf("cluster: frame kind %d, want %d", k, wantKind)
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); wantKind == KindCiphertexts && v < ciphertextVersion {
+		return &WireVersionError{Got: v, Supported: WireVersion, Min: ciphertextVersion}
+	}
+	n := int64(binary.LittleEndian.Uint32(hdr[8:12]))
+	if limit := maxFrameBytes.Load(); n > limit {
+		return &FrameSizeError{Size: n, Limit: limit}
+	}
+	// Grow the buffer once, to the announced length up to 16 MiB, so a
+	// query frame is read into one allocation (none into a pooled buffer
+	// that already holds it); past that it grows as data arrives, so a
+	// lying length prefix costs at most 16 MiB more than the bytes
+	// actually received. ReadFrom keeps MinRead bytes free ahead of every
+	// read, the one that meets the end included.
+	if need := int(min(n, frameGrowCap)) + bytes.MinRead; buf.Cap() < need {
+		*buf = *bytes.NewBuffer(make([]byte, 0, need))
+	} else {
+		buf.Reset()
+	}
+	if got, err := io.CopyN(buf, r, n); err != nil {
+		return fmt.Errorf("cluster: reading frame payload: %w",
+			&TruncatedFrameError{What: "frame payload", Want: n, Got: got})
+	}
+	return nil
+}
+
+// framePool recycles the payload buffers of ciphertext frames, which
+// decodeCiphertexts copies every polynomial out of: a query frame of a
+// few MiB is then read into a buffer an earlier request left, instead of
+// a fresh one per request. A buffer grown past the growth cap is left
+// to the collector, so the pool holds no more than a query frame's worth
+// per buffer.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // --- primitive writers/readers over a bytes.Buffer ---
 
@@ -717,11 +742,16 @@ func decodeOneCiphertext(rd io.Reader) (WireCiphertext, error) {
 // poly), so the release of the ciphertexts after their use returns them;
 // a frame refused after rows were drawn hands them back.
 func decodeCiphertexts(rd io.Reader, pool *ring.Context, admit func(n int) error) (_ []WireCiphertext, err error) {
-	payload, err := readFrame(rd, KindCiphertexts)
-	if err != nil {
+	buf := framePool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= frameGrowCap+bytes.MinRead {
+			framePool.Put(buf)
+		}
+	}()
+	if err := readFrameInto(rd, KindCiphertexts, buf); err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload, pool: pool}
+	r := &reader{b: buf.Bytes(), pool: pool}
 	defer func() {
 		if err != nil {
 			r.release()

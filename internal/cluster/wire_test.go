@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -519,7 +520,10 @@ func TestWireFrameErrors(t *testing.T) {
 // TestReadFrameOneAllocation: a frame's payload is read into one buffer
 // sized from its length prefix — reading a 3 MiB query frame allocates
 // the frame and little more, not a buffer doubled its way up from
-// nothing (about twice the frame).
+// nothing (about twice the frame). A ciphertext frame is read into a
+// pooled buffer, which the decode gives back once it has copied every
+// polynomial out: a warm decode of a query frame onto pool rows
+// allocates no payload-sized buffer at all.
 func TestReadFrameOneAllocation(t *testing.T) {
 	const size = 3 << 20
 	var frame bytes.Buffer
@@ -537,6 +541,50 @@ func TestReadFrameOneAllocation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > size+64<<10 {
 		t.Errorf("reading a %d-byte frame allocated %d bytes, want at most %d", size, per, size+64<<10)
+	}
+
+	b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(5), Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := b.Parameters().RingCtx
+	var wcs []WireCiphertext
+	for range 16 {
+		ct, err := b.Encrypt(make([]uint64, b.Slots()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, depth, err := b.ExportCiphertext(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wcs = append(wcs, WireCiphertext{Ct: raw, Depth: depth})
+	}
+	query := ciphertextFrame(wcs)
+	decode := func() {
+		got, err := decodeCiphertexts(bytes.NewReader(query), rc, func(int) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wc := range got {
+			rc.PutPolys(wc.Ct.C)
+		}
+	}
+	if raceEnabled {
+		t.Log("warm decode not measured: sync.Pool drops buffers at random under the race detector")
+		return
+	}
+	// No collection may empty the pool between the warm decode and the
+	// measured ones.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	decode()
+	runtime.ReadMemStats(&before)
+	for range reads {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / reads; per > 64<<10 {
+		t.Errorf("a warm decode of a %d-byte query frame allocated %d bytes, want at most %d", len(query), per, 64<<10)
 	}
 }
 

@@ -107,7 +107,7 @@ func (ps *pass) unread(r int) {
 
 // passInputs are the operands a pass's loads read: the query's planes
 // (opQuery), the negated thresholds (opThresh), the masks of the level
-// staging (opMask) and its matrices and the reshuffle (opMulDiag).
+// staging (opMask) and its matrices and the reshuffle (opDiagSum).
 type passInputs struct {
 	query, thresholds []he.Operand
 	levels            *levelStaging
@@ -372,7 +372,7 @@ func (ps *pass) runOp(i int) (err error) {
 		R[op.Dst], err = he.MulLazy(b, R[op.A], R[op.B])
 	case opSelect:
 		R[op.Dst] = ps.shuffle.sel
-	case opMulDiag:
+	case opDiagSum:
 		var d *matrix.Diagonals
 		switch op.Imm {
 		case matReshuffle:
@@ -382,7 +382,11 @@ func (ps *pass) runOp(i int) (err error) {
 		default:
 			d = ps.levels.mats[op.Imm]
 		}
-		R[op.Dst], err = he.MulLazy(b, d.Ops[op.Imm2], R[op.A])
+		terms := make([]he.Term, len(op.Terms))
+		for k, t := range op.Terms {
+			terms[k] = he.Term{Factor: d.Ops[t.Diag], X: R[t.Reg]}
+		}
+		R[op.Dst], err = he.MulDiagSum(b, terms)
 	case opRelin:
 		R[op.Dst], err = he.Relinearize(b, R[op.A])
 	case opRot:

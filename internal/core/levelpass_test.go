@@ -80,8 +80,8 @@ func TestPrepareRejectsInfeasiblePlan(t *testing.T) {
 func diagProducts(p *Program) int {
 	n := 0
 	for _, op := range p.ops {
-		if op.Code == opMulDiag {
-			n++
+		if op.Code == opDiagSum {
+			n += len(op.Terms)
 		}
 	}
 	return n

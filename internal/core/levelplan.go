@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"copse/internal/bgv"
 )
@@ -377,7 +378,7 @@ type levelled struct {
 // functions over p's ops in order under the schedule at, resolves each
 // scheduled drop point, inserts (once per register and level) the drops
 // that bring the operands of a binary op to one level — for a product, the
-// level its first factor cools to (sim.cool); for a diagonal product, the
+// level its first factor cools to (sim.cool); for a diagonal sum, the
 // level the encrypted diagonals are staged at — and stops at the first
 // infeasibility. The planner searches with
 // it over a structure built from Meta; Prepare installs what it returns.
@@ -444,16 +445,36 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 			default:
 				e = s.add(a, b)
 			}
-		case opMulDiag:
+		case opDiagSum:
+			// The sum is the chain it fuses: each term a lazy product, its
+			// register at the level the encrypted diagonals are staged at, or
+			// with plaintext ones at the lowest the terms' registers sit at,
+			// and the products added in term order.
 			var diag est
+			level := plainLevel
 			if p.cipherDiag(op.Imm) {
 				diag = nm.fresh(at.Level)
 				if op.Imm == matReshuffle {
 					diag = nm.fresh(at.Reshuffle)
 				}
-				op.A = place(op.A, diag.level, op.Stage)
+				level = diag.level
+			} else {
+				for _, t := range op.Terms {
+					if x := out.est[t.Reg]; x.cipher {
+						level = min(level, x.level)
+					}
+				}
 			}
-			e = s.mulLazy(diag, out.est[op.A])
+			op.Terms = slices.Clone(op.Terms)
+			for k, t := range op.Terms {
+				op.Terms[k].Reg = place(t.Reg, level, op.Stage)
+				term := s.mulLazy(diag, out.est[op.Terms[k].Reg])
+				if k == 0 {
+					e = term
+				} else {
+					e = s.add(e, term)
+				}
+			}
 		case opRelin:
 			e = s.relin(out.est[op.A])
 		case opRot, opHoist:

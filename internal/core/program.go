@@ -48,6 +48,10 @@ import (
 //     plane's eq) are dead code;
 //   - the top of the tree is one sum of lazy (unrelinearized) products and
 //     pays for a single relinearization instead of one per term;
+//   - each giant step of a mat-vec sums its products against the staged
+//     diagonals in one op (opDiagSum), which a backend with fused sums
+//     runs as one lazy inner-product sweep against diagonals staged in
+//     its fixed-operand form (he.MulDiagSum, DESIGN.md §13.7);
 //   - the plaintext constants of ⊕ (XOR coefficient/offset pairs) are
 //     encoded once at bind time instead of per call;
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
@@ -82,7 +86,7 @@ const (
 	opSub                   // R[Dst] = R[A] − R[B]
 	opMul                   // R[Dst] = R[A] · R[B]
 	opMulLazy               // R[Dst] = R[A] ⊗ R[B] (unrelinearized)
-	opMulDiag               // R[Dst] = diag(Imm, Imm2) ⊗ R[A] (lazy)
+	opDiagSum               // R[Dst] = Σ_k diag(Imm, Terms[k].Diag) ⊗ R[Terms[k].Reg] (lazy)
 	opRelin                 // R[Dst] = relinearize(R[A])
 	opRot                   // R[Dst] = rot(R[A], Imm)
 	opHoist                 // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
@@ -90,7 +94,7 @@ const (
 	opSelect                // R[Dst] = the pass's selector of its queries' leaf slots
 )
 
-// The matrices an opMulDiag multiplies by, its Imm: stacked level operand
+// The matrices an opDiagSum multiplies by, its Imm: stacked level operand
 // Imm when Imm ≥ 0, else the reshuffle or the pass's permutations.
 const (
 	matReshuffle = -1
@@ -99,14 +103,20 @@ const (
 
 // progOp is one op of the flat program. Dst/A/B are register indices;
 // Imm/Imm2 carry per-code immediates (plane index, rotation step, level,
-// matrix/diagonal index, hoist-table index). Stage is the pipeline stage
-// the op belongs to; a stage's ops are contiguous in the program.
+// matrix index, hoist-table index); Terms are the products of an
+// opDiagSum. Stage is the pipeline stage the op belongs to; a stage's ops
+// are contiguous in the program.
 type progOp struct {
 	Code      opCode
 	Stage     uint8
 	Dst, A, B int
 	Imm, Imm2 int
+	Terms     []diagTerm
 }
+
+// diagTerm is one product of a giant step's inner sum: the register of a
+// baby rotation and the index of the staged diagonal it multiplies.
+type diagTerm struct{ Reg, Diag int }
 
 // operands returns the registers op reads.
 func (op progOp) operands() []int {
@@ -116,8 +126,16 @@ func (op progOp) operands() []int {
 			return []int{op.A}
 		}
 		return []int{op.A, op.B}
-	case opMulDiag, opRelin, opRot, opHoist, opDrop:
+	case opRelin, opRot, opHoist, opDrop:
 		return []int{op.A}
+	case opDiagSum:
+		regs := make([]int, 0, len(op.Terms))
+		for _, t := range op.Terms {
+			if !slices.Contains(regs, t.Reg) {
+				regs = append(regs, t.Reg)
+			}
+		}
+		return regs
 	}
 	return nil
 }
@@ -170,8 +188,9 @@ type Program struct {
 	// with the result shuffle.
 	stages int
 	// encModel records that the staged matrices are ciphertexts: an
-	// opMulDiag is then a tensor product, not a plaintext one. plainQuery
-	// records that the program is levelled for plaintext query planes.
+	// opDiagSum is then a sum of tensor products, not of plaintext ones.
+	// plainQuery records that the program is levelled for plaintext query
+	// planes.
 	encModel, plainQuery bool
 	// est is the level pass's estimate (level, noise) of each register
 	// under the plan the program was built for, rounds its estimate after
@@ -674,31 +693,32 @@ func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 // matVecGroups emits the per-giant-group inner products of one BSGS
 // matrix-vector product — independent of each other, so they run
 // concurrently — returning the group result registers (-1 for skipped
-// groups).
+// groups). A group's inner sum Σ_j d_{g·baby+j} ⊗ rot(x, j) over the
+// diagonals it does not skip is one opDiagSum, the backend's fused sum
+// against the staged factors (he.MulDiagSum), in baby-step order.
 func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero bool) []int {
 	groups := make([]int, sh.giant)
 	for g := 0; g < sh.giant; g++ {
-		acc := -1
+		var terms []diagTerm
 		for j := 0; j < sh.baby; j++ {
 			i := g*sh.baby + j
 			if skipZero && sh.zero[i] {
 				continue
 			}
-			term := bl.emit(opMulDiag, rots[j], 0, mat, i)
-			if acc < 0 {
-				acc = term
-			} else {
-				acc = bl.emit(opAdd, acc, term, 0, 0)
-			}
+			terms = append(terms, diagTerm{Reg: rots[j], Diag: i})
 		}
-		if acc >= 0 {
-			// Plaintext diagonals' products are ct×pt: nothing to relinearize.
-			if bl.p.cipherDiag(mat) {
-				acc = bl.emit(opRelin, acc, 0, 0, 0)
-			}
-			if g > 0 {
-				acc = bl.emit(opRot, acc, 0, g*sh.baby, 0)
-			}
+		if len(terms) == 0 {
+			groups[g] = -1
+			continue
+		}
+		acc := bl.emit(opDiagSum, 0, 0, mat, 0)
+		bl.p.ops[len(bl.p.ops)-1].Terms = terms
+		// Plaintext diagonals' products are ct×pt: nothing to relinearize.
+		if bl.p.cipherDiag(mat) {
+			acc = bl.emit(opRelin, acc, 0, 0, 0)
+		}
+		if g > 0 {
+			acc = bl.emit(opRot, acc, 0, g*sh.baby, 0)
 		}
 		groups[g] = acc
 	}
@@ -752,7 +772,7 @@ func (p *Program) eliminateDeadOps() {
 	p.ops = p.ops[:n]
 }
 
-// cipherDiag reports whether the diagonals of matrix mat (an opMulDiag's
+// cipherDiag reports whether the diagonals of matrix mat (an opDiagSum's
 // Imm) are ciphertexts: those of an encrypted model. The permutations are
 // the server's own plaintext.
 func (p *Program) cipherDiag(mat int) bool {

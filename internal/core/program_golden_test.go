@@ -14,7 +14,7 @@ import (
 
 var opNames = [...]string{
 	opQuery: "query", opThresh: "thresh", opMask: "mask", opConst: "const", opAdd: "add", opSub: "sub",
-	opMul: "mul", opMulLazy: "mullazy", opMulDiag: "muldiag", opRelin: "relin", opRot: "rot", opHoist: "hoist", opDrop: "drop",
+	opMul: "mul", opMulLazy: "mullazy", opDiagSum: "diagsum", opRelin: "relin", opRot: "rot", opHoist: "hoist", opDrop: "drop",
 	opSelect: "select",
 }
 
@@ -24,13 +24,19 @@ var stageDigestNames = [stDone]string{"compare", "reshuffle", "levels", "accumul
 // dumpStages writes p's op list stage by stage — everything the executor
 // reads of a program — in a form that does not move when another stage
 // does: a register is named by the stage that defines it and its place
-// among that stage's definitions, a hoist by its steps and a constant by
-// its spec, and each stage ends with the carrier registers it hands on.
+// among that stage's definitions, a hoist by its steps, a constant by its
+// spec and a diagonal sum by its matrix and its terms' diagonals, and each
+// stage ends with the carrier registers it hands on. A sum of n terms
+// takes the places of the 2n − 1 registers of the product-and-add chain
+// it fuses, so the carriers a mat-vec stage hands on keep their names.
 func dumpStages(p *Program) []string {
 	var out [stDone]strings.Builder
 	name, defined := make([]string, p.numReg), [stDone]int{}
 	for _, op := range p.ops {
 		sb := &out[op.Stage]
+		if op.Code == opDiagSum {
+			defined[op.Stage] += 2*len(op.Terms) - 2
+		}
 		for r := op.Dst; r < op.Dst+p.width(op); r++ {
 			name[r] = fmt.Sprintf("%s.%d", stageDigestNames[op.Stage], defined[op.Stage])
 			defined[op.Stage]++
@@ -44,6 +50,12 @@ func dumpStages(p *Program) []string {
 			fmt.Fprintf(sb, " %v\n", p.hoists[op.Imm])
 		case opConst:
 			fmt.Fprintf(sb, " kind %d index %d\n", p.consts[op.Imm].Kind, p.consts[op.Imm].Index)
+		case opDiagSum:
+			diags := make([]int, len(op.Terms))
+			for k, term := range op.Terms {
+				diags[k] = term.Diag
+			}
+			fmt.Fprintf(sb, " %d %v\n", op.Imm, diags)
 		default:
 			fmt.Fprintf(sb, " %d %d\n", op.Imm, op.Imm2)
 		}

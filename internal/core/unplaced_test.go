@@ -175,8 +175,8 @@ func TestStrippedCompareRoundsPlaced(t *testing.T) {
 func TestUnplacedMoveRefused(t *testing.T) {
 	ops := []progOp{
 		{Code: opQuery, Dst: 0},
-		{Code: opMulDiag, Dst: 1, A: 0},
-		{Code: opMulDiag, Dst: 2, A: 1},
+		{Code: opDiagSum, Dst: 1, Terms: []diagTerm{{Reg: 0}}},
+		{Code: opDiagSum, Dst: 2, Terms: []diagTerm{{Reg: 1}}},
 	}
 	for r := 3; r < 8; r++ {
 		ops = append(ops, progOp{Code: opAdd, Dst: r, A: r - 1, B: 0})

@@ -142,6 +142,72 @@ type SetEncrypter interface {
 	EncryptSetAtLevel(set [][]uint64, level int) ([]Ciphertext, error)
 }
 
+// Term is one product of a diagonal sum: a staged factor (a mat-vec
+// diagonal, StageFactorAtLevel) and the operand it multiplies.
+type Term struct{ Factor, X Operand }
+
+// FactorSummer is an optional Backend capability for the inner sums of a
+// mat-vec, Σ_k d_k ⊗ x_k over diagonals d_k staged once and reused by
+// every pass. A backend that implements it stages each diagonal as a
+// factor, in the form its fused sum multiplies fastest (BGV: Montgomery
+// form), and a factor is an operand of MulDiagSum only: any other
+// operation refuses it. Staging and use therefore go through the same
+// capability; a decorator forwards both or neither.
+type FactorSummer interface {
+	// StageFactorAtLevel stages vals (padded to Slots with zeros) as a
+	// factor at the given level: encrypted when encrypt is set, else a
+	// plaintext operand whose Vals are the padded values. A negative level
+	// is the chain top.
+	StageFactorAtLevel(vals []uint64, encrypt bool, level int) (Operand, error)
+	// MulDiagSum returns Σ_k terms[k].Factor ⊗ terms[k].X as MulLazy and
+	// Add would make it in term order — unrelinearized, the same bytes and
+	// the same op counts: n products and n − 1 additions — in one sweep.
+	// Every X is at one level; a factor may be staged above it.
+	MulDiagSum(terms []Term) (Operand, error)
+}
+
+// StageFactorAtLevel stages vals as a mat-vec factor where the backend
+// has fused diagonal sums (FactorSummer), else as the operand
+// NewOperandAtLevel makes, which MulDiagSum's fallback multiplies.
+func StageFactorAtLevel(b Backend, vals []uint64, encrypt bool, level int) (Operand, error) {
+	if fs, ok := b.(FactorSummer); ok {
+		return fs.StageFactorAtLevel(vals, encrypt, level)
+	}
+	return NewOperandAtLevel(b, vals, encrypt, level)
+}
+
+// MulDiagSum returns Σ_k terms[k].Factor ⊗ terms[k].X, the factors staged
+// by StageFactorAtLevel on the same backend: in one call where the backend
+// is a FactorSummer, else as the chain MulLazy, Add, MulLazy, Add, … in
+// term order, each intermediate released once it is summed.
+func MulDiagSum(b Backend, terms []Term) (Operand, error) {
+	if fs, ok := b.(FactorSummer); ok {
+		return fs.MulDiagSum(terms)
+	}
+	if len(terms) == 0 {
+		return Operand{}, fmt.Errorf("he: a diagonal sum of no terms")
+	}
+	acc, err := MulLazy(b, terms[0].Factor, terms[0].X)
+	for _, t := range terms[1:] {
+		if err != nil {
+			break
+		}
+		var term, sum Operand
+		if term, err = MulLazy(b, t.Factor, t.X); err != nil {
+			break
+		}
+		sum, err = Add(b, acc, term)
+		Release(acc.Ct)
+		Release(term.Ct)
+		acc = sum
+	}
+	if err != nil {
+		Release(acc.Ct)
+		return Operand{}, err
+	}
+	return acc, nil
+}
+
 // Rotation is one rotation a staged program issues: a slot step, and
 // the chain level of the ciphertext it rotates (a level past the chain
 // top means the top).

@@ -307,6 +307,9 @@ func (b *Backend) castPair(x, y he.Ciphertext) (cx, cy *ciphertext, err error) {
 
 func (b *Backend) cast(ct he.Ciphertext) (*ciphertext, error) {
 	c, ok := ct.(*ciphertext)
+	if _, factor := ct.(*cipherFactor); factor {
+		return nil, errFactor
+	}
 	if !ok {
 		return nil, fmt.Errorf("hebgv: foreign ciphertext %T", ct)
 	}
@@ -315,6 +318,9 @@ func (b *Backend) cast(ct he.Ciphertext) (*ciphertext, error) {
 
 func (b *Backend) castPlain(p he.Plain) (*bgv.Plaintext, error) {
 	pp, ok := p.(*bgv.Plaintext)
+	if _, factor := p.(*plainFactor); factor {
+		return nil, errFactor
+	}
 	if !ok {
 		return nil, fmt.Errorf("hebgv: foreign plaintext %T", p)
 	}

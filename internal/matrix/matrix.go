@@ -3,7 +3,7 @@
 // §4.1.2: a matrix is stored as its wrapped diagonals so that M·v becomes
 // Σ_i d_i ⊙ rot(v, i) — a constant multiplicative depth of 1 regardless
 // of the matrix size. The op program (internal/core) evaluates the
-// product over the staged diagonals.
+// product over the staged diagonals, one he.MulDiagSum per giant step.
 package matrix
 
 import (
@@ -202,11 +202,14 @@ func checkSpan(b he.Backend, m *Bool, period, span int) error {
 // §13.5).
 //
 // If encrypt is true the diagonals are encrypted; otherwise they are
-// encoded plaintexts. Operands are produced at the given scheme level
-// (the stage level a compile-time plan assigned the matrix product; see
-// Meta.LevelPlan): encrypted diagonals are encrypted there directly and
-// plaintext diagonals are pre-lifted there. A negative level (or a
-// backend without levels) stages at the top.
+// encoded plaintexts. Every diagonal is staged as a mat-vec factor
+// (he.StageFactorAtLevel): on a backend with fused diagonal sums
+// (he.FactorSummer) in the form its sum multiplies fastest, and then an
+// operand of he.MulDiagSum only. Operands are produced at the given
+// scheme level (the stage level a compile-time plan assigned the matrix
+// product; see Meta.LevelPlan): encrypted diagonals are encrypted there
+// directly and plaintext diagonals are lifted there. A negative level (or
+// a backend without levels) stages at the top.
 //
 // Plaintext diagonals that are zero in every block are staged once: the
 // first is encoded and lifted, and every later Ops[i] recorded zero is
@@ -282,7 +285,7 @@ func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, sp
 			d.Ops = append(d.Ops, *zero)
 			continue
 		}
-		op, err := he.NewOperandAtLevel(b, ext, encrypt, level)
+		op, err := he.StageFactorAtLevel(b, ext, encrypt, level)
 		if err != nil {
 			return nil, err
 		}

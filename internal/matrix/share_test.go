@@ -12,8 +12,9 @@ import (
 )
 
 // homMatVec evaluates M·x over d's staged operands with the backend's
-// own ops, multiplying every diagonal — the zero ones included, as the
-// result shuffle does:
+// own ops, one fused diagonal sum (he.MulDiagSum) per giant step,
+// multiplying every diagonal — the zero ones included, as the result
+// shuffle does:
 //
 //	M·x = Σ_g rot(Σ_j d_{g·Baby+j} ⊙ rot(x, j), g·Baby).
 func homMatVec(t *testing.T, b he.Backend, d *matrix.Diagonals, x he.Operand) he.Operand {
@@ -32,15 +33,11 @@ func homMatVec(t *testing.T, b he.Backend, d *matrix.Diagonals, x he.Operand) he
 	}
 	var out he.Operand
 	for g := 0; g < d.Giant; g++ {
-		var inner he.Operand
-		for j := 0; j < d.Baby; j++ {
-			p := must(he.Mul(b, d.Ops[g*d.Baby+j], rots[j]))
-			if j == 0 {
-				inner = p
-			} else {
-				inner = must(he.Add(b, inner, p))
-			}
+		terms := make([]he.Term, d.Baby)
+		for j := range terms {
+			terms[j] = he.Term{Factor: d.Ops[g*d.Baby+j], X: rots[j]}
 		}
+		inner := must(he.Relinearize(b, must(he.MulDiagSum(b, terms))))
 		if g == 0 {
 			out = inner
 			continue
