@@ -201,18 +201,6 @@ func (ev *Evaluator) tensorProduct(a, b *Ciphertext) (*Ciphertext, error) {
 // as that of the MulCoeffs-and-Add chain it replaces. Factors may live
 // above the sum's level; only its rows are read.
 
-// ProductSum returns the degree-1 ciphertext (Σ_k d_k ⊙ b_k,
-// Σ_k d_k ⊙ a_k) at the given level, where of each pair (d_k, b_k) and
-// (d_k, a_k) exactly one factor is in Montgomery form: a plaintext
-// factor's lifts d_k against the halves (b_k, a_k) of ciphertexts, or a
-// plaintext's lifts d_k against a ciphertext factor's halves.
-func (ev *Evaluator) ProductSum(d, b, a []*ring.Poly, level int) *Ciphertext {
-	ctx := ev.params.RingCtx
-	o0, o1 := ctx.GetPolyZero(level), ctx.GetPolyZero(level)
-	ctx.DotMontgomeryAdd(d, b, a, o0, o1)
-	return &Ciphertext{C: []*ring.Poly{o0, o1}}
-}
-
 // TensorSum returns Σ_k x_k ⊗ e_k, the degree-2 sum of the tensor
 // products of the degree-1 ciphertexts xs, all at one level with a prime
 // below it, with the ciphertext factors es (both halves in Montgomery

@@ -127,8 +127,8 @@ func TestBackendInjection(t *testing.T) {
 // TestDiagSumInjection: the fused diagonal sum and the staging of its
 // factors draw faults like the ops they stand for — a product fault for
 // the sum, an encryption or encoding fault for a factor — and, disarmed,
-// forward to the inner backend's capability, so a wrapped pass computes
-// what the bare backend does.
+// forward to the inner backend (here the clear backend's MulLazy and Add
+// chain), so a wrapped pass computes what the bare backend does.
 func TestDiagSumInjection(t *testing.T) {
 	inner := heclear.New(8, 257)
 	sched := NewSchedule(Config{Seed: 7, Default: Rates{Error: 1}})

@@ -575,8 +575,10 @@ func TestReadFrameOneAllocation(t *testing.T) {
 		return
 	}
 	// No collection may empty the pool between the warm decode and the
-	// measured ones.
+	// measured ones, and the goroutine may not move to another P between
+	// a Put and the next Get: a P's own pool item is not stolen by others.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	decode()
 	runtime.ReadMemStats(&before)
 	for range reads {

@@ -68,8 +68,8 @@ const (
 	costTensor    = 4  // ct×ct tensor product, no key switch
 	costMulPlain  = 2  // plaintext product
 	costAdd       = 1
-	// A term of a fused diagonal sum (opDiagSum) against a plaintext or
-	// an encrypted diagonal, per limb: its share of one lazy Montgomery
+	// A term of a fused diagonal sum (opDiagSum) with a plaintext side, or
+	// with both sides encrypted, per limb: its share of one lazy Montgomery
 	// sweep. BenchmarkDiagSum (internal/he/hebgv; N = 2048, 16 terms at 7
 	// limbs, 2-vCPU AVX-512 host) reads 0.38 and 0.78 ms against 1.7 and
 	// 3.3 ms for the MulPlain or tensor-and-Add chain: about 0.7 and 1.4
@@ -108,8 +108,10 @@ func (p *Program) weights() []int64 {
 			}
 			l = min(level(op.A), level(op.B)) // a key switch lands a level below its work
 		case opDiagSum:
+			// Only encrypted diagonals against ciphertexts make the
+			// degree-2 sum; either side plaintext is one sweep.
 			cost = costDiagTerm * len(op.Terms)
-			if p.cipherDiag(op.Imm) {
+			if p.cipherDiag(op.Imm) && p.est[op.Terms[0].Reg].cipher {
 				cost = costDiagTensorTerm * len(op.Terms)
 			}
 		case opRelin:

@@ -35,6 +35,8 @@ var (
 	// first one's kinds: a mat-vec's diagonals are staged alike, and the
 	// rotations of one vector are alike.
 	errMixedSum = fmt.Errorf("hebgv: a diagonal sum mixes operand kinds")
+	// errPlainSum refuses a diagonal sum with no encrypted side.
+	errPlainSum = fmt.Errorf("hebgv: a diagonal sum of plaintext factors and plaintexts")
 	// errNotFactor refuses a diagonal sum whose factor side was not staged
 	// by StageFactorAtLevel.
 	errNotFactor = fmt.Errorf("hebgv: a diagonal sum factor that is not a staged factor")
@@ -76,8 +78,8 @@ func (b *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he
 // one level, plaintext factors make one pass (d = the lifts, b and a the
 // halves of x_k) and encrypted factors the degree-2 sum in two
 // (Evaluator.TensorSum); encrypted factors against plaintexts make one
-// pass with d = the plaintexts' lifts. Plaintext factors against
-// plaintexts are plain arithmetic.
+// pass with d = the plaintexts' lifts. A sum with no encrypted side is
+// refused: no mat-vec has one.
 func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 	if len(terms) == 0 {
 		return he.Operand{}, fmt.Errorf("hebgv: a diagonal sum of no terms")
@@ -88,17 +90,11 @@ func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 			return he.Operand{}, errMixedSum
 		}
 	}
-	n := len(terms)
 	if !encFactor && !encX {
-		t := b.params.T
-		vals := make([]uint64, b.Slots())
-		for _, term := range terms {
-			for i := range vals {
-				vals[i] = (vals[i] + term.Factor.Vals[i]*term.X.Vals[i]%t) % t
-			}
-		}
-		return he.NewPlain(b, vals)
+		// No mat-vec has both a plaintext model and a plaintext query.
+		return he.Operand{}, errPlainSum
 	}
+	n := len(terms)
 	var out *bgv.Ciphertext
 	depth := 0
 	if encFactor && encX {
@@ -160,7 +156,9 @@ func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 			}
 			u[k], v[k] = ct.C[0], ct.C[1]
 		}
-		out = b.evaluator.ProductSum(d, u, v, level)
+		ctx := b.params.RingCtx
+		out = &bgv.Ciphertext{C: []*ring.Poly{ctx.GetPolyZero(level), ctx.GetPolyZero(level)}}
+		ctx.DotMontgomeryAdd(d, u, v, out.C[0], out.C[1])
 	}
 	limbs := out.Level() + 1
 	for range n {

@@ -168,7 +168,8 @@ func TestMulDiagSumMatchesChain(t *testing.T) {
 // TestFactorRefusedOutsideSum: a staged factor is in Montgomery form, so
 // every op other than MulDiagSum refuses it instead of computing with its
 // residues as ordinary ones — a product, an addition, a plaintext product
-// and a decryption alike, on either side.
+// and a decryption alike, on either side — and a sum refuses operands it
+// cannot have been staged for.
 func TestFactorRefusedOutsideSum(t *testing.T) {
 	b := newBackend(t, 3, nil)
 	vals := make([]uint64, b.Slots())
@@ -204,6 +205,14 @@ func TestFactorRefusedOutsideSum(t *testing.T) {
 	// A sum whose factor side is an ordinary operand is refused too.
 	if _, err := b.MulDiagSum([]he.Term{{Factor: he.Cipher(x), X: he.Cipher(x)}}); !errors.Is(err, errNotFactor) {
 		t.Errorf("MulDiagSum of an unstaged factor: %v, want it refused", err)
+	}
+	// So is a sum with no encrypted side, which no mat-vec makes.
+	pt, err := he.NewPlain(b, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.MulDiagSum([]he.Term{{Factor: plainF, X: pt}}); !errors.Is(err, errPlainSum) {
+		t.Errorf("MulDiagSum of plaintexts only: %v, want it refused", err)
 	}
 }
 

@@ -246,69 +246,3 @@ func (b *Backend) rotate(c *ciphertext, k int) *ciphertext {
 	}
 	return out
 }
-
-// StageFactorAtLevel implements he.FactorSummer: the exact backend has no
-// operand form to prefer, so a factor is the operand Encrypt or
-// EncodePlain makes, counted as they count it.
-func (b *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he.Operand, error) {
-	if encrypt {
-		ct, err := b.Encrypt(vals)
-		return he.Cipher(ct), err
-	}
-	return he.NewPlain(b, vals)
-}
-
-// MulDiagSum implements he.FactorSummer in one sweep over the slots,
-// counted as the MulLazy and Add chain it stands for: n products (ct×ct,
-// or plaintext where a side is plaintext) and n − 1 additions, none where
-// no side is encrypted.
-func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
-	if len(terms) == 0 {
-		return he.Operand{}, fmt.Errorf("heclear: a diagonal sum of no terms")
-	}
-	vals := make([]uint64, b.slots)
-	cipher, depth := false, 0
-	for _, t := range terms {
-		f, fd, err := b.slotsOf(t.Factor)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		x, xd, err := b.slotsOf(t.X)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		switch {
-		case t.Factor.IsCipher() && t.X.IsCipher():
-			b.CountMul()
-			depth = max(depth, fd+1, xd+1)
-		case t.Factor.IsCipher() || t.X.IsCipher():
-			b.CountConstMul()
-			depth = max(depth, fd, xd)
-		}
-		cipher = cipher || t.Factor.IsCipher() || t.X.IsCipher()
-		for i := range vals {
-			vals[i] = (vals[i] + f[i]*x[i]%b.t) % b.t
-		}
-	}
-	if !cipher {
-		return he.NewPlain(b, vals)
-	}
-	for range len(terms) - 1 {
-		b.CountAdd()
-	}
-	b.NoteDepth(depth)
-	return he.Cipher(&ciphertext{vals: vals, depth: depth}), nil
-}
-
-// slotsOf returns an operand's slot values and, for a ciphertext, its
-// depth.
-func (b *Backend) slotsOf(op he.Operand) ([]uint64, int, error) {
-	if !op.IsCipher() {
-		return op.Vals, 0, nil
-	}
-	c, err := b.cast(op.Ct)
-	if err != nil {
-		return nil, 0, err
-	}
-	return c.vals, c.depth, nil
-}
