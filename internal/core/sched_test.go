@@ -19,13 +19,17 @@ import (
 	"copse/internal/model"
 )
 
+// schedConfig is a staging configuration: which of model and query the
+// pass sees encrypted.
+type schedConfig struct {
+	name               string
+	encModel, encQuery bool
+}
+
 // schedConfigs are the three staging configurations the six party
 // scenarios reduce to at this layer (copse.scenarioEncryption): which of
 // model and query the pass sees encrypted.
-var schedConfigs = []struct {
-	name               string
-	encModel, encQuery bool
-}{
+var schedConfigs = []schedConfig{
 	{"offload", true, true}, // also threeparty, colludesm, colludesd
 	{"servermodel", false, true},
 	{"clienteval", true, false},

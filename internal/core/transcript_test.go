@@ -14,6 +14,7 @@ import (
 	"copse/internal/bgv"
 	"copse/internal/he/hebgv"
 	"copse/internal/model"
+	"copse/internal/synth"
 )
 
 // passTranscript is the SHA-256 of a BGV result ciphertext's residues,
@@ -34,9 +35,12 @@ func passTranscript(out *bgv.Ciphertext) string {
 
 // TestPassTranscripts pins the exact result ciphertext of seeded BGV
 // passes: Figure 1 and depth4 at 1024 slots, in each of the three staging
-// configurations, with the result shuffle off and on, every cell on a
-// backend of its own seeded keys, its query encrypted once and run on one
-// worker and on two. A label oracle passes with 87 bits of noise budget
+// configurations, with the result shuffle off and on; and two programs a
+// benchmark workload serves — shard 0 of wide8's two with a plaintext
+// model on a full batch (one plane per ciphertext), and prec16 under an
+// encrypted model on one query (its lone-query packing, 16 planes per
+// ciphertext). Every cell runs on a backend of its own seeded keys, its
+// batch encrypted once and run on one worker and on two. A label oracle passes with 87 bits of noise budget
 // left, so it cannot see an error of a few bits — a rounding off by one,
 // a lazy reduction left in [q, 2q), a dropped term; these hashes can. A
 // change that claims to be exact (a kernel, an operand representation, a
@@ -50,6 +54,47 @@ func TestPassTranscripts(t *testing.T) {
 		f    *model.Forest
 	}{{"figure1", model.Figure1()}, {"depth4", microForest(t, "depth4")}}
 	var sb strings.Builder
+	// run pins one cell: c prepared for cfg on a backend seeded 47, and a
+	// batch of n queries of f drawn from stream, checked against f's trees
+	// from start on.
+	run := func(name string, f *model.Forest, c *Compiled, cfg schedConfig, shuffle bool, stream uint64, n, start int) {
+		b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.ChainLevels(cfg.encModel)), Seed: 47})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, shuffle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(47, stream))
+		batch := make([][]uint64, n)
+		for i := range batch {
+			batch[i] = randomFeatures(rng, f.NumFeatures, f.Precision)
+		}
+		q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for _, workers := range []int{1, 2} {
+			out, cbs, _, err := (&Engine{Backend: b, Workers: workers}).Classify(context.Background(), m, q, 47)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkVotes(t, b, f, m, out, cbs, batch, start)
+			ct, _, err := b.ExportCiphertext(out.Ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := passTranscript(ct)
+			if workers == 1 {
+				first = got
+				fmt.Fprintf(&sb, "%s: %s\n", name, got)
+			} else if got != first {
+				t.Errorf("%s: %d workers made %s, one worker %s", name, workers, got, first)
+			}
+		}
+	}
 	for fi, tf := range forests {
 		for _, shuffle := range []bool{false, true} {
 			c, err := Compile(tf.f, Options{Slots: 1024, PlanShuffle: shuffle})
@@ -61,42 +106,34 @@ func TestPassTranscripts(t *testing.T) {
 				if shuffle {
 					name += "/shuffled"
 				}
-				b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.ChainLevels(cfg.encModel)), Seed: 47})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, err := Prepare(b, c, cfg.encModel, cfg.encQuery, shuffle)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewPCG(47, uint64(fi*8+ci)))
-				batch := [][]uint64{randomFeatures(rng, tf.f.NumFeatures, tf.f.Precision)}
-				q, err := PrepareQueryBatch(b, &m.Meta, batch, cfg.encQuery)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var first string
-				for _, workers := range []int{1, 2} {
-					out, cbs, _, err := (&Engine{Backend: b, Workers: workers}).Classify(context.Background(), m, q, 47)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					checkVotes(t, b, tf.f, m, out, cbs, batch, 0)
-					ct, _, err := b.ExportCiphertext(out.Ct)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := passTranscript(ct)
-					if workers == 1 {
-						first = got
-						fmt.Fprintf(&sb, "%s: %s\n", name, got)
-					} else if got != first {
-						t.Errorf("%s: %d workers made %s, one worker %s", name, workers, got, first)
-					}
-				}
+				run(name, tf.f, c, cfg, shuffle, uint64(fi*8+ci), 1, 0)
 			}
 		}
 	}
+	// The gated workloads' programs: cluster-2shard's shard 0, and
+	// single-compare's lone query.
+	wide8, err := synth.Generate(synth.ForestSpec{
+		Name: "wide8", NumFeatures: 4, NumLabels: 3, Precision: 8, MaxDepth: 5,
+		BranchesPerTree: []int{15, 15, 15, 15, 15, 15, 15, 15}, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(wide8, Options{Slots: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, _, err := ShardForest(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := shards[0]
+	run("wide8/shard0/servermodel/g1", wide8, shard, schedConfigs[1], false, 16, shard.Meta.BatchCapacity(), shard.Shard.TreeStart)
+	prec16 := microForest(t, "prec16")
+	if c, err = Compile(prec16, Options{Slots: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	run(fmt.Sprintf("prec16/offload/g%d", c.Meta.PlanesPerCiphertext(1)), prec16, c, schedConfigs[0], false, 17, 1, 0)
 	path := filepath.Join("testdata", "transcripts.golden")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
