@@ -106,12 +106,23 @@ func (pt *Plaintext) PreLift(ctx *ring.Context, levels ...int) {
 // stored in NTT domain. It carries no noise estimate: a level plan fixes
 // the level of every ciphertext before it exists, and decryption measures
 // the noise it decrypts through (Decryptor.Decrypt).
+//
+// An unfinished ciphertext is a rotation whose key switch was left over
+// Q_ℓ·P (Evaluator.RotateHoistedLazy), or a sum of such: each component
+// holds its ℓ+1 chain rows and then Special rows of the special primes,
+// and stands for P times the ciphertext it will be once Relinearize
+// divides P out. Only Add, Relinearize and the fused sums over factors
+// staged over Q·P take one; every other op refuses it (ErrUnfinished).
 type Ciphertext struct {
-	C []*ring.Poly
+	C       []*ring.Poly
+	Special int // special-prime rows past the chain rows; 0 when finished
 }
 
-// Level returns the ciphertext level.
-func (ct *Ciphertext) Level() int { return ct.C[0].Level() }
+// Level returns the ciphertext level: its chain primes less one.
+func (ct *Ciphertext) Level() int { return ct.C[0].Level() - ct.Special }
+
+// Unfinished reports whether ct still carries a key switch over Q_ℓ·P.
+func (ct *Ciphertext) Unfinished() bool { return ct.Special > 0 }
 
 // Degree returns the degree of the ciphertext in s (1 for fresh
 // ciphertexts, 2 after an unrelinearized multiplication).
@@ -119,7 +130,7 @@ func (ct *Ciphertext) Degree() int { return len(ct.C) - 1 }
 
 // Copy returns a deep copy.
 func (ct *Ciphertext) Copy() *Ciphertext {
-	out := &Ciphertext{}
+	out := &Ciphertext{Special: ct.Special}
 	for _, c := range ct.C {
 		out.C = append(out.C, c.Copy())
 	}
@@ -331,6 +342,9 @@ func (d *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 // instead of decoded: the measurement is exact where a noise estimate
 // would be a guess.
 func (d *Decryptor) Decrypt(ct *Ciphertext) (*Plaintext, error) {
+	if err := finished(ct); err != nil {
+		return nil, err
+	}
 	phi := d.phase(ct)
 	defer d.params.RingCtx.PutPoly(phi)
 	coeffs, bits := d.params.RingCtx.ToCenteredMod(phi, d.params.T)
@@ -357,6 +371,21 @@ func bitsOf(x uint64) int {
 		x >>= 1
 	}
 	return n
+}
+
+// ErrUnfinished refuses an unfinished ciphertext (Ciphertext.Unfinished)
+// passed to an op that reads it as a ciphertext over Q_ℓ: its rows stand
+// for P times the value, and the special rows are not chain rows.
+var ErrUnfinished = fmt.Errorf("bgv: an unfinished key switch is an operand of Add, Relinearize and fused sums only")
+
+// finished refuses any unfinished ciphertext among cts.
+func finished(cts ...*Ciphertext) error {
+	for _, ct := range cts {
+		if ct.Unfinished() {
+			return ErrUnfinished
+		}
+	}
+	return nil
 }
 
 // errNotEnoughLevels is returned when an operation would need a level

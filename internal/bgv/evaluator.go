@@ -40,6 +40,20 @@ func (ev *Evaluator) release(tmp, ct *Ciphertext) {
 	}
 }
 
+// scaledByP returns the finished ct as the unfinished P·ct over Q_ℓ·P, on
+// polynomials from the ring pool.
+func (ev *Evaluator) scaledByP(ct *Ciphertext) *Ciphertext {
+	ctx := ev.params.RingCtx
+	qp := ctx.QP(ct.Level())
+	out := &Ciphertext{Special: ctx.SpecialPrimes()}
+	for _, c := range ct.C {
+		p := qp.GetPoly(qp.MaxLevel())
+		ctx.MulByP(c, p)
+		out.C = append(out.C, p)
+	}
+	return out
+}
+
 // copyPooled returns a deep copy of ct on polynomials from the ring pool.
 func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
 	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C))}
@@ -63,10 +77,14 @@ func sameLevel(a, b *Ciphertext) error {
 // the ciphertext returned and hands its polynomials back when it is done
 // with it (DESIGN.md §6.4).
 
-// Add returns a + b; the operands must share a level.
+// Add returns a + b; the operands must share a level. A sum with an
+// unfinished operand is unfinished (addUnfinished).
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := sameLevel(a, b); err != nil {
 		return nil, err
+	}
+	if a.Unfinished() || b.Unfinished() {
+		return ev.addUnfinished(a, b)
 	}
 	ctx := ev.params.RingCtx
 	level := a.Level()
@@ -87,10 +105,40 @@ func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	return out, nil
 }
 
+// addUnfinished is Add with an unfinished operand, over Q_ℓ·P: both
+// unfinished add row by row; a finished addend enters scaled by P, the
+// form it would have over Q_ℓ·P (its special rows zero), so one division
+// by P later finishes the whole sum.
+func (ev *Evaluator) addUnfinished(a, b *Ciphertext) (*Ciphertext, error) {
+	if len(a.C) != 2 || len(b.C) != 2 {
+		return nil, fmt.Errorf("bgv: an unfinished key switch adds to degree-1 ciphertexts only")
+	}
+	if !b.Unfinished() {
+		a, b = b, a
+	}
+	ctx := ev.params.RingCtx
+	qp := ctx.QP(a.Level())
+	out := &Ciphertext{Special: b.Special}
+	for i := range b.C {
+		c := qp.GetPoly(qp.MaxLevel())
+		if a.Unfinished() {
+			qp.Add(a.C[i], b.C[i], c)
+		} else {
+			ctx.MulByP(a.C[i], c)
+			qp.Add(c, b.C[i], c)
+		}
+		out.C = append(out.C, c)
+	}
+	return out, nil
+}
+
 // Sub returns a - b, subtracting coefficient-wise in one pass; the
 // operands must share a level.
 func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := sameLevel(a, b); err != nil {
+		return nil, err
+	}
+	if err := finished(a, b); err != nil {
 		return nil, err
 	}
 	ctx := ev.params.RingCtx
@@ -115,6 +163,9 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 
 // Neg returns -a.
 func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
+	if err := finished(a); err != nil {
+		return nil, err
+	}
 	ctx := ev.params.RingCtx
 	out := &Ciphertext{}
 	for _, c := range a.C {
@@ -127,6 +178,9 @@ func (ev *Evaluator) Neg(a *Ciphertext) (*Ciphertext, error) {
 
 // AddPlain returns a + pt.
 func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if err := finished(a); err != nil {
+		return nil, err
+	}
 	ctx := ev.params.RingCtx
 	out := &Ciphertext{}
 	for _, c := range a.C {
@@ -138,6 +192,9 @@ func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 
 // MulPlain returns a · pt (slot-wise).
 func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	if err := finished(a); err != nil {
+		return nil, err
+	}
 	ctx := ev.params.RingCtx
 	p := pt.lift(ctx, a.Level())
 	out := &Ciphertext{}
@@ -153,6 +210,9 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 // slot). Scalars embed as constant polynomials, so no encoding is
 // needed.
 func (ev *Evaluator) MulScalar(a *Ciphertext, c uint64) (*Ciphertext, error) {
+	if err := finished(a); err != nil {
+		return nil, err
+	}
 	ctx := ev.params.RingCtx
 	out := &Ciphertext{}
 	for _, p := range a.C {
@@ -169,6 +229,9 @@ func (ev *Evaluator) MulScalar(a *Ciphertext, c uint64) (*Ciphertext, error) {
 func (ev *Evaluator) tensorProduct(a, b *Ciphertext) (*Ciphertext, error) {
 	if len(a.C) != 2 || len(b.C) != 2 {
 		return nil, fmt.Errorf("bgv: Mul requires degree-1 ciphertexts")
+	}
+	if err := finished(a, b); err != nil {
+		return nil, err
 	}
 	if err := sameLevel(a, b); err != nil {
 		return nil, err
@@ -218,6 +281,9 @@ func (ev *Evaluator) TensorSum(xs, es []*Ciphertext) (*Ciphertext, error) {
 		if len(x.C) != 2 || len(e.C) != 2 {
 			return nil, fmt.Errorf("bgv: Mul requires degree-1 ciphertexts")
 		}
+		if err := finished(x, e); err != nil {
+			return nil, err
+		}
 		if err := sameLevel(x, xs[0]); err != nil {
 			return nil, err
 		}
@@ -260,8 +326,24 @@ func (ev *Evaluator) MulNoRelin(a, b *Ciphertext) (*Ciphertext, error) {
 // Relinearize reduces a degree-2 ciphertext back to degree 1 one level
 // down: the modulus switch that follows the key switch is folded into
 // the key switch's own rounding, which divides P·(c0, c1) + Σ digit·key
-// by P·q_ℓ at once. Degree-1 inputs pass through unchanged.
+// by P·q_ℓ at once. It finishes an unfinished ciphertext — a sum of
+// rotations left over Q_ℓ·P — at its level, with one division by P per
+// component for the whole sum. Other degree-1 inputs pass through
+// unchanged.
 func (ev *Evaluator) Relinearize(ct *Ciphertext) (*Ciphertext, error) {
+	if ct.Unfinished() {
+		if len(ct.C) != 2 {
+			return nil, fmt.Errorf("bgv: an unfinished key switch of degree %d", ct.Degree())
+		}
+		ctx := ev.params.RingCtx
+		out := &Ciphertext{}
+		for _, c := range ct.C {
+			d := ctx.GetPoly(ct.Level())
+			ctx.DivideByPKeep(c, d)
+			out.C = append(out.C, d)
+		}
+		return out, nil
+	}
 	if len(ct.C) == 2 {
 		return ct, nil
 	}
@@ -318,6 +400,9 @@ func (ev *Evaluator) keySwitch(digits []*ring.Poly, key *SwitchingKey, level int
 // ModSwitch drops one prime from ct's modulus chain in place, reducing
 // the noise by roughly PrimeBits.
 func (ev *Evaluator) ModSwitch(ct *Ciphertext) error {
+	if err := finished(ct); err != nil {
+		return err
+	}
 	if ct.Level() == 0 {
 		return errNotEnoughLevels
 	}
@@ -334,6 +419,9 @@ func (ev *Evaluator) ModSwitch(ct *Ciphertext) error {
 // rows are written. A ciphertext already at or below the level is
 // returned as it is.
 func (ev *Evaluator) SwitchDown(ct *Ciphertext, level int) (*Ciphertext, error) {
+	if err := finished(ct); err != nil {
+		return nil, err
+	}
 	if ct.Level() <= level {
 		return ct, nil
 	}
@@ -371,6 +459,16 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	return outs[0], nil
 }
 
+// RotateLazy is Rotate with its key switch left unfinished: the
+// one-step case of RotateHoistedLazy.
+func (ev *Evaluator) RotateLazy(ct *Ciphertext, step int) (*Ciphertext, error) {
+	outs, err := ev.RotateHoistedLazy(ct, []int{step})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
 // GaloisKey returns the Galois element of a left rotation by step (not 0
 // mod slots) and the key that serves it directly at the given level: one
 // generated at or above that level. The evaluator rotates by nothing
@@ -397,12 +495,22 @@ func (ev *Evaluator) GaloisKey(step, level int) (uint64, *SwitchingKey, error) {
 // to both components as an NTT-domain index permutation, which lands the
 // result back under s. One decomposition therefore serves every rotation
 // of the same ciphertext, and each step costs a multiply-accumulate, one
-// divide-by-P and two permutations.
-func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt uint64, key *SwitchingKey) *Ciphertext {
+// divide-by-P and two permutations. A lazy rotation skips the divide: σ
+// permutes the accumulators over Q_ℓ·P, special rows included, and the
+// result is unfinished.
+func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt uint64, key *SwitchingKey, lazy bool) *Ciphertext {
 	ctx := ev.params.RingCtx
 	level := ct.Level()
 
 	acc0, acc1 := ev.keySwitch(digits, key, level, ct.C[0], nil)
+	if lazy {
+		qp := ctx.QP(level)
+		c0, c1 := qp.GetPoly(qp.MaxLevel()), qp.GetPoly(qp.MaxLevel())
+		ctx.AutomorphismNTT(acc0, elt, c0)
+		ctx.AutomorphismNTT(acc1, elt, c1)
+		qp.PutPolys([]*ring.Poly{acc0, acc1})
+		return &Ciphertext{C: []*ring.Poly{c0, c1}, Special: ctx.SpecialPrimes()}
+	}
 	k0, k1 := ctx.GetPoly(level), ctx.GetPoly(level)
 	ctx.DivideByP(acc0, k0)
 	ctx.DivideByP(acc1, k1)
@@ -425,8 +533,29 @@ func (ev *Evaluator) galoisFromDigits(ct *Ciphertext, digits []*ring.Poly, elt u
 // the headroom of one key switch; both are checked for every step before
 // anything is decomposed or drawn from the ring pool.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
+	return ev.rotateHoisted(ct, steps, false)
+}
+
+// RotateHoistedLazy is RotateHoisted with every key switch left
+// unfinished over Q_ℓ·P — double hoisting (Bossuat et al. 2020): each
+// output is σ(P·c0 + Σ_j d_j ⊙ B_j), σ(Σ_j d_j ⊙ A_j), no division by P
+// made, and step 0 returns P·ct. Unfinished outputs are summed with Add,
+// multiplied against factors staged over Q·P, and finished with
+// Relinearize: one division per component for the whole sum, where the
+// eager rotations pay one each, and one rounding instead of one per
+// rotation.
+func (ev *Evaluator) RotateHoistedLazy(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
+	return ev.rotateHoisted(ct, steps, true)
+}
+
+// rotateHoisted is RotateHoisted, its key switches finished or (lazy)
+// left over Q_ℓ·P.
+func (ev *Evaluator) rotateHoisted(ct *Ciphertext, steps []int, lazy bool) ([]*Ciphertext, error) {
 	if len(ct.C) != 2 {
 		return nil, fmt.Errorf("bgv: rotation requires a degree-1 ciphertext")
+	}
+	if err := finished(ct); err != nil {
+		return nil, err
 	}
 	slots := ev.params.Slots()
 	level := ct.Level()
@@ -458,13 +587,17 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 	var digits []*ring.Poly
 	for i, g := range gs {
 		if g.key == nil {
-			outs[i] = ev.copyPooled(ct)
+			if lazy {
+				outs[i] = ev.scaledByP(ct)
+			} else {
+				outs[i] = ev.copyPooled(ct)
+			}
 			continue
 		}
 		if digits == nil {
 			digits = ctx.DecomposeHybrid(ct.C[1])
 		}
-		outs[i] = ev.galoisFromDigits(ct, digits, g.elt, g.key)
+		outs[i] = ev.galoisFromDigits(ct, digits, g.elt, g.key, lazy)
 	}
 	ctx.PutPolys(digits)
 	return outs, nil

@@ -10,9 +10,10 @@ import (
 // Backend wraps an he.Backend with fault injection: every operation
 // first draws from the schedule and applies the resulting latency,
 // panic, or error before (or instead of) delegating. Capability
-// interfaces (LevelDropper, LevelEncrypter, NoiseMeter, RotationKeyer,
-// FactorSummer) are forwarded so a wrapped leveled backend keeps its scheduled-level
-// fast paths and its staging makes the keys its programs rotate by;
+// interfaces (LevelDropper, LevelEncrypter, SetEncrypter, NoiseMeter,
+// RotationKeyer, FactorSummer) are forwarded so a wrapped leveled backend
+// keeps its scheduled-level and parallel fast paths and its staging makes
+// the keys its programs rotate by;
 // Counts/ResetCounts delegate to the inner backend so op accounting
 // stays truthful.
 type Backend struct {
@@ -200,6 +201,19 @@ func (c *Backend) EncryptAtLevel(vals []uint64, level int) (he.Ciphertext, error
 	return he.EncryptAtLevel(c.inner, vals, level)
 }
 
+// EncryptSetAtLevel implements he.SetEncrypter via the inner backend (one
+// EncryptAtLevel after another when the capability is absent), drawing one
+// encryption fault per vector of the set, as that many EncryptAtLevel
+// calls would, before any of it is encrypted.
+func (c *Backend) EncryptSetAtLevel(set [][]uint64, level int) ([]he.Ciphertext, error) {
+	for range set {
+		if err := c.inject(OpEncrypt); err != nil {
+			return nil, err
+		}
+	}
+	return he.EncryptSetAtLevel(c.inner, set, level)
+}
+
 // EncodePlainAtLevel implements he.LevelEncrypter via the inner backend
 // (plain EncodePlain when the capability is absent).
 func (c *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error) {
@@ -248,4 +262,41 @@ func (c *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 		return he.Operand{}, err
 	}
 	return he.MulDiagSum(c.inner, terms)
+}
+
+// StageFactorOverPAtLevel implements he.FactorSummer via the inner backend
+// (its plaintext factor when the capability is absent), drawing the fault
+// of the encoding it makes.
+func (c *Backend) StageFactorOverPAtLevel(vals []uint64, level int) (he.Operand, error) {
+	if err := c.inject(OpEncode); err != nil {
+		return he.Operand{}, err
+	}
+	return he.StageFactorOverPAtLevel(c.inner, vals, level)
+}
+
+// RotateLazy implements he.FactorSummer via the inner backend (its Rotate
+// when the capability is absent).
+func (c *Backend) RotateLazy(a he.Ciphertext, k int) (he.Ciphertext, error) {
+	if err := c.inject(OpRotate); err != nil {
+		return nil, err
+	}
+	out, err := he.RotateLazy(c.inner, he.Cipher(a), k)
+	return out.Ct, err
+}
+
+// RotateHoistedLazy implements he.FactorSummer via the inner backend (its
+// RotateHoisted when the capability is absent).
+func (c *Backend) RotateHoistedLazy(a he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
+	if err := c.inject(OpRotate); err != nil {
+		return nil, err
+	}
+	outs, err := he.RotateHoistedLazy(c.inner, he.Cipher(a), steps)
+	if err != nil {
+		return nil, err
+	}
+	cts := make([]he.Ciphertext, len(outs))
+	for i, o := range outs {
+		cts[i] = o.Ct
+	}
+	return cts, nil
 }

@@ -179,11 +179,11 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	// block is the whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	reshuffleMats := slices.Repeat([]*matrix.Bool{reshuffleRows(c, encModel)}, b.Slots()/span)
-	reshuffle, err := matrix.PrepareDiagonalsAt(b, reshuffleMats, nil, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
+	reshuffle, err := stageMatVecs(b, []blockMats{{mats: reshuffleMats}}, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
 	if err != nil {
 		return nil, err
 	}
-	m.Reshuffle = reshuffle
+	m.Reshuffle = reshuffle[0]
 	// The level operands, once over the lanes of the block and — when the
 	// model has lane groups — once more over the lanes of every group.
 	lanes, _, err := levelStacking(c, span, b.Slots())
@@ -236,9 +236,9 @@ func (m *ModelOperands) rotations() []he.Rotation {
 		for _, op := range p.ops {
 			var steps []int
 			switch op.Code {
-			case opRot:
+			case opRot, opRotLazy:
 				steps = []int{op.Imm}
-			case opHoist:
+			case opHoist, opHoistLazy:
 				steps = p.hoists[op.Imm]
 			}
 			if !p.est[op.A].cipher {
@@ -341,7 +341,8 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 	}
 	st := &levelStaging{lanes: lanes, groups: groups}
 	n := b.Slots() / laneWidth
-	for o := 0; o < ops; o++ {
+	sets := make([]blockMats, ops)
+	for o := range sets {
 		mats, coefs, mask := make([]*matrix.Bool, n), make([][]uint64, n), make([]uint64, b.Slots())
 		for k := range mats {
 			mats[k] = identity
@@ -351,18 +352,59 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 			}
 			copy(mask[k*laneWidth:], laneMask)
 		}
-		d, err := matrix.PrepareDiagonalsAt(b, mats, coefs, c.Meta.BPad, laneWidth, encrypt, level)
-		if err != nil {
-			return nil, err
-		}
-		st.mats = append(st.mats, d)
+		sets[o] = blockMats{mats, coefs}
 		op, err := he.NewOperandAtLevel(b, mask, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
 		st.masks = append(st.masks, op)
 	}
+	var err error
+	if st.mats, err = stageMatVecs(b, sets, c.Meta.BPad, laneWidth, encrypt, level); err != nil {
+		return nil, err
+	}
 	return st, nil
+}
+
+// blockMats are the block matrices and row coefficients of one staged
+// mat-vec (matrix.PrepareDiagonalsAt).
+type blockMats struct {
+	mats  []*matrix.Bool
+	coefs [][]uint64
+}
+
+// stageMatVecs stages the mat-vecs of sets, which share one hoist of baby
+// rotations in the program, over period in blocks of span at level:
+// encrypted when encrypt is set, else plaintext — over Q·P when their
+// shapes gain from unfinished babies (lazyBabies), which the program then
+// hoists lazy (babiesOverP).
+func stageMatVecs(b he.Backend, sets []blockMats, period, span int, encrypt bool, level int) ([]*matrix.Diagonals, error) {
+	overP := false
+	if !encrypt {
+		shapes := make([]diagShape, len(sets))
+		for i, set := range sets {
+			zero, err := matrix.ZeroDiagonals(b, set.mats, set.coefs, period, span)
+			if err != nil {
+				return nil, err
+			}
+			shapes[i] = denseShape(period)
+			shapes[i].zero = zero
+		}
+		overP = lazyBabies(shapes...)
+	}
+	out := make([]*matrix.Diagonals, len(sets))
+	for i, set := range sets {
+		var err error
+		if overP {
+			out[i], err = matrix.PrepareDiagonalsOverPAt(b, set.mats, set.coefs, period, span, level)
+		} else {
+			out[i], err = matrix.PrepareDiagonalsAt(b, set.mats, set.coefs, period, span, encrypt, level)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // levelStacking is the lane geometry (Meta.LevelLanes) of c's level

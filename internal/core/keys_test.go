@@ -25,9 +25,9 @@ func stagedRotations(m *ModelOperands) []programRotation {
 		for _, op := range p.ops {
 			var steps []int
 			switch op.Code {
-			case opRot:
+			case opRot, opRotLazy:
 				steps = []int{op.Imm}
-			case opHoist:
+			case opHoist, opHoistLazy:
 				steps = p.hoists[op.Imm]
 			}
 			for _, s := range steps {

@@ -477,8 +477,12 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 			}
 		case opRelin:
 			e = s.relin(out.est[op.A])
-		case opRot, opHoist:
+		case opRot, opHoist, opRotLazy, opHoistLazy:
+			// An unfinished rotation is estimated as the finished one: its
+			// sum is finished with one rounding instead of one per term.
 			e = s.rot(out.est[op.A])
+		case opFinish:
+			e = out.est[op.A]
 		case opDrop:
 			// A carrier must reach a stage boundary at or above the next
 			// entry; a compare round's drop just passes lower operands on.

@@ -15,7 +15,7 @@ import (
 var opNames = [...]string{
 	opQuery: "query", opThresh: "thresh", opMask: "mask", opConst: "const", opAdd: "add", opSub: "sub",
 	opMul: "mul", opMulLazy: "mullazy", opDiagSum: "diagsum", opRelin: "relin", opRot: "rot", opHoist: "hoist", opDrop: "drop",
-	opSelect: "select",
+	opSelect: "select", opRotLazy: "rotlazy", opHoistLazy: "hoistlazy", opFinish: "finish",
 }
 
 // stageDigestNames label the per-stage digests of a program.
@@ -28,7 +28,9 @@ var stageDigestNames = [stDone]string{"compare", "reshuffle", "levels", "accumul
 // spec and a diagonal sum by its matrix and its terms' diagonals, and each
 // stage ends with the carrier registers it hands on. A sum of n terms
 // takes the places of the 2n − 1 registers of the product-and-add chain
-// it fuses, so the carriers a mat-vec stage hands on keep their names.
+// it fuses, so the carriers a mat-vec stage hands on keep their names; so
+// does the finish of a sum of unfinished rotations, whose register is
+// named after the one it finishes and takes no place.
 func dumpStages(p *Program) []string {
 	var out [stDone]strings.Builder
 	name, defined := make([]string, p.numReg), [stDone]int{}
@@ -38,6 +40,10 @@ func dumpStages(p *Program) []string {
 			defined[op.Stage] += 2*len(op.Terms) - 2
 		}
 		for r := op.Dst; r < op.Dst+p.width(op); r++ {
+			if op.Code == opFinish {
+				name[r] = name[op.A] + "f"
+				continue
+			}
 			name[r] = fmt.Sprintf("%s.%d", stageDigestNames[op.Stage], defined[op.Stage])
 			defined[op.Stage]++
 		}
@@ -46,7 +52,7 @@ func dumpStages(p *Program) []string {
 			fmt.Fprintf(sb, " %s", name[r])
 		}
 		switch op.Code {
-		case opHoist:
+		case opHoist, opHoistLazy:
 			fmt.Fprintf(sb, " %v\n", p.hoists[op.Imm])
 		case opConst:
 			fmt.Fprintf(sb, " kind %d index %d\n", p.consts[op.Imm].Kind, p.consts[op.Imm].Index)

@@ -64,6 +64,8 @@ const pinned = -1
 const (
 	costMul       = 36 // ct×ct tensor product + relinearization into the level below
 	costKeySwitch = 30 // relinearization, or one rotation
+	costRotLazy   = 24 // a rotation left unfinished: no division by P
+	costFinish    = 6  // the division by P that finishes a sum of rotations
 	costDrop      = 7  // modulus switch, per limb of the source
 	costTensor    = 4  // ct×ct tensor product, no key switch
 	costMulPlain  = 2  // plaintext product
@@ -118,9 +120,18 @@ func (p *Program) weights() []int64 {
 			cost, l = costKeySwitch, level(op.A)
 		case opRot:
 			cost = costKeySwitch
-		case opHoist:
-			// One shared decomposition, then a cheaper switch per step.
-			cost = costKeySwitch * (1 + len(p.hoists[op.Imm])) / 2
+		case opRotLazy:
+			cost = costRotLazy
+		case opFinish:
+			cost = costFinish
+		case opHoist, opHoistLazy:
+			// One shared decomposition, then a cheaper switch per step,
+			// cheaper still when it is left unfinished.
+			n := len(p.hoists[op.Imm])
+			cost = costKeySwitch * (1 + n) / 2
+			if op.Code == opHoistLazy {
+				cost -= n * costFinish
+			}
 		case opDrop:
 			// A rounding transforms every limb of its source once, however
 			// many primes it drops, and converts each dropped prime onto
@@ -318,17 +329,19 @@ func (p *Program) bill(w []int64) []StageBill {
 			if a || b {
 				ops.LimbOps += limbs(op.Dst)
 			}
-		case opRelin, opRot, opHoist, opDrop:
+		case opRelin, opRot, opHoist, opDrop, opRotLazy, opHoistLazy, opFinish:
+			// A lazy rotation counts as the rotation it defers the finish
+			// of, and the finish counts nothing.
 			d = depth[op.A]
 			switch e := p.est[op.A]; {
 			case !e.cipher:
 			case op.Code == opRelin && e.deg2:
 				ops.Relin++
 				ops.LimbOps += limbs(op.Dst)
-			case op.Code == opRot:
+			case op.Code == opRot || op.Code == opRotLazy:
 				ops.Rotate++
 				ops.LimbOps += limbs(op.Dst)
-			case op.Code == opHoist: // its steps are baby steps, none zero
+			case op.Code == opHoist || op.Code == opHoistLazy: // its steps are baby steps, none zero
 				n := int64(p.width(op))
 				ops.Rotate += n
 				ops.RotateHoisted += n

@@ -197,7 +197,7 @@ func (b *Backend) MaxLevel() int { return b.params.MaxLevel() }
 
 // CiphertextLevel implements he.LevelDropper.
 func (b *Backend) CiphertextLevel(ct he.Ciphertext) (int, error) {
-	c, err := b.cast(ct)
+	c, err := b.castLazy(ct)
 	if err != nil {
 		return 0, err
 	}
@@ -305,7 +305,20 @@ func (b *Backend) castPair(x, y he.Ciphertext) (cx, cy *ciphertext, err error) {
 	return cx, cy, nil
 }
 
+// cast is castLazy refusing an unfinished ciphertext (bgv.ErrUnfinished):
+// every op but Add, Relinearize and MulDiagSum reads a ciphertext over
+// Q_ℓ alone.
 func (b *Backend) cast(ct he.Ciphertext) (*ciphertext, error) {
+	c, err := b.castLazy(ct)
+	if err == nil && c.ct != nil && c.ct.Unfinished() {
+		return nil, bgv.ErrUnfinished
+	}
+	return c, err
+}
+
+// castLazy casts an operand of this backend, finished or not, refusing a
+// factor (errFactor) and a foreign ciphertext.
+func (b *Backend) castLazy(ct he.Ciphertext) (*ciphertext, error) {
 	c, ok := ct.(*ciphertext)
 	if _, factor := ct.(*cipherFactor); factor {
 		return nil, errFactor
@@ -355,9 +368,15 @@ func (b *Backend) EncodePlain(vals []uint64) (he.Plain, error) {
 	return b.encoder.Encode(vals)
 }
 
-// Add implements he.Backend.
+// Add implements he.Backend. It also sums unfinished rotations
+// (RotateLazy, RotateHoistedLazy), with each other and with finished
+// ciphertexts, into an unfinished sum.
 func (b *Backend) Add(x, y he.Ciphertext) (he.Ciphertext, error) {
-	cx, cy, err := b.castPair(x, y)
+	cx, err := b.castLazy(x)
+	if err != nil {
+		return nil, err
+	}
+	cy, err := b.castLazy(y)
 	if err != nil {
 		return nil, err
 	}
@@ -473,11 +492,20 @@ func (b *Backend) MulLazy(x, y he.Ciphertext) (he.Ciphertext, error) {
 	return b.wrap(out, d), nil
 }
 
-// Relinearize implements he.Backend.
+// Relinearize implements he.Backend. It finishes an unfinished sum of
+// rotations with one division by P per component, and counts nothing: its
+// rotations were counted when they were made, as the eager ones are.
 func (b *Backend) Relinearize(x he.Ciphertext) (he.Ciphertext, error) {
-	cx, err := b.cast(x)
+	cx, err := b.castLazy(x)
 	if err != nil {
 		return nil, err
+	}
+	if cx.ct.Unfinished() {
+		out, err := b.evaluator.Relinearize(cx.ct)
+		if err != nil {
+			return nil, err
+		}
+		return b.wrap(out, cx.depth), nil
 	}
 	if cx.ct.Degree() == 1 {
 		return x, nil
@@ -494,11 +522,24 @@ func (b *Backend) Relinearize(x he.Ciphertext) (he.Ciphertext, error) {
 // RotateHoisted implements he.Backend: the ciphertext's key-switch digit
 // decomposition is computed once and shared across all steps.
 func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
+	return b.rotateHoisted(x, steps, b.evaluator.RotateHoisted)
+}
+
+// RotateHoistedLazy implements he.FactorSummer: RotateHoisted with every
+// key switch left unfinished over Q_ℓ·P (bgv.Evaluator.RotateHoistedLazy),
+// counted as RotateHoisted counts.
+func (b *Backend) RotateHoistedLazy(x he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
+	return b.rotateHoisted(x, steps, b.evaluator.RotateHoistedLazy)
+}
+
+// rotateHoisted runs a hoisted set of rotations through rotate and counts
+// them.
+func (b *Backend) rotateHoisted(x he.Ciphertext, steps []int, rotate func(*bgv.Ciphertext, []int) ([]*bgv.Ciphertext, error)) ([]he.Ciphertext, error) {
 	cx, err := b.cast(x)
 	if err != nil {
 		return nil, err
 	}
-	cts, err := b.evaluator.RotateHoisted(cx.ct, steps)
+	cts, err := rotate(cx.ct, steps)
 	if err != nil {
 		return nil, err
 	}
@@ -520,11 +561,23 @@ func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, 
 
 // Rotate implements he.Backend.
 func (b *Backend) Rotate(x he.Ciphertext, k int) (he.Ciphertext, error) {
+	return b.rotate(x, k, b.evaluator.Rotate)
+}
+
+// RotateLazy implements he.FactorSummer: Rotate with its key switch left
+// unfinished over Q_ℓ·P (bgv.Evaluator.RotateLazy), counted as Rotate
+// counts.
+func (b *Backend) RotateLazy(x he.Ciphertext, k int) (he.Ciphertext, error) {
+	return b.rotate(x, k, b.evaluator.RotateLazy)
+}
+
+// rotate runs one rotation through rot and counts it.
+func (b *Backend) rotate(x he.Ciphertext, k int, rot func(*bgv.Ciphertext, int) (*bgv.Ciphertext, error)) (he.Ciphertext, error) {
 	cx, err := b.cast(x)
 	if err != nil {
 		return nil, err
 	}
-	out, err := b.evaluator.Rotate(cx.ct, k)
+	out, err := rot(cx.ct, k)
 	if err != nil {
 		return nil, err
 	}

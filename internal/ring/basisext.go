@@ -280,6 +280,10 @@ func (ctx *Context) QP(level int) *Context { return ctx.qp[level] }
 // by on chain prime i.
 func (ctx *Context) PModQ(i int) uint64 { return ctx.pModQ.v[i] }
 
+// SpecialPrimes returns the number of special primes: the rows a QP
+// polynomial carries past its chain rows.
+func (ctx *Context) SpecialPrimes() int { return len(ctx.special) }
+
 // HybridDigits returns the number of key-switch digits at a level,
 // ⌈(level+1)/DigitPrimes⌉.
 func HybridDigits(level int) int { return (level + DigitPrimes) / DigitPrimes }
@@ -519,6 +523,22 @@ func (ctx *Context) DivideByP(acc, out *Poly) {
 	}
 	ctx.round(ctx.pRound, acc.Coeffs[level+1:], acc.Coeffs, out.Coeffs)
 	out.IsNTT = true
+}
+
+// DivideByPKeep is DivideByP that leaves acc as it was: the special rows
+// are rounded from copies in scratch rows of the pool.
+func (ctx *Context) DivideByPKeep(acc, out *Poly) {
+	var rows [DigitPrimes][]uint64
+	src := rows[:len(ctx.special)]
+	for i := range src {
+		src[i] = ctx.getRow()
+		copy(src[i], acc.Coeffs[out.Level()+1+i])
+	}
+	tmp := &Poly{Coeffs: append(acc.Coeffs[:out.Level()+1:out.Level()+1], src...), IsNTT: acc.IsNTT}
+	ctx.DivideByP(tmp, out)
+	for _, row := range src {
+		ctx.putRow(row)
+	}
 }
 
 // DivideByPQ is DivideByP fused with the modulus switch that follows a
