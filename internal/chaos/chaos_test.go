@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"copse/internal/bgv"
 	"copse/internal/he"
+	"copse/internal/he/hebgv"
 	"copse/internal/he/heclear"
 )
 
@@ -124,16 +126,19 @@ func TestBackendInjection(t *testing.T) {
 	}()
 }
 
-// TestDiagSumInjection: the fused diagonal sum and the staging of its
-// factors draw faults like the ops they stand for — a product fault for
-// the sum, an encryption or encoding fault for a factor — and, disarmed,
-// forward to the inner backend (here the clear backend's MulLazy and Add
-// chain), so a wrapped pass computes what the bare backend does.
+// TestDiagSumInjection: the fused diagonal sum, the staging of its
+// factors and the lazy rotations draw faults like the ops they stand for —
+// a product fault for the sum, an encryption or encoding fault for a
+// factor, a rotation fault for a rotation — and, disarmed, forward to the
+// inner backend (here the clear backend's MulLazy and Add chain, and its
+// finished rotations), so a wrapped pass computes what the bare backend
+// does.
 func TestDiagSumInjection(t *testing.T) {
 	inner := heclear.New(8, 257)
 	sched := NewSchedule(Config{Seed: 7, Default: Rates{Error: 1}})
 	b := WrapBackend(inner, sched)
 	var _ he.FactorSummer = b
+	var _ he.SetEncrypter = b
 
 	f, err := b.StageFactorAtLevel([]uint64{1, 2, 3}, true, 0)
 	if err != nil {
@@ -156,8 +161,28 @@ func TestDiagSumInjection(t *testing.T) {
 		t.Fatalf("disarmed MulDiagSum = %v, want %v", got, want)
 	}
 
+	rot, err := he.RotateLazy(b, he.Cipher(x), 1)
+	if err != nil {
+		t.Fatalf("disarmed RotateLazy: %v", err)
+	}
+	if rot, err = he.Finish(b, rot); err != nil {
+		t.Fatalf("disarmed Finish: %v", err)
+	}
+	if got, err := he.Reveal(b, rot); err != nil || !slices.Equal(got, []uint64{5, 6, 0, 0, 0, 0, 0, 4}) {
+		t.Fatalf("disarmed RotateLazy then Finish = %v (%v), want x rotated by one", got, err)
+	}
+
 	sched.Arm(true)
 	var inj *InjectedError
+	if _, err := he.RotateLazy(b, he.Cipher(x), 1); !errors.As(err, &inj) || inj.Op != OpRotate {
+		t.Errorf("armed RotateLazy: got %v, want *InjectedError{Op: rotate}", err)
+	}
+	if _, err := he.RotateHoistedLazy(b, he.Cipher(x), []int{1, 2}); !errors.As(err, &inj) || inj.Op != OpRotate {
+		t.Errorf("armed RotateHoistedLazy: got %v, want *InjectedError{Op: rotate}", err)
+	}
+	if _, err := he.StageFactorOverPAtLevel(b, []uint64{1}, 0); !errors.As(err, &inj) || inj.Op != OpEncode {
+		t.Errorf("armed StageFactorOverPAtLevel: got %v, want *InjectedError{Op: encode}", err)
+	}
 	if _, err := he.MulDiagSum(b, terms); !errors.As(err, &inj) || inj.Op != OpMul {
 		t.Errorf("armed MulDiagSum: got %v, want *InjectedError{Op: mul}", err)
 	}
@@ -165,6 +190,55 @@ func TestDiagSumInjection(t *testing.T) {
 		if _, err := he.StageFactorAtLevel(b, []uint64{1}, encrypt, 0); !errors.As(err, &inj) || inj.Op != op {
 			t.Errorf("armed StageFactorAtLevel (encrypt=%v): got %v, want *InjectedError{Op: %s}", encrypt, err, op)
 		}
+	}
+}
+
+// TestEncryptSetForwarded: a wrapped backend encrypts a set through the
+// inner backend's set path, so with no fault drawn a seeded BGV backend
+// wrapped returns the bytes the same backend unwrapped makes; armed, the
+// set draws an encryption fault.
+func TestEncryptSetForwarded(t *testing.T) {
+	set := [][]uint64{{1, 2, 3}, {4, 5}, {6}}
+	newInner := func() *hebgv.Backend {
+		b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(3), Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	bare, inner := newInner(), newInner()
+	sched := NewSchedule(Config{Seed: 7, Default: Rates{Error: 1}})
+	wrapped := WrapBackend(inner, sched)
+	want, err := he.EncryptSetAtLevel(bare, set, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := he.EncryptSetAtLevel(wrapped, set, 1)
+	if err != nil {
+		t.Fatalf("disarmed EncryptSetAtLevel: %v", err)
+	}
+	for i := range want {
+		w, _, err := bare.ExportCiphertext(want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := inner.ExportCiphertext(got[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range w.C {
+			if !slices.EqualFunc(g.C[c].Coeffs, w.C[c].Coeffs, slices.Equal) {
+				t.Fatalf("ciphertext %d of the wrapped set differs from the bare backend's", i)
+			}
+		}
+	}
+	if n := inner.Counts().Encrypt; n != int64(len(set)) {
+		t.Errorf("the inner backend counted %d encryptions, want %d", n, len(set))
+	}
+	sched.Arm(true)
+	var inj *InjectedError
+	if _, err := he.EncryptSetAtLevel(wrapped, set, 1); !errors.As(err, &inj) || inj.Op != OpEncrypt {
+		t.Errorf("armed EncryptSetAtLevel: got %v, want *InjectedError{Op: encrypt}", err)
 	}
 }
 

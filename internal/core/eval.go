@@ -179,11 +179,11 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	// block is the whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	reshuffleMats := slices.Repeat([]*matrix.Bool{reshuffleRows(c, encModel)}, b.Slots()/span)
-	reshuffle, err := stageMatVecs(b, []blockMats{{mats: reshuffleMats}}, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
+	reshuffle, err := stageReshuffle(b, reshuffleMats, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
 	if err != nil {
 		return nil, err
 	}
-	m.Reshuffle = reshuffle[0]
+	m.Reshuffle = reshuffle
 	// The level operands, once over the lanes of the block and — when the
 	// model has lane groups — once more over the lanes of every group.
 	lanes, _, err := levelStacking(c, span, b.Slots())
@@ -341,8 +341,7 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 	}
 	st := &levelStaging{lanes: lanes, groups: groups}
 	n := b.Slots() / laneWidth
-	sets := make([]blockMats, ops)
-	for o := range sets {
+	for o := 0; o < ops; o++ {
 		mats, coefs, mask := make([]*matrix.Bool, n), make([][]uint64, n), make([]uint64, b.Slots())
 		for k := range mats {
 			mats[k] = identity
@@ -352,59 +351,42 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 			}
 			copy(mask[k*laneWidth:], laneMask)
 		}
-		sets[o] = blockMats{mats, coefs}
+		d, err := matrix.PrepareDiagonalsAt(b, mats, coefs, c.Meta.BPad, laneWidth, encrypt, level)
+		if err != nil {
+			return nil, err
+		}
+		st.mats = append(st.mats, d)
 		op, err := he.NewOperandAtLevel(b, mask, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
 		st.masks = append(st.masks, op)
 	}
-	var err error
-	if st.mats, err = stageMatVecs(b, sets, c.Meta.BPad, laneWidth, encrypt, level); err != nil {
-		return nil, err
-	}
 	return st, nil
 }
 
-// blockMats are the block matrices and row coefficients of one staged
-// mat-vec (matrix.PrepareDiagonalsAt).
-type blockMats struct {
-	mats  []*matrix.Bool
-	coefs [][]uint64
-}
-
-// stageMatVecs stages the mat-vecs of sets, which share one hoist of baby
-// rotations in the program, over period in blocks of span at level:
-// encrypted when encrypt is set, else plaintext — over Q·P when their
-// shapes gain from unfinished babies (lazyBabies), which the program then
-// hoists lazy (babiesOverP).
-func stageMatVecs(b he.Backend, sets []blockMats, period, span int, encrypt bool, level int) ([]*matrix.Diagonals, error) {
-	overP := false
+// stageReshuffle stages the reshuffle matrix (its block matrices mats)
+// over period in blocks of span at level: encrypted when encrypt is set,
+// else plaintext — over Q·P when its shape gains from unfinished babies
+// (lazyBabies), which the program then hoists lazy (babiesOverP). The
+// level stage's diagonals are never staged over Q·P: its babies feed
+// several matrices, whose rotated groups outnumber them at a full batch
+// (wide8: 7 against 13), and where they do not (a lone query's grouped
+// staging, 7 against 6) the special rows of every level factor — 3 MB per
+// wide8 shard — would be held to save one division per pass.
+func stageReshuffle(b he.Backend, mats []*matrix.Bool, period, span int, encrypt bool, level int) (*matrix.Diagonals, error) {
 	if !encrypt {
-		shapes := make([]diagShape, len(sets))
-		for i, set := range sets {
-			zero, err := matrix.ZeroDiagonals(b, set.mats, set.coefs, period, span)
-			if err != nil {
-				return nil, err
-			}
-			shapes[i] = denseShape(period)
-			shapes[i].zero = zero
-		}
-		overP = lazyBabies(shapes...)
-	}
-	out := make([]*matrix.Diagonals, len(sets))
-	for i, set := range sets {
-		var err error
-		if overP {
-			out[i], err = matrix.PrepareDiagonalsOverPAt(b, set.mats, set.coefs, period, span, level)
-		} else {
-			out[i], err = matrix.PrepareDiagonalsAt(b, set.mats, set.coefs, period, span, encrypt, level)
-		}
+		zero, err := matrix.ZeroDiagonals(b, mats, nil, period, span)
 		if err != nil {
 			return nil, err
 		}
+		shape := denseShape(period)
+		shape.zero = zero
+		if lazyBabies(shape) {
+			return matrix.PrepareDiagonalsOverPAt(b, mats, nil, period, span, level)
+		}
 	}
-	return out, nil
+	return matrix.PrepareDiagonalsAt(b, mats, nil, period, span, encrypt, level)
 }
 
 // levelStacking is the lane geometry (Meta.LevelLanes) of c's level
