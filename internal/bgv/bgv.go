@@ -108,11 +108,11 @@ func (pt *Plaintext) PreLift(ctx *ring.Context, levels ...int) {
 // the noise it decrypts through (Decryptor.Decrypt).
 //
 // An unfinished ciphertext is a rotation whose key switch was left over
-// Q_ℓ·P (Evaluator.RotateHoistedLazy), or a sum of such: each component
-// holds its ℓ+1 chain rows and then Special rows of the special primes,
-// and stands for P times the ciphertext it will be once Relinearize
-// divides P out. Only Add, Relinearize and the fused sums over factors
-// staged over Q·P take one; every other op refuses it (ErrUnfinished).
+// Q_ℓ·P (Evaluator.RotateLazy), or a sum of such: each component holds
+// its ℓ+1 chain rows and then Special rows of the special primes, and
+// stands for P times the ciphertext it will be once Relinearize divides P
+// out. Only Add and Relinearize take one; every other op refuses it
+// (ErrUnfinished).
 type Ciphertext struct {
 	C       []*ring.Poly
 	Special int // special-prime rows past the chain rows; 0 when finished
@@ -376,7 +376,7 @@ func bitsOf(x uint64) int {
 // ErrUnfinished refuses an unfinished ciphertext (Ciphertext.Unfinished)
 // passed to an op that reads it as a ciphertext over Q_ℓ: its rows stand
 // for P times the value, and the special rows are not chain rows.
-var ErrUnfinished = fmt.Errorf("bgv: an unfinished key switch is an operand of Add, Relinearize and fused sums only")
+var ErrUnfinished = fmt.Errorf("bgv: an unfinished key switch is an operand of Add and Relinearize only")
 
 // finished refuses any unfinished ciphertext among cts.
 func finished(cts ...*Ciphertext) error {

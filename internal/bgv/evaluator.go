@@ -40,20 +40,6 @@ func (ev *Evaluator) release(tmp, ct *Ciphertext) {
 	}
 }
 
-// scaledByP returns the finished ct as the unfinished P·ct over Q_ℓ·P, on
-// polynomials from the ring pool.
-func (ev *Evaluator) scaledByP(ct *Ciphertext) *Ciphertext {
-	ctx := ev.params.RingCtx
-	qp := ctx.QP(ct.Level())
-	out := &Ciphertext{Special: ctx.SpecialPrimes()}
-	for _, c := range ct.C {
-		p := qp.GetPoly(qp.MaxLevel())
-		ctx.MulByP(c, p)
-		out.C = append(out.C, p)
-	}
-	return out
-}
-
 // copyPooled returns a deep copy of ct on polynomials from the ring pool.
 func (ev *Evaluator) copyPooled(ct *Ciphertext) *Ciphertext {
 	out := &Ciphertext{C: make([]*ring.Poly, len(ct.C))}
@@ -459,10 +445,15 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, step int) (*Ciphertext, error) {
 	return outs[0], nil
 }
 
-// RotateLazy is Rotate with its key switch left unfinished: the
-// one-step case of RotateHoistedLazy.
+// RotateLazy is Rotate with its key switch left unfinished over Q_ℓ·P:
+// σ(P·c0 + Σ_j d_j ⊙ B_j), σ(Σ_j d_j ⊙ A_j), no division by P made (step
+// 0 returns a finished copy). Unfinished rotations are summed with Add
+// and the sum finished with Relinearize — one division per component
+// for the whole sum, where the eager rotations pay one each, and one
+// rounding instead of one per rotation: the giant-step half of double
+// hoisting (Bossuat et al. 2020).
 func (ev *Evaluator) RotateLazy(ct *Ciphertext, step int) (*Ciphertext, error) {
-	outs, err := ev.RotateHoistedLazy(ct, []int{step})
+	outs, err := ev.rotateHoisted(ct, []int{step}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -536,18 +527,6 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) ([]*Ciphertext, 
 	return ev.rotateHoisted(ct, steps, false)
 }
 
-// RotateHoistedLazy is RotateHoisted with every key switch left
-// unfinished over Q_ℓ·P — double hoisting (Bossuat et al. 2020): each
-// output is σ(P·c0 + Σ_j d_j ⊙ B_j), σ(Σ_j d_j ⊙ A_j), no division by P
-// made, and step 0 returns P·ct. Unfinished outputs are summed with Add,
-// multiplied against factors staged over Q·P, and finished with
-// Relinearize: one division per component for the whole sum, where the
-// eager rotations pay one each, and one rounding instead of one per
-// rotation.
-func (ev *Evaluator) RotateHoistedLazy(ct *Ciphertext, steps []int) ([]*Ciphertext, error) {
-	return ev.rotateHoisted(ct, steps, true)
-}
-
 // rotateHoisted is RotateHoisted, its key switches finished or (lazy)
 // left over Q_ℓ·P.
 func (ev *Evaluator) rotateHoisted(ct *Ciphertext, steps []int, lazy bool) ([]*Ciphertext, error) {
@@ -587,11 +566,7 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, steps []int, lazy bool) ([]*C
 	var digits []*ring.Poly
 	for i, g := range gs {
 		if g.key == nil {
-			if lazy {
-				outs[i] = ev.scaledByP(ct)
-			} else {
-				outs[i] = ev.copyPooled(ct)
-			}
+			outs[i] = ev.copyPooled(ct)
 			continue
 		}
 		if digits == nil {

@@ -264,16 +264,6 @@ func (c *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 	return he.MulDiagSum(c.inner, terms)
 }
 
-// StageFactorOverPAtLevel implements he.FactorSummer via the inner backend
-// (its plaintext factor when the capability is absent), drawing the fault
-// of the encoding it makes.
-func (c *Backend) StageFactorOverPAtLevel(vals []uint64, level int) (he.Operand, error) {
-	if err := c.inject(OpEncode); err != nil {
-		return he.Operand{}, err
-	}
-	return he.StageFactorOverPAtLevel(c.inner, vals, level)
-}
-
 // RotateLazy implements he.FactorSummer via the inner backend (its Rotate
 // when the capability is absent).
 func (c *Backend) RotateLazy(a he.Ciphertext, k int) (he.Ciphertext, error) {
@@ -282,21 +272,4 @@ func (c *Backend) RotateLazy(a he.Ciphertext, k int) (he.Ciphertext, error) {
 	}
 	out, err := he.RotateLazy(c.inner, he.Cipher(a), k)
 	return out.Ct, err
-}
-
-// RotateHoistedLazy implements he.FactorSummer via the inner backend (its
-// RotateHoisted when the capability is absent).
-func (c *Backend) RotateHoistedLazy(a he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
-	if err := c.inject(OpRotate); err != nil {
-		return nil, err
-	}
-	outs, err := he.RotateHoistedLazy(c.inner, he.Cipher(a), steps)
-	if err != nil {
-		return nil, err
-	}
-	cts := make([]he.Ciphertext, len(outs))
-	for i, o := range outs {
-		cts[i] = o.Ct
-	}
-	return cts, nil
 }

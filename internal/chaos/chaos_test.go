@@ -127,12 +127,12 @@ func TestBackendInjection(t *testing.T) {
 }
 
 // TestDiagSumInjection: the fused diagonal sum, the staging of its
-// factors and the lazy rotations draw faults like the ops they stand for —
+// factors and the lazy rotation draw faults like the ops they stand for —
 // a product fault for the sum, an encryption or encoding fault for a
-// factor, a rotation fault for a rotation — and, disarmed, forward to the
-// inner backend (here the clear backend's MulLazy and Add chain, and its
-// finished rotations), so a wrapped pass computes what the bare backend
-// does.
+// factor, a rotation fault for the rotation — and, disarmed, forward to
+// the inner backend (here the clear backend's MulLazy and Add chain, and
+// its finished rotation), so a wrapped pass computes what the bare
+// backend does.
 func TestDiagSumInjection(t *testing.T) {
 	inner := heclear.New(8, 257)
 	sched := NewSchedule(Config{Seed: 7, Default: Rates{Error: 1}})
@@ -176,12 +176,6 @@ func TestDiagSumInjection(t *testing.T) {
 	var inj *InjectedError
 	if _, err := he.RotateLazy(b, he.Cipher(x), 1); !errors.As(err, &inj) || inj.Op != OpRotate {
 		t.Errorf("armed RotateLazy: got %v, want *InjectedError{Op: rotate}", err)
-	}
-	if _, err := he.RotateHoistedLazy(b, he.Cipher(x), []int{1, 2}); !errors.As(err, &inj) || inj.Op != OpRotate {
-		t.Errorf("armed RotateHoistedLazy: got %v, want *InjectedError{Op: rotate}", err)
-	}
-	if _, err := he.StageFactorOverPAtLevel(b, []uint64{1}, 0); !errors.As(err, &inj) || inj.Op != OpEncode {
-		t.Errorf("armed StageFactorOverPAtLevel: got %v, want *InjectedError{Op: encode}", err)
 	}
 	if _, err := he.MulDiagSum(b, terms); !errors.As(err, &inj) || inj.Op != OpMul {
 		t.Errorf("armed MulDiagSum: got %v, want *InjectedError{Op: mul}", err)

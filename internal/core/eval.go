@@ -179,7 +179,7 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	// block is the whole ciphertext and this is the original layout.
 	span := c.Meta.BatchBlock()
 	reshuffleMats := slices.Repeat([]*matrix.Bool{reshuffleRows(c, encModel)}, b.Slots()/span)
-	reshuffle, err := stageReshuffle(b, reshuffleMats, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
+	reshuffle, err := matrix.PrepareDiagonalsAt(b, reshuffleMats, nil, c.Meta.QPad, span, encModel, m.Plan.Reshuffle)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func (m *ModelOperands) rotations() []he.Rotation {
 			switch op.Code {
 			case opRot, opRotLazy:
 				steps = []int{op.Imm}
-			case opHoist, opHoistLazy:
+			case opHoist:
 				steps = p.hoists[op.Imm]
 			}
 			if !p.est[op.A].cipher {
@@ -363,30 +363,6 @@ func stageLevels(b he.Backend, c *Compiled, lanes, groups int, encrypt bool, lev
 		st.masks = append(st.masks, op)
 	}
 	return st, nil
-}
-
-// stageReshuffle stages the reshuffle matrix (its block matrices mats)
-// over period in blocks of span at level: encrypted when encrypt is set,
-// else plaintext — over Q·P when its shape gains from unfinished babies
-// (lazyBabies), which the program then hoists lazy (babiesOverP). The
-// level stage's diagonals are never staged over Q·P: its babies feed
-// several matrices, whose rotated groups outnumber them at a full batch
-// (wide8: 7 against 13), and where they do not (a lone query's grouped
-// staging, 7 against 6) the special rows of every level factor — 3 MB per
-// wide8 shard — would be held to save one division per pass.
-func stageReshuffle(b he.Backend, mats []*matrix.Bool, period, span int, encrypt bool, level int) (*matrix.Diagonals, error) {
-	if !encrypt {
-		zero, err := matrix.ZeroDiagonals(b, mats, nil, period, span)
-		if err != nil {
-			return nil, err
-		}
-		shape := denseShape(period)
-		shape.zero = zero
-		if lazyBabies(shape) {
-			return matrix.PrepareDiagonalsOverPAt(b, mats, nil, period, span, level)
-		}
-	}
-	return matrix.PrepareDiagonalsAt(b, mats, nil, period, span, encrypt, level)
 }
 
 // levelStacking is the lane geometry (Meta.LevelLanes) of c's level

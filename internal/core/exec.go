@@ -397,10 +397,6 @@ func (ps *pass) runOp(i int) (err error) {
 		copy(R[op.Dst:], outs)
 	case opRotLazy:
 		R[op.Dst], err = he.RotateLazy(b, R[op.A], op.Imm)
-	case opHoistLazy:
-		var outs []he.Operand
-		outs, err = he.RotateHoistedLazy(b, R[op.A], ps.p.hoists[op.Imm])
-		copy(R[op.Dst:], outs)
 	case opFinish:
 		R[op.Dst], err = he.Finish(b, R[op.A])
 	case opDrop:

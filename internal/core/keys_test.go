@@ -27,7 +27,7 @@ func stagedRotations(m *ModelOperands) []programRotation {
 			switch op.Code {
 			case opRot, opRotLazy:
 				steps = []int{op.Imm}
-			case opHoist, opHoistLazy:
+			case opHoist:
 				steps = p.hoists[op.Imm]
 			}
 			for _, s := range steps {

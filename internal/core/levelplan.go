@@ -477,7 +477,7 @@ func (p *Program) levelPass(nm noiseModel, at StageLevels, plainQuery bool, from
 			}
 		case opRelin:
 			e = s.relin(out.est[op.A])
-		case opRot, opHoist, opRotLazy, opHoistLazy:
+		case opRot, opHoist, opRotLazy:
 			// An unfinished rotation is estimated as the finished one: its
 			// sum is finished with one rounding instead of one per term.
 			e = s.rot(out.est[op.A])

@@ -54,11 +54,7 @@ import (
 //     its fixed-operand form (he.MulDiagSum, DESIGN.md §13.7);
 //   - a mat-vec's giant rotations are left unfinished (opRotLazy) and
 //     their sum is finished once (opFinish): one division by P for the
-//     sum, where each rotation paid one; and where the diagonals are
-//     plaintext, staged at Prepare and read by more hoisted babies than
-//     rotated giant groups, the babies are left unfinished too
-//     (opHoistLazy) and each rotated group is finished just before its
-//     giant rotation (DESIGN.md §13.7);
+//     sum, where each rotation paid one (DESIGN.md §13.7);
 //   - the plaintext constants of ⊕ (XOR coefficient/offset pairs) are
 //     encoded once at bind time instead of per call;
 //   - with a plaintext model, eq_j = ¬(x_j ⊕ y_j) folds into a single
@@ -85,23 +81,22 @@ import (
 type opCode uint8
 
 const (
-	opQuery     opCode = iota // R[Dst] = query bit-plane operand Imm
-	opThresh                  // R[Dst] = negated model threshold operand Imm
-	opMask                    // R[Dst] = additive level mask Imm
-	opConst                   // R[Dst] = bound plaintext constant Imm
-	opAdd                     // R[Dst] = R[A] + R[B]
-	opSub                     // R[Dst] = R[A] − R[B]
-	opMul                     // R[Dst] = R[A] · R[B]
-	opMulLazy                 // R[Dst] = R[A] ⊗ R[B] (unrelinearized)
-	opDiagSum                 // R[Dst] = Σ_k diag(Imm, Terms[k].Diag) ⊗ R[Terms[k].Reg] (lazy)
-	opRelin                   // R[Dst] = relinearize(R[A])
-	opRot                     // R[Dst] = rot(R[A], Imm)
-	opHoist                   // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
-	opDrop                    // R[Dst] = R[A] switched down to level Imm (before the level pass: to drop point Imm)
-	opSelect                  // R[Dst] = the pass's selector of its queries' leaf slots
-	opRotLazy                 // R[Dst] = rot(R[A], Imm), left unfinished
-	opHoistLazy               // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted), left unfinished
-	opFinish                  // R[Dst] = R[A] with its unfinished rotations finished
+	opQuery   opCode = iota // R[Dst] = query bit-plane operand Imm
+	opThresh                // R[Dst] = negated model threshold operand Imm
+	opMask                  // R[Dst] = additive level mask Imm
+	opConst                 // R[Dst] = bound plaintext constant Imm
+	opAdd                   // R[Dst] = R[A] + R[B]
+	opSub                   // R[Dst] = R[A] − R[B]
+	opMul                   // R[Dst] = R[A] · R[B]
+	opMulLazy               // R[Dst] = R[A] ⊗ R[B] (unrelinearized)
+	opDiagSum               // R[Dst] = Σ_k diag(Imm, Terms[k].Diag) ⊗ R[Terms[k].Reg] (lazy)
+	opRelin                 // R[Dst] = relinearize(R[A])
+	opRot                   // R[Dst] = rot(R[A], Imm)
+	opHoist                 // R[Dst+i] = rot(R[A], hoists[Imm][i]) (hoisted)
+	opDrop                  // R[Dst] = R[A] switched down to level Imm (before the level pass: to drop point Imm)
+	opSelect                // R[Dst] = the pass's selector of its queries' leaf slots
+	opRotLazy               // R[Dst] = rot(R[A], Imm), left unfinished
+	opFinish                // R[Dst] = R[A] with its unfinished rotations finished
 )
 
 // The matrices an opDiagSum multiplies by, its Imm: stacked level operand
@@ -136,7 +131,7 @@ func (op progOp) operands() []int {
 			return []int{op.A}
 		}
 		return []int{op.A, op.B}
-	case opRelin, opRot, opHoist, opDrop, opRotLazy, opHoistLazy, opFinish:
+	case opRelin, opRot, opHoist, opDrop, opRotLazy, opFinish:
 		return []int{op.A}
 	case opDiagSum:
 		regs := make([]int, 0, len(op.Terms))
@@ -251,53 +246,10 @@ type progInputs struct {
 type diagShape struct {
 	period, baby, giant int
 	zero                []bool // per pre-rotated diagonal index
-	// overP records that the diagonals are plaintext factors staged over
-	// Q·P (matrix.Diagonals.OverP), which multiply unfinished babies.
-	overP bool
 }
 
 func diagShapeOf(d *matrix.Diagonals) diagShape {
-	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.Zero, overP: d.OverP}
-}
-
-// lazyBabies reports whether the mat-vecs of shapes, which share one hoist
-// of baby rotations, gain from leaving the babies unfinished: their
-// diagonals are plaintext (the zero ones skipped) and more babies are
-// hoisted than rotated giant groups read one. Each hoisted baby then saves
-// the division that finishes it, and each such group pays one before its
-// giant rotation; group 0 joins the unfinished sum of the giant rotations.
-// Prepare stages exactly these shapes' diagonals over Q·P.
-func lazyBabies(shapes ...diagShape) bool {
-	needed := neededBaby(true, shapes...)
-	hoisted := 0
-	for _, n := range needed[1:] {
-		if n {
-			hoisted++
-		}
-	}
-	rotated := 0
-	for _, sh := range shapes {
-		for g := 1; g < sh.giant; g++ {
-			for j := 1; j < sh.baby; j++ {
-				if !sh.zero[g*sh.baby+j] {
-					rotated++
-					break
-				}
-			}
-		}
-	}
-	return hoisted > rotated
-}
-
-// babiesOverP reports whether the babies feeding shapes are hoisted lazy:
-// every shape's diagonals were staged over Q·P.
-func babiesOverP(shapes ...diagShape) bool {
-	for _, sh := range shapes {
-		if !sh.overP {
-			return false
-		}
-	}
-	return len(shapes) > 0
+	return diagShape{period: d.Period, baby: d.Baby, giant: d.Giant, zero: d.Zero}
 }
 
 // denseShape is the shape of a period-wide matrix with no diagonal known
@@ -316,8 +268,8 @@ type progBuilder struct {
 	stage   uint8
 	// rounds is how many compare rounds the plan schedules a drop after.
 	rounds int
-	// unfinished marks the registers that hold unfinished rotations or
-	// sums of them, until an opFinish.
+	// unfinished marks the registers that hold unfinished giant
+	// rotations (opRotLazy).
 	unfinished map[int]bool
 }
 
@@ -626,7 +578,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// Slots/4, …, positive powers of two, exact because the rest of the
 	// ciphertext is zero.
 	bl.stage = stReshuffle
-	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle), babiesOverP(in.reshuffle))
+	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle))
 	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, matReshuffle, skipZero), zero)
 	for pw := in.meta.branchSpan(in.encrypted); pw < in.meta.BatchBlock(); pw <<= 1 {
 		rot := bl.emit(opRot, branch, 0, -pw, 0)
@@ -646,7 +598,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// the signed matrices of its lanes, then their masks added — so a lane
 	// holds (L_l·b) ⊕ mask_l at the depth of the mat-vec alone.
 	bl.stage = stLevels
-	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...), babiesOverP(in.levels...))
+	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...))
 	lvlRes := make([]int, len(in.levels))
 	for l, sh := range in.levels {
 		lvl := bl.mergeGroups(bl.matVecGroups(sh, rots, l, skipZero), zero)
@@ -705,7 +657,7 @@ func (bl *progBuilder) shuffleStage(in progInputs, leaves int) int {
 		v = bl.emit(opAdd, v, bl.emit(opRot, v, 0, -pw, 0), 0, 0)
 	}
 	perm := denseShape(period)
-	rots := bl.hoistRots(v, neededBaby(false, perm), false)
+	rots := bl.hoistRots(v, neededBaby(false, perm))
 	return bl.mergeGroups(bl.matVecGroups(perm, rots, matShuffle, false), -1)
 }
 
@@ -723,10 +675,9 @@ func neededBaby(skipZero bool, shapes ...diagShape) []bool {
 	return needed
 }
 
-// hoistRots emits the hoisted rotations for the needed baby steps, left
-// unfinished when lazy is set, and returns one register per baby index
-// (index 0 aliases the source).
-func (bl *progBuilder) hoistRots(src int, needed []bool, lazy bool) []int {
+// hoistRots emits the hoisted rotations for the needed baby steps and
+// returns one register per baby index (index 0 aliases the source).
+func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 	rots := make([]int, len(needed))
 	rots[0] = src
 	var steps []int
@@ -739,14 +690,9 @@ func (bl *progBuilder) hoistRots(src int, needed []bool, lazy bool) []int {
 		bl.p.hoists = append(bl.p.hoists, steps)
 		dst := bl.p.numReg
 		bl.p.numReg += len(steps)
-		code := opHoist
-		if lazy {
-			code = opHoistLazy
-		}
-		bl.p.ops = append(bl.p.ops, progOp{Code: code, Stage: bl.stage, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
+		bl.p.ops = append(bl.p.ops, progOp{Code: opHoist, Stage: bl.stage, Dst: dst, A: src, Imm: len(bl.p.hoists) - 1})
 		for i, s := range steps {
 			rots[s] = dst + i
-			bl.markUnfinished(dst+i, lazy)
 		}
 	}
 	return rots
@@ -758,8 +704,8 @@ func (bl *progBuilder) hoistRots(src int, needed []bool, lazy bool) []int {
 // groups). A group's inner sum Σ_j d_{g·baby+j} ⊗ rot(x, j) over the
 // diagonals it does not skip is one opDiagSum, the backend's fused sum
 // against the staged factors (he.MulDiagSum), in baby-step order. Its
-// giant rotation is left unfinished for mergeGroups to finish with the
-// sum; a group that summed unfinished babies is finished before it.
+// giant rotation is left unfinished, for mergeGroups to finish with the
+// sum.
 func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero bool) []int {
 	groups := make([]int, sh.giant)
 	for g := 0; g < sh.giant; g++ {
@@ -777,14 +723,16 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 		}
 		acc := bl.emit(opDiagSum, 0, 0, mat, 0)
 		bl.p.ops[len(bl.p.ops)-1].Terms = terms
-		bl.markUnfinished(acc, slices.ContainsFunc(terms, func(t diagTerm) bool { return bl.unfinished[t.Reg] }))
 		// Plaintext diagonals' products are ct×pt: nothing to relinearize.
 		if bl.p.cipherDiag(mat) {
 			acc = bl.emit(opRelin, acc, 0, 0, 0)
 		}
 		if g > 0 {
-			acc = bl.emit(opRotLazy, bl.finish(acc), 0, g*sh.baby, 0)
-			bl.markUnfinished(acc, true)
+			acc = bl.emit(opRotLazy, acc, 0, g*sh.baby, 0)
+			if bl.unfinished == nil {
+				bl.unfinished = map[int]bool{}
+			}
+			bl.unfinished[acc] = true
 		}
 		groups[g] = acc
 	}
@@ -792,43 +740,25 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 }
 
 // mergeGroups sums group results in index order — a deterministic merge
-// for any worker count — and finishes the sum once. With every group
-// skipped the sum is empty.
+// for any worker count — and finishes the sum once when it holds
+// unfinished giant rotations. With every group skipped the sum is empty.
 func (bl *progBuilder) mergeGroups(groups []int, empty int) int {
-	acc := empty
+	acc, lazy := empty, false
 	for _, g := range groups {
 		if g < 0 {
 			continue
 		}
+		lazy = lazy || bl.unfinished[g]
 		if acc == empty {
 			acc = g
 		} else {
-			lazy := bl.unfinished[acc] || bl.unfinished[g]
 			acc = bl.emit(opAdd, acc, g, 0, 0)
-			bl.markUnfinished(acc, lazy)
 		}
 	}
-	return bl.finish(acc)
-}
-
-// markUnfinished records whether register r holds unfinished rotations.
-func (bl *progBuilder) markUnfinished(r int, lazy bool) {
-	if !lazy {
-		return
+	if lazy {
+		acc = bl.emit(opFinish, acc, 0, 0, 0)
 	}
-	if bl.unfinished == nil {
-		bl.unfinished = map[int]bool{}
-	}
-	bl.unfinished[r] = true
-}
-
-// finish returns r finished: an opFinish of r when it holds unfinished
-// rotations, else r itself.
-func (bl *progBuilder) finish(r int) int {
-	if !bl.unfinished[r] {
-		return r
-	}
-	return bl.emit(opFinish, r, 0, 0, 0)
+	return acc
 }
 
 // eliminateDeadOps removes ops whose results never reach the program
@@ -871,7 +801,7 @@ func (p *Program) cipherDiag(mat int) bool {
 // width is the number of consecutive registers op writes from Dst: one,
 // except for a hoisted rotation set.
 func (p *Program) width(op progOp) int {
-	if op.Code == opHoist || op.Code == opHoistLazy {
+	if op.Code == opHoist {
 		return len(p.hoists[op.Imm])
 	}
 	return 1

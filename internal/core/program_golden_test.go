@@ -15,7 +15,7 @@ import (
 var opNames = [...]string{
 	opQuery: "query", opThresh: "thresh", opMask: "mask", opConst: "const", opAdd: "add", opSub: "sub",
 	opMul: "mul", opMulLazy: "mullazy", opDiagSum: "diagsum", opRelin: "relin", opRot: "rot", opHoist: "hoist", opDrop: "drop",
-	opSelect: "select", opRotLazy: "rotlazy", opHoistLazy: "hoistlazy", opFinish: "finish",
+	opSelect: "select", opRotLazy: "rotlazy", opFinish: "finish",
 }
 
 // stageDigestNames label the per-stage digests of a program.
@@ -52,7 +52,7 @@ func dumpStages(p *Program) []string {
 			fmt.Fprintf(sb, " %s", name[r])
 		}
 		switch op.Code {
-		case opHoist, opHoistLazy:
+		case opHoist:
 			fmt.Fprintf(sb, " %v\n", p.hoists[op.Imm])
 		case opConst:
 			fmt.Fprintf(sb, " kind %d index %d\n", p.consts[op.Imm].Kind, p.consts[op.Imm].Index)

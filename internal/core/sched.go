@@ -124,14 +124,9 @@ func (p *Program) weights() []int64 {
 			cost = costRotLazy
 		case opFinish:
 			cost = costFinish
-		case opHoist, opHoistLazy:
-			// One shared decomposition, then a cheaper switch per step,
-			// cheaper still when it is left unfinished.
-			n := len(p.hoists[op.Imm])
-			cost = costKeySwitch * (1 + n) / 2
-			if op.Code == opHoistLazy {
-				cost -= n * costFinish
-			}
+		case opHoist:
+			// One shared decomposition, then a cheaper switch per step.
+			cost = costKeySwitch * (1 + len(p.hoists[op.Imm])) / 2
 		case opDrop:
 			// A rounding transforms every limb of its source once, however
 			// many primes it drops, and converts each dropped prime onto
@@ -329,7 +324,7 @@ func (p *Program) bill(w []int64) []StageBill {
 			if a || b {
 				ops.LimbOps += limbs(op.Dst)
 			}
-		case opRelin, opRot, opHoist, opDrop, opRotLazy, opHoistLazy, opFinish:
+		case opRelin, opRot, opHoist, opDrop, opRotLazy, opFinish:
 			// A lazy rotation counts as the rotation it defers the finish
 			// of, and the finish counts nothing.
 			d = depth[op.A]
@@ -341,7 +336,7 @@ func (p *Program) bill(w []int64) []StageBill {
 			case op.Code == opRot || op.Code == opRotLazy:
 				ops.Rotate++
 				ops.LimbOps += limbs(op.Dst)
-			case op.Code == opHoist || op.Code == opHoistLazy: // its steps are baby steps, none zero
+			case op.Code == opHoist: // its steps are baby steps, none zero
 				n := int64(p.width(op))
 				ops.Rotate += n
 				ops.RotateHoisted += n

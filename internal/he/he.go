@@ -83,7 +83,7 @@ type Backend interface {
 	// operand of Add, Sub and Relinearize only: Rotate, Mul and MulPlain
 	// take finalized ciphertexts.
 	MulLazy(a, b Ciphertext) (Ciphertext, error)
-	// Relinearize finalizes a (sum of) MulLazy result(s), or of lazy
+	// Relinearize finalizes a (sum of) MulLazy result(s), or a sum of lazy
 	// rotations (FactorSummer.RotateLazy); finalized ciphertexts pass
 	// through unchanged.
 	Relinearize(a Ciphertext) (Ciphertext, error)
@@ -150,38 +150,29 @@ type Term struct{ Factor, X Operand }
 
 // FactorSummer is an optional Backend capability for the sums of a
 // mat-vec: its inner sums Σ_k d_k ⊗ x_k over diagonals d_k staged once
-// and reused by every pass, and its sums of rotations. A backend that
-// implements it stages each diagonal as a factor, in the form its fused
-// sum multiplies fastest (BGV: Montgomery form), and a factor is an
+// and reused by every pass, and its sum of giant rotations. A backend
+// that implements it stages each diagonal as a factor, in the form its
+// fused sum multiplies fastest (BGV: Montgomery form), and a factor is an
 // operand of MulDiagSum only: any other operation refuses it. Its lazy
-// rotations leave their key switch unfinished (BGV: over Q·P, not yet
-// divided by P), and an unfinished rotation is an operand of Add,
-// Relinearize — which finishes it — and MulDiagSum over factors staged
-// by StageFactorOverPAtLevel only: a sum of G rotations pays one finish
-// instead of G (double hoisting). Staging and use therefore go through
-// the same capability; a decorator forwards all of it or none.
+// rotation leaves the key switch unfinished (BGV: over Q·P, not yet
+// divided by P), and an unfinished rotation is an operand of Add and of
+// Relinearize, which finishes it, only: a sum of G rotations pays one
+// finish instead of G (double hoisting). Staging and use therefore go
+// through the same capability; a decorator forwards all of it or none.
 type FactorSummer interface {
 	// StageFactorAtLevel stages vals (padded to Slots with zeros) as a
 	// factor at the given level: encrypted when encrypt is set, else a
 	// plaintext operand whose Vals are the padded values. A negative level
 	// is the chain top.
 	StageFactorAtLevel(vals []uint64, encrypt bool, level int) (Operand, error)
-	// StageFactorOverPAtLevel stages vals (padded to Slots with zeros) as
-	// a plaintext factor that MulDiagSum also multiplies against
-	// unfinished rotations. A negative level is the chain top.
-	StageFactorOverPAtLevel(vals []uint64, level int) (Operand, error)
 	// MulDiagSum returns Σ_k terms[k].Factor ⊗ terms[k].X as MulLazy and
-	// Add would make it in term order — unrelinearized, the same op
-	// counts: n products and n − 1 additions — in one sweep, the same
-	// bytes where every X is finished. Every X is at one level; a factor
-	// may be staged above it. With an unfinished X the sum is unfinished.
+	// Add would make it in term order — unrelinearized, the same bytes and
+	// the same op counts: n products and n − 1 additions — in one sweep.
+	// Every X is at one level; a factor may be staged above it.
 	MulDiagSum(terms []Term) (Operand, error)
 	// RotateLazy is Rotate with the result left unfinished, counted as
 	// Rotate counts.
 	RotateLazy(a Ciphertext, k int) (Ciphertext, error)
-	// RotateHoistedLazy is RotateHoisted with every result left
-	// unfinished, counted as RotateHoisted counts.
-	RotateHoistedLazy(a Ciphertext, steps []int) ([]Ciphertext, error)
 }
 
 // StageFactorAtLevel stages vals as a mat-vec factor where the backend
@@ -192,17 +183,6 @@ func StageFactorAtLevel(b Backend, vals []uint64, encrypt bool, level int) (Oper
 		return fs.StageFactorAtLevel(vals, encrypt, level)
 	}
 	return NewOperandAtLevel(b, vals, encrypt, level)
-}
-
-// StageFactorOverPAtLevel stages vals as a plaintext mat-vec factor that
-// also multiplies lazy rotations where the backend has them
-// (FactorSummer), else as StageFactorAtLevel does: without the capability
-// every rotation is finished.
-func StageFactorOverPAtLevel(b Backend, vals []uint64, level int) (Operand, error) {
-	if fs, ok := b.(FactorSummer); ok {
-		return fs.StageFactorOverPAtLevel(vals, level)
-	}
-	return StageFactorAtLevel(b, vals, false, level)
 }
 
 // RotateLazy rotates x left by k, leaving the rotation unfinished where the
@@ -216,26 +196,7 @@ func RotateLazy(b Backend, x Operand, k int) (Operand, error) {
 	return Rotate(b, x, k)
 }
 
-// RotateHoistedLazy is RotateHoisted leaving every rotation unfinished
-// where the backend has lazy rotations (FactorSummer); elsewhere, and for
-// a plaintext operand, it is RotateHoisted.
-func RotateHoistedLazy(b Backend, x Operand, steps []int) ([]Operand, error) {
-	fs, ok := b.(FactorSummer)
-	if !ok || !x.IsCipher() {
-		return RotateHoisted(b, x, steps)
-	}
-	cts, err := fs.RotateHoistedLazy(x.Ct, steps)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]Operand, len(cts))
-	for i, ct := range cts {
-		outs[i] = Operand{Ct: ct}
-	}
-	return outs, nil
-}
-
-// Finish finishes a sum of lazy rotations (RotateLazy, RotateHoistedLazy)
+// Finish finishes a sum of lazy rotations (RotateLazy)
 // with Relinearize where the backend has lazy rotations (FactorSummer).
 // Elsewhere those rotations were finished when they were made, so x — like
 // a plaintext operand — passes through without a backend call.

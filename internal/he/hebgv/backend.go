@@ -306,8 +306,8 @@ func (b *Backend) castPair(x, y he.Ciphertext) (cx, cy *ciphertext, err error) {
 }
 
 // cast is castLazy refusing an unfinished ciphertext (bgv.ErrUnfinished):
-// every op but Add, Relinearize and MulDiagSum reads a ciphertext over
-// Q_ℓ alone.
+// every op but Add, Relinearize and CiphertextLevel reads a ciphertext
+// over Q_ℓ alone.
 func (b *Backend) cast(ct he.Ciphertext) (*ciphertext, error) {
 	c, err := b.castLazy(ct)
 	if err == nil && c.ct != nil && c.ct.Unfinished() {
@@ -369,7 +369,7 @@ func (b *Backend) EncodePlain(vals []uint64) (he.Plain, error) {
 }
 
 // Add implements he.Backend. It also sums unfinished rotations
-// (RotateLazy, RotateHoistedLazy), with each other and with finished
+// (RotateLazy), with each other and with finished
 // ciphertexts, into an unfinished sum.
 func (b *Backend) Add(x, y he.Ciphertext) (he.Ciphertext, error) {
 	cx, err := b.castLazy(x)
@@ -522,24 +522,11 @@ func (b *Backend) Relinearize(x he.Ciphertext) (he.Ciphertext, error) {
 // RotateHoisted implements he.Backend: the ciphertext's key-switch digit
 // decomposition is computed once and shared across all steps.
 func (b *Backend) RotateHoisted(x he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
-	return b.rotateHoisted(x, steps, b.evaluator.RotateHoisted)
-}
-
-// RotateHoistedLazy implements he.FactorSummer: RotateHoisted with every
-// key switch left unfinished over Q_ℓ·P (bgv.Evaluator.RotateHoistedLazy),
-// counted as RotateHoisted counts.
-func (b *Backend) RotateHoistedLazy(x he.Ciphertext, steps []int) ([]he.Ciphertext, error) {
-	return b.rotateHoisted(x, steps, b.evaluator.RotateHoistedLazy)
-}
-
-// rotateHoisted runs a hoisted set of rotations through rotate and counts
-// them.
-func (b *Backend) rotateHoisted(x he.Ciphertext, steps []int, rotate func(*bgv.Ciphertext, []int) ([]*bgv.Ciphertext, error)) ([]he.Ciphertext, error) {
 	cx, err := b.cast(x)
 	if err != nil {
 		return nil, err
 	}
-	cts, err := rotate(cx.ct, steps)
+	cts, err := b.evaluator.RotateHoisted(cx.ct, steps)
 	if err != nil {
 		return nil, err
 	}

@@ -19,21 +19,8 @@ import (
 // Montgomery residues as ordinary ones.
 
 // plainFactor is a staged plaintext diagonal: its NTT-domain lift at the
-// staged level, in Montgomery form. A factor staged over Q·P
-// (StageFactorOverPAtLevel) carries special rows past its chain rows and
-// also multiplies unfinished rotations.
-type plainFactor struct {
-	lift    *ring.Poly
-	special int // rows of the special primes after the chain rows
-}
-
-// overP returns f's lift over Q_level·P: its first level+1 chain rows and
-// its special rows.
-func (f *plainFactor) overP(level int) *ring.Poly {
-	chain := len(f.lift.Coeffs) - f.special
-	rows := make([][]uint64, 0, level+1+f.special)
-	return &ring.Poly{Coeffs: append(append(rows, f.lift.Coeffs[:level+1]...), f.lift.Coeffs[chain:]...), IsNTT: true}
-}
+// staged level, in Montgomery form.
+type plainFactor struct{ lift *ring.Poly }
 
 // cipherFactor is a staged encrypted diagonal, both halves in Montgomery
 // form. It is never released: the model it belongs to holds it.
@@ -53,9 +40,6 @@ var (
 	// errNotFactor refuses a diagonal sum whose factor side was not staged
 	// by StageFactorAtLevel.
 	errNotFactor = fmt.Errorf("hebgv: a diagonal sum factor that is not a staged factor")
-	// errNotOverP refuses a sum over unfinished rotations whose factor was
-	// not staged over Q·P: it has no special rows to multiply theirs.
-	errNotOverP = fmt.Errorf("hebgv: a diagonal sum over unfinished rotations with a factor not staged over Q·P")
 )
 
 // StageFactorAtLevel implements he.FactorSummer: vals staged at level
@@ -84,27 +68,7 @@ func (b *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he
 	if err != nil {
 		return he.Operand{}, err
 	}
-	return he.Operand{Pt: &plainFactor{lift: pt.MontgomeryLift(ctx, level)}, Vals: padded}, nil
-}
-
-// StageFactorOverPAtLevel implements he.FactorSummer: vals staged at level
-// (the chain top when negative or above it) as a plaintext factor over
-// Q_level·P, its Montgomery lift carrying the special primes' rows too, so
-// that a sum over unfinished rotations multiplies it as it stands.
-func (b *Backend) StageFactorOverPAtLevel(vals []uint64, level int) (he.Operand, error) {
-	padded := make([]uint64, b.Slots())
-	copy(padded, vals)
-	if level < 0 || level > b.params.MaxLevel() {
-		level = b.params.MaxLevel()
-	}
-	pt, err := b.encoder.Encode(padded)
-	if err != nil {
-		return he.Operand{}, err
-	}
-	ctx := b.params.RingCtx
-	qp := ctx.QP(level)
-	f := &plainFactor{lift: pt.MontgomeryLift(qp, qp.MaxLevel()), special: ctx.SpecialPrimes()}
-	return he.Operand{Pt: f, Vals: padded}, nil
+	return he.Operand{Pt: &plainFactor{pt.MontgomeryLift(ctx, level)}, Vals: padded}, nil
 }
 
 // MulDiagSum implements he.FactorSummer: the terms' products summed in
@@ -115,10 +79,7 @@ func (b *Backend) StageFactorOverPAtLevel(vals []uint64, level int) (he.Operand,
 // halves of x_k) and encrypted factors the degree-2 sum in two
 // (Evaluator.TensorSum); encrypted factors against plaintexts make one
 // pass with d = the plaintexts' lifts. A sum with no encrypted side is
-// refused: no mat-vec has one. Plaintext factors staged over Q·P also take
-// unfinished rotations (RotateHoistedLazy): the sum is then unfinished,
-// the finished terms summed on the chain rows and scaled by P, and the
-// unfinished ones summed over Q_ℓ·P onto them.
+// refused: no mat-vec has one.
 func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 	if len(terms) == 0 {
 		return he.Operand{}, fmt.Errorf("hebgv: a diagonal sum of no terms")
@@ -156,28 +117,26 @@ func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 	} else {
 		// One pass of the inner product: d the plaintext side, u and v the
 		// halves of the ciphertext side, one of each pair in Montgomery form.
-		// Over unfinished rotations, a second pass over Q_ℓ·P.
-		var fin, unf sweep
+		d, u, v := make([]*ring.Poly, n), make([]*ring.Poly, n), make([]*ring.Poly, n)
 		level := -1
 		for k, t := range terms {
 			var ct *bgv.Ciphertext
-			var f *plainFactor
 			if encX { // plaintext factors
-				var ok bool
-				if f, ok = t.Factor.Pt.(*plainFactor); !ok {
-					return he.Operand{}, errNotFactor
-				}
-				x, err := b.castLazy(t.X.Ct)
-				if err != nil {
-					return he.Operand{}, err
-				}
-				ct, depth = x.ct, max(depth, x.depth)
-			} else { // encrypted factors
-				c, ok := t.Factor.Ct.(*cipherFactor)
+				f, ok := t.Factor.Pt.(*plainFactor)
 				if !ok {
 					return he.Operand{}, errNotFactor
 				}
-				ct = c.ct
+				x, err := b.cast(t.X.Ct)
+				if err != nil {
+					return he.Operand{}, err
+				}
+				ct, d[k], depth = x.ct, f.lift, max(depth, x.depth)
+			} else { // encrypted factors
+				f, ok := t.Factor.Ct.(*cipherFactor)
+				if !ok {
+					return he.Operand{}, errNotFactor
+				}
+				ct = f.ct
 			}
 			if level < 0 {
 				level = ct.Level()
@@ -185,33 +144,21 @@ func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 			if ct.Level() != level || ct.Degree() != 1 {
 				return he.Operand{}, fmt.Errorf("hebgv: diagonal sum term %d: a degree-%d ciphertext at level %d in a sum at level %d", k, ct.Degree(), ct.Level(), level)
 			}
-			var d *ring.Poly
-			switch {
-			case !encX:
+			if !encX {
 				pt, err := b.castPlain(t.X.Pt)
 				if err != nil {
 					return he.Operand{}, err
 				}
-				d = pt.Lift(b.params.RingCtx, level)
-			case f.lift.Level()-f.special < level:
-				return he.Operand{}, &bgv.LevelMismatchError{A: f.lift.Level() - f.special, B: level}
-			case ct.Unfinished() && f.special == 0:
-				return he.Operand{}, errNotOverP
-			case ct.Unfinished():
-				d = f.overP(level)
-			default:
-				d = f.lift
+				d[k] = pt.Lift(b.params.RingCtx, level)
 			}
-			if d.Level() < level {
-				return he.Operand{}, &bgv.LevelMismatchError{A: d.Level(), B: level}
+			if d[k].Level() < level {
+				return he.Operand{}, &bgv.LevelMismatchError{A: d[k].Level(), B: level}
 			}
-			if ct.Unfinished() {
-				unf.add(d, ct)
-			} else {
-				fin.add(d, ct)
-			}
+			u[k], v[k] = ct.C[0], ct.C[1]
 		}
-		out = b.sweep(fin, unf, level)
+		ctx := b.params.RingCtx
+		out = &bgv.Ciphertext{C: []*ring.Poly{ctx.GetPolyZero(level), ctx.GetPolyZero(level)}}
+		ctx.DotMontgomeryAdd(d, u, v, out.C[0], out.C[1])
 	}
 	limbs := out.Level() + 1
 	for range n {
@@ -230,40 +177,4 @@ func (b *Backend) MulDiagSum(terms []he.Term) (he.Operand, error) {
 		b.NoteDepth(depth)
 	}
 	return he.Cipher(b.wrap(out, depth)), nil
-}
-
-// sweep is the operands of one pass of the inner product: fixed operands
-// d and the halves u, v of the ciphertexts they multiply.
-type sweep struct{ d, u, v []*ring.Poly }
-
-func (s *sweep) add(d *ring.Poly, ct *bgv.Ciphertext) {
-	s.d, s.u, s.v = append(s.d, d), append(s.u, ct.C[0]), append(s.v, ct.C[1])
-}
-
-// sweep sums the finished terms fin at level over Q_ℓ and, when there are
-// unfinished terms unf, scales that sum by P onto Q_ℓ·P (its special rows
-// zero) and sums unf onto it: an unfinished result that one division by P
-// finishes.
-func (b *Backend) sweep(fin, unf sweep, level int) *bgv.Ciphertext {
-	ctx := b.params.RingCtx
-	var o0, o1 *ring.Poly
-	if len(fin.d) > 0 {
-		o0, o1 = ctx.GetPolyZero(level), ctx.GetPolyZero(level)
-		ctx.DotMontgomeryAdd(fin.d, fin.u, fin.v, o0, o1)
-	}
-	if len(unf.d) == 0 {
-		return &bgv.Ciphertext{C: []*ring.Poly{o0, o1}}
-	}
-	qp := ctx.QP(level)
-	var p0, p1 *ring.Poly
-	if o0 != nil {
-		p0, p1 = qp.GetPoly(qp.MaxLevel()), qp.GetPoly(qp.MaxLevel())
-		ctx.MulByP(o0, p0)
-		ctx.MulByP(o1, p1)
-		ctx.PutPolys([]*ring.Poly{o0, o1})
-	} else {
-		p0, p1 = qp.GetPolyZero(qp.MaxLevel()), qp.GetPolyZero(qp.MaxLevel())
-	}
-	qp.DotMontgomeryAdd(unf.d, unf.u, unf.v, p0, p1)
-	return &bgv.Ciphertext{C: []*ring.Poly{p0, p1}, Special: ctx.SpecialPrimes()}
 }

@@ -126,9 +126,6 @@ type Diagonals struct {
 	Baby, Giant int
 	Ops         []he.Operand
 	Zero        []bool // plaintext-known zero diagonals
-	// OverP records plaintext diagonals staged over Q·P
-	// (PrepareDiagonalsOverPAt), which also multiply unfinished rotations.
-	OverP bool
 }
 
 // BSGSSplit factors a power-of-two period into baby and giant step
@@ -223,42 +220,6 @@ func checkSpan(b he.Backend, m *Bool, period, span int) error {
 // encrypted model's program multiplies all of them, so that the zero
 // pattern stays hidden (paper §7.1), and each must be a fresh encryption.
 func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, span int, encrypt bool, level int) (*Diagonals, error) {
-	return prepareDiagonals(b, mats, coefs, period, span, encrypt, func(vals []uint64) (he.Operand, error) {
-		return he.StageFactorAtLevel(b, vals, encrypt, level)
-	})
-}
-
-// PrepareDiagonalsOverPAt is PrepareDiagonalsAt of plaintext diagonals
-// staged over Q·P (he.StageFactorOverPAtLevel): factors that the fused sum
-// also multiplies against unfinished rotations, for a mat-vec whose baby
-// rotations are left unfinished (DESIGN.md §13.7). The result has OverP
-// set.
-func PrepareDiagonalsOverPAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, span int, level int) (*Diagonals, error) {
-	d, err := prepareDiagonals(b, mats, coefs, period, span, false, func(vals []uint64) (he.Operand, error) {
-		return he.StageFactorOverPAtLevel(b, vals, level)
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.OverP = true
-	return d, nil
-}
-
-// ZeroDiagonals returns the Zero pattern PrepareDiagonalsAt would record for
-// the same block matrices, staging nothing: which diagonals a plaintext
-// mat-vec skips, known before its diagonals are staged.
-func ZeroDiagonals(b he.Backend, mats []*Bool, coefs [][]uint64, period, span int) ([]bool, error) {
-	d, err := prepareDiagonals(b, mats, coefs, period, span, true, func([]uint64) (he.Operand, error) { return he.Operand{}, nil })
-	if err != nil {
-		return nil, err
-	}
-	return d.Zero, nil
-}
-
-// prepareDiagonals lays out the diagonals of PrepareDiagonalsAt and stages
-// each through stage: every one when encrypt is set, else the first
-// all-zero one only, shared by the rest.
-func prepareDiagonals(b he.Backend, mats []*Bool, coefs [][]uint64, period, span int, encrypt bool, stage func(vals []uint64) (he.Operand, error)) (*Diagonals, error) {
 	slots := b.Slots()
 	if len(mats) == 0 {
 		return nil, fmt.Errorf("matrix: no block matrices")
@@ -324,7 +285,7 @@ func prepareDiagonals(b he.Backend, mats []*Bool, coefs [][]uint64, period, span
 			d.Ops = append(d.Ops, *zero)
 			continue
 		}
-		op, err := stage(ext)
+		op, err := he.StageFactorAtLevel(b, ext, encrypt, level)
 		if err != nil {
 			return nil, err
 		}
