@@ -268,9 +268,6 @@ type progBuilder struct {
 	stage   uint8
 	// rounds is how many compare rounds the plan schedules a drop after.
 	rounds int
-	// unfinished marks the registers that hold unfinished giant
-	// rotations (opRotLazy).
-	unfinished map[int]bool
 }
 
 func (bl *progBuilder) emit(code opCode, a, b, imm, imm2 int) int {
@@ -579,7 +576,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	// ciphertext is zero.
 	bl.stage = stReshuffle
 	rots := bl.hoistRots(decisions, neededBaby(skipZero, in.reshuffle))
-	branch := bl.mergeGroups(bl.matVecGroups(in.reshuffle, rots, matReshuffle, skipZero), zero)
+	branch := bl.mergeMatVec(bl.matVecGroups(in.reshuffle, rots, matReshuffle, skipZero), zero)
 	for pw := in.meta.branchSpan(in.encrypted); pw < in.meta.BatchBlock(); pw <<= 1 {
 		rot := bl.emit(opRot, branch, 0, -pw, 0)
 		branch = bl.emit(opAdd, branch, rot, 0, 0)
@@ -601,7 +598,7 @@ func buildStructure(in progInputs) (*Program, error) {
 	rots = bl.hoistRots(branch, neededBaby(skipZero, in.levels...))
 	lvlRes := make([]int, len(in.levels))
 	for l, sh := range in.levels {
-		lvl := bl.mergeGroups(bl.matVecGroups(sh, rots, l, skipZero), zero)
+		lvl := bl.mergeMatVec(bl.matVecGroups(sh, rots, l, skipZero), zero)
 		if !in.maskZero[l] {
 			lvl = bl.emit(opAdd, lvl, bl.emit(opMask, 0, 0, l, 0), 0, 0)
 		}
@@ -658,7 +655,7 @@ func (bl *progBuilder) shuffleStage(in progInputs, leaves int) int {
 	}
 	perm := denseShape(period)
 	rots := bl.hoistRots(v, neededBaby(false, perm))
-	return bl.mergeGroups(bl.matVecGroups(perm, rots, matShuffle, false), -1)
+	return bl.mergeMatVec(bl.matVecGroups(perm, rots, matShuffle, false), -1)
 }
 
 // neededBaby marks the baby rotations that some unskipped diagonal of
@@ -704,7 +701,7 @@ func (bl *progBuilder) hoistRots(src int, needed []bool) []int {
 // groups). A group's inner sum Σ_j d_{g·baby+j} ⊗ rot(x, j) over the
 // diagonals it does not skip is one opDiagSum, the backend's fused sum
 // against the staged factors (he.MulDiagSum), in baby-step order. Its
-// giant rotation is left unfinished, for mergeGroups to finish with the
+// giant rotation is left unfinished, for mergeMatVec to finish with the
 // sum.
 func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero bool) []int {
 	groups := make([]int, sh.giant)
@@ -729,10 +726,6 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 		}
 		if g > 0 {
 			acc = bl.emit(opRotLazy, acc, 0, g*sh.baby, 0)
-			if bl.unfinished == nil {
-				bl.unfinished = map[int]bool{}
-			}
-			bl.unfinished[acc] = true
 		}
 		groups[g] = acc
 	}
@@ -740,22 +733,27 @@ func (bl *progBuilder) matVecGroups(sh diagShape, rots []int, mat int, skipZero 
 }
 
 // mergeGroups sums group results in index order — a deterministic merge
-// for any worker count — and finishes the sum once when it holds
-// unfinished giant rotations. With every group skipped the sum is empty.
+// for any worker count. With every group skipped the sum is empty.
 func (bl *progBuilder) mergeGroups(groups []int, empty int) int {
-	acc, lazy := empty, false
+	acc := empty
 	for _, g := range groups {
 		if g < 0 {
 			continue
 		}
-		lazy = lazy || bl.unfinished[g]
 		if acc == empty {
 			acc = g
 		} else {
 			acc = bl.emit(opAdd, acc, g, 0, 0)
 		}
 	}
-	if lazy {
+	return acc
+}
+
+// mergeMatVec merges the groups of a mat-vec (matVecGroups) and finishes
+// the sum once where a rotated group joined it unfinished.
+func (bl *progBuilder) mergeMatVec(groups []int, empty int) int {
+	acc := bl.mergeGroups(groups, empty)
+	if slices.ContainsFunc(groups[1:], func(g int) bool { return g >= 0 }) {
 		acc = bl.emit(opFinish, acc, 0, 0, 0)
 	}
 	return acc

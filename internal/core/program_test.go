@@ -299,7 +299,7 @@ func matVecProgram(sh diagShape, encModel bool) *Program {
 	p := &Program{encModel: encModel, plainQuery: !encModel, stages: 1}
 	bl := &progBuilder{p: p, constIx: map[constSpec]int{}}
 	rots := bl.hoistRots(bl.emit(opQuery, 0, 0, 0, 0), neededBaby(!encModel, sh))
-	p.result = bl.mergeGroups(bl.matVecGroups(sh, rots, 0, !encModel), -1)
+	p.result = bl.mergeMatVec(bl.matVecGroups(sh, rots, 0, !encModel), -1)
 	return p
 }
 
