@@ -9,16 +9,18 @@ import (
 )
 
 // Plaintext holds an encoded message: a polynomial with coefficients in
-// [0, T). Lifting into the ciphertext ring at a given level is cached,
-// since plaintext model components (matrix diagonals, masks) are reused
-// across many homomorphic operations. The cache is a lock-free
-// copy-on-write table: serving-time reads are a single atomic load, and
-// PreLift lets model staging populate the scheduled levels up front so
-// no query ever pays the embedding (SetLift + NTT) inline.
+// [0, T). Its lift into the ciphertext ring is cached, since plaintext
+// model components (matrix diagonals, masks) are reused across many
+// homomorphic operations. The cache is one lift: row i depends only on
+// prime i, so a lift at level L serves every level up to L as it is (the
+// ring kernels loop over their output's rows), and only a read above L
+// lifts again. Serving-time reads are a single atomic load, and PreLift
+// lets model staging lift at the scheduled level up front so no query
+// ever pays the embedding (SetLift + NTT) inline.
 type Plaintext struct {
 	Coeffs []uint64 // length N, values < T
 
-	lifts atomic.Pointer[[]*ring.Poly] // level-indexed NTT-domain lifts
+	cached atomic.Pointer[ring.Poly] // NTT-domain lift, serving its level and below
 }
 
 // NewPlaintext wraps encoded coefficients.
@@ -26,22 +28,23 @@ func NewPlaintext(coeffs []uint64) *Plaintext {
 	return &Plaintext{Coeffs: coeffs}
 }
 
-// lift returns the NTT-domain embedding of the plaintext at the given
-// level, caching the result. Concurrent first lifts at the same level
-// may compute the embedding twice; one copy wins the publish and the
-// other is dropped, so every caller sees a single canonical poly.
-func (pt *Plaintext) lift(ctx *ring.Context, level int) *ring.Poly {
-	if tab := pt.lifts.Load(); tab != nil && level < len(*tab) {
-		if p := (*tab)[level]; p != nil {
+// Lift returns the cached NTT-domain embedding of the plaintext, at the
+// given level or above it; a read above the cached lift's level lifts
+// again at that level and swaps the new lift in. Concurrent first lifts
+// may compute the embedding twice; one copy wins the swap and the other
+// is dropped.
+func (pt *Plaintext) Lift(ctx *ring.Context, level int) *ring.Poly {
+	for {
+		old := pt.cached.Load()
+		if old != nil && old.Level() >= level {
+			return old
+		}
+		p := pt.embed(ctx, level)
+		if pt.cached.CompareAndSwap(old, p) {
 			return p
 		}
 	}
-	return publishAt(&pt.lifts, level, pt.embed(ctx, level))
 }
-
-// Lift returns the plaintext's NTT-domain embedding at the given level
-// from the cache MulPlain and AddPlain read, lifting it on a miss.
-func (pt *Plaintext) Lift(ctx *ring.Context, level int) *ring.Poly { return pt.lift(ctx, level) }
 
 // embed returns a fresh NTT-domain embedding of the plaintext at the
 // given level. Every coefficient is below T, and T below every prime of
@@ -68,8 +71,7 @@ func (pt *Plaintext) MontgomeryLift(ctx *ring.Context, level int) *ring.Poly {
 
 // publishAt installs v at a level index of a lock-free copy-on-write
 // table unless another goroutine won the race, returning the canonical
-// entry either way. Shared by the plaintext lift cache and the
-// switching-key view cache.
+// entry either way. It is the switching-key view cache.
 func publishAt[T any](tab *atomic.Pointer[[]*T], level int, v *T) *T {
 	for {
 		old := tab.Load()
@@ -90,15 +92,13 @@ func publishAt[T any](tab *atomic.Pointer[[]*T], level int, v *T) *T {
 	}
 }
 
-// PreLift warms the lift cache at the given levels (negative levels are
-// ignored) — model staging calls this so the scheduled consumption
-// levels of diagonals, masks and thresholds are cache hits from the
-// first query on.
-func (pt *Plaintext) PreLift(ctx *ring.Context, levels ...int) {
-	for _, level := range levels {
-		if level >= 0 && level <= ctx.MaxLevel() {
-			pt.lift(ctx, level)
-		}
+// PreLift lifts the plaintext at the given level (clamped to the chain
+// top; a negative level is ignored) — model staging calls this so the
+// scheduled consumption level of a diagonal, mask or threshold is a cache
+// hit from the first query on.
+func (pt *Plaintext) PreLift(ctx *ring.Context, level int) {
+	if level >= 0 {
+		pt.Lift(ctx, min(level, ctx.MaxLevel()))
 	}
 }
 

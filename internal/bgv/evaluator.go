@@ -172,7 +172,7 @@ func (ev *Evaluator) AddPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 	for _, c := range a.C {
 		out.C = append(out.C, ctx.CopyPooled(c))
 	}
-	ctx.Add(out.C[0], pt.lift(ctx, a.Level()), out.C[0])
+	ctx.Add(out.C[0], pt.Lift(ctx, a.Level()), out.C[0])
 	return out, nil
 }
 
@@ -182,7 +182,7 @@ func (ev *Evaluator) MulPlain(a *Ciphertext, pt *Plaintext) (*Ciphertext, error)
 		return nil, err
 	}
 	ctx := ev.params.RingCtx
-	p := pt.lift(ctx, a.Level())
+	p := pt.Lift(ctx, a.Level())
 	out := &Ciphertext{}
 	for _, c := range a.C {
 		m := ctx.GetPoly(a.Level())

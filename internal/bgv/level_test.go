@@ -1,6 +1,7 @@
 package bgv
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,40 +120,66 @@ func TestSwitchingKeyViews(t *testing.T) {
 	}
 }
 
-// TestPlaintextPreLiftConcurrent: the lock-free lift cache returns one
-// canonical poly per level under concurrent first use.
+// TestPlaintextPreLiftConcurrent: the lock-free lift cache holds one
+// lift. Concurrent reads see a lift at or above the level they asked for,
+// every read at or below the cached level returns that same poly, a read
+// above it swaps in a lift at its own level, and each lift's rows are the
+// ones a lift made at exactly the level read would hold.
 func TestPlaintextPreLiftConcurrent(t *testing.T) {
 	kit := newTestKit(t, 5, nil)
 	ctx := kit.params.RingCtx
+	top := kit.params.MaxLevel()
 	pt, err := kit.enc.Encode(ramp(kit.params.Slots()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 8
-	results := make([][]any, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for level := 0; level <= kit.params.MaxLevel(); level++ {
-				results[g] = append(results[g], pt.lift(ctx, level))
+			for level := 0; level <= top; level++ {
+				if p := pt.Lift(ctx, (level+g)%(top+1)); p.Level() < (level+g)%(top+1) {
+					t.Errorf("goroutine %d: a lift at level %d served level %d", g, p.Level(), (level+g)%(top+1))
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		for i := range results[g] {
-			if results[g][i] != results[0][i] {
-				t.Fatalf("goroutine %d saw a different lift at level %d", g, i)
+	lift := pt.Lift(ctx, top)
+	for level := 0; level <= top; level++ {
+		if pt.Lift(ctx, level) != lift {
+			t.Fatalf("a read at level %d did not return the cached top lift", level)
+		}
+		want := pt.embed(ctx, level)
+		for i := range want.Coeffs {
+			if !slices.Equal(lift.Coeffs[i], want.Coeffs[i]) {
+				t.Fatalf("row %d of the top lift differs from a level-%d lift's", i, level)
 			}
 		}
 	}
-	// PreLift warms the scheduled levels (and tolerates out-of-range).
+	// PreLift lifts at the scheduled level, clamped to the chain top, and
+	// ignores a negative one; a later read above it lifts again.
 	pt2, _ := kit.enc.Encode(ramp(kit.params.Slots()))
-	pt2.PreLift(ctx, 2, 1, -1, 99)
-	if tab := pt2.lifts.Load(); tab == nil || (*tab)[2] == nil || (*tab)[1] == nil {
-		t.Error("PreLift did not populate the cache")
+	pt2.PreLift(ctx, -1)
+	if pt2.cached.Load() != nil {
+		t.Error("PreLift at a negative level lifted")
+	}
+	pt3, _ := kit.enc.Encode(ramp(kit.params.Slots()))
+	if pt3.PreLift(ctx, 99); pt3.cached.Load() == nil || pt3.cached.Load().Level() != top {
+		t.Error("PreLift above the chain did not lift at the top")
+	}
+	pt2.PreLift(ctx, 2)
+	low := pt2.cached.Load()
+	if low == nil || low.Level() != 2 {
+		t.Fatal("PreLift did not lift at level 2")
+	}
+	if pt2.Lift(ctx, 1) != low {
+		t.Error("a read below the cached lift lifted again")
+	}
+	if high := pt2.Lift(ctx, 3); high.Level() != 3 || pt2.cached.Load() != high {
+		t.Error("a read above the cached lift did not swap in a level-3 lift")
 	}
 }
 

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"copse/internal/he"
@@ -9,26 +8,22 @@ import (
 
 // Backend wraps an he.Backend with fault injection: every operation
 // first draws from the schedule and applies the resulting latency,
-// panic, or error before (or instead of) delegating. Capability
-// interfaces (LevelDropper, LevelEncrypter, SetEncrypter, NoiseMeter,
-// RotationKeyer, FactorSummer) are forwarded so a wrapped leveled backend
-// keeps its scheduled-level and parallel fast paths and its staging makes
-// the keys its programs rotate by;
-// Counts/ResetCounts delegate to the inner backend so op accounting
-// stays truthful.
+// panic, or error before (or instead of) delegating. The capabilities
+// beside the Backend interface (SetEncrypter, RotationKeyer,
+// FactorSummer) are forwarded so a wrapped BGV backend keeps its
+// parallel and fused fast paths and its staging makes the keys its
+// programs rotate by; Counts/ResetCounts delegate to the inner backend so
+// op accounting stays truthful.
 type Backend struct {
-	inner   he.Backend
-	sched   *Schedule
-	leveler he.LevelDropper // inner's level capability, nil when absent
+	inner he.Backend
+	sched *Schedule
 }
 
 var _ he.Backend = (*Backend)(nil)
 
 // WrapBackend wraps b so its operations draw faults from sched.
 func WrapBackend(b he.Backend, sched *Schedule) *Backend {
-	c := &Backend{inner: b, sched: sched}
-	c.leveler, _ = b.(he.LevelDropper)
-	return c
+	return &Backend{inner: b, sched: sched}
 }
 
 // Inner returns the wrapped backend.
@@ -166,34 +161,22 @@ func (c *Backend) Counts() he.OpCounts { return c.inner.Counts() }
 // ResetCounts implements he.Backend via the inner backend.
 func (c *Backend) ResetCounts() { c.inner.ResetCounts() }
 
-// DropToLevel implements he.LevelDropper via the inner backend
-// (pass-through when the inner backend has no level structure). Drops
+// DropToLevel implements he.LevelDropper via the inner backend. Drops
 // are bookkeeping, not serving ops, so no fault is drawn.
 func (c *Backend) DropToLevel(ct he.Ciphertext, level int) (he.Ciphertext, error) {
-	if c.leveler == nil {
-		return ct, nil
-	}
-	return c.leveler.DropToLevel(ct, level)
+	return c.inner.DropToLevel(ct, level)
 }
 
 // CiphertextLevel implements he.LevelDropper via the inner backend.
 func (c *Backend) CiphertextLevel(ct he.Ciphertext) (int, error) {
-	if c.leveler == nil {
-		return 0, nil
-	}
-	return c.leveler.CiphertextLevel(ct)
+	return c.inner.CiphertextLevel(ct)
 }
 
 // MaxLevel implements he.LevelDropper via the inner backend.
-func (c *Backend) MaxLevel() int {
-	if c.leveler == nil {
-		return 0
-	}
-	return c.leveler.MaxLevel()
-}
+func (c *Backend) MaxLevel() int { return c.inner.MaxLevel() }
 
-// EncryptAtLevel implements he.LevelEncrypter via the inner backend,
-// falling back to Encrypt when the capability is absent.
+// EncryptAtLevel implements he.LevelEncrypter via the inner backend
+// (Encrypt at a negative level).
 func (c *Backend) EncryptAtLevel(vals []uint64, level int) (he.Ciphertext, error) {
 	if err := c.inject(OpEncrypt); err != nil {
 		return nil, err
@@ -214,16 +197,12 @@ func (c *Backend) EncryptSetAtLevel(set [][]uint64, level int) ([]he.Ciphertext,
 	return he.EncryptSetAtLevel(c.inner, set, level)
 }
 
-// EncodePlainAtLevel implements he.LevelEncrypter via the inner backend
-// (plain EncodePlain when the capability is absent).
+// EncodePlainAtLevel implements he.LevelEncrypter via the inner backend.
 func (c *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error) {
 	if err := c.inject(OpEncode); err != nil {
 		return nil, err
 	}
-	if le, ok := c.inner.(he.LevelEncrypter); ok && level >= 0 {
-		return le.EncodePlainAtLevel(vals, level)
-	}
-	return c.inner.EncodePlain(vals)
+	return c.inner.EncodePlainAtLevel(vals, level)
 }
 
 // EnsureRotationKeys implements he.RotationKeyer via the inner backend,
@@ -234,10 +213,7 @@ func (c *Backend) EnsureRotationKeys(rots []he.Rotation) error {
 
 // NoiseBudget implements he.NoiseMeter via the inner backend.
 func (c *Backend) NoiseBudget(ct he.Ciphertext) (int, error) {
-	if nm, ok := c.inner.(he.NoiseMeter); ok {
-		return nm.NoiseBudget(ct)
-	}
-	return 0, fmt.Errorf("chaos: backend %q cannot measure noise", c.inner.Name())
+	return c.inner.NoiseBudget(ct)
 }
 
 // StageFactorAtLevel implements he.FactorSummer via the inner backend

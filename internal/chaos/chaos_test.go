@@ -105,10 +105,9 @@ func TestBackendInjection(t *testing.T) {
 	}
 	sched.Arm(false)
 
-	// Capability forwarding: heclear has no level structure, so the
-	// wrapper's LevelDropper must pass through.
-	var ld he.LevelDropper = b
-	out, err := ld.DropToLevel(ct, 0)
+	// Level forwarding: heclear is the level-0 instance, so the wrapper's
+	// drop is its identity.
+	out, err := b.DropToLevel(ct, 0)
 	if err != nil || out != ct {
 		t.Fatalf("DropToLevel pass-through: ct=%v err=%v", out, err)
 	}

@@ -23,7 +23,7 @@ func checkBill(t *testing.T, b he.Backend, p *Program, trace *Trace) {
 	for _, bill := range bills {
 		want = want.Plus(bill.Ops)
 	}
-	if _, leveled := b.(he.LevelDropper); !leveled {
+	if b.MaxLevel() == 0 {
 		want.LimbOps, want.Relin = 0, 0
 	}
 	for _, ops := range []he.OpCounts{trace.CompareOps, trace.ReshuffleOps, trace.LevelOps, trace.AccumulateOps, trace.ShuffleOps} {

@@ -120,10 +120,10 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	if c.Meta.Slots != b.Slots() {
 		return nil, fmt.Errorf("core: model staged for %d slots but backend has %d", c.Meta.Slots, b.Slots())
 	}
-	// The level-forwarding wrappers report top level 0 over a backend
-	// without a chain; whoever builds a chain checks a one-prime one.
-	if ld, ok := b.(he.LevelDropper); ok && ld.MaxLevel() > 0 {
-		if err := CheckChain(&c.Meta, encModel, encQuery, ld.MaxLevel()); err != nil {
+	// A backend without a chain is at level 0; whoever builds a chain
+	// checks a one-prime one.
+	if b.MaxLevel() > 0 {
+		if err := CheckChain(&c.Meta, encModel, encQuery, b.MaxLevel()); err != nil {
 			return nil, err
 		}
 	}
@@ -216,10 +216,8 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	m.Program = m.packings[0].program
 	// The programs are the one record of what the model rotates by, and
 	// at which level: the backend makes exactly those keys.
-	if rk, ok := b.(he.RotationKeyer); ok {
-		if err := rk.EnsureRotationKeys(m.rotations()); err != nil {
-			return nil, err
-		}
+	if err := he.EnsureRotationKeys(b, m.rotations()); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -681,10 +679,10 @@ func (e *Engine) Classify(ctx context.Context, m *ModelOperands, q *Query, seed 
 	// clamps it), which works from any level at or above it; the backend
 	// makes no other level move, so a plane below it would fail mid-pass.
 	// A shard's entry may sit below the whole model's query level.
-	if ld, ok := e.Backend.(he.LevelDropper); ok && m.encQuery {
-		want := min(m.Plan.Compare, ld.MaxLevel())
+	if m.encQuery {
+		want := min(m.Plan.Compare, e.Backend.MaxLevel())
 		for _, op := range q.Bits {
-			if level, err := ld.CiphertextLevel(op.Ct); err == nil && level < want {
+			if level, err := e.Backend.CiphertextLevel(op.Ct); err == nil && level < want {
 				return he.Operand{}, nil, nil, &QueryLayoutError{Planes: len(q.Bits), PlanesPerCiphertext: g, Block: q.Block, Want: len(pk.thresholds),
 					Encrypted: true, WantEncrypted: true, Level: level, WantLevel: want}
 			}

@@ -295,7 +295,7 @@ func (ps *pass) pop() int32 {
 func (ps *pass) closeStage(st int) {
 	now := time.Now()
 	ops, dur := ps.p.bills[st].Ops, now.Sub(ps.mark)
-	if ld, ok := ps.b.(he.LevelDropper); !ok || ld.MaxLevel() == 0 {
+	if ps.b.MaxLevel() == 0 {
 		ops.LimbOps, ops.Relin = 0, 0
 	}
 	limbs := func(reg int) int { return he.OperandLimbs(ps.b, ps.regs[reg]) }

@@ -139,9 +139,6 @@ func TestDegenerateModelsRunTheProgram(t *testing.T) {
 		for bname, newBackend := range backends {
 			t.Run(tc.name+"/"+bname, func(t *testing.T) {
 				b := newBackend()
-				if c, ok := b.(interface{ Close() error }); ok {
-					defer c.Close()
-				}
 				for _, encModel := range []bool{true, false} {
 					if encModel && tc.plainOnly {
 						continue

@@ -54,7 +54,16 @@ type Plain interface{}
 // per-call scratch out of shared state (pool it or stack it) and guard
 // any caches; both shipped backends are exercised under -race by the
 // concurrent-classify stress tests.
+//
+// Every backend has a level structure and a noise meter: a backend
+// without a modulus chain is the level-0 instance (MaxLevel 0, drops the
+// identity, leveled encryption and encoding the plain ones) and one
+// without noise refuses NoiseBudget.
 type Backend interface {
+	LevelDropper
+	LevelEncrypter
+	NoiseMeter
+
 	// Name identifies the backend ("clear", "bgv").
 	Name() string
 	// Slots is the packing width.
@@ -101,14 +110,13 @@ type Backend interface {
 	ResetCounts()
 }
 
-// LevelDropper is an optional Backend capability implemented by leveled
-// schemes (BGV's RNS modulus chain): every operation's cost scales with
-// the number of active limbs, so a caller that knows a ciphertext's
-// remaining circuit can proactively switch it down to a fraction of the
-// chain. The COPSE engine uses this to execute each pipeline stage at
-// the level a compile-time plan assigned it (Meta.LevelPlan). Backends
-// without a level structure simply do not implement the interface; the
-// package helpers treat that as a no-op.
+// LevelDropper is the Backend's level structure (BGV's RNS modulus
+// chain): every operation's cost scales with the number of active limbs,
+// so a caller that knows a ciphertext's remaining circuit can
+// proactively switch it down to a fraction of the chain. The COPSE
+// engine uses this to execute each pipeline stage at the level a
+// compile-time plan assigned it (Meta.LevelPlan). A backend without a
+// chain is level 0 throughout, and its drops are the identity.
 type LevelDropper interface {
 	// DropToLevel returns ct switched down to the given level. A
 	// ciphertext already at or below the level passes through unchanged;
@@ -120,11 +128,12 @@ type LevelDropper interface {
 	MaxLevel() int
 }
 
-// LevelEncrypter is an optional Backend capability for producing
-// operands directly at a scheduled level: encrypting below the top of
-// the chain skips the modulus switches a post-hoc drop would pay, and
-// pre-lifting a plaintext at its consumption level moves the embedding
-// cost from the serving hot path to model-load time.
+// LevelEncrypter is the Backend's way of producing operands directly at
+// a scheduled level: encrypting below the top of the chain skips the
+// modulus switches a post-hoc drop would pay, and pre-lifting a plaintext
+// at its consumption level moves the embedding cost from the serving hot
+// path to model-load time. Without a chain both are Encrypt and
+// EncodePlain.
 type LevelEncrypter interface {
 	// EncryptAtLevel packs and encrypts vals at the given level (clamped
 	// to the chain top).
@@ -162,8 +171,8 @@ type Term struct{ Factor, X Operand }
 type FactorSummer interface {
 	// StageFactorAtLevel stages vals (padded to Slots with zeros) as a
 	// factor at the given level: encrypted when encrypt is set, else a
-	// plaintext operand whose Vals are the padded values. A negative level
-	// is the chain top.
+	// plaintext operand that need not keep its Vals. A negative level is
+	// the chain top.
 	StageFactorAtLevel(vals []uint64, encrypt bool, level int) (Operand, error)
 	// MulDiagSum returns Σ_k terms[k].Factor ⊗ terms[k].X as MulLazy and
 	// Add would make it in term order — unrelinearized, the same bytes and
@@ -281,47 +290,38 @@ type StageLimbHinter interface {
 // Deprecated: see StageLimbHinter.
 func HintStageLimbs(Backend, int) {}
 
-// NoiseMeter is an optional Backend capability for reading the measured
-// decrypt-side noise budget of a ciphertext (requires the secret key).
-// The BGV backend implements it; the exact clear backend has no noise
-// and does not. Measurement is a diagnostic, not an evaluation op: it
-// records the per-stage noise margins (Trace.Noise) that ground the
-// planner's slack, and the benchmark's core.result_noise_bits.
+// NoiseMeter is the Backend's reading of the measured decrypt-side noise
+// budget of a ciphertext (requires the secret key). The exact clear
+// backend has no noise and refuses it. Measurement is a diagnostic, not
+// an evaluation op: it records the per-stage noise margins (Trace.Noise)
+// that ground the planner's slack, and the benchmark's
+// core.result_noise_bits.
 type NoiseMeter interface {
 	// NoiseBudget reports the remaining noise budget of ct in bits.
 	NoiseBudget(ct Ciphertext) (int, error)
 }
 
 // NoiseBudgetOf measures a ciphertext operand's remaining noise budget
-// in bits; plaintext operands and backends without measurement (or
-// without the secret key) report -1.
+// in bits; plaintext operands and backends without noise (or without the
+// secret key) report -1.
 func NoiseBudgetOf(b Backend, op Operand) int {
 	if !op.IsCipher() {
 		return -1
 	}
-	nm, ok := b.(NoiseMeter)
-	if !ok {
-		return -1
-	}
-	bits, err := nm.NoiseBudget(op.Ct)
+	bits, err := b.NoiseBudget(op.Ct)
 	if err != nil {
 		return -1
 	}
 	return bits
 }
 
-// DropToLevel switches a ciphertext operand down to the given level on
-// backends with a modulus chain. Plaintext operands, negative levels and
-// non-leveled backends pass through unchanged.
+// DropToLevel switches a ciphertext operand down to the given level.
+// Plaintext operands and negative levels pass through unchanged.
 func DropToLevel(b Backend, op Operand, level int) (Operand, error) {
 	if level < 0 || !op.IsCipher() {
 		return op, nil
 	}
-	ld, ok := b.(LevelDropper)
-	if !ok {
-		return op, nil
-	}
-	ct, err := ld.DropToLevel(op.Ct, level)
+	ct, err := b.DropToLevel(op.Ct, level)
 	if err != nil {
 		return Operand{}, err
 	}
@@ -329,31 +329,26 @@ func DropToLevel(b Backend, op Operand, level int) (Operand, error) {
 }
 
 // OperandLimbs reports the active limb count (level + 1) of a ciphertext
-// operand on a leveled backend, and 0 for plaintext operands or backends
-// without a level structure.
+// operand on a backend with a modulus chain, and 0 for plaintext operands
+// or a backend without one.
 func OperandLimbs(b Backend, op Operand) int {
-	if !op.IsCipher() {
+	if !op.IsCipher() || b.MaxLevel() == 0 {
 		return 0
 	}
-	ld, ok := b.(LevelDropper)
-	if !ok {
-		return 0
-	}
-	level, err := ld.CiphertextLevel(op.Ct)
+	level, err := b.CiphertextLevel(op.Ct)
 	if err != nil {
 		return 0
 	}
 	return level + 1
 }
 
-// EncryptAtLevel encrypts vals directly at the given level where the
-// backend supports leveled encryption; otherwise (or with a negative
-// level) it falls back to a top-level Encrypt.
+// EncryptAtLevel encrypts vals directly at the given level; a negative
+// level is a top-level Encrypt.
 func EncryptAtLevel(b Backend, vals []uint64, level int) (Ciphertext, error) {
-	if le, ok := b.(LevelEncrypter); ok && level >= 0 {
-		return le.EncryptAtLevel(vals, level)
+	if level < 0 {
+		return b.Encrypt(vals)
 	}
-	return b.Encrypt(vals)
+	return b.EncryptAtLevel(vals, level)
 }
 
 // EncryptSetAtLevel encrypts every vector of set at the given level: in
@@ -378,16 +373,15 @@ func EncryptSetAtLevel(b Backend, set [][]uint64, level int) ([]Ciphertext, erro
 }
 
 // NewPlainAtLevel encodes vals (padding to Slots with zeros) as a
-// plaintext operand pre-lifted at the given level where the backend
-// supports it; otherwise it is NewPlain.
+// plaintext operand pre-lifted at the given level; a negative level is
+// NewPlain.
 func NewPlainAtLevel(b Backend, vals []uint64, level int) (Operand, error) {
-	le, ok := b.(LevelEncrypter)
-	if !ok || level < 0 {
+	if level < 0 {
 		return NewPlain(b, vals)
 	}
 	padded := make([]uint64, b.Slots())
 	copy(padded, vals)
-	pt, err := le.EncodePlainAtLevel(padded, level)
+	pt, err := b.EncodePlainAtLevel(padded, level)
 	if err != nil {
 		return Operand{}, err
 	}

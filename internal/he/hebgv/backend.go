@@ -23,8 +23,8 @@ import (
 // concurrency contract: the evaluator holds only read-only key
 // material, per-operation scratch and every result's polynomials come
 // from the ring context's row pool (never from evaluator fields), and a
-// released ciphertext (he.Release) gives its rows back; plaintext lift
-// caches are lock-free copy-on-write tables (populated up front by
+// released ciphertext (he.Release) gives its rows back; a plaintext's
+// lift cache is one atomically swapped lift (made up front by
 // level-scheduled staging, see EncodePlainAtLevel), and the encryptor
 // takes only a short lock to hand each ciphertext the seed of its own
 // sampling stream (bgv.Encryptor.Reserve). Concurrent Classify traffic
@@ -274,9 +274,6 @@ func (b *Backend) EncodePlainAtLevel(vals []uint64, level int) (he.Plain, error)
 	pt, err := b.encoder.Encode(vals)
 	if err != nil {
 		return nil, err
-	}
-	if level > b.params.MaxLevel() {
-		level = b.params.MaxLevel()
 	}
 	pt.PreLift(b.params.RingCtx, level)
 	return pt, nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"copse/internal/bgv"
+	"copse/internal/chaos"
 	"copse/internal/he"
 	"copse/internal/he/heclear"
 )
@@ -180,33 +181,26 @@ func TestCountsOnBGV(t *testing.T) {
 	}
 }
 
-// TestLevelCapabilities: the BGV backend implements the optional level
-// interfaces — proactive drops, leveled encryption, pre-lifted plaintext
-// encoding — and the operand helpers read them; a binary op across levels
-// is refused; the clear backend stays a no-op.
+// TestLevelCapabilities: the BGV backend's level structure — proactive
+// drops, leveled encryption, pre-lifted plaintext encoding — and the
+// operand helpers that read it; a binary op across levels is refused; the
+// clear backend, bare and wrapped in the chaos decorator, is the level-0
+// instance.
 func TestLevelCapabilities(t *testing.T) {
 	b := newBackend(t, 6, []int{2})
-	var backend he.Backend = b
-	ld, ok := backend.(he.LevelDropper)
-	if !ok {
-		t.Fatal("BGV backend does not implement he.LevelDropper")
-	}
-	if _, ok := backend.(he.LevelEncrypter); !ok {
-		t.Fatal("BGV backend does not implement he.LevelEncrypter")
-	}
-	if ld.MaxLevel() != 5 {
-		t.Fatalf("MaxLevel = %d, want 5", ld.MaxLevel())
+	if b.MaxLevel() != 5 {
+		t.Fatalf("MaxLevel = %d, want 5", b.MaxLevel())
 	}
 
 	vals := make([]uint64, b.Slots())
 	for i := range vals {
 		vals[i] = uint64(i % 17)
 	}
-	ct, err := he.EncryptAtLevel(backend, vals, 2)
+	ct, err := he.EncryptAtLevel(b, vals, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if level, err := ld.CiphertextLevel(ct); err != nil || level != 2 {
+	if level, err := b.CiphertextLevel(ct); err != nil || level != 2 {
 		t.Fatalf("CiphertextLevel = %d, %v; want 2", level, err)
 	}
 	got, err := b.Decrypt(ct)
@@ -224,17 +218,17 @@ func TestLevelCapabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, err := ld.DropToLevel(top, 1)
+	dropped, err := b.DropToLevel(top, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if level, _ := ld.CiphertextLevel(dropped); level != 1 {
+	if level, _ := b.CiphertextLevel(dropped); level != 1 {
 		t.Fatalf("dropped level = %d, want 1", level)
 	}
-	if level, _ := ld.CiphertextLevel(top); level != 5 {
+	if level, _ := b.CiphertextLevel(top); level != 5 {
 		t.Fatalf("DropToLevel mutated its input (level %d)", level)
 	}
-	if same, err := ld.DropToLevel(dropped, 3); err != nil || same != dropped {
+	if same, err := b.DropToLevel(dropped, 3); err != nil || same != dropped {
 		t.Fatalf("DropToLevel below target should pass through unchanged (%v)", err)
 	}
 	got, err = b.Decrypt(dropped)
@@ -248,11 +242,11 @@ func TestLevelCapabilities(t *testing.T) {
 	}
 
 	// Operand helpers.
-	op, err := he.DropToLevel(backend, he.Cipher(top), 2)
+	op, err := he.DropToLevel(b, he.Cipher(top), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limbs := he.OperandLimbs(backend, op); limbs != 3 {
+	if limbs := he.OperandLimbs(b, op); limbs != 3 {
 		t.Fatalf("OperandLimbs = %d, want 3", limbs)
 	}
 	// Operands at different levels: the backend refuses every binary op
@@ -268,29 +262,86 @@ func TestLevelCapabilities(t *testing.T) {
 			t.Fatalf("%s of levels 5 and 2: %v, %v; want a *bgv.LevelMismatchError{5, 2}", name, out, err)
 		}
 	}
-	if level, _ := ld.CiphertextLevel(top); level != 5 {
+	if level, _ := b.CiphertextLevel(top); level != 5 {
 		t.Fatalf("a refused op moved its operand to level %d", level)
 	}
 	if b.Counts() != before {
 		t.Fatalf("refused ops counted: %v → %v", before, b.Counts())
 	}
 
-	// The clear backend has no level structure: helpers are no-ops.
-	clear := heclear.Default()
-	cct, err := clear.Encrypt(vals[:clear.Slots()])
+	// The clear backend, bare and wrapped, has no chain: everything is at
+	// level 0, a drop is the identity, leveled encryption and encoding are
+	// Encrypt and EncodePlain, noise is unmeasured and limbs are not
+	// counted.
+	for name, clear := range map[string]he.Backend{
+		"clear":        heclear.Default(),
+		"chaos(clear)": chaos.WrapBackend(heclear.Default(), chaos.NewSchedule(chaos.Config{})),
+	} {
+		vals := vals[:clear.Slots()]
+		if top := clear.MaxLevel(); top != 0 {
+			t.Errorf("%s: MaxLevel = %d, want 0", name, top)
+		}
+		cct, err := clear.Encrypt(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := clear.Counts()
+		lct, err := clear.EncryptAtLevel(vals, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := clear.Counts().Minus(before); got != (he.OpCounts{Encrypt: 1}) {
+			t.Errorf("%s: EncryptAtLevel counted %v, want one encryption", name, got)
+		}
+		want, _ := clear.Decrypt(cct)
+		if got, err := clear.Decrypt(lct); err != nil || !slices.Equal(got, want) {
+			t.Errorf("%s: EncryptAtLevel decrypts to %v (%v), Encrypt to %v", name, got, err, want)
+		}
+		for _, ct := range []he.Ciphertext{cct, lct} {
+			if level, err := clear.CiphertextLevel(ct); err != nil || level != 0 {
+				t.Errorf("%s: CiphertextLevel = %d, %v; want 0", name, level, err)
+			}
+			if out, err := clear.DropToLevel(ct, 1); err != nil || out != ct {
+				t.Errorf("%s: DropToLevel is not the identity (%v)", name, err)
+			}
+		}
+		pt, err := clear.EncodePlain(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lpt, err := clear.EncodePlainAtLevel(vals, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod, _ := clear.MulPlain(cct, pt)
+		lprod, _ := clear.MulPlain(cct, lpt)
+		if got, want := reveal(t, clear, lprod), reveal(t, clear, prod); !slices.Equal(got, want) {
+			t.Errorf("%s: EncodePlainAtLevel multiplies to %v, EncodePlain to %v", name, got, want)
+		}
+		if _, err := clear.NoiseBudget(cct); err == nil {
+			t.Errorf("%s: NoiseBudget measured exact arithmetic", name)
+		}
+		op, err := he.DropToLevel(clear, he.Cipher(cct), 1)
+		if err != nil || op.Ct != cct {
+			t.Errorf("%s: he.DropToLevel should pass through (%v)", name, err)
+		}
+		if noise := he.NoiseBudgetOf(clear, op); noise != -1 {
+			t.Errorf("%s: NoiseBudgetOf = %d, want -1", name, noise)
+		}
+		if limbs := he.OperandLimbs(clear, op); limbs != 0 {
+			t.Errorf("%s: OperandLimbs = %d, want 0", name, limbs)
+		}
+	}
+}
+
+// reveal decrypts ct on b.
+func reveal(t *testing.T, b he.Backend, ct he.Ciphertext) []uint64 {
+	t.Helper()
+	vals, err := b.Decrypt(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := interface{}(clear).(he.LevelDropper); ok {
-		t.Fatal("clear backend unexpectedly leveled")
-	}
-	cop, err := he.DropToLevel(clear, he.Cipher(cct), 1)
-	if err != nil || cop.Ct != cct {
-		t.Fatalf("clear DropToLevel should pass through (%v)", err)
-	}
-	if limbs := he.OperandLimbs(clear, cop); limbs != 0 {
-		t.Fatalf("clear OperandLimbs = %d, want 0", limbs)
-	}
+	return vals
 }
 
 // TestPublicMaterialEncrypts: a backend built from public material only —

@@ -45,7 +45,8 @@ var (
 // StageFactorAtLevel implements he.FactorSummer: vals staged at level
 // (the chain top when negative or above it) as an encrypted factor —
 // encrypted as EncryptAtLevel does, drawing the same seed, then converted
-// — or as a plaintext one.
+// — or as a plaintext one, which keeps no values: no BGV pass reads
+// them, so it cannot be revealed.
 func (b *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he.Operand, error) {
 	padded := make([]uint64, b.Slots())
 	copy(padded, vals)
@@ -68,7 +69,7 @@ func (b *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he
 	if err != nil {
 		return he.Operand{}, err
 	}
-	return he.Operand{Pt: &plainFactor{pt.MontgomeryLift(ctx, level)}, Vals: padded}, nil
+	return he.Operand{Pt: &plainFactor{pt.MontgomeryLift(ctx, level)}}, nil
 }
 
 // MulDiagSum implements he.FactorSummer: the terms' products summed in

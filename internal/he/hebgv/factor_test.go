@@ -202,6 +202,10 @@ func TestFactorRefusedOutsideSum(t *testing.T) {
 	if _, err := b.Decrypt(encF.Ct); !errors.Is(err, errFactor) {
 		t.Errorf("Decrypt of a factor: %v, want the factor refused", err)
 	}
+	// A plaintext factor keeps no values to reveal.
+	if vals, err := he.Reveal(b, plainF); err == nil {
+		t.Errorf("Reveal of a plaintext factor: %v, want it refused", vals)
+	}
 	// A sum whose factor side is an ordinary operand is refused too.
 	if _, err := b.MulDiagSum([]he.Term{{Factor: he.Cipher(x), X: he.Cipher(x)}}); !errors.Is(err, errNotFactor) {
 		t.Errorf("MulDiagSum of an unstaged factor: %v, want it refused", err)

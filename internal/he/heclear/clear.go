@@ -12,7 +12,8 @@ import (
 	"copse/internal/he"
 )
 
-// Backend is a noise-free he.Backend.
+// Backend is a noise-free he.Backend without a modulus chain: the
+// level-0 instance of the level structure.
 type Backend struct {
 	he.Counter
 	slots int
@@ -245,4 +246,31 @@ func (b *Backend) rotate(c *ciphertext, k int) *ciphertext {
 		out.vals[i] = c.vals[(i+k%b.slots+b.slots)%b.slots]
 	}
 	return out
+}
+
+// MaxLevel implements he.LevelDropper: the clear backend has no modulus
+// chain, so it is the level-0 instance.
+func (b *Backend) MaxLevel() int { return 0 }
+
+// CiphertextLevel implements he.LevelDropper: every ciphertext is at
+// level 0.
+func (b *Backend) CiphertextLevel(he.Ciphertext) (int, error) { return 0, nil }
+
+// DropToLevel implements he.LevelDropper as the identity.
+func (b *Backend) DropToLevel(ct he.Ciphertext, _ int) (he.Ciphertext, error) { return ct, nil }
+
+// EncryptAtLevel implements he.LevelEncrypter as Encrypt.
+func (b *Backend) EncryptAtLevel(vals []uint64, _ int) (he.Ciphertext, error) {
+	return b.Encrypt(vals)
+}
+
+// EncodePlainAtLevel implements he.LevelEncrypter as EncodePlain.
+func (b *Backend) EncodePlainAtLevel(vals []uint64, _ int) (he.Plain, error) {
+	return b.EncodePlain(vals)
+}
+
+// NoiseBudget implements he.NoiseMeter: exact arithmetic has no noise to
+// measure, so it is refused.
+func (b *Backend) NoiseBudget(he.Ciphertext) (int, error) {
+	return 0, fmt.Errorf("heclear: exact arithmetic has no noise to measure")
 }

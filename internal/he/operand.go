@@ -1,5 +1,7 @@
 package he
 
+import "fmt"
+
 // Operand is either a ciphertext or a plaintext vector. The COPSE
 // algorithm is written once over operands; which side is encrypted is
 // decided by the party configuration (paper §7): M=D encrypts both model
@@ -30,9 +32,13 @@ func NewPlain(b Backend, vals []uint64) (Operand, error) {
 func (o Operand) IsCipher() bool { return o.Ct != nil }
 
 // Reveal decrypts a ciphertext operand or returns the plaintext values.
+// A plaintext operand that keeps no values (a staged factor) is refused.
 func Reveal(b Backend, o Operand) ([]uint64, error) {
-	if o.IsCipher() {
+	switch {
+	case o.IsCipher():
 		return b.Decrypt(o.Ct)
+	case o.Vals == nil:
+		return nil, fmt.Errorf("he: a plaintext operand without values cannot be revealed")
 	}
 	return o.Vals, nil
 }

@@ -94,14 +94,12 @@ func TestZeroDiagonalsShareOneOperand(t *testing.T) {
 				copy(packed[k*span+off:], vecs[k])
 			}
 		}
-		if rk, ok := b.(he.RotationKeyer); ok {
-			var rots []he.Rotation
-			for step := 1; step < period; step++ {
-				rots = append(rots, he.Rotation{Step: step, Level: b.(he.LevelDropper).MaxLevel()})
-			}
-			if err := rk.EnsureRotationKeys(rots); err != nil {
-				t.Fatal(err)
-			}
+		var rots []he.Rotation
+		for step := 1; step < period; step++ {
+			rots = append(rots, he.Rotation{Step: step, Level: b.MaxLevel()})
+		}
+		if err := he.EnsureRotationKeys(b, rots); err != nil {
+			t.Fatal(err)
 		}
 		for _, encrypt := range []bool{false, true} {
 			d, err := matrix.PrepareDiagonalsAt(b, mats, nil, period, span, encrypt, -1)

@@ -188,7 +188,7 @@ func WithNoiseMeasurement(on bool) Option { return func(c *serviceConfig) { c.me
 // nodes share one wire-distributed key set: every worker builds the
 // same hebgv backend from the shard manifest (or from serialized key
 // material) and its service stages shard models onto it. The service
-// takes ownership — Close closes the backend. The backend must match
+// shares it and does not close it. The backend must match
 // every registered model's slot count; the levels and seed options are
 // ignored for backend construction.
 func WithExternalBackend(b he.Backend) Option { return func(c *serviceConfig) { c.extBackend = b } }
@@ -250,20 +250,14 @@ func (s *Service) newBackend(c *Compiled, encModel, encQuery bool) (he.Backend, 
 }
 
 // Close stops every dynamic-batcher goroutine, failing any callers
-// still lingering in a forming batch, and closes a backend that has a
-// Close method (WithExternalBackend); the service must not be used
+// still lingering in a forming batch; the service must not be used
 // afterwards. Safe to call on a service that never registered a model,
-// and idempotent.
+// and idempotent. It always returns nil.
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.closing) // aggregator goroutines drain and exit
 		s.runCancel()
 	})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.backend.(interface{ Close() error }); ok {
-		return c.Close()
-	}
 	return nil
 }
 
