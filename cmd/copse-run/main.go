@@ -111,7 +111,7 @@ func main() {
 		// the lanes of the last one (DESIGN.md §7.1).
 		fmt.Printf("server-inferable structure: q̂=%d b̂=%d d≤%d p=%d\n", view.QPad, view.BPad, view.D, view.P)
 	}
-	fmt.Printf("workers: %d, utilisation %.2f (op run time over workers × pass time)\n", st.Workers, st.Utilisation())
+	fmt.Printf("workers: %d, utilisation %.2f (op wall time over workers × pass time: worker-slot occupancy)\n", st.Workers, st.Utilisation())
 	// The level layout follows from the batch size like the plane packing
 	// does; an overflowing batch runs its last pass on fewer queries, so
 	// this is the layout of the first.

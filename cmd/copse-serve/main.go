@@ -40,7 +40,11 @@
 //	     "votes": [...], "perTree": [...], "leafBits": [...]}, ...],
 //	     "passes": ..., "latencyMS": ...}
 //	GET  /v1/models    → per-model shape and batch capacity
-//	GET  /v1/stats     → request/query counters, latency p50/p95/p99
+//	GET  /v1/stats     → request/query counters, latency p50/p95/p99,
+//	                     workers and utilisation: the share of the pass
+//	                     workers' slots spent running ops (a core lent to
+//	                     a running key switch counts inside the borrowing
+//	                     op), not of the cores
 //	GET  /healthz      → 200 once serving
 //
 // The classify body is cluster.ClassifyResponse on every node kind. Under

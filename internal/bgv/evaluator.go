@@ -2,6 +2,7 @@ package bgv
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"copse/internal/ring"
@@ -538,11 +539,9 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, steps []int, lazy bool) ([]*C
 	}
 	slots := ev.params.Slots()
 	level := ct.Level()
-	type galois struct {
-		elt uint64
-		key *SwitchingKey
-	}
-	gs := make([]galois, len(steps))
+	h := hoists.Get().(*hoist)
+	defer h.release()
+	h.gs = append(h.gs[:0], make([]galois, len(steps))...)
 	rotates := false
 	for i, step := range steps {
 		if step%slots == 0 {
@@ -552,7 +551,7 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, steps []int, lazy bool) ([]*C
 		if err != nil {
 			return nil, err
 		}
-		gs[i], rotates = galois{elt, key}, true
+		h.gs[i], rotates = galois{elt, key}, true
 	}
 	// A key switch adds ~KeySwitchNoiseBits of absolute noise; refuse to
 	// rotate when the current modulus cannot absorb it.
@@ -561,19 +560,47 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, steps []int, lazy bool) ([]*C
 		return nil, fmt.Errorf("bgv: rotation at level %d lacks key-switch headroom: %w", level, errNotEnoughLevels)
 	}
 
-	ctx := ev.params.RingCtx
-	outs := make([]*Ciphertext, len(steps))
-	var digits []*ring.Poly
-	for i, g := range gs {
-		if g.key == nil {
-			outs[i] = ev.copyPooled(ct)
-			continue
-		}
-		if digits == nil {
-			digits = ctx.DecomposeHybrid(ct.C[1])
-		}
-		outs[i] = ev.galoisFromDigits(ct, digits, g.elt, g.key, lazy)
+	h.ev, h.ct, h.outs, h.lazy = ev, ct, make([]*Ciphertext, len(steps)), lazy
+	if rotates {
+		h.digits = ev.params.RingCtx.DecomposeHybrid(ct.C[1])
 	}
-	ctx.PutPolys(digits)
-	return outs, nil
+	ring.Run(len(steps), h)
+	ev.params.RingCtx.PutPolys(h.digits)
+	return h.outs, nil
+}
+
+// galois is a rotation's Galois element and the key that serves it; a
+// nil key stands for step 0.
+type galois struct {
+	elt uint64
+	key *SwitchingKey
+}
+
+// hoist is the steps of a hoisted rotation after the shared
+// decomposition, one task per step: each writes only its own output.
+type hoist struct {
+	ev     *Evaluator
+	ct     *Ciphertext
+	digits []*ring.Poly
+	gs     []galois
+	outs   []*Ciphertext
+	lazy   bool
+}
+
+// hoists recycles hoist states with their gs, so a hoisted rotation
+// allocates only its outputs.
+var hoists = sync.Pool{New: func() any { return new(hoist) }}
+
+// release empties h, keeping its gs, and gives it back to hoists.
+func (h *hoist) release() {
+	*h = hoist{gs: h.gs[:0]}
+	hoists.Put(h)
+}
+
+func (h *hoist) Task(i int) {
+	if g := h.gs[i]; g.key != nil {
+		h.outs[i] = h.ev.galoisFromDigits(h.ct, h.digits, g.elt, g.key, h.lazy)
+	} else {
+		h.outs[i] = h.ev.copyPooled(h.ct)
+	}
 }

@@ -551,16 +551,20 @@ type Trace struct {
 	// operands it multiplied the branch vector with (Meta.LevelLayout of
 	// the query's plane packing).
 	LevelLanes, LevelGroups, LevelOperands int
-	// The Busy fields are each stage's op run time summed over those
-	// workers: busy ÷ (stage time × Workers) is how much of the cores the
-	// stage's dependencies let the scheduler use.
+	// The Busy fields are each stage's op wall time summed over those
+	// workers. A worker that waits with nothing ready lends its core to
+	// the running key switch (ring.Run), and that work counts inside the
+	// borrowing op's time, not the lender's: busy ÷ (stage time × Workers)
+	// is how much of the workers' slots the stage's dependencies let the
+	// scheduler occupy, not how much of the cores it used.
 	CompareBusy, ReshuffleBusy, LevelsBusy, AccumulateBusy, ShuffleBusy time.Duration
 }
 
-// StageTime is the wall time of the engine stages; Busy is their op run
-// time summed over the workers. Busy ÷ (StageTime × Workers) is the
-// pass's utilisation: 1 on one worker, and on several as much as the
-// program's dependencies allow.
+// StageTime is the wall time of the engine stages; Busy is their op wall
+// time summed over the pass's own workers, a lent core's work counted
+// inside the op that borrowed it. Busy ÷ (StageTime × Workers) is the
+// pass's utilisation, the occupancy of its worker slots: 1 on one worker,
+// and on several as much as the program's dependencies allow.
 func (t *Trace) StageTime() time.Duration {
 	return t.Compare + t.Reshuffle + t.Levels + t.Accumulate + t.Shuffle
 }

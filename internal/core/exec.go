@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"copse/internal/he"
 	"copse/internal/matrix"
+	"copse/internal/ring"
 )
 
 // stageNames label the pipeline stages in errors, indexed by stage tag.
@@ -156,6 +159,8 @@ func (ps *pass) runStage(ctx context.Context, st int) error {
 	}
 	workers := min(ps.workers, hi-lo)
 	if workers <= 1 {
+		running.Add(1)
+		defer running.Add(-1)
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -190,17 +195,34 @@ func (ps *pass) runStage(ctx context.Context, st int) error {
 	return ps.err
 }
 
+// running counts the process's pass workers that are running ops, not
+// asleep waiting for one to become ready.
+var running atomic.Int32
+
 // drain runs ready ops, highest priority first, until the stage is done
 // or has failed. A worker with nothing ready sleeps until a finishing op
 // readies a successor; it cannot sleep forever, because the ops form a
-// DAG: while ops are left and none is ready, one is running.
+// DAG: while ops are left and none is ready, one is running. While it
+// sleeps it lends its slot to the running key switches (ring.Lend),
+// unless the other workers running already fill GOMAXPROCS: a saturated
+// host lends nothing.
 func (ps *pass) drain(ctx context.Context, st int) {
 	succ := ps.p.sched.succ
+	running.Add(1)
+	defer running.Add(-1)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	for {
 		for len(ps.ready) == 0 && ps.todo > 0 && ps.err == nil {
+			lent := running.Add(-1) < int32(runtime.GOMAXPROCS(0))
+			if lent {
+				ring.Lend()
+			}
 			ps.wake.Wait()
+			if lent {
+				ring.Reclaim()
+			}
+			running.Add(1)
 		}
 		if ps.todo == 0 || ps.err != nil {
 			return

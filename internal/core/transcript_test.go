@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,7 +41,10 @@ func passTranscript(out *bgv.Ciphertext) string {
 // model on a full batch (one plane per ciphertext), and prec16 under an
 // encrypted model on one query (its lone-query packing, 16 planes per
 // ciphertext). Every cell runs on a backend of its own seeded keys, its
-// batch encrypted once and run on one worker and on two. A label oracle passes with 87 bits of noise budget
+// batch encrypted once and run on one worker and on two; the depth4 cells
+// and prec16's also on four under GOMAXPROCS(4), where the idle workers
+// lend their slots to the running key switches (ring.Run), so the rows
+// of a key switch are split between goroutines. A label oracle passes with 87 bits of noise budget
 // left, so it cannot see an error of a few bits — a rounding off by one,
 // a lazy reduction left in [q, 2q), a dropped term; these hashes can. A
 // change that claims to be exact (a kernel, an operand representation, a
@@ -56,8 +60,8 @@ func TestPassTranscripts(t *testing.T) {
 	var sb strings.Builder
 	// run pins one cell: c prepared for cfg on a backend seeded 47, and a
 	// batch of n queries of f drawn from stream, checked against f's trees
-	// from start on.
-	run := func(name string, f *model.Forest, c *Compiled, cfg schedConfig, shuffle bool, stream uint64, n, start int) {
+	// from start on, on one worker, on two and, with lent set, on four.
+	run := func(name string, f *model.Forest, c *Compiled, cfg schedConfig, shuffle bool, stream uint64, n, start int, lent bool) {
 		b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.ChainLevels(cfg.encModel)), Seed: 47})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +80,14 @@ func TestPassTranscripts(t *testing.T) {
 			t.Fatal(err)
 		}
 		var first string
-		for _, workers := range []int{1, 2} {
+		workerCounts := []int{1, 2}
+		if lent {
+			workerCounts = append(workerCounts, 4)
+		}
+		for _, workers := range workerCounts {
+			if workers == 4 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			}
 			out, cbs, _, err := (&Engine{Backend: b, Workers: workers}).Classify(context.Background(), m, q, 47)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -106,7 +117,7 @@ func TestPassTranscripts(t *testing.T) {
 				if shuffle {
 					name += "/shuffled"
 				}
-				run(name, tf.f, c, cfg, shuffle, uint64(fi*8+ci), 1, 0)
+				run(name, tf.f, c, cfg, shuffle, uint64(fi*8+ci), 1, 0, tf.name == "depth4")
 			}
 		}
 	}
@@ -128,12 +139,12 @@ func TestPassTranscripts(t *testing.T) {
 		t.Fatal(err)
 	}
 	shard := shards[0]
-	run("wide8/shard0/servermodel/g1", wide8, shard, schedConfigs[1], false, 16, shard.Meta.BatchCapacity(), shard.Shard.TreeStart)
+	run("wide8/shard0/servermodel/g1", wide8, shard, schedConfigs[1], false, 16, shard.Meta.BatchCapacity(), shard.Shard.TreeStart, false)
 	prec16 := microForest(t, "prec16")
 	if c, err = Compile(prec16, Options{Slots: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	run(fmt.Sprintf("prec16/offload/g%d", c.Meta.PlanesPerCiphertext(1)), prec16, c, schedConfigs[0], false, 17, 1, 0)
+	run(fmt.Sprintf("prec16/offload/g%d", c.Meta.PlanesPerCiphertext(1)), prec16, c, schedConfigs[0], false, 17, 1, 0, true)
 	path := filepath.Join("testdata", "transcripts.golden")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {

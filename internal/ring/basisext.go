@@ -309,47 +309,77 @@ func (ctx *Context) DecomposeHybrid(p *Poly) []*Poly {
 
 	pc := ctx.GetPoly(level)
 	ctx.CopyInto(p, pc)
-	ctx.INTT(pc)
+	inv := inttJobs.get()
+	*inv = inttJob{moduli: ctx.Moduli, rows: pc.Coeffs}
+	Run(len(pc.Coeffs), inv)
+	inttJobs.put(inv)
+	pc.IsNTT = false
 
 	tier := ctx.rowKernels()
 	digits := make([]*Poly, HybridDigits(level))
 	convs := make([]*baseConv, len(digits))
 	vs := make([][]uint64, len(digits))
-	for j := range digits {
-		lo, hi := digitSpan(j, level)
-		convs[j] = ctx.digitConv[j][hi-lo-1]
-		vs[j] = ctx.getRow()
-		convs[j].prepare(tier, pc.Coeffs[lo:hi], vs[j][:ctx.N])
-		digits[j] = qp.GetPoly(rows - 1)
-		digits[j].IsNTT = true
+	for d := range digits {
+		lo, hi := digitSpan(d, level)
+		convs[d] = ctx.digitConv[d][hi-lo-1]
+		vs[d] = ctx.getRow()
+		convs[d].prepare(tier, pc.Coeffs[lo:hi], vs[d])
+		digits[d] = qp.GetPoly(rows - 1)
+		digits[d].IsNTT = true
 	}
-
-	// One task per (digit, row): the digit's own rows are p's NTT rows
-	// as they stand, every other row is converted and transformed.
-	task := func(tk int) {
-		j, r := tk/rows, tk%rows
-		lo, hi := digitSpan(j, level)
-		out := digits[j].Coeffs[r][:ctx.N]
-		if r >= lo && r < hi {
-			copy(out, p.Coeffs[r])
-			return
-		}
-		slot := r
-		if r > level {
-			slot = r - level - 1 + len(ctx.Moduli)
-		}
-		convs[j].target(tier, slot, pc.Coeffs[lo:hi], vs[j], out)
-		qp.Moduli[r].NTT(out)
-	}
-	total := len(digits) * rows
-	for tk := 0; tk < total; tk++ {
-		task(tk)
-	}
+	j := decomposeJobs.get()
+	*j = decomposeJob{ctx: ctx, qp: qp, p: p, pc: pc, digits: digits, convs: convs, vs: vs, level: level, tier: tier}
+	Run(len(digits)*rows, j)
+	decomposeJobs.put(j)
 	for _, v := range vs {
 		ctx.putRow(v)
 	}
 	ctx.PutPoly(pc)
 	return digits
+}
+
+// inttJob transforms each row back to the coefficient domain under its
+// prime, one task per row.
+type inttJob struct {
+	moduli []*Modulus
+	rows   [][]uint64
+}
+
+var inttJobs jobs[inttJob]
+
+func (j *inttJob) Task(i int) { j.moduli[i].INTT(j.rows[i]) }
+
+// decomposeJob is DecomposeHybrid's extension, one task per (digit,
+// row): the digit's own rows are p's NTT rows as they stand, every other
+// row is converted from the prepared digit pc and transformed.
+type decomposeJob struct {
+	ctx, qp *Context
+	p, pc   *Poly
+	digits  []*Poly
+	convs   []*baseConv
+	vs      [][]uint64
+	level   int
+	tier    kernelTier
+}
+
+var decomposeJobs jobs[decomposeJob]
+
+func (j *decomposeJob) Task(tk int) {
+	moduli := j.qp.Moduli
+	rows := uint(len(moduli))
+	d, r := int(uint(tk)/rows), uint(tk)%rows
+	lo, hi := digitSpan(d, j.level)
+	out := j.digits[d].Coeffs[r]
+	if int(r) >= lo && int(r) < hi {
+		copy(out, j.p.Coeffs[r])
+		return
+	}
+	slot := int(r)
+	if slot > j.level {
+		slot += len(j.ctx.Moduli) - j.level - 1
+	}
+	j.convs[d].target(j.tier, slot, j.pc.Coeffs[lo:hi], j.vs[d], out)
+	moduli[r].NTT(out)
 }
 
 // shoupVec is one constant per prime with its Shoup companion.
@@ -415,26 +445,55 @@ func (ctx *Context) buildRounders() error {
 }
 
 // round is the rounding kernel. src holds the dropped primes' rows (NTT
-// domain; clobbered), in the kept primes' rows, and out receives
-// (in − δ)/D on its len(out) primes; out may alias in. It costs one INTT
-// per dropped prime and one NTT per kept prime, however many are dropped.
-func (ctx *Context) round(r *rounder, src, in, out [][]uint64) {
+// domain), in the kept primes' rows, and out receives (in − δ)/D on its
+// len(out) primes; out may alias in. src is clobbered unless keep is
+// set, when it is rounded from copies in scratch rows of the pool. It
+// costs one INTT per dropped prime and one NTT per kept prime, however
+// many are dropped.
+func (ctx *Context) round(r *rounder, src, in, out [][]uint64, keep bool) {
+	j := roundJobs.get()
+	*j = roundJob{ctx: ctx, r: r, src: src, in: in, out: out, v: ctx.getRow(), tier: ctx.rowKernels()}
+	if keep {
+		copies := j.copies[:len(src)]
+		for k, row := range src {
+			copies[k] = ctx.getRow()
+			copy(copies[k], row)
+		}
+		j.src = copies
+	}
 	for k, m := range r.conv.src {
-		m.INTT(src[k])
+		m.INTT(j.src[k])
 	}
-	tier := ctx.rowKernels()
-	v := ctx.getRow()
-	defer ctx.putRow(v)
-	r.conv.prepare(tier, src, v[:ctx.N])
+	r.conv.prepare(j.tier, j.src, j.v)
+	Run(len(out), j)
+	ctx.putRow(j.v)
+	if keep {
+		for _, row := range j.src {
+			ctx.putRow(row)
+		}
+	}
+	roundJobs.put(j)
+}
 
-	delta := ctx.getRow()
-	defer ctx.putRow(delta)
-	for i := range out {
-		m := r.conv.dst[i]
-		r.conv.target(tier, i, src, v, delta[:ctx.N])
-		m.NTT(delta)
-		rescaleRow(tier, m.Q, r.dInv.v[i], r.dInv.s[i], in[i], delta, out[i])
-	}
+// roundJob is round's output, one task per kept prime, each with a
+// scratch row of its own for δ.
+type roundJob struct {
+	ctx          *Context
+	r            *rounder
+	src, in, out [][]uint64
+	v            []uint64
+	tier         kernelTier
+	copies       [maxConvPrimes][]uint64 // src's rows, when round keeps src
+}
+
+var roundJobs jobs[roundJob]
+
+func (j *roundJob) Task(i int) {
+	m, delta := j.r.conv.dst[i], j.ctx.getRow()
+	j.r.conv.target(j.tier, i, j.src, j.v, delta)
+	m.NTT(delta)
+	rescaleRow(j.tier, m.Q, j.r.dInv.v[i], j.r.dInv.s[i], j.in[i], delta, j.out[i])
+	j.ctx.putRow(delta)
 }
 
 // rescaleRow sets out = (a − delta)·inv mod q: the exact division by the
@@ -461,7 +520,7 @@ func (ctx *Context) ModSwitchDown(p *Poly) {
 		panic("ring: ModSwitchDown at level 0")
 	}
 	// The top row is discarded, so it serves as its own scratch.
-	ctx.round(ctx.drops[l][0], p.Coeffs[l:], p.Coeffs[:l], p.Coeffs[:l])
+	ctx.round(ctx.drops[l][0], p.Coeffs[l:], p.Coeffs[:l], p.Coeffs[:l], false)
 	p.Coeffs = p.Coeffs[:l]
 }
 
@@ -481,16 +540,7 @@ func (ctx *Context) ModSwitchDownTo(p, out *Poly) {
 		ctx.ModSwitchDownTo(mid, out)
 		return
 	}
-	var rows [maxConvPrimes][]uint64
-	src := rows[:k]
-	for i := range src {
-		src[i] = ctx.getRow()
-		copy(src[i], p.Coeffs[l-k+1+i])
-	}
-	ctx.round(ctx.drops[l][k-1], src, p.Coeffs, out.Coeffs)
-	for _, row := range src {
-		ctx.putRow(row)
-	}
+	ctx.round(ctx.drops[l][k-1], p.Coeffs[l-k+1:], p.Coeffs, out.Coeffs, true)
 	out.IsNTT = true
 }
 
@@ -516,29 +566,19 @@ func (ctx *Context) MulByP(a, acc *Poly) {
 // DivideByP finishes a key switch: acc is a QP polynomial (NTT domain)
 // at out's level, and out receives acc rounded down by the whole special
 // modulus. acc's special rows are clobbered.
-func (ctx *Context) DivideByP(acc, out *Poly) {
+func (ctx *Context) DivideByP(acc, out *Poly) { ctx.divideByP(acc, out, false) }
+
+// DivideByPKeep is DivideByP that leaves acc as it was: the special rows
+// are rounded from copies in scratch rows of the pool.
+func (ctx *Context) DivideByPKeep(acc, out *Poly) { ctx.divideByP(acc, out, true) }
+
+func (ctx *Context) divideByP(acc, out *Poly, keep bool) {
 	level := out.Level()
 	if !acc.IsNTT || len(acc.Coeffs) != level+1+len(ctx.special) {
 		panic("ring: DivideByP requires an NTT-domain QP polynomial at the output's level")
 	}
-	ctx.round(ctx.pRound, acc.Coeffs[level+1:], acc.Coeffs, out.Coeffs)
+	ctx.round(ctx.pRound, acc.Coeffs[level+1:], acc.Coeffs, out.Coeffs, keep)
 	out.IsNTT = true
-}
-
-// DivideByPKeep is DivideByP that leaves acc as it was: the special rows
-// are rounded from copies in scratch rows of the pool.
-func (ctx *Context) DivideByPKeep(acc, out *Poly) {
-	var rows [DigitPrimes][]uint64
-	src := rows[:len(ctx.special)]
-	for i := range src {
-		src[i] = ctx.getRow()
-		copy(src[i], acc.Coeffs[out.Level()+1+i])
-	}
-	tmp := &Poly{Coeffs: append(acc.Coeffs[:out.Level()+1:out.Level()+1], src...), IsNTT: acc.IsNTT}
-	ctx.DivideByP(tmp, out)
-	for _, row := range src {
-		ctx.putRow(row)
-	}
 }
 
 // DivideByPQ is DivideByP fused with the modulus switch that follows a
@@ -550,7 +590,7 @@ func (ctx *Context) DivideByPQ(acc, out *Poly) {
 	if !acc.IsNTT || len(acc.Coeffs) != l+1+len(ctx.special) {
 		panic("ring: DivideByPQ requires an NTT-domain QP polynomial one level above the output")
 	}
-	ctx.round(ctx.pqRound[l], acc.Coeffs[l:], acc.Coeffs, out.Coeffs)
+	ctx.round(ctx.pqRound[l], acc.Coeffs[l:], acc.Coeffs, out.Coeffs, false)
 	out.IsNTT = true
 }
 

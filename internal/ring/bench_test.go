@@ -145,3 +145,56 @@ func tierName(t kernelTier) string {
 	}
 	return t.String()
 }
+
+// BenchmarkLentKeySwitch measures a key switch's ring half — the
+// decomposition, the inner product with a key and the division by P —
+// at the top of a 14-prime chain, as a pass worker runs it alone
+// (unlent) and with an idle worker's slot lent (ring.Run starts one
+// helper per set of rows). On one core the two rows read the same.
+func BenchmarkLentKeySwitch(b *testing.B) {
+	for _, logN := range []int{11, 12} {
+		const plainT = 65537
+		primes, err := GeneratePrimes(55, uint64(2<<logN)*plainT, 14+DigitPrimes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, err := NewContextQP(logN, primes[:14], primes[14:], plainT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		level := ctx.MaxLevel()
+		qp := ctx.QP(level)
+		s := NewSeededSampler(ctx, 6)
+		p := s.UniformPoly(level, true)
+		digits := ctx.DecomposeHybrid(p)
+		keyB, keyA := make([]*Poly, len(digits)), make([]*Poly, len(digits))
+		for j := range digits {
+			keyB[j] = NewSeededSampler(qp, uint64(10+2*j)).UniformPoly(qp.MaxLevel(), true)
+			keyA[j] = NewSeededSampler(qp, uint64(11+2*j)).UniformPoly(qp.MaxLevel(), true)
+		}
+		ctx.PutPolys(digits)
+		for _, lent := range []bool{false, true} {
+			name := sizeName(logN) + "/unlent"
+			if lent {
+				name = sizeName(logN) + "/lent"
+			}
+			b.Run(name, func(b *testing.B) {
+				if lent {
+					Lend()
+					defer Reclaim()
+				}
+				for i := 0; i < b.N; i++ {
+					digits := ctx.DecomposeHybrid(p)
+					acc0, acc1 := qp.GetPolyZero(qp.MaxLevel()), qp.GetPolyZero(qp.MaxLevel())
+					acc0.IsNTT, acc1.IsNTT = true, true
+					qp.DotMontgomeryAdd(digits, keyB, keyA, acc0, acc1)
+					out := ctx.GetPoly(level)
+					ctx.DivideByP(acc0, out)
+					ctx.PutPolys(digits)
+					qp.PutPolys([]*Poly{acc0, acc1})
+					ctx.PutPoly(out)
+				}
+			})
+		}
+	}
+}

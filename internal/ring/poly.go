@@ -403,34 +403,46 @@ func (ctx *Context) DotMontgomeryAdd(d, b, a []*Poly, acc0, acc1 *Poly) {
 			panic("ring: DotMontgomeryAdd requires NTT-domain operands")
 		}
 	}
-	tier := ctx.rowKernels()
+	j := dotJobs.get()
+	*j = dotJob{ctx: ctx, d: d, b: b, a: a, acc0: acc0, acc1: acc1, tier: ctx.rowKernels()}
+	Run(len(acc0.Coeffs), j)
+	dotJobs.put(j)
+	acc0.IsNTT, acc1.IsNTT = true, true
+}
+
+// dotJob is DotMontgomeryAdd, one task per row of the accumulators.
+type dotJob struct {
+	ctx        *Context
+	d, b, a    []*Poly
+	acc0, acc1 *Poly
+	tier       kernelTier
+}
+
+var dotJobs jobs[dotJob]
+
+func (j *dotJob) Task(i int) {
+	m, out0, out1 := j.ctx.Moduli[i], j.acc0.Coeffs[i], j.acc1.Coeffs[i]
+	var rows [3][montGroup][]uint64
 	var lo0, lo1 []uint64 // the scalar kernel's low words, lent by the pool
-	dr, br, ar := make([][]uint64, 0, montGroup), make([][]uint64, 0, montGroup), make([][]uint64, 0, montGroup)
-	for len(d) > 0 {
-		k := min(len(d), montGroup)
-		dg, bg, ag := d[:k], b[:k], a[:k]
-		d, b, a = d[k:], b[k:], a[k:]
-		for i, out0 := range acc0.Coeffs {
-			m, out1 := ctx.Moduli[i], acc1.Coeffs[i]
-			dr, br, ar = dr[:0], br[:0], ar[:0]
-			for j, p := range dg {
-				dr, br, ar = append(dr, p.Coeffs[i]), append(br, bg[j].Coeffs[i]), append(ar, ag[j].Coeffs[i])
-			}
-			if rowVecOK(tier, m.Q, len(out0)) {
-				dotMontVecAsm(tier, m.Q, m.qInv, dr, br, ar, out0, out1)
-				continue
-			}
-			if lo0 == nil {
-				lo0, lo1 = ctx.getRow(), ctx.getRow()
-			}
-			dotMontRowScalar(m.Q, m.qInv, dr, br, ar, out0, out1, lo0, lo1)
+	d, b, a := j.d, j.b[:len(j.d)], j.a[:len(j.d)]
+	for lo := 0; lo < len(d); lo += montGroup {
+		dr, br, ar := rows[0][:0], rows[1][:0], rows[2][:0]
+		for g, hi := lo, min(lo+montGroup, len(d)); g < hi; g++ {
+			dr, br, ar = append(dr, d[g].Coeffs[i]), append(br, b[g].Coeffs[i]), append(ar, a[g].Coeffs[i])
 		}
+		if rowVecOK(j.tier, m.Q, len(out0)) {
+			dotMontVecAsm(j.tier, m.Q, m.qInv, dr, br, ar, out0, out1)
+			continue
+		}
+		if lo0 == nil {
+			lo0, lo1 = j.ctx.getRow(), j.ctx.getRow()
+		}
+		dotMontRowScalar(m.Q, m.qInv, dr, br, ar, out0, out1, lo0, lo1)
 	}
 	if lo0 != nil {
-		ctx.putRow(lo0)
-		ctx.putRow(lo1)
+		j.ctx.putRow(lo0)
+		j.ctx.putRow(lo1)
 	}
-	acc0.IsNTT, acc1.IsNTT = true, true
 }
 
 // MulScalar sets out = a * c for a word-sized scalar c.

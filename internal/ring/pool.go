@@ -199,7 +199,7 @@ func (ctx *Context) PutPolys(ps []*Poly) {
 	}
 }
 
-// getRow and putRow lend one scratch row.
+// getRow and putRow lend one scratch row of N words.
 func (ctx *Context) getRow() []uint64 {
 	var row [1][]uint64
 	ctx.rows.mu.Lock()

@@ -130,13 +130,14 @@ func TestPassAllocationBound(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
+			helpers := ring.HelpersStarted()
 			for range passes {
 				pass()
 			}
 			runtime.ReadMemStats(&after)
 			perPass, gcs := (after.TotalAlloc-before.TotalAlloc)/passes, after.NumGC-before.NumGC
-			t.Logf("%s, batch of %d: %.2f MB and %d allocations a pass, %d collections over %d passes",
-				tc.model, n, float64(perPass)/1e6, (after.Mallocs-before.Mallocs)/passes, gcs, passes)
+			t.Logf("%s, batch of %d: %.2f MB and %d allocations a pass, %d lent task sets joined by their helper a pass, %d collections over %d passes",
+				tc.model, n, float64(perPass)/1e6, (after.Mallocs-before.Mallocs)/passes, (ring.HelpersStarted()-helpers)/passes, gcs, passes)
 			if perPass >= 2e6 || gcs != 0 {
 				t.Errorf("a warm pass allocates %.2f MB (bound 2 MB) and %d passes collected %d times (bound 0)",
 					float64(perPass)/1e6, passes, gcs)

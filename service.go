@@ -715,10 +715,12 @@ type ServiceStats struct {
 	// wait); Latency/Requests is the mean per-pass latency.
 	Latency time.Duration
 	// Workers is the number of goroutines each pass runs its ops on
-	// (WithWorkers, resolved). Busy is the op run time of every finished
-	// pass summed over those workers and StageTime the passes' pipeline
-	// wall time, so Busy ÷ (StageTime × Workers) — Utilisation — is the
-	// share of its cores the service kept busy while classifying.
+	// (WithWorkers, resolved). Busy is the op wall time of every finished
+	// pass summed over those workers — a core an idle worker lent to a
+	// running key switch counts inside the borrowing op — and StageTime
+	// the passes' pipeline wall time, so Busy ÷ (StageTime × Workers) —
+	// Utilisation — is the share of its worker slots the service kept
+	// occupied while classifying, not the share of its cores.
 	Workers         int
 	Busy, StageTime time.Duration
 	// QueryPlanes counts the bit planes the passes compared (the model's
@@ -773,7 +775,9 @@ func (st ServiceStats) MarshalJSON() ([]byte, error) {
 		MeanLatencyMS   float64 `json:"meanLatencyMS"`
 		MeanQueueWaitMS float64 `json:"meanQueueWaitMS"`
 		// Goroutines per pass, and the share of workers × pass time they
-		// spent running ops (DESIGN.md §9).
+		// spent running ops: worker-slot occupancy, not core use, since a
+		// lent core's work counts inside the op that borrowed it (DESIGN.md
+		// §9.1).
 		Workers     int     `json:"workers"`
 		Utilisation float64 `json:"utilisation"`
 		// Query operands the passes consumed and the bit planes per operand
@@ -829,7 +833,10 @@ func (st ServiceStats) MeanLatency() time.Duration {
 }
 
 // Utilisation is Busy ÷ (StageTime × Workers): 1 when every worker ran
-// ops for the whole of every pass, 0 before the first pass.
+// ops for the whole of every pass, 0 before the first pass. It is the
+// occupancy of the workers' slots, not of the cores: an idle worker's
+// core lent to a running key switch counts inside the borrowing op's
+// time, never its own.
 func (st ServiceStats) Utilisation() float64 {
 	if st.StageTime <= 0 || st.Workers <= 0 {
 		return 0
