@@ -44,9 +44,10 @@ func passTranscript(out *bgv.Ciphertext) string {
 // batch encrypted once and run on one worker and on two; the depth4 cells
 // and prec16's also on four under GOMAXPROCS(4), where the idle workers
 // lend their slots to the running key switches (ring.Run), so the rows
-// of a key switch are split between goroutines. A label oracle passes with 87 bits of noise budget
-// left, so it cannot see an error of a few bits — a rounding off by one,
-// a lazy reduction left in [q, 2q), a dropped term; these hashes can. A
+// of a key switch are split between goroutines. A label oracle passes
+// with 87 bits of noise budget left, so it cannot see an error of a few
+// bits — a rounding off by one, a lazy reduction left in [q, 2q), a
+// dropped term; these hashes can. A
 // change that claims to be exact (a kernel, an operand representation, a
 // fused op, a scheduling change) must reproduce testdata/transcripts.golden
 // on every kernel tier, -tags purego included, without -update; only a
@@ -60,7 +61,7 @@ func TestPassTranscripts(t *testing.T) {
 	var sb strings.Builder
 	// run pins one cell: c prepared for cfg on a backend seeded 47, and a
 	// batch of n queries of f drawn from stream, checked against f's trees
-	// from start on, on one worker, on two and, with lent set, on four.
+	// from start on, on one worker, on two and, when lent is set, on four.
 	run := func(name string, f *model.Forest, c *Compiled, cfg schedConfig, shuffle bool, stream uint64, n, start int, lent bool) {
 		b, err := hebgv.New(hebgv.Config{Params: bgv.TestParams(c.Meta.ChainLevels(cfg.encModel)), Seed: 47})
 		if err != nil {
