@@ -184,47 +184,106 @@ func (kg *KeyGenerator) secretQP(sk *SecretKey, level int) *ring.Poly {
 	return s
 }
 
-// genSwitchingKeyAt builds the key that switches `target` (NTT domain,
-// at least `level` chain limbs) to the secret sOut, a coefficient-domain
-// QP poly at `level` that the call transforms in place. Fewer digits and
-// fewer residues per digit than a top-level key. Each half leaves in
-// Montgomery form.
-func (kg *KeyGenerator) genSwitchingKeyAt(target, sOut *ring.Poly, level int) *SwitchingKey {
-	ctx := kg.params.RingCtx
-	qp := ctx.QP(level)
-	rows := qp.MaxLevel()
-	sampler := kg.sampler.In(qp)
-	qp.NTT(sOut)
-	tgt := restrict(target, level)
-	swk := &SwitchingKey{}
-	scaled := ctx.NewPoly(level)
-	factors := make([]uint64, level+1)
-	for d := 0; d < ring.HybridDigits(level); d++ {
-		a := sampler.UniformPoly(rows, true)
-		e := sampler.ErrorPoly(rows)
-		qp.MulScalar(e, kg.params.T, e)
-		qp.NTT(e)
-		b := qp.NewPoly(rows)
-		qp.MulCoeffs(a, sOut, b)
-		qp.Add(b, e, b)
-		qp.Neg(b, b)
-		// b += P·g_d·target: P mod q_i on the digit's own primes, zero on
-		// every other chain prime and on the special primes.
-		for i := range factors {
-			factors[i] = 0
-			if i/ring.DigitPrimes == d {
-				factors[i] = ctx.PModQ(i)
-			}
+// Switching keys are made one digit per task on every core (ring.RunAll).
+// A task draws its digit's uniform a and then its error coefficients
+// from the generator's stream once the task before it has drawn
+// (inStreamOrder), and finishes the digit beside the other tasks: the
+// stream is consumed as one goroutine would consume it, so a seeded
+// generator makes the same keys whatever the core count.
+
+// keyPlan is a switching key to make: it switches target (NTT domain,
+// restricted to level) to sOut (NTT domain over Q_level·P).
+type keyPlan struct {
+	target, sOut *ring.Poly
+	level        int
+}
+
+// newKeyPlan plans the key from target to sOut, a coefficient-domain QP
+// poly at level that the call transforms in place.
+func (kg *KeyGenerator) newKeyPlan(target, sOut *ring.Poly, level int) keyPlan {
+	kg.params.RingCtx.QP(level).NTT(sOut)
+	return keyPlan{target: restrict(target, level), sOut: sOut, level: level}
+}
+
+// genSwitchingKeys makes the planned keys, in order, one digit per task.
+// A goroutine holds one digit's draws at a time.
+func (kg *KeyGenerator) genSwitchingKeys(plans []keyPlan) []*SwitchingKey {
+	type digit struct{ key, d int }
+	var digits []digit
+	keys := make([]*SwitchingKey, len(plans))
+	for k, p := range plans {
+		n := ring.HybridDigits(p.level)
+		keys[k] = &SwitchingKey{B: make([]*ring.Poly, n), A: make([]*ring.Poly, n)}
+		for d := range n {
+			digits = append(digits, digit{k, d})
 		}
-		ctx.MulScalarVec(tgt, factors, scaled)
-		bq := restrict(b, level)
-		ctx.Add(bq, scaled, bq)
-		qp.MontgomeryForm(b, b)
-		qp.MontgomeryForm(a, a)
-		swk.B = append(swk.B, b)
-		swk.A = append(swk.A, a)
 	}
-	return swk
+	as, es := make([]*ring.Poly, len(digits)), make([][]int64, len(digits))
+	inStreamOrder(len(digits), func(i int) {
+		qp := kg.params.RingCtx.QP(plans[digits[i].key].level)
+		s := kg.sampler.In(qp)
+		as[i] = s.UniformPoly(qp.MaxLevel(), true)
+		es[i] = s.ErrorCoeffs() // the scratch of s, a sampler of its own
+	}, func(i int) {
+		k, d := digits[i].key, digits[i].d
+		keys[k].B[d], keys[k].A[d] = kg.finishDigit(plans[k], d, as[i], es[i])
+		es[i] = nil
+	})
+	return keys
+}
+
+// inStreamOrder runs n tasks on every core: task i runs draw(i) once
+// draw(i−1) has returned, then finish(i) beside the others. RunAll claims
+// tasks in index order, so every task a draw waits for is running.
+func inStreamOrder(n int, draw, finish func(i int)) {
+	drawn := make([]chan struct{}, n)
+	for i := range drawn {
+		drawn[i] = make(chan struct{})
+	}
+	ring.RunAll(n, func(i int) {
+		if i > 0 {
+			<-drawn[i-1]
+		}
+		func() {
+			defer close(drawn[i])
+			draw(i)
+		}()
+		finish(i)
+	})
+}
+
+// finishDigit makes digit d of the planned key from its draws a and e:
+// B[d] = −(a·sOut + t·e) + P·g_d·target and A[d] = a, each half left in
+// Montgomery form.
+func (kg *KeyGenerator) finishDigit(p keyPlan, d int, a *ring.Poly, e []int64) (*ring.Poly, *ring.Poly) {
+	ctx := kg.params.RingCtx
+	qp := ctx.QP(p.level)
+	rows := qp.MaxLevel()
+	te := qp.GetPoly(rows)
+	qp.SetLift(e, te)
+	qp.MulScalar(te, kg.params.T, te)
+	qp.NTT(te)
+	b := qp.NewPoly(rows)
+	qp.MulCoeffs(a, p.sOut, b)
+	qp.Add(b, te, b)
+	qp.Neg(b, b)
+	qp.PutPoly(te)
+	// b += P·g_d·target: P mod q_i on the digit's own primes, zero on
+	// every other chain prime and on the special primes.
+	factors := make([]uint64, p.level+1)
+	for i := range factors {
+		if i/ring.DigitPrimes == d {
+			factors[i] = ctx.PModQ(i)
+		}
+	}
+	scaled := ctx.GetPoly(p.level)
+	ctx.MulScalarVec(p.target, factors, scaled)
+	bq := restrict(b, p.level)
+	ctx.Add(bq, scaled, bq)
+	ctx.PutPoly(scaled)
+	qp.MontgomeryForm(b, b)
+	qp.MontgomeryForm(a, a)
+	return b, a
 }
 
 // GenRelinKey builds the relinearization key (switching s² to s).
@@ -233,20 +292,20 @@ func (kg *KeyGenerator) GenRelinKey(sk *SecretKey) *SwitchingKey {
 	top := kg.params.MaxLevel()
 	s2 := ctx.NewPoly(top)
 	ctx.MulCoeffs(sk.S, sk.S, s2)
-	return kg.genSwitchingKeyAt(s2, kg.secretQP(sk, top), top)
+	return kg.genSwitchingKeys([]keyPlan{kg.newKeyPlan(s2, kg.secretQP(sk, top), top)})[0]
 }
 
-// GenGaloisKeyAt builds the Galois key at the given level. The key
+// galoisKeyPlan plans the Galois key for g at the given level. The key
 // switches s to σ_g^{-1}(s): the evaluator key-switches c1 as it stands
 // and applies σ_g to the result, which lands back under s — so the
 // automorphism costs two row permutations per rotation instead of one
 // per digit. The key serves rotations at any level ≤ its own; a
 // rotation above it is refused (*MissingKeyError).
-func (kg *KeyGenerator) GenGaloisKeyAt(sk *SecretKey, g uint64, level int) *SwitchingKey {
+func (kg *KeyGenerator) galoisKeyPlan(sk *SecretKey, g uint64, level int) keyPlan {
 	qp := kg.params.RingCtx.QP(level)
 	sOut := qp.NewPoly(qp.MaxLevel())
 	qp.Automorphism(kg.secretQP(sk, level), invGaloisElt(g, kg.params.N()), sOut)
-	return kg.genSwitchingKeyAt(sk.S, sOut, level)
+	return kg.newKeyPlan(sk.S, sOut, level)
 }
 
 // invGaloisElt returns g^{-1} in the unit group of Z_2N (g odd): that
@@ -300,16 +359,21 @@ func (kg *KeyGenerator) WithGaloisKeys(sk *SecretKey, ek *EvaluationKeys, rots [
 	if ek == nil {
 		ek = &EvaluationKeys{}
 	}
-	out := ek
+	var gen []uint64
 	for _, g := range order {
-		if k := ek.Galois[g]; k != nil && k.Level() >= want[g] {
-			continue
+		if k := ek.Galois[g]; k == nil || k.Level() < want[g] {
+			gen = append(gen, g)
 		}
-		if out == ek {
-			out = &EvaluationKeys{Relin: ek.Relin, Galois: map[uint64]*SwitchingKey{}}
-			maps.Copy(out.Galois, ek.Galois)
-		}
-		out.Galois[g] = kg.GenGaloisKeyAt(sk, g, want[g])
+	}
+	if len(gen) == 0 {
+		return ek
+	}
+	plans := make([]keyPlan, len(gen))
+	ring.RunAll(len(gen), func(i int) { plans[i] = kg.galoisKeyPlan(sk, gen[i], want[gen[i]]) })
+	out := &EvaluationKeys{Relin: ek.Relin, Galois: map[uint64]*SwitchingKey{}}
+	maps.Copy(out.Galois, ek.Galois)
+	for i, k := range kg.genSwitchingKeys(plans) {
+		out.Galois[gen[i]] = k
 	}
 	return out
 }

@@ -216,18 +216,21 @@ func (c *Backend) NoiseBudget(ct he.Ciphertext) (int, error) {
 	return c.inner.NoiseBudget(ct)
 }
 
-// StageFactorAtLevel implements he.FactorSummer via the inner backend
+// StageFactorsAtLevel implements he.FactorSummer via the inner backend
 // (its operand form when the capability is absent), drawing the fault of
-// the encryption or encoding it makes.
-func (c *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he.Operand, error) {
+// every encryption or encoding it makes, as that many single stagings
+// would, before any of the set is staged.
+func (c *Backend) StageFactorsAtLevel(set [][]uint64, encrypt bool, level int) ([]he.Operand, error) {
 	op := OpEncode
 	if encrypt {
 		op = OpEncrypt
 	}
-	if err := c.inject(op); err != nil {
-		return he.Operand{}, err
+	for range set {
+		if err := c.inject(op); err != nil {
+			return nil, err
+		}
 	}
-	return he.StageFactorAtLevel(c.inner, vals, encrypt, level)
+	return he.StageFactorsAtLevel(c.inner, set, encrypt, level)
 }
 
 // MulDiagSum implements he.FactorSummer via the inner backend (its

@@ -33,7 +33,7 @@ const (
 	// OpDecrypt covers Decrypt.
 	OpDecrypt Op = "decrypt"
 	// OpEncode covers EncodePlain/EncodePlainAtLevel and the staging of
-	// a plaintext factor (StageFactorAtLevel).
+	// a plaintext factor (StageFactorsAtLevel).
 	OpEncode Op = "encode"
 	// OpAdd covers Add/Sub/Neg/AddPlain.
 	OpAdd Op = "add"

@@ -139,10 +139,11 @@ func TestDiagSumInjection(t *testing.T) {
 	var _ he.FactorSummer = b
 	var _ he.SetEncrypter = b
 
-	f, err := b.StageFactorAtLevel([]uint64{1, 2, 3}, true, 0)
+	fs, err := b.StageFactorsAtLevel([][]uint64{{1, 2, 3}}, true, 0)
 	if err != nil {
-		t.Fatalf("disarmed StageFactorAtLevel: %v", err)
+		t.Fatalf("disarmed StageFactorsAtLevel: %v", err)
 	}
+	f := fs[0]
 	x, err := b.Encrypt([]uint64{4, 5, 6})
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +181,8 @@ func TestDiagSumInjection(t *testing.T) {
 		t.Errorf("armed MulDiagSum: got %v, want *InjectedError{Op: mul}", err)
 	}
 	for encrypt, op := range map[bool]Op{true: OpEncrypt, false: OpEncode} {
-		if _, err := he.StageFactorAtLevel(b, []uint64{1}, encrypt, 0); !errors.As(err, &inj) || inj.Op != op {
-			t.Errorf("armed StageFactorAtLevel (encrypt=%v): got %v, want *InjectedError{Op: %s}", encrypt, err, op)
+		if _, err := he.StageFactorsAtLevel(b, [][]uint64{{1}}, encrypt, 0); !errors.As(err, &inj) || inj.Op != op {
+			t.Errorf("armed StageFactorsAtLevel (encrypt=%v): got %v, want *InjectedError{Op: %s}", encrypt, err, op)
 		}
 	}
 }

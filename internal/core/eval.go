@@ -137,7 +137,8 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 	// holds plane j, and a plane past the precision is ¬y = 1 against the
 	// query's x = 0, so it compares equal. A plaintext model's programs
 	// fold the planes into bound constants and load none, so its planes
-	// are staged as values only, neither encoded nor lifted.
+	// are staged as values only, neither encoded nor lifted; an encrypted
+	// model's are encrypted one set per packing.
 	if len(c.ThresholdBits) == 0 || len(c.ThresholdBits) != c.Meta.Precision {
 		return nil, &UnsupportedModelError{Reason: fmt.Sprintf("%d threshold bit planes at precision %d", len(c.ThresholdBits), c.Meta.Precision)}
 	}
@@ -158,16 +159,18 @@ func Prepare(b he.Backend, c *Compiled, encModel, encQuery, shuffle bool) (*Mode
 				vals[ct][base+s] = (1 + t - y%t) % t
 			}
 		}
-		for _, v := range vals {
-			op := he.Operand{Vals: v}
-			if encModel {
-				ct, err := he.EncryptAtLevel(b, v, m.Plan.Compare)
-				if err != nil {
-					return nil, err
-				}
-				op = he.Cipher(ct)
+		if !encModel {
+			for _, v := range vals {
+				m.packings[i].thresholds = append(m.packings[i].thresholds, he.Operand{Vals: v})
 			}
-			m.packings[i].thresholds = append(m.packings[i].thresholds, op)
+			continue
+		}
+		cts, err := he.EncryptSetAtLevel(b, vals, m.Plan.Compare)
+		if err != nil {
+			return nil, err
+		}
+		for _, ct := range cts {
+			m.packings[i].thresholds = append(m.packings[i].thresholds, he.Cipher(ct))
 		}
 	}
 	m.Thresholds = m.packings[0].thresholds

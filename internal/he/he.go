@@ -154,7 +154,7 @@ type SetEncrypter interface {
 }
 
 // Term is one product of a diagonal sum: a staged factor (a mat-vec
-// diagonal, StageFactorAtLevel) and the operand it multiplies.
+// diagonal, StageFactorsAtLevel) and the operand it multiplies.
 type Term struct{ Factor, X Operand }
 
 // FactorSummer is an optional Backend capability for the sums of a
@@ -169,11 +169,12 @@ type Term struct{ Factor, X Operand }
 // finish instead of G (double hoisting). Staging and use therefore go
 // through the same capability; a decorator forwards all of it or none.
 type FactorSummer interface {
-	// StageFactorAtLevel stages vals (padded to Slots with zeros) as a
-	// factor at the given level: encrypted when encrypt is set, else a
-	// plaintext operand that need not keep its Vals. A negative level is
-	// the chain top.
-	StageFactorAtLevel(vals []uint64, encrypt bool, level int) (Operand, error)
+	// StageFactorsAtLevel stages every vector of set (padded to Slots
+	// with zeros) as a factor at the given level, in the set's order:
+	// encrypted when encrypt is set, as EncryptSetAtLevel encrypts a set,
+	// else a plaintext operand that need not keep its Vals. A negative
+	// level is the chain top.
+	StageFactorsAtLevel(set [][]uint64, encrypt bool, level int) ([]Operand, error)
 	// MulDiagSum returns Σ_k terms[k].Factor ⊗ terms[k].X as MulLazy and
 	// Add would make it in term order — unrelinearized, the same bytes and
 	// the same op counts: n products and n − 1 additions — in one sweep.
@@ -184,14 +185,22 @@ type FactorSummer interface {
 	RotateLazy(a Ciphertext, k int) (Ciphertext, error)
 }
 
-// StageFactorAtLevel stages vals as a mat-vec factor where the backend
-// has fused diagonal sums (FactorSummer), else as the operand
-// NewOperandAtLevel makes, which MulDiagSum's fallback multiplies.
-func StageFactorAtLevel(b Backend, vals []uint64, encrypt bool, level int) (Operand, error) {
+// StageFactorsAtLevel stages every vector of set as a mat-vec factor
+// where the backend has fused diagonal sums (FactorSummer), else as the
+// operands NewOperandAtLevel makes one after another, which MulDiagSum's
+// fallback multiplies.
+func StageFactorsAtLevel(b Backend, set [][]uint64, encrypt bool, level int) ([]Operand, error) {
 	if fs, ok := b.(FactorSummer); ok {
-		return fs.StageFactorAtLevel(vals, encrypt, level)
+		return fs.StageFactorsAtLevel(set, encrypt, level)
 	}
-	return NewOperandAtLevel(b, vals, encrypt, level)
+	ops := make([]Operand, len(set))
+	for i, vals := range set {
+		var err error
+		if ops[i], err = NewOperandAtLevel(b, vals, encrypt, level); err != nil {
+			return nil, err
+		}
+	}
+	return ops, nil
 }
 
 // RotateLazy rotates x left by k, leaving the rotation unfinished where the
@@ -217,7 +226,7 @@ func Finish(b Backend, x Operand) (Operand, error) {
 }
 
 // MulDiagSum returns Σ_k terms[k].Factor ⊗ terms[k].X, the factors staged
-// by StageFactorAtLevel on the same backend: in one call where the backend
+// by StageFactorsAtLevel on the same backend: in one call where the backend
 // is a FactorSummer, else as the chain MulLazy, Add, MulLazy, Add, … in
 // term order, each intermediate released once it is summed.
 func MulDiagSum(b Backend, terms []Term) (Operand, error) {

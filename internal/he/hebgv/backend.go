@@ -10,12 +10,10 @@ package hebgv
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"copse/internal/bgv"
 	"copse/internal/he"
-	"copse/internal/matrix"
 	"copse/internal/ring"
 )
 
@@ -240,30 +238,52 @@ func (b *Backend) EncryptAtLevel(vals []uint64, level int) (he.Ciphertext, error
 }
 
 // EncryptSetAtLevel implements he.SetEncrypter: it encodes and encrypts
-// every vector of set at the given level on up to GOMAXPROCS goroutines.
-// The set's seeds are reserved in order before any of it runs, so a
-// seeded backend makes the same ciphertexts whatever the core count.
+// every vector of set at the given level on every core (encryptSet).
 func (b *Backend) EncryptSetAtLevel(set [][]uint64, level int) ([]he.Ciphertext, error) {
-	encs := b.encryptor.Reserve(len(set))
 	cts := make([]he.Ciphertext, len(set))
-	err := matrix.ParallelFor(len(set), runtime.GOMAXPROCS(0), func(i int) error {
-		pt, err := b.encoder.Encode(set[i])
-		if err != nil {
-			return err
-		}
-		ct := encs.EncryptAtLevel(i, pt, level)
-		b.CountEncrypt()
-		b.CountLimbs(ct.Level() + 1)
-		cts[i] = b.wrap(ct, 0)
-		return nil
-	})
-	if err != nil {
+	if err := b.encryptSet(set, level, func(i int, ct *bgv.Ciphertext) { cts[i] = b.wrap(ct, 0) }); err != nil {
 		for _, ct := range cts {
 			he.Release(ct)
 		}
 		return nil, err
 	}
 	return cts, nil
+}
+
+// encryptSet encrypts every vector of set at level and hands the i-th
+// ciphertext to keep on the task that made it (encodeEach). The set's
+// seeds are reserved in order before any of it runs, so a seeded backend
+// makes the same ciphertexts whatever the core count.
+func (b *Backend) encryptSet(set [][]uint64, level int, keep func(i int, ct *bgv.Ciphertext)) error {
+	encs := b.encryptor.Reserve(len(set))
+	return b.encodeEach(set, func(i int, pt *bgv.Plaintext) {
+		ct := encs.EncryptAtLevel(i, pt, level)
+		b.CountEncrypt()
+		b.CountLimbs(ct.Level() + 1)
+		keep(i, ct)
+	})
+}
+
+// encodeEach encodes every vector of set and hands the i-th plaintext to
+// use, one task per vector on every core (ring.RunAll). An encoding error
+// skips its vector's use; the first of the set's is returned once every
+// task has run.
+func (b *Backend) encodeEach(set [][]uint64, use func(i int, pt *bgv.Plaintext)) error {
+	errs := make([]error, len(set))
+	ring.RunAll(len(set), func(i int) {
+		pt, err := b.encoder.Encode(set[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		use(i, pt)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EncodePlainAtLevel implements he.LevelEncrypter: the encoding is

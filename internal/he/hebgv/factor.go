@@ -38,38 +38,40 @@ var (
 	// errPlainSum refuses a diagonal sum with no encrypted side.
 	errPlainSum = fmt.Errorf("hebgv: a diagonal sum of plaintext factors and plaintexts")
 	// errNotFactor refuses a diagonal sum whose factor side was not staged
-	// by StageFactorAtLevel.
+	// by StageFactorsAtLevel.
 	errNotFactor = fmt.Errorf("hebgv: a diagonal sum factor that is not a staged factor")
 )
 
-// StageFactorAtLevel implements he.FactorSummer: vals staged at level
-// (the chain top when negative or above it) as an encrypted factor —
-// encrypted as EncryptAtLevel does, drawing the same seed, then converted
-// — or as a plaintext one, which keeps no values: no BGV pass reads
-// them, so it cannot be revealed.
-func (b *Backend) StageFactorAtLevel(vals []uint64, encrypt bool, level int) (he.Operand, error) {
-	padded := make([]uint64, b.Slots())
-	copy(padded, vals)
+// StageFactorsAtLevel implements he.FactorSummer: every vector of set
+// staged at level (the chain top when negative or above it), one task
+// per vector on every core, as an encrypted factor — encrypted as
+// EncryptSetAtLevel encrypts the set, from seeds reserved in the set's
+// order, and converted by the task that encrypted it — or as a plaintext
+// one, which keeps no values: no BGV pass reads them, so they cannot be
+// revealed.
+func (b *Backend) StageFactorsAtLevel(set [][]uint64, encrypt bool, level int) ([]he.Operand, error) {
 	if level < 0 || level > b.params.MaxLevel() {
 		level = b.params.MaxLevel()
 	}
 	ctx := b.params.RingCtx
+	ops := make([]he.Operand, len(set))
+	var err error
 	if encrypt {
-		ct, err := b.EncryptAtLevel(padded, level)
-		if err != nil {
-			return he.Operand{}, err
-		}
-		c := ct.(*ciphertext).ct
-		for _, p := range c.C {
-			ctx.MontgomeryForm(p, p)
-		}
-		return he.Cipher(&cipherFactor{c}), nil
+		err = b.encryptSet(set, level, func(i int, ct *bgv.Ciphertext) {
+			for _, p := range ct.C {
+				ctx.MontgomeryForm(p, p)
+			}
+			ops[i] = he.Cipher(&cipherFactor{ct})
+		})
+	} else {
+		err = b.encodeEach(set, func(i int, pt *bgv.Plaintext) {
+			ops[i] = he.Operand{Pt: &plainFactor{pt.MontgomeryLift(ctx, level)}}
+		})
 	}
-	pt, err := b.encoder.Encode(padded)
 	if err != nil {
-		return he.Operand{}, err
+		return nil, err
 	}
-	return he.Operand{Pt: &plainFactor{pt.MontgomeryLift(ctx, level)}}, nil
+	return ops, nil
 }
 
 // MulDiagSum implements he.FactorSummer: the terms' products summed in

@@ -119,7 +119,7 @@ func TestMulDiagSumMatchesChain(t *testing.T) {
 					ct := sumTerms(t, chain, rand.New(rand.NewPCG(47, uint64(n))), c, n, func(vals []uint64, encrypt bool, level int) (he.Operand, error) {
 						return he.NewOperandAtLevel(chain, vals, encrypt, level)
 					})
-					ft := sumTerms(t, fused, rand.New(rand.NewPCG(47, uint64(n))), c, n, fused.StageFactorAtLevel)
+					ft := sumTerms(t, fused, rand.New(rand.NewPCG(47, uint64(n))), c, n, stageOne(fused))
 					for k := range ct {
 						if c.encFactor && c.encX && c.staged > c.level {
 							ct[k].Factor = truncated(chain, ct[k].Factor, c.level)
@@ -174,11 +174,11 @@ func TestFactorRefusedOutsideSum(t *testing.T) {
 	b := newBackend(t, 3, nil)
 	vals := make([]uint64, b.Slots())
 	vals[0] = 1
-	encF, err := b.StageFactorAtLevel(vals, true, 2)
+	encF, err := stageOne(b)(vals, true, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainF, err := b.StageFactorAtLevel(vals, false, 2)
+	plainF, err := stageOne(b)(vals, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func BenchmarkDiagSum(b *testing.B) {
 			chainTerms := sumTerms(b, bk, rng, c, sc.n, func(vals []uint64, encrypt bool, level int) (he.Operand, error) {
 				return he.NewOperandAtLevel(bk, vals, encrypt, level)
 			})
-			fusedTerms := sumTerms(b, bk, rng, c, sc.n, bk.StageFactorAtLevel)
+			fusedTerms := sumTerms(b, bk, rng, c, sc.n, stageOne(bk))
 			for _, run := range []struct {
 				name  string
 				be    he.Backend
@@ -254,5 +254,17 @@ func BenchmarkDiagSum(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// stageOne stages one vector as a factor: StageFactorsAtLevel over a set
+// of one.
+func stageOne(b *Backend) func(vals []uint64, encrypt bool, level int) (he.Operand, error) {
+	return func(vals []uint64, encrypt bool, level int) (he.Operand, error) {
+		ops, err := b.StageFactorsAtLevel([][]uint64{vals}, encrypt, level)
+		if err != nil {
+			return he.Operand{}, err
+		}
+		return ops[0], nil
 	}
 }

@@ -150,7 +150,7 @@ func stageMatVec(t testing.TB, b *Backend, rng *rand.Rand, babies int, giants []
 					continue
 				}
 				v := random()
-				f, err := b.StageFactorAtLevel(v, enc, level)
+				f, err := stageOne(b)(v, enc, level)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +267,7 @@ func TestUnfinishedRotationRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := b.StageFactorAtLevel(vals, false, 3)
+	f, err := stageOne(b)(vals, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

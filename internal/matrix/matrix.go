@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"runtime/debug"
 
 	"copse/internal/he"
 )
@@ -202,14 +201,15 @@ func checkSpan(b he.Backend, m *Bool, period, span int) error {
 // §13.5).
 //
 // If encrypt is true the diagonals are encrypted; otherwise they are
-// encoded plaintexts. Every diagonal is staged as a mat-vec factor
-// (he.StageFactorAtLevel): on a backend with fused diagonal sums
-// (he.FactorSummer) in the form its sum multiplies fastest, and then an
-// operand of he.MulDiagSum only. Operands are produced at the given
-// scheme level (the stage level a compile-time plan assigned the matrix
-// product; see Meta.LevelPlan): encrypted diagonals are encrypted there
-// directly and plaintext diagonals are lifted there. A negative level (or
-// a backend without levels) stages at the top.
+// encoded plaintexts. The diagonals are staged as one set of mat-vec
+// factors (he.StageFactorsAtLevel), in order: on a backend with fused
+// diagonal sums (he.FactorSummer) in the form its sum multiplies
+// fastest, and then an operand of he.MulDiagSum only. Operands are
+// produced at the given scheme level (the stage level a compile-time
+// plan assigned the matrix product; see Meta.LevelPlan): encrypted
+// diagonals are encrypted there directly and plaintext diagonals are
+// lifted there. A negative level (or a backend without levels) stages at
+// the top.
 //
 // Plaintext diagonals that are zero in every block are staged once: the
 // first is encoded and lifted, and every later Ops[i] recorded zero is
@@ -262,11 +262,14 @@ func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, sp
 	}
 	baby, giant := BSGSSplit(period)
 	d := &Diagonals{Rows: rows, Period: period, Baby: baby, Giant: giant, Zero: make([]bool, period)}
-	ext := make([]uint64, slots)
-	var zero *he.Operand // the first all-zero plaintext diagonal
+	// The distinct diagonals are staged as one set, in order; at[i] is
+	// diagonal i's operand in it.
+	var set [][]uint64
+	at := make([]int, period)
+	zero := -1 // the first all-zero plaintext diagonal's operand
 	for i := 0; i < period; i++ {
 		shift := (i / baby) * baby
-		clear(ext)
+		ext := make([]uint64, slots)
 		allZero := true
 		for k := range mats {
 			base := k * span
@@ -281,27 +284,32 @@ func PrepareDiagonalsAt(b he.Backend, mats []*Bool, coefs [][]uint64, period, sp
 			}
 		}
 		d.Zero[i] = allZero
-		if allZero && !encrypt && zero != nil {
-			d.Ops = append(d.Ops, *zero)
+		if allZero && !encrypt {
+			if zero < 0 {
+				zero = len(set)
+				set = append(set, ext)
+			}
+			at[i] = zero
 			continue
 		}
-		op, err := he.StageFactorAtLevel(b, ext, encrypt, level)
-		if err != nil {
-			return nil, err
-		}
-		d.Ops = append(d.Ops, op)
-		if allZero && !encrypt {
-			zero = &op
-		}
+		at[i] = len(set)
+		set = append(set, ext)
+	}
+	ops, err := he.StageFactorsAtLevel(b, set, encrypt, level)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range at {
+		d.Ops = append(d.Ops, ops[k])
 	}
 	return d, nil
 }
 
-// PanicError is a panic recovered inside a ParallelFor body and
-// returned as an error: a worker goroutine that panicked would
-// otherwise kill the whole process, taking every in-flight request
-// down with one poisoned input. The serving layer unwraps it into its
-// typed internal-error taxonomy.
+// PanicError is a panic recovered inside a pass op (core's runOp) and
+// returned as an error: a goroutine that panicked would otherwise kill
+// the whole process, taking every in-flight request down with one
+// poisoned input. The serving layer unwraps it into its typed
+// internal-error taxonomy.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -310,59 +318,5 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("matrix: recovered panic in parallel body: %v", e.Value)
-}
-
-// safeCall runs fn(i), converting a panic into a *PanicError.
-func safeCall(fn func(i int) error, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return fn(i)
-}
-
-// ParallelFor runs fn(0..n-1) on `workers` goroutines and returns the
-// first error encountered. A panic in fn is recovered and reported as
-// a *PanicError instead of crashing the process.
-func ParallelFor(n, workers int, fn func(i int) error) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := safeCall(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	work := make(chan int)
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			var firstErr error
-			for i := range work {
-				if firstErr != nil {
-					continue
-				}
-				if err := safeCall(fn, i); err != nil {
-					firstErr = err
-				}
-			}
-			errs <- firstErr
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return fmt.Sprintf("matrix: recovered panic in a pass op: %v", e.Value)
 }

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"errors"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -157,35 +156,6 @@ func TestZeroDiagonalsRecorded(t *testing.T) {
 		if full, skipped := matVec(t, b, d, v, false), matVec(t, b, d, v, true); !slices.Equal(full, skipped) {
 			t.Errorf("%s: skipping the zero diagonals moved the product: %v, all of them %v", name, skipped, full)
 		}
-	}
-}
-
-func TestParallelFor(t *testing.T) {
-	sum := make([]int, 100)
-	if err := ParallelFor(100, 8, func(i int) error {
-		sum[i] = i * i
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sum {
-		if sum[i] != i*i {
-			t.Fatalf("index %d not processed", i)
-		}
-	}
-	wantErr := errors.New("boom")
-	err := ParallelFor(50, 4, func(i int) error {
-		if i == 17 {
-			return wantErr
-		}
-		return nil
-	})
-	if !errors.Is(err, wantErr) {
-		t.Errorf("got err %v, want boom", err)
-	}
-	// Serial path.
-	if err := ParallelFor(3, 1, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
 	}
 }
 

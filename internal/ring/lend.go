@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -26,8 +27,8 @@ import (
 //
 // There is no resident pool and no setting: nothing is borrowed that no
 // worker lent, and only the pass scheduler lends (core's pass.drain), so
-// a sequential pass, key generation and encryption run every task on
-// their caller.
+// a sequential pass runs every task on its caller. Set-up and set
+// encryption run on a fork-join of their own (RunAll).
 
 // free is the lent slots no helper holds, less the borrowed ones their
 // lenders have reclaimed: below zero, it tells that many helpers to stop.
@@ -66,6 +67,20 @@ func borrow() bool {
 // owns, and reads nothing another task of the set writes.
 type Tasks interface{ Task(i int) }
 
+// claims is a task set's claim counter: every goroutine running the set
+// claims the next task until none is left.
+type claims struct {
+	next  atomic.Int32 // the next task to claim
+	n     int32
+	tasks Tasks
+}
+
+// take claims the next task, reporting false when none is left.
+func (c *claims) take() (int, bool) {
+	i := c.next.Add(1) - 1
+	return int(i), i < c.n
+}
+
 // Run runs t.Task(i) once for every i in [0, n): on the caller, and on
 // one helper while a pass worker lends its slot. It returns when every
 // task has run.
@@ -91,11 +106,11 @@ func Run(n int, t Tasks) {
 	go yieldRunNext()
 	defer s.join()
 	for {
-		i := s.next.Add(1) - 1
-		if i >= s.n {
+		i, ok := s.take()
+		if !ok {
 			return
 		}
-		t.Task(int(i))
+		t.Task(i)
 	}
 }
 
@@ -117,9 +132,7 @@ const (
 // else; the last of the caller and the helper to let go of one returns
 // it.
 type taskSet struct {
-	next  atomic.Int32 // the next task to claim
-	n     int32
-	tasks Tasks
+	claims
 	state atomic.Int32 // helperWaiting, helperRunning or helperClosed
 	refs  atomic.Int32 // the caller and the helper, until each lets go
 	// fin receives once from a helper that ran, when it has stopped;
@@ -148,11 +161,11 @@ func (s *taskSet) help() {
 func (s *taskSet) claim() {
 	defer func() { s.panicked = recover() }()
 	for free.Load() >= 0 {
-		i := s.next.Add(1) - 1
-		if i >= s.n {
+		i, ok := s.take()
+		if !ok {
 			return
 		}
-		s.tasks.Task(int(i))
+		s.tasks.Task(i)
 	}
 }
 
@@ -178,6 +191,66 @@ func (s *taskSet) release() {
 		s.next.Store(0)
 		s.state.Store(helperWaiting)
 		sets.Put(s)
+	}
+}
+
+// RunAll runs task(i) once for every i in [0, n) on every core: on its
+// caller and on up to GOMAXPROCS−1 helpers it starts, which claim tasks
+// from the caller's counter as a lent set's helper does. It is the
+// fork-join of set-up (key generation, staging) and set encryption: it
+// borrows no lent slot and counts no helper (HelpersStarted), so the
+// lending rule holds whatever runs it beside a pass. A task's panic ends
+// the claims and is re-raised on the caller, once, when every helper has
+// stopped. Under GOMAXPROCS 1 it is a loop on the caller.
+func RunAll(n int, task func(i int)) {
+	helpers := min(n, runtime.GOMAXPROCS(0)) - 1
+	if helpers < 1 {
+		for i := range n {
+			task(i)
+		}
+		return
+	}
+	s := &forkJoin{claims: claims{n: int32(n), tasks: taskFunc(task)}}
+	s.wg.Add(helpers)
+	for range helpers {
+		go func() {
+			defer s.wg.Done()
+			s.claim()
+		}()
+	}
+	s.claim()
+	s.wg.Wait()
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+}
+
+type taskFunc func(i int)
+
+func (f taskFunc) Task(i int) { f(i) }
+
+// forkJoin is the state RunAll's caller shares with its helpers.
+type forkJoin struct {
+	claims
+	wg       sync.WaitGroup
+	first    sync.Once
+	panicked any // the first task panic
+}
+
+// claim runs tasks until none is left or one panics.
+func (s *forkJoin) claim() {
+	defer func() {
+		if r := recover(); r != nil {
+			s.next.Store(s.n)
+			s.first.Do(func() { s.panicked = r })
+		}
+	}()
+	for {
+		i, ok := s.take()
+		if !ok {
+			return
+		}
+		s.tasks.Task(i)
 	}
 }
 

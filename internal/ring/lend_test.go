@@ -256,3 +256,78 @@ func TestLentKernelsBitIdentical(t *testing.T) {
 	}
 	t.Logf("no helper joined twenty lent runs (GOMAXPROCS %d)", runtime.GOMAXPROCS(0))
 }
+
+// onRunAllHelper reports whether the calling goroutine is one RunAll
+// started.
+func onRunAllHelper() bool { return bytes.Contains(debug.Stack(), []byte("ring.RunAll.func")) }
+
+// TestRunAllEachTaskOnce runs sets of 0, 1, 2, 3, 47 and 100 tasks at
+// GOMAXPROCS 1, 2 and 4: every task runs once, helpers join only with a
+// second core, and no lent slot is taken and no lending helper counted.
+func TestRunAllEachTaskOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		for _, n := range []int{0, 1, 2, 3, 47, 100} {
+			t.Run(fmt.Sprintf("procs=%d/n=%d", procs, n), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				runs := make([]atomic.Int32, n)
+				var helped atomic.Int32
+				before, lent := HelpersStarted(), free.Load()
+				RunAll(n, func(i int) {
+					runs[i].Add(1)
+					if onRunAllHelper() {
+						helped.Add(1)
+					}
+					time.Sleep(50 * time.Microsecond)
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Errorf("task %d of %d ran %d times", i, n, got)
+					}
+				}
+				if procs == 1 && helped.Load() != 0 {
+					t.Errorf("GOMAXPROCS 1: helpers ran %d tasks, want a loop on the caller", helped.Load())
+				}
+				if started := HelpersStarted() - before; started != 0 || free.Load() != lent {
+					t.Errorf("RunAll counted %d lending helpers and left %d slots free (was %d)", started, free.Load(), lent)
+				}
+			})
+		}
+	}
+}
+
+// TestRunAllRaisesPanic panics in every task a helper runs, while the
+// caller's tasks wait for the first: the panic reaches the caller once,
+// after every helper has stopped, and ends the claims.
+func TestRunAllRaisesPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 47
+	var runs, helperRuns atomic.Int32
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		RunAll(n, func(int) {
+			runs.Add(1)
+			if onRunAllHelper() {
+				helperRuns.Add(1)
+				panic("helper task")
+			}
+			for deadline := time.Now().Add(10 * time.Second); helperRuns.Load() == 0; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Error("no helper ran a task")
+					return
+				}
+			}
+		})
+		return nil
+	}()
+	if got != "helper task" {
+		t.Errorf("RunAll raised %v, want the helper's panic", got)
+	}
+	if after := runs.Load(); after == n {
+		t.Errorf("all %d tasks ran after a helper panicked", n)
+	}
+	ran := runs.Load()
+	time.Sleep(10 * time.Millisecond)
+	if runs.Load() != ran {
+		t.Error("a task ran after RunAll returned")
+	}
+}

@@ -8,7 +8,6 @@ package ring
 
 import (
 	"fmt"
-	"math/big"
 	"math/bits"
 	"sync/atomic"
 )
@@ -187,6 +186,40 @@ func bitrev(x uint64, bits int) uint64 {
 	return r
 }
 
+// primeBases are the Miller–Rabin bases under which every composite below
+// 3.3·10^24 — so every uint64 — fails at least one round.
+var primeBases = [...]uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
+
+// isPrime reports whether n is prime: a deterministic Miller–Rabin test
+// to the bases 2 to 37, exact on every uint64.
+func isPrime(n uint64) bool {
+	for _, p := range primeBases {
+		if n%p == 0 {
+			return n == p
+		}
+	}
+	if n < 2 {
+		return false
+	}
+	s := bits.TrailingZeros64(n - 1)
+	d := (n - 1) >> s
+	for _, a := range primeBases {
+		x := PowMod(a, d, n)
+		if x == 1 {
+			continue
+		}
+		// n is prime only if squaring reaches −1 before s steps: a 1
+		// first is a square root of 1 other than ±1.
+		for r := 1; r < s && x != n-1; r++ {
+			x = MulMod(x, x, n)
+		}
+		if x != n-1 {
+			return false
+		}
+	}
+	return true
+}
+
 // GeneratePrimes returns `count` distinct primes of roughly bitLen bits,
 // each congruent to 1 modulo step. It scans downward from 2^bitLen so the
 // largest suitable primes are found first.
@@ -198,7 +231,6 @@ func GeneratePrimes(bitLen int, step uint64, count int) ([]uint64, error) {
 	upper := uint64(1) << uint(bitLen)
 	// Largest multiple of step at or below upper, plus one.
 	cand := (upper/step)*step + 1
-	b := new(big.Int)
 	// Cap the scan: by prime density a legitimate request finds each
 	// prime within ~bitLen candidates, so a search still short after a
 	// million is an impossible request (step too close to 2^bitLen) —
@@ -210,11 +242,8 @@ func GeneratePrimes(bitLen int, step uint64, count int) ([]uint64, error) {
 		if scanned++; scanned > scanBudget {
 			return nil, fmt.Errorf("ring: found only %d/%d primes of %d bits with step %d within scan budget", len(primes), count, bitLen, step)
 		}
-		if cand <= upper {
-			b.SetUint64(cand)
-			if b.ProbablyPrime(20) {
-				primes = append(primes, cand)
-			}
+		if cand <= upper && isPrime(cand) {
+			primes = append(primes, cand)
 		}
 		if cand < step {
 			break

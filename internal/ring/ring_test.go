@@ -103,6 +103,48 @@ func TestGeneratePrimes(t *testing.T) {
 	}
 }
 
+// TestIsPrimeMatchesBig holds the deterministic Miller–Rabin test to
+// big.Int.ProbablyPrime, exact below 2^64, over every n below 2^16, runs
+// of candidates below 2^32, 2^55, 2^61 and 2^64, and strong pseudoprimes
+// to the first bases; and GeneratePrimes to a scan under ProbablyPrime
+// for every ring the parameter table names.
+func TestIsPrimeMatchesBig(t *testing.T) {
+	check := func(n uint64) {
+		if got, want := isPrime(n), new(big.Int).SetUint64(n).ProbablyPrime(0); got != want {
+			t.Errorf("isPrime(%d) = %v, want %v", n, got, want)
+		}
+	}
+	for n := range uint64(1 << 16) {
+		check(n)
+	}
+	for _, top := range []uint64{1 << 32, 1 << 55, 1 << 61, 0} {
+		for n := top - 4096; n != top; n++ {
+			check(n)
+		}
+	}
+	// The least strong pseudoprimes to the bases 2, 2–7, 2–11, 2–13,
+	// 2–17 and 2–23, and three Carmichael numbers.
+	for _, n := range []uint64{2047, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051, 561, 41041, 825265} {
+		check(n)
+	}
+	for _, logN := range []int{11, 12, 15} {
+		step := uint64(2<<logN) * 65537
+		got, err := GeneratePrimes(55, step, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for cand := (uint64(1)<<55)/step*step + 1; len(want) < len(got); cand -= step {
+			if new(big.Int).SetUint64(cand).ProbablyPrime(20) {
+				want = append(want, cand)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("logN %d: GeneratePrimes = %v, a ProbablyPrime scan %v", logN, got, want)
+		}
+	}
+}
+
 func TestGeneratePrimesErrors(t *testing.T) {
 	if _, err := GeneratePrimes(10, 4096, 1); err == nil {
 		t.Error("expected error for tiny bit length")
@@ -552,8 +594,6 @@ func TestFusedNTTMatchesGeneric(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersRunCoverage checks the span partition covers every index
 
 func polysEqual(a, b *Poly) bool {
 	if len(a.Coeffs) != len(b.Coeffs) || a.IsNTT != b.IsNTT {

@@ -401,9 +401,10 @@ func (s *Service) EncryptQueryBatch(name string, batch [][]uint64) (q *Query, er
 }
 
 // isolate, deferred by a serving step that returns its error through err,
-// turns a panic in the step — direct, or recovered inside a matrix worker
-// and surfaced as *matrix.PanicError — into a typed *InternalError for op
-// on this request only, instead of killing the process and every other
+// turns a panic in the step — direct, re-raised on its caller from a
+// fork-join task (ring.RunAll), or recovered inside a pass op and
+// surfaced as *matrix.PanicError — into a typed *InternalError for op on
+// this request only, instead of killing the process and every other
 // in-flight pass with it.
 func (s *Service) isolate(op string, err *error) {
 	if r := recover(); r != nil {
@@ -648,15 +649,30 @@ func (s *Service) ClassifyBatch(ctx context.Context, name string, batch [][]uint
 	}
 	base := s.shuffleSeedBlock(n)
 	out := make([]*Result, len(batch))
-	err = matrix.ParallelFor(n, workers, func(i int) error {
-		lo := i * capacity
-		hi := min(lo+capacity, len(batch))
-		results, err := s.pass(ctx, name, batch[lo:hi], base+uint64(i)*shuffleSeedStride)
-		copy(out[lo:hi], results)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	// workers goroutines claim the passes in order; a failed pass ends the
+	// claims, and the first failed pass's error is returned.
+	errs := make([]error, n)
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				lo, hi := i*capacity, min((i+1)*capacity, len(batch))
+				results, err := s.pass(ctx, name, batch[lo:hi], base+uint64(i)*shuffleSeedStride)
+				copy(out[lo:hi], results)
+				if errs[i] = err; err != nil {
+					next.Store(int32(n))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
